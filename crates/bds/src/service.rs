@@ -223,7 +223,7 @@ mod tests {
             .unwrap();
         assert_eq!(st.num_rows(), 8);
         // First record is grid point (0,0,0) with its deterministic oilp.
-        let r = st.record(0);
+        let r = st.record(0).unwrap();
         assert_eq!(r.values()[0], orv_types::Value::I32(0));
         assert_eq!(
             r.values()[3],

@@ -9,19 +9,18 @@ use orv_chunk::{Extractor as _, LayoutExtractor, SubTable};
 use orv_join::{HashJoiner, JoinCounters, LruCache};
 use orv_layout::parse_layout;
 use orv_metadata::{RTree, Rect};
-use orv_types::{Schema, SubTableId, Value};
+use orv_types::{ColumnBatch, ColumnData, Schema, SubTableId, Value};
 use std::sync::Arc;
 
 fn subtable(rows: usize, seed: u64) -> SubTable {
     let schema = Arc::new(Schema::grid(&["x", "y"], &["wp"]).unwrap());
-    let cols = vec![
-        (0..rows)
-            .map(|i| Value::I32((i as u64 ^ seed) as i32))
-            .collect(),
-        (0..rows).map(|i| Value::I32(i as i32)).collect(),
-        (0..rows).map(|i| Value::F32(i as f32)).collect(),
-    ];
-    SubTable::from_columns(SubTableId::new(0u32, 0u32), schema, cols).unwrap()
+    let batch = ColumnBatch::from_columns(vec![
+        ColumnData::I32((0..rows).map(|i| (i as u64 ^ seed) as i32).collect()),
+        ColumnData::I32((0..rows as i32).collect()),
+        ColumnData::F32((0..rows).map(|i| i as f32).collect()),
+    ])
+    .unwrap();
+    SubTable::new(SubTableId::new(0u32, 0u32), schema, batch).unwrap()
 }
 
 fn bench_hash_ops(c: &mut Criterion) {

@@ -9,11 +9,12 @@
 
 use crate::subtable::SubTable;
 use orv_layout::{CompiledLayout, LayoutDesc};
-use orv_types::{Attribute, Error, Result, Schema, SubTableId};
+use orv_types::{Attribute, ColumnBatch, Error, Result, Schema, SubTableId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Maps chunk bytes to a sub-table.
+/// Maps chunk bytes to a sub-table: application-format bytes in, typed
+/// columns out, with no intermediate row or `Value` form.
 pub trait Extractor: Send + Sync {
     /// This extractor's registered name.
     fn name(&self) -> &str;
@@ -85,8 +86,10 @@ impl Extractor for LayoutExtractor {
     }
 
     fn extract(&self, id: SubTableId, bytes: &[u8]) -> Result<SubTable> {
-        let columns = self.layout.decode(bytes)?;
-        SubTable::from_columns(id, Arc::clone(&self.schema), columns)
+        // The layout decodes each field into an array of its declared
+        // type; `SubTable::new` checks that type once per column.
+        let batch = ColumnBatch::from_columns(self.layout.decode(bytes)?)?;
+        SubTable::new(id, Arc::clone(&self.schema), batch)
     }
 }
 

@@ -2,7 +2,6 @@
 
 use orv_types::{
     BoundingBox, ColumnBatch, ColumnData, Error, Interval, Record, Result, Schema, SubTableId,
-    Value,
 };
 use std::sync::Arc;
 
@@ -10,85 +9,69 @@ use std::sync::Arc;
 /// methods to iterate through records and attributes in a record, plus the
 /// bounding box of its contents.
 ///
-/// Sub-tables are immutable once built and cheaply cloneable (`Arc`ed
-/// columns), which lets the caching service share them across join tasks
-/// without copies.
+/// This is the one in-memory table representation: the rows live in a
+/// typed [`ColumnBatch`] (a primitive array per attribute), exactly as the
+/// extractor decoded them, and scans, range filters, hash joins and the
+/// Grace Hash partitioner all read those arrays directly. [`Record`]s are
+/// first built where a result leaves the engine — at the scan's service
+/// edge or for a join's actual matches. Sub-tables are immutable once
+/// built; the caching service shares them across join tasks behind an
+/// `Arc`, and [`SubTable::encoded_size`] is what a cached one occupies.
 #[derive(Clone, Debug)]
 pub struct SubTable {
     id: SubTableId,
     schema: Arc<Schema>,
-    columns: Arc<Vec<Vec<Value>>>,
     bbox: BoundingBox,
+    batch: ColumnBatch,
 }
 
 impl SubTable {
-    /// Build from columns (one `Vec<Value>` per schema attribute, equal
-    /// lengths, type-checked). The bounding box is computed from the data.
-    pub fn from_columns(
-        id: SubTableId,
-        schema: Arc<Schema>,
-        columns: Vec<Vec<Value>>,
-    ) -> Result<Self> {
-        if columns.len() != schema.arity() {
+    /// Wrap typed columns (one per schema attribute, in order). The types
+    /// are checked once per column, and the bounding box is computed from
+    /// the data.
+    pub fn new(id: SubTableId, schema: Arc<Schema>, batch: ColumnBatch) -> Result<Self> {
+        if batch.num_columns() != schema.arity() {
             return Err(Error::Schema(format!(
                 "sub-table {id}: {} columns for schema of arity {}",
-                columns.len(),
+                batch.num_columns(),
                 schema.arity()
             )));
         }
-        let nrows = columns.first().map(|c| c.len()).unwrap_or(0);
-        for (i, (col, attr)) in columns.iter().zip(schema.attrs()).enumerate() {
-            if col.len() != nrows {
-                return Err(Error::Schema(format!(
-                    "sub-table {id}: column {i} has {} rows, expected {nrows}",
-                    col.len()
-                )));
-            }
-            if let Some(v) = col.iter().find(|v| v.data_type() != attr.dtype) {
+        let mut bbox = BoundingBox::unbounded();
+        for (ci, attr) in schema.attrs().iter().enumerate() {
+            let col = batch.column(ci);
+            if col.dtype() != attr.dtype {
                 return Err(Error::Schema(format!(
                     "sub-table {id}: column `{}` expects {} but holds {}",
                     attr.name,
                     attr.dtype,
-                    v.data_type()
+                    col.dtype()
                 )));
             }
+            if let Some((lo, hi)) = col.min_max() {
+                bbox.set(attr.name.clone(), Interval::new(lo, hi));
+            }
         }
-        let bbox = compute_bbox(&schema, &columns);
         Ok(SubTable {
             id,
             schema,
-            columns: Arc::new(columns),
             bbox,
+            batch,
         })
     }
 
     /// Build from row records.
     pub fn from_records(id: SubTableId, schema: Arc<Schema>, records: &[Record]) -> Result<Self> {
-        let mut columns: Vec<Vec<Value>> = schema
-            .attrs()
-            .iter()
-            .map(|_| Vec::with_capacity(records.len()))
-            .collect();
-        for (ri, r) in records.iter().enumerate() {
-            if !r.conforms_to(&schema) {
-                return Err(Error::Schema(format!(
-                    "sub-table {id}: record {ri} does not conform to {schema}"
-                )));
-            }
-            for (ci, v) in r.values().iter().enumerate() {
-                columns[ci].push(*v);
-            }
-        }
-        SubTable::from_columns(id, schema, columns)
+        let batch = ColumnBatch::from_records(&schema.dtypes(), records)?;
+        SubTable::new(id, schema, batch)
     }
 
     /// An empty sub-table of the given schema.
     pub fn empty(id: SubTableId, schema: Arc<Schema>) -> Self {
-        let columns = vec![Vec::new(); schema.arity()];
         SubTable {
             id,
+            batch: ColumnBatch::new(&schema.dtypes()),
             schema,
-            columns: Arc::new(columns),
             bbox: BoundingBox::unbounded(),
         }
     }
@@ -115,176 +98,87 @@ impl SubTable {
     /// Number of records.
     #[inline]
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map(|c| c.len()).unwrap_or(0)
+        self.batch.num_rows()
     }
 
     /// True if no records.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.num_rows() == 0
+        self.batch.is_empty()
     }
 
-    /// The column for attribute index `idx`.
+    /// The rows, as typed columns.
     #[inline]
-    pub fn column(&self, idx: usize) -> &[Value] {
-        &self.columns[idx]
+    pub fn batch(&self) -> &ColumnBatch {
+        &self.batch
     }
 
-    /// The column for the named attribute.
-    pub fn column_by_name(&self, name: &str) -> Result<&[Value]> {
-        Ok(self.column(self.schema.require(name)?))
+    /// The rows, by move — a scan without a range hands them on as they
+    /// were decoded.
+    pub fn into_batch(self) -> ColumnBatch {
+        self.batch
     }
 
-    /// Value at `(row, col)`.
+    /// A copy of the rows. Kept for the benchmark ladder's
+    /// `chunk.to_batch` rung; the engine borrows [`SubTable::batch`] or
+    /// takes [`SubTable::into_batch`] instead.
+    pub fn to_batch(&self) -> ColumnBatch {
+        self.batch.clone()
+    }
+
+    /// The typed column for attribute index `idx`.
     #[inline]
-    pub fn value(&self, row: usize, col: usize) -> Value {
-        self.columns[col][row]
+    pub fn column(&self, idx: usize) -> &ColumnData {
+        self.batch.column(idx)
     }
 
     /// Materialize row `row` as a [`Record`].
-    pub fn record(&self, row: usize) -> Record {
-        Record::new(self.columns.iter().map(|c| c[row]).collect())
+    pub fn record(&self, row: usize) -> Result<Record> {
+        self.batch.record(row)
     }
 
-    /// Iterate over all rows as [`Record`]s.
-    pub fn records(&self) -> impl Iterator<Item = Record> + '_ {
-        (0..self.num_rows()).map(|r| self.record(r))
+    /// Materialize all rows as [`Record`]s.
+    pub fn records(&self) -> Result<Vec<Record>> {
+        self.batch.to_records()
     }
 
-    /// Serialized size in bytes under the packed encoding — the quantity
-    /// the cost models charge for transfers (`rows × record_size`).
+    /// Size in bytes of the typed columns, which is also the serialized
+    /// size under the packed encoding (`rows × record_size`) — the
+    /// quantity the cost models charge for transfers and the cache
+    /// charges for residency.
     pub fn encoded_size(&self) -> usize {
         self.num_rows() * self.schema.record_size()
     }
 
     /// Keep only rows whose attributes fall inside `range` (attributes the
-    /// box does not bound are unconstrained). Keeps the same id/schema.
-    pub fn filter_range(&self, range: &BoundingBox) -> Result<SubTable> {
-        // Resolve bounded attribute names to column indices once.
-        let mut checks: Vec<(usize, Interval)> = Vec::new();
-        for (name, iv) in range.bounded_attrs() {
-            if let Some(idx) = self.schema.index_of(name) {
-                checks.push((idx, iv));
-            }
-            // Attributes absent from this sub-table are unbounded here
-            // (treated as [-inf, +inf]) — they never exclude a row.
-        }
+    /// box does not bound, or this sub-table lacks, are unconstrained).
+    /// Keeps the same id/schema; the bounding box shrinks to the kept rows.
+    pub fn filter_range(self, range: &BoundingBox) -> Result<SubTable> {
+        let checks = self.schema.range_checks(range);
         if checks.is_empty() {
-            return Ok(self.clone());
+            return Ok(self);
         }
-        let keep: Vec<usize> = (0..self.num_rows())
-            .filter(|&r| {
-                checks
-                    .iter()
-                    .all(|&(ci, iv)| iv.contains(self.columns[ci][r].as_f64()))
-            })
-            .collect();
-        let columns: Vec<Vec<Value>> = self
-            .columns
-            .iter()
-            .map(|col| keep.iter().map(|&r| col[r]).collect())
-            .collect();
-        SubTable::from_columns(self.id, Arc::clone(&self.schema), columns)
+        SubTable::new(self.id, self.schema, self.batch.filter_range(&checks))
     }
-
-    /// Project onto the named attributes (new schema, same rows).
-    pub fn project(&self, names: &[&str]) -> Result<SubTable> {
-        let schema = Arc::new(self.schema.project(names)?);
-        let columns: Vec<Vec<Value>> = names
-            .iter()
-            .map(|n| {
-                self.schema
-                    .index_of(n)
-                    .map(|i| self.columns[i].clone())
-                    .ok_or_else(|| Error::Schema(format!("attribute `{n}` missing in projection")))
-            })
-            .collect::<Result<_>>()?;
-        SubTable::from_columns(self.id, schema, columns)
-    }
-
-    /// This sub-table's rows as a typed [`ColumnBatch`] — the entry
-    /// point of the columnar execution path. One pass per column turns
-    /// the boxed `Value` storage into primitive arrays; downstream
-    /// filter/project/join operators then run typed loops and convert
-    /// back to [`Record`]s only at the service edge (bit-exact, since
-    /// every supported type is fixed-width).
-    pub fn to_batch(&self) -> ColumnBatch {
-        let columns: Vec<ColumnData> = self
-            .schema
-            .attrs()
-            .iter()
-            .zip(self.columns.iter())
-            .map(|(attr, col)| {
-                let mut out = ColumnData::with_capacity(attr.dtype, col.len());
-                for &v in col {
-                    // from_columns type-checked every value on build, so
-                    // a mismatch here is unreachable; skipping it keeps
-                    // a typed value rather than silently dropping rows.
-                    let _ = out.push(v);
-                }
-                out
-            })
-            .collect();
-        // from_columns validated equal lengths when this sub-table was
-        // built, so this cannot fail.
-        ColumnBatch::from_columns(columns).unwrap_or_else(|_| {
-            ColumnBatch::new(
-                &self
-                    .schema
-                    .attrs()
-                    .iter()
-                    .map(|a| a.dtype)
-                    .collect::<Vec<_>>(),
-            )
-        })
-    }
-
-    /// Rows' key values for the given attribute names, one `Vec<Value>` per
-    /// row — used by join build/probe loops.
-    pub fn keys(&self, names: &[&str]) -> Result<Vec<Vec<Value>>> {
-        let idxs: Vec<usize> = names
-            .iter()
-            .map(|n| self.schema.require(n))
-            .collect::<Result<_>>()?;
-        Ok((0..self.num_rows())
-            .map(|r| idxs.iter().map(|&i| self.columns[i][r]).collect())
-            .collect())
-    }
-}
-
-fn compute_bbox(schema: &Schema, columns: &[Vec<Value>]) -> BoundingBox {
-    let mut bbox = BoundingBox::unbounded();
-    for (attr, col) in schema.attrs().iter().zip(columns) {
-        if col.is_empty() {
-            continue;
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for v in col {
-            let x = v.as_f64();
-            lo = lo.min(x);
-            hi = hi.max(x);
-        }
-        bbox.set(attr.name.clone(), Interval::new(lo, hi));
-    }
-    bbox
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orv_types::Value;
 
     fn schema() -> Arc<Schema> {
         Arc::new(Schema::grid(&["x", "y"], &["wp"]).unwrap())
     }
 
     fn sample() -> SubTable {
-        let cols = vec![
-            vec![Value::I32(0), Value::I32(1), Value::I32(2)],
-            vec![Value::I32(5), Value::I32(6), Value::I32(7)],
-            vec![Value::F32(0.5), Value::F32(0.25), Value::F32(0.75)],
-        ];
-        SubTable::from_columns(SubTableId::new(0u32, 0u32), schema(), cols).unwrap()
+        let batch = ColumnBatch::from_columns(vec![
+            ColumnData::I32(vec![0, 1, 2]),
+            ColumnData::I32(vec![5, 6, 7]),
+            ColumnData::F32(vec![0.5, 0.25, 0.75]),
+        ])
+        .unwrap();
+        SubTable::new(SubTableId::new(0u32, 0u32), schema(), batch).unwrap()
     }
 
     #[test]
@@ -296,9 +190,37 @@ mod tests {
     }
 
     #[test]
+    fn bbox_skips_nans_like_the_value_fold() {
+        // What the `Value`-column fold computed: `f64::min`/`max` ignore a
+        // NaN operand, and an all-NaN column ends at the fold's identities.
+        let schema = Arc::new(
+            Schema::new(vec![
+                orv_types::Attribute::scalar("a", orv_types::DataType::F64),
+                orv_types::Attribute::scalar("b", orv_types::DataType::F32),
+                orv_types::Attribute::scalar("c", orv_types::DataType::I64),
+            ])
+            .unwrap(),
+        );
+        let batch = ColumnBatch::from_columns(vec![
+            ColumnData::F64(vec![f64::NAN, -2.5, 7.0, f64::NAN]),
+            ColumnData::F32(vec![f32::NAN, f32::NAN, f32::NAN, f32::NAN]),
+            ColumnData::I64(vec![i64::MIN, 0, 3, i64::MAX]),
+        ])
+        .unwrap();
+        let st = SubTable::new(SubTableId::new(0u32, 0u32), schema, batch).unwrap();
+        assert_eq!(st.bbox().get("a"), Interval::new(-2.5, 7.0));
+        let b = st.bbox().get("b");
+        assert_eq!((b.lo, b.hi), (f64::INFINITY, f64::NEG_INFINITY));
+        assert_eq!(
+            st.bbox().get("c"),
+            Interval::new(i64::MIN as f64, i64::MAX as f64)
+        );
+    }
+
+    #[test]
     fn record_iteration_matches_columns() {
         let st = sample();
-        let recs: Vec<Record> = st.records().collect();
+        let recs = st.records().unwrap();
         assert_eq!(recs.len(), 3);
         assert_eq!(
             recs[1].values(),
@@ -309,87 +231,74 @@ mod tests {
     #[test]
     fn from_records_roundtrip() {
         let st = sample();
-        let recs: Vec<Record> = st.records().collect();
+        let recs = st.records().unwrap();
         let st2 = SubTable::from_records(st.id(), Arc::clone(st.schema()), &recs).unwrap();
         assert_eq!(st2.num_rows(), 3);
         assert_eq!(st2.bbox(), st.bbox());
-        assert_eq!(st2.record(2), st.record(2));
+        assert_eq!(st2.record(2).unwrap(), st.record(2).unwrap());
+        assert_eq!(st2.batch(), st.batch());
     }
 
     #[test]
     fn type_and_shape_validation() {
         let s = schema();
+        let id = SubTableId::new(0u32, 0u32);
         // Wrong arity.
-        assert!(
-            SubTable::from_columns(SubTableId::new(0u32, 0u32), s.clone(), vec![vec![]]).is_err()
-        );
-        // Ragged.
-        let ragged = vec![vec![Value::I32(0)], vec![], vec![]];
-        assert!(SubTable::from_columns(SubTableId::new(0u32, 0u32), s.clone(), ragged).is_err());
+        let one = ColumnBatch::from_columns(vec![ColumnData::I32(vec![])]).unwrap();
+        assert!(SubTable::new(id, s.clone(), one).is_err());
         // Wrong type in column.
-        let wrong = vec![
-            vec![Value::F32(0.0)],
-            vec![Value::I32(0)],
-            vec![Value::F32(0.0)],
-        ];
-        assert!(SubTable::from_columns(SubTableId::new(0u32, 0u32), s, wrong).is_err());
+        let wrong = ColumnBatch::from_columns(vec![
+            ColumnData::F32(vec![0.0]),
+            ColumnData::I32(vec![0]),
+            ColumnData::F32(vec![0.0]),
+        ])
+        .unwrap();
+        let err = SubTable::new(id, s.clone(), wrong).unwrap_err();
+        assert!(err.to_string().contains("column `x` expects"), "{err}");
+        // A record that does not conform.
+        let bad = [Record::new(vec![Value::I32(0), Value::I32(0)])];
+        assert!(SubTable::from_records(id, s, &bad).is_err());
     }
 
     #[test]
     fn filter_range_keeps_matching_rows() {
         let st = sample();
         let range = BoundingBox::from_dims([("x", Interval::new(1.0, 2.0))]);
-        let f = st.filter_range(&range).unwrap();
+        let f = st.clone().filter_range(&range).unwrap();
         assert_eq!(f.num_rows(), 2);
-        assert_eq!(
-            f.column_by_name("x").unwrap(),
-            &[Value::I32(1), Value::I32(2)]
-        );
+        assert_eq!(f.column(0), &ColumnData::I32(vec![1, 2]));
+        assert_eq!(f.bbox().get("y"), Interval::new(6.0, 7.0));
         // Unknown attribute in range → unconstrained.
         let range2 = BoundingBox::from_dims([("zzz", Interval::new(0.0, 0.0))]);
-        assert_eq!(st.filter_range(&range2).unwrap().num_rows(), 3);
+        assert_eq!(st.clone().filter_range(&range2).unwrap().num_rows(), 3);
         // Empty result.
         let range3 = BoundingBox::from_dims([("y", Interval::new(100.0, 200.0))]);
         assert_eq!(st.filter_range(&range3).unwrap().num_rows(), 0);
     }
 
     #[test]
-    fn project_and_keys() {
-        let st = sample();
-        let p = st.project(&["wp", "x"]).unwrap();
-        assert_eq!(p.schema().arity(), 2);
-        assert_eq!(p.record(0).values(), &[Value::F32(0.5), Value::I32(0)]);
-        let keys = st.keys(&["x", "y"]).unwrap();
-        assert_eq!(keys[2], vec![Value::I32(2), Value::I32(7)]);
-        assert!(st.keys(&["nope"]).is_err());
-    }
-
-    #[test]
-    fn encoded_size_is_rows_times_record_size() {
+    fn encoded_size_is_the_resident_column_bytes() {
         let st = sample();
         assert_eq!(st.encoded_size(), 3 * 12);
+        let resident: usize = (0..st.schema().arity())
+            .map(|c| st.column(c).len() * st.column(c).dtype().width())
+            .sum();
+        assert_eq!(st.encoded_size(), resident);
         let empty = SubTable::empty(SubTableId::new(0u32, 9u32), schema());
         assert_eq!(empty.encoded_size(), 0);
         assert!(empty.is_empty());
     }
 
     #[test]
-    fn to_batch_round_trips_rows() {
+    fn batch_accessors_agree() {
         let st = sample();
-        let batch = st.to_batch();
-        assert_eq!(batch.num_rows(), st.num_rows());
-        assert_eq!(batch.num_columns(), st.schema().arity());
-        let rows = batch.to_records().unwrap();
-        let direct: Vec<Record> = st.records().collect();
-        assert_eq!(rows, direct, "batch path must reproduce the row path");
+        assert_eq!(&st.to_batch(), st.batch());
+        assert_eq!(st.batch().num_columns(), st.schema().arity());
+        assert_eq!(st.batch().to_records().unwrap(), st.records().unwrap());
+        let expected = st.batch().clone();
+        assert_eq!(st.into_batch(), expected);
         let empty = SubTable::empty(SubTableId::new(0u32, 9u32), schema());
-        assert!(empty.to_batch().is_empty());
-    }
-
-    #[test]
-    fn clone_shares_columns() {
-        let st = sample();
-        let c = st.clone();
-        assert!(Arc::ptr_eq(&st.columns, &c.columns));
+        assert!(empty.batch().is_empty());
+        assert_eq!(empty.batch().num_columns(), 3);
     }
 }

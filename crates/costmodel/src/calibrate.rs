@@ -42,8 +42,8 @@ impl Calibration {
 /// Keys are pre-materialized so only the hash-table operations are timed.
 pub fn calibrate_host(n: u64) -> Calibration {
     let n = n.max(1);
-    let keys: Vec<Vec<Value>> = (0..n)
-        .map(|i| vec![Value::I32((i % 1024) as i32), Value::I32((i / 1024) as i32)])
+    let keys: Vec<[Value; 2]> = (0..n)
+        .map(|i| [Value::I32((i % 1024) as i32), Value::I32((i / 1024) as i32)])
         .collect();
 
     // orv-lint: allow(L006) -- calibration exists to measure real hardware timings

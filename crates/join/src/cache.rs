@@ -396,17 +396,18 @@ impl Drop for InFlightGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orv_types::{Schema, Value};
+    use orv_types::{ColumnBatch, ColumnData, Schema};
     use std::sync::mpsc;
     use std::sync::Barrier;
 
     fn st(rows: usize) -> Arc<SubTable> {
         let schema = Arc::new(Schema::grid(&["x"], &["p"]).unwrap());
-        let cols = vec![
-            (0..rows).map(|i| Value::I32(i as i32)).collect(),
-            (0..rows).map(|i| Value::F32(i as f32)).collect(),
-        ];
-        Arc::new(SubTable::from_columns(SubTableId::new(0u32, 0u32), schema, cols).unwrap())
+        let batch = ColumnBatch::from_columns(vec![
+            ColumnData::I32((0..rows as i32).collect()),
+            ColumnData::F32((0..rows).map(|i| i as f32).collect()),
+        ])
+        .unwrap();
+        Arc::new(SubTable::new(SubTableId::new(0u32, 0u32), schema, batch).unwrap())
     }
 
     fn rkey(c: u32) -> CacheKey {

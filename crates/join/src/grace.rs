@@ -15,10 +15,12 @@
 //! Storage nodes and compute nodes are OS threads; `h1` routing is a
 //! crossbeam channel per compute node; buckets live in a per-node
 //! [`Scratch`] store (memory or real temp files). The sender hashes each
-//! record once (deriving both `h1` and `h2` from the same 64-bit hash) and
-//! encodes records straight from the columnar sub-table into per-
-//! `(destination, bucket)` byte buffers, so no row objects are
-//! materialized on the partition path.
+//! record once (deriving both `h1` and `h2` from the same 64-bit hash,
+//! taken over the key columns' typed key bits) and encodes records
+//! straight from the sub-table's typed columns into per-
+//! `(destination, bucket)` byte buffers; buckets decode straight back
+//! into typed columns, so no row objects are materialized on the
+//! partition path.
 
 //! ## Fault tolerance
 //!
@@ -33,7 +35,7 @@
 //! harvested, and the panic surfaces as the join's error within a bounded
 //! deadline rather than a hang.
 
-use crate::hash_join::{HashJoiner, JoinCounters};
+use crate::hash_join::{gather_key_bits, is_float, HashJoiner, JoinCounters};
 use orv_bds::{BdsService, Deployment};
 use orv_chunk::SubTable;
 use orv_cluster::{
@@ -41,7 +43,9 @@ use orv_cluster::{
     ScratchKind, SendVerdict,
 };
 use orv_obs::{names, Obs};
-use orv_types::{BoundingBox, Error, Record, Result, Schema, SubTableId, TableId, Value};
+use orv_types::{
+    BoundingBox, ColumnBatch, ColumnData, Error, Record, Result, Schema, SubTableId, TableId,
+};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
@@ -116,15 +120,13 @@ enum Side {
     Right,
 }
 
-/// splitmix64 over the join-key values. Both `h1` (low bits) and `h2`
+/// splitmix64 over one row's join key, given as `(canonical key bits,
+/// is-float family)` per key attribute. Both `h1` (low bits) and `h2`
 /// (high bits) derive from this one hash.
-fn hash_key(values: &[Value]) -> u64 {
+fn hash_key(key: impl Iterator<Item = (u64, bool)>) -> u64 {
     let mut h = 0x243F_6A88_85A3_08D3u64;
-    for v in values {
-        let family = matches!(v, Value::F32(_) | Value::F64(_)) as u64;
-        h ^= v
-            .key_bits()
-            .wrapping_add(family.wrapping_mul(0x1F83_D9AB_FB41_BD6B));
+    for (bits, float) in key {
+        h ^= bits.wrapping_add((float as u64).wrapping_mul(0x1F83_D9AB_FB41_BD6B));
         h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^= h >> 29;
     }
@@ -133,33 +135,29 @@ fn hash_key(values: &[Value]) -> u64 {
     h ^ (h >> 31)
 }
 
-/// `h1`: record → compute node.
-#[cfg(test)]
-fn h1(values: &[Value], n_compute: usize) -> usize {
-    (hash_key(values) % n_compute as u64) as usize
-}
-
-/// `h2`: record → bucket, independent of `h1` (uses the upper hash bits).
-#[cfg(test)]
-fn h2(values: &[Value], n_buckets: usize) -> usize {
-    ((hash_key(values) >> 32) % n_buckets as u64) as usize
-}
-
-/// Pack records into the fixed-width little-endian wire format.
-#[cfg(test)]
-fn encode_records(records: &[Record]) -> Vec<u8> {
-    let total: usize = records.iter().map(Record::encoded_size).sum();
-    let mut out = Vec::with_capacity(total);
-    for r in records {
-        for v in r.values() {
-            v.encode_le(&mut out);
-        }
+/// [`hash_key`] of every row of `batch` over the key columns
+/// `key_indices`, handed to `each(row, hash)`. The key bits are gathered
+/// with one typed pass per key column.
+fn hash_rows(batch: &ColumnBatch, key_indices: &[usize], mut each: impl FnMut(usize, u64)) {
+    let keys: Vec<(Vec<u64>, bool)> = key_indices
+        .iter()
+        .map(|&i| {
+            let col = batch.column(i);
+            (gather_key_bits(col), is_float(col.dtype()))
+        })
+        .collect();
+    for r in 0..batch.num_rows() {
+        each(
+            r,
+            hash_key(keys.iter().map(|(bits, float)| (bits[r], *float))),
+        );
     }
-    out
 }
 
-/// Decode columns of `schema` from the wire format.
-fn decode_columns(schema: &Schema, bytes: &[u8]) -> Result<Vec<Vec<Value>>> {
+/// Decode a bucket of packed little-endian records into typed columns of
+/// `schema`. Total: any byte string is either whole records or a typed
+/// [`Error::Format`].
+fn decode_columns(schema: &Schema, bytes: &[u8]) -> Result<ColumnBatch> {
     let rs = schema.record_size();
     if rs == 0 || !bytes.len().is_multiple_of(rs) {
         return Err(Error::Format(format!(
@@ -168,21 +166,15 @@ fn decode_columns(schema: &Schema, bytes: &[u8]) -> Result<Vec<Vec<Value>>> {
         )));
     }
     let nrows = bytes.len() / rs;
-    let mut cols: Vec<Vec<Value>> = schema
+    let columns = schema
         .attrs()
         .iter()
-        .map(|_| Vec::with_capacity(nrows))
-        .collect();
-    for rec in bytes.chunks_exact(rs) {
-        let mut off = 0;
-        for (ci, attr) in schema.attrs().iter().enumerate() {
-            let v = Value::decode_le(attr.dtype, &rec[off..])
-                .ok_or_else(|| Error::Format("truncated record in bucket".into()))?;
-            cols[ci].push(v);
-            off += attr.dtype.width();
-        }
-    }
-    Ok(cols)
+        .enumerate()
+        .map(|(ci, attr)| {
+            ColumnData::decode_strided(attr.dtype, bytes, schema.offset_of(ci), rs, nrows, true)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    ColumnBatch::from_columns(columns)
 }
 
 /// Pick the bucket count so each side's bucket fits in `mem_per_node`.
@@ -197,10 +189,10 @@ const OVERFLOW_SPLIT: usize = 4;
 /// in memory regardless of the budget.
 const MAX_OVERFLOW_DEPTH: u32 = 4;
 
-/// Salted variant of [`hash_key`] used for overflow repartitioning, so
-/// sub-bucket assignment is independent of both `h1` and `h2`.
-fn hash_key_salted(values: &[Value], salt: u64) -> u64 {
-    let mut h = hash_key(values) ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// Re-mix a [`hash_key`] with a depth salt for overflow repartitioning,
+/// so sub-bucket assignment is independent of both `h1` and `h2`.
+fn salt_hash(hash: u64, salt: u64) -> u64 {
+    let mut h = hash ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h ^ (h >> 31)
 }
@@ -280,18 +272,12 @@ fn repartition_bucket(
     stats: &mut RunStats,
 ) -> Result<()> {
     let bytes = read_bucket_verified(ctx, name, stats)?;
-    let cols = decode_columns(schema, &bytes)?;
-    let nrows = cols.first().map(Vec::len).unwrap_or(0);
+    let batch = decode_columns(schema, &bytes)?;
     let mut outs: Vec<Vec<u8>> = vec![Vec::new(); OVERFLOW_SPLIT];
-    let mut key = Vec::with_capacity(key_indices.len());
-    for r in 0..nrows {
-        key.clear();
-        key.extend(key_indices.iter().map(|&i| cols[i][r]));
-        let k = (hash_key_salted(&key, depth as u64 + 1) % OVERFLOW_SPLIT as u64) as usize;
-        for col in &cols {
-            col[r].encode_le(&mut outs[k]);
-        }
-    }
+    hash_rows(&batch, key_indices, |r, h| {
+        let k = (salt_hash(h, depth as u64 + 1) % OVERFLOW_SPLIT as u64) as usize;
+        batch.encode_row_le(r, &mut outs[k]);
+    });
     for (k, buf) in outs.into_iter().enumerate() {
         if !buf.is_empty() {
             let _write = ctx
@@ -342,12 +328,12 @@ fn join_bucket_pair(
     }
     let lbytes = read_bucket_verified(ctx, lname, stats)?;
     let rbytes = read_bucket_verified(ctx, rname, stats)?;
-    let lst = SubTable::from_columns(
+    let lst = SubTable::new(
         SubTableId::new(0u32, depth),
         Arc::clone(ctx.lschema),
         decode_columns(ctx.lschema, &lbytes)?,
     )?;
-    let rst = SubTable::from_columns(
+    let rst = SubTable::new(
         SubTableId::new(1u32, depth),
         Arc::clone(ctx.rschema),
         decode_columns(ctx.rschema, &rbytes)?,
@@ -364,8 +350,8 @@ fn join_bucket_pair(
     }
 }
 
-/// Route one sub-table's rows into per-`(dest, bucket)` buffers, encoding
-/// straight from the columns.
+/// Route one sub-table's rows into per-`(dest, bucket)` buffers, hashing
+/// and encoding straight from the typed columns.
 fn route_subtable(
     st: &SubTable,
     key_indices: &[usize],
@@ -376,12 +362,8 @@ fn route_subtable(
     // Dense (dest, bucket) → buffer map would waste memory for large
     // bucket counts; use a per-dest sparse assoc list (bucket counts per
     // message are small in practice).
-    let arity = st.schema().arity();
-    let mut key = Vec::with_capacity(key_indices.len());
-    for r in 0..st.num_rows() {
-        key.clear();
-        key.extend(key_indices.iter().map(|&i| st.value(r, i)));
-        let h = hash_key(&key);
+    let batch = st.batch();
+    hash_rows(batch, key_indices, |r, h| {
         let dest = (h % n_compute as u64) as usize;
         let bucket = ((h >> 32) % n_buckets as u64) as u32;
         let dest_buckets = &mut out[dest];
@@ -392,11 +374,8 @@ fn route_subtable(
                 dest_buckets.len() - 1
             }
         };
-        let buf = &mut dest_buckets[pos].1;
-        for c in 0..arity {
-            st.value(r, c).encode_le(buf);
-        }
-    }
+        batch.encode_row_le(r, &mut dest_buckets[pos].1);
+    });
     out
 }
 
@@ -594,11 +573,11 @@ pub fn grace_hash_join(
                                     names::span_gh_sender(node.index(), names::PHASE_READ)
                                 });
                                 cfg.recovery.run_cancellable(&cfg.cancel, || {
-                                    let mut st: SubTable = svc.subtable(id)?;
-                                    if let Some(rg) = &cfg.range {
-                                        st = st.filter_range(rg)?;
+                                    let st: SubTable = svc.subtable(id)?;
+                                    match &cfg.range {
+                                        Some(rg) => st.filter_range(rg),
+                                        None => Ok(st),
                                     }
-                                    Ok(st)
                                 })
                             };
                             stats.read_retries += retries;
@@ -1138,17 +1117,36 @@ mod tests {
         );
     }
 
+    /// A sub-table of `n` rows over `(x: i32, y: i32, wp: f32)`.
+    fn xy_subtable(n: i32) -> SubTable {
+        let schema = Arc::new(Schema::grid(&["x", "y"], &["wp"]).unwrap());
+        let batch = ColumnBatch::from_columns(vec![
+            ColumnData::I32((0..n).map(|i| i % 50).collect()),
+            ColumnData::I32((0..n).map(|i| i / 50).collect()),
+            ColumnData::F32((0..n).map(|i| i as f32 * 0.5).collect()),
+        ])
+        .unwrap();
+        SubTable::new(SubTableId::new(0u32, 0u32), schema, batch).unwrap()
+    }
+
     #[test]
     fn hash_functions_spread_and_are_deterministic() {
-        let keys: Vec<Vec<Value>> = (0..1000)
-            .map(|i| vec![Value::I32(i % 50), Value::I32(i / 50)])
-            .collect();
+        let st = xy_subtable(1000);
+        let mut hashes = Vec::new();
+        hash_rows(st.batch(), &[0, 1], |r, h| {
+            assert_eq!(r, hashes.len());
+            hashes.push(h);
+        });
+        // `h1` (low bits → node) and `h2` (high bits → bucket).
         let mut node_counts = vec![0usize; 4];
         let mut bucket_counts = vec![0usize; 8];
-        for k in &keys {
-            node_counts[h1(k, 4)] += 1;
-            bucket_counts[h2(k, 8)] += 1;
-            assert_eq!(h1(k, 4), h1(k, 4));
+        for (r, &h) in hashes.iter().enumerate() {
+            node_counts[(h % 4) as usize] += 1;
+            bucket_counts[((h >> 32) % 8) as usize] += 1;
+            // The typed gather hashes what the `Value`s would.
+            let key = [st.column(0).value(r), st.column(1).value(r)];
+            let by_value = key.iter().map(|v| (v.key_bits(), is_float(v.data_type())));
+            assert_eq!(h, hash_key(by_value));
         }
         for &c in &node_counts {
             assert!(c > 150, "h1 skewed: {node_counts:?}");
@@ -1156,49 +1154,111 @@ mod tests {
         for &c in &bucket_counts {
             assert!(c > 60, "h2 skewed: {bucket_counts:?}");
         }
+        // Same bits, other family: a different key.
+        assert_ne!(
+            hash_key([(7, false)].into_iter()),
+            hash_key([(7, true)].into_iter())
+        );
     }
 
     #[test]
     fn record_wire_format_roundtrips() {
-        let schema = Schema::grid(&["x", "y"], &["wp"]).unwrap();
-        let recs: Vec<Record> = (0..10)
-            .map(|i| {
-                Record::new(vec![
-                    Value::I32(i),
-                    Value::I32(-i),
-                    Value::F32(i as f32 * 0.5),
-                ])
-            })
-            .collect();
-        let bytes = encode_records(&recs);
+        let st = xy_subtable(10);
+        let schema = st.schema();
+        let mut bytes = Vec::new();
+        for r in 0..st.num_rows() {
+            st.batch().encode_row_le(r, &mut bytes);
+        }
         assert_eq!(bytes.len(), 10 * schema.record_size());
-        let cols = decode_columns(&schema, &bytes).unwrap();
-        assert_eq!(cols[0][3], Value::I32(3));
-        assert_eq!(cols[1][3], Value::I32(-3));
-        assert_eq!(cols[2][9], Value::F32(4.5));
-        assert!(decode_columns(&schema, &bytes[..5]).is_err());
+        // The wire format is each `Value`'s little-endian bytes, in order.
+        let mut by_value = Vec::new();
+        for rec in st.records().unwrap() {
+            rec.values().iter().for_each(|v| v.encode_le(&mut by_value));
+        }
+        assert_eq!(bytes, by_value);
+        assert_eq!(&decode_columns(schema, &bytes).unwrap(), st.batch());
+        let err = decode_columns(schema, &bytes[..5]).unwrap_err();
+        assert!(matches!(err, Error::Format(_)), "{err}");
     }
 
     #[test]
     fn routing_covers_all_rows_once() {
-        let schema = std::sync::Arc::new(Schema::grid(&["x", "y"], &["wp"]).unwrap());
-        let cols = vec![
-            (0..100).map(Value::I32).collect(),
-            (0..100).map(|i| Value::I32(i * 7 % 13)).collect(),
-            (0..100).map(|i| Value::F32(i as f32)).collect(),
-        ];
-        let st = SubTable::from_columns(SubTableId::new(0u32, 0u32), schema.clone(), cols).unwrap();
+        let st = xy_subtable(100);
+        let rs = st.schema().record_size();
         let routed = route_subtable(&st, &[0, 1], 3, 4);
-        let total_bytes: usize = routed
-            .iter()
-            .flat_map(|d| d.iter().map(|(_, b)| b.len()))
-            .sum();
-        assert_eq!(total_bytes, 100 * schema.record_size());
-        // Bucket indices in range.
+        let mut rows = Vec::new();
         for dest in &routed {
             for (b, bytes) in dest {
-                assert!(*b < 4);
-                assert_eq!(bytes.len() % schema.record_size(), 0);
+                assert!(*b < 4, "bucket index in range");
+                assert_eq!(bytes.len() % rs, 0);
+                rows.extend(
+                    decode_columns(st.schema(), bytes)
+                        .unwrap()
+                        .to_records()
+                        .unwrap(),
+                );
+            }
+        }
+        assert_eq!(sort_records(rows), sort_records(st.records().unwrap()));
+    }
+
+    mod decode_props {
+        use super::*;
+        use orv_types::{Attribute, DataType};
+        use proptest::prelude::*;
+
+        fn schema_strategy() -> impl Strategy<Value = Schema> {
+            let dtype = prop_oneof![
+                Just(DataType::I32),
+                Just(DataType::I64),
+                Just(DataType::F32),
+                Just(DataType::F64),
+            ];
+            proptest::collection::vec(dtype, 1..6).prop_map(|types| {
+                let attrs = types.into_iter().enumerate();
+                Schema::new(
+                    attrs
+                        .map(|(i, t)| Attribute::scalar(format!("a{i}"), t))
+                        .collect(),
+                )
+                .unwrap()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any byte string decodes to whole records — exactly
+            /// `len / record_size` rows in every column, each the
+            /// little-endian value at its offset — or to a typed
+            /// `Error::Format`; never a panic. Re-encoding reproduces the
+            /// input, so every bit pattern (NaN payloads, `-0.0`)
+            /// survives.
+            #[test]
+            fn decode_columns_is_total_and_bit_exact(
+                schema in schema_strategy(),
+                bytes in proptest::collection::vec(any::<u8>(), 0..256),
+            ) {
+                let rs = schema.record_size();
+                match decode_columns(&schema, &bytes) {
+                    Ok(batch) => {
+                        prop_assert_eq!(bytes.len() % rs, 0);
+                        prop_assert_eq!(batch.num_columns(), schema.arity());
+                        prop_assert_eq!(batch.dtypes(), schema.dtypes());
+                        for c in 0..batch.num_columns() {
+                            prop_assert_eq!(batch.column(c).len(), bytes.len() / rs);
+                        }
+                        let mut back = Vec::with_capacity(bytes.len());
+                        for r in 0..batch.num_rows() {
+                            batch.encode_row_le(r, &mut back);
+                        }
+                        prop_assert_eq!(back, bytes);
+                    }
+                    Err(e) => {
+                        prop_assert!(matches!(e, Error::Format(_)), "{e}");
+                        prop_assert!(bytes.len() % rs != 0);
+                    }
+                }
             }
         }
     }

@@ -6,15 +6,16 @@
 //! pointer to the relevant record"), so build cost is independent of record
 //! size — which is why the cost models can use flat `α_build`/`α_lookup`
 //! constants. Neither build nor probe materializes row objects: keys are
-//! gathered straight from the columnar sub-tables, and output records are
-//! only assembled for actual matches.
+//! gathered straight from the sub-tables' typed columns
+//! ([`ColumnData::key_bits_into`]), and output records are only assembled
+//! — again from the typed columns — for actual matches.
 //!
 //! [`JoinCounters`] tallies every insert and lookup; the threaded runtime
 //! aggregates these across nodes and the calibration harness divides wall
 //! time by them to measure `α` on the host.
 
 use orv_chunk::SubTable;
-use orv_types::{DataType, Record, Result};
+use orv_types::{ColumnData, DataType, Record, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,13 +29,16 @@ use std::sync::Arc;
 /// raw `u64` key bits and compare the per-column family vectors once
 /// per probe instead of tagging every value.
 #[inline]
-fn is_float(ty: DataType) -> bool {
+pub(crate) fn is_float(ty: DataType) -> bool {
     matches!(ty, DataType::F32 | DataType::F64)
 }
 
-/// The canonical key bits of one key column, gathered in a single pass.
-fn gather_key_bits(st: &SubTable, col: usize) -> Vec<u64> {
-    st.column(col).iter().map(|v| v.key_bits()).collect()
+/// The canonical key bits of one key column, gathered in a single typed
+/// pass.
+pub(crate) fn gather_key_bits(col: &ColumnData) -> Vec<u64> {
+    let mut bits = Vec::with_capacity(col.len());
+    col.key_bits_into(&mut bits);
+    bits
 }
 
 /// Shared counters for hash-join operations.
@@ -71,7 +75,11 @@ impl JoinCounters {
 ///
 /// IJ caches these per left sub-table ("a hash-table is created only once
 /// for every left sub-table"), so the type is cheap to clone and share:
-/// the table is `Arc`ed and the sub-table's columns already are.
+/// the table and the build-side sub-table are both `Arc`ed. Keys are
+/// gathered from, and matches materialised from, the sub-tables' typed
+/// columns. The cache charges an entry its sub-table's
+/// [`SubTable::encoded_size`] — the resident column bytes; the hash table
+/// itself is not yet charged.
 #[derive(Clone)]
 pub struct HashJoiner {
     /// canonical key bits (one `u64` per key attribute) → row indices in
@@ -110,7 +118,7 @@ impl HashJoiner {
             .collect();
         let key_cols: Vec<Vec<u64>> = key_indices
             .iter()
-            .map(|&i| gather_key_bits(&left, i))
+            .map(|&i| gather_key_bits(left.column(i)))
             .collect();
         let nrows = left.num_rows();
         let mut table: HashMap<Box<[u64]>, Vec<u32>> = HashMap::with_capacity(nrows);
@@ -182,7 +190,7 @@ impl HashJoiner {
         // float column) means no right key can equal any build key —
         // `Value` equality never crosses families. Raw key bits could
         // collide across families, so skip lookups entirely; the op
-        // counters still tick exactly as the row path did.
+        // counters still tick as if every lookup had run.
         let families_match = right_keys.len() == self.families.len()
             && right_keys
                 .iter()
@@ -192,7 +200,7 @@ impl HashJoiner {
         if families_match {
             let key_cols: Vec<Vec<u64>> = right_keys
                 .iter()
-                .map(|&i| gather_key_bits(right, i))
+                .map(|&i| gather_key_bits(right.column(i)))
                 .collect();
             let mut key = vec![0u64; right_keys.len()];
             let mut pairs: Vec<(u32, u32)> = Vec::new();
@@ -213,18 +221,17 @@ impl HashJoiner {
             produced = pairs.len() as u64;
             // Materialize the matches: left row ++ right row minus its
             // key fields. This is the row edge of the join.
-            let left_arity = self.left.schema().arity();
-            let right_cols: Vec<usize> = (0..right.schema().arity())
+            let left_cols: Vec<&ColumnData> = (0..self.left.schema().arity())
+                .map(|c| self.left.column(c))
+                .collect();
+            let right_cols: Vec<&ColumnData> = (0..right.schema().arity())
                 .filter(|c| !right_keys.contains(c))
+                .map(|c| right.column(c))
                 .collect();
             for (li, ri) in pairs {
-                let mut vals = Vec::with_capacity(left_arity + right_cols.len());
-                for c in 0..left_arity {
-                    vals.push(self.left.value(li as usize, c));
-                }
-                for &c in &right_cols {
-                    vals.push(right.value(ri as usize, c));
-                }
+                let mut vals = Vec::with_capacity(left_cols.len() + right_cols.len());
+                vals.extend(left_cols.iter().map(|c| c.value(li as usize)));
+                vals.extend(right_cols.iter().map(|c| c.value(ri as usize)));
                 on_match(Record::new(vals));
             }
         }
@@ -239,27 +246,32 @@ impl HashJoiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orv_types::{Schema, SubTableId, Value};
+    use orv_types::{ColumnBatch, Schema, SubTableId, Value};
     use std::sync::Arc as StdArc;
+
+    fn subtable(table: u32, schema: StdArc<Schema>, cols: Vec<ColumnData>) -> SubTable {
+        let batch = ColumnBatch::from_columns(cols).unwrap();
+        SubTable::new(SubTableId::new(table, 0u32), schema, batch).unwrap()
+    }
 
     fn left() -> SubTable {
         let schema = StdArc::new(Schema::grid(&["x", "y"], &["oilp"]).unwrap());
         let cols = vec![
-            vec![Value::I32(0), Value::I32(1), Value::I32(1)],
-            vec![Value::I32(0), Value::I32(0), Value::I32(1)],
-            vec![Value::F32(0.1), Value::F32(0.2), Value::F32(0.3)],
+            ColumnData::I32(vec![0, 1, 1]),
+            ColumnData::I32(vec![0, 0, 1]),
+            ColumnData::F32(vec![0.1, 0.2, 0.3]),
         ];
-        SubTable::from_columns(SubTableId::new(0u32, 0u32), schema, cols).unwrap()
+        subtable(0, schema, cols)
     }
 
     fn right() -> SubTable {
         let schema = StdArc::new(Schema::grid(&["x", "y"], &["wp"]).unwrap());
         let cols = vec![
-            vec![Value::I32(1), Value::I32(0), Value::I32(2)],
-            vec![Value::I32(0), Value::I32(0), Value::I32(2)],
-            vec![Value::F32(0.5), Value::F32(0.6), Value::F32(0.7)],
+            ColumnData::I32(vec![1, 0, 2]),
+            ColumnData::I32(vec![0, 0, 2]),
+            ColumnData::F32(vec![0.5, 0.6, 0.7]),
         ];
-        SubTable::from_columns(SubTableId::new(1u32, 0u32), schema, cols).unwrap()
+        subtable(1, schema, cols)
     }
 
     #[test]
@@ -301,13 +313,10 @@ mod tests {
     #[test]
     fn duplicate_build_keys_fan_out() {
         let schema = StdArc::new(Schema::grid(&["x"], &["p"]).unwrap());
-        let cols = vec![
-            vec![Value::I32(5), Value::I32(5)],
-            vec![Value::F32(1.0), Value::F32(2.0)],
-        ];
-        let l = SubTable::from_columns(SubTableId::new(0u32, 0u32), schema.clone(), cols).unwrap();
-        let r_cols = vec![vec![Value::I32(5)], vec![Value::F32(9.0)]];
-        let r = SubTable::from_columns(SubTableId::new(1u32, 0u32), schema, r_cols).unwrap();
+        let cols = vec![ColumnData::I32(vec![5, 5]), ColumnData::F32(vec![1.0, 2.0])];
+        let l = subtable(0, schema.clone(), cols);
+        let r_cols = vec![ColumnData::I32(vec![5]), ColumnData::F32(vec![9.0])];
+        let r = subtable(1, schema, r_cols);
         let counters = JoinCounters::new();
         let hj = HashJoiner::build(StdArc::new(l), &["x"], &counters, 1).unwrap();
         assert_eq!(hj.num_keys(), 1);
@@ -352,8 +361,8 @@ mod tests {
         // crosses families, so the join must produce nothing.
         let counters = JoinCounters::new();
         let lschema = StdArc::new(Schema::grid(&["x"], &["p"]).unwrap());
-        let l_cols = vec![vec![Value::I32(1)], vec![Value::F32(0.5)]];
-        let l = SubTable::from_columns(SubTableId::new(0u32, 0u32), lschema, l_cols).unwrap();
+        let l_cols = vec![ColumnData::I32(vec![1]), ColumnData::F32(vec![0.5])];
+        let l = subtable(0, lschema, l_cols);
         let rschema = StdArc::new(
             Schema::new(vec![orv_types::Attribute::scalar(
                 "x",
@@ -362,8 +371,7 @@ mod tests {
             .unwrap(),
         );
         let bits_one = f64::from_bits(Value::I32(1).key_bits());
-        let r_cols = vec![vec![Value::F64(bits_one)]];
-        let r = SubTable::from_columns(SubTableId::new(1u32, 0u32), rschema, r_cols).unwrap();
+        let r = subtable(1, rschema, vec![ColumnData::F64(vec![bits_one])]);
         let hj = HashJoiner::build(StdArc::new(l), &["x"], &counters, 1).unwrap();
         let n = hj
             .probe(&r, &["x"], &counters, |_| panic!("no match expected"))

@@ -29,7 +29,7 @@ pub fn scan_table(
         if let Some(rg) = range {
             st = st.filter_range(rg)?;
         }
-        out.extend(st.records());
+        out.extend(st.records()?);
     }
     Ok(out)
 }

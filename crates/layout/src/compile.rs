@@ -6,7 +6,7 @@
 //! and round-trip tests rely on `decode(encode(x)) == x`.
 
 use crate::ast::{Endian, Item, LayoutDesc, RecordOrder};
-use orv_types::{DataType, Error, Result, Value};
+use orv_types::{ColumnData, DataType, Error, Result, Value};
 
 /// One field with its resolved byte offset within a record (row-major) or
 /// its column block (column-major).
@@ -115,39 +115,39 @@ impl CompiledLayout {
         Ok(body / self.stride)
     }
 
-    /// Extract typed columns (in field order) from raw chunk bytes.
-    pub fn decode(&self, bytes: &[u8]) -> Result<Vec<Vec<Value>>> {
+    /// Extract typed columns (in field order) from raw chunk bytes: each
+    /// field's bytes go straight into a primitive array of its declared
+    /// type, one typed loop per column. Total on hostile input — any byte
+    /// string yields either exactly [`CompiledLayout::row_count`] rows per
+    /// column or a typed [`Error::Format`] — and bit-exact (NaN payloads
+    /// and `-0.0` survive).
+    pub fn decode(&self, bytes: &[u8]) -> Result<Vec<ColumnData>> {
         let nrows = self.row_count(bytes.len())?;
-        let body = &bytes[self.header_len..];
-        let mut cols: Vec<Vec<Value>> = self
-            .fields
-            .iter()
-            .map(|_| Vec::with_capacity(nrows))
-            .collect();
+        let body = bytes.get(self.header_len..).unwrap_or_default();
+        let little = self.endian == Endian::Little;
+        let column = |f: &FieldSlot, first, step| {
+            ColumnData::decode_strided(f.dtype, body, first, step, nrows, little)
+        };
         match self.order {
-            RecordOrder::RowMajor => {
-                for r in 0..nrows {
-                    let rec = &body[r * self.stride..(r + 1) * self.stride];
-                    for (ci, f) in self.fields.iter().enumerate() {
-                        cols[ci].push(read_value(&rec[f.offset..], f.dtype, self.endian)?);
-                    }
-                }
-            }
+            RecordOrder::RowMajor => self
+                .fields
+                .iter()
+                .map(|f| column(f, f.offset, self.stride))
+                .collect(),
             RecordOrder::ColumnMajor => {
+                // Walk the items in declaration order; each one (field or
+                // padding) owns a block of `size * nrows` bytes.
                 let mut block_start = 0usize;
+                let mut cols = Vec::with_capacity(self.fields.len());
                 for &(_, size, field) in &self.walk {
                     if let Some(ci) = field {
-                        let dtype = self.fields[ci].dtype;
-                        for r in 0..nrows {
-                            let at = block_start + r * size;
-                            cols[ci].push(read_value(&body[at..], dtype, self.endian)?);
-                        }
+                        cols.push(column(&self.fields[ci], block_start, size)?);
                     }
                     block_start += size * nrows;
                 }
+                Ok(cols)
             }
         }
-        Ok(cols)
     }
 
     /// Encode typed columns into chunk bytes (header zero-filled, padding
@@ -208,33 +208,6 @@ impl CompiledLayout {
     }
 }
 
-fn read_value(bytes: &[u8], dtype: DataType, endian: Endian) -> Result<Value> {
-    // Fixed-width prefix of the record, as a typed format error rather
-    // than a slice panic when the chunk body is shorter than the layout
-    // promised.
-    fn arr<const N: usize>(bytes: &[u8], dtype: DataType) -> Result<[u8; N]> {
-        bytes
-            .get(..N)
-            .and_then(|s| s.try_into().ok())
-            .ok_or_else(|| {
-                Error::Format(format!(
-                    "record truncated: need {N} bytes for a {dtype:?} value, have {}",
-                    bytes.len()
-                ))
-            })
-    }
-    Ok(match (dtype, endian) {
-        (DataType::I32, Endian::Little) => Value::I32(i32::from_le_bytes(arr(bytes, dtype)?)),
-        (DataType::I32, Endian::Big) => Value::I32(i32::from_be_bytes(arr(bytes, dtype)?)),
-        (DataType::I64, Endian::Little) => Value::I64(i64::from_le_bytes(arr(bytes, dtype)?)),
-        (DataType::I64, Endian::Big) => Value::I64(i64::from_be_bytes(arr(bytes, dtype)?)),
-        (DataType::F32, Endian::Little) => Value::F32(f32::from_le_bytes(arr(bytes, dtype)?)),
-        (DataType::F32, Endian::Big) => Value::F32(f32::from_be_bytes(arr(bytes, dtype)?)),
-        (DataType::F64, Endian::Little) => Value::F64(f64::from_le_bytes(arr(bytes, dtype)?)),
-        (DataType::F64, Endian::Big) => Value::F64(f64::from_be_bytes(arr(bytes, dtype)?)),
-    })
-}
-
 fn write_value(v: Value, out: &mut [u8], endian: Endian) {
     match (v, endian) {
         (Value::I32(x), Endian::Little) => out[..4].copy_from_slice(&x.to_le_bytes()),
@@ -257,6 +230,12 @@ mod tests {
         CompiledLayout::compile(&parse_layout(src).unwrap()).unwrap()
     }
 
+    /// `decode`'s typed columns as the `Value` columns `encode` takes.
+    fn decoded(c: &CompiledLayout, bytes: &[u8]) -> Vec<Vec<Value>> {
+        let cols = c.decode(bytes).unwrap();
+        cols.iter().map(ColumnData::to_vec).collect()
+    }
+
     fn sample_cols() -> Vec<Vec<Value>> {
         vec![
             vec![Value::I32(1), Value::I32(-2), Value::I32(3)],
@@ -270,7 +249,7 @@ mod tests {
         assert_eq!(c.record_stride(), 12);
         let bytes = c.encode(&sample_cols()).unwrap();
         assert_eq!(bytes.len(), 16 + 3 * 12);
-        assert_eq!(c.decode(&bytes).unwrap(), sample_cols());
+        assert_eq!(decoded(&c, &bytes), sample_cols());
     }
 
     #[test]
@@ -280,7 +259,7 @@ mod tests {
         // First 12 bytes are the x column.
         assert_eq!(&bytes[..4], &1i32.to_le_bytes());
         assert_eq!(&bytes[4..8], &(-2i32).to_le_bytes());
-        assert_eq!(c.decode(&bytes).unwrap(), sample_cols());
+        assert_eq!(decoded(&c, &bytes), sample_cols());
     }
 
     #[test]
@@ -289,7 +268,7 @@ mod tests {
         let cols = sample_cols();
         let bytes = c.encode(&cols).unwrap();
         assert_eq!(&bytes[..4], &1i32.to_be_bytes());
-        assert_eq!(c.decode(&bytes).unwrap(), cols);
+        assert_eq!(decoded(&c, &bytes), cols);
     }
 
     #[test]
@@ -320,7 +299,7 @@ mod tests {
         let c = compile("layout t { field x: i32; }");
         let bytes = c.encode(&[vec![]]).unwrap();
         assert!(bytes.is_empty());
-        assert_eq!(c.decode(&bytes).unwrap(), vec![Vec::<Value>::new()]);
+        assert_eq!(decoded(&c, &bytes), vec![Vec::<Value>::new()]);
     }
 
     #[test]
@@ -333,6 +312,6 @@ mod tests {
         ];
         let bytes = c.encode(&cols).unwrap();
         assert_eq!(bytes.len(), 2 * (4 + 2 + 4));
-        assert_eq!(c.decode(&bytes).unwrap(), cols);
+        assert_eq!(decoded(&c, &bytes), cols);
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use orv_layout::{parse_layout, CompiledLayout};
-//! use orv_types::Value;
+//! use orv_types::{ColumnData, Value};
 //!
 //! let desc = parse_layout(r#"
 //!     layout reservoir_v1 {
@@ -39,7 +39,10 @@
 //! ];
 //! let bytes = compiled.encode(&columns).unwrap();
 //! assert_eq!(bytes.len(), 8 + 2 * 16);
-//! assert_eq!(compiled.decode(&bytes).unwrap(), columns);
+//! // Decoding yields one typed array per field.
+//! let decoded = compiled.decode(&bytes).unwrap();
+//! assert_eq!(decoded[0], ColumnData::I32(vec![1, 2]));
+//! assert_eq!(decoded[2], ColumnData::F32(vec![0.5, 0.25]));
 //! ```
 
 pub mod ast;

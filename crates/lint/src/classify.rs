@@ -6,8 +6,9 @@
 //!
 //! Two levels:
 //!
-//! * **File level** — files under a `tests/`, `examples/` or `benches/`
-//!   directory component, and `build.rs`, are entirely test/dev code.
+//! * **File level** — files under a `tests/`, `examples/`, `benches/` or
+//!   `orvbench/` directory component, and `build.rs`, are entirely
+//!   test/dev code.
 //! * **Item level** — inside runtime files, items annotated `#[test]`,
 //!   `#[cfg(test)]` (including `#[cfg(all(test, ...))]`) mark their whole
 //!   body (to the matching closing brace, or to `;` for brace-less items)
@@ -38,13 +39,15 @@ impl LineClass {
 }
 
 /// Does the relative path put the whole file in test territory?
-/// `crates/bench` is the measurement harness — a dev tool end to end —
-/// so the whole crate counts as non-runtime code.
+/// `crates/bench` and `orvbench` are the measurement harnesses — dev
+/// tools end to end, whose job is to read the wall clock and to stop on
+/// the first error — so those whole packages count as non-runtime code.
 fn path_is_test(rel_path: &str) -> bool {
     let is = |comp: &str| rel_path.split('/').any(|c| c == comp);
     is("tests")
         || is("examples")
         || is("benches")
+        || is("orvbench")
         || rel_path.ends_with("build.rs")
         || rel_path.starts_with("crates/bench/")
 }
@@ -179,6 +182,8 @@ mod tests {
             "examples/chaos.rs",
             "crates/bench/benches/fig9.rs",
             "crates/bench/src/bin/figures.rs",
+            "orvbench/src/ladder.rs",
+            "vendor/orvbench/src/main.rs",
             "build.rs",
         ] {
             assert!(classed(p, "fn f() {}").is_all_test(), "{p}");
@@ -186,6 +191,7 @@ mod tests {
         assert!(!classed("crates/join/src/grace.rs", "fn f() {}").is_all_test());
         // A crate named e.g. `testsuite` must not match by substring.
         assert!(!classed("crates/testsuite-x/src/lib.rs", "fn f() {}").is_all_test());
+        assert!(!classed("crates/orvbench-x/src/lib.rs", "fn f() {}").is_all_test());
     }
 
     #[test]

@@ -317,9 +317,14 @@ fn test_code_is_exempt_everywhere() {
         "crates/join/tests/chaos.rs",
         "examples/demo.rs",
         "crates/bench/src/bin/figures.rs",
+        // The benchmark package: a timing harness, wherever it is checked out.
+        "orvbench/src/ladder.rs",
+        "checkout/orvbench/src/run.rs",
     ] {
         assert_clean(p, nasty);
     }
+    // The same source at a runtime path is not exempt.
+    assert_eq!(fired(JOIN_PATH, nasty), ["L001", "L002", "L006"]);
     // Item-classified test code inside a runtime file.
     let src = "fn runtime() -> u32 { 1 }\n#[cfg(test)]\nmod tests {\n    fn helper(x: Option<u32>) -> u32 { x.unwrap() }\n}\n";
     assert_clean(JOIN_PATH, src);

@@ -342,14 +342,17 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape in
+                    // one go, validating only the run, so parsing stays
+                    // linear in the input. A run that reaches end-of-input
+                    // is reported as unterminated by the next iteration.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -461,6 +464,47 @@ mod tests {
         assert!(v.req_str("n").is_err());
         assert_eq!(JsonValue::Number(1.5).as_u64(), None);
         assert_eq!(JsonValue::Number(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn multi_byte_runs_copy_whole() {
+        // 2-, 3- and 4-byte scalars, alone and in runs, as values and keys.
+        let text = "{\"ключ\":\"é\",\"日本語\":\"a🦀b🦀🦀 — naïve\"}";
+        let v = JsonValue::parse(text).unwrap();
+        assert_eq!(v.req_str("ключ").unwrap(), "é");
+        assert_eq!(v.req_str("日本語").unwrap(), "a🦀b🦀🦀 — naïve");
+        assert_eq!(v.to_string(), text, "writer and parser agree");
+    }
+
+    #[test]
+    fn run_ending_at_end_of_input_is_unterminated() {
+        for text in ["\"abc", "\"日本", "\"a\\nb", "{\"k\":\"v"] {
+            let err = JsonValue::parse(text).unwrap_err().to_string();
+            assert!(err.contains("unterminated string"), "{text}: {err}");
+        }
+        // A dangling escape is its own error.
+        let err = JsonValue::parse("\"abc\\").unwrap_err().to_string();
+        assert!(err.contains("bad escape"), "{err}");
+    }
+
+    #[test]
+    fn escapes_adjacent_to_multi_byte_characters() {
+        assert_eq!(
+            JsonValue::parse("\"é\\n日\\\"本\\\\🦀\\u00e9ü\\t\"").unwrap(),
+            JsonValue::String("é\n日\"本\\🦀éü\t".into())
+        );
+        // Round trip through the writer's own escaping.
+        let v = JsonValue::String("¡\"quoted\"\n\\slash\\ ✓\u{1}✓".into());
+        assert_eq!(JsonValue::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of string content: quadratic re-validation took seconds.
+        let body = "x✓".repeat(256 * 1024);
+        let text = format!("[\"{body}\",\"{body}\"]");
+        let v = JsonValue::parse(&text).unwrap();
+        assert_eq!(v.as_array().unwrap()[1], JsonValue::String(body));
     }
 
     #[test]

@@ -11,7 +11,8 @@ use orv_bds::{BdsService, Deployment};
 use orv_cluster::{CancelToken, FaultInjector};
 use orv_obs::{EventLog, Spans};
 use orv_types::{
-    BoundingBox, ColumnBatch, Error, Interval, Record, Result, Schema, SubTableId, TableId, Value,
+    BoundingBox, ChunkId, ColumnBatch, Error, Interval, Record, Result, Schema, SubTableId,
+    TableId, Value,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,36 +35,56 @@ pub fn scan(
     scan_cancellable(deployment, table, range, &CancelToken::none())
 }
 
-/// Resolve `range` against a schema: `(column index, interval)` checks
-/// for the bounded attributes the schema actually has. Attributes the
-/// box bounds but the schema lacks are unconstrained (they never
-/// exclude a row) — the same semantics as `SubTable::filter_range`.
-fn range_checks(schema: &Schema, range: &BoundingBox) -> Vec<(usize, Interval)> {
-    range
-        .bounded_attrs()
-        .filter_map(|(name, iv)| schema.index_of(name).map(|i| (i, iv)))
-        .collect()
+/// Range-filter one batch with typed column loops — the engine's (and
+/// the benchmark's) name for [`ColumnBatch::filter_range`].
+pub fn filter_batch_range(batch: &ColumnBatch, checks: &[(usize, Interval)]) -> ColumnBatch {
+    batch.filter_range(checks)
 }
 
-/// Range-filter one batch with typed column loops: build the keep list
-/// from primitive comparisons, then gather — no `Record` is ever built.
-pub fn filter_batch_range(batch: &ColumnBatch, checks: &[(usize, Interval)]) -> ColumnBatch {
-    if checks.is_empty() || batch.is_empty() {
-        return batch.clone();
+/// Read `chunks` of `table` in the given order and hand each one's rows,
+/// range-filtered, to `each` as a typed batch — the one place a scan
+/// meets the BDS instances. Base-table scans bypass the sub-table cache:
+/// every chunk is read, CRC-verified and decoded on every call. Without
+/// a range the decoded columns are moved on untouched; with one they are
+/// filtered by reference.
+fn scan_each(
+    deployment: &Deployment,
+    schema: &Schema,
+    table: TableId,
+    chunks: Vec<ChunkId>,
+    range: Option<&BoundingBox>,
+    cancel: &CancelToken,
+    mut each: impl FnMut(ChunkId, ColumnBatch) -> Result<()>,
+) -> Result<()> {
+    let md = deployment.metadata();
+    let checks = range.map(|rg| schema.range_checks(rg)).unwrap_or_default();
+    let services = BdsService::for_all_nodes_with_instruments(
+        deployment,
+        FaultInjector::disabled(),
+        Spans::disabled(),
+        EventLog::disabled(),
+        cancel.clone(),
+    )?;
+    for chunk in chunks {
+        cancel.check()?;
+        let id = SubTableId { table, chunk };
+        let node = md.chunk_meta(id)?.node;
+        let st = services[node.index()].subtable(id)?;
+        let batch = if checks.is_empty() {
+            st.into_batch()
+        } else {
+            filter_batch_range(st.batch(), &checks)
+        };
+        each(chunk, batch)?;
     }
-    let keep = batch.mask_to_keep(|r| {
-        checks
-            .iter()
-            .all(|&(ci, iv)| iv.contains(batch.column(ci).as_f64(r)))
-    });
-    batch.gather(&keep)
+    Ok(())
 }
 
 /// [`scan`] in columnar form: R-tree chunk pruning, then one typed
-/// [`ColumnBatch`] per surviving chunk with the range filter applied as
-/// primitive-array loops. This is the head of the batch execution path;
-/// rows are materialized from these batches only at the service edge
-/// ([`batches_to_rows`]).
+/// [`ColumnBatch`] per surviving chunk — the sub-table's own columns —
+/// with the range filter applied as primitive-array loops. This is the
+/// head of the batch execution path; rows are materialized from these
+/// batches only at the service edge ([`batches_to_rows`]).
 pub fn scan_batches(
     deployment: &Deployment,
     table: TableId,
@@ -76,24 +97,19 @@ pub fn scan_batches(
         Some(rg) => md.find_chunks(table, rg)?,
         None => md.all_chunks(table)?,
     };
-    let checks = range
-        .map(|rg| range_checks(&schema, rg))
-        .unwrap_or_default();
-    let services = BdsService::for_all_nodes_with_instruments(
-        deployment,
-        FaultInjector::disabled(),
-        Spans::disabled(),
-        EventLog::disabled(),
-        cancel.clone(),
-    )?;
     let mut batches = Vec::with_capacity(chunk_ids.len());
-    for chunk in chunk_ids {
-        cancel.check()?;
-        let id = SubTableId { table, chunk };
-        let node = md.chunk_meta(id)?.node;
-        let st = services[node.index()].subtable(id)?;
-        batches.push(filter_batch_range(&st.to_batch(), &checks));
-    }
+    scan_each(
+        deployment,
+        &schema,
+        table,
+        chunk_ids,
+        range,
+        cancel,
+        |_, b| {
+            batches.push(b);
+            Ok(())
+        },
+    )?;
     Ok((schema, batches))
 }
 
@@ -108,10 +124,8 @@ pub fn batches_to_rows(batches: &[ColumnBatch]) -> Result<Vec<Record>> {
 
 /// [`scan`] observing a [`CancelToken`]: the token is checked between
 /// chunks and inside every BDS read, so a cancelled query stops within
-/// one chunk fetch. Internally columnar ([`scan_batches`]); the rows
-/// come out byte-identical to the legacy row path
-/// ([`scan_rows_reference`]), which the differential oracle tier
-/// asserts.
+/// one chunk fetch. Columnar underneath ([`scan_batches`]); rows are
+/// first built here, at the edge.
 pub fn scan_cancellable(
     deployment: &Deployment,
     table: TableId,
@@ -122,45 +136,9 @@ pub fn scan_cancellable(
     Ok((schema, batches_to_rows(&batches)?))
 }
 
-/// The legacy row-at-a-time scan, kept as the differential oracle for
-/// the batch path: every query shape must produce byte-identical rows
-/// through [`scan_batches`] + [`batches_to_rows`] and through this.
-pub fn scan_rows_reference(
-    deployment: &Deployment,
-    table: TableId,
-    range: Option<&BoundingBox>,
-    cancel: &CancelToken,
-) -> Result<(Arc<Schema>, Vec<Record>)> {
-    let md = deployment.metadata();
-    let schema = md.schema(table)?;
-    let chunk_ids = match range {
-        Some(rg) => md.find_chunks(table, rg)?,
-        None => md.all_chunks(table)?,
-    };
-    let services = BdsService::for_all_nodes_with_instruments(
-        deployment,
-        FaultInjector::disabled(),
-        Spans::disabled(),
-        EventLog::disabled(),
-        cancel.clone(),
-    )?;
-    let mut rows = Vec::new();
-    for chunk in chunk_ids {
-        cancel.check()?;
-        let id = SubTableId { table, chunk };
-        let node = md.chunk_meta(id)?.node;
-        let mut st = services[node.index()].subtable(id)?;
-        if let Some(rg) = range {
-            st = st.filter_range(rg)?;
-        }
-        rows.extend(st.records());
-    }
-    Ok((schema, rows))
-}
-
 /// A shard-side chunk scan: the schema, the rows, and per-chunk run
 /// lengths `(chunk, rows)` in scan order.
-pub type ChunkScan = (Arc<Schema>, Vec<Record>, Vec<(orv_types::ChunkId, usize)>);
+pub type ChunkScan = (Arc<Schema>, Vec<Record>, Vec<(ChunkId, usize)>);
 
 /// Scan an explicit chunk list of one table, in ascending chunk order,
 /// returning the rows plus per-chunk run lengths `(chunk, rows)` in scan
@@ -170,38 +148,30 @@ pub type ChunkScan = (Arc<Schema>, Vec<Record>, Vec<(orv_types::ChunkId, usize)>
 pub fn scan_chunks(
     deployment: &Deployment,
     table: TableId,
-    chunks: &[orv_types::ChunkId],
+    chunks: &[ChunkId],
     range: Option<&BoundingBox>,
     cancel: &CancelToken,
 ) -> Result<ChunkScan> {
-    let md = deployment.metadata();
-    let schema = md.schema(table)?;
-    let services = BdsService::for_all_nodes_with_instruments(
-        deployment,
-        FaultInjector::disabled(),
-        Spans::disabled(),
-        EventLog::disabled(),
-        cancel.clone(),
-    )?;
+    let schema = deployment.metadata().schema(table)?;
     let mut sorted: Vec<_> = chunks.to_vec();
     sorted.sort();
     sorted.dedup();
-    let checks = range
-        .map(|rg| range_checks(&schema, rg))
-        .unwrap_or_default();
     let mut rows = Vec::new();
     let mut runs = Vec::with_capacity(sorted.len());
-    for chunk in sorted {
-        cancel.check()?;
-        let id = SubTableId { table, chunk };
-        let node = md.chunk_meta(id)?.node;
-        let st = services[node.index()].subtable(id)?;
-        // Columnar per chunk; the run boundary is the batch row count,
-        // rows materialize straight into the shard response buffer.
-        let batch = filter_batch_range(&st.to_batch(), &checks);
-        batch.append_records_to(&mut rows)?;
-        runs.push((chunk, batch.num_rows()));
-    }
+    // Columnar per chunk; the run boundary is the batch row count, rows
+    // materialize straight into the shard response buffer.
+    scan_each(
+        deployment,
+        &schema,
+        table,
+        sorted,
+        range,
+        cancel,
+        |chunk, b| {
+            runs.push((chunk, b.num_rows()));
+            b.append_records_to(&mut rows)
+        },
+    )?;
     Ok((schema, rows, runs))
 }
 

@@ -1,20 +1,25 @@
-//! Columnar execution batches.
+//! Typed columnar batches — the one in-memory table representation.
 //!
 //! A [`ColumnBatch`] holds a run of rows as fixed-width typed arrays —
 //! one primitive `Vec` per attribute plus a null bitmap — instead of a
-//! `Vec<Record>` of boxed [`Value`] rows. Scans, range filters,
-//! projections and hash-join key gathering become tight loops over
-//! primitive slices (no per-row allocation, no enum dispatch in the
-//! inner loop); rows are materialized back into [`Record`]s only at the
-//! service edge, and the conversion is bit-exact in both directions
-//! (every supported type is fixed-width; float bit patterns, including
-//! NaNs and `-0.0`, survive the round trip untouched).
+//! `Vec<Record>` of [`Value`] rows. A sub-table's rows are stored in one
+//! (decoded straight from chunk bytes by [`ColumnData::decode_strided`]),
+//! and scans, range filters, projections, hash-join key gathering and
+//! the Grace Hash partitioner are tight loops over its primitive slices
+//! (no per-row allocation, no enum dispatch in the inner loop). This
+//! module owns the only range-filter kernel, projection, row
+//! materialiser and `from_records` for table data. Rows are materialized
+//! into [`Record`]s only where a result leaves the engine, and the
+//! conversion is bit-exact in both directions (every supported type is
+//! fixed-width; float bit patterns, including NaNs and `-0.0`, survive
+//! the round trip untouched).
 //!
 //! The null bitmap exists for forward compatibility with sparse
 //! scientific datasets: the current ingest path never produces nulls
 //! (a [`Value`] cannot be null), so [`ColumnBatch::to_records`] refuses
 //! batches with nulls rather than invent a sentinel.
 
+use crate::bbox::Interval;
 use crate::error::{Error, Result};
 use crate::record::Record;
 use crate::value::{DataType, Value};
@@ -179,6 +184,100 @@ impl ColumnData {
             ColumnData::F64(v) => ColumnData::F64(keep.iter().map(|&r| v[r as usize]).collect()),
         }
     }
+
+    /// The column as [`Value`]s — the shape the write path's
+    /// `CompiledLayout::encode` takes. No read path calls this.
+    pub fn to_vec(&self) -> Vec<Value> {
+        (0..self.len()).map(|r| self.value(r)).collect()
+    }
+
+    /// `(min, max)` of the column in the predicate domain (`f64`), or
+    /// `None` when it has no rows. NaNs are skipped, as `f64::min`/`max`
+    /// skip them.
+    pub fn min_max(&self) -> Option<(f64, f64)> {
+        fn fold<T: Copy>(v: &[T], to: impl Fn(T) -> f64) -> (f64, f64) {
+            v.iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+                    (lo.min(to(x)), hi.max(to(x)))
+                })
+        }
+        (!self.is_empty()).then(|| match self {
+            ColumnData::I32(v) => fold(v, |x| x as f64),
+            ColumnData::I64(v) => fold(v, |x| x as f64),
+            ColumnData::F32(v) => fold(v, |x| x as f64),
+            ColumnData::F64(v) => fold(v, |x| x),
+        })
+    }
+
+    /// Append row `row`'s fixed-width little-endian bytes to `out` (the
+    /// Grace Hash wire and bucket format).
+    #[inline]
+    pub fn encode_le(&self, row: usize, out: &mut Vec<u8>) {
+        match self {
+            ColumnData::I32(v) => out.extend_from_slice(&v[row].to_le_bytes()),
+            ColumnData::I64(v) => out.extend_from_slice(&v[row].to_le_bytes()),
+            ColumnData::F32(v) => out.extend_from_slice(&v[row].to_le_bytes()),
+            ColumnData::F64(v) => out.extend_from_slice(&v[row].to_le_bytes()),
+        }
+    }
+
+    /// Decode `nrows` values of type `ty` from `bytes`, the `r`-th at
+    /// byte `first + r * step` — one typed loop per column, whether the
+    /// bytes are row-major records (`step` = record stride) or a packed
+    /// column block (`step` = value width). Bit patterns are preserved.
+    /// Total on hostile input: a read past the end of `bytes` is a typed
+    /// [`Error::Format`], and nothing is allocated until the last value
+    /// is known to be in bounds.
+    pub fn decode_strided(
+        ty: DataType,
+        bytes: &[u8],
+        first: usize,
+        step: usize,
+        nrows: usize,
+        little_endian: bool,
+    ) -> Result<ColumnData> {
+        fn read<T, const N: usize>(
+            bytes: &[u8],
+            (first, step, nrows): (usize, usize, usize),
+            from: fn([u8; N]) -> T,
+        ) -> Result<Vec<T>> {
+            let malformed = || {
+                Error::Format(format!(
+                    "cannot read {nrows} values of {N} bytes at offset {first}, stride {step}, \
+                     from {} bytes",
+                    bytes.len()
+                ))
+            };
+            if nrows == 0 {
+                return Ok(Vec::new());
+            }
+            if step < N {
+                return Err(malformed());
+            }
+            let end = (nrows - 1)
+                .checked_mul(step)
+                .and_then(|last| last.checked_add(first)?.checked_add(N))
+                .ok_or_else(malformed)?;
+            let span = bytes.get(first..end).ok_or_else(malformed)?;
+            let mut out = Vec::with_capacity(nrows);
+            for rec in span.chunks(step) {
+                let value = rec.get(..N).and_then(|s| s.try_into().ok());
+                out.push(from(value.ok_or_else(malformed)?));
+            }
+            Ok(out)
+        }
+        let at = (first, step, nrows);
+        Ok(match (ty, little_endian) {
+            (DataType::I32, true) => ColumnData::I32(read(bytes, at, i32::from_le_bytes)?),
+            (DataType::I32, false) => ColumnData::I32(read(bytes, at, i32::from_be_bytes)?),
+            (DataType::I64, true) => ColumnData::I64(read(bytes, at, i64::from_le_bytes)?),
+            (DataType::I64, false) => ColumnData::I64(read(bytes, at, i64::from_be_bytes)?),
+            (DataType::F32, true) => ColumnData::F32(read(bytes, at, f32::from_le_bytes)?),
+            (DataType::F32, false) => ColumnData::F32(read(bytes, at, f32::from_be_bytes)?),
+            (DataType::F64, true) => ColumnData::F64(read(bytes, at, f64::from_le_bytes)?),
+            (DataType::F64, false) => ColumnData::F64(read(bytes, at, f64::from_be_bytes)?),
+        })
+    }
 }
 
 /// A run of rows in columnar form: typed arrays plus per-column null
@@ -317,25 +416,18 @@ impl ColumnBatch {
     /// Materialize every row — the service-edge conversion. Bit-exact:
     /// `ColumnBatch::from_records(t, &b.to_records()?)` reproduces `b`.
     pub fn to_records(&self) -> Result<Vec<Record>> {
-        if self.nulls.iter().any(|n| !n.is_empty()) {
-            // Fall back to the per-row path for its error message.
-            return (0..self.num_rows()).map(|r| self.record(r)).collect();
-        }
-        let n = self.num_rows();
-        let mut rows = Vec::with_capacity(n);
-        for r in 0..n {
-            rows.push(Record::new(
-                self.columns.iter().map(|c| c.value(r)).collect(),
-            ));
-        }
+        let mut rows = Vec::new();
+        self.append_records_to(&mut rows)?;
         Ok(rows)
     }
 
-    /// Append every row of `rows` to `out` as [`Record`]s (the edge
-    /// conversion for a run of batches, avoiding intermediate vectors).
+    /// Append every row to `out` as [`Record`]s — the one row
+    /// materialiser (the edge conversion for a run of batches, avoiding
+    /// intermediate vectors).
     pub fn append_records_to(&self, out: &mut Vec<Record>) -> Result<()> {
         out.reserve(self.num_rows());
         if self.nulls.iter().any(|n| !n.is_empty()) {
+            // The per-row path, for its error message.
             for r in 0..self.num_rows() {
                 out.push(self.record(r)?);
             }
@@ -347,6 +439,30 @@ impl ColumnBatch {
             ));
         }
         Ok(())
+    }
+
+    /// Append row `row` in the packed little-endian wire format.
+    #[inline]
+    pub fn encode_row_le(&self, row: usize, out: &mut Vec<u8>) {
+        for col in &self.columns {
+            col.encode_le(row, out);
+        }
+    }
+
+    /// Keep the rows whose column `ci` lies inside `iv` for every
+    /// `(ci, iv)` check — the one range-filter kernel: the keep list
+    /// comes from primitive comparisons, then a gather; no [`Record`] is
+    /// built.
+    pub fn filter_range(&self, checks: &[(usize, Interval)]) -> ColumnBatch {
+        if checks.is_empty() || self.is_empty() {
+            return self.clone();
+        }
+        let keep = self.mask_to_keep(|r| {
+            checks
+                .iter()
+                .all(|&(ci, iv)| iv.contains(self.columns[ci].as_f64(r)))
+        });
+        self.gather(&keep)
     }
 
     /// Row indices passing `predicate(row)`, as a gather list.
@@ -453,6 +569,69 @@ mod tests {
         assert_eq!(p.value(1, 0), Some(Value::F64(3.0)));
         assert_eq!(p.value(1, 1), Some(Value::I32(2)));
         assert!(b.project(&[9]).is_err());
+    }
+
+    #[test]
+    fn filter_range_keeps_rows_inside_every_interval() {
+        let b = sample();
+        let inside = b.filter_range(&[(0, Interval::new(1.0, 3.0)), (2, Interval::new(0.0, 3.5))]);
+        assert_eq!(inside.column(0), &ColumnData::I32(vec![1, 2]));
+        // NaN lies in no interval; no checks and empty batches pass through.
+        assert!(b.filter_range(&[(1, Interval::unbounded())]).num_rows() == 3);
+        assert_eq!(b.filter_range(&[]).num_rows(), 4);
+        let empty = ColumnBatch::new(&[DataType::I32]);
+        assert!(empty.filter_range(&[(0, Interval::point(1.0))]).is_empty());
+    }
+
+    #[test]
+    fn min_max_and_to_vec() {
+        let b = sample();
+        assert_eq!(b.column(0).min_max(), Some((0.0, 3.0)));
+        assert_eq!(b.column(1).min_max(), Some((-0.0, 4.25)), "NaN skipped");
+        assert_eq!(ColumnData::new(DataType::F64).min_max(), None);
+        assert_eq!(
+            b.column(2).to_vec(),
+            vec![
+                Value::F64(1.0),
+                Value::F64(2.0),
+                Value::F64(3.0),
+                Value::F64(4.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn wire_codec_round_trips_and_rejects_hostile_shapes() {
+        let b = sample();
+        let mut bytes = Vec::new();
+        for r in 0..b.num_rows() {
+            b.encode_row_le(r, &mut bytes);
+        }
+        assert_eq!(bytes.len(), 4 * 16);
+        let col = |ty, first| ColumnData::decode_strided(ty, &bytes, first, 16, 4, true);
+        assert_eq!(
+            col(DataType::I32, 0).unwrap(),
+            ColumnData::I32(vec![0, 1, 2, 3])
+        );
+        assert_eq!(col(DataType::F64, 8).unwrap(), *b.column(2));
+        match col(DataType::F32, 4).unwrap() {
+            ColumnData::F32(v) => assert_eq!(v[2].to_bits(), f32::NAN.to_bits()),
+            other => panic!("wrong type: {other:?}"),
+        }
+        // Big-endian reads the same bytes reversed.
+        let be = ColumnData::decode_strided(DataType::I32, &[0, 0, 1, 2], 0, 4, 1, false);
+        assert_eq!(be.unwrap(), ColumnData::I32(vec![258]));
+        // Past the end, overlapping stride, overflowing extent: typed
+        // errors, and no allocation sized by the hostile row count.
+        for (first, step, nrows) in [(56, 16, 4), (0, 2, 4), (0, 16, 5), (1, usize::MAX, 3)] {
+            let err = ColumnData::decode_strided(DataType::F64, &bytes, first, step, nrows, true);
+            assert!(
+                matches!(err, Err(Error::Format(_))),
+                "{first} {step} {nrows}"
+            );
+        }
+        let none = ColumnData::decode_strided(DataType::I64, &[], 9, 0, 0, true).unwrap();
+        assert!(none.is_empty());
     }
 
     #[test]

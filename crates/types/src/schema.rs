@@ -6,6 +6,7 @@
 //! *scalar* attributes carry physical properties (oil pressure, water
 //! pressure, saturation, ...).
 
+use crate::bbox::{BoundingBox, Interval};
 use crate::error::{Error, Result};
 use crate::value::DataType;
 use serde::{Deserialize, Serialize};
@@ -103,6 +104,22 @@ impl Schema {
     /// Index of the named attribute.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.attrs.iter().position(|a| a.name == name)
+    }
+
+    /// The attribute types, in storage order.
+    pub fn dtypes(&self) -> Vec<DataType> {
+        self.attrs.iter().map(|a| a.dtype).collect()
+    }
+
+    /// Resolve `range` against this schema: `(column index, interval)`
+    /// checks for the bounded attributes the schema has. Attributes the
+    /// box bounds but the schema lacks are unconstrained — they never
+    /// exclude a row.
+    pub fn range_checks(&self, range: &BoundingBox) -> Vec<(usize, Interval)> {
+        range
+            .bounded_attrs()
+            .filter_map(|(name, iv)| self.index_of(name).map(|i| (i, iv)))
+            .collect()
     }
 
     /// Like [`Schema::index_of`] but with a descriptive error.

@@ -1,33 +1,36 @@
-//! Differential oracle tier for the columnar execution path.
+//! Closed-form oracle tier for the columnar execution path.
 //!
 //! Every query shape — full scan, range filter, projection, IJ join,
-//! GH join, aggregation — runs through both execution paths:
+//! GH join, aggregation — is checked against rows computed *here*, by
+//! nested loops over the grid and `orv::bds::scalar_value`. The oracle
+//! shares nothing with the path it checks: it reads no chunk and runs no
+//! extractor, sub-table, batch, filter kernel or join of the program.
 //!
-//! - the **legacy row path** (`scan_rows_reference`, per-row `project`,
-//!   the nested-loop reference join), and
-//! - the **batch path** (`scan_batches` + typed range filters +
-//!   `ColumnBatch::project`, the columnar hash join inside both QES
-//!   implementations),
+//! Scans are compared as exact `Record` sequences per chunk run
+//! (`scan_chunks` reports the run boundaries), so a row that lands in the
+//! wrong chunk, the wrong order or the wrong type fails even when the
+//! multiset of rows is right; the same rows must also agree on
+//! [`rows_checksum`](exec::rows_checksum) — the CRC the federation router
+//! uses to reject corrupted partials. Joins are order-free, so they are
+//! compared as sorted multisets, against the closed form and (at sizes a
+//! quadratic loop can afford) against the nested-loop reference join.
 //!
-//! and the results must be *byte-identical*: equal `Record`s in equal
-//! order where the path defines an order, equal as sorted multisets
-//! where it does not, and equal [`rows_checksum`] fingerprints — the
-//! same CRC the federation router uses to reject corrupted partials.
+//! Three entry points share the harness:
 //!
-//! Two entry points share the harness:
-//!
-//! - a proptest drawing (seed, grid sizing, range windows) — shrinking
-//!   gives the smallest dataset that still disagrees;
-//! - [`seeded_oracle_from_env`], one heavier deterministic case whose
-//!   seed comes from `ORV_ORACLE_SEED` — the chaos CI matrix drives it
-//!   with each matrix seed, so any failure reproduces with one env var.
+//! - a proptest drawing the seed, from which grid, chunking, node count
+//!   and range windows all derive;
+//! - [`seeded_oracle_from_env`], a deterministic case whose seed comes
+//!   from `ORV_ORACLE_SEED` — the chaos CI matrix drives it with each
+//!   matrix seed, so any failure reproduces with one env var;
+//! - [`seeded_oracle_at_256x256`], the same seed at 256×256 with 32×32
+//!   chunks, sixteen times the rows of the largest drawn case.
 
-use orv::bds::{generate_dataset, DatasetSpec, Deployment};
+use orv::bds::{generate_dataset, scalar_value, DatasetSpec, Deployment};
 use orv::cluster::CancelToken;
 use orv::join::reference::{nested_loop_join, sort_records};
 use orv::join::JoinAlgorithm;
 use orv::query::{exec, QueryEngine};
-use orv::types::{BoundingBox, Interval, Record, TableId, Value};
+use orv::types::{BoundingBox, ChunkId, Interval, Record, TableId, Value};
 use proptest::prelude::*;
 
 /// SplitMix64, so every derived parameter is a pure function of the seed.
@@ -47,91 +50,240 @@ impl Rng {
     }
 }
 
-/// A seeded two-table deployment; grid and partitioning derived from the
-/// seed so shapes vary across cases.
-fn deploy(seed: u64) -> (Deployment, TableId, TableId) {
-    let mut rng = Rng(seed);
-    let side = [4u64, 8, 8, 16][rng.below(4) as usize];
-    let part = [2u64, 4][rng.below(2) as usize];
-    let d = Deployment::in_memory(1 + rng.below(2) as usize);
-    for (name, scalar, tseed) in [("t1", "oilp", seed ^ 1), ("t2", "wp", seed ^ 2)] {
-        generate_dataset(
-            &DatasetSpec::builder(name)
-                .grid([side, side, 1])
-                .partition([part, part, 1])
-                .scalar_attrs(&[scalar])
-                .seed(tseed)
-                .build(),
-            &d,
-        )
-        .expect("dataset generation");
+/// The shape of one case: tables `t1(x, y, z, oilp)` and `t2(x, y, z,
+/// wp)` over a `side × side × 1` grid cut into `part × part × 1` chunks.
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    side: u64,
+    part: u64,
+    nodes: usize,
+    seed: u64,
+}
+
+impl Shape {
+    /// Grid and partitioning drawn from the seed, so shapes vary.
+    fn drawn(seed: u64) -> Self {
+        let mut rng = Rng(seed);
+        Shape {
+            side: [4u64, 8, 8, 16][rng.below(4) as usize],
+            part: [2u64, 4][rng.below(2) as usize],
+            nodes: 1 + rng.below(2) as usize,
+            seed,
+        }
     }
-    let md = d.metadata();
-    let t1 = md.table_id("t1").expect("t1");
-    let t2 = md.table_id("t2").expect("t2");
-    (d, t1, t2)
+
+    fn seed_of(&self, table: &str) -> u64 {
+        self.seed ^ if table == "t1" { 1 } else { 2 }
+    }
+
+    fn deploy(&self) -> (Deployment, TableId, TableId) {
+        let d = Deployment::in_memory(self.nodes);
+        for (name, scalar) in [("t1", "oilp"), ("t2", "wp")] {
+            generate_dataset(
+                &DatasetSpec::builder(name)
+                    .grid([self.side, self.side, 1])
+                    .partition([self.part, self.part, 1])
+                    .scalar_attrs(&[scalar])
+                    .seed(self.seed_of(name))
+                    .build(),
+                &d,
+            )
+            .expect("dataset generation");
+        }
+        let md = d.metadata();
+        let t1 = md.table_id("t1").expect("t1");
+        let t2 = md.table_id("t2").expect("t2");
+        (d, t1, t2)
+    }
+
+    fn num_chunks(&self) -> u64 {
+        (self.side / self.part) * (self.side / self.part)
+    }
+
+    /// The row of `table` at grid point `(x, y, 0)`.
+    fn row(&self, table: &str, x: u64, y: u64) -> [Value; 4] {
+        [
+            Value::I32(x as i32),
+            Value::I32(y as i32),
+            Value::I32(0),
+            Value::F32(scalar_value(self.seed_of(table), 0, [x, y, 0])),
+        ]
+    }
+
+    /// The rows chunk `chunk` of `table` must yield, in order: chunks
+    /// tile the grid x-major, and a chunk holds its points x-major too.
+    /// `keep` is the range predicate over a whole row.
+    fn chunk_rows(
+        &self,
+        table: &str,
+        chunk: u64,
+        keep: &dyn Fn(&[Value; 4]) -> bool,
+    ) -> Vec<[Value; 4]> {
+        let per_dim = self.side / self.part;
+        let (cx, cy) = (chunk / per_dim, chunk % per_dim);
+        let mut rows = Vec::new();
+        for x in cx * self.part..(cx + 1) * self.part {
+            for y in cy * self.part..(cy + 1) * self.part {
+                let row = self.row(table, x, y);
+                if keep(&row) {
+                    rows.push(row);
+                }
+            }
+        }
+        rows
+    }
+}
+
+/// A drawn range: inclusive `[lo, hi]` per constrained column index.
+struct Window(Vec<(usize, f64, f64)>);
+
+impl Window {
+    fn keeps(&self, row: &[Value; 4]) -> bool {
+        self.0.iter().all(|&(c, lo, hi)| {
+            let v = row[c].as_f64();
+            lo <= v && v <= hi
+        })
+    }
+}
+
+fn records(rows: &[[Value; 4]]) -> Vec<Record> {
+    rows.iter().map(|r| Record::new(r.to_vec())).collect()
 }
 
 /// Assert two row vectors are byte-identical: same records in the same
 /// order and the same federation checksum.
-fn assert_identical(label: &str, reference: &[Record], batch: &[Record]) {
-    assert_eq!(reference, batch, "{label}: rows diverged");
+fn assert_identical(label: &str, expected: &[Record], got: &[Record]) {
+    assert_eq!(expected, got, "{label}: rows diverged");
     assert_eq!(
-        exec::rows_checksum(reference),
-        exec::rows_checksum(batch),
+        exec::rows_checksum(expected),
+        exec::rows_checksum(got),
         "{label}: checksums diverged on equal rows"
     );
 }
 
-/// Run every query shape through both paths for one seed.
-fn oracle_case(seed: u64) {
-    let (d, t1, t2) = deploy(seed);
-    let mut rng = Rng(seed ^ 0x0c01_a11e);
+/// Scan `t1` through both scan entry points and compare with the closed
+/// form: `scan_chunks` run by run, `scan_batches` batch by batch.
+/// Returns the expected rows in scan order and the batches.
+fn check_scan(
+    label: &str,
+    shape: &Shape,
+    d: &Deployment,
+    t1: TableId,
+    range: Option<(&BoundingBox, &Window)>,
+) -> (Vec<Record>, Vec<orv::types::ColumnBatch>) {
     let cancel = CancelToken::none();
+    let bbox = range.map(|(b, _)| b);
+    let keep = |row: &[Value; 4]| range.is_none_or(|(_, w)| w.keeps(row));
+    let per_chunk: Vec<Vec<Record>> = (0..shape.num_chunks())
+        .map(|c| records(&shape.chunk_rows("t1", c, &keep)))
+        .collect();
+    let expected: Vec<Record> = per_chunk.concat();
+
+    // `scan_chunks` over every chunk, handed over shuffled and with a
+    // duplicate: one run per chunk, ascending, each exactly its rows.
+    let mut ids: Vec<ChunkId> = (0..shape.num_chunks() as u32).rev().map(ChunkId).collect();
+    ids.push(ChunkId(0));
+    let (_, rows, runs) = exec::scan_chunks(d, t1, &ids, bbox, &cancel).expect("scan_chunks");
+    assert_eq!(runs.len(), per_chunk.len(), "{label}: one run per chunk");
+    let mut at = 0;
+    for (c, ((chunk, n), want)) in runs.iter().zip(&per_chunk).enumerate() {
+        assert_eq!(*chunk, ChunkId(c as u32), "{label}: runs ascend");
+        assert_eq!(*n, want.len(), "{label}: run length of chunk {c}");
+        assert_eq!(&rows[at..at + n], &want[..], "{label}: rows of chunk {c}");
+        at += n;
+    }
+    assert_eq!(at, rows.len(), "{label}: runs cover the rows");
+    assert_identical(label, &expected, &rows);
+
+    // `scan_batches`: one batch per chunk the R-tree keeps, ascending;
+    // a pruned chunk and an empty batch both contribute no rows.
+    let (schema, batches) = exec::scan_batches(d, t1, bbox, &cancel).expect("scan_batches");
+    assert_eq!(schema.arity(), 4);
+    let nonempty = |n: &usize| *n > 0;
+    let batch_rows: Vec<usize> = batches.iter().map(|b| b.num_rows()).collect();
+    let want_rows: Vec<usize> = per_chunk.iter().map(Vec::len).collect();
+    assert_eq!(
+        batch_rows
+            .iter()
+            .copied()
+            .filter(nonempty)
+            .collect::<Vec<_>>(),
+        want_rows
+            .iter()
+            .copied()
+            .filter(nonempty)
+            .collect::<Vec<_>>(),
+        "{label}: batch boundaries are chunk boundaries"
+    );
+    let got = exec::batches_to_rows(&batches).expect("edge conversion");
+    assert_identical(&format!("{label} (batches)"), &expected, &got);
+    (expected, batches)
+}
+
+/// Run every query shape for one dataset shape. `quadratic` also runs
+/// the nested-loop reference join, which only small grids can afford.
+fn oracle_case(shape: Shape, quadratic: bool) {
+    let (d, t1, t2) = shape.deploy();
+    let mut rng = Rng(shape.seed ^ 0x0c01_a11e);
 
     // Shape 1: full scan.
-    let (schema, ref_rows) = exec::scan_rows_reference(&d, t1, None, &cancel).expect("ref scan");
-    let (_, batches) = exec::scan_batches(&d, t1, None, &cancel).expect("batch scan");
-    let batch_rows = exec::batches_to_rows(&batches).expect("edge conversion");
-    assert_identical("full scan", &ref_rows, &batch_rows);
+    let (all_rows, batches) = check_scan("full scan", &shape, &d, t1, None);
+    assert_eq!(all_rows.len() as u64, shape.side * shape.side);
 
     // Shape 2: range filter (drawn window; may be empty, full, or partial;
-    // also exercises an attribute bound the schema lacks → unconstrained).
-    let lo = rng.below(16) as f64;
-    let hi = lo + rng.below(8) as f64;
+    // sometimes bounds the f32 scalar; also exercises an attribute bound
+    // the schema lacks → unconstrained).
+    let lo = rng.below(shape.side) as f64;
+    let hi = lo + rng.below(shape.side / 2) as f64;
+    let y_hi = rng.below(shape.side) as f64;
+    let mut window = Window(vec![(0, lo, hi), (1, 0.0, y_hi)]);
     let mut range = BoundingBox::from_dims([
         ("x", Interval::new(lo, hi)),
-        ("y", Interval::new(0.0, rng.below(16) as f64)),
+        ("y", Interval::new(0.0, y_hi)),
     ]);
     if rng.below(2) == 0 {
         range.set("not_an_attr", Interval::new(0.0, 1.0));
     }
-    let (_, ref_filtered) =
-        exec::scan_rows_reference(&d, t1, Some(&range), &cancel).expect("ref filter");
-    let (_, fbatches) = exec::scan_batches(&d, t1, Some(&range), &cancel).expect("batch filter");
-    let batch_filtered = exec::batches_to_rows(&fbatches).expect("edge conversion");
-    assert_identical("range filter", &ref_filtered, &batch_filtered);
+    if rng.below(2) == 0 {
+        let p_lo = rng.below(50) as f64 / 100.0;
+        let p_hi = p_lo + rng.below(50) as f64 / 100.0;
+        window.0.push((3, p_lo, p_hi));
+        range.set("oilp", Interval::new(p_lo, p_hi));
+    }
+    check_scan("range filter", &shape, &d, t1, Some((&range, &window)));
 
     // Shape 3: projection (drawn column permutation, with repeats).
-    let arity = schema.arity();
     let indices: Vec<usize> = (0..1 + rng.below(4) as usize)
-        .map(|_| rng.below(arity as u64) as usize)
+        .map(|_| rng.below(4) as usize)
         .collect();
-    let ref_projected: Vec<Record> = ref_rows.iter().map(|r| r.project(&indices)).collect();
-    let batch_projected = exec::batches_to_rows(
-        &batches
-            .iter()
-            .map(|b| b.project(&indices).expect("batch project"))
-            .collect::<Vec<_>>(),
-    )
-    .expect("edge conversion");
-    assert_identical("projection", &ref_projected, &batch_projected);
+    let expect_projected: Vec<Record> = all_rows
+        .iter()
+        .map(|r| Record::new(indices.iter().map(|&i| r.get(i)).collect()))
+        .collect();
+    let projected: Vec<_> = batches
+        .iter()
+        .map(|b| b.project(&indices).expect("batch project"))
+        .collect();
+    let got_projected = exec::batches_to_rows(&projected).expect("edge conversion");
+    assert_identical("projection", &expect_projected, &got_projected);
 
-    // Shapes 4 + 5: IJ and GH joins vs the nested-loop row oracle.
-    // Join output order is schedule-dependent, so compare as sorted
-    // multisets — still byte-identical record-for-record.
-    let join_oracle =
-        sort_records(nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).expect("oracle join"));
+    // Shapes 4 + 5: IJ and GH joins. Join output order is schedule-
+    // dependent, so compare as sorted multisets — still byte-identical
+    // record-for-record. One-to-one on (x, y, z): each grid point yields
+    // `t1`'s row followed by `t2`'s scalar.
+    let mut join_expected = Vec::new();
+    for x in 0..shape.side {
+        for y in 0..shape.side {
+            let mut vals = shape.row("t1", x, y).to_vec();
+            vals.push(shape.row("t2", x, y)[3]);
+            join_expected.push(Record::new(vals));
+        }
+    }
+    let join_expected = sort_records(join_expected);
+    if quadratic {
+        let reference = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).expect("oracle join");
+        assert_identical("nested-loop join", &join_expected, &sort_records(reference));
+    }
     for algo in [JoinAlgorithm::IndexedJoin, JoinAlgorithm::GraceHash] {
         let engine = QueryEngine::new(d.clone()).force_algorithm(Some(algo));
         engine
@@ -139,24 +291,19 @@ fn oracle_case(seed: u64) {
             .expect("create view");
         let got = engine.execute("SELECT * FROM v").expect("join query");
         let got_rows = sort_records(got.rows);
-        assert_identical(&format!("{algo} join"), &join_oracle, &got_rows);
+        assert_identical(&format!("{algo} join"), &join_expected, &got_rows);
     }
 
-    // Shape 6: aggregates — engine (batch-path scans underneath) vs
-    // values computed from the reference rows.
+    // Shape 6: aggregates — engine (columnar scans underneath) vs values
+    // computed from the closed-form rows.
     let engine = QueryEngine::new(d.clone());
     let agg = engine
         .execute("SELECT COUNT(*), MIN(oilp), MAX(oilp) FROM t1")
         .expect("aggregate query");
     assert_eq!(agg.rows.len(), 1);
-    let oilp = schema.index_of("oilp").expect("oilp column");
-    let expect_min = ref_rows
-        .iter()
-        .map(|r| r.get(oilp))
-        .min()
-        .expect("non-empty table");
-    let expect_max = ref_rows.iter().map(|r| r.get(oilp)).max().expect("rows");
-    assert_eq!(agg.rows[0].get(0), Value::I64(ref_rows.len() as i64));
+    let expect_min = all_rows.iter().map(|r| r.get(3)).min().expect("rows");
+    let expect_max = all_rows.iter().map(|r| r.get(3)).max().expect("rows");
+    assert_eq!(agg.rows[0].get(0), Value::I64(all_rows.len() as i64));
     assert_eq!(agg.rows[0].get(1), expect_min, "MIN diverged");
     assert_eq!(agg.rows[0].get(2), expect_max, "MAX diverged");
 }
@@ -167,22 +314,39 @@ proptest! {
     /// Random seeds: each case is a fresh deployment and the full shape
     /// battery. Replay any failure with the printed seed.
     #[test]
-    fn batch_path_matches_row_path(seed in 0u64..1 << 32) {
-        oracle_case(seed);
+    fn execution_matches_closed_form(seed in 0u64..1 << 32) {
+        oracle_case(Shape::drawn(seed), true);
     }
 }
 
-/// Deterministic heavy case for the CI matrix: seed from
-/// `ORV_ORACLE_SEED` (default 42). Reproduce locally with
+fn env_seed() -> u64 {
+    std::env::var("ORV_ORACLE_SEED")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .unwrap_or(42)
+}
+
+/// Deterministic case for the CI matrix: seed from `ORV_ORACLE_SEED`
+/// (default 42). Reproduce locally with
 /// `ORV_ORACLE_SEED=<seed> cargo test --test columnar_oracle seeded_oracle_from_env`.
 #[test]
 fn seeded_oracle_from_env() {
-    let seed = std::env::var("ORV_ORACLE_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(42);
-    oracle_case(seed);
+    let seed = env_seed();
+    oracle_case(Shape::drawn(seed), true);
     // A couple of derived seeds widen the net without a second binary.
-    oracle_case(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    oracle_case(!seed);
+    oracle_case(Shape::drawn(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)), true);
+    oracle_case(Shape::drawn(!seed), true);
+}
+
+/// The same seed at scale: 65 536 rows per table in 64 chunks of 1 024
+/// over two nodes — every shape but the quadratic reference join.
+#[test]
+fn seeded_oracle_at_256x256() {
+    let shape = Shape {
+        side: 256,
+        part: 32,
+        nodes: 2,
+        seed: env_seed(),
+    };
+    oracle_case(shape, false);
 }

@@ -256,9 +256,9 @@ fn key_collision_single_flight_and_shard_counter_balance() {
     let svc = Arc::new(CacheService::new(NODES, 1 << 20));
     let entry = || {
         let schema = Arc::new(Schema::grid(&["x"], &["p"]).unwrap());
-        let cols = vec![vec![Value::I32(0)], vec![Value::F32(0.0)]];
+        let row = [Record::new(vec![Value::I32(0), Value::F32(0.0)])];
         CachedEntry::Right(Arc::new(
-            SubTable::from_columns(SubTableId::new(0u32, 0u32), schema, cols).unwrap(),
+            SubTable::from_records(SubTableId::new(0u32, 0u32), schema, &row).unwrap(),
         ))
     };
     // Builds per (node, key); single-flight means each lands on 1.
