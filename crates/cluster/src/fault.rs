@@ -965,8 +965,8 @@ impl FaultInjector {
 
     /// Compute-worker checkpoint: call once per completed unit of work.
     /// Panics (deliberately) when a [`WorkerPanicSpec`] for this worker is
-    /// due — the runtimes contain the panic with `catch_unwind` and turn
-    /// it into recovery or a typed error.
+    /// due — the worker harness ([`crate::workers::run_workers`]) contains
+    /// the panic and the runtimes turn it into recovery or a typed error.
     pub fn worker_checkpoint(&self, worker: usize) {
         if self.plan.worker_panics.is_empty() {
             return;
@@ -996,7 +996,7 @@ impl FaultInjector {
                         ("worker", worker.into()),
                     ]
                 });
-                // orv-lint: allow(L001) -- the injected crash IS the fault: contain_panic catches it and the marker identifies it
+                // orv-lint: allow(L001) -- the injected crash IS the fault: run_workers contains it and the marker identifies it
                 panic!("{INJECTED_PANIC_MARKER}: worker {worker} after {ops} ops");
             }
         }
@@ -1110,8 +1110,14 @@ fn take_one(n: &AtomicU64) -> bool {
 }
 
 /// Bounded-retry policy the join runtimes wrap around every fetch, send
-/// and scratch write: up to `max_attempts` tries with exponential backoff
+/// and scratch access: up to `max_attempts` tries with exponential backoff
 /// (capped at 250 ms per sleep) under an overall per-operation deadline.
+///
+/// [`RecoveryPolicy::run_cancellable`] is the one retry loop of the join
+/// runtimes: a caller hands it the fallible attempt as a closure and gets
+/// the outcome plus the retry count back. Nothing outside this module
+/// tests attempt exhaustion or the deadline, and nothing in `orv-join`
+/// sleeps a backoff itself (`orv-lint` L007 keeps it so).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
     /// Total attempts per operation (1 = no retry).
@@ -1141,15 +1147,14 @@ impl RecoveryPolicy {
     }
 
     /// Whether the per-operation deadline has passed for an operation
-    /// started at `start`. Both join runtimes consult this instead of
-    /// hand-rolling the comparison.
-    pub fn deadline_exceeded(&self, start: Instant) -> bool {
+    /// started at `start`.
+    fn deadline_exceeded(&self, start: Instant) -> bool {
         start.elapsed() >= Duration::from_millis(self.op_deadline_ms)
     }
 
     /// True once `retries` has used up the attempt budget (attempt count
     /// is `retries + 1`; a policy always grants at least one attempt).
-    pub fn attempts_exhausted(&self, retries: u64) -> bool {
+    fn attempts_exhausted(&self, retries: u64) -> bool {
         retries + 1 >= self.max_attempts.max(1) as u64
     }
 
@@ -1162,7 +1167,10 @@ impl RecoveryPolicy {
     /// [`RecoveryPolicy::run`] observing a [`CancelToken`]: cancellation
     /// is checked before every attempt, backoff sleeps wake within one
     /// slice of a cancel, and a cancellation error from `op` itself is
-    /// returned immediately — retrying cannot un-cancel a query.
+    /// returned immediately — retrying cannot un-cancel a query. Once the
+    /// attempts are used up `op`'s last error is returned unchanged; past
+    /// the deadline it is wrapped in an `Error::Cluster` naming the
+    /// deadline.
     pub fn run_cancellable<T>(
         &self,
         cancel: &CancelToken,
@@ -1197,32 +1205,6 @@ impl RecoveryPolicy {
                 }
             }
         }
-    }
-}
-
-/// Render a panic payload (from `catch_unwind` / `JoinHandle::join`) as a
-/// message.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Run `f` containing any panic: a panic becomes
-/// `Error::Cluster("<label> panicked: …")` instead of unwinding into the
-/// coordinator. Worker-thread bodies wrap themselves in this so a dead
-/// worker always produces a typed error, never a hung join.
-pub fn contain_panic<T>(label: &str, f: impl FnOnce() -> Result<T>) -> Result<T> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => r,
-        Err(p) => Err(Error::Cluster(format!(
-            "{label} panicked: {}",
-            panic_message(p.as_ref())
-        ))),
     }
 }
 
@@ -1563,16 +1545,6 @@ mod tests {
         }
         let back = FaultPlan::from_json_value(&v).unwrap();
         assert!(back.client_floods.is_empty() && back.shard_slow_storms.is_empty());
-    }
-
-    #[test]
-    fn contain_panic_yields_typed_error() {
-        let ok: Result<u32> = contain_panic("w", || Ok(5));
-        assert_eq!(ok.unwrap(), 5);
-        let err = contain_panic::<u32>("worker 3", || panic!("boom"));
-        let msg = err.unwrap_err().to_string();
-        assert!(msg.contains("worker 3 panicked"), "{msg}");
-        assert!(msg.contains("boom"), "{msg}");
     }
 
     #[test]

@@ -30,17 +30,18 @@ pub mod retry_budget;
 pub mod runtime;
 pub mod sim;
 pub mod spec;
+pub mod workers;
 
 pub use cancel::{CancelToken, DeadlineBudget, WaitBudget, SLEEP_SLICE};
 pub use checksum::crc32c;
 pub use epoch::EpochCell;
 pub use fault::{
-    contain_panic, panic_message, silence_injected_panics, ClientFloodSpec, FaultInjector,
-    FaultPlan, FaultStats, RecoveryPolicy, SendVerdict, ShardDeathSpec, ShardSlowSpec,
-    ShardSlowStormSpec, WorkerPanicSpec,
+    silence_injected_panics, ClientFloodSpec, FaultInjector, FaultPlan, FaultStats, RecoveryPolicy,
+    SendVerdict, ShardDeathSpec, ShardSlowSpec, ShardSlowStormSpec, WorkerPanicSpec,
 };
 pub use resource::Resource;
 pub use retry_budget::{RetryBudget, MILLI_PER_TOKEN};
 pub use runtime::{ByteCounter, RunStats, Scratch, ScratchKind, Throttle};
 pub use sim::{NodeClocks, SimCluster};
 pub use spec::ClusterSpec;
+pub use workers::{all_done, run_workers, WorkerBody, WorkerEnd};

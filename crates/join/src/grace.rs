@@ -24,23 +24,26 @@
 
 //! ## Fault tolerance
 //!
-//! Chunk reads and scratch writes run under the configured
-//! [`RecoveryPolicy`]; dropped interconnect messages (from an attached
-//! [`FaultInjector`]) are retried with fresh draws and backoff. Worker
-//! threads — storage and compute alike — run inside `catch_unwind`, so a
-//! crash becomes a typed `Error::Cluster`. Unlike IJ, a dead compute node
+//! Every chunk read, interconnect send, scratch write and scratch
+//! read-back is one attempt closure under the configured
+//! [`RecoveryPolicy`] (`run_cancellable`, the only retry loop here):
+//! injected read/write faults, dropped messages and checksum-detected
+//! corruptions are retried with fresh draws and backoff, and an exhausted
+//! policy surfaces the underlying error. Storage and compute node threads
+//! run on `orv_cluster::workers::run_workers`, which contains a panic as a
+//! typed end and joins every handle. Unlike IJ, a dead compute node
 //! cannot be replaced: its scratch buckets (and any in-flight records
 //! routed to it by `h1`) die with it, so Grace Hash *fails fast* — the
-//! dropped receiver unblocks every storage sender, all join handles are
-//! harvested, and the panic surfaces as the join's error within a bounded
-//! deadline rather than a hang.
+//! dropped receiver unblocks every storage sender, and `all_done` reports
+//! the panic (not the secondary "hung up" errors) as the join's error
+//! within a bounded deadline rather than a hang.
 
 use crate::hash_join::{gather_key_bits, is_float, HashJoiner, JoinCounters};
 use orv_bds::{BdsService, Deployment};
 use orv_chunk::SubTable;
 use orv_cluster::{
-    checksum, fault::panic_message, CancelToken, FaultInjector, RecoveryPolicy, RunStats, Scratch,
-    ScratchKind, SendVerdict,
+    all_done, checksum, run_workers, CancelToken, FaultInjector, RecoveryPolicy, RunStats, Scratch,
+    ScratchKind, SendVerdict, WorkerBody,
 };
 use orv_obs::{names, Obs};
 use orv_types::{
@@ -216,18 +219,13 @@ struct BucketJoinCtx<'a> {
 }
 
 /// Read a scratch bucket and verify it against the store's running CRC,
-/// retrying under the recovery policy when an (injected) corruption is
-/// detected. The durable bytes stay pristine — only the returned copy is
-/// damaged — so a retry with a fresh draw succeeds once the fault budget
-/// drains.
+/// retrying under the recovery policy when the read fails or an
+/// (injected) corruption is detected. The durable bytes stay pristine —
+/// only the returned copy is damaged — so a retry with a fresh draw
+/// succeeds once the fault budget drains.
 fn read_bucket_verified(ctx: &BucketJoinCtx, name: &str, stats: &mut RunStats) -> Result<Vec<u8>> {
-    let policy = &ctx.cfg.recovery;
-    let cancel = &ctx.cfg.cancel;
-    // orv-lint: allow(L006) -- wall-clock measurement feeding RunStats only; never drives control flow
-    let start = Instant::now();
-    let mut retries = 0u64;
-    loop {
-        cancel.check()?;
+    let mut corruptions = 0u64;
+    let (bytes, retries) = ctx.cfg.recovery.run_cancellable(&ctx.cfg.cancel, || {
         let bytes = {
             let _read = ctx
                 .cfg
@@ -239,26 +237,22 @@ fn read_bucket_verified(ctx: &BucketJoinCtx, name: &str, stats: &mut RunStats) -
                 .corrupt_scratch_read(ctx.node as u64, &mut bytes);
             bytes
         };
-        match ctx.scratch.verify_bucket(name, &bytes) {
-            Ok(()) => return Ok(bytes),
-            Err(e) => {
-                stats.corruptions_detected += 1;
-                ctx.injector.events().emit(names::CORRUPTION_DETECTED, || {
-                    vec![
-                        ("site", "scratch_read".into()),
-                        ("what", name.to_string().into()),
-                        ("node", ctx.node.into()),
-                    ]
-                });
-                if policy.attempts_exhausted(retries) || policy.deadline_exceeded(start) {
-                    return Err(e);
-                }
-                cancel.sleep(policy.backoff(retries as u32))?;
-                stats.scratch_retries += 1;
-                retries += 1;
-            }
+        if let Err(e) = ctx.scratch.verify_bucket(name, &bytes) {
+            corruptions += 1;
+            ctx.injector.events().emit(names::CORRUPTION_DETECTED, || {
+                vec![
+                    ("site", "scratch_read".into()),
+                    ("what", name.to_string().into()),
+                    ("node", ctx.node.into()),
+                ]
+            });
+            return Err(e);
         }
-    }
+        Ok(bytes)
+    });
+    stats.corruptions_detected += corruptions;
+    stats.scratch_retries += retries;
+    bytes
 }
 
 /// Repartition an oversized bucket into `OVERFLOW_SPLIT` sub-buckets on
@@ -379,16 +373,17 @@ fn route_subtable(
     out
 }
 
-/// Send one batch, retrying injected drops and detected frame
-/// corruptions with fresh draws under the recovery policy. Returns
-/// `(retries, corruptions detected)`. A *real* send error (receiver gone
-/// — its compute node died) is not retryable: the channel never comes
-/// back, so fail fast with a typed error.
+/// Send one batch. The (injected) link faults — a dropped message, a
+/// frame corrupted in flight — are retried with fresh draws under the
+/// recovery policy; the real channel send then happens once, outside it:
+/// a receiver that is gone (its compute node died) never comes back, so
+/// that fails fast with a typed error. Returns `(retries, corruptions
+/// detected)`.
 ///
 /// Integrity works like a link layer: each bucket's CRC32C was sealed at
 /// encode time; an injected in-flight corruption flips one payload byte,
 /// verification catches it, and the "retransmission" restores the
-/// pristine frame (xor is involutive) before backing off and retrying.
+/// pristine frame (xor is involutive) before the next attempt.
 fn send_with_recovery(
     sender: &crossbeam::channel::Sender<Batch>,
     mut batch: Batch,
@@ -397,91 +392,39 @@ fn send_with_recovery(
     policy: &RecoveryPolicy,
     cancel: &CancelToken,
 ) -> Result<(u64, u64)> {
-    // orv-lint: allow(L006) -- wall-clock measurement feeding RunStats only; never drives control flow
-    let start = Instant::now();
-    let mut retries = 0u64;
     let mut corruptions = 0u64;
-    loop {
-        cancel.check()?;
+    let (link, retries) = policy.run_cancellable(cancel, || {
         match injector.send_verdict(stream) {
             SendVerdict::Drop => {
-                if policy.attempts_exhausted(retries) || policy.deadline_exceeded(start) {
-                    return Err(Error::Cluster(format!(
-                        "interconnect message dropped {} times; giving up",
-                        retries + 1
-                    )));
-                }
-                cancel.sleep(policy.backoff(retries as u32))?;
-                retries += 1;
-                continue;
+                return Err(Error::Cluster("interconnect message dropped".into()));
             }
             SendVerdict::Delay(d) => cancel.sleep(d)?,
             SendVerdict::Deliver => {}
         }
-        let mut damage = None;
-        for (i, (b, bytes, _)) in batch.buckets.iter_mut().enumerate() {
-            if let Some(hit) = injector.corrupt_frame(stream, bytes) {
-                damage = Some((i, *b, hit));
-                break; // at most one corrupted frame per attempt
-            }
-        }
-        if let Some((i, b, (off, mask))) = damage {
-            let (_, bytes, crc) = &mut batch.buckets[i];
-            if let Err(e) = checksum::verify(*crc, bytes, &format!("frame bucket {b}")) {
-                corruptions += 1;
-                injector.events().emit(names::CORRUPTION_DETECTED, || {
-                    vec![
-                        ("site", "frame".into()),
-                        ("what", format!("bucket {b}").into()),
-                    ]
-                });
+        for (b, bytes, crc) in batch.buckets.iter_mut() {
+            // At most one corrupted frame per attempt.
+            if let Some((off, mask)) = injector.corrupt_frame(stream, bytes) {
+                let verified = checksum::verify(*crc, bytes, &format!("frame bucket {b}"));
                 bytes[off] ^= mask; // retransmit the pristine frame
-                if policy.attempts_exhausted(retries) || policy.deadline_exceeded(start) {
-                    return Err(e);
+                if verified.is_err() {
+                    corruptions += 1;
+                    injector.events().emit(names::CORRUPTION_DETECTED, || {
+                        vec![
+                            ("site", "frame".into()),
+                            ("what", format!("bucket {b}").into()),
+                        ]
+                    });
                 }
-                cancel.sleep(policy.backoff(retries as u32))?;
-                retries += 1;
-                continue;
+                return verified;
             }
         }
-        return sender
-            .send(batch)
-            .map(|()| (retries, corruptions))
-            .map_err(|_| Error::Cluster("compute node hung up".into()));
-    }
-}
-
-/// Append to a scratch bucket, retrying injected transient write faults.
-/// Injected faults fire *before* any bytes land, so retries never
-/// duplicate data; a real I/O error from the append itself is returned
-/// as-is.
-fn scratch_append_with_recovery(
-    scratch: &Scratch,
-    name: &str,
-    bytes: &[u8],
-    stream: u64,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    cancel: &CancelToken,
-) -> Result<u64> {
-    // orv-lint: allow(L006) -- wall-clock measurement feeding RunStats only; never drives control flow
-    let start = Instant::now();
-    let mut retries = 0u64;
-    loop {
-        cancel.check()?;
-        match injector.before_scratch_write(stream) {
-            Ok(()) => break,
-            Err(e) => {
-                if policy.attempts_exhausted(retries) || policy.deadline_exceeded(start) {
-                    return Err(e);
-                }
-                cancel.sleep(policy.backoff(retries as u32))?;
-                retries += 1;
-            }
-        }
-    }
-    scratch.append(name, bytes)?;
-    Ok(retries)
+        Ok(())
+    });
+    link?;
+    sender
+        .send(batch)
+        .map(|()| (retries, corruptions))
+        .map_err(|_| Error::Cluster("compute node hung up".into()))
 }
 
 /// Execute `left ⊕ right` on `join_attrs` with the Grace Hash QES.
@@ -531,218 +474,161 @@ pub fn grace_hash_join(
 
     // Channels: one receiver per compute node, every storage node holds a
     // sender to each.
-    let mut senders = Vec::with_capacity(cfg.n_compute);
-    let mut receivers = Vec::with_capacity(cfg.n_compute);
-    for _ in 0..cfg.n_compute {
-        let (tx, rx) = crossbeam::channel::bounded::<Batch>(64);
-        senders.push(tx);
-        receivers.push(rx);
-    }
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..cfg.n_compute)
+        .map(|_| crossbeam::channel::bounded::<Batch>(64))
+        .unzip();
+    let mut workers: Vec<(String, WorkerBody<'_, RunStats>)> = Vec::new();
 
-    let per_node: Vec<RunStats> = std::thread::scope(|scope| -> Result<Vec<RunStats>> {
-        // --- Storage-node QES instances: scan local chunks, route records.
-        let mut storage_handles = Vec::new();
-        for svc in &services {
-            let senders = senders.clone();
-            let lkeys = &lkeys;
-            let rkeys = &rkeys;
-            let injector = &injector;
-            storage_handles.push(scope.spawn(move || -> Result<RunStats> {
-                let node = svc.node();
-                orv_cluster::contain_panic(&format!("storage node {node}"), || {
-                    let mut stats = RunStats::default();
-                    for (table, keys, side) in
-                        [(left, lkeys, Side::Left), (right, rkeys, Side::Right)]
-                    {
-                        let chunks = md.all_chunks(table)?;
-                        for chunk in chunks {
-                            cfg.cancel.check()?;
-                            let id = SubTableId { table, chunk };
-                            let meta = md.chunk_meta(id)?;
-                            if meta.node != node {
-                                continue;
-                            }
-                            if let Some(rg) = &cfg.range {
-                                if !meta.bbox.overlaps(rg) {
-                                    continue;
-                                }
-                            }
-                            let spans = &cfg.obs.spans;
-                            let (st, retries) = {
-                                let _read = spans.span_with(|| {
-                                    names::span_gh_sender(node.index(), names::PHASE_READ)
-                                });
-                                cfg.recovery.run_cancellable(&cfg.cancel, || {
-                                    let st: SubTable = svc.subtable(id)?;
-                                    match &cfg.range {
-                                        Some(rg) => st.filter_range(rg),
-                                        None => Ok(st),
-                                    }
-                                })
-                            };
-                            stats.read_retries += retries;
-                            let st = st?;
-                            stats.bytes_read_storage += meta.size_bytes();
-                            let routed = {
-                                let _partition = spans.span_with(|| {
-                                    names::span_gh_sender(node.index(), names::PHASE_PARTITION)
-                                });
-                                route_subtable(&st, keys, cfg.n_compute, n_buckets)
-                            };
-                            let _send = spans.span_with(|| {
-                                names::span_gh_sender(node.index(), names::PHASE_SEND)
-                            });
-                            for (dest, buckets) in routed.into_iter().enumerate() {
-                                if buckets.is_empty() {
-                                    continue;
-                                }
-                                stats.bytes_transferred +=
-                                    buckets.iter().map(|(_, b)| b.len()).sum::<usize>() as u64;
-                                // Seal each frame's CRC as it is encoded.
-                                let buckets = buckets
-                                    .into_iter()
-                                    .map(|(b, bytes)| {
-                                        let crc = checksum::crc32c(&bytes);
-                                        (b, bytes, crc)
-                                    })
-                                    .collect();
-                                let (retries, corruptions) = send_with_recovery(
-                                    &senders[dest],
-                                    Batch { side, buckets },
-                                    node.index() as u64,
-                                    injector,
-                                    &cfg.recovery,
-                                    &cfg.cancel,
-                                )?;
-                                stats.send_retries += retries;
-                                stats.corruptions_detected += corruptions;
-                            }
+    // --- Storage-node QES instances: scan local chunks, route records.
+    for svc in &services {
+        let node = svc.node();
+        let senders = senders.clone();
+        let (lkeys, rkeys, injector) = (&lkeys, &rkeys, &injector);
+        let body = move || {
+            let mut stats = RunStats::default();
+            for (table, keys, side) in [(left, lkeys, Side::Left), (right, rkeys, Side::Right)] {
+                let chunks = md.all_chunks(table)?;
+                for chunk in chunks {
+                    cfg.cancel.check()?;
+                    let id = SubTableId { table, chunk };
+                    let meta = md.chunk_meta(id)?;
+                    if meta.node != node {
+                        continue;
+                    }
+                    if let Some(rg) = &cfg.range {
+                        if !meta.bbox.overlaps(rg) {
+                            continue;
                         }
                     }
-                    Ok(stats)
-                })
-            }));
-        }
-        drop(senders); // compute receivers see EOF once storage finishes
-
-        // --- Compute-node QES instances: spill buckets, then join pairs.
-        let mut compute_handles = Vec::new();
-        for (j, rx) in receivers.into_iter().enumerate() {
-            let scratch = &scratches[j];
-            let counters = &counters;
-            let results = &results;
-            let lschema = &lschema;
-            let rschema = &rschema;
-            let lkeys = &lkeys;
-            let rkeys = &rkeys;
-            let injector = &injector;
-            compute_handles.push(scope.spawn(move || -> Result<RunStats> {
-                // contain_panic: a dying compute worker drops `rx`, which
-                // unblocks every storage sender, and surfaces here as a
-                // typed error instead of unwinding into the coordinator.
-                orv_cluster::contain_panic(&format!("compute node {j}"), || {
-                    let mut stats = RunStats::default();
-                    // Phase 1: append incoming bucket fragments to scratch.
-                    for batch in &rx {
-                        cfg.cancel.check()?;
-                        injector.worker_checkpoint(j);
-                        let prefix = match batch.side {
-                            Side::Left => "L",
-                            Side::Right => "R",
-                        };
-                        let _write = cfg.obs.spans.span_with(|| {
-                            names::span_tagged(
-                                &names::gh_consumer_tag(j),
-                                names::PHASE_SCRATCH_WRITE,
-                            )
-                        });
-                        for (b, bytes, crc) in batch.buckets {
-                            // Defense in depth: the sender's link layer
-                            // already verified the frame, so a mismatch
-                            // here is a real bug, not a transient.
-                            checksum::verify(crc, &bytes, &format!("received bucket {prefix}{b}"))?;
-                            stats.scratch_retries += scratch_append_with_recovery(
-                                scratch,
-                                &format!("{prefix}{b}"),
-                                &bytes,
-                                j as u64,
-                                injector,
-                                &cfg.recovery,
-                                &cfg.cancel,
-                            )?;
-                        }
-                    }
-                    // Phase 2: join bucket pairs independently, recursively
-                    // repartitioning any bucket that outgrew the memory
-                    // budget.
-                    let mut local_results = Vec::new();
-                    let ctx = BucketJoinCtx {
-                        scratch,
-                        lschema,
-                        rschema,
-                        lkeys,
-                        rkeys,
-                        join_attrs,
-                        counters,
-                        cfg,
-                        injector,
-                        node: j,
-                        tag: names::gh_consumer_tag(j),
+                    let spans = &cfg.obs.spans;
+                    let (st, retries) = {
+                        let _read = spans
+                            .span_with(|| names::span_gh_sender(node.index(), names::PHASE_READ));
+                        cfg.recovery.run_cancellable(&cfg.cancel, || {
+                            let st: SubTable = svc.subtable(id)?;
+                            match &cfg.range {
+                                Some(rg) => st.filter_range(rg),
+                                None => Ok(st),
+                            }
+                        })
                     };
-                    for b in 0..n_buckets {
-                        injector.worker_checkpoint(j);
-                        let produced = join_bucket_pair(
-                            &ctx,
-                            &format!("L{b}"),
-                            &format!("R{b}"),
-                            0,
-                            &mut stats,
-                            &mut local_results,
+                    stats.read_retries += retries;
+                    let st = st?;
+                    stats.bytes_read_storage += meta.size_bytes();
+                    let routed = {
+                        let _partition = spans.span_with(|| {
+                            names::span_gh_sender(node.index(), names::PHASE_PARTITION)
+                        });
+                        route_subtable(&st, keys, cfg.n_compute, n_buckets)
+                    };
+                    let _send =
+                        spans.span_with(|| names::span_gh_sender(node.index(), names::PHASE_SEND));
+                    for (dest, buckets) in routed.into_iter().enumerate() {
+                        if buckets.is_empty() {
+                            continue;
+                        }
+                        stats.bytes_transferred +=
+                            buckets.iter().map(|(_, b)| b.len()).sum::<usize>() as u64;
+                        // Seal each frame's CRC as it is encoded.
+                        let buckets = buckets
+                            .into_iter()
+                            .map(|(b, bytes)| {
+                                let crc = checksum::crc32c(&bytes);
+                                (b, bytes, crc)
+                            })
+                            .collect();
+                        let (retries, corruptions) = send_with_recovery(
+                            &senders[dest],
+                            Batch { side, buckets },
+                            node.index() as u64,
+                            injector,
+                            &cfg.recovery,
+                            &cfg.cancel,
                         )?;
-                        stats.result_tuples += produced;
+                        stats.send_retries += retries;
+                        stats.corruptions_detected += corruptions;
                     }
-                    if cfg.collect_results {
-                        results.lock().append(&mut local_results);
-                    }
-                    Ok(stats)
-                })
-            }));
-        }
-
-        // Harvest EVERY handle before deciding the outcome, so a dead
-        // worker never leaves the coordinator blocked, then report the
-        // root cause: a panic outranks everything; a cancellation outranks
-        // the secondary "hung up" errors either one causes in its peers.
-        let mut all = Vec::new();
-        let mut panic_err: Option<Error> = None;
-        let mut cancel_err: Option<Error> = None;
-        let mut first_err: Option<Error> = None;
-        for h in storage_handles.into_iter().chain(compute_handles) {
-            match h.join() {
-                Ok(Ok(s)) => all.push(s),
-                Ok(Err(e)) => {
-                    if e.to_string().contains("panicked") && panic_err.is_none() {
-                        panic_err = Some(e);
-                    } else if e.is_cancellation() && cancel_err.is_none() {
-                        cancel_err = Some(e);
-                    } else if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                // Unreachable: bodies are wrapped in contain_panic.
-                Err(p) => {
-                    panic_err = Some(Error::Cluster(format!(
-                        "grace hash thread panicked: {}",
-                        panic_message(p.as_ref())
-                    )));
                 }
             }
-        }
-        if let Some(e) = panic_err.or(cancel_err).or(first_err) {
-            return Err(e);
-        }
-        Ok(all)
-    })?;
+            Ok(stats)
+        };
+        workers.push((format!("storage node {node}"), Box::new(body)));
+    }
+    drop(senders); // compute receivers see EOF once storage finishes
+
+    // --- Compute-node QES instances: spill buckets, then join pairs. A
+    // dying compute worker drops its `rx`, which unblocks every storage
+    // sender.
+    for (j, rx) in receivers.into_iter().enumerate() {
+        let scratch = &scratches[j];
+        let (counters, results, injector) = (&counters, &results, &injector);
+        let (lschema, rschema, lkeys, rkeys) = (&lschema, &rschema, &lkeys, &rkeys);
+        let body = move || {
+            let mut stats = RunStats::default();
+            // Phase 1: append incoming bucket fragments to scratch.
+            for batch in &rx {
+                cfg.cancel.check()?;
+                injector.worker_checkpoint(j);
+                let prefix = match batch.side {
+                    Side::Left => "L",
+                    Side::Right => "R",
+                };
+                let _write = cfg.obs.spans.span_with(|| {
+                    names::span_tagged(&names::gh_consumer_tag(j), names::PHASE_SCRATCH_WRITE)
+                });
+                for (b, bytes, crc) in batch.buckets {
+                    // Defense in depth: the sender's link layer already
+                    // verified the frame, so a mismatch here is a real
+                    // bug, not a transient.
+                    checksum::verify(crc, &bytes, &format!("received bucket {prefix}{b}"))?;
+                    // Injected write faults fire *before* any bytes land,
+                    // so retrying them never duplicates data; a real I/O
+                    // error from the append itself is returned as-is.
+                    let (writable, retries) = cfg
+                        .recovery
+                        .run_cancellable(&cfg.cancel, || injector.before_scratch_write(j as u64));
+                    stats.scratch_retries += retries;
+                    writable?;
+                    scratch.append(&format!("{prefix}{b}"), &bytes)?;
+                }
+            }
+            // Phase 2: join bucket pairs independently, recursively
+            // repartitioning any bucket that outgrew the memory budget.
+            let mut local_results = Vec::new();
+            let ctx = BucketJoinCtx {
+                scratch,
+                lschema,
+                rschema,
+                lkeys,
+                rkeys,
+                join_attrs,
+                counters,
+                cfg,
+                injector,
+                node: j,
+                tag: names::gh_consumer_tag(j),
+            };
+            for b in 0..n_buckets {
+                injector.worker_checkpoint(j);
+                let produced = join_bucket_pair(
+                    &ctx,
+                    &format!("L{b}"),
+                    &format!("R{b}"),
+                    0,
+                    &mut stats,
+                    &mut local_results,
+                )?;
+                stats.result_tuples += produced;
+            }
+            if cfg.collect_results {
+                results.lock().append(&mut local_results);
+            }
+            Ok(stats)
+        };
+        workers.push((format!("compute node {j}"), Box::new(body)));
+    }
+
+    let per_node = all_done(run_workers(workers))?;
 
     let mut stats = RunStats::default();
     for s in &per_node {
@@ -1018,6 +904,200 @@ mod tests {
             fstats.corruptions(),
             "one detection event per injected corruption"
         );
+    }
+
+    #[test]
+    fn send_to_a_dead_receiver_fails_fast_without_retry() {
+        use orv_cluster::FaultPlan;
+        // Every verdict draw happens under the policy; the real send
+        // happens once, outside it. A plan that would happily delay (and a
+        // policy that would happily retry) must not turn "receiver gone"
+        // into a retried operation.
+        let injector = FaultPlan {
+            seed: 1,
+            send_delay_prob: 1.0,
+            send_delay_ms: 1,
+            ..FaultPlan::none()
+        }
+        .injector();
+        let (tx, rx) = crossbeam::channel::bounded::<Batch>(1);
+        drop(rx);
+        let bytes = vec![7u8; 16];
+        let crc = checksum::crc32c(&bytes);
+        let batch = Batch {
+            side: Side::Left,
+            buckets: vec![(0, bytes, crc)],
+        };
+        let err = send_with_recovery(
+            &tx,
+            batch,
+            0,
+            &injector,
+            &RecoveryPolicy::default(),
+            &CancelToken::none(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, Error::Cluster(m) if m.contains("hung up")),
+            "{err}"
+        );
+        assert_eq!(
+            injector.stats().send_delays,
+            1,
+            "exactly one attempt: one verdict draw, zero send_retries"
+        );
+    }
+
+    #[test]
+    fn exhausted_scratch_read_returns_the_integrity_error_unchanged() {
+        use orv_cluster::FaultPlan;
+        let scratch = Scratch::new(ScratchKind::Memory, "t").unwrap();
+        scratch.append("L0", &[1u8; 32]).unwrap();
+        let injector = FaultPlan {
+            seed: 4,
+            scratch_corrupt_prob: 1.0,
+            max_scratch_corruptions: 10,
+            max_faults: 10,
+            ..FaultPlan::none()
+        }
+        .injector();
+        let cfg = GraceHashConfig {
+            recovery: RecoveryPolicy {
+                max_attempts: 2,
+                base_backoff_ms: 0,
+                ..RecoveryPolicy::default()
+            },
+            ..Default::default()
+        };
+        let schema = Arc::new(Schema::grid(&["x"], &["p"]).unwrap());
+        let counters = JoinCounters::new();
+        let ctx = BucketJoinCtx {
+            scratch: &scratch,
+            lschema: &schema,
+            rschema: &schema,
+            lkeys: &[0],
+            rkeys: &[0],
+            join_attrs: &["x"],
+            counters: &counters,
+            cfg: &cfg,
+            injector: &injector,
+            node: 0,
+            tag: names::gh_consumer_tag(0),
+        };
+        let mut stats = RunStats::default();
+        let err = read_bucket_verified(&ctx, "L0", &mut stats).unwrap_err();
+        // Not wrapped, not re-worded: the checksum layer's own error.
+        assert!(
+            matches!(&err, Error::Integrity(m) if m.starts_with("scratch bucket L0: crc32c mismatch")),
+            "{err}"
+        );
+        assert_eq!(stats.scratch_retries, 1, "two attempts, one retry");
+        assert_eq!(stats.corruptions_detected, 2);
+        assert_eq!(
+            injector.stats().scratch_corruptions,
+            2,
+            "one draw per attempt"
+        );
+    }
+
+    #[test]
+    fn seeded_fault_draws_match_the_hand_written_retry_loops() {
+        use orv_cluster::FaultPlan;
+        use orv_obs::EventLog;
+        // The `(kind, site, stream, draw)` multiset below was captured from
+        // the hand-written retry loops this module had before it moved
+        // under `RecoveryPolicy::run_cancellable`. Per-stream draw order
+        // and count per attempt are part of the replay contract: one
+        // `send_verdict` then `corrupt_frame` per bucket up to the first
+        // hit; one `before_scratch_write`; one `corrupt_scratch_read`. No
+        // cap binds, so the multiset is a pure function of the seed.
+        let (d, t1, t2) = deploy([8, 8, 2], [4, 4, 2], [2, 8, 2], 2);
+        let events = EventLog::enabled();
+        let plan = FaultPlan {
+            seed: 5,
+            read_error_prob: 0.2,
+            max_read_errors: 1_000,
+            send_drop_prob: 0.15,
+            max_send_drops: 1_000,
+            send_delay_prob: 0.1,
+            send_delay_ms: 1,
+            scratch_error_prob: 0.2,
+            max_scratch_errors: 1_000,
+            chunk_corrupt_prob: 0.2,
+            max_chunk_corruptions: 1_000,
+            frame_corrupt_prob: 0.04,
+            max_frame_corruptions: 1_000,
+            scratch_corrupt_prob: 0.2,
+            max_scratch_corruptions: 1_000,
+            max_faults: 1_000_000,
+            ..FaultPlan::none()
+        };
+        let cfg = GraceHashConfig {
+            n_compute: 2,
+            mem_per_node: 256,
+            collect_results: true,
+            faults: Some(plan.injector_with_events(events.clone())),
+            recovery: RecoveryPolicy {
+                max_attempts: 8,
+                base_backoff_ms: 0,
+                op_deadline_ms: 60_000,
+            },
+            ..Default::default()
+        };
+        let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
+        let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
+        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        let mut got: Vec<(String, String, u64, u64)> = events
+            .events_of_kind("fault_injected")
+            .iter()
+            .map(|e| {
+                (
+                    e.fields["kind"].as_str().unwrap().to_string(),
+                    e.fields["site"].as_str().unwrap().to_string(),
+                    e.fields["stream"].as_u64().unwrap(),
+                    e.fields["draw"].as_u64().unwrap(),
+                )
+            })
+            .collect();
+        got.sort();
+        let draws = |kind: &str, site: &str, stream: u64, draws: &[u64]| {
+            draws
+                .iter()
+                .map(|&n| (kind.to_string(), site.to_string(), stream, n))
+                .collect::<Vec<_>>()
+        };
+        let want: Vec<_> = [
+            draws("chunk_corrupt", "chunk_page", 1, &[3]),
+            draws("frame_corrupt", "frame", 0, &[39]),
+            draws("frame_corrupt", "frame", 1, &[12, 38]),
+            draws("read_error", "chunk_read", 0, &[0, 3]),
+            draws("scratch_corrupt", "scratch_read", 0, &[13]),
+            draws("scratch_corrupt", "scratch_read", 1, &[3, 5, 6, 9, 16, 19]),
+            draws(
+                "scratch_error",
+                "scratch_write",
+                0,
+                &[
+                    6, 8, 10, 13, 19, 23, 32, 37, 41, 43, 48, 54, 55, 56, 58, 62, 69,
+                ],
+            ),
+            draws(
+                "scratch_error",
+                "scratch_write",
+                1,
+                &[8, 11, 13, 16, 18, 29, 37, 53, 55, 58],
+            ),
+            draws("send_delay", "send", 1, &[3, 15]),
+            draws("send_drop", "send", 0, &[0, 9, 14]),
+            draws("send_drop", "send", 1, &[8, 11]),
+        ]
+        .concat();
+        assert_eq!(got, want);
+        // …and the retry accounting the parent reported for this seed.
+        assert_eq!(out.stats.read_retries, 3);
+        assert_eq!(out.stats.send_retries, 8);
+        assert_eq!(out.stats.scratch_retries, 34);
+        assert_eq!(out.stats.corruptions_detected, 11);
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //!
 //! Every sub-table fetch runs under the configured [`RecoveryPolicy`]
 //! (bounded retries, exponential backoff, per-operation deadline), so
-//! transient storage faults are retried rather than fatal. Every worker
-//! body runs inside `catch_unwind`: a panicking worker is *contained* —
-//! its join handle is still harvested, its completed pairs stay committed
-//! exactly once, and its remaining pairs are re-scheduled (via the same
-//! [`schedule`] used for the initial assignment) over the surviving
-//! workers. Only when every worker has died does the join fail, with a
-//! typed `Error::Cluster`. Results and statistics are committed per
-//! completed pair, so reassignment never duplicates or loses output.
+//! transient storage faults are retried rather than fatal. Each round's
+//! workers run on `orv_cluster::workers::run_workers`, which contains a
+//! panic as a typed `WorkerEnd::Panicked` and joins every handle: a
+//! panicking worker's completed pairs stay committed exactly once, and
+//! its remaining pairs are re-scheduled (via the same [`schedule`] used
+//! for the initial assignment) over the surviving workers. Only when
+//! every worker has died does the join fail, with a typed
+//! `Error::Cluster`. Results and statistics are committed per completed
+//! pair, so reassignment never duplicates or loses output.
 
 use crate::cache::{left_key_tag, CacheKey, CacheService, CachedEntry};
 use crate::connectivity::ConnectivityGraph;
@@ -32,12 +33,12 @@ use crate::schedule::{schedule, SchedulePolicy};
 use orv_bds::{BdsService, Deployment};
 use orv_chunk::SubTable;
 use orv_cluster::{
-    fault::panic_message, ByteCounter, CancelToken, FaultInjector, RecoveryPolicy, RunStats,
+    run_workers, CancelToken, FaultInjector, RecoveryPolicy, RunStats, WorkerBody, WorkerEnd,
 };
+use orv_metadata::MetadataService;
 use orv_obs::{names, Obs};
 use orv_types::{BoundingBox, Error, Record, Result, SubTableId, TableId};
 use parking_lot::Mutex;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -165,15 +166,18 @@ pub fn indexed_join_cached(
         injector.events().clone(),
         cfg.cancel.clone(),
     )?;
-    let counters = JoinCounters::new();
-    let transfer = ByteCounter::new();
-    // Left-side cache keys carry the hash-table parameters, so views
-    // joining the same tables on different attributes never alias.
-    let left_tag = left_key_tag(join_attrs, cfg.work_factor);
-    // Exactly-once commit point: a pair's records and stats deltas land
-    // here only after the pair fully completes, so a worker dying mid-pair
-    // neither loses nor duplicates output when the pair is reassigned.
-    let committed: Mutex<(Vec<Record>, RunStats)> = Mutex::new((Vec::new(), RunStats::default()));
+    let run = PairRunner {
+        cfg,
+        md,
+        services: &services,
+        cache,
+        join_attrs,
+        // Left-side cache keys carry the hash-table parameters, so views
+        // joining the same tables on different attributes never alias.
+        left_tag: left_key_tag(join_attrs, cfg.work_factor),
+        counters: JoinCounters::new(),
+        committed: Mutex::new((Vec::new(), RunStats::default())),
+    };
     // orv-lint: allow(L006) -- wall-clock measurement feeding RunStats only; never drives control flow
     let start = Instant::now();
 
@@ -196,157 +200,32 @@ pub fn indexed_join_cached(
         // Per-worker count of *committed* pairs this round, read by the
         // coordinator only after the worker thread has terminated.
         let completed: Vec<AtomicU64> = (0..cfg.n_compute).map(|_| AtomicU64::new(0)).collect();
-        let ends: Vec<(usize, WorkerEnd)> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for node_idx in 0..cfg.n_compute {
-                if !alive[node_idx] || pending[node_idx].is_empty() {
-                    continue;
-                }
-                let plan = &pending[node_idx];
-                let completed = &completed[node_idx];
-                let services = &services;
-                let counters = &counters;
-                let transfer = &transfer;
-                let committed = &committed;
-                let injector = &injector;
-                handles.push((
-                    node_idx,
-                    scope.spawn(move || -> WorkerEnd {
-                        let body = || -> Result<()> {
-                            let fetch =
-                                |id: SubTableId, delta: &mut RunStats| -> Result<SubTable> {
-                                    let _transfer = cfg.obs.spans.span_with(|| {
-                                        names::span_ij(node_idx, names::PHASE_TRANSFER)
-                                    });
-                                    let meta = md.chunk_meta(id)?;
-                                    let svc = &services[meta.node.index()];
-                                    let (st, retries) =
-                                        cfg.recovery.run_cancellable(&cfg.cancel, || {
-                                            let mut st = svc.subtable(id)?;
-                                            if let Some(rg) = &cfg.range {
-                                                st = st.filter_range(rg)?;
-                                            }
-                                            Ok(st)
-                                        });
-                                    delta.read_retries += retries;
-                                    let st = st?;
-                                    delta.bytes_read_storage += meta.size_bytes();
-                                    delta.bytes_transferred += st.encoded_size() as u64;
-                                    transfer.add(st.encoded_size() as u64);
-                                    Ok(st)
-                                };
-
-                            for (i, &(lid, rid)) in plan.iter().enumerate() {
-                                cfg.cancel.check()?;
-                                injector.worker_checkpoint(node_idx);
-                                let mut delta = RunStats::default();
-                                let mut local = Vec::new();
-                                // Left side: shared-cache hash table; on a
-                                // miss, one node fetches + builds while any
-                                // concurrent requester of the same key waits
-                                // (single-flight) and counts a hit.
-                                let (entry, was_hit) = cache.get_or_build(
-                                    node_idx,
-                                    CacheKey::Left(lid, left_tag),
-                                    &cfg.cancel,
-                                    || {
-                                        let st = Arc::new(fetch(lid, &mut delta)?);
-                                        let size = st.encoded_size() as u64;
-                                        let _build = cfg.obs.spans.span_with(|| {
-                                            names::span_ij(node_idx, names::PHASE_BUILD)
-                                        });
-                                        let j = HashJoiner::build(
-                                            st,
-                                            join_attrs,
-                                            counters,
-                                            cfg.work_factor,
-                                        )?;
-                                        Ok((CachedEntry::Left(Arc::new(j)), size))
-                                    },
-                                )?;
-                                if was_hit {
-                                    delta.cache_hits += 1;
-                                } else {
-                                    delta.cache_misses += 1;
-                                }
-                                let CachedEntry::Left(joiner) = entry else {
-                                    return Err(Error::Cluster(
-                                        "left cache key resolved to a right entry".into(),
-                                    ));
-                                };
-                                // Right side: shared-cache sub-table.
-                                let (entry, was_hit) = cache.get_or_build(
-                                    node_idx,
-                                    CacheKey::Right(rid),
-                                    &cfg.cancel,
-                                    || {
-                                        let st = fetch(rid, &mut delta)?;
-                                        let size = st.encoded_size() as u64;
-                                        Ok((CachedEntry::Right(Arc::new(st)), size))
-                                    },
-                                )?;
-                                if was_hit {
-                                    delta.cache_hits += 1;
-                                } else {
-                                    delta.cache_misses += 1;
-                                }
-                                let CachedEntry::Right(rst) = entry else {
-                                    return Err(Error::Cluster(
-                                        "right cache key resolved to a left entry".into(),
-                                    ));
-                                };
-                                let produced = {
-                                    let _probe = cfg
-                                        .obs
-                                        .spans
-                                        .span_with(|| names::span_ij(node_idx, names::PHASE_PROBE));
-                                    if cfg.collect_results {
-                                        joiner
-                                            .probe(&rst, join_attrs, counters, |r| local.push(r))?
-                                    } else {
-                                        joiner.probe(&rst, join_attrs, counters, |_| {})?
-                                    }
-                                };
-                                delta.result_tuples += produced;
-
-                                // Commit the completed pair, then publish
-                                // progress — nothing fallible in between.
-                                let mut c = committed.lock();
-                                if cfg.collect_results {
-                                    c.0.append(&mut local);
-                                }
-                                c.1.merge(&delta);
-                                drop(c);
-                                completed.store(i as u64 + 1, Ordering::Release);
-                            }
-                            Ok(())
-                        };
-                        match catch_unwind(AssertUnwindSafe(body)) {
-                            Ok(Ok(())) => WorkerEnd::Done,
-                            Ok(Err(e)) => WorkerEnd::Failed(e),
-                            Err(p) => WorkerEnd::Panicked(panic_message(p.as_ref())),
-                        }
-                    }),
-                ));
+        let mut workers: Vec<(usize, WorkerBody<'_, ()>)> = Vec::new();
+        for node_idx in 0..cfg.n_compute {
+            if !alive[node_idx] || pending[node_idx].is_empty() {
+                continue;
             }
-            // Harvest every handle — a dead worker must never leave the
-            // coordinator waiting on an unjoined thread.
-            handles
-                .into_iter()
-                .map(|(idx, h)| {
-                    let end = h
-                        .join()
-                        .unwrap_or_else(|p| WorkerEnd::Panicked(panic_message(p.as_ref())));
-                    (idx, end)
-                })
-                .collect()
-        });
+            let (plan, completed) = (&pending[node_idx], &completed[node_idx]);
+            let (run, injector) = (&run, &injector);
+            let body = move || {
+                for (i, &(lid, rid)) in plan.iter().enumerate() {
+                    cfg.cancel.check()?;
+                    injector.worker_checkpoint(node_idx);
+                    // The pair commits inside `join_pair`; publishing
+                    // progress follows with nothing fallible in between.
+                    run.join_pair(node_idx, lid, rid)?;
+                    completed.store(i as u64 + 1, Ordering::Release);
+                }
+                Ok(())
+            };
+            workers.push((node_idx, Box::new(body)));
+        }
 
         let mut orphaned: Vec<(SubTableId, SubTableId)> = Vec::new();
         let mut failed: Option<Error> = None;
-        for (node_idx, end) in ends {
+        for (node_idx, end) in run_workers(workers) {
             match end {
-                WorkerEnd::Done => {}
+                WorkerEnd::Done(()) => {}
                 // Typed worker errors (fetch failed after all retries,
                 // corrupt data, …) abort the join — they would recur on
                 // any node. A cancellation is reported as such even when
@@ -356,6 +235,7 @@ pub fn indexed_join_cached(
                         failed = Some(e);
                     }
                 }
+                // Died; its uncommitted pairs go to the survivors.
                 WorkerEnd::Panicked(msg) => {
                     worker_panics += 1;
                     alive[node_idx] = false;
@@ -391,6 +271,11 @@ pub fn indexed_join_cached(
         pending = next;
     }
 
+    let PairRunner {
+        counters,
+        committed,
+        ..
+    } = run;
     let (records, mut stats) = committed.into_inner();
     // Chunk-page corruptions are detected (and counted) inside the BDS
     // instances; fold them into the run totals.
@@ -409,14 +294,110 @@ pub fn indexed_join_cached(
     })
 }
 
-/// How one IJ worker thread ended its round.
-enum WorkerEnd {
-    /// Completed its whole pair list.
-    Done,
-    /// Returned a typed error (aborts the join).
-    Failed(Error),
-    /// Died; its uncommitted pairs are reassigned to survivors.
-    Panicked(String),
+/// What every compute worker of one execution shares to join a pair.
+struct PairRunner<'a> {
+    cfg: &'a IndexedJoinConfig,
+    md: &'a MetadataService,
+    services: &'a [Arc<BdsService>],
+    cache: &'a CacheService,
+    join_attrs: &'a [&'a str],
+    left_tag: u64,
+    counters: JoinCounters,
+    /// Exactly-once commit point: a pair's records and stats deltas land
+    /// here only after the pair fully completes, so a worker dying mid-pair
+    /// neither loses nor duplicates output when the pair is reassigned.
+    committed: Mutex<(Vec<Record>, RunStats)>,
+}
+
+impl PairRunner<'_> {
+    /// Fetch one sub-table from its storage node under the recovery
+    /// policy, charging the traffic to `delta`.
+    fn fetch(&self, node_idx: usize, id: SubTableId, delta: &mut RunStats) -> Result<SubTable> {
+        let cfg = self.cfg;
+        let _transfer = cfg
+            .obs
+            .spans
+            .span_with(|| names::span_ij(node_idx, names::PHASE_TRANSFER));
+        let meta = self.md.chunk_meta(id)?;
+        let svc = &self.services[meta.node.index()];
+        let (st, retries) = cfg.recovery.run_cancellable(&cfg.cancel, || {
+            let mut st = svc.subtable(id)?;
+            if let Some(rg) = &cfg.range {
+                st = st.filter_range(rg)?;
+            }
+            Ok(st)
+        });
+        delta.read_retries += retries;
+        let st = st?;
+        delta.bytes_read_storage += meta.size_bytes();
+        delta.bytes_transferred += st.encoded_size() as u64;
+        Ok(st)
+    }
+
+    /// Join one `(left, right)` sub-table pair on compute node `node_idx`:
+    /// resolve both sides through the cache (fetching and building on a
+    /// miss), probe, then commit the pair's records and statistics.
+    fn join_pair(&self, node_idx: usize, lid: SubTableId, rid: SubTableId) -> Result<()> {
+        let cfg = self.cfg;
+        let spans = &cfg.obs.spans;
+        let mut delta = RunStats::default();
+        let mut local = Vec::new();
+        // Left side: shared-cache hash table; on a miss, one node fetches +
+        // builds while any concurrent requester of the same key waits
+        // (single-flight) and counts a hit.
+        let (entry, left_hit) = self.cache.get_or_build(
+            node_idx,
+            CacheKey::Left(lid, self.left_tag),
+            &cfg.cancel,
+            || {
+                let st = Arc::new(self.fetch(node_idx, lid, &mut delta)?);
+                let size = st.encoded_size() as u64;
+                let _build = spans.span_with(|| names::span_ij(node_idx, names::PHASE_BUILD));
+                let j = HashJoiner::build(st, self.join_attrs, &self.counters, cfg.work_factor)?;
+                Ok((CachedEntry::Left(Arc::new(j)), size))
+            },
+        )?;
+        let CachedEntry::Left(joiner) = entry else {
+            return Err(Error::Cluster(
+                "left cache key resolved to a right entry".into(),
+            ));
+        };
+        // Right side: shared-cache sub-table.
+        let (entry, right_hit) =
+            self.cache
+                .get_or_build(node_idx, CacheKey::Right(rid), &cfg.cancel, || {
+                    let st = self.fetch(node_idx, rid, &mut delta)?;
+                    let size = st.encoded_size() as u64;
+                    Ok((CachedEntry::Right(Arc::new(st)), size))
+                })?;
+        let CachedEntry::Right(rst) = entry else {
+            return Err(Error::Cluster(
+                "right cache key resolved to a left entry".into(),
+            ));
+        };
+        for hit in [left_hit, right_hit] {
+            if hit {
+                delta.cache_hits += 1;
+            } else {
+                delta.cache_misses += 1;
+            }
+        }
+        delta.result_tuples += {
+            let _probe = spans.span_with(|| names::span_ij(node_idx, names::PHASE_PROBE));
+            if cfg.collect_results {
+                joiner.probe(&rst, self.join_attrs, &self.counters, |r| local.push(r))?
+            } else {
+                joiner.probe(&rst, self.join_attrs, &self.counters, |_| {})?
+            }
+        };
+
+        let mut c = self.committed.lock();
+        if cfg.collect_results {
+            c.0.append(&mut local);
+        }
+        c.1.merge(&delta);
+        Ok(())
+    }
 }
 
 #[cfg(test)]

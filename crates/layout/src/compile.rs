@@ -41,7 +41,7 @@ impl CompiledLayout {
         let mut walk = Vec::new();
         let mut off = 0usize;
         for item in &desc.items {
-            match item {
+            let size = match item {
                 Item::Field { name, dtype } => {
                     walk.push((off, dtype.width(), Some(fields.len())));
                     fields.push(FieldSlot {
@@ -49,13 +49,20 @@ impl CompiledLayout {
                         dtype: *dtype,
                         offset: off,
                     });
-                    off += dtype.width();
+                    dtype.width()
                 }
                 Item::Pad(n) => {
                     walk.push((off, *n, None));
-                    off += n;
+                    *n
                 }
-            }
+            };
+            // Pad widths come straight from the description text.
+            off = off.checked_add(size).ok_or_else(|| {
+                Error::Format(format!(
+                    "layout `{}` record stride overflows the address space",
+                    desc.name
+                ))
+            })?;
         }
         Ok(CompiledLayout {
             name: desc.name.clone(),
@@ -279,6 +286,18 @@ mod tests {
         let h = compile("layout t { header 8; field x: i32; }");
         assert!(h.row_count(4).is_err()); // shorter than header
         assert_eq!(h.row_count(8).unwrap(), 0);
+    }
+
+    #[test]
+    fn stride_overflow_is_a_typed_error() {
+        // Found by `tests/prop_parsers.rs`: two pads that each fit a
+        // `usize` but not together.
+        let max = usize::MAX;
+        let desc = parse_layout(&format!(
+            "layout t {{ pad {max}; field x: i32; pad {max}; }}"
+        ));
+        let err = CompiledLayout::compile(&desc.unwrap()).unwrap_err();
+        assert!(matches!(err, Error::Format(_)), "{err}");
     }
 
     #[test]

@@ -120,8 +120,6 @@ const CANCEL_MARKERS: &[&str] = &[
     "run_cancellable",
     "expired",
     "remaining",
-    "deadline_exceeded",
-    "attempts_exhausted",
     "hard_deadline",
     "shutdown",
 ];

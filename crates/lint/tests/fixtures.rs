@@ -297,6 +297,20 @@ fn l007_adhoc_retry_loops_positive_negative_suppressed() {
         QUERY_PATH,
         "fn f() {\n    let mut retries = 0;\n    loop {\n        if !budget.try_draw() { return Err(e); }\n        retries += 1;\n    }\n}",
     );
+    // Borrowing the policy's helpers inside a hand-written loop is still a
+    // second retry loop; the attempt belongs in a closure under the
+    // policy's own.
+    assert_eq!(
+        fired(
+            JOIN_PATH,
+            "fn f() {\n    let mut retries = 0u64;\n    loop {\n        if go().is_ok() { return; }\n        cancel.sleep(policy.backoff(retries as u32))?;\n        retries += 1;\n    }\n}"
+        ),
+        ["L007"]
+    );
+    assert_clean(
+        JOIN_PATH,
+        "fn f() -> Result<u64> {\n    let (sent, retries) = policy.run_cancellable(cancel, || link.try_send(stream));\n    sent?;\n    Ok(retries)\n}",
+    );
     // The rule only watches runtime crates…
     assert_clean(
         "crates/bench/src/fixture.rs",

@@ -36,7 +36,7 @@ impl JsonValue {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(Error::Config(format!(
@@ -231,6 +231,12 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so hostile input (`[[[[…`) would otherwise
+/// overflow the stack; our deepest document (a federated `QueryTrace`)
+/// nests fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -273,14 +279,18 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue> {
+    /// Parse one value sitting inside `depth` enclosing arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue> {
         match self.peek().ok_or_else(|| self.err("unexpected end"))? {
             b'n' => self.literal("null", JsonValue::Null),
             b't' => self.literal("true", JsonValue::Bool(true)),
             b'f' => self.literal("false", JsonValue::Bool(false)),
             b'"' => Ok(JsonValue::String(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' | b'{' if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            b'[' => self.array(depth + 1),
+            b'{' => self.object(depth + 1),
             b'-' | b'0'..=b'9' => self.number(),
             c => Err(self.err(&format!("unexpected `{}`", c as char))),
         }
@@ -297,9 +307,14 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("non-UTF-8 bytes in number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.err(&format!("bad number `{text}`")))
+        // `f64::from_str` rounds an out-of-range literal to infinity; JSON
+        // has no such value (the writer prints non-finite numbers as
+        // `null`), so accepting it would not round-trip.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            Ok(_) => Err(self.err(&format!("number `{text}` out of range"))),
+            Err(_) => Err(self.err(&format!("bad number `{text}`"))),
+        }
     }
 
     fn string(&mut self) -> Result<String> {
@@ -358,7 +373,8 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue> {
+    /// Parse an array whose elements sit at nesting `depth`.
+    fn array(&mut self, depth: usize) -> Result<JsonValue> {
         self.eat(b'[')?;
         let mut out = Vec::new();
         self.skip_ws();
@@ -368,7 +384,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            out.push(self.value()?);
+            out.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -381,7 +397,8 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue> {
+    /// Parse an object whose member values sit at nesting `depth`.
+    fn object(&mut self, depth: usize) -> Result<JsonValue> {
         self.eat(b'{')?;
         let mut out = BTreeMap::new();
         self.skip_ws();
@@ -395,7 +412,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             out.insert(key, val);
             self.skip_ws();
             match self.peek() {
@@ -452,6 +469,10 @@ mod tests {
         assert!(JsonValue::parse("12 34").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
         assert!(JsonValue::parse("nul").is_err());
+        for text in ["1e999", "-1e999", "[0,1e400]"] {
+            let err = JsonValue::parse(text).unwrap_err().to_string();
+            assert!(err.contains("out of range"), "{text}: {err}");
+        }
     }
 
     #[test]
@@ -505,6 +526,28 @@ mod tests {
         let text = format!("[\"{body}\",\"{body}\"]");
         let v = JsonValue::parse(&text).unwrap();
         assert_eq!(v.as_array().unwrap()[1], JsonValue::String(body));
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_stack_bounded() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            // The bound itself round-trips (innermost value: a scalar).
+            let ok = format!("{}0{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            let v = JsonValue::parse(&ok).unwrap();
+            assert_eq!(v.to_string(), ok);
+            // One level more, and far beyond any stack, is a typed error —
+            // closed or (as hostile input would be) left open.
+            for levels in [MAX_DEPTH + 1, 1_000_000] {
+                let closed = format!("{}0{}", open.repeat(levels), close.repeat(levels));
+                for text in [closed, open.repeat(levels)] {
+                    let err = JsonValue::parse(&text).unwrap_err();
+                    assert!(
+                        matches!(&err, Error::Config(m) if m.contains("nesting")),
+                        "{err}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,12 @@
 //!   the rejection's `retry_after_ms` hint (bounded) before re-issuing.
 //! - **Brownout awareness**: hedging is disabled while any shard's
 //!   brownout controller has left `Normal`, and failover re-issue stops
-//!   entirely under `Shed` — degraded answers over added load.
+//!   entirely under `Shed` — degraded answers over added load (the
+//!   policy is [`BrownoutState`]'s `allows_hedging`/`allows_reissue`).
+//!
+//! Every re-issue decision goes through one private gate, `may_reissue`
+//! (brownout policy first, then one retry-token draw), and every
+//! sub-query outcome through `shard_ok` / `shard_failed`.
 //!
 //! Merging is exact for scans and COUNT/MIN/MAX; SUM/AVG re-aggregation
 //! is deterministic for a fixed partitioning but may differ from the
@@ -405,8 +410,7 @@ impl FederatedService {
     }
 
     /// The federation's overload severity: the worst brownout state of
-    /// any shard. `Brownout` disables hedging; `Shed` also stops
-    /// failover re-issue (prefer partial results over added load).
+    /// any shard. What each state permits is [`BrownoutState`]'s to say.
     pub fn brownout_state(&self) -> BrownoutState {
         self.shards
             .iter()
@@ -426,10 +430,15 @@ impl FederatedService {
         }
     }
 
-    /// Pay for one re-issue (failover/hedge/overload retry) against
-    /// `shard`'s bucket. `false` means the budget is dry: degrade, do
-    /// not re-issue.
-    fn draw_retry(&self, shard: usize) -> bool {
+    /// The re-issue gate: may the router send `shard`'s work (a failover,
+    /// a hedge, an overload retry) somewhere again? The brownout policy
+    /// answers first, and only a "yes" goes on to pay one token from
+    /// `shard`'s retry budget — a shedding federation draws nothing.
+    /// `false` means degrade, do not re-issue.
+    fn may_reissue(&self, shard: usize) -> bool {
+        if !self.brownout_state().allows_reissue() {
+            return false;
+        }
         let granted = self.retry[shard].try_draw();
         self.bump(
             if granted {
@@ -443,10 +452,21 @@ impl FederatedService {
         granted
     }
 
-    /// Credit one successful sub-query completion to `shard`'s bucket.
-    fn credit_success(&self, shard: usize) {
+    /// A sub-query to `shard` succeeded: close its breaker and credit its
+    /// retry budget.
+    fn shard_ok(&self, shard: usize) {
+        self.health[shard].record_success();
         self.retry[shard].on_success();
         self.publish_retry_tokens();
+    }
+
+    /// A sub-query to `shard` failed at logical tick `now`: count it and
+    /// feed the breaker.
+    fn shard_failed(&self, shard: usize, now: u64) {
+        self.bump(names::FED_SHARD_ERRORS, 1);
+        if self.health[shard].record_failure(self.cfg.trip_after, self.cfg.cooldown_ticks, now) {
+            self.bump(names::FED_TRIPS, 1);
+        }
     }
 
     fn publish_retry_tokens(&self) {
@@ -598,8 +618,7 @@ impl FederatedService {
                 });
             match outcome {
                 Ok(result) => {
-                    self.health[shard].record_success();
-                    self.credit_success(shard);
+                    self.shard_ok(shard);
                     return Ok(result);
                 }
                 Err(e) if e.is_cancellation() && cancel.check().is_err() => return Err(e),
@@ -612,24 +631,17 @@ impl FederatedService {
                     tried[shard] = false;
                     last_err = e;
                     if attempt + 1 < self.cfg.recovery.max_attempts {
-                        if self.brownout_state() == BrownoutState::Shed || !self.draw_retry(shard) {
+                        if !self.may_reissue(shard) {
                             break;
                         }
                         self.overload_backoff(cancel, hint)?;
                     }
                 }
                 Err(e) => {
-                    self.bump(names::FED_SHARD_ERRORS, 1);
-                    if self.health[shard].record_failure(
-                        self.cfg.trip_after,
-                        self.cfg.cooldown_ticks,
-                        now,
-                    ) {
-                        self.bump(names::FED_TRIPS, 1);
-                    }
+                    self.shard_failed(shard, now);
                     last_err = e;
                     if attempt + 1 < self.cfg.recovery.max_attempts {
-                        if self.brownout_state() == BrownoutState::Shed || !self.draw_retry(shard) {
+                        if !self.may_reissue(shard) {
                             break;
                         }
                         self.bump(names::FED_FAILOVERS, 1);
@@ -723,9 +735,7 @@ impl FederatedService {
                             // a retry token is available and we are not
                             // already shedding federation-wide.
                             self.overload_backoff(cancel, e.retry_after_ms().unwrap_or(0))?;
-                            if self.brownout_state() != BrownoutState::Shed
-                                && self.draw_retry(shard)
-                            {
+                            if self.may_reissue(shard) {
                                 unassigned.extend(group);
                             } else {
                                 missing.extend(group);
@@ -748,7 +758,7 @@ impl FederatedService {
             // speculative extra load, the last thing a browned-out
             // federation needs. Checked before `hedged` is latched, so
             // hedging resumes for still-flying work once shards recover.
-            let hedging_allowed = self.brownout_state() == BrownoutState::Normal;
+            let hedging_allowed = self.brownout_state().allows_hedging();
             for (i, f) in flights.0.iter_mut().enumerate() {
                 if let Some(result) = f.ticket.wait_timeout(POLL_SLICE) {
                     resolved.push((i, result));
@@ -778,10 +788,10 @@ impl FederatedService {
             // Issue hedges: same chunks, a different (untried) replica.
             // The hedge target counts as an attempt, so the per-chunk cap
             // covers hedges and failovers uniformly — and each hedge
-            // event draws one retry token from the slow shard's bucket
-            // (a dry bucket means the slow flight just keeps waiting).
+            // event passes the re-issue gate against the slow shard (a dry
+            // bucket means the slow flight just keeps waiting).
             for (slow_shard, unfilled) in hedges {
-                if !self.draw_retry(slow_shard) {
+                if !self.may_reissue(slow_shard) {
                     continue;
                 }
                 let now = self.tick();
@@ -830,17 +840,8 @@ impl FederatedService {
                         self.absorb(&flight, result, &mut filled, &mut scan_columns);
                     }
                     Err(e) if e.is_cancellation() && cancel.check().is_err() => return Err(e),
-                    Err(e) => {
-                        let now = self.tick();
-                        self.bump(names::FED_SHARD_ERRORS, 1);
-                        if self.health[flight.shard].record_failure(
-                            self.cfg.trip_after,
-                            self.cfg.cooldown_ticks,
-                            now,
-                        ) {
-                            self.bump(names::FED_TRIPS, 1);
-                        }
-                        let _ = e;
+                    Err(_) => {
+                        self.shard_failed(flight.shard, self.tick());
                         let unfilled: Vec<ChunkId> = flight
                             .chunks
                             .iter()
@@ -855,9 +856,7 @@ impl FederatedService {
                             // Otherwise degrade: the chunks go missing
                             // and the caller gets an exact PartialResult
                             // instead of amplified load.
-                            if self.brownout_state() != BrownoutState::Shed
-                                && self.draw_retry(flight.shard)
-                            {
+                            if self.may_reissue(flight.shard) {
                                 self.bump(names::FED_FAILOVERS, 1);
                                 unassigned.extend(unfilled);
                             } else {
@@ -995,8 +994,7 @@ impl FederatedService {
             self.bump(names::FED_SHARD_ERRORS, 1);
             return;
         }
-        self.health[flight.shard].record_success();
-        self.credit_success(flight.shard);
+        self.shard_ok(flight.shard);
         let runs = result.chunk_runs.unwrap_or_default();
         let mut rows = result.rows.into_iter();
         let mut won = false;
@@ -1326,6 +1324,62 @@ mod tests {
             snap.counters
         );
         assert_eq!(fed.retry_budget(0).granted(), 0);
+    }
+
+    #[test]
+    fn shedding_federation_denies_reissue_without_drawing_a_token() {
+        // The gate's short-circuit order is part of its contract: under
+        // `Shed` the brownout policy says no *before* the retry budget is
+        // consulted, so a failed flight neither draws nor is counted as a
+        // denied draw. (Same dead-primary, dry-budget setup as above,
+        // where in `Normal` the denial is counted.)
+        let obs = Obs::enabled();
+        let plan = FaultPlan {
+            shard_deaths: vec![ShardDeathSpec {
+                shard: 0,
+                after_subqueries: 0,
+            }],
+            max_faults: 8,
+            ..FaultPlan::none()
+        };
+        let faults = FaultInjector::new_with_events(plan, obs.events.clone());
+        let mut cfg = FederationConfig {
+            retry_budget: 0,
+            ..FederationConfig::default()
+        };
+        // A cooldown no query can outlast: the state set below holds.
+        cfg.service.overload.cooldown_ticks = 1_000;
+        let queue_cap = cfg.service.queue_cap;
+        let fed = FederatedService::with_instruments(deployment(), cfg, obs.clone(), Some(faults))
+            .unwrap();
+        let ctl = fed.shard(0).brownout();
+        ctl.observe(queue_cap);
+        while ctl.state() != BrownoutState::Shed {
+            ctl.observe(queue_cap);
+        }
+        assert_eq!(fed.brownout_state(), BrownoutState::Shed);
+
+        let got = fed.execute("SELECT * FROM t1").unwrap();
+        let FederatedResponse::Partial(partial) = got else {
+            panic!("a shedding federation must degrade, not fail over");
+        };
+        assert!(!partial.missing_chunks.is_empty());
+        let snap = obs.metrics.snapshot();
+        assert!(
+            snap.counters.get(names::FED_SHARD_ERRORS).copied() >= Some(1),
+            "the dead shard's flight must have failed: {:?}",
+            snap.counters
+        );
+        for name in [
+            names::OVERLOAD_RETRY_DENIED,
+            names::OVERLOAD_RETRY_GRANTED,
+            names::FED_FAILOVERS,
+        ] {
+            assert_eq!(snap.counters.get(name).copied(), None, "{name}");
+        }
+        for s in 0..fed.num_shards() {
+            assert_eq!(fed.retry_budget(s).granted(), 0);
+        }
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!
 //! Degradation is ordered and reversible: entering `Brownout` disables
 //! hedging and sheds expensive work; `Shed` additionally refuses cheap
-//! work while the queue stays deep; recovery steps back one state at a
-//! time, re-enabling in reverse order. No two transitions can occur
+//! work while the queue stays deep and stops failover re-issue; recovery
+//! steps back one state at a time, re-enabling in reverse order. What a
+//! state permits the federation router is stated once, as
+//! [`BrownoutState::allows_hedging`] and [`BrownoutState::allows_reissue`]. No two transitions can occur
 //! within one cooldown window, so the controller cannot oscillate on a
 //! noisy depth signal.
 //!
@@ -55,9 +57,10 @@ impl CostClass {
 pub enum BrownoutState {
     /// Full service: hedging on, all classes admitted to the cap.
     Normal,
-    /// Degraded: hedging off, expensive work shed, partials preferred.
+    /// Degraded: hedging off, expensive work shed.
     Brownout,
-    /// Survival: additionally sheds cheap work while the queue is deep.
+    /// Survival: additionally sheds cheap work while the queue is deep and
+    /// stops failover re-issue (partial results preferred).
     Shed,
 }
 
@@ -78,6 +81,19 @@ impl BrownoutState {
             BrownoutState::Brownout => 1,
             BrownoutState::Shed => 2,
         }
+    }
+
+    /// Whether hedged requests may be issued: only at full service — a
+    /// hedge is speculative extra load.
+    pub fn allows_hedging(self) -> bool {
+        self == BrownoutState::Normal
+    }
+
+    /// Whether a failed or rejected sub-query may be re-issued to another
+    /// replica: until `Shed`, where a degraded (partial) answer is
+    /// preferred over any added load.
+    pub fn allows_reissue(self) -> bool {
+        self != BrownoutState::Shed
     }
 
     fn from_severity(v: u64) -> Self {
@@ -246,17 +262,6 @@ impl BrownoutController {
         self.tick.load(Ordering::Acquire)
     }
 
-    /// Whether hedged requests may be issued: only at full service.
-    pub fn hedging_enabled(&self) -> bool {
-        self.state() == BrownoutState::Normal
-    }
-
-    /// Whether degraded (partial) results should be preferred over
-    /// strict failure while the controller is not at full service.
-    pub fn prefer_partial(&self) -> bool {
-        self.state() != BrownoutState::Normal
-    }
-
     /// Feed one queue-wait measurement (seconds) — the same values the
     /// `lat/queue_wait_secs` histogram records. At or above the alarm
     /// threshold it arms a one-shot escalation signal for the next tick.
@@ -407,14 +412,14 @@ mod tests {
     fn escalates_one_step_at_a_time_in_order() {
         let ctl = BrownoutController::new(cfg(), 8);
         assert_eq!(ctl.state(), BrownoutState::Normal);
-        assert!(ctl.hedging_enabled());
+        assert!(ctl.state().allows_hedging());
         // Depth 8/8 exceeds both thresholds, but the first edge still
         // only reaches Brownout.
         let (s, t) = ctl.observe(8);
         assert_eq!(s, BrownoutState::Brownout);
         assert_eq!(t.unwrap().from, BrownoutState::Normal);
-        assert!(!ctl.hedging_enabled());
-        assert!(ctl.prefer_partial());
+        assert!(!ctl.state().allows_hedging());
+        assert!(ctl.state().allows_reissue(), "failover survives until Shed");
         // Cooldown: no second edge until cooldown_ticks have elapsed
         // since the first (ticks 2-4 are blocked; tick 5 may fire).
         for _ in 0..3 {
@@ -424,7 +429,8 @@ mod tests {
         }
         let (s, _) = ctl.observe(8);
         assert_eq!(s, BrownoutState::Shed);
-        assert!(!ctl.hedging_enabled());
+        assert!(!ctl.state().allows_hedging());
+        assert!(!ctl.state().allows_reissue());
     }
 
     #[test]
@@ -479,12 +485,12 @@ mod tests {
             ctl.observe(0);
         }
         assert_eq!(ctl.state(), BrownoutState::Brownout);
-        assert!(!ctl.hedging_enabled(), "hedging re-enables last");
+        assert!(!ctl.state().allows_hedging(), "hedging re-enables last");
         for _ in 0..4 {
             ctl.observe(0);
         }
         assert_eq!(ctl.state(), BrownoutState::Normal);
-        assert!(ctl.hedging_enabled());
+        assert!(ctl.state().allows_hedging());
         let log = ctl.transitions();
         let edges: Vec<_> = log.iter().map(|t| (t.from, t.to)).collect();
         assert_eq!(

@@ -1038,7 +1038,7 @@ mod tests {
             admitted.len() >= 2,
             "work below the brownout threshold still lands"
         );
-        assert!(!svc.brownout().hedging_enabled());
+        assert!(!svc.brownout().state().allows_hedging());
         let snap = svc.engine().obs().metrics.snapshot();
         assert!(snap.counters.get(names::OVERLOAD_SHED_EXPENSIVE).copied() >= Some(1));
         let c = svc.counters();
