@@ -163,7 +163,7 @@ impl BdsService {
                         .corrupt_chunk_page(self.node.0 as u64, &mut copy);
                     bytes = copy.into();
                 }
-                if let Err(e) = checksum::verify(expected, &bytes, &format!("chunk {id}")) {
+                if let Err(e) = checksum::verify(expected, &bytes, format_args!("chunk {id}")) {
                     self.corruptions_detected.add(1);
                     self.events.emit(names::CORRUPTION_DETECTED, || {
                         vec![

@@ -5,17 +5,38 @@
 //! at the producer and verified at every consumer, so a flipped bit is
 //! detected where it can still be retried (re-read, re-send,
 //! re-partition) instead of silently joining wrong rows. CRC32C is chosen
-//! over CRC32 for its better error-detection properties on short bursts;
-//! the implementation is the classic reflected table-driven one, built at
-//! compile time.
+//! over CRC32 for its better error-detection properties on short bursts,
+//! and because hardware computes it.
+//!
+//! Three kernels compute the same function; [`update`] picks one per call
+//! and callers never see which:
+//!
+//! * **SSE4.2** (`update_sse42`): the `crc32` instruction, 8 bytes each.
+//!   Runs on x86-64 whenever `is_x86_feature_detected!("sse4.2")` says
+//!   the CPU has it (the answer is cached by `std` after the first call).
+//! * **Slicing-by-8** (`update_slicing8`): eight compile-time tables fold
+//!   8 bytes per step. Runs on x86-64 without SSE4.2 and on every other
+//!   architecture (an ARMv8 `crc32c` path waits for a box to test it on).
+//! * **Table loop** (`update_bytewise`): the classic reflected one-table,
+//!   byte-at-a-time loop. It finishes slicing-by-8's sub-8-byte tail and
+//!   is the reference the other two are property-tested against.
+//!
+//! All three are bit-identical on every input and every split into
+//! incremental [`update`] calls — checksums persisted by any build
+//! (catalog snapshots, chunk metadata) verify under any other.
+
+use std::fmt;
 
 /// Reflected CRC32C polynomial (Castagnoli).
 const POLY: u32 = 0x82F6_3B78;
 
-const TABLE: [u32; 256] = build_table();
+/// `TABLES[0]` is the classic byte table; `TABLES[k][b]` is the CRC of
+/// byte `b` followed by `k` zero bytes, which lets slicing-by-8 fold eight
+/// input bytes with eight independent lookups.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -28,10 +49,20 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC32C of `bytes` in one shot. The empty payload hashes to 0.
@@ -49,9 +80,80 @@ pub fn begin() -> u32 {
 /// Used by [`crate::Scratch`] to maintain a running checksum per bucket:
 /// appends update the state without ever re-reading the bucket.
 pub fn update(state: u32, bytes: &[u8]) -> u32 {
+    update_hardware(state, bytes).unwrap_or_else(|| update_slicing8(state, bytes))
+}
+
+/// [`update`] on the CPU's own CRC32C instruction; `None` when this CPU
+/// has none.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn update_hardware(state: u32, bytes: &[u8]) -> Option<u32> {
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `update_sse42`'s only requirement is that the CPU
+        // executes SSE4.2, which the detection call on the line above
+        // just confirmed.
+        Some(unsafe { update_sse42(state, bytes) })
+    } else {
+        None
+    }
+}
+
+/// No hardware kernel on this architecture yet.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn update_hardware(_state: u32, _bytes: &[u8]) -> Option<u32> {
+    None
+}
+
+/// Hardware kernel: one `crc32` instruction per 8 bytes, per byte on the
+/// tail.
+///
+/// # Safety
+/// The CPU must support SSE4.2 (`is_x86_feature_detected!("sse4.2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn update_sse42(state: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut crc = state as u64;
+    for w in words {
+        crc = _mm_crc32_u64(crc, u64::from_le_bytes(*w));
+    }
+    let mut crc = crc as u32;
+    for &b in tail {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    crc
+}
+
+/// Portable kernel: 8 bytes per step through [`TABLES`].
+fn update_slicing8(state: u32, bytes: &[u8]) -> u32 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut crc = state;
+    for w in words {
+        let w = u64::from_le_bytes(*w);
+        // The upper four bytes never meet the running state, so their
+        // lookups are off the loop-carried path; grouping the xors this
+        // way keeps them there (measured: 1.3 -> 1.7 GiB/s).
+        let hi = (w >> 32) as u32;
+        let ahead = TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+        let lo = w as u32 ^ crc;
+        crc = (TABLES[7][(lo & 0xFF) as usize] ^ TABLES[6][((lo >> 8) & 0xFF) as usize])
+            ^ (TABLES[5][((lo >> 16) & 0xFF) as usize] ^ TABLES[4][(lo >> 24) as usize])
+            ^ ahead;
+    }
+    update_bytewise(crc, tail)
+}
+
+/// The one-table byte loop: slicing-by-8's tail, and the reference both
+/// faster kernels are tested against.
+fn update_bytewise(state: u32, bytes: &[u8]) -> u32 {
     let mut crc = state;
     for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
 }
@@ -61,8 +163,10 @@ pub fn finish(state: u32) -> u32 {
     state ^ 0xFFFF_FFFF
 }
 
-/// Verify `bytes` against `expected`, describing `what` on mismatch.
-pub fn verify(expected: u32, bytes: &[u8], what: &str) -> orv_types::Result<()> {
+/// Verify `bytes` against `expected`. `what` names the payload in the
+/// error and is rendered only on mismatch, so pass `format_args!(..)`
+/// rather than a `format!`ed `String`: the success path allocates nothing.
+pub fn verify(expected: u32, bytes: &[u8], what: impl fmt::Display) -> orv_types::Result<()> {
     let actual = crc32c(bytes);
     if actual == expected {
         Ok(())
@@ -77,14 +181,132 @@ pub fn verify(expected: u32, bytes: &[u8], what: &str) -> orv_types::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    type Kernel = fn(u32, &[u8]) -> u32;
+
+    fn hardware(state: u32, bytes: &[u8]) -> u32 {
+        update_hardware(state, bytes).expect("listed only when detected")
+    }
+
+    /// Every kernel this box can run, by name: the reference first, then
+    /// slicing-by-8 (always — also where the hardware would shadow it),
+    /// the public dispatcher, and the hardware path when the CPU has it.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> = vec![
+            ("bytewise", update_bytewise),
+            ("slicing8", update_slicing8),
+            ("update", update),
+        ];
+        if update_hardware(begin(), &[]).is_some() {
+            all.push(("hardware", hardware));
+        }
+        all
+    }
+
+    /// Deterministic filler (an LCG's high byte), so the exhaustive
+    /// sweeps below need no RNG.
+    fn filler(len: usize) -> Vec<u8> {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
 
     #[test]
     fn known_vectors() {
-        // RFC 3720 appendix B.4 test vectors.
-        assert_eq!(crc32c(b""), 0x0000_0000);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
+        // RFC 3720 appendix B.4, plus the catalogue check value
+        // ("123456789") and the empty payload.
+        let ascending: Vec<u8> = (0..32).collect();
+        let descending: Vec<u8> = (0..32).rev().collect();
+        let scsi_read: [u8; 48] = [
+            0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x14,
+            0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        ];
+        let vectors: [(&[u8], u32); 7] = [
+            (b"", 0x0000_0000),
+            (b"123456789", 0xE306_9283),
+            (&[0u8; 32], 0x8A91_36AA),
+            (&[0xFFu8; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+            (&descending, 0x113F_DB5C),
+            (&scsi_read, 0xD996_3A56),
+        ];
+        let kernels = kernels();
+        for (bytes, expected) in vectors {
+            assert_eq!(crc32c(bytes), expected, "one-shot");
+            for (name, kernel) in &kernels {
+                assert_eq!(finish(kernel(begin(), bytes)), expected, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_agree_at_every_alignment_and_short_length() {
+        let buf = filler(16 + 64);
+        let kernels = kernels();
+        for state in [begin(), 0, 0x1234_5678] {
+            for align in 0..16 {
+                for len in 0..=64 {
+                    let bytes = &buf[align..align + len];
+                    let expected = update_bytewise(state, bytes);
+                    for (name, kernel) in &kernels {
+                        assert_eq!(
+                            kernel(state, bytes),
+                            expected,
+                            "{name}: align {align}, len {len}, state {state:#x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_a_large_buffer() {
+        let buf = filler((1 << 20) + 16 + 5);
+        for align in [0, 1, 7, 8, 15] {
+            let bytes = &buf[align..align + (1 << 20) + 5];
+            let expected = update_bytewise(begin(), bytes);
+            for (name, kernel) in kernels() {
+                assert_eq!(kernel(begin(), bytes), expected, "{name}: align {align}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes at an arbitrary start alignment, cut into
+        /// arbitrary incremental calls (empty ones included): every
+        /// kernel reaches the reference's one-shot state.
+        #[test]
+        fn kernels_agree_under_arbitrary_splits(
+            bytes in proptest::collection::vec(any::<u8>(), 0..2048),
+            align in 0usize..16,
+            cuts in proptest::collection::vec(any::<usize>(), 0..8),
+        ) {
+            let mut shifted = vec![0u8; align];
+            shifted.extend_from_slice(&bytes);
+            let bytes = &shifted[align..];
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+            cuts.push(bytes.len());
+            cuts.sort_unstable();
+            let expected = update_bytewise(begin(), bytes);
+            for (name, kernel) in kernels() {
+                let (mut state, mut from) = (begin(), 0);
+                for &to in &cuts {
+                    state = kernel(state, &bytes[from..to]);
+                    from = to;
+                }
+                prop_assert_eq!(state, expected, "{}", name);
+            }
+        }
     }
 
     #[test]
@@ -113,10 +335,21 @@ mod tests {
     #[test]
     fn verify_reports_context() {
         assert!(verify(crc32c(b"ok"), b"ok", "frame").is_ok());
-        let err = verify(0xDEAD_BEEF, b"ok", "bucket L3").unwrap_err();
+        let err = verify(0xDEAD_BEEF, b"ok", format_args!("bucket L{}", 3)).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("bucket L3"), "{msg}");
         assert!(msg.contains("0xdeadbeef"), "{msg}");
         assert!(matches!(err, orv_types::Error::Integrity(_)));
+    }
+
+    #[test]
+    fn verify_renders_context_only_on_mismatch() {
+        struct Unrendered;
+        impl fmt::Display for Unrendered {
+            fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+                panic!("context rendered on the success path");
+            }
+        }
+        assert!(verify(crc32c(b"ok"), b"ok", Unrendered).is_ok());
     }
 }

@@ -178,18 +178,25 @@ impl Scratch {
     /// Append bytes to bucket `name`.
     pub fn append(&self, name: &str, data: &[u8]) -> Result<()> {
         self.written.add(data.len() as u64);
+        // The bucket name is allocated as a map key on first insert only.
         {
             let mut crcs = self.crcs.lock();
-            let state = crcs.entry(name.to_string()).or_insert_with(checksum::begin);
-            *state = checksum::update(*state, data);
+            match crcs.get_mut(name) {
+                Some(state) => *state = checksum::update(*state, data),
+                None => {
+                    crcs.insert(name.to_string(), checksum::update(checksum::begin(), data));
+                }
+            }
         }
         match self.kind {
             ScratchKind::Memory => {
-                self.mem
-                    .lock()
-                    .entry(name.to_string())
-                    .or_default()
-                    .extend_from_slice(data);
+                let mut mem = self.mem.lock();
+                match mem.get_mut(name) {
+                    Some(bucket) => bucket.extend_from_slice(data),
+                    None => {
+                        mem.insert(name.to_string(), data.to_vec());
+                    }
+                }
                 Ok(())
             }
             ScratchKind::TempFile => {
@@ -273,7 +280,7 @@ impl Scratch {
         checksum::verify(
             self.bucket_crc(name),
             bytes,
-            &format!("scratch bucket {name}"),
+            format_args!("scratch bucket {name}"),
         )
     }
 
@@ -515,6 +522,32 @@ mod tests {
             let err = s.verify_bucket("b0", &bad).unwrap_err();
             assert!(matches!(err, Error::Integrity(_)), "{err}");
             assert!(err.to_string().contains("b0"), "{err}");
+        }
+    }
+
+    #[test]
+    fn scratch_interleaved_appends_keep_each_buckets_bytes_and_crc() {
+        // First append (inserts the key) and later appends (reuse it) must
+        // be indistinguishable, per bucket, however they interleave.
+        for kind in [ScratchKind::Memory, ScratchKind::TempFile] {
+            let s = Scratch::new(kind, "interleave").unwrap();
+            for (name, part) in [
+                ("L0", "ab"),
+                ("R0", "xy"),
+                ("L0", ""),
+                ("L0", "cd"),
+                ("R0", "z"),
+            ] {
+                s.append(name, part.as_bytes()).unwrap();
+            }
+            for (name, all) in [("L0", "abcd"), ("R0", "xyz"), ("L1", "")] {
+                let bytes = s.read_bucket(name).unwrap();
+                assert_eq!(bytes, all.as_bytes(), "{kind:?} {name}");
+                assert_eq!(s.bucket_size(name).unwrap(), all.len() as u64);
+                assert_eq!(s.bucket_crc(name), crate::checksum::crc32c(all.as_bytes()));
+                s.verify_bucket(name, &bytes).unwrap();
+            }
+            assert_eq!(s.bytes_written(), 7);
         }
     }
 

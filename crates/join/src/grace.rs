@@ -404,7 +404,7 @@ fn send_with_recovery(
         for (b, bytes, crc) in batch.buckets.iter_mut() {
             // At most one corrupted frame per attempt.
             if let Some((off, mask)) = injector.corrupt_frame(stream, bytes) {
-                let verified = checksum::verify(*crc, bytes, &format!("frame bucket {b}"));
+                let verified = checksum::verify(*crc, bytes, format_args!("frame bucket {b}"));
                 bytes[off] ^= mask; // retransmit the pristine frame
                 if verified.is_err() {
                     corruptions += 1;
@@ -580,7 +580,7 @@ pub fn grace_hash_join(
                     // Defense in depth: the sender's link layer already
                     // verified the frame, so a mismatch here is a real
                     // bug, not a transient.
-                    checksum::verify(crc, &bytes, &format!("received bucket {prefix}{b}"))?;
+                    checksum::verify(crc, &bytes, format_args!("received bucket {prefix}{b}"))?;
                     // Injected write faults fire *before* any bytes land,
                     // so retrying them never duplicates data; a real I/O
                     // error from the append itself is returned as-is.

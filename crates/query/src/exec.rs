@@ -8,7 +8,7 @@
 use crate::agg::Accumulator;
 use crate::ast::{AggFunc, RangePred, SelectItem};
 use orv_bds::{BdsService, Deployment};
-use orv_cluster::{CancelToken, FaultInjector};
+use orv_cluster::{checksum, CancelToken, FaultInjector};
 use orv_obs::{EventLog, Spans};
 use orv_types::{
     BoundingBox, ChunkId, ColumnBatch, Error, Interval, Record, Result, Schema, SubTableId,
@@ -175,18 +175,53 @@ pub fn scan_chunks(
     Ok((schema, rows, runs))
 }
 
-/// CRC32C over a canonical encoding of `rows`, sealed shard-side on every
-/// federated sub-response and re-verified at the router, so a corrupted
-/// partial result is rejected (and hedged/failed over) instead of merged.
+/// CRC32C over the canonical binary encoding of `rows`, sealed shard-side
+/// on every federated sub-response and re-verified at the router, so a
+/// corrupted partial result is rejected (and hedged/failed over) instead
+/// of merged.
+///
+/// The encoding, all little-endian: per row a `u32` arity, then per value
+/// one type-tag byte (`0` = i32, `1` = i64, `2` = f32, `3` = f64) and the
+/// value's bit pattern (4 or 8 bytes; floats via `to_bits`). The arity
+/// prefix pins row boundaries and the tag pins the type, so two row
+/// sequences share an encoding only if they are equal bit for bit — `0.0`
+/// and `-0.0`, and NaNs with different payloads, stay distinct. It is
+/// folded through [`checksum::update`] from a stack buffer: no
+/// allocation, no formatter.
 pub fn rows_checksum(rows: &[Record]) -> u32 {
-    use std::fmt::Write as _;
-    let mut buf = String::new();
-    for r in rows {
-        // Debug form is canonical here: every Value variant renders
-        // distinctly and deterministically.
-        let _ = write!(buf, "{r:?};");
+    // The widest item is a tagged 8-byte value. Every item is stored at
+    // that width (a fixed-size store, no `memcpy` call) and `len` advances
+    // by the item's real width, so the next item overwrites the slack.
+    const ITEM: usize = 9;
+    /// Fold the filled prefix into `state` once an item might not fit.
+    #[inline]
+    fn make_room(state: &mut u32, buf: &[u8], len: &mut usize) {
+        if buf.len() - *len < ITEM {
+            *state = checksum::update(*state, &buf[..*len]);
+            *len = 0;
+        }
     }
-    orv_cluster::crc32c(buf.as_bytes())
+    let mut buf = [0u8; 1024];
+    let mut len = 0;
+    let mut state = checksum::begin();
+    for r in rows {
+        make_room(&mut state, &buf, &mut len);
+        buf[len..len + 4].copy_from_slice(&(r.arity() as u32).to_le_bytes());
+        len += 4;
+        for &v in r.values() {
+            let (tag, bits, width) = match v {
+                Value::I32(x) => (0u8, x as u32 as u64, 4),
+                Value::I64(x) => (1, x as u64, 8),
+                Value::F32(x) => (2, x.to_bits() as u64, 4),
+                Value::F64(x) => (3, x.to_bits(), 8),
+            };
+            make_room(&mut state, &buf, &mut len);
+            buf[len] = tag;
+            buf[len + 1..len + ITEM].copy_from_slice(&bits.to_le_bytes());
+            len += 1 + width;
+        }
+    }
+    checksum::finish(checksum::update(state, &buf[..len]))
 }
 
 /// Column names of a schema.
@@ -579,6 +614,101 @@ mod tests {
         assert_eq!(rows_checksum(&rows), rows_checksum(&oracle));
         assert_ne!(rows_checksum(&rows), rows_checksum(&rows[1..]));
         assert_eq!(rows_checksum(&[]), rows_checksum(&[]));
+    }
+
+    #[test]
+    fn rows_checksum_separates_types_boundaries_and_bit_patterns() {
+        let row = |vs: &[Value]| Record::new(vs.to_vec());
+        let (a, b, c) = (Value::I32(1), Value::I32(2), Value::I32(3));
+        let nan = |payload: u64| Value::F64(f64::from_bits(0x7FF8_0000_0000_0000 | payload));
+        let distinct: [(&str, Vec<Record>, Vec<Record>); 9] = [
+            (
+                "i32 vs f32 with equal bits",
+                vec![row(&[Value::I32(1)])],
+                vec![row(&[Value::F32(f32::from_bits(1))])],
+            ),
+            (
+                "i64 vs f64 with equal bits",
+                vec![row(&[Value::I64(0x4000_0000_0000_0000)])],
+                vec![row(&[Value::F64(2.0)])],
+            ),
+            (
+                "i32 vs i64 with equal value",
+                vec![row(&[Value::I32(7)])],
+                vec![row(&[Value::I64(7)])],
+            ),
+            (
+                "row boundary",
+                vec![row(&[a, b]), row(&[c])],
+                vec![row(&[a]), row(&[b, c])],
+            ),
+            (
+                "signed zero",
+                vec![row(&[Value::F64(0.0)]), row(&[Value::F32(0.0)])],
+                vec![row(&[Value::F64(-0.0)]), row(&[Value::F32(0.0)])],
+            ),
+            ("nan payload", vec![row(&[nan(1)])], vec![row(&[nan(2)])]),
+            (
+                "row order",
+                vec![row(&[a, b]), row(&[b, c])],
+                vec![row(&[b, c]), row(&[a, b])],
+            ),
+            (
+                "truncated tail",
+                vec![row(&[a, b]), row(&[b, c])],
+                vec![row(&[a, b])],
+            ),
+            ("empty row vs no row", vec![row(&[])], vec![]),
+        ];
+        for (what, left, right) in &distinct {
+            assert_ne!(rows_checksum(left), rows_checksum(right), "{what}");
+        }
+        // `Debug` prints both NaNs as `NaN`: no text rendering of the
+        // values could have told them apart.
+        assert_eq!(format!("{:?}", nan(1)), format!("{:?}", nan(2)));
+        assert_eq!(rows_checksum(&[]), orv_cluster::crc32c(&[]));
+    }
+
+    #[test]
+    fn rows_checksum_is_the_crc_of_the_documented_encoding() {
+        // Enough rows to cross the stack buffer several times, so a flush
+        // that dropped or repeated bytes would show.
+        let rows: Vec<Record> = (0..500i32)
+            .map(|i| {
+                Record::new(vec![
+                    Value::I32(i),
+                    Value::I64(i64::MIN + i as i64),
+                    Value::F32(i as f32 * -0.5),
+                    Value::F64(f64::from_bits(0x7FF8_0000_0000_0000 | i as u64)),
+                ])
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        for r in &rows {
+            bytes.extend_from_slice(&(r.arity() as u32).to_le_bytes());
+            for &v in r.values() {
+                match v {
+                    Value::I32(x) => {
+                        bytes.push(0);
+                        bytes.extend_from_slice(&x.to_le_bytes());
+                    }
+                    Value::I64(x) => {
+                        bytes.push(1);
+                        bytes.extend_from_slice(&x.to_le_bytes());
+                    }
+                    Value::F32(x) => {
+                        bytes.push(2);
+                        bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+                    }
+                    Value::F64(x) => {
+                        bytes.push(3);
+                        bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+        assert_eq!(bytes.len(), 500 * (4 + 5 + 9 + 5 + 9));
+        assert_eq!(rows_checksum(&rows), orv_cluster::crc32c(&bytes));
     }
 
     #[test]

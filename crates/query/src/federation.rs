@@ -835,35 +835,14 @@ impl FederatedService {
                 // The resolver published the sub-query's trace before its
                 // result became observable, so this is always present.
                 tb.children.extend(flight.ticket.trace());
+                // A response that fails re-verification is a failed shard.
+                let outcome = outcome.and_then(|result| {
+                    self.absorb(&flight, result, &mut filled, &mut scan_columns)
+                });
                 match outcome {
-                    Ok(result) => {
-                        self.absorb(&flight, result, &mut filled, &mut scan_columns);
-                    }
+                    Ok(()) => {}
                     Err(e) if e.is_cancellation() && cancel.check().is_err() => return Err(e),
-                    Err(_) => {
-                        self.shard_failed(flight.shard, self.tick());
-                        let unfilled: Vec<ChunkId> = flight
-                            .chunks
-                            .iter()
-                            .filter(|c| !filled.contains_key(c))
-                            .copied()
-                            .collect();
-                        if !unfilled.is_empty() {
-                            // Failover: the next dispatch pass re-routes
-                            // these chunks to a replica we have not tried
-                            // — if the failed shard's retry budget grants
-                            // it and the federation is not shedding.
-                            // Otherwise degrade: the chunks go missing
-                            // and the caller gets an exact PartialResult
-                            // instead of amplified load.
-                            if self.may_reissue(flight.shard) {
-                                self.bump(names::FED_FAILOVERS, 1);
-                                unassigned.extend(unfilled);
-                            } else {
-                                missing.extend(unfilled);
-                            }
-                        }
-                    }
+                    Err(_) => self.fail_over(&flight, &filled, &mut unassigned, &mut missing),
                 }
             }
 
@@ -979,20 +958,56 @@ impl FederatedService {
         Ok(())
     }
 
+    /// A flight failed (its shard errored, or its response failed
+    /// re-verification): feed the breaker, then send the chunks nobody
+    /// else filled back to `unassigned` — the next dispatch pass re-routes
+    /// them to a replica we have not tried — if the failed shard's retry
+    /// budget grants it and the federation is not shedding. Otherwise
+    /// degrade: the chunks go `missing` and the caller gets an exact
+    /// PartialResult instead of amplified load.
+    fn fail_over(
+        &self,
+        flight: &Flight,
+        filled: &HashMap<ChunkId, Vec<Record>>,
+        unassigned: &mut Vec<ChunkId>,
+        missing: &mut Vec<ChunkId>,
+    ) {
+        self.shard_failed(flight.shard, self.tick());
+        let unfilled: Vec<ChunkId> = flight
+            .chunks
+            .iter()
+            .filter(|c| !filled.contains_key(c))
+            .copied()
+            .collect();
+        if unfilled.is_empty() {
+            return;
+        }
+        if self.may_reissue(flight.shard) {
+            self.bump(names::FED_FAILOVERS, 1);
+            unassigned.extend(unfilled);
+        } else {
+            missing.extend(unfilled);
+        }
+    }
+
     /// Fold one successful sub-response into the per-chunk fill map.
-    /// First responder wins per chunk (dedup for hedged duplicates); a
-    /// checksum mismatch discards the response wholesale, as if the shard
-    /// had failed — the chunks stay unfilled and re-route.
+    /// First responder wins per chunk (dedup for hedged duplicates). The
+    /// shard sealed the rows with [`rows_checksum`]; a response that no
+    /// longer matches its seal is discarded wholesale with a typed
+    /// `Error::Integrity`, which the caller handles as a failed shard —
+    /// the chunks stay unfilled and re-route.
     fn absorb(
         &self,
         flight: &Flight,
         result: QueryResult,
         filled: &mut HashMap<ChunkId, Vec<Record>>,
         scan_columns: &mut Option<Vec<String>>,
-    ) {
+    ) -> Result<()> {
         if result.checksum != Some(rows_checksum(&result.rows)) {
-            self.bump(names::FED_SHARD_ERRORS, 1);
-            return;
+            return Err(Error::Integrity(format!(
+                "sub-response from shard {} does not match its row checksum",
+                flight.shard
+            )));
         }
         self.shard_ok(flight.shard);
         let runs = result.chunk_runs.unwrap_or_default();
@@ -1011,6 +1026,7 @@ impl FederatedService {
         if scan_columns.is_none() {
             *scan_columns = Some(result.columns);
         }
+        Ok(())
     }
 }
 
@@ -1058,6 +1074,101 @@ mod tests {
             assert_eq!(got.result().columns, want.columns, "{sql}");
             assert_eq!(got.result().rows, want.rows, "{sql}");
         }
+    }
+
+    #[test]
+    fn altered_sub_response_is_discarded_and_rerouted() {
+        let obs = Obs::enabled();
+        let fed = FederatedService::with_instruments(
+            deployment(),
+            FederationConfig::default(),
+            obs.clone(),
+            None,
+        )
+        .unwrap();
+        let counter = |name: &str| {
+            let snap = obs.metrics.snapshot();
+            snap.counters.get(name).copied().unwrap_or(0)
+        };
+        let md = fed.deployment.metadata();
+        let table = md.table_id("t1").unwrap();
+        let chunks: Vec<ChunkId> = md
+            .all_chunks(table)
+            .unwrap()
+            .into_iter()
+            .filter(|&chunk| fed.placement.primary(SubTableId { table, chunk }) == 0)
+            .collect();
+        assert!(
+            !chunks.is_empty(),
+            "placement seed must give shard 0 chunks"
+        );
+        // A real shard-sealed sub-response, as the router receives it.
+        let sealed = || {
+            let mut flights = Flights(Vec::new());
+            fed.dispatch(
+                &mut flights,
+                0,
+                chunks.clone(),
+                table,
+                &None,
+                false,
+                TraceId::mint(),
+                &CancelToken::none(),
+            )
+            .unwrap();
+            let flight = flights.0.pop().unwrap();
+            let result = flight
+                .ticket
+                .wait_cancellable(&CancelToken::none())
+                .unwrap();
+            assert_eq!(result.checksum, Some(rows_checksum(&result.rows)));
+            (flight, result)
+        };
+        fn alter_value(r: &mut QueryResult) {
+            let mut values = r.rows[0].values().to_vec();
+            values[0] = match values[0] {
+                Value::I32(x) => Value::I32(x ^ 1),
+                other => panic!("t1's first column is an i32 coordinate, got {other:?}"),
+            };
+            r.rows[0] = Record::new(values);
+        }
+        type Alter = fn(&mut QueryResult);
+        let alterations: [(&str, Alter); 3] = [
+            ("row value", alter_value),
+            ("checksum", |r| r.checksum = r.checksum.map(|c| c ^ 1)),
+            ("missing checksum", |r| r.checksum = None),
+        ];
+        for (what, alter) in alterations {
+            let (flight, mut result) = sealed();
+            alter(&mut result);
+            let (errors, failovers) = (
+                counter(names::FED_SHARD_ERRORS),
+                counter(names::FED_FAILOVERS),
+            );
+            let mut filled = HashMap::new();
+            let (mut columns, mut unassigned, mut missing) = (None, Vec::new(), Vec::new());
+            // The two steps the routing loop takes on a resolved flight.
+            let err = fed
+                .absorb(&flight, result, &mut filled, &mut columns)
+                .unwrap_err();
+            fed.fail_over(&flight, &filled, &mut unassigned, &mut missing);
+            assert!(matches!(err, Error::Integrity(_)), "{what}: {err}");
+            assert!(filled.is_empty() && columns.is_none(), "{what}: merged");
+            assert_eq!(counter(names::FED_SHARD_ERRORS), errors + 1, "{what}");
+            assert_eq!(counter(names::FED_FAILOVERS), failovers + 1, "{what}");
+            assert_eq!(unassigned, chunks, "{what}: every chunk re-routes");
+            assert!(missing.is_empty(), "{what}");
+        }
+        // The same response untouched is merged, chunk by chunk.
+        let (flight, result) = sealed();
+        let (n_rows, errors) = (result.rows.len(), counter(names::FED_SHARD_ERRORS));
+        let (mut filled, mut columns) = (HashMap::new(), None);
+        fed.absorb(&flight, result, &mut filled, &mut columns)
+            .unwrap();
+        assert_eq!(filled.len(), chunks.len());
+        assert_eq!(filled.values().map(Vec::len).sum::<usize>(), n_rows);
+        assert!(columns.is_some());
+        assert_eq!(counter(names::FED_SHARD_ERRORS), errors);
     }
 
     #[test]
