@@ -471,7 +471,8 @@ const L005_SINKS: &[&str] = &[
 /// L005 — event/span/latency-metric names must be `orv_obs::names`
 /// constants, not inline string literals. A typo'd literal name silently
 /// breaks replay-from-log, the predicted-vs-measured phase mapping, and
-/// the `ServingReport` latency export (which walks `names::LAT_ALL`).
+/// every consumer that finds a latency histogram by its `names::LAT_*`
+/// constant.
 fn l005_obs_names_from_registry(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     if allowlist::L005_ALLOWED.contains(&ctx.rel_path) {
         return;
@@ -1184,8 +1185,8 @@ mod tests {
 
     #[test]
     fn l005_record_latency_literal_fires() {
-        // The latency export walks `names::LAT_ALL`; a literal phase name
-        // here would record samples the report can never find.
+        // Consumers look a latency histogram up by its `names::LAT_*`
+        // constant; a literal name here records samples they never find.
         let hit = findings(
             "crates/query/src/service.rs",
             "fn f() { obs.metrics.record_latency(\"lat/exec_secs\", secs); }",

@@ -207,8 +207,8 @@ fn l005_literal_obs_names_positive_negative_suppressed() {
         ),
         ["L005"]
     );
-    // Latency recording is a name sink too: `ServingReport` only exports
-    // histograms named in `names::LAT_ALL`.
+    // Latency recording is a name sink too: consumers find a histogram
+    // by its `names::LAT_*` constant.
     assert_eq!(
         fired(
             JOIN_PATH,

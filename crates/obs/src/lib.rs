@@ -26,10 +26,7 @@ mod trace;
 pub use event::{Event, EventLog};
 pub use json::{obj, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use report::{
-    required_phases, LatencyRow, ObsReport, PhaseRow, RunReport, ServingReport, GH_PHASES,
-    IJ_PHASES,
-};
+pub use report::{required_phases, ObsReport, PhaseRow, RunReport, GH_PHASES, IJ_PHASES};
 pub use span::{SpanRecord, SpanTimer, Spans};
 pub use trace::{FlightRecorder, QueryTrace, Stopwatch, TraceId, TraceOutcome};
 

@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 use crate::json::{obj, JsonValue};
 use crate::metrics::MetricsSnapshot;
 use crate::names;
-use crate::trace::{FlightRecorder, QueryTrace};
 
 /// Canonical phase names for the Indexed Join, in report order. They map
 /// one-to-one onto the Section 5 IJ cost terms: `transfer` ↔ Transfer_IJ,
@@ -280,210 +279,6 @@ impl ObsReport {
     }
 }
 
-/// Percentile summary of one `lat/*` histogram.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LatencyRow {
-    /// Full histogram name (`lat/exec_secs`, …).
-    pub name: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Interpolated median, seconds.
-    pub p50: f64,
-    /// Interpolated 95th percentile, seconds.
-    pub p95: f64,
-    /// Interpolated 99th percentile, seconds.
-    pub p99: f64,
-    /// Exact mean, seconds.
-    pub mean: f64,
-}
-
-impl LatencyRow {
-    fn to_json_value(&self) -> JsonValue {
-        obj([
-            ("name", self.name.as_str().into()),
-            ("count", self.count.into()),
-            ("p50", self.p50.into()),
-            ("p95", self.p95.into()),
-            ("p99", self.p99.into()),
-            ("mean", self.mean.into()),
-        ])
-    }
-
-    fn from_json_value(v: &JsonValue) -> Result<Self> {
-        Ok(LatencyRow {
-            name: v.req_str("name")?.to_string(),
-            count: v.req_u64("count")?,
-            p50: v.req_f64("p50")?,
-            p95: v.req_f64("p95")?,
-            p99: v.req_f64("p99")?,
-            mean: v.req_f64("mean")?,
-        })
-    }
-}
-
-/// The serving-path export: per-phase latency percentiles, the full
-/// metrics registry, and the flight recorder's retained traces. This is
-/// what the throughput bench serializes to `BENCH_latency.json`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServingReport {
-    /// One row per `lat/*` histogram with samples, in
-    /// [`names::LAT_ALL`] order.
-    pub latencies: Vec<LatencyRow>,
-    /// Merged registry snapshot.
-    pub metrics: MetricsSnapshot,
-    /// Flight recorder: the K slowest clean queries, slowest first.
-    pub slowest: Vec<QueryTrace>,
-    /// Flight recorder: retained failed/partial/cancelled queries.
-    pub anomalies: Vec<QueryTrace>,
-    /// Free-form context (client counts, dataset shape, host).
-    pub notes: BTreeMap<String, JsonValue>,
-}
-
-impl ServingReport {
-    /// Assemble a report from a metrics snapshot and a flight recorder:
-    /// every registry-listed latency histogram with samples becomes a
-    /// percentile row, and the recorder contributes its retained traces.
-    pub fn build(metrics: MetricsSnapshot, recorder: &FlightRecorder) -> Self {
-        let mut latencies = Vec::new();
-        for name in names::LAT_ALL {
-            let Some(h) = metrics.histograms.get(*name) else {
-                continue;
-            };
-            let (Some(p50), Some(p95), Some(p99), Some(mean)) =
-                (h.p50(), h.p95(), h.p99(), h.mean())
-            else {
-                continue;
-            };
-            latencies.push(LatencyRow {
-                name: (*name).to_string(),
-                count: h.count,
-                p50,
-                p95,
-                p99,
-                mean,
-            });
-        }
-        ServingReport {
-            latencies,
-            metrics,
-            slowest: recorder.slowest(),
-            anomalies: recorder.anomalies(),
-            notes: BTreeMap::new(),
-        }
-    }
-
-    /// The row for one latency histogram, if it has samples.
-    pub fn latency(&self, name: &str) -> Option<&LatencyRow> {
-        self.latencies.iter().find(|r| r.name == name)
-    }
-
-    /// Check the report is well-formed: rows only for registry-listed
-    /// names, with samples, finite non-negative ordered percentiles.
-    pub fn validate(&self) -> Result<()> {
-        for r in &self.latencies {
-            if !names::LAT_ALL.contains(&r.name.as_str()) {
-                return Err(Error::Config(format!(
-                    "latency row `{}` is not a registry-listed lat/* name",
-                    r.name
-                )));
-            }
-            if r.count == 0 {
-                return Err(Error::Config(format!(
-                    "latency row `{}` has zero samples",
-                    r.name
-                )));
-            }
-            let nums = [r.p50, r.p95, r.p99, r.mean];
-            if nums.iter().any(|n| !n.is_finite() || *n < 0.0) {
-                return Err(Error::Config(format!(
-                    "latency row `{}` has non-finite or negative values",
-                    r.name
-                )));
-            }
-            if r.p50 > r.p95 || r.p95 > r.p99 {
-                return Err(Error::Config(format!(
-                    "latency row `{}` percentiles are not ordered: p50={} p95={} p99={}",
-                    r.name, r.p50, r.p95, r.p99
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Render the percentile rows as a fixed-width text table.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str("serving-path latency percentiles\n");
-        out.push_str(&format!(
-            "  {:<24} {:>8} {:>10} {:>10} {:>10}\n",
-            "phase", "count", "p50", "p95", "p99"
-        ));
-        for r in &self.latencies {
-            out.push_str(&format!(
-                "  {:<24} {:>8} {:>9.4}s {:>9.4}s {:>9.4}s\n",
-                r.name, r.count, r.p50, r.p95, r.p99
-            ));
-        }
-        out.push_str(&format!(
-            "  flight recorder: {} slow, {} anomalous traces retained\n",
-            self.slowest.len(),
-            self.anomalies.len()
-        ));
-        out
-    }
-
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        obj([
-            (
-                "latencies",
-                JsonValue::Array(self.latencies.iter().map(|r| r.to_json_value()).collect()),
-            ),
-            ("metrics", self.metrics.to_json_value()),
-            (
-                "slowest",
-                JsonValue::Array(self.slowest.iter().map(|t| t.to_json_value()).collect()),
-            ),
-            (
-                "anomalies",
-                JsonValue::Array(self.anomalies.iter().map(|t| t.to_json_value()).collect()),
-            ),
-            ("notes", JsonValue::Object(self.notes.clone())),
-        ])
-        .to_string()
-    }
-
-    /// Parse back from [`ServingReport::to_json`] output.
-    pub fn from_json(text: &str) -> Result<Self> {
-        let v = JsonValue::parse(text)?;
-        let arr = |key: &str| -> Result<&[JsonValue]> {
-            v.req(key)?
-                .as_array()
-                .ok_or_else(|| Error::Config(format!("`{key}` is not an array")))
-        };
-        Ok(ServingReport {
-            latencies: arr("latencies")?
-                .iter()
-                .map(LatencyRow::from_json_value)
-                .collect::<Result<_>>()?,
-            metrics: MetricsSnapshot::from_json_value(v.req("metrics")?)?,
-            slowest: arr("slowest")?
-                .iter()
-                .map(QueryTrace::from_json_value)
-                .collect::<Result<_>>()?,
-            anomalies: arr("anomalies")?
-                .iter()
-                .map(QueryTrace::from_json_value)
-                .collect::<Result<_>>()?,
-            notes: v
-                .req("notes")?
-                .as_object()
-                .ok_or_else(|| Error::Config("`notes` is not an object".into()))?
-                .clone(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,86 +351,5 @@ mod tests {
         let parsed = ObsReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
         assert!(ObsReport::default().validate().is_err());
-    }
-
-    use crate::metrics::MetricsRegistry;
-    use crate::trace::{TraceId, TraceOutcome};
-
-    fn serving_fixture() -> ServingReport {
-        let reg = MetricsRegistry::new();
-        for v in [0.001, 0.004, 0.009, 0.3] {
-            reg.record_latency(names::LAT_EXEC, v);
-            reg.record_latency(names::LAT_QUEUE_WAIT, v / 2.0);
-        }
-        let rec = FlightRecorder::new(2, 4);
-        rec.record(QueryTrace {
-            trace: TraceId::from_raw(7),
-            parent: None,
-            group: "service".into(),
-            detail: "SELECT * FROM t".into(),
-            outcome: TraceOutcome::Ok,
-            total_secs: 0.3,
-            phases: vec![("exec".into(), 0.29)],
-            children: Vec::new(),
-        });
-        rec.record(QueryTrace {
-            trace: TraceId::from_raw(8),
-            parent: None,
-            group: "fed".into(),
-            detail: "SELECT * FROM t".into(),
-            outcome: TraceOutcome::Error,
-            total_secs: 0.01,
-            phases: Vec::new(),
-            children: Vec::new(),
-        });
-        ServingReport::build(reg.snapshot(), &rec)
-    }
-
-    #[test]
-    fn serving_report_builds_rows_in_registry_order() {
-        let r = serving_fixture();
-        r.validate().unwrap();
-        assert_eq!(
-            r.latencies
-                .iter()
-                .map(|l| l.name.as_str())
-                .collect::<Vec<_>>(),
-            vec![names::LAT_QUEUE_WAIT, names::LAT_EXEC],
-            "rows follow LAT_ALL order and skip unsampled histograms"
-        );
-        let exec = r.latency(names::LAT_EXEC).unwrap();
-        assert_eq!(exec.count, 4);
-        assert!(exec.p50 <= exec.p95 && exec.p95 <= exec.p99);
-        assert_eq!(r.slowest.len(), 1);
-        assert_eq!(r.anomalies.len(), 1);
-        let table = r.render_table();
-        assert!(table.contains(names::LAT_EXEC));
-        assert!(table.contains("1 slow, 1 anomalous"));
-    }
-
-    #[test]
-    fn serving_report_round_trips_json() {
-        let r = serving_fixture();
-        let parsed = ServingReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(parsed, r);
-        parsed.validate().unwrap();
-    }
-
-    #[test]
-    fn serving_report_validation_rejects_malformed_rows() {
-        let mut r = serving_fixture();
-        r.latencies[0].p95 = r.latencies[0].p99 + 1.0;
-        assert!(r.validate().is_err());
-        let mut r = serving_fixture();
-        r.latencies[0].name = "lat/bogus_secs".into();
-        assert!(r.validate().is_err());
-        let mut r = serving_fixture();
-        r.latencies[0].count = 0;
-        assert!(r.validate().is_err());
-        let mut r = serving_fixture();
-        r.latencies[0].mean = f64::NAN;
-        assert!(r.validate().is_err());
-        // Empty report (no samples yet) is fine.
-        ServingReport::default().validate().unwrap();
     }
 }

@@ -101,9 +101,10 @@ impl AggFunc {
     }
 }
 
-/// A closed range constraint on one attribute. Comparisons are normalized
-/// to ranges (`x > 3` → `(3, +∞]` is approximated as `[3 + ε-free open
-/// handling: we keep the raw bound and strictness)`.
+/// A closed range constraint on one attribute. The parser normalizes
+/// every comparison to one: `x >= 3` is `[3, +∞]`, `x = 3` is `[3, 3]`,
+/// and a strict `x > 3` is `[3.next_up(), +∞]` — the bound moved to the
+/// neighbouring `f64`, so no strictness flag travels with the range.
 #[derive(Clone, PartialEq, Debug)]
 pub struct RangePred {
     /// Attribute name.

@@ -1,6 +1,17 @@
-//! The query engine: DDS registry + statement execution.
+//! The query engine: DDS registry, statement binding and execution.
+//!
+//! A statement crosses the engine in two steps. [`QueryEngine::prepare`]
+//! parses it, resolves every name (view, table, join input, WHERE
+//! attribute) against one catalog snapshot and the MetaData Service, and
+//! costs it from metadata alone; [`QueryEngine::run`] executes the
+//! resulting [`Prepared`] under a [`Request`]. Nothing below `prepare`
+//! looks a name up again, so every path agrees on what a statement
+//! means: [`crate::service::QueryService`] queues `Prepared`s and
+//! [`crate::federation::FederatedService`] ships them to shards.
 
-use crate::ast::{predicates_to_bbox, Query, SelectItem, Statement, ViewDef};
+use crate::ast::{
+    predicates_to_bbox, JoinClause, Query, RangePred, SelectItem, Statement, ViewDef,
+};
 use crate::exec::{
     aggregate, column_names, filter_rows, order_and_limit, project, rows_checksum,
     scan_cancellable, scan_chunks, RowSet,
@@ -80,8 +91,8 @@ pub struct QueryResult {
     /// Planning evidence, when a join view was executed.
     pub explain: Option<PlanExplain>,
     /// Per-chunk run lengths `(chunk, rows)` in scan order — set only on
-    /// federated sub-query responses ([`QueryEngine::execute_scan_spec`])
-    /// so the router can dedup and reassemble chunk-by-chunk.
+    /// federated chunk-scan responses, so the router can dedup and
+    /// reassemble chunk-by-chunk.
     pub chunk_runs: Option<Vec<(ChunkId, usize)>>,
     /// CRC32C over the rows, sealed shard-side on federated sub-query
     /// responses; the router re-verifies before merging.
@@ -89,7 +100,7 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         QueryResult {
             columns: Vec::new(),
             rows: Vec::new(),
@@ -100,23 +111,128 @@ impl QueryResult {
     }
 }
 
-/// A pre-planned chunk scan: the sub-query unit the federation router
-/// hands one shard. The shard reads exactly `chunks` of `table` (in
-/// ascending chunk order), applies `range` row filtering, and seals the
-/// response with per-chunk run lengths and a checksum.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScanSpec {
-    /// Table the chunks belong to.
-    pub table: TableId,
-    /// Row-level range filter (the query's bbox), if any.
-    pub range: Option<BoundingBox>,
-    /// The chunks to read. Order is irrelevant; execution sorts.
-    pub chunks: Vec<ChunkId>,
+/// Views may layer this deep; a deeper stack is refused at bind, which
+/// bounds the recursion of both the binder and the executor.
+const MAX_VIEW_DEPTH: usize = 8;
+
+/// One statement, parsed, resolved and costed once by
+/// [`QueryEngine::prepare`] — the only thing [`QueryEngine::run`]
+/// executes, the service queues and the federation router ships. Tables
+/// are held by id and view definitions are embedded, so it runs on any
+/// shard engine of a federation (they share one [`Deployment`]).
+#[derive(Clone, Debug)]
+pub struct Prepared {
+    /// What traces print for this job.
+    pub(crate) detail: String,
+    /// Admission-time cost prediction from the §5 models, in seconds.
+    pub(crate) predicted_secs: f64,
+    pub(crate) plan: Plan,
+}
+
+#[derive(Clone, Debug)]
+pub(crate) enum Plan {
+    /// Validate and register a view (metadata only).
+    CreateView(ViewDef),
+    Select(BoundSelect),
+    /// The federation's sub-query: read exactly `chunks` of `table`,
+    /// filter rows by `range`, and seal the response with per-chunk run
+    /// lengths and a row checksum.
+    ChunkScan {
+        table: TableId,
+        range: Option<BoundingBox>,
+        chunks: Vec<ChunkId>,
+    },
+}
+
+/// A `SELECT` whose FROM clause is resolved: a [`Source`] producing
+/// `columns`, then the select list, ordering and limit applied to it.
+#[derive(Clone, Debug)]
+pub(crate) struct BoundSelect {
+    pub(crate) source: Source,
+    /// The columns `source` yields; every WHERE attribute is one of them.
+    pub(crate) columns: Vec<String>,
+    pub(crate) select: Vec<SelectItem>,
+    pub(crate) group_by: Vec<String>,
+    pub(crate) order_by: Vec<(String, bool)>,
+    pub(crate) limit: Option<usize>,
+}
+
+#[derive(Clone, Debug)]
+pub(crate) enum Source {
+    /// Basic Data Source scan with R-tree range pushdown.
+    Scan {
+        table: TableId,
+        range: Option<BoundingBox>,
+    },
+    /// Distributed join of two base tables — a direct `JOIN`, or a
+    /// pass-through join view with the outer predicates merged into the
+    /// view's own.
+    Join {
+        left: TableId,
+        right: TableId,
+        on: Vec<String>,
+        range: Option<BoundingBox>,
+    },
+    /// A general DDS (projection/aggregation view, possibly over another
+    /// DDS): run `inner`, then filter its *output* columns.
+    Derived {
+        inner: Box<BoundSelect>,
+        filters: Vec<RangePred>,
+    },
+}
+
+impl Prepared {
+    /// Admission-time predicted execution cost in seconds (0 for DDL).
+    pub fn predicted_secs(&self) -> f64 {
+        self.predicted_secs
+    }
+
+    /// The federation router's sub-query over `chunks` of a base-table
+    /// scan it bound.
+    pub(crate) fn chunk_scan(
+        table: TableId,
+        range: Option<BoundingBox>,
+        chunks: Vec<ChunkId>,
+        predicted_secs: f64,
+    ) -> Prepared {
+        Prepared {
+            detail: format!("scan table {} ({} chunks)", table.0, chunks.len()),
+            predicted_secs,
+            plan: Plan::ChunkScan {
+                table,
+                range,
+                chunks,
+            },
+        }
+    }
+}
+
+/// The per-request half of a query; *what* runs is in the [`Prepared`].
+#[derive(Clone, Debug, Default)]
+pub struct Request {
+    /// Threaded through scans, both QES runtimes and every backoff
+    /// sleep: cancelling it (or passing its deadline) unwinds the
+    /// statement within one sleep slice with a typed
+    /// [`Error::Cancelled`] / [`Error::DeadlineExceeded`].
+    pub cancel: CancelToken,
+    /// The trace this request belongs under: the engine tags its
+    /// `qes_choice` / `qes_failover` events with it; the service and the
+    /// federation record it as the parent of the trace they mint.
+    pub parent: Option<TraceId>,
+}
+
+impl From<CancelToken> for Request {
+    fn from(cancel: CancelToken) -> Self {
+        Request {
+            cancel,
+            parent: None,
+        }
+    }
 }
 
 /// The full engine a client talks to.
 ///
-/// Every execution entry point takes `&self`: the catalog is published
+/// Every entry point takes `&self`: the catalog is published
 /// as epoch snapshots (readers never lock — see
 /// [`orv_cluster::EpochCell`]), the Caching Service is internally
 /// synchronized, and all per-query state (cancel token, plan, join
@@ -144,8 +260,8 @@ pub struct QueryEngine {
     /// Identity of this engine inside a federation (None = standalone).
     /// Drives shard-scoped fault checkpoints and `fed{N}/*` spans.
     shard: Option<usize>,
-    /// Replicated chunk placement, when federated: `execute_scan_spec`
-    /// refuses chunks this shard does not own.
+    /// Replicated chunk placement, when federated: a chunk scan refuses
+    /// chunks this shard does not own.
     placement: Option<Placement>,
 }
 
@@ -272,38 +388,33 @@ impl QueryEngine {
         }
     }
 
-    /// Execute one federated scan sub-query: read exactly `spec.chunks`
-    /// of `spec.table` (ascending chunk order), filter by `spec.range`,
-    /// and seal the response with per-chunk run lengths plus a CRC32C
-    /// checksum the router re-verifies before merging.
-    pub fn execute_scan_spec(&self, spec: &ScanSpec, cancel: &CancelToken) -> Result<QueryResult> {
-        cancel.check()?;
+    /// Run one federated chunk scan: read exactly `chunks` of `table`
+    /// (ascending, de-duplicated), filter by `range`, and seal the
+    /// response with per-chunk run lengths plus a CRC32C checksum the
+    /// router re-verifies before merging.
+    fn chunk_scan(
+        &self,
+        table: TableId,
+        range: Option<&BoundingBox>,
+        chunks: &[ChunkId],
+        cancel: &CancelToken,
+    ) -> Result<QueryResult> {
         let _span = self.shard.map(|s| {
             self.obs
                 .spans
                 .span(&names::span_fed_shard(s, names::PHASE_SUBQUERY))
         });
         if let (Some(shard), Some(placement)) = (self.shard, &self.placement) {
-            for &chunk in &spec.chunks {
-                let id = SubTableId {
-                    table: spec.table,
-                    chunk,
-                };
-                if !placement.owns(shard, id) {
+            for &chunk in chunks {
+                if !placement.owns(shard, SubTableId { table, chunk }) {
                     return Err(Error::Plan(format!(
                         "shard {shard} does not own chunk {} of table {} (misrouted sub-query)",
-                        chunk.0, spec.table.0
+                        chunk.0, table.0
                     )));
                 }
             }
         }
-        let (schema, rows, runs) = scan_chunks(
-            &self.deployment,
-            spec.table,
-            &spec.chunks,
-            spec.range.as_ref(),
-            cancel,
-        )?;
+        let (schema, rows, runs) = scan_chunks(&self.deployment, table, chunks, range, cancel)?;
         let checksum = rows_checksum(&rows);
         Ok(QueryResult {
             columns: column_names(&schema),
@@ -340,88 +451,188 @@ impl QueryEngine {
         self.catalog.at_version(version)
     }
 
-    /// Parse and execute one statement. When a query deadline is set, a
-    /// fresh deadline-bearing token covers this statement.
+    /// Parse and execute one statement: [`QueryEngine::prepare`], then
+    /// [`QueryEngine::run`]. When a query deadline is set, a fresh
+    /// deadline-bearing token covers this statement.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
         let cancel = match self.query_deadline {
             Some(d) => CancelToken::with_deadline(d),
             None => CancelToken::none(),
         };
-        self.execute_cancellable(sql, &cancel)
+        self.run(&self.prepare(sql)?, &cancel.into())
     }
 
-    /// [`QueryEngine::execute`] observing a caller-owned [`CancelToken`]:
-    /// the token is threaded through scans, both QES runtimes, retry
-    /// backoff and throttle sleeps, so cancelling it (or passing its
-    /// deadline) unwinds the statement within one sleep slice with a
-    /// typed [`Error::Cancelled`] / [`Error::DeadlineExceeded`].
-    pub fn execute_cancellable(&self, sql: &str, cancel: &CancelToken) -> Result<QueryResult> {
-        self.execute_traced(sql, cancel, None)
+    /// Parse `sql` and bind it against the current catalog snapshot and
+    /// the MetaData Service: FROM resolves to a base-table scan, a
+    /// distributed join or a derived view (recursively), every WHERE
+    /// attribute is checked against the columns its source yields, and
+    /// the statement is costed from the §5 models. Metadata only — the
+    /// join index is neither built nor persisted until the join runs.
+    pub fn prepare(&self, sql: &str) -> Result<Prepared> {
+        let (plan, predicted_secs) = match parse_statement(sql)? {
+            // DDL is metadata-only; it is validated when it runs, against
+            // the catalog of the engine that registers it.
+            Statement::CreateView(view) => (Plan::CreateView(view), 0.0),
+            Statement::Select(query) => {
+                let bound = self.bind(&query, &self.catalog.load(), 0)?;
+                let secs = self.source_secs(&bound.source);
+                (Plan::Select(bound), secs)
+            }
+        };
+        Ok(Prepared {
+            detail: sql.to_string(),
+            predicted_secs,
+            plan,
+        })
     }
 
-    /// [`QueryEngine::execute_cancellable`] carrying a propagated
-    /// [`TraceId`]: planning decisions (`qes_choice`, `qes_failover`) are
-    /// tagged with it so the events of one query stitch into its trace.
-    pub fn execute_traced(
-        &self,
-        sql: &str,
-        cancel: &CancelToken,
-        trace: Option<TraceId>,
-    ) -> Result<QueryResult> {
-        cancel.check()?;
-        match parse_statement(sql)? {
-            Statement::CreateView(view) => {
+    /// Execute a [`Prepared`] under `request`. The engine's one executor.
+    pub fn run(&self, prepared: &Prepared, request: &Request) -> Result<QueryResult> {
+        request.cancel.check()?;
+        match &prepared.plan {
+            Plan::CreateView(view) => {
                 self.create_view(view)?;
                 Ok(QueryResult::empty())
             }
-            Statement::Select(query) => self.select(&query, cancel, trace),
+            Plan::Select(select) => self.select(select, request),
+            Plan::ChunkScan {
+                table,
+                range,
+                chunks,
+            } => self.chunk_scan(*table, range.as_ref(), chunks, &request.cancel),
         }
     }
 
-    /// Predict one statement's execution cost in seconds from the §5
-    /// cost models, without executing anything. This is the signal
-    /// cost-aware admission classifies queries with.
-    ///
-    /// Joins ask the planner for both QES totals (estimate-only — the
-    /// join index is never built here) and take the cheaper; views
-    /// recurse into their definition (depth-capped); base scans are
-    /// bytes over aggregate storage-disk read bandwidth. `CREATE VIEW`
-    /// and unparsable statements predict zero: DDL is metadata-only,
-    /// and a parse error fails fast at execution anyway.
+    /// The cost [`QueryEngine::prepare`] predicts for `sql`, 0 if it does
+    /// not bind. Only the benchmark's `query.predict_cost` rung calls it.
     pub fn predict_cost_secs(&self, sql: &str) -> f64 {
-        match parse_statement(sql) {
-            Ok(Statement::Select(query)) => self.predict_query_secs(&query, 0),
-            Ok(Statement::CreateView(_)) | Err(_) => 0.0,
-        }
+        self.prepare(sql).map_or(0.0, |p| p.predicted_secs)
     }
 
-    fn predict_query_secs(&self, query: &Query, depth: usize) -> f64 {
-        if depth > 8 {
-            // Defensive cap; the catalog rejects cyclic views anyway.
-            return 0.0;
+    /// Resolve `query`'s FROM (+ JOIN) and WHERE against `catalog` — one
+    /// snapshot for the whole walk, so the result stays valid however
+    /// long execution takes and whatever DDL publishes meanwhile.
+    fn bind(&self, query: &Query, catalog: &Catalog, depth: usize) -> Result<BoundSelect> {
+        let outer = predicates_to_bbox(&query.predicates);
+        let (source, columns) = if let Some(join) = &query.join {
+            self.bind_join(catalog, &query.from, join, outer)?
+        } else if let Some(view) = catalog.get(&query.from) {
+            if depth >= MAX_VIEW_DEPTH {
+                return Err(Error::Plan(format!(
+                    "view `{}` is nested more than {MAX_VIEW_DEPTH} views deep",
+                    view.name
+                )));
+            }
+            match &view.query.join {
+                // Pushable DDS: merge the view's baked-in predicates with
+                // the outer ones and run the distributed join directly.
+                Some(join) if view.query.is_plain_join() => {
+                    let range = match (predicates_to_bbox(&view.query.predicates), outer) {
+                        (Some(a), Some(b)) => Some(a.intersect(&b)),
+                        (a, b) => a.or(b),
+                    };
+                    self.bind_join(catalog, &view.query.from, join, range)?
+                }
+                // General DDS: materialize it, then post-filter by the
+                // outer predicates on its *output* columns.
+                _ => {
+                    let inner = self.bind(&view.query, catalog, depth + 1)?;
+                    let columns = output_columns(&inner);
+                    let filters = query.predicates.clone();
+                    (
+                        Source::Derived {
+                            inner: Box::new(inner),
+                            filters,
+                        },
+                        columns,
+                    )
+                }
+            }
+        } else {
+            let md = self.deployment.metadata();
+            let table = md.table_id(&query.from)?;
+            (
+                Source::Scan {
+                    table,
+                    range: outer,
+                },
+                column_names(md.schema(table)?.as_ref()),
+            )
+        };
+        // The one place a WHERE attribute is checked: below here ranges
+        // are bounding boxes, and `Schema::range_checks` rightly skips an
+        // attribute one join side lacks.
+        for p in &query.predicates {
+            if !columns.contains(&p.attr) {
+                return Err(Error::Plan(format!(
+                    "unknown column `{}` in predicate",
+                    p.attr
+                )));
+            }
+        }
+        Ok(BoundSelect {
+            source,
+            columns,
+            select: query.select.clone(),
+            group_by: query.group_by.clone(),
+            order_by: query.order_by.clone(),
+            limit: query.limit,
+        })
+    }
+
+    /// Bind `left_name JOIN join.table ON join.on` restricted to `range`.
+    fn bind_join(
+        &self,
+        catalog: &Catalog,
+        left_name: &str,
+        join: &JoinClause,
+        range: Option<BoundingBox>,
+    ) -> Result<(Source, Vec<String>)> {
+        if catalog.get(left_name).is_some() || catalog.get(&join.table).is_some() {
+            return Err(Error::Plan(
+                "join inputs must be base tables; layer a non-join view on top instead".into(),
+            ));
         }
         let md = self.deployment.metadata();
-        if let Some(join) = &query.join {
-            let attrs: Vec<&str> = join.on.iter().map(|s| s.as_str()).collect();
-            let (Ok(left), Ok(right)) = (md.table_id(&query.from), md.table_id(&join.table)) else {
-                return 0.0;
-            };
-            return match self.planner.predict_join(md, left, right, &attrs) {
-                Ok(plan) => plan.choice.ij_total.min(plan.choice.gh_total),
-                Err(_) => 0.0,
-            };
+        let left = md.table_id(left_name)?;
+        let right = md.table_id(&join.table)?;
+        let (lschema, rschema) = (md.schema(left)?, md.schema(right)?);
+        let attrs: Vec<&str> = join.on.iter().map(String::as_str).collect();
+        for attr in &attrs {
+            lschema.require(attr)?;
+            rschema.require(attr)?;
         }
-        let view = self.catalog.load().get(&query.from).cloned();
-        if let Some(view) = view {
-            return self.predict_query_secs(&view.query, depth + 1);
-        }
-        match md.table_id(&query.from) {
-            Ok(table) => self.predict_table_scan_secs(table),
-            Err(_) => 0.0,
+        let columns = column_names(&lschema.join(&rschema, &attrs)?);
+        let source = Source::Join {
+            left,
+            right,
+            on: join.on.clone(),
+            range,
+        };
+        Ok((source, columns))
+    }
+
+    /// Predicted execution cost of a bound source in seconds — the signal
+    /// cost-aware admission classifies with. Joins take the cheaper of
+    /// the planner's two QES totals (estimate-only); a derived view costs
+    /// what its definition costs; base scans are bytes over aggregate
+    /// storage-disk read bandwidth.
+    fn source_secs(&self, source: &Source) -> f64 {
+        match source {
+            Source::Scan { table, .. } => self.table_scan_secs(*table),
+            Source::Join {
+                left, right, on, ..
+            } => {
+                let attrs: Vec<&str> = on.iter().map(String::as_str).collect();
+                self.planner
+                    .estimate_join(self.deployment.metadata(), *left, *right, &attrs)
+                    .map_or(0.0, |plan| plan.choice.ij_total.min(plan.choice.gh_total))
+            }
+            Source::Derived { inner, .. } => self.source_secs(&inner.source),
         }
     }
 
-    fn predict_table_scan_secs(&self, table: TableId) -> f64 {
+    fn table_scan_secs(&self, table: TableId) -> f64 {
         let md = self.deployment.metadata();
         let (Ok(records), Ok(schema)) = (md.total_records(table), md.schema(table)) else {
             return 0.0;
@@ -431,135 +642,38 @@ impl QueryEngine {
         bytes / (spec.disk_read_bw * spec.n_storage.max(1) as f64)
     }
 
-    /// [`QueryEngine::predict_cost_secs`] for a federated chunk scan:
-    /// the whole-table scan cost scaled by the fraction of chunks this
-    /// spec touches.
-    pub fn predict_scan_spec_secs(&self, spec: &ScanSpec) -> f64 {
-        let md = self.deployment.metadata();
-        let Ok(all) = md.all_chunks(spec.table) else {
-            return 0.0;
-        };
-        if all.is_empty() {
-            return 0.0;
-        }
-        let fraction = spec.chunks.len() as f64 / all.len() as f64;
-        self.predict_table_scan_secs(spec.table) * fraction
-    }
-
-    fn create_view(&self, view: ViewDef) -> Result<()> {
-        let md = self.deployment.metadata();
-        let q = &view.query;
-        // Validate the FROM clause against the current snapshot: either
-        // a base table or an existing view (DDSs layer on BDSs or other
-        // DDSs). Validation never blocks readers or writers.
-        let snapshot = self.catalog.load();
-        let from_is_view = snapshot.get(&q.from).is_some();
-        if !from_is_view {
-            md.table_id(&q.from)?;
-        }
-        if let Some(join) = &q.join {
-            if from_is_view || snapshot.get(&join.table).is_some() {
-                return Err(Error::Plan(
-                    "join inputs must be base tables; layer a non-join view on top instead".into(),
-                ));
-            }
-            let left = md.table_id(&q.from)?;
-            let right = md.table_id(&join.table)?;
-            let lschema = md.schema(left)?;
-            let rschema = md.schema(right)?;
-            for attr in &join.on {
-                lschema.require(attr)?;
-                rschema.require(attr)?;
-            }
-        }
+    /// Register a view. Its defining query must bind against the current
+    /// snapshot — FROM is a base table or an existing view (DDSs layer on
+    /// BDSs or other DDSs), join inputs are base tables sharing the join
+    /// attributes. Validation never blocks readers or writers.
+    fn create_view(&self, view: &ViewDef) -> Result<()> {
+        self.bind(&view.query, &self.catalog.load(), 1)?;
         // `register` re-checks for duplicates inside the serialized
         // publish, so two concurrent CREATE VIEWs of the same name race
         // safely: one epoch wins, the other gets the duplicate error
         // and publishes nothing.
         self.catalog
-            .try_publish_with(|catalog| catalog.register(view))
+            .try_publish_with(|catalog| catalog.register(view.clone()))
             .map(|_| ())
-    }
-
-    /// Materialize the FROM (+ JOIN) part of `query` with its predicates
-    /// applied, resolving views recursively.
-    fn resolve_source(
-        &self,
-        query: &Query,
-        cancel: &CancelToken,
-        trace: Option<TraceId>,
-    ) -> Result<(Vec<String>, Vec<Record>, Option<PlanExplain>)> {
-        let range = predicates_to_bbox(&query.predicates);
-        if let Some(join) = &query.join {
-            return self.run_join(&query.from, &join.table, &join.on, range, cancel, trace);
-        }
-        // Resolve against the current snapshot; the epoch stays valid
-        // across the (potentially long, blocking) execution below even
-        // if concurrent DDL publishes newer catalogs meanwhile.
-        let view = self.catalog.load().get(&query.from).cloned();
-        if let Some(view) = view {
-            if view.query.is_plain_join() {
-                // Pushable DDS: merge the view's baked-in predicates with
-                // the outer ones and run the distributed join directly.
-                let view_range = predicates_to_bbox(&view.query.predicates);
-                let combined = match (view_range, range) {
-                    (Some(a), Some(b)) => Some(a.intersect(&b)),
-                    (a, b) => a.or(b),
-                };
-                let Some(join) = view.query.join.as_ref() else {
-                    return Err(Error::Plan(
-                        "view classified as plain join has no join clause".into(),
-                    ));
-                };
-                return self.run_join(
-                    &view.query.from,
-                    &join.table,
-                    &join.on,
-                    combined,
-                    cancel,
-                    trace,
-                );
-            }
-            // General DDS (projection/aggregation view, possibly over
-            // another DDS): materialize it, then post-filter by the outer
-            // predicates on its *output* columns.
-            let inner = self.select(&view.query, cancel, trace)?;
-            let rows = filter_rows(&inner.columns, inner.rows, &query.predicates)?;
-            return Ok((inner.columns, rows, inner.explain));
-        }
-        // Basic Data Source scan with R-tree range pushdown.
-        let table = self.deployment.metadata().table_id(&query.from)?;
-        let (schema, rows) = scan_cancellable(&self.deployment, table, range.as_ref(), cancel)?;
-        Ok((column_names(&schema), rows, None))
     }
 
     /// Run a distributed join between two base tables, letting the QPS
     /// pick the QES.
     fn run_join(
         &self,
-        left_name: &str,
-        right_name: &str,
+        left: TableId,
+        right: TableId,
         on: &[String],
-        range: Option<orv_types::BoundingBox>,
-        cancel: &CancelToken,
-        trace: Option<TraceId>,
-    ) -> Result<(Vec<String>, Vec<Record>, Option<PlanExplain>)> {
-        {
-            let catalog = self.catalog.load();
-            if catalog.get(left_name).is_some() || catalog.get(right_name).is_some() {
-                return Err(Error::Plan(
-                    "join inputs must be base tables; layer a non-join view on top instead".into(),
-                ));
-            }
-        }
+        range: Option<BoundingBox>,
+        request: &Request,
+    ) -> Result<(Vec<Record>, Option<PlanExplain>)> {
         let md = self.deployment.metadata();
-        let left = md.table_id(left_name)?;
-        let right = md.table_id(right_name)?;
+        let cancel = &request.cancel;
         let attrs: Vec<&str> = on.iter().map(|s| s.as_str()).collect();
-        let trace_field = move || {
+        let trace_field = || {
             (
                 "trace",
-                match trace {
+                match request.parent {
                     Some(t) => t.into(),
                     None => JsonValue::Null,
                 },
@@ -581,8 +695,8 @@ impl QueryEngine {
                 ("forced", self.force.is_some().into()),
                 ("ij_total_secs", plan.choice.ij_total.into()),
                 ("gh_total_secs", plan.choice.gh_total.into()),
-                ("left", left_name.into()),
-                ("right", right_name.into()),
+                ("left", md.table_name(left).unwrap_or_default().into()),
+                ("right", md.table_name(right).unwrap_or_default().into()),
                 trace_field(),
             ]
         });
@@ -667,31 +781,42 @@ impl QueryEngine {
         drop(_exec);
         md.publish_into(&self.obs.metrics);
         self.cache.publish_into(&self.obs.metrics);
-        let joined_schema = md.schema(left)?.join(md.schema(right)?.as_ref(), &attrs)?;
         let mut rows = output.records.ok_or_else(|| {
             Error::Plan("join output missing records despite collect_results".into())
         })?;
         rows.sort_by(|a, b| a.values().cmp(b.values()));
-        Ok((column_names(&joined_schema), rows, Some(plan)))
+        Ok((rows, Some(plan)))
     }
 
-    fn select(
-        &self,
-        query: &Query,
-        cancel: &CancelToken,
-        trace: Option<TraceId>,
-    ) -> Result<QueryResult> {
-        let has_agg = query
+    fn select(&self, bound: &BoundSelect, request: &Request) -> Result<QueryResult> {
+        let has_agg = bound
             .select
             .iter()
             .any(|i| matches!(i, SelectItem::Aggregate(..)));
-        let (columns, rows, explain) = self.resolve_source(query, cancel, trace)?;
-        let rowset: RowSet = if has_agg || !query.group_by.is_empty() {
-            aggregate(&columns, rows, &query.select, &query.group_by)?
-        } else {
-            project(&columns, rows, &query.select)?
+        let (rows, explain) = match &bound.source {
+            Source::Scan { table, range } => {
+                let (_, rows) =
+                    scan_cancellable(&self.deployment, *table, range.as_ref(), &request.cancel)?;
+                (rows, None)
+            }
+            Source::Join {
+                left,
+                right,
+                on,
+                range,
+            } => self.run_join(*left, *right, on, range.clone(), request)?,
+            Source::Derived { inner, filters } => {
+                let inner = self.select(inner, request)?;
+                let rows = filter_rows(&inner.columns, inner.rows, filters)?;
+                (rows, inner.explain)
+            }
         };
-        let rowset = order_and_limit(rowset, &query.order_by, query.limit)?;
+        let rowset: RowSet = if has_agg || !bound.group_by.is_empty() {
+            aggregate(&bound.columns, rows, &bound.select, &bound.group_by)?
+        } else {
+            project(&bound.columns, rows, &bound.select)?
+        };
+        let rowset = order_and_limit(rowset, &bound.order_by, bound.limit)?;
         Ok(QueryResult {
             columns: rowset.columns,
             rows: rowset.rows,
@@ -700,6 +825,22 @@ impl QueryEngine {
             checksum: None,
         })
     }
+}
+
+/// The column names `bound` outputs — what [`project`] / [`aggregate`]
+/// will name them — so predicates on a derived view bind to its output.
+fn output_columns(bound: &BoundSelect) -> Vec<String> {
+    let mut names = Vec::new();
+    for item in &bound.select {
+        match item {
+            SelectItem::All => names.extend(bound.columns.iter().cloned()),
+            SelectItem::Column(name) => names.push(name.clone()),
+            SelectItem::Aggregate(f, arg) => {
+                names.push(format!("{}({})", f.name(), arg.as_deref().unwrap_or("*")))
+            }
+        }
+    }
+    names
 }
 
 #[cfg(test)]
@@ -1060,10 +1201,59 @@ mod tests {
         let e = engine();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let err = e
-            .execute_cancellable("SELECT * FROM t1 JOIN t2 ON (x, y, z)", &cancel)
-            .unwrap_err();
+        let prepared = e.prepare("SELECT * FROM t1 JOIN t2 ON (x, y, z)").unwrap();
+        let err = e.run(&prepared, &cancel.into()).unwrap_err();
         assert!(matches!(err, Error::Cancelled), "{err}");
+    }
+
+    #[test]
+    fn misrouted_chunk_scan_is_refused() {
+        let placement = Placement::new(3, 1, 7).unwrap();
+        let e = engine().with_shard(0).with_placement(placement);
+        let table = e.deployment().metadata().table_id("t1").unwrap();
+        let chunks = e.deployment().metadata().all_chunks(table).unwrap();
+        let (own, foreign): (Vec<ChunkId>, Vec<ChunkId>) = chunks
+            .iter()
+            .partition(|&&chunk| placement.owns(0, SubTableId { table, chunk }));
+        assert!(!own.is_empty() && !foreign.is_empty(), "seed splits t1");
+        let sealed = e
+            .run(
+                &Prepared::chunk_scan(table, None, own.clone(), 0.0),
+                &Request::default(),
+            )
+            .unwrap();
+        assert_eq!(sealed.chunk_runs.unwrap().len(), own.len());
+        assert_eq!(sealed.checksum, Some(rows_checksum(&sealed.rows)));
+        // One chunk this shard does not own poisons the whole sub-query.
+        let mut mixed = own;
+        mixed.push(foreign[0]);
+        let err = e
+            .run(
+                &Prepared::chunk_scan(table, None, mixed, 0.0),
+                &Request::default(),
+            )
+            .unwrap_err();
+        assert!(matches!(err, Error::Plan(_)), "{err}");
+        assert!(err.to_string().contains("misrouted sub-query"), "{err}");
+    }
+
+    #[test]
+    fn views_nested_past_the_depth_cap_are_refused_at_creation() {
+        let e = engine();
+        e.execute("CREATE VIEW d0 AS SELECT x, oilp FROM t1")
+            .unwrap();
+        for depth in 1..MAX_VIEW_DEPTH {
+            let sql = format!("CREATE VIEW d{depth} AS SELECT x, oilp FROM d{}", depth - 1);
+            e.execute(&sql).unwrap();
+        }
+        let deepest = MAX_VIEW_DEPTH - 1;
+        let r = e.execute(&format!("SELECT * FROM d{deepest}")).unwrap();
+        assert_eq!(r.rows.len(), 64);
+        let err = e
+            .execute(&format!("CREATE VIEW too_deep AS SELECT x FROM d{deepest}"))
+            .unwrap_err();
+        assert!(matches!(err, Error::Plan(_)), "{err}");
+        assert!(e.catalog().get("too_deep").is_none());
     }
 
     #[test]

@@ -5,11 +5,16 @@
 //! production deployment would: `N` [`QueryService`] instances each own a
 //! slice of the chunk catalog under **replicated placement** (every chunk
 //! lives on `R >= 2` distinct shards, assigned by rendezvous hashing —
-//! [`orv_metadata::Placement`]), and a [`FederatedService`] router plans
-//! each query, consults the MetaData Service's R-tree for the chunks its
-//! range touches, fans sub-queries out to owning shards, and merges the
-//! partial results (re-aggregation for COUNT/SUM/AVG/MIN/MAX, in-order
-//! concatenation with dedup-by-chunk for scans).
+//! [`orv_metadata::Placement`]), and a [`FederatedService`] router binds
+//! each statement once ([`QueryEngine::prepare`]) and routes on what it
+//! bound to. A `CREATE VIEW` is broadcast; a join or view read is shipped
+//! whole — the same [`Prepared`], cloned — to one healthy shard; a
+//! base-table scan consults the MetaData Service's R-tree for the chunks
+//! its range touches, fans chunk-scan `Prepared`s out to owning shards,
+//! and merges the partial results (re-aggregation for
+//! COUNT/SUM/AVG/MIN/MAX, in-order concatenation with dedup-by-chunk for
+//! scans). Shards never see SQL text: they queue and run what the router
+//! bound ([`QueryService::submit_prepared`]).
 //!
 //! Robustness machinery, all deterministic under seeded fault plans:
 //!
@@ -56,11 +61,10 @@
 //! single-pass value in the last floating-point bits (see
 //! [`Accumulator::merge`](crate::agg::Accumulator::merge)).
 
-use crate::ast::{predicates_to_bbox, Query, SelectItem, Statement};
-use crate::engine::{QueryEngine, QueryResult, ScanSpec};
-use crate::exec::{column_names, merge_aggregate, order_and_limit, project, rows_checksum, RowSet};
+use crate::ast::SelectItem;
+use crate::engine::{BoundSelect, Plan, Prepared, QueryEngine, QueryResult, Request, Source};
+use crate::exec::{merge_aggregate, order_and_limit, project, rows_checksum, RowSet};
 use crate::overload::BrownoutState;
-use crate::parser::parse_statement;
 use crate::service::{QueryService, QueryTicket, ServiceConfig};
 use orv_bds::Deployment;
 use orv_cluster::{
@@ -70,7 +74,7 @@ use orv_metadata::Placement;
 use orv_obs::{
     names, FlightRecorder, JsonValue, Obs, QueryTrace, Stopwatch, TraceId, TraceOutcome,
 };
-use orv_types::{ChunkId, Error, Record, Result, SubTableId};
+use orv_types::{BoundingBox, ChunkId, Error, Record, Result, SubTableId, TableId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -419,14 +423,19 @@ impl FederatedService {
             .unwrap_or(BrownoutState::Normal)
     }
 
-    /// The token a sub-query hop runs under: the root budget shrunk by
-    /// one `hop_margin` when the root carries a deadline, a plain
-    /// cancellable token otherwise. Budgets are monotone non-increasing
-    /// across hops by construction ([`DeadlineBudget::shrink`]).
-    fn hop_token(&self, cancel: &CancelToken) -> CancelToken {
-        match DeadlineBudget::from_token(cancel) {
+    /// The request a sub-query hop runs under: the root's trace as
+    /// parent, and the root budget shrunk by one `hop_margin` when the
+    /// root carries a deadline (a plain cancellable token otherwise).
+    /// Budgets are monotone non-increasing across hops by construction
+    /// ([`DeadlineBudget::shrink`]).
+    fn hop(&self, root: &Request) -> Request {
+        let cancel = match DeadlineBudget::from_token(&root.cancel) {
             Some(budget) => budget.shrink(self.cfg.hop_margin).token(),
             None => CancelToken::new(),
+        };
+        Request {
+            cancel,
+            parent: root.parent,
         }
     }
 
@@ -490,29 +499,34 @@ impl FederatedService {
             Some(d) => CancelToken::with_deadline(d),
             None => CancelToken::new(),
         };
-        self.execute_with_token(sql, &cancel)
+        self.execute_request(sql, &cancel.into())
     }
 
-    /// [`FederatedService::execute`] under a caller-owned token: the
-    /// token gates the router loop, and unwinding cancels every
+    /// [`FederatedService::execute`] under a caller-owned [`Request`]:
+    /// its token gates the router loop, and unwinding cancels every
     /// still-flying sub-query.
     ///
-    /// A root [`TraceId`] is minted here and propagated into every shard
-    /// sub-query, so the whole fan-out stitches into one span tree; the
-    /// completed trace lands in [`FederatedService::recorder`].
-    pub fn execute_with_token(&self, sql: &str, cancel: &CancelToken) -> Result<FederatedResponse> {
+    /// A root [`TraceId`] is minted here (under `request.parent`, if any)
+    /// and propagated into every shard sub-query, so the whole fan-out
+    /// stitches into one span tree; the completed trace lands in
+    /// [`FederatedService::recorder`].
+    pub fn execute_request(&self, sql: &str, request: &Request) -> Result<FederatedResponse> {
         let born = Stopwatch::start();
         let trace = TraceId::mint();
         self.obs.events.emit(names::TRACE_BEGIN, || {
             vec![
                 ("trace", trace.into()),
-                ("parent", JsonValue::Null),
+                ("parent", request.parent.map_or(JsonValue::Null, Into::into)),
                 ("group", "fed".into()),
                 ("detail", sql.into()),
             ]
         });
         let mut tb = TraceBuild::default();
-        let out = self.execute_traced(sql, cancel, trace, &mut tb);
+        let root = Request {
+            cancel: request.cancel.clone(),
+            parent: Some(trace),
+        };
+        let out = self.route(sql, &root, &mut tb);
         let outcome = match &out {
             Ok(FederatedResponse::Complete(_)) => TraceOutcome::Ok,
             Ok(FederatedResponse::Partial(_)) => TraceOutcome::Partial,
@@ -533,7 +547,7 @@ impl FederatedService {
         });
         self.recorder.record(QueryTrace {
             trace,
-            parent: None,
+            parent: request.parent,
             group: "fed".into(),
             detail: sql.to_string(),
             outcome,
@@ -544,48 +558,41 @@ impl FederatedService {
         out
     }
 
-    fn execute_traced(
-        &self,
-        sql: &str,
-        cancel: &CancelToken,
-        trace: TraceId,
-        tb: &mut TraceBuild,
-    ) -> Result<FederatedResponse> {
+    /// Bind `sql` once and decide, from what it bound to, how it
+    /// crosses the federation. Any shard engine can bind: they share one
+    /// deployment, and views are broadcast to every catalog.
+    fn route(&self, sql: &str, root: &Request, tb: &mut TraceBuild) -> Result<FederatedResponse> {
+        let cancel = &root.cancel;
         cancel.check()?;
-        match parse_statement(sql)? {
-            Statement::CreateView(_) => {
+        let prepared = self.shards[0].engine().prepare(sql)?;
+        match &prepared.plan {
+            Plan::CreateView(_) => {
                 // Views live in each shard engine's catalog; broadcast so
                 // any replica can serve view queries. A mid-broadcast
                 // failure leaves earlier shards registered — re-issuing
                 // the CREATE VIEW converges (duplicates error per shard,
                 // which we surface as-is).
                 for svc in &self.shards {
-                    let ticket = svc.submit_traced(sql, self.hop_token(cancel), trace)?;
+                    let ticket = svc.submit_prepared(prepared.clone(), self.hop(root))?;
                     let outcome = ticket.wait_cancellable(cancel);
                     tb.children.extend(ticket.trace());
                     outcome?;
                 }
-                Ok(FederatedResponse::Complete(QueryResult {
-                    columns: Vec::new(),
-                    rows: Vec::new(),
-                    explain: None,
-                    chunk_runs: None,
-                    checksum: None,
-                }))
+                Ok(FederatedResponse::Complete(QueryResult::empty()))
             }
-            Statement::Select(query) => {
-                let from_is_view = self.shards[0].engine().catalog().get(&query.from).is_some();
-                if query.join.is_some() || from_is_view {
-                    // Joins and view reads are not chunk-decomposable at
-                    // this layer (the join QES already distributes its own
-                    // work); route the whole statement to one healthy
-                    // replica with retry/failover.
-                    return self
-                        .route_whole(sql, cancel, trace, tb)
-                        .map(FederatedResponse::Complete);
-                }
-                self.scan_federated(&query, cancel, trace, tb)
-            }
+            Plan::Select(
+                select @ BoundSelect {
+                    source: Source::Scan { table, range },
+                    ..
+                },
+            ) => self.scan_federated(prepared.predicted_secs, select, *table, range, root, tb),
+            // Joins and view reads are not chunk-decomposable at this
+            // layer (the join QES already distributes its own work);
+            // route the whole statement to one healthy replica with
+            // retry/failover.
+            _ => self
+                .route_whole(&prepared, root, tb)
+                .map(FederatedResponse::Complete),
         }
     }
 
@@ -593,11 +600,11 @@ impl FederatedService {
     /// first, never the same shard twice, up to `max_attempts`.
     fn route_whole(
         &self,
-        sql: &str,
-        cancel: &CancelToken,
-        trace: TraceId,
+        prepared: &Prepared,
+        root: &Request,
         tb: &mut TraceBuild,
     ) -> Result<QueryResult> {
+        let cancel = &root.cancel;
         let n = self.shards.len();
         let mut tried = vec![false; n];
         let mut last_err = Error::Cluster("federation has no shards".into());
@@ -610,7 +617,7 @@ impl FederatedService {
             tried[shard] = true;
             self.bump(names::FED_SUBQUERIES, 1);
             let outcome = self.shards[shard]
-                .submit_traced(sql, self.hop_token(cancel), trace)
+                .submit_prepared(prepared.clone(), self.hop(root))
                 .and_then(|t| {
                     let outcome = t.wait_cancellable(cancel);
                     tb.children.extend(t.trace());
@@ -666,29 +673,38 @@ impl FederatedService {
             .copied()
     }
 
-    /// The chunk fan-out path for base-table SELECTs.
+    /// The chunk fan-out path for base-table SELECTs: `query` reads
+    /// `table` restricted to `range`, predicted to cost `table_secs`.
     fn scan_federated(
         &self,
-        query: &Query,
-        cancel: &CancelToken,
-        trace: TraceId,
+        table_secs: f64,
+        query: &BoundSelect,
+        table: TableId,
+        range: &Option<BoundingBox>,
+        root: &Request,
         tb: &mut TraceBuild,
     ) -> Result<FederatedResponse> {
+        let cancel = &root.cancel;
         let md = self.deployment.metadata();
-        let table = md.table_id(&query.from)?;
-        let range = predicates_to_bbox(&query.predicates);
         // Same R-tree consultation (and chunk order) as a single engine's
         // scan, so a complete merge is byte-identical to the oracle.
-        let chunks = match &range {
+        let all = md.all_chunks(table)?;
+        let table_chunks = all.len();
+        let chunks = match range {
             Some(rg) => md.find_chunks(table, rg)?,
-            None => md.all_chunks(table)?,
+            None => all,
+        };
+        // One sub-query: these chunks, costed as their share of the
+        // whole-table scan the statement was bound to.
+        let sub_query = |chunks: &[ChunkId]| {
+            let share = chunks.len() as f64 / table_chunks.max(1) as f64;
+            Prepared::chunk_scan(table, range.clone(), chunks.to_vec(), table_secs * share)
         };
 
         let mut tried: HashMap<ChunkId, Vec<usize>> = HashMap::new();
         let mut filled: HashMap<ChunkId, Vec<Record>> = HashMap::new();
         let mut unassigned: Vec<ChunkId> = chunks.clone();
         let mut missing: Vec<ChunkId> = Vec::new();
-        let mut scan_columns: Option<Vec<String>> = None;
         let mut flights = Flights(Vec::new());
 
         loop {
@@ -716,16 +732,8 @@ impl FederatedService {
                     }
                 }
                 for (shard, group) in groups {
-                    match self.dispatch(
-                        &mut flights,
-                        shard,
-                        group.clone(),
-                        table,
-                        &range,
-                        false,
-                        trace,
-                        cancel,
-                    ) {
+                    let job = sub_query(&group);
+                    match self.dispatch(&mut flights, shard, group.clone(), job, false, root) {
                         Ok(()) => {}
                         Err(e) if e.retry_after_ms().is_some() => {
                             // The shard's admission control rejected the
@@ -809,16 +817,8 @@ impl FederatedService {
                     }
                 }
                 for (shard, group) in groups {
-                    match self.dispatch(
-                        &mut flights,
-                        shard,
-                        group,
-                        table,
-                        &range,
-                        true,
-                        trace,
-                        cancel,
-                    ) {
+                    let job = sub_query(&group);
+                    match self.dispatch(&mut flights, shard, group, job, true, root) {
                         Ok(()) => self.bump(names::FED_HEDGES, 1),
                         // A hedge refused by admission control is simply
                         // dropped — the original flight still covers the
@@ -836,9 +836,7 @@ impl FederatedService {
                 // result became observable, so this is always present.
                 tb.children.extend(flight.ticket.trace());
                 // A response that fails re-verification is a failed shard.
-                let outcome = outcome.and_then(|result| {
-                    self.absorb(&flight, result, &mut filled, &mut scan_columns)
-                });
+                let outcome = outcome.and_then(|result| self.absorb(&flight, result, &mut filled));
                 match outcome {
                     Ok(()) => {}
                     Err(e) if e.is_cancellation() && cancel.check().is_err() => return Err(e),
@@ -867,7 +865,7 @@ impl FederatedService {
                     missing_chunks: missing.len(),
                     detail: format!(
                         "table `{}` chunks {:?} lost all replicas",
-                        query.from,
+                        md.table_name(table)?,
                         missing.iter().map(|c| c.0).collect::<Vec<_>>()
                     ),
                 });
@@ -878,17 +876,14 @@ impl FederatedService {
         // order a single engine scans in — so a complete federated scan
         // is byte-identical to the oracle.
         let merge_sw = Stopwatch::start();
-        let columns = match scan_columns {
-            Some(c) => c,
-            None => column_names(md.schema(table)?.as_ref()),
-        };
+        let columns = &query.columns;
         let has_agg = query
             .select
             .iter()
             .any(|i| matches!(i, SelectItem::Aggregate(..)));
         let rowset: RowSet = if has_agg || !query.group_by.is_empty() {
             let parts: Vec<Vec<Record>> = chunks.iter().filter_map(|c| filled.remove(c)).collect();
-            merge_aggregate(&columns, parts, &query.select, &query.group_by)?
+            merge_aggregate(columns, parts, &query.select, &query.group_by)?
         } else {
             let mut rows = Vec::new();
             for c in &chunks {
@@ -896,15 +891,13 @@ impl FederatedService {
                     rows.extend(r);
                 }
             }
-            project(&columns, rows, &query.select)?
+            project(columns, rows, &query.select)?
         };
         let rowset = order_and_limit(rowset, &query.order_by, query.limit)?;
         let result = QueryResult {
             columns: rowset.columns,
             rows: rowset.rows,
-            explain: None,
-            chunk_runs: None,
-            checksum: None,
+            ..QueryResult::empty()
         };
         let merge_secs = merge_sw.elapsed_secs();
         self.obs
@@ -924,28 +917,20 @@ impl FederatedService {
         }
     }
 
-    /// Submit one chunk group to one shard as a [`ScanSpec`] sub-query
-    /// carrying the root query's trace ID and one hop's slice of the
-    /// root's deadline budget.
-    #[allow(clippy::too_many_arguments)]
+    /// Submit `job`, the chunk-scan [`Prepared`] over `chunks`, to one
+    /// shard, carrying the root query's trace ID and one hop's slice of
+    /// the root's deadline budget.
     fn dispatch(
         &self,
         flights: &mut Flights,
         shard: usize,
         chunks: Vec<ChunkId>,
-        table: orv_types::TableId,
-        range: &Option<orv_types::BoundingBox>,
+        job: Prepared,
         is_hedge: bool,
-        trace: TraceId,
-        cancel: &CancelToken,
+        root: &Request,
     ) -> Result<()> {
         self.bump(names::FED_SUBQUERIES, 1);
-        let spec = ScanSpec {
-            table,
-            range: range.clone(),
-            chunks: chunks.clone(),
-        };
-        let ticket = self.shards[shard].submit_scan_traced(spec, self.hop_token(cancel), trace)?;
+        let ticket = self.shards[shard].submit_prepared(job, self.hop(root))?;
         flights.0.push(Flight {
             shard,
             chunks,
@@ -1001,7 +986,6 @@ impl FederatedService {
         flight: &Flight,
         result: QueryResult,
         filled: &mut HashMap<ChunkId, Vec<Record>>,
-        scan_columns: &mut Option<Vec<String>>,
     ) -> Result<()> {
         if result.checksum != Some(rows_checksum(&result.rows)) {
             return Err(Error::Integrity(format!(
@@ -1022,9 +1006,6 @@ impl FederatedService {
         }
         if won && flight.is_hedge {
             self.bump(names::FED_HEDGE_WINS, 1);
-        }
-        if scan_columns.is_none() {
-            *scan_columns = Some(result.columns);
         }
         Ok(())
     }
@@ -1105,15 +1086,14 @@ mod tests {
         // A real shard-sealed sub-response, as the router receives it.
         let sealed = || {
             let mut flights = Flights(Vec::new());
+            let job = Prepared::chunk_scan(table, None, chunks.clone(), 0.0);
             fed.dispatch(
                 &mut flights,
                 0,
                 chunks.clone(),
-                table,
-                &None,
+                job,
                 false,
-                TraceId::mint(),
-                &CancelToken::none(),
+                &Request::default(),
             )
             .unwrap();
             let flight = flights.0.pop().unwrap();
@@ -1146,14 +1126,12 @@ mod tests {
                 counter(names::FED_FAILOVERS),
             );
             let mut filled = HashMap::new();
-            let (mut columns, mut unassigned, mut missing) = (None, Vec::new(), Vec::new());
+            let (mut unassigned, mut missing) = (Vec::new(), Vec::new());
             // The two steps the routing loop takes on a resolved flight.
-            let err = fed
-                .absorb(&flight, result, &mut filled, &mut columns)
-                .unwrap_err();
+            let err = fed.absorb(&flight, result, &mut filled).unwrap_err();
             fed.fail_over(&flight, &filled, &mut unassigned, &mut missing);
             assert!(matches!(err, Error::Integrity(_)), "{what}: {err}");
-            assert!(filled.is_empty() && columns.is_none(), "{what}: merged");
+            assert!(filled.is_empty(), "{what}: merged");
             assert_eq!(counter(names::FED_SHARD_ERRORS), errors + 1, "{what}");
             assert_eq!(counter(names::FED_FAILOVERS), failovers + 1, "{what}");
             assert_eq!(unassigned, chunks, "{what}: every chunk re-routes");
@@ -1162,12 +1140,10 @@ mod tests {
         // The same response untouched is merged, chunk by chunk.
         let (flight, result) = sealed();
         let (n_rows, errors) = (result.rows.len(), counter(names::FED_SHARD_ERRORS));
-        let (mut filled, mut columns) = (HashMap::new(), None);
-        fed.absorb(&flight, result, &mut filled, &mut columns)
-            .unwrap();
+        let mut filled = HashMap::new();
+        fed.absorb(&flight, result, &mut filled).unwrap();
         assert_eq!(filled.len(), chunks.len());
         assert_eq!(filled.values().map(Vec::len).sum::<usize>(), n_rows);
-        assert!(columns.is_some());
         assert_eq!(counter(names::FED_SHARD_ERRORS), errors);
     }
 
@@ -1177,7 +1153,8 @@ mod tests {
         fed.execute("CREATE VIEW v1 AS SELECT * FROM t1 JOIN t2 ON (x, y, z)")
             .unwrap();
         for i in 0..fed.num_shards() {
-            assert!(fed.shard(i).engine().catalog().get("v1").is_some());
+            let catalog = fed.shard(i).engine().catalog();
+            assert!(catalog.get("v1").is_some(), "shard {i}");
         }
         let got = fed.execute("SELECT COUNT(*) FROM v1").unwrap();
         let single = QueryEngine::new(deployment());
@@ -1186,6 +1163,70 @@ mod tests {
             .unwrap();
         let want = single.execute("SELECT COUNT(*) FROM v1").unwrap();
         assert_eq!(got.into_result().rows, want.rows);
+    }
+
+    #[test]
+    fn view_read_bound_once_is_served_with_shard_zero_dead() {
+        // The router binds on shard 0's *engine* — a function call on the
+        // caller's thread — and ships the `Prepared`; shard 0's *service*
+        // being dead only costs a failover.
+        let obs = Obs::enabled();
+        let plan = FaultPlan {
+            shard_deaths: vec![ShardDeathSpec {
+                shard: 0,
+                // The CREATE VIEW broadcast is shard 0's first job.
+                after_subqueries: 1,
+            }],
+            max_faults: 8,
+            ..FaultPlan::none()
+        };
+        let faults = FaultInjector::new_with_events(plan, obs.events.clone());
+        let fed = FederatedService::with_instruments(
+            deployment(),
+            FederationConfig::default(),
+            obs.clone(),
+            Some(faults),
+        )
+        .unwrap();
+        let view = "CREATE VIEW v1 AS SELECT * FROM t1 JOIN t2 ON (x, y, z)";
+        fed.execute(view).unwrap();
+        let read = "SELECT x, COUNT(*) FROM v1 WHERE y >= 2 GROUP BY x ORDER BY x";
+        let got = fed.execute(read).unwrap();
+        assert!(got.is_complete());
+        let single = QueryEngine::new(deployment());
+        single.execute(view).unwrap();
+        assert_eq!(got.result().rows, single.execute(read).unwrap().rows);
+        let snap = obs.metrics.snapshot();
+        assert!(
+            snap.counters.get(names::FED_FAILOVERS).copied() >= Some(1),
+            "shard 0 is first in line and dead: {:?}",
+            snap.counters
+        );
+
+        // What traces print is what they always printed: the statement
+        // for SQL jobs, table id and chunk count for chunk scans.
+        fed.execute("SELECT * FROM t1 WHERE x IN [0, 3]").unwrap();
+        let traces = fed.recorder().slowest();
+        let root = |sql: &str| {
+            traces
+                .iter()
+                .find(|t| t.detail == sql)
+                .unwrap_or_else(|| panic!("no root trace for {sql}"))
+        };
+        assert!(root(view).children.iter().all(|c| c.detail == view));
+        assert_eq!(root(view).children.len(), fed.num_shards());
+        assert!(root(read).children.iter().all(|c| c.detail == read));
+        let table = fed.deployment.metadata().table_id("t1").unwrap();
+        let scans = &root("SELECT * FROM t1 WHERE x IN [0, 3]").children;
+        assert!(!scans.is_empty());
+        for child in scans {
+            let n = child
+                .detail
+                .strip_prefix(&format!("scan table {} (", table.0))
+                .and_then(|rest| rest.strip_suffix(" chunks)"))
+                .unwrap_or_else(|| panic!("chunk-scan detail: {}", child.detail));
+            assert!(n.parse::<usize>().unwrap() >= 1);
+        }
     }
 
     #[test]
@@ -1379,8 +1420,8 @@ mod tests {
     fn hop_tokens_shrink_the_deadline_budget_monotonically() {
         let fed = FederatedService::new(deployment(), FederationConfig::default()).unwrap();
         let root = CancelToken::with_deadline(Duration::from_secs(10));
-        let hop1 = fed.hop_token(&root);
-        let hop2 = fed.hop_token(&hop1);
+        let hop1 = fed.hop(&root.clone().into()).cancel;
+        let hop2 = fed.hop(&hop1.clone().into()).cancel;
         let d0 = DeadlineBudget::from_token(&root).unwrap().hard_deadline();
         let d1 = DeadlineBudget::from_token(&hop1).unwrap().hard_deadline();
         let d2 = DeadlineBudget::from_token(&hop2).unwrap().hard_deadline();
@@ -1389,7 +1430,7 @@ mod tests {
         assert_eq!(d0 - d1, fed.cfg.hop_margin);
         // A root without a deadline fans out plain cancellable tokens —
         // no budget is invented where none was requested.
-        let free = fed.hop_token(&CancelToken::new());
+        let free = fed.hop(&Request::default()).cancel;
         assert!(DeadlineBudget::from_token(&free).is_none());
         assert!(free.check().is_ok());
     }

@@ -42,7 +42,7 @@ pub mod plan;
 pub mod service;
 
 pub use ast::{AggFunc, JoinClause, Query, RangePred, SelectItem, Statement, ViewDef};
-pub use engine::{algorithm_slug, Catalog, QueryEngine, QueryResult, ScanSpec};
+pub use engine::{algorithm_slug, Catalog, Prepared, QueryEngine, QueryResult, Request};
 pub use federation::{FederatedResponse, FederatedService, FederationConfig, PartialResult};
 pub use overload::{
     BrownoutController, BrownoutState, BrownoutTransition, CostClass, OverloadConfig,

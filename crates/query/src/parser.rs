@@ -261,9 +261,13 @@ impl Parser {
         }
         let op = self.next()?;
         let n = self.number()?;
+        // Ranges are closed, so a strict bound is the neighbouring
+        // representable value.
         Ok(match op {
-            Token::Le | Token::Lt => RangePred::between(attr, f64::NEG_INFINITY, n),
-            Token::Ge | Token::Gt => RangePred::between(attr, n, f64::INFINITY),
+            Token::Le => RangePred::between(attr, f64::NEG_INFINITY, n),
+            Token::Lt => RangePred::between(attr, f64::NEG_INFINITY, n.next_down()),
+            Token::Ge => RangePred::between(attr, n, f64::INFINITY),
+            Token::Gt => RangePred::between(attr, n.next_up(), f64::INFINITY),
             Token::Eq => RangePred::between(attr, n, n),
             other => {
                 return Err(Error::Parse(format!(
@@ -354,6 +358,38 @@ mod tests {
             RangePred::between("x", f64::NEG_INFINITY, 10.0)
         );
         assert_eq!(q.predicates[2], RangePred::between("y", 3.0, 3.0));
+    }
+
+    #[test]
+    fn strict_comparisons_exclude_their_bound() {
+        let pred = |sql: &str| {
+            let Statement::Select(q) = parse_statement(sql).unwrap() else {
+                panic!()
+            };
+            q.predicates[0].clone()
+        };
+        let inf = f64::INFINITY;
+        assert_eq!(
+            pred("SELECT * FROM t WHERE x >= 30"),
+            RangePred::between("x", 30.0, inf)
+        );
+        assert_eq!(
+            pred("SELECT * FROM t WHERE x <= 30"),
+            RangePred::between("x", -inf, 30.0)
+        );
+        assert_eq!(
+            pred("SELECT * FROM t WHERE x = 30"),
+            RangePred::between("x", 30.0, 30.0)
+        );
+        let gt = pred("SELECT * FROM t WHERE x > 30");
+        assert_eq!((gt.lo, gt.hi), (30.0f64.next_up(), inf));
+        assert!(gt.lo > 30.0 && gt.lo < 30.000001);
+        let lt = pred("SELECT * FROM t WHERE x < 1");
+        assert_eq!((lt.lo, lt.hi), (-inf, 1.0f64.next_down()));
+        assert!(lt.hi < 1.0 && lt.hi > 0.999999);
+        // Zero's neighbours are the subnormals, not zero itself.
+        assert!(pred("SELECT * FROM t WHERE x > 0").lo > 0.0);
+        assert!(pred("SELECT * FROM t WHERE x < 0").hi < 0.0);
     }
 
     #[test]

@@ -63,94 +63,34 @@ impl Planner {
         &self.spec
     }
 
-    /// Extract dataset cost parameters for `left ⊕ right` on `join_attrs`
-    /// from the MetaData service (building and persisting the join index
-    /// if absent).
-    pub fn dataset_params(
-        &self,
-        md: &MetadataService,
-        left: TableId,
-        right: TableId,
-        join_attrs: &[&str],
-    ) -> Result<CostParams> {
-        let t = md.total_records(left)? as f64;
-        let chunks_l = md.all_chunks(left)?.len().max(1) as f64;
-        let chunks_r = md.all_chunks(right)?.len().max(1) as f64;
-        let n_e = match md.get_join_index(left, right, join_attrs) {
-            Some(pairs) => pairs.len() as f64,
-            None => {
-                let g = ConnectivityGraph::build(md, left, right, join_attrs, None)?;
-                let edges: Vec<_> = g.edges().collect();
-                let n = edges.len() as f64;
-                md.put_join_index(left, right, join_attrs, edges);
-                n
-            }
-        };
-        Ok(CostParams {
-            t,
-            c_r: t / chunks_l,
-            c_s: md.total_records(right)? as f64 / chunks_r,
-            n_e,
-            rs_r: md.schema(left)?.record_size() as f64,
-            rs_s: md.schema(right)?.record_size() as f64,
-        })
-    }
-
-    /// Like [`Planner::dataset_params`], but guaranteed cheap: when the
-    /// join index has not been built yet, `n_e` is *estimated* as the
-    /// aligned 1:1 case (one edge per chunk of the larger side) instead
-    /// of building the connectivity graph. Admission-time cost
-    /// prediction uses this so classifying a query never costs more
-    /// than a few metadata lookups.
+    /// Dataset cost parameters for `left ⊕ right` on `join_attrs`, from
+    /// metadata lookups alone: when no join index is stored for the pair,
+    /// `n_e` is the aligned 1:1 estimate (one edge per chunk of the side
+    /// with more chunks) and nothing is built or persisted.
     pub fn estimate_params(
-        &self,
         md: &MetadataService,
         left: TableId,
         right: TableId,
         join_attrs: &[&str],
     ) -> Result<CostParams> {
-        let t = md.total_records(left)? as f64;
-        let chunks_l = md.all_chunks(left)?.len().max(1) as f64;
-        let chunks_r = md.all_chunks(right)?.len().max(1) as f64;
-        let n_e = match md.get_join_index(left, right, join_attrs) {
-            Some(pairs) => pairs.len() as f64,
-            None => chunks_l.max(chunks_r),
-        };
-        Ok(CostParams {
-            t,
-            c_r: t / chunks_l,
-            c_s: md.total_records(right)? as f64 / chunks_r,
-            n_e,
-            rs_r: md.schema(left)?.record_size() as f64,
-            rs_s: md.schema(right)?.record_size() as f64,
-        })
+        cost_params(md, left, right, join_attrs, IndexAbsent::Estimate)
     }
 
-    /// [`Planner::plan_join`] on [`Planner::estimate_params`]: the same
-    /// model comparison, but never builds (or persists) the join index.
-    pub fn predict_join(
+    /// [`Planner::plan_join`] over [`Planner::estimate_params`]: the same
+    /// model comparison without ever building the join index. Binding
+    /// costs a statement with this, so admission stays metadata-only.
+    pub fn estimate_join(
         &self,
         md: &MetadataService,
         left: TableId,
         right: TableId,
         join_attrs: &[&str],
     ) -> Result<PlanExplain> {
-        let dataset = self.estimate_params(md, left, right, join_attrs)?;
-        let system = SystemParams::from_cluster(&self.spec, self.gamma_build, self.gamma_lookup);
-        let choice = choose_algorithm(&dataset, &system)?;
-        Ok(PlanExplain {
-            algorithm: if choice.indexed_join {
-                JoinAlgorithm::IndexedJoin
-            } else {
-                JoinAlgorithm::GraceHash
-            },
-            choice,
-            dataset,
-            system,
-        })
+        self.plan(md, left, right, join_attrs, IndexAbsent::Estimate)
     }
 
-    /// Full planning: choose IJ or GH for the join view.
+    /// Full planning: choose IJ or GH for the join view, building and
+    /// persisting the page-level join index if it is not stored yet.
     pub fn plan_join(
         &self,
         md: &MetadataService,
@@ -158,7 +98,18 @@ impl Planner {
         right: TableId,
         join_attrs: &[&str],
     ) -> Result<PlanExplain> {
-        let dataset = self.dataset_params(md, left, right, join_attrs)?;
+        self.plan(md, left, right, join_attrs, IndexAbsent::Build)
+    }
+
+    fn plan(
+        &self,
+        md: &MetadataService,
+        left: TableId,
+        right: TableId,
+        join_attrs: &[&str],
+        absent: IndexAbsent,
+    ) -> Result<PlanExplain> {
+        let dataset = cost_params(md, left, right, join_attrs, absent)?;
         let system = SystemParams::from_cluster(&self.spec, self.gamma_build, self.gamma_lookup);
         let choice = choose_algorithm(&dataset, &system)?;
         Ok(PlanExplain {
@@ -172,6 +123,48 @@ impl Planner {
             system,
         })
     }
+}
+
+/// Where `n_e` comes from when the MetaData Service holds no join index
+/// for the pair.
+#[derive(Clone, Copy)]
+enum IndexAbsent {
+    /// Build the connectivity graph and persist its edges.
+    Build,
+    /// `max(m_R, m_S)`: exact for aligned partitions, and free.
+    Estimate,
+}
+
+/// The one "`CostParams` from the catalog".
+fn cost_params(
+    md: &MetadataService,
+    left: TableId,
+    right: TableId,
+    join_attrs: &[&str],
+    absent: IndexAbsent,
+) -> Result<CostParams> {
+    let t = md.total_records(left)? as f64;
+    let chunks_l = md.all_chunks(left)?.len().max(1) as f64;
+    let chunks_r = md.all_chunks(right)?.len().max(1) as f64;
+    let n_e = match (md.get_join_index(left, right, join_attrs), absent) {
+        (Some(pairs), _) => pairs.len() as f64,
+        (None, IndexAbsent::Estimate) => chunks_l.max(chunks_r),
+        (None, IndexAbsent::Build) => {
+            let g = ConnectivityGraph::build(md, left, right, join_attrs, None)?;
+            let edges: Vec<_> = g.edges().collect();
+            let n = edges.len() as f64;
+            md.put_join_index(left, right, join_attrs, edges);
+            n
+        }
+    };
+    Ok(CostParams {
+        t,
+        c_r: t / chunks_l,
+        c_s: md.total_records(right)? as f64 / chunks_r,
+        n_e,
+        rs_r: md.schema(left)?.record_size() as f64,
+        rs_s: md.schema(right)?.record_size() as f64,
+    })
 }
 
 #[cfg(test)]
@@ -209,8 +202,9 @@ mod tests {
         let (d, t1, t2) = deploy([4, 4, 4], [4, 4, 4]);
         let planner = Planner::new(ClusterSpec::paper_testbed(2, 2));
         let p = planner
-            .dataset_params(d.metadata(), t1, t2, &["x", "y", "z"])
-            .unwrap();
+            .plan_join(d.metadata(), t1, t2, &["x", "y", "z"])
+            .unwrap()
+            .dataset;
         assert_eq!(p.t, 1024.0);
         assert_eq!(p.c_r, 64.0);
         assert_eq!(p.c_s, 64.0);
@@ -228,23 +222,16 @@ mod tests {
         let (d, t1, t2) = deploy([4, 4, 4], [4, 4, 4]);
         let planner = Planner::new(ClusterSpec::paper_testbed(2, 2));
         let md = d.metadata();
-        let est = planner
-            .estimate_params(md, t1, t2, &["x", "y", "z"])
-            .unwrap();
+        let est = Planner::estimate_params(md, t1, t2, &["x", "y", "z"]).unwrap();
         assert_eq!(est.n_e, 16.0, "aligned estimate: one edge per chunk");
         assert!(
             md.get_join_index(t1, t2, &["x", "y", "z"]).is_none(),
             "estimation must not persist an index"
         );
         // Once the index exists, the estimate uses the exact edge count.
-        planner
-            .dataset_params(md, t1, t2, &["x", "y", "z"])
-            .unwrap();
-        let exact = planner
-            .estimate_params(md, t1, t2, &["x", "y", "z"])
-            .unwrap();
-        assert_eq!(exact.n_e, 16.0);
-        assert!(planner.predict_join(md, t1, t2, &["x", "y", "z"]).is_ok());
+        planner.plan_join(md, t1, t2, &["x", "y", "z"]).unwrap();
+        let exact = planner.estimate_join(md, t1, t2, &["x", "y", "z"]).unwrap();
+        assert_eq!(exact.dataset.n_e, 16.0);
     }
 
     #[test]
@@ -278,7 +265,10 @@ mod tests {
         let (d, t1, t2) = deploy([16, 16, 1], [4, 4, 4]);
         let md = d.metadata();
         let base = Planner::new(ClusterSpec::paper_testbed(2, 2));
-        let p = base.dataset_params(md, t1, t2, &["x", "y", "z"]).unwrap();
+        let p = base
+            .plan_join(md, t1, t2, &["x", "y", "z"])
+            .unwrap()
+            .dataset;
         assert!(p.n_e > p.m_s(), "mismatched partitions should add edges");
         // With free CPU, IJ always wins; with absurdly expensive lookups,
         // GH wins.

@@ -2,7 +2,10 @@
 //!
 //! The paper's QPS mediates queries from *many* clients over shared
 //! BDS/DDS sub-tables; [`QueryService`] is that layer. It wraps one
-//! [`QueryEngine`] (whose entry points all take `&self`) with:
+//! [`QueryEngine`] (whose entry points all take `&self`). A statement is
+//! bound once at submit ([`QueryEngine::prepare`]); what waits in the
+//! queue is the [`Prepared`], and a worker hands it to
+//! [`QueryEngine::run`]. Around that, the service adds:
 //!
 //! - a **bounded worker pool** — `workers` OS threads draining a
 //!   two-class queue, so concurrency is capped no matter how many
@@ -11,8 +14,8 @@
 //!   wait; submissions past the cap are rejected immediately with a
 //!   typed [`Error::Overloaded`] (carrying a `retry_after_ms` hint),
 //!   never silently dropped or unboundedly queued. Each submission is
-//!   classified against the §5 cost models
-//!   ([`QueryEngine::predict_cost_secs`]): predicted-cheap queries take
+//!   classified by the §5 cost already on its `Prepared`
+//!   ([`Prepared::predicted_secs`]): predicted-cheap queries take
 //!   a **fast lane** past the FIFO, and under pressure the
 //!   [`BrownoutController`] sheds predicted-expensive work first;
 //! - **per-query cancellation + deadline** — every admitted query gets a
@@ -34,7 +37,7 @@
 //! admitted  == completed + cancelled + shed (once all tickets resolve)
 //! ```
 
-use crate::engine::{QueryEngine, QueryResult, ScanSpec};
+use crate::engine::{Prepared, QueryEngine, QueryResult, Request};
 use crate::overload::{BrownoutController, BrownoutTransition, CostClass, OverloadConfig};
 use orv_cluster::{CancelToken, WaitBudget, SLEEP_SLICE};
 use orv_obs::{names, FlightRecorder, JsonValue, QueryTrace, Stopwatch, TraceId, TraceOutcome};
@@ -159,15 +162,11 @@ struct TraceCtx {
     admission_secs: f64,
 }
 
-/// What one queued job executes: a SQL statement (the client path) or a
-/// pre-planned chunk scan (the federation router's sub-query path).
-enum Task {
-    Sql(String),
-    Scan(ScanSpec),
-}
-
 struct Job {
-    task: Task,
+    /// What to run — or why the statement did not bind: such a query is
+    /// still admitted and resolves through its ticket like any other
+    /// failed query, so the counters balance the same way.
+    work: Result<Prepared>,
     cancel: CancelToken,
     slot: Arc<Slot>,
     trace: TraceCtx,
@@ -384,16 +383,17 @@ impl Inner {
             // The shard checkpoint gates every job this engine serves:
             // an injected shard death/slowdown hits here.
             let exec = Stopwatch::start();
-            let result = match self.engine.shard_checkpoint(&job.cancel) {
-                Ok(()) => match &job.task {
-                    Task::Sql(sql) => {
-                        self.engine
-                            .execute_traced(sql, &job.cancel, Some(job.trace.id))
-                    }
-                    Task::Scan(spec) => self.engine.execute_scan_spec(spec, &job.cancel),
-                },
-                Err(e) => Err(e),
-            };
+            let result = self
+                .engine
+                .shard_checkpoint(&job.cancel)
+                .and(job.work)
+                .and_then(|prepared| {
+                    let request = Request {
+                        cancel: job.cancel.clone(),
+                        parent: Some(job.trace.id),
+                    };
+                    self.engine.run(&prepared, &request)
+                });
             let exec_secs = exec.elapsed_secs();
             metrics.record_latency(names::LAT_EXEC, exec_secs);
             let phases = vec![
@@ -596,64 +596,42 @@ impl QueryService {
         &self.inner.controller
     }
 
-    /// Submit one statement, stamping the configured default deadline.
+    /// Bind and submit one statement, stamping the configured default
+    /// deadline. A statement that does not parse or bind is still
+    /// admitted; its ticket resolves with the typed error.
     pub fn submit(&self, sql: &str) -> Result<QueryTicket> {
         let cancel = match self.inner.cfg.default_deadline {
             Some(d) => CancelToken::with_deadline(d),
             None => CancelToken::new(),
         };
-        self.submit_with_token(sql, cancel)
+        // Binding is part of admission: the clock starts before it.
+        let born = Stopwatch::start();
+        let work = self.inner.engine.prepare(sql);
+        self.enqueue(born, sql.to_string(), work, cancel.into())
     }
 
-    /// Submit with a caller-owned token (compose cancellation across
-    /// several queries, or attach a custom deadline).
-    pub fn submit_with_token(&self, sql: &str, cancel: CancelToken) -> Result<QueryTicket> {
-        self.submit_task(Task::Sql(sql.to_string()), cancel, None)
+    /// Submit a bound statement under a caller-owned [`Request`]: its
+    /// token composes cancellation across several queries or carries a
+    /// custom deadline; with a `parent`, the minted trace records it and
+    /// the query's latency stays out of `lat/total_secs` (its root
+    /// already accounts for it). Same queue, admission control and
+    /// cancellation whatever the `Prepared` holds — the federation
+    /// router's chunk scans come through here too.
+    pub fn submit_prepared(&self, prepared: Prepared, request: Request) -> Result<QueryTicket> {
+        let born = Stopwatch::start();
+        self.enqueue(born, prepared.detail.clone(), Ok(prepared), request)
     }
 
-    /// [`QueryService::submit_with_token`] as a sub-query of `parent`:
-    /// the minted trace ID records the parent, and the query's latency
-    /// stays out of `lat/total_secs` (its root already accounts for it).
-    pub fn submit_traced(
+    fn enqueue(
         &self,
-        sql: &str,
-        cancel: CancelToken,
-        parent: TraceId,
-    ) -> Result<QueryTicket> {
-        self.submit_task(Task::Sql(sql.to_string()), cancel, Some(parent))
-    }
-
-    /// Submit a pre-planned chunk scan (the federation router's sub-query
-    /// path): same queue, admission control and cancellation as SQL.
-    pub fn submit_scan(&self, spec: ScanSpec, cancel: CancelToken) -> Result<QueryTicket> {
-        self.submit_task(Task::Scan(spec), cancel, None)
-    }
-
-    /// [`QueryService::submit_scan`] as a sub-query of `parent`.
-    pub fn submit_scan_traced(
-        &self,
-        spec: ScanSpec,
-        cancel: CancelToken,
-        parent: TraceId,
-    ) -> Result<QueryTicket> {
-        self.submit_task(Task::Scan(spec), cancel, Some(parent))
-    }
-
-    fn submit_task(
-        &self,
-        task: Task,
-        cancel: CancelToken,
-        parent: Option<TraceId>,
+        born: Stopwatch,
+        detail: String,
+        work: Result<Prepared>,
+        request: Request,
     ) -> Result<QueryTicket> {
         let inner = &self.inner;
-        let born = Stopwatch::start();
+        let Request { cancel, parent } = request;
         let id = TraceId::mint();
-        let detail = match &task {
-            Task::Sql(sql) => sql.clone(),
-            Task::Scan(spec) => {
-                format!("scan table {} ({} chunks)", spec.table.0, spec.chunks.len())
-            }
-        };
         inner.engine.obs().events.emit(names::TRACE_BEGIN, || {
             vec![
                 ("trace", id.into()),
@@ -669,12 +647,9 @@ impl QueryService {
             ]
         });
         inner.count(&inner.submitted, names::SERVICE_SUBMITTED);
-        // Classify against the §5 cost models before taking the queue
-        // lock — prediction is metadata-only but not free.
-        let predicted_secs = match &task {
-            Task::Sql(sql) => inner.engine.predict_cost_secs(sql),
-            Task::Scan(spec) => inner.engine.predict_scan_spec_secs(spec),
-        };
+        // Classify by the §5 cost bound into the statement; one that did
+        // not bind predicts zero and fails fast at a worker.
+        let predicted_secs = work.as_ref().map_or(0.0, Prepared::predicted_secs);
         let class = inner.cfg.overload.classify(predicted_secs);
         let slot = Slot::new();
         let transition = {
@@ -728,7 +703,7 @@ impl QueryService {
                 .metrics
                 .record_latency(names::LAT_ADMISSION, admission_secs);
             let job = Job {
-                task,
+                work,
                 cancel: cancel.clone(),
                 slot: Arc::clone(&slot),
                 trace: TraceCtx {

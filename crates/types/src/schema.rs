@@ -114,7 +114,10 @@ impl Schema {
     /// Resolve `range` against this schema: `(column index, interval)`
     /// checks for the bounded attributes the schema has. Attributes the
     /// box bounds but the schema lacks are unconstrained — they never
-    /// exclude a row.
+    /// exclude a row: a join's range is pushed into both sides, and
+    /// `wp IN [..]` must not empty the side that has no `wp`. Whether an
+    /// attribute exists at all is checked once, when the statement is
+    /// bound (`orv_query::QueryEngine::prepare`), not here.
     pub fn range_checks(&self, range: &BoundingBox) -> Vec<(usize, Interval)> {
         range
             .bounded_attrs()

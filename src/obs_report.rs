@@ -27,6 +27,7 @@ use orv_costmodel::{
 };
 use orv_join::{grace_hash_join, indexed_join, GraceHashConfig, IndexedJoinConfig, JoinOutput};
 use orv_obs::{JsonValue, Obs, ObsReport, PhaseRow, RunReport};
+use orv_query::Planner;
 use orv_types::Result;
 use std::collections::BTreeMap;
 
@@ -41,31 +42,18 @@ pub struct JoinObservation {
     pub obs: Obs,
 }
 
-/// Cost-model dataset parameters for a generated table pair. `n_e` comes
-/// from the persisted page-level join index when available (an IJ run
-/// stores it), falling back to `max(m_R, m_S)` — exact for the aligned
-/// partitions the generator produces.
+/// Cost-model dataset parameters for a generated table pair — the
+/// planner's metadata-only estimate: `n_e` comes from the persisted
+/// page-level join index when available (an IJ run stores it), falling
+/// back to `max(m_R, m_S)`, exact for the aligned partitions the
+/// generator produces.
 pub fn dataset_params(
     deployment: &Deployment,
     left: &DatasetHandle,
     right: &DatasetHandle,
     join_attrs: &[&str],
-) -> CostParams {
-    let mut d = CostParams {
-        t: left.total_tuples() as f64,
-        c_r: left.tuples_per_chunk() as f64,
-        c_s: right.tuples_per_chunk() as f64,
-        n_e: 0.0,
-        rs_r: left.record_size() as f64,
-        rs_s: right.record_size() as f64,
-    };
-    d.n_e = deployment
-        .metadata()
-        .get_join_index(left.table, right.table, join_attrs)
-        .map(|p| p.len() as f64)
-        .unwrap_or_else(|| d.m_r().max(d.m_s()))
-        .max(1.0);
-    d
+) -> Result<CostParams> {
+    Planner::estimate_params(deployment.metadata(), left.table, right.table, join_attrs)
 }
 
 /// System parameters describing *this host* the way `orv-bench` models it:
@@ -154,7 +142,7 @@ pub fn observe_indexed_join(
         ..Default::default()
     };
     let output = indexed_join(deployment, left.table, right.table, join_attrs, &cfg)?;
-    let d = dataset_params(deployment, left, right, join_attrs);
+    let d = dataset_params(deployment, left, right, join_attrs)?;
     let model = IndexedJoinModel::evaluate(&d, sys)?;
     let by_group = obs.spans.group_leaf_totals();
     let phase = |name: &str, predicted: f64, leaves: &[&str]| PhaseRow {
@@ -198,7 +186,7 @@ pub fn observe_grace_hash(
         ..Default::default()
     };
     let output = grace_hash_join(deployment, left.table, right.table, join_attrs, &cfg)?;
-    let d = dataset_params(deployment, left, right, join_attrs);
+    let d = dataset_params(deployment, left, right, join_attrs)?;
     let model = GraceHashModel::evaluate(&d, sys)?;
     let by_group = obs.spans.group_leaf_totals();
     let report = RunReport {

@@ -87,3 +87,51 @@ fn measured_phases_track_wall_time_order_of_magnitude() {
         );
     }
 }
+
+/// `dataset_params` is the planner's estimate, and on the generator's
+/// aligned partitions that equals the closed form computed from the
+/// dataset handles — before an IJ run stores the join index and after.
+#[test]
+fn dataset_params_match_the_handles_closed_form() {
+    use orv::bds::{generate_dataset, DatasetSpec, Deployment};
+    use orv::costmodel::CostParams;
+    use orv::join::{indexed_join, IndexedJoinConfig};
+    use orv::obs_report::dataset_params;
+
+    let cfg = ReportConfig::default();
+    let d = Deployment::in_memory(cfg.n_storage);
+    let dataset = |name: &str, partition, scalar: &str, seed| {
+        let spec = DatasetSpec::builder(name)
+            .grid(cfg.grid)
+            .partition(partition)
+            .scalar_attrs(&[scalar])
+            .seed(seed)
+            .build();
+        generate_dataset(&spec, &d).unwrap()
+    };
+    let left = dataset("t1", cfg.left_partition, "oilp", 1);
+    let right = dataset("t2", cfg.right_partition, "wp", 2);
+    let attrs = ["x", "y", "z"];
+    let mut want = CostParams {
+        t: left.total_tuples() as f64,
+        c_r: left.tuples_per_chunk() as f64,
+        c_s: right.tuples_per_chunk() as f64,
+        n_e: 0.0,
+        rs_r: left.record_size() as f64,
+        rs_s: right.record_size() as f64,
+    };
+    want.n_e = want.m_r().max(want.m_s());
+    assert_eq!(dataset_params(&d, &left, &right, &attrs).unwrap(), want);
+
+    indexed_join(
+        &d,
+        left.table,
+        right.table,
+        &attrs,
+        &IndexedJoinConfig::default(),
+    )
+    .unwrap();
+    let stored = d.metadata().get_join_index(left.table, right.table, &attrs);
+    want.n_e = stored.expect("IJ persists the index").len() as f64;
+    assert_eq!(dataset_params(&d, &left, &right, &attrs).unwrap(), want);
+}

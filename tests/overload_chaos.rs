@@ -116,7 +116,7 @@ fn run_client(
             QUERY_DEADLINE
         };
         let token = CancelToken::with_deadline(deadline);
-        let outcome = fed.execute_with_token(POOL[idx], &token);
+        let outcome = fed.execute_request(POOL[idx], &token.into());
         issued.fetch_add(1, Ordering::Relaxed);
         match outcome {
             Ok(resp) if resp.is_complete() => {
@@ -426,12 +426,12 @@ fn route_whole_backs_off_on_overload_without_tripping_the_breaker() {
                 .expect("queue filler")
         })
         .collect();
-    // Views route whole; none is registered, but admission rejects
-    // before the catalog is ever consulted, which is exactly the point.
+    // A join routes whole: the router binds it, and every shard's
+    // admission control rejects it before a worker ever sees it.
     let err = fed
-        .execute_with_token(
+        .execute_request(
             "SELECT COUNT(*) FROM t1 JOIN t1 ON (x, y)",
-            &CancelToken::with_deadline(WATCHDOG),
+            &CancelToken::with_deadline(WATCHDOG).into(),
         )
         .expect_err("all shards saturated");
     assert!(matches!(err, Error::Overloaded { .. }), "{err}");
@@ -502,9 +502,9 @@ proptest! {
         .expect("service");
         let tickets: Vec<_> = (0..n)
             .map(|_| {
-                svc.submit_with_token(
-                    "SELECT COUNT(*) FROM t1",
-                    CancelToken::with_deadline(Duration::ZERO),
+                svc.submit_prepared(
+                    svc.engine().prepare("SELECT COUNT(*) FROM t1").expect("binds"),
+                    CancelToken::with_deadline(Duration::ZERO).into(),
                 )
                 .expect("admission is deadline-blind")
             })

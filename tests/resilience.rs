@@ -170,7 +170,9 @@ fn expired_deadline_is_typed_and_cancel_takes_precedence() {
     let token = CancelToken::with_deadline(Duration::ZERO);
     token.cancel();
     let e = engine();
-    let err = e.execute_cancellable(JOIN_SQL, &token).unwrap_err();
+    let err = e
+        .run(&e.prepare(JOIN_SQL).unwrap(), &token.into())
+        .unwrap_err();
     assert!(matches!(err, Error::Cancelled), "{err}");
 }
 

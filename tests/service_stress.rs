@@ -142,9 +142,10 @@ fn stress_round(seed: u64, clients: usize, rounds: usize) {
                         _ => Action::Execute,
                     };
                     let submitted = match action {
-                        Action::TightDeadline => svc.submit_with_token(
-                            POOL[idx],
-                            CancelToken::with_deadline(Duration::from_micros(rng.below(200))),
+                        Action::TightDeadline => svc.submit_prepared(
+                            svc.engine().prepare(POOL[idx]).expect("pool binds"),
+                            CancelToken::with_deadline(Duration::from_micros(rng.below(200)))
+                                .into(),
                         ),
                         _ => svc.submit(POOL[idx]),
                     };
