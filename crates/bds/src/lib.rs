@@ -13,7 +13,8 @@
 //! * [`deployment`] — a set of per-storage-node chunk stores plus the
 //!   shared MetaData service and extractor registry;
 //! * [`service`] — the BDS instance running on each storage node,
-//!   answering sub-table requests for local chunks.
+//!   answering sub-table requests for local chunks, and the
+//!   [`SubTableReader`] every scan and join fetches them through.
 
 pub mod deployment;
 pub mod generator;
@@ -26,4 +27,4 @@ pub use generator::{
     ScalarModel,
 };
 pub use partition::{GridPartition, Region};
-pub use service::BdsService;
+pub use service::{BdsService, SubTableReader};

@@ -1,20 +1,28 @@
-//! The Basic Data Source service instance.
+//! The Basic Data Source service instance, and its one client.
 //!
 //! One `BdsService` runs per storage node. "BDS instances execute on
 //! storage nodes and accept requests for sub-tables corresponding to local
 //! chunks": given a sub-table id `(i, j)`, the instance looks the chunk up
 //! in the MetaData service, verifies locality, reads the chunk bytes from
-//! its node's store, resolves an extractor, and returns the extracted
-//! sub-table. Byte counters feed the run statistics of the threaded
-//! runtime.
+//! its node's store, verifies the page checksum, resolves an extractor,
+//! and returns the extracted sub-table.
+//!
+//! Everything above storage — a base-table scan, the Indexed Join QES, the
+//! Grace Hash QES — asks for a sub-table the same way, through
+//! [`SubTableReader::fetch`]: locate the chunk's home node, read it there
+//! under the execution's [`RecoveryPolicy`] and [`CancelToken`], range-
+//! filter it, and charge the traffic to the caller's [`RunStats`]. The
+//! reader is the only place the engine builds `BdsService` instances, so
+//! fault injection, `bds{n}/read|extract` spans, retries and corruption
+//! accounting reach every read or none.
 
 use crate::deployment::Deployment;
 use orv_chunk::format::ChunkStore;
 use orv_chunk::{ExtractorRegistry, SubTable};
-use orv_cluster::{checksum, ByteCounter, CancelToken, FaultInjector};
+use orv_cluster::{checksum, ByteCounter, CancelToken, FaultInjector, RecoveryPolicy, RunStats};
 use orv_metadata::MetadataService;
-use orv_obs::{names, EventLog, Spans};
-use orv_types::{Error, NodeId, Result, SubTableId};
+use orv_obs::{names, Spans};
+use orv_types::{BoundingBox, Error, NodeId, Result, SubTableId};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -29,45 +37,23 @@ pub struct BdsService {
     chunk_reads: Arc<std::sync::atomic::AtomicU64>,
     faults: Arc<FaultInjector>,
     spans: Spans,
-    events: EventLog,
     cancel: CancelToken,
 }
 
 impl BdsService {
-    /// Create the instance for `node` out of a deployment.
-    pub fn new(deployment: &Deployment, node: NodeId) -> Result<Self> {
-        BdsService::with_faults(deployment, node, FaultInjector::disabled())
-    }
-
-    /// Create the instance for `node` with a fault injector attached:
-    /// every chunk read first consults the injector, which may slow it
+    /// The instance for `node`, instrumented with an execution's fault
+    /// injector (every chunk read first consults it: it may slow the read
     /// down, fail it with a transient `Error::Cluster`, or flip a byte of
-    /// a checksummed page so read-side verification has to catch it.
-    pub fn with_faults(
-        deployment: &Deployment,
-        node: NodeId,
-        faults: Arc<FaultInjector>,
-    ) -> Result<Self> {
-        BdsService::with_instruments(
-            deployment,
-            node,
-            faults,
-            Spans::disabled(),
-            EventLog::disabled(),
-            CancelToken::none(),
-        )
-    }
-
-    /// Fully instrumented instance: faults, span collection (each
-    /// `subtable` call records `bds{n}/read` and `bds{n}/extract` spans),
-    /// an event log receiving `corruption_detected` events, and the
-    /// query's cancellation token (checked before every read).
-    pub fn with_instruments(
+    /// a checksummed page so read-side verification has to catch it; its
+    /// event log receives the `corruption_detected` events), span
+    /// collector (each `subtable` call records `bds{n}/read` and
+    /// `bds{n}/extract`) and cancellation token (checked before every
+    /// read).
+    fn with_instruments(
         deployment: &Deployment,
         node: NodeId,
         faults: Arc<FaultInjector>,
         spans: Spans,
-        events: EventLog,
         cancel: CancelToken,
     ) -> Result<Self> {
         Ok(BdsService {
@@ -80,57 +66,42 @@ impl BdsService {
             chunk_reads: deployment.chunk_read_counter(),
             faults,
             spans,
-            events,
             cancel,
         })
     }
 
-    /// One instance per storage node of the deployment.
-    pub fn for_all_nodes(deployment: &Deployment) -> Result<Vec<Arc<BdsService>>> {
-        BdsService::for_all_nodes_with_faults(deployment, FaultInjector::disabled())
-    }
-
-    /// One instance per storage node, all sharing one fault injector (so
-    /// plan budgets apply across the whole execution).
-    pub fn for_all_nodes_with_faults(
-        deployment: &Deployment,
-        faults: Arc<FaultInjector>,
-    ) -> Result<Vec<Arc<BdsService>>> {
-        BdsService::for_all_nodes_with_instruments(
-            deployment,
-            faults,
-            Spans::disabled(),
-            EventLog::disabled(),
-            CancelToken::none(),
-        )
-    }
-
-    /// One instance per storage node, sharing a fault injector, a span
-    /// collector, an event log and a cancellation token.
-    pub fn for_all_nodes_with_instruments(
+    /// One instance per storage node, all sharing the instruments.
+    fn per_node(
         deployment: &Deployment,
         faults: Arc<FaultInjector>,
         spans: Spans,
-        events: EventLog,
         cancel: CancelToken,
-    ) -> Result<Vec<Arc<BdsService>>> {
+    ) -> Result<Vec<BdsService>> {
         (0..deployment.num_storage_nodes())
             .map(|k| {
-                Ok(Arc::new(BdsService::with_instruments(
+                BdsService::with_instruments(
                     deployment,
                     NodeId(k as u32),
                     Arc::clone(&faults),
                     spans.clone(),
-                    events.clone(),
                     cancel.clone(),
-                )?))
+                )
             })
             .collect()
     }
 
-    /// This instance's node.
-    pub fn node(&self) -> NodeId {
-        self.node
+    /// One bare instance per storage node: no faults, no spans, no
+    /// retries. This is what the reference oracle and the benchmark's
+    /// `bds.subtable` rung read through; the engine reads through a
+    /// [`SubTableReader`].
+    pub fn for_all_nodes(deployment: &Deployment) -> Result<Vec<Arc<BdsService>>> {
+        let bare = BdsService::per_node(
+            deployment,
+            FaultInjector::disabled(),
+            Spans::disabled(),
+            CancelToken::none(),
+        )?;
+        Ok(bare.into_iter().map(Arc::new).collect())
     }
 
     /// Produce the sub-table for chunk `id`, which must be local to this
@@ -165,7 +136,7 @@ impl BdsService {
                 }
                 if let Err(e) = checksum::verify(expected, &bytes, format_args!("chunk {id}")) {
                     self.corruptions_detected.add(1);
-                    self.events.emit(names::CORRUPTION_DETECTED, || {
+                    self.faults.events().emit(names::CORRUPTION_DETECTED, || {
                         vec![
                             ("site", "chunk_read".into()),
                             ("what", format!("{id}").into()),
@@ -188,11 +159,84 @@ impl BdsService {
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read.get()
     }
+}
 
-    /// Checksum mismatches this instance caught (each one surfaced as a
-    /// retryable `Error::Integrity`).
+/// The one client of the BDS interface: fetches sub-tables from their home
+/// nodes on behalf of one execution (a scan, an Indexed Join, a Grace Hash
+/// join). Built once per execution from what already travels with it.
+pub struct SubTableReader {
+    metadata: Arc<MetadataService>,
+    services: Vec<BdsService>,
+    recovery: RecoveryPolicy,
+    cancel: CancelToken,
+}
+
+impl SubTableReader {
+    /// A reader over every storage node of `deployment`. All instances
+    /// share the one fault injector (so plan budgets apply across the
+    /// whole execution; its `events()` log receives the
+    /// `corruption_detected` events), span collector and cancellation
+    /// token; every fetch retries under `recovery`.
+    pub fn new(
+        deployment: &Deployment,
+        faults: Arc<FaultInjector>,
+        spans: Spans,
+        recovery: RecoveryPolicy,
+        cancel: CancelToken,
+    ) -> Result<Self> {
+        Ok(SubTableReader {
+            metadata: Arc::clone(deployment.metadata()),
+            services: BdsService::per_node(deployment, faults, spans, cancel.clone())?,
+            recovery,
+            cancel,
+        })
+    }
+
+    /// The MetaData Service the reader locates chunks in.
+    pub fn metadata(&self) -> &MetadataService {
+        &self.metadata
+    }
+
+    /// Fetch sub-table `id` from its home node, keeping only the rows
+    /// inside `range`. The read and the filter are one attempt under the
+    /// recovery policy: an injected or real read error, or a page that
+    /// fails its checksum, is retried with backoff; cancellation (checked
+    /// before every attempt and inside every backoff sleep) is not.
+    /// Retries — also those of a fetch that finally failed — and, on
+    /// success, the chunk's stored size are charged to `stats`.
+    pub fn fetch(
+        &self,
+        id: SubTableId,
+        range: Option<&BoundingBox>,
+        stats: &mut RunStats,
+    ) -> Result<SubTable> {
+        let meta = self.metadata.chunk_meta(id)?;
+        let svc = self.services.get(meta.node.index()).ok_or_else(|| {
+            Error::Cluster(format!(
+                "chunk {id} lives on node {}, which this deployment does not have",
+                meta.node
+            ))
+        })?;
+        let (st, retries) = self.recovery.run_cancellable(&self.cancel, || {
+            let st = svc.subtable(id)?;
+            match range {
+                Some(rg) => st.filter_range(rg),
+                None => Ok(st),
+            }
+        });
+        stats.read_retries += retries;
+        let st = st?;
+        stats.bytes_read_storage += meta.size_bytes();
+        Ok(st)
+    }
+
+    /// Checksum mismatches caught at chunk read across all nodes (each one
+    /// surfaced as a retryable `Error::Integrity`).
     pub fn corruptions_detected(&self) -> u64 {
-        self.corruptions_detected.get()
+        self.services
+            .iter()
+            .map(|svc| svc.corruptions_detected.get())
+            .sum()
     }
 }
 
@@ -246,17 +290,76 @@ mod tests {
             .is_ok());
     }
 
+    fn reader(
+        d: &Deployment,
+        faults: Arc<FaultInjector>,
+        spans: Spans,
+        cancel: CancelToken,
+    ) -> SubTableReader {
+        SubTableReader::new(d, faults, spans, RecoveryPolicy::default(), cancel).unwrap()
+    }
+
+    fn plain_reader(d: &Deployment) -> SubTableReader {
+        reader(
+            d,
+            FaultInjector::disabled(),
+            Spans::disabled(),
+            CancelToken::none(),
+        )
+    }
+
     #[test]
     fn unknown_chunk_errors() {
         let (d, h) = deployed();
-        let svc = BdsService::new(&d, NodeId(0)).unwrap();
-        assert!(svc.subtable(SubTableId::new(h.table.0, 99u32)).is_err());
-        assert!(svc.subtable(SubTableId::new(9u32, 0u32)).is_err());
+        let rd = plain_reader(&d);
+        let mut stats = RunStats::default();
+        assert!(rd
+            .fetch(SubTableId::new(h.table.0, 99u32), None, &mut stats)
+            .is_err());
+        assert!(rd
+            .fetch(SubTableId::new(9u32, 0u32), None, &mut stats)
+            .is_err());
+        assert_eq!(
+            (stats.bytes_read_storage, stats.read_retries),
+            (0, 0),
+            "nothing read, nothing charged"
+        );
+    }
+
+    #[test]
+    fn fetch_finds_the_home_node_filters_and_charges_the_caller() {
+        let (d, h) = deployed();
+        let rd = plain_reader(&d);
+        let mut stats = RunStats::default();
+        let mut total = 0;
+        let mut stored = 0;
+        for c in d.metadata().all_chunks(h.table).unwrap() {
+            let id = SubTableId {
+                table: h.table,
+                chunk: c,
+            };
+            total += rd.fetch(id, None, &mut stats).unwrap().num_rows();
+            stored += d.metadata().chunk_meta(id).unwrap().size_bytes();
+        }
+        assert_eq!(total as u64, h.total_tuples());
+        assert_eq!(stats.bytes_read_storage, stored);
+        assert_eq!(stats.read_retries, 0);
+        // A range keeps the matching rows of the chunk and still charges
+        // the whole stored chunk: that is what was read.
+        let range = BoundingBox::from_dims([("x", orv_types::Interval::new(0.0, 0.0))]);
+        let id = SubTableId::new(h.table.0, 0u32);
+        let mut one = RunStats::default();
+        let st = rd.fetch(id, Some(&range), &mut one).unwrap();
+        assert_eq!(st.num_rows(), 4, "x = 0 plane of a 2x2x2 chunk");
+        assert_eq!(
+            one.bytes_read_storage,
+            d.metadata().chunk_meta(id).unwrap().size_bytes()
+        );
     }
 
     #[test]
     fn injected_read_faults_are_transient_under_retry() {
-        use orv_cluster::{FaultPlan, RecoveryPolicy};
+        use orv_cluster::FaultPlan;
         let (d, h) = deployed();
         let plan = FaultPlan {
             seed: 5,
@@ -265,29 +368,56 @@ mod tests {
             max_faults: 2,
             ..FaultPlan::none()
         };
-        let svc = BdsService::with_faults(&d, NodeId(0), plan.injector()).unwrap();
+        let rd = reader(&d, plan.injector(), Spans::disabled(), CancelToken::none());
         let id = SubTableId::new(h.table.0, 0u32);
         // First two reads are injected failures; the budget then runs dry
         // and the bounded retry succeeds.
-        let (st, retries) = RecoveryPolicy::default().run(|| svc.subtable(id));
+        let mut stats = RunStats::default();
+        let st = rd.fetch(id, None, &mut stats);
         assert_eq!(st.unwrap().num_rows(), 8);
-        assert_eq!(retries, 2);
+        assert_eq!(stats.read_retries, 2);
+    }
+
+    #[test]
+    fn exhausted_policy_returns_the_read_error_and_charges_its_retries() {
+        use orv_cluster::FaultPlan;
+        let (d, h) = deployed();
+        let plan = FaultPlan {
+            seed: 5,
+            read_error_prob: 1.0,
+            max_read_errors: 100,
+            max_faults: 100,
+            ..FaultPlan::none()
+        };
+        let injector = plan.injector();
+        let rd = reader(&d, injector.clone(), Spans::disabled(), CancelToken::none());
+        let mut stats = RunStats::default();
+        let err = rd
+            .fetch(SubTableId::new(h.table.0, 0u32), None, &mut stats)
+            .unwrap_err();
+        assert!(matches!(err, Error::Cluster(_)), "{err}");
+        let attempts = RecoveryPolicy::default().max_attempts as u64;
+        assert_eq!(injector.stats().read_errors, attempts);
+        assert_eq!(stats.read_retries, attempts - 1);
+        assert_eq!(stats.bytes_read_storage, 0, "a failed fetch read nothing");
     }
 
     #[test]
     fn instrumented_service_records_read_and_extract_spans() {
         let (d, h) = deployed();
         let spans = Spans::enabled();
-        let svc = BdsService::with_instruments(
+        let rd = reader(
             &d,
-            NodeId(0),
             FaultInjector::disabled(),
             spans.clone(),
-            EventLog::disabled(),
             CancelToken::none(),
+        );
+        rd.fetch(
+            SubTableId::new(h.table.0, 0u32),
+            None,
+            &mut RunStats::default(),
         )
         .unwrap();
-        svc.subtable(SubTableId::new(h.table.0, 0u32)).unwrap();
         let paths: Vec<String> = spans.records().into_iter().map(|r| r.path).collect();
         assert_eq!(
             paths,
@@ -297,7 +427,8 @@ mod tests {
 
     #[test]
     fn corrupted_page_is_detected_and_recovers_under_retry() {
-        use orv_cluster::{FaultPlan, RecoveryPolicy};
+        use orv_cluster::FaultPlan;
+        use orv_obs::EventLog;
         let (d, h) = deployed();
         let plan = FaultPlan {
             seed: 17,
@@ -308,25 +439,22 @@ mod tests {
         };
         let events = EventLog::enabled();
         let injector = plan.injector_with_events(events.clone());
-        let svc = BdsService::with_instruments(
-            &d,
-            NodeId(0),
-            injector.clone(),
-            Spans::disabled(),
-            events.clone(),
-            CancelToken::none(),
-        )
-        .unwrap();
+        let rd = reader(&d, injector.clone(), Spans::disabled(), CancelToken::none());
         let id = SubTableId::new(h.table.0, 0u32);
-        // First attempt: injected flip, verification must catch it.
-        let err = svc.subtable(id).unwrap_err();
+        // First attempt, straight at the instance: injected flip,
+        // verification must catch it.
+        let err = rd.services[0].subtable(id).unwrap_err();
         assert!(matches!(err, Error::Integrity(_)), "{err}");
         // Under the standard policy the corruption budget drains and the
         // re-read returns verified clean data.
-        let (st, retries) = RecoveryPolicy::default().run(|| svc.subtable(id));
+        let mut stats = RunStats::default();
+        let st = rd.fetch(id, None, &mut stats);
         assert_eq!(st.unwrap().num_rows(), 8);
-        assert_eq!(retries, 1, "one more injected corruption, then clean");
-        assert_eq!(svc.corruptions_detected(), 2);
+        assert_eq!(
+            stats.read_retries, 1,
+            "one more injected corruption, then clean"
+        );
+        assert_eq!(rd.corruptions_detected(), 2);
         assert_eq!(injector.stats().chunk_corruptions, 2);
         // Every injected corruption was detected and logged.
         assert_eq!(events.events_of_kind("corruption_detected").len(), 2);
@@ -336,19 +464,20 @@ mod tests {
     fn cancelled_token_stops_reads() {
         let (d, h) = deployed();
         let cancel = CancelToken::new();
-        let svc = BdsService::with_instruments(
+        let rd = reader(
             &d,
-            NodeId(0),
             FaultInjector::disabled(),
             Spans::disabled(),
-            EventLog::disabled(),
             cancel.clone(),
-        )
-        .unwrap();
+        );
         let id = SubTableId::new(h.table.0, 0u32);
-        assert!(svc.subtable(id).is_ok());
+        let mut stats = RunStats::default();
+        assert!(rd.fetch(id, None, &mut stats).is_ok());
         cancel.cancel();
-        assert!(matches!(svc.subtable(id), Err(Error::Cancelled)));
+        assert!(matches!(
+            rd.fetch(id, None, &mut stats),
+            Err(Error::Cancelled)
+        ));
     }
 
     #[test]

@@ -7,30 +7,9 @@
 //! ```
 
 use orv_bench::{
-    fig4_series, fig5_series, fig6_series, fig7_series, fig8_series, fig9_series, Figure,
+    fig4_series, fig5_series, fig6_series, fig7_series, fig8_series, fig9_series, figures_json,
+    Figure,
 };
-use serde::Serialize;
-
-// Read only through the `Serialize` derive, which rustc's dead-code
-// pass does not count as a use.
-#[allow(dead_code)]
-#[derive(Serialize)]
-struct JsonPoint {
-    x: f64,
-    ij_sim: f64,
-    gh_sim: f64,
-    ij_model: f64,
-    gh_model: f64,
-}
-
-#[allow(dead_code)]
-#[derive(Serialize)]
-struct JsonFigure {
-    id: u32,
-    title: String,
-    x_label: String,
-    points: Vec<JsonPoint>,
-}
 
 fn print_figure(fig: &Figure) {
     println!("\n=== Figure {}: {} ===", fig.id, fig.title);
@@ -119,26 +98,7 @@ fn main() {
         out.push(fig);
     }
     if json {
-        let payload: Vec<JsonFigure> = out
-            .iter()
-            .map(|f| JsonFigure {
-                id: f.id,
-                title: f.title.clone(),
-                x_label: f.x_label.clone(),
-                points: f
-                    .points
-                    .iter()
-                    .map(|p| JsonPoint {
-                        x: p.x,
-                        ij_sim: p.ij_sim,
-                        gh_sim: p.gh_sim,
-                        ij_model: p.ij_model,
-                        gh_model: p.gh_model,
-                    })
-                    .collect(),
-            })
-            .collect();
-        println!("{}", serde_json::to_string_pretty(&payload).unwrap());
+        println!("{}", figures_json(&out));
     } else {
         for fig in &out {
             print_figure(fig);

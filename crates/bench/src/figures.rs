@@ -3,6 +3,7 @@
 use orv_cluster::ClusterSpec;
 use orv_costmodel::{CostParams, GraceHashModel, IndexedJoinModel, SystemParams};
 use orv_join::{simulate_grace_hash, simulate_indexed_join, SimProblem};
+use orv_obs::{obj, JsonValue};
 use orv_types::Result;
 
 /// CPU operations per hash-table insert on the paper testbed (γ1), chosen
@@ -38,6 +39,33 @@ pub struct Figure {
     pub x_label: String,
     /// The series.
     pub points: Vec<Point>,
+}
+
+/// `figs` as one JSON array — what `figures --json` prints: per figure
+/// its `id`, `title`, `x_label` and `points`, each point the five fields
+/// of [`Point`].
+pub fn figures_json(figs: &[Figure]) -> JsonValue {
+    let point = |p: &Point| {
+        obj([
+            ("x", p.x.into()),
+            ("ij_sim", p.ij_sim.into()),
+            ("gh_sim", p.gh_sim.into()),
+            ("ij_model", p.ij_model.into()),
+            ("gh_model", p.gh_model.into()),
+        ])
+    };
+    let figure = |f: &Figure| {
+        obj([
+            ("id", f.id.into()),
+            ("title", f.title.as_str().into()),
+            ("x_label", f.x_label.as_str().into()),
+            (
+                "points",
+                f.points.iter().map(point).collect::<Vec<_>>().into(),
+            ),
+        ])
+    };
+    figs.iter().map(figure).collect::<Vec<_>>().into()
 }
 
 /// The Figure 4 dataset family at an arbitrary scale: partitions
@@ -259,6 +287,35 @@ pub fn ablation_cache_series() -> Result<Figure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_rendering_parses_back_into_the_six_series() {
+        let figs: Vec<Figure> = [
+            fig4_series,
+            fig5_series,
+            fig6_series,
+            fig7_series,
+            fig8_series,
+            fig9_series,
+        ]
+        .iter()
+        .map(|series| series().unwrap())
+        .collect();
+        let text = figures_json(&figs).to_string();
+        let parsed = JsonValue::parse(&text).unwrap();
+        let parsed = parsed.as_array().unwrap();
+        assert_eq!(parsed.len(), 6);
+        for (fig, got) in figs.iter().zip(parsed) {
+            assert_eq!(got.req_u64("id").unwrap(), fig.id as u64);
+            assert_eq!(got.req_str("title").unwrap(), fig.title);
+            let points = got.req("points").unwrap().as_array().unwrap();
+            assert_eq!(points.len(), fig.points.len(), "figure {}", fig.id);
+            for (p, got) in fig.points.iter().zip(points) {
+                assert_eq!(got.req_f64("x").unwrap(), p.x);
+                assert_eq!(got.req_f64("gh_model").unwrap(), p.gh_model);
+            }
+        }
+    }
 
     #[test]
     fn fig4_family_has_paper_properties() {

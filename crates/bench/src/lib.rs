@@ -23,7 +23,7 @@ pub mod runtime_check;
 
 pub use figures::{
     ablation_cache_series, fig4_series, fig5_series, fig6_series, fig7_series, fig8_series,
-    fig9_series, Figure, Point,
+    fig9_series, figures_json, Figure, Point,
 };
 
 use orv_bds::{generate_dataset, DatasetHandle, DatasetSpec, Deployment};

@@ -1,8 +1,7 @@
 //! Cooperative cancellation with an optional deadline.
 //!
 //! A [`CancelToken`] is threaded from `QueryEngine::execute` down through
-//! BDS reads, both join runtimes, throttle sleeps and recovery backoff
-//! waits. Cancellation is *cooperative*: nothing is killed, every loop and
+//! BDS reads, both join runtimes and recovery backoff waits. Cancellation is *cooperative*: nothing is killed, every loop and
 //! every sleep checks the token, so a cancelled or over-deadline query
 //! unwinds promptly (bounded by one [`SLEEP_SLICE`]) through the normal
 //! error path — scratch RAII guards drop, worker threads are joined, and
@@ -13,8 +12,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Longest uninterruptible sleep anywhere in the runtime. Every throttle
-/// wait and recovery backoff sleeps in slices of at most this, checking
+/// Longest uninterruptible sleep anywhere in the runtime. Every recovery
+/// backoff and injected delay sleeps in slices of at most this, checking
 /// the token between slices.
 pub const SLEEP_SLICE: Duration = Duration::from_millis(250);
 

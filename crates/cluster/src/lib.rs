@@ -41,7 +41,7 @@ pub use fault::{
 };
 pub use resource::Resource;
 pub use retry_budget::{RetryBudget, MILLI_PER_TOKEN};
-pub use runtime::{ByteCounter, RunStats, Scratch, ScratchKind, Throttle};
+pub use runtime::{ByteCounter, RunStats, Scratch, ScratchKind};
 pub use sim::{NodeClocks, SimCluster};
 pub use spec::ClusterSpec;
 pub use workers::{all_done, run_workers, WorkerBody, WorkerEnd};

@@ -5,14 +5,11 @@
 //! storage pieces those threads share:
 //!
 //! * [`ByteCounter`] — lock-free counters for bytes moved per link class;
-//! * [`Throttle`] — optional bandwidth pacing, so laptop runs can emulate
-//!   Fast-Ethernet-era ratios when wall-clock realism matters;
 //! * [`Scratch`] — per-compute-node bucket storage for Grace Hash (memory
 //!   or real temp files);
 //! * [`RunStats`] — the full accounting of one join execution, used both
 //!   for reporting and for validating cost-model *inputs* exactly.
 
-use crate::cancel::CancelToken;
 use crate::checksum;
 use orv_types::{Error, Result};
 use parking_lot::Mutex;
@@ -22,7 +19,6 @@ use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A shareable byte counter.
 #[derive(Clone, Default, Debug)]
@@ -43,64 +39,6 @@ impl ByteCounter {
     /// Current total.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Paces an activity to a target bandwidth by sleeping off any surplus.
-///
-/// Threads call [`Throttle::consume`] after moving `n` bytes; the throttle
-/// sleeps long enough that the cumulative rate since construction does not
-/// exceed `bytes_per_sec`. A `None` rate is a no-op.
-pub struct Throttle {
-    start: Instant,
-    bytes: AtomicU64,
-    rate: Option<f64>,
-}
-
-impl Throttle {
-    /// A throttle at `bytes_per_sec`, or unthrottled if `None`.
-    pub fn new(bytes_per_sec: Option<f64>) -> Self {
-        Throttle {
-            start: Instant::now(),
-            bytes: AtomicU64::new(0),
-            rate: bytes_per_sec.filter(|r| r.is_finite() && *r > 0.0),
-        }
-    }
-
-    /// Longest single sleep `consume` will issue; larger surpluses are
-    /// paid off in slices so one call never parks its thread unboundedly
-    /// (and re-checks real elapsed time between slices).
-    const MAX_SLEEP_SLICE: Duration = Duration::from_millis(250);
-
-    /// Account `n` bytes, sleeping if ahead of the allowed rate.
-    pub fn consume(&self, n: u64) {
-        // An inert token cannot fire, so the error arm is unreachable.
-        let _ = self.consume_cancellable(n, &CancelToken::none());
-    }
-
-    /// [`Throttle::consume`] observing a [`CancelToken`]: the pacing
-    /// sleep is checked every [`Self::MAX_SLEEP_SLICE`], so a cancelled
-    /// query stops paying bandwidth debt within one slice. The bytes are
-    /// accounted either way — they did move.
-    pub fn consume_cancellable(&self, n: u64, cancel: &CancelToken) -> Result<()> {
-        let total = self.bytes.fetch_add(n, Ordering::Relaxed) + n;
-        let Some(rate) = self.rate else {
-            return cancel.check();
-        };
-        let due = total as f64 / rate;
-        let mut elapsed = self.start.elapsed().as_secs_f64();
-        while due > elapsed {
-            cancel.check()?;
-            let wait = Duration::from_secs_f64(due - elapsed).min(Self::MAX_SLEEP_SLICE);
-            cancel.sleep(wait)?;
-            elapsed = self.start.elapsed().as_secs_f64();
-        }
-        cancel.check()
-    }
-
-    /// Bytes consumed so far.
-    pub fn total(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -413,26 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn throttle_unlimited_is_noop() {
-        let t = Throttle::new(None);
-        let start = Instant::now();
-        t.consume(10_000_000);
-        assert!(start.elapsed() < Duration::from_millis(50));
-        assert_eq!(t.total(), 10_000_000);
-    }
-
-    #[test]
-    fn throttle_paces_to_rate() {
-        let t = Throttle::new(Some(1_000_000.0)); // 1 MB/s
-        let start = Instant::now();
-        for _ in 0..10 {
-            t.consume(10_000); // 100 KB total → 0.1s at 1 MB/s
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        assert!(elapsed >= 0.09, "elapsed {elapsed}");
-    }
-
-    #[test]
     fn mem_scratch_roundtrip_and_accounting() {
         let s = Scratch::new(ScratchKind::Memory, "t").unwrap();
         s.append("b0", b"abc").unwrap();
@@ -490,17 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn throttle_sleeps_in_bounded_slices() {
-        // A huge surplus is paid in ≤250 ms slices; pacing still holds.
-        let t = Throttle::new(Some(1_000_000.0)); // 1 MB/s
-        let start = Instant::now();
-        t.consume(300_000); // 0.3 s due → needs at least two slices
-        let elapsed = start.elapsed().as_secs_f64();
-        assert!(elapsed >= 0.28, "elapsed {elapsed}");
-        assert!(elapsed < 1.0, "elapsed {elapsed}");
-    }
-
-    #[test]
     fn scratch_running_crc_matches_contents() {
         for kind in [ScratchKind::Memory, ScratchKind::TempFile] {
             let s = Scratch::new(kind, "crc").unwrap();
@@ -549,30 +456,6 @@ mod tests {
             }
             assert_eq!(s.bytes_written(), 7);
         }
-    }
-
-    #[test]
-    fn throttle_cancel_stops_sleep_within_one_slice() {
-        use crate::cancel::CancelToken;
-        // 100 KB at 1 KB/s would owe 100 s of sleep; cancelling after
-        // 50 ms must end the wait within one 250 ms slice.
-        let t = Throttle::new(Some(1_000.0));
-        let cancel = CancelToken::new();
-        let c = cancel.clone();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            c.cancel();
-        });
-        let start = Instant::now();
-        let err = t.consume_cancellable(100_000, &cancel).unwrap_err();
-        h.join().unwrap();
-        assert!(matches!(err, Error::Cancelled));
-        assert!(
-            start.elapsed() < Duration::from_millis(600),
-            "cancelled throttle slept {:?}",
-            start.elapsed()
-        );
-        assert_eq!(t.total(), 100_000, "bytes accounted despite cancel");
     }
 
     #[test]

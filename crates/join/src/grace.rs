@@ -24,9 +24,10 @@
 
 //! ## Fault tolerance
 //!
-//! Every chunk read, interconnect send, scratch write and scratch
-//! read-back is one attempt closure under the configured
-//! [`RecoveryPolicy`] (`run_cancellable`, the only retry loop here):
+//! Every chunk read goes through the execution's [`SubTableReader`], and
+//! every interconnect send, scratch write and scratch read-back is one
+//! attempt closure under the same configured [`RecoveryPolicy`]
+//! (`run_cancellable`, the only retry loop in either):
 //! injected read/write faults, dropped messages and checksum-detected
 //! corruptions are retried with fresh draws and backoff, and an exhausted
 //! policy surfaces the underlying error. Storage and compute node threads
@@ -39,7 +40,7 @@
 //! within a bounded deadline rather than a hang.
 
 use crate::hash_join::{gather_key_bits, is_float, HashJoiner, JoinCounters};
-use orv_bds::{BdsService, Deployment};
+use orv_bds::{Deployment, SubTableReader};
 use orv_chunk::SubTable;
 use orv_cluster::{
     all_done, checksum, run_workers, CancelToken, FaultInjector, RecoveryPolicy, RunStats, Scratch,
@@ -47,7 +48,8 @@ use orv_cluster::{
 };
 use orv_obs::{names, Obs};
 use orv_types::{
-    BoundingBox, ColumnBatch, ColumnData, Error, Record, Result, Schema, SubTableId, TableId,
+    BoundingBox, ColumnBatch, ColumnData, Error, NodeId, Record, Result, Schema, SubTableId,
+    TableId,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -457,11 +459,11 @@ pub fn grace_hash_join(
     let n_buckets = bucket_count(total_bytes, cfg.n_compute, cfg.mem_per_node);
 
     let injector = cfg.faults.clone().unwrap_or_else(FaultInjector::disabled);
-    let services = BdsService::for_all_nodes_with_instruments(
+    let reader = SubTableReader::new(
         deployment,
         Arc::clone(&injector),
         cfg.obs.spans.clone(),
-        injector.events().clone(),
+        cfg.recovery,
         cfg.cancel.clone(),
     )?;
     let counters = JoinCounters::new();
@@ -480,10 +482,9 @@ pub fn grace_hash_join(
     let mut workers: Vec<(String, WorkerBody<'_, RunStats>)> = Vec::new();
 
     // --- Storage-node QES instances: scan local chunks, route records.
-    for svc in &services {
-        let node = svc.node();
+    for node in (0..deployment.num_storage_nodes()).map(|k| NodeId(k as u32)) {
         let senders = senders.clone();
-        let (lkeys, rkeys, injector) = (&lkeys, &rkeys, &injector);
+        let (lkeys, rkeys, injector, reader) = (&lkeys, &rkeys, &injector, &reader);
         let body = move || {
             let mut stats = RunStats::default();
             for (table, keys, side) in [(left, lkeys, Side::Left), (right, rkeys, Side::Right)] {
@@ -501,20 +502,11 @@ pub fn grace_hash_join(
                         }
                     }
                     let spans = &cfg.obs.spans;
-                    let (st, retries) = {
+                    let st = {
                         let _read = spans
                             .span_with(|| names::span_gh_sender(node.index(), names::PHASE_READ));
-                        cfg.recovery.run_cancellable(&cfg.cancel, || {
-                            let st: SubTable = svc.subtable(id)?;
-                            match &cfg.range {
-                                Some(rg) => st.filter_range(rg),
-                                None => Ok(st),
-                            }
-                        })
+                        reader.fetch(id, cfg.range.as_ref(), &mut stats)?
                     };
-                    stats.read_retries += retries;
-                    let st = st?;
-                    stats.bytes_read_storage += meta.size_bytes();
                     let routed = {
                         let _partition = spans.span_with(|| {
                             names::span_gh_sender(node.index(), names::PHASE_PARTITION)
@@ -642,11 +634,7 @@ pub fn grace_hash_join(
         stats.bytes_scratch_written += sc.bytes_written();
         stats.bytes_scratch_read += sc.bytes_read();
     }
-    // Chunk-page corruptions are detected (and counted) inside the BDS
-    // instances; fold them into the run totals.
-    for svc in &services {
-        stats.corruptions_detected += svc.corruptions_detected();
-    }
+    stats.corruptions_detected += reader.corruptions_detected();
     stats.wall_secs = start.elapsed().as_secs_f64();
     stats.hash_builds = counters.builds();
     stats.hash_probes = counters.probes();

@@ -14,7 +14,8 @@
 //!
 //! ## Fault tolerance
 //!
-//! Every sub-table fetch runs under the configured [`RecoveryPolicy`]
+//! Every sub-table fetch goes through the execution's
+//! [`SubTableReader`], which reads under the configured [`RecoveryPolicy`]
 //! (bounded retries, exponential backoff, per-operation deadline), so
 //! transient storage faults are retried rather than fatal. Each round's
 //! workers run on `orv_cluster::workers::run_workers`, which contains a
@@ -30,12 +31,11 @@ use crate::cache::{left_key_tag, CacheKey, CacheService, CachedEntry};
 use crate::connectivity::ConnectivityGraph;
 use crate::hash_join::{HashJoiner, JoinCounters};
 use crate::schedule::{schedule, SchedulePolicy};
-use orv_bds::{BdsService, Deployment};
+use orv_bds::{Deployment, SubTableReader};
 use orv_chunk::SubTable;
 use orv_cluster::{
     run_workers, CancelToken, FaultInjector, RecoveryPolicy, RunStats, WorkerBody, WorkerEnd,
 };
-use orv_metadata::MetadataService;
 use orv_obs::{names, Obs};
 use orv_types::{BoundingBox, Error, Record, Result, SubTableId, TableId};
 use parking_lot::Mutex;
@@ -159,17 +159,16 @@ pub fn indexed_join_cached(
 
     let mut pending = schedule(&graph, cfg.n_compute, cfg.policy);
     let injector = cfg.faults.clone().unwrap_or_else(FaultInjector::disabled);
-    let services = BdsService::for_all_nodes_with_instruments(
+    let reader = SubTableReader::new(
         deployment,
         Arc::clone(&injector),
         cfg.obs.spans.clone(),
-        injector.events().clone(),
+        cfg.recovery,
         cfg.cancel.clone(),
     )?;
     let run = PairRunner {
         cfg,
-        md,
-        services: &services,
+        reader: &reader,
         cache,
         join_attrs,
         // Left-side cache keys carry the hash-table parameters, so views
@@ -277,11 +276,7 @@ pub fn indexed_join_cached(
         ..
     } = run;
     let (records, mut stats) = committed.into_inner();
-    // Chunk-page corruptions are detected (and counted) inside the BDS
-    // instances; fold them into the run totals.
-    for svc in &services {
-        stats.corruptions_detected += svc.corruptions_detected();
-    }
+    stats.corruptions_detected += reader.corruptions_detected();
     stats.wall_secs = start.elapsed().as_secs_f64();
     stats.hash_builds = counters.builds();
     stats.hash_probes = counters.probes();
@@ -297,8 +292,7 @@ pub fn indexed_join_cached(
 /// What every compute worker of one execution shares to join a pair.
 struct PairRunner<'a> {
     cfg: &'a IndexedJoinConfig,
-    md: &'a MetadataService,
-    services: &'a [Arc<BdsService>],
+    reader: &'a SubTableReader,
     cache: &'a CacheService,
     join_attrs: &'a [&'a str],
     left_tag: u64,
@@ -310,26 +304,15 @@ struct PairRunner<'a> {
 }
 
 impl PairRunner<'_> {
-    /// Fetch one sub-table from its storage node under the recovery
-    /// policy, charging the traffic to `delta`.
+    /// Fetch one sub-table to compute node `node_idx` — the §5.1 transfer
+    /// term — charging the traffic to `delta`.
     fn fetch(&self, node_idx: usize, id: SubTableId, delta: &mut RunStats) -> Result<SubTable> {
         let cfg = self.cfg;
         let _transfer = cfg
             .obs
             .spans
             .span_with(|| names::span_ij(node_idx, names::PHASE_TRANSFER));
-        let meta = self.md.chunk_meta(id)?;
-        let svc = &self.services[meta.node.index()];
-        let (st, retries) = cfg.recovery.run_cancellable(&cfg.cancel, || {
-            let mut st = svc.subtable(id)?;
-            if let Some(rg) = &cfg.range {
-                st = st.filter_range(rg)?;
-            }
-            Ok(st)
-        });
-        delta.read_retries += retries;
-        let st = st?;
-        delta.bytes_read_storage += meta.size_bytes();
+        let st = self.reader.fetch(id, cfg.range.as_ref(), delta)?;
         delta.bytes_transferred += st.encoded_size() as u64;
         Ok(st)
     }

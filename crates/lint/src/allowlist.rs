@@ -13,8 +13,8 @@
 
 /// Files allowed to call `std::thread::sleep` / `thread::park` directly:
 /// the cancellable slice primitive itself. Everything else must sleep via
-/// `CancelToken::sleep` / `Throttle::consume_cancellable`, which slice at
-/// 250 ms and observe cancellation between slices.
+/// `CancelToken::sleep`, which slices at 250 ms and observes cancellation
+/// between slices.
 pub const L002_ALLOWED: &[&str] = &["crates/cluster/src/cancel.rs"];
 
 /// Files allowed to open files for writing: the crash-safe catalog
@@ -30,12 +30,9 @@ pub const L004_ALLOWED_DIRS: &[&str] = &["crates/obs/src/"];
 /// The registry module itself defines the canonical strings.
 pub const L005_ALLOWED: &[&str] = &["crates/obs/src/names.rs"];
 
-/// The sanctioned clock users: observability timing, Throttle pacing,
-/// and CancelToken deadlines.
-pub const L006_ALLOWED: &[&str] = &[
-    "crates/cluster/src/runtime.rs",
-    "crates/cluster/src/cancel.rs",
-];
+/// The sanctioned clock users: observability timing and CancelToken
+/// deadlines.
+pub const L006_ALLOWED: &[&str] = &["crates/cluster/src/cancel.rs"];
 pub const L006_ALLOWED_DIRS: &[&str] = &["crates/obs/src/"];
 
 /// The files implementing the sanctioned retry machinery — their internal
@@ -45,6 +42,13 @@ pub const L007_ALLOWED: &[&str] = &[
     "crates/cluster/src/retry_budget.rs",
 ];
 
+/// Where a `BdsService` may be built or asked for a sub-table directly:
+/// the crate that implements the interface (and its one client, the
+/// `SubTableReader`), and the reference oracle, which reads below the
+/// reader so it shares nothing with the paths it checks.
+pub const L007_READ_ALLOWED: &[&str] = &["crates/join/src/reference.rs"];
+pub const L007_READ_ALLOWED_DIRS: &[&str] = &["crates/bds/src/"];
+
 /// Every file-path allowlist, labelled, for the existence test and for
 /// `orv-lint --allowlists` style introspection.
 pub const ALL_FILE_LISTS: &[(&str, &[&str])] = &[
@@ -53,12 +57,14 @@ pub const ALL_FILE_LISTS: &[(&str, &[&str])] = &[
     ("L005_ALLOWED", L005_ALLOWED),
     ("L006_ALLOWED", L006_ALLOWED),
     ("L007_ALLOWED", L007_ALLOWED),
+    ("L007_READ_ALLOWED", L007_READ_ALLOWED),
 ];
 
 /// Every directory-prefix allowlist, labelled.
 pub const ALL_DIR_LISTS: &[(&str, &[&str])] = &[
     ("L004_ALLOWED_DIRS", L004_ALLOWED_DIRS),
     ("L006_ALLOWED_DIRS", L006_ALLOWED_DIRS),
+    ("L007_READ_ALLOWED_DIRS", L007_READ_ALLOWED_DIRS),
 ];
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //! | L004 | file writes only on checksummed paths (persist/scratch/obs) |
 //! | L005 | obs event/span/latency names come from `orv-obs::names`, not literals |
 //! | L006 | no ambient clock/randomness outside obs + pacing + deadlines |
-//! | L007 | retry loops go through `RecoveryPolicy`/`RetryBudget`, never ad-hoc counters |
+//! | L007 | mechanisms written once stay single: retry loops go through `RecoveryPolicy`/`RetryBudget`, never ad-hoc counters; sub-table reads go through `SubTableReader`, never a hand-built `BdsService` |
 //! | L008 | the workspace lock-order graph is acyclic (no two-path deadlock) |
 //! | L009 | every loop reaching a blocking wait also reaches a cancel/deadline check |
 //! | L010 | every `orv_obs::names` constant has a runtime sink; every sink name is declared |
@@ -180,6 +180,7 @@ pub fn run_rules(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     l005_obs_names_from_registry(ctx, &mut out);
     l006_no_ambient_clock_or_rng(ctx, &mut out);
     l007_no_adhoc_retry_loops(ctx, &mut out);
+    l007_one_read_path(ctx, &mut out);
     out
 }
 
@@ -529,7 +530,7 @@ fn l006_no_ambient_clock_or_rng(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
         for clock in ["Instant", "SystemTime"] {
             if ctx.ident_at(i, clock) && ctx.path_sep_at(i + 1) && ctx.ident_at(i + 3, "now") {
                 push(out, ctx, line, "L006", format!(
-                    "`{clock}::now()` outside obs/Throttle/CancelToken; ambient time in a runtime path breaks seeded chaos replay"));
+                    "`{clock}::now()` outside obs/CancelToken; ambient time in a runtime path breaks seeded chaos replay"));
             }
         }
         if ctx.ident_at(i, "rand") && ctx.path_sep_at(i + 1) {
@@ -647,6 +648,38 @@ fn l007_no_adhoc_retry_loops(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
         i += 1;
+    }
+}
+
+/// L007 (read path) — a sub-table is fetched through
+/// `orv_bds::SubTableReader`, the one function that locates the chunk's
+/// home node, retries the read under the execution's `RecoveryPolicy`,
+/// and accounts for it.
+///
+/// A runtime path that builds its own `BdsService` set, or calls
+/// `subtable` on one, is a second read path: it silently drops whatever
+/// the reader carries (fault injection, `bds{n}` spans, retries,
+/// corruption accounting), which is how base-table scans once came to be
+/// the only reads chaos never reached. `crates/bds` implements the
+/// interface and the reference oracle reads below it on purpose.
+fn l007_one_read_path(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
+    if allowlist::L007_READ_ALLOWED.contains(&ctx.rel_path)
+        || allowlist::L007_READ_ALLOWED_DIRS
+            .iter()
+            .any(|d| ctx.in_dir(d))
+    {
+        return;
+    }
+    for i in 0..ctx.code.len() {
+        let line = ctx.code[i].line;
+        if ctx.ident_at(i, "BdsService") && ctx.path_sep_at(i + 1) {
+            push(out, ctx, line, "L007",
+                "`BdsService` built outside `crates/bds`; fetch through the execution's `SubTableReader` so the read is retried, injectable, traced and accounted like every other".into());
+        }
+        if ctx.punct_at(i, '.') && ctx.ident_at(i + 1, "subtable") && ctx.punct_at(i + 2, '(') {
+            push(out, ctx, line, "L007",
+                "direct `BdsService::subtable` call; `SubTableReader::fetch` is the one read path (locate, retry, verify, filter, account)".into());
+        }
     }
 }
 

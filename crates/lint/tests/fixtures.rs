@@ -324,6 +324,43 @@ fn l007_adhoc_retry_loops_positive_negative_suppressed() {
 }
 
 #[test]
+fn l007_one_read_path_positive_negative_suppressed() {
+    // A hand-built BDS set and a direct `subtable` call are a second read
+    // path: no retries, no injector, no spans.
+    assert_eq!(
+        fired(
+            QUERY_PATH,
+            "fn f(d: &Deployment) -> Result<()> {\n    let services = BdsService::for_all_nodes(d)?;\n    Ok(())\n}"
+        ),
+        ["L007"]
+    );
+    assert_eq!(
+        fired(
+            JOIN_PATH,
+            "fn f(&self, id: SubTableId) -> Result<SubTable> {\n    self.services[0].subtable(id)\n}"
+        ),
+        ["L007"]
+    );
+    // The reader is the sanctioned form; naming the type is not a call.
+    assert_clean(
+        JOIN_PATH,
+        "use orv_bds::{BdsService, SubTableReader};\nfn f(&self, id: SubTableId, delta: &mut RunStats) -> Result<SubTable> {\n    self.reader.fetch(id, self.cfg.range.as_ref(), delta)\n}",
+    );
+    // The interface's own crate and the reference oracle read below it.
+    for p in ["crates/bds/src/service.rs", "crates/join/src/reference.rs"] {
+        assert_clean(
+            p,
+            "fn f(d: &Deployment, id: SubTableId) -> Result<SubTable> {\n    BdsService::for_all_nodes(d)?[0].subtable(id)\n}",
+        );
+    }
+    // A documented suppression still works.
+    assert_clean(
+        QUERY_PATH,
+        "fn f(&self, id: SubTableId) -> Result<SubTable> {\n    // orv-lint: allow(L007) -- fixture: diagnostic dump reads one raw page\n    self.services[0].subtable(id)\n}",
+    );
+}
+
+#[test]
 fn test_code_is_exempt_everywhere() {
     let nasty = "fn f() { x.unwrap(); std::thread::sleep(D); let t = Instant::now(); }";
     // Path-classified test/dev files.

@@ -13,13 +13,13 @@ use crate::ast::{
     predicates_to_bbox, JoinClause, Query, RangePred, SelectItem, Statement, ViewDef,
 };
 use crate::exec::{
-    aggregate, column_names, filter_rows, order_and_limit, project, rows_checksum,
-    scan_cancellable, scan_chunks, RowSet,
+    aggregate, batches_to_rows, column_names, filter_rows, order_and_limit, project, rows_checksum,
+    scan_batches, scan_chunks, RowSet,
 };
 use crate::parser::parse_statement;
 use crate::plan::{PlanExplain, Planner};
-use orv_bds::Deployment;
-use orv_cluster::{CancelToken, ClusterSpec, EpochCell, FaultInjector};
+use orv_bds::{Deployment, SubTableReader};
+use orv_cluster::{CancelToken, ClusterSpec, EpochCell, FaultInjector, RecoveryPolicy};
 use orv_join::{
     grace_hash_join, indexed_join, indexed_join_cached, CacheService, CacheStats, GraceHashConfig,
     IndexedJoinConfig, JoinAlgorithm, JoinOutput,
@@ -335,9 +335,11 @@ impl QueryEngine {
         self
     }
 
-    /// Attach a fault injector: every join this engine runs draws faults
-    /// (and corruptions) from the one shared plan, so budget caps apply
-    /// across the whole query — and across a failover re-execution.
+    /// Attach a fault injector: every read this engine does — a base-table
+    /// scan's as much as a join's — and every join send and scratch access
+    /// draws faults (and corruptions) from the one shared plan, so budget
+    /// caps apply across the whole query — and across a failover
+    /// re-execution.
     pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
         self.faults = Some(faults);
         self
@@ -388,6 +390,19 @@ impl QueryEngine {
         }
     }
 
+    /// The read path of one base-table scan: this engine's fault injector
+    /// and span collector, the default recovery policy, the request's
+    /// token — what a join's reader is built from.
+    fn reader(&self, cancel: &CancelToken) -> Result<SubTableReader> {
+        SubTableReader::new(
+            &self.deployment,
+            self.faults.clone().unwrap_or_else(FaultInjector::disabled),
+            self.obs.spans.clone(),
+            RecoveryPolicy::default(),
+            cancel.clone(),
+        )
+    }
+
     /// Run one federated chunk scan: read exactly `chunks` of `table`
     /// (ascending, de-duplicated), filter by `range`, and seal the
     /// response with per-chunk run lengths plus a CRC32C checksum the
@@ -414,7 +429,7 @@ impl QueryEngine {
                 }
             }
         }
-        let (schema, rows, runs) = scan_chunks(&self.deployment, table, chunks, range, cancel)?;
+        let (schema, rows, runs) = scan_chunks(&self.reader(cancel)?, table, chunks, range)?;
         let checksum = rows_checksum(&rows);
         Ok(QueryResult {
             columns: column_names(&schema),
@@ -795,9 +810,9 @@ impl QueryEngine {
             .any(|i| matches!(i, SelectItem::Aggregate(..)));
         let (rows, explain) = match &bound.source {
             Source::Scan { table, range } => {
-                let (_, rows) =
-                    scan_cancellable(&self.deployment, *table, range.as_ref(), &request.cancel)?;
-                (rows, None)
+                let reader = self.reader(&request.cancel)?;
+                let (_, batches) = scan_batches(&reader, *table, range.as_ref())?;
+                (batches_to_rows(&batches)?, None)
             }
             Source::Join {
                 left,
@@ -1105,6 +1120,21 @@ mod tests {
         // MetaData Service usage flows into the registry after the join.
         let snap = obs.metrics.snapshot();
         assert!(snap.counters.get("md/catalog_lookups").copied() > Some(0));
+    }
+
+    #[test]
+    fn observed_scan_records_a_read_and_an_extract_span_per_chunk() {
+        let obs = orv_obs::Obs::enabled();
+        let e = engine().with_obs(obs.clone());
+        // t1 is 8×8 in 4×4 chunks: four chunks over two nodes.
+        assert_eq!(e.execute("SELECT * FROM t1").unwrap().rows.len(), 64);
+        let mut paths: Vec<String> = obs.spans.records().into_iter().map(|r| r.path).collect();
+        paths.sort();
+        let want: Vec<String> = ["bds0/extract", "bds0/read", "bds1/extract", "bds1/read"]
+            .iter()
+            .flat_map(|p| [p.to_string(), p.to_string()])
+            .collect();
+        assert_eq!(paths, want);
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //!
 //! Range scans resolve chunk ids through the MetaData service's R-tree
 //! ("the MetaData Service may be queried using the range part of the query
-//! to retrieve ids of all matching sub-tables"), then ask the owning BDS
-//! instances for the sub-tables.
+//! to retrieve ids of all matching sub-tables"), then fetch each sub-table
+//! through the execution's [`SubTableReader`] — the same read path, with
+//! the same retries, fault injection and `bds{n}` spans, that the join
+//! QES instances use. There are two scan entry points over it:
+//! [`scan_batches`] (R-tree pruned, one batch per chunk) and
+//! [`scan_chunks`] (an explicit chunk list, with run lengths).
 
 use crate::agg::Accumulator;
 use crate::ast::{AggFunc, RangePred, SelectItem};
-use orv_bds::{BdsService, Deployment};
-use orv_cluster::{checksum, CancelToken, FaultInjector};
-use orv_obs::{EventLog, Spans};
+use orv_bds::SubTableReader;
+use orv_cluster::{checksum, RunStats};
 use orv_types::{
     BoundingBox, ChunkId, ColumnBatch, Error, Interval, Record, Result, Schema, SubTableId,
     TableId, Value,
@@ -26,90 +29,54 @@ pub struct RowSet {
     pub rows: Vec<Record>,
 }
 
-/// Range scan of a base table with R-tree chunk pruning and row filtering.
-pub fn scan(
-    deployment: &Deployment,
-    table: TableId,
-    range: Option<&BoundingBox>,
-) -> Result<(Arc<Schema>, Vec<Record>)> {
-    scan_cancellable(deployment, table, range, &CancelToken::none())
-}
-
 /// Range-filter one batch with typed column loops — the engine's (and
 /// the benchmark's) name for [`ColumnBatch::filter_range`].
 pub fn filter_batch_range(batch: &ColumnBatch, checks: &[(usize, Interval)]) -> ColumnBatch {
     batch.filter_range(checks)
 }
 
-/// Read `chunks` of `table` in the given order and hand each one's rows,
-/// range-filtered, to `each` as a typed batch — the one place a scan
-/// meets the BDS instances. Base-table scans bypass the sub-table cache:
-/// every chunk is read, CRC-verified and decoded on every call. Without
-/// a range the decoded columns are moved on untouched; with one they are
-/// filtered by reference.
+/// Fetch `chunks` of `table` in the given order and hand each one's rows,
+/// range-filtered, to `each` as a typed batch. Base-table scans bypass the
+/// sub-table cache: every chunk is read, CRC-verified and decoded on every
+/// call. The reader's token is checked before every read, so a cancelled
+/// query stops within one chunk fetch.
 fn scan_each(
-    deployment: &Deployment,
-    schema: &Schema,
+    reader: &SubTableReader,
     table: TableId,
     chunks: Vec<ChunkId>,
     range: Option<&BoundingBox>,
-    cancel: &CancelToken,
     mut each: impl FnMut(ChunkId, ColumnBatch) -> Result<()>,
 ) -> Result<()> {
-    let md = deployment.metadata();
-    let checks = range.map(|rg| schema.range_checks(rg)).unwrap_or_default();
-    let services = BdsService::for_all_nodes_with_instruments(
-        deployment,
-        FaultInjector::disabled(),
-        Spans::disabled(),
-        EventLog::disabled(),
-        cancel.clone(),
-    )?;
+    // A scan reports no run statistics; the reader's charge goes nowhere.
+    let mut stats = RunStats::default();
     for chunk in chunks {
-        cancel.check()?;
-        let id = SubTableId { table, chunk };
-        let node = md.chunk_meta(id)?.node;
-        let st = services[node.index()].subtable(id)?;
-        let batch = if checks.is_empty() {
-            st.into_batch()
-        } else {
-            filter_batch_range(st.batch(), &checks)
-        };
-        each(chunk, batch)?;
+        let st = reader.fetch(SubTableId { table, chunk }, range, &mut stats)?;
+        each(chunk, st.into_batch())?;
     }
     Ok(())
 }
 
-/// [`scan`] in columnar form: R-tree chunk pruning, then one typed
-/// [`ColumnBatch`] per surviving chunk — the sub-table's own columns —
-/// with the range filter applied as primitive-array loops. This is the
-/// head of the batch execution path; rows are materialized from these
-/// batches only at the service edge ([`batches_to_rows`]).
+/// Range scan of a base table in columnar form: R-tree chunk pruning, then
+/// one typed [`ColumnBatch`] per surviving chunk — the sub-table's own
+/// columns — with the range filter applied as primitive-array loops. This
+/// is the head of the batch execution path; rows are materialized from
+/// these batches only at the service edge ([`batches_to_rows`]).
 pub fn scan_batches(
-    deployment: &Deployment,
+    reader: &SubTableReader,
     table: TableId,
     range: Option<&BoundingBox>,
-    cancel: &CancelToken,
 ) -> Result<(Arc<Schema>, Vec<ColumnBatch>)> {
-    let md = deployment.metadata();
+    let md = reader.metadata();
     let schema = md.schema(table)?;
     let chunk_ids = match range {
         Some(rg) => md.find_chunks(table, rg)?,
         None => md.all_chunks(table)?,
     };
     let mut batches = Vec::with_capacity(chunk_ids.len());
-    scan_each(
-        deployment,
-        &schema,
-        table,
-        chunk_ids,
-        range,
-        cancel,
-        |_, b| {
-            batches.push(b);
-            Ok(())
-        },
-    )?;
+    scan_each(reader, table, chunk_ids, range, |_, b| {
+        batches.push(b);
+        Ok(())
+    })?;
     Ok((schema, batches))
 }
 
@@ -122,20 +89,6 @@ pub fn batches_to_rows(batches: &[ColumnBatch]) -> Result<Vec<Record>> {
     Ok(rows)
 }
 
-/// [`scan`] observing a [`CancelToken`]: the token is checked between
-/// chunks and inside every BDS read, so a cancelled query stops within
-/// one chunk fetch. Columnar underneath ([`scan_batches`]); rows are
-/// first built here, at the edge.
-pub fn scan_cancellable(
-    deployment: &Deployment,
-    table: TableId,
-    range: Option<&BoundingBox>,
-    cancel: &CancelToken,
-) -> Result<(Arc<Schema>, Vec<Record>)> {
-    let (schema, batches) = scan_batches(deployment, table, range, cancel)?;
-    Ok((schema, batches_to_rows(&batches)?))
-}
-
 /// A shard-side chunk scan: the schema, the rows, and per-chunk run
 /// lengths `(chunk, rows)` in scan order.
 pub type ChunkScan = (Arc<Schema>, Vec<Record>, Vec<(ChunkId, usize)>);
@@ -146,13 +99,12 @@ pub type ChunkScan = (Arc<Schema>, Vec<Record>, Vec<(ChunkId, usize)>);
 /// needs the run boundaries to dedup and reassemble partial results
 /// chunk-by-chunk.
 pub fn scan_chunks(
-    deployment: &Deployment,
+    reader: &SubTableReader,
     table: TableId,
     chunks: &[ChunkId],
     range: Option<&BoundingBox>,
-    cancel: &CancelToken,
 ) -> Result<ChunkScan> {
-    let schema = deployment.metadata().schema(table)?;
+    let schema = reader.metadata().schema(table)?;
     let mut sorted: Vec<_> = chunks.to_vec();
     sorted.sort();
     sorted.dedup();
@@ -160,18 +112,10 @@ pub fn scan_chunks(
     let mut runs = Vec::with_capacity(sorted.len());
     // Columnar per chunk; the run boundary is the batch row count, rows
     // materialize straight into the shard response buffer.
-    scan_each(
-        deployment,
-        &schema,
-        table,
-        sorted,
-        range,
-        cancel,
-        |chunk, b| {
-            runs.push((chunk, b.num_rows()));
-            b.append_records_to(&mut rows)
-        },
-    )?;
+    scan_each(reader, table, sorted, range, |chunk, b| {
+        runs.push((chunk, b.num_rows()));
+        b.append_records_to(&mut rows)
+    })?;
     Ok((schema, rows, runs))
 }
 
@@ -471,8 +415,32 @@ pub fn merge_aggregate(
 mod tests {
     use super::*;
     use crate::ast::AggFunc;
-    use orv_bds::{generate_dataset, DatasetSpec};
+    use orv_bds::{generate_dataset, DatasetSpec, Deployment};
+    use orv_cluster::{CancelToken, FaultPlan, RecoveryPolicy};
+    use orv_obs::Obs;
     use orv_types::Interval;
+
+    fn reader(d: &Deployment) -> SubTableReader {
+        SubTableReader::new(
+            d,
+            FaultPlan::none().injector(),
+            Obs::disabled().spans,
+            RecoveryPolicy::default(),
+            CancelToken::none(),
+        )
+        .unwrap()
+    }
+
+    /// [`scan_batches`] with the rows built at the edge, as the engine
+    /// does for a base-table `SELECT`.
+    fn scan(
+        d: &Deployment,
+        table: TableId,
+        range: Option<&BoundingBox>,
+    ) -> Result<(Arc<Schema>, Vec<Record>)> {
+        let (schema, batches) = scan_batches(&reader(d), table, range)?;
+        Ok((schema, batches_to_rows(&batches)?))
+    }
 
     fn deployed() -> (Deployment, TableId) {
         let d = Deployment::in_memory(2);
@@ -602,7 +570,7 @@ mod tests {
         let mut chunks = all.clone();
         chunks.reverse();
         chunks.push(all[0]);
-        let (_, rows, runs) = scan_chunks(&d, t, &chunks, None, &CancelToken::none()).unwrap();
+        let (_, rows, runs) = scan_chunks(&reader(&d), t, &chunks, None).unwrap();
         let (_, oracle) = scan(&d, t, None).unwrap();
         assert_eq!(rows, oracle, "chunk-order reassembly must equal a scan");
         assert_eq!(runs.len(), all.len());

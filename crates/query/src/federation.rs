@@ -36,7 +36,7 @@
 //!   situation into [`Error::Unavailable`].
 //! - **Deadline-budget propagation**: when the root query carries a
 //!   deadline, every sub-query's token derives from the *same* absolute
-//!   deadline minus one `hop_margin` ([`DeadlineBudget::shrink`]) — the
+//!   deadline minus one `HOP_MARGIN` ([`DeadlineBudget::shrink`]) — the
 //!   budget only ever shrinks across hops, leaving the router time to
 //!   collect, merge and degrade after a child gives up.
 //! - **Retry budgets**: every failover, hedge and overload re-issue
@@ -96,9 +96,6 @@ pub struct FederationConfig {
     pub shards: usize,
     /// Replicas per chunk (`1 <= replication <= shards`).
     pub replication: usize,
-    /// Seed of the rendezvous placement (a pure function of this seed,
-    /// the chunk id and the shard count).
-    pub placement_seed: u64,
     /// Admission/pool sizing applied to every shard's [`QueryService`].
     pub service: ServiceConfig,
     /// Re-issue a sub-query to another replica once it has been in flight
@@ -115,34 +112,38 @@ pub struct FederationConfig {
     /// `true`: missing chunks fail the query with [`Error::Unavailable`]
     /// instead of degrading to a [`PartialResult`].
     pub strict: bool,
-    /// Deadline slack subtracted per fan-out hop: a sub-query's budget
-    /// is the root budget shrunk by this, so the router always has a
-    /// margin to collect/merge/degrade after the child's deadline.
-    pub hop_margin: Duration,
     /// Per-shard retry-budget capacity (whole tokens): the burst of
     /// failovers/hedges/overload-retries a shard may absorb before
     /// successes must pay for more. `0` disables retries entirely.
     pub retry_budget: u64,
-    /// Milli-tokens (1/1000ths of a retry) each successful sub-query
-    /// earns back into its shard's bucket.
-    pub retry_earn_milli: u64,
 }
+
+/// Seed of the rendezvous placement (a pure function of this seed, the
+/// chunk id and the shard count): `Placement::new(shards, replication,
+/// PLACEMENT_SEED)` is the assignment every federation uses.
+pub const PLACEMENT_SEED: u64 = 0x0bad_5eed_f00d_cafe;
+
+/// Deadline slack subtracted per fan-out hop: a sub-query's budget is the
+/// root budget shrunk by this, so the router always has a margin to
+/// collect/merge/degrade after the child's deadline.
+const HOP_MARGIN: Duration = Duration::from_millis(25);
+
+/// Milli-tokens (1/1000ths of a retry) each successful sub-query earns
+/// back into its shard's retry bucket.
+const RETRY_EARN_MILLI: u64 = 100;
 
 impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
             shards: 3,
             replication: 2,
-            placement_seed: 0x0bad_5eed_f00d_cafe,
             service: ServiceConfig::default(),
             hedge_after: None,
             recovery: RecoveryPolicy::default(),
             trip_after: 3,
             cooldown_ticks: 8,
             strict: false,
-            hop_margin: Duration::from_millis(25),
             retry_budget: 8,
-            retry_earn_milli: 100,
         }
     }
 }
@@ -342,7 +343,7 @@ impl FederatedService {
                 "federation needs trip_after >= 1 (0 would trip on success)".into(),
             ));
         }
-        let placement = Placement::new(cfg.shards, cfg.replication, cfg.placement_seed)?;
+        let placement = Placement::new(cfg.shards, cfg.replication, PLACEMENT_SEED)?;
         let shards = (0..cfg.shards)
             .map(|i| {
                 let mut engine = QueryEngine::new(deployment.clone())
@@ -357,7 +358,7 @@ impl FederatedService {
             .collect::<Result<Vec<_>>>()?;
         let health = (0..cfg.shards).map(|_| ShardHealth::new()).collect();
         let retry = (0..cfg.shards)
-            .map(|_| Arc::new(RetryBudget::new(cfg.retry_budget, cfg.retry_earn_milli)))
+            .map(|_| Arc::new(RetryBudget::new(cfg.retry_budget, RETRY_EARN_MILLI)))
             .collect();
         Ok(FederatedService {
             shards,
@@ -424,13 +425,13 @@ impl FederatedService {
     }
 
     /// The request a sub-query hop runs under: the root's trace as
-    /// parent, and the root budget shrunk by one `hop_margin` when the
+    /// parent, and the root budget shrunk by one [`HOP_MARGIN`] when the
     /// root carries a deadline (a plain cancellable token otherwise).
     /// Budgets are monotone non-increasing across hops by construction
     /// ([`DeadlineBudget::shrink`]).
     fn hop(&self, root: &Request) -> Request {
         let cancel = match DeadlineBudget::from_token(&root.cancel) {
-            Some(budget) => budget.shrink(self.cfg.hop_margin).token(),
+            Some(budget) => budget.shrink(HOP_MARGIN).token(),
             None => CancelToken::new(),
         };
         Request {
@@ -1268,7 +1269,7 @@ mod tests {
             replication: 1,
             ..FederationConfig::default()
         };
-        let placement = Placement::new(cfg.shards, cfg.replication, cfg.placement_seed).unwrap();
+        let placement = Placement::new(cfg.shards, cfg.replication, PLACEMENT_SEED).unwrap();
         let plan = FaultPlan {
             shard_deaths: vec![ShardDeathSpec {
                 shard: 0,
@@ -1427,7 +1428,7 @@ mod tests {
         let d2 = DeadlineBudget::from_token(&hop2).unwrap().hard_deadline();
         assert!(d1 < d0, "one hop must subtract the hop margin");
         assert!(d2 < d1, "budgets shrink monotonically across hops");
-        assert_eq!(d0 - d1, fed.cfg.hop_margin);
+        assert_eq!(d0 - d1, HOP_MARGIN);
         // A root without a deadline fans out plain cancellable tokens —
         // no budget is invented where none was requested.
         let free = fed.hop(&Request::default()).cancel;

@@ -122,15 +122,16 @@ pub struct OverloadConfig {
     /// Minimum logical ticks between any two transitions — the
     /// hysteresis window that forbids oscillation.
     pub cooldown_ticks: u64,
-    /// A queue-wait observation at or above this (seconds) arms the
-    /// latency alarm: the next tick escalates even if depth alone would
-    /// not. This is the `lat/queue_wait_secs` signal feeding back into
-    /// admission.
-    pub queue_wait_alarm_secs: f64,
-    /// Base `retry_after` hint on overload rejections, milliseconds;
-    /// doubled per severity level.
-    pub retry_after_ms: u64,
 }
+
+/// A queue-wait observation at or above this (seconds) arms the latency
+/// alarm: the next tick escalates even if depth alone would not. This is
+/// the `lat/queue_wait_secs` signal feeding back into admission.
+const QUEUE_WAIT_ALARM_SECS: f64 = 1.0;
+
+/// Base `retry_after` hint on overload rejections, milliseconds; doubled
+/// per severity level.
+const RETRY_AFTER_MS: u64 = 25;
 
 impl Default for OverloadConfig {
     fn default() -> Self {
@@ -140,8 +141,6 @@ impl Default for OverloadConfig {
             shed_enter: 0.875,
             recover: 0.25,
             cooldown_ticks: 16,
-            queue_wait_alarm_secs: 1.0,
-            retry_after_ms: 25,
         }
     }
 }
@@ -247,11 +246,6 @@ impl BrownoutController {
         }
     }
 
-    /// The thresholds this controller runs.
-    pub fn config(&self) -> &OverloadConfig {
-        &self.cfg
-    }
-
     /// Current state (lock-free).
     pub fn state(&self) -> BrownoutState {
         BrownoutState::from_severity(self.severity.load(Ordering::Acquire))
@@ -266,7 +260,7 @@ impl BrownoutController {
     /// `lat/queue_wait_secs` histogram records. At or above the alarm
     /// threshold it arms a one-shot escalation signal for the next tick.
     pub fn note_queue_wait(&self, secs: f64) {
-        if secs >= self.cfg.queue_wait_alarm_secs {
+        if secs >= QUEUE_WAIT_ALARM_SECS {
             self.wait_alarm.store(true, Ordering::Release);
         }
     }
@@ -333,7 +327,7 @@ impl BrownoutController {
     /// The `retry_after` hint for a rejection at the current severity:
     /// the base hint doubled per severity level.
     pub fn retry_after_ms(&self) -> u64 {
-        self.cfg.retry_after_ms << self.state().severity().min(8)
+        RETRY_AFTER_MS << self.state().severity().min(8)
     }
 
     /// The transition log so far (replay-comparable).
@@ -537,7 +531,7 @@ mod tests {
         // retry_after scales with severity.
         assert_eq!(
             ctl.retry_after_ms(),
-            ctl.config().retry_after_ms * 4,
+            RETRY_AFTER_MS * 4,
             "shed doubles the hint twice"
         );
     }

@@ -1,8 +1,8 @@
 //! Typed columnar batches — the one in-memory table representation.
 //!
 //! A [`ColumnBatch`] holds a run of rows as fixed-width typed arrays —
-//! one primitive `Vec` per attribute plus a null bitmap — instead of a
-//! `Vec<Record>` of [`Value`] rows. A sub-table's rows are stored in one
+//! one primitive `Vec` per attribute — instead of a `Vec<Record>` of
+//! [`Value`] rows. A sub-table's rows are stored in one
 //! (decoded straight from chunk bytes by [`ColumnData::decode_strided`]),
 //! and scans, range filters, projections, hash-join key gathering and
 //! the Grace Hash partitioner are tight loops over its primitive slices
@@ -12,60 +12,13 @@
 //! into [`Record`]s only where a result leaves the engine, and the
 //! conversion is bit-exact in both directions (every supported type is
 //! fixed-width; float bit patterns, including NaNs and `-0.0`, survive
-//! the round trip untouched).
-//!
-//! The null bitmap exists for forward compatibility with sparse
-//! scientific datasets: the current ingest path never produces nulls
-//! (a [`Value`] cannot be null), so [`ColumnBatch::to_records`] refuses
-//! batches with nulls rather than invent a sentinel.
+//! the round trip untouched). Every row holds a value in every column:
+//! a [`Value`] cannot be null and no ingest path produces one.
 
 use crate::bbox::Interval;
 use crate::error::{Error, Result};
 use crate::record::Record;
 use crate::value::{DataType, Value};
-
-/// A per-column validity bitmap: bit set ⇒ the row is null.
-///
-/// Allocated lazily — batches built from [`Value`]s never allocate one.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NullBitmap {
-    words: Vec<u64>,
-}
-
-impl NullBitmap {
-    /// An empty bitmap (no nulls).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mark `row` null.
-    pub fn set_null(&mut self, row: usize) {
-        let word = row / 64;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        self.words[word] |= 1u64 << (row % 64);
-    }
-
-    /// Is `row` null?
-    #[inline]
-    pub fn is_null(&self, row: usize) -> bool {
-        self.words
-            .get(row / 64)
-            .is_some_and(|w| w & (1u64 << (row % 64)) != 0)
-    }
-
-    /// Number of null rows recorded.
-    pub fn null_count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when no row is null.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-}
 
 /// One attribute's values as a primitive array.
 #[derive(Clone, Debug, PartialEq)]
@@ -280,12 +233,10 @@ impl ColumnData {
     }
 }
 
-/// A run of rows in columnar form: typed arrays plus per-column null
-/// bitmaps, equal row counts across columns.
+/// A run of rows in columnar form: typed arrays of equal row count.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ColumnBatch {
     columns: Vec<ColumnData>,
-    nulls: Vec<NullBitmap>,
 }
 
 impl ColumnBatch {
@@ -301,7 +252,6 @@ impl ColumnBatch {
                 .iter()
                 .map(|&t| ColumnData::with_capacity(t, cap))
                 .collect(),
-            nulls: vec![NullBitmap::new(); types.len()],
         }
     }
 
@@ -314,8 +264,7 @@ impl ColumnBatch {
                 c.len()
             )));
         }
-        let nulls = vec![NullBitmap::new(); columns.len()];
-        Ok(ColumnBatch { columns, nulls })
+        Ok(ColumnBatch { columns })
     }
 
     /// Build from row records, type-checked against `types`.
@@ -371,46 +320,17 @@ impl ColumnBatch {
         &self.columns[idx]
     }
 
-    /// Column `idx`'s null bitmap.
+    /// The value at `(row, col)`.
     #[inline]
-    pub fn nulls(&self, idx: usize) -> &NullBitmap {
-        &self.nulls[idx]
+    pub fn value(&self, row: usize, col: usize) -> Value {
+        self.columns[col].value(row)
     }
 
-    /// Mark `(row, col)` null.
-    pub fn set_null(&mut self, row: usize, col: usize) {
-        self.nulls[col].set_null(row);
-    }
-
-    /// Total nulls across all columns.
-    pub fn null_count(&self) -> usize {
-        self.nulls.iter().map(|n| n.null_count()).sum()
-    }
-
-    /// The value at `(row, col)`; `None` when null.
-    #[inline]
-    pub fn value(&self, row: usize, col: usize) -> Option<Value> {
-        if self.nulls[col].is_null(row) {
-            None
-        } else {
-            Some(self.columns[col].value(row))
-        }
-    }
-
-    /// Materialize row `row` as a [`Record`]. Errors on nulls — a
-    /// [`Value`] cannot represent null, and inventing a sentinel would
-    /// silently corrupt checksums.
+    /// Materialize row `row` as a [`Record`].
     pub fn record(&self, row: usize) -> Result<Record> {
-        let mut vals = Vec::with_capacity(self.columns.len());
-        for (ci, col) in self.columns.iter().enumerate() {
-            if self.nulls[ci].is_null(row) {
-                return Err(Error::Schema(format!(
-                    "row {row} column {ci} is null; records cannot hold nulls"
-                )));
-            }
-            vals.push(col.value(row));
-        }
-        Ok(Record::new(vals))
+        Ok(Record::new(
+            self.columns.iter().map(|c| c.value(row)).collect(),
+        ))
     }
 
     /// Materialize every row — the service-edge conversion. Bit-exact:
@@ -426,13 +346,6 @@ impl ColumnBatch {
     /// intermediate vectors).
     pub fn append_records_to(&self, out: &mut Vec<Record>) -> Result<()> {
         out.reserve(self.num_rows());
-        if self.nulls.iter().any(|n| !n.is_empty()) {
-            // The per-row path, for its error message.
-            for r in 0..self.num_rows() {
-                out.push(self.record(r)?);
-            }
-            return Ok(());
-        }
         for r in 0..self.num_rows() {
             out.push(Record::new(
                 self.columns.iter().map(|c| c.value(r)).collect(),
@@ -474,35 +387,24 @@ impl ColumnBatch {
 
     /// A new batch holding the rows at `keep`, in order.
     pub fn gather(&self, keep: &[u32]) -> ColumnBatch {
-        let columns = self.columns.iter().map(|c| c.gather(keep)).collect();
-        let mut nulls = vec![NullBitmap::new(); self.columns.len()];
-        for (ci, src) in self.nulls.iter().enumerate() {
-            if src.is_empty() {
-                continue;
-            }
-            for (dst_row, &src_row) in keep.iter().enumerate() {
-                if src.is_null(src_row as usize) {
-                    nulls[ci].set_null(dst_row);
-                }
-            }
+        ColumnBatch {
+            columns: self.columns.iter().map(|c| c.gather(keep)).collect(),
         }
-        ColumnBatch { columns, nulls }
     }
 
     /// A new batch with the columns at `indices`, in that order (the
     /// columnar projection: per-column memcpy, no row rebuild).
     pub fn project(&self, indices: &[usize]) -> Result<ColumnBatch> {
-        let mut columns = Vec::with_capacity(indices.len());
-        let mut nulls = Vec::with_capacity(indices.len());
-        for &i in indices {
-            let col = self
-                .columns
-                .get(i)
-                .ok_or_else(|| Error::Schema(format!("batch has no column {i}")))?;
-            columns.push(col.clone());
-            nulls.push(self.nulls[i].clone());
-        }
-        Ok(ColumnBatch { columns, nulls })
+        let columns = indices
+            .iter()
+            .map(|&i| {
+                self.columns
+                    .get(i)
+                    .cloned()
+                    .ok_or_else(|| Error::Schema(format!("batch has no column {i}")))
+            })
+            .collect::<Result<_>>()?;
+        Ok(ColumnBatch { columns })
     }
 }
 
@@ -563,11 +465,11 @@ mod tests {
         assert_eq!(keep, vec![1, 2]);
         let f = b.gather(&keep);
         assert_eq!(f.num_rows(), 2);
-        assert_eq!(f.value(0, 0), Some(Value::I32(1)));
+        assert_eq!(f.value(0, 0), Value::I32(1));
         let p = f.project(&[2, 0]).unwrap();
         assert_eq!(p.num_columns(), 2);
-        assert_eq!(p.value(1, 0), Some(Value::F64(3.0)));
-        assert_eq!(p.value(1, 1), Some(Value::I32(2)));
+        assert_eq!(p.value(1, 0), Value::F64(3.0));
+        assert_eq!(p.value(1, 1), Value::I32(2));
         assert!(b.project(&[9]).is_err());
     }
 
@@ -646,20 +548,19 @@ mod tests {
         }
     }
 
+    /// What is left of the null-bitmap test: a row stays whole, in every
+    /// column, under a gather that skips and reorders. (The name is held
+    /// by the test floor.)
     #[test]
     fn nulls_block_record_materialization_and_survive_gather() {
-        let mut b = sample();
-        b.set_null(2, 1);
-        assert_eq!(b.null_count(), 1);
-        assert_eq!(b.value(2, 1), None);
-        assert!(b.record(2).is_err());
-        assert!(b.to_records().is_err());
-        assert!(b.record(0).is_ok());
-        let g = b.gather(&[0, 2]);
-        assert!(g.nulls(1).is_null(1), "null must follow its row");
-        assert!(!g.nulls(1).is_null(0));
+        let b = sample();
+        let g = b.gather(&[2, 0]);
+        assert_eq!(g.num_rows(), 2);
+        assert_eq!(g.record(0).unwrap(), b.record(2).unwrap());
+        assert_eq!(g.record(1).unwrap(), b.record(0).unwrap());
         let mut out = Vec::new();
-        assert!(g.append_records_to(&mut out).is_err());
+        g.append_records_to(&mut out).unwrap();
+        assert_eq!(out, vec![b.record(2).unwrap(), b.record(0).unwrap()]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   attribute roles (the paper joins tables on coordinate attributes such
 //!   as `(x, y)`).
 //! * [`Record`] — a row of a virtual table.
-//! * [`ColumnBatch`] — a run of rows as fixed-width typed arrays with
-//!   null bitmaps; the batch currency of the columnar execution path.
+//! * [`ColumnBatch`] — a run of rows as fixed-width typed arrays; the
+//!   batch currency of the columnar execution path.
 //! * [`BoundingBox`] — n-dimensional lower/upper bounds over attributes,
 //!   attached to every chunk and sub-table; drives the page-level join index.
 //! * Identifier newtypes ([`TableId`], [`ChunkId`], [`SubTableId`],
@@ -23,7 +23,7 @@ pub mod record;
 pub mod schema;
 pub mod value;
 
-pub use batch::{ColumnBatch, ColumnData, NullBitmap};
+pub use batch::{ColumnBatch, ColumnData};
 pub use bbox::{BoundingBox, Interval};
 pub use error::{Error, Result};
 pub use ids::{ChunkId, NodeId, SubTableId, TableId};

@@ -25,8 +25,8 @@
 //! - [`seeded_oracle_at_256x256`], the same seed at 256×256 with 32×32
 //!   chunks, sixteen times the rows of the largest drawn case.
 
-use orv::bds::{generate_dataset, scalar_value, DatasetSpec, Deployment};
-use orv::cluster::CancelToken;
+use orv::bds::{generate_dataset, scalar_value, DatasetSpec, Deployment, SubTableReader};
+use orv::cluster::{CancelToken, FaultInjector, RecoveryPolicy};
 use orv::join::reference::{nested_loop_join, sort_records};
 use orv::join::JoinAlgorithm;
 use orv::query::{exec, QueryEngine};
@@ -171,7 +171,14 @@ fn check_scan(
     t1: TableId,
     range: Option<(&BoundingBox, &Window)>,
 ) -> (Vec<Record>, Vec<orv::types::ColumnBatch>) {
-    let cancel = CancelToken::none();
+    let reader = SubTableReader::new(
+        d,
+        FaultInjector::disabled(),
+        orv::obs::Spans::disabled(),
+        RecoveryPolicy::default(),
+        CancelToken::none(),
+    )
+    .expect("reader");
     let bbox = range.map(|(b, _)| b);
     let keep = |row: &[Value; 4]| range.is_none_or(|(_, w)| w.keeps(row));
     let per_chunk: Vec<Vec<Record>> = (0..shape.num_chunks())
@@ -183,7 +190,7 @@ fn check_scan(
     // duplicate: one run per chunk, ascending, each exactly its rows.
     let mut ids: Vec<ChunkId> = (0..shape.num_chunks() as u32).rev().map(ChunkId).collect();
     ids.push(ChunkId(0));
-    let (_, rows, runs) = exec::scan_chunks(d, t1, &ids, bbox, &cancel).expect("scan_chunks");
+    let (_, rows, runs) = exec::scan_chunks(&reader, t1, &ids, bbox).expect("scan_chunks");
     assert_eq!(runs.len(), per_chunk.len(), "{label}: one run per chunk");
     let mut at = 0;
     for (c, ((chunk, n), want)) in runs.iter().zip(&per_chunk).enumerate() {
@@ -197,7 +204,7 @@ fn check_scan(
 
     // `scan_batches`: one batch per chunk the R-tree keeps, ascending;
     // a pruned chunk and an empty batch both contribute no rows.
-    let (schema, batches) = exec::scan_batches(d, t1, bbox, &cancel).expect("scan_batches");
+    let (schema, batches) = exec::scan_batches(&reader, t1, bbox).expect("scan_batches");
     assert_eq!(schema.arity(), 4);
     let nonempty = |n: &usize| *n > 0;
     let batch_rows: Vec<usize> = batches.iter().map(|b| b.num_rows()).collect();

@@ -7,15 +7,27 @@
 //! transient plan both join runtimes must produce oracle-identical output
 //! or a typed `Error::Cluster` within a bounded deadline — never a hang,
 //! never an escaped panic.
+//!
+//! Base-table scans read through the same `SubTableReader` as the joins,
+//! so the same seeded plans reach them: directly, through the
+//! `QueryService`, and as a federation shard's chunk scan. Those tests
+//! take their seed from `ORV_CHAOS_SEED` (default 1) — the chaos CI
+//! matrix drives them with each of its seeds.
 
-use orv::bds::{generate_dataset, BdsService, DatasetSpec, Deployment};
+use orv::bds::{generate_dataset, BdsService, DatasetSpec, Deployment, SubTableReader};
 use orv::chunk::{ChunkLocation, ChunkMeta};
-use orv::cluster::{silence_injected_panics, FaultPlan, RecoveryPolicy, WorkerPanicSpec};
+use orv::cluster::{
+    silence_injected_panics, CancelToken, FaultPlan, RecoveryPolicy, WorkerPanicSpec,
+};
 use orv::join::reference::{nested_loop_join, sort_records};
 use orv::join::{grace_hash_join, indexed_join, GraceHashConfig, IndexedJoinConfig};
+use orv::obs::{names, EventLog, Obs, Spans};
+use orv::query::{
+    exec, FederatedService, FederationConfig, QueryEngine, QueryService, ServiceConfig,
+};
 use orv::types::{BoundingBox, ChunkId, Error, Interval, NodeId, Record, SubTableId, TableId};
 use proptest::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn demo_deployment() -> (Deployment, TableId) {
     let d = Deployment::in_memory(2);
@@ -53,7 +65,7 @@ fn chunk_with_bogus_location_errors_cleanly() {
             checksum: None,
         })
         .unwrap();
-    let svc = BdsService::new(&d, NodeId(0)).unwrap();
+    let svc = &BdsService::for_all_nodes(&d).unwrap()[0];
     let err = svc.subtable(SubTableId::new(t.0, 4u32)).unwrap_err();
     assert!(err.to_string().contains("overruns"), "{err}");
 }
@@ -81,7 +93,7 @@ fn chunk_with_missing_extractor_errors_cleanly() {
             checksum: None,
         })
         .unwrap();
-    let svc = BdsService::new(&d, NodeId(0)).unwrap();
+    let svc = &BdsService::for_all_nodes(&d).unwrap()[0];
     let err = svc.subtable(SubTableId::new(t.0, 4u32)).unwrap_err();
     assert!(err.to_string().contains("extractor"), "{err}");
 }
@@ -109,7 +121,7 @@ fn corrupt_chunk_bytes_fail_extraction() {
             checksum: None,
         })
         .unwrap();
-    let svc = BdsService::new(&d, NodeId(0)).unwrap();
+    let svc = &BdsService::for_all_nodes(&d).unwrap()[0];
     let err = svc.subtable(SubTableId::new(t.0, 4u32)).unwrap_err();
     assert!(err.to_string().contains("records"), "{err}");
 }
@@ -553,4 +565,236 @@ fn empty_intersection_join_produces_zero_rows() {
     )
     .unwrap();
     assert_eq!(gh.stats.result_tuples, 0);
+}
+
+// ---- Chaos reaches scans -------------------------------------------------
+
+const FULL_SCAN: &str = "SELECT * FROM t1";
+const RANGED_SCAN: &str = "SELECT * FROM t1 WHERE x IN [3, 9] AND y IN [0, 11]";
+
+/// `t1`: 64 chunks of 4 rows over two storage nodes — enough reads per
+/// node stream that a 25 % plan fires on every seed we have tried.
+fn scan_deployment() -> Deployment {
+    let d = Deployment::in_memory(2);
+    generate_dataset(
+        &DatasetSpec::builder("t1")
+            .grid([16, 16, 1])
+            .partition([2, 2, 1])
+            .scalar_attrs(&["oilp"])
+            .seed(7)
+            .build(),
+        &d,
+    )
+    .unwrap();
+    d
+}
+
+/// The seed of this run (`ORV_CHAOS_SEED`, default 1) and two derived
+/// from it. Reproduce a CI failure with
+/// `ORV_CHAOS_SEED=<seed> cargo test --test fault_injection scan`.
+fn chaos_seeds() -> [u64; 3] {
+    let seed = std::env::var("ORV_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .unwrap_or(1);
+    [seed, seed.wrapping_mul(0x9e37_79b9_7f4a_7c15), !seed]
+}
+
+fn assert_same_answer(label: &str, want: &orv::query::QueryResult, got: &orv::query::QueryResult) {
+    assert_eq!(want.columns, got.columns, "{label}");
+    assert_eq!(want.rows, got.rows, "{label}");
+    assert_eq!(
+        exec::rows_checksum(&want.rows),
+        exec::rows_checksum(&got.rows),
+        "{label}"
+    );
+}
+
+/// (a) A seeded transient plan is consulted by — and retried away under —
+/// a base-table scan, run directly and through the `QueryService`.
+#[test]
+fn scans_draw_seeded_read_faults_and_still_match_the_oracle() {
+    let oracle = QueryEngine::new(scan_deployment());
+    let mut read_errors = 0;
+    for seed in chaos_seeds() {
+        let injector = FaultPlan::from_seed(seed).injector();
+        let engine = QueryEngine::new(scan_deployment()).with_faults(injector.clone());
+        for sql in [FULL_SCAN, RANGED_SCAN] {
+            let want = oracle.execute(sql).unwrap();
+            let got = engine.execute(sql).unwrap();
+            assert_same_answer(&format!("seed {seed}: {sql}"), &want, &got);
+        }
+        let service = QueryService::new(engine, ServiceConfig::default()).unwrap();
+        let want = oracle.execute(RANGED_SCAN).unwrap();
+        let got = service.execute(RANGED_SCAN).unwrap();
+        assert_same_answer(&format!("seed {seed}: via service"), &want, &got);
+        read_errors += injector.stats().read_errors;
+    }
+    assert!(
+        read_errors > 0,
+        "no seed of {:?} injected a read error into a scan",
+        chaos_seeds()
+    );
+}
+
+/// (b) Every page corruption injected into a scan is caught by the
+/// read-side checksum, logged, and retried into the oracle's rows.
+#[test]
+fn scans_detect_every_injected_page_corruption() {
+    let d = scan_deployment();
+    let table = d.metadata().table_id("t1").unwrap();
+    let want = QueryEngine::new(scan_deployment())
+        .execute(FULL_SCAN)
+        .unwrap();
+    let mut corruptions = 0;
+    for seed in chaos_seeds() {
+        let events = EventLog::enabled();
+        let injector = FaultPlan::corrupting(seed).injector_with_events(events.clone());
+        // `corrupting`'s caps allow four consecutive failures of one read.
+        let recovery = RecoveryPolicy {
+            max_attempts: 8,
+            ..RecoveryPolicy::default()
+        };
+        let reader = SubTableReader::new(
+            &d,
+            injector.clone(),
+            Spans::disabled(),
+            recovery,
+            CancelToken::none(),
+        )
+        .unwrap();
+        let (_, batches) = exec::scan_batches(&reader, table, None).unwrap();
+        assert_eq!(
+            exec::batches_to_rows(&batches).unwrap(),
+            want.rows,
+            "seed {seed}"
+        );
+        let injected = events
+            .events_of_kind(names::FAULT_INJECTED)
+            .iter()
+            .filter(|ev| ev.fields["kind"].as_str() == Some("chunk_corrupt"))
+            .count() as u64;
+        let detected = events.events_of_kind(names::CORRUPTION_DETECTED).len() as u64;
+        assert_eq!(injected, injector.stats().chunk_corruptions, "seed {seed}");
+        assert_eq!(detected, injected, "seed {seed}: 100 % detection");
+        assert_eq!(reader.corruptions_detected(), injected, "seed {seed}");
+        corruptions += injected;
+    }
+    assert!(
+        corruptions > 0,
+        "no seed corrupted a page: {:?}",
+        chaos_seeds()
+    );
+}
+
+/// (c) Read errors that outlast the policy fail the scan with the
+/// injector's own typed error, after exactly `max_attempts` reads.
+#[test]
+fn scan_fails_typed_once_read_errors_outlast_the_policy() {
+    let plan = FaultPlan {
+        seed: chaos_seeds()[0],
+        read_error_prob: 1.0,
+        max_read_errors: 1_000,
+        max_faults: 1_000,
+        ..FaultPlan::none()
+    };
+    let injector = plan.injector();
+    let engine = QueryEngine::new(scan_deployment()).with_faults(injector.clone());
+    let err = engine.execute(FULL_SCAN).unwrap_err();
+    assert!(
+        matches!(&err, Error::Cluster(m) if m == "injected transient chunk-read fault"),
+        "{err}"
+    );
+    assert_eq!(
+        injector.stats().read_errors,
+        RecoveryPolicy::default().max_attempts as u64
+    );
+}
+
+/// (c) A cancel that lands while a scan sleeps a retry backoff stops the
+/// scan within one sleep slice, as `Error::Cancelled`.
+#[test]
+fn cancel_stops_a_scan_inside_its_retry_backoff() {
+    let plan = FaultPlan {
+        seed: chaos_seeds()[0],
+        read_error_prob: 1.0,
+        max_read_errors: 1_000,
+        max_faults: 1_000,
+        ..FaultPlan::none()
+    };
+    let injector = plan.injector();
+    // Four minutes of backoff if the token were ignored.
+    let recovery = RecoveryPolicy {
+        max_attempts: 1_000,
+        base_backoff_ms: 250,
+        op_deadline_ms: 600_000,
+    };
+    let cancel = CancelToken::new();
+    let d = scan_deployment();
+    let table = d.metadata().table_id("t1").unwrap();
+    let reader = SubTableReader::new(
+        &d,
+        injector.clone(),
+        Spans::disabled(),
+        recovery,
+        cancel.clone(),
+    )
+    .unwrap();
+    let (err, took) = std::thread::scope(|s| {
+        let scan = s.spawn(|| exec::scan_batches(&reader, table, None).unwrap_err());
+        // The first injected error is what sends the scan into a backoff.
+        while injector.stats().read_errors == 0 {
+            std::thread::yield_now();
+        }
+        let cancelled_at = Instant::now();
+        cancel.cancel();
+        let err = scan.join().unwrap();
+        (err, cancelled_at.elapsed())
+    });
+    assert!(matches!(err, Error::Cancelled), "{err}");
+    assert!(
+        took < Duration::from_secs(1),
+        "cancel must interrupt the backoff within ~one slice, took {took:?}"
+    );
+    assert!(injector.stats().read_errors <= 2, "{:?}", injector.stats());
+}
+
+/// (d) A federation whose shards share a seeded injector answers a
+/// fan-out scan completely: each shard retries its own chunk reads, so
+/// the router never fails a chunk over to a replica.
+#[test]
+fn federated_scan_retries_locally_instead_of_failing_over() {
+    let want = QueryEngine::new(scan_deployment())
+        .execute(RANGED_SCAN)
+        .unwrap();
+    let mut read_errors = 0;
+    for seed in chaos_seeds() {
+        let obs = Obs::enabled();
+        let injector = FaultPlan::from_seed(seed).injector();
+        let fed = FederatedService::with_instruments(
+            scan_deployment(),
+            FederationConfig::default(),
+            obs.clone(),
+            Some(injector.clone()),
+        )
+        .unwrap();
+        let got = fed.execute(RANGED_SCAN).unwrap();
+        assert!(got.is_complete(), "seed {seed}");
+        assert_same_answer(&format!("seed {seed}"), &want, got.result());
+        let snap = obs.metrics.snapshot();
+        assert_eq!(
+            snap.counters
+                .get(names::FED_FAILOVERS)
+                .copied()
+                .unwrap_or(0),
+            0,
+            "seed {seed}"
+        );
+        read_errors += injector.stats().read_errors;
+    }
+    assert!(
+        read_errors > 0,
+        "no seed of {:?} injected a read error into a shard's scan",
+        chaos_seeds()
+    );
 }

@@ -16,6 +16,7 @@ use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::{FaultInjector, FaultPlan, ShardDeathSpec, ShardSlowSpec};
 use orv::metadata::Placement;
 use orv::obs::{names, Obs};
+use orv::query::federation::PLACEMENT_SEED;
 use orv::query::{FederatedResponse, FederatedService, FederationConfig, QueryEngine, QueryResult};
 use orv::types::{ChunkId, Error, SubTableId};
 use std::time::Duration;
@@ -132,7 +133,7 @@ fn killing_every_replica_degrades_to_exact_partial_result() {
     let d = deployment();
     let md = d.metadata();
     let table = md.table_id("ft").unwrap();
-    let placement = Placement::new(cfg.shards, cfg.replication, cfg.placement_seed).unwrap();
+    let placement = Placement::new(cfg.shards, cfg.replication, PLACEMENT_SEED).unwrap();
     // Oracle for the missing set: chunks whose whole owner set is dead.
     let expected_missing: Vec<ChunkId> = md
         .all_chunks(table)

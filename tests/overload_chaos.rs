@@ -346,7 +346,6 @@ fn scripted_transition_log(seed: u64) -> (String, u64) {
                 // Classify everything cheap: this script exercises the
                 // depth-driven state machine, not the cost classifier.
                 fast_lane_max_secs: f64::MAX,
-                ..OverloadConfig::default()
             },
         },
     )

@@ -1,12 +1,12 @@
 //! End-to-end resilience acceptance: plan-level QES failover returns the
 //! no-fault oracle, a query cancelled mid-join unwinds in bounded time
-//! without leaking scratch state, and every sleep in the stack (throttle
-//! pacing, recovery backoff) observes the cancel token within one slice.
+//! without leaking scratch state, and the recovery backoff sleep observes
+//! the cancel token within one slice.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::{
     silence_injected_panics, CancelToken, FaultInjector, FaultPlan, RecoveryPolicy, ScratchKind,
-    Throttle, WorkerPanicSpec,
+    WorkerPanicSpec,
 };
 use orv::join::{grace_hash_join, GraceHashConfig, JoinAlgorithm};
 use orv::obs::Obs;
@@ -176,33 +176,8 @@ fn expired_deadline_is_typed_and_cancel_takes_precedence() {
     assert!(matches!(err, Error::Cancelled), "{err}");
 }
 
-/// Watchdog regression for the satellite requirement: a cancelled query
-/// stops a `Throttle::consume` pacing sleep within one 250 ms slice,
-/// instead of paying off the whole bandwidth debt first.
-#[test]
-fn throttled_sleep_observes_cancel_within_one_slice() {
-    // 1 byte/sec with a 1 MiB debt = ~12 days of pacing sleep if the
-    // token were ignored.
-    let throttle = Throttle::new(Some(1.0));
-    let cancel = CancelToken::new();
-    let canceller = cancel.clone();
-    let watchdog = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(100));
-        canceller.cancel();
-    });
-    let start = Instant::now();
-    let err = throttle.consume_cancellable(1 << 20, &cancel).unwrap_err();
-    let took = start.elapsed();
-    watchdog.join().unwrap();
-    assert!(matches!(err, Error::Cancelled), "{err}");
-    assert!(
-        took < Duration::from_secs(1),
-        "cancel must interrupt the pacing sleep within ~one slice, took {took:?}"
-    );
-}
-
-/// Same bound for `RecoveryPolicy` backoff: a retry loop with a huge
-/// backoff stops sleeping as soon as the token fires, and the
+/// Watchdog regression: a `RecoveryPolicy` retry loop with a huge backoff
+/// stops sleeping within one 250 ms slice of the token firing, and the
 /// cancellation error is never itself retried.
 #[test]
 fn recovery_backoff_observes_cancel_within_one_slice() {
