@@ -3,7 +3,7 @@
 use orv_types::{
     BoundingBox, ColumnBatch, ColumnData, Error, Interval, Record, Result, Schema, SubTableId,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A partition of a virtual table: a subset of records and attributes, with
 /// methods to iterate through records and attributes in a record, plus the
@@ -13,22 +13,22 @@ use std::sync::Arc;
 /// typed [`ColumnBatch`] (a primitive array per attribute), exactly as the
 /// extractor decoded them, and scans, range filters, hash joins and the
 /// Grace Hash partitioner all read those arrays directly. [`Record`]s are
-/// first built where a result leaves the engine — at the scan's service
-/// edge or for a join's actual matches. Sub-tables are immutable once
-/// built; the caching service shares them across join tasks behind an
-/// `Arc`, and [`SubTable::encoded_size`] is what a cached one occupies.
+/// first built where a result leaves the query engine. Sub-tables are
+/// immutable once built; the caching service shares them across join
+/// tasks behind an `Arc`, and [`SubTable::encoded_size`] is what a cached
+/// one occupies.
 #[derive(Clone, Debug)]
 pub struct SubTable {
     id: SubTableId,
     schema: Arc<Schema>,
-    bbox: BoundingBox,
+    /// Computed by the first [`SubTable::bbox`] call: no read path asks.
+    bbox: OnceLock<BoundingBox>,
     batch: ColumnBatch,
 }
 
 impl SubTable {
     /// Wrap typed columns (one per schema attribute, in order). The types
-    /// are checked once per column, and the bounding box is computed from
-    /// the data.
+    /// are checked once per column.
     pub fn new(id: SubTableId, schema: Arc<Schema>, batch: ColumnBatch) -> Result<Self> {
         if batch.num_columns() != schema.arity() {
             return Err(Error::Schema(format!(
@@ -37,7 +37,6 @@ impl SubTable {
                 schema.arity()
             )));
         }
-        let mut bbox = BoundingBox::unbounded();
         for (ci, attr) in schema.attrs().iter().enumerate() {
             let col = batch.column(ci);
             if col.dtype() != attr.dtype {
@@ -48,14 +47,11 @@ impl SubTable {
                     col.dtype()
                 )));
             }
-            if let Some((lo, hi)) = col.min_max() {
-                bbox.set(attr.name.clone(), Interval::new(lo, hi));
-            }
         }
         Ok(SubTable {
             id,
             schema,
-            bbox,
+            bbox: OnceLock::new(),
             batch,
         })
     }
@@ -72,7 +68,7 @@ impl SubTable {
             id,
             batch: ColumnBatch::new(&schema.dtypes()),
             schema,
-            bbox: BoundingBox::unbounded(),
+            bbox: OnceLock::new(),
         }
     }
 
@@ -89,10 +85,18 @@ impl SubTable {
     }
 
     /// Bounds of the held data (explicit bounds for every attribute, unless
-    /// the sub-table is empty, in which case the box is unbounded).
-    #[inline]
+    /// the sub-table is empty, in which case the box is unbounded),
+    /// computed from the columns on first call.
     pub fn bbox(&self) -> &BoundingBox {
-        &self.bbox
+        self.bbox.get_or_init(|| {
+            let mut bbox = BoundingBox::unbounded();
+            for (ci, attr) in self.schema.attrs().iter().enumerate() {
+                if let Some((lo, hi)) = self.batch.column(ci).min_max() {
+                    bbox.set(attr.name.clone(), Interval::new(lo, hi));
+                }
+            }
+            bbox
+        })
     }
 
     /// Number of records.

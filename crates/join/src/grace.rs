@@ -20,7 +20,10 @@
 //! straight from the sub-table's typed columns into per-
 //! `(destination, bucket)` byte buffers; buckets decode straight back
 //! into typed columns, so no row objects are materialized on the
-//! partition path.
+//! partition path — nor on the join path: a bucket pair is joined by the
+//! same index-returning probe kernel IJ uses ([`HashJoiner`]), counted by
+//! the number of matches, and collected as one typed [`ColumnBatch`] per
+//! bucket pair.
 
 //! ## Fault tolerance
 //!
@@ -48,8 +51,7 @@ use orv_cluster::{
 };
 use orv_obs::{names, Obs};
 use orv_types::{
-    BoundingBox, ColumnBatch, ColumnData, Error, NodeId, Record, Result, Schema, SubTableId,
-    TableId,
+    BoundingBox, ColumnBatch, ColumnData, Error, NodeId, Result, Schema, SubTableId, TableId,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -68,7 +70,8 @@ pub struct GraceHashConfig {
     pub scratch: ScratchKind,
     /// Figure-8 work multiplier for hash build/probe.
     pub work_factor: u32,
-    /// Collect result records (tests); otherwise only count them.
+    /// Collect the result (one batch per bucket pair); otherwise only
+    /// count it.
     pub collect_results: bool,
     /// Optional range constraint applied to scanned sub-tables.
     pub range: Option<BoundingBox>,
@@ -296,7 +299,7 @@ fn join_bucket_pair(
     rname: &str,
     depth: u32,
     stats: &mut RunStats,
-    results: &mut Vec<Record>,
+    results: &mut Vec<ColumnBatch>,
 ) -> Result<u64> {
     let cfg = ctx.cfg;
     cfg.cancel.check()?;
@@ -339,11 +342,11 @@ fn join_bucket_pair(
         HashJoiner::build(Arc::new(lst), ctx.join_attrs, ctx.counters, cfg.work_factor)?
     };
     let _probe = spans.span_with(|| names::span_tagged(&ctx.tag, names::PHASE_PROBE));
+    let found = joiner.matches(&rst, ctx.join_attrs, ctx.counters)?;
     if cfg.collect_results {
-        joiner.probe(&rst, ctx.join_attrs, ctx.counters, |r| results.push(r))
-    } else {
-        joiner.probe(&rst, ctx.join_attrs, ctx.counters, |_| {})
+        results.push(joiner.gather(&rst, ctx.join_attrs, &found)?);
     }
+    Ok(found.len())
 }
 
 /// Route one sub-table's rows into per-`(dest, bucket)` buffers, hashing
@@ -467,7 +470,7 @@ pub fn grace_hash_join(
         cfg.cancel.clone(),
     )?;
     let counters = JoinCounters::new();
-    let results: Mutex<Vec<Record>> = Mutex::new(Vec::new());
+    let results: Mutex<Vec<ColumnBatch>> = Mutex::new(Vec::new());
     let scratches: Vec<Scratch> = (0..cfg.n_compute)
         .map(|j| Scratch::new(cfg.scratch, &format!("gh{j}")))
         .collect::<Result<_>>()?;
@@ -612,9 +615,7 @@ pub fn grace_hash_join(
                 )?;
                 stats.result_tuples += produced;
             }
-            if cfg.collect_results {
-                results.lock().append(&mut local_results);
-            }
+            results.lock().append(&mut local_results);
             Ok(stats)
         };
         workers.push((format!("compute node {j}"), Box::new(body)));
@@ -641,7 +642,7 @@ pub fn grace_hash_join(
     stats.record_into(&cfg.obs.metrics, "gh");
     Ok(JoinOutput {
         stats,
-        records: cfg.collect_results.then(|| results.into_inner()),
+        batches: cfg.collect_results.then(|| results.into_inner()),
     })
 }
 
@@ -692,7 +693,7 @@ mod tests {
         };
         let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
     }
 
     #[test]
@@ -721,8 +722,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            sort_records(gh.records.unwrap()),
-            sort_records(ij.records.unwrap())
+            sort_records(gh.records().unwrap()),
+            sort_records(ij.records().unwrap())
         );
     }
 
@@ -740,7 +741,7 @@ mod tests {
         };
         let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
         assert!(out.stats.bytes_scratch_written > 0);
         assert_eq!(
             out.stats.bytes_scratch_written,
@@ -761,7 +762,7 @@ mod tests {
         };
         let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
         // Repartitioning re-writes data: scratch writes exceed one pass.
         assert!(
             out.stats.bytes_scratch_written > 128 * 2 * 16,
@@ -785,7 +786,7 @@ mod tests {
         let out = grace_hash_join(&d, t1, t2, &["z"], &cfg).unwrap();
         assert_eq!(out.stats.result_tuples, 64 * 64);
         let expected = nested_loop_join(&d, t1, t2, &["z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
     }
 
     #[test]
@@ -798,7 +799,7 @@ mod tests {
         };
         let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
     }
 
     #[test]
@@ -812,7 +813,7 @@ mod tests {
         };
         let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], Some(&range)).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
     }
 
     #[test]
@@ -847,7 +848,7 @@ mod tests {
         };
         let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
         assert!(out.stats.read_retries > 0, "{:?}", out.stats);
         assert!(out.stats.send_retries > 0, "{:?}", out.stats);
         assert!(out.stats.scratch_retries > 0, "{:?}", out.stats);
@@ -878,7 +879,7 @@ mod tests {
         };
         let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
         // Every single injected corruption was caught by a checksum —
         // chunk pages at the BDS, frames at the link layer, scratch
         // buckets at read-back.
@@ -1034,7 +1035,7 @@ mod tests {
         };
         let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
         let mut got: Vec<(String, String, u64, u64)> = events
             .events_of_kind("fault_injected")
             .iter()

@@ -2,21 +2,48 @@
 //!
 //! Both QES implementations join a pair of in-memory record sets by
 //! building a hash table on the left (inner) side and probing it with the
-//! right (outer) side. The build stores *row indices* (the paper stores "a
+//! right (outer) side. The table stores *row indices* (the paper stores "a
 //! pointer to the relevant record"), so build cost is independent of record
 //! size — which is why the cost models can use flat `α_build`/`α_lookup`
-//! constants. Neither build nor probe materializes row objects: keys are
-//! gathered straight from the sub-tables' typed columns
-//! ([`ColumnData::key_bits_into`]), and output records are only assembled
-//! — again from the typed columns — for actual matches.
+//! constants.
+//!
+//! ## Table layout
+//!
+//! [`FlatTable`] is three flat arrays and allocates nothing per key:
+//!
+//! * `keys` — the build side's canonical key bits
+//!   ([`ColumnData::key_bits_into`]), row-major: row `r`'s key is the
+//!   `key_len` words at `r * key_len`, one cache line for up to eight
+//!   attributes;
+//! * `slots` — an open-addressing table (power of two, load ≤ ½, linear
+//!   probing) over *distinct* keys: a slot holds the lowest build row
+//!   with that key, found by a multiply-mix hash of the key words and
+//!   confirmed by comparing them against `keys`;
+//! * `next` — one `u32` per build row chaining the rows that share a key,
+//!   in ascending row order, so duplicates cost one word each and a
+//!   lookup that found its slot walks matches only.
+//!
+//! Its byte size is known ([`HashJoiner::table_bytes`]) and is what the
+//! Caching Service charges a cached hash table on top of its sub-table.
+//!
+//! ## One kernel, no rows
+//!
+//! [`HashJoiner::matches`] is the probe kernel: it returns the matched
+//! `(build row, probe row)` index vectors and builds nothing else. A
+//! count-only join takes their length; a collecting join gathers typed
+//! output columns through them ([`HashJoiner::gather`]) — the left
+//! columns by build row, the right non-key columns by probe row — one
+//! [`ColumnBatch`] per sub-table pair or bucket. [`HashJoiner::probe`] —
+//! kernel, gather, then one [`Record`] per match into a callback — is
+//! kept for the benchmark ladder's `join.hash_probe` rung and the unit
+//! tests; neither engine calls it.
 //!
 //! [`JoinCounters`] tallies every insert and lookup; the threaded runtime
 //! aggregates these across nodes and the calibration harness divides wall
 //! time by them to measure `α` on the host.
 
 use orv_chunk::SubTable;
-use orv_types::{ColumnData, DataType, Record, Result};
-use std::collections::HashMap;
+use orv_types::{ColumnBatch, ColumnData, DataType, Error, Record, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -28,6 +55,8 @@ use std::sync::Arc;
 /// by the schema's [`DataType`]), so the join can key its hash table on
 /// raw `u64` key bits and compare the per-column family vectors once
 /// per probe instead of tagging every value.
+///
+/// [`Value`]: orv_types::Value
 #[inline]
 pub(crate) fn is_float(ty: DataType) -> bool {
     matches!(ty, DataType::F32 | DataType::F64)
@@ -39,6 +68,35 @@ pub(crate) fn gather_key_bits(col: &ColumnData) -> Vec<u64> {
     let mut bits = Vec::with_capacity(col.len());
     col.key_bits_into(&mut bits);
     bits
+}
+
+/// The key bits of `st`'s rows over the key columns `key_indices`,
+/// row-major: row `r`'s key is the `key_indices.len()` words at
+/// `r * key_indices.len()`.
+fn gather_keys(st: &SubTable, key_indices: &[usize]) -> Vec<u64> {
+    let key_len = key_indices.len();
+    let mut keys = vec![0u64; st.num_rows() * key_len];
+    let mut bits = Vec::with_capacity(st.num_rows());
+    for (k, &ci) in key_indices.iter().enumerate() {
+        bits.clear();
+        st.column(ci).key_bits_into(&mut bits);
+        for (r, &b) in bits.iter().enumerate() {
+            keys[r * key_len + k] = b;
+        }
+    }
+    keys
+}
+
+/// Row indices are `u32`s with [`EMPTY`] reserved, on both sides.
+fn check_row_count(st: &SubTable) -> Result<()> {
+    if st.num_rows() > u32::MAX as usize {
+        return Err(Error::Config(format!(
+            "sub-table {} has {} rows; the hash join indexes rows with 32 bits",
+            st.id(),
+            st.num_rows()
+        )));
+    }
+    Ok(())
 }
 
 /// Shared counters for hash-join operations.
@@ -71,22 +129,113 @@ impl JoinCounters {
     }
 }
 
+/// No row: an empty slot, or the end of a duplicate chain.
+const EMPTY: u32 = u32::MAX;
+
+/// Multiply-mix hash of one key's words. Keys are grid coordinates and
+/// physical properties read from the dataset, not attacker-chosen
+/// strings; a collision costs one more key comparison.
+#[inline]
+fn hash_words(key: &[u64]) -> u64 {
+    let mut h = 0u64;
+    for &w in key {
+        h = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 32;
+    }
+    h
+}
+
+/// The hash table proper (see the module docs for the layout).
+struct FlatTable {
+    slots: Vec<u32>,
+    next: Vec<u32>,
+    keys: Vec<u64>,
+    key_len: usize,
+    num_keys: usize,
+}
+
+impl FlatTable {
+    /// Index `keys`, the row-major key bits of `nrows` build rows. Rows
+    /// go in highest first and each takes over its key's slot, so every
+    /// slot ends up holding its key's lowest row and every chain ascends.
+    fn build(keys: Vec<u64>, key_len: usize, nrows: usize) -> Self {
+        let mut table = FlatTable {
+            slots: vec![EMPTY; (2 * nrows).next_power_of_two()],
+            next: vec![EMPTY; nrows],
+            keys,
+            key_len,
+            num_keys: 0,
+        };
+        for r in (0..nrows).rev() {
+            let slot = table.slot_of(table.key(r));
+            let head = std::mem::replace(&mut table.slots[slot], r as u32);
+            table.next[r] = head;
+            table.num_keys += (head == EMPTY) as usize;
+        }
+        table
+    }
+
+    #[inline]
+    fn key(&self, row: usize) -> &[u64] {
+        &self.keys[row * self.key_len..(row + 1) * self.key_len]
+    }
+
+    /// The slot holding `key`, or the empty slot where it would go. The
+    /// table is never more than half full, so the scan ends.
+    #[inline]
+    fn slot_of(&self, key: &[u64]) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash_words(key) as usize & mask;
+        loop {
+            let head = self.slots[slot];
+            if head == EMPTY || self.key(head as usize) == key {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The lowest build row whose key is `key`, or [`EMPTY`].
+    #[inline]
+    fn first_row(&self, key: &[u64]) -> u32 {
+        self.slots[self.slot_of(key)]
+    }
+
+    fn bytes(&self) -> usize {
+        (self.slots.len() + self.next.len()) * size_of::<u32>() + self.keys.len() * size_of::<u64>()
+    }
+}
+
+/// The matched row pairs of one probe: `build[i]` of the build side
+/// joins `probe[i]` of the probe side. Probe rows ascend; within one
+/// probe row, build rows ascend.
+#[derive(Default)]
+pub(crate) struct Matches {
+    pub(crate) build: Vec<u32>,
+    pub(crate) probe: Vec<u32>,
+}
+
+impl Matches {
+    /// Number of result tuples.
+    pub(crate) fn len(&self) -> u64 {
+        self.build.len() as u64
+    }
+}
+
 /// A built hash table over one left-side sub-table.
 ///
 /// IJ caches these per left sub-table ("a hash-table is created only once
 /// for every left sub-table"), so the type is cheap to clone and share:
 /// the table and the build-side sub-table are both `Arc`ed. Keys are
-/// gathered from, and matches materialised from, the sub-tables' typed
+/// gathered from, and matches gathered out of, the sub-tables' typed
 /// columns. The cache charges an entry its sub-table's
-/// [`SubTable::encoded_size`] — the resident column bytes; the hash table
-/// itself is not yet charged.
+/// [`SubTable::encoded_size`] — the resident column bytes — plus
+/// [`HashJoiner::table_bytes`].
 #[derive(Clone)]
 pub struct HashJoiner {
-    /// canonical key bits (one `u64` per key attribute) → row indices in
-    /// the build side. Keys are compared as raw bits; families are
-    /// checked once per probe (see [`is_float`]).
-    table: Arc<HashMap<Box<[u64]>, Vec<u32>>>,
-    /// Per-key-position family flags of the build side.
+    table: Arc<FlatTable>,
+    /// Per-key-position family flags of the build side; checked once per
+    /// probe (see [`is_float`]).
     families: Arc<[bool]>,
     /// The build-side sub-table, pinned behind an `Arc` so cache hits
     /// and clones are refcount bumps — no column vector is ever copied.
@@ -100,14 +249,15 @@ impl HashJoiner {
     /// Build a hash table over `left`'s rows keyed by `key_attrs`.
     ///
     /// Columnar: the key bits of each key attribute are gathered in one
-    /// pass per column, then the insert loop works on plain `u64`s —
-    /// no per-row `Vec<Value>` is allocated.
+    /// pass per column, then the insert loop works on plain `u64`s and
+    /// allocates nothing.
     pub fn build(
         left: Arc<SubTable>,
         key_attrs: &[&str],
         counters: &JoinCounters,
         work_factor: u32,
     ) -> Result<Self> {
+        check_row_count(&left)?;
         let key_indices: Vec<usize> = key_attrs
             .iter()
             .map(|a| left.schema().require(a))
@@ -116,32 +266,15 @@ impl HashJoiner {
             .iter()
             .map(|&i| is_float(left.schema().attrs()[i].dtype))
             .collect();
-        let key_cols: Vec<Vec<u64>> = key_indices
-            .iter()
-            .map(|&i| gather_key_bits(left.column(i)))
-            .collect();
         let nrows = left.num_rows();
-        let mut table: HashMap<Box<[u64]>, Vec<u32>> = HashMap::with_capacity(nrows);
+        let table = FlatTable::build(gather_keys(&left, &key_indices), key_indices.len(), nrows);
         let reps = work_factor.max(1);
-        let mut key = vec![0u64; key_indices.len()];
-        for rep in 0..reps {
+        for _ in 1..reps {
+            // Repeated work: re-hash and look up, discarding the result,
+            // exactly like re-running the insert instructions on a
+            // slower CPU.
             for r in 0..nrows {
-                for (k, col) in key.iter_mut().zip(&key_cols) {
-                    *k = col[r];
-                }
-                if rep == 0 {
-                    match table.get_mut(key.as_slice()) {
-                        Some(rows) => rows.push(r as u32),
-                        None => {
-                            table.insert(key.clone().into_boxed_slice(), vec![r as u32]);
-                        }
-                    }
-                } else {
-                    // Repeated work: re-hash and look up, discarding the
-                    // result, exactly like re-running the insert
-                    // instructions on a slower CPU.
-                    std::hint::black_box(table.get(key.as_slice()));
-                }
+                std::hint::black_box(table.first_row(table.key(r)));
             }
         }
         counters
@@ -157,7 +290,7 @@ impl HashJoiner {
 
     /// Number of distinct keys in the table.
     pub fn num_keys(&self) -> usize {
-        self.table.len()
+        self.table.num_keys
     }
 
     /// Number of build-side rows.
@@ -165,26 +298,32 @@ impl HashJoiner {
         self.left.num_rows()
     }
 
-    /// Probe with every row of `right`; for each match, emit
-    /// `left_row ⨝ right_row` (right key fields dropped) through `on_match`.
-    /// Returns the number of result tuples.
-    ///
-    /// Columnar: right-side key bits are gathered per column up front;
-    /// the match loop compares raw `u64`s. Matches are collected as
-    /// `(left_row, right_row)` pairs and rows are materialized only for
-    /// actual matches, at the end — the probe loop itself builds no
-    /// [`Record`].
-    pub fn probe(
+    /// Resident bytes of the hash table itself, beside the build-side
+    /// sub-table's columns.
+    pub fn table_bytes(&self) -> usize {
+        self.table.bytes()
+    }
+
+    /// `right`'s column indices of `key_attrs`.
+    fn right_keys(right: &SubTable, key_attrs: &[&str]) -> Result<Vec<usize>> {
+        key_attrs
+            .iter()
+            .map(|a| right.schema().require(a))
+            .collect()
+    }
+
+    /// The probe kernel: look up every row of `right` and return the
+    /// matched row pairs. Right-side key bits are gathered per column up
+    /// front; the loop compares raw `u64`s and pushes indices — no row
+    /// is built and nothing is allocated per match.
+    pub(crate) fn matches(
         &self,
         right: &SubTable,
         key_attrs: &[&str],
         counters: &JoinCounters,
-        mut on_match: impl FnMut(Record),
-    ) -> Result<u64> {
-        let right_keys: Vec<usize> = key_attrs
-            .iter()
-            .map(|a| right.schema().require(a))
-            .collect::<Result<_>>()?;
+    ) -> Result<Matches> {
+        check_row_count(right)?;
+        let right_keys = Self::right_keys(right, key_attrs)?;
         let nrows = right.num_rows();
         // Family mismatch on any key position (int column joined against
         // float column) means no right key can equal any build key —
@@ -196,50 +335,77 @@ impl HashJoiner {
                 .iter()
                 .zip(self.families.iter())
                 .all(|(&i, &fam)| is_float(right.schema().attrs()[i].dtype) == fam);
-        let mut produced = 0u64;
+        let mut found = Matches::default();
         if families_match {
-            let key_cols: Vec<Vec<u64>> = right_keys
-                .iter()
-                .map(|&i| gather_key_bits(right.column(i)))
-                .collect();
-            let mut key = vec![0u64; right_keys.len()];
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for rep in 0..self.work_factor {
-                for ri in 0..nrows {
-                    for (k, col) in key.iter_mut().zip(&key_cols) {
-                        *k = col[ri];
-                    }
-                    if rep > 0 {
-                        std::hint::black_box(self.table.get(key.as_slice()));
-                        continue;
-                    }
-                    if let Some(rows) = self.table.get(key.as_slice()) {
-                        pairs.extend(rows.iter().map(|&li| (li, ri as u32)));
-                    }
+            // Sized for the foreign-key case, one match per probe row.
+            found.build.reserve(nrows);
+            found.probe.reserve(nrows);
+            let table = &*self.table;
+            let keys = gather_keys(right, &right_keys);
+            let key = |ri: usize| &keys[ri * table.key_len..(ri + 1) * table.key_len];
+            for ri in 0..nrows {
+                let mut li = table.first_row(key(ri));
+                while li != EMPTY {
+                    found.build.push(li);
+                    found.probe.push(ri as u32);
+                    li = table.next[li as usize];
                 }
             }
-            produced = pairs.len() as u64;
-            // Materialize the matches: left row ++ right row minus its
-            // key fields. This is the row edge of the join.
-            let left_cols: Vec<&ColumnData> = (0..self.left.schema().arity())
-                .map(|c| self.left.column(c))
-                .collect();
-            let right_cols: Vec<&ColumnData> = (0..right.schema().arity())
-                .filter(|c| !right_keys.contains(c))
-                .map(|c| right.column(c))
-                .collect();
-            for (li, ri) in pairs {
-                let mut vals = Vec::with_capacity(left_cols.len() + right_cols.len());
-                vals.extend(left_cols.iter().map(|c| c.value(li as usize)));
-                vals.extend(right_cols.iter().map(|c| c.value(ri as usize)));
-                on_match(Record::new(vals));
+            for _ in 1..self.work_factor {
+                for ri in 0..nrows {
+                    std::hint::black_box(table.first_row(key(ri)));
+                }
             }
         }
         counters
             .probes
             .fetch_add(nrows as u64 * self.work_factor as u64, Ordering::Relaxed);
-        counters.results.fetch_add(produced, Ordering::Relaxed);
-        Ok(produced)
+        counters.results.fetch_add(found.len(), Ordering::Relaxed);
+        Ok(found)
+    }
+
+    /// The join's output rows for `found` as typed columns: every left
+    /// column gathered by build row, then `right`'s non-key columns by
+    /// probe row.
+    pub(crate) fn gather(
+        &self,
+        right: &SubTable,
+        key_attrs: &[&str],
+        found: &Matches,
+    ) -> Result<ColumnBatch> {
+        let right_keys = Self::right_keys(right, key_attrs)?;
+        let left_cols = (0..self.left.schema().arity()).map(|c| self.left.column(c));
+        let right_cols = (0..right.schema().arity())
+            .filter(|c| !right_keys.contains(c))
+            .map(|c| right.column(c));
+        ColumnBatch::from_columns(
+            left_cols
+                .map(|c| c.gather(&found.build))
+                .chain(right_cols.map(|c| c.gather(&found.probe)))
+                .collect(),
+        )
+    }
+
+    /// Probe with every row of `right`; for each match, emit
+    /// `left_row ⨝ right_row` (right key fields dropped) through `on_match`.
+    /// Returns the number of result tuples.
+    ///
+    /// This is [`HashJoiner::matches`] and [`HashJoiner::gather`] with a
+    /// row edge on the end — the shape the benchmark ladder and the unit
+    /// tests call. The engines keep the batch.
+    pub fn probe(
+        &self,
+        right: &SubTable,
+        key_attrs: &[&str],
+        counters: &JoinCounters,
+        mut on_match: impl FnMut(Record),
+    ) -> Result<u64> {
+        let found = self.matches(right, key_attrs, counters)?;
+        let batch = self.gather(right, key_attrs, &found)?;
+        for row in 0..batch.num_rows() {
+            on_match(batch.record(row)?);
+        }
+        Ok(found.len())
     }
 }
 
@@ -404,5 +570,167 @@ mod tests {
         let hj = HashJoiner::build(StdArc::new(left()), &["y", "x"], &counters, 1).unwrap();
         let n = hj.probe(&right(), &["y", "x"], &counters, |_| {}).unwrap();
         assert_eq!(n, 2);
+    }
+
+    mod kernel_props {
+        use super::*;
+        use orv_types::{Attribute, DataType};
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        const INTS: [i32; 7] = [0, -1, 7, i32::MIN, 1, 2, -2];
+        /// Exact in `f32`, so an `F32` key equals its `F64` twin by value;
+        /// two zeros and two NaNs (one negative, with a payload).
+        const FLOATS: [f64; 7] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::from_bits(0xFFF8_0000_0000_0001),
+            1.5,
+            -1.5,
+            0.25,
+        ];
+
+        fn key_column(float: bool, wide: bool, picks: &[usize]) -> ColumnData {
+            let picks = picks.iter();
+            match (float, wide) {
+                (false, false) => ColumnData::I32(picks.map(|&i| INTS[i]).collect()),
+                (false, true) => ColumnData::I64(picks.map(|&i| INTS[i] as i64).collect()),
+                (true, false) => ColumnData::F32(picks.map(|&i| FLOATS[i] as f32).collect()),
+                (true, true) => ColumnData::F64(picks.map(|&i| FLOATS[i]).collect()),
+            }
+        }
+
+        /// One side of the join: key columns `k0..` typed per `float` /
+        /// `wide`, a payload column, stored keys-first or payload-first
+        /// with the keys reversed.
+        fn side(
+            table: u32,
+            float: &[bool],
+            wide: u8,
+            picks: &[usize],
+            keys_first: bool,
+        ) -> SubTable {
+            let nkeys = float.len();
+            let nrows = picks.len() / nkeys;
+            let mut cols: Vec<(Attribute, ColumnData)> = (0..nkeys)
+                .map(|k| {
+                    let col: Vec<usize> = (0..nrows).map(|r| picks[r * nkeys + k]).collect();
+                    let data = key_column(float[k], wide >> k & 1 == 1, &col);
+                    (Attribute::scalar(format!("k{k}"), data.dtype()), data)
+                })
+                .collect();
+            let payload =
+                ColumnData::I64((0..nrows as i64).map(|r| r * 10 + table as i64).collect());
+            let payload = (
+                Attribute::scalar(format!("p{table}"), DataType::I64),
+                payload,
+            );
+            if keys_first {
+                cols.push(payload);
+            } else {
+                cols.reverse();
+                cols.insert(0, payload);
+            }
+            let (attrs, data): (Vec<_>, Vec<_>) = cols.into_iter().unzip();
+            subtable(table, StdArc::new(Schema::new(attrs).unwrap()), data)
+        }
+
+        /// `st`'s row `r` as the reference keys it: `Value::key_bits` of
+        /// each key attribute, in `key_attrs` order.
+        fn reference_key(st: &SubTable, key_attrs: &[&str], r: usize) -> Vec<u64> {
+            key_attrs
+                .iter()
+                .map(|a| {
+                    st.column(st.schema().require(a).unwrap())
+                        .value(r)
+                        .key_bits()
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The flat table and a `HashMap<Vec<u64>, Vec<u32>>` return
+            /// the same `(build row, probe row)` pairs — duplicates on
+            /// both sides, `I32` against `I64`, `F32` against `F64` with
+            /// both zeros and NaNs, 1–4 key attributes given in an order
+            /// that is neither side's storage order, empty sides, a work
+            /// factor, and a family mismatch that must match nothing.
+            #[test]
+            fn flat_table_matches_a_hash_map_reference(
+                nkeys in 1usize..5,
+                float_mask in 0u8..16,
+                (left_wide, right_wide) in (0u8..16, 0u8..16),
+                left_picks in proptest::collection::vec(0usize..7, 0..48),
+                right_picks in proptest::collection::vec(0usize..7, 0..48),
+                rot in 0usize..4,
+                mismatch_at in 0usize..12,
+                work_factor in proptest::sample::select(vec![1u32, 3]),
+            ) {
+                // Fewer distinct values per attribute as attributes are
+                // added, so multi-attribute keys still collide.
+                let domain = [7, 4, 3, 2][nkeys - 1];
+                let narrow = |picks: &[usize]| -> Vec<usize> {
+                    picks.iter().map(|i| i % domain).collect()
+                };
+                let float: Vec<bool> = (0..nkeys).map(|k| float_mask >> k & 1 == 1).collect();
+                let mut right_float = float.clone();
+                let mismatched = mismatch_at < nkeys;
+                if mismatched {
+                    right_float[mismatch_at] ^= true;
+                }
+                let left = StdArc::new(side(0, &float, left_wide, &narrow(&left_picks), true));
+                let right = side(1, &right_float, right_wide, &narrow(&right_picks), false);
+                let mut names: Vec<String> = (0..nkeys).map(|k| format!("k{k}")).collect();
+                names.rotate_left(rot % nkeys);
+                let key_attrs: Vec<&str> = names.iter().map(String::as_str).collect();
+
+                let mut reference: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
+                for r in 0..left.num_rows() {
+                    reference
+                        .entry(reference_key(&left, &key_attrs, r))
+                        .or_default()
+                        .push(r as u32);
+                }
+                let mut expected: Vec<(u32, u32)> = Vec::new();
+                if !mismatched {
+                    for r in 0..right.num_rows() {
+                        let rows = reference.get(&reference_key(&right, &key_attrs, r));
+                        expected.extend(rows.into_iter().flatten().map(|&l| (l, r as u32)));
+                    }
+                }
+
+                let counters = JoinCounters::new();
+                let hj = HashJoiner::build(StdArc::clone(&left), &key_attrs, &counters, work_factor)
+                    .unwrap();
+                prop_assert_eq!(hj.num_keys(), reference.len());
+                prop_assert_eq!(hj.num_rows(), left.num_rows());
+                let found = hj.matches(&right, &key_attrs, &counters).unwrap();
+                let got: Vec<(u32, u32)> =
+                    found.build.iter().copied().zip(found.probe.iter().copied()).collect();
+                // The same multiset, and in the reference's order: probe
+                // rows ascend and each one's build rows ascend.
+                prop_assert_eq!(&got, &expected);
+                let reps = work_factor as u64;
+                prop_assert_eq!(counters.builds(), left.num_rows() as u64 * reps);
+                prop_assert_eq!(counters.probes(), right.num_rows() as u64 * reps);
+                prop_assert_eq!(counters.results(), expected.len() as u64);
+
+                // The gathered batch is those pairs' rows: every left
+                // column, then the right side's payload.
+                let batch = hj.gather(&right, &key_attrs, &found).unwrap();
+                prop_assert_eq!(batch.num_rows(), found.build.len());
+                prop_assert_eq!(batch.num_columns(), left.schema().arity() + 1);
+                for (i, (&l, &r)) in found.build.iter().zip(&found.probe).enumerate() {
+                    let mut want = left.record(l as usize).unwrap().values().to_vec();
+                    want.push(right.column(0).value(r as usize));
+                    let row = batch.record(i).unwrap();
+                    // Bit-exact, not `Value` equality: -0.0 stays -0.0.
+                    prop_assert_eq!(format!("{row:?}"), format!("{:?}", Record::new(want)));
+                }
+            }
+        }
     }
 }

@@ -26,6 +26,14 @@
 //! every worker has died does the join fail, with a typed
 //! `Error::Cluster`. Results and statistics are committed per completed
 //! pair, so reassignment never duplicates or loses output.
+//!
+//! ## Output
+//!
+//! A pair's result is the probe kernel's matched row indices
+//! ([`HashJoiner`]): a count-only run takes their number and builds
+//! nothing; a collecting run gathers them into one typed [`ColumnBatch`]
+//! per pair, and [`JoinOutput`] hands those batches on. No row object is
+//! built here — that happens once, at the query engine's row edge.
 
 use crate::cache::{left_key_tag, CacheKey, CacheService, CachedEntry};
 use crate::connectivity::ConnectivityGraph;
@@ -37,7 +45,7 @@ use orv_cluster::{
     run_workers, CancelToken, FaultInjector, RecoveryPolicy, RunStats, WorkerBody, WorkerEnd,
 };
 use orv_obs::{names, Obs};
-use orv_types::{BoundingBox, Error, Record, Result, SubTableId, TableId};
+use orv_types::{BoundingBox, ColumnBatch, Error, Record, Result, SubTableId, TableId};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,7 +62,7 @@ pub struct IndexedJoinConfig {
     pub policy: SchedulePolicy,
     /// Figure-8 work multiplier for hash build/probe.
     pub work_factor: u32,
-    /// Collect result records (tests); otherwise only count them.
+    /// Collect the result (one batch per pair); otherwise only count it.
     pub collect_results: bool,
     /// Optional range constraint pushed into the connectivity graph and
     /// applied to fetched sub-tables.
@@ -96,8 +104,24 @@ impl Default for IndexedJoinConfig {
 pub struct JoinOutput {
     /// Aggregated run statistics.
     pub stats: RunStats,
-    /// Result records if `collect_results` was set.
-    pub records: Option<Vec<Record>>,
+    /// The result if `collect_results` was set: one typed batch per
+    /// joined sub-table pair (IJ) or bucket pair (GH), in completion
+    /// order. Rows within and across batches are in no particular order.
+    pub batches: Option<Vec<ColumnBatch>>,
+}
+
+impl JoinOutput {
+    /// The collected result as rows, for tests and oracles; the engine
+    /// orders and materialises the batches itself. By reference, so a
+    /// test can still read `stats` afterwards.
+    pub fn records(&self) -> Option<Vec<Record>> {
+        let batches = self.batches.as_ref()?;
+        let mut rows = Vec::with_capacity(batches.iter().map(|b| b.num_rows()).sum());
+        for b in batches {
+            b.append_records_to(&mut rows).ok()?;
+        }
+        Some(rows)
+    }
 }
 
 /// Execute `left ⊕ right` on `join_attrs` with the Indexed Join QES,
@@ -275,7 +299,7 @@ pub fn indexed_join_cached(
         committed,
         ..
     } = run;
-    let (records, mut stats) = committed.into_inner();
+    let (batches, mut stats) = committed.into_inner();
     stats.corruptions_detected += reader.corruptions_detected();
     stats.wall_secs = start.elapsed().as_secs_f64();
     stats.hash_builds = counters.builds();
@@ -285,7 +309,7 @@ pub fn indexed_join_cached(
     stats.record_into(&cfg.obs.metrics, "ij");
     Ok(JoinOutput {
         stats,
-        records: cfg.collect_results.then_some(records),
+        batches: cfg.collect_results.then_some(batches),
     })
 }
 
@@ -297,10 +321,10 @@ struct PairRunner<'a> {
     join_attrs: &'a [&'a str],
     left_tag: u64,
     counters: JoinCounters,
-    /// Exactly-once commit point: a pair's records and stats deltas land
+    /// Exactly-once commit point: a pair's batch and stats deltas land
     /// here only after the pair fully completes, so a worker dying mid-pair
     /// neither loses nor duplicates output when the pair is reassigned.
-    committed: Mutex<(Vec<Record>, RunStats)>,
+    committed: Mutex<(Vec<ColumnBatch>, RunStats)>,
 }
 
 impl PairRunner<'_> {
@@ -319,12 +343,11 @@ impl PairRunner<'_> {
 
     /// Join one `(left, right)` sub-table pair on compute node `node_idx`:
     /// resolve both sides through the cache (fetching and building on a
-    /// miss), probe, then commit the pair's records and statistics.
+    /// miss), probe, then commit the pair's batch and statistics.
     fn join_pair(&self, node_idx: usize, lid: SubTableId, rid: SubTableId) -> Result<()> {
         let cfg = self.cfg;
         let spans = &cfg.obs.spans;
         let mut delta = RunStats::default();
-        let mut local = Vec::new();
         // Left side: shared-cache hash table; on a miss, one node fetches +
         // builds while any concurrent requester of the same key waits
         // (single-flight) and counts a hit.
@@ -334,9 +357,11 @@ impl PairRunner<'_> {
             &cfg.cancel,
             || {
                 let st = Arc::new(self.fetch(node_idx, lid, &mut delta)?);
-                let size = st.encoded_size() as u64;
+                let columns = st.encoded_size();
                 let _build = spans.span_with(|| names::span_ij(node_idx, names::PHASE_BUILD));
                 let j = HashJoiner::build(st, self.join_attrs, &self.counters, cfg.work_factor)?;
+                // What is resident: the sub-table's columns and the table.
+                let size = (columns + j.table_bytes()) as u64;
                 Ok((CachedEntry::Left(Arc::new(j)), size))
             },
         )?;
@@ -365,19 +390,18 @@ impl PairRunner<'_> {
                 delta.cache_misses += 1;
             }
         }
-        delta.result_tuples += {
+        let batch = {
             let _probe = spans.span_with(|| names::span_ij(node_idx, names::PHASE_PROBE));
-            if cfg.collect_results {
-                joiner.probe(&rst, self.join_attrs, &self.counters, |r| local.push(r))?
-            } else {
-                joiner.probe(&rst, self.join_attrs, &self.counters, |_| {})?
+            let found = joiner.matches(&rst, self.join_attrs, &self.counters)?;
+            delta.result_tuples += found.len();
+            match cfg.collect_results {
+                true => Some(joiner.gather(&rst, self.join_attrs, &found)?),
+                false => None,
             }
         };
 
         let mut c = self.committed.lock();
-        if cfg.collect_results {
-            c.0.append(&mut local);
-        }
+        c.0.extend(batch);
         c.1.merge(&delta);
         Ok(())
     }
@@ -431,7 +455,7 @@ mod tests {
         let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
         assert_eq!(out.stats.result_tuples as usize, expected.len());
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
     }
 
     #[test]
@@ -440,7 +464,7 @@ mod tests {
         let out =
             indexed_join(&d, t1, t2, &["x", "y", "z"], &IndexedJoinConfig::default()).unwrap();
         assert_eq!(out.stats.result_tuples, 64);
-        assert!(out.records.is_none());
+        assert!(out.records().is_none());
     }
 
     #[test]
@@ -460,6 +484,40 @@ mod tests {
     }
 
     #[test]
+    fn warm_count_only_run_counts_without_collecting() {
+        let (d, t1, t2) = deploy([8, 8, 1], [2, 2, 1], [4, 4, 1], 2);
+        let cache = CacheService::new(2, 1 << 30);
+        let run = |collect_results| {
+            let cfg = IndexedJoinConfig {
+                collect_results,
+                ..Default::default()
+            };
+            indexed_join_cached(&d, t1, t2, &["x", "y", "z"], &cfg, &cache).unwrap()
+        };
+        let cold = run(true);
+        assert_eq!(cold.records().map(|r| r.len()), Some(64));
+        // 16 left sub-tables of 4 rows, each inside one of 4 right
+        // sub-tables of 16 rows: 16 pairs, every one probing 16 rows.
+        let warm = run(false);
+        assert!(warm.batches.is_none() && warm.records().is_none());
+        assert_eq!(warm.stats.result_tuples, 64);
+        assert_eq!(warm.stats.hash_probes, 16 * 16);
+        assert_eq!(warm.stats.hash_builds, 0);
+        assert_eq!((warm.stats.cache_hits, warm.stats.cache_misses), (32, 0));
+        assert_eq!(warm.stats.bytes_transferred, 0);
+        let totals = cache.stats();
+        assert_eq!((totals.misses, totals.evictions), (20, 0));
+        assert_eq!(totals.hits, cold.stats.cache_hits + 32);
+        // What is resident is what is charged: 20 sub-tables' columns and
+        // 16 hash tables of 8 slots, 4 chain links and 4 three-word keys.
+        let columns = (16 * 4 + 4 * 16) * 16;
+        assert_eq!(
+            cache.used_bytes(),
+            columns + 16 * (8 * 4 + 4 * 4 + 4 * 3 * 8)
+        );
+    }
+
+    #[test]
     fn tiny_cache_still_correct() {
         let (d, t1, t2) = deploy([8, 8, 1], [2, 2, 1], [4, 4, 1], 2);
         let cfg = IndexedJoinConfig {
@@ -471,7 +529,7 @@ mod tests {
         let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         assert_eq!(out.stats.cache_hits, 0);
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
     }
 
     #[test]
@@ -489,7 +547,7 @@ mod tests {
         };
         let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], Some(&range)).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
         assert_eq!(out.stats.result_tuples, 16);
     }
 
@@ -509,7 +567,7 @@ mod tests {
                 ..Default::default()
             };
             let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
-            outputs.push(sort_records(out.records.unwrap()));
+            outputs.push(sort_records(out.records().unwrap()));
         }
         assert_eq!(outputs[0], outputs[1]);
         assert_eq!(outputs[0], outputs[2]);
@@ -567,7 +625,7 @@ mod tests {
         };
         let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
         assert_eq!(
             out.stats.read_retries, 3,
             "every injected failure costs one retry"
@@ -596,7 +654,7 @@ mod tests {
         };
         let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
         let fstats = injector.stats();
         assert_eq!(fstats.chunk_corruptions, 3, "{fstats:?}");
         assert_eq!(out.stats.corruptions_detected, fstats.corruptions());
@@ -642,7 +700,7 @@ mod tests {
         };
         let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records.unwrap()), sort_records(expected));
+        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
         assert_eq!(out.stats.worker_panics, 1);
         assert!(out.stats.pairs_reassigned > 0, "{:?}", out.stats);
     }

@@ -13,8 +13,8 @@ use crate::ast::{
     predicates_to_bbox, JoinClause, Query, RangePred, SelectItem, Statement, ViewDef,
 };
 use crate::exec::{
-    aggregate, batches_to_rows, column_names, filter_rows, order_and_limit, project, rows_checksum,
-    scan_batches, scan_chunks, RowSet,
+    aggregate, batches_to_rows_on, column_names, filter_rows, order_and_limit, order_batches,
+    project, rows_checksum, scan_batches, scan_chunks, RowSet,
 };
 use crate::parser::parse_statement;
 use crate::plan::{PlanExplain, Planner};
@@ -674,6 +674,14 @@ impl QueryEngine {
 
     /// Run a distributed join between two base tables, letting the QPS
     /// pick the QES.
+    ///
+    /// The order contract: a join's rows come back in ascending row order
+    /// — lexicographic by column under `Value`'s order, rows that compare
+    /// equal in the order the QES produced them — whichever QES ran,
+    /// however many workers ran it, and across a failover. The QES hands
+    /// back typed batches in completion order; [`order_batches`] orders
+    /// them as typed columns and [`batches_to_rows_on`] builds the rows,
+    /// both on this engine's compute workers.
     fn run_join(
         &self,
         left: TableId,
@@ -796,11 +804,11 @@ impl QueryEngine {
         drop(_exec);
         md.publish_into(&self.obs.metrics);
         self.cache.publish_into(&self.obs.metrics);
-        let mut rows = output.records.ok_or_else(|| {
-            Error::Plan("join output missing records despite collect_results".into())
+        let batches = output.batches.ok_or_else(|| {
+            Error::Plan("join output missing batches despite collect_results".into())
         })?;
-        rows.sort_by(|a, b| a.values().cmp(b.values()));
-        Ok((rows, Some(plan)))
+        let ordered = order_batches(batches, self.n_compute)?;
+        Ok((batches_to_rows_on(&ordered, self.n_compute)?, Some(plan)))
     }
 
     fn select(&self, bound: &BoundSelect, request: &Request) -> Result<QueryResult> {
@@ -812,7 +820,7 @@ impl QueryEngine {
             Source::Scan { table, range } => {
                 let reader = self.reader(&request.cancel)?;
                 let (_, batches) = scan_batches(&reader, *table, range.as_ref())?;
-                (batches_to_rows(&batches)?, None)
+                (batches_to_rows_on(&batches, self.n_compute)?, None)
             }
             Source::Join {
                 left,
@@ -950,6 +958,73 @@ mod tests {
         let a = ij.execute("SELECT * FROM v WHERE y IN [1, 4]").unwrap();
         let b = gh.execute("SELECT * FROM v WHERE y IN [1, 4]").unwrap();
         assert_eq!(a.rows, b.rows);
+    }
+
+    /// The order contract at 256×256 — 65 536 rows, the smallest result
+    /// the engine orders and materialises on its compute workers.
+    #[test]
+    fn join_rows_ascend_whichever_engine_and_worker_count_ran() {
+        use orv_bds::scalar_value;
+        const SIDE: u64 = 256;
+        // Under seed 133 two grid points share the sixth-highest `wp`.
+        const SEEDS: [u64; 2] = [1, 133];
+        let d = Deployment::in_memory(2);
+        for (name, scalar, seed, part) in [
+            ("t1", "oilp", SEEDS[0], [32, 32, 1]),
+            ("t2", "wp", SEEDS[1], [64, 16, 1]),
+        ] {
+            generate_dataset(
+                &DatasetSpec::builder(name)
+                    .grid([SIDE, SIDE, 1])
+                    .partition(part)
+                    .scalar_attrs(&[scalar])
+                    .seed(seed)
+                    .build(),
+                &d,
+            )
+            .unwrap();
+        }
+        // Nested loops over the grid, ascending by construction.
+        let oracle: Vec<Record> = (0..SIDE)
+            .flat_map(|x| (0..SIDE).map(move |y| (x, y)))
+            .map(|(x, y)| {
+                let scalar = |seed| Value::F32(scalar_value(seed, 0, [x, y, 0]));
+                let coords = [x as i32, y as i32, 0].map(Value::I32);
+                Record::new([&coords[..], &SEEDS.map(scalar)].concat())
+            })
+            .collect();
+        // Highest `wp` first, ties in oracle (ascending row) order.
+        let mut by_wp: Vec<(std::cmp::Reverse<Value>, usize)> = (0..oracle.len())
+            .map(|i| (std::cmp::Reverse(oracle[i].get(4)), i))
+            .collect();
+        by_wp.sort();
+        let top: Vec<Record> = by_wp[..10]
+            .iter()
+            .map(|&(_, i)| oracle[i].clone())
+            .collect();
+        let tied: Vec<&Record> = top.iter().filter(|r| r.get(4) == top[5].get(4)).collect();
+        assert_eq!(tied.len(), 2, "the tie this test is about");
+        assert!(
+            tied[0].values() < tied[1].values(),
+            "stable: (x, y) ascending"
+        );
+
+        let engines = [
+            QueryEngine::new(d.clone()).force_algorithm(Some(JoinAlgorithm::IndexedJoin)),
+            QueryEngine::new(d.clone()).force_algorithm(Some(JoinAlgorithm::GraceHash)),
+            QueryEngine::new(d).with_cluster(ClusterSpec::paper_testbed(2, 1)),
+        ];
+        for e in &engines {
+            e.execute("CREATE VIEW v1 AS SELECT * FROM t1 JOIN t2 ON (x, y, z)")
+                .unwrap();
+            let all = e.execute("SELECT * FROM v1").unwrap().rows;
+            assert!(all.windows(2).all(|w| w[0].values() < w[1].values()));
+            assert!(all == oracle, "not the oracle's sequence");
+            let best = e
+                .execute("SELECT * FROM v1 ORDER BY wp DESC LIMIT 10")
+                .unwrap();
+            assert_eq!(best.rows, top);
+        }
     }
 
     #[test]

@@ -8,17 +8,30 @@
 //! QES instances use. There are two scan entry points over it:
 //! [`scan_batches`] (R-tree pruned, one batch per chunk) and
 //! [`scan_chunks`] (an explicit chunk list, with run lengths).
+//!
+//! ## The row edge
+//!
+//! Scans and joins hand typed [`ColumnBatch`]es up to here, and
+//! [`batches_to_rows_on`] is the one place a result's [`Record`]s are
+//! built: contiguous runs of batches, one run per worker, on
+//! `orv_cluster::run_workers`. The engine passes its compute-node count
+//! as the worker count; [`batches_to_rows`] is the same function at one
+//! worker. A join's rows are put in ascending row order first, still as
+//! typed columns ([`order_batches`]), on the same workers. Results under
+//! `SERIAL_BELOW_ROWS` rows stay on the calling thread — a federation
+//! sub-scan, a window query or a unit test starts no thread.
 
 use crate::agg::Accumulator;
 use crate::ast::{AggFunc, RangePred, SelectItem};
 use orv_bds::SubTableReader;
-use orv_cluster::{checksum, RunStats};
+use orv_cluster::{all_done, checksum, run_workers, RunStats, WorkerBody};
 use orv_types::{
     BoundingBox, ChunkId, ColumnBatch, Error, Interval, Record, Result, Schema, SubTableId,
     TableId, Value,
 };
+use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Materialized rows plus their schema-ish column names.
 #[derive(Clone, Debug)]
@@ -80,13 +93,185 @@ pub fn scan_batches(
     Ok((schema, batches))
 }
 
-/// The service-edge conversion: materialize a run of batches into rows.
+/// A result this small is ordered and materialised on the calling thread:
+/// starting workers would cost more than the work they take over.
+const SERIAL_BELOW_ROWS: usize = 1 << 16;
+
+/// How many of `workers` a result of `rows` rows is worth.
+fn workers_for(rows: usize, workers: usize, serial_below: usize) -> usize {
+    if rows < serial_below {
+        1
+    } else {
+        workers.max(1)
+    }
+}
+
+/// Run `bodies` on the one worker harness and return their values in
+/// order, or the root cause if one failed.
+fn on_workers<'a, T: Send>(bodies: impl Iterator<Item = WorkerBody<'a, T>>) -> Result<Vec<T>> {
+    all_done(run_workers(bodies.enumerate().collect()))
+}
+
+/// The service-edge conversion: materialize a run of batches into rows,
+/// on the calling thread.
 pub fn batches_to_rows(batches: &[ColumnBatch]) -> Result<Vec<Record>> {
-    let mut rows = Vec::with_capacity(batches.iter().map(|b| b.num_rows()).sum());
-    for b in batches {
-        b.append_records_to(&mut rows)?;
+    batches_to_rows_on(batches, 1)
+}
+
+/// The row edge: materialize a run of batches into rows, in order, on up
+/// to `workers` threads (see the module docs).
+pub fn batches_to_rows_on(batches: &[ColumnBatch], workers: usize) -> Result<Vec<Record>> {
+    rows_on(batches, workers, SERIAL_BELOW_ROWS)
+}
+
+fn rows_on(batches: &[ColumnBatch], workers: usize, serial_below: usize) -> Result<Vec<Record>> {
+    let count = |part: &[ColumnBatch]| part.iter().map(|b| b.num_rows()).sum::<usize>();
+    // `room`: the first part's vector is the result's, so it is sized for
+    // all of it and the other parts are appended to it.
+    let build = |part: &[ColumnBatch], room: usize| -> Result<Vec<Record>> {
+        let mut rows = Vec::with_capacity(room);
+        for b in part {
+            b.append_records_to(&mut rows)?;
+        }
+        Ok(rows)
+    };
+    let total = count(batches);
+    let workers = workers_for(total, workers, serial_below);
+    if workers == 1 {
+        return build(batches, total);
+    }
+    // Whole batches, split where the running row count passes each
+    // worker's share: a scan's equal chunks and an ordered join's
+    // per-worker batches both divide evenly.
+    let mut parts: Vec<&[ColumnBatch]> = Vec::with_capacity(workers);
+    let (mut start, mut seen) = (0, 0);
+    for k in 1..=workers {
+        let mut end = start;
+        while end < batches.len() && (k == workers || seen < total * k / workers) {
+            seen += batches[end].num_rows();
+            end += 1;
+        }
+        parts.push(&batches[start..end]);
+        start = end;
+    }
+    let bodies = parts.into_iter().enumerate().map(|(i, part)| {
+        let room = if i == 0 { total } else { count(part) };
+        Box::new(move || build(part, room)) as WorkerBody<'_, Vec<Record>>
+    });
+    let mut built = on_workers(bodies)?.into_iter();
+    let mut rows = built.next().unwrap_or_default();
+    for mut part in built {
+        rows.append(&mut part);
     }
     Ok(rows)
+}
+
+/// Put a join's output in ascending row order — the order a stable sort
+/// of its rows by `Record::values` leaves — without building a row: the
+/// batches are concatenated, every column yields order-preserving `u64`s
+/// ([`orv_types::ColumnData::order_bits_into`], `Value::cmp` within a
+/// column), a `u32` permutation is stable-sorted on them in one
+/// contiguous run per worker and the runs are merged, and each worker
+/// gathers its slice of the result into one batch. Batches that are
+/// already ascending runs (a sub-table pair's matches on generated data)
+/// are found as such by the standard library's merge sort and merged,
+/// not sorted.
+pub fn order_batches(batches: Vec<ColumnBatch>, workers: usize) -> Result<Vec<ColumnBatch>> {
+    order_on(batches, workers, SERIAL_BELOW_ROWS)
+}
+
+fn order_on(
+    batches: Vec<ColumnBatch>,
+    workers: usize,
+    serial_below: usize,
+) -> Result<Vec<ColumnBatch>> {
+    let all = &ColumnBatch::concat(batches)?;
+    let n = all.num_rows();
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let n32 = u32::try_from(n).map_err(|_| {
+        Error::Plan(format!(
+            "a result of {n} rows is past the 32-bit row index its order is computed on"
+        ))
+    })?;
+    let workers = workers_for(n, workers, serial_below);
+    let run_len = n.div_ceil(workers);
+    // The sort keys live only as long as the sort.
+    let perm = {
+        // A column's keys are built when a comparison first reaches it,
+        // so rows told apart by their leading columns never pay for the
+        // rest.
+        let keys: Vec<OnceLock<Vec<u64>>> =
+            (0..all.num_columns()).map(|_| OnceLock::new()).collect();
+        let keys = &keys;
+        let by_row = move |a: &u32, b: &u32| {
+            for (c, bits) in keys.iter().enumerate() {
+                let bits = bits.get_or_init(|| {
+                    let mut bits = Vec::with_capacity(n);
+                    all.column(c).order_bits_into(&mut bits);
+                    bits
+                });
+                let ord = bits[*a as usize].cmp(&bits[*b as usize]);
+                if ord.is_ne() {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        };
+        let mut perm: Vec<u32> = (0..n32).collect();
+        if workers == 1 {
+            perm.sort_by(by_row);
+            perm
+        } else {
+            on_workers(perm.chunks_mut(run_len).map(|run| {
+                Box::new(move || {
+                    run.sort_by(by_row);
+                    Ok(())
+                }) as WorkerBody<'_, _>
+            }))?;
+            merge_runs(perm, run_len, by_row)
+        }
+    };
+    if workers == 1 {
+        return Ok(vec![all.gather(&perm)]);
+    }
+    on_workers(
+        perm.chunks(run_len)
+            .map(|rows| Box::new(move || Ok(all.gather(rows))) as WorkerBody<'_, _>),
+    )
+}
+
+/// Merge the sorted runs of `run_len` rows `perm` consists of (the last
+/// may be shorter) into one, pairwise; ties keep the earlier run's row
+/// first, so the whole stays a stable sort.
+fn merge_runs(
+    mut perm: Vec<u32>,
+    mut run_len: usize,
+    by_row: impl Fn(&u32, &u32) -> Ordering,
+) -> Vec<u32> {
+    let mut merged = Vec::with_capacity(perm.len());
+    while run_len < perm.len() {
+        merged.clear();
+        for pair in perm.chunks(2 * run_len) {
+            let (left, right) = pair.split_at(run_len.min(pair.len()));
+            let (mut i, mut j) = (0, 0);
+            while i < left.len() && j < right.len() {
+                if by_row(&right[j], &left[i]).is_lt() {
+                    merged.push(right[j]);
+                    j += 1;
+                } else {
+                    merged.push(left[i]);
+                    i += 1;
+                }
+            }
+            merged.extend_from_slice(&left[i..]);
+            merged.extend_from_slice(&right[j..]);
+        }
+        std::mem::swap(&mut perm, &mut merged);
+        run_len *= 2;
+    }
+    perm
 }
 
 /// A shard-side chunk scan: the schema, the rows, and per-chunk run
@@ -108,15 +293,15 @@ pub fn scan_chunks(
     let mut sorted: Vec<_> = chunks.to_vec();
     sorted.sort();
     sorted.dedup();
-    let mut rows = Vec::new();
+    let mut batches = Vec::with_capacity(sorted.len());
     let mut runs = Vec::with_capacity(sorted.len());
-    // Columnar per chunk; the run boundary is the batch row count, rows
-    // materialize straight into the shard response buffer.
+    // Columnar per chunk; the run boundary is the batch row count.
     scan_each(reader, table, sorted, range, |chunk, b| {
         runs.push((chunk, b.num_rows()));
-        b.append_records_to(&mut rows)
+        batches.push(b);
+        Ok(())
     })?;
-    Ok((schema, rows, runs))
+    Ok((schema, batches_to_rows(&batches)?, runs))
 }
 
 /// CRC32C over the canonical binary encoding of `rows`, sealed shard-side
@@ -174,7 +359,9 @@ pub fn column_names(schema: &Schema) -> Vec<String> {
 }
 
 /// Sort by output columns (stable; `(name, descending)` pairs applied in
-/// order) and truncate to `limit`.
+/// order) and truncate to `limit`. A limit below the row count selects
+/// its rows first and sorts only those: ties are broken by input
+/// position, which is the order the stable sort of everything leaves.
 pub fn order_and_limit(
     mut rowset: RowSet,
     order_by: &[(String, bool)],
@@ -192,16 +379,33 @@ pub fn order_and_limit(
                     .ok_or_else(|| Error::Plan(format!("unknown ORDER BY column `{name}`")))
             })
             .collect::<Result<_>>()?;
-        rowset.rows.sort_by(|a, b| {
+        let by_keys = |a: &Record, b: &Record| {
             for &(i, desc) in &keys {
                 let ord = a.get(i).cmp(&b.get(i));
                 let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
+                if ord != Ordering::Equal {
                     return ord;
                 }
             }
-            std::cmp::Ordering::Equal
-        });
+            Ordering::Equal
+        };
+        match limit {
+            Some(k) if 0 < k && k < rowset.rows.len() => {
+                let rows = &mut rowset.rows;
+                let by_keys_then_position =
+                    |a: &usize, b: &usize| by_keys(&rows[*a], &rows[*b]).then(a.cmp(b));
+                let mut positions: Vec<usize> = (0..rows.len()).collect();
+                positions.select_nth_unstable_by(k - 1, by_keys_then_position);
+                positions.truncate(k);
+                positions.sort_unstable_by(by_keys_then_position);
+                let empty = || Record::new(Vec::new());
+                rowset.rows = positions
+                    .iter()
+                    .map(|&p| std::mem::replace(&mut rows[p], empty()))
+                    .collect();
+            }
+            _ => rowset.rows.sort_by(by_keys),
+        }
     }
     if let Some(n) = limit {
         rowset.rows.truncate(n);
@@ -695,5 +899,146 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("GROUP BY"));
+    }
+
+    #[test]
+    fn row_edge_on_workers_equals_the_serial_edge() {
+        use orv_types::ColumnData;
+        // Five batches of 0, 3, 0, 1 and 4 rows: empty ones at the front
+        // and in the middle, and 8 rows that 3 workers cannot share evenly.
+        let batch = |xs: &[i32]| {
+            ColumnBatch::from_columns(vec![
+                ColumnData::I32(xs.to_vec()),
+                ColumnData::F64(xs.iter().map(|&x| x as f64 / 2.0).collect()),
+            ])
+            .unwrap()
+        };
+        let batches = [
+            batch(&[]),
+            batch(&[5, 6, 7]),
+            batch(&[]),
+            batch(&[1]),
+            batch(&[9, 8, 7, 6]),
+        ];
+        let serial = batches_to_rows(&batches).unwrap();
+        assert_eq!(serial.len(), 8);
+        assert_eq!(serial[3].values(), &[Value::I32(1), Value::F64(0.5)]);
+        let inputs: [&[ColumnBatch]; 5] =
+            [&batches, &[], &batches[..1], &batches[2..4], &batches[1..2]];
+        for input in inputs {
+            let serial = batches_to_rows(input).unwrap();
+            for workers in [0, 1, 2, 3, 4, 9] {
+                // Threshold 0: every result is worth its workers.
+                assert_eq!(rows_on(input, workers, 0).unwrap(), serial, "{workers}");
+                assert_eq!(batches_to_rows_on(input, workers).unwrap(), serial);
+            }
+        }
+    }
+
+    mod order_props {
+        use super::*;
+        use orv_types::{ColumnData, DataType};
+        use proptest::prelude::*;
+
+        /// Few distinct values, so rows tie on leading columns and whole
+        /// rows repeat; both zeros and two NaNs, which compare equal and
+        /// must keep their input order.
+        const FLOATS: [f64; 6] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::from_bits(0xFFF8_0000_0000_0001),
+            -1.5,
+            f64::INFINITY,
+        ];
+        const INTS: [i64; 4] = [0, -1, 3, i64::MIN];
+
+        fn column(ty: DataType, picks: &[usize]) -> ColumnData {
+            let picks = picks.iter();
+            match ty {
+                DataType::I32 => ColumnData::I32(picks.map(|&i| INTS[i % 3] as i32).collect()),
+                DataType::I64 => ColumnData::I64(picks.map(|&i| INTS[i % 4]).collect()),
+                DataType::F32 => ColumnData::F32(picks.map(|&i| FLOATS[i] as f32).collect()),
+                DataType::F64 => ColumnData::F64(picks.map(|&i| FLOATS[i]).collect()),
+            }
+        }
+
+        /// Bit-exact rendering: `Record` equality calls `-0.0 == 0.0` and
+        /// any two NaNs equal, which is exactly what must not be reordered.
+        fn bits(rows: &[Record]) -> Vec<String> {
+            rows.iter().map(|r| format!("{r:?}")).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Typed ordering then the row edge is the parent's
+            /// `batches_to_rows` then `sort_by(values().cmp())`, as a
+            /// `Record` sequence down to the bit, for 1, 2 and 3 workers
+            /// and on both sides of the serial threshold.
+            #[test]
+            fn typed_order_equals_the_boxed_row_sort(
+                types in proptest::collection::vec(
+                    proptest::sample::select(vec![
+                        DataType::I32, DataType::I64, DataType::F32, DataType::F64,
+                    ]),
+                    1..5,
+                ),
+                sizes in proptest::collection::vec(0usize..12, 0..6),
+                picks in proptest::collection::vec(0usize..6, 240..241),
+            ) {
+                let mut picks = picks.chunks(types.len());
+                let batches: Vec<ColumnBatch> = sizes
+                    .iter()
+                    .map(|&rows| {
+                        let cells: Vec<&[usize]> = picks.by_ref().take(rows).collect();
+                        let columns = types.iter().enumerate().map(|(c, &ty)| {
+                            column(ty, &cells.iter().map(|row| row[c]).collect::<Vec<_>>())
+                        });
+                        ColumnBatch::from_columns(columns.collect()).unwrap()
+                    })
+                    .collect();
+                let mut expected = batches_to_rows(&batches).unwrap();
+                expected.sort_by(|a, b| a.values().cmp(b.values()));
+                for workers in [1, 2, 3] {
+                    for serial_below in [0, usize::MAX] {
+                        let ordered = order_on(batches.clone(), workers, serial_below).unwrap();
+                        let rows = rows_on(&ordered, workers, serial_below).unwrap();
+                        prop_assert_eq!(bits(&rows), bits(&expected), "{} workers", workers);
+                        let parallel = serial_below == 0 && !expected.is_empty();
+                        prop_assert!(ordered.len() <= if parallel { workers } else { 1 });
+                    }
+                }
+            }
+
+            /// `LIMIT k` selects then sorts `k`: the same rows in the same
+            /// order as the stable sort of everything, ties included.
+            #[test]
+            fn limit_selects_what_the_stable_sort_would_keep(
+                cells in proptest::collection::vec((0i32..4, 0i32..3), 0..40),
+                k in 0usize..45,
+                (first_desc, second_desc) in (any::<bool>(), any::<bool>()),
+                two_keys in any::<bool>(),
+            ) {
+                // Column `id` tells tied rows apart without being a key.
+                let rows: Vec<Record> = cells
+                    .iter()
+                    .enumerate()
+                    .map(|(id, &(a, b))| {
+                        Record::new(vec![Value::I32(a), Value::F32(b as f32), Value::I64(id as i64)])
+                    })
+                    .collect();
+                let columns: Vec<String> = ["a", "b", "id"].map(String::from).to_vec();
+                let mut order_by = vec![("a".to_string(), first_desc)];
+                if two_keys {
+                    order_by.push(("b".to_string(), second_desc));
+                }
+                let input = || RowSet { columns: columns.clone(), rows: rows.clone() };
+                let mut expected = order_and_limit(input(), &order_by, None).unwrap().rows;
+                expected.truncate(k);
+                let got = order_and_limit(input(), &order_by, Some(k)).unwrap().rows;
+                prop_assert_eq!(got, expected);
+            }
+        }
     }
 }

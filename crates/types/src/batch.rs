@@ -128,6 +128,37 @@ impl ColumnData {
         }
     }
 
+    /// Append each row's sort key ([`Value::order_bits`]) to `out`: `u64`s
+    /// that compare as the column's values do under [`Value::cmp`], so a
+    /// result order is computed on plain integers, one typed loop per
+    /// column.
+    pub fn order_bits_into(&self, out: &mut Vec<u64>) {
+        match self {
+            ColumnData::I32(v) => out.extend(v.iter().map(|&x| Value::I32(x).order_bits())),
+            ColumnData::I64(v) => out.extend(v.iter().map(|&x| Value::I64(x).order_bits())),
+            ColumnData::F32(v) => out.extend(v.iter().map(|&x| Value::F32(x).order_bits())),
+            ColumnData::F64(v) => out.extend(v.iter().map(|&x| Value::F64(x).order_bits())),
+        }
+    }
+
+    /// Append `other`'s rows, type-checked against the column.
+    fn extend_from(&mut self, other: &ColumnData) -> Result<()> {
+        match (self, other) {
+            (ColumnData::I32(a), ColumnData::I32(b)) => a.extend_from_slice(b),
+            (ColumnData::I64(a), ColumnData::I64(b)) => a.extend_from_slice(b),
+            (ColumnData::F32(a), ColumnData::F32(b)) => a.extend_from_slice(b),
+            (ColumnData::F64(a), ColumnData::F64(b)) => a.extend_from_slice(b),
+            (a, b) => {
+                return Err(Error::Schema(format!(
+                    "column of type {} cannot take rows of type {}",
+                    a.dtype(),
+                    b.dtype()
+                )))
+            }
+        }
+        Ok(())
+    }
+
     /// A new column holding the rows at `keep`, in order.
     pub fn gather(&self, keep: &[u32]) -> ColumnData {
         match self {
@@ -265,6 +296,33 @@ impl ColumnBatch {
             )));
         }
         Ok(ColumnBatch { columns })
+    }
+
+    /// The rows of `batches`, in order, as one batch. Each input is freed
+    /// as soon as it is copied, so the peak is the result plus one input.
+    /// No batches make a batch of no columns; batches of different shapes
+    /// are a typed error.
+    pub fn concat(batches: Vec<ColumnBatch>) -> Result<Self> {
+        let Some(first) = batches.first() else {
+            return Ok(ColumnBatch {
+                columns: Vec::new(),
+            });
+        };
+        let total = batches.iter().map(|b| b.num_rows()).sum();
+        let mut out = Self::with_capacity(&first.dtypes(), total);
+        for b in batches {
+            if b.num_columns() != out.num_columns() {
+                return Err(Error::Schema(format!(
+                    "batch of {} columns concatenated onto {}",
+                    b.num_columns(),
+                    out.num_columns()
+                )));
+            }
+            for (dst, src) in out.columns.iter_mut().zip(&b.columns) {
+                dst.extend_from(src)?;
+            }
+        }
+        Ok(out)
     }
 
     /// Build from row records, type-checked against `types`.
@@ -546,6 +604,32 @@ mod tests {
                 assert_eq!(kb, b.column(ci).value(r).key_bits());
             }
         }
+    }
+
+    #[test]
+    fn order_bits_match_value_order_bits() {
+        let b = sample();
+        for ci in 0..b.num_columns() {
+            let mut bits = Vec::new();
+            b.column(ci).order_bits_into(&mut bits);
+            for (r, &ob) in bits.iter().enumerate() {
+                assert_eq!(ob, b.column(ci).value(r).order_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn concat_appends_in_order_and_checks_shapes() {
+        let b = sample();
+        let empty = b.gather(&[]);
+        let all = ColumnBatch::concat(vec![b.gather(&[3, 0]), empty, b.gather(&[1])]).unwrap();
+        assert_eq!(all, b.gather(&[3, 0, 1]));
+        let none = ColumnBatch::concat(Vec::new()).unwrap();
+        assert_eq!((none.num_rows(), none.num_columns()), (0, 0));
+        let narrow = b.project(&[0]).unwrap();
+        assert!(ColumnBatch::concat(vec![b.clone(), narrow]).is_err());
+        let retyped = b.project(&[0, 2, 2]).unwrap();
+        assert!(ColumnBatch::concat(vec![b, retyped]).is_err());
     }
 
     /// What is left of the null-bitmap test: a row stays whole, in every

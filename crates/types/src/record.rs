@@ -2,8 +2,11 @@
 //!
 //! A [`Record`] is one row of a virtual table: a boxed slice of [`Value`]s
 //! positionally matching a [`Schema`]. Bulk data lives in columnar
-//! sub-tables (`orv-chunk`); `Record` is the unit that crosses operator and
-//! network boundaries (e.g. Grace Hash streams records through `h1`).
+//! sub-tables (`orv-chunk`) and stays columnar through scans and both
+//! join engines (Grace Hash routes packed bytes, not rows, through `h1`);
+//! a `Record` is built where a result leaves the query engine, and is the
+//! unit the row operators after that edge and the federation merge pass
+//! around.
 
 use crate::schema::Schema;
 use crate::value::Value;

@@ -127,6 +127,27 @@ impl Value {
         }
     }
 
+    /// An 8-byte sort key that orders exactly as [`Value::cmp`] does
+    /// *within* a type family: ints by numeric value, floats by
+    /// `total_cmp` after the same normalisation as [`Value::key_bits`]
+    /// (`-0.0 == +0.0`, every NaN equal and above `+∞`). A column has one
+    /// family, so comparing these per column is comparing the values.
+    #[inline]
+    pub fn order_bits(self) -> u64 {
+        const SIGN: u64 = 1 << 63;
+        match self.as_i64() {
+            Some(v) => v as u64 ^ SIGN,
+            None => {
+                let bits = total_f64(self.as_f64()).to_bits();
+                if bits & SIGN == 0 {
+                    bits | SIGN
+                } else {
+                    !bits
+                }
+            }
+        }
+    }
+
     /// Encode into little-endian bytes at the type's fixed width.
     pub fn encode_le(self, out: &mut Vec<u8>) {
         match self {
@@ -319,6 +340,41 @@ mod tests {
         assert_eq!(Value::F64(0.0), Value::F64(-0.0));
         assert_eq!(h(&Value::F64(0.0)), h(&Value::F64(-0.0)));
         assert_eq!(h(&nan), h(&Value::F32(f32::NAN)));
+    }
+
+    #[test]
+    fn order_bits_order_as_cmp_does_within_a_family() {
+        let ints = [
+            Value::I64(i64::MIN),
+            Value::I32(i32::MIN),
+            Value::I32(-1),
+            Value::I64(0),
+            Value::I32(0),
+            Value::I32(7),
+            Value::I64(7),
+            Value::I64(i64::MAX),
+        ];
+        let floats = [
+            Value::F64(f64::NEG_INFINITY),
+            Value::F32(-2.5),
+            Value::F64(-f64::MIN_POSITIVE),
+            Value::F64(-0.0),
+            Value::F32(0.0),
+            Value::F64(1e-300),
+            Value::F32(0.1),
+            Value::F64(0.1),
+            Value::F64(f64::INFINITY),
+            Value::F64(f64::NAN),
+            Value::F32(-f32::NAN),
+            Value::F64(f64::from_bits(0xFFF8_0000_0000_0001)),
+        ];
+        for family in [&ints[..], &floats[..]] {
+            for a in family {
+                for b in family {
+                    assert_eq!(a.order_bits().cmp(&b.order_bits()), a.cmp(b), "{a:?} {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

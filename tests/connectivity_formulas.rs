@@ -144,8 +144,8 @@ proptest! {
         // per-sub-table first fetch are hits.
         prop_assert_eq!(hits + misses, 2 * 2 * pred.n_e);
         // And concurrency must not change the answer.
-        let a = sort_records(outs[0].records.clone().unwrap());
-        let b = sort_records(outs[1].records.clone().unwrap());
+        let a = sort_records(outs[0].records().unwrap());
+        let b = sort_records(outs[1].records().unwrap());
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.len() as u64, 32 * 32);
     }

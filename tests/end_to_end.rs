@@ -147,7 +147,7 @@ fn forced_ij_and_gh_agree_on_disk() {
         v.sort_by(|a, b| a.values().cmp(b.values()));
         v
     };
-    assert_eq!(sort(ij.records.unwrap()), sort(gh.records.unwrap()));
+    assert_eq!(sort(ij.records().unwrap()), sort(gh.records().unwrap()));
     assert_eq!(ij.stats.result_tuples, 256);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -204,7 +204,7 @@ fn uneven_partitions_still_join_correctly() {
         },
     )
     .unwrap();
-    assert_eq!(sort_records(ij.records.unwrap()), oracle);
+    assert_eq!(sort_records(ij.records().unwrap()), oracle);
     let gh = grace_hash_join(
         &d,
         h1.table,
@@ -216,7 +216,7 @@ fn uneven_partitions_still_join_correctly() {
         },
     )
     .unwrap();
-    assert_eq!(sort_records(gh.records.unwrap()), oracle);
+    assert_eq!(sort_records(gh.records().unwrap()), oracle);
 }
 
 /// Two overlapping tables on 2 storage nodes, small enough to run under
@@ -294,7 +294,7 @@ fn mixed_fault_plan_recovers_or_fails_typed_within_deadline() {
         let oracle = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
         (out, oracle)
     });
-    assert_eq!(sort_records(out.records.unwrap()), sort_records(oracle));
+    assert_eq!(sort_records(out.records().unwrap()), sort_records(oracle));
     assert!(
         out.stats.read_retries > 0,
         "retry counter must be nonzero: {:?}",
@@ -336,7 +336,7 @@ fn mixed_fault_plan_recovers_or_fails_typed_within_deadline() {
         let oracle = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
         (gh, oracle)
     });
-    assert_eq!(sort_records(gh.records.unwrap()), sort_records(oracle));
+    assert_eq!(sort_records(gh.records().unwrap()), sort_records(oracle));
     assert!(
         gh.stats.send_retries > 0,
         "dropped sends must be retried: {:?}",
@@ -400,7 +400,7 @@ fn seeded_plans_are_reproducible() {
         let oracle = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
         (out, oracle)
     });
-    assert_eq!(sort_records(out.records.unwrap()), sort_records(oracle));
+    assert_eq!(sort_records(out.records().unwrap()), sort_records(oracle));
 }
 
 fn sorted(records: Option<Vec<Record>>) -> Vec<Record> {
@@ -467,7 +467,7 @@ proptest! {
             recovery,
             ..Default::default()
         }).unwrap();
-        prop_assert_eq!(sorted(ij.records), oracle.clone());
+        prop_assert_eq!(sorted(ij.records()), oracle.clone());
         prop_assert_eq!(ij.stats.corruptions_detected, ij_faults.stats().corruptions());
         let gh_faults = plan.injector();
         let gh = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &GraceHashConfig {
@@ -477,7 +477,7 @@ proptest! {
             recovery,
             ..Default::default()
         }).unwrap();
-        prop_assert_eq!(sorted(gh.records), oracle);
+        prop_assert_eq!(sorted(gh.records()), oracle);
         prop_assert_eq!(gh.stats.corruptions_detected, gh_faults.stats().corruptions());
     }
 
@@ -507,7 +507,7 @@ proptest! {
             ..Default::default()
         }).unwrap();
         prop_assert!(out.stats.worker_panics <= 1);
-        prop_assert_eq!(sorted(out.records), oracle);
+        prop_assert_eq!(sorted(out.records()), oracle);
     }
 }
 

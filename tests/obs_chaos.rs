@@ -143,7 +143,7 @@ fn grace_hash_chaos_run_is_replayable_from_logs() {
     };
     let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
     let oracle = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-    assert_eq!(sort_records(out.records.unwrap()), sort_records(oracle));
+    assert_eq!(sort_records(out.records().unwrap()), sort_records(oracle));
 
     let stats = injector.stats();
     assert!(
@@ -181,7 +181,7 @@ fn indexed_join_chaos_run_is_replayable_from_logs() {
     };
     let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
     let oracle = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-    assert_eq!(sort_records(out.records.unwrap()), sort_records(oracle));
+    assert_eq!(sort_records(out.records().unwrap()), sort_records(oracle));
 
     let stats = injector.stats();
     assert!(stats.read_errors > 0, "{stats:?}");

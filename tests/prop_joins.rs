@@ -84,7 +84,7 @@ proptest! {
             },
         )
         .unwrap();
-        prop_assert_eq!(&sort_records(ij.records.unwrap()), &oracle);
+        prop_assert_eq!(&sort_records(ij.records().unwrap()), &oracle);
 
         let gh = grace_hash_join(
             &deployment,
@@ -99,7 +99,7 @@ proptest! {
             },
         )
         .unwrap();
-        prop_assert_eq!(&sort_records(gh.records.unwrap()), &oracle);
+        prop_assert_eq!(&sort_records(gh.records().unwrap()), &oracle);
     }
 
     #[test]
