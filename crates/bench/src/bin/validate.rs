@@ -11,8 +11,9 @@
 //!    family (the paper's "models fit actual execution times closely").
 //! 2. **Crossover agreement** — where the model and the simulation place
 //!    the IJ/GH crossover along the `n_e·c_S` axis.
-//! 3. **Threaded runtime** — measured laptop-scale wall times with the
-//!    planner's pick vs the empirical winner (DESIGN.md experiment A4).
+//! 3. **Threaded runtime** — measured laptop-scale wall times beside the
+//!    host-calibrated model totals, with the planner's pick vs the
+//!    empirical winner (DESIGN.md experiment A4).
 
 use orv_bench::runtime_check::run_family;
 use orv_bench::{fig4_series, fig5_series, fig6_series, fig7_series, fig8_series};
@@ -84,14 +85,22 @@ fn main() {
         cal.alpha_lookup * 1e9
     );
     println!(
-        "{:>3} {:>12} {:>12} {:>12} {:>10} {:>8} {:>8}",
-        "i", "n_e·c_S", "IJ [s]", "GH [s]", "tuples", "pick", "correct"
+        "{:>3} {:>12} {:>10} {:>10} {:>10} {:>10} {:>8} {:>6} {:>8}",
+        "i", "n_e·c_S", "IJ [s]", "GH [s]", "IJ model", "GH model", "tuples", "pick", "correct"
     );
     let mut correct = 0;
     for r in &rows {
         println!(
-            "{:>3} {:>12.3e} {:>12.4} {:>12.4} {:>10} {:>8} {:>8}",
-            r.i, r.ne_cs, r.ij_measured, r.gh_measured, r.tuples, r.planner_pick, r.pick_correct
+            "{:>3} {:>12.3e} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>8} {:>6} {:>8}",
+            r.i,
+            r.ne_cs,
+            r.ij_measured,
+            r.gh_measured,
+            r.ij_model,
+            r.gh_model,
+            r.tuples,
+            r.planner_pick,
+            r.pick_correct
         );
         correct += r.pick_correct as u32;
     }

@@ -9,8 +9,12 @@
 
 use crate::deploy_pair;
 use crate::figures::family_partitions;
-use orv_costmodel::{calibrate_host, choose_algorithm, Calibration, CostParams, SystemParams};
-use orv_join::{grace_hash_join, indexed_join, GraceHashConfig, IndexedJoinConfig, JoinAlgorithm};
+use orv_costmodel::choose_algorithm;
+use orv_join::{
+    calibrate_host, grace_hash_join, host_system_params, indexed_join, Calibration,
+    GraceHashConfig, IndexedJoinConfig, JoinAlgorithm,
+};
+use orv_query::Planner;
 use orv_types::Result;
 
 /// One validation row.
@@ -24,6 +28,10 @@ pub struct CheckRow {
     pub ij_measured: f64,
     /// Measured threaded GH wall time, seconds.
     pub gh_measured: f64,
+    /// `Total_IJ` of the host model, seconds.
+    pub ij_model: f64,
+    /// `Total_GH` of the host model, seconds.
+    pub gh_model: f64,
     /// Result tuples (must equal `T` for both).
     pub tuples: u64,
     /// The planner's pick for this dataset on the host model.
@@ -40,7 +48,8 @@ pub fn run_family(
     nodes: usize,
     n_compute: usize,
 ) -> Result<(Vec<CheckRow>, Calibration)> {
-    let cal = calibrate_host(500_000);
+    let cal = calibrate_host(500_000)?;
+    let sparams = host_system_params(&cal, nodes, n_compute);
     let mut rows = Vec::new();
     for i in 0..=max_i {
         // Laptop-scale instance of the same family (64-point base).
@@ -69,33 +78,8 @@ pub fn run_family(
         )?;
         assert_eq!(ij.stats.result_tuples, gh.stats.result_tuples);
 
-        // Model the host: the network is memory-speed, but GH's bucket
-        // "I/O" is really per-byte serialization CPU, which calibration
-        // measures (`encode_bw`/`decode_bw`); those stand in for the
-        // write/read bandwidths.
-        let dparams = CostParams {
-            t: t1.total_tuples() as f64,
-            c_r: t1.tuples_per_chunk() as f64,
-            c_s: t2.tuples_per_chunk() as f64,
-            n_e: d
-                .metadata()
-                .get_join_index(t1.table, t2.table, &["x", "y", "z"])
-                .map(|p| p.len() as f64)
-                .unwrap_or(0.0)
-                .max(1.0),
-            rs_r: t1.record_size() as f64,
-            rs_s: t2.record_size() as f64,
-        };
-        let host_net = 8.0e9; // bytes/s: crossbeam channels, memory class
-        let sparams = SystemParams {
-            net_bw: host_net,
-            read_io_bw: cal.decode_bw,
-            write_io_bw: cal.encode_bw,
-            n_s: nodes as f64,
-            n_j: n_compute as f64,
-            alpha_build: cal.alpha_build,
-            alpha_lookup: cal.alpha_lookup,
-        };
+        // `n_e` is exact: the IJ run above stored the join index.
+        let dparams = Planner::estimate_params(d.metadata(), t1.table, t2.table, &["x", "y", "z"])?;
         let choice = choose_algorithm(&dparams, &sparams)?;
         let pick = if choice.indexed_join {
             JoinAlgorithm::IndexedJoin
@@ -108,6 +92,8 @@ pub fn run_family(
             ne_cs: dparams.ne_cs(),
             ij_measured: ij.stats.wall_secs,
             gh_measured: gh.stats.wall_secs,
+            ij_model: choice.ij_total,
+            gh_model: choice.gh_total,
             tuples: ij.stats.result_tuples,
             planner_pick: pick,
             pick_correct: (pick == JoinAlgorithm::IndexedJoin) == empirically_ij,

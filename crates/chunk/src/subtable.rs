@@ -162,7 +162,14 @@ impl SubTable {
         if checks.is_empty() {
             return Ok(self);
         }
-        SubTable::new(self.id, self.schema, self.batch.filter_range(&checks))
+        self.select(&checks)
+    }
+
+    /// The rows passing every `(column, interval)` check, as a sub-table
+    /// of the same id and schema; `self` — a cached one, say — is kept.
+    pub fn select(&self, checks: &[(usize, Interval)]) -> Result<SubTable> {
+        let rows = self.batch.filter_range(checks);
+        SubTable::new(self.id, Arc::clone(&self.schema), rows)
     }
 }
 

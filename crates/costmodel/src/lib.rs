@@ -23,13 +23,11 @@
 //! IO_bw / F  <  2·(RS_R+RS_S) / (γ2 · (n_e/m_S − 1))
 //! ```
 
-pub mod calibrate;
 pub mod crossover;
 pub mod grace;
 pub mod indexed;
 pub mod params;
 
-pub use calibrate::{calibrate_host, Calibration};
 pub use crossover::{choose_algorithm, crossover_ne_cs, prefers_indexed_join, Choice};
 pub use grace::GraceHashModel;
 pub use indexed::IndexedJoinModel;

@@ -8,6 +8,11 @@
 //! repeated or overlapping view query finds its working set warm whether
 //! it comes from the same client or a concurrent one.
 //!
+//! What is cached is what storage holds: whole sub-tables, and hash
+//! tables over whole left sub-tables. A query's range is applied by the
+//! Indexed Join to what it takes out of the cache, never to what goes in,
+//! so one service serves every range over a view.
+//!
 //! ## Cross-query sharing
 //!
 //! Entries are keyed by [`CacheKey`]: the sub-table id plus the *role* the
@@ -66,7 +71,7 @@ pub enum CacheKey {
     /// Left sub-table: the hash table depends on the join attributes and
     /// work factor, so those are part of the key (as a fingerprint).
     Left(SubTableId, u64),
-    /// Right sub-table: raw post-filter rows, attribute-independent.
+    /// Right sub-table: its rows as stored, attribute-independent.
     Right(SubTableId),
 }
 

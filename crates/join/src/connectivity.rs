@@ -3,7 +3,9 @@
 //! Sub-tables whose bounding boxes overlap on the join attributes are
 //! *candidate pairs*; the set of pairs forms the sub-table connectivity
 //! graph (paper Figure 3). Independent connected components of the graph
-//! are the IJ scheduler's unit of placement.
+//! are the IJ scheduler's unit of placement. The index belongs to the two
+//! tables and the join attributes, not to a query: [`join_index`] builds
+//! and stores it once, and a range only prunes the stored edges.
 //!
 //! For regularly partitioned grids the paper gives closed forms for the
 //! component size `C`, component count `N_C` and per-component edge count
@@ -13,6 +15,7 @@
 use orv_metadata::MetadataService;
 use orv_types::{BoundingBox, Result, SubTableId, TableId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One connected component: `a` left sub-tables × `b` right sub-tables and
 /// the candidate edges among them.
@@ -53,16 +56,13 @@ pub struct ConnectivityGraph {
 }
 
 impl ConnectivityGraph {
-    /// Build the page-level join index for `left ⊕ right` on `join_attrs`,
-    /// optionally pruned by a range constraint ("any additional range
-    /// constraints may be applied at the sub-table level to prune away
-    /// unwanted edges and nodes").
+    /// Build the page-level join index for `left ⊕ right` on `join_attrs`
+    /// from the chunks' bounding boxes.
     pub fn build(
         md: &MetadataService,
         left: TableId,
         right: TableId,
         join_attrs: &[&str],
-        range: Option<&BoundingBox>,
     ) -> Result<Self> {
         let snapshot = |table: TableId| -> Result<Vec<(SubTableId, BoundingBox)>> {
             md.with_chunks(table, |chunks| {
@@ -74,11 +74,10 @@ impl ConnectivityGraph {
         };
         let lefts = snapshot(left)?;
         let rights = snapshot(right)?;
-        let in_range = |bbox: &BoundingBox| range.is_none_or(|rg| bbox.overlaps(rg));
 
         let mut edges: Vec<(SubTableId, SubTableId)> = Vec::new();
-        for (lid, lbox) in lefts.iter().filter(|(_, b)| in_range(b)) {
-            for (rid, rbox) in rights.iter().filter(|(_, b)| in_range(b)) {
+        for (lid, lbox) in &lefts {
+            for (rid, rbox) in &rights {
                 if lbox.overlaps_on(rbox, Some(join_attrs)) {
                     edges.push((*lid, *rid));
                 }
@@ -171,6 +170,24 @@ impl ConnectivityGraph {
             },
         }
     }
+}
+
+/// The stored page-level join index of `left ⊕ right` on `join_attrs`,
+/// built and persisted the first time the planner or IJ asks for it.
+pub fn join_index(
+    md: &MetadataService,
+    left: TableId,
+    right: TableId,
+    join_attrs: &[&str],
+) -> Result<Arc<Vec<(SubTableId, SubTableId)>>> {
+    if let Some(pairs) = md.get_join_index(left, right, join_attrs) {
+        return Ok(pairs);
+    }
+    let edges: Vec<_> = ConnectivityGraph::build(md, left, right, join_attrs)?
+        .edges()
+        .collect();
+    md.put_join_index(left, right, join_attrs, edges.clone());
+    Ok(Arc::new(edges))
 }
 
 fn avg(it: impl Iterator<Item = usize>) -> f64 {

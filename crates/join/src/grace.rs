@@ -165,7 +165,7 @@ fn hash_rows(batch: &ColumnBatch, key_indices: &[usize], mut each: impl FnMut(us
 /// Decode a bucket of packed little-endian records into typed columns of
 /// `schema`. Total: any byte string is either whole records or a typed
 /// [`Error::Format`].
-fn decode_columns(schema: &Schema, bytes: &[u8]) -> Result<ColumnBatch> {
+pub(crate) fn decode_columns(schema: &Schema, bytes: &[u8]) -> Result<ColumnBatch> {
     let rs = schema.record_size();
     if rs == 0 || !bytes.len().is_multiple_of(rs) {
         return Err(Error::Format(format!(

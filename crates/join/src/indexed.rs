@@ -7,10 +7,13 @@
 //! running on the storage nodes. It then performs a hash join on the
 //! received pairs of sub-tables."
 //!
-//! Each compute node is an OS thread. Hash tables built on left sub-tables
-//! are cached alongside the sub-tables themselves, so "a hash-table is
-//! created only once for every left sub-table" as long as the §5.1 memory
-//! assumption holds.
+//! Each compute node is an OS thread. What is fetched and cached is what
+//! storage holds — whole sub-tables, and hash tables over whole left ones —
+//! so "a hash-table is created only once for every left sub-table" holds
+//! for every query over a view, whatever its range, under the §5.1 memory
+//! assumption. The range is the query's: it drops scheduled pairs of the
+//! stored join index at sub-table level (the paper's pruning), then selects
+//! rows per pair (ours): the right side's before the probe, the left's after.
 //!
 //! ## Fault tolerance
 //!
@@ -36,7 +39,7 @@
 //! built here — that happens once, at the query engine's row edge.
 
 use crate::cache::{left_key_tag, CacheKey, CacheService, CachedEntry};
-use crate::connectivity::ConnectivityGraph;
+use crate::connectivity::{join_index, ConnectivityGraph};
 use crate::hash_join::{HashJoiner, JoinCounters};
 use crate::schedule::{schedule, SchedulePolicy};
 use orv_bds::{Deployment, SubTableReader};
@@ -45,7 +48,7 @@ use orv_cluster::{
     run_workers, CancelToken, FaultInjector, RecoveryPolicy, RunStats, WorkerBody, WorkerEnd,
 };
 use orv_obs::{names, Obs};
-use orv_types::{BoundingBox, ColumnBatch, Error, Record, Result, SubTableId, TableId};
+use orv_types::{BoundingBox, ColumnBatch, Error, Interval, Record, Result, SubTableId, TableId};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,8 +67,8 @@ pub struct IndexedJoinConfig {
     pub work_factor: u32,
     /// Collect the result (one batch per pair); otherwise only count it.
     pub collect_results: bool,
-    /// Optional range constraint pushed into the connectivity graph and
-    /// applied to fetched sub-tables.
+    /// Optional range constraint: prunes the join index's edges and
+    /// selects rows per joined pair; never what is fetched or cached.
     pub range: Option<BoundingBox>,
     /// Optional fault injector exercising the execution (tests/chaos).
     pub faults: Option<Arc<FaultInjector>>,
@@ -138,12 +141,8 @@ pub fn indexed_join(
 }
 
 /// Execute with an externally owned [`CacheService`], so repeated queries
-/// find their working set warm. The service must have one shard per
-/// compute node.
-///
-/// Cached sub-tables are stored *after* the `range` filter is applied, so
-/// a service may only be shared between executions using the same `range`
-/// (the query engine shares it for unconstrained view scans only).
+/// — of any range — find their working set warm. The service must have
+/// one shard per compute node.
 pub fn indexed_join_cached(
     deployment: &Deployment,
     left: TableId,
@@ -166,22 +165,21 @@ pub fn indexed_join_cached(
     }
     let md = deployment.metadata();
 
-    // Consult (or build and persist) the page-level join index, then prune
-    // by the range constraint.
-    let graph = match (&cfg.range, md.get_join_index(left, right, join_attrs)) {
-        (None, Some(pairs)) => {
-            ConnectivityGraph::from_edges(left, right, join_attrs, pairs.as_ref().clone())
-        }
-        (maybe_range, _) => {
-            let g = ConnectivityGraph::build(md, left, right, join_attrs, maybe_range.as_ref())?;
-            if maybe_range.is_none() {
-                md.put_join_index(left, right, join_attrs, g.edges().collect());
-            }
-            g
-        }
-    };
-
+    // Place all of the stored join index, then drop the pairs a chunk of
+    // which misses the range: a pair keeps its node, and its cached sides.
+    let edges = join_index(md, left, right, join_attrs)?.as_ref().clone();
+    let graph = ConnectivityGraph::from_edges(left, right, join_attrs, edges);
     let mut pending = schedule(&graph, cfg.n_compute, cfg.policy);
+    let (mut left_checks, mut right_checks) = (Vec::new(), Vec::new());
+    if let Some(rg) = &cfg.range {
+        let (ls, rs) = (md.find_chunks(left, rg)?, md.find_chunks(right, rg)?);
+        let meets = |ids: &[_], id: &SubTableId| ids.binary_search(&id.chunk).is_ok();
+        for plan in &mut pending {
+            plan.retain(|(l, r)| meets(&ls, l) && meets(&rs, r));
+        }
+        left_checks = md.schema(left)?.range_checks(rg);
+        right_checks = md.schema(right)?.range_checks(rg);
+    }
     let injector = cfg.faults.clone().unwrap_or_else(FaultInjector::disabled);
     let reader = SubTableReader::new(
         deployment,
@@ -198,6 +196,8 @@ pub fn indexed_join_cached(
         // Left-side cache keys carry the hash-table parameters, so views
         // joining the same tables on different attributes never alias.
         left_tag: left_key_tag(join_attrs, cfg.work_factor),
+        left_checks,
+        right_checks,
         counters: JoinCounters::new(),
         committed: Mutex::new((Vec::new(), RunStats::default())),
     };
@@ -320,6 +320,10 @@ struct PairRunner<'a> {
     cache: &'a CacheService,
     join_attrs: &'a [&'a str],
     left_tag: u64,
+    /// The range as each side's own column checks (a pair's rows start
+    /// with the left columns). Both empty without a range.
+    left_checks: Vec<(usize, Interval)>,
+    right_checks: Vec<(usize, Interval)>,
     counters: JoinCounters,
     /// Exactly-once commit point: a pair's batch and stats deltas land
     /// here only after the pair fully completes, so a worker dying mid-pair
@@ -336,7 +340,7 @@ impl PairRunner<'_> {
             .obs
             .spans
             .span_with(|| names::span_ij(node_idx, names::PHASE_TRANSFER));
-        let st = self.reader.fetch(id, cfg.range.as_ref(), delta)?;
+        let st = self.reader.fetch(id, None, delta)?;
         delta.bytes_transferred += st.encoded_size() as u64;
         Ok(st)
     }
@@ -392,12 +396,21 @@ impl PairRunner<'_> {
         }
         let batch = {
             let _probe = spans.span_with(|| names::span_ij(node_idx, names::PHASE_PROBE));
-            let found = joiner.matches(&rst, self.join_attrs, &self.counters)?;
-            delta.result_tuples += found.len();
-            match cfg.collect_results {
-                true => Some(joiner.gather(&rst, self.join_attrs, &found)?),
+            let narrowed = match self.right_checks.is_empty() {
+                true => None,
+                false => Some(rst.select(&self.right_checks)?),
+            };
+            let right = narrowed.as_ref().unwrap_or(&rst);
+            let found = joiner.matches(right, self.join_attrs, &self.counters)?;
+            let mut batch = match cfg.collect_results || !self.left_checks.is_empty() {
+                true => Some(joiner.gather(right, self.join_attrs, &found)?),
                 false => None,
+            };
+            if !self.left_checks.is_empty() {
+                batch = batch.map(|b| b.filter_range(&self.left_checks));
             }
+            delta.result_tuples += batch.as_ref().map_or(found.len(), |b| b.num_rows() as u64);
+            batch.filter(|_| cfg.collect_results)
         };
 
         let mut c = self.committed.lock();

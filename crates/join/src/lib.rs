@@ -8,6 +8,8 @@
 //! * [`hash_join`] — the in-memory hash join both algorithms use as a
 //!   sub-routine, with per-operation counters (these are the `α_build` /
 //!   `α_lookup` events of the cost models);
+//! * [`calibrate`] — those constants measured on this host, by timing
+//!   that kernel and GH's bucket codec, and the host's `SystemParams`;
 //! * [`lru`] / [`cache`] — the byte-capacity LRU and the Caching Service
 //!   built from it (per-compute-node shards that outlive single queries);
 //! * [`connectivity`] — the page-level join index: candidate sub-table
@@ -21,6 +23,7 @@
 //! * [`mod@reference`] — a nested-loop oracle used by the test suite.
 
 pub mod cache;
+pub mod calibrate;
 pub mod connectivity;
 pub mod grace;
 pub mod hash_join;
@@ -31,7 +34,8 @@ pub mod schedule;
 pub mod sim_exec;
 
 pub use cache::{left_key_tag, CacheKey, CacheService, CachedEntry, BUCKETS_PER_NODE};
-pub use connectivity::{ConnectivityGraph, ConnectivityStats};
+pub use calibrate::{calibrate_host, host_system_params, Calibration};
+pub use connectivity::{join_index, ConnectivityGraph, ConnectivityStats};
 pub use grace::{grace_hash_join, GraceHashConfig};
 pub use hash_join::{HashJoiner, JoinCounters};
 pub use indexed::{indexed_join, indexed_join_cached, IndexedJoinConfig, JoinOutput};

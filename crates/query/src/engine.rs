@@ -21,7 +21,7 @@ use crate::plan::{PlanExplain, Planner};
 use orv_bds::{Deployment, SubTableReader};
 use orv_cluster::{CancelToken, ClusterSpec, EpochCell, FaultInjector, RecoveryPolicy};
 use orv_join::{
-    grace_hash_join, indexed_join, indexed_join_cached, CacheService, CacheStats, GraceHashConfig,
+    grace_hash_join, indexed_join_cached, CacheService, CacheStats, GraceHashConfig,
     IndexedJoinConfig, JoinAlgorithm, JoinOutput,
 };
 use orv_metadata::Placement;
@@ -244,10 +244,9 @@ pub struct QueryEngine {
     planner: Planner,
     n_compute: usize,
     force: Option<JoinAlgorithm>,
-    /// The Caching Service: keeps unconstrained view scans warm across
-    /// queries *and* across concurrent clients (IJ only; constrained
-    /// scans use a query-lifetime cache because cached sub-tables are
-    /// stored post-filter).
+    /// The Caching Service: keeps IJ's whole sub-tables and hash tables
+    /// warm across queries — of any range — *and* across concurrent
+    /// clients.
     cache: Arc<CacheService>,
     cache_capacity: u64,
     obs: Obs,
@@ -673,7 +672,8 @@ impl QueryEngine {
     }
 
     /// Run a distributed join between two base tables, letting the QPS
-    /// pick the QES.
+    /// pick the QES. Every Indexed Join, ranged or not, runs over the
+    /// engine's Caching Service: a range narrows the query, not the cache.
     ///
     /// The order contract: a join's rows come back in ascending row order
     /// — lexicographic by column under `Value`'s order, rows that compare
@@ -726,32 +726,22 @@ impl QueryEngine {
         let _exec = self.obs.spans.span(names::ENGINE_EXEC);
         let exec_one = |engine: &Self, algorithm: JoinAlgorithm| -> Result<JoinOutput> {
             match algorithm {
-                JoinAlgorithm::IndexedJoin => {
-                    let ij_cfg = IndexedJoinConfig {
+                JoinAlgorithm::IndexedJoin => indexed_join_cached(
+                    &engine.deployment,
+                    left,
+                    right,
+                    &attrs,
+                    &IndexedJoinConfig {
                         n_compute: engine.n_compute,
-                        cache_capacity: engine.cache_capacity,
                         collect_results: true,
                         range: range.clone(),
                         obs: engine.obs.clone(),
                         faults: engine.faults.clone(),
                         cancel: cancel.clone(),
                         ..Default::default()
-                    };
-                    if range.is_none() {
-                        // Unconstrained scan: keep the working set warm in
-                        // the engine's Caching Service across queries.
-                        indexed_join_cached(
-                            &engine.deployment,
-                            left,
-                            right,
-                            &attrs,
-                            &ij_cfg,
-                            &engine.cache,
-                        )
-                    } else {
-                        indexed_join(&engine.deployment, left, right, &attrs, &ij_cfg)
-                    }
-                }
+                    },
+                    &engine.cache,
+                ),
                 JoinAlgorithm::GraceHash => grace_hash_join(
                     &engine.deployment,
                     left,
@@ -1145,11 +1135,16 @@ mod tests {
             "warm run must hit the Caching Service"
         );
         assert_eq!(warm.lookups(), warm.hits + warm.misses);
-        // Constrained queries bypass the shared cache and stay correct.
+        // Constrained queries share the warm cache and stay correct.
         let c = e
             .execute("SELECT COUNT(*) FROM v1 WHERE x IN [0, 3]")
             .unwrap();
         assert_eq!(c.rows[0].get(0), Value::I64(32));
+        assert_eq!(
+            e.cache_stats().misses,
+            warm.misses,
+            "a range misses nothing"
+        );
         let d = e.execute("SELECT COUNT(*) FROM v1").unwrap();
         assert_eq!(d.rows[0].get(0), Value::I64(64));
     }
@@ -1172,6 +1167,74 @@ mod tests {
             warm_reads, cold_reads,
             "second identical query must perform zero chunk reads"
         );
+    }
+
+    /// `x IN [1, 4] AND y IN [2, 3]` over [`engine`]'s tables: 8 rows out
+    /// of 2 of `t1`'s 4 chunks and 3 of `t2`'s 4.
+    const WINDOW: &str = "SELECT * FROM v1 WHERE x IN [1, 4] AND y IN [2, 3]";
+
+    fn observed_ij_engine() -> (QueryEngine, Obs) {
+        let obs = Obs::enabled();
+        let e = engine()
+            .force_algorithm(Some(JoinAlgorithm::IndexedJoin))
+            .with_obs(obs.clone());
+        e.execute("CREATE VIEW v1 AS SELECT * FROM t1 JOIN t2 ON (x, y, z)")
+            .unwrap();
+        (e, obs)
+    }
+
+    #[test]
+    fn a_window_after_a_full_join_reads_builds_and_misses_nothing() {
+        let (e, obs) = observed_ij_engine();
+        let counter = |name: &str| obs.metrics.snapshot().counters.get(name).copied();
+        let state = || {
+            (
+                e.deployment().chunk_reads(),
+                e.cache_stats().misses,
+                counter("ij/hash_builds"),
+                counter("md/join_index_misses"),
+            )
+        };
+        assert_eq!(e.execute("SELECT * FROM v1").unwrap().rows.len(), 64);
+        let warm = state();
+        assert_eq!(warm.2, Some(64), "one build per left row");
+        assert_eq!(e.execute(WINDOW).unwrap().rows.len(), 8);
+        let after = state();
+        assert_eq!(after, warm, "(chunk reads, misses, builds, index misses)");
+    }
+
+    #[test]
+    fn a_full_join_after_a_window_rereads_nothing_the_window_fetched() {
+        let (e, _) = observed_ij_engine();
+        assert_eq!(e.execute(WINDOW).unwrap().rows.len(), 8);
+        assert_eq!(e.deployment().chunk_reads(), 2 + 3, "the window's chunks");
+        assert_eq!(e.execute("SELECT * FROM v1").unwrap().rows.len(), 64);
+        assert_eq!(e.deployment().chunk_reads(), 4 + 4, "every chunk once");
+    }
+
+    #[test]
+    fn a_window_joins_the_stored_edges_whose_chunks_both_meet_it() {
+        let (e, obs) = observed_ij_engine();
+        e.execute(WINDOW).unwrap();
+        let md = e.deployment().metadata();
+        let (t1, t2) = (md.table_id("t1").unwrap(), md.table_id("t2").unwrap());
+        let window = BoundingBox::from_dims([
+            ("x", orv_types::Interval::new(1.0, 4.0)),
+            ("y", orv_types::Interval::new(2.0, 3.0)),
+        ]);
+        let meets = |id: SubTableId| md.chunk_meta(id).unwrap().bbox.overlaps(&window);
+        let stored = md.get_join_index(t1, t2, &["x", "y", "z"]).unwrap();
+        let met = stored
+            .iter()
+            .filter(|(l, r)| meets(*l) && meets(*r))
+            .count();
+        assert_eq!((stored.len(), met), (8, 3));
+        // A pair looks both its sides up, once each; the index is stored.
+        let index_misses = || obs.metrics.snapshot().counters["md/join_index_misses"];
+        let before = (e.cache_stats().lookups(), index_misses());
+        e.execute(WINDOW).unwrap();
+        assert_eq!(e.cache_stats().lookups() - before.0, 2 * met as u64);
+        assert_eq!(index_misses(), before.1);
     }
 
     #[test]

@@ -10,12 +10,12 @@
 
 use orv_cluster::ClusterSpec;
 use orv_costmodel::{choose_algorithm, Choice, CostParams, SystemParams};
-use orv_join::{ConnectivityGraph, JoinAlgorithm};
+use orv_join::{join_index, JoinAlgorithm};
 use orv_metadata::MetadataService;
 use orv_types::{Result, TableId};
 
-/// Default γ values (CPU operations per hash build / lookup), matching the
-/// host calibration ballpark; override via [`Planner::with_gammas`].
+/// Default γ1 (CPU operations per hash build) of the paper's testbed, as in
+/// the simulator — not of this host; override via [`Planner::with_gammas`].
 pub const DEFAULT_GAMMA_BUILD: f64 = 280.0;
 /// Default γ2.
 pub const DEFAULT_GAMMA_LOOKUP: f64 = 230.0;
@@ -129,7 +129,7 @@ impl Planner {
 /// for the pair.
 #[derive(Clone, Copy)]
 enum IndexAbsent {
-    /// Build the connectivity graph and persist its edges.
+    /// Build and persist it ([`join_index`]).
     Build,
     /// `max(m_R, m_S)`: exact for aligned partitions, and free.
     Estimate,
@@ -146,16 +146,11 @@ fn cost_params(
     let t = md.total_records(left)? as f64;
     let chunks_l = md.all_chunks(left)?.len().max(1) as f64;
     let chunks_r = md.all_chunks(right)?.len().max(1) as f64;
-    let n_e = match (md.get_join_index(left, right, join_attrs), absent) {
-        (Some(pairs), _) => pairs.len() as f64,
-        (None, IndexAbsent::Estimate) => chunks_l.max(chunks_r),
-        (None, IndexAbsent::Build) => {
-            let g = ConnectivityGraph::build(md, left, right, join_attrs, None)?;
-            let edges: Vec<_> = g.edges().collect();
-            let n = edges.len() as f64;
-            md.put_join_index(left, right, join_attrs, edges);
-            n
-        }
+    let n_e = match absent {
+        IndexAbsent::Build => join_index(md, left, right, join_attrs)?.len() as f64,
+        IndexAbsent::Estimate => md
+            .get_join_index(left, right, join_attrs)
+            .map_or(chunks_l.max(chunks_r), |pairs| pairs.len() as f64),
     };
     Ok(CostParams {
         t,

@@ -22,10 +22,11 @@
 //! as unmodeled extras, keyed by `{group class}/{leaf}`.
 
 use orv_bds::{generate_dataset, DatasetHandle, DatasetSpec, Deployment};
-use orv_costmodel::{
-    calibrate_host, Calibration, CostParams, GraceHashModel, IndexedJoinModel, SystemParams,
+use orv_costmodel::{CostParams, GraceHashModel, IndexedJoinModel, SystemParams};
+use orv_join::{
+    calibrate_host, grace_hash_join, host_system_params, indexed_join, GraceHashConfig,
+    IndexedJoinConfig, JoinOutput,
 };
-use orv_join::{grace_hash_join, indexed_join, GraceHashConfig, IndexedJoinConfig, JoinOutput};
 use orv_obs::{JsonValue, Obs, ObsReport, PhaseRow, RunReport};
 use orv_query::Planner;
 use orv_types::Result;
@@ -54,22 +55,6 @@ pub fn dataset_params(
     join_attrs: &[&str],
 ) -> Result<CostParams> {
     Planner::estimate_params(deployment.metadata(), left.table, right.table, join_attrs)
-}
-
-/// System parameters describing *this host* the way `orv-bench` models it:
-/// crossbeam channels move bytes at memory speed, and Grace Hash's bucket
-/// "I/O" is really per-byte serialization CPU, which calibration measures
-/// as `encode_bw`/`decode_bw`.
-pub fn host_system_params(cal: &Calibration, n_storage: usize, n_compute: usize) -> SystemParams {
-    SystemParams {
-        net_bw: 8.0e9,
-        read_io_bw: cal.decode_bw,
-        write_io_bw: cal.encode_bw,
-        n_s: n_storage as f64,
-        n_j: n_compute as f64,
-        alpha_build: cal.alpha_build,
-        alpha_lookup: cal.alpha_lookup,
-    }
 }
 
 /// True when `group` is `prefix` followed by a node index (`n0`, `c12`).
@@ -286,7 +271,7 @@ pub fn standard_report(cfg: &ReportConfig) -> Result<ObsReport> {
         &deployment,
     )?;
     let attrs = ["x", "y", "z"];
-    let cal = calibrate_host(cfg.calibration_tuples);
+    let cal = calibrate_host(cfg.calibration_tuples)?;
     let sys = host_system_params(&cal, cfg.n_storage, cfg.n_compute);
 
     let ij = observe_indexed_join(&deployment, &left, &right, &attrs, cfg.n_compute, &sys)?;

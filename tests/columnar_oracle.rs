@@ -1,7 +1,8 @@
 //! Closed-form oracle tier for the columnar execution path.
 //!
 //! Every query shape — full scan, range filter, projection, IJ join,
-//! GH join, aggregation — is checked against rows computed *here*, by
+//! GH join, aggregation, ranged view query — is checked against rows
+//! computed *here*, by
 //! nested loops over the grid and `orv::bds::scalar_value`. The oracle
 //! shares nothing with the path it checks: it reads no chunk and runs no
 //! extractor, sub-table, batch, filter kernel or join of the program.
@@ -28,7 +29,7 @@
 use orv::bds::{generate_dataset, scalar_value, DatasetSpec, Deployment, SubTableReader};
 use orv::cluster::{CancelToken, FaultInjector, RecoveryPolicy};
 use orv::join::reference::{nested_loop_join, sort_records};
-use orv::join::JoinAlgorithm;
+use orv::join::{grace_hash_join, indexed_join, GraceHashConfig, IndexedJoinConfig, JoinAlgorithm};
 use orv::query::{exec, QueryEngine};
 use orv::types::{BoundingBox, ChunkId, Interval, Record, TableId, Value};
 use proptest::prelude::*;
@@ -145,6 +146,10 @@ impl Window {
         })
     }
 }
+
+/// A range over the join view `(x, y, z, oilp, wp)`: inclusive
+/// `[lo, hi]` per constrained `(column index, attribute name)`.
+type ViewWindow = Vec<(usize, &'static str, f64, f64)>;
 
 fn records(rows: &[[Value; 4]]) -> Vec<Record> {
     rows.iter().map(|r| Record::new(r.to_vec())).collect()
@@ -313,6 +318,105 @@ fn oracle_case(shape: Shape, quadratic: bool) {
     assert_eq!(agg.rows[0].get(0), Value::I64(all_rows.len() as i64));
     assert_eq!(agg.rows[0].get(1), expect_min, "MIN diverged");
     assert_eq!(agg.rows[0].get(2), expect_max, "MAX diverged");
+
+    // Shape 7: ranged view queries. One engine per forced algorithm runs
+    // every window in turn, so each IJ window after the first crosses a
+    // cache earlier windows filled with whole sub-tables.
+    let p = shape.part as f64;
+    let per_dim = shape.side / shape.part;
+    let (cx, cy) = (rng.below(per_dim) as f64, rng.below(per_dim) as f64);
+    let (s_lo, s_hi) = {
+        let lo = rng.below(50) as f64 / 100.0;
+        (lo, lo + rng.below(50) as f64 / 100.0)
+    };
+    let windows: Vec<(&str, ViewWindow)> = vec![
+        // Starts inside the first chunk column, ends inside the second.
+        ("cuts chunks", vec![(0, "x", 1.0, p), (1, "y", 0.0, y_hi)]),
+        (
+            "chunk edges",
+            vec![
+                (0, "x", cx * p, cx * p + p - 1.0),
+                (1, "y", cy * p, cy * p + p - 1.0),
+            ],
+        ),
+        // Meets the first chunks' boxes, holds no grid point.
+        ("nothing, between points", vec![(0, "x", 0.25, 0.75)]),
+        // Meets no chunk at all.
+        (
+            "nothing, off the grid",
+            vec![(1, "y", shape.side as f64, shape.side as f64 + 3.0)],
+        ),
+        ("left-only attribute", vec![(3, "oilp", s_lo, s_hi)]),
+        ("right-only attribute", vec![(4, "wp", s_lo, s_hi)]),
+        (
+            "both scalars, cut",
+            vec![
+                (0, "x", lo, hi),
+                (3, "oilp", s_lo, 1.0),
+                (4, "wp", 0.0, s_hi),
+            ],
+        ),
+    ];
+    let expected_in = |window: &ViewWindow| -> Vec<Record> {
+        let keeps = |r: &&Record| {
+            window
+                .iter()
+                .all(|&(c, _, lo, hi)| (lo..=hi).contains(&r.get(c).as_f64()))
+        };
+        join_expected.iter().filter(keeps).cloned().collect()
+    };
+    for algo in [JoinAlgorithm::IndexedJoin, JoinAlgorithm::GraceHash] {
+        let engine = QueryEngine::new(d.clone()).force_algorithm(Some(algo));
+        engine
+            .execute("CREATE VIEW v AS SELECT * FROM t1 JOIN t2 ON (x, y, z)")
+            .expect("create view");
+        for (name, window) in &windows {
+            let preds: Vec<String> = window
+                .iter()
+                .map(|(_, a, lo, hi)| format!("{a} IN [{lo}, {hi}]"))
+                .collect();
+            let sql = format!("SELECT * FROM v WHERE {}", preds.join(" AND "));
+            let got = engine.execute(&sql).expect("ranged view query");
+            let label = format!("{algo} view, {name}");
+            assert_identical(&label, &expected_in(window), &sort_records(got.rows));
+        }
+    }
+    // SQL refuses an attribute neither table has; below it, such a bound
+    // constrains nothing. The reference join takes the same boxes.
+    let attrs = ["x", "y", "z"];
+    for (name, window) in &windows {
+        let bounds = window
+            .iter()
+            .map(|&(_, a, lo, hi)| (a, Interval::new(lo, hi)));
+        let mut range = BoundingBox::from_dims(bounds);
+        range.set("not_an_attr", Interval::new(0.0, 1.0));
+        let expected = expected_in(window);
+        let ij_cfg = IndexedJoinConfig {
+            collect_results: true,
+            range: Some(range.clone()),
+            ..Default::default()
+        };
+        let ij = indexed_join(&d, t1, t2, &attrs, &ij_cfg).expect("ranged IJ");
+        assert_eq!(ij.stats.result_tuples as usize, expected.len(), "{name}");
+        let ij_rows = sort_records(ij.records().expect("collected"));
+        assert_identical(&format!("IJ, {name}"), &expected, &ij_rows);
+        let gh_cfg = GraceHashConfig {
+            collect_results: true,
+            range: Some(range.clone()),
+            ..Default::default()
+        };
+        let gh = grace_hash_join(&d, t1, t2, &attrs, &gh_cfg).expect("ranged GH");
+        let gh_rows = sort_records(gh.records().expect("collected"));
+        assert_identical(&format!("GH, {name}"), &expected, &gh_rows);
+        if quadratic {
+            let reference = nested_loop_join(&d, t1, t2, &attrs, Some(&range)).expect("oracle");
+            assert_identical(
+                &format!("nested loop, {name}"),
+                &expected,
+                &sort_records(reference),
+            );
+        }
+    }
 }
 
 proptest! {

@@ -56,7 +56,7 @@ proptest! {
         }),
     ) {
         let (d, t1, t2) = deploy(grid, p, q);
-        let graph = ConnectivityGraph::build(d.metadata(), t1, t2, &["x", "y", "z"], None).unwrap();
+        let graph = ConnectivityGraph::build(d.metadata(), t1, t2, &["x", "y", "z"]).unwrap();
         let pred = predict_regular(grid, p, q);
 
         prop_assert_eq!(graph.num_edges() as u64, pred.n_e, "n_e mismatch: {:?}", pred);
@@ -169,7 +169,7 @@ fn figure3_example_reproduced() {
     assert_eq!(pred.b, 4);
     assert_eq!(pred.e_c, 8);
     let (d, t1, t2) = deploy(grid, p, q);
-    let graph = ConnectivityGraph::build(d.metadata(), t1, t2, &["x", "y", "z"], None).unwrap();
+    let graph = ConnectivityGraph::build(d.metadata(), t1, t2, &["x", "y", "z"]).unwrap();
     assert_eq!(graph.num_components(), 1);
     let comp = &graph.components[0];
     assert_eq!((comp.a(), comp.b()), (2, 4));
