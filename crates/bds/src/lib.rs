@@ -16,6 +16,8 @@
 //!   answering sub-table requests for local chunks, and the
 //!   [`SubTableReader`] every scan and join fetches them through.
 
+#![forbid(unsafe_code)]
+
 pub mod deployment;
 pub mod generator;
 pub mod partition;

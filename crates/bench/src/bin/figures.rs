@@ -6,6 +6,8 @@
 //! cargo run --release -p orv-bench --bin figures -- --json  # JSON output
 //! ```
 
+#![forbid(unsafe_code)]
+
 use orv_bench::{
     fig4_series, fig5_series, fig6_series, fig7_series, fig8_series, fig9_series, figures_json,
     Figure,

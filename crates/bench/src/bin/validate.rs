@@ -15,6 +15,8 @@
 //!    host-calibrated model totals, with the planner's pick vs the
 //!    empirical winner (DESIGN.md experiment A4).
 
+#![forbid(unsafe_code)]
+
 use orv_bench::runtime_check::run_family;
 use orv_bench::{fig4_series, fig5_series, fig6_series, fig7_series, fig8_series};
 

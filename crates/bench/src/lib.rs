@@ -18,6 +18,8 @@
 //!
 //! which is precisely the paper's experimental design.
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 pub mod runtime_check;
 

@@ -17,6 +17,8 @@
 //!   raw bytes to sub-tables; `LayoutExtractor` is generated from a layout
 //!   description (`orv-layout`).
 
+#![forbid(unsafe_code)]
+
 pub mod extractor;
 pub mod format;
 pub mod meta;

@@ -84,10 +84,32 @@ pub fn update(state: u32, bytes: &[u8]) -> u32 {
 }
 
 /// [`update`] on the CPU's own CRC32C instruction; `None` when this CPU
-/// has none.
+/// has none. The crate's one `unsafe`: the kernel is nested here so that
+/// nothing can call it but the branch that has just detected SSE4.2.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 #[inline]
 fn update_hardware(state: u32, bytes: &[u8]) -> Option<u32> {
+    /// Hardware kernel: one `crc32` instruction per 8 bytes, per byte on
+    /// the tail.
+    ///
+    /// # Safety
+    /// The CPU must support SSE4.2 (`is_x86_feature_detected!("sse4.2")`).
+    #[target_feature(enable = "sse4.2")]
+    unsafe fn update_sse42(state: u32, bytes: &[u8]) -> u32 {
+        use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+        let (words, tail) = bytes.as_chunks::<8>();
+        let mut crc = state as u64;
+        for w in words {
+            crc = _mm_crc32_u64(crc, u64::from_le_bytes(*w));
+        }
+        let mut crc = crc as u32;
+        for &b in tail {
+            crc = _mm_crc32_u8(crc, b);
+        }
+        crc
+    }
+
     if std::arch::is_x86_feature_detected!("sse4.2") {
         // SAFETY: `update_sse42`'s only requirement is that the CPU
         // executes SSE4.2, which the detection call on the line above
@@ -103,27 +125,6 @@ fn update_hardware(state: u32, bytes: &[u8]) -> Option<u32> {
 #[inline]
 fn update_hardware(_state: u32, _bytes: &[u8]) -> Option<u32> {
     None
-}
-
-/// Hardware kernel: one `crc32` instruction per 8 bytes, per byte on the
-/// tail.
-///
-/// # Safety
-/// The CPU must support SSE4.2 (`is_x86_feature_detected!("sse4.2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-unsafe fn update_sse42(state: u32, bytes: &[u8]) -> u32 {
-    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let (words, tail) = bytes.as_chunks::<8>();
-    let mut crc = state as u64;
-    for w in words {
-        crc = _mm_crc32_u64(crc, u64::from_le_bytes(*w));
-    }
-    let mut crc = crc as u32;
-    for &b in tail {
-        crc = _mm_crc32_u8(crc, b);
-    }
-    crc
 }
 
 /// Portable kernel: 8 bytes per step through [`TABLES`].

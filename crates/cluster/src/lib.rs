@@ -21,9 +21,10 @@
 //! [`spec::ClusterSpec`] describes a cluster once; both substrates consume
 //! it.
 
+#![deny(unsafe_code)]
+
 pub mod cancel;
 pub mod checksum;
-pub mod epoch;
 pub mod fault;
 pub mod resource;
 pub mod retry_budget;
@@ -34,7 +35,6 @@ pub mod workers;
 
 pub use cancel::{CancelToken, DeadlineBudget, WaitBudget, SLEEP_SLICE};
 pub use checksum::crc32c;
-pub use epoch::EpochCell;
 pub use fault::{
     silence_injected_panics, ClientFloodSpec, FaultInjector, FaultPlan, FaultStats, RecoveryPolicy,
     SendVerdict, ShardDeathSpec, ShardSlowSpec, ShardSlowStormSpec, WorkerPanicSpec,

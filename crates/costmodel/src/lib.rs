@@ -23,6 +23,8 @@
 //! IO_bw / F  <  2·(RS_R+RS_S) / (γ2 · (n_e/m_S − 1))
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod crossover;
 pub mod grace;
 pub mod indexed;

@@ -3,10 +3,11 @@
 //! "The Caching Service can be used by the QES to store and access
 //! frequently accessed objects." One [`CacheService`] instance outlives
 //! individual query executions — and, since the `QueryService` layer,
-//! individual *clients*: each compute node owns an LRU shard holding left
-//! sub-tables *with their built hash tables* and right sub-tables, so a
-//! repeated or overlapping view query finds its working set warm whether
-//! it comes from the same client or a concurrent one.
+//! individual *clients*: each compute node owns one byte-budget LRU — the
+//! memory §5.1 models — holding left sub-tables *with their built hash
+//! tables* and right sub-tables, so a repeated or overlapping view query
+//! finds its working set warm whether it comes from the same client or a
+//! concurrent one.
 //!
 //! What is cached is what storage holds: whole sub-tables, and hash
 //! tables over whole left sub-tables. A query's range is applied by the
@@ -25,8 +26,8 @@
 //!
 //! [`CacheService::get_or_build`] deduplicates concurrent misses: the
 //! first requester of a key becomes its *builder* (fetch + hash-table
-//! build run with the shard lock released), every concurrent requester
-//! waits on the shard's condvar and is answered from the cache when the
+//! build run with the node's lock released), every concurrent requester
+//! waits on the node's condvar and is answered from the cache when the
 //! builder publishes. This is what preserves the §5.1 zero-refetch bound
 //! (`cache_misses == N_C·(a+b)`) under concurrency: N simultaneous
 //! queries over the same view still fetch each sub-table exactly once.
@@ -41,12 +42,11 @@ use orv_cluster::{CancelToken, SLEEP_SLICE};
 use orv_obs::{names, Stopwatch};
 use orv_types::{Error, Result, SubTableId};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// What a compute node caches per sub-table. Both variants are behind an
 /// `Arc`, so handing a cached value to a worker is a pointer clone — the
-/// shard lock is never held across a build or a probe.
+/// node's lock is never held across a build or a probe.
 #[derive(Clone)]
 pub enum CachedEntry {
     /// A left sub-table with its built hash table (built once per left
@@ -95,44 +95,32 @@ pub fn left_key_tag(join_attrs: &[&str], work_factor: u32) -> u64 {
     h
 }
 
-/// How many hash-bucketed shards each compute node's cache splits into.
-///
-/// A single per-node mutex serializes every warm hit on that node —
-/// under high client concurrency the hit path itself becomes the
-/// bottleneck. Bucketing by key hash lets hits on different keys take
-/// different locks; the single-flight protocol is untouched because a
-/// given key always maps to the same bucket.
-pub const BUCKETS_PER_NODE: usize = 8;
-
-/// One cache shard: a hash bucket of one compute node's cache. Holds
-/// its slice of the LRU, the in-flight key set of the single-flight
-/// protocol, and its own hit/miss counters (bucket counters sum to the
-/// node totals the un-sharded cache reported).
+/// One compute node's cache: the LRU over its whole byte budget, the
+/// in-flight key set of the single-flight protocol, and the node's
+/// hit/miss counters, all under the one lock.
 struct Shard {
     state: Mutex<ShardState>,
     cond: Condvar,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 struct ShardState {
     lru: LruCache<CacheKey, CachedEntry>,
     in_flight: HashSet<CacheKey>,
+    hits: u64,
+    misses: u64,
 }
 
 fn relock<T>(r: std::result::Result<T, PoisonError<T>>) -> T {
-    // A builder panic unwinds with the shard lock released (build runs
+    // A builder panic unwinds with the node's lock released (build runs
     // outside it), so poisoning can only come from a panic inside the
     // LRU itself; the map stays structurally valid either way.
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Per-compute-node caches, each hash-bucketed into
-/// [`BUCKETS_PER_NODE`] independently locked shards, shared across join
-/// executions *and* across concurrent queries.
+/// Per-compute-node caches, shared across join executions *and* across
+/// concurrent queries.
 pub struct CacheService {
-    /// `n_compute × BUCKETS_PER_NODE` shards; node `j`'s buckets are the
-    /// contiguous run `j*B .. (j+1)*B`.
+    /// One shard per compute node.
     shards: Vec<Shard>,
     /// Watermark of counters already published into a metrics registry,
     /// so repeated [`CacheService::publish_into`] calls add only deltas.
@@ -142,48 +130,20 @@ pub struct CacheService {
     wait_samples: Mutex<Vec<f64>>,
 }
 
-/// FNV-1a over the key's identity fields, used to pick a bucket. Stable
-/// (not `RandomState`): the same key must hit the same bucket for the
-/// lifetime of the service, or single-flight dedup would break.
-fn key_bucket(key: &CacheKey) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    match key {
-        CacheKey::Left(id, tag) => {
-            eat(&[0]);
-            eat(&id.table.0.to_le_bytes());
-            eat(&id.chunk.0.to_le_bytes());
-            eat(&tag.to_le_bytes());
-        }
-        CacheKey::Right(id) => {
-            eat(&[1]);
-            eat(&id.table.0.to_le_bytes());
-            eat(&id.chunk.0.to_le_bytes());
-        }
-    }
-    h as usize % BUCKETS_PER_NODE
-}
-
 impl CacheService {
-    /// [`BUCKETS_PER_NODE`] shards per compute node, splitting each
-    /// node's `capacity_bytes` evenly (rounded up) across its buckets.
+    /// One LRU of `capacity_bytes` per compute node. An entry larger
+    /// than that is handed to its requester but not cached.
     pub fn new(n_compute: usize, capacity_bytes: u64) -> Self {
-        let per_bucket = capacity_bytes.div_ceil(BUCKETS_PER_NODE as u64);
         CacheService {
-            shards: (0..n_compute * BUCKETS_PER_NODE)
+            shards: (0..n_compute)
                 .map(|_| Shard {
                     state: Mutex::new(ShardState {
-                        lru: LruCache::new(per_bucket),
+                        lru: LruCache::new(capacity_bytes),
                         in_flight: HashSet::new(),
+                        hits: 0,
+                        misses: 0,
                     }),
                     cond: Condvar::new(),
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
                 })
                 .collect(),
             published: Mutex::new(CacheStats::default()),
@@ -191,45 +151,13 @@ impl CacheService {
         }
     }
 
-    /// Number of compute nodes served (not the shard count).
+    /// Number of compute nodes served.
     pub fn n_compute(&self) -> usize {
-        self.shards.len() / BUCKETS_PER_NODE
-    }
-
-    /// The shard of `key` on compute node `j`.
-    fn shard(&self, j: usize, key: &CacheKey) -> Result<&Shard> {
-        if j >= self.n_compute() {
-            return Err(Error::Config(format!("cache service has no shard {j}")));
-        }
-        Ok(&self.shards[j * BUCKETS_PER_NODE + key_bucket(key)])
+        self.shards.len()
     }
 
     fn lock(shard: &Shard) -> MutexGuard<'_, ShardState> {
         relock(shard.state.lock())
-    }
-
-    /// Look up `key` in node `j`'s cache, counting a hit or miss.
-    pub fn lookup(&self, j: usize, key: &CacheKey) -> Result<Option<CachedEntry>> {
-        let shard = self.shard(j, key)?;
-        let mut state = Self::lock(shard);
-        let found = state.lru.touch(key).cloned();
-        match found {
-            Some(entry) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(entry))
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Insert `key → entry` of `size` bytes into node `j`'s cache.
-    pub fn insert(&self, j: usize, key: CacheKey, entry: CachedEntry, size: u64) -> Result<()> {
-        let shard = self.shard(j, &key)?;
-        Self::lock(shard).lru.put(key, entry, size);
-        Ok(())
     }
 
     /// Fetch `key` from shard `j`, building it with `build` on a miss.
@@ -247,7 +175,10 @@ impl CacheService {
         cancel: &CancelToken,
         build: impl FnOnce() -> Result<(CachedEntry, u64)>,
     ) -> Result<(CachedEntry, bool)> {
-        let shard = self.shard(j, &key)?;
+        let shard = self
+            .shards
+            .get(j)
+            .ok_or_else(|| Error::Config(format!("cache service has no shard {j}")))?;
         let mut state = Self::lock(shard);
         // Single-flight block time: armed on the first wait, sampled once
         // the waiter unblocks (answered from the cache, promoted to
@@ -261,7 +192,7 @@ impl CacheService {
         loop {
             if let Some(entry) = state.lru.touch(&key) {
                 let entry = entry.clone();
-                shard.hits.fetch_add(1, Ordering::Relaxed);
+                state.hits += 1;
                 drop(state);
                 sample_wait(&waited);
                 return Ok((entry, true));
@@ -294,7 +225,7 @@ impl CacheService {
         let key = in_flight.disarm();
         match built {
             Ok((entry, size)) => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
+                state.misses += 1;
                 state.in_flight.remove(&key);
                 state.lru.put(key, entry.clone(), size);
                 shard.cond.notify_all();
@@ -322,19 +253,18 @@ impl CacheService {
             })
     }
 
-    /// Per-shard counters, one entry per hash bucket of every compute
-    /// node (node `j`'s buckets occupy indices `j*B .. (j+1)*B` with
-    /// `B = BUCKETS_PER_NODE`). Summing them reproduces [`stats`]
-    /// exactly — bucketing never loses or double-counts an operation.
-    ///
-    /// [`stats`]: CacheService::stats
+    /// Per-node counters, one entry per compute node. Summing them
+    /// reproduces [`CacheService::stats`] exactly.
     pub fn shard_stats(&self) -> Vec<CacheStats> {
         self.shards
             .iter()
-            .map(|s| CacheStats {
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                evictions: Self::lock(s).lru.stats().evictions,
+            .map(|s| {
+                let state = Self::lock(s);
+                CacheStats {
+                    hits: state.hits,
+                    misses: state.misses,
+                    evictions: state.lru.stats().evictions,
+                }
             })
             .collect()
     }
@@ -402,6 +332,7 @@ impl Drop for InFlightGuard<'_> {
 mod tests {
     use super::*;
     use orv_types::{ColumnBatch, ColumnData, Schema};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc;
     use std::sync::Barrier;
 
@@ -419,27 +350,47 @@ mod tests {
         CacheKey::Right(SubTableId::new(0u32, c))
     }
 
+    /// Build `key` on node `j` at `size` bytes; `true` if it was a hit.
+    fn fetch(svc: &CacheService, j: usize, key: CacheKey, size: u64) -> bool {
+        svc.get_or_build(j, key, &CancelToken::none(), || {
+            Ok((CachedEntry::Right(st(1)), size))
+        })
+        .unwrap()
+        .1
+    }
+
     #[test]
     fn shards_are_independent() {
         let svc = CacheService::new(2, 1024);
-        svc.insert(0, rkey(0), CachedEntry::Right(st(4)), 32)
-            .unwrap();
-        assert!(svc.lookup(1, &rkey(0)).unwrap().is_none());
-        assert_eq!(svc.used_bytes(), 32);
-        assert!(svc.lookup(2, &rkey(0)).is_err());
+        assert!(!fetch(&svc, 0, rkey(0), 32));
+        assert!(!fetch(&svc, 1, rkey(0), 32), "node 1 has its own LRU");
+        assert!(fetch(&svc, 0, rkey(0), 32));
+        assert_eq!(svc.used_bytes(), 64);
+        let out_of_range = svc.get_or_build(2, rkey(0), &CancelToken::none(), || {
+            panic!("no such node: nothing to build")
+        });
+        assert!(matches!(out_of_range, Err(Error::Config(_))));
         assert_eq!(svc.n_compute(), 2);
     }
 
     #[test]
     fn aggregate_stats() {
         let svc = CacheService::new(2, 1024);
-        assert!(svc.lookup(0, &rkey(1)).unwrap().is_none()); // miss
-        svc.insert(0, rkey(1), CachedEntry::Right(st(1)), 16)
-            .unwrap();
-        assert!(svc.lookup(0, &rkey(1)).unwrap().is_some()); // hit
+        assert!(!fetch(&svc, 0, rkey(1), 16)); // miss
+        assert!(fetch(&svc, 0, rkey(1), 16)); // hit
         let s = svc.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(s.lookups(), 2);
+    }
+
+    #[test]
+    fn an_entry_as_large_as_the_node_capacity_is_cached() {
+        // §5.1's budget is per compute node: an entry that fills it
+        // exactly still fits.
+        let svc = CacheService::new(1, 1024);
+        assert!(!fetch(&svc, 0, rkey(0), 1024));
+        assert!(fetch(&svc, 0, rkey(0), 1024), "built once, then a hit");
+        assert_eq!(svc.used_bytes(), 1024);
     }
 
     #[test]
@@ -555,51 +506,32 @@ mod tests {
     }
 
     #[test]
-    fn bucket_mapping_is_stable_and_shard_stats_sum_to_totals() {
-        // Same key, same bucket — forever: single-flight dedup depends
-        // on it.
-        for c in 0..64u32 {
-            assert_eq!(key_bucket(&rkey(c)), key_bucket(&rkey(c)));
-        }
+    fn shard_stats_are_per_node_and_sum_to_totals() {
         let svc = CacheService::new(2, 1 << 20);
-        assert_eq!(svc.n_compute(), 2);
-        assert_eq!(svc.shard_stats().len(), 2 * BUCKETS_PER_NODE);
-        let cancel = CancelToken::none();
+        assert_eq!(svc.shard_stats().len(), 2);
         for c in 0..32u32 {
             let j = (c % 2) as usize;
-            svc.get_or_build(j, rkey(c), &cancel, || Ok((CachedEntry::Right(st(1)), 8)))
-                .unwrap();
-            svc.get_or_build(j, rkey(c), &cancel, || panic!("cached"))
-                .unwrap();
+            assert!(!fetch(&svc, j, rkey(c), 8));
+            assert!(fetch(&svc, j, rkey(c), 8));
         }
         let total = svc.stats();
         assert_eq!((total.hits, total.misses), (32, 32));
-        let per_shard = svc.shard_stats();
-        assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), total.hits);
-        assert_eq!(
-            per_shard.iter().map(|s| s.misses).sum::<u64>(),
-            total.misses
-        );
-        // The keys actually spread over more than one bucket.
-        assert!(
-            per_shard.iter().filter(|s| s.lookups() > 0).count() > 1,
-            "expected key hashing to use multiple buckets: {per_shard:?}"
-        );
+        for node in svc.shard_stats() {
+            assert_eq!((node.hits, node.misses), (16, 16));
+        }
     }
 
     #[test]
     fn publish_into_adds_deltas_only() {
         let metrics = orv_obs::MetricsRegistry::new();
         let svc = CacheService::new(1, 1024);
-        assert!(svc.lookup(0, &rkey(1)).unwrap().is_none());
+        assert!(!fetch(&svc, 0, rkey(1), 8));
         svc.publish_into(&metrics);
         svc.publish_into(&metrics); // no new activity → no double count
         let snap = metrics.snapshot();
         assert_eq!(snap.counters.get(names::CACHE_MISSES).copied(), Some(1));
         assert_eq!(snap.counters.get(names::CACHE_LOOKUPS).copied(), Some(1));
-        svc.insert(0, rkey(1), CachedEntry::Right(st(1)), 8)
-            .unwrap();
-        assert!(svc.lookup(0, &rkey(1)).unwrap().is_some());
+        assert!(fetch(&svc, 0, rkey(1), 8));
         svc.publish_into(&metrics);
         let snap = metrics.snapshot();
         assert_eq!(snap.counters.get(names::CACHE_HITS).copied(), Some(1));

@@ -59,7 +59,8 @@ use std::time::Instant;
 pub struct IndexedJoinConfig {
     /// Number of compute-node threads (`n_j`).
     pub n_compute: usize,
-    /// Sub-table cache capacity per compute node, bytes.
+    /// Sub-table cache capacity: bytes per compute node. An entry larger
+    /// than that is not cached.
     pub cache_capacity: u64,
     /// Scheduling strategy (paper default: two-stage lexicographic).
     pub policy: SchedulePolicy,

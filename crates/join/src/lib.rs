@@ -22,6 +22,8 @@
 //! * [`sim_exec`] — the simulator executions at paper scale;
 //! * [`mod@reference`] — a nested-loop oracle used by the test suite.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod calibrate;
 pub mod connectivity;
@@ -33,7 +35,7 @@ pub mod reference;
 pub mod schedule;
 pub mod sim_exec;
 
-pub use cache::{left_key_tag, CacheKey, CacheService, CachedEntry, BUCKETS_PER_NODE};
+pub use cache::{left_key_tag, CacheKey, CacheService, CachedEntry};
 pub use calibrate::{calibrate_host, host_system_params, Calibration};
 pub use connectivity::{join_index, ConnectivityGraph, ConnectivityStats};
 pub use grace::{grace_hash_join, GraceHashConfig};

@@ -6,8 +6,7 @@
 //! byte budget per compute node.
 //!
 //! Implemented from scratch: a `HashMap` from key to entry plus a recency
-//! index ordered by a monotone tick, giving `O(log n)` touch/evict without
-//! unsafe code.
+//! index ordered by a monotone tick, giving `O(log n)` touch/evict.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -110,14 +109,16 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Insert `key → value` of `size` bytes, evicting least-recently-used
     /// entries as needed. Values larger than the whole capacity are not
-    /// cached at all (they would evict everything for no benefit).
+    /// cached at all (they would evict everything for no benefit); the
+    /// key's previous value goes either way, so no stale entry stays
+    /// resident and charged.
     pub fn put(&mut self, key: K, value: V, size: u64) {
-        if size > self.capacity {
-            return;
-        }
         if let Some((_, old_size, last)) = self.entries.remove(&key) {
             self.used -= old_size;
             self.recency.remove(&last);
+        }
+        if size > self.capacity {
+            return;
         }
         while self.used + size > self.capacity {
             let Some((&oldest, _)) = self.recency.iter().next() else {
@@ -218,6 +219,16 @@ mod tests {
         c.put(2, (), 11);
         assert!(c.peek(&2).is_none());
         assert!(c.peek(&1).is_some(), "existing entries untouched");
+    }
+
+    #[test]
+    fn oversized_reinsert_drops_the_stale_entry() {
+        let mut c: LruCache<u32, &str> = LruCache::new(20);
+        c.put(1, "old", 10);
+        c.put(1, "too big", 21);
+        assert!(c.peek(&1).is_none(), "the replaced value must not linger");
+        assert_eq!(c.used(), 0);
+        assert!(c.is_empty());
     }
 
     #[test]

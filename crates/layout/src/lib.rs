@@ -45,6 +45,8 @@
 //! assert_eq!(decoded[2], ColumnData::F32(vec![0.5, 0.25]));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod compile;
 pub mod lexer;

@@ -28,6 +28,8 @@
 //! each file rule protects, and `DESIGN.md` §15 for the structural
 //! engine and its known approximations.
 
+#![forbid(unsafe_code)]
+
 pub mod allowlist;
 pub mod callgraph;
 pub mod classify;

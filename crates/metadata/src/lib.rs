@@ -6,6 +6,8 @@
 //! holds persistent artifacts other services produce, such as precomputed
 //! page-level join indices.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod persist;
 pub mod placement;

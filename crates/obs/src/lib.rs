@@ -15,6 +15,8 @@
 //! disabled spans and events cost one branch, so the instrumented join
 //! path stays within the <5% overhead budget when observability is off.
 
+#![forbid(unsafe_code)]
+
 mod event;
 mod json;
 mod metrics;

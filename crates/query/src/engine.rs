@@ -19,7 +19,7 @@ use crate::exec::{
 use crate::parser::parse_statement;
 use crate::plan::{PlanExplain, Planner};
 use orv_bds::{Deployment, SubTableReader};
-use orv_cluster::{CancelToken, ClusterSpec, EpochCell, FaultInjector, RecoveryPolicy};
+use orv_cluster::{CancelToken, ClusterSpec, FaultInjector, RecoveryPolicy};
 use orv_join::{
     grace_hash_join, indexed_join_cached, CacheService, CacheStats, GraceHashConfig,
     IndexedJoinConfig, JoinAlgorithm, JoinOutput,
@@ -27,6 +27,7 @@ use orv_join::{
 use orv_metadata::Placement;
 use orv_obs::{names, JsonValue, Obs, Stopwatch, TraceId};
 use orv_types::{BoundingBox, ChunkId, Error, Record, Result, SubTableId, TableId};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,10 +43,9 @@ pub fn algorithm_slug(algorithm: JoinAlgorithm) -> &'static str {
 
 /// The view registry — the Derived Data Source catalog.
 ///
-/// `Clone` is the write-side primitive of the epoch-snapshot scheme:
-/// `CREATE VIEW` clones the current catalog, registers into the clone,
-/// and publishes it as the next epoch. View definitions are metadata,
-/// so the clone is a few map entries, not data.
+/// `Clone` is what `CREATE VIEW` publishes with: it clones the current
+/// catalog, registers into the clone, and swaps the clone in. View
+/// definitions are metadata, so the clone is a few map entries, not data.
 #[derive(Clone, Default)]
 pub struct Catalog {
     views: HashMap<String, ViewDef>,
@@ -232,15 +232,17 @@ impl From<CancelToken> for Request {
 
 /// The full engine a client talks to.
 ///
-/// Every entry point takes `&self`: the catalog is published
-/// as epoch snapshots (readers never lock — see
-/// [`orv_cluster::EpochCell`]), the Caching Service is internally
-/// synchronized, and all per-query state (cancel token, plan, join
-/// output) lives on the caller's stack — so one engine can serve many
-/// concurrent clients (see [`crate::service::QueryService`]).
+/// Every entry point takes `&self`: the catalog is an immutable
+/// snapshot readers clone out from under a lock held for the clone
+/// alone, the Caching Service is internally synchronized, and all
+/// per-query state (cancel token, plan, join output) lives on the
+/// caller's stack — so one engine can serve many concurrent clients
+/// (see [`crate::service::QueryService`]).
 pub struct QueryEngine {
     deployment: Deployment,
-    catalog: EpochCell<Catalog>,
+    /// The catalog and its version (+1 per successful `CREATE VIEW`). A
+    /// leaf lock: nothing is acquired, bound or executed while it is held.
+    catalog: Mutex<(u64, Arc<Catalog>)>,
     planner: Planner,
     n_compute: usize,
     force: Option<JoinAlgorithm>,
@@ -273,7 +275,7 @@ impl QueryEngine {
         let cache_capacity = 256 << 20;
         QueryEngine {
             deployment,
-            catalog: EpochCell::new(Catalog::new()),
+            catalog: Mutex::new((0, Arc::new(Catalog::new()))),
             planner: Planner::new(spec),
             n_compute: n,
             force: None,
@@ -310,7 +312,8 @@ impl QueryEngine {
         self
     }
 
-    /// Resize the Caching Service (bytes per compute node).
+    /// Resize the Caching Service: bytes per compute node; an entry
+    /// larger than that is not cached.
     pub fn with_cache_capacity(mut self, bytes: u64) -> Self {
         self.cache_capacity = bytes;
         self.cache = Arc::new(CacheService::new(self.n_compute, bytes));
@@ -444,25 +447,18 @@ impl QueryEngine {
         &self.deployment
     }
 
-    /// The current catalog snapshot. Wait-free (one atomic load + `Arc`
-    /// clone) and immutable: a concurrent `CREATE VIEW` publishes a new
-    /// epoch without disturbing this one, so the snapshot can be held
-    /// across statement execution.
+    /// The current catalog snapshot: an `Arc` clone under a lock held
+    /// for the clone alone. Immutable — a concurrent `CREATE VIEW` swaps
+    /// in a new catalog without disturbing this one, so the snapshot can
+    /// be held across statement execution.
     pub fn catalog(&self) -> Arc<Catalog> {
-        self.catalog.load()
+        Arc::clone(&self.catalog.lock().1)
     }
 
-    /// The current catalog epoch version (0 initially, +1 per
-    /// successful `CREATE VIEW`).
+    /// The current catalog version (0 initially, +1 per successful
+    /// `CREATE VIEW`).
     pub fn catalog_version(&self) -> u64 {
-        self.catalog.version()
-    }
-
-    /// The catalog snapshot as of epoch `version`, if that epoch
-    /// exists. Every published epoch is retained, so historical reads
-    /// (live-ingest time travel, debugging DDL drift) are exact.
-    pub fn catalog_at_version(&self, version: u64) -> Option<Arc<Catalog>> {
-        self.catalog.at_version(version)
+        self.catalog.lock().0
     }
 
     /// Parse and execute one statement: [`QueryEngine::prepare`], then
@@ -488,7 +484,7 @@ impl QueryEngine {
             // the catalog of the engine that registers it.
             Statement::CreateView(view) => (Plan::CreateView(view), 0.0),
             Statement::Select(query) => {
-                let bound = self.bind(&query, &self.catalog.load(), 0)?;
+                let bound = self.bind(&query, &self.catalog(), 0)?;
                 let secs = self.source_secs(&bound.source);
                 (Plan::Select(bound), secs)
             }
@@ -659,16 +655,19 @@ impl QueryEngine {
     /// Register a view. Its defining query must bind against the current
     /// snapshot — FROM is a base table or an existing view (DDSs layer on
     /// BDSs or other DDSs), join inputs are base tables sharing the join
-    /// attributes. Validation never blocks readers or writers.
+    /// attributes. Validation runs before the lock is taken, so it never
+    /// blocks readers or writers.
     fn create_view(&self, view: &ViewDef) -> Result<()> {
-        self.bind(&view.query, &self.catalog.load(), 1)?;
-        // `register` re-checks for duplicates inside the serialized
-        // publish, so two concurrent CREATE VIEWs of the same name race
-        // safely: one epoch wins, the other gets the duplicate error
-        // and publishes nothing.
-        self.catalog
-            .try_publish_with(|catalog| catalog.register(view.clone()))
-            .map(|_| ())
+        self.bind(&view.query, &self.catalog(), 1)?;
+        // Clone, register and swap under the lock, so concurrent CREATE
+        // VIEWs lose no update; `register` re-checks for duplicates there,
+        // so of two racing for one name one wins and the other gets the
+        // duplicate error and publishes nothing.
+        let mut current = self.catalog.lock();
+        let mut next = Catalog::clone(&current.1);
+        next.register(view.clone())?;
+        *current = (current.0 + 1, Arc::new(next));
+        Ok(())
     }
 
     /// Run a distributed join between two base tables, letting the QPS
@@ -1422,6 +1421,98 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::Plan(_)), "{err}");
         assert!(e.catalog().get("too_deep").is_none());
+    }
+
+    #[test]
+    fn catalog_is_unchanged_by_a_create_view_that_fails() {
+        let e = engine();
+        e.execute("CREATE VIEW v AS SELECT x, oilp FROM t1")
+            .unwrap();
+        let (v0, held) = (e.catalog_version(), e.catalog());
+        let duplicate = e.execute("CREATE VIEW v AS SELECT x FROM t1").unwrap_err();
+        assert!(matches!(duplicate, Error::Config(_)), "{duplicate}");
+        assert!(e.execute("CREATE VIEW u AS SELECT * FROM nope").is_err());
+        assert_eq!(e.catalog_version(), v0, "a failed edit publishes nothing");
+        assert!(Arc::ptr_eq(&held, &e.catalog()));
+        // A publish swaps the catalog; the held snapshot stays as taken.
+        e.execute("CREATE VIEW u AS SELECT x FROM t1").unwrap();
+        assert_eq!(e.catalog_version(), v0 + 1);
+        assert_eq!(held.names(), vec!["v".to_string()]);
+        assert!(e.catalog().get("u").is_some());
+    }
+
+    /// `n` threads each run `sql(thread)` once, released together; how
+    /// many succeeded.
+    fn race_creates(e: &QueryEngine, n: usize, sql: impl Fn(usize) -> String + Sync) -> usize {
+        let barrier = std::sync::Barrier::new(n);
+        std::thread::scope(|s| {
+            let racers: Vec<_> = (0..n)
+                .map(|k| {
+                    let (barrier, sql) = (&barrier, &sql);
+                    s.spawn(move || {
+                        barrier.wait();
+                        e.execute(&sql(k)).is_ok()
+                    })
+                })
+                .collect();
+            let oks = racers.into_iter().map(|r| r.join().unwrap());
+            oks.filter(|&ok| ok).count()
+        })
+    }
+
+    #[test]
+    fn catalog_loses_no_update_to_concurrent_creates() {
+        let e = engine();
+        let v0 = e.catalog_version();
+        let ok = race_creates(&e, 8, |k| format!("CREATE VIEW c{k} AS SELECT x FROM t1"));
+        assert_eq!(ok, 8);
+        assert_eq!(e.catalog_version(), v0 + 8);
+        let catalog = e.catalog();
+        assert!((0..8).all(|k| catalog.get(&format!("c{k}")).is_some()));
+    }
+
+    #[test]
+    fn catalog_name_raced_by_many_has_one_winner() {
+        let e = engine();
+        let v0 = e.catalog_version();
+        let ok = race_creates(&e, 8, |k| {
+            format!("CREATE VIEW same AS SELECT x FROM t1 WHERE x IN [0, {k}]")
+        });
+        assert_eq!(ok, 1, "exactly one CREATE VIEW of a name succeeds");
+        assert_eq!(e.catalog_version(), v0 + 1);
+    }
+
+    #[test]
+    fn catalog_readers_see_a_prefix_closed_set_during_a_publish_storm() {
+        const WRITES: usize = 64;
+        let e = engine();
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    barrier.wait();
+                    // w0, w1, … are created in order: a snapshot holding
+                    // w{k} holds every earlier one, whenever it was taken.
+                    loop {
+                        let snap = e.catalog();
+                        let held = (0..WRITES)
+                            .take_while(|k| snap.get(&format!("w{k}")).is_some())
+                            .count();
+                        assert_eq!(snap.names().len(), held, "torn or reordered publish");
+                        if held == WRITES {
+                            return;
+                        }
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            barrier.wait();
+            for k in 0..WRITES {
+                e.execute(&format!("CREATE VIEW w{k} AS SELECT x FROM t1"))
+                    .unwrap();
+            }
+        });
+        assert_eq!(e.catalog_version(), WRITES as u64);
     }
 
     #[test]

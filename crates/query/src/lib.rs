@@ -30,6 +30,8 @@
 //! assert_eq!(result.rows.len(), 32);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agg;
 pub mod ast;
 pub mod engine;

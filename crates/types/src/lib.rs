@@ -15,6 +15,8 @@
 //!   [`NodeId`]) used across services.
 //! * [`Error`] — the workspace error type.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod bbox;
 pub mod error;

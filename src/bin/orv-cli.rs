@@ -12,6 +12,8 @@
 //! REPL commands: any supported SQL statement, plus `.tables`, `.views`,
 //! `.help`, `.quit`.
 
+#![forbid(unsafe_code)]
+
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::ClusterSpec;
 use orv::costmodel::{CostParams, GraceHashModel, IndexedJoinModel, SystemParams};

@@ -10,6 +10,8 @@
 //! Exit codes: 0 clean, 1 findings (including malformed suppressions),
 //! 2 I/O failure while walking or reading sources.
 
+#![forbid(unsafe_code)]
+
 use orv_lint::{exit_code, lint_workspace, Diagnostic, RULE_IDS};
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -47,6 +47,9 @@
 //! let t1 = generate_dataset(&spec, &deployment).unwrap();
 //! assert_eq!(t1.total_tuples(), 16 * 16 * 4);
 //! ```
+
+#![forbid(unsafe_code)]
+
 pub use orv_bds as bds;
 pub use orv_chunk as chunk;
 pub use orv_cluster as cluster;

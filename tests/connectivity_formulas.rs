@@ -3,10 +3,13 @@
 //! IJ cache-residency guarantee of §5.1 must hold under the two-stage
 //! schedule.
 
-use orv::bds::{generate_dataset, DatasetSpec, Deployment};
+use orv::bds::{generate_dataset, BdsService, DatasetSpec, Deployment};
 use orv::join::connectivity::{predict_regular, ConnectivityGraph};
 use orv::join::reference::sort_records;
-use orv::join::{indexed_join, indexed_join_cached, CacheService, IndexedJoinConfig};
+use orv::join::{
+    indexed_join, indexed_join_cached, CacheService, HashJoiner, IndexedJoinConfig, JoinCounters,
+};
+use orv::types::SubTableId;
 use proptest::prelude::*;
 
 fn divisors_of(n: u64) -> Vec<u64> {
@@ -174,4 +177,66 @@ fn figure3_example_reproduced() {
     let comp = &graph.components[0];
     assert_eq!((comp.a(), comp.b()), (2, 4));
     assert_eq!(comp.edges.len(), 8, "complete bipartite 2×4 as in Figure 3");
+}
+
+#[test]
+fn the_zero_refetch_bound_holds_at_the_memory_section_5_1_assumes() {
+    // §5.1's budget is per compute node: once one component's working
+    // set — a left sub-tables with their hash tables and b right ones —
+    // fits, every sub-table is fetched exactly once.
+    let (grid, p, q) = ([64, 64, 1], [8, 8, 1], [16, 16, 1]);
+    let (d, t1, t2) = deploy(grid, p, q);
+    let pred = predict_regular(grid, p, q);
+    let ideal_misses = pred.n_c * (pred.a + pred.b);
+    assert_eq!(ideal_misses, 80);
+
+    let attrs = ["x", "y", "z"];
+    let services = BdsService::for_all_nodes(&d).unwrap();
+    let first_chunk = |table| {
+        let id = SubTableId::new(table, 0u32);
+        let node = d.metadata().chunk_meta(id).unwrap().node;
+        std::sync::Arc::new(services[node.index()].subtable(id).unwrap())
+    };
+    let (left, right) = (first_chunk(t1), first_chunk(t2));
+    let table = HashJoiner::build(left.clone(), &attrs, &JoinCounters::new(), 1).unwrap();
+    let left_entry = (left.encoded_size() + table.table_bytes()) as u64;
+    let working_set = pred.a * left_entry + pred.b * right.encoded_size() as u64;
+    let total_bytes = grid.iter().product::<u64>()
+        * (left.schema().record_size() + right.schema().record_size()) as u64;
+    assert_eq!(total_bytes, 131_072);
+
+    let run = |cache_capacity| {
+        let cfg = IndexedJoinConfig {
+            cache_capacity,
+            ..Default::default()
+        };
+        indexed_join(&d, t1, t2, &attrs, &cfg).unwrap().stats
+    };
+    println!("working set of one component: {working_set} B");
+    println!(
+        "{:>12} {:>8} {:>8} {:>12}",
+        "capacity_B", "misses", "hits", "moved_B"
+    );
+    let mut last_misses = u64::MAX;
+    for capacity in [6_000, 8_192, 16_384, 20_000, 32_768, 65_536, 1 << 30] {
+        let stats = run(capacity);
+        println!(
+            "{capacity:>12} {:>8} {:>8} {:>12}",
+            stats.cache_misses, stats.cache_hits, stats.bytes_transferred
+        );
+        assert_eq!(stats.cache_hits + stats.cache_misses, 2 * pred.n_e);
+        assert!(
+            stats.cache_misses <= last_misses,
+            "more memory must not refetch more: {capacity} B"
+        );
+        last_misses = stats.cache_misses;
+        if capacity >= working_set {
+            assert_eq!(stats.cache_misses, ideal_misses, "refetch at {capacity} B");
+            assert_eq!(stats.bytes_transferred, total_bytes);
+        }
+    }
+    assert!(
+        working_set <= 20_000,
+        "the sweep must cross the working set"
+    );
 }

@@ -234,16 +234,15 @@ fn seeded_stress_from_env() {
     stress_round(seed, 8, 12);
 }
 
-/// Key-collision stress against the bucketed cache: many clients hammer
+/// Key-collision stress against the per-node cache: many clients hammer
 /// a handful of keys. Single-flight must build every `(node, key)` pair
 /// exactly once for the whole run (one generation — the cache is big
-/// enough that nothing is ever evicted), and the per-shard counters
-/// must sum exactly to the aggregate totals the un-sharded cache used
-/// to report.
+/// enough that nothing is ever evicted), and the per-node counters
+/// must sum exactly to the aggregate totals.
 #[test]
 fn key_collision_single_flight_and_shard_counter_balance() {
     use orv::chunk::SubTable;
-    use orv::join::{CacheKey, CacheService, CachedEntry, BUCKETS_PER_NODE};
+    use orv::join::{CacheKey, CacheService, CachedEntry};
     use orv::types::{Schema, SubTableId, Value};
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -316,16 +315,12 @@ fn key_collision_single_flight_and_shard_counter_balance() {
         "every call is either the builder or answered from the cache"
     );
 
-    // Bucket counters decompose the node totals exactly.
+    // Per-node counters decompose the totals exactly.
     let per_shard = svc.shard_stats();
-    assert_eq!(per_shard.len(), NODES * BUCKETS_PER_NODE);
+    assert_eq!(per_shard.len(), NODES);
     assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), total.hits);
     assert_eq!(
         per_shard.iter().map(|s| s.misses).sum::<u64>(),
         total.misses
-    );
-    assert!(
-        per_shard.iter().filter(|s| s.lookups() > 0).count() > 1,
-        "collision script must still exercise more than one shard: {per_shard:?}"
     );
 }
