@@ -19,7 +19,9 @@
 use crate::deployment::Deployment;
 use orv_chunk::format::ChunkStore;
 use orv_chunk::{ExtractorRegistry, SubTable};
-use orv_cluster::{checksum, ByteCounter, CancelToken, FaultInjector, RecoveryPolicy, RunStats};
+use orv_cluster::{
+    checksum, ByteCounter, CancelToken, Fault, FaultInjector, RecoveryPolicy, RunStats,
+};
 use orv_metadata::MetadataService;
 use orv_obs::{names, Spans};
 use orv_types::{BoundingBox, Error, NodeId, Result, SubTableId};
@@ -128,7 +130,7 @@ impl BdsService {
             // after checksumming, so verification must catch it and a
             // retry re-reads the pristine store.
             if let Some(expected) = meta.checksum {
-                if self.faults.plan().chunk_corrupt_prob > 0.0 {
+                if self.faults.armed(Fault::ChunkCorrupt) {
                     let mut copy = bytes.to_vec();
                     self.faults
                         .corrupt_chunk_page(self.node.0 as u64, &mut copy);
@@ -360,15 +362,16 @@ mod tests {
     #[test]
     fn injected_read_faults_are_transient_under_retry() {
         use orv_cluster::FaultPlan;
+        use orv_obs::EventLog;
         let (d, h) = deployed();
         let plan = FaultPlan {
             seed: 5,
-            read_error_prob: 1.0,
-            max_read_errors: 2,
             max_faults: 2,
             ..FaultPlan::none()
-        };
-        let rd = reader(&d, plan.injector(), Spans::disabled(), CancelToken::none());
+        }
+        .with(Fault::ReadError, 1.0, 2);
+        let injector = FaultInjector::new(plan, EventLog::disabled());
+        let rd = reader(&d, injector, Spans::disabled(), CancelToken::none());
         let id = SubTableId::new(h.table.0, 0u32);
         // First two reads are injected failures; the budget then runs dry
         // and the bounded retry succeeds.
@@ -381,15 +384,15 @@ mod tests {
     #[test]
     fn exhausted_policy_returns_the_read_error_and_charges_its_retries() {
         use orv_cluster::FaultPlan;
+        use orv_obs::EventLog;
         let (d, h) = deployed();
         let plan = FaultPlan {
             seed: 5,
-            read_error_prob: 1.0,
-            max_read_errors: 100,
             max_faults: 100,
             ..FaultPlan::none()
-        };
-        let injector = plan.injector();
+        }
+        .with(Fault::ReadError, 1.0, 100);
+        let injector = FaultInjector::new(plan, EventLog::disabled());
         let rd = reader(&d, injector.clone(), Spans::disabled(), CancelToken::none());
         let mut stats = RunStats::default();
         let err = rd
@@ -397,7 +400,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::Cluster(_)), "{err}");
         let attempts = RecoveryPolicy::default().max_attempts as u64;
-        assert_eq!(injector.stats().read_errors, attempts);
+        assert_eq!(injector.stats()[Fault::ReadError], attempts);
         assert_eq!(stats.read_retries, attempts - 1);
         assert_eq!(stats.bytes_read_storage, 0, "a failed fetch read nothing");
     }
@@ -432,13 +435,12 @@ mod tests {
         let (d, h) = deployed();
         let plan = FaultPlan {
             seed: 17,
-            chunk_corrupt_prob: 1.0,
-            max_chunk_corruptions: 2,
             max_faults: 2,
             ..FaultPlan::none()
-        };
+        }
+        .with(Fault::ChunkCorrupt, 1.0, 2);
         let events = EventLog::enabled();
-        let injector = plan.injector_with_events(events.clone());
+        let injector = FaultInjector::new(plan, events.clone());
         let rd = reader(&d, injector.clone(), Spans::disabled(), CancelToken::none());
         let id = SubTableId::new(h.table.0, 0u32);
         // First attempt, straight at the instance: injected flip,
@@ -455,7 +457,7 @@ mod tests {
             "one more injected corruption, then clean"
         );
         assert_eq!(rd.corruptions_detected(), 2);
-        assert_eq!(injector.stats().chunk_corruptions, 2);
+        assert_eq!(injector.stats()[Fault::ChunkCorrupt], 2);
         // Every injected corruption was detected and logged.
         assert_eq!(events.events_of_kind("corruption_detected").len(), 2);
     }

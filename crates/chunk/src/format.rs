@@ -8,14 +8,13 @@
 
 use bytes::Bytes;
 use orv_types::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Address of a chunk within a node's data files.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ChunkLocation {
     /// Data file name (relative to the node's data directory).
     pub file: String,

@@ -8,10 +8,9 @@
 
 use crate::format::ChunkLocation;
 use orv_types::{BoundingBox, ChunkId, NodeId, TableId};
-use serde::{Deserialize, Serialize};
 
 /// Everything the MetaData service records about one chunk.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChunkMeta {
     /// Which virtual table the chunk belongs to.
     pub table: TableId,
@@ -32,7 +31,6 @@ pub struct ChunkMeta {
     /// CRC32C of the chunk's raw bytes, computed when the chunk was
     /// written. `None` for chunks registered without one (hand-built test
     /// fixtures); reads of such chunks skip integrity verification.
-    #[serde(default)]
     pub checksum: Option<u32>,
 }
 

@@ -36,8 +36,8 @@ pub mod workers;
 pub use cancel::{CancelToken, DeadlineBudget, WaitBudget, SLEEP_SLICE};
 pub use checksum::crc32c;
 pub use fault::{
-    silence_injected_panics, ClientFloodSpec, FaultInjector, FaultPlan, FaultStats, RecoveryPolicy,
-    SendVerdict, ShardDeathSpec, ShardSlowSpec, ShardSlowStormSpec, WorkerPanicSpec,
+    silence_injected_panics, ClientFloodSpec, Fault, FaultInjector, FaultPlan, FaultStats,
+    PerFault, RecoveryPolicy, SendVerdict, ShardDeathSpec, ShardSlowStormSpec, WorkerPanicSpec,
 };
 pub use resource::Resource;
 pub use retry_budget::{RetryBudget, MILLI_PER_TOKEN};

@@ -2,10 +2,9 @@
 
 use orv_cluster::ClusterSpec;
 use orv_types::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// Dataset-side parameters (Table 1, upper half).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostParams {
     /// Number of tuples in tables `R` and `S` (the paper assumes equal
     /// cardinality and record-level join selectivity 1).
@@ -59,7 +58,7 @@ impl CostParams {
 }
 
 /// System-side parameters (Table 1, lower half).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SystemParams {
     /// Aggregate transfer bandwidth between storage and join nodes,
     /// `Net_bw(n_s, n_j)`, bytes/s.

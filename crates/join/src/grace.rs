@@ -651,6 +651,8 @@ mod tests {
     use super::*;
     use crate::reference::{nested_loop_join, sort_records};
     use orv_bds::{generate_dataset, DatasetSpec};
+    use orv_cluster::{Fault, FaultPlan};
+    use orv_obs::EventLog;
     use orv_types::Interval;
 
     fn deploy(
@@ -828,22 +830,18 @@ mod tests {
 
     #[test]
     fn transient_faults_all_recovered_and_counted() {
-        use orv_cluster::FaultPlan;
         let (d, t1, t2) = deploy([8, 8, 2], [4, 4, 2], [2, 8, 2], 2);
         let plan = FaultPlan {
             seed: 33,
-            read_error_prob: 1.0,
-            max_read_errors: 2,
-            send_drop_prob: 1.0,
-            max_send_drops: 2,
-            scratch_error_prob: 1.0,
-            max_scratch_errors: 2,
             max_faults: 6,
             ..FaultPlan::none()
-        };
+        }
+        .with(Fault::ReadError, 1.0, 2)
+        .with(Fault::SendDrop, 1.0, 2)
+        .with(Fault::ScratchError, 1.0, 2);
         let cfg = GraceHashConfig {
             collect_results: true,
-            faults: Some(plan.injector()),
+            faults: Some(FaultInjector::new(plan, EventLog::disabled())),
             ..Default::default()
         };
         let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
@@ -856,22 +854,17 @@ mod tests {
 
     #[test]
     fn injected_corruptions_detected_recovered_and_logged() {
-        use orv_cluster::FaultPlan;
-        use orv_obs::EventLog;
         let (d, t1, t2) = deploy([8, 8, 2], [4, 4, 2], [2, 8, 2], 2);
         let events = EventLog::enabled();
         let plan = FaultPlan {
             seed: 77,
-            chunk_corrupt_prob: 1.0,
-            max_chunk_corruptions: 2,
-            frame_corrupt_prob: 1.0,
-            max_frame_corruptions: 2,
-            scratch_corrupt_prob: 1.0,
-            max_scratch_corruptions: 2,
             max_faults: 6,
             ..FaultPlan::none()
-        };
-        let injector = plan.injector_with_events(events.clone());
+        }
+        .with(Fault::ChunkCorrupt, 1.0, 2)
+        .with(Fault::FrameCorrupt, 1.0, 2)
+        .with(Fault::ScratchCorrupt, 1.0, 2);
+        let injector = FaultInjector::new(plan, events.clone());
         let cfg = GraceHashConfig {
             collect_results: true,
             faults: Some(Arc::clone(&injector)),
@@ -884,9 +877,9 @@ mod tests {
         // chunk pages at the BDS, frames at the link layer, scratch
         // buckets at read-back.
         let fstats = injector.stats();
-        assert!(fstats.chunk_corruptions > 0, "{fstats:?}");
-        assert!(fstats.frame_corruptions > 0, "{fstats:?}");
-        assert!(fstats.scratch_corruptions > 0, "{fstats:?}");
+        assert!(fstats[Fault::ChunkCorrupt] > 0, "{fstats:?}");
+        assert!(fstats[Fault::FrameCorrupt] > 0, "{fstats:?}");
+        assert!(fstats[Fault::ScratchCorrupt] > 0, "{fstats:?}");
         assert_eq!(out.stats.corruptions_detected, fstats.corruptions());
         assert_eq!(
             events.events_of_kind("corruption_detected").len() as u64,
@@ -897,18 +890,16 @@ mod tests {
 
     #[test]
     fn send_to_a_dead_receiver_fails_fast_without_retry() {
-        use orv_cluster::FaultPlan;
         // Every verdict draw happens under the policy; the real send
         // happens once, outside it. A plan that would happily delay (and a
         // policy that would happily retry) must not turn "receiver gone"
         // into a retried operation.
-        let injector = FaultPlan {
+        let plan = FaultPlan {
             seed: 1,
-            send_delay_prob: 1.0,
-            send_delay_ms: 1,
             ..FaultPlan::none()
         }
-        .injector();
+        .with(Fault::SendDelay, 1.0, 1);
+        let injector = FaultInjector::new(plan, EventLog::disabled());
         let (tx, rx) = crossbeam::channel::bounded::<Batch>(1);
         drop(rx);
         let bytes = vec![7u8; 16];
@@ -931,7 +922,7 @@ mod tests {
             "{err}"
         );
         assert_eq!(
-            injector.stats().send_delays,
+            injector.stats()[Fault::SendDelay],
             1,
             "exactly one attempt: one verdict draw, zero send_retries"
         );
@@ -939,17 +930,15 @@ mod tests {
 
     #[test]
     fn exhausted_scratch_read_returns_the_integrity_error_unchanged() {
-        use orv_cluster::FaultPlan;
         let scratch = Scratch::new(ScratchKind::Memory, "t").unwrap();
         scratch.append("L0", &[1u8; 32]).unwrap();
-        let injector = FaultPlan {
+        let plan = FaultPlan {
             seed: 4,
-            scratch_corrupt_prob: 1.0,
-            max_scratch_corruptions: 10,
             max_faults: 10,
             ..FaultPlan::none()
         }
-        .injector();
+        .with(Fault::ScratchCorrupt, 1.0, 10);
+        let injector = FaultInjector::new(plan, EventLog::disabled());
         let cfg = GraceHashConfig {
             recovery: RecoveryPolicy {
                 max_attempts: 2,
@@ -983,7 +972,7 @@ mod tests {
         assert_eq!(stats.scratch_retries, 1, "two attempts, one retry");
         assert_eq!(stats.corruptions_detected, 2);
         assert_eq!(
-            injector.stats().scratch_corruptions,
+            injector.stats()[Fault::ScratchCorrupt],
             2,
             "one draw per attempt"
         );
@@ -991,8 +980,6 @@ mod tests {
 
     #[test]
     fn seeded_fault_draws_match_the_hand_written_retry_loops() {
-        use orv_cluster::FaultPlan;
-        use orv_obs::EventLog;
         // The `(kind, site, stream, draw)` multiset below was captured from
         // the hand-written retry loops this module had before it moved
         // under `RecoveryPolicy::run_cancellable`. Per-stream draw order
@@ -1004,28 +991,21 @@ mod tests {
         let events = EventLog::enabled();
         let plan = FaultPlan {
             seed: 5,
-            read_error_prob: 0.2,
-            max_read_errors: 1_000,
-            send_drop_prob: 0.15,
-            max_send_drops: 1_000,
-            send_delay_prob: 0.1,
-            send_delay_ms: 1,
-            scratch_error_prob: 0.2,
-            max_scratch_errors: 1_000,
-            chunk_corrupt_prob: 0.2,
-            max_chunk_corruptions: 1_000,
-            frame_corrupt_prob: 0.04,
-            max_frame_corruptions: 1_000,
-            scratch_corrupt_prob: 0.2,
-            max_scratch_corruptions: 1_000,
             max_faults: 1_000_000,
             ..FaultPlan::none()
-        };
+        }
+        .with(Fault::ReadError, 0.2, 1_000)
+        .with(Fault::SendDrop, 0.15, 1_000)
+        .with(Fault::SendDelay, 0.1, 1)
+        .with(Fault::ScratchError, 0.2, 1_000)
+        .with(Fault::ChunkCorrupt, 0.2, 1_000)
+        .with(Fault::FrameCorrupt, 0.04, 1_000)
+        .with(Fault::ScratchCorrupt, 0.2, 1_000);
         let cfg = GraceHashConfig {
             n_compute: 2,
             mem_per_node: 256,
             collect_results: true,
-            faults: Some(plan.injector_with_events(events.clone())),
+            faults: Some(FaultInjector::new(plan, events.clone())),
             recovery: RecoveryPolicy {
                 max_attempts: 8,
                 base_backoff_ms: 0,
@@ -1104,7 +1084,7 @@ mod tests {
 
     #[test]
     fn compute_worker_panic_fails_fast_with_typed_error() {
-        use orv_cluster::{silence_injected_panics, FaultPlan, WorkerPanicSpec};
+        use orv_cluster::{silence_injected_panics, WorkerPanicSpec};
         silence_injected_panics();
         let (d, t1, t2) = deploy([8, 8, 1], [4, 4, 1], [2, 2, 1], 2);
         let plan = FaultPlan {
@@ -1118,7 +1098,7 @@ mod tests {
         };
         let cfg = GraceHashConfig {
             n_compute: 2,
-            faults: Some(plan.injector()),
+            faults: Some(FaultInjector::new(plan, EventLog::disabled())),
             ..Default::default()
         };
         let err = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap_err();

@@ -426,6 +426,8 @@ mod tests {
     use super::*;
     use crate::reference::{nested_loop_join, sort_records};
     use orv_bds::{generate_dataset, DatasetSpec};
+    use orv_cluster::{Fault, FaultPlan};
+    use orv_obs::EventLog;
     use orv_types::Interval;
 
     fn deploy(
@@ -623,18 +625,16 @@ mod tests {
 
     #[test]
     fn transient_read_faults_recovered_and_counted() {
-        use orv_cluster::FaultPlan;
         let (d, t1, t2) = deploy([8, 8, 2], [4, 4, 2], [2, 8, 2], 2);
         let plan = FaultPlan {
             seed: 21,
-            read_error_prob: 1.0,
-            max_read_errors: 3,
             max_faults: 3,
             ..FaultPlan::none()
-        };
+        }
+        .with(Fault::ReadError, 1.0, 3);
         let cfg = IndexedJoinConfig {
             collect_results: true,
-            faults: Some(plan.injector()),
+            faults: Some(FaultInjector::new(plan, EventLog::disabled())),
             ..Default::default()
         };
         let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
@@ -649,18 +649,15 @@ mod tests {
 
     #[test]
     fn corrupted_chunk_pages_detected_and_recovered() {
-        use orv_cluster::FaultPlan;
-        use orv_obs::EventLog;
         let (d, t1, t2) = deploy([8, 8, 2], [4, 4, 2], [2, 8, 2], 2);
         let events = EventLog::enabled();
         let plan = FaultPlan {
             seed: 13,
-            chunk_corrupt_prob: 1.0,
-            max_chunk_corruptions: 3,
             max_faults: 3,
             ..FaultPlan::none()
-        };
-        let injector = plan.injector_with_events(events.clone());
+        }
+        .with(Fault::ChunkCorrupt, 1.0, 3);
+        let injector = FaultInjector::new(plan, events.clone());
         let cfg = IndexedJoinConfig {
             collect_results: true,
             faults: Some(Arc::clone(&injector)),
@@ -670,7 +667,7 @@ mod tests {
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
         assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
         let fstats = injector.stats();
-        assert_eq!(fstats.chunk_corruptions, 3, "{fstats:?}");
+        assert_eq!(fstats[Fault::ChunkCorrupt], 3, "{fstats:?}");
         assert_eq!(out.stats.corruptions_detected, fstats.corruptions());
         assert_eq!(
             events.events_of_kind(names::CORRUPTION_DETECTED).len() as u64,
@@ -694,7 +691,7 @@ mod tests {
 
     #[test]
     fn worker_panic_reassigns_remaining_pairs() {
-        use orv_cluster::{silence_injected_panics, FaultPlan, WorkerPanicSpec};
+        use orv_cluster::{silence_injected_panics, WorkerPanicSpec};
         silence_injected_panics();
         let (d, t1, t2) = deploy([8, 8, 2], [4, 4, 2], [2, 8, 2], 2);
         let plan = FaultPlan {
@@ -709,7 +706,7 @@ mod tests {
         let cfg = IndexedJoinConfig {
             n_compute: 2,
             collect_results: true,
-            faults: Some(plan.injector()),
+            faults: Some(FaultInjector::new(plan, EventLog::disabled())),
             ..Default::default()
         };
         let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
@@ -721,7 +718,7 @@ mod tests {
 
     #[test]
     fn all_workers_dead_is_a_typed_error() {
-        use orv_cluster::{silence_injected_panics, FaultPlan, WorkerPanicSpec};
+        use orv_cluster::{silence_injected_panics, WorkerPanicSpec};
         silence_injected_panics();
         let (d, t1, t2) = deploy([8, 8, 1], [4, 4, 1], [4, 4, 1], 2);
         let plan = FaultPlan {
@@ -741,7 +738,7 @@ mod tests {
         };
         let cfg = IndexedJoinConfig {
             n_compute: 2,
-            faults: Some(plan.injector()),
+            faults: Some(FaultInjector::new(plan, EventLog::disabled())),
             ..Default::default()
         };
         let err = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap_err();

@@ -859,6 +859,7 @@ fn output_columns(bound: &BoundSelect) -> Vec<String> {
 mod tests {
     use super::*;
     use orv_bds::{generate_dataset, DatasetSpec};
+    use orv_obs::EventLog;
     use orv_types::Value;
 
     fn engine() -> QueryEngine {
@@ -1314,7 +1315,7 @@ mod tests {
         let obs = orv_obs::Obs::enabled();
         let chaotic = engine()
             .with_obs(obs.clone())
-            .with_faults(FaultInjector::new(plan));
+            .with_faults(FaultInjector::new(plan, EventLog::disabled()));
         let r = chaotic
             .execute("SELECT * FROM t1 JOIN t2 ON (x, y, z)")
             .unwrap();
@@ -1356,7 +1357,7 @@ mod tests {
         };
         let e = engine()
             .force_algorithm(Some(JoinAlgorithm::IndexedJoin))
-            .with_faults(FaultInjector::new(plan));
+            .with_faults(FaultInjector::new(plan, EventLog::disabled()));
         let err = e
             .execute("SELECT * FROM t1 JOIN t2 ON (x, y, z)")
             .unwrap_err();

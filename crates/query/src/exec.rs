@@ -620,14 +620,14 @@ mod tests {
     use super::*;
     use crate::ast::AggFunc;
     use orv_bds::{generate_dataset, DatasetSpec, Deployment};
-    use orv_cluster::{CancelToken, FaultPlan, RecoveryPolicy};
+    use orv_cluster::{CancelToken, FaultInjector, RecoveryPolicy};
     use orv_obs::Obs;
     use orv_types::Interval;
 
     fn reader(d: &Deployment) -> SubTableReader {
         SubTableReader::new(
             d,
-            FaultPlan::none().injector(),
+            FaultInjector::disabled(),
             Obs::disabled().spans,
             RecoveryPolicy::default(),
             CancelToken::none(),

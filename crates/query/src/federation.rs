@@ -1016,7 +1016,8 @@ impl FederatedService {
 mod tests {
     use super::*;
     use orv_bds::{generate_dataset, DatasetSpec};
-    use orv_cluster::{FaultPlan, ShardDeathSpec, ShardSlowSpec};
+    use orv_cluster::{FaultPlan, ShardDeathSpec, ShardSlowStormSpec};
+    use orv_obs::EventLog;
     use orv_types::Value;
 
     fn deployment() -> Deployment {
@@ -1181,7 +1182,7 @@ mod tests {
             max_faults: 8,
             ..FaultPlan::none()
         };
-        let faults = FaultInjector::new_with_events(plan, obs.events.clone());
+        let faults = FaultInjector::new(plan, obs.events.clone());
         let fed = FederatedService::with_instruments(
             deployment(),
             FederationConfig::default(),
@@ -1241,7 +1242,7 @@ mod tests {
             max_faults: 8,
             ..FaultPlan::none()
         };
-        let faults = FaultInjector::new_with_events(plan, obs.events.clone());
+        let faults = FaultInjector::new(plan, obs.events.clone());
         let fed = FederatedService::with_instruments(
             deployment(),
             FederationConfig::default(),
@@ -1278,7 +1279,7 @@ mod tests {
             max_faults: 8,
             ..FaultPlan::none()
         };
-        let faults = FaultInjector::new_with_events(plan, obs.events.clone());
+        let faults = FaultInjector::new(plan, obs.events.clone());
         let d = deployment();
         let md = d.metadata();
         let table = md.table_id("t1").unwrap();
@@ -1332,7 +1333,7 @@ mod tests {
             max_faults: 8,
             ..FaultPlan::none()
         };
-        let faults = FaultInjector::new(plan);
+        let faults = FaultInjector::new(plan, EventLog::disabled());
         let fed =
             FederatedService::with_instruments(deployment(), cfg, Obs::disabled(), Some(faults))
                 .unwrap();
@@ -1347,29 +1348,32 @@ mod tests {
     fn hedged_request_beats_a_slow_shard() {
         let obs = Obs::enabled();
         let plan = FaultPlan {
-            shard_slows: vec![
+            shard_slow_storms: vec![
                 // Every shard's first sub-query stalls well past the hedge
                 // delay, so whichever shards serve this query go quiet and
                 // force hedges.
-                ShardSlowSpec {
+                ShardSlowStormSpec {
                     shard: 0,
                     after_subqueries: 0,
                     delay_ms: 1_500,
+                    storm_len: 1,
                 },
-                ShardSlowSpec {
+                ShardSlowStormSpec {
                     shard: 1,
                     after_subqueries: 0,
                     delay_ms: 1_500,
+                    storm_len: 1,
                 },
-                ShardSlowSpec {
+                ShardSlowStormSpec {
                     shard: 2,
                     after_subqueries: 0,
                     delay_ms: 1_500,
+                    storm_len: 1,
                 },
             ],
             ..FaultPlan::none()
         };
-        let faults = FaultInjector::new_with_events(plan, obs.events.clone());
+        let faults = FaultInjector::new(plan, obs.events.clone());
         let cfg = FederationConfig {
             hedge_after: Some(Duration::from_millis(40)),
             ..FederationConfig::default()
@@ -1451,7 +1455,7 @@ mod tests {
             max_faults: 8,
             ..FaultPlan::none()
         };
-        let faults = FaultInjector::new_with_events(plan, obs.events.clone());
+        let faults = FaultInjector::new(plan, obs.events.clone());
         let cfg = FederationConfig {
             retry_budget: 0,
             ..FederationConfig::default()
@@ -1495,7 +1499,7 @@ mod tests {
             max_faults: 8,
             ..FaultPlan::none()
         };
-        let faults = FaultInjector::new_with_events(plan, obs.events.clone());
+        let faults = FaultInjector::new(plan, obs.events.clone());
         let mut cfg = FederationConfig {
             retry_budget: 0,
             ..FederationConfig::default()
@@ -1546,7 +1550,7 @@ mod tests {
             max_faults: 8,
             ..FaultPlan::none()
         };
-        let faults = FaultInjector::new_with_events(plan, obs.events.clone());
+        let faults = FaultInjector::new(plan, obs.events.clone());
         let fed = FederatedService::with_instruments(
             deployment(),
             FederationConfig::default(),

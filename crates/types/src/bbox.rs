@@ -10,12 +10,11 @@
 //! Bounds are *closed* intervals over `f64` (grid coordinates embed
 //! exactly).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A closed interval `[lo, hi]`. `lo > hi` denotes the empty interval.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Interval {
     /// Inclusive lower bound.
     pub lo: f64,
@@ -97,7 +96,7 @@ impl fmt::Display for Interval {
 }
 
 /// Bounds over a set of named attributes; missing attributes are unbounded.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct BoundingBox {
     dims: BTreeMap<String, Interval>,
 }

@@ -5,15 +5,12 @@
 //! it. [`SubTableId`] is exactly that pair; the IJ scheduler sorts these
 //! lexicographically.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -64,7 +61,7 @@ id_newtype!(
 ///
 /// Ordering is lexicographic on `(table, chunk)`, which is precisely the
 /// order the IJ two-stage scheduler uses within a compute node.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SubTableId {
     /// The virtual table / BDS this sub-table belongs to.
     pub table: TableId,

@@ -10,11 +10,10 @@
 
 use crate::schema::Schema;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One row of a virtual table.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Record {
     values: Box<[Value]>,
 }

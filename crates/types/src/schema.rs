@@ -9,11 +9,10 @@
 use crate::bbox::{BoundingBox, Interval};
 use crate::error::{Error, Result};
 use crate::value::DataType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether an attribute is a grid coordinate or a measured property.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AttrRole {
     /// A spatial/grid coordinate (x, y, z, time-step, ...).
     Coordinate,
@@ -22,7 +21,7 @@ pub enum AttrRole {
 }
 
 /// A named, typed attribute of a table.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Attribute {
     /// Attribute name, unique within the schema.
     pub name: String,
@@ -53,7 +52,7 @@ impl Attribute {
 }
 
 /// An ordered list of attributes describing one virtual table.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Schema {
     attrs: Vec<Attribute>,
 }

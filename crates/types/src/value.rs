@@ -6,12 +6,11 @@
 //! fixed on-disk width so record sizes (`RS_R`, `RS_S` in the cost models)
 //! are schema-derivable.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// The type of a scalar attribute.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DataType {
     /// 32-bit signed integer (grid coordinates).
     I32,
@@ -69,7 +68,7 @@ impl fmt::Display for DataType {
 /// sort runs without panics. Cross-type comparison is by numeric value
 /// within the int and float families, and ints order before floats across
 /// families only via [`Value::as_f64`] comparisons done by callers.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum Value {
     /// 32-bit signed integer.
     I32(i32),

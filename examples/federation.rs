@@ -85,7 +85,7 @@ fn main() {
     println!("federation seed {seed}: killing shard {dead_shard} ({plan:?})");
 
     let obs = Obs::enabled();
-    let injector = FaultInjector::new_with_events(plan, obs.events.clone());
+    let injector = FaultInjector::new(plan, obs.events.clone());
     let fed =
         FederatedService::with_instruments(deployment(), cfg, obs.clone(), Some(injector.clone()))
             .expect("federation construction is fault-free");

@@ -17,7 +17,8 @@
 use orv::bds::{generate_dataset, BdsService, DatasetSpec, Deployment, SubTableReader};
 use orv::chunk::{ChunkLocation, ChunkMeta};
 use orv::cluster::{
-    silence_injected_panics, CancelToken, FaultPlan, RecoveryPolicy, WorkerPanicSpec,
+    silence_injected_panics, CancelToken, Fault, FaultInjector, FaultPlan, RecoveryPolicy,
+    WorkerPanicSpec,
 };
 use orv::join::reference::{nested_loop_join, sort_records};
 use orv::join::{grace_hash_join, indexed_join, GraceHashConfig, IndexedJoinConfig};
@@ -268,18 +269,15 @@ fn mixed_fault_plan_recovers_or_fails_typed_within_deadline() {
     silence_injected_panics();
     let plan = FaultPlan {
         seed: 0xFA_07,
-        read_error_prob: 1.0,
-        max_read_errors: 2,
-        send_drop_prob: 1.0,
-        max_send_drops: 2,
-        scratch_error_prob: 0.0,
         worker_panics: vec![WorkerPanicSpec {
             worker: 1,
             after_ops: 1,
         }],
         max_faults: 5,
         ..FaultPlan::none()
-    };
+    }
+    .with(Fault::ReadError, 1.0, 2)
+    .with(Fault::SendDrop, 1.0, 2);
 
     let ij_plan = plan.clone();
     let (out, oracle) = within_deadline(30, move || {
@@ -287,7 +285,7 @@ fn mixed_fault_plan_recovers_or_fails_typed_within_deadline() {
         let cfg = IndexedJoinConfig {
             n_compute: 2,
             collect_results: true,
-            faults: Some(ij_plan.injector()),
+            faults: Some(FaultInjector::new(ij_plan, EventLog::disabled())),
             ..Default::default()
         };
         let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
@@ -312,7 +310,7 @@ fn mixed_fault_plan_recovers_or_fails_typed_within_deadline() {
         let (d, t1, t2) = two_tables();
         let cfg = GraceHashConfig {
             n_compute: 2,
-            faults: Some(gh_plan.injector()),
+            faults: Some(FaultInjector::new(gh_plan, EventLog::disabled())),
             ..Default::default()
         };
         grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap_err()
@@ -329,7 +327,7 @@ fn mixed_fault_plan_recovers_or_fails_typed_within_deadline() {
         let cfg = GraceHashConfig {
             n_compute: 2,
             collect_results: true,
-            faults: Some(transient.injector()),
+            faults: Some(FaultInjector::new(transient, EventLog::disabled())),
             ..Default::default()
         };
         let gh = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
@@ -367,7 +365,7 @@ fn every_worker_dead_errors_within_deadline() {
         };
         let cfg = IndexedJoinConfig {
             n_compute: 2,
-            faults: Some(plan.injector()),
+            faults: Some(FaultInjector::new(plan, EventLog::disabled())),
             ..Default::default()
         };
         indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap_err()
@@ -388,7 +386,7 @@ fn seeded_plans_are_reproducible() {
         let cfg = IndexedJoinConfig {
             n_compute: 2,
             collect_results: true,
-            faults: Some(plan.injector()),
+            faults: Some(FaultInjector::new(plan, EventLog::disabled())),
             recovery: RecoveryPolicy {
                 max_attempts: 9,
                 base_backoff_ms: 1,
@@ -428,29 +426,17 @@ proptest! {
     ) {
         let plan = FaultPlan {
             seed,
-            read_error_prob: read_p,
-            max_read_errors: cap,
-            read_delay_prob: 0.1,
-            read_delay_ms: 1,
-            send_drop_prob: drop_p,
-            max_send_drops: cap,
-            send_delay_prob: 0.1,
-            send_delay_ms: 1,
-            scratch_error_prob: scratch_p,
-            max_scratch_errors: cap,
-            chunk_corrupt_prob: corrupt_p,
-            max_chunk_corruptions: cap,
-            frame_corrupt_prob: corrupt_p,
-            max_frame_corruptions: cap,
-            scratch_corrupt_prob: corrupt_p,
-            max_scratch_corruptions: cap,
-            worker_panics: vec![],
-            shard_deaths: vec![],
-            shard_slows: vec![],
-            client_floods: vec![],
-            shard_slow_storms: vec![],
             max_faults: cap * 6,
-        };
+            ..FaultPlan::none()
+        }
+        .with(Fault::ReadError, read_p, cap)
+        .with(Fault::ReadDelay, 0.1, 1)
+        .with(Fault::SendDrop, drop_p, cap)
+        .with(Fault::SendDelay, 0.1, 1)
+        .with(Fault::ScratchError, scratch_p, cap)
+        .with(Fault::ChunkCorrupt, corrupt_p, cap)
+        .with(Fault::FrameCorrupt, corrupt_p, cap)
+        .with(Fault::ScratchCorrupt, corrupt_p, cap);
         let recovery = RecoveryPolicy {
             max_attempts: 2 * cap as u32 + 2,
             base_backoff_ms: 1,
@@ -459,7 +445,7 @@ proptest! {
         let (d, t1, t2) = two_tables();
         let oracle =
             sort_records(nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap());
-        let ij_faults = plan.clone().injector();
+        let ij_faults = FaultInjector::new(plan.clone(), EventLog::disabled());
         let ij = indexed_join(&d, t1, t2, &["x", "y", "z"], &IndexedJoinConfig {
             n_compute: 2,
             collect_results: true,
@@ -469,7 +455,7 @@ proptest! {
         }).unwrap();
         prop_assert_eq!(sorted(ij.records()), oracle.clone());
         prop_assert_eq!(ij.stats.corruptions_detected, ij_faults.stats().corruptions());
-        let gh_faults = plan.injector();
+        let gh_faults = FaultInjector::new(plan, EventLog::disabled());
         let gh = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &GraceHashConfig {
             n_compute: 2,
             collect_results: true,
@@ -503,7 +489,7 @@ proptest! {
         let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &IndexedJoinConfig {
             n_compute: 3,
             collect_results: true,
-            faults: Some(plan.injector()),
+            faults: Some(FaultInjector::new(plan, EventLog::disabled())),
             ..Default::default()
         }).unwrap();
         prop_assert!(out.stats.worker_panics <= 1);
@@ -617,7 +603,7 @@ fn scans_draw_seeded_read_faults_and_still_match_the_oracle() {
     let oracle = QueryEngine::new(scan_deployment());
     let mut read_errors = 0;
     for seed in chaos_seeds() {
-        let injector = FaultPlan::from_seed(seed).injector();
+        let injector = FaultInjector::new(FaultPlan::from_seed(seed), EventLog::disabled());
         let engine = QueryEngine::new(scan_deployment()).with_faults(injector.clone());
         for sql in [FULL_SCAN, RANGED_SCAN] {
             let want = oracle.execute(sql).unwrap();
@@ -628,7 +614,7 @@ fn scans_draw_seeded_read_faults_and_still_match_the_oracle() {
         let want = oracle.execute(RANGED_SCAN).unwrap();
         let got = service.execute(RANGED_SCAN).unwrap();
         assert_same_answer(&format!("seed {seed}: via service"), &want, &got);
-        read_errors += injector.stats().read_errors;
+        read_errors += injector.stats()[Fault::ReadError];
     }
     assert!(
         read_errors > 0,
@@ -649,7 +635,7 @@ fn scans_detect_every_injected_page_corruption() {
     let mut corruptions = 0;
     for seed in chaos_seeds() {
         let events = EventLog::enabled();
-        let injector = FaultPlan::corrupting(seed).injector_with_events(events.clone());
+        let injector = FaultInjector::new(FaultPlan::corrupting(seed), events.clone());
         // `corrupting`'s caps allow four consecutive failures of one read.
         let recovery = RecoveryPolicy {
             max_attempts: 8,
@@ -675,7 +661,11 @@ fn scans_detect_every_injected_page_corruption() {
             .filter(|ev| ev.fields["kind"].as_str() == Some("chunk_corrupt"))
             .count() as u64;
         let detected = events.events_of_kind(names::CORRUPTION_DETECTED).len() as u64;
-        assert_eq!(injected, injector.stats().chunk_corruptions, "seed {seed}");
+        assert_eq!(
+            injected,
+            injector.stats()[Fault::ChunkCorrupt],
+            "seed {seed}"
+        );
         assert_eq!(detected, injected, "seed {seed}: 100 % detection");
         assert_eq!(reader.corruptions_detected(), injected, "seed {seed}");
         corruptions += injected;
@@ -693,12 +683,11 @@ fn scans_detect_every_injected_page_corruption() {
 fn scan_fails_typed_once_read_errors_outlast_the_policy() {
     let plan = FaultPlan {
         seed: chaos_seeds()[0],
-        read_error_prob: 1.0,
-        max_read_errors: 1_000,
         max_faults: 1_000,
         ..FaultPlan::none()
-    };
-    let injector = plan.injector();
+    }
+    .with(Fault::ReadError, 1.0, 1_000);
+    let injector = FaultInjector::new(plan, EventLog::disabled());
     let engine = QueryEngine::new(scan_deployment()).with_faults(injector.clone());
     let err = engine.execute(FULL_SCAN).unwrap_err();
     assert!(
@@ -706,7 +695,7 @@ fn scan_fails_typed_once_read_errors_outlast_the_policy() {
         "{err}"
     );
     assert_eq!(
-        injector.stats().read_errors,
+        injector.stats()[Fault::ReadError],
         RecoveryPolicy::default().max_attempts as u64
     );
 }
@@ -717,12 +706,11 @@ fn scan_fails_typed_once_read_errors_outlast_the_policy() {
 fn cancel_stops_a_scan_inside_its_retry_backoff() {
     let plan = FaultPlan {
         seed: chaos_seeds()[0],
-        read_error_prob: 1.0,
-        max_read_errors: 1_000,
         max_faults: 1_000,
         ..FaultPlan::none()
-    };
-    let injector = plan.injector();
+    }
+    .with(Fault::ReadError, 1.0, 1_000);
+    let injector = FaultInjector::new(plan, EventLog::disabled());
     // Four minutes of backoff if the token were ignored.
     let recovery = RecoveryPolicy {
         max_attempts: 1_000,
@@ -743,7 +731,7 @@ fn cancel_stops_a_scan_inside_its_retry_backoff() {
     let (err, took) = std::thread::scope(|s| {
         let scan = s.spawn(|| exec::scan_batches(&reader, table, None).unwrap_err());
         // The first injected error is what sends the scan into a backoff.
-        while injector.stats().read_errors == 0 {
+        while injector.stats()[Fault::ReadError] == 0 {
             std::thread::yield_now();
         }
         let cancelled_at = Instant::now();
@@ -756,7 +744,11 @@ fn cancel_stops_a_scan_inside_its_retry_backoff() {
         took < Duration::from_secs(1),
         "cancel must interrupt the backoff within ~one slice, took {took:?}"
     );
-    assert!(injector.stats().read_errors <= 2, "{:?}", injector.stats());
+    assert!(
+        injector.stats()[Fault::ReadError] <= 2,
+        "{:?}",
+        injector.stats()
+    );
 }
 
 /// (d) A federation whose shards share a seeded injector answers a
@@ -770,7 +762,7 @@ fn federated_scan_retries_locally_instead_of_failing_over() {
     let mut read_errors = 0;
     for seed in chaos_seeds() {
         let obs = Obs::enabled();
-        let injector = FaultPlan::from_seed(seed).injector();
+        let injector = FaultInjector::new(FaultPlan::from_seed(seed), EventLog::disabled());
         let fed = FederatedService::with_instruments(
             scan_deployment(),
             FederationConfig::default(),
@@ -790,7 +782,7 @@ fn federated_scan_retries_locally_instead_of_failing_over() {
             0,
             "seed {seed}"
         );
-        read_errors += injector.stats().read_errors;
+        read_errors += injector.stats()[Fault::ReadError];
     }
     assert!(
         read_errors > 0,

@@ -13,9 +13,9 @@
 //!    byte-identically.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
-use orv::cluster::{FaultInjector, FaultPlan, ShardDeathSpec, ShardSlowSpec};
+use orv::cluster::{FaultInjector, FaultPlan, ShardDeathSpec, ShardSlowStormSpec};
 use orv::metadata::Placement;
-use orv::obs::{names, Obs};
+use orv::obs::{names, EventLog, Obs};
 use orv::query::federation::PLACEMENT_SEED;
 use orv::query::{FederatedResponse, FederatedService, FederationConfig, QueryEngine, QueryResult};
 use orv::types::{ChunkId, Error, SubTableId};
@@ -68,7 +68,7 @@ fn seeded_shard_death_mid_sequence_is_byte_identical_to_oracle() {
             max_faults: 8,
             ..FaultPlan::none()
         };
-        let injector = FaultInjector::new_with_events(plan, obs.events.clone());
+        let injector = FaultInjector::new(plan, obs.events.clone());
         let fed = FederatedService::with_instruments(
             deployment(),
             FederationConfig::default(),
@@ -129,7 +129,7 @@ fn killing_every_replica_degrades_to_exact_partial_result() {
         max_faults: 8,
         ..FaultPlan::none()
     };
-    let injector = FaultInjector::new_with_events(plan.clone(), obs.events.clone());
+    let injector = FaultInjector::new(plan.clone(), obs.events.clone());
     let d = deployment();
     let md = d.metadata();
     let table = md.table_id("ft").unwrap();
@@ -182,7 +182,7 @@ fn killing_every_replica_degrades_to_exact_partial_result() {
             ..cfg
         },
         Obs::disabled(),
-        Some(FaultInjector::new(plan)),
+        Some(FaultInjector::new(plan, EventLog::disabled())),
     )
     .unwrap();
     let err = strict.execute("SELECT * FROM ft").unwrap_err();
@@ -196,14 +196,15 @@ fn killing_every_replica_degrades_to_exact_partial_result() {
 fn hedged_request_beats_a_stalled_shard_byte_identically() {
     let obs = Obs::enabled();
     let plan = FaultPlan {
-        shard_slows: vec![ShardSlowSpec {
+        shard_slow_storms: vec![ShardSlowStormSpec {
             shard: 0,
             after_subqueries: 0,
             delay_ms: 2_000,
+            storm_len: 1,
         }],
         ..FaultPlan::none()
     };
-    let injector = FaultInjector::new_with_events(plan, obs.events.clone());
+    let injector = FaultInjector::new(plan, obs.events.clone());
     let fed = FederatedService::with_instruments(
         deployment(),
         FederationConfig {
@@ -220,8 +221,8 @@ fn hedged_request_beats_a_stalled_shard_byte_identically() {
 
     // The stall fired, the hedge fired, and a hedge flight filled chunks
     // the stalled shard never delivered.
-    assert_eq!(injector.stats().shard_slows, 1);
-    assert_eq!(shard_death_events(&obs, "shard_slow"), 1);
+    assert_eq!(injector.stats().shard_slow_storm_delays, 1);
+    assert_eq!(shard_death_events(&obs, "shard_slow_storm"), 1);
     let snap = obs.metrics.snapshot();
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     assert!(counter(names::FED_HEDGES) >= 1, "{:?}", snap.counters);
@@ -240,7 +241,7 @@ fn breaker_trips_once_failures_accumulate_and_counters_stay_consistent() {
         max_faults: 4,
         ..FaultPlan::none()
     };
-    let injector = FaultInjector::new_with_events(plan, obs.events.clone());
+    let injector = FaultInjector::new(plan, obs.events.clone());
     let fed = FederatedService::with_instruments(
         deployment(),
         FederationConfig {

@@ -5,7 +5,7 @@
 //! round-trip through the JSON-lines export.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
-use orv::cluster::FaultPlan;
+use orv::cluster::{Fault, FaultInjector, FaultPlan};
 use orv::join::reference::{nested_loop_join, sort_records};
 use orv::join::{grace_hash_join, indexed_join, GraceHashConfig, IndexedJoinConfig};
 use orv::obs::{EventLog, Obs};
@@ -39,21 +39,15 @@ fn two_tables() -> (Deployment, TableId, TableId) {
 fn chaos_plan() -> FaultPlan {
     FaultPlan {
         seed: 0x0B5,
-        read_error_prob: 0.4,
-        max_read_errors: 3,
-        send_drop_prob: 0.4,
-        max_send_drops: 3,
-        scratch_error_prob: 0.4,
-        max_scratch_errors: 3,
-        chunk_corrupt_prob: 0.4,
-        max_chunk_corruptions: 2,
-        frame_corrupt_prob: 0.4,
-        max_frame_corruptions: 2,
-        scratch_corrupt_prob: 0.4,
-        max_scratch_corruptions: 2,
         max_faults: 15,
         ..FaultPlan::none()
     }
+    .with(Fault::ReadError, 0.4, 3)
+    .with(Fault::SendDrop, 0.4, 3)
+    .with(Fault::ScratchError, 0.4, 3)
+    .with(Fault::ChunkCorrupt, 0.4, 2)
+    .with(Fault::FrameCorrupt, 0.4, 2)
+    .with(Fault::ScratchCorrupt, 0.4, 2)
 }
 
 /// Re-parse the log and check it pins the run: the plan round-trips, and
@@ -78,21 +72,15 @@ fn assert_log_replays(events: &EventLog, plan: &FaultPlan, stats: orv::cluster::
             .filter(|e| e.fields["kind"].as_str() == Some(k))
             .count() as u64
     };
-    assert_eq!(by_kind("read_error"), stats.read_errors);
-    assert_eq!(by_kind("send_drop"), stats.send_drops);
-    assert_eq!(by_kind("scratch_error"), stats.scratch_errors);
-    assert_eq!(by_kind("chunk_corrupt"), stats.chunk_corruptions);
-    assert_eq!(by_kind("frame_corrupt"), stats.frame_corruptions);
-    assert_eq!(by_kind("scratch_corrupt"), stats.scratch_corruptions);
+    assert_eq!(by_kind("read_error"), stats[Fault::ReadError]);
+    assert_eq!(by_kind("send_drop"), stats[Fault::SendDrop]);
+    assert_eq!(by_kind("scratch_error"), stats[Fault::ScratchError]);
+    assert_eq!(by_kind("chunk_corrupt"), stats[Fault::ChunkCorrupt]);
+    assert_eq!(by_kind("frame_corrupt"), stats[Fault::FrameCorrupt]);
+    assert_eq!(by_kind("scratch_corrupt"), stats[Fault::ScratchCorrupt]);
     assert_eq!(
         faults.len() as u64,
-        stats.read_errors
-            + stats.read_delays
-            + stats.send_drops
-            + stats.send_delays
-            + stats.scratch_errors
-            + stats.corruptions()
-            + stats.worker_panics,
+        Fault::all().map(|k| stats[k]).iter().sum::<u64>() + stats.worker_panics,
         "every fired fault must be logged exactly once"
     );
 
@@ -133,7 +121,7 @@ fn grace_hash_chaos_run_is_replayable_from_logs() {
     let (d, t1, t2) = two_tables();
     let plan = chaos_plan();
     let obs = Obs::enabled();
-    let injector = plan.clone().injector_with_events(obs.events.clone());
+    let injector = FaultInjector::new(plan.clone(), obs.events.clone());
     let cfg = GraceHashConfig {
         n_compute: 2,
         collect_results: true,
@@ -147,7 +135,7 @@ fn grace_hash_chaos_run_is_replayable_from_logs() {
 
     let stats = injector.stats();
     assert!(
-        stats.read_errors + stats.send_drops + stats.scratch_errors > 0,
+        stats[Fault::ReadError] + stats[Fault::SendDrop] + stats[Fault::ScratchError] > 0,
         "the chaos plan must actually fire: {stats:?}"
     );
     assert!(
@@ -165,13 +153,11 @@ fn grace_hash_chaos_run_is_replayable_from_logs() {
 #[test]
 fn indexed_join_chaos_run_is_replayable_from_logs() {
     let (d, t1, t2) = two_tables();
-    let plan = FaultPlan {
-        send_drop_prob: 0.0,
-        scratch_error_prob: 0.0,
-        ..chaos_plan()
-    };
+    let mut plan = chaos_plan();
+    plan.prob[Fault::SendDrop] = 0.0;
+    plan.prob[Fault::ScratchError] = 0.0;
     let obs = Obs::enabled();
-    let injector = plan.clone().injector_with_events(obs.events.clone());
+    let injector = FaultInjector::new(plan.clone(), obs.events.clone());
     let cfg = IndexedJoinConfig {
         n_compute: 2,
         collect_results: true,
@@ -184,11 +170,11 @@ fn indexed_join_chaos_run_is_replayable_from_logs() {
     assert_eq!(sort_records(out.records().unwrap()), sort_records(oracle));
 
     let stats = injector.stats();
-    assert!(stats.read_errors > 0, "{stats:?}");
+    assert!(stats[Fault::ReadError] > 0, "{stats:?}");
     // Reported read errors and detected chunk corruptions share the
     // fetch retry loop, so both surface as read retries.
     assert_eq!(
-        stats.read_errors + stats.chunk_corruptions,
+        stats[Fault::ReadError] + stats[Fault::ChunkCorrupt],
         out.stats.read_retries
     );
     assert_eq!(out.stats.corruptions_detected, stats.corruptions());

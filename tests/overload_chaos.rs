@@ -159,7 +159,7 @@ fn load_storm_round(seed: u64) {
     let flood = plan.client_floods[0].clone();
     let storm = plan.shard_slow_storms[0].clone();
     let obs = Obs::enabled();
-    let injector = FaultInjector::new_with_events(plan, obs.events.clone());
+    let injector = FaultInjector::new(plan, obs.events.clone());
 
     let oracle_engine = QueryEngine::new(deployment());
     let oracle: Vec<(Vec<String>, Vec<orv::types::Record>)> = POOL

@@ -5,11 +5,11 @@
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::{
-    silence_injected_panics, CancelToken, FaultInjector, FaultPlan, RecoveryPolicy, ScratchKind,
-    WorkerPanicSpec,
+    silence_injected_panics, CancelToken, Fault, FaultInjector, FaultPlan, RecoveryPolicy,
+    ScratchKind, WorkerPanicSpec,
 };
 use orv::join::{grace_hash_join, GraceHashConfig, JoinAlgorithm};
-use orv::obs::Obs;
+use orv::obs::{EventLog, Obs};
 use orv::query::{algorithm_slug, QueryEngine};
 use orv::types::{Error, TableId};
 use std::time::{Duration, Instant};
@@ -69,7 +69,7 @@ fn terminal_qes_failure_fails_over_and_matches_oracle() {
     let obs = Obs::enabled();
     let chaotic = engine()
         .with_obs(obs.clone())
-        .with_faults(FaultInjector::new(plan));
+        .with_faults(FaultInjector::new(plan, EventLog::disabled()));
     let r = chaotic.execute(JOIN_SQL).unwrap();
     assert_eq!(r.rows, oracle.rows, "failover result must match the oracle");
 
@@ -118,10 +118,9 @@ fn cancelled_mid_join_unwinds_fast_without_leaking_scratch() {
     // mid-flight (delays are unbounded by the fault budget).
     let plan = FaultPlan {
         seed: 7,
-        read_delay_prob: 1.0,
-        read_delay_ms: 150,
         ..FaultPlan::none()
-    };
+    }
+    .with(Fault::ReadDelay, 1.0, 150);
     let cancel = CancelToken::new();
     let canceller = cancel.clone();
     let worker = std::thread::spawn(move || {
@@ -130,7 +129,7 @@ fn cancelled_mid_join_unwinds_fast_without_leaking_scratch() {
             n_compute: 2,
             collect_results: true,
             scratch: ScratchKind::TempFile,
-            faults: Some(plan.injector()),
+            faults: Some(FaultInjector::new(plan, EventLog::disabled())),
             cancel,
             ..Default::default()
         };

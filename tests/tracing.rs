@@ -16,8 +16,8 @@
 //!    in the anomaly ring.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
-use orv::cluster::{FaultInjector, FaultPlan, ShardDeathSpec, ShardSlowSpec};
-use orv::obs::{names, FlightRecorder, Obs, TraceOutcome};
+use orv::cluster::{FaultInjector, FaultPlan, ShardDeathSpec, ShardSlowStormSpec};
+use orv::obs::{names, EventLog, FlightRecorder, Obs, TraceOutcome};
 use orv::query::{FederatedService, FederationConfig, QueryEngine, QueryService, ServiceConfig};
 use orv::types::Error;
 use std::time::Duration;
@@ -215,14 +215,15 @@ fn federated_query_stitches_into_one_span_tree() {
 fn recorder_ranks_the_seeded_slow_query_first() {
     let obs = Obs::enabled();
     let plan = FaultPlan {
-        shard_slows: vec![ShardSlowSpec {
+        shard_slow_storms: vec![ShardSlowStormSpec {
             shard: 0,
             after_subqueries: 0,
             delay_ms: 2_000,
+            storm_len: 1,
         }],
         ..FaultPlan::none()
     };
-    let injector = FaultInjector::new_with_events(plan, obs.events.clone());
+    let injector = FaultInjector::new(plan, obs.events.clone());
     let fed = FederatedService::with_instruments(
         deployment(),
         FederationConfig {
@@ -238,7 +239,7 @@ fn recorder_ranks_the_seeded_slow_query_first() {
     // ≥ 40ms; the follow-ups are ordinary fast scans.
     let slow_sql = "SELECT * FROM tt";
     assert!(fed.execute(slow_sql).unwrap().is_complete());
-    assert_eq!(injector.stats().shard_slows, 1);
+    assert_eq!(injector.stats().shard_slow_storm_delays, 1);
     for _ in 0..3 {
         assert!(fed
             .execute("SELECT COUNT(*) FROM tt")
@@ -292,7 +293,7 @@ fn strict_mode_failure_is_retained_as_an_anomaly() {
             ..FederationConfig::default()
         },
         Obs::enabled(),
-        Some(FaultInjector::new(plan)),
+        Some(FaultInjector::new(plan, EventLog::disabled())),
     )
     .unwrap();
     let err = fed.execute("SELECT * FROM tt").unwrap_err();
