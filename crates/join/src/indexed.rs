@@ -108,9 +108,12 @@ impl Default for IndexedJoinConfig {
 pub struct JoinOutput {
     /// Aggregated run statistics.
     pub stats: RunStats,
-    /// The result if `collect_results` was set: one typed batch per
-    /// joined sub-table pair (IJ) or bucket pair (GH), in completion
-    /// order. Rows within and across batches are in no particular order.
+    /// The result if `collect_results` was set, as typed batches in
+    /// completion order. IJ hands back one batch per joined sub-table
+    /// pair, its rows in the right sub-table's row order; GH one batch
+    /// per bucket pair, its rows in no particular order. The engine
+    /// orders them (`exec::order_batches`), and it checks each batch for
+    /// an ascending run rather than trusting either shape.
     pub batches: Option<Vec<ColumnBatch>>,
 }
 

@@ -9,7 +9,9 @@
 //! (no per-row allocation, no enum dispatch in the inner loop). This
 //! module owns the only range-filter kernel, projection, row
 //! materialiser and `from_records` for table data. Rows are materialized
-//! into [`Record`]s only where a result leaves the engine, and the
+//! into [`Record`]s only where a result leaves the engine — views of
+//! shared row-major blocks, one allocation per block of at most
+//! [`BLOCK_ROWS`] rows ([`ColumnBatch::append_rows_to`]) — and the
 //! conversion is bit-exact in both directions (every supported type is
 //! fixed-width; float bit patterns, including NaNs and `-0.0`, survive
 //! the round trip untouched). Every row holds a value in every column:
@@ -17,8 +19,10 @@
 
 use crate::bbox::Interval;
 use crate::error::{Error, Result};
-use crate::record::Record;
+use crate::record::{Record, BLOCK_ROWS};
 use crate::value::{DataType, Value};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// One attribute's values as a primitive array.
 #[derive(Clone, Debug, PartialEq)]
@@ -169,6 +173,28 @@ impl ColumnData {
         }
     }
 
+    /// Write rows `rows` into field `field` of consecutive `arity`-wide
+    /// rows of `block` — a row-major block's column, one typed loop.
+    fn fill_rows(&self, rows: Range<usize>, block: &mut [Value], arity: usize, field: usize) {
+        fn fill<T: Copy>(
+            v: &[T],
+            block: &mut [Value],
+            arity: usize,
+            field: usize,
+            to: fn(T) -> Value,
+        ) {
+            for (row, &x) in block.chunks_exact_mut(arity).zip(v) {
+                row[field] = to(x);
+            }
+        }
+        match self {
+            ColumnData::I32(v) => fill(&v[rows], block, arity, field, Value::I32),
+            ColumnData::I64(v) => fill(&v[rows], block, arity, field, Value::I64),
+            ColumnData::F32(v) => fill(&v[rows], block, arity, field, Value::F32),
+            ColumnData::F64(v) => fill(&v[rows], block, arity, field, Value::F64),
+        }
+    }
+
     /// The column as [`Value`]s — the shape the write path's
     /// `CompiledLayout::encode` takes. No read path calls this.
     pub fn to_vec(&self) -> Vec<Value> {
@@ -299,10 +325,13 @@ impl ColumnBatch {
     }
 
     /// The rows of `batches`, in order, as one batch. Each input is freed
-    /// as soon as it is copied, so the peak is the result plus one input.
-    /// No batches make a batch of no columns; batches of different shapes
-    /// are a typed error.
-    pub fn concat(batches: Vec<ColumnBatch>) -> Result<Self> {
+    /// as soon as it is copied, so the peak is the result plus one input;
+    /// one batch is handed back as it is. No batches make a batch of no
+    /// columns; batches of different shapes are a typed error.
+    pub fn concat(mut batches: Vec<ColumnBatch>) -> Result<Self> {
+        if batches.len() == 1 {
+            return Ok(batches.swap_remove(0));
+        }
         let Some(first) = batches.first() else {
             return Ok(ColumnBatch {
                 columns: Vec::new(),
@@ -384,11 +413,9 @@ impl ColumnBatch {
         self.columns[col].value(row)
     }
 
-    /// Materialize row `row` as a [`Record`].
+    /// Materialize row `row` as a [`Record`] of its own: one allocation.
     pub fn record(&self, row: usize) -> Result<Record> {
-        Ok(Record::new(
-            self.columns.iter().map(|c| c.value(row)).collect(),
-        ))
+        Ok(self.columns.iter().map(|c| c.value(row)).collect())
     }
 
     /// Materialize every row — the service-edge conversion. Bit-exact:
@@ -403,11 +430,34 @@ impl ColumnBatch {
     /// materialiser (the edge conversion for a run of batches, avoiding
     /// intermediate vectors).
     pub fn append_records_to(&self, out: &mut Vec<Record>) -> Result<()> {
-        out.reserve(self.num_rows());
-        for r in 0..self.num_rows() {
-            out.push(Record::new(
-                self.columns.iter().map(|c| c.value(r)).collect(),
-            ));
+        self.append_rows_to(0..self.num_rows(), out)
+    }
+
+    /// Append the rows in `rows` to `out` as [`Record`]s: views of shared
+    /// row-major blocks of at most [`BLOCK_ROWS`] rows, each filled by one
+    /// typed loop per column — one allocation per block, none per row.
+    pub fn append_rows_to(&self, rows: Range<usize>, out: &mut Vec<Record>) -> Result<()> {
+        if rows.start > rows.end || rows.end > self.num_rows() {
+            return Err(Error::Schema(format!(
+                "rows {rows:?} of a batch of {} rows",
+                self.num_rows()
+            )));
+        }
+        let arity = self.columns.len();
+        out.reserve(rows.len());
+        let mut lo = rows.start;
+        while lo < rows.end {
+            let hi = rows.end.min(lo + BLOCK_ROWS);
+            let mut block: Arc<[Value]> =
+                std::iter::repeat_n(Value::I32(0), (hi - lo) * arity).collect();
+            // The block is ours alone until its first view is handed out,
+            // so this writes it in place.
+            let slots = Arc::make_mut(&mut block);
+            for (c, col) in self.columns.iter().enumerate() {
+                col.fill_rows(lo..hi, slots, arity, c);
+            }
+            Record::views_into(block, arity, out);
+            lo = hi;
         }
         Ok(())
     }
@@ -495,6 +545,9 @@ mod tests {
             _ => panic!("column type changed in round trip"),
         }
         assert_eq!(back.num_rows(), b.num_rows());
+        let mut middle = Vec::new();
+        b.append_rows_to(1..3, &mut middle).unwrap();
+        assert_eq!(middle, rows[1..3]);
     }
 
     #[test]
@@ -652,6 +705,7 @@ mod tests {
         let b = ColumnBatch::new(&[DataType::I64, DataType::F64]);
         assert!(b.is_empty());
         assert_eq!(b.to_records().unwrap(), Vec::<Record>::new());
+        assert!(b.append_rows_to(0..1, &mut Vec::new()).is_err());
         assert_eq!(b.gather(&[]).num_rows(), 0);
         assert_eq!(b.dtypes(), vec![DataType::I64, DataType::F64]);
     }

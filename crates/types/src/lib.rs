@@ -6,7 +6,8 @@
 //! * [`Schema`] / [`Attribute`] — table shapes, with coordinate vs scalar
 //!   attribute roles (the paper joins tables on coordinate attributes such
 //!   as `(x, y)`).
-//! * [`Record`] — a row of a virtual table.
+//! * [`Record`] — a row of a virtual table: a view of one row in a
+//!   shared, immutable block of values.
 //! * [`ColumnBatch`] — a run of rows as fixed-width typed arrays; the
 //!   batch currency of the columnar execution path.
 //! * [`BoundingBox`] — n-dimensional lower/upper bounds over attributes,

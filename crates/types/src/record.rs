@@ -1,55 +1,91 @@
 //! Row representation.
 //!
-//! A [`Record`] is one row of a virtual table: a boxed slice of [`Value`]s
-//! positionally matching a [`Schema`]. Bulk data lives in columnar
-//! sub-tables (`orv-chunk`) and stays columnar through scans and both
-//! join engines (Grace Hash routes packed bytes, not rows, through `h1`);
-//! a `Record` is built where a result leaves the query engine, and is the
-//! unit the row operators after that edge and the federation merge pass
-//! around.
+//! A [`Record`] is one row of a virtual table: a view of `arity`
+//! [`Value`]s, positionally matching a [`Schema`], in a shared, immutable,
+//! row-major block of values. Bulk data lives in columnar sub-tables
+//! (`orv-chunk`) and stays columnar through scans and both join engines
+//! (Grace Hash routes packed bytes, not rows, through `h1`); a `Record` is
+//! built where a result leaves the query engine, and is the unit the row
+//! operators after that edge and the federation merge pass around.
+//!
+//! The row edge ([`ColumnBatch::append_records_to`]) fills one block per
+//! run of at most [`BLOCK_ROWS`] rows and hands out views of it, so a
+//! result costs one allocation per block, not one per row. A block is
+//! never written after it is filled: cloning a row is a reference-count
+//! bump, and a row kept past a `LIMIT` or a filter keeps its one block
+//! alive. [`Record::new`] is a block of one row.
+//!
+//! [`ColumnBatch::append_records_to`]: crate::ColumnBatch::append_records_to
 
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-/// One row of a virtual table.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// The most rows the row edge puts in one shared block.
+pub const BLOCK_ROWS: usize = 4096;
+
+/// One row of a virtual table. Equality and hashing are the values'.
+#[derive(Clone)]
 pub struct Record {
-    values: Box<[Value]>,
+    block: Arc<[Value]>,
+    /// The row's first value in `block`.
+    start: u32,
+    arity: u32,
 }
 
 impl Record {
     /// Build from values. The caller is responsible for positional agreement
     /// with the intended schema; use [`Record::conforms_to`] to verify.
     pub fn new(values: Vec<Value>) -> Self {
+        Self::one(values.into())
+    }
+
+    /// A block of one row.
+    fn one(block: Arc<[Value]>) -> Self {
         Record {
-            values: values.into_boxed_slice(),
+            arity: block.len() as u32,
+            start: 0,
+            block,
         }
+    }
+
+    /// Views of the `rows` rows of `arity` values each that `block` holds,
+    /// in order, appended to `out`.
+    pub(crate) fn views_into(block: Arc<[Value]>, arity: usize, out: &mut Vec<Record>) {
+        let rows = block.len().checked_div(arity).unwrap_or(0);
+        out.extend((0..rows).map(|r| Record {
+            block: Arc::clone(&block),
+            start: (r * arity) as u32,
+            arity: arity as u32,
+        }));
     }
 
     /// All values in schema order.
     #[inline]
     pub fn values(&self) -> &[Value] {
-        &self.values
+        let start = self.start as usize;
+        &self.block[start..start + self.arity as usize]
     }
 
     /// Value at position `idx`.
     #[inline]
     pub fn get(&self, idx: usize) -> Value {
-        self.values[idx]
+        self.values()[idx]
     }
 
     /// Number of fields.
     #[inline]
     pub fn arity(&self) -> usize {
-        self.values.len()
+        self.arity as usize
     }
 
     /// True if arity and every field's type match `schema`.
     pub fn conforms_to(&self, schema: &Schema) -> bool {
-        self.values.len() == schema.arity()
+        self.arity() == schema.arity()
             && self
-                .values
+                .values()
                 .iter()
                 .zip(schema.attrs())
                 .all(|(v, a)| v.data_type() == a.dtype)
@@ -57,7 +93,8 @@ impl Record {
 
     /// The values at `key_indices`, used as a join/group key.
     pub fn key(&self, key_indices: &[usize]) -> Vec<Value> {
-        key_indices.iter().map(|&i| self.values[i]).collect()
+        let values = self.values();
+        key_indices.iter().map(|&i| values[i]).collect()
     }
 
     /// Concatenate fields of `self` with the fields of `other` whose indices
@@ -65,10 +102,10 @@ impl Record {
     /// [`Schema::join`].
     pub fn join(&self, other: &Record, skip_right: &[usize]) -> Record {
         let mut out = Vec::with_capacity(self.arity() + other.arity() - skip_right.len());
-        out.extend_from_slice(&self.values);
+        out.extend_from_slice(self.values());
         out.extend(
             other
-                .values
+                .values()
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| !skip_right.contains(i))
@@ -79,19 +116,49 @@ impl Record {
 
     /// Project onto the given indices, in order.
     pub fn project(&self, indices: &[usize]) -> Record {
-        Record::new(indices.iter().map(|&i| self.values[i]).collect())
+        let values = self.values();
+        indices.iter().map(|&i| values[i]).collect()
     }
 
     /// Serialized size in bytes under the packed fixed-width encoding.
     pub fn encoded_size(&self) -> usize {
-        self.values.iter().map(|v| v.data_type().width()).sum()
+        self.values().iter().map(|v| v.data_type().width()).sum()
+    }
+}
+
+/// A block of one row, allocated once when the iterator knows its length.
+impl FromIterator<Value> for Record {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        Self::one(values.into_iter().collect())
+    }
+}
+
+impl PartialEq for Record {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for Record {}
+
+impl Hash for Record {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
+impl fmt::Debug for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Record")
+            .field("values", &self.values())
+            .finish()
     }
 }
 
 impl fmt::Display for Record {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, v) in self.values.iter().enumerate() {
+        for (i, v) in self.values().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -110,7 +177,10 @@ impl From<Vec<Value>> for Record {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{ColumnBatch, ColumnData};
     use crate::schema::Schema;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
 
     fn rec(vals: &[i32]) -> Record {
         Record::new(vals.iter().map(|&v| Value::I32(v)).collect())
@@ -154,5 +224,108 @@ mod tests {
     fn encoded_size_sums_widths() {
         let r = Record::new(vec![Value::I32(0), Value::F64(0.0)]);
         assert_eq!(r.encoded_size(), 12);
+    }
+
+    fn hash_of(h: &impl Hash) -> u64 {
+        let mut s = DefaultHasher::new();
+        h.hash(&mut s);
+        s.finish()
+    }
+
+    /// NaNs with payloads, both zeros and every type, in one row.
+    fn awkward() -> Vec<Value> {
+        vec![
+            Value::I32(-3),
+            Value::I64(1 << 40),
+            Value::F32(-0.0),
+            Value::F64(-0.0),
+            Value::F64(f64::from_bits(0x7FF8_0000_0000_0001)),
+            Value::F32(f32::from_bits(0xFFC0_0001)),
+            Value::F64(2.5),
+        ]
+    }
+
+    #[test]
+    fn debug_and_display_text_is_pinned() {
+        let r = Record::new(awkward());
+        assert_eq!(
+            format!("{r:?}"),
+            "Record { values: [I32(-3), I64(1099511627776), F32(-0.0), F64(-0.0), \
+             F64(NaN), F32(NaN), F64(2.5)] }"
+        );
+        assert_eq!(format!("{r}"), "[-3, 1099511627776, -0, -0, NaN, NaN, 2.5]");
+        let empty = Record::new(Vec::new());
+        assert_eq!(format!("{empty:?}"), "Record { values: [] }");
+        assert_eq!(format!("{empty}"), "[]");
+        assert_eq!(
+            format!("{:#?}", rec(&[7])),
+            "Record {\n    values: [\n        I32(\n            7,\n        ),\n    ],\n}"
+        );
+    }
+
+    #[test]
+    fn batch_rows_and_new_rows_agree_on_eq_and_hash() {
+        let values = awkward();
+        let columns = values.iter().map(|&v| {
+            let mut c = ColumnData::new(v.data_type());
+            c.push(v).unwrap();
+            c.push(v).unwrap();
+            c
+        });
+        let batch = ColumnBatch::from_columns(columns.collect()).unwrap();
+        let built = batch.to_records().unwrap();
+        let fresh = Record::new(values.clone());
+        for row in &built {
+            assert_eq!(row, &fresh);
+            assert_eq!(hash_of(row), hash_of(&fresh));
+            assert_eq!(hash_of(row), hash_of(&values), "a row hashes as its values");
+        }
+        // Equality is `Value`'s: both zeros and any two NaNs are equal.
+        let mut same = values;
+        same[2] = Value::F32(0.0);
+        same[4] = Value::F64(f64::NAN);
+        assert_eq!(built[0], Record::new(same.clone()));
+        assert_eq!(hash_of(&built[0]), hash_of(&Record::new(same)));
+        assert_ne!(built[0], rec(&[1]));
+    }
+
+    #[test]
+    fn records_cross_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Record>();
+    }
+
+    #[test]
+    fn a_batch_shares_three_blocks_and_a_row_outlives_it() {
+        assert!(std::mem::size_of::<Record>() <= 24);
+        let n = 10_000;
+        let batch = ColumnBatch::from_columns(vec![
+            ColumnData::I32((0..n).collect()),
+            ColumnData::F64((0..n).map(|i| -f64::from(i)).collect()),
+        ])
+        .unwrap();
+        let rows = batch.to_records().unwrap();
+        assert_eq!(rows.len(), n as usize);
+        let blocks = |rows: &[Record]| {
+            let mut starts: Vec<*const Value> = rows.iter().map(|r| r.block.as_ptr()).collect();
+            starts.dedup();
+            starts.len()
+        };
+        // 4 096 + 4 096 + 1 808 rows.
+        assert_eq!(blocks(&rows), 3);
+        assert_eq!(blocks(&rows[..BLOCK_ROWS]), 1);
+        assert_eq!(blocks(&rows[BLOCK_ROWS - 1..BLOCK_ROWS + 1]), 2);
+        // A clone shares the block; it is never copied.
+        let copy = rows[1].clone();
+        assert_eq!(copy.block.as_ptr(), rows[1].block.as_ptr());
+        let last = rows[n as usize - 1].clone();
+        drop((rows, copy, batch));
+        assert_eq!(
+            last.values(),
+            &[Value::I32(n - 1), Value::F64(-f64::from(n - 1))]
+        );
+        // What survives holds its one block, and only that.
+        assert_eq!(Arc::strong_count(&last.block), 1);
+        assert_eq!(last.block.len(), (n as usize - 2 * BLOCK_ROWS) * 2);
     }
 }
