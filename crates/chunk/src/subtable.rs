@@ -157,12 +157,18 @@ impl SubTable {
     /// Keep only rows whose attributes fall inside `range` (attributes the
     /// box does not bound, or this sub-table lacks, are unconstrained).
     /// Keeps the same id/schema; the bounding box shrinks to the kept rows.
+    /// When every row passes — every chunk inside a window — `self` comes
+    /// back as it is, columns and all, instead of a copy.
     pub fn filter_range(self, range: &BoundingBox) -> Result<SubTable> {
         let checks = self.schema.range_checks(range);
         if checks.is_empty() {
             return Ok(self);
         }
-        self.select(&checks)
+        let keep = self.batch.keep_in_range(&checks);
+        if keep.len() == self.num_rows() {
+            return Ok(self);
+        }
+        SubTable::new(self.id, self.schema, self.batch.gather(&keep))
     }
 
     /// The rows passing every `(column, interval)` check, as a sub-table
@@ -285,6 +291,32 @@ mod tests {
         // Empty result.
         let range3 = BoundingBox::from_dims([("y", Interval::new(100.0, 200.0))]);
         assert_eq!(st.filter_range(&range3).unwrap().num_rows(), 0);
+    }
+
+    #[test]
+    fn a_range_that_keeps_every_row_keeps_the_columns() {
+        let buffer = |st: &SubTable| match st.column(2) {
+            ColumnData::F32(v) => v.as_ptr(),
+            other => panic!("wrong type: {other:?}"),
+        };
+        let st = sample();
+        let before = buffer(&st);
+        let everything = BoundingBox::from_dims([
+            ("x", Interval::new(0.0, 2.0)),
+            ("wp", Interval::new(0.25, 0.75)),
+        ]);
+        let kept = st.filter_range(&everything).unwrap();
+        assert_eq!(buffer(&kept), before, "no row dropped, no copy made");
+        assert_eq!(kept.batch(), sample().batch());
+        // Otherwise the kept rows, exactly and in order.
+        let some = BoundingBox::from_dims([("wp", Interval::new(0.5, 0.75))]);
+        let part = sample().filter_range(&some).unwrap();
+        assert_eq!(part.batch(), &sample().batch().gather(&[0, 2]));
+        assert_eq!(
+            part.records().unwrap(),
+            vec![sample().record(0).unwrap(), sample().record(2).unwrap()]
+        );
+        assert_eq!(part.bbox().get("x"), Interval::new(0.0, 2.0));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::ast::{
 };
 use crate::exec::{
     aggregate, batches_to_rows_on, column_names, filter_rows, order_and_limit, order_batches,
-    project, rows_checksum, scan_batches, scan_chunks, RowSet,
+    project, rows_checksum, scan_chunks, RowSet,
 };
 use crate::parser::parse_statement;
 use crate::plan::{PlanExplain, Planner};
@@ -408,7 +408,9 @@ impl QueryEngine {
     /// Run one federated chunk scan: read exactly `chunks` of `table`
     /// (ascending, de-duplicated), filter by `range`, and seal the
     /// response with per-chunk run lengths plus a CRC32C checksum the
-    /// router re-verifies before merging.
+    /// router re-verifies before merging. This is the same
+    /// [`scan_chunks`] a base-table `SELECT` runs, so a sub-scan of fewer
+    /// than 2¹⁶ rows stays on the shard worker's thread.
     fn chunk_scan(
         &self,
         table: TableId,
@@ -800,6 +802,11 @@ impl QueryEngine {
         Ok((batches_to_rows_on(&ordered, self.n_compute)?, Some(plan)))
     }
 
+    /// Run a bound `SELECT`: its source's rows, then the select list,
+    /// ordering and limit. A base-table scan hands [`scan_chunks`] the
+    /// chunks the R-tree keeps for its range (all of them without one),
+    /// which builds the rows as it reads; a join's rows come from
+    /// [`QueryEngine::run_join`]; a derived view's from its inner select.
     fn select(&self, bound: &BoundSelect, request: &Request) -> Result<QueryResult> {
         let has_agg = bound
             .select
@@ -807,9 +814,14 @@ impl QueryEngine {
             .any(|i| matches!(i, SelectItem::Aggregate(..)));
         let (rows, explain) = match &bound.source {
             Source::Scan { table, range } => {
+                let md = self.deployment.metadata();
+                let chunks = match range {
+                    Some(rg) => md.find_chunks(*table, rg)?,
+                    None => md.all_chunks(*table)?,
+                };
                 let reader = self.reader(&request.cancel)?;
-                let (_, batches) = scan_batches(&reader, *table, range.as_ref())?;
-                (batches_to_rows_on(&batches, self.n_compute)?, None)
+                let (_, rows, _) = scan_chunks(&reader, *table, &chunks, range.as_ref())?;
+                (rows, None)
             }
             Source::Join {
                 left,

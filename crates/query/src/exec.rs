@@ -5,37 +5,44 @@
 //! to retrieve ids of all matching sub-tables"), then fetch each sub-table
 //! through the execution's [`SubTableReader`] — the same read path, with
 //! the same retries, fault injection and `bds{n}` spans, that the join
-//! QES instances use. There are two scan entry points over it:
-//! [`scan_batches`] (R-tree pruned, one batch per chunk) and
-//! [`scan_chunks`] (an explicit chunk list, with run lengths).
+//! QES instances use. [`scan_chunks`] is the one scan over it: an
+//! explicit chunk list in, rows and per-chunk run lengths out. The engine
+//! hands it the R-tree's list; a federation shard, the router's.
 //!
 //! ## The row edge
 //!
-//! Scans and joins hand typed [`ColumnBatch`]es up to here, and
-//! [`batches_to_rows_on`] is the one place a result's [`Record`]s are
-//! built: an equal share of rows per worker, cut inside a batch if need
-//! be, on `orv_cluster::run_workers`. Each row is a view of a shared
-//! block of at most `orv_types::record::BLOCK_ROWS` rows, so the edge
-//! allocates per block, not per row. The engine passes its compute-node
-//! count as the worker count; [`batches_to_rows`] is the same function
-//! at one worker. A join's rows are put in ascending row order first,
-//! still as typed columns, on the same workers ([`order_batches`]): only
-//! batches whose ranges overlap are sorted together, and a batch whose
-//! rows already ascend and overlap no other is passed on untouched.
-//! Results under `SERIAL_BELOW_ROWS` rows stay on the calling thread — a
-//! federation sub-scan, a window query or a unit test starts no thread.
+//! A scan builds its rows chunk by chunk as it reads them, so no decoded
+//! batch outlives its chunk. Above `SERIAL_BELOW_ROWS` rows it has the
+//! shape of Grace Hash's storage phase without the hash: one reader per
+//! storage node reads that node's chunks in scan order and streams each
+//! chunk's rows over a bounded channel to one assembler worker, which
+//! appends them in scan order to a result it allocates once.
+//!
+//! A join hands typed [`ColumnBatch`]es up to here, and
+//! [`batches_to_rows_on`] builds its [`Record`]s: an equal share of rows
+//! per worker, cut inside a batch if need be, on
+//! `orv_cluster::run_workers`. Each row is a view of a shared block of at
+//! most `orv_types::record::BLOCK_ROWS` rows, so the edge allocates per
+//! block, not per row. The engine passes its compute-node count as the
+//! worker count; [`batches_to_rows`] is the same function at one worker.
+//! A join's rows are put in ascending row order first, still as typed
+//! columns, on the same workers ([`order_batches`]): only batches whose
+//! ranges overlap are sorted together, and a batch whose rows already
+//! ascend and overlap no other is passed on untouched. Results under
+//! `SERIAL_BELOW_ROWS` rows stay on the calling thread — a federation
+//! sub-scan, a window query or a unit test starts no thread.
 
 use crate::agg::Accumulator;
 use crate::ast::{AggFunc, RangePred, SelectItem};
 use orv_bds::SubTableReader;
 use orv_cluster::{all_done, checksum, run_workers, RunStats, WorkerBody};
 use orv_types::{
-    BoundingBox, ChunkId, ColumnBatch, Error, Interval, Record, Result, Schema, SubTableId,
+    BoundingBox, ChunkId, ColumnBatch, Error, Interval, NodeId, Record, Result, Schema, SubTableId,
     TableId, Value,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 
 /// Materialized rows plus their schema-ish column names.
 #[derive(Clone, Debug)]
@@ -52,54 +59,14 @@ pub fn filter_batch_range(batch: &ColumnBatch, checks: &[(usize, Interval)]) -> 
     batch.filter_range(checks)
 }
 
-/// Fetch `chunks` of `table` in the given order and hand each one's rows,
-/// range-filtered, to `each` as a typed batch. Base-table scans bypass the
-/// sub-table cache: every chunk is read, CRC-verified and decoded on every
-/// call. The reader's token is checked before every read, so a cancelled
-/// query stops within one chunk fetch.
-fn scan_each(
-    reader: &SubTableReader,
-    table: TableId,
-    chunks: Vec<ChunkId>,
-    range: Option<&BoundingBox>,
-    mut each: impl FnMut(ChunkId, ColumnBatch) -> Result<()>,
-) -> Result<()> {
-    // A scan reports no run statistics; the reader's charge goes nowhere.
-    let mut stats = RunStats::default();
-    for chunk in chunks {
-        let st = reader.fetch(SubTableId { table, chunk }, range, &mut stats)?;
-        each(chunk, st.into_batch())?;
-    }
-    Ok(())
-}
-
-/// Range scan of a base table in columnar form: R-tree chunk pruning, then
-/// one typed [`ColumnBatch`] per surviving chunk — the sub-table's own
-/// columns — with the range filter applied as primitive-array loops. This
-/// is the head of the batch execution path; rows are materialized from
-/// these batches only at the service edge ([`batches_to_rows`]).
-pub fn scan_batches(
-    reader: &SubTableReader,
-    table: TableId,
-    range: Option<&BoundingBox>,
-) -> Result<(Arc<Schema>, Vec<ColumnBatch>)> {
-    let md = reader.metadata();
-    let schema = md.schema(table)?;
-    let chunk_ids = match range {
-        Some(rg) => md.find_chunks(table, rg)?,
-        None => md.all_chunks(table)?,
-    };
-    let mut batches = Vec::with_capacity(chunk_ids.len());
-    scan_each(reader, table, chunk_ids, range, |_, b| {
-        batches.push(b);
-        Ok(())
-    })?;
-    Ok((schema, batches))
-}
-
-/// A result this small is ordered and materialised on the calling thread:
-/// starting workers would cost more than the work they take over.
+/// A result this small is scanned, ordered and materialised on the
+/// calling thread: starting workers would cost more than the work they
+/// take over.
 const SERIAL_BELOW_ROWS: usize = 1 << 16;
+
+/// How many chunks' rows a storage-node reader of a parallel scan may
+/// have sent ahead of the assembler.
+const SCAN_CHANNEL_DEPTH: usize = 2;
 
 /// How many of `workers` a result of `rows` rows is worth.
 fn workers_for(rows: usize, workers: usize, serial_below: usize) -> usize {
@@ -426,34 +393,149 @@ fn merge_runs(
     perm
 }
 
-/// A shard-side chunk scan: the schema, the rows, and per-chunk run
-/// lengths `(chunk, rows)` in scan order.
+/// A chunk scan: the schema, the rows, and per-chunk run lengths
+/// `(chunk, rows)` in scan order.
 pub type ChunkScan = (Arc<Schema>, Vec<Record>, Vec<(ChunkId, usize)>);
 
 /// Scan an explicit chunk list of one table, in ascending chunk order,
 /// returning the rows plus per-chunk run lengths `(chunk, rows)` in scan
-/// order. This is the federation shard's sub-query primitive: the router
-/// needs the run boundaries to dedup and reassemble partial results
-/// chunk-by-chunk.
+/// order — the only scan. The engine passes the chunks the R-tree keeps
+/// for a range (or all of them); a federation shard passes the router's
+/// list, and the router needs the run boundaries to dedup and reassemble
+/// partial results chunk by chunk. Base-table scans bypass the sub-table
+/// cache: every chunk is read, CRC-verified and decoded on every call,
+/// and its rows are built before the next chunk of its node is read.
+///
+/// Below `SERIAL_BELOW_ROWS` rows (summed from the catalog's per-chunk
+/// counts) the scan runs on the calling thread. Above, one reader per
+/// storage node and one assembler run on the worker harness (see the
+/// module docs). Each reader draws its node's faults for the same chunks
+/// in the same order as the serial scan does, and the scan returns the
+/// first error in scan order. Every fetch checks the reader's token, so
+/// a cancelled query stops within one chunk fetch on each node.
 pub fn scan_chunks(
     reader: &SubTableReader,
     table: TableId,
     chunks: &[ChunkId],
     range: Option<&BoundingBox>,
 ) -> Result<ChunkScan> {
-    let schema = reader.metadata().schema(table)?;
-    let mut sorted: Vec<_> = chunks.to_vec();
-    sorted.sort();
-    sorted.dedup();
-    let mut batches = Vec::with_capacity(sorted.len());
-    let mut runs = Vec::with_capacity(sorted.len());
-    // Columnar per chunk; the run boundary is the batch row count.
-    scan_each(reader, table, sorted, range, |chunk, b| {
-        runs.push((chunk, b.num_rows()));
-        batches.push(b);
+    scan_on(reader, table, chunks, range, SERIAL_BELOW_ROWS)
+}
+
+fn scan_on(
+    reader: &SubTableReader,
+    table: TableId,
+    chunks: &[ChunkId],
+    range: Option<&BoundingBox>,
+    serial_below: usize,
+) -> Result<ChunkScan> {
+    let md = reader.metadata();
+    let schema = md.schema(table)?;
+    let mut chunks = chunks.to_vec();
+    chunks.sort();
+    chunks.dedup();
+    // Each chunk's home node and stored row count, in one catalog read.
+    let homes = md.with_chunks(table, |metas| {
+        chunks
+            .iter()
+            .map(|&chunk| {
+                let meta = metas
+                    .get(chunk.index())
+                    .ok_or_else(|| Error::not_found(format!("chunk {chunk} of table {table}")))?;
+                Ok((meta.node, meta.num_records as usize))
+            })
+            .collect::<Result<Vec<_>>>()
+    })??;
+    // Exact for a full scan, an upper bound under a range.
+    let total = homes.iter().map(|&(_, rows)| rows).sum::<usize>();
+    let mut runs = Vec::with_capacity(chunks.len());
+    if total < serial_below {
+        let (mut rows, mut stats) = (Vec::with_capacity(total), RunStats::default());
+        for &chunk in &chunks {
+            let n = read_chunk(reader, table, chunk, range, &mut stats, &mut rows)?;
+            runs.push((chunk, n));
+        }
+        return Ok((schema, rows, runs));
+    }
+    // The chunks each node holds, in scan order, and which of those
+    // lists each chunk is on.
+    let mut per_node: Vec<(NodeId, Vec<ChunkId>)> = Vec::new();
+    let mut owner = Vec::with_capacity(chunks.len());
+    for (&chunk, &(node, _)) in chunks.iter().zip(&homes) {
+        let k = match per_node.iter().position(|(n, _)| *n == node) {
+            Some(k) => k,
+            None => {
+                per_node.push((node, Vec::new()));
+                per_node.len() - 1
+            }
+        };
+        per_node[k].1.push(chunk);
+        owner.push(k);
+    }
+    let (senders, receivers): (Vec<_>, Vec<_>) = per_node
+        .iter()
+        .map(|_| mpsc::sync_channel::<Result<Vec<Record>>>(SCAN_CHANNEL_DEPTH))
+        .unzip();
+    let mut rows = Vec::new();
+    let mut workers: Vec<(String, WorkerBody<'_, ()>)> = Vec::new();
+    for ((node, mine), tx) in per_node.into_iter().zip(senders) {
+        // A reader stops at its first error, or once the assembler has
+        // returned and its receiver is gone; errors travel to the
+        // assembler, so a reader itself always ends `Ok`.
+        let body = move || {
+            let mut stats = RunStats::default();
+            for chunk in mine {
+                let mut part = Vec::new();
+                let read = read_chunk(reader, table, chunk, range, &mut stats, &mut part);
+                let failed = read.is_err();
+                if tx.send(read.map(|_| part)).is_err() || failed {
+                    break;
+                }
+            }
+            Ok(())
+        };
+        workers.push((format!("storage node {node}"), Box::new(body)));
+    }
+    let (rows_out, runs_out) = (&mut rows, &mut runs);
+    let assemble = move || {
+        // Allocated on this worker, not on the caller's thread: measured
+        // on a 10⁶-row scan, that is what keeps the kernel from
+        // zero-filling the result's pages on every query without raising
+        // peak RSS (DESIGN.md, "Where rows are first built").
+        *rows_out = Vec::with_capacity(total);
+        // A reader sends every chunk of its list or an error, or dies and
+        // drops its sender; its fetches observe the scan's token. So each
+        // wait below ends, and a dead reader reads as a hang-up.
+        let mut parts: Vec<_> = receivers.into_iter().map(|rx| rx.into_iter()).collect();
+        for (&chunk, &k) in chunks.iter().zip(&owner) {
+            let part = parts[k]
+                .next()
+                .ok_or_else(|| Error::Cluster(format!("the reader of chunk {chunk} hung up")))??;
+            runs_out.push((chunk, part.len()));
+            rows_out.extend(part);
+        }
         Ok(())
-    })?;
-    Ok((schema, batches_to_rows(&batches)?, runs))
+    };
+    workers.push(("scan assembler".into(), Box::new(assemble)));
+    all_done(run_workers(workers))?;
+    Ok((schema, rows, runs))
+}
+
+/// Fetch `chunk` of `table` through `reader`, range-filtered, and append
+/// its rows to `out`; returns how many. The decoded batch is dropped
+/// here. A scan reports no run statistics: `stats` is the fetch's
+/// scratch.
+fn read_chunk(
+    reader: &SubTableReader,
+    table: TableId,
+    chunk: ChunkId,
+    range: Option<&BoundingBox>,
+    stats: &mut RunStats,
+    out: &mut Vec<Record>,
+) -> Result<usize> {
+    let st = reader.fetch(SubTableId { table, chunk }, range, stats)?;
+    st.batch().append_records_to(out)?;
+    Ok(st.num_rows())
 }
 
 /// CRC32C over the canonical binary encoding of `rows`, sealed shard-side
@@ -783,23 +865,32 @@ mod tests {
         .unwrap()
     }
 
-    /// [`scan_batches`] with the rows built at the edge, as the engine
+    /// [`scan_chunks`] over the chunks the R-tree keeps, as the engine
     /// does for a base-table `SELECT`.
     fn scan(
         d: &Deployment,
         table: TableId,
         range: Option<&BoundingBox>,
     ) -> Result<(Arc<Schema>, Vec<Record>)> {
-        let (schema, batches) = scan_batches(&reader(d), table, range)?;
-        Ok((schema, batches_to_rows(&batches)?))
+        let md = d.metadata();
+        let chunks = match range {
+            Some(rg) => md.find_chunks(table, rg)?,
+            None => md.all_chunks(table)?,
+        };
+        let (schema, rows, _) = scan_chunks(&reader(d), table, &chunks, range)?;
+        Ok((schema, rows))
     }
 
     fn deployed() -> (Deployment, TableId) {
-        let d = Deployment::in_memory(2);
+        deployed_on(2, [4, 4, 2], [2, 2, 2])
+    }
+
+    fn deployed_on(nodes: usize, grid: [u64; 3], partition: [u64; 3]) -> (Deployment, TableId) {
+        let d = Deployment::in_memory(nodes);
         let h = generate_dataset(
             &DatasetSpec::builder("t1")
-                .grid([4, 4, 2])
-                .partition([2, 2, 2])
+                .grid(grid)
+                .partition(partition)
                 .scalar_attrs(&["oilp"])
                 .seed(3)
                 .build(),
@@ -807,6 +898,80 @@ mod tests {
         )
         .unwrap();
         (d, h.table)
+    }
+
+    /// The parallel scan — one reader per storage node, one assembler —
+    /// returns what the serial scan does, row for row and run for run:
+    /// on 1, 2 and 3 nodes, for a full scan, windows that cut chunks, a
+    /// window that keeps no row, a window on one node's chunks, a
+    /// shuffled and duplicated chunk list and an unknown chunk.
+    #[test]
+    fn scan_on_workers_equals_the_serial_scan() {
+        let window = |x: (f64, f64), y: (f64, f64)| {
+            BoundingBox::from_dims([
+                ("x", Interval::new(x.0, x.1)),
+                ("y", Interval::new(y.0, y.1)),
+            ])
+        };
+        for nodes in [1, 2, 3] {
+            // 36 chunks of 4 × 4 × 2 rows.
+            let (d, t) = deployed_on(nodes, [24, 24, 2], [4, 4, 2]);
+            let md = d.metadata();
+            let rd = reader(&d);
+            let all = md.all_chunks(t).unwrap();
+            let mut shuffled: Vec<ChunkId> = all.iter().rev().step_by(2).copied().collect();
+            shuffled.extend(all.iter().step_by(2));
+            shuffled.extend(&all[3..9]);
+            let cut = window((1.0, 13.0), (2.5, 21.0));
+            let empty = window((1.25, 1.75), (0.0, 23.0));
+            let one_chunk = window((4.0, 7.0), (8.0, 11.0));
+            let one_node: Vec<ChunkId> = all
+                .iter()
+                .copied()
+                .filter(|&chunk| {
+                    md.chunk_meta(SubTableId { table: t, chunk })
+                        .unwrap()
+                        .node
+                        .0
+                        == 0
+                })
+                .collect();
+            let cases: [(&str, Vec<ChunkId>, Option<&BoundingBox>); 6] = [
+                ("full", all.clone(), None),
+                ("cut", md.find_chunks(t, &cut).unwrap(), Some(&cut)),
+                ("empty", md.find_chunks(t, &empty).unwrap(), Some(&empty)),
+                (
+                    "one chunk",
+                    md.find_chunks(t, &one_chunk).unwrap(),
+                    Some(&one_chunk),
+                ),
+                ("one node's chunks, cut", one_node, Some(&cut)),
+                ("shuffled", shuffled, None),
+            ];
+            for (what, chunks, range) in cases {
+                let label = format!("{nodes} nodes, {what}");
+                let (_, rows, runs) = scan_on(&rd, t, &chunks, range, usize::MAX).unwrap();
+                let (_, on_workers, worker_runs) = scan_on(&rd, t, &chunks, range, 0).unwrap();
+                assert_eq!(on_workers, rows, "{label}");
+                assert_eq!(worker_runs, runs, "{label}");
+                assert_eq!(rows_checksum(&on_workers), rows_checksum(&rows), "{label}");
+                assert_eq!(
+                    runs.iter().map(|r| r.1).sum::<usize>(),
+                    rows.len(),
+                    "{label}"
+                );
+                match what {
+                    "full" | "shuffled" => assert_eq!(rows.len(), 24 * 24 * 2, "{label}"),
+                    "empty" => assert!(rows.is_empty() && !runs.is_empty(), "{label}"),
+                    "one chunk" => assert_eq!((runs.len(), rows.len()), (1, 32), "{label}"),
+                    _ => assert!(!rows.is_empty(), "{label}"),
+                }
+            }
+            for serial_below in [usize::MAX, 0] {
+                let err = scan_on(&rd, t, &[all[0], ChunkId(99)], None, serial_below).unwrap_err();
+                assert!(matches!(err, Error::NotFound(_)), "{nodes} nodes: {err}");
+            }
+        }
     }
 
     #[test]

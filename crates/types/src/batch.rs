@@ -478,12 +478,16 @@ impl ColumnBatch {
         if checks.is_empty() || self.is_empty() {
             return self.clone();
         }
-        let keep = self.mask_to_keep(|r| {
+        self.gather(&self.keep_in_range(checks))
+    }
+
+    /// The rows [`ColumnBatch::filter_range`] keeps, as a gather list.
+    pub fn keep_in_range(&self, checks: &[(usize, Interval)]) -> Vec<u32> {
+        self.mask_to_keep(|r| {
             checks
                 .iter()
                 .all(|&(ci, iv)| iv.contains(self.columns[ci].as_f64(r)))
-        });
-        self.gather(&keep)
+        })
     }
 
     /// Row indices passing `predicate(row)`, as a gather list.

@@ -27,11 +27,11 @@
 //!   chunks, sixteen times the rows of the largest drawn case.
 
 use orv::bds::{generate_dataset, scalar_value, DatasetSpec, Deployment, SubTableReader};
-use orv::cluster::{CancelToken, FaultInjector, RecoveryPolicy};
+use orv::cluster::{CancelToken, FaultInjector, RecoveryPolicy, RunStats};
 use orv::join::reference::{nested_loop_join, sort_records};
 use orv::join::{grace_hash_join, indexed_join, GraceHashConfig, IndexedJoinConfig, JoinAlgorithm};
 use orv::query::{exec, QueryEngine};
-use orv::types::{BoundingBox, ChunkId, Interval, Record, TableId, Value};
+use orv::types::{BoundingBox, ChunkId, ColumnBatch, Interval, Record, SubTableId, TableId, Value};
 use proptest::prelude::*;
 
 /// SplitMix64, so every derived parameter is a pure function of the seed.
@@ -166,8 +166,8 @@ fn assert_identical(label: &str, expected: &[Record], got: &[Record]) {
     );
 }
 
-/// Scan `t1` through both scan entry points and compare with the closed
-/// form: `scan_chunks` run by run, `scan_batches` batch by batch.
+/// Scan `t1` and compare with the closed form: `scan_chunks` run by run,
+/// and the R-tree's chunks fetched one sub-table each, batch by batch.
 /// Returns the expected rows in scan order and the batches.
 fn check_scan(
     label: &str,
@@ -175,7 +175,7 @@ fn check_scan(
     d: &Deployment,
     t1: TableId,
     range: Option<(&BoundingBox, &Window)>,
-) -> (Vec<Record>, Vec<orv::types::ColumnBatch>) {
+) -> (Vec<Record>, Vec<ColumnBatch>) {
     let reader = SubTableReader::new(
         d,
         FaultInjector::disabled(),
@@ -207,9 +207,27 @@ fn check_scan(
     assert_eq!(at, rows.len(), "{label}: runs cover the rows");
     assert_identical(label, &expected, &rows);
 
-    // `scan_batches`: one batch per chunk the R-tree keeps, ascending;
-    // a pruned chunk and an empty batch both contribute no rows.
-    let (schema, batches) = exec::scan_batches(&reader, t1, bbox).expect("scan_batches");
+    // One batch per chunk the R-tree keeps, ascending; a pruned chunk and
+    // an empty batch both contribute no rows.
+    let md = d.metadata();
+    let kept = match bbox {
+        Some(rg) => md.find_chunks(t1, rg),
+        None => md.all_chunks(t1),
+    }
+    .expect("R-tree");
+    assert!(
+        kept.windows(2).all(|w| w[0] < w[1]),
+        "{label}: R-tree ids ascend"
+    );
+    let mut stats = RunStats::default();
+    let batches: Vec<ColumnBatch> = kept
+        .iter()
+        .map(|&chunk| {
+            let st = reader.fetch(SubTableId { table: t1, chunk }, bbox, &mut stats);
+            st.expect("fetch").into_batch()
+        })
+        .collect();
+    let schema = md.schema(t1).expect("schema");
     assert_eq!(schema.arity(), 4);
     let nonempty = |n: &usize| *n > 0;
     let batch_rows: Vec<usize> = batches.iter().map(|b| b.num_rows()).collect();

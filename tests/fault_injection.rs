@@ -10,9 +10,11 @@
 //!
 //! Base-table scans read through the same `SubTableReader` as the joins,
 //! so the same seeded plans reach them: directly, through the
-//! `QueryService`, and as a federation shard's chunk scan. Those tests
-//! take their seed from `ORV_CHAOS_SEED` (default 1) — the chaos CI
-//! matrix drives them with each of its seeds.
+//! `QueryService`, and as a federation shard's chunk scan. A scan of 2¹⁶
+//! rows or more reads on one thread per storage node; the `parallel_scan`
+//! tests hold it to the serial scan's draws, errors and cancellation.
+//! Those tests take their seed from `ORV_CHAOS_SEED` (default 1) — the
+//! chaos CI matrix drives them with each of its seeds.
 
 use orv::bds::{generate_dataset, BdsService, DatasetSpec, Deployment, SubTableReader};
 use orv::chunk::{ChunkLocation, ChunkMeta};
@@ -649,12 +651,9 @@ fn scans_detect_every_injected_page_corruption() {
             CancelToken::none(),
         )
         .unwrap();
-        let (_, batches) = exec::scan_batches(&reader, table, None).unwrap();
-        assert_eq!(
-            exec::batches_to_rows(&batches).unwrap(),
-            want.rows,
-            "seed {seed}"
-        );
+        let chunks = d.metadata().all_chunks(table).unwrap();
+        let (_, rows, _) = exec::scan_chunks(&reader, table, &chunks, None).unwrap();
+        assert_eq!(rows, want.rows, "seed {seed}");
         let injected = events
             .events_of_kind(names::FAULT_INJECTED)
             .iter()
@@ -728,8 +727,9 @@ fn cancel_stops_a_scan_inside_its_retry_backoff() {
         cancel.clone(),
     )
     .unwrap();
+    let chunks = d.metadata().all_chunks(table).unwrap();
     let (err, took) = std::thread::scope(|s| {
-        let scan = s.spawn(|| exec::scan_batches(&reader, table, None).unwrap_err());
+        let scan = s.spawn(|| exec::scan_chunks(&reader, table, &chunks, None).unwrap_err());
         // The first injected error is what sends the scan into a backoff.
         while injector.stats()[Fault::ReadError] == 0 {
             std::thread::yield_now();
@@ -788,5 +788,192 @@ fn federated_scan_retries_locally_instead_of_failing_over() {
         read_errors > 0,
         "no seed of {:?} injected a read error into a shard's scan",
         chaos_seeds()
+    );
+}
+
+// ---- Chaos reaches parallel scans ----------------------------------------
+
+/// `t1` at 256 × 256 in 32 × 32 chunks over three storage nodes: 65 536
+/// rows, enough that a scan of every chunk runs on one reader per node
+/// and an assembler, while a scan of one chunk stays serial.
+fn parallel_scan_deployment() -> Deployment {
+    let d = Deployment::in_memory(3);
+    generate_dataset(
+        &DatasetSpec::builder("t1")
+            .grid([256, 256, 1])
+            .partition([32, 32, 1])
+            .scalar_attrs(&["oilp"])
+            .seed(7)
+            .build(),
+        &d,
+    )
+    .unwrap();
+    d
+}
+
+/// Every `fault_injected` and `corruption_detected` event of `events`,
+/// rendered without its global sequence number, as a sorted multiset.
+fn fault_draws(events: &EventLog) -> Vec<String> {
+    let mut draws: Vec<String> = [names::FAULT_INJECTED, names::CORRUPTION_DETECTED]
+        .iter()
+        .flat_map(|kind| events.events_of_kind(kind))
+        .map(|ev| format!("{} {:?}", ev.kind, ev.fields))
+        .collect();
+    draws.sort();
+    draws
+}
+
+/// (e) One reader per node draws its node's faults for the same chunks in
+/// the same order as the serial scan, so under a plan whose caps never
+/// bind (a shared budget would make its last unit go to whichever node
+/// draws first) the parallel scan injects and detects exactly the serial
+/// scan's faults, and still returns the serial scan's rows and runs.
+#[test]
+fn parallel_scans_draw_the_serial_scans_faults() {
+    let d = parallel_scan_deployment();
+    let table = d.metadata().table_id("t1").unwrap();
+    let chunks = d.metadata().all_chunks(table).unwrap();
+    // Enough attempts that no chunk exhausts them at these odds.
+    let recovery = RecoveryPolicy {
+        max_attempts: 40,
+        base_backoff_ms: 0,
+        op_deadline_ms: 600_000,
+    };
+    let mut draws = 0;
+    for seed in chaos_seeds() {
+        let plan = FaultPlan {
+            seed,
+            max_faults: u64::MAX,
+            ..FaultPlan::none()
+        }
+        .with(Fault::ReadError, 0.2, u64::MAX)
+        .with(Fault::ChunkCorrupt, 0.2, u64::MAX);
+        let scan = |each_alone: bool| {
+            let events = EventLog::enabled();
+            let injector = FaultInjector::new(plan.clone(), events.clone());
+            let reader = SubTableReader::new(
+                &d,
+                injector,
+                Spans::disabled(),
+                recovery,
+                CancelToken::none(),
+            )
+            .unwrap();
+            let (rows, runs) = if each_alone {
+                // One chunk per call: every call stays serial.
+                let mut rows = Vec::new();
+                let mut runs = Vec::new();
+                for &chunk in &chunks {
+                    let (_, r, run) = exec::scan_chunks(&reader, table, &[chunk], None).unwrap();
+                    rows.extend(r);
+                    runs.extend(run);
+                }
+                (rows, runs)
+            } else {
+                let (_, rows, runs) = exec::scan_chunks(&reader, table, &chunks, None).unwrap();
+                (rows, runs)
+            };
+            (rows, runs, fault_draws(&events))
+        };
+        let (want_rows, want_runs, want_draws) = scan(true);
+        let (rows, runs, got_draws) = scan(false);
+        assert_eq!(rows.len(), 256 * 256, "seed {seed}");
+        assert_eq!(rows, want_rows, "seed {seed}");
+        assert_eq!(runs, want_runs, "seed {seed}");
+        assert_eq!(got_draws, want_draws, "seed {seed}: the same draws");
+        for kind in ["read_error", "chunk_corrupt"] {
+            assert!(
+                want_draws.iter().any(|d| d.contains(kind)),
+                "seed {seed}: no {kind} drawn"
+            );
+        }
+        draws += want_draws.len();
+    }
+    assert!(draws > 0);
+    // And the rows are the fault-free engine's.
+    let oracle = QueryEngine::new(parallel_scan_deployment())
+        .execute(FULL_SCAN)
+        .unwrap();
+    let reader = SubTableReader::new(
+        &d,
+        FaultInjector::disabled(),
+        Spans::disabled(),
+        RecoveryPolicy::default(),
+        CancelToken::none(),
+    )
+    .unwrap();
+    let (_, rows, _) = exec::scan_chunks(&reader, table, &chunks, None).unwrap();
+    assert_eq!(rows, oracle.rows);
+}
+
+/// (e) Read errors that outlast the policy fail a parallel scan with the
+/// injector's own typed error; no node reads past its first failed chunk.
+#[test]
+fn parallel_scan_fails_typed_once_read_errors_outlast_the_policy() {
+    let plan = FaultPlan {
+        seed: chaos_seeds()[0],
+        max_faults: 1_000,
+        ..FaultPlan::none()
+    }
+    .with(Fault::ReadError, 1.0, 1_000);
+    let injector = FaultInjector::new(plan, EventLog::disabled());
+    let engine = QueryEngine::new(parallel_scan_deployment()).with_faults(injector.clone());
+    let err = engine.execute(FULL_SCAN).unwrap_err();
+    assert!(
+        matches!(&err, Error::Cluster(m) if m == "injected transient chunk-read fault"),
+        "{err}"
+    );
+    let attempts = RecoveryPolicy::default().max_attempts as u64;
+    let reads = injector.stats()[Fault::ReadError];
+    assert!(
+        (attempts..=3 * attempts).contains(&reads),
+        "{reads} reads on 3 nodes at {attempts} attempts each"
+    );
+}
+
+/// (e) A cancel that lands while every reader of a parallel scan sleeps a
+/// retry backoff stops the scan within one sleep slice, as
+/// `Error::Cancelled`.
+#[test]
+fn cancel_stops_a_parallel_scan() {
+    let plan = FaultPlan {
+        seed: chaos_seeds()[0],
+        max_faults: 1_000,
+        ..FaultPlan::none()
+    }
+    .with(Fault::ReadError, 1.0, 1_000);
+    let injector = FaultInjector::new(plan, EventLog::disabled());
+    let recovery = RecoveryPolicy {
+        max_attempts: 1_000,
+        base_backoff_ms: 250,
+        op_deadline_ms: 600_000,
+    };
+    let cancel = CancelToken::new();
+    let d = parallel_scan_deployment();
+    let table = d.metadata().table_id("t1").unwrap();
+    let chunks = d.metadata().all_chunks(table).unwrap();
+    let reader = SubTableReader::new(
+        &d,
+        injector.clone(),
+        Spans::disabled(),
+        recovery,
+        cancel.clone(),
+    )
+    .unwrap();
+    let (err, took) = std::thread::scope(|s| {
+        let scan = s.spawn(|| exec::scan_chunks(&reader, table, &chunks, None).unwrap_err());
+        // Every node's first read has failed: all three readers back off.
+        while injector.stats()[Fault::ReadError] < 3 {
+            std::thread::yield_now();
+        }
+        let cancelled_at = Instant::now();
+        cancel.cancel();
+        let err = scan.join().unwrap();
+        (err, cancelled_at.elapsed())
+    });
+    assert!(matches!(err, Error::Cancelled), "{err}");
+    assert!(
+        took < Duration::from_secs(1),
+        "cancel must interrupt every reader's backoff within ~one slice, took {took:?}"
     );
 }
