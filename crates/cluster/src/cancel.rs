@@ -7,6 +7,11 @@
 //! error path — scratch RAII guards drop, worker threads are joined, and
 //! the caller sees a typed [`Error::Cancelled`] / [`Error::DeadlineExceeded`].
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the cancellable slice primitive: it owns the deadline clock and the one raw sleep"
+)]
+
 use orv_types::{Error, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -778,6 +778,10 @@ impl FaultInjector {
     /// Panics (deliberately) when a [`WorkerPanicSpec`] for this worker is
     /// due — the worker harness ([`crate::workers::run_workers`]) contains
     /// the panic and the runtimes turn it into recovery or a typed error.
+    #[allow(
+        clippy::panic,
+        reason = "the injected crash IS the fault: run_workers contains it and the marker identifies it"
+    )]
     pub fn worker_checkpoint(&self, worker: usize) {
         if self.plan.worker_panics.is_empty() {
             return;
@@ -793,7 +797,6 @@ impl FaultInjector {
                 }
                 self.stats.lock().worker_panics += 1;
                 self.emit_spec_fault("worker_panic", "worker_checkpoint", ("worker", worker), ops);
-                // orv-lint: allow(L001) -- the injected crash IS the fault: run_workers contains it and the marker identifies it
                 panic!("{INJECTED_PANIC_MARKER}: worker {worker} after {ops} ops");
             }
         }
@@ -944,7 +947,10 @@ impl RecoveryPolicy {
         cancel: &CancelToken,
         mut op: impl FnMut() -> Result<T>,
     ) -> (Result<T>, u64) {
-        // orv-lint: allow(L006) -- deadline accounting must use real elapsed time; backoff draws stay seed-deterministic
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "deadline accounting must use real elapsed time; backoff draws stay seed-deterministic"
+        )]
         let start = Instant::now();
         let mut retries: u64 = 0;
         loop {

@@ -139,6 +139,10 @@ impl Scratch {
             }
             ScratchKind::TempFile => {
                 let path = self.bucket_path(name)?;
+                #[allow(
+                    clippy::disallowed_types,
+                    reason = "cluster scratch: a running CRC is maintained on append"
+                )]
                 let mut f = fs::OpenOptions::new()
                     .create(true)
                     .append(true)

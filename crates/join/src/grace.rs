@@ -474,7 +474,10 @@ pub fn grace_hash_join(
     let scratches: Vec<Scratch> = (0..cfg.n_compute)
         .map(|j| Scratch::new(cfg.scratch, &format!("gh{j}")))
         .collect::<Result<_>>()?;
-    // orv-lint: allow(L006) -- wall-clock measurement feeding RunStats only; never drives control flow
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "wall-clock measurement feeding RunStats only; never drives control flow"
+    )]
     let start = Instant::now();
 
     // Channels: one receiver per compute node, every storage node holds a

@@ -205,7 +205,10 @@ pub fn indexed_join_cached(
         counters: JoinCounters::new(),
         committed: Mutex::new((Vec::new(), RunStats::default())),
     };
-    // orv-lint: allow(L006) -- wall-clock measurement feeding RunStats only; never drives control flow
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "wall-clock measurement feeding RunStats only; never drives control flow"
+    )]
     let start = Instant::now();
 
     let mut alive = vec![true; cfg.n_compute];

@@ -11,29 +11,8 @@
 //! entry fails the build instead of silently widening the exemption to
 //! a file that may someday reappear under that name.
 
-/// Files allowed to call `std::thread::sleep` / `thread::park` directly:
-/// the cancellable slice primitive itself. Everything else must sleep via
-/// `CancelToken::sleep`, which slices at 250 ms and observes cancellation
-/// between slices.
-pub const L002_ALLOWED: &[&str] = &["crates/cluster/src/cancel.rs"];
-
-/// Files allowed to open files for writing: the crash-safe catalog
-/// writer, cluster scratch (running CRC maintained on append), and the
-/// observability sinks. Everything else must go through them so every
-/// durable byte is covered by a checksum.
-pub const L004_ALLOWED: &[&str] = &[
-    "crates/metadata/src/persist.rs",
-    "crates/cluster/src/runtime.rs",
-];
-pub const L004_ALLOWED_DIRS: &[&str] = &["crates/obs/src/"];
-
 /// The registry module itself defines the canonical strings.
 pub const L005_ALLOWED: &[&str] = &["crates/obs/src/names.rs"];
-
-/// The sanctioned clock users: observability timing and CancelToken
-/// deadlines.
-pub const L006_ALLOWED: &[&str] = &["crates/cluster/src/cancel.rs"];
-pub const L006_ALLOWED_DIRS: &[&str] = &["crates/obs/src/"];
 
 /// The files implementing the sanctioned retry machinery — their internal
 /// loops *are* the policy.
@@ -52,20 +31,13 @@ pub const L007_READ_ALLOWED_DIRS: &[&str] = &["crates/bds/src/"];
 /// Every file-path allowlist, labelled, for the existence test and for
 /// `orv-lint --allowlists` style introspection.
 pub const ALL_FILE_LISTS: &[(&str, &[&str])] = &[
-    ("L002_ALLOWED", L002_ALLOWED),
-    ("L004_ALLOWED", L004_ALLOWED),
     ("L005_ALLOWED", L005_ALLOWED),
-    ("L006_ALLOWED", L006_ALLOWED),
     ("L007_ALLOWED", L007_ALLOWED),
     ("L007_READ_ALLOWED", L007_READ_ALLOWED),
 ];
 
 /// Every directory-prefix allowlist, labelled.
-pub const ALL_DIR_LISTS: &[(&str, &[&str])] = &[
-    ("L004_ALLOWED_DIRS", L004_ALLOWED_DIRS),
-    ("L006_ALLOWED_DIRS", L006_ALLOWED_DIRS),
-    ("L007_READ_ALLOWED_DIRS", L007_READ_ALLOWED_DIRS),
-];
+pub const ALL_DIR_LISTS: &[(&str, &[&str])] = &[("L007_READ_ALLOWED_DIRS", L007_READ_ALLOWED_DIRS)];
 
 #[cfg(test)]
 mod tests {

@@ -398,10 +398,10 @@ mod tests {
 
     #[test]
     fn comments_kept_with_text() {
-        let toks = scan("x // orv-lint: allow(L001) -- why\ny");
+        let toks = scan("x // orv-lint: allow(L003) -- why\ny");
         assert_eq!(
             toks[1].kind,
-            TokKind::LineComment(" orv-lint: allow(L001) -- why".into())
+            TokKind::LineComment(" orv-lint: allow(L003) -- why".into())
         );
         assert_eq!(toks[2].line, 2);
     }

@@ -1,7 +1,8 @@
 //! The workspace invariant rules.
 //!
-//! Rules come in two shapes. `L001`–`L007` are **file rules**:
-//! token-pattern passes over the comment-free token stream of one file.
+//! Rules come in two shapes. `L003`, `L005` and `L007` are **file
+//! rules**: token-pattern passes over the comment-free token stream of
+//! one file.
 //! `L008`–`L010` are **workspace rules**: they run over per-function
 //! summaries ([`crate::summary`]) propagated through the approximate
 //! call graph ([`crate::callgraph`]), so they can see facts no single
@@ -15,12 +16,8 @@
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
-//! | L001 | runtime paths return typed `Error`, never `unwrap`/`expect`/`panic!` |
-//! | L002 | no unbounded blocking primitive: `thread::sleep`, bare `recv()`, `thread::park` go through cancellable helpers |
 //! | L003 | no lock guard held across a send/sleep/file-I/O in join+cluster+query |
-//! | L004 | file writes only on checksummed paths (persist/scratch/obs) |
 //! | L005 | obs event/span/latency names come from `orv-obs::names`, not literals |
-//! | L006 | no ambient clock/randomness outside obs + pacing + deadlines |
 //! | L007 | mechanisms written once stay single: retry loops go through `RecoveryPolicy`/`RetryBudget`, never ad-hoc counters; sub-table reads go through `SubTableReader`, never a hand-built `BdsService` |
 //! | L008 | the workspace lock-order graph is acyclic (no two-path deadlock) |
 //! | L009 | every loop reaching a blocking wait also reaches a cancel/deadline check |
@@ -35,11 +32,11 @@ use crate::lexer::{Tok, TokKind};
 use std::collections::BTreeSet;
 
 /// Every rule id the engine knows, in report order. `L000` is the
-/// suppression-hygiene meta-rule; `L001`..`L007` are the per-file
-/// invariants; `L008`..`L010` are the whole-workspace structural rules.
-pub const RULE_IDS: &[&str] = &[
-    "L000", "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009", "L010",
-];
+/// suppression-hygiene meta-rule; `L003`, `L005` and `L007` are the
+/// per-file invariants; `L008`..`L010` are the whole-workspace structural
+/// rules. The gaps are ids of rules clippy enforces (DESIGN.md §10);
+/// they are not reused.
+pub const RULE_IDS: &[&str] = &["L000", "L003", "L005", "L007", "L008", "L009", "L010"];
 
 /// One step of supporting evidence for a structural finding: a source
 /// location plus what it shows. L008 cycles carry one step per
@@ -59,7 +56,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based source line.
     pub line: usize,
-    /// Rule id (`L001`, ...).
+    /// Rule id (`L003`, ...).
     pub rule: &'static str,
     /// Human explanation of the finding.
     pub message: String,
@@ -173,12 +170,8 @@ impl<'a> FileCtx<'a> {
 /// applies test-code exemption and suppressions afterwards).
 pub fn run_rules(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    l001_no_panics(ctx, &mut out);
-    l002_no_bare_sleep(ctx, &mut out);
     l003_no_guard_across_blocking(ctx, &mut out);
-    l004_no_unchecked_file_writes(ctx, &mut out);
     l005_obs_names_from_registry(ctx, &mut out);
-    l006_no_ambient_clock_or_rng(ctx, &mut out);
     l007_no_adhoc_retry_loops(ctx, &mut out);
     l007_one_read_path(ctx, &mut out);
     out
@@ -198,82 +191,6 @@ fn push(
         message,
         evidence: Vec::new(),
     });
-}
-
-/// L001 — no `unwrap()` / `expect(...)` / `panic!` in runtime paths.
-///
-/// PR 1's recovery story depends on workers failing with typed [`Error`]
-/// values the scheduler can catch, retry, and reassign; a stray panic in
-/// a QES worker bypasses containment and kills the whole query.
-fn l001_no_panics(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for i in 0..ctx.code.len() {
-        let line = ctx.code[i].line;
-        if ctx.punct_at(i, '.') && ctx.ident_at(i + 1, "unwrap") && ctx.punct_at(i + 2, '(') {
-            push(
-                out,
-                ctx,
-                line,
-                "L001",
-                "`unwrap()` in a runtime path; return a typed `orv_types::Error` instead".into(),
-            );
-        }
-        // Only `.expect("...")` with a literal message: that is the
-        // Option/Result panic form. Domain methods named `expect` (the
-        // DSL parsers' token matcher) take non-string arguments.
-        if ctx.punct_at(i, '.')
-            && ctx.ident_at(i + 1, "expect")
-            && ctx.punct_at(i + 2, '(')
-            && matches!(ctx.code.get(i + 3), Some(t) if matches!(t.kind, TokKind::Str(_)))
-        {
-            push(
-                out,
-                ctx,
-                line,
-                "L001",
-                "`expect()` in a runtime path; return a typed `orv_types::Error` instead".into(),
-            );
-        }
-        for mac in ["panic", "todo", "unimplemented"] {
-            if ctx.ident_at(i, mac) && ctx.punct_at(i + 1, '!') {
-                push(out, ctx, line, "L001", format!(
-                    "`{mac}!` in a runtime path; workers must fail with typed errors so recovery can contain them"));
-            }
-        }
-    }
-}
-
-/// L002 — no unbounded blocking primitive outside the slice primitive:
-/// bare `thread::sleep`, bare `recv()` (no timeout), `thread::park`.
-///
-/// All three park the thread until something external happens, with no
-/// deadline and no cancellation point — exactly the shape the cancel
-/// story (PR 3) exists to eliminate. Sanctioned replacements:
-/// `CancelToken::sleep`, `recv_timeout` driven by a `WaitBudget` slice,
-/// and condvar waits via the budgeted `wait_timeout` loops.
-fn l002_no_bare_sleep(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if allowlist::L002_ALLOWED.contains(&ctx.rel_path) {
-        return;
-    }
-    for i in 0..ctx.code.len() {
-        if ctx.ident_at(i, "thread") && ctx.path_sep_at(i + 1) && ctx.ident_at(i + 3, "sleep") {
-            push(out, ctx, ctx.code[i].line, "L002",
-                "bare `thread::sleep`; use `CancelToken::sleep` (250 ms slices, cancellable) so queries unwind promptly".into());
-        }
-        if ctx.ident_at(i, "thread") && ctx.path_sep_at(i + 1) && ctx.ident_at(i + 3, "park") {
-            push(out, ctx, ctx.code[i].line, "L002",
-                "`thread::park` is an unbounded wait with no cancellation point; use a budgeted `wait_timeout` loop instead".into());
-        }
-        // Zero-argument `.recv()` — the unbounded channel wait.
-        // `recv_timeout(..)` is a different identifier and stays legal.
-        if ctx.punct_at(i, '.')
-            && ctx.ident_at(i + 1, "recv")
-            && ctx.punct_at(i + 2, '(')
-            && ctx.punct_at(i + 3, ')')
-        {
-            push(out, ctx, ctx.code[i].line, "L002",
-                "bare `recv()` waits forever; use `recv_timeout` sliced by a `WaitBudget`/`CancelToken` so the receiver stays cancellable".into());
-        }
-    }
 }
 
 /// L003 — in `crates/join`, `crates/cluster` and `crates/query`, a
@@ -432,34 +349,6 @@ fn blocking_hazard(ctx: &FileCtx<'_>, i: usize) -> Option<&'static str> {
     None
 }
 
-/// L004 — no direct file creation/write outside the checksummed paths
-/// (see [`allowlist::L004_ALLOWED`]).
-fn l004_no_unchecked_file_writes(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if allowlist::L004_ALLOWED.contains(&ctx.rel_path)
-        || allowlist::L004_ALLOWED_DIRS.iter().any(|d| ctx.in_dir(d))
-    {
-        return;
-    }
-    for i in 0..ctx.code.len() {
-        let line = ctx.code[i].line;
-        if ctx.ident_at(i, "File")
-            && ctx.path_sep_at(i + 1)
-            && (ctx.ident_at(i + 3, "create") || ctx.ident_at(i + 3, "options"))
-        {
-            push(out, ctx, line, "L004",
-                "direct `File::create`/`File::options`; durable writes must go through metadata::persist, cluster scratch, or an obs sink (checksummed paths)".into());
-        }
-        if ctx.ident_at(i, "OpenOptions") {
-            push(out, ctx, line, "L004",
-                "direct `OpenOptions`; durable writes must go through metadata::persist, cluster scratch, or an obs sink (checksummed paths)".into());
-        }
-        if ctx.ident_at(i, "fs") && ctx.path_sep_at(i + 1) && ctx.ident_at(i + 3, "write") {
-            push(out, ctx, line, "L004",
-                "direct `fs::write`; durable writes must go through metadata::persist, cluster scratch, or an obs sink (checksummed paths)".into());
-        }
-    }
-}
-
 /// Obs call sites whose *first argument* is the event/span/metric name.
 const L005_SINKS: &[&str] = &[
     "emit",
@@ -510,32 +399,6 @@ fn l005_obs_names_from_registry(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 _ => {}
             }
             j += 1;
-        }
-    }
-}
-
-/// L006 — no ambient time or randomness in runtime paths.
-///
-/// Seeded chaos replay (PR 2) reconstructs a run from its event log; any
-/// `Instant::now`-driven branch or unseeded RNG in a QES path makes the
-/// replay diverge from the original run.
-fn l006_no_ambient_clock_or_rng(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if allowlist::L006_ALLOWED.contains(&ctx.rel_path)
-        || allowlist::L006_ALLOWED_DIRS.iter().any(|d| ctx.in_dir(d))
-    {
-        return;
-    }
-    for i in 0..ctx.code.len() {
-        let line = ctx.code[i].line;
-        for clock in ["Instant", "SystemTime"] {
-            if ctx.ident_at(i, clock) && ctx.path_sep_at(i + 1) && ctx.ident_at(i + 3, "now") {
-                push(out, ctx, line, "L006", format!(
-                    "`{clock}::now()` outside obs/CancelToken; ambient time in a runtime path breaks seeded chaos replay"));
-            }
-        }
-        if ctx.ident_at(i, "rand") && ctx.path_sep_at(i + 1) {
-            push(out, ctx, line, "L006",
-                "`rand::` in a runtime path; all randomness must come from the seeded FaultPlan/splitmix64 draws for replayability".into());
         }
     }
 }
@@ -1015,15 +878,15 @@ mod tests {
         let d = Diagnostic {
             file: "a/b.rs".into(),
             line: 3,
-            rule: "L001",
+            rule: "L003",
             message: "say \"no\"\\".into(),
             evidence: Vec::new(),
         };
         assert_eq!(
             d.to_json(),
-            r#"{"rule":"L001","file":"a/b.rs","line":3,"message":"say \"no\"\\"}"#
+            r#"{"rule":"L003","file":"a/b.rs","line":3,"message":"say \"no\"\\"}"#
         );
-        assert_eq!(d.human(), r#"a/b.rs:3: L001 say "no"\"#);
+        assert_eq!(d.human(), r#"a/b.rs:3: L003 say "no"\"#);
     }
 
     #[test]
@@ -1051,21 +914,6 @@ mod tests {
             r#"{"rule":"L008","file":"a/b.rs","line":3,"message":"cycle","evidence":[{"file":"a/b.rs","line":4,"note":"takes \"x\""},{"file":"c/d.rs","line":9,"note":"acquires y"}]}"#
         );
         assert!(d.human().contains("\n    a/b.rs:4: takes \"x\""));
-    }
-
-    #[test]
-    fn l001_expect_needs_string_message() {
-        // Parser-combinator `expect(&Token::LBrace)` is not Option::expect.
-        let clean = findings(
-            "crates/query/src/parser.rs",
-            "fn f() { self.expect(&Token::LBrace)?; }",
-        );
-        assert!(clean.iter().all(|d| d.rule != "L001"), "{clean:?}");
-        let hit = findings(
-            "crates/query/src/parser.rs",
-            "fn f() { x.expect(\"msg\"); }",
-        );
-        assert_eq!(hit.iter().filter(|d| d.rule == "L001").count(), 1);
     }
 
     #[test]
@@ -1325,38 +1173,26 @@ mod tests {
 
     #[test]
     fn allowlisted_files_skip_their_rule() {
-        let sleep = "fn f() { std::thread::sleep(d); }";
-        assert!(findings("crates/cluster/src/cancel.rs", sleep)
+        let literal = "fn f() { o.events.emit(\"qes_choice\", Vec::new); }";
+        assert!(findings("crates/obs/src/names.rs", literal)
             .iter()
-            .all(|d| d.rule != "L002"));
+            .all(|d| d.rule != "L005"));
         assert_eq!(
-            findings("crates/join/src/grace.rs", sleep)
+            findings("crates/join/src/grace.rs", literal)
                 .iter()
-                .filter(|d| d.rule == "L002")
+                .filter(|d| d.rule == "L005")
                 .count(),
             1
         );
 
-        let io = "fn f() { let f = File::create(p); }";
-        assert!(findings("crates/metadata/src/persist.rs", io)
+        let read = "fn f(d: &Deployment) { let s = BdsService::for_all_nodes(d); }";
+        assert!(findings("crates/join/src/reference.rs", read)
             .iter()
-            .all(|d| d.rule != "L004"));
+            .all(|d| d.rule != "L007"));
         assert_eq!(
-            findings("crates/chunk/src/format.rs", io)
+            findings("crates/join/src/grace.rs", read)
                 .iter()
-                .filter(|d| d.rule == "L004")
-                .count(),
-            1
-        );
-
-        let clock = "fn f() { let t = Instant::now(); }";
-        assert!(findings("crates/obs/src/span.rs", clock)
-            .iter()
-            .all(|d| d.rule != "L006"));
-        assert_eq!(
-            findings("crates/join/src/grace.rs", clock)
-                .iter()
-                .filter(|d| d.rule == "L006")
+                .filter(|d| d.rule == "L007")
                 .count(),
             1
         );

@@ -111,7 +111,8 @@ const BLOCKING: &[&str] = &["recv", "wait", "wait_timeout", "park", "sleep"];
 
 /// Identifiers that show cancellation/deadline/shutdown is observed.
 /// `sleep` is both: the only sanctioned `.sleep` is `CancelToken::sleep`
-/// (L002), which returns `Err(Cancelled)` between 250 ms slices.
+/// (clippy.toml bans `thread::sleep`), which returns `Err(Cancelled)`
+/// between 250 ms slices.
 const CANCEL_MARKERS: &[&str] = &[
     "check",
     "is_cancelled",

@@ -3,8 +3,8 @@
 //! Syntax (anywhere a `//` comment can appear):
 //!
 //! ```text
-//! // orv-lint: allow(L002) -- pacing primitive: this IS the slice sleep
-//! // orv-lint: allow(L001, L006) -- calibration measures real hardware
+//! // orv-lint: allow(L003) -- bounded channel is never full here
+//! // orv-lint: allow(L005, L007) -- diagnostic dump reads one raw page
 //! ```
 //!
 //! A suppression applies to findings on **its own line** (trailing
@@ -19,7 +19,7 @@ use crate::rules::RULE_IDS;
 /// One parsed `orv-lint: allow(...)` comment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Suppression {
-    /// Rule ids this comment waives (upper-cased, e.g. `L001`).
+    /// Rule ids this comment waives (upper-cased, e.g. `L003`).
     pub rules: Vec<String>,
     /// 1-based line the comment sits on.
     pub line: usize,
@@ -105,7 +105,7 @@ pub fn collect(toks: &[Tok]) -> Suppressions {
     out
 }
 
-/// Parse `allow(L001, L002) -- reason` (the part after `orv-lint:`).
+/// Parse `allow(L003, L005) -- reason` (the part after `orv-lint:`).
 fn parse_directive(s: &str) -> Result<Vec<String>, String> {
     let Some(rest) = s.strip_prefix("allow") else {
         return Err(format!(
@@ -159,30 +159,30 @@ mod tests {
     #[test]
     fn trailing_and_above_both_apply() {
         let s = parse(
-            "// orv-lint: allow(L001) -- provable\nx.unwrap();\ny.unwrap(); // orv-lint: allow(L001) -- also provable\n",
+            "// orv-lint: allow(L005) -- provable\no.emit(\"a\", v);\no.emit(\"b\", v); // orv-lint: allow(L005) -- also provable\n",
         );
-        assert!(s.allows("L001", 1));
-        assert!(s.allows("L001", 2)); // line under the comment
-        assert!(s.allows("L001", 3)); // trailing
-        assert!(!s.allows("L001", 4));
-        assert!(!s.allows("L002", 2));
+        assert!(s.allows("L005", 1));
+        assert!(s.allows("L005", 2)); // line under the comment
+        assert!(s.allows("L005", 3)); // trailing
+        assert!(!s.allows("L005", 4));
+        assert!(!s.allows("L003", 2));
         assert!(s.bad.is_empty());
     }
 
     #[test]
     fn multiple_rules_one_comment() {
-        let s = parse("// orv-lint: allow(L001, l006) -- calibration loop\n");
-        assert!(s.allows("L001", 2));
-        assert!(s.allows("L006", 2)); // ids are case-insensitive
+        let s = parse("// orv-lint: allow(L005, l007) -- diagnostic dump\n");
+        assert!(s.allows("L005", 2));
+        assert!(s.allows("L007", 2)); // ids are case-insensitive
     }
 
     #[test]
     fn missing_reason_is_malformed() {
-        let s = parse("// orv-lint: allow(L001)\n");
+        let s = parse("// orv-lint: allow(L005)\n");
         assert!(s.is_empty());
         assert_eq!(s.bad.len(), 1);
         assert!(s.bad[0].problem.contains("reason"));
-        let s = parse("// orv-lint: allow(L001) -- \n");
+        let s = parse("// orv-lint: allow(L005) -- \n");
         assert_eq!(s.bad.len(), 1, "blank reason must not count");
     }
 
@@ -196,10 +196,10 @@ mod tests {
     #[test]
     fn garbage_directives_are_malformed() {
         for bad in [
-            "// orv-lint: deny(L001) -- x",
-            "// orv-lint: allow L001 -- x",
+            "// orv-lint: deny(L005) -- x",
+            "// orv-lint: allow L005 -- x",
             "// orv-lint: allow() -- x",
-            "// orv-lint: allow(L001 -- x",
+            "// orv-lint: allow(L005 -- x",
         ] {
             let s = parse(bad);
             assert_eq!(s.bad.len(), 1, "{bad}");
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn doc_comments_quoting_syntax_are_inert() {
         for doc in [
-            "/// Quote: `// orv-lint: allow(L001)` has no reason.\n",
+            "/// Quote: `// orv-lint: allow(L005)` has no reason.\n",
             "//! // orv-lint: allow(L999) -- docs may show anything\n",
         ] {
             let s = parse(doc);
@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn suppression_inside_string_is_inert() {
-        let s = parse(r#"let x = "// orv-lint: allow(L001) -- nope";"#);
+        let s = parse(r#"let x = "// orv-lint: allow(L005) -- nope";"#);
         assert!(s.is_empty());
     }
 }

@@ -31,87 +31,6 @@ const JOIN_PATH: &str = "crates/join/src/fixture.rs";
 const QUERY_PATH: &str = "crates/query/src/fixture.rs";
 
 #[test]
-fn l001_panics_positive_negative_suppressed() {
-    assert_eq!(
-        fired(JOIN_PATH, "fn f(x: Option<u32>) -> u32 { x.unwrap() }"),
-        ["L001"]
-    );
-    assert_eq!(
-        fired(
-            JOIN_PATH,
-            "fn f(x: Option<u32>) -> u32 { x.expect(\"set\") }"
-        ),
-        ["L001"]
-    );
-    assert_eq!(fired(JOIN_PATH, "fn f() { panic!(\"boom\"); }"), ["L001"]);
-    // Parser-combinator style `expect(&token)` is not Option::expect.
-    assert_clean(JOIN_PATH, "fn f(p: &mut P) { p.expect(&Token::LBrace); }");
-    assert_clean(
-        JOIN_PATH,
-        "fn f(x: Option<u32>) -> Option<u32> { x.map(|v| v + 1) }",
-    );
-    assert_clean(
-        JOIN_PATH,
-        "fn f(x: Option<u32>) -> u32 {\n    // orv-lint: allow(L001) -- fixture: invariant documented here\n    x.unwrap()\n}",
-    );
-}
-
-#[test]
-fn l002_bare_sleep_positive_negative_suppressed() {
-    assert_eq!(
-        fired(
-            JOIN_PATH,
-            "fn f() { std::thread::sleep(Duration::from_millis(5)); }"
-        ),
-        ["L002"]
-    );
-    assert_eq!(fired(JOIN_PATH, "fn f() { thread::sleep(D); }"), ["L002"]);
-    // The cancellable slice helper is the sanctioned spelling…
-    assert_clean(
-        JOIN_PATH,
-        "fn f(c: &CancelToken) { c.sleep(D).unwrap_or(()); }",
-    );
-    // …and the primitive itself lives on the allowlist.
-    assert_clean(
-        "crates/cluster/src/cancel.rs",
-        "fn f() { std::thread::sleep(slice); }",
-    );
-    assert_clean(
-        JOIN_PATH,
-        "fn f() {\n    // orv-lint: allow(L002) -- fixture: fixed pacing independent of cancellation\n    std::thread::sleep(D);\n}",
-    );
-}
-
-#[test]
-fn l002_unbounded_recv_and_park_positive_negative_suppressed() {
-    // Bare `recv()` waits forever — same unkillable shape as a raw sleep.
-    assert_eq!(
-        fired(JOIN_PATH, "fn f(rx: &Receiver<u32>) { let _ = rx.recv(); }"),
-        ["L002"]
-    );
-    assert_eq!(
-        fired(JOIN_PATH, "fn f() { std::thread::park(); }"),
-        ["L002"]
-    );
-    // The bounded forms are the sanctioned spelling…
-    assert_clean(
-        JOIN_PATH,
-        "fn f(rx: &Receiver<u32>) { let _ = rx.recv_timeout(budget.slice()); }",
-    );
-    // …`recv(args)` on a domain type is not the channel wait…
-    assert_clean(JOIN_PATH, "fn f(io: &mut Io) { io.recv(&mut buf); }");
-    // …and the slice primitive's own file may park however it likes.
-    assert_clean(
-        "crates/cluster/src/cancel.rs",
-        "fn f() { std::thread::park(); }",
-    );
-    assert_clean(
-        JOIN_PATH,
-        "fn f(rx: &Receiver<u32>) {\n    // orv-lint: allow(L002) -- fixture: sender lives in the same scope, send precedes recv\n    let _ = rx.recv();\n}",
-    );
-}
-
-#[test]
 fn l003_guard_across_blocking_positive_negative_suppressed() {
     let hold =
         "fn f(m: &Mutex<u32>, tx: &Sender<u32>) {\n    let g = m.lock();\n    tx.send(*g);\n}";
@@ -166,32 +85,6 @@ fn l003_rwlock_catalog_pattern_positive_negative_suppressed() {
 }
 
 #[test]
-fn l004_file_writes_positive_negative_suppressed() {
-    assert_eq!(
-        fired(JOIN_PATH, "fn f() { let _ = File::create(\"x\"); }"),
-        ["L004"]
-    );
-    assert_eq!(
-        fired(JOIN_PATH, "fn f() { fs::write(\"x\", b\"y\").ok(); }"),
-        ["L004"]
-    );
-    // Reads are fine; and the checksummed sinks are allowlisted.
-    assert_clean(JOIN_PATH, "fn f() { let _ = File::open(\"x\"); }");
-    assert_clean(
-        "crates/metadata/src/persist.rs",
-        "fn f() { let _ = File::create(\"x\"); }",
-    );
-    assert_clean(
-        "crates/obs/src/export.rs",
-        "fn f() { fs::write(\"x\", b\"y\").ok(); }",
-    );
-    assert_clean(
-        JOIN_PATH,
-        "fn f() {\n    // orv-lint: allow(L004) -- fixture: bytes are sealed with a checksum upstream\n    let _ = File::create(\"x\");\n}",
-    );
-}
-
-#[test]
 fn l005_literal_obs_names_positive_negative_suppressed() {
     assert_eq!(
         fired(
@@ -238,36 +131,6 @@ fn l005_literal_obs_names_positive_negative_suppressed() {
     assert_clean(
         JOIN_PATH,
         "fn f(o: &Obs) {\n    // orv-lint: allow(L005) -- fixture: ad-hoc diagnostic event, not replayed\n    o.events.emit(\"one_off\", Vec::new);\n}",
-    );
-}
-
-#[test]
-fn l006_ambient_clock_rng_positive_negative_suppressed() {
-    assert_eq!(
-        fired(JOIN_PATH, "fn f() { let t = Instant::now(); }"),
-        ["L006"]
-    );
-    assert_eq!(
-        fired(JOIN_PATH, "fn f() { let t = SystemTime::now(); }"),
-        ["L006"]
-    );
-    assert_eq!(
-        fired(JOIN_PATH, "fn f() { let x = rand::random::<u64>(); }"),
-        ["L006"]
-    );
-    // Seeded draws and the allowlisted time owners are fine.
-    assert_clean(JOIN_PATH, "fn f(s: u64) { let x = splitmix64(s); }");
-    assert_clean(
-        "crates/cluster/src/cancel.rs",
-        "fn f() { let t = Instant::now(); }",
-    );
-    assert_clean(
-        "crates/obs/src/span.rs",
-        "fn f() { let t = Instant::now(); }",
-    );
-    assert_clean(
-        JOIN_PATH,
-        "fn f() {\n    // orv-lint: allow(L006) -- fixture: wall-clock stats only, never control flow\n    let t = Instant::now();\n}",
     );
 }
 
@@ -362,7 +225,7 @@ fn l007_one_read_path_positive_negative_suppressed() {
 
 #[test]
 fn test_code_is_exempt_everywhere() {
-    let nasty = "fn f() { x.unwrap(); std::thread::sleep(D); let t = Instant::now(); }";
+    let nasty = "fn f(m: &Mutex<u32>) { let g = m.lock(); tx.send(*g); o.events.emit(\"x\", Vec::new); BdsService::for_all_nodes(d); }";
     // Path-classified test/dev files.
     for p in [
         "crates/join/tests/chaos.rs",
@@ -375,22 +238,22 @@ fn test_code_is_exempt_everywhere() {
         assert_clean(p, nasty);
     }
     // The same source at a runtime path is not exempt.
-    assert_eq!(fired(JOIN_PATH, nasty), ["L001", "L002", "L006"]);
+    assert_eq!(fired(JOIN_PATH, nasty), ["L003", "L005", "L007"]);
     // Item-classified test code inside a runtime file.
-    let src = "fn runtime() -> u32 { 1 }\n#[cfg(test)]\nmod tests {\n    fn helper(x: Option<u32>) -> u32 { x.unwrap() }\n}\n";
+    let src = "fn runtime() -> u32 { 1 }\n#[cfg(test)]\nmod tests {\n    fn helper(o: &Obs) { o.events.emit(\"x\", Vec::new); }\n}\n";
     assert_clean(JOIN_PATH, src);
     // …while the runtime part of the same file still gets linted.
-    let mixed = "fn runtime(x: Option<u32>) -> u32 { x.unwrap() }\n#[cfg(test)]\nmod tests {\n    fn helper(x: Option<u32>) -> u32 { x.unwrap() }\n}\n";
+    let mixed = "fn runtime(o: &Obs) { o.events.emit(\"x\", Vec::new); }\n#[cfg(test)]\nmod tests {\n    fn helper(o: &Obs) { o.events.emit(\"x\", Vec::new); }\n}\n";
     let diags = lint_source(JOIN_PATH, mixed);
     assert_eq!(diags.len(), 1);
-    assert_eq!((diags[0].rule, diags[0].line), ("L001", 1));
+    assert_eq!((diags[0].rule, diags[0].line), ("L005", 1));
 }
 
 #[test]
 fn malformed_suppressions_become_l000() {
     // Missing reason.
     let no_reason =
-        "fn f(x: Option<u32>) -> u32 {\n    // orv-lint: allow(L001)\n    x.unwrap()\n}";
+        "fn f(o: &Obs) {\n    // orv-lint: allow(L005)\n    o.events.emit(\"x\", Vec::new);\n}";
     let diags = lint_source(JOIN_PATH, no_reason);
     assert!(diags.iter().any(|d| d.rule == "L000"), "{diags:?}");
     // Unknown rule id.
@@ -402,20 +265,36 @@ fn malformed_suppressions_become_l000() {
     // L000 itself cannot be suppressed away.
     assert!(lint_source(JOIN_PATH, no_reason)
         .iter()
-        .any(|d| d.rule == "L001"));
+        .any(|d| d.rule == "L005"));
     // Doc comments that merely *quote* the syntax are inert.
     assert_clean(
         JOIN_PATH,
-        "/// Write `// orv-lint: allow(L001)` to waive.\nfn f() {}\n",
+        "/// Write `// orv-lint: allow(L005)` to waive.\nfn f() {}\n",
     );
 }
 
 #[test]
+fn retired_rule_ids_are_unknown() {
+    // L001, L002, L004 and L006 are clippy's now: a suppression naming one
+    // waives nothing, so it must not survive silently.
+    for id in ["L001", "L002", "L004", "L006"] {
+        let src = format!("fn f() {{\n    // orv-lint: allow({id}) -- reason\n    g();\n}}");
+        let diags = lint_source(JOIN_PATH, &src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, "L000");
+        assert!(
+            diags[0].message.contains(&format!("unknown rule `{id}`")),
+            "{diags:?}"
+        );
+    }
+}
+
+#[test]
 fn trailing_suppression_covers_only_its_own_line() {
-    let src = "fn f(x: Option<u32>, y: Option<u32>) -> u32 {\n    let a = x.unwrap(); // orv-lint: allow(L001) -- fixture: this line only\n    let b = y.unwrap();\n    a + b\n}";
+    let src = "fn f(o: &Obs) {\n    o.events.emit(\"a\", Vec::new); // orv-lint: allow(L005) -- fixture: this line only\n    o.events.emit(\"b\", Vec::new);\n}";
     let diags = lint_source(JOIN_PATH, src);
     assert_eq!(diags.len(), 1);
-    assert_eq!((diags[0].rule, diags[0].line), ("L001", 3));
+    assert_eq!((diags[0].rule, diags[0].line), ("L005", 3));
 }
 
 #[test]
@@ -423,35 +302,34 @@ fn json_lines_output_is_stable() {
     let d = Diagnostic {
         file: "crates/x/src/a.rs".into(),
         line: 7,
-        rule: "L001",
-        message: "`unwrap()` has a \"quote\"".into(),
+        rule: "L005",
+        message: "`emit` has a \"quote\"".into(),
         evidence: Vec::new(),
     };
     assert_eq!(
         d.to_json(),
-        r#"{"rule":"L001","file":"crates/x/src/a.rs","line":7,"message":"`unwrap()` has a \"quote\""}"#
+        r#"{"rule":"L005","file":"crates/x/src/a.rs","line":7,"message":"`emit` has a \"quote\""}"#
     );
     assert_eq!(
         d.human(),
-        "crates/x/src/a.rs:7: L001 `unwrap()` has a \"quote\""
+        "crates/x/src/a.rs:7: L005 `emit` has a \"quote\""
     );
 }
 
 #[test]
 fn findings_sort_stably_and_drive_exit_code() {
-    let src =
-        "fn f() {\n    let t = Instant::now();\n    x.unwrap();\n    std::thread::sleep(D);\n}";
+    let src = "fn f(m: &Mutex<u32>) {\n    o.events.emit(\"x\", Vec::new);\n    let g = m.lock();\n    tx.send(*g);\n    BdsService::for_all_nodes(d);\n}";
     let diags = lint_source(JOIN_PATH, src);
     let mut sorted = diags.clone();
     sorted.sort();
     assert_eq!(diags, sorted, "lint_source must return sorted findings");
     assert_eq!(
         diags.iter().map(|d| (d.line, d.rule)).collect::<Vec<_>>(),
-        [(2, "L006"), (3, "L001"), (4, "L002")]
+        [(2, "L005"), (4, "L003"), (5, "L007")]
     );
     assert_eq!(exit_code(&diags), 1);
     assert_eq!(exit_code(&[]), 0);
-    assert_eq!(RULE_IDS.len(), 11, "L000 + ten substantive rules");
+    assert_eq!(RULE_IDS.len(), 7, "L000 + six substantive rules");
 }
 
 // ---------------------------------------------------------------------

@@ -371,6 +371,10 @@ impl MetadataService {
         tmp.push(format!(".tmp.{}", std::process::id()));
         let tmp = std::path::PathBuf::from(tmp);
         let write = (|| -> Result<()> {
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the crash-safe catalog writer: CRC-sealed payload, temp file then rename"
+            )]
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(text.as_bytes())?;
             f.sync_all()?;

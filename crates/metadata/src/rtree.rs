@@ -231,6 +231,10 @@ fn insert_rec<T>(node: &mut Node<T>, rect: Rect, value: T) -> SplitHalves<T> {
         }
         Node::Inner(entries) => {
             // ChooseLeaf: minimal enlargement, ties by smaller volume.
+            #[allow(
+                clippy::expect_used,
+                reason = "inner nodes hold >= 1 entry by construction: splits emit two children, merges collapse empty inners"
+            )]
             let best = (0..entries.len())
                 .min_by(|&a, &b| {
                     let ea = entries[a].0.enlargement(&rect);
@@ -238,7 +242,6 @@ fn insert_rec<T>(node: &mut Node<T>, rect: Rect, value: T) -> SplitHalves<T> {
                     ea.total_cmp(&eb)
                         .then_with(|| entries[a].0.volume().total_cmp(&entries[b].0.volume()))
                 })
-                // orv-lint: allow(L001) -- inner nodes hold >= 1 entry by construction: splits emit two children, merges collapse empty inners
                 .expect("inner node has children");
             entries[best].0 = entries[best].0.union(&rect);
             if let Some((r1, n1, r2, n2)) = insert_rec(&mut entries[best].1, rect, value) {

@@ -639,7 +639,6 @@ mod tests {
         // A name already registered with foreign bounds drops the sample
         // instead of panicking.
         r.histogram("other", &[1.0]).unwrap();
-        // orv-lint: allow(L005) -- test exercises a name outside LAT_ALL on purpose
         r.record_latency("other", 0.5);
         assert_eq!(r.snapshot().histograms["other"].count, 0);
     }

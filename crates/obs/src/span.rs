@@ -10,6 +10,11 @@
 //! every operation a single branch on `None` — no allocation, no clock
 //! read — which is how instrumentation stays off the microbench profile.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "observability timing owns the wall clock"
+)]
+
 use crate::json::JsonValue;
 use orv_types::Result;
 use parking_lot::Mutex;

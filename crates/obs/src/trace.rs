@@ -10,6 +10,11 @@
 //! [`FlightRecorder`], which retains the K slowest plus every
 //! failed/partial/cancelled query for post-hoc debugging.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "observability timing owns the wall clock"
+)]
+
 use crate::json::{obj, JsonValue};
 use orv_types::{Error, Result};
 use parking_lot::Mutex;

@@ -223,7 +223,7 @@ impl Ord for Value {
         fam(self)
             .cmp(&fam(other))
             .then_with(|| match (self, other) {
-                // orv-lint: allow(L001) -- fam(a)==fam(b)==0 here, so both are integer variants and as_i64 is total
+                #[allow(clippy::unwrap_used, reason = "fam(a)==fam(b)==0 here, so both are integer variants and as_i64 is total")]
                 (a, b) if fam(a) == 0 => a.as_i64().unwrap().cmp(&b.as_i64().unwrap()),
                 (a, b) => total_f64(a.as_f64()).total_cmp(&total_f64(b.as_f64())),
             })

@@ -13,6 +13,9 @@
 //! `.help`, `.quit`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::ClusterSpec;

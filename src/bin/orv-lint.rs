@@ -11,14 +11,18 @@
 //! 2 I/O failure while walking or reading sources.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 use orv_lint::{exit_code, lint_workspace, Diagnostic, RULE_IDS};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-orv-lint — workspace invariant checker (rules L001..L010; file rules are
-DESIGN.md §10, structural rules L008..L010 are DESIGN.md §15)
+orv-lint — workspace invariant checker (rules L003, L005, L007..L010; file
+rules are DESIGN.md §10, structural rules L008..L010 are DESIGN.md §15;
+L001, L002, L004 and L006 are enforced by clippy)
 
 USAGE: orv-lint [--json | --github] [ROOT]
 
@@ -28,7 +32,7 @@ USAGE: orv-lint [--json | --github] [ROOT]
   ROOT      workspace root to lint (default: current directory)
 
 Suppress a finding at its site with a justified comment:
-  // orv-lint: allow(L001) -- <why this site is provably fine>
+  // orv-lint: allow(L003) -- <why this site is provably fine>
 ";
 
 /// `::error file=…,line=…,title=…::…` — one workflow command per finding.
