@@ -247,16 +247,17 @@ pub fn fig9_series() -> Result<Figure> {
     })
 }
 
-/// Ablation A2 at paper scale: shrink the compute-node sub-table cache
-/// below the §5.1 working set (`lefts_per_right · c_R + c_S` bytes) and
-/// watch IJ degrade toward — and past — Grace Hash, which is cache-
-/// oblivious. `x` is the cache size in bytes; the "model" columns hold the
-/// ideal-cache predictions as reference lines.
+/// Ablation A2 at paper scale: shrink each compute node's memory
+/// (`mem_per_node`, the engine's per-node LRU) below the §5.1 working set
+/// of the two-stage lexicographic schedule, `2·c_R + b·c_S` bytes, and
+/// watch IJ fall past Grace Hash, which is cache-oblivious: one chunk
+/// short, LRU evicts each right just before its next use. `x` is the cache
+/// size in bytes; the "model" columns hold the ideal-cache predictions as
+/// reference lines.
 pub fn ablation_cache_series() -> Result<Figure> {
-    use orv_join::simulate_indexed_join_with_cache;
     let grid = [8192, 8192, 1];
-    let (p, q) = fig4_partitions(3); // 2 MB chunks, 8 lefts per right
-    let spec = ClusterSpec::paper_testbed(5, 5);
+    let (p, q) = fig4_partitions(3); // 2 MB chunks, a = b = 8
+    let mut spec = ClusterSpec::paper_testbed(5, 5);
     let pr = problem(grid, p, q, 16.0);
     let d = cost_params(&pr);
     let s = SystemParams::from_cluster(&spec, GAMMA_BUILD, GAMMA_LOOKUP);
@@ -268,9 +269,10 @@ pub fn ablation_cache_series() -> Result<Figure> {
     // From comfortably-fits (16 chunks) down to thrashing (2 chunks).
     for chunks_cached in [16.0f64, 10.0, 9.0, 6.0, 4.0, 2.0] {
         let cache = chunks_cached * chunk_bytes;
+        spec.mem_per_node = cache as u64;
         points.push(Point {
             x: cache,
-            ij_sim: simulate_indexed_join_with_cache(&pr, &spec, cache)?.total_secs,
+            ij_sim: simulate_indexed_join(&pr, &spec)?.total_secs,
             gh_sim,
             ij_model: ij_model.total(),
             gh_model,

@@ -329,12 +329,12 @@ mod tests {
     #[test]
     fn deadline_budget_saturates_instead_of_going_negative() {
         let root = DeadlineBudget::root(Duration::from_millis(5));
-        let starved = root.shrink(Duration::from_secs(3600));
-        assert!(starved.expired());
-        assert_eq!(starved.remaining(), Duration::ZERO);
+        let spent = root.shrink(Duration::from_secs(3600));
+        assert!(spent.expired());
+        assert_eq!(spent.remaining(), Duration::ZERO);
         // Expired budgets mint tokens that fail check() immediately.
         assert!(matches!(
-            starved.token().check(),
+            spent.token().check(),
             Err(Error::DeadlineExceeded)
         ));
     }

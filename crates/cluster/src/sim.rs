@@ -189,9 +189,10 @@ impl SimCluster {
 /// Per-node logical clocks with earliest-first scheduling.
 ///
 /// Join simulators keep one clock per compute node and repeatedly ask for
-/// the node that is furthest behind (`pop_earliest`), execute that node's
-/// next task against the [`SimCluster`], and push the node back with its
-/// advanced clock. The makespan is the maximum clock at the end.
+/// the node furthest behind among those with work left
+/// ([`NodeClocks::earliest_with_work`]), execute that node's next task
+/// against the [`SimCluster`], and [`set`](NodeClocks::set) its advanced
+/// clock. The makespan is the maximum clock at the end.
 #[derive(Clone, Debug)]
 pub struct NodeClocks {
     clocks: Vec<f64>,
@@ -205,15 +206,12 @@ impl NodeClocks {
         }
     }
 
-    /// The node with the smallest clock (ties to the lowest index);
-    /// node 0 for an empty clock set.
-    pub fn earliest(&self) -> usize {
-        self.clocks
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+    /// The node with the smallest clock among those `has_work` accepts
+    /// (ties to the lowest index); `None` once no node has work.
+    pub fn earliest_with_work(&self, has_work: impl Fn(usize) -> bool) -> Option<usize> {
+        (0..self.clocks.len())
+            .filter(|&i| has_work(i))
+            .min_by(|&a, &b| self.clocks[a].total_cmp(&self.clocks[b]))
     }
 
     /// Current clock of `node`.
@@ -335,9 +333,11 @@ mod tests {
         let mut clocks = NodeClocks::new(3);
         clocks.set(0, 5.0);
         clocks.set(1, 2.0);
-        assert_eq!(clocks.earliest(), 2); // node 2 still at 0
+        assert_eq!(clocks.earliest_with_work(|_| true), Some(2)); // node 2 still at 0
+        assert_eq!(clocks.earliest_with_work(|n| n != 2), Some(1));
         clocks.set(2, 9.0);
-        assert_eq!(clocks.earliest(), 1);
+        assert_eq!(clocks.earliest_with_work(|_| true), Some(1));
+        assert_eq!(clocks.earliest_with_work(|_| false), None);
         assert_eq!(clocks.makespan(), 9.0);
         assert_eq!(clocks.len(), 3);
     }

@@ -10,16 +10,19 @@
 //! For regularly partitioned grids the paper gives closed forms for the
 //! component size `C`, component count `N_C` and per-component edge count
 //! `E_C` (Section 6); [`predict_regular`] implements them and the test
-//! suite checks the built graph against them exactly.
+//! suite checks the built graph against them exactly. The simulator builds
+//! the same graph from the partition shapes alone
+//! ([`ConnectivityGraph::regular`]), since it has no stored chunks.
 
+use orv_bds::{GridPartition, Region};
 use orv_metadata::MetadataService;
-use orv_types::{BoundingBox, Result, SubTableId, TableId};
+use orv_types::{BoundingBox, Error, Result, SubTableId, TableId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One connected component: `a` left sub-tables × `b` right sub-tables and
 /// the candidate edges among them.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Component {
     /// Left-table sub-tables in this component.
     pub lefts: Vec<SubTableId>,
@@ -84,6 +87,43 @@ impl ConnectivityGraph {
             }
         }
         Ok(Self::from_edges(left, right, join_attrs, edges))
+    }
+
+    /// The join index on `(x, y, z)` of two regular partitionings of grid
+    /// `g` — `p` on the left, `q` on the right — with chunk ids numbered as
+    /// [`GridPartition`] numbers them (as the generator stores them). Each
+    /// left chunk's right neighbours come from its chunk coordinates, so
+    /// this is O(`n_e`) and needs no metadata.
+    pub fn regular(
+        left: TableId,
+        right: TableId,
+        g: [u64; 3],
+        p: [u64; 3],
+        q: [u64; 3],
+    ) -> Result<Self> {
+        let (lp, rp) = (GridPartition::new(g, p)?, GridPartition::new(g, q)?);
+        if u32::try_from(lp.num_chunks().max(rp.num_chunks())).is_err() {
+            return Err(Error::Config(
+                "chunk ids of a regular grid exceed u32".into(),
+            ));
+        }
+        let mut edges = Vec::new();
+        for l in 0..lp.num_chunks() {
+            let Region { lo, hi } = lp.chunk_region(l);
+            let span = |d: usize| lo[d] / q[d]..=(hi[d] - 1) / q[d];
+            for x in span(0) {
+                for y in span(1) {
+                    for z in span(2) {
+                        let r = rp.chunk_index([x, y, z]);
+                        edges.push((
+                            SubTableId::new(left, l as u32),
+                            SubTableId::new(right, r as u32),
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(Self::from_edges(left, right, &["x", "y", "z"], edges))
     }
 
     /// Assemble a graph from an explicit edge list (e.g. a precomputed
@@ -379,6 +419,19 @@ mod tests {
         assert!((s.edge_ratio - 3.0 * 256.0 / 4096.0).abs() < 1e-12);
         assert_eq!(s.avg_a, 1.0);
         assert_eq!(s.avg_b, 1.5);
+    }
+
+    #[test]
+    fn regular_rejects_chunk_ids_beyond_u32() {
+        let (g, one) = ([1 << 17, 1 << 16, 1], [1, 1, 1]);
+        let err = ConnectivityGraph::regular(TableId(0), TableId(1), g, one, g).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        let ok =
+            ConnectivityGraph::regular(TableId(0), TableId(1), [8, 8, 1], [4, 2, 1], [2, 4, 1]);
+        assert_eq!(
+            ok.unwrap().num_edges() as u64,
+            predict_regular([8, 8, 1], [4, 2, 1], [2, 4, 1]).n_e
+        );
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   evenly over compute nodes, then lexicographic pair order), plus
 //!   ablation variants;
 //! * [`indexed`] / [`grace`] — the threaded-runtime executions;
-//! * [`sim_exec`] — the simulator executions at paper scale;
+//! * [`sim_exec`] — the simulator executions at paper scale (IJ replays
+//!   [`connectivity`], [`schedule`] and [`lru`] with byte sizes);
 //! * [`mod@reference`] — a nested-loop oracle used by the test suite.
 
 #![forbid(unsafe_code)]
@@ -46,10 +47,7 @@ pub use hash_join::{HashJoiner, JoinCounters};
 pub use indexed::{indexed_join, indexed_join_cached, IndexedJoinConfig, JoinOutput};
 pub use lru::{CacheStats, LruCache};
 pub use schedule::SchedulePolicy;
-pub use sim_exec::{
-    simulate_grace_hash, simulate_indexed_join, simulate_indexed_join_with_cache, SimBreakdown,
-    SimProblem,
-};
+pub use sim_exec::{simulate_grace_hash, simulate_indexed_join, SimBreakdown, SimProblem};
 
 /// Which QES executes a join-based view.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

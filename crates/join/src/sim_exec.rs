@@ -1,15 +1,21 @@
 //! Simulator executions of IJ and Grace Hash at paper scale.
 //!
-//! These functions drive the discrete-event [`SimCluster`] with exactly the
+//! These functions drive the discrete-event [`SimCluster`] with the
 //! operation sequences the threaded runtime performs — chunk fetches,
 //! hash-table builds, probes, bucket writes/reads — but carry only *costs*,
-//! so a 2-billion-tuple run finishes in milliseconds. Used by the benchmark
-//! harness to regenerate Figures 4-9 and by the validation harness to
-//! check the analytic cost models.
+//! so a 2-billion-tuple run finishes in milliseconds. IJ's sequence is the
+//! engine's own: its connectivity graph, its two-stage schedule and one
+//! [`LruCache`] per compute node, replayed with byte sizes. Used by the
+//! benchmark harness to regenerate Figures 4-9 and by the validation
+//! harness to check the analytic cost models.
 
-use crate::connectivity::RegularPrediction;
+use crate::cache::CacheKey;
+use crate::connectivity::{predict_regular, ConnectivityGraph};
+use crate::lru::LruCache;
+use crate::schedule::{schedule, SchedulePolicy};
+use orv_bds::GridPartition;
 use orv_cluster::{ClusterSpec, NodeClocks, SimCluster};
-use orv_types::{Error, Result};
+use orv_types::{Error, Result, TableId};
 
 /// The dataset/compute shape of one simulated join, in cost-model terms.
 #[derive(Clone, Copy, Debug)]
@@ -24,14 +30,12 @@ pub struct SimProblem {
     pub rs_r: f64,
     /// Record size of the right table, bytes (`RS_S`).
     pub rs_s: f64,
-    /// Number of connectivity-graph components (`N_C`).
-    pub n_c: f64,
-    /// Left sub-tables per component (`a`).
-    pub a: f64,
-    /// Right sub-tables per component (`b`).
-    pub b: f64,
-    /// Edges per component (`E_C`).
-    pub e_c: f64,
+    /// Grid extent shared by both tables (`g`).
+    pub grid: [u64; 3],
+    /// Left partition (chunk) shape (`p`).
+    pub p: [u64; 3],
+    /// Right partition (chunk) shape (`q`).
+    pub q: [u64; 3],
     /// CPU operations per hash-table insert (`γ1`).
     pub gamma_build: f64,
     /// CPU operations per hash-table lookup (`γ2`).
@@ -39,8 +43,7 @@ pub struct SimProblem {
 }
 
 impl SimProblem {
-    /// Build from grid/partition shapes via the closed-form connectivity
-    /// prediction.
+    /// The join of grid `grid` partitioned `p` (left) and `q` (right).
     pub fn from_regular(
         grid: [u64; 3],
         p: [u64; 3],
@@ -50,25 +53,23 @@ impl SimProblem {
         gamma_build: f64,
         gamma_lookup: f64,
     ) -> Self {
-        let pred: RegularPrediction = crate::connectivity::predict_regular(grid, p, q);
         SimProblem {
             t: (grid[0] * grid[1] * grid[2]) as f64,
             c_r: (p[0] * p[1] * p[2]) as f64,
             c_s: (q[0] * q[1] * q[2]) as f64,
             rs_r,
             rs_s,
-            n_c: pred.n_c as f64,
-            a: pred.a as f64,
-            b: pred.b as f64,
-            e_c: pred.e_c as f64,
+            grid,
+            p,
+            q,
             gamma_build,
             gamma_lookup,
         }
     }
 
-    /// Total edges `n_e = N_C · E_C`.
+    /// Total edges `n_e = N_C · E_C`, from the paper's closed forms.
     pub fn n_e(&self) -> f64 {
-        self.n_c * self.e_c
+        predict_regular(self.grid, self.p, self.q).n_e as f64
     }
 
     /// Validate internal consistency.
@@ -79,10 +80,6 @@ impl SimProblem {
             self.c_s,
             self.rs_r,
             self.rs_s,
-            self.n_c,
-            self.a,
-            self.b,
-            self.e_c,
             self.gamma_build,
             self.gamma_lookup,
         ];
@@ -106,142 +103,79 @@ pub struct SimBreakdown {
     pub cpu_busy_secs: f64,
     /// Aggregate bytes received by compute nodes.
     pub bytes_received: f64,
+    /// Sub-table cache misses summed over compute nodes (IJ only; GH
+    /// caches nothing) — the threaded `RunStats::cache_misses`.
+    pub cache_misses: u64,
 }
 
-/// One micro-step of a compute node's IJ schedule: fetch a sub-table from
-/// a storage node and do the associated CPU work.
-#[derive(Clone, Copy, Debug)]
-struct IjStep {
-    storage_node: usize,
-    bytes: f64,
-    cpu_ops: f64,
-}
-
-/// Simulate the Indexed Join assuming the §5.1 memory assumption holds
-/// (ideal cache: every sub-table fetched exactly once). Equivalent to
-/// [`simulate_indexed_join_with_cache`] with an unbounded cache.
+/// Simulate the Indexed Join as the engine runs it: the graph of the two
+/// partitionings, [`schedule`]'s two-stage lexicographic pair lists, and
+/// per compute node one [`LruCache`] of `spec.mem_per_node` bytes that
+/// each pair's left and right sub-table go through, as
+/// `indexed_join_cached` does. A left miss fetches and builds (`c_R·γ1`),
+/// a right miss fetches, and every pair probes (`c_S·γ2`); chunks live
+/// where [`GridPartition::node_of_chunk`] puts them.
 ///
-/// The driver always advances the node that is furthest behind by *one*
-/// fetch+compute step, so shared FIFO resources receive requests in
-/// (approximately) global time order — processing a whole component
-/// atomically would enqueue far-future requests ahead of other nodes'
-/// earlier ones and fabricate contention.
+/// The cache replay needs no clock, so each node's pairs become a list of
+/// steps first — one fetch each, with the CPU work up to the next fetch.
+/// The driver then always advances the node furthest behind by one step,
+/// so shared FIFO resources receive requests in (approximately) global
+/// time order; a coarser step would enqueue far-future fetches ahead of
+/// other nodes' earlier ones and fabricate contention.
 pub fn simulate_indexed_join(problem: &SimProblem, spec: &ClusterSpec) -> Result<SimBreakdown> {
-    simulate_indexed_join_with_cache(problem, spec, f64::INFINITY)
-}
-
-/// Simulate the Indexed Join with a per-compute-node sub-table cache of
-/// `cache_bytes` — the §5.1 extension at paper scale.
-///
-/// Under the two-stage schedule, sub-tables are only revisited *within* a
-/// component: each right sub-table probes `E_C/b` left hash tables, which
-/// must stay resident alongside the right sub-table being streamed. When
-/// the cache cannot hold them all, the LRU evicts the lefts that the next
-/// right will need first (lexicographic order streams lefts cyclically —
-/// the classic LRU worst case), so every right must re-fetch and re-build
-/// the non-resident lefts.
-pub fn simulate_indexed_join_with_cache(
-    problem: &SimProblem,
-    spec: &ClusterSpec,
-    cache_bytes: f64,
-) -> Result<SimBreakdown> {
     problem.validate()?;
     let mut cluster = SimCluster::new(spec.clone())?;
-    let nj = spec.n_compute;
-    let ns = spec.n_storage as u64;
-    let mut clocks = NodeClocks::new(nj);
+    let (grid, p, q) = (problem.grid, problem.p, problem.q);
+    let graph = ConnectivityGraph::regular(TableId(0), TableId(1), grid, p, q)?;
+    // Per side: its chunk placement, sub-table bytes and CPU on a miss.
+    let (left_side, right_side) = (
+        (
+            GridPartition::new(grid, p)?,
+            problem.c_r * problem.rs_r,
+            problem.c_r * problem.gamma_build,
+        ),
+        (
+            GridPartition::new(grid, q)?,
+            problem.c_s * problem.rs_s,
+            0.0,
+        ),
+    );
+    let probe_ops = problem.c_s * problem.gamma_lookup;
 
-    let n_c = problem.n_c.round() as u64;
-    let a = problem.a.round().max(1.0) as u64;
-    let b = problem.b.round().max(1.0) as u64;
-    let left_bytes = problem.c_r * problem.rs_r;
-    let right_bytes = problem.c_s * problem.rs_s;
-    // Each right sub-table in a component is probed against E_C/b left
-    // hash tables.
-    let probes_per_right = (problem.e_c / problem.b).max(1.0);
-    let build_ops = problem.c_r * problem.gamma_build;
-    let probe_ops = probes_per_right * problem.c_s * problem.gamma_lookup;
-
-    // Cache analysis (§5.1 extension): how many left sub-tables stay
-    // resident while a right streams through?
-    let lefts_per_right = probes_per_right.min(problem.a).max(1.0) as u64;
-    let resident = if cache_bytes.is_infinite() {
-        u64::MAX
-    } else {
-        (((cache_bytes - right_bytes) / left_bytes).floor().max(0.0)) as u64
-    };
-    let starved = resident < lefts_per_right;
-    // On-demand refetches per right beyond the first (LRU cyclic reuse).
-    let refetch_per_right = lefts_per_right.saturating_sub(resident);
-
-    // Expand each node's schedule into micro-steps (components were dealt
-    // round-robin, so node j's k-th component is global k·n_j + j; block-
-    // cyclic chunk placement maps sub-table indices to storage nodes).
-    let mut schedules: Vec<std::vec::IntoIter<IjStep>> = (0..nj)
-        .map(|j| {
-            let mut steps = Vec::new();
-            let mut global = j as u64;
-            while global < n_c {
-                if !starved {
-                    // Ideal: every left fetched and built exactly once.
-                    for i in 0..a {
-                        steps.push(IjStep {
-                            storage_node: ((global * a + i) % ns) as usize,
-                            bytes: left_bytes,
-                            cpu_ops: build_ops,
-                        });
-                    }
-                    for i in 0..b {
-                        steps.push(IjStep {
-                            storage_node: ((global * b + i) % ns) as usize,
-                            bytes: right_bytes,
-                            cpu_ops: probe_ops,
-                        });
-                    }
-                } else {
-                    // Starved: lefts fetched on demand per right; the
-                    // first right loads all it needs, later rights refetch
-                    // (and rebuild) whatever the LRU evicted.
-                    for i in 0..b {
-                        steps.push(IjStep {
-                            storage_node: ((global * b + i) % ns) as usize,
-                            bytes: right_bytes,
-                            cpu_ops: probe_ops,
-                        });
-                        let fetches = if i == 0 {
-                            lefts_per_right
-                        } else {
-                            refetch_per_right
-                        };
-                        for k in 0..fetches {
-                            steps.push(IjStep {
-                                storage_node: ((global * a + i + k) % ns) as usize,
-                                bytes: left_bytes,
-                                cpu_ops: build_ops,
-                            });
+    let mut cache_misses = 0;
+    let lexicographic = SchedulePolicy::TwoStageLexicographic;
+    let mut steps: Vec<std::vec::IntoIter<(usize, f64, f64)>> =
+        schedule(&graph, spec.n_compute, lexicographic)
+            .into_iter()
+            .map(|pairs| {
+                let mut lru = LruCache::new(spec.mem_per_node);
+                let mut steps = Vec::new();
+                for (l, r) in pairs {
+                    // One join per run, so the left key needs no attribute tag.
+                    for (key, id, (part, bytes, ops)) in [
+                        (CacheKey::Left(l, 0), l, &left_side),
+                        (CacheKey::Right(r), r, &right_side),
+                    ] {
+                        if lru.get(&key).is_none() {
+                            let node = part.node_of_chunk(u64::from(id.chunk.0), spec.n_storage);
+                            steps.push((node.index(), *bytes, *ops));
+                            lru.put(key, (), *bytes as u64);
                         }
                     }
+                    if let Some(last) = steps.last_mut() {
+                        last.2 += probe_ops;
+                    }
                 }
-                global += nj as u64;
-            }
-            steps.into_iter()
-        })
-        .collect();
+                cache_misses += lru.stats().misses;
+                steps.into_iter()
+            })
+            .collect();
 
-    let mut remaining: Vec<bool> = schedules.iter().map(|s| s.len() > 0).collect();
-    // Earliest node that still has steps, one step at a time.
-    while let Some(j) = (0..nj)
-        .filter(|&k| remaining[k])
-        .min_by(|&x, &y| clocks.get(x).total_cmp(&clocks.get(y)))
-    {
-        match schedules[j].next() {
-            Some(step) => {
-                let t = clocks.get(j);
-                let t = cluster.fetch(step.storage_node, j, step.bytes, t);
-                let t = cluster.cpu(j, step.cpu_ops, t);
-                clocks.set(j, t);
-            }
-            None => remaining[j] = false,
+    let mut clocks = NodeClocks::new(spec.n_compute);
+    while let Some(j) = clocks.earliest_with_work(|k| steps[k].len() > 0) {
+        if let Some((storage_node, bytes, ops)) = steps[j].next() {
+            let t = cluster.fetch(storage_node, j, bytes, clocks.get(j));
+            clocks.set(j, cluster.cpu(j, ops, t));
         }
     }
 
@@ -250,6 +184,7 @@ pub fn simulate_indexed_join_with_cache(
         partition_secs: 0.0,
         cpu_busy_secs: cluster.cpu_busy(),
         bytes_received: cluster.bytes_received(),
+        cache_misses,
     })
 }
 
@@ -333,6 +268,7 @@ pub fn simulate_grace_hash(problem: &SimProblem, spec: &ClusterSpec) -> Result<S
         partition_secs: partition_end,
         cpu_busy_secs: cluster.cpu_busy(),
         bytes_received: cluster.bytes_received(),
+        cache_misses: 0,
     })
 }
 
@@ -352,9 +288,6 @@ mod tests {
     fn from_regular_matches_prediction() {
         let pr = problem([64, 64, 64], [16, 16, 16], [32, 8, 16]);
         assert_eq!(pr.t, 64.0 * 64.0 * 64.0);
-        assert_eq!(pr.a, 2.0);
-        assert_eq!(pr.b, 2.0);
-        assert_eq!(pr.e_c, 4.0);
         assert_eq!(pr.n_e(), 128.0);
         pr.validate().unwrap();
     }
@@ -388,7 +321,7 @@ mod tests {
         // Mismatched partitions with huge fan-out: IJ probe cost explodes.
         let spec = ClusterSpec::paper_testbed(5, 5);
         let pr = problem([256, 256, 16], [256, 1, 16], [1, 256, 16]);
-        assert!(pr.e_c >= 256.0 * 256.0);
+        assert!(predict_regular(pr.grid, pr.p, pr.q).e_c >= 256 * 256);
         let ij = simulate_indexed_join(&pr, &spec).unwrap().total_secs;
         let gh = simulate_grace_hash(&pr, &spec).unwrap().total_secs;
         assert!(gh < ij, "GH {gh} should beat IJ {ij} at high n_e·c_S");
@@ -465,29 +398,28 @@ mod tests {
 
     #[test]
     fn cache_starvation_degrades_monotonically() {
-        use super::simulate_indexed_join_with_cache;
-        // A tangled component: a = b = 16, lefts_per_right = 16, chunks of
-        // 4096·16 = 64 KB.
+        // A tangled component: a = b = 16, chunks of 4096·16 = 64 KiB.
         let pr = problem([256, 256, 16], [64, 4, 16], [4, 64, 16]);
-        let spec = ClusterSpec::paper_testbed(5, 5);
-        let ideal = simulate_indexed_join(&pr, &spec).unwrap().total_secs;
-        // A cache holding the full working set behaves identically.
-        let big = simulate_indexed_join_with_cache(&pr, &spec, (64u64 << 20) as f64)
-            .unwrap()
-            .total_secs;
-        assert!(
-            (big - ideal).abs() < 1e-9,
-            "ideal {ideal} vs big-cache {big}"
-        );
-        // Shrinking the cache below a·c_R + c_S bytes forces refetches.
-        let half = simulate_indexed_join_with_cache(&pr, &spec, 9.0 * 65536.0)
-            .unwrap()
-            .total_secs;
-        let tiny = simulate_indexed_join_with_cache(&pr, &spec, 2.0 * 65536.0)
-            .unwrap()
-            .total_secs;
-        assert!(ideal < half, "ideal {ideal} < half {half}");
-        assert!(half < tiny, "half {half} < tiny {tiny}");
+        let with_cache = |chunks: u64| {
+            let mut spec = ClusterSpec::paper_testbed(5, 5);
+            spec.mem_per_node = chunks * 65536;
+            simulate_indexed_join(&pr, &spec).unwrap()
+        };
+        let ideal = with_cache(1 << 10);
+        assert_eq!(ideal.cache_misses, 16 * (16 + 16), "N_C·(a + b): each once");
+        // Lexicographic order keeps one left hot while the 16 rights
+        // cycle: the working set is 2·c_R + b·c_S, and one chunk less
+        // makes LRU miss every right.
+        let at_working_set = with_cache(2 + 16);
+        assert_eq!(at_working_set.total_secs, ideal.total_secs);
+        assert_eq!(at_working_set.cache_misses, ideal.cache_misses);
+        assert!(with_cache(2 + 16 - 1).total_secs > ideal.total_secs);
+        let mut last = f64::INFINITY;
+        for chunks in [1, 2, 9, 17, 18, 64] {
+            let t = with_cache(chunks).total_secs;
+            assert!(t <= last, "{chunks} chunks: {t} > {last}");
+            last = t;
+        }
     }
 
     #[test]

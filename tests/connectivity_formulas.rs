@@ -4,10 +4,12 @@
 //! schedule.
 
 use orv::bds::{generate_dataset, BdsService, DatasetSpec, Deployment};
+use orv::cluster::ClusterSpec;
 use orv::join::connectivity::{predict_regular, ConnectivityGraph};
 use orv::join::reference::sort_records;
 use orv::join::{
-    indexed_join, indexed_join_cached, CacheService, HashJoiner, IndexedJoinConfig, JoinCounters,
+    indexed_join, indexed_join_cached, simulate_indexed_join, CacheService, HashJoiner,
+    IndexedJoinConfig, JoinCounters, SimProblem,
 };
 use orv::types::SubTableId;
 use proptest::prelude::*;
@@ -69,6 +71,10 @@ proptest! {
             prop_assert_eq!(comp.b() as u64, pred.b);
             prop_assert_eq!(comp.edges.len() as u64, pred.e_c);
         }
+        // The simulator's graph, from the partition shapes alone, is the
+        // one built over the deployed chunks' bounding boxes.
+        let regular = ConnectivityGraph::regular(t1, t2, grid, p, q).unwrap();
+        prop_assert_eq!(&regular.components, &graph.components);
     }
 
     #[test]
@@ -212,17 +218,39 @@ fn the_zero_refetch_bound_holds_at_the_memory_section_5_1_assumes() {
         };
         indexed_join(&d, t1, t2, &attrs, &cfg).unwrap().stats
     };
+    // The simulator replays the same graph, schedule and per-node LRU on
+    // 2 compute nodes, each side's record size taken from its cache entry.
+    let rows = |part: [u64; 3]| part.iter().product::<u64>() as f64;
+    let problem = SimProblem::from_regular(
+        grid,
+        p,
+        q,
+        left_entry as f64 / rows(p),
+        right.encoded_size() as f64 / rows(q),
+        1.0,
+        1.0,
+    );
+    let simulated_misses = |capacity| {
+        let mut spec = ClusterSpec::paper_testbed(2, 2);
+        spec.mem_per_node = capacity;
+        simulate_indexed_join(&problem, &spec).unwrap().cache_misses
+    };
     println!("working set of one component: {working_set} B");
     println!(
-        "{:>12} {:>8} {:>8} {:>12}",
-        "capacity_B", "misses", "hits", "moved_B"
+        "{:>12} {:>8} {:>8} {:>12} {:>10}",
+        "capacity_B", "misses", "hits", "moved_B", "sim_misses"
     );
     let mut last_misses = u64::MAX;
     for capacity in [6_000, 8_192, 16_384, 20_000, 32_768, 65_536, 1 << 30] {
         let stats = run(capacity);
+        let sim = simulated_misses(capacity);
         println!(
-            "{capacity:>12} {:>8} {:>8} {:>12}",
+            "{capacity:>12} {:>8} {:>8} {:>12} {sim:>10}",
             stats.cache_misses, stats.cache_hits, stats.bytes_transferred
+        );
+        assert_eq!(
+            sim, stats.cache_misses,
+            "simulator vs threads at {capacity} B"
         );
         assert_eq!(stats.cache_hits + stats.cache_misses, 2 * pred.n_e);
         assert!(
