@@ -1,10 +1,9 @@
 //! Brace-tree item parsing: functions (with impl/mod context) and their
 //! body token spans.
 //!
-//! The token rules of PR 4 ran on a flat stream; the structural rules
-//! (L008–L010) need to know *which function* a token belongs to so that
-//! per-function summaries can be propagated through the call graph. This
-//! parser is deliberately shallow — it does not understand expressions,
+//! Every rule is a check on a per-function summary, so the engine needs
+//! to know *which function* a token belongs to. This parser is
+//! deliberately shallow — it does not understand expressions,
 //! only the item skeleton: `mod`/`impl` blocks contribute a context name,
 //! `fn` items contribute a named body span. Everything inside a body is
 //! left to the summary pass.
@@ -181,14 +180,19 @@ fn impl_context(code: &[&Tok], i: usize) -> Option<(String, usize)> {
     None
 }
 
-/// Index of the `}` matching the `{` at `open` (saturating at EOF).
+/// Index of the bracket matching the `{` or `(` at `open` (saturating at
+/// EOF).
 pub fn match_brace(code: &[&Tok], open: usize) -> usize {
+    let (o, c) = match code.get(open).map(|t| &t.kind) {
+        Some(TokKind::Punct('(')) => ('(', ')'),
+        _ => ('{', '}'),
+    };
     let mut depth = 0usize;
     let mut j = open;
     while j < code.len() {
         match code[j].kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
+            TokKind::Punct(x) if x == o => depth += 1,
+            TokKind::Punct(x) if x == c => {
                 depth -= 1;
                 if depth == 0 {
                     return j;

@@ -5,18 +5,18 @@
 //! logs); this crate turns the conventions they rely on into
 //! machine-checked gates. It is a project-specific static-analysis pass:
 //! a hand-rolled Rust token scanner (same pattern as the layout/query DSL
-//! lexers) feeding two rule tiers, with per-site suppression comments and
-//! both human and JSON-lines output.
+//! lexers) feeding one structural engine, with per-site suppression
+//! comments and both human and JSON-lines output.
 //!
-//! * **File rules** (`L003`, `L005`, `L007`) are token-pattern passes
-//!   over one file at a time.
-//! * **Workspace rules** (`L008`–`L010`) are structural: a brace-tree
-//!   item parser ([`items`]) finds every function, a summary pass
-//!   ([`summary`]) reduces each body to lock acquisitions / blocking
-//!   waits / cancellation polls / calls, and an approximate call graph
-//!   ([`callgraph`]) propagates those facts workspace-wide — catching
-//!   lock-order cycles, unkillable waits, and dead or phantom metric
-//!   names that no single-file scan can see.
+//! A brace-tree item parser ([`items`]) finds every function; a summary
+//! pass ([`summary`]) reads each body once and reduces it to lock
+//! acquisitions and guards, blocking calls, cancellation polls, calls,
+//! obs name literals and loops; every rule is a check on those
+//! summaries. `L003`, `L005` and `L007` look at one function at a time;
+//! an approximate call graph ([`callgraph`]) propagates the facts
+//! workspace-wide for `L008`–`L010` — catching lock-order cycles,
+//! unkillable waits, and dead metric names that no single-file scan can
+//! see.
 //!
 //! Run it locally with:
 //!
@@ -48,59 +48,33 @@ pub mod suppress;
 pub use rules::{Diagnostic, Evidence, RULE_IDS};
 
 use lexer::Tok;
-use rules::FileCtx;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Lint one file's source text with the **file rules only** —
-/// the workspace rules (`L008`–`L010`) need the whole file set; use
-/// [`lint_files`] or [`lint_workspace`] for those. `rel_path` must be
-/// workspace-relative with `/` separators — rules use it for scoping
-/// and allowlists.
-///
-/// The pipeline: scan → classify test/runtime lines → collect
-/// suppressions → run rules → filter. Test code is exempt from every
-/// rule; well-formed suppressions waive findings on their own and the
-/// following line; malformed suppressions surface as `L000` and cannot
-/// themselves be waived.
+/// Lint one file's source text: [`lint_files`] on a set of one.
+/// `rel_path` must be workspace-relative with `/` separators — rules use
+/// it for scoping and allowlists.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    let toks = lexer::scan(src);
-    let class = classify::classify(rel_path, &toks);
-    let sup = suppress::collect(&toks);
-    let ctx = FileCtx::new(rel_path, &toks);
-    let mut out: Vec<Diagnostic> = rules::run_rules(&ctx)
-        .into_iter()
-        .filter(|d| !class.is_test(d.line))
-        .filter(|d| !sup.allows(d.rule, d.line))
-        .collect();
-    for bad in &sup.bad {
-        out.push(Diagnostic {
-            file: rel_path.to_string(),
-            line: bad.line,
-            rule: "L000",
-            message: format!("malformed suppression: {}", bad.problem),
-            evidence: Vec::new(),
-        });
-    }
-    out.sort();
-    out
+    lint_files(&[(rel_path.to_string(), src.to_string())])
 }
 
 /// The canonical location of the metric-name registry; when this file is
 /// in the linted set, L010 cross-checks every other file against it.
 const NAMES_PATH: &str = "crates/obs/src/names.rs";
 
-/// Lint a set of files together: the per-file rules on each, then the
-/// structural workspace rules (`L008`–`L010`) across all of them. This is
-/// the full engine, callable on in-memory sources (the fixture tests) as
-/// well as a real tree ([`lint_workspace`]).
+/// Lint a set of files together. This is the whole engine, callable on
+/// in-memory sources (the fixture tests) as well as a real tree
+/// ([`lint_workspace`]).
 ///
-/// Workspace findings are filtered against the suppressions and
-/// test-line classification of the file each finding *anchors* in, so
+/// The pipeline: scan → classify test/runtime lines → collect
+/// suppressions → summarize every runtime function → run the rules →
+/// filter. Findings are filtered against the suppressions and test-line
+/// classification of the file each finding *anchors* in, so
 /// `// orv-lint: allow(L008) -- reason` works at the acquisition site a
-/// cycle report points at, just like file-rule suppressions.
+/// cycle report points at. Malformed suppressions surface as `L000` and
+/// cannot themselves be waived.
 pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
     struct Loaded {
         rel: String,
@@ -124,14 +98,9 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
         .collect();
 
     let mut out: Vec<Diagnostic> = Vec::new();
+    let mut fns = Vec::new();
+    let mut metrics: Option<rules::MetricNames> = None;
     for f in &loaded {
-        let ctx = FileCtx::new(&f.rel, &f.toks);
-        out.extend(
-            rules::run_rules(&ctx)
-                .into_iter()
-                .filter(|d| !f.class.is_test(d.line))
-                .filter(|d| !f.sup.allows(d.rule, d.line)),
-        );
         for bad in &f.sup.bad {
             out.push(Diagnostic {
                 file: f.rel.clone(),
@@ -141,13 +110,6 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
                 evidence: Vec::new(),
             });
         }
-    }
-
-    // Structural pass: summarize every runtime function, build the call
-    // graph, and run the workspace rules.
-    let mut fns = Vec::new();
-    let mut metrics: Option<rules::MetricNames> = None;
-    for f in &loaded {
         if f.class.is_all_test() {
             continue;
         }
@@ -163,9 +125,10 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
     }
     let ws = callgraph::Workspace::build(fns);
     let reach = callgraph::analyze(&ws);
-    let mut wdiags = Vec::new();
-    rules::l008_lock_order(&ws, &reach, &mut wdiags);
-    rules::l009_cancellation(&ws, &reach, &mut wdiags);
+    let mut diags = Vec::new();
+    rules::check_functions(&ws.fns, &mut diags);
+    rules::l008_lock_order(&ws, &reach, &mut diags);
+    rules::l009_cancellation(&ws, &reach, &mut diags);
     if let Some(mut metrics) = metrics {
         for f in &loaded {
             if f.rel == NAMES_PATH || f.class.is_all_test() {
@@ -174,12 +137,12 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
             let code: Vec<&Tok> = f.toks.iter().filter(|t| !t.kind.is_comment()).collect();
             metrics.scan_usage(&f.rel, &code, |l| f.class.is_test(l));
         }
-        metrics.diagnostics(NAMES_PATH, &mut wdiags);
+        metrics.diagnostics(NAMES_PATH, &mut diags);
     }
 
     let by_rel: BTreeMap<&str, &Loaded> = loaded.iter().map(|f| (f.rel.as_str(), f)).collect();
     out.extend(
-        wdiags
+        diags
             .into_iter()
             .filter(|d| match by_rel.get(d.file.as_str()) {
                 Some(f) => !f.class.is_test(d.line) && !f.sup.allows(d.rule, d.line),
@@ -187,6 +150,8 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
             }),
     );
     out.sort();
+    // A nested `fn` is read with its parent's body as well as its own.
+    out.dedup();
     out
 }
 
@@ -221,8 +186,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lint the whole workspace rooted at `root` — file rules and workspace
-/// rules. Findings are sorted by (file, line, rule) so output is stable
+/// Lint the whole workspace rooted at `root`. Findings are sorted by (file, line, rule) so output is stable
 /// across runs and platforms.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();

@@ -1,14 +1,13 @@
 //! The workspace invariant rules.
 //!
-//! Rules come in two shapes. `L003`, `L005` and `L007` are **file
-//! rules**: token-pattern passes over the comment-free token stream of
-//! one file.
-//! `L008`–`L010` are **workspace rules**: they run over per-function
-//! summaries ([`crate::summary`]) propagated through the approximate
-//! call graph ([`crate::callgraph`]), so they can see facts no single
-//! file contains — a lock-order cycle split across two modules, a
-//! blocking wait three calls below a loop, a metric constant nobody
-//! increments. All rules are deliberately heuristic — tokens and name
+//! Every rule is a check on the per-function summaries
+//! ([`crate::summary`]), the one pass that reads function bodies.
+//! `L003`, `L005` and `L007` look at one function's summary at a time.
+//! `L008` and `L009` follow the approximate call graph
+//! ([`crate::callgraph`]), so they can see facts no single file contains
+//! — a lock-order cycle split across two modules, a blocking wait three
+//! calls below a loop — and `L010` checks the names registry against
+//! every file. All rules are deliberately heuristic — tokens and name
 //! resolution, not a typed AST — but every pattern is chosen so the
 //! *sanctioned* idiom in this workspace cannot trip it, and anything it
 //! does flag is either a real invariant break or a site that deserves a
@@ -21,7 +20,7 @@
 //! | L007 | mechanisms written once stay single: retry loops go through `RecoveryPolicy`/`RetryBudget`, never ad-hoc counters; sub-table reads go through `SubTableReader`, never a hand-built `BdsService` |
 //! | L008 | the workspace lock-order graph is acyclic (no two-path deadlock) |
 //! | L009 | every loop reaching a blocking wait also reaches a cancel/deadline check |
-//! | L010 | every `orv_obs::names` constant has a runtime sink; every sink name is declared |
+//! | L010 | every `orv_obs::names` constant has a runtime sink |
 //!
 //! `L000` is the meta-rule: malformed suppression comments (missing
 //! reason, unknown rule id) are themselves findings and cannot be waived.
@@ -29,13 +28,13 @@
 use crate::allowlist;
 use crate::callgraph::{self, Reach, Workspace};
 use crate::lexer::{Tok, TokKind};
+use crate::summary::{FnSummary, Via};
 use std::collections::BTreeSet;
 
 /// Every rule id the engine knows, in report order. `L000` is the
-/// suppression-hygiene meta-rule; `L003`, `L005` and `L007` are the
-/// per-file invariants; `L008`..`L010` are the whole-workspace structural
-/// rules. The gaps are ids of rules clippy enforces (DESIGN.md §10);
-/// they are not reused.
+/// suppression-hygiene meta-rule; `L003`, `L005` and `L007` are checked
+/// per function; `L008`..`L010` across the workspace. The gaps are ids
+/// of rules clippy enforces (DESIGN.md §10); they are not reused.
 pub const RULE_IDS: &[&str] = &["L000", "L003", "L005", "L007", "L008", "L009", "L010"];
 
 /// One step of supporting evidence for a structural finding: a source
@@ -60,7 +59,7 @@ pub struct Diagnostic {
     pub rule: &'static str,
     /// Human explanation of the finding.
     pub message: String,
-    /// Supporting locations (empty for the per-file token rules).
+    /// Supporting locations (empty for `L003`, `L005` and `L007`).
     pub evidence: Vec<Evidence>,
 }
 
@@ -80,8 +79,8 @@ impl Diagnostic {
 
     /// One stable JSON object per finding (JSON-lines output). Key order
     /// is fixed so diffs and golden tests stay byte-stable; the
-    /// `evidence` array is only present when non-empty, so the per-file
-    /// rules' output is unchanged from PR 4.
+    /// `evidence` array is only present when non-empty, so the output of
+    /// `L003`, `L005` and `L007` has no such key.
     pub fn to_json(&self) -> String {
         let mut s = format!(
             r#"{{"rule":"{}","file":"{}","line":{},"message":"{}"#,
@@ -126,299 +125,88 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// A comment-free view of one file's tokens plus its path, handed to each
-/// rule pass.
-pub struct FileCtx<'a> {
-    /// Workspace-relative path, `/`-separated.
-    pub rel_path: &'a str,
-    /// Tokens with comments stripped.
-    pub code: Vec<&'a Tok>,
-}
+/// Crates with worker pools, interconnect waits and admission queues:
+/// L003, L007's retry half and L009 watch these.
+const CONCURRENCY_DIRS: &[&str] = &[
+    "crates/join/src/",
+    "crates/cluster/src/",
+    "crates/query/src/",
+];
 
-impl<'a> FileCtx<'a> {
-    /// Build the comment-free view.
-    pub fn new(rel_path: &'a str, toks: &'a [Tok]) -> Self {
-        FileCtx {
-            rel_path,
-            code: toks.iter().filter(|t| !t.kind.is_comment()).collect(),
-        }
-    }
-
-    fn ident_at(&self, i: usize, name: &str) -> bool {
-        self.code
-            .get(i)
-            .is_some_and(|t| t.kind.ident() == Some(name))
-    }
-
-    fn punct_at(&self, i: usize, c: char) -> bool {
-        self.code
-            .get(i)
-            .is_some_and(|t| t.kind == TokKind::Punct(c))
-    }
-
-    /// Does `path::seg` (two colons) start at `i`?
-    fn path_sep_at(&self, i: usize) -> bool {
-        self.punct_at(i, ':') && self.punct_at(i + 1, ':')
-    }
-
-    fn in_dir(&self, prefix: &str) -> bool {
-        self.rel_path.starts_with(prefix)
-    }
-}
-
-/// Run every rule over one file; returns unfiltered findings (the engine
-/// applies test-code exemption and suppressions afterwards).
-pub fn run_rules(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    l003_no_guard_across_blocking(ctx, &mut out);
-    l005_obs_names_from_registry(ctx, &mut out);
-    l007_no_adhoc_retry_loops(ctx, &mut out);
-    l007_one_read_path(ctx, &mut out);
-    out
-}
-
-fn push(
-    out: &mut Vec<Diagnostic>,
-    ctx: &FileCtx<'_>,
-    line: usize,
-    rule: &'static str,
-    message: String,
-) {
-    out.push(Diagnostic {
-        file: ctx.rel_path.to_string(),
+fn diag(file: &str, line: usize, rule: &'static str, message: String) -> Diagnostic {
+    Diagnostic {
+        file: file.to_string(),
         line,
         rule,
         message,
         evidence: Vec::new(),
-    });
+    }
+}
+
+/// Run the per-function rules (`L003`, `L005`, `L007`) over every
+/// summary, each in its scope; returns unfiltered findings (the engine
+/// applies test-code exemption and suppressions afterwards).
+pub fn check_functions(fns: &[FnSummary], out: &mut Vec<Diagnostic>) {
+    for f in fns {
+        let file = f.file.as_str();
+        let concurrent = CONCURRENCY_DIRS.iter().any(|d| file.starts_with(d));
+        if concurrent {
+            l003_no_guard_across_blocking(f, out);
+        }
+        if !allowlist::L005_ALLOWED.contains(&file) {
+            l005_obs_names_from_registry(f, out);
+        }
+        if concurrent && !allowlist::L007_ALLOWED.contains(&file) {
+            l007_no_adhoc_retry_loops(f, out);
+        }
+        if !(allowlist::L007_READ_ALLOWED.contains(&file)
+            || allowlist::L007_READ_ALLOWED_DIRS
+                .iter()
+                .any(|d| file.starts_with(d)))
+        {
+            l007_one_read_path(f, out);
+        }
+    }
 }
 
 /// L003 — in `crates/join`, `crates/cluster` and `crates/query`, a
-/// `let`-bound lock guard must not stay live across a channel send, a
-/// sleep, or file I/O.
+/// `let`-bound lock guard must not stay live across a channel send or
+/// recv, a sleep, or file I/O.
 ///
 /// The GH interconnect, the IJ Caching Service and the QueryService's
 /// admission queue all run under worker-shared locks; holding one
 /// across a blocking call turns a slow peer into a stalled cluster.
-/// Heuristic: a guard is born at
-/// `let [mut] NAME = <brace-free expr containing .lock()>;`, at the
-/// same form over a lock helper — `relock(..)` or a path-qualified
-/// `Self::lock(..)` / `Mutex::lock(..)`, the sharded cache's idiom —
-/// or at a statement-final `.read();` / `.write();` (the RwLock
-/// catalog pattern — chained temporaries like `.read().get(n)
-/// .cloned();` die inside their own statement and are not guards),
-/// and dies at `drop(NAME)` or when its enclosing brace scope closes.
-fn l003_no_guard_across_blocking(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if !(ctx.in_dir("crates/join/src/")
-        || ctx.in_dir("crates/cluster/src/")
-        || ctx.in_dir("crates/query/src/"))
-    {
-        return;
-    }
-    struct Guard {
-        name: String,
-        depth: usize,
-        line: usize,
-    }
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < ctx.code.len() {
-        match &ctx.code[i].kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                guards.retain(|g| g.depth <= depth);
-            }
-            TokKind::Ident(kw) if kw == "let" => {
-                // Brace-free statement lookahead for a `.lock()` call.
-                let mut j = i + 1;
-                let mut name = None;
-                if ctx.ident_at(j, "mut") {
-                    j += 1;
-                }
-                if let Some(TokKind::Ident(n)) = ctx.code.get(j).map(|t| &t.kind) {
-                    name = Some(n.clone());
-                }
-                let mut k = i + 1;
-                let mut has_lock = false;
-                while k < ctx.code.len() {
-                    match ctx.code[k].kind {
-                        TokKind::Punct(';') | TokKind::Punct('{') => break,
-                        TokKind::Punct('.')
-                            if ctx.ident_at(k + 1, "lock")
-                                && ctx.punct_at(k + 2, '(')
-                                && ctx.punct_at(k + 3, ')') =>
-                        {
-                            has_lock = true;
-                        }
-                        // RwLock guards: only the statement-final
-                        // `.read();` / `.write();` binds one — a chained
-                        // `.read().get(..)` is a temporary that dies
-                        // inside the statement.
-                        TokKind::Punct('.')
-                            if (ctx.ident_at(k + 1, "read") || ctx.ident_at(k + 1, "write"))
-                                && ctx.punct_at(k + 2, '(')
-                                && ctx.punct_at(k + 3, ')')
-                                && ctx.punct_at(k + 4, ';') =>
-                        {
-                            has_lock = true;
-                        }
-                        // Helper-acquired guards: `relock(..)` (the
-                        // poison-stripping wrapper) and path-qualified
-                        // `Self::lock(shard)` / `Mutex::lock(&m)` bind a
-                        // guard just like a method-form `.lock()` does.
-                        TokKind::Ident(ref h) if h == "relock" && ctx.punct_at(k + 1, '(') => {
-                            has_lock = true;
-                        }
-                        TokKind::Ident(ref h)
-                            if h == "lock"
-                                && ctx.punct_at(k + 1, '(')
-                                && k >= 2
-                                && ctx.punct_at(k - 1, ':')
-                                && ctx.punct_at(k - 2, ':') =>
-                        {
-                            has_lock = true;
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                if let (true, Some(name)) = (has_lock, name) {
-                    guards.push(Guard {
-                        name,
-                        depth,
-                        line: ctx.code[i].line,
-                    });
-                }
-                i = k;
-                continue;
-            }
-            TokKind::Ident(kw) if kw == "drop" && ctx.punct_at(i + 1, '(') => {
-                if let Some(TokKind::Ident(n)) = ctx.code.get(i + 2).map(|t| &t.kind) {
-                    guards.retain(|g| &g.name != n);
-                }
-            }
-            _ => {}
+/// Guards and hazards are the summary's; each guard is reported once,
+/// at the first hazard it is held across.
+fn l003_no_guard_across_blocking(f: &FnSummary, out: &mut Vec<Diagnostic>) {
+    let mut reported = vec![false; f.guards.len()];
+    for h in &f.held_hazards {
+        let fresh: Vec<usize> = h.held.iter().copied().filter(|&g| !reported[g]).collect();
+        let Some(born) = fresh.iter().map(|&g| f.guards[g].line).min() else {
+            continue;
+        };
+        let held: Vec<&str> = fresh.iter().map(|&g| f.guards[g].name.as_str()).collect();
+        for &g in &fresh {
+            reported[g] = true;
         }
-        if !guards.is_empty() {
-            let hazard = blocking_hazard(ctx, i);
-            if let Some(what) = hazard {
-                let held: Vec<&str> = guards.iter().map(|g| g.name.as_str()).collect();
-                let born = guards
-                    .iter()
-                    .map(|g| g.line)
-                    .min()
-                    .unwrap_or(ctx.code[i].line);
-                push(out, ctx, ctx.code[i].line, "L003", format!(
-                    "{what} while lock guard `{}` (taken line {born}) is live; drop or scope the guard first — a blocked holder stalls every peer on the interconnect",
-                    held.join("`, `")));
-                // One finding per hazard site is enough; clear to avoid
-                // cascading duplicates for the same held guard.
-                guards.clear();
-            }
-        }
-        i += 1;
+        out.push(diag(&f.file, h.line, "L003", format!(
+            "{} while lock guard `{}` (taken line {born}) is live; drop or scope the guard first — a blocked holder stalls every peer on the interconnect",
+            h.what, held.join("`, `"))));
     }
 }
-
-/// Is the token at `i` the start of a blocking call (send, sleep, file
-/// I/O)? Returns a short description when it is.
-fn blocking_hazard(ctx: &FileCtx<'_>, i: usize) -> Option<&'static str> {
-    if ctx.punct_at(i, '.') && ctx.punct_at(i + 2, '(') {
-        match ctx.code.get(i + 1).and_then(|t| t.kind.ident()) {
-            Some("send") => return Some("channel `send`"),
-            Some("recv") => return Some("channel `recv`"),
-            Some("sleep") => return Some("`sleep`"),
-            Some("write_all") | Some("read_to_end") | Some("sync_all") | Some("read_exact") => {
-                return Some("file I/O")
-            }
-            _ => {}
-        }
-    }
-    if ctx.ident_at(i, "sleep") && ctx.punct_at(i + 1, '(') && !ctx.punct_at(i.wrapping_sub(1), '.')
-    {
-        return Some("`sleep`");
-    }
-    if (ctx.ident_at(i, "File") || ctx.ident_at(i, "OpenOptions")) && ctx.path_sep_at(i + 1) {
-        return Some("file I/O");
-    }
-    if ctx.ident_at(i, "fs") && ctx.path_sep_at(i + 1) {
-        return Some("file I/O");
-    }
-    None
-}
-
-/// Obs call sites whose *first argument* is the event/span/metric name.
-const L005_SINKS: &[&str] = &[
-    "emit",
-    "span",
-    "span_with",
-    "events_of_kind",
-    "record_latency",
-];
 
 /// L005 — event/span/latency-metric names must be `orv_obs::names`
 /// constants, not inline string literals. A typo'd literal name silently
 /// breaks replay-from-log, the predicted-vs-measured phase mapping, and
 /// every consumer that finds a latency histogram by its `names::LAT_*`
 /// constant.
-fn l005_obs_names_from_registry(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if allowlist::L005_ALLOWED.contains(&ctx.rel_path) {
-        return;
-    }
-    for i in 0..ctx.code.len() {
-        if !ctx.punct_at(i, '.') || !ctx.punct_at(i + 2, '(') {
-            continue;
-        }
-        let Some(callee) = ctx.code.get(i + 1).and_then(|t| t.kind.ident()) else {
-            continue;
-        };
-        if !L005_SINKS.contains(&callee) {
-            continue;
-        }
-        // Scan the first argument: from after `(` to the first top-level
-        // `,` or the matching `)`.
-        let mut depth = 0usize;
-        let mut j = i + 3;
-        while j < ctx.code.len() {
-            match ctx.code[j].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                }
-                TokKind::Punct(',') if depth == 0 => break,
-                TokKind::Str(ref s) => {
-                    push(out, ctx, ctx.code[j].line, "L005", format!(
-                        "inline name literal \"{s}\" passed to `{callee}`; use a constant or builder from `orv_obs::names` so replay and phase mapping cannot drift"));
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
+fn l005_obs_names_from_registry(f: &FnSummary, out: &mut Vec<Diagnostic>) {
+    for s in &f.sink_literals {
+        out.push(diag(&f.file, s.line, "L005", format!(
+            "inline name literal \"{}\" passed to `{}`; use a constant or builder from `orv_obs::names` so replay and phase mapping cannot drift",
+            s.literal, s.callee)));
     }
 }
-
-/// Loop-counter names that mark a loop as a retry loop.
-const L007_RETRY_IDENTS: &[&str] = &["attempt", "attempts", "retry", "retries", "tries"];
-
-/// Identifiers whose presence in the loop (header or body) shows the
-/// retry is governed: the policy/budget types themselves, the policy's
-/// attempt cap, or a budget draw. Merely *calling* the policy's helpers
-/// (`backoff`, an exhaustion test) from a hand-written loop is not
-/// governance — that loop is a second copy of
-/// `RecoveryPolicy::run_cancellable`; pass the attempt to it as a closure.
-const L007_SANCTIONED: &[&str] = &[
-    "RecoveryPolicy",
-    "RetryBudget",
-    "max_attempts",
-    "try_draw",
-    "run_with_retries",
-];
 
 /// L007 — retry loops in runtime paths must be governed by
 /// [`RecoveryPolicy`] (attempt cap + deadline + backoff) or a
@@ -427,90 +215,14 @@ const L007_SANCTIONED: &[&str] = &[
 /// An ad-hoc `loop { attempt += 1 }` has no attempt cap a chaos test can
 /// assert against, no backoff, and no budget linking retry volume to
 /// downstream health — under overload it is exactly the retry-storm
-/// amplifier the brownout controller exists to prevent. Heuristic: a
-/// `for`/`while` loop whose header names a retry counter, or a `loop`
-/// whose body increments one, fires unless the loop mentions a sanctioned
-/// policy/budget identifier.
-fn l007_no_adhoc_retry_loops(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if !(ctx.in_dir("crates/join/src/")
-        || ctx.in_dir("crates/cluster/src/")
-        || ctx.in_dir("crates/query/src/"))
-        || allowlist::L007_ALLOWED.contains(&ctx.rel_path)
-    {
-        return;
-    }
-    let is_retry_ident = |i: usize| {
-        ctx.code
-            .get(i)
-            .and_then(|t| t.kind.ident())
-            .is_some_and(|n| L007_RETRY_IDENTS.contains(&n))
-    };
-    let is_sanctioned = |i: usize| {
-        ctx.code
-            .get(i)
-            .and_then(|t| t.kind.ident())
-            .is_some_and(|n| L007_SANCTIONED.contains(&n))
-    };
-    // Index of the matching `}` for the `{` at `open` (saturates at EOF).
-    let close_of = |open: usize| {
-        let mut depth = 0usize;
-        let mut j = open;
-        while j < ctx.code.len() {
-            match ctx.code[j].kind {
-                TokKind::Punct('{') => depth += 1,
-                TokKind::Punct('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return j;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        ctx.code.len()
-    };
-    let mut i = 0usize;
-    while i < ctx.code.len() {
-        let kw = ctx.code[i].kind.ident();
-        let retry_shaped = match kw {
-            // `for attempt in ...` / `while retries < N`: the header
-            // names the counter.
-            Some("for") | Some("while") => {
-                let open = (i + 1..ctx.code.len())
-                    .find(|&j| ctx.punct_at(j, '{'))
-                    .unwrap_or(ctx.code.len());
-                (i + 1..open).any(is_retry_ident).then_some(open)
-            }
-            // Bare `loop` with a counter increment (`retries += 1`) in
-            // the body.
-            Some("loop") if ctx.punct_at(i + 1, '{') => {
-                let open = i + 1;
-                let close = close_of(open);
-                (open..close)
-                    .any(|j| {
-                        is_retry_ident(j) && ctx.punct_at(j + 1, '+') && ctx.punct_at(j + 2, '=')
-                    })
-                    .then_some(open)
-            }
-            _ => None,
-        };
-        if let Some(open) = retry_shaped {
-            let close = close_of(open);
-            if !(i..close).any(is_sanctioned) {
-                push(out, ctx, ctx.code[i].line, "L007", format!(
-                    "ad-hoc retry loop (`{}` counter); bound it with `RecoveryPolicy` (attempt cap + backoff) or draw from a `RetryBudget` so chaos tests can assert total retry volume",
-                    (i..close)
-                        .find_map(|j| ctx.code.get(j).and_then(|t| t.kind.ident())
-                            .filter(|n| L007_RETRY_IDENTS.contains(n)))
-                        .unwrap_or("retry")));
-            }
-            // Skip the header; the body may contain nested loops worth
-            // their own scan.
-            i = open + 1;
-            continue;
-        }
-        i += 1;
+/// amplifier the brownout controller exists to prevent. A retry-shaped
+/// loop (see [`crate::summary::LoopSummary`]) fires unless it mentions a
+/// sanctioned policy/budget identifier.
+fn l007_no_adhoc_retry_loops(f: &FnSummary, out: &mut Vec<Diagnostic>) {
+    for lp in f.loops.iter().filter(|lp| lp.retry_shaped && !lp.governed) {
+        out.push(diag(&f.file, lp.line, "L007", format!(
+            "ad-hoc retry loop (`{}` counter); bound it with `RecoveryPolicy` (attempt cap + backoff) or draw from a `RetryBudget` so chaos tests can assert total retry volume",
+            lp.retry_counter.as_deref().unwrap_or("retry"))));
     }
 }
 
@@ -525,23 +237,15 @@ fn l007_no_adhoc_retry_loops(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 /// corruption accounting), which is how base-table scans once came to be
 /// the only reads chaos never reached. `crates/bds` implements the
 /// interface and the reference oracle reads below it on purpose.
-fn l007_one_read_path(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if allowlist::L007_READ_ALLOWED.contains(&ctx.rel_path)
-        || allowlist::L007_READ_ALLOWED_DIRS
-            .iter()
-            .any(|d| ctx.in_dir(d))
-    {
-        return;
-    }
-    for i in 0..ctx.code.len() {
-        let line = ctx.code[i].line;
-        if ctx.ident_at(i, "BdsService") && ctx.path_sep_at(i + 1) {
-            push(out, ctx, line, "L007",
-                "`BdsService` built outside `crates/bds`; fetch through the execution's `SubTableReader` so the read is retried, injectable, traced and accounted like every other".into());
+fn l007_one_read_path(f: &FnSummary, out: &mut Vec<Diagnostic>) {
+    for c in &f.calls {
+        if matches!(&c.via, Via::Path(t) if t == "BdsService") {
+            out.push(diag(&f.file, c.line, "L007",
+                "`BdsService` built outside `crates/bds`; fetch through the execution's `SubTableReader` so the read is retried, injectable, traced and accounted like every other".into()));
         }
-        if ctx.punct_at(i, '.') && ctx.ident_at(i + 1, "subtable") && ctx.punct_at(i + 2, '(') {
-            push(out, ctx, line, "L007",
-                "direct `BdsService::subtable` call; `SubTableReader::fetch` is the one read path (locate, retry, verify, filter, account)".into());
+        if c.via == Via::Method && c.callee == "subtable" {
+            out.push(diag(&f.file, c.line, "L007",
+                "direct `BdsService::subtable` call; `SubTableReader::fetch` is the one read path (locate, retry, verify, filter, account)".into()));
         }
     }
 }
@@ -549,14 +253,6 @@ fn l007_one_read_path(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------------
 // Workspace rules: L008–L010 run over the whole file set at once.
 // ---------------------------------------------------------------------
-
-/// Crates whose runtime loops L009 watches — the ones with worker pools,
-/// interconnect waits and admission queues. (Same scope as L003/L007.)
-const L009_DIRS: &[&str] = &[
-    "crates/join/src/",
-    "crates/cluster/src/",
-    "crates/query/src/",
-];
 
 /// L008 — the workspace lock-order graph must be acyclic.
 ///
@@ -608,7 +304,7 @@ pub fn l008_lock_order(ws: &Workspace, reach: &Reach, out: &mut Vec<Diagnostic>)
 /// calls into code that does.
 pub fn l009_cancellation(ws: &Workspace, reach: &Reach, out: &mut Vec<Diagnostic>) {
     for f in &ws.fns {
-        if !L009_DIRS.iter().any(|d| f.file.starts_with(d)) {
+        if !CONCURRENCY_DIRS.iter().any(|d| f.file.starts_with(d)) {
             continue;
         }
         // Innermost-first: an outer loop is not re-reported when the
@@ -708,8 +404,6 @@ pub struct MetricNames {
     decls: Vec<(String, usize, bool)>,
     declared: BTreeSet<String>,
     used: BTreeSet<String>,
-    /// `names::X` references whose `X` is not declared: (file, line, X).
-    phantoms: Vec<(String, usize, String)>,
 }
 
 impl MetricNames {
@@ -789,7 +483,6 @@ impl MetricNames {
             decls,
             declared,
             used,
-            phantoms: Vec::new(),
         }
     }
 
@@ -815,26 +508,18 @@ impl MetricNames {
                 && code[i - 1].kind == TokKind::Punct(':')
                 && code[i - 2].kind == TokKind::Punct(':')
                 && code[i - 3].kind.ident() == Some("names");
-            if qualified {
-                if self.declared.contains(id) {
-                    self.used.insert(id.to_string());
-                } else {
-                    self.phantoms
-                        .push((rel_path.to_string(), code[i].line, id.to_string()));
-                }
-            } else if in_obs && self.declared.contains(id) {
+            if (qualified || in_obs) && self.declared.contains(id) {
                 self.used.insert(id.to_string());
             }
         }
     }
 
-    /// L010 — dead name constants and phantom `names::` references.
+    /// L010 — dead name constants.
     ///
     /// A declared-but-never-emitted counter means a dashboard or chaos
-    /// assertion is silently reading zeros; an undeclared name at a sink
-    /// would never be found by the exporters that walk the registry.
-    /// Dead-name findings anchor at the declaration in `names.rs`;
-    /// phantom findings anchor at the use site.
+    /// assertion is silently reading zeros. Findings anchor at the
+    /// declaration in `names.rs`. (An undeclared `names::X` needs no
+    /// rule: rustc rejects it.)
     pub fn diagnostics(&self, names_path: &str, out: &mut Vec<Diagnostic>) {
         for (name, line, is_str) in &self.decls {
             if *is_str && !self.used.contains(name) {
@@ -849,28 +534,15 @@ impl MetricNames {
                 });
             }
         }
-        for (file, line, name) in &self.phantoms {
-            out.push(Diagnostic {
-                file: file.clone(),
-                line: *line,
-                rule: "L010",
-                message: format!(
-                    "`names::{name}` does not resolve to a declared constant/builder in orv_obs::names — exporters walking the registry will never see it"
-                ),
-                evidence: Vec::new(),
-            });
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::scan;
 
     fn findings(path: &str, src: &str) -> Vec<Diagnostic> {
-        let toks = scan(src);
-        run_rules(&FileCtx::new(path, &toks))
+        crate::lint_source(path, src)
     }
 
     #[test]

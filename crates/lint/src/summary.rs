@@ -1,30 +1,39 @@
-//! Per-function summaries: what each function acquires, blocks on,
-//! polls, and calls.
+//! Per-function summaries: everything the rules know about a function.
 //!
-//! This is the middle layer of the structural engine: [`crate::items`]
-//! finds the functions, this pass reduces each body to the facts the
-//! whole-workspace rules need, and [`crate::callgraph`] propagates those
-//! facts along the (approximate) call graph. Facts collected per
-//! function:
+//! [`crate::items`] finds the functions; this pass reads each body once,
+//! left to right, and reduces it to the facts the rules check;
+//! [`crate::callgraph`] propagates the cross-function ones along the
+//! (approximate) call graph. It is the only code that decides what counts
+//! as a guard, a loop or a call. Facts collected per function:
 //!
 //! * **Lock acquisitions** — every zero-argument `.lock()` / `.read()` /
 //!   `.write()` call, keyed by `crate/receiver` (e.g. `query/catalog`).
 //!   Receiver extraction walks back over `?` and balanced `(..)`/`[..]`
-//!   groups, so `relock(self.queue.lock())` keys as `query/queue`.
-//! * **Held edges** — lock B acquired while a `let`-bound guard on lock A
-//!   is live (the same liveness heuristic as rule L003: guards die at
-//!   `drop(name)` or scope close; chained temporaries are not guards).
-//! * **Held calls** — a function call made while a guard is live; the
-//!   call graph turns these into propagated lock-order edges.
+//!   groups, so `relock(self.queue.lock())` keys as `query/queue`. A call
+//!   to a helper of the same file whose signature returns a guard takes
+//!   the helper's lock (`Self::lock(shard)` → `join/state`); a
+//!   path-qualified `T::lock(x)` with no such helper takes `x`'s
+//!   (`Mutex::lock(&m)` → `m`).
+//! * **Guards** — a `let` binds one when its statement ends in `;` right
+//!   after an acquisition and pure unwrapping (`)` / `?`):
+//!   `let g = relock(self.q.lock());` binds, while chained temporaries
+//!   like `let n = m.lock().len();` die inside their own statement. A
+//!   guard dies at `drop(name)` or when its scope closes.
+//! * **Held edges, calls and hazards** — a lock acquired, a call made, or
+//!   a send / recv / sleep / file I/O reached while a guard is live.
+//! * **Calls** — every `name(`, with how it names its callee ([`Via`]).
 //! * **Blocking waits** — `recv` / `wait` / `wait_timeout` / `park` /
 //!   `sleep` call sites.
 //! * **Cancellation markers** — identifiers that show the surrounding
 //!   loop observes a `CancelToken`, a deadline, or a shutdown flag.
-//! * **Loops** — header line plus the body's blocking/cancel/call facts,
-//!   for rule L009.
+//! * **Sink literals** — a string literal in the first argument of an obs
+//!   name sink (`emit`, `span`, …).
+//! * **Loops** — header line plus the body's blocking/cancel/call facts
+//!   and its retry shape.
 
 use crate::items::{self, FnItem};
 use crate::lexer::{Tok, TokKind};
+use std::collections::BTreeMap;
 
 /// One lock acquisition site.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,11 +61,23 @@ pub struct HeldCall {
     pub line: usize,
 }
 
+/// How a call site names its callee.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Via {
+    /// `f(..)`.
+    Free,
+    /// `x.f(..)`.
+    Method,
+    /// `T::f(..)`, carrying `T`.
+    Path(String),
+}
+
 /// One call site (by bare callee name).
 #[derive(Clone, Debug)]
 pub struct CallSite {
     pub callee: String,
     pub line: usize,
+    pub via: Via,
 }
 
 /// One blocking-wait site.
@@ -67,8 +88,34 @@ pub struct BlockSite {
     pub line: usize,
 }
 
-/// One loop inside a function, with the facts L009 needs.
+/// A `let` that bound a lock guard.
 #[derive(Clone, Debug)]
+pub struct GuardBinding {
+    pub name: String,
+    /// 1-based line of the `let`.
+    pub line: usize,
+}
+
+/// A send, recv, sleep or file-I/O call reached while guards were live.
+#[derive(Clone, Debug)]
+pub struct HeldHazard {
+    /// What blocks, e.g. "channel `send`".
+    pub what: &'static str,
+    pub line: usize,
+    /// The live guards, as indices into [`FnSummary::guards`].
+    pub held: Vec<usize>,
+}
+
+/// A string literal in the first argument of an obs name sink.
+#[derive(Clone, Debug)]
+pub struct SinkLiteral {
+    pub callee: String,
+    pub literal: String,
+    pub line: usize,
+}
+
+/// One loop inside a function.
+#[derive(Clone, Debug, Default)]
 pub struct LoopSummary {
     /// 1-based line of the `loop`/`while`/`for` keyword.
     pub line: usize,
@@ -81,10 +128,17 @@ pub struct LoopSummary {
     pub cancel: bool,
     /// Calls made inside the loop.
     pub calls: Vec<CallSite>,
+    /// A `for`/`while` header naming a retry counter, or a `loop` body
+    /// incrementing one (`retries += 1`).
+    pub retry_shaped: bool,
+    /// The first retry counter named anywhere in the loop.
+    pub retry_counter: Option<String>,
+    /// Does the loop mention the retry policy or a budget draw?
+    pub governed: bool,
 }
 
-/// Everything the workspace rules need to know about one function.
-#[derive(Clone, Debug)]
+/// Everything the rules need to know about one function.
+#[derive(Clone, Debug, Default)]
 pub struct FnSummary {
     /// Workspace-relative file path.
     pub file: String,
@@ -94,12 +148,15 @@ pub struct FnSummary {
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     pub acquires: Vec<LockSite>,
+    pub guards: Vec<GuardBinding>,
     pub held_edges: Vec<HeldEdge>,
     pub held_calls: Vec<HeldCall>,
+    pub held_hazards: Vec<HeldHazard>,
     pub calls: Vec<CallSite>,
     pub blocking: Vec<BlockSite>,
     /// Any direct cancellation/deadline marker in the body.
     pub cancel: bool,
+    pub sink_literals: Vec<SinkLiteral>,
     pub loops: Vec<LoopSummary>,
 }
 
@@ -108,6 +165,17 @@ const LOCK_METHODS: &[&str] = &["lock", "read", "write"];
 
 /// Callees that block the calling thread until an external event.
 const BLOCKING: &[&str] = &["recv", "wait", "wait_timeout", "park", "sleep"];
+
+/// Method calls that must not run under a guard, and what they are.
+const HAZARDS: &[(&str, &str)] = &[
+    ("send", "channel `send`"),
+    ("recv", "channel `recv`"),
+    ("sleep", "`sleep`"),
+    ("write_all", "file I/O"),
+    ("read_to_end", "file I/O"),
+    ("sync_all", "file I/O"),
+    ("read_exact", "file I/O"),
+];
 
 /// Identifiers that show cancellation/deadline/shutdown is observed.
 /// `sleep` is both: the only sanctioned `.sleep` is `CancelToken::sleep`
@@ -123,6 +191,32 @@ const CANCEL_MARKERS: &[&str] = &[
     "remaining",
     "hard_deadline",
     "shutdown",
+];
+
+/// Obs methods whose *first argument* is the event/span/metric name.
+const NAME_SINKS: &[&str] = &[
+    "emit",
+    "span",
+    "span_with",
+    "events_of_kind",
+    "record_latency",
+];
+
+/// Loop-counter names that mark a loop as a retry loop.
+const RETRY_COUNTERS: &[&str] = &["attempt", "attempts", "retry", "retries", "tries"];
+
+/// Identifiers whose presence in a loop (header or body) shows the retry
+/// is governed: the policy/budget types themselves, the policy's attempt
+/// cap, or a budget draw. Merely *calling* the policy's helpers
+/// (`backoff`, an exhaustion test) from a hand-written loop is not
+/// governance — that loop is a second copy of
+/// `RecoveryPolicy::run_cancellable`; pass the attempt to it as a closure.
+const RETRY_GOVERNORS: &[&str] = &[
+    "RecoveryPolicy",
+    "RetryBudget",
+    "max_attempts",
+    "try_draw",
+    "run_with_retries",
 ];
 
 /// Keywords that look like `ident (` but are not calls.
@@ -151,10 +245,25 @@ pub fn summarize_file(
     is_test_line: impl Fn(usize) -> bool,
 ) -> Vec<FnSummary> {
     let ckey = crate_key(rel_path);
-    items::parse_fns(code)
-        .into_iter()
+    let fns = items::parse_fns(code);
+    // Helpers whose signature returns a guard, with the lock they take.
+    let none = BTreeMap::new();
+    let helpers: BTreeMap<&str, String> = fns
+        .iter()
+        .filter(|f| {
+            (0..f.body.0)
+                .rev()
+                .take_while(|&t| !ident_at(code, t, "fn"))
+                .any(|t| code[t].kind.ident().is_some_and(|id| id.ends_with("Guard")))
+        })
+        .filter_map(|f| {
+            let (site, _) = (f.body.0..f.body.1).find_map(|i| acquisition(code, ckey, &none, i))?;
+            Some((f.name.as_str(), site.key))
+        })
+        .collect();
+    fns.iter()
         .filter(|f| !is_test_line(f.line))
-        .map(|f| summarize_fn(rel_path, ckey, &f, code))
+        .map(|f| summarize_fn(rel_path, ckey, f, code, &helpers))
         .collect()
 }
 
@@ -170,22 +279,49 @@ fn path_sep_at(code: &[&Tok], i: usize) -> bool {
     punct_at(code, i, ':') && punct_at(code, i + 1, ':')
 }
 
-/// Is token `i` a `.` starting a zero-argument lock/read/write call?
-/// Returns the lock site on match. Zero arguments is what separates
-/// `catalog.read()` (RwLock) from `file.read(&mut buf)` (I/O).
-fn lock_acquisition(code: &[&Tok], ckey: &str, i: usize) -> Option<LockSite> {
-    if !punct_at(code, i, '.') || !punct_at(code, i + 2, '(') || !punct_at(code, i + 3, ')') {
+/// The path qualifier of the identifier at `i`: `T` in `T::f`.
+fn path_of<'a>(code: &'a [&Tok], i: usize) -> Option<&'a str> {
+    if i < 3 || !path_sep_at(code, i - 2) {
         return None;
     }
-    let callee = code.get(i + 1)?.kind.ident()?;
-    if !LOCK_METHODS.contains(&callee) {
+    code[i - 3].kind.ident()
+}
+
+/// The lock acquired by the call named at `i`, with the index just past
+/// the call: a zero-argument `.lock()` / `.read()` / `.write()` (zero
+/// arguments is what separates `catalog.read()` from
+/// `file.read(&mut buf)`), a free or path-qualified call to one of
+/// `helpers`, or a path-qualified `T::lock(x)`, keyed by `x` unless
+/// `helpers` has a `lock` and `T` is not `Mutex` / `RwLock`.
+fn acquisition(
+    code: &[&Tok],
+    ckey: &str,
+    helpers: &BTreeMap<&str, String>,
+    i: usize,
+) -> Option<(LockSite, usize)> {
+    let name = call_at(code, i)?;
+    let line = code[i].line;
+    if i > 0 && punct_at(code, i - 1, '.') {
+        if !LOCK_METHODS.contains(&name) || !punct_at(code, i + 2, ')') {
+            return None;
+        }
+        let recv = receiver_name(code, i - 1).unwrap_or("anon");
+        let key = format!("{ckey}/{recv}");
+        return Some((LockSite { key, line }, i + 3));
+    }
+    let path = path_of(code, i);
+    let helper = helpers
+        .get(name)
+        .filter(|_| !matches!(path, Some("Mutex" | "RwLock")));
+    if helper.is_none() && (name != "lock" || path.is_none()) {
         return None;
     }
-    let recv = receiver_name(code, i).unwrap_or("anon");
-    Some(LockSite {
-        key: format!("{ckey}/{recv}"),
-        line: code[i].line,
-    })
+    let close = items::match_brace(code, i + 1);
+    let key = helper.cloned().unwrap_or_else(|| {
+        let arg = (i + 2..close).rev().find_map(|t| code[t].kind.ident());
+        format!("{ckey}/{}", arg.unwrap_or("anon"))
+    });
+    Some((LockSite { key, line }, close + 1))
 }
 
 /// The receiver identifier of the method call whose `.` sits at `dot`:
@@ -240,200 +376,242 @@ fn blocking_at<'a>(code: &'a [&Tok], i: usize) -> Option<&'a str> {
         return None;
     }
     let method = i > 0 && punct_at(code, i - 1, '.');
-    let path = i >= 2 && path_sep_at(code, i - 2) && ident_at(code, i - 3, "thread");
-    (method || path).then_some(name)
+    (method || path_of(code, i) == Some("thread")).then_some(name)
 }
 
-fn summarize_fn(rel_path: &str, ckey: &str, item: &FnItem, code: &[&Tok]) -> FnSummary {
-    let (open, close) = item.body;
-    let body = open + 1..close;
-
-    // Pass A — flat facts: calls, blocking waits, cancel markers, loops.
-    let mut calls = Vec::new();
-    let mut blocking = Vec::new();
-    let mut cancel = false;
-    let mut loops: Vec<LoopSummary> = Vec::new();
-    for i in body.clone() {
-        if let Some(callee) = call_at(code, i) {
-            calls.push(CallSite {
-                callee: callee.to_string(),
-                line: code[i].line,
-            });
-        }
-        if let Some(what) = blocking_at(code, i) {
-            blocking.push(BlockSite {
-                what: what.to_string(),
-                line: code[i].line,
-            });
-        }
-        if let Some(id) = code[i].kind.ident() {
-            if CANCEL_MARKERS.contains(&id) {
-                cancel = true;
-            }
-            if matches!(id, "loop" | "while" | "for") {
-                // `for` also appears in `impl Trait for T`; inside a fn
-                // body that cannot occur. Find the body brace.
-                if let Some(lopen) = (i + 1..close).find(|&j| punct_at(code, j, '{')) {
-                    // Skip `for` used as a loop only when a `{` follows
-                    // before any `;` (defends against stray tokens).
-                    if (i + 1..lopen).any(|j| punct_at(code, j, ';')) {
-                        continue;
-                    }
-                    let lclose = items::match_brace(code, lopen);
-                    loops.push(LoopSummary {
-                        line: code[i].line,
-                        range: (i, lclose),
-                        blocking: Vec::new(),
-                        cancel: false,
-                        calls: Vec::new(),
-                    });
-                }
-            }
-        }
+/// Is `i` a call no guard may be held across? `.send(` and the other
+/// [`HAZARDS`] methods, a bare or path-qualified `sleep(`, and any
+/// `File::` / `OpenOptions::` / `fs::` path.
+fn hazard_at(code: &[&Tok], i: usize) -> Option<&'static str> {
+    let name = code.get(i)?.kind.ident()?;
+    if matches!(name, "File" | "OpenOptions" | "fs") && path_sep_at(code, i + 1) {
+        return Some("file I/O");
     }
-    for lp in &mut loops {
-        let (s, e) = lp.range;
-        for i in s..=e.min(close) {
-            if let Some(what) = blocking_at(code, i) {
-                lp.blocking.push(BlockSite {
-                    what: what.to_string(),
-                    line: code[i].line,
-                });
-            }
-            if let Some(callee) = call_at(code, i) {
-                lp.calls.push(CallSite {
-                    callee: callee.to_string(),
-                    line: code[i].line,
-                });
-            }
-            if code[i]
-                .kind
-                .ident()
-                .is_some_and(|id| CANCEL_MARKERS.contains(&id))
-            {
-                lp.cancel = true;
-            }
-        }
+    if !punct_at(code, i + 1, '(') {
+        return None;
     }
-
-    // Pass B — guard liveness: acquisitions, held edges, held calls.
-    struct Guard {
-        name: String,
-        site: LockSite,
-        depth: usize,
+    if i > 0 && punct_at(code, i - 1, '.') {
+        return HAZARDS.iter().find(|h| h.0 == name).map(|h| h.1);
     }
-    let mut acquires = Vec::new();
-    let mut held_edges = Vec::new();
-    let mut held_calls = Vec::new();
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 0usize;
+    (name == "sleep").then_some("`sleep`")
+}
 
-    // Record one acquisition: remember it and edge it from live guards.
-    let note_acquire = |site: &LockSite,
-                        guards: &[Guard],
-                        acquires: &mut Vec<LockSite>,
-                        held_edges: &mut Vec<HeldEdge>| {
-        acquires.push(site.clone());
-        for g in guards {
-            if g.site.key != site.key || g.site.line != site.line {
-                held_edges.push(HeldEdge {
-                    from: g.site.clone(),
-                    to: site.clone(),
-                });
-            }
-        }
-    };
-
-    let mut i = open + 1;
-    while i < close {
-        match &code[i].kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                guards.retain(|g| g.depth <= depth);
-            }
-            TokKind::Ident(kw) if kw == "let" => {
-                // Brace-free statement lookahead (the L003 heuristic):
-                // find the bound name and any lock acquisitions inside.
-                let mut j = i + 1;
-                if ident_at(code, j, "mut") {
-                    j += 1;
-                }
-                let bound = code.get(j).and_then(|t| t.kind.ident()).map(String::from);
-                let mut k = i + 1;
-                let mut binds: Option<LockSite> = None;
-                while k < close {
-                    match code[k].kind {
-                        TokKind::Punct(';') | TokKind::Punct('{') => break,
-                        _ => {}
-                    }
-                    if let Some(site) = lock_acquisition(code, ckey, k) {
-                        note_acquire(&site, &guards, &mut acquires, &mut held_edges);
-                        // The acquisition binds a guard only when the
-                        // rest of the statement is pure unwrapping
-                        // (`)` / `?`): `relock(self.q.lock());` binds,
-                        // while chained temporaries like
-                        // `.read().get(..)` or `.lock().append(..)?`
-                        // die inside their own statement.
-                        let tail_unwraps_only = (k + 4..close)
-                            .take_while(|&t| !punct_at(code, t, ';'))
-                            .all(|t| {
-                                matches!(code[t].kind, TokKind::Punct(')') | TokKind::Punct('?'))
-                            });
-                        if binds.is_none() && tail_unwraps_only {
-                            binds = Some(site);
-                        }
-                    } else if let Some(callee) = call_at(code, k) {
-                        for g in &guards {
-                            held_calls.push(HeldCall {
-                                held: g.site.clone(),
-                                callee: callee.to_string(),
-                                line: code[k].line,
-                            });
-                        }
-                    }
-                    k += 1;
-                }
-                if let (Some(site), Some(name), true) = (binds, bound, punct_at(code, k, ';')) {
-                    guards.push(Guard { name, site, depth });
-                }
-                i = k;
-                continue;
-            }
-            TokKind::Ident(kw) if kw == "drop" && punct_at(code, i + 1, '(') => {
-                if let Some(TokKind::Ident(n)) = code.get(i + 2).map(|t| &t.kind) {
-                    guards.retain(|g| &g.name != n);
-                }
-            }
-            _ => {}
-        }
-        if let Some(site) = lock_acquisition(code, ckey, i) {
-            note_acquire(&site, &guards, &mut acquires, &mut held_edges);
-        } else if let Some(callee) = call_at(code, i) {
-            for g in &guards {
-                held_calls.push(HeldCall {
-                    held: g.site.clone(),
-                    callee: callee.to_string(),
-                    line: code[i].line,
-                });
-            }
-        }
-        i += 1;
+/// The guard a `let` at `i` binds once its statement ends: (the closing
+/// `;`, the bound name, the lock). A statement that opens a `{` first
+/// binds nothing; nor does one whose acquisitions are all followed by
+/// more than unwrapping.
+fn let_binding(
+    code: &[&Tok],
+    ckey: &str,
+    helpers: &BTreeMap<&str, String>,
+    i: usize,
+    close: usize,
+) -> Option<(usize, String, LockSite)> {
+    let end = (i + 1..close).find(|&k| punct_at(code, k, ';') || punct_at(code, k, '{'))?;
+    let at = i + 1 + usize::from(ident_at(code, i + 1, "mut"));
+    let name = code.get(at)?.kind.ident()?;
+    if !punct_at(code, end, ';') {
+        return None;
     }
+    let site = (i + 1..end).find_map(|k| {
+        let (site, after) = acquisition(code, ckey, helpers, k)?;
+        (after..end)
+            .all(|t| matches!(code[t].kind, TokKind::Punct(')' | '?')))
+            .then_some(site)
+    })?;
+    Some((end, name.to_string(), site))
+}
 
-    FnSummary {
+/// One open bracket of the body being read.
+struct Open {
+    /// The obs name sink whose arguments this `(` opens.
+    sink: Option<String>,
+    /// Top-level commas seen so far: the argument index.
+    arg: usize,
+    /// The loop whose body this `{` opens.
+    body_of: Option<usize>,
+}
+
+/// A guard that is live at the current token.
+struct Live {
+    name: String,
+    site: LockSite,
+    /// Open brackets at its birth; it dies when that many close.
+    depth: usize,
+    /// Index into [`FnSummary::guards`].
+    idx: usize,
+}
+
+fn summarize_fn(
+    rel_path: &str,
+    ckey: &str,
+    item: &FnItem,
+    code: &[&Tok],
+    helpers: &BTreeMap<&str, String>,
+) -> FnSummary {
+    let mut s = FnSummary {
         file: rel_path.to_string(),
         name: item.name.clone(),
         qual: item.qual.clone(),
         line: item.line,
-        acquires,
-        held_edges,
-        held_calls,
-        calls,
-        blocking,
-        cancel,
-        loops,
+        ..FnSummary::default()
+    };
+    let (open, close) = item.body;
+    let mut stack: Vec<Open> = Vec::new();
+    let mut live: Vec<Live> = Vec::new();
+    // The guard the current `let` binds at its `;`, with the `let` line.
+    let mut binding: Option<(usize, String, LockSite, usize)> = None;
+    // The loop whose keyword was read but whose body `{` was not yet.
+    let mut header: Option<usize> = None;
+    for i in open + 1..close {
+        let line = code[i].line;
+        match &code[i].kind {
+            TokKind::Punct(c @ ('(' | '[' | '{')) => {
+                let sink = (*c == '(' && i >= 2 && punct_at(code, i - 2, '.'))
+                    .then(|| code[i - 1].kind.ident())
+                    .flatten()
+                    .filter(|n| NAME_SINKS.contains(n))
+                    .map(String::from);
+                let body_of = if *c == '{' { header.take() } else { None };
+                stack.push(Open {
+                    sink,
+                    arg: 0,
+                    body_of,
+                });
+            }
+            TokKind::Punct(')' | ']' | '}') => {
+                let body_of = stack.pop().and_then(|o| o.body_of);
+                if let Some(lp) = body_of.and_then(|l| s.loops.get_mut(l)) {
+                    lp.range.1 = i;
+                }
+                live.retain(|g| g.depth <= stack.len());
+            }
+            TokKind::Punct(',') => {
+                if let Some(top) = stack.last_mut() {
+                    top.arg += 1;
+                }
+            }
+            TokKind::Punct(';') => {
+                // `for` followed by `;` before any `{` was no loop.
+                if let Some(l) = header.take() {
+                    s.loops.truncate(l);
+                }
+                if let Some((_, name, site, line)) = binding.take_if(|b| b.0 == i) {
+                    s.guards.push(GuardBinding {
+                        name: name.clone(),
+                        line,
+                    });
+                    live.push(Live {
+                        name,
+                        site,
+                        depth: stack.len(),
+                        idx: s.guards.len() - 1,
+                    });
+                }
+            }
+            TokKind::Str(lit) => {
+                // One finding per sink call: its first literal.
+                for o in stack.iter_mut().filter(|o| o.arg == 0) {
+                    if let Some(callee) = o.sink.take() {
+                        s.sink_literals.push(SinkLiteral {
+                            callee,
+                            literal: lit.clone(),
+                            line,
+                        });
+                    }
+                }
+            }
+            TokKind::Ident(id) => {
+                let id = id.as_str();
+                if id == "let" {
+                    binding = let_binding(code, ckey, helpers, i, close)
+                        .map(|(end, name, site)| (end, name, site, line));
+                }
+                if id == "drop" && punct_at(code, i + 1, '(') {
+                    if let Some(n) = code.get(i + 2).and_then(|t| t.kind.ident()) {
+                        live.retain(|g| g.name != n);
+                    }
+                }
+                if matches!(id, "loop" | "while" | "for") {
+                    header = Some(s.loops.len());
+                    s.loops.push(LoopSummary {
+                        line,
+                        range: (i, usize::MAX),
+                        ..LoopSummary::default()
+                    });
+                }
+                // An acquisition is not also a call: `.lock()` must not
+                // resolve to every workspace function named `lock`.
+                let acquired = acquisition(code, ckey, helpers, i).map(|(site, _)| site);
+                let call = call_at(code, i)
+                    .filter(|_| acquired.is_none())
+                    .map(|callee| CallSite {
+                        callee: callee.to_string(),
+                        line,
+                        via: match path_of(code, i) {
+                            _ if punct_at(code, i.wrapping_sub(1), '.') => Via::Method,
+                            Some(t) => Via::Path(t.to_string()),
+                            None => Via::Free,
+                        },
+                    });
+                let block = blocking_at(code, i).map(|what| BlockSite {
+                    what: what.to_string(),
+                    line,
+                });
+                let cancel = CANCEL_MARKERS.contains(&id);
+                let counter = RETRY_COUNTERS.contains(&id);
+                let bumped = punct_at(code, i + 1, '+') && punct_at(code, i + 2, '=');
+                for (l, lp) in s.loops.iter_mut().enumerate() {
+                    if lp.range.1 != usize::MAX {
+                        continue;
+                    }
+                    lp.cancel |= cancel;
+                    lp.governed |= RETRY_GOVERNORS.contains(&id);
+                    if counter {
+                        lp.retry_counter.get_or_insert_with(|| id.to_string());
+                        lp.retry_shaped |= if ident_at(code, lp.range.0, "loop") {
+                            bumped
+                        } else {
+                            header == Some(l)
+                        };
+                    }
+                    lp.calls.extend(call.clone());
+                    lp.blocking.extend(block.clone());
+                }
+                if let (Some(what), false) = (hazard_at(code, i), live.is_empty()) {
+                    s.held_hazards.push(HeldHazard {
+                        what,
+                        line,
+                        held: live.iter().map(|g| g.idx).collect(),
+                    });
+                }
+                if let Some(site) = acquired {
+                    for g in live.iter().filter(|g| g.site != site) {
+                        s.held_edges.push(HeldEdge {
+                            from: g.site.clone(),
+                            to: site.clone(),
+                        });
+                    }
+                    s.acquires.push(site);
+                }
+                if let Some(c) = &call {
+                    for g in &live {
+                        s.held_calls.push(HeldCall {
+                            held: g.site.clone(),
+                            callee: c.callee.clone(),
+                            line,
+                        });
+                    }
+                }
+                s.cancel |= cancel;
+                s.calls.extend(call);
+                s.blocking.extend(block);
+            }
+            _ => {}
+        }
     }
+    s.loops.retain(|lp| lp.range.1 != usize::MAX);
+    s
 }
 
 #[cfg(test)]

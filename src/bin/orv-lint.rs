@@ -20,9 +20,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-orv-lint — workspace invariant checker (rules L003, L005, L007..L010; file
-rules are DESIGN.md §10, structural rules L008..L010 are DESIGN.md §15;
-L001, L002, L004 and L006 are enforced by clippy)
+orv-lint — workspace invariant checker (rules L003, L005, L007..L010, each
+a check on one summary per function: DESIGN.md §10 and §15; L001, L002,
+L004 and L006 are enforced by clippy)
 
 USAGE: orv-lint [--json | --github] [ROOT]
 
