@@ -112,8 +112,10 @@ pub struct JoinOutput {
     /// completion order. IJ hands back one batch per joined sub-table
     /// pair, its rows in the right sub-table's row order; GH one batch
     /// per bucket pair, its rows in no particular order. The engine
-    /// orders them (`exec::order_batches`), and it checks each batch for
-    /// an ascending run rather than trusting either shape.
+    /// orders and builds the rows in one pass (`exec::join_rows`): it
+    /// merges overlapping ascending runs by stretches, as IJ's x-stripes
+    /// are, sorts any other group, and checks each batch for an ascending
+    /// run rather than trusting either shape.
     pub batches: Option<Vec<ColumnBatch>>,
 }
 

@@ -18,30 +18,48 @@
 //! chunk's rows over a bounded channel to one assembler worker, which
 //! appends them in scan order to a result it allocates once.
 //!
-//! A join hands typed [`ColumnBatch`]es up to here, and
-//! [`batches_to_rows_on`] builds its [`Record`]s: an equal share of rows
-//! per worker, cut inside a batch if need be, on
-//! `orv_cluster::run_workers`. Each row is a view of a shared block of at
-//! most `orv_types::record::BLOCK_ROWS` rows, so the edge allocates per
-//! block, not per row. The engine passes its compute-node count as the
-//! worker count; [`batches_to_rows`] is the same function at one worker.
-//! A join's rows are put in ascending row order first, still as typed
-//! columns, on the same workers ([`order_batches`]): only batches whose
-//! ranges overlap are sorted together, and a batch whose rows already
-//! ascend and overlap no other is passed on untouched. Results under
-//! `SERIAL_BELOW_ROWS` rows stay on the calling thread — a federation
-//! sub-scan, a window query or a unit test starts no thread.
+//! A join hands typed [`ColumnBatch`]es up to here, and [`join_rows`]
+//! orders and builds its [`Record`]s in one pass, in the scan's shape.
+//! Batches whose ranges overlap form a group, and the groups ascend. An
+//! Indexed Join's are its x-stripes, 16 ascending pair runs each on a
+//! 1 024² grid in 64² chunks, since the two-stage schedule interleaves a
+//! stripe's pairs in `x`. When every group fits in one worker's share of
+//! the rows, one builder per compute worker takes whole groups
+//! round-robin. It lays a group of ascending runs out by a galloping
+//! merge into `(batch, rows)` stretches, ties to the earlier batch, and
+//! fills row blocks straight from the stretches
+//! ([`ColumnBatch::append_stretches_to`]): no sort key, permutation,
+//! concatenation or gather. A group with an unsorted member is sorted on
+//! its builder. The builder then drops the group's batches and streams
+//! its rows over a bounded channel to one assembler, which appends the
+//! groups in order to a result it allocates once. Each builder polls the
+//! query's token once per group. Against the sort-then-build it replaced,
+//! `join_ij_warm` (10⁶ rows) went from 74 to 61 ms at p50 on seed 1 and
+//! from 91 to 71 ms on seed 2 (medians of ten alternating 15 s pairs on a
+//! 2-core box), and from 17 444 to ~12 000 minor faults a query
+//! (`examples/scan_faults`). A
+//! result holding a group larger than one share — Grace Hash's one
+//! bucket-interleaved group — is still sorted on all workers as typed
+//! columns and built in equal shares cut inside a batch if need be.
+//!
+//! Either way each row is a view of a shared block of at most
+//! `orv_types::record::BLOCK_ROWS` rows, so the edge allocates per block,
+//! not per row; [`batches_to_rows`] builds a run of batches as it stands
+//! on the calling thread. Results under `SERIAL_BELOW_ROWS` rows stay on
+//! the calling thread — a federation sub-scan, a window query or a unit
+//! test starts no thread.
 
 use crate::agg::Accumulator;
 use crate::ast::{AggFunc, RangePred, SelectItem};
 use orv_bds::SubTableReader;
-use orv_cluster::{all_done, checksum, run_workers, RunStats, WorkerBody};
+use orv_cluster::{all_done, checksum, run_workers, CancelToken, RunStats, WorkerBody};
 use orv_types::{
     BoundingBox, ChunkId, ColumnBatch, Error, Interval, NodeId, Record, Result, Schema, SubTableId,
     TableId, Value,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{mpsc, Arc, OnceLock};
 
 /// Materialized rows plus their schema-ish column names.
@@ -64,9 +82,10 @@ pub fn filter_batch_range(batch: &ColumnBatch, checks: &[(usize, Interval)]) -> 
 /// take over.
 const SERIAL_BELOW_ROWS: usize = 1 << 16;
 
-/// How many chunks' rows a storage-node reader of a parallel scan may
-/// have sent ahead of the assembler.
-const SCAN_CHANNEL_DEPTH: usize = 2;
+/// How many parts — a chunk's rows from a storage-node reader of a
+/// parallel scan, a group's from a join's row builder — a producer may
+/// have sent ahead of its assembler.
+const CHANNEL_DEPTH: usize = 2;
 
 /// How many of `workers` a result of `rows` rows is worth.
 fn workers_for(rows: usize, workers: usize, serial_below: usize) -> usize {
@@ -86,15 +105,12 @@ fn on_workers<'a, T: Send>(bodies: impl Iterator<Item = WorkerBody<'a, T>>) -> R
 /// The service-edge conversion: materialize a run of batches into rows,
 /// on the calling thread.
 pub fn batches_to_rows(batches: &[ColumnBatch]) -> Result<Vec<Record>> {
-    batches_to_rows_on(batches, 1)
+    rows_on(batches, 1, SERIAL_BELOW_ROWS)
 }
 
-/// The row edge: materialize a run of batches into rows, in order, on up
-/// to `workers` threads (see the module docs).
-pub fn batches_to_rows_on(batches: &[ColumnBatch], workers: usize) -> Result<Vec<Record>> {
-    rows_on(batches, workers, SERIAL_BELOW_ROWS)
-}
-
+/// Materialize a run of batches into rows, in order, on up to `workers`
+/// threads: an equal share of rows per worker. Worker 0 allocates the
+/// result and appends the other shares to it.
 fn rows_on(batches: &[ColumnBatch], workers: usize, serial_below: usize) -> Result<Vec<Record>> {
     // Rows `first..end` of the batches' concatenation, whichever batches
     // they fall in. `room`: the first part's vector is the result's, so
@@ -131,26 +147,38 @@ fn rows_on(batches: &[ColumnBatch], workers: usize, serial_below: usize) -> Resu
     Ok(rows)
 }
 
-/// Put a join's output in ascending row order — the order a stable sort
-/// of its rows by `Record::values` leaves — without building a row, and
-/// sorting only the rows whose ranges overlap. Every column yields
-/// order-preserving `u64`s ([`orv_types::ColumnData::order_bits_into`],
-/// `Value::cmp` within a column). [`groups`] bounds each batch and
-/// sweeps the batches into groups whose bounds overlap; every row of a
-/// group is above every row of the groups before it, so the groups,
-/// each ordered and laid end to end, are the stable sort of everything.
-/// Groups go to the workers as contiguous runs by row count; a group
-/// larger than one worker's share is ordered on all of them
-/// ([`order_group`]). One batch comes back per group.
-pub fn order_batches(batches: Vec<ColumnBatch>, workers: usize) -> Result<Vec<ColumnBatch>> {
-    order_on(batches, workers, SERIAL_BELOW_ROWS)
+/// A join's rows in ascending row order — the order a stable sort of its
+/// rows by `Record::values` leaves — built from its batches on up to
+/// `workers` threads; the engine passes its compute-node count. No row is
+/// built before its place is known, and only rows whose ranges overlap
+/// are compared. Every column yields order-preserving `u64`s
+/// (`Value::order_bits`, `Value::cmp` within a column). [`groups`]
+/// bounds each batch and sweeps the batches into groups whose bounds
+/// overlap; every row of a group is above every row of the groups before
+/// it, so the groups, each ordered and laid end to end, are the stable
+/// sort of everything.
+///
+/// When every group fits in one worker's share of the rows, as an
+/// Indexed Join's x-stripes do, the groups stream (see the module docs):
+/// [`stream_groups`], or the calling thread under `SERIAL_BELOW_ROWS`
+/// rows, builds each with [`build_group`]. A result holding a larger
+/// group — Grace Hash's one interleaved group — is ordered on all
+/// workers, one typed batch per group ([`order_on`]), and built in equal
+/// shares ([`rows_on`]). `cancel` is polled once per group.
+pub fn join_rows(
+    batches: Vec<ColumnBatch>,
+    workers: usize,
+    cancel: &CancelToken,
+) -> Result<Vec<Record>> {
+    join_rows_on(batches, workers, SERIAL_BELOW_ROWS, cancel)
 }
 
-fn order_on(
+fn join_rows_on(
     batches: Vec<ColumnBatch>,
     workers: usize,
     serial_below: usize,
-) -> Result<Vec<ColumnBatch>> {
+    cancel: &CancelToken,
+) -> Result<Vec<Record>> {
     if let Some(first) = batches.first() {
         let types = first.dtypes();
         if let Some(other) = batches.iter().find(|b| b.dtypes() != types) {
@@ -168,9 +196,179 @@ fn order_on(
     }
     let workers = workers_for(n, workers, serial_below);
     let share = n.div_ceil(workers);
+    let groups = groups(batches, workers)?;
+    if groups.iter().any(|g| g.rows > share) {
+        cancel.check()?;
+        let ordered = order_on(groups, workers, share)?;
+        return rows_on(&ordered, workers, serial_below);
+    }
+    if workers == 1 || groups.len() < 2 {
+        let mut rows = Vec::with_capacity(n);
+        for group in groups {
+            cancel.check()?;
+            build_group(group, &mut rows)?;
+        }
+        return Ok(rows);
+    }
+    stream_groups(groups, workers, n, cancel)
+}
+
+/// Build `groups`' rows on up to `workers` builders, which take whole
+/// groups round-robin and stream each one's rows to one assembler; it
+/// appends them, in group order, to a result of `total` rows that it
+/// allocates once.
+fn stream_groups(
+    groups: Vec<Group>,
+    workers: usize,
+    total: usize,
+    cancel: &CancelToken,
+) -> Result<Vec<Record>> {
+    let count = groups.len();
+    let builders = workers.min(count);
+    let mut dealt: Vec<Vec<Group>> = (0..builders).map(|_| Vec::new()).collect();
+    for (g, group) in groups.into_iter().enumerate() {
+        dealt[g % builders].push(group);
+    }
+    let (senders, receivers): (Vec<_>, Vec<_>) = dealt
+        .iter()
+        .map(|_| mpsc::sync_channel::<Result<Vec<Record>>>(CHANNEL_DEPTH))
+        .unzip();
+    let mut rows = Vec::new();
+    let mut bodies: Vec<(String, WorkerBody<'_, ()>)> = Vec::new();
+    for (k, (mine, tx)) in dealt.into_iter().zip(senders).enumerate() {
+        // A builder stops at its first error, or once the assembler has
+        // returned and its receiver is gone; errors travel to the
+        // assembler, so a builder itself always ends `Ok`.
+        let body = move || {
+            for group in mine {
+                let built = cancel.check().and_then(|()| {
+                    let mut part = Vec::with_capacity(group.rows);
+                    build_group(group, &mut part).map(|()| part)
+                });
+                let failed = built.is_err();
+                if tx.send(built).is_err() || failed {
+                    break;
+                }
+            }
+            Ok(())
+        };
+        bodies.push((format!("join row builder {k}"), Box::new(body)));
+    }
+    let rows_out = &mut rows;
+    let assemble = move || {
+        // Allocated on this worker, as the scan's assembler does (DESIGN.md,
+        // "Where rows are first built").
+        *rows_out = Vec::with_capacity(total);
+        // A builder sends every group it was dealt or an error, or dies
+        // and drops its sender, and it polls the query's token between
+        // groups. So each wait below ends, and a dead builder reads as a
+        // hang-up.
+        let mut parts: Vec<_> = receivers.into_iter().map(|rx| rx.into_iter()).collect();
+        for g in 0..count {
+            let part = parts[g % builders].next().ok_or_else(|| {
+                Error::Cluster(format!("the builder of join row group {g} hung up"))
+            })??;
+            rows_out.extend(part);
+        }
+        Ok(())
+    };
+    bodies.push(("join row assembler".into(), Box::new(assemble)));
+    all_done(run_workers(bodies))?;
+    Ok(rows)
+}
+
+/// Append `group`'s rows to `out` in order; its batches are dropped on
+/// return. A group of ascending runs is laid out by [`merge_stretches`]
+/// and built straight from the stretches; any other is sorted first
+/// ([`order_group`] on this thread).
+fn build_group(group: Group, out: &mut Vec<Record>) -> Result<()> {
+    if group.ascending {
+        let stretches = merge_stretches(&group.batches);
+        ColumnBatch::append_stretches_to(&group.batches, &stretches, out)
+    } else {
+        order_group(group, 1)?.append_records_to(out)
+    }
+}
+
+/// Lay out the rows of `runs`, each ascending, in ascending order as
+/// `(run, rows)` stretches, rows that compare equal earlier run first —
+/// the stable sort of the runs laid end to end. A k-way merge that
+/// gallops: the unfinished runs are kept in the order their heads go;
+/// each step takes the first run and finds how far it may go before the
+/// second one's head by exponential then binary search, then files the
+/// run back by its new head. So it compares rows per stretch, not per
+/// row.
+fn merge_stretches(runs: &[ColumnBatch]) -> Vec<(usize, Range<usize>)> {
+    let mut heads = vec![0; runs.len()];
+    // Whether row `i` of run `a` goes before row `j` of run `b`.
+    let before = |a: usize, i: usize, b: usize, j: usize| {
+        let (x, y) = (&runs[a], &runs[b]);
+        let ord = (0..x.num_columns())
+            .map(|c| x.value(i, c).order_bits().cmp(&y.value(j, c).order_bits()))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal);
+        ord.is_lt() || (ord.is_eq() && a < b)
+    };
+    // File run `f`, whose head is row `head`, among the runs in `order`.
+    let file = |order: &mut Vec<usize>, heads: &[usize], f: usize, head: usize| {
+        let at = order.partition_point(|&r| before(r, heads[r], f, head));
+        order.insert(at, f);
+    };
+    let mut order = Vec::with_capacity(runs.len());
+    for r in (0..runs.len()).filter(|&r| !runs[r].is_empty()) {
+        file(&mut order, &heads, r, 0);
+    }
+    let mut stretches = Vec::new();
+    while let Some(&f) = order.first() {
+        let (start, end) = (heads[f], runs[f].num_rows());
+        let stop = match order.get(1) {
+            Some(&s) => gallop(start + 1, end, |i| before(f, i, s, heads[s])),
+            None => end,
+        };
+        stretches.push((f, start..stop));
+        heads[f] = stop;
+        order.remove(0);
+        if stop < end {
+            file(&mut order, &heads, f, stop);
+        }
+    }
+    stretches
+}
+
+/// The first index in `lo..hi` at which `goes` fails, or `hi`, for a
+/// `goes` that holds up to some index and fails from there on: probes at
+/// doubling steps from `lo`, then a binary search between the last probe
+/// that held and the one that failed.
+fn gallop(mut lo: usize, hi: usize, goes: impl Fn(usize) -> bool) -> usize {
+    // Every index below `lo` goes; every one from `end` on fails.
+    let (mut end, mut step) = (hi, 1);
+    while lo < end {
+        let probe = (lo + step - 1).min(end - 1);
+        if !goes(probe) {
+            end = probe;
+            break;
+        }
+        lo = probe + 1;
+        step *= 2;
+    }
+    while lo < end {
+        let mid = lo + (end - lo) / 2;
+        if goes(mid) {
+            lo = mid + 1;
+        } else {
+            end = mid;
+        }
+    }
+    lo
+}
+
+/// Order `groups` on `workers` threads, one typed batch per group:
+/// groups go to the workers as contiguous runs by row count, and a group
+/// of more than `share` rows is ordered on all of them ([`order_group`]).
+fn order_on(groups: Vec<Group>, workers: usize, share: usize) -> Result<Vec<ColumnBatch>> {
     let mut ordered = Vec::new();
     let mut small = Vec::new();
-    for group in groups(batches) {
+    for group in groups {
         if group.rows > share {
             ordered.extend(order_spread(std::mem::take(&mut small), workers)?);
             ordered.push(order_group(group, workers)?);
@@ -182,13 +380,13 @@ fn order_on(
     Ok(ordered)
 }
 
-/// Batches [`order_on`] orders as one.
+/// Batches whose rows [`join_rows`] orders as one.
 struct Group {
     /// In input order, so rows that compare equal keep it.
     batches: Vec<ColumnBatch>,
     rows: usize,
-    /// One batch whose rows already ascend.
-    sorted: bool,
+    /// Every batch's rows already ascend.
+    ascending: bool,
 }
 
 /// The least and greatest row `batch` may hold, as per-column sort keys,
@@ -234,22 +432,32 @@ fn bounds(batch: &ColumnBatch) -> (Vec<u64>, Vec<u64>, bool) {
 
 /// Sweep the non-empty `batches`, lowest bound first, into groups whose
 /// bounds overlap or touch, in ascending order. Rows that compare equal
-/// always share a group.
-fn groups(batches: Vec<ColumnBatch>) -> Vec<Group> {
-    let mut spans: Vec<_> = batches
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !b.is_empty())
-        .map(|(i, b)| (bounds(b), i))
+/// always share a group. The batches are bounded on up to `workers`
+/// threads, a contiguous run of batches each.
+fn groups(batches: Vec<ColumnBatch>, workers: usize) -> Result<Vec<Group>> {
+    let full: Vec<usize> = (0..batches.len())
+        .filter(|&i| !batches[i].is_empty())
         .collect();
+    type Span = ((Vec<u64>, Vec<u64>, bool), usize);
+    let bound =
+        |run: &[usize]| -> Vec<Span> { run.iter().map(|&i| (bounds(&batches[i]), i)).collect() };
+    let mut spans = if workers > 1 && full.len() > 1 {
+        let per = full.len().div_ceil(workers);
+        let bodies = full
+            .chunks(per)
+            .map(|run| Box::new(move || Ok(bound(run))) as WorkerBody<'_, Vec<Span>>);
+        on_workers(bodies)?.into_iter().flatten().collect()
+    } else {
+        bound(&full)
+    };
     spans.sort_by(|a, b| a.0 .0.cmp(&b.0 .0));
-    // Each group's members and greatest bound.
+    // Each group's members, greatest bound and whether they all ascend.
     let mut swept: Vec<(Vec<usize>, Vec<u64>, bool)> = Vec::new();
     for ((low, high, sorted), i) in spans {
         match swept.last_mut() {
-            Some((members, top, one_run)) if low <= *top => {
+            Some((members, top, ascending)) if low <= *top => {
                 members.push(i);
-                *one_run = false;
+                *ascending &= sorted;
                 if high > *top {
                     *top = high;
                 }
@@ -258,19 +466,16 @@ fn groups(batches: Vec<ColumnBatch>) -> Vec<Group> {
         }
     }
     let mut batches: Vec<Option<ColumnBatch>> = batches.into_iter().map(Some).collect();
-    swept
-        .into_iter()
-        .map(|(mut members, _, sorted)| {
-            members.sort_unstable();
-            let batches: Vec<ColumnBatch> =
-                members.iter().filter_map(|&i| batches[i].take()).collect();
-            Group {
-                rows: batches.iter().map(|b| b.num_rows()).sum(),
-                batches,
-                sorted,
-            }
-        })
-        .collect()
+    let groups = swept.into_iter().map(|(mut members, _, ascending)| {
+        members.sort_unstable();
+        let batches: Vec<ColumnBatch> = members.iter().filter_map(|&i| batches[i].take()).collect();
+        Group {
+            rows: batches.iter().map(|b| b.num_rows()).sum(),
+            batches,
+            ascending,
+        }
+    });
+    Ok(groups.collect())
 }
 
 /// Order `groups` one worker each, as contiguous runs by row count: a
@@ -301,13 +506,14 @@ fn order_spread(groups: Vec<Group>, workers: usize) -> Result<Vec<ColumnBatch>> 
 /// columns shared among the workers. A group that is one ascending batch
 /// is already in order.
 fn order_group(group: Group, workers: usize) -> Result<ColumnBatch> {
+    let one_run = group.ascending && group.batches.len() == 1;
     let all = ColumnBatch::concat(group.batches)?;
-    if group.sorted {
+    if one_run {
         return Ok(all);
     }
     let all = &all;
     let n = all.num_rows();
-    // `order_on` has checked that the whole result fits.
+    // `join_rows_on` has checked that the whole result fits.
     let n32 = n as u32;
     let run_len = n.div_ceil(workers);
     // The sort keys live only as long as the sort.
@@ -474,7 +680,7 @@ fn scan_on(
     }
     let (senders, receivers): (Vec<_>, Vec<_>) = per_node
         .iter()
-        .map(|_| mpsc::sync_channel::<Result<Vec<Record>>>(SCAN_CHANNEL_DEPTH))
+        .map(|_| mpsc::sync_channel::<Result<Vec<Record>>>(CHANNEL_DEPTH))
         .unzip();
     let mut rows = Vec::new();
     let mut workers: Vec<(String, WorkerBody<'_, ()>)> = Vec::new();
@@ -1243,58 +1449,119 @@ mod tests {
             for workers in [0, 1, 2, 3, 4, 9] {
                 // Threshold 0: every result is worth its workers.
                 assert_eq!(rows_on(input, workers, 0).unwrap(), serial, "{workers}");
-                assert_eq!(batches_to_rows_on(input, workers).unwrap(), serial);
             }
         }
     }
 
+    /// Three columns `(x, y, x · y)`, one row per cell.
+    fn cell_batch(cells: &[(i32, i32)]) -> ColumnBatch {
+        use orv_types::ColumnData;
+        ColumnBatch::from_columns(vec![
+            ColumnData::I32(cells.iter().map(|c| c.0).collect()),
+            ColumnData::I32(cells.iter().map(|c| c.1).collect()),
+            ColumnData::F32(cells.iter().map(|c| (c.0 * c.1) as f32).collect()),
+        ])
+        .unwrap()
+    }
+
     /// IJ's shape: one ascending batch per sub-table pair of a grid cut
-    /// into 4 × 4 chunks, in an order that is not the result's. The pairs
-    /// of an x-stripe overlap and stripes do not: 4 groups of 4 runs.
+    /// into `chunks` × `chunks` chunks of `side` × `side` cells, in an
+    /// order that is not the result's.
+    fn pair_runs(chunks: i32, side: i32) -> Vec<ColumnBatch> {
+        let pair = |cx: i32, cy: i32| {
+            let cells =
+                (0..side).flat_map(|x| (0..side).map(move |y| (cx * side + x, cy * side + y)));
+            cell_batch(&cells.collect::<Vec<_>>())
+        };
+        (0..chunks)
+            .flat_map(|cy| (0..chunks).rev().map(move |cx| pair(cx, cy)))
+            .collect()
+    }
+
+    /// The pairs of an x-stripe overlap and stripes do not: a grid cut
+    /// into 4 × 4 chunks makes 4 groups of 4 runs, and [`join_rows_on`]
+    /// builds them in the stable row sort's order on 1 to 4 workers, on
+    /// either side of the serial threshold.
     #[test]
     fn pair_runs_group_by_x_stripe() {
-        use orv_types::ColumnData;
-        let batch = |cells: &[(i32, i32)]| {
-            ColumnBatch::from_columns(vec![
-                ColumnData::I32(cells.iter().map(|c| c.0).collect()),
-                ColumnData::I32(cells.iter().map(|c| c.1).collect()),
-                ColumnData::F32(cells.iter().map(|c| (c.0 * c.1) as f32).collect()),
-            ])
-            .unwrap()
-        };
-        let pair = |cx: i32, cy: i32| {
-            let cells = (0..4).flat_map(|x| (0..4).map(move |y| (4 * cx + x, 4 * cy + y)));
-            batch(&cells.collect::<Vec<_>>())
-        };
-        let batches: Vec<ColumnBatch> = (0..4)
-            .flat_map(|cy| (0..4).rev().map(move |cx| pair(cx, cy)))
-            .collect();
+        let batches = pair_runs(4, 4);
         assert!(batches.iter().all(|b| bounds(b).2), "every pair ascends");
-        let sizes: Vec<usize> = groups(batches.clone())
+        let sizes: Vec<usize> = groups(batches.clone(), 2)
+            .unwrap()
             .iter()
             .map(|g| g.batches.len())
             .collect();
         assert_eq!(sizes, [4; 4]);
         let mut expected = batches_to_rows(&batches).unwrap();
         expected.sort_by(|a, b| a.values().cmp(b.values()));
-        for workers in [1, 2, 3] {
-            let ordered = order_on(batches.clone(), workers, 0).unwrap();
-            assert_eq!(ordered.len(), 4);
-            assert_eq!(rows_on(&ordered, workers, 0).unwrap(), expected);
+        for workers in 1..=4 {
+            for serial_below in [0, usize::MAX] {
+                let rows =
+                    join_rows_on(batches.clone(), workers, serial_below, &CancelToken::none());
+                assert_eq!(rows.unwrap(), expected, "{workers} workers, {serial_below}");
+            }
         }
         // A run from stripe 0's last row to stripe 1's first touches both:
         // the two become one group.
         let mut bridged = batches.clone();
-        bridged.push(batch(&[(3, 15), (4, 0)]));
-        assert_eq!(groups(bridged).len(), 3);
+        bridged.push(cell_batch(&[(3, 15), (4, 0)]));
+        assert_eq!(groups(bridged, 1).unwrap().len(), 3);
         // A batch that descends in a later column is bounded by column 0.
-        let (low, high, sorted) = bounds(&batch(&[(1, 5), (1, 2)]));
+        let (low, high, sorted) = bounds(&cell_batch(&[(1, 5), (1, 2)]));
         let one = Value::I32(1).order_bits();
         assert!(!sorted);
         assert_eq!(
             (low, high),
             (vec![one, 0, 0], vec![one, u64::MAX, u64::MAX])
         );
+    }
+
+    /// The merge lays a 4 × 4 stripe out in one stretch per x value and
+    /// pair — 16 per group of 64 rows, not one per row — and rows that
+    /// compare equal in two runs come out earlier run first.
+    #[test]
+    fn a_stripe_merges_in_one_stretch_per_x_and_pair() {
+        for group in groups(pair_runs(4, 4), 2).unwrap() {
+            assert!(group.ascending);
+            // The group's runs are its stripe's pairs in ascending y.
+            let expected: Vec<(usize, Range<usize>)> = (0..4)
+                .flat_map(|x| (0..4).map(move |pair| (pair, 4 * x..4 * x + 4)))
+                .collect();
+            assert_eq!(merge_stretches(&group.batches), expected);
+        }
+        let low = cell_batch(&[(0, 1), (0, 2), (0, 2), (0, 3)]);
+        let ties = cell_batch(&[(0, 2), (0, 2)]);
+        assert_eq!(
+            merge_stretches(&[low.clone(), ties.clone()]),
+            [(0, 0..3), (1, 0..2), (0, 3..4)]
+        );
+        assert_eq!(
+            merge_stretches(&[ties, low]),
+            [(1, 0..1), (0, 0..2), (1, 1..4)]
+        );
+        assert!(merge_stretches(&[]).is_empty());
+    }
+
+    /// A cancelled query builds no row: 2¹⁶ rows of pair runs, or one
+    /// unordered batch of them (Grace Hash's shape), on one worker and on
+    /// two, come back as the cancellation error.
+    #[test]
+    fn a_cancelled_join_builds_no_rows() {
+        let runs = pair_runs(16, 16);
+        let rows = batches_to_rows(&runs).unwrap();
+        assert_eq!(rows.len(), 1 << 16);
+        let shuffled: Vec<Record> = rows.iter().rev().cloned().collect();
+        let unordered = ColumnBatch::from_records(&runs[0].dtypes(), &shuffled).unwrap();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        for workers in [1, 2] {
+            for batches in [runs.clone(), vec![unordered.clone()]] {
+                let err = join_rows(batches, workers, &cancel).unwrap_err();
+                assert!(matches!(err, Error::Cancelled), "{workers} workers: {err}");
+            }
+            let live = join_rows(runs.clone(), workers, &CancelToken::new()).unwrap();
+            assert_eq!(live.len(), 1 << 16);
+        }
     }
 
     mod order_props {
@@ -1362,10 +1629,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// Typed ordering then the row edge is the parent's
-            /// `batches_to_rows` then `sort_by(values().cmp())`, as a
-            /// `Record` sequence down to the bit, for 1, 2 and 3 workers
-            /// and on both sides of the serial threshold. The input is
+            /// [`join_rows_on`] is `batches_to_rows` then
+            /// `sort_by(values().cmp())`, as a `Record` sequence down to
+            /// the bit, for 1 to 4 workers and on both sides of the serial
+            /// threshold — so through the streamed groups and through the
+            /// all-worker sort of a group larger than a share. The input is
             /// ascending runs — windows of one sorted pool, thinned, so
             /// their ranges are disjoint, touching, nested or overlapping
             /// and equal rows fall in several runs — and, in two cases out
@@ -1402,15 +1670,13 @@ mod tests {
                     let at = (k * 5) % (batches.len() + 1);
                     batches.insert(at, take(rows));
                 }
-                let groups = groups(batches.clone()).len();
                 let mut expected = batches_to_rows(&batches).unwrap();
                 expected.sort_by(|a, b| a.values().cmp(b.values()));
-                for workers in [1, 2, 3] {
+                for workers in 1..=4 {
                     for serial_below in [0, usize::MAX] {
-                        let ordered = order_on(batches.clone(), workers, serial_below).unwrap();
-                        let rows = rows_on(&ordered, workers, serial_below).unwrap();
-                        prop_assert_eq!(bits(&rows), bits(&expected), "{} workers", workers);
-                        prop_assert!(ordered.len() <= groups);
+                        let none = CancelToken::none();
+                        let rows = join_rows_on(batches.clone(), workers, serial_below, &none);
+                        prop_assert_eq!(bits(&rows.unwrap()), bits(&expected), "{} workers", workers);
                     }
                 }
             }

@@ -11,7 +11,8 @@
 //! materialiser and `from_records` for table data. Rows are materialized
 //! into [`Record`]s only where a result leaves the engine — views of
 //! shared row-major blocks, one allocation per block of at most
-//! [`BLOCK_ROWS`] rows ([`ColumnBatch::append_rows_to`]) — and the
+//! [`BLOCK_ROWS`] rows ([`ColumnBatch::append_rows_to`], or
+//! [`ColumnBatch::append_stretches_to`] across batches) — and the
 //! conversion is bit-exact in both directions (every supported type is
 //! fixed-width; float bit patterns, including NaNs and `-0.0`, survive
 //! the round trip untouched). Every row holds a value in every column:
@@ -437,27 +438,66 @@ impl ColumnBatch {
     /// row-major blocks of at most [`BLOCK_ROWS`] rows, each filled by one
     /// typed loop per column — one allocation per block, none per row.
     pub fn append_rows_to(&self, rows: Range<usize>, out: &mut Vec<Record>) -> Result<()> {
-        if rows.start > rows.end || rows.end > self.num_rows() {
-            return Err(Error::Schema(format!(
-                "rows {rows:?} of a batch of {} rows",
-                self.num_rows()
-            )));
+        Self::append_stretches_to(std::slice::from_ref(self), &[(0, rows)], out)
+    }
+
+    /// Append the rows of `stretches`, in order, to `out` as [`Record`]s;
+    /// `(b, rows)` is rows `rows` of `batches[b]`. The blocks are
+    /// [`ColumnBatch::append_rows_to`]'s, each filled across as many
+    /// stretches as it spans, so rows laid out by a merge of several
+    /// batches are built without first being copied into one.
+    pub fn append_stretches_to(
+        batches: &[ColumnBatch],
+        stretches: &[(usize, Range<usize>)],
+        out: &mut Vec<Record>,
+    ) -> Result<()> {
+        let arity = batches.first().map_or(0, |b| b.num_columns());
+        for (b, rows) in stretches {
+            let Some(batch) = batches.get(*b) else {
+                return Err(Error::Schema(format!(
+                    "a stretch of batch {b} of {}",
+                    batches.len()
+                )));
+            };
+            if rows.start > rows.end || rows.end > batch.num_rows() || batch.num_columns() != arity
+            {
+                return Err(Error::Schema(format!(
+                    "rows {rows:?} of a batch of {} rows and {} columns, among batches of {arity}",
+                    batch.num_rows(),
+                    batch.num_columns()
+                )));
+            }
         }
-        let arity = self.columns.len();
-        out.reserve(rows.len());
-        let mut lo = rows.start;
-        while lo < rows.end {
-            let hi = rows.end.min(lo + BLOCK_ROWS);
-            let mut block: Arc<[Value]> =
-                std::iter::repeat_n(Value::I32(0), (hi - lo) * arity).collect();
+        let mut left = stretches.iter().map(|(_, rows)| rows.len()).sum::<usize>();
+        out.reserve(left);
+        let mut pending = stretches
+            .iter()
+            .map(|(b, rows)| (&batches[*b], rows.clone()));
+        let mut current = pending.next();
+        while left > 0 {
+            let len = left.min(BLOCK_ROWS);
+            let mut block: Arc<[Value]> = std::iter::repeat_n(Value::I32(0), len * arity).collect();
             // The block is ours alone until its first view is handed out,
             // so this writes it in place.
             let slots = Arc::make_mut(&mut block);
-            for (c, col) in self.columns.iter().enumerate() {
-                col.fill_rows(lo..hi, slots, arity, c);
+            let mut filled = 0;
+            while filled < len {
+                let Some((batch, rows)) = current.as_mut() else {
+                    break;
+                };
+                let take = rows.len().min(len - filled);
+                let (lo, hi) = (rows.start, rows.start + take);
+                for (c, col) in batch.columns.iter().enumerate() {
+                    col.fill_rows(lo..hi, &mut slots[filled * arity..], arity, c);
+                }
+                filled += take;
+                rows.start = hi;
+                if hi == rows.end {
+                    current = pending.next();
+                }
             }
             Record::views_into(block, arity, out);
-            lo = hi;
+            left -= len;
         }
         Ok(())
     }
@@ -552,6 +592,51 @@ mod tests {
         let mut middle = Vec::new();
         b.append_rows_to(1..3, &mut middle).unwrap();
         assert_eq!(middle, rows[1..3]);
+    }
+
+    /// Stretches of two batches, out of order, crossing block boundaries
+    /// and each other, build what the rows one at a time do, in
+    /// `BLOCK_ROWS`-row blocks; a stretch outside its batch, of a missing
+    /// batch or of another width is refused.
+    #[test]
+    fn stretches_build_their_rows_in_order_across_batches() {
+        let batch = |n: i32, scale: f64| {
+            ColumnBatch::from_columns(vec![
+                ColumnData::I32((0..n).collect()),
+                ColumnData::F64((0..n).map(|x| x as f64 * scale).collect()),
+            ])
+            .unwrap()
+        };
+        let batches = [batch(5000, 0.5), batch(3000, -1.0)];
+        let stretches = [
+            (1, 0..2000),
+            (0, 10..10),
+            (0, 0..4500),
+            (1, 2000..3000),
+            (0, 4500..5000),
+        ];
+        let mut rows = Vec::new();
+        ColumnBatch::append_stretches_to(&batches, &stretches, &mut rows).unwrap();
+        let expected: Vec<Record> = stretches
+            .iter()
+            .flat_map(|(b, r)| r.clone().map(|i| batches[*b].record(i).unwrap()))
+            .collect();
+        assert_eq!(rows, expected);
+        // A block starts wherever a row does not follow its predecessor
+        // in memory.
+        let starts = rows
+            .windows(2)
+            .filter(|w| w[0].values().as_ptr_range().end != w[1].values().as_ptr())
+            .count();
+        assert_eq!(starts + 1, 8000usize.div_ceil(BLOCK_ROWS));
+        let narrow = batches[0].project(&[0]).unwrap();
+        for (bad, at) in [
+            (&batches[..], (1, 2999..3001)),
+            (&batches[..], (2, 0..1)),
+            (&[batches[0].clone(), narrow][..], (1, 0..1)),
+        ] {
+            assert!(ColumnBatch::append_stretches_to(bad, &[at], &mut Vec::new()).is_err());
+        }
     }
 
     #[test]

@@ -1,27 +1,65 @@
-//! Guard against a full scan that makes the kernel zero-fill its result
-//! again on every query. It builds `orvbench`'s `scan_full` shape: a
-//! 1 024 × 1 024 grid in 64 × 64 chunks on two storage nodes, behind a
-//! `QueryService` with two workers. A client thread sends
-//! `SELECT * FROM t1`; after three warm-ups it counts the minor page
-//! faults of 20 queries (`/proc/self/stat`) and reads the peak resident
-//! set (`VmHWM`).
+//! Guard against a full scan or a warm join that makes the kernel
+//! zero-fill its result again on every query. It builds `orvbench`'s
+//! `scan_full` and `join_ij_warm` shapes: 1 024 × 1 024 grids in 64 × 64
+//! chunks on two storage nodes, behind a `QueryService` with two
+//! workers. The scan sends `SELECT * FROM t1`; the join forces the
+//! Indexed Join and sends `SELECT * FROM v1`, where `v1` is
+//! `t1 JOIN t2 ON (x, y, z)`. After three warm-ups a client thread counts
+//! the minor page faults of 20 queries (`/proc/self/stat`) and reads the
+//! peak resident set (`VmHWM`).
 //!
 //! ```text
-//! cargo run --release --example scan_faults
+//! cargo run --release --example scan_faults            # both, one process each
+//! cargo run --release --example scan_faults -- join    # one of `scan`, `join`
 //! ```
 //!
-//! Exits 1 above 1 024 minor faults per query, or if a query returns the
-//! wrong number of rows. On a target other than Linux there is no
-//! `/proc/self/stat`: it prints a note and exits 0.
+//! Each shape runs in a process of its own, because how often the kernel
+//! faults depends on what the allocator already holds. Exits 1 above
+//! 1 024 minor faults per scan query or 17 444 per join query, or if a
+//! query returns the wrong number of rows. 17 444 is what every warm
+//! join took while one worker of the row edge allocated its whole
+//! result. On a target other than Linux there is no `/proc/self/stat`:
+//! it prints a note and exits 0.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
+use orv::join::JoinAlgorithm;
 use orv::query::{QueryEngine, QueryService, ServiceConfig};
 
-const SQL: &str = "SELECT * FROM t1";
 const SIDE: u64 = 1024;
 const WARMUPS: usize = 3;
 const QUERIES: u64 = 20;
-const MAX_FAULTS_PER_QUERY: u64 = 1024;
+
+/// One query shape the guard measures.
+struct Guard {
+    name: &'static str,
+    /// The tables it reads: name, scalar attribute, seed.
+    tables: &'static [(&'static str, &'static str, u64)],
+    /// A statement run once before the warm-ups.
+    setup: Option<&'static str>,
+    sql: &'static str,
+    max_faults_per_query: u64,
+    /// What a count above the limit means.
+    verdict: &'static str,
+}
+
+const GUARDS: [Guard; 2] = [
+    Guard {
+        name: "scan",
+        tables: &[("t1", "oilp", 1)],
+        setup: None,
+        sql: "SELECT * FROM t1",
+        max_faults_per_query: 1024,
+        verdict: "the kernel is zero-filling the scan's memory on every query",
+    },
+    Guard {
+        name: "join",
+        tables: &[("t1", "oilp", 1), ("t2", "wp", 2)],
+        setup: Some("CREATE VIEW v1 AS SELECT * FROM t1 JOIN t2 ON (x, y, z)"),
+        sql: "SELECT * FROM v1",
+        max_faults_per_query: 17_444,
+        verdict: "the warm join faults as often as when one worker allocated its whole result",
+    },
+];
 
 /// Minor faults of this process so far: the 10th field of
 /// `/proc/self/stat`, counted after the command name, whose parentheses
@@ -46,34 +84,42 @@ fn peak_rss_mb() -> f64 {
     kb / 1024.0
 }
 
-fn main() {
-    if !cfg!(target_os = "linux") {
-        println!("scan_faults: minor faults are read from /proc/self/stat, which only Linux has; nothing checked");
-        return;
-    }
+/// Measure `guard` in this process; false if it failed.
+fn measure(guard: &Guard) -> bool {
     let d = Deployment::in_memory(2);
-    generate_dataset(
-        &DatasetSpec::builder("t1")
-            .grid([SIDE, SIDE, 1])
-            .partition([64, 64, 1])
-            .scalar_attrs(&["oilp"])
-            .seed(1)
-            .build(),
-        &d,
-    )
-    .expect("dataset generation");
+    for &(name, scalar, seed) in guard.tables {
+        generate_dataset(
+            &DatasetSpec::builder(name)
+                .grid([SIDE, SIDE, 1])
+                .partition([64, 64, 1])
+                .scalar_attrs(&[scalar])
+                .seed(seed)
+                .build(),
+            &d,
+        )
+        .expect("dataset generation");
+    }
     let service = QueryService::new(
-        QueryEngine::new(d),
+        QueryEngine::new(d).force_algorithm(Some(JoinAlgorithm::IndexedJoin)),
         ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         },
     )
     .expect("service");
+    if let Some(sql) = guard.setup {
+        service.execute(sql).expect("the setup statement runs");
+    }
     let (faults, wrong) = std::thread::scope(|s| {
         let client = s.spawn(|| {
             // The rows are dropped here, on the client's thread.
-            let rows = || service.execute(SQL).expect("the scan answers").rows.len();
+            let rows = || {
+                service
+                    .execute(guard.sql)
+                    .expect("the query answers")
+                    .rows
+                    .len()
+            };
             for _ in 0..WARMUPS {
                 rows();
             }
@@ -87,19 +133,48 @@ fn main() {
     });
     let per_query = faults as f64 / QUERIES as f64;
     println!(
-        "scan_faults: {per_query:.1} minor faults/query over {QUERIES} queries \
-         (limit {MAX_FAULTS_PER_QUERY}), VmHWM {:.1} MiB",
+        "scan_faults: {} {per_query:.1} minor faults/query over {QUERIES} queries \
+         (limit {}), VmHWM {:.1} MiB",
+        guard.name,
+        guard.max_faults_per_query,
         peak_rss_mb()
     );
     if wrong > 0 {
         eprintln!(
-            "scan_faults: {wrong} of {QUERIES} queries returned other than {} rows",
+            "scan_faults: {wrong} of {QUERIES} {} queries returned other than {} rows",
+            guard.name,
             SIDE * SIDE
         );
-        std::process::exit(1);
+        return false;
     }
-    if faults > MAX_FAULTS_PER_QUERY * QUERIES {
-        eprintln!("scan_faults: the kernel is zero-filling the scan's memory on every query");
+    if faults > guard.max_faults_per_query * QUERIES {
+        eprintln!("scan_faults: {}", guard.verdict);
+        return false;
+    }
+    true
+}
+
+fn main() {
+    if !cfg!(target_os = "linux") {
+        println!("scan_faults: minor faults are read from /proc/self/stat, which only Linux has; nothing checked");
+        return;
+    }
+    let ok = match std::env::args().nth(1) {
+        Some(name) => {
+            let guard = GUARDS.iter().find(|g| g.name == name);
+            measure(guard.unwrap_or_else(|| panic!("no shape `{name}`: scan or join")))
+        }
+        None => {
+            let me = std::env::current_exe().expect("this program's path");
+            let mut ok = true;
+            for guard in &GUARDS {
+                let status = std::process::Command::new(&me).arg(guard.name).status();
+                ok &= status.expect("the shape's process runs").success();
+            }
+            ok
+        }
+    };
+    if !ok {
         std::process::exit(1);
     }
 }
