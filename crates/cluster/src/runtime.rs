@@ -74,12 +74,15 @@ impl Drop for TempDirGuard {
 
 /// Per-compute-node scratch space: named append-only buckets.
 ///
-/// Every bucket keeps a running CRC32C updated on append (the
-/// write-boundary checksum), so [`Scratch::verify_bucket`] can check a
-/// read-back bucket without ever re-reading it from the store.
+/// [`Scratch::append`] takes each frame by value, and memory scratch keeps
+/// it as it arrived: a bucket is its list of frames, copied once, when it
+/// is read back whole. Every bucket keeps a running CRC32C updated per
+/// appended frame (the write-boundary checksum), so
+/// [`Scratch::verify_bucket`] can check a read-back bucket without ever
+/// re-reading it from the store.
 pub struct Scratch {
     kind: ScratchKind,
-    mem: Mutex<HashMap<String, Vec<u8>>>,
+    mem: Mutex<HashMap<String, Vec<Vec<u8>>>>,
     dir: Option<TempDirGuard>,
     /// Incremental CRC32C state per bucket (absent = empty bucket).
     crcs: Mutex<HashMap<String, u32>>,
@@ -113,16 +116,16 @@ impl Scratch {
         })
     }
 
-    /// Append bytes to bucket `name`.
-    pub fn append(&self, name: &str, data: &[u8]) -> Result<()> {
+    /// Append the frame `data` to bucket `name`.
+    pub fn append(&self, name: &str, data: Vec<u8>) -> Result<()> {
         self.written.add(data.len() as u64);
         // The bucket name is allocated as a map key on first insert only.
         {
             let mut crcs = self.crcs.lock();
             match crcs.get_mut(name) {
-                Some(state) => *state = checksum::update(*state, data),
+                Some(state) => *state = checksum::update(*state, &data),
                 None => {
-                    crcs.insert(name.to_string(), checksum::update(checksum::begin(), data));
+                    crcs.insert(name.to_string(), checksum::update(checksum::begin(), &data));
                 }
             }
         }
@@ -130,9 +133,9 @@ impl Scratch {
             ScratchKind::Memory => {
                 let mut mem = self.mem.lock();
                 match mem.get_mut(name) {
-                    Some(bucket) => bucket.extend_from_slice(data),
+                    Some(frames) => frames.push(data),
                     None => {
-                        mem.insert(name.to_string(), data.to_vec());
+                        mem.insert(name.to_string(), vec![data]);
                     }
                 }
                 Ok(())
@@ -147,7 +150,7 @@ impl Scratch {
                     .create(true)
                     .append(true)
                     .open(path)?;
-                f.write_all(data)?;
+                f.write_all(&data)?;
                 Ok(())
             }
         }
@@ -156,7 +159,12 @@ impl Scratch {
     /// Read a whole bucket back (empty if never written).
     pub fn read_bucket(&self, name: &str) -> Result<Vec<u8>> {
         let data = match self.kind {
-            ScratchKind::Memory => self.mem.lock().get(name).cloned().unwrap_or_default(),
+            ScratchKind::Memory => self
+                .mem
+                .lock()
+                .get(name)
+                .map(|frames| frames.concat())
+                .unwrap_or_default(),
             ScratchKind::TempFile => {
                 let path = self.bucket_path(name)?;
                 match fs::File::open(path) {
@@ -172,6 +180,23 @@ impl Scratch {
         };
         self.read.add(data.len() as u64);
         Ok(data)
+    }
+
+    /// Drop bucket `name` once it has been read for the last time: memory
+    /// scratch frees its frames, file scratch deletes its file. The byte
+    /// counters keep what it moved; a removed bucket reads back empty.
+    pub fn remove(&self, name: &str) -> Result<()> {
+        self.crcs.lock().remove(name);
+        match self.kind {
+            ScratchKind::Memory => {
+                self.mem.lock().remove(name);
+                Ok(())
+            }
+            ScratchKind::TempFile => match fs::remove_file(self.bucket_path(name)?) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+                _ => Ok(()),
+            },
+        }
     }
 
     fn bucket_path(&self, name: &str) -> Result<PathBuf> {
@@ -191,8 +216,7 @@ impl Scratch {
                 .mem
                 .lock()
                 .get(name)
-                .map(|b| b.len() as u64)
-                .unwrap_or(0)),
+                .map_or(0, |frames| frames.iter().map(|f| f.len() as u64).sum())),
             ScratchKind::TempFile => {
                 let path = self.bucket_path(name)?;
                 match std::fs::metadata(path) {
@@ -357,9 +381,9 @@ mod tests {
     #[test]
     fn mem_scratch_roundtrip_and_accounting() {
         let s = Scratch::new(ScratchKind::Memory, "t").unwrap();
-        s.append("b0", b"abc").unwrap();
-        s.append("b0", b"def").unwrap();
-        s.append("b1", b"xy").unwrap();
+        s.append("b0", b"abc".to_vec()).unwrap();
+        s.append("b0", b"def".to_vec()).unwrap();
+        s.append("b1", b"xy".to_vec()).unwrap();
         assert_eq!(s.read_bucket("b0").unwrap(), b"abcdef");
         assert_eq!(s.read_bucket("b1").unwrap(), b"xy");
         assert_eq!(s.read_bucket("b9").unwrap(), b"");
@@ -372,8 +396,8 @@ mod tests {
         for kind in [ScratchKind::Memory, ScratchKind::TempFile] {
             let s = Scratch::new(kind, "sz").unwrap();
             assert_eq!(s.bucket_size("b0").unwrap(), 0);
-            s.append("b0", b"12345").unwrap();
-            s.append("b0", b"678").unwrap();
+            s.append("b0", b"12345".to_vec()).unwrap();
+            s.append("b0", b"678".to_vec()).unwrap();
             assert_eq!(s.bucket_size("b0").unwrap(), 8, "{kind:?}");
             assert_eq!(s.bucket_size("other").unwrap(), 0);
         }
@@ -385,11 +409,11 @@ mod tests {
         {
             let s = Scratch::new(ScratchKind::TempFile, "t").unwrap();
             dir = s.dir.as_ref().unwrap().path.clone();
-            s.append("b0", b"hello ").unwrap();
-            s.append("b0", b"world").unwrap();
+            s.append("b0", b"hello ".to_vec()).unwrap();
+            s.append("b0", b"world".to_vec()).unwrap();
             assert_eq!(s.read_bucket("b0").unwrap(), b"hello world");
             assert_eq!(s.read_bucket("missing").unwrap(), b"");
-            assert!(s.append("../evil", b"x").is_err());
+            assert!(s.append("../evil", b"x".to_vec()).is_err());
             assert!(dir.exists());
         }
         assert!(!dir.exists(), "scratch dir must be removed on drop");
@@ -403,7 +427,7 @@ mod tests {
         let r = std::panic::catch_unwind(|| {
             let s = Scratch::new(ScratchKind::TempFile, "unwind").unwrap();
             *dir.lock().unwrap() = Some(s.dir.as_ref().unwrap().path.clone());
-            s.append("b0", b"partial").unwrap();
+            s.append("b0", b"partial".to_vec()).unwrap();
             panic!("worker died mid-append");
         });
         assert!(r.is_err());
@@ -418,8 +442,8 @@ mod tests {
             // Empty bucket: CRC of the empty payload, verify passes.
             assert_eq!(s.bucket_crc("b0"), crate::checksum::crc32c(&[]));
             s.verify_bucket("b0", b"").unwrap();
-            s.append("b0", b"hello ").unwrap();
-            s.append("b0", b"world").unwrap();
+            s.append("b0", b"hello ".to_vec()).unwrap();
+            s.append("b0", b"world".to_vec()).unwrap();
             assert_eq!(
                 s.bucket_crc("b0"),
                 crate::checksum::crc32c(b"hello world"),
@@ -449,7 +473,7 @@ mod tests {
                 ("L0", "cd"),
                 ("R0", "z"),
             ] {
-                s.append(name, part.as_bytes()).unwrap();
+                s.append(name, part.as_bytes().to_vec()).unwrap();
             }
             for (name, all) in [("L0", "abcd"), ("R0", "xyz"), ("L1", "")] {
                 let bytes = s.read_bucket(name).unwrap();
@@ -459,6 +483,13 @@ mod tests {
                 s.verify_bucket(name, &bytes).unwrap();
             }
             assert_eq!(s.bytes_written(), 7);
+            s.remove("L0").unwrap();
+            s.remove("L9").unwrap();
+            assert_eq!(s.read_bucket("L0").unwrap(), b"", "{kind:?}");
+            assert_eq!(s.bucket_size("L0").unwrap(), 0);
+            s.verify_bucket("L0", b"").unwrap();
+            assert_eq!(s.read_bucket("R0").unwrap(), b"xyz");
+            assert_eq!(s.bytes_written(), 7, "counters keep what moved");
         }
     }
 

@@ -1,37 +1,48 @@
-//! Guard against a full scan or a warm join that makes the kernel
-//! zero-fill its result again on every query. It builds `orvbench`'s
-//! `scan_full` and `join_ij_warm` shapes: 1 024 × 1 024 grids in 64 × 64
-//! chunks on two storage nodes, behind a `QueryService` with two
-//! workers. The scan sends `SELECT * FROM t1`; the join forces the
-//! Indexed Join and sends `SELECT * FROM v1`, where `v1` is
-//! `t1 JOIN t2 ON (x, y, z)`. After three warm-ups a client thread counts
-//! the minor page faults of 20 queries (`/proc/self/stat`) and reads the
-//! peak resident set (`VmHWM`).
+//! Guard against a full scan or a join that makes the kernel zero-fill
+//! its memory again on every query. It builds three of `orvbench`'s
+//! shapes, each behind a `QueryService` with two workers on two storage
+//! nodes:
+//! - `scan` (`scan_full`): a 1 024 × 1 024 grid in 64 × 64 chunks,
+//!   `SELECT * FROM t1`;
+//! - `join` (`join_ij_warm`): two such grids, the Indexed Join forced,
+//!   `SELECT * FROM v1`, where `v1` is `t1 JOIN t2 ON (x, y, z)`;
+//! - `gh` (`join_gh`): two 512 × 512 grids in 32 × 32 chunks, Grace Hash
+//!   forced, `SELECT * FROM t1 JOIN t2 ON (x, y, z)`.
+//!
+//! After three warm-ups a client thread counts the minor page faults of
+//! 20 queries (`/proc/self/stat`) and reads the peak resident set
+//! (`VmHWM`).
 //!
 //! ```text
-//! cargo run --release --example scan_faults            # both, one process each
-//! cargo run --release --example scan_faults -- join    # one of `scan`, `join`
+//! cargo run --release --example scan_faults            # all three, one process each
+//! cargo run --release --example scan_faults -- gh      # one of `scan`, `join`, `gh`
 //! ```
 //!
 //! Each shape runs in a process of its own, because how often the kernel
 //! faults depends on what the allocator already holds. Exits 1 above
-//! 1 024 minor faults per scan query or 17 444 per join query, or if a
-//! query returns the wrong number of rows. 17 444 is what every warm
-//! join took while one worker of the row edge allocated its whole
-//! result. On a target other than Linux there is no `/proc/self/stat`:
-//! it prints a note and exits 0.
+//! 1 024 minor faults per scan query, 17 444 per IJ join query or 12 000
+//! per GH join query, or if a query returns the wrong number of rows.
+//! 17 444 is what every warm IJ join took while one worker of the row
+//! edge allocated its whole result; a GH join took 19 811–19 952 while it
+//! copied every frame into its bucket and built one table per bucket. On
+//! a target other than Linux there is no `/proc/self/stat`: it prints a
+//! note and exits 0.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::join::JoinAlgorithm;
 use orv::query::{QueryEngine, QueryService, ServiceConfig};
 
-const SIDE: u64 = 1024;
 const WARMUPS: usize = 3;
 const QUERIES: u64 = 20;
 
 /// One query shape the guard measures.
 struct Guard {
     name: &'static str,
+    /// Side of the square grid each table covers, and of its chunks.
+    side: u64,
+    chunk_side: u64,
+    /// The join algorithm the engine is forced to use.
+    algorithm: JoinAlgorithm,
     /// The tables it reads: name, scalar attribute, seed.
     tables: &'static [(&'static str, &'static str, u64)],
     /// A statement run once before the warm-ups.
@@ -42,9 +53,12 @@ struct Guard {
     verdict: &'static str,
 }
 
-const GUARDS: [Guard; 2] = [
+const GUARDS: [Guard; 3] = [
     Guard {
         name: "scan",
+        side: 1024,
+        chunk_side: 64,
+        algorithm: JoinAlgorithm::IndexedJoin,
         tables: &[("t1", "oilp", 1)],
         setup: None,
         sql: "SELECT * FROM t1",
@@ -53,11 +67,25 @@ const GUARDS: [Guard; 2] = [
     },
     Guard {
         name: "join",
+        side: 1024,
+        chunk_side: 64,
+        algorithm: JoinAlgorithm::IndexedJoin,
         tables: &[("t1", "oilp", 1), ("t2", "wp", 2)],
         setup: Some("CREATE VIEW v1 AS SELECT * FROM t1 JOIN t2 ON (x, y, z)"),
         sql: "SELECT * FROM v1",
         max_faults_per_query: 17_444,
         verdict: "the warm join faults as often as when one worker allocated its whole result",
+    },
+    Guard {
+        name: "gh",
+        side: 512,
+        chunk_side: 32,
+        algorithm: JoinAlgorithm::GraceHash,
+        tables: &[("t1", "oilp", 1), ("t2", "wp", 2)],
+        setup: None,
+        sql: "SELECT * FROM t1 JOIN t2 ON (x, y, z)",
+        max_faults_per_query: 12_000,
+        verdict: "Grace Hash faults as often as when it copied every frame into its bucket",
     },
 ];
 
@@ -90,8 +118,8 @@ fn measure(guard: &Guard) -> bool {
     for &(name, scalar, seed) in guard.tables {
         generate_dataset(
             &DatasetSpec::builder(name)
-                .grid([SIDE, SIDE, 1])
-                .partition([64, 64, 1])
+                .grid([guard.side, guard.side, 1])
+                .partition([guard.chunk_side, guard.chunk_side, 1])
                 .scalar_attrs(&[scalar])
                 .seed(seed)
                 .build(),
@@ -100,7 +128,7 @@ fn measure(guard: &Guard) -> bool {
         .expect("dataset generation");
     }
     let service = QueryService::new(
-        QueryEngine::new(d).force_algorithm(Some(JoinAlgorithm::IndexedJoin)),
+        QueryEngine::new(d).force_algorithm(Some(guard.algorithm)),
         ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
@@ -125,7 +153,7 @@ fn measure(guard: &Guard) -> bool {
             }
             let before = minor_faults();
             let wrong = (0..QUERIES)
-                .filter(|_| rows() as u64 != SIDE * SIDE)
+                .filter(|_| rows() as u64 != guard.side * guard.side)
                 .count();
             (minor_faults() - before, wrong)
         });
@@ -143,7 +171,7 @@ fn measure(guard: &Guard) -> bool {
         eprintln!(
             "scan_faults: {wrong} of {QUERIES} {} queries returned other than {} rows",
             guard.name,
-            SIDE * SIDE
+            guard.side * guard.side
         );
         return false;
     }
@@ -162,7 +190,7 @@ fn main() {
     let ok = match std::env::args().nth(1) {
         Some(name) => {
             let guard = GUARDS.iter().find(|g| g.name == name);
-            measure(guard.unwrap_or_else(|| panic!("no shape `{name}`: scan or join")))
+            measure(guard.unwrap_or_else(|| panic!("no shape `{name}`: scan, join or gh")))
         }
         None => {
             let me = std::env::current_exe().expect("this program's path");
