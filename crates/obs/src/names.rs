@@ -144,6 +144,9 @@ pub const FED_MISSING_CHUNKS: &str = "fed/missing_chunks";
 pub const ENGINE_PLAN: &str = "engine/plan";
 /// Span: end-to-end plan execution inside the engine.
 pub const ENGINE_EXEC: &str = "engine/exec";
+/// Span: a join's row edge inside the engine — ordering the QES's batches
+/// and building its rows, after `engine/exec` has closed.
+pub const ENGINE_ROWS: &str = "engine/rows";
 
 /// Phase: storage→compute sub-table transfer (IJ cost-model term).
 pub const PHASE_TRANSFER: &str = "transfer";

@@ -681,16 +681,16 @@ impl QueryEngine {
     /// equal in the order the QES produced them — whichever QES ran,
     /// however many workers ran it, and across a failover. The QES hands
     /// back typed batches in completion order, and [`join_rows`] orders
-    /// and builds the rows in one pass on this engine's compute workers.
-    /// Where every group of overlapping batches fits in one worker's share,
-    /// as IJ's x-stripes of ascending pair runs do, one builder per worker
-    /// lays out whole groups by a galloping merge, with no sort, and
-    /// streams their rows to one assembler that owns the result
-    /// (`join_ij_warm` p50 −18 to −22 %, minor faults 17 444 → ~12 000 a
-    /// query). A larger group — GH's one bucket-interleaved group — is
-    /// sorted on all workers and built in equal shares, as before. The
-    /// query's token is polled once per group, so a cancelled query stops
-    /// building its rows.
+    /// and builds the rows in one pass on this engine's compute workers,
+    /// inside the `engine/rows` span. Batches that overlap form a group.
+    /// An unsorted group above 2¹⁴ rows or a group above one worker's
+    /// share — GH's one bucket-interleaved group — is first cut at sampled
+    /// keys into key-range parts of about 2¹⁴ rows. Then one builder per
+    /// worker takes whole groups: it lays out IJ's x-stripes of ascending
+    /// pair runs by a galloping merge, with no sort, and sorts a GH part
+    /// in cache; it streams their rows to one assembler that owns the
+    /// result. The query's token is polled before each cut and once per
+    /// group, so a cancelled query stops building its rows.
     fn run_join(
         &self,
         left: TableId,
@@ -806,6 +806,7 @@ impl QueryEngine {
         let batches = output.batches.ok_or_else(|| {
             Error::Plan("join output missing batches despite collect_results".into())
         })?;
+        let _rows = self.obs.spans.span(names::ENGINE_ROWS);
         Ok((join_rows(batches, self.n_compute, cancel)?, Some(plan)))
     }
 
@@ -1277,6 +1278,26 @@ mod tests {
         // MetaData Service usage flows into the registry after the join.
         let snap = obs.metrics.snapshot();
         assert!(snap.counters.get("md/catalog_lookups").copied() > Some(0));
+    }
+
+    /// A traced Grace Hash query records its row edge in the engine's own
+    /// span, after `engine/exec`, once per join.
+    #[test]
+    fn a_traced_grace_hash_join_records_its_row_edge() {
+        let obs = orv_obs::Obs::enabled();
+        let e = engine()
+            .force_algorithm(Some(JoinAlgorithm::GraceHash))
+            .with_obs(obs.clone());
+        let r = e.execute("SELECT * FROM t1 JOIN t2 ON (x, y, z)").unwrap();
+        assert_eq!(r.rows.len(), 64);
+        let paths: Vec<String> = obs
+            .spans
+            .records()
+            .into_iter()
+            .map(|r| r.path)
+            .filter(|p| p.starts_with("engine/"))
+            .collect();
+        assert_eq!(paths, ["engine/plan", "engine/exec", "engine/rows"]);
     }
 
     #[test]

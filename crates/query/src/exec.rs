@@ -23,24 +23,22 @@
 //! Batches whose ranges overlap form a group, and the groups ascend. An
 //! Indexed Join's are its x-stripes, 16 ascending pair runs each on a
 //! 1 024² grid in 64² chunks, since the two-stage schedule interleaves a
-//! stripe's pairs in `x`. When every group fits in one worker's share of
-//! the rows, one builder per compute worker takes whole groups
-//! round-robin. It lays a group of ascending runs out by a galloping
-//! merge into `(batch, rows)` stretches, ties to the earlier batch, and
-//! fills row blocks straight from the stretches
+//! stripe's pairs in `x`. Grace Hash's `h1` interleaves its compute
+//! nodes' rows into one unsorted group; such a group, or any larger than
+//! a worker's share, is cut at sampled keys into key-range parts of about
+//! `PART_ROWS` rows that own their rows — sort cache-sized pieces, never
+//! the whole (AlphaSort). One builder per compute worker, one more for
+//! parts, takes whole groups round-robin. It lays a group of ascending
+//! runs out by a galloping merge into `(batch, rows)` stretches, ties to
+//! the earlier batch, and fills row blocks straight from them
 //! ([`ColumnBatch::append_stretches_to`]): no sort key, permutation,
-//! concatenation or gather. A group with an unsorted member is sorted on
-//! its builder. The builder then drops the group's batches and streams
-//! its rows over a bounded channel to one assembler, which appends the
-//! groups in order to a result it allocates once. Each builder polls the
-//! query's token once per group. Against the sort-then-build it replaced,
-//! `join_ij_warm` (10⁶ rows) went from 74 to 61 ms at p50 on seed 1 and
-//! from 91 to 71 ms on seed 2 (medians of ten alternating 15 s pairs on a
-//! 2-core box), and from 17 444 to ~12 000 minor faults a query
-//! (`examples/scan_faults`). A
-//! result holding a group larger than one share — Grace Hash's one
-//! bucket-interleaved group — is still sorted on all workers as typed
-//! columns and built in equal shares cut inside a batch if need be.
+//! concatenation or gather. It sorts any other group, in cache. Then it
+//! drops the group's batches and streams its rows over a bounded channel
+//! to one assembler, which appends the groups in order to a result it
+//! allocates once; it polls the query's token once per group. So
+//! `join_ij_warm` (10⁶ rows) went from 74 to 61 ms at p50 and ~17 400 to
+//! ~12 000 minor faults a query, and `join_gh` (512²) from 30–34 to ~22
+//! ms in this edge and ~8 600 to ~90 faults, on a 2-core box.
 //!
 //! Either way each row is a view of a shared block of at most
 //! `orv_types::record::BLOCK_ROWS` rows, so the edge allocates per block,
@@ -57,10 +55,12 @@ use orv_types::{
     BoundingBox, ChunkId, ColumnBatch, Error, Interval, NodeId, Record, Result, Schema, SubTableId,
     TableId, Value,
 };
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::mem::replace;
 use std::ops::Range;
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc};
 
 /// Materialized rows plus their schema-ish column names.
 #[derive(Clone, Debug)]
@@ -82,67 +82,47 @@ pub fn filter_batch_range(batch: &ColumnBatch, checks: &[(usize, Interval)]) -> 
 /// take over.
 const SERIAL_BELOW_ROWS: usize = 1 << 16;
 
+/// The rows of one key-range part a join's oversized group is cut into
+/// (see the module docs): a part's sort keys take 128 KiB a column, so it
+/// is sorted in cache. `join_gh`'s p50 on a 2-core box (two 5 s runs
+/// each) was 90–113 ms with parts of 4 096 rows, 85–95 with 8 192, 82–84
+/// with 16 384 and 32 768, 85–86 with 65 536 and 88–90 with 131 072, one
+/// part per worker: what pays is sorting in cache, not more parallelism.
+const PART_ROWS: usize = 1 << 14;
+
+/// How many keys [`splitters`] samples per part it aims at.
+const SAMPLES_PER_PART: usize = 32;
+
 /// How many parts — a chunk's rows from a storage-node reader of a
 /// parallel scan, a group's from a join's row builder — a producer may
 /// have sent ahead of its assembler.
 const CHANNEL_DEPTH: usize = 2;
 
-/// How many of `workers` a result of `rows` rows is worth.
-fn workers_for(rows: usize, workers: usize, serial_below: usize) -> usize {
-    if rows < serial_below {
-        1
-    } else {
-        workers.max(1)
+/// `f` of each of `items`, in order, on up to `workers` threads of the
+/// one worker harness, a contiguous run of items each; the root cause if
+/// one failed.
+fn map_on<T: Sync, U: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> U + Sync,
+) -> Result<Vec<U>> {
+    if workers < 2 || items.len() < 2 {
+        return Ok(items.iter().map(f).collect());
     }
-}
-
-/// Run `bodies` on the one worker harness and return their values in
-/// order, or the root cause if one failed.
-fn on_workers<'a, T: Send>(bodies: impl Iterator<Item = WorkerBody<'a, T>>) -> Result<Vec<T>> {
-    all_done(run_workers(bodies.enumerate().collect()))
+    let f = &f;
+    let bodies = items
+        .chunks(items.len().div_ceil(workers))
+        .map(|run| Box::new(move || Ok(run.iter().map(f).collect())) as WorkerBody<'_, Vec<U>>);
+    let done = all_done(run_workers(bodies.enumerate().collect()))?;
+    Ok(done.into_iter().flatten().collect())
 }
 
 /// The service-edge conversion: materialize a run of batches into rows,
-/// on the calling thread.
+/// in order, on the calling thread.
 pub fn batches_to_rows(batches: &[ColumnBatch]) -> Result<Vec<Record>> {
-    rows_on(batches, 1, SERIAL_BELOW_ROWS)
-}
-
-/// Materialize a run of batches into rows, in order, on up to `workers`
-/// threads: an equal share of rows per worker. Worker 0 allocates the
-/// result and appends the other shares to it.
-fn rows_on(batches: &[ColumnBatch], workers: usize, serial_below: usize) -> Result<Vec<Record>> {
-    // Rows `first..end` of the batches' concatenation, whichever batches
-    // they fall in. `room`: the first part's vector is the result's, so
-    // it is sized for all of it and the other parts are appended to it.
-    let build = |first: usize, end: usize, room: usize| -> Result<Vec<Record>> {
-        let mut rows = Vec::with_capacity(room);
-        let mut at = 0;
-        for b in batches {
-            let (lo, hi) = (first.max(at), end.min(at + b.num_rows()));
-            if lo < hi {
-                b.append_rows_to(lo - at..hi - at, &mut rows)?;
-            }
-            at += b.num_rows();
-        }
-        Ok(rows)
-    };
-    let total = batches.iter().map(|b| b.num_rows()).sum::<usize>();
-    let workers = workers_for(total, workers, serial_below);
-    if workers == 1 {
-        return build(0, total, total);
-    }
-    // An equal share of rows per worker, cut inside a batch if need be:
-    // a join group sorted on every worker is one batch.
-    let bodies = (0..workers).map(|k| {
-        let (first, end) = (total * k / workers, total * (k + 1) / workers);
-        let room = if k == 0 { total } else { end - first };
-        Box::new(move || build(first, end, room)) as WorkerBody<'_, Vec<Record>>
-    });
-    let mut built = on_workers(bodies)?.into_iter();
-    let mut rows = built.next().unwrap_or_default();
-    for mut part in built {
-        rows.append(&mut part);
+    let mut rows = Vec::with_capacity(batches.iter().map(|b| b.num_rows()).sum());
+    for b in batches {
+        b.append_records_to(&mut rows)?;
     }
     Ok(rows)
 }
@@ -156,27 +136,23 @@ fn rows_on(batches: &[ColumnBatch], workers: usize, serial_below: usize) -> Resu
 /// bounds each batch and sweeps the batches into groups whose bounds
 /// overlap; every row of a group is above every row of the groups before
 /// it, so the groups, each ordered and laid end to end, are the stable
-/// sort of everything.
-///
-/// When every group fits in one worker's share of the rows, as an
-/// Indexed Join's x-stripes do, the groups stream (see the module docs):
+/// sort of everything. [`cut_groups`] cuts the oversized ones into parts;
 /// [`stream_groups`], or the calling thread under `SERIAL_BELOW_ROWS`
-/// rows, builds each with [`build_group`]. A result holding a larger
-/// group — Grace Hash's one interleaved group — is ordered on all
-/// workers, one typed batch per group ([`order_on`]), and built in equal
-/// shares ([`rows_on`]). `cancel` is polled once per group.
+/// rows, builds each with [`build_group`] (see the module docs).
+/// `cancel` is polled before each cut and once per group built.
 pub fn join_rows(
     batches: Vec<ColumnBatch>,
     workers: usize,
     cancel: &CancelToken,
 ) -> Result<Vec<Record>> {
-    join_rows_on(batches, workers, SERIAL_BELOW_ROWS, cancel)
+    join_rows_on(batches, workers, SERIAL_BELOW_ROWS, PART_ROWS, cancel)
 }
 
 fn join_rows_on(
     batches: Vec<ColumnBatch>,
     workers: usize,
     serial_below: usize,
+    part_rows: usize,
     cancel: &CancelToken,
 ) -> Result<Vec<Record>> {
     if let Some(first) = batches.first() {
@@ -194,14 +170,8 @@ fn join_rows_on(
             "a result of {n} rows is past the 32-bit row index its order is computed on"
         )));
     }
-    let workers = workers_for(n, workers, serial_below);
-    let share = n.div_ceil(workers);
-    let groups = groups(batches, workers)?;
-    if groups.iter().any(|g| g.rows > share) {
-        cancel.check()?;
-        let ordered = order_on(groups, workers, share)?;
-        return rows_on(&ordered, workers, serial_below);
-    }
+    let workers = if n < serial_below { 1 } else { workers.max(1) };
+    let (groups, cut) = cut_groups(batches, workers, n.div_ceil(workers), part_rows, cancel)?;
     if workers == 1 || groups.len() < 2 {
         let mut rows = Vec::with_capacity(n);
         for group in groups {
@@ -210,21 +180,27 @@ fn join_rows_on(
         }
         return Ok(rows);
     }
-    stream_groups(groups, workers, n, cancel)
+    // A builder's row blocks stay in its allocator arena until the rows
+    // are dropped; freed past the trim threshold, they go back to the
+    // kernel, which zero-fills them on the next query. Parts are dealt
+    // over one builder more than there are workers to stay under it:
+    // ~3 200 → ~90 minor faults a GH query (`examples/scan_faults`).
+    // IJ's stripes stay put: a third builder cost +9–11 % peak RSS there.
+    stream_groups(groups, workers + usize::from(cut), n, cancel)
 }
 
-/// Build `groups`' rows on up to `workers` builders, which take whole
+/// Build `groups`' rows on up to `builders` threads, which take whole
 /// groups round-robin and stream each one's rows to one assembler; it
 /// appends them, in group order, to a result of `total` rows that it
 /// allocates once.
 fn stream_groups(
     groups: Vec<Group>,
-    workers: usize,
+    builders: usize,
     total: usize,
     cancel: &CancelToken,
 ) -> Result<Vec<Record>> {
     let count = groups.len();
-    let builders = workers.min(count);
+    let builders = builders.min(count);
     let mut dealt: Vec<Vec<Group>> = (0..builders).map(|_| Vec::new()).collect();
     for (g, group) in groups.into_iter().enumerate() {
         dealt[g % builders].push(group);
@@ -280,13 +256,13 @@ fn stream_groups(
 /// Append `group`'s rows to `out` in order; its batches are dropped on
 /// return. A group of ascending runs is laid out by [`merge_stretches`]
 /// and built straight from the stretches; any other is sorted first
-/// ([`order_group`] on this thread).
+/// ([`order_group`]).
 fn build_group(group: Group, out: &mut Vec<Record>) -> Result<()> {
     if group.ascending {
         let stretches = merge_stretches(&group.batches);
         ColumnBatch::append_stretches_to(&group.batches, &stretches, out)
     } else {
-        order_group(group, 1)?.append_records_to(out)
+        order_group(group)?.append_records_to(out)
     }
 }
 
@@ -362,25 +338,8 @@ fn gallop(mut lo: usize, hi: usize, goes: impl Fn(usize) -> bool) -> usize {
     lo
 }
 
-/// Order `groups` on `workers` threads, one typed batch per group:
-/// groups go to the workers as contiguous runs by row count, and a group
-/// of more than `share` rows is ordered on all of them ([`order_group`]).
-fn order_on(groups: Vec<Group>, workers: usize, share: usize) -> Result<Vec<ColumnBatch>> {
-    let mut ordered = Vec::new();
-    let mut small = Vec::new();
-    for group in groups {
-        if group.rows > share {
-            ordered.extend(order_spread(std::mem::take(&mut small), workers)?);
-            ordered.push(order_group(group, workers)?);
-        } else {
-            small.push(group);
-        }
-    }
-    ordered.extend(order_spread(small, workers)?);
-    Ok(ordered)
-}
-
 /// Batches whose rows [`join_rows`] orders as one.
+#[derive(Default)]
 struct Group {
     /// In input order, so rows that compare equal keep it.
     batches: Vec<ColumnBatch>,
@@ -438,18 +397,7 @@ fn groups(batches: Vec<ColumnBatch>, workers: usize) -> Result<Vec<Group>> {
     let full: Vec<usize> = (0..batches.len())
         .filter(|&i| !batches[i].is_empty())
         .collect();
-    type Span = ((Vec<u64>, Vec<u64>, bool), usize);
-    let bound =
-        |run: &[usize]| -> Vec<Span> { run.iter().map(|&i| (bounds(&batches[i]), i)).collect() };
-    let mut spans = if workers > 1 && full.len() > 1 {
-        let per = full.len().div_ceil(workers);
-        let bodies = full
-            .chunks(per)
-            .map(|run| Box::new(move || Ok(bound(run))) as WorkerBody<'_, Vec<Span>>);
-        on_workers(bodies)?.into_iter().flatten().collect()
-    } else {
-        bound(&full)
-    };
+    let mut spans = map_on(&full, workers, |&i| (bounds(&batches[i]), i))?;
     spans.sort_by(|a, b| a.0 .0.cmp(&b.0 .0));
     // Each group's members, greatest bound and whether they all ascend.
     let mut swept: Vec<(Vec<usize>, Vec<u64>, bool)> = Vec::new();
@@ -478,125 +426,172 @@ fn groups(batches: Vec<ColumnBatch>, workers: usize) -> Result<Vec<Group>> {
     Ok(groups.collect())
 }
 
-/// Order `groups` one worker each, as contiguous runs by row count: a
-/// group goes to the worker whose share its first row falls in.
-fn order_spread(groups: Vec<Group>, workers: usize) -> Result<Vec<ColumnBatch>> {
-    let order_all = |groups: Vec<Group>| groups.into_iter().map(|g| order_group(g, 1)).collect();
-    if workers == 1 {
-        return order_all(groups);
-    }
-    let total = groups.iter().map(|g| g.rows).sum::<usize>().max(1);
-    let mut runs: Vec<Vec<Group>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut seen = 0;
-    for group in groups {
-        let k = seen * workers / total;
-        seen += group.rows;
-        runs[k].push(group);
-    }
-    let bodies = runs
-        .into_iter()
-        .filter(|run| !run.is_empty())
-        .map(|run| Box::new(move || order_all(run)) as WorkerBody<'_, Vec<ColumnBatch>>);
-    Ok(on_workers(bodies)?.into_iter().flatten().collect())
-}
-
-/// Order one group on `workers` threads: its batches concatenated, a
-/// `u32` permutation stable-sorted on the rows' keys in one contiguous
-/// run per worker and the runs merged, then every column gathered, the
-/// columns shared among the workers. A group that is one ascending batch
-/// is already in order.
-fn order_group(group: Group, workers: usize) -> Result<ColumnBatch> {
-    let one_run = group.ascending && group.batches.len() == 1;
-    let all = ColumnBatch::concat(group.batches)?;
-    if one_run {
-        return Ok(all);
-    }
-    let all = &all;
-    let n = all.num_rows();
-    // `join_rows_on` has checked that the whole result fits.
-    let n32 = n as u32;
-    let run_len = n.div_ceil(workers);
-    // The sort keys live only as long as the sort.
-    let perm = {
-        // A column's keys are built when a comparison first reaches it,
-        // so rows told apart by their leading columns never pay for the
-        // rest.
-        let keys: Vec<OnceLock<Vec<u64>>> =
-            (0..all.num_columns()).map(|_| OnceLock::new()).collect();
-        let keys = &keys;
-        let by_row = move |a: &u32, b: &u32| {
-            for (c, bits) in keys.iter().enumerate() {
-                let bits = bits.get_or_init(|| {
-                    let mut bits = Vec::with_capacity(n);
-                    all.column(c).order_bits_into(&mut bits);
-                    bits
-                });
-                let ord = bits[*a as usize].cmp(&bits[*b as usize]);
-                if ord.is_ne() {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        };
-        let mut perm: Vec<u32> = (0..n32).collect();
-        if workers == 1 {
-            perm.sort_by(by_row);
-            perm
+/// [`groups`] of `batches`, with each oversized group — not a set of
+/// ascending runs and above `part_rows` rows, or above `share` rows —
+/// replaced by its parts ([`cut`]), and whether any was.
+fn cut_groups(
+    batches: Vec<ColumnBatch>,
+    workers: usize,
+    share: usize,
+    part_rows: usize,
+    cancel: &CancelToken,
+) -> Result<(Vec<Group>, bool)> {
+    let part_rows = part_rows.max(1);
+    let (mut out, mut any) = (Vec::new(), false);
+    for group in groups(batches, workers)? {
+        if group.rows > part_rows && (!group.ascending || group.rows > share) {
+            cancel.check()?;
+            cut(group, 0, part_rows, workers, &mut out)?;
+            any = true;
         } else {
-            on_workers(perm.chunks_mut(run_len).map(|run| {
-                Box::new(move || {
-                    run.sort_by(by_row);
-                    Ok(())
-                }) as WorkerBody<'_, _>
-            }))?;
-            merge_runs(perm, run_len, by_row)
+            out.push(group);
         }
-    };
-    if workers == 1 {
-        return Ok(all.gather(&perm));
     }
-    let (perm, width) = (&perm, all.num_columns());
-    let per_worker = width.div_ceil(workers).max(1);
-    let columns = on_workers((0..width).step_by(per_worker).map(|first| {
-        let gather = move || {
-            let last = width.min(first + per_worker);
-            Ok((first..last).map(|c| all.column(c).gather(perm)).collect())
-        };
-        Box::new(gather) as WorkerBody<'_, Vec<_>>
-    }))?;
-    ColumnBatch::from_columns(columns.into_iter().flatten().collect())
+    Ok((out, any))
 }
 
-/// Merge the sorted runs of `run_len` rows `perm` consists of (the last
-/// may be shorter) into one, pairwise; ties keep the earlier run's row
-/// first, so the whole stays a stable sort.
-fn merge_runs(
-    mut perm: Vec<u32>,
-    mut run_len: usize,
-    by_row: impl Fn(&u32, &u32) -> Ordering,
-) -> Vec<u32> {
-    let mut merged = Vec::with_capacity(perm.len());
-    while run_len < perm.len() {
-        merged.clear();
-        for pair in perm.chunks(2 * run_len) {
-            let (left, right) = pair.split_at(run_len.min(pair.len()));
-            let (mut i, mut j) = (0, 0);
-            while i < left.len() && j < right.len() {
-                if by_row(&right[j], &left[i]).is_lt() {
-                    merged.push(right[j]);
-                    j += 1;
-                } else {
-                    merged.push(left[i]);
-                    i += 1;
-                }
-            }
-            merged.extend_from_slice(&left[i..]);
-            merged.extend_from_slice(&right[j..]);
-        }
-        std::mem::swap(&mut perm, &mut merged);
-        run_len *= 2;
+/// Cut `group`, whose rows tie on every column before `c`, into parts at
+/// sampled keys of column `c` and push them to `out` in order. From an
+/// even-stride sample of the group's keys ([`splitters`]) a row goes to
+/// the part between the two splitters its key falls between, or to a
+/// splitter's own part if its key equals one ([`route`]). So rows that
+/// compare equal share a part, every row of a part is below every row of
+/// the next, and a part keeps its rows in input order: the parts, each
+/// sorted stably and laid end to end, are the stable sort of the group.
+/// The batches are cut on up to `workers` threads, a contiguous run of
+/// them each, and dropped; the parts do not depend on how many threads.
+/// Neighbouring parts that fit in `part_rows` rows together become one,
+/// and a larger part of one splitter's key is cut again on column
+/// `c + 1`.
+fn cut(
+    group: Group,
+    c: usize,
+    part_rows: usize,
+    workers: usize,
+    out: &mut Vec<Group>,
+) -> Result<()> {
+    let width = group.batches[0].num_columns();
+    let splitters = splitters(&group.batches, group.rows, c, group.rows / part_rows);
+    let routed = map_on(&group.batches, workers, |b| route(b, c, &splitters))?;
+    drop(group.batches);
+    let empty = || Group {
+        ascending: group.ascending,
+        ..Group::default()
+    };
+    let mut parts: Vec<Group> = (0..=2 * splitters.len()).map(|_| empty()).collect();
+    for (p, piece) in routed.into_iter().flatten() {
+        parts[p].rows += piece.num_rows();
+        parts[p].batches.push(piece);
     }
-    perm
+    let mut pending: Option<Group> = None;
+    for (p, part) in parts.into_iter().enumerate().filter(|(_, g)| g.rows > 0) {
+        // A splitter's own part ties on column `c`.
+        if p % 2 == 1 && part.rows > part_rows && c + 1 < width {
+            out.extend(pending.take());
+            cut(part, c + 1, part_rows, workers, out)?;
+            continue;
+        }
+        match &mut pending {
+            // Their rows never compare equal, so their order in the joined
+            // part is free.
+            Some(joined) if joined.rows + part.rows <= part_rows => {
+                joined.rows += part.rows;
+                joined.batches.extend(part.batches);
+            }
+            _ => out.extend(pending.replace(part)),
+        }
+    }
+    out.extend(pending);
+    Ok(())
+}
+
+/// `count` splitters for the `rows` rows of `batches` in column `c`: the
+/// keys at even ranks of a sorted sample of about `SAMPLES_PER_PART` keys
+/// per part, taken at an even stride, duplicates dropped. No randomness:
+/// the same rows give the same splitters.
+fn splitters(batches: &[ColumnBatch], rows: usize, c: usize, count: usize) -> Vec<u64> {
+    let samples = (SAMPLES_PER_PART * (count + 1)).min(rows);
+    let mut keys = Vec::with_capacity(samples);
+    let (mut b, mut first) = (0, 0);
+    for i in 0..samples {
+        let at = i * rows / samples;
+        while at >= first + batches[b].num_rows() {
+            first += batches[b].num_rows();
+            b += 1;
+        }
+        keys.push(batches[b].value(at - first, c).order_bits());
+    }
+    keys.sort_unstable();
+    let mut picked: Vec<u64> = (1..=count)
+        .map(|k| keys[k * samples / (count + 1)])
+        .collect();
+    picked.dedup();
+    picked
+}
+
+/// Cut `batch` at `splitters`, by its keys in column `c`: part `2k` takes
+/// the rows whose key lies between splitters `k - 1` and `k`, part
+/// `2k + 1` those whose key equals splitter `k`. Returns each non-empty
+/// part's rows in input order, one typed gather per column, with its part
+/// number.
+fn route(batch: &ColumnBatch, c: usize, splitters: &[u64]) -> Vec<(usize, ColumnBatch)> {
+    let column = batch.column(c);
+    let mut sizes = vec![0; 2 * splitters.len() + 1];
+    let part: Vec<u32> = (0..batch.num_rows())
+        .map(|r| {
+            let key = column.value(r).order_bits();
+            let k = splitters.partition_point(|&s| s < key);
+            let p = 2 * k + usize::from(splitters.get(k) == Some(&key));
+            sizes[p] += 1;
+            p as u32
+        })
+        .collect();
+    // A stable counting sort of the row numbers by part.
+    let mut next: Vec<usize> = sizes
+        .iter()
+        .scan(0, |at, n| Some(replace(at, *at + n)))
+        .collect();
+    let mut order = vec![0; part.len()];
+    for (r, &p) in part.iter().enumerate() {
+        order[next[p as usize]] = r as u32;
+        next[p as usize] += 1;
+    }
+    let mut rest = &order[..];
+    let mut pieces = Vec::new();
+    for (p, &n) in sizes.iter().enumerate().filter(|(_, &n)| n > 0) {
+        let (mine, tail) = rest.split_at(n);
+        pieces.push((p, batch.gather(mine)));
+        rest = tail;
+    }
+    pieces
+}
+
+/// Order one group on this thread: its batches concatenated, a `u32`
+/// permutation stable-sorted on the rows' keys, then every column
+/// gathered. A part of a cut group fits in cache.
+fn order_group(group: Group) -> Result<ColumnBatch> {
+    let all = ColumnBatch::concat(group.batches)?;
+    let n = all.num_rows();
+    // A column's keys are built when a comparison first reaches it, so
+    // rows told apart by their leading columns never pay for the rest.
+    let keys: Vec<OnceCell<Vec<u64>>> = (0..all.num_columns()).map(|_| OnceCell::new()).collect();
+    // `join_rows_on` has checked that the whole result fits.
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    perm.sort_by(|a, b| {
+        for (c, bits) in keys.iter().enumerate() {
+            let bits = bits.get_or_init(|| {
+                let mut bits = Vec::with_capacity(n);
+                all.column(c).order_bits_into(&mut bits);
+                bits
+            });
+            let ord = bits[*a as usize].cmp(&bits[*b as usize]);
+            if ord.is_ne() {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    });
+    Ok(all.gather(&perm))
 }
 
 /// A chunk scan: the schema, the rows, and per-chunk run lengths
@@ -1420,6 +1415,9 @@ mod tests {
         assert!(err.to_string().contains("GROUP BY"));
     }
 
+    /// `batches_to_rows` lays a run of batches out as it stands; the
+    /// join's row edge, on any number of workers and cut into parts of
+    /// any size, lays it out as the stable row sort does.
     #[test]
     fn row_edge_on_workers_equals_the_serial_edge() {
         use orv_types::ColumnData;
@@ -1445,10 +1443,15 @@ mod tests {
         let inputs: [&[ColumnBatch]; 5] =
             [&batches, &[], &batches[..1], &batches[2..4], &batches[1..2]];
         for input in inputs {
-            let serial = batches_to_rows(input).unwrap();
+            let mut sorted = batches_to_rows(input).unwrap();
+            sorted.sort_by(|a, b| a.values().cmp(b.values()));
             for workers in [0, 1, 2, 3, 4, 9] {
-                // Threshold 0: every result is worth its workers.
-                assert_eq!(rows_on(input, workers, 0).unwrap(), serial, "{workers}");
+                for part_rows in [0, 1, 2, 3, PART_ROWS] {
+                    // Threshold 0: every result is worth its workers.
+                    let none = CancelToken::none();
+                    let rows = join_rows_on(input.to_vec(), workers, 0, part_rows, &none);
+                    assert_eq!(rows.unwrap(), sorted, "{workers} workers, {part_rows}");
+                }
             }
         }
     }
@@ -1479,9 +1482,10 @@ mod tests {
     }
 
     /// The pairs of an x-stripe overlap and stripes do not: a grid cut
-    /// into 4 × 4 chunks makes 4 groups of 4 runs, and [`join_rows_on`]
-    /// builds them in the stable row sort's order on 1 to 4 workers, on
-    /// either side of the serial threshold.
+    /// into 4 × 4 chunks makes 4 groups of 4 runs. Each stripe fits in a
+    /// share on up to 4 workers, so it is not cut, however small the
+    /// parts; [`join_rows_on`] builds them in the stable row sort's order
+    /// on 1 to 4 workers, on either side of the serial threshold.
     #[test]
     fn pair_runs_group_by_x_stripe() {
         let batches = pair_runs(4, 4);
@@ -1492,13 +1496,37 @@ mod tests {
             .map(|g| g.batches.len())
             .collect();
         assert_eq!(sizes, [4; 4]);
+        let none = CancelToken::none();
+        let whole: Vec<Vec<ColumnBatch>> = groups(batches.clone(), 1)
+            .unwrap()
+            .into_iter()
+            .map(|g| g.batches)
+            .collect();
+        for workers in 1..=4 {
+            let share = (16 * 16usize).div_ceil(workers);
+            let (kept, cut) = cut_groups(batches.clone(), workers, share, 8, &none).unwrap();
+            assert!(!cut, "{workers} workers");
+            assert!(kept.iter().all(|g| g.ascending), "{workers} workers");
+            let kept: Vec<Vec<ColumnBatch>> = kept.into_iter().map(|g| g.batches).collect();
+            assert!(kept == whole, "{workers} workers: a stripe was cut");
+        }
+        // Were a share smaller than a stripe, the stripes would be cut,
+        // the ties on `x` again on `y`, into ascending parts of at most 8
+        // rows.
+        let (parts, cut) = cut_groups(batches.clone(), 8, 32, 8, &none).unwrap();
+        assert!(cut);
+        assert!(parts.len() > 4 && parts.iter().all(|g| g.ascending && g.rows <= 8));
+        assert_eq!(parts.iter().map(|g| g.rows).sum::<usize>(), 16 * 16);
         let mut expected = batches_to_rows(&batches).unwrap();
         expected.sort_by(|a, b| a.values().cmp(b.values()));
         for workers in 1..=4 {
             for serial_below in [0, usize::MAX] {
-                let rows =
-                    join_rows_on(batches.clone(), workers, serial_below, &CancelToken::none());
-                assert_eq!(rows.unwrap(), expected, "{workers} workers, {serial_below}");
+                for part_rows in [8, PART_ROWS] {
+                    let rows =
+                        join_rows_on(batches.clone(), workers, serial_below, part_rows, &none);
+                    let label = format!("{workers} workers, {serial_below}, {part_rows}");
+                    assert_eq!(rows.unwrap(), expected, "{label}");
+                }
             }
         }
         // A run from stripe 0's last row to stripe 1's first touches both:
@@ -1543,8 +1571,9 @@ mod tests {
     }
 
     /// A cancelled query builds no row: 2¹⁶ rows of pair runs, or one
-    /// unordered batch of them (Grace Hash's shape), on one worker and on
-    /// two, come back as the cancellation error.
+    /// unordered batch of them (Grace Hash's shape, which is cut into
+    /// parts), on one worker and on two, come back as the cancellation
+    /// error; a live query builds them in order.
     #[test]
     fn a_cancelled_join_builds_no_rows() {
         let runs = pair_runs(16, 16);
@@ -1552,15 +1581,17 @@ mod tests {
         assert_eq!(rows.len(), 1 << 16);
         let shuffled: Vec<Record> = rows.iter().rev().cloned().collect();
         let unordered = ColumnBatch::from_records(&runs[0].dtypes(), &shuffled).unwrap();
+        let mut sorted = rows;
+        sorted.sort_by(|a, b| a.values().cmp(b.values()));
         let cancel = CancelToken::new();
         cancel.cancel();
         for workers in [1, 2] {
             for batches in [runs.clone(), vec![unordered.clone()]] {
-                let err = join_rows(batches, workers, &cancel).unwrap_err();
+                let err = join_rows(batches.clone(), workers, &cancel).unwrap_err();
                 assert!(matches!(err, Error::Cancelled), "{workers} workers: {err}");
+                let live = join_rows(batches, workers, &CancelToken::new()).unwrap();
+                assert!(live == sorted, "{workers} workers");
             }
-            let live = join_rows(runs.clone(), workers, &CancelToken::new()).unwrap();
-            assert_eq!(live.len(), 1 << 16);
         }
     }
 
@@ -1631,14 +1662,19 @@ mod tests {
 
             /// [`join_rows_on`] is `batches_to_rows` then
             /// `sort_by(values().cmp())`, as a `Record` sequence down to
-            /// the bit, for 1 to 4 workers and on both sides of the serial
-            /// threshold — so through the streamed groups and through the
-            /// all-worker sort of a group larger than a share. The input is
+            /// the bit, for 1 to 4 workers, on both sides of the serial
+            /// threshold and with parts of 1 to 23 rows or `PART_ROWS` —
+            /// so through the streamed groups, and through the cut of a
+            /// group that is unsorted or larger than a share. The input is
             /// ascending runs — windows of one sorted pool, thinned, so
             /// their ranges are disjoint, touching, nested or overlapping
             /// and equal rows fall in several runs — and, in two cases out
             /// of three, unsorted batches of up to 39 rows among them
-            /// (Grace Hash's shape).
+            /// (Grace Hash's shape); up to two batches appear twice, so
+            /// whole rows repeat across batches. Column 0 is as drawn, one
+            /// key (the cut moves to column 1), or, in a float column, the
+            /// two zeros or two NaNs, which tie: with parts of a few rows
+            /// there are fewer distinct column-0 keys than parts.
             #[test]
             fn typed_order_equals_the_boxed_row_sort(
                 types in proptest::collection::vec(
@@ -1649,8 +1685,22 @@ mod tests {
                 ),
                 runs in proptest::collection::vec((0usize..40, 0usize..16, any::<u64>()), 0..8),
                 unsorted in proptest::collection::vec(0usize..40, 0..3),
+                repeated in proptest::collection::vec(any::<usize>(), 0..3),
+                lead in 0usize..4,
+                part_rows in 1usize..24,
                 picks in proptest::collection::vec(0usize..6, 480..481),
             ) {
+                let mut picks = picks;
+                for row in picks.chunks_mut(types.len()) {
+                    row[0] = match lead {
+                        0 => row[0],
+                        1 => 2,
+                        // +0.0 and -0.0, or two NaN payloads, in a float
+                        // column.
+                        2 => row[0] % 2,
+                        _ => 2 + row[0] % 2,
+                    };
+                }
                 let mut picks = picks.chunks(types.len());
                 let mut take = |rows| batch(&types, &picks.by_ref().take(rows).collect::<Vec<_>>());
                 let mut pool = batches_to_rows(&[take(40)]).unwrap();
@@ -1670,13 +1720,27 @@ mod tests {
                     let at = (k * 5) % (batches.len() + 1);
                     batches.insert(at, take(rows));
                 }
+                for &r in &repeated {
+                    if !batches.is_empty() {
+                        batches.push(batches[r % batches.len()].clone());
+                    }
+                }
                 let mut expected = batches_to_rows(&batches).unwrap();
                 expected.sort_by(|a, b| a.values().cmp(b.values()));
                 for workers in 1..=4 {
                     for serial_below in [0, usize::MAX] {
-                        let none = CancelToken::none();
-                        let rows = join_rows_on(batches.clone(), workers, serial_below, &none);
-                        prop_assert_eq!(bits(&rows.unwrap()), bits(&expected), "{} workers", workers);
+                        for part_rows in [part_rows, PART_ROWS] {
+                            let none = CancelToken::none();
+                            let rows =
+                                join_rows_on(batches.clone(), workers, serial_below, part_rows, &none);
+                            prop_assert_eq!(
+                                bits(&rows.unwrap()),
+                                bits(&expected),
+                                "{} workers, parts of {}",
+                                workers,
+                                part_rows
+                            );
+                        }
                     }
                 }
             }
