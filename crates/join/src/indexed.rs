@@ -533,12 +533,10 @@ mod tests {
         assert_eq!((totals.misses, totals.evictions), (20, 0));
         assert_eq!(totals.hits, cold.stats.cache_hits + 32);
         // What is resident is what is charged: 20 sub-tables' columns and
-        // 16 hash tables of 8 slots, 4 chain links and 4 three-word keys.
+        // 16 hash tables of 8 slots and 4 chain links; a table holds row
+        // numbers, not keys.
         let columns = (16 * 4 + 4 * 16) * 16;
-        assert_eq!(
-            cache.used_bytes(),
-            columns + 16 * (8 * 4 + 4 * 4 + 4 * 3 * 8)
-        );
+        assert_eq!(cache.used_bytes(), columns + 16 * (8 * 4 + 4 * 4));
     }
 
     #[test]

@@ -241,7 +241,16 @@ fn the_zero_refetch_bound_holds_at_the_memory_section_5_1_assumes() {
         "capacity_B", "misses", "hits", "moved_B", "sim_misses"
     );
     let mut last_misses = u64::MAX;
-    for capacity in [6_000, 8_192, 16_384, 20_000, 32_768, 65_536, 1 << 30] {
+    for capacity in [
+        6_000,
+        8_192,
+        10_240,
+        16_384,
+        20_000,
+        32_768,
+        65_536,
+        1 << 30,
+    ] {
         let stats = run(capacity);
         let sim = simulated_misses(capacity);
         println!(
