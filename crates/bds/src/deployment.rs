@@ -13,7 +13,9 @@ use std::sync::Arc;
 /// shared MetaData service, and the extractor registry.
 ///
 /// Each store sits behind a `Mutex`, which also models the fact that a
-/// node's single disk serializes its I/O.
+/// node's single disk serializes its I/O. Stores are independent of one
+/// another: dataset generation runs one writer per node, and each writer
+/// holds only its own node's lock.
 ///
 /// Clones share all state (stores, catalog, extractors): federated
 /// engine shards each hold a clone and see one storage cluster.

@@ -10,12 +10,22 @@
 //! coordinates)` — see [`scalar_value`] — so independently generated tables
 //! over the same grid join verifiably: the result of `T1 ⊕_{xyz} T2` can be
 //! recomputed point-wise by tests.
+//!
+//! Like the simulation writers it stands in for, [`generate_dataset`]
+//! writes in parallel: one writer per storage node, each appending its
+//! node's chunks to that node's own store. A chunk is generated, encoded,
+//! sealed with its CRC and appended in one pass over its points. The
+//! table's chunks are registered together once every writer has finished,
+//! so a failed generation registers none of them.
 
 use crate::deployment::Deployment;
-use crate::partition::GridPartition;
+use crate::partition::{GridPartition, Region};
+use orv_chunk::format::ChunkStore;
 use orv_chunk::{ChunkMeta, Extractor as _, LayoutExtractor};
-use orv_layout::{Endian, Item, LayoutDesc, RecordOrder};
-use orv_types::{DataType, Error, Result, Schema, TableId, Value};
+use orv_cluster::{all_done, run_workers, WorkerBody};
+use orv_layout::{CompiledLayout, Endian, Item, LayoutDesc, RecordOrder};
+use orv_types::{ChunkId, DataType, Error, Interval, NodeId, Result, Schema, TableId, Value};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// How scalar values vary over the grid.
@@ -255,8 +265,19 @@ pub fn plume_value(seed: u64, attr: u64, grid: [u64; 3], p: [u64; 3]) -> f32 {
 
 /// Generate the dataset described by `spec` into `deployment`: write chunk
 /// files, register the extractor, the table and every chunk's metadata.
+///
+/// One writer per storage node runs on [`orv_cluster::run_workers`]; each
+/// takes its node's chunks in ascending id and appends them to its own
+/// node's store, so every data file gets the same bytes at the same
+/// offsets as a serial writer would give it. The chunks are registered
+/// in id order once every writer has finished, so a table's chunks become
+/// visible together. On failure none of them is registered (the table
+/// itself stays, with no chunks; bytes already appended stay in the data
+/// files, unreferenced) and the error of the first failing chunk in id
+/// order is returned; a writer panic is an [`Error::Cluster`].
 pub fn generate_dataset(spec: &DatasetSpec, deployment: &Deployment) -> Result<DatasetHandle> {
-    if deployment.num_storage_nodes() == 0 {
+    let n_storage = deployment.num_storage_nodes();
+    if n_storage == 0 {
         return Err(Error::Config("deployment has no storage nodes".into()));
     }
     let partition = spec.grid_partition()?;
@@ -275,59 +296,42 @@ pub fn generate_dataset(spec: &DatasetSpec, deployment: &Deployment) -> Result<D
     let table = deployment
         .metadata()
         .register_table(spec.name.clone(), Arc::clone(&schema))?;
-    let coord_names: Vec<String> = vec!["x".into(), "y".into(), "z".into()];
-    let n_storage = deployment.num_storage_nodes();
-    let file = format!("{}.dat", spec.name);
+    let writer = ChunkWriter {
+        spec,
+        layout: extractor.layout(),
+        file: format!("{}.dat", spec.name),
+        coord_names: vec!["x".into(), "y".into(), "z".into()],
+        attributes: schema.attrs().iter().map(|a| a.name.clone()).collect(),
+        extractors: vec![layout_desc.name.clone()],
+        table,
+    };
 
+    let mut per_node: Vec<Vec<(u64, Region)>> = vec![Vec::new(); n_storage];
     for (idx, region, node) in partition.chunks(n_storage) {
-        let npoints = region.num_points() as usize;
-        let mut cols: Vec<Vec<Value>> = (0..schema.arity())
-            .map(|_| Vec::with_capacity(npoints))
-            .collect();
-        for p in region.points() {
-            cols[0].push(Value::I32(p[0] as i32));
-            cols[1].push(Value::I32(p[1] as i32));
-            cols[2].push(Value::I32(p[2] as i32));
-            for (ai, _) in spec.scalars.iter().enumerate() {
-                let v = match spec.scalar_model {
-                    ScalarModel::Uniform => scalar_value(spec.seed, ai as u64, p),
-                    ScalarModel::Plume => plume_value(spec.seed, ai as u64, spec.grid, p),
-                };
-                cols[3 + ai].push(Value::F32(v));
-            }
-        }
-        let bytes = extractor.layout().encode(&cols)?;
-        let location = deployment.store(node)?.lock().append(&file, &bytes)?;
-
-        // Bounding box: exact coordinate bounds from the region; scalar
-        // bounds from the generated data.
-        let mut bbox = region.bbox(&coord_names);
-        for (ai, name) in spec.scalars.iter().enumerate() {
-            let col = &cols[3 + ai];
-            if !col.is_empty() {
-                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for v in col {
-                    let x = v.as_f64();
-                    lo = lo.min(x);
-                    hi = hi.max(x);
-                }
-                bbox.set(name.clone(), orv_types::Interval::new(lo, hi));
-            }
-        }
-
-        deployment.metadata().register_chunk(ChunkMeta {
-            table,
-            chunk: orv_types::ChunkId(idx as u32),
-            node,
-            location,
-            attributes: schema.attrs().iter().map(|a| a.name.clone()).collect(),
-            extractors: vec![layout_desc.name.clone()],
-            bbox,
-            num_records: npoints as u64,
-            // Sealed before the bytes can be damaged: every read verifies
-            // against this, so a flipped bit anywhere downstream is caught.
-            checksum: Some(orv_cluster::crc32c(&bytes)),
-        })?;
+        per_node[node.index()].push((idx, region));
+    }
+    let writer = &writer;
+    let mut workers = Vec::with_capacity(n_storage);
+    for (k, chunks) in per_node.into_iter().enumerate() {
+        let node = NodeId(k as u32);
+        let store = deployment.store(node)?;
+        let body: WorkerBody<'_, Vec<(u64, Result<ChunkMeta>)>> =
+            Box::new(move || Ok(writer.write_node(node, store, &chunks)));
+        workers.push((format!("storage node {k}"), body));
+    }
+    let mut written: Vec<_> = all_done(run_workers(workers))?
+        .into_iter()
+        .flatten()
+        .collect();
+    // A writer stops at its first error, so every chunk before the first
+    // failing one in id order was written.
+    written.sort_unstable_by_key(|(idx, _)| *idx);
+    let metas = written
+        .into_iter()
+        .map(|(_, meta)| meta)
+        .collect::<Result<Vec<_>>>()?;
+    for meta in metas {
+        deployment.metadata().register_chunk(meta)?;
     }
 
     Ok(DatasetHandle {
@@ -337,6 +341,95 @@ pub fn generate_dataset(spec: &DatasetSpec, deployment: &Deployment) -> Result<D
         partition,
         spec: spec.clone(),
     })
+}
+
+/// What every storage node's writer of one table shares.
+struct ChunkWriter<'a> {
+    spec: &'a DatasetSpec,
+    layout: &'a CompiledLayout,
+    file: String,
+    coord_names: Vec<String>,
+    attributes: Vec<String>,
+    extractors: Vec<String>,
+    table: TableId,
+}
+
+impl ChunkWriter<'_> {
+    /// Write `chunks` (ascending ids, all placed on `node`) to `store`, one
+    /// after another, stopping after the first that fails.
+    fn write_node(
+        &self,
+        node: NodeId,
+        store: &Mutex<Box<dyn ChunkStore>>,
+        chunks: &[(u64, Region)],
+    ) -> Vec<(u64, Result<ChunkMeta>)> {
+        let mut written = Vec::with_capacity(chunks.len());
+        for &(idx, region) in chunks {
+            let meta = self.write_chunk(idx, region, node, store);
+            let failed = meta.is_err();
+            written.push((idx, meta));
+            if failed {
+                break;
+            }
+        }
+        written
+    }
+
+    /// Generate, encode, seal and append one chunk in one pass over its
+    /// points; the scalar bounds are folded as the values are generated.
+    fn write_chunk(
+        &self,
+        idx: u64,
+        region: Region,
+        node: NodeId,
+        store: &Mutex<Box<dyn ChunkStore>>,
+    ) -> Result<ChunkMeta> {
+        let spec = self.spec;
+        let npoints = region.num_points() as usize;
+        let mut cols: Vec<Vec<Value>> = (0..3 + spec.scalars.len())
+            .map(|_| Vec::with_capacity(npoints))
+            .collect();
+        let mut bounds = vec![(f64::INFINITY, f64::NEG_INFINITY); spec.scalars.len()];
+        for p in region.points() {
+            cols[0].push(Value::I32(p[0] as i32));
+            cols[1].push(Value::I32(p[1] as i32));
+            cols[2].push(Value::I32(p[2] as i32));
+            for (ai, (lo, hi)) in bounds.iter_mut().enumerate() {
+                let v = match spec.scalar_model {
+                    ScalarModel::Uniform => scalar_value(spec.seed, ai as u64, p),
+                    ScalarModel::Plume => plume_value(spec.seed, ai as u64, spec.grid, p),
+                };
+                *lo = lo.min(f64::from(v));
+                *hi = hi.max(f64::from(v));
+                cols[3 + ai].push(Value::F32(v));
+            }
+        }
+        let bytes = self.layout.encode(&cols)?;
+        // Sealed before the bytes can be damaged: every read verifies
+        // against this, so a flipped bit anywhere downstream is caught.
+        let checksum = Some(orv_cluster::crc32c(&bytes));
+        let location = store.lock().append(&self.file, &bytes)?;
+
+        // Bounding box: exact coordinate bounds from the region; scalar
+        // bounds from the generated data.
+        let mut bbox = region.bbox(&self.coord_names);
+        if npoints > 0 {
+            for (name, &(lo, hi)) in spec.scalars.iter().zip(&bounds) {
+                bbox.set(name.clone(), Interval::new(lo, hi));
+            }
+        }
+        Ok(ChunkMeta {
+            table: self.table,
+            chunk: ChunkId(idx as u32),
+            node,
+            location,
+            attributes: self.attributes.clone(),
+            extractors: self.extractors.clone(),
+            bbox,
+            num_records: npoints as u64,
+            checksum,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -465,6 +558,133 @@ mod tests {
         .unwrap();
         let uniform_matching = du.metadata().find_chunks(hu.table, &q).unwrap();
         assert_eq!(uniform_matching.len(), hu.num_chunks() as usize);
+    }
+
+    /// The bytes a serial writer would have stored for chunk `idx`:
+    /// `layout.encode` of columns recomputed point by point.
+    fn expected_chunk(spec: &DatasetSpec, layout: &CompiledLayout, idx: u64) -> Vec<u8> {
+        let region = spec.grid_partition().unwrap().chunk_region(idx);
+        let mut cols = vec![Vec::new(); 3 + spec.scalars.len()];
+        for p in region.points() {
+            for d in 0..3 {
+                cols[d].push(Value::I32(p[d] as i32));
+            }
+            for ai in 0..spec.scalars.len() {
+                cols[3 + ai].push(Value::F32(scalar_value(spec.seed, ai as u64, p)));
+            }
+        }
+        layout.encode(&cols).unwrap()
+    }
+
+    #[test]
+    fn every_writer_stores_what_a_serial_writer_would() {
+        // Uneven edges (12 = 3·4, 10 = 3·3 + 1, 3 = 2 + 1): 24 chunks of
+        // four sizes, so offsets are not multiples of one chunk length.
+        let spec = DatasetSpec::builder("t")
+            .grid([12, 10, 3])
+            .partition([4, 3, 2])
+            .scalar_attrs(&["oilp", "wp"])
+            .seed(11)
+            .build();
+        let layout = CompiledLayout::compile(&spec.layout()).unwrap();
+        let root = std::env::temp_dir().join(format!("orv-gen-writers-{}", std::process::id()));
+        for n in [1usize, 2, 3, 5] {
+            let _ = std::fs::remove_dir_all(&root);
+            let on_disk = Deployment::on_disk(&root, n).unwrap();
+            for d in [Deployment::in_memory(n), on_disk] {
+                let h = generate_dataset(&spec, &d).unwrap();
+                let metas = d.metadata().with_chunks(h.table, <[_]>::to_vec).unwrap();
+                assert_eq!(metas.len(), 24);
+                let mut next_offset = vec![0u64; n];
+                for (i, m) in metas.iter().enumerate() {
+                    assert_eq!(m.chunk.index(), i);
+                    assert_eq!(m.node, h.partition.node_of_chunk(i as u64, n));
+                    // Each node's file holds its chunks back to back in
+                    // ascending id.
+                    let at = &mut next_offset[m.node.index()];
+                    assert_eq!(m.location.offset, *at, "{n} nodes, chunk {i}");
+                    *at += m.location.len;
+                    let bytes = d.store(m.node).unwrap().lock().read(&m.location).unwrap();
+                    assert_eq!(
+                        bytes.as_ref(),
+                        expected_chunk(&spec, &layout, i as u64),
+                        "{n} nodes, chunk {i}"
+                    );
+                    assert_eq!(m.checksum, Some(orv_cluster::crc32c(&bytes)));
+                    assert_eq!(m.num_records, layout.row_count(bytes.len()).unwrap() as u64);
+                    // The scalar bounds are a fold over the stored values.
+                    let cols = layout.decode(&bytes).unwrap();
+                    for (ai, name) in spec.scalars.iter().enumerate() {
+                        let (lo, hi) = cols[3 + ai]
+                            .to_vec()
+                            .iter()
+                            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                                (lo.min(v.as_f64()), hi.max(v.as_f64()))
+                            });
+                        assert_eq!(m.bbox.get(name), Interval::new(lo, hi), "chunk {i} {name}");
+                    }
+                }
+                for (k, &len) in next_offset.iter().enumerate() {
+                    let stored = d.store(NodeId(k as u32)).unwrap().lock().total_bytes();
+                    assert_eq!(stored, len, "{n} nodes, node {k}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn two_generations_save_equal_catalogs() {
+        let row_major = |name: &str| {
+            DatasetSpec::builder(name)
+                .grid([16, 12, 2])
+                .partition([4, 5, 2])
+                .scalar_attrs(&["oilp"])
+                .seed(4)
+                .build()
+        };
+        let column_major = |name: &str| {
+            DatasetSpec::builder(name)
+                .grid([16, 12, 2])
+                .partition([8, 3, 1])
+                .scalar_attrs(&["soil", "wp"])
+                .seed(5)
+                .endian(Endian::Big)
+                .order(RecordOrder::ColumnMajor)
+                .header(24)
+                .scalar_model(ScalarModel::Plume)
+                .build()
+        };
+        let spec_pairs: [[DatasetSpec; 2]; 2] = [
+            [row_major("a"), row_major("b")],
+            [column_major("a"), column_major("b")],
+        ];
+        for specs in spec_pairs {
+            let catalog = || {
+                let d = Deployment::in_memory(3);
+                for spec in &specs {
+                    generate_dataset(spec, &d).unwrap();
+                }
+                d.metadata().snapshot().unwrap().to_json_value()
+            };
+            assert_eq!(catalog(), catalog(), "{:?}", specs[0].order);
+        }
+    }
+
+    #[test]
+    fn a_failed_generation_registers_no_chunk() {
+        let root = std::env::temp_dir().join(format!("orv-gen-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let d = Deployment::on_disk(&root, 2).unwrap();
+        // Node 1's appends fail; node 0 holds chunk 0, the first in id
+        // order, which a serial writer registered before chunk 1 failed.
+        std::fs::remove_dir_all(root.join("node1")).unwrap();
+        let spec = DatasetSpec::builder("t").build();
+        let err = generate_dataset(&spec, &d).unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err}");
+        let table = d.metadata().table_id("t").unwrap();
+        assert_eq!(d.metadata().all_chunks(table).unwrap(), vec![]);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::catalog::Catalog;
 use orv_chunk::ChunkMeta;
 use orv_types::{BoundingBox, ChunkId, Error, Result, Schema, SubTableId, TableId};
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,12 +37,14 @@ struct MdCounters {
 pub struct MetadataService {
     catalog: RwLock<Catalog>,
     /// Precomputed page-level join indices, keyed by
-    /// `(left table, right table, join attrs)`.
-    join_indices: RwLock<HashMap<String, JoinIndex>>,
+    /// `(left table, right table, join attrs)`. Ordered maps here and in
+    /// `layouts`, so a saved catalog lists both in key order and its bytes
+    /// do not depend on a per-process hash seed.
+    join_indices: RwLock<BTreeMap<String, JoinIndex>>,
     /// Layout-description sources keyed by extractor name, with their
     /// coordinate attribute names — enough to regenerate every extractor
     /// when a persisted deployment is reopened.
-    layouts: RwLock<HashMap<String, (String, Vec<String>)>>,
+    layouts: RwLock<BTreeMap<String, (String, Vec<String>)>>,
     counters: MdCounters,
 }
 
