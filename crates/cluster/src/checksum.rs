@@ -76,9 +76,6 @@ pub fn begin() -> u32 {
 }
 
 /// Fold `bytes` into an in-progress checksum state.
-///
-/// Used by [`crate::Scratch`] to maintain a running checksum per bucket:
-/// appends update the state without ever re-reading the bucket.
 pub fn update(state: u32, bytes: &[u8]) -> u32 {
     update_hardware(state, bytes).unwrap_or_else(|| update_slicing8(state, bytes))
 }
@@ -162,6 +159,13 @@ fn update_bytewise(state: u32, bytes: &[u8]) -> u32 {
 /// Finalize an incremental checksum state into the checksum value.
 pub fn finish(state: u32) -> u32 {
     state ^ 0xFFFF_FFFF
+}
+
+/// CRC32C of `prefix ++ bytes`, given `crc = crc32c(prefix)`: a running
+/// checksum kept as a finished value, as [`crate::exchange::BucketQueue`]
+/// keeps one per bucket, so appends never re-read the bucket.
+pub fn extend(crc: u32, bytes: &[u8]) -> u32 {
+    finish(update(finish(crc), bytes))
 }
 
 /// Verify `bytes` against `expected`. `what` names the payload in the
@@ -316,6 +320,16 @@ mod tests {
         for split in [0, 1, 7, 500, 999, 1000] {
             let state = update(update(begin(), &data[..split]), &data[split..]);
             assert_eq!(finish(state), crc32c(&data), "split at {split}");
+        }
+    }
+
+    #[test]
+    fn extend_continues_a_finished_crc() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        assert_eq!(extend(0, &[]), 0, "the empty payload's CRC is 0");
+        for split in [0, 1, 7, 500, 999, 1000] {
+            let crc = extend(crc32c(&data[..split]), &data[split..]);
+            assert_eq!(crc, crc32c(&data), "split at {split}");
         }
     }
 

@@ -12,11 +12,11 @@
 //!   requests against them, so pipelining and contention *emerge* rather
 //!   than being assumed. Runs the paper's experiments at full scale
 //!   (2·10⁹ tuples) in milliseconds, because only costs move, not bytes.
-//! * [`runtime`] — helpers for the **real threaded runtime**: byte-counting
-//!   transports, optional bandwidth throttling, per-node scratch stores for
-//!   Grace-Hash buckets, and run statistics. One OS thread per cluster node
-//!   executes the same scheduling/caching/partitioning code paths on real
-//!   data.
+//! * [`runtime`] and [`exchange`] — the **real threaded runtime**: byte
+//!   counters and run statistics; Grace Hash's frame codec, its checksummed
+//!   storage → compute link and each compute node's bucket queue (memory
+//!   or real temp files). One OS thread per cluster node executes the same
+//!   scheduling/caching/partitioning code paths on real data.
 //!
 //! [`spec::ClusterSpec`] describes a cluster once; both substrates consume
 //! it.
@@ -28,6 +28,7 @@
 
 pub mod cancel;
 pub mod checksum;
+pub mod exchange;
 pub mod fault;
 pub mod resource;
 pub mod retry_budget;
@@ -38,13 +39,14 @@ pub mod workers;
 
 pub use cancel::{CancelToken, DeadlineBudget, WaitBudget, SLEEP_SLICE};
 pub use checksum::crc32c;
+pub use exchange::ScratchKind;
 pub use fault::{
     silence_injected_panics, ClientFloodSpec, Fault, FaultInjector, FaultPlan, FaultStats,
     PerFault, RecoveryPolicy, SendVerdict, ShardDeathSpec, ShardSlowStormSpec, WorkerPanicSpec,
 };
 pub use resource::Resource;
 pub use retry_budget::{RetryBudget, MILLI_PER_TOKEN};
-pub use runtime::{ByteCounter, RunStats, Scratch, ScratchKind};
+pub use runtime::{ByteCounter, RunStats};
 pub use sim::{NodeClocks, SimCluster};
 pub use spec::ClusterSpec;
 pub use workers::{all_done, run_workers, WorkerBody, WorkerEnd};

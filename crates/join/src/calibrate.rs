@@ -10,9 +10,10 @@
 //! drift from the real ones.
 //! [`host_system_params`] is the one model of this host built from them.
 
-use crate::grace::{decode_columns, route_subtable};
+use crate::grace::route_subtable;
 use crate::hash_join::{HashJoiner, JoinCounters, SUBTABLE_ROWS};
 use orv_chunk::SubTable;
+use orv_cluster::exchange::decode_columns;
 use orv_costmodel::SystemParams;
 use orv_obs::Stopwatch;
 use orv_types::{ColumnBatch, ColumnData, Error, Result, Schema, SubTableId};

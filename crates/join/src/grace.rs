@@ -12,15 +12,17 @@
 //! pairs of buckets independently" — the paper's modification of
 //! Kitsuregawa's algorithm that removes network costs from the join phase.
 //!
-//! Storage nodes and compute nodes are OS threads; `h1` routing is a
-//! crossbeam channel per compute node; buckets live in a per-node
-//! [`Scratch`] store (memory or real temp files). The sender hashes each
-//! record once (deriving both `h1` and `h2` from the same 64-bit hash,
-//! taken over the key columns' typed key bits), groups a sub-table's rows
-//! by `(destination, bucket)` and writes every frame at its exact size,
-//! one typed loop per column ([`ColumnBatch::encode_rows_le`]); overflow
-//! repartitioning uses the same encoder. The receiver spills each frame
-//! as it arrived (memory scratch keeps the frame, not a copy of it), and
+//! Storage nodes and compute nodes are OS threads. This module holds the
+//! algorithm; [`orv_cluster::exchange`] moves its bytes: `h1` routing is
+//! a [`Link`](orv_cluster::exchange::Link) from every storage node to
+//! every compute node, and each compute worker owns a [`BucketQueue`]
+//! (memory or real temp files). The sender hashes each record once
+//! (deriving both `h1` and `h2` from the same 64-bit hash, taken over the
+//! key columns' typed key bits), groups a sub-table's rows by
+//! `(destination, bucket)` and writes every frame at its exact size, one
+//! typed loop per column ([`encode_frames`]); overflow repartitioning
+//! uses the same encoder. The receiver enqueues each frame
+//! as it arrived (a memory queue keeps the frame, not a copy of it), and
 //! a bucket decodes straight back into typed columns, so no row objects
 //! are materialized on the partition path.
 //!
@@ -38,16 +40,17 @@
 
 //! ## Fault tolerance
 //!
-//! Every chunk read goes through the execution's [`SubTableReader`], and
-//! every interconnect send, scratch write and scratch read-back is one
-//! attempt closure under the same configured [`RecoveryPolicy`]
-//! (`run_cancellable`, the only retry loop in either):
-//! injected read/write faults, dropped messages and checksum-detected
-//! corruptions are retried with fresh draws and backoff, and an exhausted
-//! policy surfaces the underlying error. Storage and compute node threads
+//! Every chunk read goes through the execution's
+//! [`SubTableReader`](orv_bds::SubTableReader), and every interconnect
+//! send, bucket write and bucket read-back is one attempt closure under
+//! the same configured [`RecoveryPolicy`]
+//! (`run_cancellable`, the only retry loop in either): injected
+//! read/write faults, dropped messages and checksum-detected corruptions
+//! are retried with fresh draws and backoff, and an exhausted policy
+//! surfaces the underlying error. Storage and compute node threads
 //! run on `orv_cluster::workers::run_workers`, which contains a panic as a
 //! typed end and joins every handle. Unlike IJ, a dead compute node
-//! cannot be replaced: its scratch buckets (and any in-flight records
+//! cannot be replaced: its buckets (and any in-flight records
 //! routed to it by `h1`) die with it, so Grace Hash *fails fast* — the
 //! dropped receiver unblocks every storage sender, and `all_done` reports
 //! the panic (not the secondary "hung up" errors) as the join's error
@@ -56,19 +59,17 @@
 use crate::hash_join::{
     gather_matches, is_float, HashJoiner, JoinCounters, Matches, SUBTABLE_ROWS,
 };
-use orv_bds::{Deployment, SubTableReader};
+use crate::indexed::RunFrame;
+use orv_bds::Deployment;
 use orv_chunk::SubTable;
+use orv_cluster::exchange::{encode_frames, interconnect, BucketKey, BucketQueue, Recovery, Side};
 use orv_cluster::{
-    all_done, checksum, run_workers, CancelToken, FaultInjector, RecoveryPolicy, RunStats, Scratch,
-    ScratchKind, SendVerdict, WorkerBody,
+    all_done, run_workers, CancelToken, FaultInjector, RecoveryPolicy, RunStats, ScratchKind,
+    WorkerBody,
 };
 use orv_obs::{names, Obs};
-use orv_types::{
-    BoundingBox, ColumnBatch, ColumnData, Error, NodeId, Result, Schema, SubTableId, TableId,
-};
-use parking_lot::Mutex;
+use orv_types::{BoundingBox, ChunkId, ColumnBatch, Error, Result, Schema, SubTableId, TableId};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Configuration of one Grace Hash execution.
 #[derive(Clone, Debug)]
@@ -124,23 +125,6 @@ impl Default for GraceHashConfig {
 /// Result of a Grace Hash execution (same shape as IJ's).
 pub type JoinOutput = crate::indexed::JoinOutput;
 
-/// One routed message: encoded records of one side, grouped by bucket,
-/// destined for one compute node.
-struct Batch {
-    side: Side,
-    /// `(bucket index, packed records, CRC32C)` triples. The checksum is
-    /// sealed when the frame is encoded; the link layer verifies it after
-    /// any in-flight corruption and the receiver re-verifies before
-    /// spilling to scratch.
-    buckets: Vec<(u32, Vec<u8>, u32)>,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Side {
-    Left,
-    Right,
-}
-
 /// Starting state of a key hash.
 const KEY_SEED: u64 = 0x243F_6A88_85A3_08D3;
 
@@ -184,29 +168,6 @@ fn hash_rows(batch: &ColumnBatch, key_indices: &[usize]) -> Vec<u64> {
     hashes
 }
 
-/// Decode a bucket of packed little-endian records into typed columns of
-/// `schema`. Total: any byte string is either whole records or a typed
-/// [`Error::Format`].
-pub(crate) fn decode_columns(schema: &Schema, bytes: &[u8]) -> Result<ColumnBatch> {
-    let rs = schema.record_size();
-    if rs == 0 || !bytes.len().is_multiple_of(rs) {
-        return Err(Error::Format(format!(
-            "bucket of {} bytes is not a whole number of {rs}-byte records",
-            bytes.len()
-        )));
-    }
-    let nrows = bytes.len() / rs;
-    let columns = schema
-        .attrs()
-        .iter()
-        .enumerate()
-        .map(|(ci, attr)| {
-            ColumnData::decode_strided(attr.dtype, bytes, schema.offset_of(ci), rs, nrows, true)
-        })
-        .collect::<Result<Vec<_>>>()?;
-    ColumnBatch::from_columns(columns)
-}
-
 /// Rows grouped by their group `of[r] < groups`, a stable counting sort in
 /// O(rows + groups): group `g` is `order[starts[g]..starts[g + 1]]`, its
 /// rows ascending.
@@ -230,21 +191,6 @@ fn group_rows(of: &[u32], groups: usize) -> (Vec<u32>, Vec<usize>) {
     at.rotate_right(1);
     at[0] = 0;
     (order, at)
-}
-
-/// One frame per distinct `frame_of[r]` among `batch`'s rows, ascending by
-/// it: each frame holds its rows in order, in the wire format, written at
-/// its exact size by [`ColumnBatch::encode_rows_le`]. A stable sort of the
-/// row indices groups them, so the cost does not grow with the number of
-/// frames the ids could name. Routing and overflow repartitioning both
-/// encode through here.
-fn encode_frames(batch: &ColumnBatch, frame_of: &[usize]) -> Vec<(usize, Vec<u8>)> {
-    let mut order: Vec<u32> = (0..frame_of.len() as u32).collect();
-    order.sort_by_key(|&r| frame_of[r as usize]);
-    order
-        .chunk_by(|&a, &b| frame_of[a as usize] == frame_of[b as usize])
-        .map(|rows| (frame_of[rows[0] as usize], batch.encode_rows_le(rows)))
-        .collect()
 }
 
 /// Pick the bucket count so each side's bucket fits in `mem_per_node`.
@@ -273,10 +219,9 @@ fn salt_hash(hash: u64, salt: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Everything one compute node needs to spill and join its buckets;
-/// bundled so the recursive helpers stay readable.
+/// Everything one compute node needs to join its bucket pairs; bundled so
+/// the recursive helpers stay readable.
 struct BucketJoinCtx<'a> {
-    scratch: &'a Scratch,
     lschema: &'a Arc<Schema>,
     rschema: &'a Arc<Schema>,
     lkeys: &'a [usize],
@@ -284,100 +229,26 @@ struct BucketJoinCtx<'a> {
     join_attrs: &'a [&'a str],
     counters: &'a JoinCounters,
     cfg: &'a GraceHashConfig,
-    injector: &'a FaultInjector,
-    /// Compute node index (for `corruption_detected` events).
-    node: usize,
     /// Span group tag, `c{node}`.
     tag: String,
 }
 
-/// Read a scratch bucket and verify it against the store's running CRC,
-/// retrying under the recovery policy when the read fails or an
-/// (injected) corruption is detected. The durable bytes stay pristine —
-/// only the returned copy is damaged — so a retry with a fresh draw
-/// succeeds once the fault budget drains.
-fn read_bucket_verified(ctx: &BucketJoinCtx, name: &str, stats: &mut RunStats) -> Result<Vec<u8>> {
-    let mut corruptions = 0u64;
-    let (bytes, retries) = ctx.cfg.recovery.run_cancellable(&ctx.cfg.cancel, || {
-        let bytes = {
-            let _read = ctx
-                .cfg
-                .obs
-                .spans
-                .span_with(|| names::span_tagged(&ctx.tag, names::PHASE_SCRATCH_READ));
-            let mut bytes = ctx.scratch.read_bucket(name)?;
-            ctx.injector
-                .corrupt_scratch_read(ctx.node as u64, &mut bytes);
-            bytes
-        };
-        if let Err(e) = ctx.scratch.verify_bucket(name, &bytes) {
-            corruptions += 1;
-            ctx.injector.events().emit(names::CORRUPTION_DETECTED, || {
-                vec![
-                    ("site", "scratch_read".into()),
-                    ("what", name.to_string().into()),
-                    ("node", ctx.node.into()),
-                ]
-            });
-            return Err(e);
-        }
-        Ok(bytes)
-    });
-    stats.corruptions_detected += corruptions;
-    stats.scratch_retries += retries;
-    bytes
-}
-
-/// Read bucket `name` for the last time: verified, then removed from
-/// scratch and decoded, so its frames and bytes go back to the allocator
-/// before the caller allocates its own.
-fn read_last(
-    ctx: &BucketJoinCtx,
-    name: &str,
-    schema: &Schema,
-    stats: &mut RunStats,
-) -> Result<ColumnBatch> {
-    let bytes = read_bucket_verified(ctx, name, stats)?;
-    ctx.scratch.remove(name)?;
-    decode_columns(schema, &bytes)
-}
-
-/// Spill one frame to scratch bucket `name`: the one scratch write, for
-/// phase 1's received frames and overflow sub-buckets alike. It is one
-/// attempt under the recovery policy: injected write faults fire *before*
-/// any bytes land, so retrying them never duplicates data; a real I/O
-/// error from the append itself is returned as-is.
-fn spill(ctx: &BucketJoinCtx, name: &str, frame: Vec<u8>, stats: &mut RunStats) -> Result<()> {
-    let (writable, retries) = ctx.cfg.recovery.run_cancellable(&ctx.cfg.cancel, || {
-        ctx.injector.before_scratch_write(ctx.node as u64)
-    });
-    stats.scratch_retries += retries;
-    writable?;
-    ctx.scratch.append(name, frame)
-}
-
-/// Repartition an oversized bucket into `OVERFLOW_SPLIT` sub-buckets on
-/// scratch, re-hashing each record with a depth salt.
+/// Repartition an oversized bucket into `OVERFLOW_SPLIT` sub-buckets,
+/// re-hashing each record with a depth salt.
 fn repartition_bucket(
-    ctx: &BucketJoinCtx,
-    name: &str,
-    schema: &Schema,
-    key_indices: &[usize],
+    queue: &mut BucketQueue,
+    key: BucketKey,
+    (schema, key_indices): (&Schema, &[usize]),
     depth: u32,
     stats: &mut RunStats,
 ) -> Result<()> {
-    let batch = read_last(ctx, name, schema, stats)?;
+    let batch = queue.dequeue(key, schema, stats)?;
     let sub_of: Vec<usize> = hash_rows(&batch, key_indices)
         .into_iter()
         .map(|h| (salt_hash(h, depth as u64 + 1) % OVERFLOW_SPLIT as u64) as usize)
         .collect();
     for (k, frame) in encode_frames(&batch, &sub_of) {
-        let _write = ctx
-            .cfg
-            .obs
-            .spans
-            .span_with(|| names::span_tagged(&ctx.tag, names::PHASE_SCRATCH_WRITE));
-        spill(ctx, &format!("{name}.{k}"), frame, stats)?;
+        queue.enqueue(key.child(k), frame, stats)?;
     }
     Ok(())
 }
@@ -387,48 +258,36 @@ fn repartition_bucket(
 /// "bucket tuning" in its simplest recursive form).
 fn join_bucket_pair(
     ctx: &BucketJoinCtx,
-    lname: &str,
-    rname: &str,
+    queue: &mut BucketQueue,
+    [lkey, rkey]: [BucketKey; 2],
     depth: u32,
     stats: &mut RunStats,
     results: &mut Vec<ColumnBatch>,
 ) -> Result<u64> {
     let cfg = ctx.cfg;
     cfg.cancel.check()?;
-    let lsize = ctx.scratch.bucket_size(lname)?;
-    let rsize = ctx.scratch.bucket_size(rname)?;
+    let (lsize, rsize) = (queue.bytes(lkey), queue.bytes(rkey));
     if lsize == 0 || rsize == 0 {
         // Nothing joins; the other side's bucket is not read again.
-        ctx.scratch.remove(lname)?;
-        ctx.scratch.remove(rname)?;
+        queue.discard(lkey)?;
+        queue.discard(rkey)?;
         return Ok(0);
     }
     if depth < MAX_OVERFLOW_DEPTH && lsize.max(rsize) > cfg.mem_per_node {
-        repartition_bucket(ctx, lname, ctx.lschema, ctx.lkeys, depth, stats)?;
-        repartition_bucket(ctx, rname, ctx.rschema, ctx.rkeys, depth, stats)?;
+        repartition_bucket(queue, lkey, (ctx.lschema, ctx.lkeys), depth, stats)?;
+        repartition_bucket(queue, rkey, (ctx.rschema, ctx.rkeys), depth, stats)?;
         let mut produced = 0;
         for k in 0..OVERFLOW_SPLIT {
-            produced += join_bucket_pair(
-                ctx,
-                &format!("{lname}.{k}"),
-                &format!("{rname}.{k}"),
-                depth + 1,
-                stats,
-                results,
-            )?;
+            let pair = [lkey.child(k), rkey.child(k)];
+            produced += join_bucket_pair(ctx, queue, pair, depth + 1, stats, results)?;
         }
         return Ok(produced);
     }
-    let lst = SubTable::new(
-        SubTableId::new(0u32, depth),
-        Arc::clone(ctx.lschema),
-        read_last(ctx, lname, ctx.lschema, stats)?,
-    )?;
-    let rst = SubTable::new(
-        SubTableId::new(1u32, depth),
-        Arc::clone(ctx.rschema),
-        read_last(ctx, rname, ctx.rschema, stats)?,
-    )?;
+    let mut read = |table: u32, key, schema: &Arc<Schema>| {
+        let batch = queue.dequeue(key, schema, stats)?;
+        SubTable::new(SubTableId::new(table, depth), Arc::clone(schema), batch)
+    };
+    let (lst, rst) = (read(0, lkey, ctx.lschema)?, read(1, rkey, ctx.rschema)?);
     let found = bucket_matches(ctx, &lst, &rst)?;
     if cfg.collect_results {
         let _probe = cfg
@@ -538,10 +397,14 @@ fn bucket_matches(ctx: &BucketJoinCtx, lst: &SubTable, rst: &SubTable) -> Result
     if !cfg.collect_results || slices == 1 {
         return Ok(found);
     }
-    // Back to probe order. A probe row's pairs are one run of its slice's,
-    // build rows ascending, and each slice's runs come in probe order; so
-    // taking, for each probe row in turn, the run at its slice's cursor is
-    // a stable sort of the pairs on the probe row.
+    // Back to probe order. The merge is not dead weight: the engine's row
+    // edge sorts GH's rows stably and takes advantage of the ascending runs
+    // probe order keeps. Without it `join_gh`'s p50 went 64.4 → 75.6 ms
+    // (seed 1, medians of six alternating 8 s pairs on a 2-core x86-64
+    // host, slower in all six). A probe row's pairs are one run of its
+    // slice's, build rows ascending, and each slice's runs come in probe
+    // order; so taking, for each probe row in turn, the run at its slice's
+    // cursor is a stable sort of the pairs on the probe row.
     let _probe = span(names::PHASE_PROBE);
     let mut at: Vec<usize> = std::iter::once(0)
         .chain(ends[..slices - 1].iter().copied())
@@ -584,60 +447,6 @@ pub(crate) fn route_subtable(
     out
 }
 
-/// Send one batch. The (injected) link faults — a dropped message, a
-/// frame corrupted in flight — are retried with fresh draws under the
-/// recovery policy; the real channel send then happens once, outside it:
-/// a receiver that is gone (its compute node died) never comes back, so
-/// that fails fast with a typed error. Returns `(retries, corruptions
-/// detected)`.
-///
-/// Integrity works like a link layer: each bucket's CRC32C was sealed at
-/// encode time; an injected in-flight corruption flips one payload byte,
-/// verification catches it, and the "retransmission" restores the
-/// pristine frame (xor is involutive) before the next attempt.
-fn send_with_recovery(
-    sender: &crossbeam::channel::Sender<Batch>,
-    mut batch: Batch,
-    stream: u64,
-    injector: &FaultInjector,
-    policy: &RecoveryPolicy,
-    cancel: &CancelToken,
-) -> Result<(u64, u64)> {
-    let mut corruptions = 0u64;
-    let (link, retries) = policy.run_cancellable(cancel, || {
-        match injector.send_verdict(stream) {
-            SendVerdict::Drop => {
-                return Err(Error::Cluster("interconnect message dropped".into()));
-            }
-            SendVerdict::Delay(d) => cancel.sleep(d)?,
-            SendVerdict::Deliver => {}
-        }
-        for (b, bytes, crc) in batch.buckets.iter_mut() {
-            // At most one corrupted frame per attempt.
-            if let Some((off, mask)) = injector.corrupt_frame(stream, bytes) {
-                let verified = checksum::verify(*crc, bytes, format_args!("frame bucket {b}"));
-                bytes[off] ^= mask; // retransmit the pristine frame
-                if verified.is_err() {
-                    corruptions += 1;
-                    injector.events().emit(names::CORRUPTION_DETECTED, || {
-                        vec![
-                            ("site", "frame".into()),
-                            ("what", format!("bucket {b}").into()),
-                        ]
-                    });
-                }
-                return verified;
-            }
-        }
-        Ok(())
-    });
-    link?;
-    sender
-        .send(batch)
-        .map(|()| (retries, corruptions))
-        .map_err(|_| Error::Cluster("compute node hung up".into()))
-}
-
 /// Execute `left ⊕ right` on `join_attrs` with the Grace Hash QES.
 pub fn grace_hash_join(
     deployment: &Deployment,
@@ -646,131 +455,100 @@ pub fn grace_hash_join(
     join_attrs: &[&str],
     cfg: &GraceHashConfig,
 ) -> Result<JoinOutput> {
-    if cfg.n_compute == 0 {
-        return Err(Error::Config(
-            "grace hash needs at least one compute node".into(),
-        ));
-    }
+    let frame = RunFrame::open(
+        deployment,
+        "grace hash",
+        cfg.n_compute,
+        cfg.faults.as_ref(),
+        cfg.recovery,
+        &cfg.cancel,
+        &cfg.obs,
+    )?;
     let md = deployment.metadata();
     let lschema = md.schema(left)?;
     let rschema = md.schema(right)?;
-    let lkeys: Vec<usize> = join_attrs
-        .iter()
-        .map(|a| lschema.require(a))
-        .collect::<Result<_>>()?;
-    let rkeys: Vec<usize> = join_attrs
-        .iter()
-        .map(|a| rschema.require(a))
-        .collect::<Result<_>>()?;
+    let keys = |schema: &Schema| -> Result<Vec<usize>> {
+        join_attrs.iter().map(|a| schema.require(a)).collect()
+    };
+    let (lkeys, rkeys) = (keys(&lschema)?, keys(&rschema)?);
 
     let total_bytes = md.total_records(left)? * lschema.record_size() as u64
         + md.total_records(right)? * rschema.record_size() as u64;
     let n_buckets = bucket_count(total_bytes, cfg.n_compute, cfg.mem_per_node);
 
-    let injector = cfg.faults.clone().unwrap_or_else(FaultInjector::disabled);
-    let reader = SubTableReader::new(
-        deployment,
-        Arc::clone(&injector),
-        cfg.obs.spans.clone(),
-        cfg.recovery,
-        cfg.cancel.clone(),
-    )?;
-    let counters = JoinCounters::new();
-    let results: Mutex<Vec<ColumnBatch>> = Mutex::new(Vec::new());
-    let scratches: Vec<Scratch> = (0..cfg.n_compute)
-        .map(|j| Scratch::new(cfg.scratch, &format!("gh{j}")))
-        .collect::<Result<_>>()?;
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "wall-clock measurement feeding RunStats only; never drives control flow"
-    )]
-    let start = Instant::now();
+    // Each storage node's chunks of either table, ascending: the range's
+    // R-tree lookup (or the whole table), once per table.
+    let n_storage = deployment.num_storage_nodes();
+    let mut local: Vec<[Vec<ChunkId>; 2]> = vec![Default::default(); n_storage];
+    for (t, table) in [left, right].into_iter().enumerate() {
+        let chunks = match &cfg.range {
+            Some(rg) => md.find_chunks(table, rg)?,
+            None => md.all_chunks(table)?,
+        };
+        for chunk in chunks {
+            let node = md.chunk_meta(SubTableId { table, chunk })?.node;
+            let missing = || Error::Cluster(format!("chunk {chunk} is on undeployed node {node}"));
+            local.get_mut(node.index()).ok_or_else(missing)?[t].push(chunk);
+        }
+    }
 
-    // Channels: one receiver per compute node, every storage node holds a
-    // sender to each.
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..cfg.n_compute)
-        .map(|_| crossbeam::channel::bounded::<Batch>(64))
-        .unzip();
-    let mut workers: Vec<(String, WorkerBody<'_, RunStats>)> = Vec::new();
+    let recovery = Recovery {
+        faults: &frame.injector,
+        policy: cfg.recovery,
+        cancel: &cfg.cancel,
+    };
+    let (links, receivers) = interconnect(n_storage, cfg.n_compute, recovery);
+    let mut workers: Vec<(String, WorkerBody<'_, _>)> = Vec::new();
 
-    // --- Storage-node QES instances: scan local chunks, route records.
-    for node in (0..deployment.num_storage_nodes()).map(|k| NodeId(k as u32)) {
-        let senders = senders.clone();
-        let (lkeys, rkeys, injector, reader) = (&lkeys, &rkeys, &injector, &reader);
+    // --- Storage-node QES instances: scan local chunks, route records. A
+    // link drops when its node is done; compute receivers end once all
+    // have.
+    for (node, (link, chunks)) in links.into_iter().zip(local).enumerate() {
+        let (lkeys, rkeys, reader) = (&lkeys, &rkeys, &frame.reader);
         let body = move || {
             let mut stats = RunStats::default();
-            for (table, keys, side) in [(left, lkeys, Side::Left), (right, rkeys, Side::Right)] {
-                let chunks = md.all_chunks(table)?;
+            let [lchunks, rchunks] = chunks;
+            let sides = [
+                (left, lkeys, Side::Left, lchunks),
+                (right, rkeys, Side::Right, rchunks),
+            ];
+            for (table, keys, side, chunks) in sides {
                 for chunk in chunks {
                     cfg.cancel.check()?;
-                    let id = SubTableId { table, chunk };
-                    let meta = md.chunk_meta(id)?;
-                    if meta.node != node {
-                        continue;
-                    }
-                    if let Some(rg) = &cfg.range {
-                        if !meta.bbox.overlaps(rg) {
-                            continue;
-                        }
-                    }
                     let spans = &cfg.obs.spans;
                     let st = {
-                        let _read = spans
-                            .span_with(|| names::span_gh_sender(node.index(), names::PHASE_READ));
-                        reader.fetch(id, cfg.range.as_ref(), &mut stats)?
+                        let _read =
+                            spans.span_with(|| names::span_gh_sender(node, names::PHASE_READ));
+                        reader.fetch(SubTableId { table, chunk }, cfg.range.as_ref(), &mut stats)?
                     };
                     let routed = {
-                        let _partition = spans.span_with(|| {
-                            names::span_gh_sender(node.index(), names::PHASE_PARTITION)
-                        });
+                        let _partition =
+                            spans.span_with(|| names::span_gh_sender(node, names::PHASE_PARTITION));
                         route_subtable(&st, keys, cfg.n_compute, n_buckets)
                     };
-                    let _send =
-                        spans.span_with(|| names::span_gh_sender(node.index(), names::PHASE_SEND));
-                    for (dest, buckets) in routed.into_iter().enumerate() {
-                        if buckets.is_empty() {
-                            continue;
+                    let _send = spans.span_with(|| names::span_gh_sender(node, names::PHASE_SEND));
+                    for (dest, frames) in routed.into_iter().enumerate() {
+                        if !frames.is_empty() {
+                            link.send(dest, side, frames, &mut stats)?;
                         }
-                        stats.bytes_transferred +=
-                            buckets.iter().map(|(_, b)| b.len()).sum::<usize>() as u64;
-                        // Seal each frame's CRC as it is encoded.
-                        let buckets = buckets
-                            .into_iter()
-                            .map(|(b, bytes)| {
-                                let crc = checksum::crc32c(&bytes);
-                                (b, bytes, crc)
-                            })
-                            .collect();
-                        let (retries, corruptions) = send_with_recovery(
-                            &senders[dest],
-                            Batch { side, buckets },
-                            node.index() as u64,
-                            injector,
-                            &cfg.recovery,
-                            &cfg.cancel,
-                        )?;
-                        stats.send_retries += retries;
-                        stats.corruptions_detected += corruptions;
                     }
                 }
             }
-            Ok(stats)
+            Ok((stats, Vec::new()))
         };
         workers.push((format!("storage node {node}"), Box::new(body)));
     }
-    drop(senders); // compute receivers see EOF once storage finishes
 
-    // --- Compute-node QES instances: spill buckets, then join pairs. A
-    // dying compute worker drops its `rx`, which unblocks every storage
-    // sender.
+    // --- Compute-node QES instances: enqueue bucket frames, then join
+    // pairs. A dying compute worker drops its `rx`, which unblocks every
+    // storage sender, and its queue, which removes its bucket files.
     for (j, rx) in receivers.into_iter().enumerate() {
-        let scratch = &scratches[j];
-        let (counters, results, injector) = (&counters, &results, &injector);
+        let (injector, counters) = (&frame.injector, &frame.counters);
         let (lschema, rschema, lkeys, rkeys) = (&lschema, &rschema, &lkeys, &rkeys);
         let body = move || {
             let mut stats = RunStats::default();
+            let mut queue = BucketQueue::new(cfg.scratch, j, cfg.obs.spans.clone(), recovery)?;
             let ctx = BucketJoinCtx {
-                scratch,
                 lschema,
                 rschema,
                 lkeys,
@@ -778,74 +556,40 @@ pub fn grace_hash_join(
                 join_attrs,
                 counters,
                 cfg,
-                injector,
-                node: j,
                 tag: names::gh_consumer_tag(j),
             };
-            // Phase 1: spill incoming bucket frames to scratch.
-            for batch in &rx {
+            // Phase 1: enqueue incoming bucket frames.
+            for delivery in &rx {
                 cfg.cancel.check()?;
                 injector.worker_checkpoint(j);
-                let prefix = match batch.side {
-                    Side::Left => "L",
-                    Side::Right => "R",
-                };
-                let _write = cfg
-                    .obs
-                    .spans
-                    .span_with(|| names::span_tagged(&ctx.tag, names::PHASE_SCRATCH_WRITE));
-                for (b, bytes, crc) in batch.buckets {
-                    // Defense in depth: the sender's link layer already
-                    // verified the frame, so a mismatch here is a real
-                    // bug, not a transient.
-                    checksum::verify(crc, &bytes, format_args!("received bucket {prefix}{b}"))?;
-                    spill(&ctx, &format!("{prefix}{b}"), bytes, &mut stats)?;
+                for (b, bytes) in delivery.frames {
+                    queue.enqueue(BucketKey::new(delivery.side, b), bytes, &mut stats)?;
                 }
             }
             // Phase 2: join bucket pairs independently, recursively
             // repartitioning any bucket that outgrew the memory budget.
-            let mut local_results = Vec::new();
-            for b in 0..n_buckets {
+            let mut results = Vec::new();
+            for b in 0..n_buckets as u32 {
                 injector.worker_checkpoint(j);
-                let produced = join_bucket_pair(
-                    &ctx,
-                    &format!("L{b}"),
-                    &format!("R{b}"),
-                    0,
-                    &mut stats,
-                    &mut local_results,
-                )?;
-                stats.result_tuples += produced;
+                let pair = [
+                    BucketKey::new(Side::Left, b),
+                    BucketKey::new(Side::Right, b),
+                ];
+                stats.result_tuples +=
+                    join_bucket_pair(&ctx, &mut queue, pair, 0, &mut stats, &mut results)?;
             }
-            results.lock().append(&mut local_results);
-            Ok(stats)
+            Ok((stats, results))
         };
         workers.push((format!("compute node {j}"), Box::new(body)));
     }
 
-    let per_node = all_done(run_workers(workers))?;
-
     let mut stats = RunStats::default();
-    for s in &per_node {
-        stats.merge(s);
+    let mut batches = Vec::new();
+    for (node_stats, mut node_batches) in all_done(run_workers(workers))? {
+        stats.merge(&node_stats);
+        batches.append(&mut node_batches);
     }
-    // Scratch traffic is summed from the per-node Scratch handles rather
-    // than per-worker stats snapshots: the handles are the single source
-    // of truth, so bytes are never double-counted if a handle is shared
-    // and never lost when a worker dies after writing.
-    for sc in &scratches {
-        stats.bytes_scratch_written += sc.bytes_written();
-        stats.bytes_scratch_read += sc.bytes_read();
-    }
-    stats.corruptions_detected += reader.corruptions_detected();
-    stats.wall_secs = start.elapsed().as_secs_f64();
-    stats.hash_builds = counters.builds();
-    stats.hash_probes = counters.probes();
-    stats.record_into(&cfg.obs.metrics, "gh");
-    Ok(JoinOutput {
-        stats,
-        batches: cfg.collect_results.then(|| results.into_inner()),
-    })
+    Ok(frame.close(stats, "gh", cfg.collect_results.then_some(batches)))
 }
 
 #[cfg(test)]
@@ -853,9 +597,11 @@ mod tests {
     use super::*;
     use crate::reference::{nested_loop_join, sort_records};
     use orv_bds::{generate_dataset, DatasetSpec};
+    use orv_cluster::exchange::decode_columns;
     use orv_cluster::{Fault, FaultPlan};
     use orv_obs::EventLog;
-    use orv_types::{Attribute, DataType, Interval};
+    use orv_obs::Spans;
+    use orv_types::{Attribute, ColumnData, DataType, Interval};
     use proptest::prelude::*;
 
     fn deploy(
@@ -1058,88 +804,68 @@ mod tests {
     #[test]
     fn injected_corruptions_detected_recovered_and_logged() {
         let (d, t1, t2) = deploy([8, 8, 2], [4, 4, 2], [2, 8, 2], 2);
-        let events = EventLog::enabled();
-        let plan = FaultPlan {
-            seed: 77,
-            max_faults: 6,
-            ..FaultPlan::none()
+        // Per backend: the injected counts, the retries, and the
+        // detection events by site.
+        let mut seen = Vec::new();
+        for scratch in [ScratchKind::Memory, ScratchKind::TempFile] {
+            let events = EventLog::enabled();
+            let plan = FaultPlan {
+                seed: 77,
+                max_faults: 6,
+                ..FaultPlan::none()
+            }
+            .with(Fault::ChunkCorrupt, 1.0, 2)
+            .with(Fault::FrameCorrupt, 1.0, 2)
+            .with(Fault::ScratchCorrupt, 1.0, 2);
+            let injector = FaultInjector::new(plan, events.clone());
+            let cfg = GraceHashConfig {
+                scratch,
+                collect_results: true,
+                faults: Some(Arc::clone(&injector)),
+                ..Default::default()
+            };
+            let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
+            let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
+            assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
+            // Every single injected corruption was caught by a checksum —
+            // chunk pages at the BDS, frames at the link layer, scratch
+            // buckets at read-back.
+            let fstats = injector.stats();
+            assert!(fstats[Fault::ChunkCorrupt] > 0, "{fstats:?}");
+            assert!(fstats[Fault::FrameCorrupt] > 0, "{fstats:?}");
+            assert!(fstats[Fault::ScratchCorrupt] > 0, "{fstats:?}");
+            assert_eq!(out.stats.corruptions_detected, fstats.corruptions());
+            let detected = events.events_of_kind("corruption_detected");
+            assert_eq!(
+                detected.len() as u64,
+                fstats.corruptions(),
+                "one detection event per injected corruption"
+            );
+            let mut sites: Vec<String> = detected
+                .iter()
+                .map(|e| e.fields["site"].as_str().unwrap().to_string())
+                .collect();
+            sites.sort();
+            let s = &out.stats;
+            let retries = [s.read_retries, s.send_retries, s.scratch_retries];
+            seen.push((fstats, retries, sites));
         }
-        .with(Fault::ChunkCorrupt, 1.0, 2)
-        .with(Fault::FrameCorrupt, 1.0, 2)
-        .with(Fault::ScratchCorrupt, 1.0, 2);
-        let injector = FaultInjector::new(plan, events.clone());
-        let cfg = GraceHashConfig {
-            collect_results: true,
-            faults: Some(Arc::clone(&injector)),
-            ..Default::default()
-        };
-        let out = grace_hash_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
-        let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], None).unwrap();
-        assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
-        // Every single injected corruption was caught by a checksum —
-        // chunk pages at the BDS, frames at the link layer, scratch
-        // buckets at read-back.
-        let fstats = injector.stats();
-        assert!(fstats[Fault::ChunkCorrupt] > 0, "{fstats:?}");
-        assert!(fstats[Fault::FrameCorrupt] > 0, "{fstats:?}");
-        assert!(fstats[Fault::ScratchCorrupt] > 0, "{fstats:?}");
-        assert_eq!(out.stats.corruptions_detected, fstats.corruptions());
         assert_eq!(
-            events.events_of_kind("corruption_detected").len() as u64,
-            fstats.corruptions(),
-            "one detection event per injected corruption"
+            seen[0], seen[1],
+            "the file backend detects and retries the same"
         );
     }
 
-    #[test]
-    fn send_to_a_dead_receiver_fails_fast_without_retry() {
-        // Every verdict draw happens under the policy; the real send
-        // happens once, outside it. A plan that would happily delay (and a
-        // policy that would happily retry) must not turn "receiver gone"
-        // into a retried operation.
-        let plan = FaultPlan {
-            seed: 1,
-            ..FaultPlan::none()
-        }
-        .with(Fault::SendDelay, 1.0, 1);
-        let injector = FaultInjector::new(plan, EventLog::disabled());
-        let (tx, rx) = crossbeam::channel::bounded::<Batch>(1);
-        drop(rx);
-        let bytes = vec![7u8; 16];
-        let crc = checksum::crc32c(&bytes);
-        let batch = Batch {
-            side: Side::Left,
-            buckets: vec![(0, bytes, crc)],
-        };
-        let err = send_with_recovery(
-            &tx,
-            batch,
-            0,
-            &injector,
-            &RecoveryPolicy::default(),
-            &CancelToken::none(),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(&err, Error::Cluster(m) if m.contains("hung up")),
-            "{err}"
-        );
-        assert_eq!(
-            injector.stats()[Fault::SendDelay],
-            1,
-            "exactly one attempt: one verdict draw, zero send_retries"
-        );
-    }
-
-    /// Run `f` on compute node 0's bucket-join context over `scratch`,
-    /// joining tables of `[left, right]` schemas on `join_attrs`.
+    /// Run `f` on compute node `node`'s bucket-join context and an empty
+    /// bucket queue of `cfg.scratch`, joining tables of `[left, right]`
+    /// schemas on `join_attrs`.
     fn with_ctx<R>(
-        scratch: &Scratch,
+        node: usize,
         [lschema, rschema]: [&Arc<Schema>; 2],
         join_attrs: &[&str],
         cfg: &GraceHashConfig,
         counters: &JoinCounters,
-        f: impl FnOnce(&BucketJoinCtx) -> R,
+        f: impl FnOnce(&BucketJoinCtx, &mut BucketQueue) -> R,
     ) -> R {
         let keys = |schema: &Schema| -> Vec<usize> {
             join_attrs
@@ -1148,8 +874,13 @@ mod tests {
                 .collect()
         };
         let injector = cfg.faults.clone().unwrap_or_else(FaultInjector::disabled);
-        f(&BucketJoinCtx {
-            scratch,
+        let recovery = Recovery {
+            faults: &injector,
+            policy: cfg.recovery,
+            cancel: &cfg.cancel,
+        };
+        let mut queue = BucketQueue::new(cfg.scratch, node, Spans::disabled(), recovery).unwrap();
+        let ctx = BucketJoinCtx {
             lschema,
             rschema,
             lkeys: &keys(lschema),
@@ -1157,11 +888,13 @@ mod tests {
             join_attrs,
             counters,
             cfg,
-            injector: &injector,
-            node: 0,
-            tag: names::gh_consumer_tag(0),
-        })
+            tag: names::gh_consumer_tag(node),
+        };
+        f(&ctx, &mut queue)
     }
+
+    const L0: BucketKey = BucketKey::new(Side::Left, 0);
+    const R0: BucketKey = BucketKey::new(Side::Right, 0);
 
     /// `batch`'s column types and rows in the wire format: equal for two
     /// batches exactly when they are equal bit for bit.
@@ -1178,29 +911,22 @@ mod tests {
         let keys = ["x", "y", "z"];
         let md = d.metadata();
         let (lschema, rschema) = (md.schema(t1).unwrap(), md.schema(t2).unwrap());
-        // Each node's one bucket pair, routed chunk by chunk as the
-        // storage nodes route it.
+        // Each node's one bucket pair, `[left, right]` frames, routed
+        // chunk by chunk as the storage nodes route it.
         let services = orv_bds::BdsService::for_all_nodes(&d).unwrap();
-        let buckets = || {
-            let scratches: Vec<Scratch> = (0..2)
-                .map(|_| Scratch::new(ScratchKind::Memory, "slices").unwrap())
-                .collect();
-            for (table, schema, bucket) in [(t1, &lschema, "L0"), (t2, &rschema, "R0")] {
-                let key_indices = keys.map(|a| schema.require(a).unwrap());
-                for chunk in md.all_chunks(table).unwrap() {
-                    let id = SubTableId { table, chunk };
-                    let node = md.chunk_meta(id).unwrap().node.index();
-                    let st = services[node].subtable(id).unwrap();
-                    let routed = route_subtable(&st, &key_indices, 2, 1);
-                    for (scratch, frames) in scratches.iter().zip(routed) {
-                        for (_, frame) in frames {
-                            scratch.append(bucket, frame).unwrap();
-                        }
-                    }
+        let mut buckets = vec![[Vec::new(), Vec::new()]; 2];
+        for (side, table, schema) in [(0, t1, &lschema), (1, t2, &rschema)] {
+            let key_indices = keys.map(|a| schema.require(a).unwrap());
+            for chunk in md.all_chunks(table).unwrap() {
+                let id = SubTableId { table, chunk };
+                let node = md.chunk_meta(id).unwrap().node.index();
+                let st = services[node].subtable(id).unwrap();
+                let routed = route_subtable(&st, &key_indices, 2, 1);
+                for (bucket, frames) in buckets.iter_mut().zip(routed) {
+                    bucket[side].extend(frames.into_iter().map(|(_, frame)| frame));
                 }
             }
-            scratches
-        };
+        }
         let mut node_batches = Vec::new();
         for work_factor in [1, 3] {
             let cfg = GraceHashConfig {
@@ -1209,25 +935,30 @@ mod tests {
                 ..Default::default()
             };
             let reps = work_factor as usize;
-            for scratch in &buckets() {
-                let decode = |schema: &Arc<Schema>, name: &str, table: u32| {
-                    let bytes = scratch.read_bucket(name).unwrap();
-                    let batch = decode_columns(schema, &bytes).unwrap();
+            for [lframes, rframes] in &buckets {
+                let decode = |schema: &Arc<Schema>, frames: &[Vec<u8>], table: u32| {
+                    let batch = decode_columns(schema, &frames.concat()).unwrap();
                     SubTable::new(SubTableId::new(table, 0u32), Arc::clone(schema), batch).unwrap()
                 };
-                let lst = Arc::new(decode(&lschema, "L0", 0));
-                let rst = decode(&rschema, "R0", 1);
+                let lst = Arc::new(decode(&lschema, lframes, 0));
+                let rst = decode(&rschema, rframes, 1);
                 assert!(lst.num_rows() > 4 * SUBTABLE_ROWS, "{}", lst.num_rows());
                 let counters = JoinCounters::new();
                 let mut sliced = Vec::new();
                 let produced = with_ctx(
-                    scratch,
+                    0,
                     [&lschema, &rschema],
                     &keys,
                     &cfg,
                     &counters,
-                    |ctx| {
-                        join_bucket_pair(ctx, "L0", "R0", 0, &mut RunStats::default(), &mut sliced)
+                    |ctx, queue| {
+                        let mut stats = RunStats::default();
+                        for (key, frames) in [(L0, lframes), (R0, rframes)] {
+                            for frame in frames {
+                                queue.enqueue(key, frame.clone(), &mut stats).unwrap();
+                            }
+                        }
+                        join_bucket_pair(ctx, queue, [L0, R0], 0, &mut stats, &mut sliced)
                     },
                 )
                 .unwrap();
@@ -1288,13 +1019,12 @@ mod tests {
             })
             .count();
         assert!(busy >= 2, "{busy} of {slices} slices hold build rows");
-        let scratch = Scratch::new(ScratchKind::Memory, "m2m").unwrap();
         let cfg = GraceHashConfig {
             collect_results: true,
             ..Default::default()
         };
         let counters = JoinCounters::new();
-        let found = with_ctx(&scratch, [lst.schema(); 2], &keys, &cfg, &counters, |ctx| {
+        let found = with_ctx(0, [lst.schema(); 2], &keys, &cfg, &counters, |ctx, _| {
             bucket_matches(ctx, &lst, &rst)
         })
         .unwrap();
@@ -1314,25 +1044,40 @@ mod tests {
         assert_eq!((found.build, found.probe), (want.build, want.probe));
     }
 
+    /// The bucket directories compute node `node`'s queues of this
+    /// process hold open.
+    fn queue_dirs(node: usize) -> Vec<std::path::PathBuf> {
+        let prefix = format!("orv-scratch-gh{node}-{}-", std::process::id());
+        std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with(&prefix)
+            })
+            .collect()
+    }
+
     #[test]
     fn overflow_writes_draw_scratch_faults_and_are_retried() {
         // A bucket pair over the memory budget is repartitioned before it
-        // is joined. Its sub-bucket writes are the only scratch writes
-        // here, so the one injected write fault hits one of them, and the
-        // policy retries it like any phase 1 write. The right side holds
+        // is joined. The two writes that fill the pair are draws 0 and 1
+        // of the node's write stream, and the seed puts the plan's one
+        // write fault on a later draw: a sub-bucket write, which the
+        // policy retries like any phase 1 write. The right side holds
         // three of the left's 64 rows, so at least one of the four
         // sub-bucket pairs has rows on the left only; it joins nothing, and
-        // its left bucket goes with the rest once the pair is done.
+        // its left bucket goes with the rest once the pair is done. Node 3
+        // is no other test's, so its bucket directory is this test's.
         let st = xy_subtable(64);
         let all: Vec<u32> = (0..64).collect();
-        let scratch = Scratch::new(ScratchKind::Memory, "overflow").unwrap();
         let (left, right) = (
             st.batch().encode_rows_le(&all),
             st.batch().encode_rows_le(&all[..3]),
         );
         let written = (left.len() + right.len()) as u64;
-        scratch.append("L0", left).unwrap();
-        scratch.append("R0", right).unwrap();
         let left_subs: std::collections::BTreeSet<u64> = hash_rows(st.batch(), &[0, 1])
             .into_iter()
             .map(|h| salt_hash(h, 1) % OVERFLOW_SPLIT as u64)
@@ -1342,54 +1087,82 @@ mod tests {
             OVERFLOW_SPLIT,
             "every left sub-bucket is written"
         );
-        let plan = FaultPlan {
-            seed: 6,
-            max_faults: 1,
-            ..FaultPlan::none()
-        }
-        .with(Fault::ScratchError, 1.0, 1);
-        let injector = FaultInjector::new(plan, EventLog::disabled());
-        let cfg = GraceHashConfig {
-            mem_per_node: 256,
-            collect_results: true,
-            faults: Some(Arc::clone(&injector)),
-            recovery: RecoveryPolicy {
-                base_backoff_ms: 0,
-                ..RecoveryPolicy::default()
-            },
-            ..Default::default()
-        };
-        let (mut stats, mut results) = (RunStats::default(), Vec::new());
-        let produced = with_ctx(
-            &scratch,
-            [st.schema(); 2],
-            &["x", "y"],
-            &cfg,
-            &JoinCounters::new(),
-            |ctx| join_bucket_pair(ctx, "L0", "R0", 0, &mut stats, &mut results),
-        )
-        .unwrap();
-        assert_eq!(produced, 3, "every right row joins itself once");
-        assert_eq!(results.iter().map(ColumnBatch::num_rows).sum::<usize>(), 3);
-        assert_eq!(injector.stats()[Fault::ScratchError], 1);
-        assert_eq!(stats.scratch_retries, 1, "{stats:?}");
-        assert_eq!(
-            scratch.bytes_written(),
-            2 * written,
-            "sub-buckets were written"
-        );
-        for side in ["L0", "R0"] {
-            let subs = (0..OVERFLOW_SPLIT).map(|k| format!("{side}.{k}"));
-            for name in std::iter::once(side.to_string()).chain(subs) {
-                assert_eq!(scratch.bucket_size(&name).unwrap(), 0, "{name} left behind");
+        for scratch in [ScratchKind::Memory, ScratchKind::TempFile] {
+            let events = EventLog::enabled();
+            let plan = FaultPlan {
+                seed: 6,
+                max_faults: 1,
+                ..FaultPlan::none()
             }
+            .with(Fault::ScratchError, 0.5, 1);
+            let injector = FaultInjector::new(plan, events.clone());
+            let cfg = GraceHashConfig {
+                mem_per_node: 256,
+                scratch,
+                collect_results: true,
+                faults: Some(Arc::clone(&injector)),
+                recovery: RecoveryPolicy {
+                    base_backoff_ms: 0,
+                    ..RecoveryPolicy::default()
+                },
+                ..Default::default()
+            };
+            let (mut stats, mut results) = (RunStats::default(), Vec::new());
+            let produced = with_ctx(
+                3,
+                [st.schema(); 2],
+                &["x", "y"],
+                &cfg,
+                &JoinCounters::new(),
+                |ctx, queue| {
+                    queue.enqueue(L0, left.clone(), &mut stats).unwrap();
+                    queue.enqueue(R0, right.clone(), &mut stats).unwrap();
+                    let produced =
+                        join_bucket_pair(ctx, queue, [L0, R0], 0, &mut stats, &mut results);
+                    for key in [L0, R0] {
+                        let subs = (0..OVERFLOW_SPLIT).map(|k| key.child(k));
+                        for key in std::iter::once(key).chain(subs) {
+                            assert_eq!(queue.bytes(key), 0, "{key} left behind");
+                        }
+                    }
+                    let dirs = queue_dirs(3);
+                    match scratch {
+                        ScratchKind::Memory => assert!(dirs.is_empty(), "{dirs:?}"),
+                        ScratchKind::TempFile => {
+                            assert_eq!(dirs.len(), 1, "{dirs:?}");
+                            let left_behind = std::fs::read_dir(&dirs[0]).unwrap().count();
+                            assert_eq!(left_behind, 0, "every bucket file is removed");
+                        }
+                    }
+                    produced
+                },
+            )
+            .unwrap();
+            assert!(
+                queue_dirs(3).is_empty(),
+                "the queue's directory goes with it"
+            );
+            assert_eq!(produced, 3, "every right row joins itself once");
+            assert_eq!(results.iter().map(ColumnBatch::num_rows).sum::<usize>(), 3);
+            assert_eq!(injector.stats()[Fault::ScratchError], 1);
+            let hits = events.events_of_kind("fault_injected");
+            assert_eq!(hits.len(), 1);
+            assert_eq!(hits[0].fields["stream"].as_u64(), Some(3));
+            assert!(
+                hits[0].fields["draw"].as_u64().unwrap() >= 2,
+                "the fault hits a sub-bucket write, not one that filled the pair"
+            );
+            assert_eq!(stats.scratch_retries, 1, "{stats:?}");
+            assert_eq!(
+                stats.bytes_scratch_written,
+                2 * written,
+                "sub-buckets were written"
+            );
         }
     }
 
     #[test]
     fn exhausted_scratch_read_returns_the_integrity_error_unchanged() {
-        let scratch = Scratch::new(ScratchKind::Memory, "t").unwrap();
-        scratch.append("L0", vec![1u8; 32]).unwrap();
         let plan = FaultPlan {
             seed: 4,
             max_faults: 10,
@@ -1412,12 +1185,15 @@ mod tests {
         let schema = Arc::new(Schema::grid(&["x"], &["p"]).unwrap());
         let mut stats = RunStats::default();
         let err = with_ctx(
-            &scratch,
+            0,
             [&schema; 2],
             &["x"],
             &cfg,
             &JoinCounters::new(),
-            |ctx| read_bucket_verified(ctx, "L0", &mut stats),
+            |_, queue| {
+                queue.enqueue(L0, vec![1u8; 32], &mut stats).unwrap();
+                queue.dequeue(L0, &schema, &mut stats)
+            },
         )
         .unwrap_err();
         // Not wrapped, not re-worded: the checksum layer's own error.

@@ -47,7 +47,7 @@ use orv_chunk::SubTable;
 use orv_cluster::{
     run_workers, CancelToken, FaultInjector, RecoveryPolicy, RunStats, WorkerBody, WorkerEnd,
 };
-use orv_obs::{names, Obs};
+use orv_obs::{names, MetricsRegistry, Obs};
 use orv_types::{BoundingBox, ColumnBatch, Error, Interval, Record, Result, SubTableId, TableId};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,10 +108,11 @@ impl Default for IndexedJoinConfig {
 pub struct JoinOutput {
     /// Aggregated run statistics.
     pub stats: RunStats,
-    /// The result if `collect_results` was set, as typed batches in
-    /// completion order. IJ hands back one batch per joined sub-table
-    /// pair, its rows in the right sub-table's row order; GH one batch
-    /// per bucket pair, its rows in no particular order. The engine
+    /// The result if `collect_results` was set, as typed batches. IJ
+    /// hands back one batch per joined sub-table pair, in completion
+    /// order, its rows in the right sub-table's row order; GH one batch
+    /// per bucket pair, by compute node and then bucket, its rows in the
+    /// right bucket's row order (probe order). The engine
     /// orders and builds the rows in one pass (`exec::join_rows`): it
     /// merges overlapping ascending runs by stretches, as IJ's x-stripes
     /// are, sorts any other group, and checks each batch for an ascending
@@ -130,6 +131,75 @@ impl JoinOutput {
             b.append_records_to(&mut rows).ok()?;
         }
         Some(rows)
+    }
+}
+
+/// What both join QES open an execution with and close it through: the
+/// fault injector, the one [`SubTableReader`] every chunk read of the
+/// execution goes through, the hash counters, the metrics the run is
+/// published into and the wall clock.
+pub(crate) struct RunFrame {
+    pub(crate) injector: Arc<FaultInjector>,
+    pub(crate) reader: SubTableReader,
+    pub(crate) counters: JoinCounters,
+    metrics: MetricsRegistry,
+    start: Instant,
+}
+
+impl RunFrame {
+    /// Open an execution of the QES `name` on `n_compute` compute nodes,
+    /// which must be at least one.
+    pub(crate) fn open(
+        deployment: &Deployment,
+        name: &str,
+        n_compute: usize,
+        faults: Option<&Arc<FaultInjector>>,
+        recovery: RecoveryPolicy,
+        cancel: &CancelToken,
+        obs: &Obs,
+    ) -> Result<Self> {
+        if n_compute == 0 {
+            return Err(Error::Config(format!(
+                "{name} needs at least one compute node"
+            )));
+        }
+        let injector = faults.cloned().unwrap_or_else(FaultInjector::disabled);
+        let reader = SubTableReader::new(
+            deployment,
+            Arc::clone(&injector),
+            obs.spans.clone(),
+            recovery,
+            cancel.clone(),
+        )?;
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "wall-clock measurement feeding RunStats only; never drives control flow"
+        )]
+        let start = Instant::now();
+        Ok(RunFrame {
+            injector,
+            reader,
+            counters: JoinCounters::new(),
+            metrics: obs.metrics.clone(),
+            start,
+        })
+    }
+
+    /// Close the execution: complete the workers' merged `stats` with the
+    /// reader's corruption count, the wall time and the hash counters,
+    /// publish them under `prefix`, and hand them back with the batches.
+    pub(crate) fn close(
+        self,
+        mut stats: RunStats,
+        prefix: &str,
+        batches: Option<Vec<ColumnBatch>>,
+    ) -> JoinOutput {
+        stats.corruptions_detected += self.reader.corruptions_detected();
+        stats.wall_secs = self.start.elapsed().as_secs_f64();
+        stats.hash_builds = self.counters.builds();
+        stats.hash_probes = self.counters.probes();
+        stats.record_into(&self.metrics, prefix);
+        JoinOutput { stats, batches }
     }
 }
 
@@ -157,11 +227,15 @@ pub fn indexed_join_cached(
     cfg: &IndexedJoinConfig,
     cache: &CacheService,
 ) -> Result<JoinOutput> {
-    if cfg.n_compute == 0 {
-        return Err(Error::Config(
-            "indexed join needs at least one compute node".into(),
-        ));
-    }
+    let frame = RunFrame::open(
+        deployment,
+        "indexed join",
+        cfg.n_compute,
+        cfg.faults.as_ref(),
+        cfg.recovery,
+        &cfg.cancel,
+        &cfg.obs,
+    )?;
     if cache.n_compute() != cfg.n_compute {
         return Err(Error::Config(format!(
             "cache service has {} shards but the join uses {} compute nodes",
@@ -186,17 +260,9 @@ pub fn indexed_join_cached(
         left_checks = md.schema(left)?.range_checks(rg);
         right_checks = md.schema(right)?.range_checks(rg);
     }
-    let injector = cfg.faults.clone().unwrap_or_else(FaultInjector::disabled);
-    let reader = SubTableReader::new(
-        deployment,
-        Arc::clone(&injector),
-        cfg.obs.spans.clone(),
-        cfg.recovery,
-        cfg.cancel.clone(),
-    )?;
     let run = PairRunner {
         cfg,
-        reader: &reader,
+        frame: &frame,
         cache,
         join_attrs,
         // Left-side cache keys carry the hash-table parameters, so views
@@ -204,14 +270,8 @@ pub fn indexed_join_cached(
         left_tag: left_key_tag(join_attrs, cfg.work_factor),
         left_checks,
         right_checks,
-        counters: JoinCounters::new(),
         committed: Mutex::new((Vec::new(), RunStats::default())),
     };
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "wall-clock measurement feeding RunStats only; never drives control flow"
-    )]
-    let start = Instant::now();
 
     let mut alive = vec![true; cfg.n_compute];
     let mut worker_panics = 0u64;
@@ -238,7 +298,7 @@ pub fn indexed_join_cached(
                 continue;
             }
             let (plan, completed) = (&pending[node_idx], &completed[node_idx]);
-            let (run, injector) = (&run, &injector);
+            let (run, injector) = (&run, &frame.injector);
             let body = move || {
                 for (i, &(lid, rid)) in plan.iter().enumerate() {
                     cfg.cancel.check()?;
@@ -303,29 +363,17 @@ pub fn indexed_join_cached(
         pending = next;
     }
 
-    let PairRunner {
-        counters,
-        committed,
-        ..
-    } = run;
-    let (batches, mut stats) = committed.into_inner();
-    stats.corruptions_detected += reader.corruptions_detected();
-    stats.wall_secs = start.elapsed().as_secs_f64();
-    stats.hash_builds = counters.builds();
-    stats.hash_probes = counters.probes();
+    let (batches, mut stats) = run.committed.into_inner();
     stats.worker_panics = worker_panics;
     stats.pairs_reassigned = pairs_reassigned;
-    stats.record_into(&cfg.obs.metrics, "ij");
-    Ok(JoinOutput {
-        stats,
-        batches: cfg.collect_results.then_some(batches),
-    })
+    Ok(frame.close(stats, "ij", cfg.collect_results.then_some(batches)))
 }
 
 /// What every compute worker of one execution shares to join a pair.
 struct PairRunner<'a> {
     cfg: &'a IndexedJoinConfig,
-    reader: &'a SubTableReader,
+    /// The execution's reader and hash counters.
+    frame: &'a RunFrame,
     cache: &'a CacheService,
     join_attrs: &'a [&'a str],
     left_tag: u64,
@@ -333,7 +381,6 @@ struct PairRunner<'a> {
     /// with the left columns). Both empty without a range.
     left_checks: Vec<(usize, Interval)>,
     right_checks: Vec<(usize, Interval)>,
-    counters: JoinCounters,
     /// Exactly-once commit point: a pair's batch and stats deltas land
     /// here only after the pair fully completes, so a worker dying mid-pair
     /// neither loses nor duplicates output when the pair is reassigned.
@@ -349,7 +396,7 @@ impl PairRunner<'_> {
             .obs
             .spans
             .span_with(|| names::span_ij(node_idx, names::PHASE_TRANSFER));
-        let st = self.reader.fetch(id, None, delta)?;
+        let st = self.frame.reader.fetch(id, None, delta)?;
         delta.bytes_transferred += st.encoded_size() as u64;
         Ok(st)
     }
@@ -372,7 +419,8 @@ impl PairRunner<'_> {
                 let st = Arc::new(self.fetch(node_idx, lid, &mut delta)?);
                 let columns = st.encoded_size();
                 let _build = spans.span_with(|| names::span_ij(node_idx, names::PHASE_BUILD));
-                let j = HashJoiner::build(st, self.join_attrs, &self.counters, cfg.work_factor)?;
+                let j =
+                    HashJoiner::build(st, self.join_attrs, &self.frame.counters, cfg.work_factor)?;
                 // What is resident: the sub-table's columns and the table.
                 let size = (columns + j.table_bytes()) as u64;
                 Ok((CachedEntry::Left(Arc::new(j)), size))
@@ -410,7 +458,7 @@ impl PairRunner<'_> {
                 false => Some(rst.select(&self.right_checks)?),
             };
             let right = narrowed.as_ref().unwrap_or(&rst);
-            let found = joiner.matches(right, self.join_attrs, &self.counters)?;
+            let found = joiner.matches(right, self.join_attrs, &self.frame.counters)?;
             let mut batch = match cfg.collect_results || !self.left_checks.is_empty() {
                 true => Some(joiner.gather(right, self.join_attrs, &found)?),
                 false => None,
