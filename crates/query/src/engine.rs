@@ -13,8 +13,8 @@ use crate::ast::{
     predicates_to_bbox, JoinClause, Query, RangePred, SelectItem, Statement, ViewDef,
 };
 use crate::exec::{
-    aggregate, column_names, filter_rows, join_rows, order_and_limit, project, rows_checksum,
-    scan_chunks, RowSet,
+    aggregate, column_names, filter_rows, join_rows, order_and_limit, project, scan_chunks,
+    scan_sealed, RowSet,
 };
 use crate::parser::parse_statement;
 use crate::plan::{PlanExplain, Planner};
@@ -94,8 +94,9 @@ pub struct QueryResult {
     /// federated chunk-scan responses, so the router can dedup and
     /// reassemble chunk-by-chunk.
     pub chunk_runs: Option<Vec<(ChunkId, usize)>>,
-    /// CRC32C over the rows, sealed shard-side on federated sub-query
-    /// responses; the router re-verifies before merging.
+    /// CRC32C over the rows and then `chunk_runs`, sealed shard-side on
+    /// federated sub-query responses (`exec::seal_runs`); the router
+    /// re-verifies before merging.
     pub checksum: Option<u32>,
 }
 
@@ -135,8 +136,8 @@ pub(crate) enum Plan {
     CreateView(ViewDef),
     Select(BoundSelect),
     /// The federation's sub-query: read exactly `chunks` of `table`,
-    /// filter rows by `range`, and seal the response with per-chunk run
-    /// lengths and a row checksum.
+    /// filter rows by `range`, and return them with per-chunk run
+    /// lengths, sealed with one checksum over both.
     ChunkScan {
         table: TableId,
         range: Option<BoundingBox>,
@@ -407,10 +408,11 @@ impl QueryEngine {
 
     /// Run one federated chunk scan: read exactly `chunks` of `table`
     /// (ascending, de-duplicated), filter by `range`, and seal the
-    /// response with per-chunk run lengths plus a CRC32C checksum the
-    /// router re-verifies before merging. This is the same
-    /// [`scan_chunks`] a base-table `SELECT` runs, so a sub-scan of fewer
-    /// than 2¹⁶ rows stays on the shard worker's thread.
+    /// response — its rows, then its per-chunk run lengths — with a
+    /// CRC32C the router re-verifies before merging. The scan is
+    /// [`scan_chunks`], the one a base-table `SELECT` runs, writing the
+    /// seal from each chunk's batch as it goes ([`scan_sealed`]); a
+    /// sub-scan of fewer than 2¹⁶ rows stays on the shard worker's thread.
     fn chunk_scan(
         &self,
         table: TableId,
@@ -433,14 +435,14 @@ impl QueryEngine {
                 }
             }
         }
-        let (schema, rows, runs) = scan_chunks(&self.reader(cancel)?, table, chunks, range)?;
-        let checksum = rows_checksum(&rows);
+        let ((schema, rows, runs), seal) =
+            scan_sealed(&self.reader(cancel)?, table, chunks, range)?;
         Ok(QueryResult {
             columns: column_names(&schema),
             rows,
             explain: None,
             chunk_runs: Some(runs),
-            checksum: Some(checksum),
+            checksum: Some(seal),
         })
     }
 
@@ -1430,8 +1432,13 @@ mod tests {
                 &Request::default(),
             )
             .unwrap();
-        assert_eq!(sealed.chunk_runs.unwrap().len(), own.len());
-        assert_eq!(sealed.checksum, Some(rows_checksum(&sealed.rows)));
+        let runs = sealed.chunk_runs.unwrap();
+        assert_eq!(runs.len(), own.len());
+        let rows_crc = crate::exec::rows_checksum(&sealed.rows);
+        assert_eq!(
+            sealed.checksum,
+            Some(crate::exec::seal_runs(rows_crc, &runs))
+        );
         // One chunk this shard does not own poisons the whole sub-query.
         let mut mixed = own;
         mixed.push(foreign[0]);

@@ -52,8 +52,8 @@ use crate::ast::{AggFunc, RangePred, SelectItem};
 use orv_bds::SubTableReader;
 use orv_cluster::{all_done, checksum, run_workers, CancelToken, RunStats, WorkerBody};
 use orv_types::{
-    BoundingBox, ChunkId, ColumnBatch, Error, Interval, NodeId, Record, Result, Schema, SubTableId,
-    TableId, Value,
+    BoundingBox, ChunkId, ColumnBatch, ColumnData, DataType, Error, Interval, NodeId, Record,
+    Result, Schema, SubTableId, TableId, Value,
 };
 use std::cell::OnceCell;
 use std::cmp::Ordering;
@@ -620,15 +620,45 @@ pub fn scan_chunks(
     chunks: &[ChunkId],
     range: Option<&BoundingBox>,
 ) -> Result<ChunkScan> {
-    scan_on(reader, table, chunks, range, SERIAL_BELOW_ROWS)
+    scan_on(reader, table, chunks, range, SERIAL_BELOW_ROWS, None)
 }
 
+/// [`scan_chunks`] for a federation shard, plus the seal of its answer:
+/// the CRC32C of the rows' canonical encoding ([`rows_checksum`]), written
+/// by a [`BatchSeal`] from each chunk's batch as the scan fetches it, then
+/// extended by the runs ([`seal_runs`]). The router re-verifies it from
+/// the rows it received.
+pub(crate) fn scan_sealed(
+    reader: &SubTableReader,
+    table: TableId,
+    chunks: &[ChunkId],
+    range: Option<&BoundingBox>,
+) -> Result<(ChunkScan, u32)> {
+    let mut seal = BatchSeal::new();
+    let scan = scan_on(
+        reader,
+        table,
+        chunks,
+        range,
+        SERIAL_BELOW_ROWS,
+        Some(&mut seal),
+    )?;
+    let sealed = seal_runs(seal.finish(), &scan.2);
+    Ok((scan, sealed))
+}
+
+/// The one scan, on the calling thread below `serial_below` rows and on
+/// one reader per storage node plus one assembler above. With a `seal`,
+/// each chunk's batch is folded into it in scan order: on the calling
+/// thread right after its rows are built, or on the assembler, which a
+/// reader then hands the batch along with the rows.
 fn scan_on(
     reader: &SubTableReader,
     table: TableId,
     chunks: &[ChunkId],
     range: Option<&BoundingBox>,
     serial_below: usize,
+    mut seal: Option<&mut BatchSeal>,
 ) -> Result<ChunkScan> {
     let md = reader.metadata();
     let schema = md.schema(table)?;
@@ -653,8 +683,11 @@ fn scan_on(
     if total < serial_below {
         let (mut rows, mut stats) = (Vec::with_capacity(total), RunStats::default());
         for &chunk in &chunks {
-            let n = read_chunk(reader, table, chunk, range, &mut stats, &mut rows)?;
-            runs.push((chunk, n));
+            let batch = read_chunk(reader, table, chunk, range, &mut stats, &mut rows)?;
+            if let Some(seal) = seal.as_deref_mut() {
+                seal.fold(&batch);
+            }
+            runs.push((chunk, batch.num_rows()));
         }
         return Ok((schema, rows, runs));
     }
@@ -673,10 +706,13 @@ fn scan_on(
         per_node[k].1.push(chunk);
         owner.push(k);
     }
+    // A chunk's rows, and its batch when the scan is sealed.
+    type Part = (Vec<Record>, Option<ColumnBatch>);
     let (senders, receivers): (Vec<_>, Vec<_>) = per_node
         .iter()
-        .map(|_| mpsc::sync_channel::<Result<Vec<Record>>>(CHANNEL_DEPTH))
+        .map(|_| mpsc::sync_channel::<Result<Part>>(CHANNEL_DEPTH))
         .unzip();
+    let sealing = seal.is_some();
     let mut rows = Vec::new();
     let mut workers: Vec<(String, WorkerBody<'_, ()>)> = Vec::new();
     for ((node, mine), tx) in per_node.into_iter().zip(senders) {
@@ -687,9 +723,10 @@ fn scan_on(
             let mut stats = RunStats::default();
             for chunk in mine {
                 let mut part = Vec::new();
-                let read = read_chunk(reader, table, chunk, range, &mut stats, &mut part);
+                let read = read_chunk(reader, table, chunk, range, &mut stats, &mut part)
+                    .map(|batch| (part, sealing.then_some(batch)));
                 let failed = read.is_err();
-                if tx.send(read.map(|_| part)).is_err() || failed {
+                if tx.send(read).is_err() || failed {
                     break;
                 }
             }
@@ -709,9 +746,12 @@ fn scan_on(
         // wait below ends, and a dead reader reads as a hang-up.
         let mut parts: Vec<_> = receivers.into_iter().map(|rx| rx.into_iter()).collect();
         for (&chunk, &k) in chunks.iter().zip(&owner) {
-            let part = parts[k]
+            let (part, batch) = parts[k]
                 .next()
                 .ok_or_else(|| Error::Cluster(format!("the reader of chunk {chunk} hung up")))??;
+            if let (Some(seal), Some(batch)) = (seal.as_deref_mut(), &batch) {
+                seal.fold(batch);
+            }
             runs_out.push((chunk, part.len()));
             rows_out.extend(part);
         }
@@ -723,9 +763,9 @@ fn scan_on(
 }
 
 /// Fetch `chunk` of `table` through `reader`, range-filtered, and append
-/// its rows to `out`; returns how many. The decoded batch is dropped
-/// here. A scan reports no run statistics: `stats` is the fetch's
-/// scratch.
+/// its rows to `out`; returns the decoded batch, which a sealed scan
+/// folds into its seal before dropping it. A scan reports no run
+/// statistics: `stats` is the fetch's scratch.
 fn read_chunk(
     reader: &SubTableReader,
     table: TableId,
@@ -733,14 +773,15 @@ fn read_chunk(
     range: Option<&BoundingBox>,
     stats: &mut RunStats,
     out: &mut Vec<Record>,
-) -> Result<usize> {
+) -> Result<ColumnBatch> {
     let st = reader.fetch(SubTableId { table, chunk }, range, stats)?;
     st.batch().append_records_to(out)?;
-    Ok(st.num_rows())
+    Ok(st.into_batch())
 }
 
-/// CRC32C over the canonical binary encoding of `rows`, sealed shard-side
-/// on every federated sub-response and re-verified at the router, so a
+/// CRC32C over the canonical binary encoding of `rows`: what the router
+/// re-verifies every federated sub-response's rows with, against the seal
+/// the shard wrote from its batches (`BatchSeal`, the same bytes), so a
 /// corrupted partial result is rejected (and hedged/failed over) instead
 /// of merged.
 ///
@@ -786,6 +827,131 @@ pub fn rows_checksum(rows: &[Record]) -> u32 {
         }
     }
     checksum::finish(checksum::update(state, &buf[..len]))
+}
+
+/// Rows per piece of a [`BatchSeal`]'s row image: 512 rows of a scan's
+/// schema (two `i32` coordinates and a few `f32` scalars, ~30 B a row)
+/// fill ~16 KiB, so a piece is written and read back in cache.
+const SEAL_PIECE_ROWS: usize = 512;
+
+/// The writer side of [`rows_checksum`]: the CRC32C of the same canonical
+/// bytes, written from columns instead of [`Record`]s. A federation shard
+/// folds each chunk's batch in while the scan holds it, so sealing costs
+/// no second pass over the rows it built.
+///
+/// It lays each piece of up to `SEAL_PIECE_ROWS` rows out as fixed-width
+/// row images: the arity prefix and the type tags are written once per
+/// schema, each column's bit patterns by one typed loop per piece, and
+/// each piece is folded with one CRC update. The bytes are the ones
+/// [`rows_checksum`] folds for the rows the batches materialise into; the
+/// equivalence proptest in this module pins that.
+pub(crate) struct BatchSeal {
+    state: u32,
+    /// The schema the image's constant bytes were laid out for.
+    types: Vec<DataType>,
+    /// `SEAL_PIECE_ROWS` row images of that schema.
+    image: Vec<u8>,
+}
+
+impl BatchSeal {
+    pub(crate) fn new() -> Self {
+        BatchSeal {
+            state: checksum::begin(),
+            types: Vec::new(),
+            image: Vec::new(),
+        }
+    }
+
+    /// Fold `batch`'s rows, in order.
+    pub(crate) fn fold(&mut self, batch: &ColumnBatch) {
+        let rows = batch.num_rows();
+        if rows == 0 {
+            return;
+        }
+        let columns = (0..batch.num_columns()).map(|c| batch.column(c));
+        if !columns
+            .clone()
+            .map(ColumnData::dtype)
+            .eq(self.types.iter().copied())
+        {
+            self.lay_out(batch.dtypes());
+        }
+        let width = self.image.len() / SEAL_PIECE_ROWS;
+        for start in (0..rows).step_by(SEAL_PIECE_ROWS) {
+            let piece = start..rows.min(start + SEAL_PIECE_ROWS);
+            let image = &mut self.image[..piece.len() * width];
+            let mut at = 4;
+            for col in columns.clone() {
+                write_bits(col, piece.clone(), image, at + 1, width);
+                at += 1 + col.dtype().width();
+            }
+            self.state = checksum::update(self.state, image);
+        }
+    }
+
+    /// Write the constant bytes of `types`' row image — the `u32` arity
+    /// and one tag per value — into every row of the piece buffer.
+    fn lay_out(&mut self, types: Vec<DataType>) {
+        let width = 4 + types.iter().map(|t| 1 + t.width()).sum::<usize>();
+        self.image.clear();
+        self.image.resize(SEAL_PIECE_ROWS * width, 0);
+        for row in self.image.chunks_exact_mut(width) {
+            row[..4].copy_from_slice(&(types.len() as u32).to_le_bytes());
+            let mut at = 4;
+            for &ty in &types {
+                row[at] = match ty {
+                    DataType::I32 => 0,
+                    DataType::I64 => 1,
+                    DataType::F32 => 2,
+                    DataType::F64 => 3,
+                };
+                at += 1 + ty.width();
+            }
+        }
+        self.types = types;
+    }
+
+    /// The CRC32C of every row folded so far.
+    pub(crate) fn finish(&self) -> u32 {
+        checksum::finish(self.state)
+    }
+}
+
+/// Write the little-endian bit patterns of `col`'s values at `rows` into
+/// consecutive `width`-byte row images of `image`, at byte `at` of each —
+/// one typed loop.
+fn write_bits(col: &ColumnData, rows: Range<usize>, image: &mut [u8], at: usize, width: usize) {
+    fn put<T: Copy, const N: usize>(
+        values: &[T],
+        image: &mut [u8],
+        (at, width): (usize, usize),
+        to: fn(T) -> [u8; N],
+    ) {
+        for (row, &v) in image.chunks_exact_mut(width).zip(values) {
+            row[at..at + N].copy_from_slice(&to(v));
+        }
+    }
+    let place = (at, width);
+    match col {
+        ColumnData::I32(v) => put(&v[rows], image, place, i32::to_le_bytes),
+        ColumnData::I64(v) => put(&v[rows], image, place, i64::to_le_bytes),
+        ColumnData::F32(v) => put(&v[rows], image, place, |x| x.to_bits().to_le_bytes()),
+        ColumnData::F64(v) => put(&v[rows], image, place, |x| x.to_bits().to_le_bytes()),
+    }
+}
+
+/// The seal of a federated chunk-scan response: `rows_crc` — the CRC32C
+/// of its rows, from [`rows_checksum`] at the router or a [`BatchSeal`]
+/// on the shard — extended by its runs, each `(chunk, rows)` as two
+/// little-endian `u64`s. A run dropped, added, renamed or resized changes
+/// it, even where the rows do not change.
+pub(crate) fn seal_runs(rows_crc: u32, runs: &[(ChunkId, usize)]) -> u32 {
+    let mut bytes = Vec::with_capacity(runs.len() * 16);
+    for &(chunk, rows) in runs {
+        bytes.extend_from_slice(&u64::from(chunk.0).to_le_bytes());
+        bytes.extend_from_slice(&(rows as u64).to_le_bytes());
+    }
+    checksum::extend(rows_crc, &bytes)
 }
 
 /// Column names of a schema.
@@ -1151,11 +1317,22 @@ mod tests {
             ];
             for (what, chunks, range) in cases {
                 let label = format!("{nodes} nodes, {what}");
-                let (_, rows, runs) = scan_on(&rd, t, &chunks, range, usize::MAX).unwrap();
-                let (_, on_workers, worker_runs) = scan_on(&rd, t, &chunks, range, 0).unwrap();
+                let (_, rows, runs) = scan_on(&rd, t, &chunks, range, usize::MAX, None).unwrap();
+                let (_, on_workers, worker_runs) =
+                    scan_on(&rd, t, &chunks, range, 0, None).unwrap();
                 assert_eq!(on_workers, rows, "{label}");
                 assert_eq!(worker_runs, runs, "{label}");
                 assert_eq!(rows_checksum(&on_workers), rows_checksum(&rows), "{label}");
+                // A sealed scan returns the same rows and runs, and its
+                // seal is what the router computes from them.
+                let want = seal_runs(rows_checksum(&rows), &runs);
+                for serial_below in [usize::MAX, 0] {
+                    let mut seal = BatchSeal::new();
+                    let sealed = scan_on(&rd, t, &chunks, range, serial_below, Some(&mut seal));
+                    let (_, sealed_rows, sealed_runs) = sealed.unwrap();
+                    assert!(sealed_rows == rows && sealed_runs == runs, "{label}");
+                    assert_eq!(seal_runs(seal.finish(), &runs), want, "{label}");
+                }
                 assert_eq!(
                     runs.iter().map(|r| r.1).sum::<usize>(),
                     rows.len(),
@@ -1169,7 +1346,8 @@ mod tests {
                 }
             }
             for serial_below in [usize::MAX, 0] {
-                let err = scan_on(&rd, t, &[all[0], ChunkId(99)], None, serial_below).unwrap_err();
+                let err = scan_on(&rd, t, &[all[0], ChunkId(99)], None, serial_below, None);
+                let err = err.unwrap_err();
                 assert!(matches!(err, Error::NotFound(_)), "{nodes} nodes: {err}");
             }
         }
@@ -1591,6 +1769,176 @@ mod tests {
                 assert!(matches!(err, Error::Cancelled), "{workers} workers: {err}");
                 let live = join_rows(batches, workers, &CancelToken::new()).unwrap();
                 assert!(live == sorted, "{workers} workers");
+            }
+        }
+    }
+
+    /// The two encoders of a federated response's seal agree: a
+    /// [`BatchSeal`] written from columns and [`rows_checksum`] over the
+    /// rows those columns build. `PROPTEST_CASES` sets the case count
+    /// (CI runs 4 096).
+    mod seal_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn cases() -> u32 {
+            std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|n| n.parse().ok())
+                .unwrap_or(256)
+        }
+
+        /// The bit patterns worth a special case: signed zeros, NaNs with
+        /// payloads (quiet and signalling, both signs), infinities and
+        /// the integer extremes.
+        const SPECIAL_I64: [i64; 5] = [i64::MIN, i64::MAX, 0, -1, 1];
+        const SPECIAL_I32: [i32; 5] = [i32::MIN, i32::MAX, 0, -1, 1];
+        const SPECIAL_F64: [u64; 6] = [
+            0,
+            0x8000_0000_0000_0000,
+            0x7FF8_0000_0000_0001,
+            0xFFF0_0000_0000_0002,
+            0x7FF0_0000_0000_0000,
+            0x0000_0000_0000_0001,
+        ];
+        const SPECIAL_F32: [u32; 6] = [
+            0,
+            0x8000_0000,
+            0x7FC0_0001,
+            0xFF80_0002,
+            0x7F80_0000,
+            0x0000_0001,
+        ];
+
+        /// `rows` values of `ty` from `seed`: one in four a special
+        /// value, the rest arbitrary bit patterns.
+        fn column(ty: DataType, rows: usize, seed: u64) -> ColumnData {
+            let mut x = seed | 1;
+            let mut col = ColumnData::with_capacity(ty, rows);
+            for _ in 0..rows {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let (special, bits) = (x.is_multiple_of(4).then_some((x >> 2) as usize), x);
+                let v = match ty {
+                    DataType::I32 => {
+                        Value::I32(special.map_or(bits as i32, |i| SPECIAL_I32[i % 5]))
+                    }
+                    DataType::I64 => {
+                        Value::I64(special.map_or(bits as i64, |i| SPECIAL_I64[i % 5]))
+                    }
+                    DataType::F32 => Value::F32(f32::from_bits(
+                        special.map_or(bits as u32, |i| SPECIAL_F32[i % 6]),
+                    )),
+                    DataType::F64 => {
+                        Value::F64(f64::from_bits(special.map_or(bits, |i| SPECIAL_F64[i % 6])))
+                    }
+                };
+                col.push(v).unwrap();
+            }
+            col
+        }
+
+        fn batch(types: &[DataType], rows: usize, seed: u64) -> ColumnBatch {
+            let columns = types.iter().enumerate();
+            let columns = columns.map(|(c, &ty)| column(ty, rows, seed.wrapping_add(c as u64)));
+            ColumnBatch::from_columns(columns.collect()).unwrap()
+        }
+
+        fn any_type() -> impl Strategy<Value = DataType> {
+            proptest::sample::select(vec![
+                DataType::I32,
+                DataType::I64,
+                DataType::F32,
+                DataType::F64,
+            ])
+        }
+
+        /// Row counts around the piece size and none at all, or anything
+        /// up to three pieces.
+        fn any_rows() -> impl Strategy<Value = usize> {
+            prop_oneof![
+                proptest::sample::select(vec![0usize, 1, 511, 512, 513, 1_025]),
+                0usize..1_600,
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+            /// Arity 1–8 in every mix of the four types; one batch, or
+            /// two with the same or another schema, folded in order.
+            #[test]
+            fn batch_seal_equals_rows_checksum(
+                types in proptest::collection::vec(any_type(), 1..9),
+                other in proptest::collection::vec(any_type(), 1..9),
+                rows in any_rows(),
+                more in any_rows(),
+                shape in 0u8..3,
+                seed in any::<u64>(),
+            ) {
+                let first = batch(&types, rows, seed);
+                let second = match shape {
+                    0 => None,
+                    1 => Some(batch(&types, more, seed ^ 0x9E37)),
+                    _ => Some(batch(&other, more, seed ^ 0x9E37)),
+                };
+                let mut seal = BatchSeal::new();
+                let mut records = first.to_records().unwrap();
+                seal.fold(&first);
+                if let Some(second) = &second {
+                    seal.fold(second);
+                    records.extend(second.to_records().unwrap());
+                }
+                prop_assert_eq!(seal.finish(), rows_checksum(&records));
+            }
+
+            /// Through the scan a shard runs, on its serial and its
+            /// parallel path: 1–3 nodes, 0–5 scalars beside the three
+            /// coordinates, a full scan or a window, 4–12 chunks of 1–64
+            /// rows.
+            #[test]
+            fn scan_seal_equals_the_router_check(
+                nodes in 1usize..4,
+                scalars in 0usize..6,
+                cells in (1u64..9, 1u64..9, 1u64..4),
+                window in (any::<bool>(), 0u64..8, 0u64..8),
+                seed in any::<u64>(),
+            ) {
+                let names = ["a", "b", "c", "d", "e"];
+                let d = Deployment::in_memory(nodes);
+                let grid = [cells.0 * 2, cells.1 * 2, cells.2];
+                let h = generate_dataset(
+                    &DatasetSpec::builder("t")
+                        .grid(grid)
+                        .partition([cells.0, cells.1, 1])
+                        .scalar_attrs(&names[..scalars])
+                        .seed(seed)
+                        .build(),
+                    &d,
+                )
+                .unwrap();
+                let md = d.metadata();
+                let (windowed, x, y) = window;
+                let range = windowed.then(|| {
+                    BoundingBox::from_dims([
+                        ("x", Interval::new(x as f64, x as f64 + 2.5)),
+                        ("y", Interval::new(y as f64 * 0.5, grid[1] as f64)),
+                    ])
+                });
+                let chunks = match &range {
+                    Some(rg) => md.find_chunks(h.table, rg).unwrap(),
+                    None => md.all_chunks(h.table).unwrap(),
+                };
+                let rd = reader(&d);
+                for serial_below in [usize::MAX, 0] {
+                    let mut seal = BatchSeal::new();
+                    let (_, rows, runs) =
+                        scan_on(&rd, h.table, &chunks, range.as_ref(), serial_below, Some(&mut seal))
+                            .unwrap();
+                    prop_assert_eq!(seal.finish(), rows_checksum(&rows));
+                    prop_assert_eq!(runs.iter().map(|r| r.1).sum::<usize>(), rows.len());
+                }
             }
         }
     }

@@ -63,9 +63,9 @@
 
 use crate::ast::SelectItem;
 use crate::engine::{BoundSelect, Plan, Prepared, QueryEngine, QueryResult, Request, Source};
-use crate::exec::{merge_aggregate, order_and_limit, project, rows_checksum, RowSet};
+use crate::exec::{merge_aggregate, order_and_limit, project, rows_checksum, seal_runs, RowSet};
 use crate::overload::BrownoutState;
-use crate::service::{QueryService, QueryTicket, ServiceConfig};
+use crate::service::{Landing, QueryService, QueryTicket, ServiceConfig};
 use orv_bds::Deployment;
 use orv_cluster::{
     CancelToken, DeadlineBudget, FaultInjector, RecoveryPolicy, RetryBudget, WaitBudget,
@@ -75,14 +75,17 @@ use orv_obs::{
     names, FlightRecorder, JsonValue, Obs, QueryTrace, Stopwatch, TraceId, TraceOutcome,
 };
 use orv_types::{BoundingBox, ChunkId, Error, Record, Result, SubTableId, TableId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// How long the router blocks on any single in-flight sub-query per poll
-/// rotation. Purely a caller-side wait quantum (like
-/// [`QueryTicket::wait_timeout`]); it never steers execution.
+/// The longest the router sleeps between two sweeps of its flights while
+/// none lands, so hedge timers are checked at least this often. Purely a
+/// caller-side wait quantum (like [`QueryTicket::wait_timeout`]); it
+/// never steers execution.
 const POLL_SLICE: Duration = Duration::from_millis(2);
 
 fn relock<T>(r: std::result::Result<T, PoisonError<T>>) -> T {
@@ -276,14 +279,85 @@ struct TraceBuild {
     children: Vec<QueryTrace>,
 }
 
-/// Drop guard: whatever is still flying when the router unwinds (parent
-/// cancellation, strict-mode error, normal return with losers pending)
-/// gets cancelled so no shard worker burns time on an abandoned query.
-struct Flights(Vec<Flight>);
+/// The sub-responses a federated scan has absorbed, each kept whole as it
+/// landed, and which of them filled each chunk: the first verified
+/// response to carry a chunk wins it (dedup for hedged duplicates).
+#[derive(Default)]
+struct Gathered {
+    responses: Vec<Vec<Record>>,
+    /// chunk → (index into `responses`, the chunk's rows there).
+    filled: HashMap<ChunkId, (usize, Range<usize>)>,
+}
+
+impl Gathered {
+    fn has(&self, chunk: &ChunkId) -> bool {
+        self.filled.contains_key(chunk)
+    }
+
+    /// Rows over every filled chunk.
+    fn rows(&self) -> usize {
+        self.filled.values().map(|(_, run)| run.len()).sum()
+    }
+
+    /// Keep `rows`, cut into `runs`, and fill every chunk they carry that
+    /// no earlier response filled; `true` if any was.
+    fn keep(&mut self, rows: Vec<Record>, runs: &[(ChunkId, usize)]) -> bool {
+        let (k, mut at, mut won) = (self.responses.len(), 0, false);
+        for &(chunk, len) in runs {
+            if let Entry::Vacant(e) = self.filled.entry(chunk) {
+                e.insert((k, at..at + len));
+                won = true;
+            }
+            at += len;
+        }
+        if won {
+            self.responses.push(rows);
+        }
+        won
+    }
+
+    /// Hand `each` the rows of every filled chunk, in `chunks` order,
+    /// moved out of the response that won it. `chunks` ascends, as every
+    /// response's runs do, so each response is read front to back once.
+    fn drain_runs(
+        self,
+        chunks: &[ChunkId],
+        mut each: impl FnMut(std::iter::Take<&mut std::vec::IntoIter<Record>>),
+    ) {
+        let mut cursors: Vec<_> = self
+            .responses
+            .into_iter()
+            .map(|rows| (0, rows.into_iter()))
+            .collect();
+        for chunk in chunks {
+            let Some((k, run)) = self.filled.get(chunk) else {
+                continue;
+            };
+            let (at, rows) = &mut cursors[*k];
+            // Rows in between belong to chunks another response won.
+            if run.start > *at {
+                rows.nth(run.start - *at - 1);
+            }
+            *at = run.end;
+            each(rows.by_ref().take(run.len()));
+        }
+    }
+}
+
+/// One federated query's flights, and the landing signal every one of
+/// them pulses when its answer is published. Also a drop guard: whatever
+/// is still flying when the router unwinds (parent cancellation,
+/// strict-mode error, normal return with losers pending) gets cancelled
+/// so no shard worker burns time on an abandoned query.
+#[derive(Default)]
+struct Flights {
+    flying: Vec<Flight>,
+    landing: Landing,
+}
 
 impl Drop for Flights {
     fn drop(&mut self) {
-        for f in &self.0 {
+        for f in &self.flying {
             f.ticket.cancel();
         }
     }
@@ -703,10 +777,10 @@ impl FederatedService {
         };
 
         let mut tried: HashMap<ChunkId, Vec<usize>> = HashMap::new();
-        let mut filled: HashMap<ChunkId, Vec<Record>> = HashMap::new();
+        let mut gathered = Gathered::default();
         let mut unassigned: Vec<ChunkId> = chunks.clone();
         let mut missing: Vec<ChunkId> = Vec::new();
-        let mut flights = Flights(Vec::new());
+        let mut flights = Flights::default();
 
         loop {
             cancel.check()?;
@@ -755,12 +829,18 @@ impl FederatedService {
                 }
             }
 
-            if flights.0.is_empty() {
+            // Chunks an overloaded shard turned away wait in `unassigned`
+            // for the next pass, even with nothing in flight.
+            if flights.flying.is_empty() && unassigned.is_empty() {
                 break;
             }
 
-            // Poll the outstanding flights one rotation, handling
-            // whichever resolved and hedging whichever went quiet.
+            // Sweep the outstanding flights without blocking, absorbing
+            // whichever landed and hedging whichever went quiet. The
+            // landing count is read first: a flight that lands after its
+            // ticket was looked at has moved it, and the wait below
+            // returns at once.
+            let seen = flights.landing.count();
             let mut resolved: Vec<(usize, Result<QueryResult>)> = Vec::new();
             let mut hedges: Vec<(usize, Vec<ChunkId>)> = Vec::new();
             // Hedging only while every shard is in `Normal`: a hedge is
@@ -768,8 +848,8 @@ impl FederatedService {
             // federation needs. Checked before `hedged` is latched, so
             // hedging resumes for still-flying work once shards recover.
             let hedging_allowed = self.brownout_state().allows_hedging();
-            for (i, f) in flights.0.iter_mut().enumerate() {
-                if let Some(result) = f.ticket.wait_timeout(POLL_SLICE) {
+            for (i, f) in flights.flying.iter_mut().enumerate() {
+                if let Some(result) = f.ticket.wait_timeout(Duration::ZERO) {
                     resolved.push((i, result));
                 } else if hedging_allowed
                     && !f.hedged
@@ -779,7 +859,7 @@ impl FederatedService {
                     let unfilled: Vec<ChunkId> = f
                         .chunks
                         .iter()
-                        .filter(|c| !filled.contains_key(c))
+                        .filter(|c| !gathered.has(c))
                         .copied()
                         .collect();
                     if !unfilled.is_empty() {
@@ -831,29 +911,37 @@ impl FederatedService {
             }
 
             // Handle resolutions (descending index so removals are safe).
+            let landed = !resolved.is_empty();
             for (i, outcome) in resolved.into_iter().rev() {
-                let flight = flights.0.remove(i);
+                let flight = flights.flying.remove(i);
                 // The resolver published the sub-query's trace before its
                 // result became observable, so this is always present.
                 tb.children.extend(flight.ticket.trace());
                 // A response that fails re-verification is a failed shard.
-                let outcome = outcome.and_then(|result| self.absorb(&flight, result, &mut filled));
+                let outcome =
+                    outcome.and_then(|result| self.absorb(&flight, result, &mut gathered));
                 match outcome {
                     Ok(()) => {}
                     Err(e) if e.is_cancellation() && cancel.check().is_err() => return Err(e),
-                    Err(_) => self.fail_over(&flight, &filled, &mut unassigned, &mut missing),
+                    Err(_) => self.fail_over(&flight, &gathered, &mut unassigned, &mut missing),
                 }
             }
 
             // Cancel losers: a flight whose every chunk someone else
             // already filled has nothing left to contribute.
-            flights.0.retain(|f| {
-                let obsolete = f.chunks.iter().all(|c| filled.contains_key(c));
+            flights.flying.retain(|f| {
+                let obsolete = f.chunks.iter().all(|c| gathered.has(c));
                 if obsolete {
                     f.ticket.cancel();
                 }
                 !obsolete
             });
+
+            // Nothing landed: sleep until a flight does, at most one
+            // `POLL_SLICE`, then sweep again.
+            if !landed && unassigned.is_empty() {
+                flights.landing.wait_past(seen, POLL_SLICE, cancel);
+            }
         }
 
         missing.sort();
@@ -873,9 +961,11 @@ impl FederatedService {
             }
         }
 
-        // Merge. Chunk order follows the R-tree's chunk list — the same
-        // order a single engine scans in — so a complete federated scan
-        // is byte-identical to the oracle.
+        // Merge. Chunk order follows the R-tree's chunk list, which
+        // ascends — the order a single engine scans in — so a complete
+        // federated scan is byte-identical to the oracle. Each winning
+        // run moves once: into the one result vector, or into its chunk's
+        // partition of the re-aggregation.
         let merge_sw = Stopwatch::start();
         let columns = &query.columns;
         let has_agg = query
@@ -883,15 +973,12 @@ impl FederatedService {
             .iter()
             .any(|i| matches!(i, SelectItem::Aggregate(..)));
         let rowset: RowSet = if has_agg || !query.group_by.is_empty() {
-            let parts: Vec<Vec<Record>> = chunks.iter().filter_map(|c| filled.remove(c)).collect();
+            let mut parts: Vec<Vec<Record>> = Vec::new();
+            gathered.drain_runs(&chunks, |run| parts.push(run.collect()));
             merge_aggregate(columns, parts, &query.select, &query.group_by)?
         } else {
-            let mut rows = Vec::new();
-            for c in &chunks {
-                if let Some(r) = filled.remove(c) {
-                    rows.extend(r);
-                }
-            }
+            let mut rows = Vec::with_capacity(gathered.rows());
+            gathered.drain_runs(&chunks, |run| rows.extend(run));
             project(columns, rows, &query.select)?
         };
         let rowset = order_and_limit(rowset, &query.order_by, query.limit)?;
@@ -920,19 +1007,26 @@ impl FederatedService {
 
     /// Submit `job`, the chunk-scan [`Prepared`] over `chunks`, to one
     /// shard, carrying the root query's trace ID and one hop's slice of
-    /// the root's deadline budget.
+    /// the root's deadline budget; the shard pulses the flights' landing
+    /// signal once the answer is published.
     fn dispatch(
         &self,
         flights: &mut Flights,
         shard: usize,
-        chunks: Vec<ChunkId>,
+        mut chunks: Vec<ChunkId>,
         job: Prepared,
         is_hedge: bool,
         root: &Request,
     ) -> Result<()> {
         self.bump(names::FED_SUBQUERIES, 1);
-        let ticket = self.shards[shard].submit_prepared(job, self.hop(root))?;
-        flights.0.push(Flight {
+        let landing = &flights.landing;
+        let ticket = self.shards[shard].submit_signalled(job, self.hop(root), landing)?;
+        // As the shard's scan reads them, so in the order of its runs: a
+        // chunk two failed flights both returned to the pool is asked
+        // for once.
+        chunks.sort_unstable();
+        chunks.dedup();
+        flights.flying.push(Flight {
             shard,
             chunks,
             ticket,
@@ -954,7 +1048,7 @@ impl FederatedService {
     fn fail_over(
         &self,
         flight: &Flight,
-        filled: &HashMap<ChunkId, Vec<Record>>,
+        gathered: &Gathered,
         unassigned: &mut Vec<ChunkId>,
         missing: &mut Vec<ChunkId>,
     ) {
@@ -962,7 +1056,7 @@ impl FederatedService {
         let unfilled: Vec<ChunkId> = flight
             .chunks
             .iter()
-            .filter(|c| !filled.contains_key(c))
+            .filter(|c| !gathered.has(c))
             .copied()
             .collect();
         if unfilled.is_empty() {
@@ -976,35 +1070,33 @@ impl FederatedService {
         }
     }
 
-    /// Fold one successful sub-response into the per-chunk fill map.
-    /// First responder wins per chunk (dedup for hedged duplicates). The
-    /// shard sealed the rows with [`rows_checksum`]; a response that no
-    /// longer matches its seal is discarded wholesale with a typed
-    /// `Error::Integrity`, which the caller handles as a failed shard —
-    /// the chunks stay unfilled and re-route.
-    fn absorb(
-        &self,
-        flight: &Flight,
-        result: QueryResult,
-        filled: &mut HashMap<ChunkId, Vec<Record>>,
-    ) -> Result<()> {
-        if result.checksum != Some(rows_checksum(&result.rows)) {
+    /// Verify one successful sub-response and keep it whole in
+    /// `gathered`, the moment it lands. First responder wins per chunk
+    /// (dedup for hedged duplicates). The response is discarded wholesale
+    /// with a typed `Error::Integrity`, which the caller handles as a
+    /// failed shard — its chunks stay unfilled and re-route — unless its
+    /// runs name exactly the flight's chunks, ascending, with lengths
+    /// that sum to its rows, and its seal matches: the shard wrote it
+    /// from its batches, and the router recomputes it from the rows it
+    /// received ([`rows_checksum`]) and the runs ([`seal_runs`]).
+    fn absorb(&self, flight: &Flight, result: QueryResult, gathered: &mut Gathered) -> Result<()> {
+        let runs = result.chunk_runs.unwrap_or_default();
+        let covers = runs.iter().map(|r| r.0).eq(flight.chunks.iter().copied())
+            && runs.iter().map(|r| r.1).sum::<usize>() == result.rows.len();
+        if !covers {
             return Err(Error::Integrity(format!(
-                "sub-response from shard {} does not match its row checksum",
+                "sub-response from shard {} does not cut its rows into one run per chunk asked for",
+                flight.shard
+            )));
+        }
+        if result.checksum != Some(seal_runs(rows_checksum(&result.rows), &runs)) {
+            return Err(Error::Integrity(format!(
+                "sub-response from shard {} does not match its seal",
                 flight.shard
             )));
         }
         self.shard_ok(flight.shard);
-        let runs = result.chunk_runs.unwrap_or_default();
-        let mut rows = result.rows.into_iter();
-        let mut won = false;
-        for (chunk, len) in runs {
-            let chunk_rows: Vec<Record> = rows.by_ref().take(len).collect();
-            if let std::collections::hash_map::Entry::Vacant(e) = filled.entry(chunk) {
-                e.insert(chunk_rows);
-                won = true;
-            }
-        }
+        let won = gathered.keep(result.rows, &runs);
         if won && flight.is_hedge {
             self.bump(names::FED_HEDGE_WINS, 1);
         }
@@ -1087,23 +1179,24 @@ mod tests {
         );
         // A real shard-sealed sub-response, as the router receives it.
         let sealed = || {
-            let mut flights = Flights(Vec::new());
+            let mut flights = Flights::default();
             let job = Prepared::chunk_scan(table, None, chunks.clone(), 0.0);
-            fed.dispatch(
-                &mut flights,
-                0,
-                chunks.clone(),
-                job,
-                false,
-                &Request::default(),
-            )
-            .unwrap();
-            let flight = flights.0.pop().unwrap();
+            let root = Request::default();
+            fed.dispatch(&mut flights, 0, chunks.clone(), job, false, &root)
+                .unwrap();
+            let flight = flights.flying.pop().unwrap();
             let result = flight
                 .ticket
                 .wait_cancellable(&CancelToken::none())
                 .unwrap();
-            assert_eq!(result.checksum, Some(rows_checksum(&result.rows)));
+            assert_eq!(flights.landing.count(), 1, "the shard pulses the landing");
+            let runs = result.chunk_runs.as_deref().unwrap();
+            assert!(
+                runs.len() >= 2 && runs[0].1 > 0,
+                "two runs, the first not empty"
+            );
+            let rows_crc = rows_checksum(&result.rows);
+            assert_eq!(result.checksum, Some(seal_runs(rows_crc, runs)));
             (flight, result)
         };
         fn alter_value(r: &mut QueryResult) {
@@ -1114,11 +1207,24 @@ mod tests {
             };
             r.rows[0] = Record::new(values);
         }
+        fn runs(r: &mut QueryResult) -> &mut Vec<(ChunkId, usize)> {
+            r.chunk_runs.as_mut().unwrap()
+        }
         type Alter = fn(&mut QueryResult);
-        let alterations: [(&str, Alter); 3] = [
+        let alterations: [(&str, Alter); 5] = [
             ("row value", alter_value),
             ("checksum", |r| r.checksum = r.checksum.map(|c| c ^ 1)),
             ("missing checksum", |r| r.checksum = None),
+            // Its chunk would be neither filled nor missing: a
+            // `Complete` answer without its rows.
+            ("run dropped", |r| {
+                runs(r).pop();
+            }),
+            // One row moved from the first chunk to the second.
+            ("run lengths shifted", |r| {
+                runs(r)[0].1 -= 1;
+                runs(r)[1].1 += 1;
+            }),
         ];
         for (what, alter) in alterations {
             let (flight, mut result) = sealed();
@@ -1127,13 +1233,13 @@ mod tests {
                 counter(names::FED_SHARD_ERRORS),
                 counter(names::FED_FAILOVERS),
             );
-            let mut filled = HashMap::new();
+            let mut gathered = Gathered::default();
             let (mut unassigned, mut missing) = (Vec::new(), Vec::new());
             // The two steps the routing loop takes on a resolved flight.
-            let err = fed.absorb(&flight, result, &mut filled).unwrap_err();
-            fed.fail_over(&flight, &filled, &mut unassigned, &mut missing);
+            let err = fed.absorb(&flight, result, &mut gathered).unwrap_err();
+            fed.fail_over(&flight, &gathered, &mut unassigned, &mut missing);
             assert!(matches!(err, Error::Integrity(_)), "{what}: {err}");
-            assert!(filled.is_empty(), "{what}: merged");
+            assert!(gathered.filled.is_empty(), "{what}: merged");
             assert_eq!(counter(names::FED_SHARD_ERRORS), errors + 1, "{what}");
             assert_eq!(counter(names::FED_FAILOVERS), failovers + 1, "{what}");
             assert_eq!(unassigned, chunks, "{what}: every chunk re-routes");
@@ -1141,12 +1247,15 @@ mod tests {
         }
         // The same response untouched is merged, chunk by chunk.
         let (flight, result) = sealed();
-        let (n_rows, errors) = (result.rows.len(), counter(names::FED_SHARD_ERRORS));
-        let mut filled = HashMap::new();
-        fed.absorb(&flight, result, &mut filled).unwrap();
-        assert_eq!(filled.len(), chunks.len());
-        assert_eq!(filled.values().map(Vec::len).sum::<usize>(), n_rows);
+        let (want, errors) = (result.rows.clone(), counter(names::FED_SHARD_ERRORS));
+        let mut gathered = Gathered::default();
+        fed.absorb(&flight, result, &mut gathered).unwrap();
+        assert_eq!(gathered.filled.len(), chunks.len());
+        assert_eq!(gathered.rows(), want.len());
         assert_eq!(counter(names::FED_SHARD_ERRORS), errors);
+        let mut merged = Vec::new();
+        gathered.drain_runs(&chunks, |run| merged.extend(run));
+        assert_eq!(merged, want);
     }
 
     #[test]
@@ -1389,6 +1498,67 @@ mod tests {
             "a stalled shard must trigger hedging: {:?}",
             snap.counters
         );
+    }
+
+    #[test]
+    fn flights_are_absorbed_as_they_land_while_a_stalled_shard_scans() {
+        // Shard 0's first sub-query stalls; hedging is off, so nothing
+        // else can serve its chunks. The router must verify and absorb
+        // the other shards' answers as they land, not after the slowest.
+        let plan = FaultPlan {
+            shard_slow_storms: vec![ShardSlowStormSpec {
+                shard: 0,
+                after_subqueries: 0,
+                delay_ms: 300,
+                storm_len: 1,
+            }],
+            ..FaultPlan::none()
+        };
+        let obs = Obs::enabled();
+        let faults = FaultInjector::new(plan, obs.events.clone());
+        let cfg = FederationConfig {
+            hedge_after: None,
+            ..FederationConfig::default()
+        };
+        let fed = FederatedService::with_instruments(deployment(), cfg, obs, Some(faults)).unwrap();
+        let sql = "SELECT * FROM t1";
+        let got = fed.execute(sql).unwrap();
+        assert!(got.is_complete());
+        assert_eq!(got.result().rows, oracle(sql).rows, "byte-identical");
+        let traces = fed.recorder().slowest();
+        let root = traces.iter().find(|t| t.detail == sql).unwrap();
+        // The root lists its sub-queries in the order it absorbed them.
+        let order: Vec<(&str, f64)> = root
+            .children
+            .iter()
+            .map(|c| (c.group.as_str(), c.total_secs))
+            .collect();
+        assert_eq!(order.len(), fed.num_shards(), "{order:?}");
+        let (stalled, fast) = order.split_last().unwrap();
+        assert_eq!(stalled.0, "fed0", "the stalled shard lands last: {order:?}");
+        assert!(stalled.1 >= 0.3, "{order:?}");
+        assert!(fast.iter().all(|(group, _)| *group != "fed0"), "{order:?}");
+    }
+
+    #[test]
+    fn chunks_every_shard_turned_away_are_missing_not_dropped() {
+        // No worker drains a queue of one, and each shard's is full: every
+        // dispatch is rejected as overloaded, with nothing left in flight.
+        let mut cfg = FederationConfig::default();
+        cfg.service.workers = 0;
+        cfg.service.queue_cap = 1;
+        let fed = FederatedService::new(deployment(), cfg).unwrap();
+        let _queued: Vec<QueryTicket> = (0..fed.num_shards())
+            .map(|i| fed.shard(i).submit("SELECT COUNT(*) FROM t1").unwrap())
+            .collect();
+        let got = fed.execute("SELECT * FROM t1").unwrap();
+        let FederatedResponse::Partial(partial) = got else {
+            panic!("every chunk was turned away, yet the answer is complete");
+        };
+        let md = fed.deployment.metadata();
+        let table = md.table_id("t1").unwrap();
+        assert_eq!(partial.missing_chunks, md.all_chunks(table).unwrap());
+        assert!(partial.result.rows.is_empty());
     }
 
     #[test]

@@ -135,16 +135,59 @@ struct Slot {
     /// The completed [`QueryTrace`], written by the winning resolver —
     /// the federation router collects these to stitch its span tree.
     trace: Mutex<Option<QueryTrace>>,
+    /// Pulsed by the winning resolver once the result is published,
+    /// still under the `result` lock: a result a waiter can take has
+    /// been counted.
+    landing: Option<Landing>,
 }
 
 impl Slot {
-    fn new() -> Arc<Self> {
+    fn new(landing: Option<Landing>) -> Arc<Self> {
         Arc::new(Slot {
             result: Mutex::new(None),
             resolved: AtomicBool::new(false),
             done: Condvar::new(),
             trace: Mutex::new(None),
+            landing,
         })
+    }
+}
+
+/// A landing signal several queries share: each pulse counts one result
+/// published into a slot that carries it. The federation router gives one
+/// to every sub-query of a federated query and sleeps on it between
+/// sweeps of its flights, so it wakes when any of them lands instead of
+/// waiting on each in turn.
+#[derive(Clone, Default)]
+pub(crate) struct Landing(Arc<(Mutex<u64>, Condvar)>);
+
+impl Landing {
+    /// Results landed so far. Read it before sweeping the tickets: a
+    /// result that lands after the sweep looked at its ticket has moved
+    /// the count past the value read, so [`Landing::wait_past`] returns.
+    pub(crate) fn count(&self) -> u64 {
+        *relock(self.0 .0.lock())
+    }
+
+    fn pulse(&self) {
+        *relock(self.0 .0.lock()) += 1;
+        self.0 .1.notify_all();
+    }
+
+    /// Block until the count moves past `seen`, `timeout` passes or
+    /// `cancel` fires, whichever is first. Only the caller's wait is
+    /// bounded by the wall clock; no query's execution depends on it.
+    pub(crate) fn wait_past(&self, seen: u64, timeout: Duration, cancel: &CancelToken) {
+        let budget = WaitBudget::start(timeout);
+        let (count, landed) = &*self.0;
+        let mut count = relock(count.lock());
+        while *count == seen && cancel.check().is_ok() {
+            let left = budget.remaining();
+            if left.is_zero() {
+                return;
+            }
+            count = relock(landed.wait_timeout(count, left)).0;
+        }
     }
 }
 
@@ -277,6 +320,9 @@ impl Inner {
         *relock(slot.trace.lock()) = Some(self.finish_trace(ctx, outcome, phases));
         *cell = Some(result);
         slot.done.notify_all();
+        if let Some(landing) = &slot.landing {
+            landing.pulse();
+        }
     }
 
     /// Publish one brownout edge: counter, state gauge, and a
@@ -607,7 +653,7 @@ impl QueryService {
         // Binding is part of admission: the clock starts before it.
         let born = Stopwatch::start();
         let work = self.inner.engine.prepare(sql);
-        self.enqueue(born, sql.to_string(), work, cancel.into())
+        self.enqueue(born, sql.to_string(), work, cancel.into(), None)
     }
 
     /// Submit a bound statement under a caller-owned [`Request`]: its
@@ -616,10 +662,24 @@ impl QueryService {
     /// the query's latency stays out of `lat/total_secs` (its root
     /// already accounts for it). Same queue, admission control and
     /// cancellation whatever the `Prepared` holds — the federation
-    /// router's chunk scans come through here too.
+    /// router's chunk scans take the same path, with a landing signal.
     pub fn submit_prepared(&self, prepared: Prepared, request: Request) -> Result<QueryTicket> {
         let born = Stopwatch::start();
-        self.enqueue(born, prepared.detail.clone(), Ok(prepared), request)
+        self.enqueue(born, prepared.detail.clone(), Ok(prepared), request, None)
+    }
+
+    /// [`QueryService::submit_prepared`], pulsing `landing` once the
+    /// query's result is published — the federation router's sub-queries
+    /// come through here.
+    pub(crate) fn submit_signalled(
+        &self,
+        prepared: Prepared,
+        request: Request,
+        landing: &Landing,
+    ) -> Result<QueryTicket> {
+        let born = Stopwatch::start();
+        let detail = prepared.detail.clone();
+        self.enqueue(born, detail, Ok(prepared), request, Some(landing.clone()))
     }
 
     fn enqueue(
@@ -628,6 +688,7 @@ impl QueryService {
         detail: String,
         work: Result<Prepared>,
         request: Request,
+        landing: Option<Landing>,
     ) -> Result<QueryTicket> {
         let inner = &self.inner;
         let Request { cancel, parent } = request;
@@ -651,7 +712,7 @@ impl QueryService {
         // not bind predicts zero and fails fast at a worker.
         let predicted_secs = work.as_ref().map_or(0.0, Prepared::predicted_secs);
         let class = inner.cfg.overload.classify(predicted_secs);
-        let slot = Slot::new();
+        let slot = Slot::new(landing);
         let transition = {
             let mut queue = relock(inner.queue.lock());
             let depth = queue.len();
@@ -1113,5 +1174,45 @@ mod tests {
             Some(1)
         );
         assert_eq!(snap.counters.get(names::SERVICE_REJECTED).copied(), None);
+    }
+
+    #[test]
+    fn landing_counts_each_published_result_and_wakes_its_waiter() {
+        let cfg = |workers| ServiceConfig {
+            workers,
+            ..ServiceConfig::default()
+        };
+        let (svc, idle) = (
+            QueryService::new(engine(), cfg(1)).unwrap(),
+            QueryService::new(engine(), cfg(0)).unwrap(),
+        );
+        let landing = Landing::default();
+        let prepared = || svc.engine().prepare("SELECT COUNT(*) FROM t1").unwrap();
+        let forever = CancelToken::none();
+        // A worker publishes the result: the wait returns with it taken.
+        let seen = landing.count();
+        let ran = svc
+            .submit_signalled(prepared(), Request::default(), &landing)
+            .unwrap();
+        landing.wait_past(seen, Duration::from_secs(60), &forever);
+        assert_eq!(landing.count(), seen + 1);
+        assert!(ran.wait_timeout(Duration::ZERO).unwrap().is_ok());
+        // Cancelling a queued query publishes too.
+        let queued = idle
+            .submit_signalled(prepared(), Request::default(), &landing)
+            .unwrap();
+        queued.cancel();
+        assert_eq!(landing.count(), seen + 2);
+        // With nothing to land, the wait ends at its bound, or at once
+        // under a cancelled token.
+        let clock = Stopwatch::start();
+        landing.wait_past(seen + 2, Duration::from_millis(5), &forever);
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        landing.wait_past(seen + 2, Duration::from_secs(60), &cancelled);
+        assert!(clock.elapsed_secs() < 30.0, "{}", clock.elapsed_secs());
+        // A plain submission carries no landing.
+        svc.execute("SELECT COUNT(*) FROM t1").unwrap();
+        assert_eq!(landing.count(), seen + 2);
     }
 }
