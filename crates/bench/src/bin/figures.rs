@@ -10,7 +10,7 @@
 
 use orv_bench::{
     fig4_series, fig5_series, fig6_series, fig7_series, fig8_series, fig9_series, figures_json,
-    Figure,
+    Figure, PolicyRow,
 };
 
 fn print_figure(fig: &Figure) {
@@ -64,6 +64,26 @@ fn print_crossover_plane() {
     );
 }
 
+/// Ablation A1: misses and simulated seconds per schedule policy.
+fn print_schedule_ablation(rows: &[PolicyRow]) {
+    println!("\n=== Ablation A1: IJ schedule policies under cache pressure ===");
+    print!("{:>10} {:>12}", "× WS", "cache [B]");
+    for name in ["two-stage", "random", "pair RR", "OPAS"] {
+        print!("  {name:>16}");
+    }
+    println!("\n{:>23}{}", "", "  misses / sim [s]".repeat(4));
+    for row in rows {
+        print!("{:>10} {:>12}", row.fraction, row.cache_bytes);
+        for (_, misses, secs) in &row.runs {
+            print!("  {misses:>7} / {secs:>6.2}");
+        }
+        println!();
+    }
+    println!(
+        "(a = b = 16 dataset, 5 + 5 nodes; WS = 2·c_R + b·c_S; OPAS buffer = cache in sub-tables)"
+    );
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
@@ -75,6 +95,7 @@ fn main() {
         let fig = orv_bench::ablation_cache_series().expect("ablation series");
         print_figure(&fig);
         println!("(GH columns are the cache-oblivious reference; IJ model = ideal cache)");
+        print_schedule_ablation(&orv_bench::ablation_schedule_series().expect("A1 series"));
         return;
     }
     let only: Option<u32> = args

@@ -2,6 +2,8 @@
 
 use orv_cluster::ClusterSpec;
 use orv_costmodel::{CostParams, GraceHashModel, IndexedJoinModel, SystemParams};
+use orv_join::connectivity::predict_regular;
+use orv_join::SchedulePolicy::{self, TwoStageLexicographic};
 use orv_join::{simulate_grace_hash, simulate_indexed_join, SimProblem};
 use orv_obs::{obj, JsonValue};
 use orv_types::Result;
@@ -105,7 +107,7 @@ fn point(x: f64, pr: &SimProblem, spec: &ClusterSpec) -> Result<Point> {
     let s = SystemParams::from_cluster(spec, GAMMA_BUILD, GAMMA_LOOKUP);
     Ok(Point {
         x,
-        ij_sim: simulate_indexed_join(pr, spec)?.total_secs,
+        ij_sim: simulate_indexed_join(pr, spec, TwoStageLexicographic)?.total_secs,
         gh_sim: simulate_grace_hash(pr, spec)?.total_secs,
         ij_model: IndexedJoinModel::evaluate(&d, &s)?.total(),
         gh_model: GraceHashModel::evaluate(&d, &s)?.total(),
@@ -233,7 +235,7 @@ pub fn fig9_series() -> Result<Figure> {
         s.read_io_bw /= nj as f64;
         points.push(Point {
             x: nj as f64,
-            ij_sim: simulate_indexed_join(&pr, &spec)?.total_secs,
+            ij_sim: simulate_indexed_join(&pr, &spec, TwoStageLexicographic)?.total_secs,
             gh_sim: simulate_grace_hash(&pr, &spec)?.total_secs,
             ij_model: IndexedJoinModel::evaluate(&d, &s)?.total(),
             gh_model: GraceHashModel::evaluate(&d, &s)?.total(),
@@ -272,7 +274,7 @@ pub fn ablation_cache_series() -> Result<Figure> {
         spec.mem_per_node = cache as u64;
         points.push(Point {
             x: cache,
-            ij_sim: simulate_indexed_join(&pr, &spec)?.total_secs,
+            ij_sim: simulate_indexed_join(&pr, &spec, TwoStageLexicographic)?.total_secs,
             gh_sim,
             ij_model: ij_model.total(),
             gh_model,
@@ -284,6 +286,51 @@ pub fn ablation_cache_series() -> Result<Figure> {
         x_label: "cache bytes per compute node".into(),
         points,
     })
+}
+
+/// One row of ablation A1: every schedule policy's simulated IJ at one
+/// cache size.
+#[derive(Clone, Debug)]
+pub struct PolicyRow {
+    /// Cache bytes per compute node, as a multiple of the working set.
+    pub fraction: f64,
+    /// Cache bytes per compute node.
+    pub cache_bytes: u64,
+    /// Per policy: its cache misses and simulated seconds.
+    pub runs: Vec<(SchedulePolicy, u64, f64)>,
+}
+
+/// Ablation A1 at paper scale: IJ under each schedule policy on the
+/// a = b = 16 dataset (`[256, 256, 16]`, `p = [64, 4, 16]`,
+/// `q = [4, 64, 16]`, 64 KiB chunks, 5 + 5 nodes), with 0.5×, 0.75×, 1×
+/// and 1.5× the two-stage schedule's working set `2·c_R + b·c_S` per
+/// compute node. OPAS's buffer holds as many sub-tables as the cache.
+pub fn ablation_schedule_series() -> Result<Vec<PolicyRow>> {
+    let (grid, p, q) = ([256, 256, 16], [64, 4, 16], [4, 64, 16]);
+    let pr = problem(grid, p, q, 16.0);
+    let b = predict_regular(grid, p, q).b as f64;
+    let working_set = 2.0 * pr.c_r * pr.rs_r + b * pr.c_s * pr.rs_s;
+    let row = |fraction: f64| -> Result<PolicyRow> {
+        let mut spec = ClusterSpec::paper_testbed(5, 5);
+        spec.mem_per_node = (fraction * working_set) as u64;
+        let buffer_subtables = (spec.mem_per_node as f64 / (pr.c_r * pr.rs_r)) as usize;
+        let policies = [
+            TwoStageLexicographic,
+            SchedulePolicy::RandomPairOrder(1),
+            SchedulePolicy::PairRoundRobin,
+            SchedulePolicy::OpasGreedy { buffer_subtables },
+        ];
+        let runs = policies.into_iter().map(|policy| {
+            let run = simulate_indexed_join(&pr, &spec, policy)?;
+            Ok((policy, run.cache_misses, run.total_secs))
+        });
+        Ok(PolicyRow {
+            fraction,
+            cache_bytes: spec.mem_per_node,
+            runs: runs.collect::<Result<_>>()?,
+        })
+    };
+    [0.5, 0.75, 1.0, 1.5].into_iter().map(row).collect()
 }
 
 #[cfg(test)]
@@ -450,6 +497,21 @@ mod tests {
         // IJ beats GH at every point beyond the first.
         for p in &f.points[1..] {
             assert!(p.ij_sim < p.gh_sim, "{p:?}");
+        }
+    }
+
+    #[test]
+    fn a1_two_stage_fetches_each_subtable_once_from_the_working_set_up() {
+        let pred = predict_regular([256, 256, 16], [64, 4, 16], [4, 64, 16]);
+        let misses =
+            |row: &PolicyRow, policy| row.runs.iter().find(|run| run.0 == policy).map(|run| run.1);
+        let rows = ablation_schedule_series().unwrap();
+        assert_eq!(rows.len(), 4);
+        for row in rows.iter().filter(|row| row.fraction >= 1.0) {
+            let two_stage = misses(row, TwoStageLexicographic).unwrap();
+            assert_eq!(two_stage, pred.n_c * (pred.a + pred.b), "{row:?}");
+            let scattered = misses(row, SchedulePolicy::PairRoundRobin).unwrap();
+            assert!(scattered > two_stage, "{row:?}");
         }
     }
 }

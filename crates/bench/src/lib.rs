@@ -24,8 +24,8 @@ pub mod figures;
 pub mod runtime_check;
 
 pub use figures::{
-    ablation_cache_series, fig4_series, fig5_series, fig6_series, fig7_series, fig8_series,
-    fig9_series, figures_json, Figure, Point,
+    ablation_cache_series, ablation_schedule_series, fig4_series, fig5_series, fig6_series,
+    fig7_series, fig8_series, fig9_series, figures_json, Figure, Point, PolicyRow,
 };
 
 use orv_bds::{generate_dataset, DatasetHandle, DatasetSpec, Deployment};

@@ -139,8 +139,9 @@ impl CancelToken {
 /// Budgets only ever shrink — [`shrink`] can never move the deadline
 /// later, and [`remaining`] saturates at zero — so a chain of hops is
 /// monotone non-increasing and never negative no matter how margins are
-/// chosen. Lives here because this module is the runtime's one
-/// sanctioned wall-clock site (lint rule L006).
+/// chosen. A root budget also bounds a caller's wait (a ticket's
+/// `wait_timeout`, the router's hedge timer). Lives here because this
+/// module is the runtime's one sanctioned wall-clock site (lint rule L006).
 ///
 /// [`shrink`]: DeadlineBudget::shrink
 /// [`remaining`]: DeadlineBudget::remaining
@@ -191,42 +192,6 @@ impl DeadlineBudget {
     /// the token handed to the next hop.
     pub fn token(&self) -> CancelToken {
         CancelToken::with_deadline_at(self.until)
-    }
-}
-
-/// A countdown over a wall-clock window, for slicing client-side waits.
-///
-/// Wraps the `Instant` arithmetic that used to be open-coded (behind
-/// L006 suppressions) wherever a caller waited on a ticket in
-/// [`SLEEP_SLICE`] slices while watching a [`CancelToken`]. Lives here
-/// because this module is the runtime's one sanctioned wall-clock site.
-#[derive(Debug, Clone, Copy)]
-pub struct WaitBudget {
-    until: Instant,
-}
-
-impl WaitBudget {
-    /// A budget that expires `window` from now.
-    pub fn start(window: Duration) -> Self {
-        WaitBudget {
-            until: Instant::now() + window,
-        }
-    }
-
-    /// Time left before expiry (zero once expired).
-    pub fn remaining(&self) -> Duration {
-        self.until.saturating_duration_since(Instant::now())
-    }
-
-    /// Time left, capped at [`SLEEP_SLICE`] — the polling quantum for
-    /// `wait → cancel-check` loops.
-    pub fn slice(&self) -> Duration {
-        self.remaining().min(SLEEP_SLICE)
-    }
-
-    /// Whether the window has fully elapsed.
-    pub fn expired(&self) -> bool {
-        self.remaining().is_zero()
     }
 }
 
@@ -293,21 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn wait_budget_counts_down_and_expires() {
-        let b = WaitBudget::start(Duration::from_millis(40));
+    fn deadline_budget_counts_down_and_expires() {
+        let b = DeadlineBudget::root(Duration::from_millis(40));
         assert!(!b.expired());
         assert!(b.remaining() <= Duration::from_millis(40));
-        assert!(b.slice() <= SLEEP_SLICE);
         std::thread::sleep(Duration::from_millis(50));
         assert!(b.expired());
         assert_eq!(b.remaining(), Duration::ZERO);
-        assert_eq!(b.slice(), Duration::ZERO);
-    }
-
-    #[test]
-    fn wait_budget_slice_caps_at_sleep_slice() {
-        let b = WaitBudget::start(Duration::from_secs(60));
-        assert_eq!(b.slice(), SLEEP_SLICE);
     }
 
     #[test]

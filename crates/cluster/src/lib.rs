@@ -37,7 +37,7 @@ pub mod sim;
 pub mod spec;
 pub mod workers;
 
-pub use cancel::{CancelToken, DeadlineBudget, WaitBudget, SLEEP_SLICE};
+pub use cancel::{CancelToken, DeadlineBudget, SLEEP_SLICE};
 pub use checksum::crc32c;
 pub use exchange::ScratchKind;
 pub use fault::{

@@ -35,6 +35,8 @@ pub struct SimCluster {
     cpus: Vec<Resource>,
     /// Optional switch backplane.
     fabric: Option<Resource>,
+    /// Bytes written to and read back from scratch.
+    scratch_bytes: (f64, f64),
 }
 
 impl SimCluster {
@@ -74,6 +76,7 @@ impl SimCluster {
             scratch_disks,
             cpus,
             fabric,
+            scratch_bytes: (0.0, 0.0),
         })
     }
 
@@ -132,6 +135,7 @@ impl SimCluster {
     /// Write `bytes` of Grace-Hash bucket data to `compute_node`'s scratch
     /// disk (or the shared server under NFS, crossing the network again).
     pub fn scratch_write(&mut self, compute_node: usize, bytes: f64, t: f64) -> f64 {
+        self.scratch_bytes.0 += bytes;
         if self.spec.shared_fs {
             // Bucket data crosses the network (cut-through) and lands on
             // the server disk, paying the per-RPC overhead there.
@@ -145,6 +149,7 @@ impl SimCluster {
 
     /// Read bucket data back from scratch.
     pub fn scratch_read(&mut self, compute_node: usize, bytes: f64, t: f64) -> f64 {
+        self.scratch_bytes.1 += bytes;
         if self.spec.shared_fs {
             let after_disk = self.storage_disks[0].request(t, bytes);
             self.net_hop(compute_node, after_disk, bytes)
@@ -178,6 +183,11 @@ impl SimCluster {
     /// Total bytes moved over compute NICs (diagnostics).
     pub fn bytes_received(&self) -> f64 {
         self.compute_nics.iter().map(Resource::served).sum()
+    }
+
+    /// Total bytes written to and read back from scratch (diagnostics).
+    pub fn scratch_bytes(&self) -> (f64, f64) {
+        self.scratch_bytes
     }
 
     /// Total CPU busy time across compute nodes (diagnostics).

@@ -194,7 +194,7 @@ fn group_rows(of: &[u32], groups: usize) -> (Vec<u32>, Vec<usize>) {
 }
 
 /// Pick the bucket count so each side's bucket fits in `mem_per_node`.
-fn bucket_count(total_bytes: u64, n_compute: usize, mem_per_node: u64) -> usize {
+pub(crate) fn bucket_count(total_bytes: u64, n_compute: usize, mem_per_node: u64) -> usize {
     let per_node = total_bytes.div_ceil(n_compute as u64).max(1);
     per_node.div_ceil(mem_per_node.max(1)).max(1) as usize
 }

@@ -41,7 +41,7 @@
 use crate::cache::{left_key_tag, CacheKey, CacheService, CachedEntry};
 use crate::connectivity::{join_index, ConnectivityGraph};
 use crate::hash_join::{HashJoiner, JoinCounters};
-use crate::schedule::{schedule, SchedulePolicy};
+use crate::schedule::{schedule, SchedulePolicy::TwoStageLexicographic};
 use orv_bds::{Deployment, SubTableReader};
 use orv_chunk::SubTable;
 use orv_cluster::{
@@ -62,8 +62,6 @@ pub struct IndexedJoinConfig {
     /// Sub-table cache capacity: bytes per compute node. An entry larger
     /// than that is not cached.
     pub cache_capacity: u64,
-    /// Scheduling strategy (paper default: two-stage lexicographic).
-    pub policy: SchedulePolicy,
     /// Figure-8 work multiplier for hash build/probe.
     pub work_factor: u32,
     /// Collect the result (one batch per pair); otherwise only count it.
@@ -91,7 +89,6 @@ impl Default for IndexedJoinConfig {
         IndexedJoinConfig {
             n_compute: 2,
             cache_capacity: 256 << 20,
-            policy: SchedulePolicy::TwoStageLexicographic,
             work_factor: 1,
             collect_results: false,
             range: None,
@@ -218,7 +215,8 @@ pub fn indexed_join(
 
 /// Execute with an externally owned [`CacheService`], so repeated queries
 /// — of any range — find their working set warm. The service must have
-/// one shard per compute node.
+/// one shard per compute node. Pairs run in the paper's two-stage
+/// lexicographic schedule; the other policies are simulator ablations.
 pub fn indexed_join_cached(
     deployment: &Deployment,
     left: TableId,
@@ -249,7 +247,7 @@ pub fn indexed_join_cached(
     // which misses the range: a pair keeps its node, and its cached sides.
     let edges = join_index(md, left, right, join_attrs)?.as_ref().clone();
     let graph = ConnectivityGraph::from_edges(left, right, join_attrs, edges);
-    let mut pending = schedule(&graph, cfg.n_compute, cfg.policy);
+    let mut pending = schedule(&graph, cfg.n_compute, TwoStageLexicographic);
     let (mut left_checks, mut right_checks) = (Vec::new(), Vec::new());
     if let Some(rg) = &cfg.range {
         let (ls, rs) = (md.find_chunks(left, rg)?, md.find_chunks(right, rg)?);
@@ -355,7 +353,7 @@ pub fn indexed_join_cached(
         }
         pairs_reassigned += orphaned.len() as u64;
         let regraph = ConnectivityGraph::from_edges(left, right, join_attrs, orphaned);
-        let replans = schedule(&regraph, survivors.len(), cfg.policy);
+        let replans = schedule(&regraph, survivors.len(), TwoStageLexicographic);
         let mut next = vec![Vec::new(); cfg.n_compute];
         for (slot, pairs) in replans.into_iter().enumerate() {
             next[survivors[slot]] = pairs;
@@ -619,28 +617,6 @@ mod tests {
         let expected = nested_loop_join(&d, t1, t2, &["x", "y", "z"], Some(&range)).unwrap();
         assert_eq!(sort_records(out.records().unwrap()), sort_records(expected));
         assert_eq!(out.stats.result_tuples, 16);
-    }
-
-    #[test]
-    fn all_policies_agree() {
-        let (d, t1, t2) = deploy([8, 8, 2], [4, 2, 2], [2, 4, 1], 3);
-        let mut outputs = Vec::new();
-        for policy in [
-            SchedulePolicy::TwoStageLexicographic,
-            SchedulePolicy::RandomPairOrder(9),
-            SchedulePolicy::PairRoundRobin,
-        ] {
-            let cfg = IndexedJoinConfig {
-                n_compute: 2,
-                policy,
-                collect_results: true,
-                ..Default::default()
-            };
-            let out = indexed_join(&d, t1, t2, &["x", "y", "z"], &cfg).unwrap();
-            outputs.push(sort_records(out.records().unwrap()));
-        }
-        assert_eq!(outputs[0], outputs[1]);
-        assert_eq!(outputs[0], outputs[2]);
     }
 
     #[test]

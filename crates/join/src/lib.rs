@@ -17,10 +17,11 @@
 //!   the paper's closed forms for `C`, `N_C`, `E_C`;
 //! * [`schedule`] — the two-stage IJ scheduling strategy (components split
 //!   evenly over compute nodes, then lexicographic pair order), plus
-//!   ablation variants;
+//!   ablation variants the simulator takes as an argument;
 //! * [`indexed`] / [`grace`] — the threaded-runtime executions;
-//! * [`sim_exec`] — the simulator executions at paper scale (IJ replays
-//!   [`connectivity`], [`schedule`] and [`lru`] with byte sizes);
+//! * [`sim_exec`] — the simulator executions at paper scale, replaying
+//!   the engines' decisions with byte sizes (IJ: [`connectivity`],
+//!   [`schedule`] and [`lru`]; GH: [`grace`]'s bucket count and frames);
 //! * [`mod@reference`] — a nested-loop oracle used by the test suite.
 
 #![forbid(unsafe_code)]

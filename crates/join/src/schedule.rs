@@ -6,7 +6,8 @@
 //! `((i1,j1),(i2,j2))`". With the §5.1 memory assumption this guarantees no
 //! sub-table is evicted while still needed.
 //!
-//! Two ablation policies quantify *why* that matters (DESIGN.md A1):
+//! The engine runs that strategy only. The other policies are arguments of
+//! the simulator's IJ and quantify *why* it matters (DESIGN.md A1):
 //! [`SchedulePolicy::PairRoundRobin`] scatters pairs ignoring components
 //! (edges of one component land on different nodes — the OPAS failure mode
 //! of Section 6.2), and [`SchedulePolicy::RandomPairOrder`] keeps the
@@ -14,6 +15,7 @@
 //! residency.
 
 use crate::connectivity::ConnectivityGraph;
+use crate::lru::LruCache;
 use orv_types::SubTableId;
 
 /// How IJ distributes and orders candidate pairs.
@@ -70,8 +72,7 @@ pub fn schedule(
                 }
                 SchedulePolicy::OpasGreedy { buffer_subtables } => {
                     for plan in &mut plans {
-                        let reordered = opas_greedy(plan, buffer_subtables);
-                        *plan = reordered;
+                        opas_greedy(plan, buffer_subtables);
                     }
                 }
                 SchedulePolicy::PairRoundRobin => unreachable!(),
@@ -88,50 +89,30 @@ pub fn schedule(
     plans
 }
 
-/// Greedy OPAS: repeatedly pick a remaining pair whose sub-tables are
-/// (most) resident in a simulated LRU buffer of `capacity` sub-tables;
-/// lexicographic tie-break keeps the order deterministic.
-fn opas_greedy(
-    pairs: &[(SubTableId, SubTableId)],
-    capacity: usize,
-) -> Vec<(SubTableId, SubTableId)> {
-    let mut remaining: Vec<(SubTableId, SubTableId)> = {
-        let mut v = pairs.to_vec();
-        v.sort();
-        v
+/// Greedy OPAS: repeatedly run next a remaining pair with the most
+/// sub-tables resident in an LRU of `capacity` sub-tables (scored with
+/// [`LruCache::peek`], which leaves recency alone); the first such pair in
+/// lexicographic order wins, so the order is deterministic.
+fn opas_greedy(plan: &mut Vec<(SubTableId, SubTableId)>, capacity: usize) {
+    let mut remaining = std::mem::take(plan);
+    remaining.sort();
+    let mut buffer = LruCache::new(capacity as u64);
+    let resident = |buffer: &LruCache<SubTableId, ()>, (l, r): (SubTableId, SubTableId)| {
+        u32::from(buffer.peek(&l).is_some()) + u32::from(buffer.peek(&r).is_some())
     };
-    let mut out = Vec::with_capacity(remaining.len());
-    // Simulated buffer: most-recent at the back.
-    let mut buffer: Vec<SubTableId> = Vec::new();
-    let touch = |buffer: &mut Vec<SubTableId>, id: SubTableId| {
-        if let Some(pos) = buffer.iter().position(|&b| b == id) {
-            buffer.remove(pos);
-        } else if buffer.len() == capacity && capacity > 0 {
-            buffer.remove(0);
-        }
-        if capacity > 0 {
-            buffer.push(id);
-        }
-    };
-    while !remaining.is_empty() {
-        // Score = resident members (0..=2); first max wins (lex order).
-        let Some((best, _)) = remaining
-            .iter()
-            .enumerate()
-            .map(|(i, &(l, r))| {
-                let score = buffer.contains(&l) as u32 + buffer.contains(&r) as u32;
-                (i, score)
-            })
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        else {
-            break;
-        };
+    // `max_by_key` keeps the last maximum, so scan from the back.
+    while let Some(best) = (0..remaining.len())
+        .rev()
+        .max_by_key(|&i| resident(&buffer, remaining[i]))
+    {
         let (l, r) = remaining.remove(best);
-        touch(&mut buffer, l);
-        touch(&mut buffer, r);
-        out.push((l, r));
+        for id in [l, r] {
+            if buffer.get(&id).is_none() {
+                buffer.put(id, (), 1);
+            }
+        }
+        plan.push((l, r));
     }
-    out
 }
 
 /// Deterministic Fisher-Yates with a splitmix64 stream.

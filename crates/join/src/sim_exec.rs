@@ -3,14 +3,16 @@
 //! These functions drive the discrete-event [`SimCluster`] with the
 //! operation sequences the threaded runtime performs — chunk fetches,
 //! hash-table builds, probes, bucket writes/reads — but carry only *costs*,
-//! so a 2-billion-tuple run finishes in milliseconds. IJ's sequence is the
-//! engine's own: its connectivity graph, its two-stage schedule and one
-//! [`LruCache`] per compute node, replayed with byte sizes. Used by the
+//! so a 2-billion-tuple run finishes in milliseconds. Both sequences are
+//! the engines' own, replayed with byte sizes: IJ's connectivity graph,
+//! schedule and one [`LruCache`] per compute node; GH's bucket count,
+//! chunk read order and one frame per `(compute node, bucket)`. Used by the
 //! benchmark harness to regenerate Figures 4-9 and by the validation
 //! harness to check the analytic cost models.
 
 use crate::cache::CacheKey;
 use crate::connectivity::{predict_regular, ConnectivityGraph};
+use crate::grace::bucket_count;
 use crate::lru::LruCache;
 use crate::schedule::{schedule, SchedulePolicy};
 use orv_bds::GridPartition;
@@ -103,18 +105,23 @@ pub struct SimBreakdown {
     pub cpu_busy_secs: f64,
     /// Aggregate bytes received by compute nodes.
     pub bytes_received: f64,
+    /// Bytes written to and read back from scratch (GH only) — the
+    /// threaded `RunStats::bytes_scratch_written` / `bytes_scratch_read`.
+    pub scratch_bytes: (f64, f64),
     /// Sub-table cache misses summed over compute nodes (IJ only; GH
     /// caches nothing) — the threaded `RunStats::cache_misses`.
     pub cache_misses: u64,
 }
 
 /// Simulate the Indexed Join as the engine runs it: the graph of the two
-/// partitionings, [`schedule`]'s two-stage lexicographic pair lists, and
-/// per compute node one [`LruCache`] of `spec.mem_per_node` bytes that
-/// each pair's left and right sub-table go through, as
-/// `indexed_join_cached` does. A left miss fetches and builds (`c_R·γ1`),
-/// a right miss fetches, and every pair probes (`c_S·γ2`); chunks live
-/// where [`GridPartition::node_of_chunk`] puts them.
+/// partitionings, [`schedule`]'s pair lists under `policy` (the engine
+/// runs [`SchedulePolicy::TwoStageLexicographic`]), and per compute node
+/// one [`LruCache`] of `spec.mem_per_node` bytes that each pair's left and
+/// right sub-table go through, as `indexed_join_cached` does. A left miss
+/// fetches and builds (`γ1` per row), a right miss fetches, and every pair
+/// probes (`γ2` per right row); each chunk holds the rows of its
+/// [`GridPartition::chunk_region`] and lives where
+/// [`GridPartition::node_of_chunk`] puts it.
 ///
 /// The cache replay needs no clock, so each node's pairs become a list of
 /// steps first — one fetch each, with the CPU work up to the next fetch.
@@ -122,48 +129,48 @@ pub struct SimBreakdown {
 /// so shared FIFO resources receive requests in (approximately) global
 /// time order; a coarser step would enqueue far-future fetches ahead of
 /// other nodes' earlier ones and fabricate contention.
-pub fn simulate_indexed_join(problem: &SimProblem, spec: &ClusterSpec) -> Result<SimBreakdown> {
+pub fn simulate_indexed_join(
+    problem: &SimProblem,
+    spec: &ClusterSpec,
+    policy: SchedulePolicy,
+) -> Result<SimBreakdown> {
     problem.validate()?;
     let mut cluster = SimCluster::new(spec.clone())?;
     let (grid, p, q) = (problem.grid, problem.p, problem.q);
     let graph = ConnectivityGraph::regular(TableId(0), TableId(1), grid, p, q)?;
-    // Per side: its chunk placement, sub-table bytes and CPU on a miss.
-    let (left_side, right_side) = (
-        (
-            GridPartition::new(grid, p)?,
-            problem.c_r * problem.rs_r,
-            problem.c_r * problem.gamma_build,
-        ),
-        (
-            GridPartition::new(grid, q)?,
-            problem.c_s * problem.rs_s,
-            0.0,
-        ),
-    );
-    let probe_ops = problem.c_s * problem.gamma_lookup;
+    // Per side: its partition, record size, and CPU operations per row on
+    // a miss and on every pair.
+    let (left, right) = (GridPartition::new(grid, p)?, GridPartition::new(grid, q)?);
+    let sides = [
+        (&left, problem.rs_r, problem.gamma_build, 0.0),
+        (&right, problem.rs_s, 0.0, problem.gamma_lookup),
+    ];
 
     let mut cache_misses = 0;
-    let lexicographic = SchedulePolicy::TwoStageLexicographic;
     let mut steps: Vec<std::vec::IntoIter<(usize, f64, f64)>> =
-        schedule(&graph, spec.n_compute, lexicographic)
+        schedule(&graph, spec.n_compute, policy)
             .into_iter()
             .map(|pairs| {
                 let mut lru = LruCache::new(spec.mem_per_node);
                 let mut steps = Vec::new();
                 for (l, r) in pairs {
+                    let mut pair_ops = 0.0;
                     // One join per run, so the left key needs no attribute tag.
-                    for (key, id, (part, bytes, ops)) in [
-                        (CacheKey::Left(l, 0), l, &left_side),
-                        (CacheKey::Right(r), r, &right_side),
+                    for (key, id, (part, rs, miss_ops, ops)) in [
+                        (CacheKey::Left(l, 0), l, &sides[0]),
+                        (CacheKey::Right(r), r, &sides[1]),
                     ] {
+                        let chunk = u64::from(id.chunk.0);
+                        let rows = part.chunk_region(chunk).num_points() as f64;
+                        pair_ops += rows * ops;
                         if lru.get(&key).is_none() {
-                            let node = part.node_of_chunk(u64::from(id.chunk.0), spec.n_storage);
-                            steps.push((node.index(), *bytes, *ops));
-                            lru.put(key, (), *bytes as u64);
+                            let node = part.node_of_chunk(chunk, spec.n_storage);
+                            steps.push((node.index(), rows * rs, rows * miss_ops));
+                            lru.put(key, (), (rows * rs) as u64);
                         }
                     }
                     if let Some(last) = steps.last_mut() {
-                        last.2 += probe_ops;
+                        last.2 += pair_ops;
                     }
                 }
                 cache_misses += lru.stats().misses;
@@ -181,93 +188,84 @@ pub fn simulate_indexed_join(problem: &SimProblem, spec: &ClusterSpec) -> Result
 
     Ok(SimBreakdown {
         total_secs: clocks.makespan(),
-        partition_secs: 0.0,
         cpu_busy_secs: cluster.cpu_busy(),
         bytes_received: cluster.bytes_received(),
         cache_misses,
+        ..SimBreakdown::default()
     })
 }
 
-/// Simulate the Grace Hash join: a storage-driven partition phase that
-/// reads every chunk, ships it to compute nodes and spills buckets to
-/// scratch, then an independent per-node bucket-join phase.
+/// Simulate the Grace Hash join as `grace_hash_join` runs it, with its
+/// [`bucket_count`]. Partition phase: each storage node reads its chunks
+/// of [`GridPartition::chunks`] in ascending id, left table first, each
+/// holding the rows of its region, and sends every compute node one
+/// transfer per chunk, whose frames — one per bucket — the receiver writes
+/// to scratch. Join phase: each compute node reads every bucket back once
+/// per side, then builds (`γ1` per left row) and probes (`γ2` per right
+/// row). Routing hashes keys, so a chunk's rows are charged evenly to its
+/// `n_j · buckets` frames.
 pub fn simulate_grace_hash(problem: &SimProblem, spec: &ClusterSpec) -> Result<SimBreakdown> {
     problem.validate()?;
     let mut cluster = SimCluster::new(spec.clone())?;
-    let nj = spec.n_compute;
-    let ns = spec.n_storage;
+    let (nj, ns) = (spec.n_compute, spec.n_storage);
+    // Both tables cover the grid.
+    let rows = problem.grid.iter().product::<u64>() as f64;
+    let (left, right) = (rows * problem.rs_r, rows * problem.rs_s);
+    let n_buckets = bucket_count((left + right) as u64, nj, spec.mem_per_node);
+    let frames = (nj * n_buckets) as f64;
 
-    // --- Partition phase (storage nodes drive).
+    // --- Partition phase (storage nodes drive). A chunk's `n_j · buckets`
+    // scratch writes are the requests a shared NFS server chokes on (Fig. 9).
+    // A compute node may begin its bucket joins once its last frame landed.
     let mut storage_clocks = NodeClocks::new(ns);
-    // When each compute node may begin its bucket joins: once the last
-    // bucket write destined for it has landed.
     let mut join_start = vec![0.0f64; nj];
-    // Chunk streams of both tables; chunk i of a table lives on node
-    // i % ns. `h1` scatters each chunk's records over *all* compute nodes,
-    // so every chunk becomes n_j fragment messages and n_j bucket writes —
-    // this request fan-out is what makes a shared NFS server degrade as
-    // compute nodes are added (Figure 9). The storage node streams
-    // (cut-through): it advances once it has read and sent a chunk; the
-    // downstream bucket writes complete asynchronously.
-    for (chunks, bytes) in [
-        (
-            (problem.t / problem.c_r).round() as u64,
-            problem.c_r * problem.rs_r,
-        ),
-        (
-            (problem.t / problem.c_s).round() as u64,
-            problem.c_s * problem.rs_s,
-        ),
-    ] {
-        let fragment = bytes / nj as f64;
-        for i in 0..chunks {
-            let s = (i % ns as u64) as usize;
+    for (part, rs) in [(problem.p, problem.rs_r), (problem.q, problem.rs_s)] {
+        for (_, region, node) in GridPartition::new(problem.grid, part)?.chunks(ns) {
+            let (s, bytes) = (node.index(), region.num_points() as f64 * rs);
             let t0 = storage_clocks.get(s);
             let read_done = cluster.read_chunk(s, bytes, t0);
             let mut send_done = read_done;
             for (dest, dest_start) in join_start.iter_mut().enumerate() {
-                // Receiver backpressure: the destination QES instance is
-                // single-threaded — it cannot accept the next fragment
-                // until it finished spilling the previous one, so the wire
-                // transfer waits for the receiver (as TCP flow control
-                // would make it).
-                let start = t0.max(*dest_start);
-                let net_done = cluster.transfer(s, dest, fragment, start);
+                // Receiver backpressure: the destination QES is one
+                // thread — it takes the next transfer once it has spilled
+                // the previous one (as TCP flow control would make it).
+                let net_done = cluster.transfer(s, dest, bytes / nj as f64, t0.max(*dest_start));
                 send_done = send_done.max(net_done);
-                let write_done = cluster.scratch_write(dest, fragment, net_done.max(read_done));
-                *dest_start = dest_start.max(write_done);
+                for _ in 0..n_buckets {
+                    let landed =
+                        cluster.scratch_write(dest, bytes / frames, net_done.max(read_done));
+                    *dest_start = dest_start.max(landed);
+                }
             }
+            // Cut-through: the storage node moves on once the chunk is
+            // read and sent; its frames land asynchronously.
             storage_clocks.set(s, send_done);
         }
     }
-    let partition_end = join_start.iter().cloned().fold(0.0, f64::max);
+    let partition_secs = join_start.iter().copied().fold(0.0, f64::max);
 
-    // --- Join phase (compute nodes, independent).
-    let mut compute_clocks = NodeClocks::new(nj);
+    // --- Join phase: per compute node and bucket, a read-back per side,
+    // then build and probe; nodes interleave furthest-behind first.
+    let ops = rows * (problem.gamma_build + problem.gamma_lookup);
+    let steps = [(left / frames, 0.0), (right / frames, ops / frames)];
+    let mut clocks = NodeClocks::new(nj);
     for (j, &start) in join_start.iter().enumerate() {
-        compute_clocks.set(j, start);
+        clocks.set(j, start);
     }
-    let bytes_per_node = problem.t * (problem.rs_r + problem.rs_s) / nj as f64;
-    let tuples_per_node = problem.t / nj as f64;
-    // Bucket count from the memory budget (each bucket read back whole).
-    let n_buckets = ((bytes_per_node / spec.mem_per_node as f64).ceil() as u64).max(1);
-    let bucket_bytes = bytes_per_node / n_buckets as f64;
-    let bucket_build_ops = tuples_per_node * problem.gamma_build / n_buckets as f64;
-    let bucket_probe_ops = tuples_per_node * problem.gamma_lookup / n_buckets as f64;
-    for _ in 0..n_buckets {
-        for j in 0..nj {
-            let mut t = compute_clocks.get(j);
-            t = cluster.scratch_read(j, bucket_bytes, t);
-            t = cluster.cpu(j, bucket_build_ops + bucket_probe_ops, t);
-            compute_clocks.set(j, t);
-        }
+    let mut taken = vec![0; nj];
+    while let Some(j) = clocks.earliest_with_work(|k| taken[k] < steps.len() * n_buckets) {
+        let (bytes, ops) = steps[taken[j] % steps.len()];
+        taken[j] += 1;
+        let t = cluster.scratch_read(j, bytes, clocks.get(j));
+        clocks.set(j, cluster.cpu(j, ops, t));
     }
 
     Ok(SimBreakdown {
-        total_secs: compute_clocks.makespan(),
-        partition_secs: partition_end,
+        total_secs: clocks.makespan(),
+        partition_secs,
         cpu_busy_secs: cluster.cpu_busy(),
         bytes_received: cluster.bytes_received(),
+        scratch_bytes: cluster.scratch_bytes(),
         cache_misses: 0,
     })
 }
@@ -275,10 +273,14 @@ pub fn simulate_grace_hash(problem: &SimProblem, spec: &ClusterSpec) -> Result<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{grace_hash_join, indexed_join, GraceHashConfig, IndexedJoinConfig};
+    use orv_bds::{generate_dataset, DatasetSpec, Deployment};
+    use orv_cluster::RunStats;
 
     /// γ values matching the paper-testbed CPU calibration.
     const GAMMA_BUILD: f64 = 280.0;
     const GAMMA_LOOKUP: f64 = 230.0;
+    const TWO_STAGE: SchedulePolicy = SchedulePolicy::TwoStageLexicographic;
 
     fn problem(grid: [u64; 3], p: [u64; 3], q: [u64; 3]) -> SimProblem {
         SimProblem::from_regular(grid, p, q, 16.0, 16.0, GAMMA_BUILD, GAMMA_LOOKUP)
@@ -297,8 +299,12 @@ mod tests {
         let spec = ClusterSpec::paper_testbed(5, 5);
         let small = problem([128, 128, 16], [16, 16, 16], [16, 16, 16]);
         let big = problem([256, 128, 16], [16, 16, 16], [16, 16, 16]);
-        let ij_s = simulate_indexed_join(&small, &spec).unwrap().total_secs;
-        let ij_b = simulate_indexed_join(&big, &spec).unwrap().total_secs;
+        let ij_s = simulate_indexed_join(&small, &spec, TWO_STAGE)
+            .unwrap()
+            .total_secs;
+        let ij_b = simulate_indexed_join(&big, &spec, TWO_STAGE)
+            .unwrap()
+            .total_secs;
         let gh_s = simulate_grace_hash(&small, &spec).unwrap().total_secs;
         let gh_b = simulate_grace_hash(&big, &spec).unwrap().total_secs;
         assert!((ij_b / ij_s - 2.0).abs() < 0.15, "IJ ratio {}", ij_b / ij_s);
@@ -311,7 +317,9 @@ mod tests {
         // GH still pays bucket write+read.
         let spec = ClusterSpec::paper_testbed(5, 5);
         let pr = problem([256, 256, 16], [16, 16, 16], [16, 16, 16]);
-        let ij = simulate_indexed_join(&pr, &spec).unwrap().total_secs;
+        let ij = simulate_indexed_join(&pr, &spec, TWO_STAGE)
+            .unwrap()
+            .total_secs;
         let gh = simulate_grace_hash(&pr, &spec).unwrap().total_secs;
         assert!(ij < gh, "IJ {ij} should beat GH {gh} at low n_e·c_S");
     }
@@ -322,7 +330,9 @@ mod tests {
         let spec = ClusterSpec::paper_testbed(5, 5);
         let pr = problem([256, 256, 16], [256, 1, 16], [1, 256, 16]);
         assert!(predict_regular(pr.grid, pr.p, pr.q).e_c >= 256 * 256);
-        let ij = simulate_indexed_join(&pr, &spec).unwrap().total_secs;
+        let ij = simulate_indexed_join(&pr, &spec, TWO_STAGE)
+            .unwrap()
+            .total_secs;
         let gh = simulate_grace_hash(&pr, &spec).unwrap().total_secs;
         assert!(gh < ij, "GH {gh} should beat IJ {ij} at high n_e·c_S");
     }
@@ -339,10 +349,10 @@ mod tests {
     #[test]
     fn more_compute_nodes_speed_both_up() {
         let pr = problem([256, 256, 8], [16, 16, 8], [8, 32, 8]);
-        let t2 = simulate_indexed_join(&pr, &ClusterSpec::paper_testbed(5, 2))
+        let t2 = simulate_indexed_join(&pr, &ClusterSpec::paper_testbed(5, 2), TWO_STAGE)
             .unwrap()
             .total_secs;
-        let t8 = simulate_indexed_join(&pr, &ClusterSpec::paper_testbed(5, 8))
+        let t8 = simulate_indexed_join(&pr, &ClusterSpec::paper_testbed(5, 8), TWO_STAGE)
             .unwrap()
             .total_secs;
         assert!(t8 < t2);
@@ -370,7 +380,7 @@ mod tests {
             gh8 >= gh2 * 0.95,
             "GH must not improve under NFS: {gh2} → {gh8}"
         );
-        let ij2 = simulate_indexed_join(&pr, &ClusterSpec::paper_testbed_nfs(2))
+        let ij2 = simulate_indexed_join(&pr, &ClusterSpec::paper_testbed_nfs(2), TWO_STAGE)
             .unwrap()
             .total_secs;
         assert!(ij2 < gh2, "IJ is the better choice under NFS");
@@ -387,9 +397,13 @@ mod tests {
         let mut slow = fast.clone();
         slow.cpu_work_factor = 16.0;
         let ij_gain_fast = simulate_grace_hash(&pr, &fast).unwrap().total_secs
-            - simulate_indexed_join(&pr, &fast).unwrap().total_secs;
+            - simulate_indexed_join(&pr, &fast, TWO_STAGE)
+                .unwrap()
+                .total_secs;
         let ij_gain_slow = simulate_grace_hash(&pr, &slow).unwrap().total_secs
-            - simulate_indexed_join(&pr, &slow).unwrap().total_secs;
+            - simulate_indexed_join(&pr, &slow, TWO_STAGE)
+                .unwrap()
+                .total_secs;
         assert!(
             ij_gain_slow < ij_gain_fast,
             "IJ's advantage should shrink on slower CPUs: fast {ij_gain_fast}, slow {ij_gain_slow}"
@@ -403,7 +417,7 @@ mod tests {
         let with_cache = |chunks: u64| {
             let mut spec = ClusterSpec::paper_testbed(5, 5);
             spec.mem_per_node = chunks * 65536;
-            simulate_indexed_join(&pr, &spec).unwrap()
+            simulate_indexed_join(&pr, &spec, TWO_STAGE).unwrap()
         };
         let ideal = with_cache(1 << 10);
         assert_eq!(ideal.cache_misses, 16 * (16 + 16), "N_C·(a + b): each once");
@@ -422,11 +436,79 @@ mod tests {
         }
     }
 
+    /// Both engines on `grid` split `[30, 1, 1]` (2 storage + 2 compute
+    /// nodes, 16-byte records), beside the simulators on the same problem.
+    fn both_substrates(grid: [u64; 3], mem_per_node: u64) -> [(RunStats, SimBreakdown); 2] {
+        let part = [30, 1, 1];
+        let d = Deployment::in_memory(2);
+        let table = |name: &str, seed| {
+            let spec = DatasetSpec::builder(name)
+                .grid(grid)
+                .partition(part)
+                .scalar_attrs(&["v"])
+                .seed(seed)
+                .build();
+            generate_dataset(&spec, &d).unwrap().table
+        };
+        let (t1, t2, attrs) = (table("t1", 1), table("t2", 2), ["x", "y", "z"]);
+        let gh = GraceHashConfig {
+            n_compute: 2,
+            mem_per_node,
+            ..Default::default()
+        };
+        let ij = IndexedJoinConfig {
+            n_compute: 2,
+            cache_capacity: mem_per_node,
+            ..Default::default()
+        };
+        let mut spec = ClusterSpec::paper_testbed(2, 2);
+        spec.mem_per_node = mem_per_node;
+        let pr = problem(grid, part, part);
+        [
+            (
+                grace_hash_join(&d, t1, t2, &attrs, &gh).unwrap().stats,
+                simulate_grace_hash(&pr, &spec).unwrap(),
+            ),
+            (
+                indexed_join(&d, t1, t2, &attrs, &ij).unwrap().stats,
+                simulate_indexed_join(&pr, &spec, TWO_STAGE).unwrap(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn simulated_grace_hash_moves_and_spills_the_engines_bytes() {
+        // A dividing grid, and one whose last chunk is clipped to 10 rows.
+        for grid in [[120u64, 1, 1], [100, 1, 1]] {
+            let total = grid[0] * 32;
+            // One bucket, then three: each side's bucket is half the budget.
+            for (mem_per_node, buckets) in [(1 << 20, 1), (total.div_ceil(6), 3)] {
+                assert_eq!(bucket_count(total, 2, mem_per_node), buckets);
+                let [(engine, sim), _] = both_substrates(grid, mem_per_node);
+                let bytes = |b: f64| b.round() as u64;
+                assert_eq!(bytes(sim.bytes_received), total, "{grid:?} {buckets}");
+                assert_eq!(bytes(sim.bytes_received), engine.bytes_transferred);
+                assert_eq!(bytes(sim.scratch_bytes.0), engine.bytes_scratch_written);
+                assert_eq!(bytes(sim.scratch_bytes.1), engine.bytes_scratch_read);
+            }
+        }
+    }
+
+    #[test]
+    fn a_clipped_chunk_is_charged_its_own_rows() {
+        for grid in [[120, 1, 1], [100, 1, 1]] {
+            let [_, (engine, sim)] = both_substrates(grid, 1 << 20);
+            assert_eq!(engine.bytes_transferred, grid[0] * 32);
+            assert_eq!(sim.bytes_received.round() as u64, engine.bytes_transferred);
+            assert_eq!(sim.cache_misses, engine.cache_misses);
+        }
+    }
+
     #[test]
     fn invalid_problem_rejected() {
         let mut pr = problem([8, 8, 8], [2, 2, 2], [2, 2, 2]);
         pr.t = 0.0;
         assert!(pr.validate().is_err());
-        assert!(simulate_indexed_join(&pr, &ClusterSpec::paper_testbed(1, 1)).is_err());
+        assert!(simulate_indexed_join(&pr, &ClusterSpec::paper_testbed(1, 1), TWO_STAGE).is_err());
     }
 }

@@ -509,11 +509,11 @@ fn f(m: &Mutex<bool>, c: &Condvar, cancel: &CancelToken) -> Result<()> {
     );
     // A deadline-budget bound counts as a cancellation point too.
     let budgeted = "\
-fn f(m: &Mutex<bool>, c: &Condvar, budget: &WaitBudget) {
+fn f(m: &Mutex<bool>, c: &Condvar, budget: &DeadlineBudget) {
     let mut g = m.lock();
     loop {
         if budget.expired() { return; }
-        let (h, _) = c.wait_timeout(g, budget.slice());
+        let (h, _) = c.wait_timeout(g, budget.remaining());
         g = h;
     }
 }

@@ -67,9 +67,7 @@ use crate::exec::{merge_aggregate, order_and_limit, project, rows_checksum, seal
 use crate::overload::BrownoutState;
 use crate::service::{Landing, QueryService, QueryTicket, ServiceConfig};
 use orv_bds::Deployment;
-use orv_cluster::{
-    CancelToken, DeadlineBudget, FaultInjector, RecoveryPolicy, RetryBudget, WaitBudget,
-};
+use orv_cluster::{CancelToken, DeadlineBudget, FaultInjector, RecoveryPolicy, RetryBudget};
 use orv_metadata::Placement;
 use orv_obs::{
     names, FlightRecorder, JsonValue, Obs, QueryTrace, Stopwatch, TraceId, TraceOutcome,
@@ -261,7 +259,7 @@ struct Flight {
     chunks: Vec<ChunkId>,
     ticket: QueryTicket,
     /// Wall-clock hedge trigger, armed when hedging is configured.
-    hedge_timer: Option<WaitBudget>,
+    hedge_timer: Option<DeadlineBudget>,
     /// This flight already spawned its hedge (never hedge twice).
     hedged: bool,
     /// This flight *is* a hedge re-issue.
@@ -853,7 +851,7 @@ impl FederatedService {
                     resolved.push((i, result));
                 } else if hedging_allowed
                     && !f.hedged
-                    && f.hedge_timer.as_ref().is_some_and(WaitBudget::expired)
+                    && f.hedge_timer.as_ref().is_some_and(DeadlineBudget::expired)
                 {
                     f.hedged = true;
                     let unfilled: Vec<ChunkId> = f
@@ -1030,7 +1028,7 @@ impl FederatedService {
             shard,
             chunks,
             ticket,
-            hedge_timer: self.cfg.hedge_after.map(WaitBudget::start),
+            hedge_timer: self.cfg.hedge_after.map(DeadlineBudget::root),
             hedged: false,
             is_hedge,
             age: Stopwatch::start(),

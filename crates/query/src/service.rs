@@ -39,7 +39,7 @@
 
 use crate::engine::{Prepared, QueryEngine, QueryResult, Request};
 use crate::overload::{BrownoutController, BrownoutTransition, CostClass, OverloadConfig};
-use orv_cluster::{CancelToken, WaitBudget, SLEEP_SLICE};
+use orv_cluster::{CancelToken, DeadlineBudget, SLEEP_SLICE};
 use orv_obs::{names, FlightRecorder, JsonValue, QueryTrace, Stopwatch, TraceId, TraceOutcome};
 use orv_types::{Error, Result};
 use std::collections::VecDeque;
@@ -178,7 +178,7 @@ impl Landing {
     /// `cancel` fires, whichever is first. Only the caller's wait is
     /// bounded by the wall clock; no query's execution depends on it.
     pub(crate) fn wait_past(&self, seen: u64, timeout: Duration, cancel: &CancelToken) {
-        let budget = WaitBudget::start(timeout);
+        let budget = DeadlineBudget::root(timeout);
         let (count, landed) = &*self.0;
         let mut count = relock(count.lock());
         while *count == seen && cancel.check().is_ok() {
@@ -526,10 +526,10 @@ impl QueryTicket {
 
     /// Block up to `timeout`; `None` if the query is still in flight
     /// (the ticket remains usable). The wall-clock bound (via
-    /// [`WaitBudget`]) only caps how long the *caller* blocks; it never
+    /// [`DeadlineBudget`]) only caps how long the *caller* blocks; it never
     /// steers query execution, so seeded replays are unaffected.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<QueryResult>> {
-        let budget = WaitBudget::start(timeout);
+        let budget = DeadlineBudget::root(timeout);
         let mut cell = relock(self.slot.result.lock());
         loop {
             if let Some(result) = cell.take() {

@@ -10,14 +10,14 @@
 //! ```
 
 use orv::cluster::ClusterSpec;
-use orv::join::{simulate_grace_hash, simulate_indexed_join, SimProblem};
+use orv::join::{simulate_grace_hash, simulate_indexed_join, SchedulePolicy, SimProblem};
 use orv::types::Result;
 
 const GAMMA_BUILD: f64 = 280.0;
 const GAMMA_LOOKUP: f64 = 230.0;
 
 fn run(label: &str, pr: &SimProblem, spec: &ClusterSpec) -> Result<()> {
-    let ij = simulate_indexed_join(pr, spec)?;
+    let ij = simulate_indexed_join(pr, spec, SchedulePolicy::TwoStageLexicographic)?;
     let gh = simulate_grace_hash(pr, spec)?;
     let winner = if ij.total_secs < gh.total_secs {
         "IJ"

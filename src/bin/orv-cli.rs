@@ -20,7 +20,7 @@
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::ClusterSpec;
 use orv::costmodel::{CostParams, GraceHashModel, IndexedJoinModel, SystemParams};
-use orv::join::{simulate_grace_hash, simulate_indexed_join, SimProblem};
+use orv::join::{simulate_grace_hash, simulate_indexed_join, SchedulePolicy, SimProblem};
 use orv::query::QueryEngine;
 use std::io::{BufRead, Write};
 
@@ -230,7 +230,7 @@ fn simulate(args: &[String]) -> i32 {
         d.edge_ratio()
     );
     match (
-        simulate_indexed_join(&pr, &spec),
+        simulate_indexed_join(&pr, &spec, SchedulePolicy::TwoStageLexicographic),
         simulate_grace_hash(&pr, &spec),
         IndexedJoinModel::evaluate(&d, &s),
         GraceHashModel::evaluate(&d, &s),

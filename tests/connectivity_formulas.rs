@@ -9,7 +9,7 @@ use orv::join::connectivity::{predict_regular, ConnectivityGraph};
 use orv::join::reference::sort_records;
 use orv::join::{
     indexed_join, indexed_join_cached, simulate_indexed_join, CacheService, HashJoiner,
-    IndexedJoinConfig, JoinCounters, SimProblem,
+    IndexedJoinConfig, JoinCounters, SchedulePolicy, SimProblem,
 };
 use orv::types::SubTableId;
 use proptest::prelude::*;
@@ -233,7 +233,9 @@ fn the_zero_refetch_bound_holds_at_the_memory_section_5_1_assumes() {
     let simulated_misses = |capacity| {
         let mut spec = ClusterSpec::paper_testbed(2, 2);
         spec.mem_per_node = capacity;
-        simulate_indexed_join(&problem, &spec).unwrap().cache_misses
+        simulate_indexed_join(&problem, &spec, SchedulePolicy::TwoStageLexicographic)
+            .unwrap()
+            .cache_misses
     };
     println!("working set of one component: {working_set} B");
     println!(

@@ -4,8 +4,8 @@
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::join::reference::{nested_loop_join, sort_records};
+use orv::join::LruCache;
 use orv::join::{grace_hash_join, indexed_join, GraceHashConfig, IndexedJoinConfig};
-use orv::join::{LruCache, SchedulePolicy};
 use proptest::prelude::*;
 
 /// Small power-of-two divisor of `n`.
@@ -35,11 +35,6 @@ proptest! {
         storage_nodes in 1usize..4,
         compute_nodes in 1usize..4,
         cache_bytes in prop_oneof![Just(0u64), Just(256u64), Just(1u64 << 30)],
-        policy in prop_oneof![
-            Just(SchedulePolicy::TwoStageLexicographic),
-            Just(SchedulePolicy::PairRoundRobin),
-            Just(SchedulePolicy::RandomPairOrder(3)),
-        ],
         seed in 0u64..1000,
     ) {
         let deployment = Deployment::in_memory(storage_nodes);
@@ -78,7 +73,6 @@ proptest! {
             &IndexedJoinConfig {
                 n_compute: compute_nodes,
                 cache_capacity: cache_bytes,
-                policy,
                 collect_results: true,
                 ..Default::default()
             },
