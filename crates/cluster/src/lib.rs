@@ -31,7 +31,6 @@ pub mod checksum;
 pub mod exchange;
 pub mod fault;
 pub mod resource;
-pub mod retry_budget;
 pub mod runtime;
 pub mod sim;
 pub mod spec;
@@ -45,7 +44,6 @@ pub use fault::{
     PerFault, RecoveryPolicy, SendVerdict, ShardDeathSpec, ShardSlowStormSpec, WorkerPanicSpec,
 };
 pub use resource::Resource;
-pub use retry_budget::{RetryBudget, MILLI_PER_TOKEN};
 pub use runtime::{ByteCounter, RunStats};
 pub use sim::{NodeClocks, SimCluster};
 pub use spec::ClusterSpec;

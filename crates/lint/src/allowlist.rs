@@ -16,10 +16,7 @@ pub const L005_ALLOWED: &[&str] = &["crates/obs/src/names.rs"];
 
 /// The files implementing the sanctioned retry machinery — their internal
 /// loops *are* the policy.
-pub const L007_ALLOWED: &[&str] = &[
-    "crates/cluster/src/fault.rs",
-    "crates/cluster/src/retry_budget.rs",
-];
+pub const L007_ALLOWED: &[&str] = &["crates/cluster/src/fault.rs"];
 
 /// Where a `BdsService` may be built or asked for a sub-table directly:
 /// the crate that implements the interface (and its one client, the

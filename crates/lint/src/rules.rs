@@ -17,7 +17,7 @@
 //! |------|-----------|
 //! | L003 | no lock guard held across a send/sleep/file-I/O in join+cluster+query |
 //! | L005 | obs event/span/latency names come from `orv-obs::names`, not literals |
-//! | L007 | mechanisms written once stay single: retry loops go through `RecoveryPolicy`/`RetryBudget`, never ad-hoc counters; sub-table reads go through `SubTableReader`, never a hand-built `BdsService` |
+//! | L007 | mechanisms written once stay single: retry loops go through `RecoveryPolicy`/`Governor`, never ad-hoc counters; sub-table reads go through `SubTableReader`, never a hand-built `BdsService` |
 //! | L008 | the workspace lock-order graph is acyclic (no two-path deadlock) |
 //! | L009 | every loop reaching a blocking wait also reaches a cancel/deadline check |
 //! | L010 | every `orv_obs::names` constant has a runtime sink |
@@ -209,8 +209,8 @@ fn l005_obs_names_from_registry(f: &FnSummary, out: &mut Vec<Diagnostic>) {
 }
 
 /// L007 — retry loops in runtime paths must be governed by
-/// [`RecoveryPolicy`] (attempt cap + deadline + backoff) or a
-/// [`RetryBudget`] (success-funded token draws).
+/// `RecoveryPolicy` (attempt cap + deadline + backoff) or the
+/// federation's `Governor` (success-funded token draws).
 ///
 /// An ad-hoc `loop { attempt += 1 }` has no attempt cap a chaos test can
 /// assert against, no backoff, and no budget linking retry volume to
@@ -221,7 +221,7 @@ fn l005_obs_names_from_registry(f: &FnSummary, out: &mut Vec<Diagnostic>) {
 fn l007_no_adhoc_retry_loops(f: &FnSummary, out: &mut Vec<Diagnostic>) {
     for lp in f.loops.iter().filter(|lp| lp.retry_shaped && !lp.governed) {
         out.push(diag(&f.file, lp.line, "L007", format!(
-            "ad-hoc retry loop (`{}` counter); bound it with `RecoveryPolicy` (attempt cap + backoff) or draw from a `RetryBudget` so chaos tests can assert total retry volume",
+            "ad-hoc retry loop (`{}` counter); bound it with `RecoveryPolicy` (attempt cap + backoff) or draw from the `Governor` so chaos tests can assert total retry volume",
             lp.retry_counter.as_deref().unwrap_or("retry"))));
     }
 }
@@ -793,8 +793,8 @@ mod tests {
         assert!(findings("crates/join/src/grace.rs", closure_src)
             .iter()
             .all(|d| d.rule != "L007"));
-        // Budget-drawn re-issue loops are sanctioned too.
-        let budget_src = "fn f() {\n    let mut retries = 0u64;\n    loop {\n        if !budget.try_draw() { return Err(e); }\n        retries += 1;\n    }\n}\n";
+        // Re-issue loops that draw from the governor are sanctioned too.
+        let budget_src = "fn f() {\n    let mut retries = 0u64;\n    loop {\n        if !governor.reissue(shard) { return Err(e); }\n        retries += 1;\n    }\n}\n";
         assert!(findings("crates/query/src/federation.rs", budget_src)
             .iter()
             .all(|d| d.rule != "L007"));
@@ -828,9 +828,6 @@ mod tests {
         // The machinery's own files are the policy; their internal loops
         // are exempt.
         assert!(findings("crates/cluster/src/fault.rs", src)
-            .iter()
-            .all(|d| d.rule != "L007"));
-        assert!(findings("crates/cluster/src/retry_budget.rs", src)
             .iter()
             .all(|d| d.rule != "L007"));
     }

@@ -206,16 +206,16 @@ const NAME_SINKS: &[&str] = &[
 const RETRY_COUNTERS: &[&str] = &["attempt", "attempts", "retry", "retries", "tries"];
 
 /// Identifiers whose presence in a loop (header or body) shows the retry
-/// is governed: the policy/budget types themselves, the policy's attempt
-/// cap, or a budget draw. Merely *calling* the policy's helpers
+/// is governed: the policy type or the federation's re-issue `Governor`,
+/// the policy's attempt cap, or the governor's token draw. Merely *calling* the policy's helpers
 /// (`backoff`, an exhaustion test) from a hand-written loop is not
 /// governance — that loop is a second copy of
 /// `RecoveryPolicy::run_cancellable`; pass the attempt to it as a closure.
 const RETRY_GOVERNORS: &[&str] = &[
     "RecoveryPolicy",
-    "RetryBudget",
+    "Governor",
     "max_attempts",
-    "try_draw",
+    "reissue",
     "run_with_retries",
 ];
 

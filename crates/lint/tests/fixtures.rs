@@ -151,14 +151,14 @@ fn l007_adhoc_retry_loops_positive_negative_suppressed() {
         ),
         ["L007"]
     );
-    // Policy-capped and budget-drawn retries are the sanctioned forms.
+    // Policy-capped and governor-drawn retries are the sanctioned forms.
     assert_clean(
         QUERY_PATH,
         "fn f(&self) {\n    for attempt in 0..self.cfg.recovery.max_attempts {\n        self.cancel.sleep(self.cfg.recovery.backoff(attempt));\n    }\n}",
     );
     assert_clean(
         QUERY_PATH,
-        "fn f() {\n    let mut retries = 0;\n    loop {\n        if !budget.try_draw() { return Err(e); }\n        retries += 1;\n    }\n}",
+        "fn f() {\n    let mut retries = 0;\n    loop {\n        if !governor.reissue(shard) { return Err(e); }\n        retries += 1;\n    }\n}",
     );
     // Borrowing the policy's helpers inside a hand-written loop is still a
     // second retry loop; the attempt belongs in a closure under the

@@ -25,11 +25,11 @@
 //!   `hedge_after`, the router re-issues its chunks to another replica and
 //!   takes the first checksum-verified answer, cancelling the loser.
 //! - **Circuit breaker**: per shard, `trip_after` *consecutive* failures
-//!   open the breaker for `cooldown_ticks` logical ticks (the tick is the
-//!   dispatched-flight counter, not wall clock, so seeded replays see the
-//!   same trips); one half-open probe then closes or re-opens it. An open
-//!   breaker demotes a shard in replica preference — it never makes data
-//!   unreachable while an untried replica remains.
+//!   open the breaker for `cooldown_ticks` logical ticks (one tick per
+//!   routing decision and per failed sub-query, not wall clock, so seeded
+//!   replays see the same trips); one half-open probe then closes or
+//!   re-opens it. An open breaker demotes a shard in replica preference —
+//!   it never makes data unreachable while an untried replica remains.
 //! - **Graceful degradation**: chunks whose every replica failed are
 //!   reported in a typed [`PartialResult`] carrying the exact missing
 //!   chunk set and a completeness fraction; `strict` mode turns the same
@@ -40,21 +40,25 @@
 //!   budget only ever shrinks across hops, leaving the router time to
 //!   collect, merge and degrade after a child gives up.
 //! - **Retry budgets**: every failover, hedge and overload re-issue
-//!   must draw a token from the failed/slow shard's [`RetryBudget`]
-//!   (refilled only by successful completions). A dry bucket degrades
-//!   to the partial path instead of amplifying the overload that caused
-//!   the failure.
+//!   draws a token from the failed/slow shard's bucket (integer
+//!   milli-tokens, refilled only by successful completions), and only
+//!   once the re-issue has a target. A dry bucket degrades to the partial
+//!   path instead of amplifying the overload that caused the failure.
 //! - **Overload backoff**: a shard rejecting with [`Error::Overloaded`]
 //!   is *not* a fault — no breaker trip; the router backs off honoring
-//!   the rejection's `retry_after_ms` hint (bounded) before re-issuing.
+//!   the rejection's `retry_after_ms` hint (bounded) before the re-issue
+//!   it is about to make, and never for one it will not.
 //! - **Brownout awareness**: hedging is disabled while any shard's
 //!   brownout controller has left `Normal`, and failover re-issue stops
-//!   entirely under `Shed` — degraded answers over added load (the
-//!   policy is [`BrownoutState`]'s `allows_hedging`/`allows_reissue`).
+//!   entirely under `Shed` — degraded answers over added load.
 //!
-//! Every re-issue decision goes through one private gate, `may_reissue`
-//! (brownout policy first, then one retry-token draw), and every
-//! sub-query outcome through `shard_ok` / `shard_failed`.
+//! One private `Governor` holds all of it: per shard the breaker and the
+//! token bucket, on one logical tick, under one lock. The router asks it
+//! three things — `route` (an untried owner under the attempt cap,
+//! breaker-preferred), `reissue` (the brownout policy, then a target,
+//! then one token) and `landed` (close or trip the breaker, earn
+//! tokens) — from the whole-statement route, the dispatch pass, the
+//! hedge pass and failover alike.
 //!
 //! Merging is exact for scans and COUNT/MIN/MAX; SUM/AVG re-aggregation
 //! is deterministic for a fixed partitioning but may differ from the
@@ -67,17 +71,17 @@ use crate::exec::{merge_aggregate, order_and_limit, project, rows_checksum, seal
 use crate::overload::BrownoutState;
 use crate::service::{Landing, QueryService, QueryTicket, ServiceConfig};
 use orv_bds::Deployment;
-use orv_cluster::{CancelToken, DeadlineBudget, FaultInjector, RecoveryPolicy, RetryBudget};
+use orv_cluster::{CancelToken, DeadlineBudget, FaultInjector, RecoveryPolicy};
 use orv_metadata::Placement;
 use orv_obs::{
-    names, FlightRecorder, JsonValue, Obs, QueryTrace, Stopwatch, TraceId, TraceOutcome,
+    names, FlightRecorder, JsonValue, MetricsRegistry, Obs, QueryTrace, Stopwatch, TraceId,
+    TraceOutcome,
 };
 use orv_types::{BoundingBox, ChunkId, Error, Record, Result, SubTableId, TableId};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// The longest the router sleeps between two sweeps of its flights while
@@ -195,61 +199,239 @@ impl FederatedResponse {
     }
 }
 
-/// Per-shard circuit breaker over the router's logical clock.
-enum BreakerState {
+/// Milli-tokens per whole retry token; one re-issue costs exactly this.
+/// Integer milli-tokens keep fractional earn rates free of float drift.
+const MILLI_PER_TOKEN: u64 = 1000;
+
+/// One shard's circuit breaker, on the governor's logical tick.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Breaker {
+    #[default]
     Closed,
-    Open { until_tick: u64 },
+    Open {
+        until_tick: u64,
+    },
     HalfOpen,
 }
 
-struct ShardHealth {
-    state: Mutex<(BreakerState, u32)>, // (state, consecutive failures)
+/// What the governor keeps per shard: its breaker, consecutive failures
+/// since the last success, and its bucket's milli-tokens and draws.
+#[derive(Clone, Debug, Default)]
+struct ShardLedger {
+    breaker: Breaker,
+    failures: u32,
+    milli: u64,
+    granted: u64,
+    denied: u64,
 }
 
-impl ShardHealth {
-    fn new() -> Self {
-        ShardHealth {
-            state: Mutex::new((BreakerState::Closed, 0)),
+/// Every shard's ledger, and the logical tick: one per routing decision
+/// and one per failed sub-query. Breaker cooldowns count these, not wall
+/// time, so seeded replays trip identically.
+struct Ledger {
+    tick: u64,
+    shards: Vec<ShardLedger>,
+}
+
+/// Who may serve one piece of work — a chunk's owners, or every shard for
+/// a whole statement — and whom the router has sent it to already.
+#[derive(Default)]
+struct Attempts {
+    owners: Vec<usize>,
+    tried: Vec<usize>,
+}
+
+impl Attempts {
+    /// The owners left under an attempt cap of `cap`: the routing rule,
+    /// the one every route and every re-issue's target check applies.
+    fn untried(&self, cap: usize) -> impl Iterator<Item = usize> + '_ {
+        let open = self.tried.len() < cap;
+        self.owners
+            .iter()
+            .copied()
+            .filter(move |s| open && !self.tried.contains(s))
+    }
+}
+
+/// The one answer to "may the router send this shard's work again, and
+/// where to?": per shard a circuit breaker and a retry-token bucket, on
+/// one logical tick, under one lock.
+struct Governor {
+    trip_after: u32,
+    cooldown_ticks: u64,
+    cap_milli: u64,
+    /// Milli-tokens each successful sub-query earns back.
+    earn_milli: u64,
+    metrics: MetricsRegistry,
+    ledger: Mutex<Ledger>,
+}
+
+impl Governor {
+    /// Every breaker closed and every bucket full, per `cfg`.
+    fn new(cfg: &FederationConfig, earn_milli: u64, metrics: MetricsRegistry) -> Self {
+        let cap_milli = cfg.retry_budget.saturating_mul(MILLI_PER_TOKEN);
+        let full = ShardLedger {
+            milli: cap_milli,
+            ..ShardLedger::default()
+        };
+        Governor {
+            trip_after: cfg.trip_after.max(1),
+            cooldown_ticks: cfg.cooldown_ticks,
+            cap_milli,
+            earn_milli,
+            metrics,
+            ledger: Mutex::new(Ledger {
+                tick: 0,
+                shards: vec![full; cfg.shards],
+            }),
         }
     }
 
-    /// Whether routing *prefers* this shard right now. An `Open` breaker
-    /// whose cooldown has elapsed transitions to `HalfOpen` and admits
-    /// exactly one probe (subsequent calls say no until the probe
-    /// resolves).
-    fn allows(&self, now_tick: u64) -> bool {
-        let mut guard = relock(self.state.lock());
-        match guard.0 {
-            BreakerState::Closed => true,
-            BreakerState::HalfOpen => false,
-            BreakerState::Open { until_tick } => {
-                if now_tick >= until_tick {
-                    guard.0 = BreakerState::HalfOpen;
-                    true
-                } else {
-                    false
-                }
+    /// Choose an untried owner under `cap` for each piece of work,
+    /// preferring one whose breaker admits traffic, and group the work by
+    /// target, ascending; work with no owner left comes back second. The
+    /// breaker only demotes: while an untried owner remains, the work is
+    /// routed. An `Open` breaker whose cooldown has elapsed turns
+    /// `HalfOpen` and admits one probe. One tick.
+    fn route<'a, K>(
+        &self,
+        work: impl IntoIterator<Item = (K, &'a Attempts)>,
+        cap: usize,
+    ) -> (BTreeMap<usize, Vec<K>>, Vec<K>) {
+        let mut ledger = relock(self.ledger.lock());
+        let now = ledger.tick;
+        ledger.tick += 1;
+        let admits = |s: &mut ShardLedger| match s.breaker {
+            Breaker::Closed => true,
+            Breaker::Open { until_tick } if now >= until_tick => {
+                s.breaker = Breaker::HalfOpen;
+                true
+            }
+            Breaker::Open { .. } | Breaker::HalfOpen => false,
+        };
+        let (mut groups, mut lost) = (BTreeMap::<usize, Vec<K>>::new(), Vec::new());
+        for (k, owners) in work {
+            let pick = owners
+                .untried(cap)
+                .find(|&s| admits(&mut ledger.shards[s]))
+                .or_else(|| owners.untried(cap).next());
+            match pick {
+                Some(s) => groups.entry(s).or_default().push(k),
+                None => lost.push(k),
             }
         }
+        (groups, lost)
     }
 
-    fn record_success(&self) {
-        let mut guard = relock(self.state.lock());
-        *guard = (BreakerState::Closed, 0);
+    /// May `shard`'s work be sent again, and where? The brownout policy
+    /// answers first — a hedge only in `Normal`, no re-issue at all in
+    /// `Shed` — then `route` must find the work a target, and only then is
+    /// one token drawn from `shard`'s bucket. `Some` is the route paid for.
+    fn reissue<T>(
+        &self,
+        shard: usize,
+        hedge: bool,
+        state: BrownoutState,
+        route: impl FnOnce() -> Option<T>,
+    ) -> Option<T> {
+        if state == BrownoutState::Shed || (hedge && state != BrownoutState::Normal) {
+            return None;
+        }
+        let target = route()?;
+        let mut ledger = relock(self.ledger.lock());
+        let s = &mut ledger.shards[shard];
+        let granted = s.milli >= MILLI_PER_TOKEN;
+        if granted {
+            s.milli -= MILLI_PER_TOKEN;
+            s.granted += 1;
+        } else {
+            s.denied += 1;
+        }
+        self.publish(ledger);
+        let counter = if granted {
+            names::OVERLOAD_RETRY_GRANTED
+        } else {
+            names::OVERLOAD_RETRY_DENIED
+        };
+        self.metrics.counter(counter).add(1);
+        granted.then_some(target)
     }
 
-    /// Returns `true` when this failure trips (or re-trips) the breaker.
-    fn record_failure(&self, trip_after: u32, cooldown_ticks: u64, now_tick: u64) -> bool {
-        let mut guard = relock(self.state.lock());
-        guard.1 = guard.1.saturating_add(1);
-        let reopen = matches!(guard.0, BreakerState::HalfOpen);
-        let trip = matches!(guard.0, BreakerState::Closed) && guard.1 >= trip_after.max(1);
-        if reopen || trip {
-            guard.0 = BreakerState::Open {
-                until_tick: now_tick.saturating_add(cooldown_ticks),
+    /// A sub-query to `shard` came back. A success closes the breaker
+    /// and earns the bucket `earn_milli`, up to its capacity. A failure is
+    /// one tick and one `fed/shard_errors`; the `trip_after`-th in a row,
+    /// or a failed half-open probe, opens the breaker for
+    /// `cooldown_ticks` (`fed/breaker_trips`).
+    fn landed(&self, shard: usize, ok: bool) {
+        let mut ledger = relock(self.ledger.lock());
+        let now = ledger.tick;
+        let s = &mut ledger.shards[shard];
+        if ok {
+            s.breaker = Breaker::Closed;
+            s.failures = 0;
+            s.milli = s.milli.saturating_add(self.earn_milli).min(self.cap_milli);
+            return self.publish(ledger);
+        }
+        s.failures = s.failures.saturating_add(1);
+        let trip = match s.breaker {
+            Breaker::HalfOpen => true,
+            Breaker::Closed => s.failures >= self.trip_after,
+            Breaker::Open { .. } => false,
+        };
+        if trip {
+            s.breaker = Breaker::Open {
+                until_tick: now.saturating_add(self.cooldown_ticks),
             };
         }
-        reopen || trip
+        ledger.tick += 1;
+        drop(ledger);
+        self.metrics.counter(names::FED_SHARD_ERRORS).add(1);
+        if trip {
+            self.metrics.counter(names::FED_TRIPS).add(1);
+        }
+    }
+
+    /// Release `ledger` and set the `overload/retry_tokens` gauge to the
+    /// milli-tokens over every bucket.
+    fn publish(&self, ledger: MutexGuard<'_, Ledger>) {
+        let tokens = ledger.shards.iter().map(|s| s.milli).sum();
+        drop(ledger);
+        self.metrics.gauge(names::OVERLOAD_RETRY_TOKENS).set(tokens);
+    }
+
+    /// `shard`'s grants so far, with the bound they are held to.
+    fn grants(&self, shard: usize) -> RetryGrants {
+        RetryGrants {
+            granted: relock(self.ledger.lock()).shards[shard].granted,
+            cap_milli: self.cap_milli,
+            earn_milli: self.earn_milli,
+        }
+    }
+}
+
+/// One shard's retry grants, as [`FederatedService::retry_budget`]
+/// reads them from the router's governor.
+#[derive(Clone, Copy, Debug)]
+pub struct RetryGrants {
+    granted: u64,
+    cap_milli: u64,
+    earn_milli: u64,
+}
+
+impl RetryGrants {
+    /// Re-issues this shard's bucket has paid for.
+    pub fn granted(&self) -> u64 {
+        self.granted
+    }
+
+    /// The most grants `successes` completions can fund: the capacity
+    /// plus what the successes earned. A zero-capacity bucket never
+    /// grants, because refills saturate at the capacity.
+    pub fn max_grants(&self, successes: u64) -> u64 {
+        if self.cap_milli == 0 {
+            return 0;
+        }
+        (self.cap_milli + successes.saturating_mul(self.earn_milli)) / MILLI_PER_TOKEN
     }
 }
 
@@ -277,11 +459,14 @@ struct TraceBuild {
     children: Vec<QueryTrace>,
 }
 
-/// The sub-responses a federated scan has absorbed, each kept whole as it
-/// landed, and which of them filled each chunk: the first verified
-/// response to carry a chunk wins it (dedup for hedged duplicates).
+/// What a federated scan knows of each chunk: whom it was sent to, and
+/// the sub-responses absorbed so far, each kept whole as it landed, with
+/// which of them filled the chunk. The first verified response to carry
+/// a chunk wins it (dedup for hedged duplicates).
 #[derive(Default)]
 struct Gathered {
+    /// chunk → its owners and the shards it went to, set when the scan starts.
+    attempts: HashMap<ChunkId, Attempts>,
     responses: Vec<Vec<Record>>,
     /// chunk → (index into `responses`, the chunk's rows there).
     filled: HashMap<ChunkId, (usize, Range<usize>)>,
@@ -290,6 +475,25 @@ struct Gathered {
 impl Gathered {
     fn has(&self, chunk: &ChunkId) -> bool {
         self.filled.contains_key(chunk)
+    }
+
+    /// Record that `chunks` went to `shard`.
+    fn sent(&mut self, shard: usize, chunks: &[ChunkId]) {
+        for chunk in chunks {
+            self.attempts.entry(*chunk).or_default().tried.push(shard);
+        }
+    }
+
+    /// Whether any of `chunks` has an owner left under `cap` — the target
+    /// a re-issue into the next dispatch pass must have before it pays.
+    /// The breaker only demotes, so it does not enter. A chunk without a
+    /// record has tried nobody, and placement gives every chunk an owner.
+    fn reroutable(&self, chunks: &[ChunkId], cap: usize) -> bool {
+        chunks.iter().any(|c| {
+            self.attempts
+                .get(c)
+                .is_none_or(|a| a.untried(cap).next().is_some())
+        })
     }
 
     /// Rows over every filled chunk.
@@ -373,13 +577,9 @@ pub struct FederatedService {
     cfg: FederationConfig,
     deployment: Deployment,
     obs: Obs,
-    health: Vec<ShardHealth>,
-    /// Per-shard retry token buckets: failovers, hedges and overload
-    /// re-issues draw; successful sub-queries earn back.
-    retry: Vec<Arc<RetryBudget>>,
-    /// Logical clock: one tick per dispatched flight. Breaker cooldowns
-    /// count these, not wall time, so seeded replays trip identically.
-    clock: AtomicU64,
+    /// Every shard's breaker and retry bucket: where each route and each
+    /// re-issue is decided.
+    governor: Governor,
     /// Root-query flight recorder: each retained trace carries the full
     /// cross-shard span tree of one federated query.
     recorder: FlightRecorder,
@@ -428,19 +628,14 @@ impl FederatedService {
                 QueryService::new(engine, cfg.service.clone())
             })
             .collect::<Result<Vec<_>>>()?;
-        let health = (0..cfg.shards).map(|_| ShardHealth::new()).collect();
-        let retry = (0..cfg.shards)
-            .map(|_| Arc::new(RetryBudget::new(cfg.retry_budget, RETRY_EARN_MILLI)))
-            .collect();
+        let governor = Governor::new(&cfg, RETRY_EARN_MILLI, obs.metrics.clone());
         Ok(FederatedService {
             shards,
             placement,
             cfg,
             deployment,
             obs,
-            health,
-            retry,
-            clock: AtomicU64::new(0),
+            governor,
             recorder: FlightRecorder::new(8, 64),
         })
     }
@@ -476,18 +671,14 @@ impl FederatedService {
         self.obs.metrics.counter(name).add(n);
     }
 
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// One shard's retry token bucket (chaos tests assert total grants
-    /// against [`RetryBudget::max_grants`]).
-    pub fn retry_budget(&self, shard: usize) -> &RetryBudget {
-        &self.retry[shard]
+    /// One shard's retry grants (chaos tests hold them to
+    /// [`RetryGrants::max_grants`]).
+    pub fn retry_budget(&self, shard: usize) -> RetryGrants {
+        self.governor.grants(shard)
     }
 
     /// The federation's overload severity: the worst brownout state of
-    /// any shard. What each state permits is [`BrownoutState`]'s to say.
+    /// any shard, which the governor reads before any re-issue.
     pub fn brownout_state(&self) -> BrownoutState {
         self.shards
             .iter()
@@ -510,53 +701,6 @@ impl FederatedService {
             cancel,
             parent: root.parent,
         }
-    }
-
-    /// The re-issue gate: may the router send `shard`'s work (a failover,
-    /// a hedge, an overload retry) somewhere again? The brownout policy
-    /// answers first, and only a "yes" goes on to pay one token from
-    /// `shard`'s retry budget — a shedding federation draws nothing.
-    /// `false` means degrade, do not re-issue.
-    fn may_reissue(&self, shard: usize) -> bool {
-        if !self.brownout_state().allows_reissue() {
-            return false;
-        }
-        let granted = self.retry[shard].try_draw();
-        self.bump(
-            if granted {
-                names::OVERLOAD_RETRY_GRANTED
-            } else {
-                names::OVERLOAD_RETRY_DENIED
-            },
-            1,
-        );
-        self.publish_retry_tokens();
-        granted
-    }
-
-    /// A sub-query to `shard` succeeded: close its breaker and credit its
-    /// retry budget.
-    fn shard_ok(&self, shard: usize) {
-        self.health[shard].record_success();
-        self.retry[shard].on_success();
-        self.publish_retry_tokens();
-    }
-
-    /// A sub-query to `shard` failed at logical tick `now`: count it and
-    /// feed the breaker.
-    fn shard_failed(&self, shard: usize, now: u64) {
-        self.bump(names::FED_SHARD_ERRORS, 1);
-        if self.health[shard].record_failure(self.cfg.trip_after, self.cfg.cooldown_ticks, now) {
-            self.bump(names::FED_TRIPS, 1);
-        }
-    }
-
-    fn publish_retry_tokens(&self) {
-        let total: u64 = self.retry.iter().map(|b| b.available_milli()).sum();
-        self.obs
-            .metrics
-            .gauge(names::OVERLOAD_RETRY_TOKENS)
-            .set(total);
     }
 
     /// Bounded overload backoff honoring a rejection's `retry_after_ms`
@@ -669,8 +813,10 @@ impl FederatedService {
         }
     }
 
-    /// Whole-statement routing with shard failover: try healthy shards
-    /// first, never the same shard twice, up to `max_attempts`.
+    /// Whole-statement routing with shard failover: the governor routes
+    /// each attempt to a shard not yet failed, breaker-preferred, up to
+    /// `max_attempts`; every attempt after the first is a re-issue it
+    /// pays for, once it has a target.
     fn route_whole(
         &self,
         prepared: &Prepared,
@@ -678,16 +824,37 @@ impl FederatedService {
         tb: &mut TraceBuild,
     ) -> Result<QueryResult> {
         let cancel = &root.cancel;
-        let n = self.shards.len();
-        let mut tried = vec![false; n];
+        let cap = self.cfg.recovery.max_attempts as usize;
+        let mut attempts = Attempts {
+            owners: (0..self.shards.len()).collect(),
+            tried: Vec::new(),
+        };
         let mut last_err = Error::Cluster("federation has no shards".into());
+        let mut failed: Option<usize> = None;
         for attempt in 0..self.cfg.recovery.max_attempts {
-            let now = self.tick();
-            let pick = (0..n)
-                .find(|&s| !tried[s] && self.health[s].allows(now))
-                .or_else(|| (0..n).find(|&s| !tried[s]));
+            let route = || {
+                self.governor
+                    .route([((), &attempts)], cap)
+                    .0
+                    .into_keys()
+                    .next()
+            };
+            let pick = match failed {
+                None => route(),
+                Some(prev) => self
+                    .governor
+                    .reissue(prev, false, self.brownout_state(), route),
+            };
             let Some(shard) = pick else { break };
-            tried[shard] = true;
+            // Sleep only for a re-issue about to be made.
+            match (failed, last_err.retry_after_ms()) {
+                (None, _) => {}
+                (Some(_), Some(hint)) => self.overload_backoff(cancel, hint)?,
+                (Some(_), None) => {
+                    self.bump(names::FED_FAILOVERS, 1);
+                    cancel.sleep(self.cfg.recovery.backoff(attempt - 1))?;
+                }
+            }
             self.bump(names::FED_SUBQUERIES, 1);
             let outcome = self.shards[shard]
                 .submit_prepared(prepared.clone(), self.hop(root))
@@ -698,52 +865,23 @@ impl FederatedService {
                 });
             match outcome {
                 Ok(result) => {
-                    self.shard_ok(shard);
+                    self.governor.landed(shard, true);
                     return Ok(result);
                 }
                 Err(e) if e.is_cancellation() && cancel.check().is_err() => return Err(e),
-                Err(e) if e.retry_after_ms().is_some() => {
-                    // Overload is not a fault: no breaker trip, and the
-                    // shard stays eligible once its queue drains — but a
-                    // re-issue still costs a retry token, and under `Shed`
-                    // we stop adding load altogether.
-                    let hint = e.retry_after_ms().unwrap_or(0);
-                    tried[shard] = false;
-                    last_err = e;
-                    if attempt + 1 < self.cfg.recovery.max_attempts {
-                        if !self.may_reissue(shard) {
-                            break;
-                        }
-                        self.overload_backoff(cancel, hint)?;
-                    }
-                }
                 Err(e) => {
-                    self.shard_failed(shard, now);
-                    last_err = e;
-                    if attempt + 1 < self.cfg.recovery.max_attempts {
-                        if !self.may_reissue(shard) {
-                            break;
-                        }
-                        self.bump(names::FED_FAILOVERS, 1);
-                        cancel.sleep(self.cfg.recovery.backoff(attempt))?;
+                    // Overload is not a fault: no breaker trip, and the
+                    // shard stays eligible once its queue drains.
+                    if e.retry_after_ms().is_none() {
+                        attempts.tried.push(shard);
+                        self.governor.landed(shard, false);
                     }
+                    last_err = e;
+                    failed = Some(shard);
                 }
             }
         }
         Err(last_err)
-    }
-
-    /// Pick the serving replica for one chunk: an owner not yet tried,
-    /// preferring those whose breaker admits traffic. The breaker only
-    /// demotes — while any untried replica exists the chunk stays
-    /// routable, so data never goes missing because of an open breaker
-    /// alone.
-    fn pick_shard(&self, owners: &[usize], tried: &[usize], now_tick: u64) -> Option<usize> {
-        owners
-            .iter()
-            .find(|s| !tried.contains(s) && self.health[**s].allows(now_tick))
-            .or_else(|| owners.iter().find(|s| !tried.contains(s)))
-            .copied()
     }
 
     /// The chunk fan-out path for base-table SELECTs: `query` reads
@@ -774,8 +912,18 @@ impl FederatedService {
             Prepared::chunk_scan(table, range.clone(), chunks.to_vec(), table_secs * share)
         };
 
-        let mut tried: HashMap<ChunkId, Vec<usize>> = HashMap::new();
+        let cap = self.cfg.recovery.max_attempts as usize;
         let mut gathered = Gathered::default();
+        for &chunk in &chunks {
+            let owners = self.placement.owners(SubTableId { table, chunk });
+            gathered.attempts.insert(
+                chunk,
+                Attempts {
+                    owners,
+                    tried: Vec::new(),
+                },
+            );
+        }
         let mut unassigned: Vec<ChunkId> = chunks.clone();
         let mut missing: Vec<ChunkId> = Vec::new();
         let mut flights = Flights::default();
@@ -785,41 +933,24 @@ impl FederatedService {
 
             // Dispatch every unassigned chunk (first pass: primaries;
             // later passes: failover targets). Chunks with no untried
-            // replica left, or past the attempt cap, become missing.
+            // replica left under the attempt cap become missing.
             if !unassigned.is_empty() {
-                let now = self.tick();
-                let mut groups: HashMap<usize, Vec<ChunkId>> = HashMap::new();
-                for chunk in unassigned.drain(..) {
-                    let id = SubTableId { table, chunk };
-                    let attempts = tried.entry(chunk).or_default();
-                    if attempts.len() >= self.cfg.recovery.max_attempts as usize {
-                        missing.push(chunk);
-                        continue;
-                    }
-                    match self.pick_shard(&self.placement.owners(id), attempts, now) {
-                        Some(shard) => {
-                            attempts.push(shard);
-                            groups.entry(shard).or_default().push(chunk);
-                        }
-                        None => missing.push(chunk),
-                    }
-                }
+                let work = unassigned.drain(..).map(|c| (c, &gathered.attempts[&c]));
+                let (groups, lost) = self.governor.route(work, cap);
+                missing.extend(lost);
                 for (shard, group) in groups {
+                    gathered.sent(shard, &group);
                     let job = sub_query(&group);
                     match self.dispatch(&mut flights, shard, group.clone(), job, false, root) {
                         Ok(()) => {}
+                        // The shard's admission control rejected the
+                        // sub-query. Not a fault: back off on the hint
+                        // before the next pass re-routes the chunks, if
+                        // they go back at all.
                         Err(e) if e.retry_after_ms().is_some() => {
-                            // The shard's admission control rejected the
-                            // sub-query. Not a fault: back off honoring
-                            // the hint, then re-route the chunks (a
-                            // later pass picks an untried replica) — if
-                            // a retry token is available and we are not
-                            // already shedding federation-wide.
-                            self.overload_backoff(cancel, e.retry_after_ms().unwrap_or(0))?;
-                            if self.may_reissue(shard) {
-                                unassigned.extend(group);
-                            } else {
-                                missing.extend(group);
+                            if self.requeue(shard, group, &gathered, &mut unassigned, &mut missing)
+                            {
+                                self.overload_backoff(cancel, e.retry_after_ms().unwrap_or(0))?;
                             }
                         }
                         Err(e) => return Err(e),
@@ -834,68 +965,48 @@ impl FederatedService {
             }
 
             // Sweep the outstanding flights without blocking, absorbing
-            // whichever landed and hedging whichever went quiet. The
-            // landing count is read first: a flight that lands after its
-            // ticket was looked at has moved it, and the wait below
-            // returns at once.
+            // whichever landed and noting which went quiet past their
+            // hedge timer with chunks still unfilled. The landing count is
+            // read first: a flight that lands after its ticket was looked
+            // at has moved it, and the wait below returns at once.
             let seen = flights.landing.count();
             let mut resolved: Vec<(usize, Result<QueryResult>)> = Vec::new();
-            let mut hedges: Vec<(usize, Vec<ChunkId>)> = Vec::new();
-            // Hedging only while every shard is in `Normal`: a hedge is
-            // speculative extra load, the last thing a browned-out
-            // federation needs. Checked before `hedged` is latched, so
-            // hedging resumes for still-flying work once shards recover.
-            let hedging_allowed = self.brownout_state().allows_hedging();
-            for (i, f) in flights.flying.iter_mut().enumerate() {
+            let mut quiet: Vec<(usize, Vec<ChunkId>)> = Vec::new();
+            for (i, f) in flights.flying.iter().enumerate() {
                 if let Some(result) = f.ticket.wait_timeout(Duration::ZERO) {
                     resolved.push((i, result));
-                } else if hedging_allowed
-                    && !f.hedged
-                    && f.hedge_timer.as_ref().is_some_and(DeadlineBudget::expired)
-                {
-                    f.hedged = true;
-                    let unfilled: Vec<ChunkId> = f
-                        .chunks
-                        .iter()
-                        .filter(|c| !gathered.has(c))
-                        .copied()
-                        .collect();
-                    if !unfilled.is_empty() {
-                        // The flight's age at hedge time is the latency
-                        // the hedge mechanism is absorbing.
-                        let overhead = f.age.elapsed_secs();
-                        self.obs.metrics.record_latency(names::LAT_HEDGE, overhead);
-                        tb.phases
-                            .push((names::lat_phase(names::LAT_HEDGE).into(), overhead));
-                        hedges.push((f.shard, unfilled));
-                    }
+                } else if !f.hedged && f.hedge_timer.as_ref().is_some_and(DeadlineBudget::expired) {
+                    let unfilled = f.chunks.iter().filter(|c| !gathered.has(c));
+                    quiet.push((i, unfilled.copied().collect()));
                 }
             }
 
-            // Issue hedges: same chunks, a different (untried) replica.
-            // The hedge target counts as an attempt, so the per-chunk cap
-            // covers hedges and failovers uniformly — and each hedge
-            // event passes the re-issue gate against the slow shard (a dry
-            // bucket means the slow flight just keeps waiting).
-            for (slow_shard, unfilled) in hedges {
-                if !self.may_reissue(slow_shard) {
+            // Hedge the quiet flights: their unfilled chunks to an untried
+            // owner. A hedge target counts as an attempt, so the per-chunk
+            // cap covers hedges and failovers alike, and the slow shard's
+            // bucket pays only for a hedge that has a target. A hedge the
+            // brownout policy lets through to routing is spent, paid or
+            // not; one it holds (the federation has left `Normal`) stays
+            // unlatched, so hedging resumes once shards recover.
+            let state = self.brownout_state();
+            for (i, unfilled) in quiet.into_iter().filter(|(_, u)| !u.is_empty()) {
+                let f = &mut flights.flying[i];
+                let route = || {
+                    f.hedged = true;
+                    let work = unfilled.iter().map(|&c| (c, &gathered.attempts[&c]));
+                    Some(self.governor.route(work, cap).0).filter(|g| !g.is_empty())
+                };
+                let Some(groups) = self.governor.reissue(f.shard, true, state, route) else {
                     continue;
-                }
-                let now = self.tick();
-                let mut groups: HashMap<usize, Vec<ChunkId>> = HashMap::new();
-                for chunk in unfilled {
-                    let id = SubTableId { table, chunk };
-                    let attempts = tried.entry(chunk).or_default();
-                    if attempts.len() >= self.cfg.recovery.max_attempts as usize {
-                        continue;
-                    }
-                    if let Some(shard) = self.pick_shard(&self.placement.owners(id), attempts, now)
-                    {
-                        attempts.push(shard);
-                        groups.entry(shard).or_default().push(chunk);
-                    }
-                }
+                };
+                // The flight's age at hedge time is the latency the hedge
+                // mechanism is absorbing.
+                let overhead = f.age.elapsed_secs();
+                self.obs.metrics.record_latency(names::LAT_HEDGE, overhead);
+                tb.phases
+                    .push((names::lat_phase(names::LAT_HEDGE).into(), overhead));
                 for (shard, group) in groups {
+                    gathered.sent(shard, &group);
                     let job = sub_query(&group);
                     match self.dispatch(&mut flights, shard, group, job, true, root) {
                         Ok(()) => self.bump(names::FED_HEDGES, 1),
@@ -1037,12 +1148,10 @@ impl FederatedService {
     }
 
     /// A flight failed (its shard errored, or its response failed
-    /// re-verification): feed the breaker, then send the chunks nobody
-    /// else filled back to `unassigned` — the next dispatch pass re-routes
-    /// them to a replica we have not tried — if the failed shard's retry
-    /// budget grants it and the federation is not shedding. Otherwise
-    /// degrade: the chunks go `missing` and the caller gets an exact
-    /// PartialResult instead of amplified load.
+    /// re-verification): tell the governor, then [`requeue`] the chunks
+    /// nobody else filled and no earlier failure already returned.
+    ///
+    /// [`requeue`]: FederatedService::requeue
     fn fail_over(
         &self,
         flight: &Flight,
@@ -1050,22 +1159,42 @@ impl FederatedService {
         unassigned: &mut Vec<ChunkId>,
         missing: &mut Vec<ChunkId>,
     ) {
-        self.shard_failed(flight.shard, self.tick());
+        self.governor.landed(flight.shard, false);
         let unfilled: Vec<ChunkId> = flight
             .chunks
             .iter()
-            .filter(|c| !gathered.has(c))
+            .filter(|c| !gathered.has(c) && !unassigned.contains(c))
             .copied()
             .collect();
-        if unfilled.is_empty() {
-            return;
-        }
-        if self.may_reissue(flight.shard) {
+        if !unfilled.is_empty()
+            && self.requeue(flight.shard, unfilled, gathered, unassigned, missing)
+        {
             self.bump(names::FED_FAILOVERS, 1);
-            unassigned.extend(unfilled);
-        } else {
-            missing.extend(unfilled);
         }
+    }
+
+    /// Send `chunks`, which `shard` did not serve, back to `unassigned` —
+    /// the next dispatch pass re-routes them to a replica not yet tried —
+    /// if one of them has such a replica left, the federation is not
+    /// shedding, and `shard`'s bucket pays. Otherwise degrade: they go
+    /// `missing`, and the caller gets an exact PartialResult instead of
+    /// amplified load. `true` when they went back.
+    fn requeue(
+        &self,
+        shard: usize,
+        chunks: Vec<ChunkId>,
+        gathered: &Gathered,
+        unassigned: &mut Vec<ChunkId>,
+        missing: &mut Vec<ChunkId>,
+    ) -> bool {
+        let cap = self.cfg.recovery.max_attempts as usize;
+        let target = || gathered.reroutable(&chunks, cap).then_some(());
+        let paid = self
+            .governor
+            .reissue(shard, false, self.brownout_state(), target)
+            .is_some();
+        if paid { unassigned } else { missing }.extend(chunks);
+        paid
     }
 
     /// Verify one successful sub-response and keep it whole in
@@ -1093,7 +1222,7 @@ impl FederatedService {
                 flight.shard
             )));
         }
-        self.shard_ok(flight.shard);
+        self.governor.landed(flight.shard, true);
         let won = gathered.keep(result.rows, &runs);
         if won && flight.is_hedge {
             self.bump(names::FED_HEDGE_WINS, 1);
@@ -1109,6 +1238,7 @@ mod tests {
     use orv_cluster::{FaultPlan, ShardDeathSpec, ShardSlowStormSpec};
     use orv_obs::EventLog;
     use orv_types::Value;
+    use proptest::prelude::*;
 
     fn deployment() -> Deployment {
         let d = Deployment::in_memory(2);
@@ -1559,21 +1689,378 @@ mod tests {
         assert!(partial.result.rows.is_empty());
     }
 
+    /// A governor over `shards` shards with a bucket of `budget` tokens
+    /// earning `earn_milli` per success, and the registry it counts into.
+    fn governor(shards: usize, budget: u64, earn_milli: u64) -> (Governor, MetricsRegistry) {
+        let cfg = FederationConfig {
+            shards,
+            retry_budget: budget,
+            ..FederationConfig::default()
+        };
+        let metrics = MetricsRegistry::new();
+        (Governor::new(&cfg, earn_milli, metrics.clone()), metrics)
+    }
+
+    /// One re-issue against shard 0 that has a target, in `Normal`.
+    fn draw(gov: &Governor) -> bool {
+        gov.reissue(0, false, BrownoutState::Normal, || Some(()))
+            .is_some()
+    }
+
+    fn ledger(gov: &Governor, shard: usize) -> ShardLedger {
+        relock(gov.ledger.lock()).shards[shard].clone()
+    }
+
+    #[test]
+    fn starts_full_and_drains_to_zero() {
+        let (gov, _) = governor(1, 3, 100);
+        assert_eq!(ledger(&gov, 0).milli / MILLI_PER_TOKEN, 3);
+        assert!(draw(&gov));
+        assert!(draw(&gov));
+        assert!(draw(&gov));
+        assert!(!draw(&gov), "bucket must refuse once dry");
+        let s = ledger(&gov, 0);
+        assert_eq!(s.granted, 3);
+        assert_eq!(s.denied, 1);
+        assert_eq!(s.milli, 0);
+    }
+
+    #[test]
+    fn successes_earn_fractional_tokens() {
+        let (gov, _) = governor(1, 1, 250);
+        assert!(draw(&gov));
+        assert!(!draw(&gov));
+        // Four successes at 0.25 tokens each buy exactly one retry.
+        for _ in 0..3 {
+            gov.landed(0, true);
+            assert!(!draw(&gov));
+        }
+        gov.landed(0, true);
+        assert!(draw(&gov));
+        assert!(!draw(&gov));
+    }
+
+    #[test]
+    fn refill_saturates_at_capacity() {
+        let (gov, _) = governor(1, 2, 1000);
+        for _ in 0..100 {
+            gov.landed(0, true);
+        }
+        assert_eq!(
+            ledger(&gov, 0).milli / MILLI_PER_TOKEN,
+            2,
+            "bucket must not grow past its cap"
+        );
+    }
+
+    #[test]
+    fn zero_capacity_budget_denies_everything() {
+        let (gov, _) = governor(1, 0, 500);
+        assert!(!draw(&gov));
+        gov.landed(0, true);
+        assert!(!draw(&gov), "cap 0 means earn saturates at 0");
+        assert_eq!(ledger(&gov, 0).denied, 2);
+        assert_eq!(gov.grants(0).max_grants(1000), 0);
+    }
+
+    #[test]
+    fn concurrent_grants_respect_the_bound() {
+        let gov = Arc::new(governor(1, 4, 100).0);
+        let successes = 40u64;
+        let mut handles = Vec::new();
+        for t in 0..8 {
+            let gov = Arc::clone(&gov);
+            handles.push(std::thread::spawn(move || {
+                for i in 0..50 {
+                    // Interleave draws with a fixed share of successes.
+                    if t < 4 && i < 10 {
+                        gov.landed(0, true);
+                    }
+                    draw(&gov);
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let (grants, s) = (gov.grants(0), ledger(&gov, 0));
+        assert!(
+            grants.granted() <= grants.max_grants(successes),
+            "granted {} exceeded bound {}",
+            grants.granted(),
+            grants.max_grants(successes)
+        );
+        assert_eq!(s.granted + s.denied, 400);
+    }
+
     #[test]
     fn breaker_trips_after_consecutive_failures_and_half_open_recovers() {
-        let h = ShardHealth::new();
-        assert!(h.allows(0));
-        assert!(!h.record_failure(3, 8, 0));
-        assert!(!h.record_failure(3, 8, 1));
-        assert!(h.record_failure(3, 8, 2), "third consecutive failure trips");
-        assert!(!h.allows(5), "open until tick 10");
-        assert!(h.allows(10), "cooldown elapsed: half-open probe admitted");
-        assert!(!h.allows(10), "only one probe while half-open");
-        assert!(h.record_failure(3, 8, 10), "failed probe re-opens");
-        assert!(!h.allows(11));
-        assert!(h.allows(30));
-        h.record_success();
-        assert!(h.allows(31), "closed again after a successful probe");
+        let cfg = FederationConfig {
+            shards: 2,
+            trip_after: 3,
+            cooldown_ticks: 8,
+            ..FederationConfig::default()
+        };
+        let metrics = MetricsRegistry::new();
+        let gov = Governor::new(&cfg, RETRY_EARN_MILLI, metrics.clone());
+        let trips = || metrics.snapshot().counters.get(names::FED_TRIPS).copied();
+        let tick = || relock(gov.ledger.lock()).tick;
+        // One chunk owned by shards 0 and 1, tried on neither: routing
+        // prefers shard 0 exactly when its breaker admits traffic.
+        let chunk = Attempts {
+            owners: vec![0, 1],
+            tried: Vec::new(),
+        };
+        let prefers_zero = || gov.route([((), &chunk)], 4).0.contains_key(&0);
+        assert!(prefers_zero());
+        gov.landed(0, false);
+        gov.landed(0, false);
+        assert_eq!(trips(), None);
+        gov.landed(0, false);
+        assert_eq!(trips(), Some(1), "third consecutive failure trips");
+        // The trip was tick 3: open until tick 11.
+        assert_eq!(tick(), 4);
+        while tick() < 11 {
+            assert!(!prefers_zero(), "open until tick 11");
+        }
+        assert!(prefers_zero(), "cooldown elapsed: half-open probe admitted");
+        assert!(!prefers_zero(), "only one probe while half-open");
+        gov.landed(0, false);
+        assert_eq!(trips(), Some(2), "failed probe re-opens");
+        // The probe failed at tick 13: open until tick 21.
+        while tick() < 21 {
+            assert!(!prefers_zero());
+        }
+        assert!(prefers_zero());
+        gov.landed(0, true);
+        assert!(prefers_zero(), "closed again after a successful probe");
+        assert!(prefers_zero());
+        // The breaker only demotes: a chunk whose one untried owner is
+        // open is still routed there.
+        for _ in 0..3 {
+            gov.landed(0, false);
+        }
+        let only_zero = Attempts {
+            owners: vec![0],
+            tried: Vec::new(),
+        };
+        assert!(gov.route([((), &only_zero)], 4).0.contains_key(&0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random per-shard sequences of `route`, `reissue` and `landed`
+        /// calls over three shards: grants stay under the bucket's bound,
+        /// a chunk with an untried owner under the cap is always routed,
+        /// a half-open breaker admits one probe, and a held re-issue draws
+        /// nothing.
+        #[test]
+        fn governor_invariants_hold_over_any_call_sequence(
+            budget in 0u64..4,
+            earn_milli in 0u64..1_500,
+            trip_after in 1u32..4,
+            cooldown_ticks in 0u64..12,
+            calls in proptest::collection::vec((0u8..3, 0usize..3, 0u8..4, 0u8..6), 1..160),
+        ) {
+            let cfg = FederationConfig {
+                shards: 3,
+                retry_budget: budget,
+                trip_after,
+                cooldown_ticks,
+                ..FederationConfig::default()
+            };
+            let gov = Governor::new(&cfg, earn_milli, MetricsRegistry::new());
+            let mut successes = [0u64; 3];
+            for (call, shard, a, b) in calls {
+                let (now, before) = {
+                    let l = relock(gov.ledger.lock());
+                    (l.tick, l.shards.clone())
+                };
+                let admitting = |s: usize| match before[s].breaker {
+                    Breaker::Closed => true,
+                    Breaker::Open { until_tick } => now >= until_tick,
+                    Breaker::HalfOpen => false,
+                };
+                match call {
+                    0 => {
+                        let owners = vec![shard, (shard + 1 + usize::from(b & 1)) % 3];
+                        let tried: Vec<usize> = owners
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| a >> i & 1 == 1)
+                            .map(|(_, s)| *s)
+                            .collect();
+                        let cap = 1 + usize::from(b % 3);
+                        let open: Vec<usize> = owners
+                            .iter()
+                            .copied()
+                            .filter(|s| tried.len() < cap && !tried.contains(s))
+                            .collect();
+                        let chunk = Attempts { owners, tried };
+                        let routed = gov.route([((), &chunk)], cap);
+                        match routed.0.keys().next().copied() {
+                            None => prop_assert!(open.is_empty(), "{open:?} left unrouted"),
+                            Some(s) => {
+                                prop_assert!(open.contains(&s));
+                                // Demoted only when no untried owner admits.
+                                if !admitting(s) {
+                                    prop_assert!(open.iter().all(|&o| !admitting(o)));
+                                }
+                                // Half-open admits one probe: only the
+                                // chosen shard may have left `Open`, and
+                                // then it is half-open, demoted until the
+                                // probe lands.
+                                for (o, was) in before.iter().enumerate() {
+                                    let probed = matches!(was.breaker, Breaker::Open { .. })
+                                        && ledger(&gov, o).breaker == Breaker::HalfOpen;
+                                    prop_assert!(!probed || o == s);
+                                }
+                                if admitting(s) && before[s].breaker != Breaker::Closed {
+                                    let after = ledger(&gov, s).breaker;
+                                    prop_assert_eq!(after, Breaker::HalfOpen);
+                                }
+                            }
+                        }
+                    }
+                    1 => {
+                        let hedge = a & 1 == 1;
+                        let has_target = a & 2 == 0;
+                        let state = [
+                            BrownoutState::Normal,
+                            BrownoutState::Brownout,
+                            BrownoutState::Shed,
+                        ][usize::from(b % 3)];
+                        let mut routed = false;
+                        let verdict = gov.reissue(shard, hedge, state, || {
+                            routed = true;
+                            has_target.then_some(())
+                        });
+                        let after = ledger(&gov, shard);
+                        let held = state == BrownoutState::Shed
+                            || (hedge && state != BrownoutState::Normal);
+                        let draws = |l: &ShardLedger| l.granted + l.denied;
+                        let drew = draws(&after) - draws(&before[shard]);
+                        if held {
+                            prop_assert!(verdict.is_none());
+                            prop_assert!(!routed, "a held re-issue routes nothing");
+                        }
+                        if held || !has_target {
+                            prop_assert!(verdict.is_none());
+                            prop_assert_eq!(drew, 0);
+                            prop_assert_eq!(after.milli, before[shard].milli);
+                        } else {
+                            prop_assert_eq!(drew, 1);
+                            let paid = before[shard].milli >= MILLI_PER_TOKEN;
+                            prop_assert_eq!(verdict.is_some(), paid);
+                        }
+                    }
+                    _ => {
+                        let ok = a & 1 == 0;
+                        gov.landed(shard, ok);
+                        let after = ledger(&gov, shard);
+                        if ok {
+                            successes[shard] += 1;
+                            prop_assert_eq!(after.breaker, Breaker::Closed);
+                            prop_assert_eq!(after.failures, 0);
+                        } else {
+                            prop_assert_eq!(after.failures, before[shard].failures + 1);
+                        }
+                    }
+                }
+                for (s, &n) in successes.iter().enumerate() {
+                    let grants = gov.grants(s);
+                    prop_assert!(grants.granted() <= grants.max_grants(n));
+                    if budget == 0 {
+                        prop_assert_eq!(grants.granted(), 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_hedge_pays_only_for_a_target() {
+        // Every shard's first four sub-queries stall far past the hedge
+        // timer, so the hedges stall too and hedge in turn, when both
+        // owners of each chunk have been tried: a second hedge has nowhere
+        // to go and must not draw a token.
+        let obs = Obs::enabled();
+        let plan = FaultPlan {
+            shard_slow_storms: (0..3)
+                .map(|shard| ShardSlowStormSpec {
+                    shard,
+                    after_subqueries: 0,
+                    delay_ms: 300,
+                    storm_len: 4,
+                })
+                .collect(),
+            ..FaultPlan::none()
+        };
+        let faults = FaultInjector::new(plan, obs.events.clone());
+        let cfg = FederationConfig {
+            hedge_after: Some(Duration::from_millis(20)),
+            ..FederationConfig::default()
+        };
+        let fed = FederatedService::with_instruments(deployment(), cfg, obs.clone(), Some(faults))
+            .unwrap();
+        let got = fed.execute("SELECT * FROM t1").unwrap();
+        assert!(got.is_complete());
+        assert_eq!(got.result().rows, oracle("SELECT * FROM t1").rows);
+        let snap = obs.metrics.snapshot();
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        let granted: u64 = (0..fed.num_shards())
+            .map(|s| fed.retry_budget(s).granted())
+            .sum();
+        assert!(counter(names::FED_HEDGES) >= 1, "{:?}", snap.counters);
+        assert_eq!(counter(names::FED_FAILOVERS), 0, "{:?}", snap.counters);
+        assert!(
+            granted <= counter(names::FED_HEDGES),
+            "{granted} grants for {} hedges: {:?}",
+            counter(names::FED_HEDGES),
+            snap.counters
+        );
+    }
+
+    #[test]
+    fn an_overload_reissue_pays_and_backs_off_only_with_a_target() {
+        // The setup of `chunks_every_shard_turned_away_are_missing_not_dropped`:
+        // every dispatch is turned away. The first pass's rejections have
+        // a second owner to go to; the second pass's have none.
+        let obs = Obs::enabled();
+        let mut cfg = FederationConfig::default();
+        cfg.service.workers = 0;
+        cfg.service.queue_cap = 1;
+        let fed = FederatedService::with_instruments(deployment(), cfg, obs.clone(), None).unwrap();
+        let _queued: Vec<QueryTicket> = (0..fed.num_shards())
+            .map(|i| fed.shard(i).submit("SELECT COUNT(*) FROM t1").unwrap())
+            .collect();
+        let got = fed.execute("SELECT * FROM t1").unwrap();
+        assert!(!got.is_complete());
+        let md = fed.deployment.metadata();
+        let table = md.table_id("t1").unwrap();
+        let mut primaries: Vec<usize> = md
+            .all_chunks(table)
+            .unwrap()
+            .into_iter()
+            .map(|chunk| fed.placement.primary(SubTableId { table, chunk }))
+            .collect();
+        primaries.sort_unstable();
+        primaries.dedup();
+        let snap = obs.metrics.snapshot();
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        let redispatched = counter(names::FED_SUBQUERIES) - primaries.len() as u64;
+        let granted: u64 = (0..fed.num_shards())
+            .map(|s| fed.retry_budget(s).granted())
+            .sum();
+        assert!(redispatched >= 1, "{:?}", snap.counters);
+        assert_eq!(granted, redispatched, "{:?}", snap.counters);
+        assert_eq!(
+            counter(names::OVERLOAD_BACKOFFS),
+            redispatched,
+            "{:?}",
+            snap.counters
+        );
     }
 
     #[test]

@@ -48,7 +48,9 @@ pub mod service;
 
 pub use ast::{AggFunc, JoinClause, Query, RangePred, SelectItem, Statement, ViewDef};
 pub use engine::{algorithm_slug, Catalog, Prepared, QueryEngine, QueryResult, Request};
-pub use federation::{FederatedResponse, FederatedService, FederationConfig, PartialResult};
+pub use federation::{
+    FederatedResponse, FederatedService, FederationConfig, PartialResult, RetryGrants,
+};
 pub use overload::{
     BrownoutController, BrownoutState, BrownoutTransition, CostClass, OverloadConfig,
 };

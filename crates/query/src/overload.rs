@@ -21,10 +21,10 @@
 //! hedging and sheds expensive work; `Shed` additionally refuses cheap
 //! work while the queue stays deep and stops failover re-issue; recovery
 //! steps back one state at a time, re-enabling in reverse order. What a
-//! state permits the federation router is stated once, as
-//! [`BrownoutState::allows_hedging`] and [`BrownoutState::allows_reissue`]. No two transitions can occur
-//! within one cooldown window, so the controller cannot oscillate on a
-//! noisy depth signal.
+//! state permits the federation router is the router's governor's to
+//! say: it reads the worst state of any shard before every re-issue. No
+//! two transitions can occur within one cooldown window, so the
+//! controller cannot oscillate on a noisy depth signal.
 //!
 //! [`Cheap`]: CostClass::Cheap
 //! [`Expensive`]: CostClass::Expensive
@@ -81,19 +81,6 @@ impl BrownoutState {
             BrownoutState::Brownout => 1,
             BrownoutState::Shed => 2,
         }
-    }
-
-    /// Whether hedged requests may be issued: only at full service — a
-    /// hedge is speculative extra load.
-    pub fn allows_hedging(self) -> bool {
-        self == BrownoutState::Normal
-    }
-
-    /// Whether a failed or rejected sub-query may be re-issued to another
-    /// replica: until `Shed`, where a degraded (partial) answer is
-    /// preferred over any added load.
-    pub fn allows_reissue(self) -> bool {
-        self != BrownoutState::Shed
     }
 
     fn from_severity(v: u64) -> Self {
@@ -406,14 +393,11 @@ mod tests {
     fn escalates_one_step_at_a_time_in_order() {
         let ctl = BrownoutController::new(cfg(), 8);
         assert_eq!(ctl.state(), BrownoutState::Normal);
-        assert!(ctl.state().allows_hedging());
         // Depth 8/8 exceeds both thresholds, but the first edge still
         // only reaches Brownout.
         let (s, t) = ctl.observe(8);
         assert_eq!(s, BrownoutState::Brownout);
         assert_eq!(t.unwrap().from, BrownoutState::Normal);
-        assert!(!ctl.state().allows_hedging());
-        assert!(ctl.state().allows_reissue(), "failover survives until Shed");
         // Cooldown: no second edge until cooldown_ticks have elapsed
         // since the first (ticks 2-4 are blocked; tick 5 may fire).
         for _ in 0..3 {
@@ -423,8 +407,6 @@ mod tests {
         }
         let (s, _) = ctl.observe(8);
         assert_eq!(s, BrownoutState::Shed);
-        assert!(!ctl.state().allows_hedging());
-        assert!(!ctl.state().allows_reissue());
     }
 
     #[test]
@@ -478,13 +460,15 @@ mod tests {
         for _ in 0..4 {
             ctl.observe(0);
         }
-        assert_eq!(ctl.state(), BrownoutState::Brownout);
-        assert!(!ctl.state().allows_hedging(), "hedging re-enables last");
+        assert_eq!(
+            ctl.state(),
+            BrownoutState::Brownout,
+            "hedging re-enables last"
+        );
         for _ in 0..4 {
             ctl.observe(0);
         }
         assert_eq!(ctl.state(), BrownoutState::Normal);
-        assert!(ctl.state().allows_hedging());
         let log = ctl.transitions();
         let edges: Vec<_> = log.iter().map(|t| (t.from, t.to)).collect();
         assert_eq!(

@@ -840,6 +840,7 @@ impl Drop for QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overload::BrownoutState;
     use orv_bds::{generate_dataset, DatasetSpec, Deployment};
 
     fn engine() -> QueryEngine {
@@ -1074,7 +1075,7 @@ mod tests {
             admitted.len() >= 2,
             "work below the brownout threshold still lands"
         );
-        assert!(!svc.brownout().state().allows_hedging());
+        assert_ne!(svc.brownout().state(), BrownoutState::Normal);
         let snap = svc.engine().obs().metrics.snapshot();
         assert!(snap.counters.get(names::OVERLOAD_SHED_EXPENSIVE).copied() >= Some(1));
         let c = svc.counters();

@@ -11,7 +11,8 @@
 //!   service-level shed counter agrees with the `overload/shed_expired`
 //!   metric;
 //! - total retry issue (failovers + hedges + overload re-issues) stays
-//!   within each shard's [`RetryBudget`] accounting bound;
+//!   within each shard's retry-grant bound
+//!   ([`FederatedService::retry_budget`]);
 //! - no query hangs: every wait is deadline-bounded well under the
 //!   watchdog.
 //!
