@@ -46,14 +46,14 @@
 //! results, which is exactly what the chaos suite asserts cannot happen.
 
 use crate::cancel::CancelToken;
-use orv_obs::{names, obj, EventLog, JsonValue};
+use orv_obs::{names, obj, EventLog, JsonValue, SpanTimer};
 use orv_types::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 type Map = BTreeMap<String, JsonValue>;
 
@@ -924,8 +924,8 @@ impl RecoveryPolicy {
 
     /// Whether the per-operation deadline has passed for an operation
     /// started at `start`.
-    fn deadline_exceeded(&self, start: Instant) -> bool {
-        start.elapsed() >= Duration::from_millis(self.op_deadline_ms)
+    fn deadline_exceeded(&self, start: &SpanTimer) -> bool {
+        start.elapsed_secs() * 1e3 >= self.op_deadline_ms as f64
     }
 
     /// True once `retries` has used up the attempt budget (attempt count
@@ -947,11 +947,9 @@ impl RecoveryPolicy {
         cancel: &CancelToken,
         mut op: impl FnMut() -> Result<T>,
     ) -> (Result<T>, u64) {
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "deadline accounting must use real elapsed time; backoff draws stay seed-deterministic"
-        )]
-        let start = Instant::now();
+        // Deadline accounting uses real elapsed time; the backoff draws
+        // stay seed-deterministic.
+        let start = SpanTimer::start();
         let mut retries: u64 = 0;
         loop {
             if let Err(c) = cancel.check() {
@@ -964,7 +962,7 @@ impl RecoveryPolicy {
                     if self.attempts_exhausted(retries) {
                         return (Err(e), retries);
                     }
-                    if self.deadline_exceeded(start) {
+                    if self.deadline_exceeded(&start) {
                         let err = Error::Cluster(format!(
                             "operation exceeded {} ms deadline after {} attempts: {e}",
                             self.op_deadline_ms,
@@ -1005,6 +1003,7 @@ pub fn silence_injected_panics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn injector(plan: FaultPlan) -> Arc<FaultInjector> {
         FaultInjector::new(plan, EventLog::disabled())
@@ -1719,10 +1718,10 @@ mod tests {
             op_deadline_ms: 10,
             ..RecoveryPolicy::default()
         };
-        let start = Instant::now();
-        assert!(!p.deadline_exceeded(start));
+        let start = SpanTimer::start();
+        assert!(!p.deadline_exceeded(&start));
         std::thread::sleep(Duration::from_millis(15));
-        assert!(p.deadline_exceeded(start));
+        assert!(p.deadline_exceeded(&start));
         assert!(!p.attempts_exhausted(0));
         assert!(p.attempts_exhausted(3));
     }

@@ -39,7 +39,7 @@ use crate::hash_join::HashJoiner;
 use crate::lru::{CacheStats, LruCache};
 use orv_chunk::SubTable;
 use orv_cluster::{CancelToken, SLEEP_SLICE};
-use orv_obs::{names, Stopwatch};
+use orv_obs::{names, SpanTimer};
 use orv_types::{Error, Result, SubTableId};
 use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -183,8 +183,8 @@ impl CacheService {
         // Single-flight block time: armed on the first wait, sampled once
         // the waiter unblocks (answered from the cache, promoted to
         // builder, or cancelled).
-        let mut waited: Option<Stopwatch> = None;
-        let sample_wait = |w: &Option<Stopwatch>| {
+        let mut waited: Option<SpanTimer> = None;
+        let sample_wait = |w: &Option<SpanTimer>| {
             if let Some(sw) = w {
                 relock(self.wait_samples.lock()).push(sw.elapsed_secs());
             }
@@ -201,7 +201,7 @@ impl CacheService {
                 break; // we are the builder for this key
             }
             // A peer is fetching this key: wait a slice, then re-check.
-            waited.get_or_insert_with(Stopwatch::start);
+            waited.get_or_insert_with(SpanTimer::start);
             let (guard, _) = relock(shard.cond.wait_timeout(state, SLEEP_SLICE));
             state = guard;
             if let Err(e) = cancel.check() {

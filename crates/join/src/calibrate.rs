@@ -15,7 +15,7 @@ use crate::hash_join::{HashJoiner, JoinCounters, SUBTABLE_ROWS};
 use orv_chunk::SubTable;
 use orv_cluster::exchange::decode_columns;
 use orv_costmodel::SystemParams;
-use orv_obs::Stopwatch;
+use orv_obs::SpanTimer;
 use orv_types::{ColumnBatch, ColumnData, Error, Result, Schema, SubTableId};
 use std::sync::Arc;
 
@@ -67,10 +67,10 @@ pub fn calibrate_host(n: u64) -> Result<Calibration> {
     let mut secs = [0.0f64; 4];
     let mut bytes = Vec::new();
     for _ in 0..reps {
-        let sw = Stopwatch::start();
+        let sw = SpanTimer::start();
         let joiner = HashJoiner::build(Arc::clone(&st), &keys, &counters, 1)?;
         secs[0] += sw.elapsed_secs();
-        let sw = Stopwatch::start();
+        let sw = SpanTimer::start();
         let found = joiner.matches(&st, &keys, &counters)?;
         secs[1] += sw.elapsed_secs();
         if found.len() != rows {
@@ -78,12 +78,12 @@ pub fn calibrate_host(n: u64) -> Result<Calibration> {
                 "calibration self-check: every key must resolve".into(),
             ));
         }
-        let sw = Stopwatch::start();
+        let sw = SpanTimer::start();
         let mut routed = route_subtable(&st, &[0, 1], 1, 1);
         secs[2] += sw.elapsed_secs();
         // One destination, one bucket: the whole sub-table in one frame.
         bytes = routed.swap_remove(0).swap_remove(0).1;
-        let sw = Stopwatch::start();
+        let sw = SpanTimer::start();
         let decoded = decode_columns(st.schema(), &bytes)?;
         secs[3] += sw.elapsed_secs();
         std::hint::black_box(decoded);

@@ -47,12 +47,11 @@ use orv_chunk::SubTable;
 use orv_cluster::{
     run_workers, CancelToken, FaultInjector, RecoveryPolicy, RunStats, WorkerBody, WorkerEnd,
 };
-use orv_obs::{names, MetricsRegistry, Obs};
+use orv_obs::{names, MetricsRegistry, Obs, SpanTimer};
 use orv_types::{BoundingBox, ColumnBatch, Error, Interval, Record, Result, SubTableId, TableId};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Configuration of one Indexed Join execution.
 #[derive(Clone, Debug)]
@@ -140,7 +139,9 @@ pub(crate) struct RunFrame {
     pub(crate) reader: SubTableReader,
     pub(crate) counters: JoinCounters,
     metrics: MetricsRegistry,
-    start: Instant,
+    /// Wall clock feeding `RunStats::wall_secs` only; never drives
+    /// control flow.
+    start: SpanTimer,
 }
 
 impl RunFrame {
@@ -168,17 +169,12 @@ impl RunFrame {
             recovery,
             cancel.clone(),
         )?;
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "wall-clock measurement feeding RunStats only; never drives control flow"
-        )]
-        let start = Instant::now();
         Ok(RunFrame {
             injector,
             reader,
             counters: JoinCounters::new(),
             metrics: obs.metrics.clone(),
-            start,
+            start: SpanTimer::start(),
         })
     }
 
@@ -192,7 +188,7 @@ impl RunFrame {
         batches: Option<Vec<ColumnBatch>>,
     ) -> JoinOutput {
         stats.corruptions_detected += self.reader.corruptions_detected();
-        stats.wall_secs = self.start.elapsed().as_secs_f64();
+        stats.wall_secs = self.start.elapsed_secs();
         stats.hash_builds = self.counters.builds();
         stats.hash_probes = self.counters.probes();
         stats.record_into(&self.metrics, prefix);

@@ -193,13 +193,16 @@ const CANCEL_MARKERS: &[&str] = &[
     "shutdown",
 ];
 
-/// Obs methods whose *first argument* is the event/span/metric name.
+/// Obs methods whose *first argument* is the event/span/metric name;
+/// `phase` is the traced-query lifecycle's (and `Obs`'s) timed phase,
+/// named by its `lat/*` histogram.
 const NAME_SINKS: &[&str] = &[
     "emit",
     "span",
     "span_with",
     "events_of_kind",
     "record_latency",
+    "phase",
 ];
 
 /// Loop-counter names that mark a loop as a retry loop.

@@ -113,6 +113,18 @@ fn l005_literal_obs_names_positive_negative_suppressed() {
         JOIN_PATH,
         "fn f(o: &Obs) { o.metrics.record_latency(names::LAT_EXEC, secs); }",
     );
+    // So is a traced query's phase: its name is its `lat/*` histogram.
+    assert_eq!(
+        fired(
+            JOIN_PATH,
+            "fn f(t: &mut TracedQuery) { t.phase(\"lat/exec_secs\", Some(&exec)); }"
+        ),
+        ["L005"]
+    );
+    assert_clean(
+        JOIN_PATH,
+        "fn f(t: &mut TracedQuery) { t.phase(names::LAT_EXEC, Some(&exec)); }",
+    );
     // Registry constants and builders are the sanctioned spelling; later
     // arguments (payload keys) may stay literal.
     assert_clean(

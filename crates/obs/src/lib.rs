@@ -1,15 +1,20 @@
 //! `orv-obs` — the observability spine of the reproduction.
 //!
-//! Three primitives, bundled into one cloneable [`Obs`] handle:
+//! Three collectors, bundled into one cloneable [`Obs`] handle:
 //!
 //! * [`MetricsRegistry`] — named atomic counters/gauges/histograms with
 //!   uniform snapshot-merge semantics (counters add, gauges max,
 //!   histograms add bucketwise);
-//! * [`Spans`] — hierarchical wall-clock span timers whose `/`-separated
-//!   paths (`n0/transfer`, `c2/scratch_read`, …) aggregate into per-phase
-//!   critical-path times;
+//! * [`Spans`] — the one span model's collector: hierarchical wall-clock
+//!   [`SpanRecord`]s whose `/`-separated paths (`n0/transfer`,
+//!   `c2/scratch_read`, …) aggregate into per-phase critical-path times;
 //! * [`EventLog`] — a structured JSON-lines event stream (QES choices,
 //!   injected faults) that makes runs replayable from logs alone.
+//!
+//! The same span model traces served queries: a [`TracedQuery`] times
+//! each serving phase once, and that one measurement is the `lat/*`
+//! sample, the [`QueryTrace`] row and the global span alike; the
+//! [`FlightRecorder`] keeps the traces worth reading.
 //!
 //! `Obs::disabled()` is the default everywhere in the runtime configs:
 //! disabled spans and events cost one branch, so the instrumented join
@@ -26,16 +31,21 @@ mod metrics;
 pub mod names;
 mod report;
 mod span;
-mod trace;
+/// Unit tests of [`span`]'s traced-query half; they keep their own module.
+#[cfg(test)]
+mod trace {
+    mod tests;
+}
 
 pub use event::{Event, EventLog};
 pub use json::{obj, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use report::{required_phases, ObsReport, PhaseRow, RunReport, GH_PHASES, IJ_PHASES};
-pub use span::{SpanRecord, SpanTimer, Spans};
-pub use trace::{FlightRecorder, QueryTrace, Stopwatch, TraceId, TraceOutcome};
+pub use span::{
+    FlightRecorder, QueryTrace, SpanRecord, SpanTimer, Spans, TraceId, TraceOutcome, TracedQuery,
+};
 
-/// One handle carrying all three observability primitives; clone it into
+/// One handle carrying all three observability collectors; clone it into
 /// each service/config. The metrics registry is always live (atomic
 /// increments are cheap and only touched at merge points); spans and
 /// events honour the enabled/disabled mode.

@@ -140,8 +140,9 @@ pub const FED_PARTIAL: &str = "fed/partial_results";
 /// Counter: chunks reported missing across all partial results.
 pub const FED_MISSING_CHUNKS: &str = "fed/missing_chunks";
 
-/// Span: query planning inside the engine.
-pub const ENGINE_PLAN: &str = "engine/plan";
+/// Span group of the engine's own phases: its plan phase is
+/// `engine/plan`, timed once for `lat/plan_secs` and the span.
+pub const ENGINE: &str = "engine";
 /// Span: end-to-end plan execution inside the engine.
 pub const ENGINE_EXEC: &str = "engine/exec";
 /// Span: a join's row edge inside the engine — ordering the QES's batches

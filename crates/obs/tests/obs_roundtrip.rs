@@ -57,9 +57,7 @@ fn span_nesting_and_ordering() {
     let s = Spans::enabled();
     {
         let outer = s.span("n0/transfer");
-        std::thread::sleep(std::time::Duration::from_millis(2));
         let inner = outer.child("decode");
-        std::thread::sleep(std::time::Duration::from_millis(2));
         inner.finish();
     }
     s.span("n0/build").finish();
@@ -70,6 +68,7 @@ fn span_nesting_and_ordering() {
     assert_eq!(recs[0].path, "n0/transfer");
     assert_eq!(recs[1].path, "n0/transfer/decode");
     assert_eq!(recs[2].path, "n0/build");
+    // The child's interval lies inside its parent's.
     assert!(recs[0].dur_secs >= recs[1].dur_secs);
     assert!(recs[0].start_secs <= recs[1].start_secs);
     // JSON round-trip of span records.

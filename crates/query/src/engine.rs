@@ -25,7 +25,7 @@ use orv_join::{
     IndexedJoinConfig, JoinAlgorithm, JoinOutput,
 };
 use orv_metadata::Placement;
-use orv_obs::{names, JsonValue, Obs, Stopwatch, TraceId};
+use orv_obs::{names, JsonValue, Obs, SpanTimer, TraceId};
 use orv_types::{BoundingBox, ChunkId, Error, Record, Result, SubTableId, TableId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -713,15 +713,9 @@ impl QueryEngine {
                 },
             )
         };
-        let plan = {
-            let _plan = self.obs.spans.span(names::ENGINE_PLAN);
-            let sw = Stopwatch::start();
-            let plan = self.planner.plan_join(md, left, right, &attrs)?;
-            self.obs
-                .metrics
-                .record_latency(names::LAT_PLAN, sw.elapsed_secs());
-            plan
-        };
+        let planning = SpanTimer::start();
+        let plan = self.planner.plan_join(md, left, right, &attrs)?;
+        self.obs.phase(names::LAT_PLAN, names::ENGINE, &planning);
         let algorithm = self.force.unwrap_or(plan.algorithm);
         self.obs.events.emit(names::QES_CHOICE, || {
             vec![
@@ -1300,6 +1294,27 @@ mod tests {
             .filter(|p| p.starts_with("engine/"))
             .collect();
         assert_eq!(paths, ["engine/plan", "engine/exec", "engine/rows"]);
+    }
+
+    /// The plan phase is timed once: on a traced IJ query the
+    /// `lat/plan_secs` sample is the `engine/plan` span's duration.
+    #[test]
+    fn a_traced_plan_phase_is_one_measurement() {
+        let obs = orv_obs::Obs::enabled();
+        let e = engine()
+            .force_algorithm(Some(JoinAlgorithm::IndexedJoin))
+            .with_obs(obs.clone());
+        e.execute("SELECT * FROM t1 JOIN t2 ON (x, y, z)").unwrap();
+        let plans: Vec<f64> = obs
+            .spans
+            .records()
+            .into_iter()
+            .filter(|r| r.path == "engine/plan")
+            .map(|r| r.dur_secs)
+            .collect();
+        let snap = obs.metrics.snapshot();
+        let hist = &snap.histograms[names::LAT_PLAN];
+        assert_eq!((hist.count, vec![hist.sum]), (1, plans));
     }
 
     #[test]

@@ -73,10 +73,7 @@ use crate::service::{Landing, QueryService, QueryTicket, ServiceConfig};
 use orv_bds::Deployment;
 use orv_cluster::{CancelToken, DeadlineBudget, FaultInjector, RecoveryPolicy};
 use orv_metadata::Placement;
-use orv_obs::{
-    names, FlightRecorder, JsonValue, MetricsRegistry, Obs, QueryTrace, Stopwatch, TraceId,
-    TraceOutcome,
-};
+use orv_obs::{names, FlightRecorder, MetricsRegistry, Obs, SpanTimer, TraceOutcome, TracedQuery};
 use orv_types::{BoundingBox, ChunkId, Error, Record, Result, SubTableId, TableId};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -448,15 +445,7 @@ struct Flight {
     is_hedge: bool,
     /// Time since dispatch; when a hedge is issued, its elapsed value is
     /// the latency the hedge mechanism absorbed (`lat/hedge_overhead_secs`).
-    age: Stopwatch,
-}
-
-/// Phase rows and resolved sub-query traces accumulated while one
-/// federated query runs, folded into its root [`QueryTrace`] at the end.
-#[derive(Default)]
-struct TraceBuild {
-    phases: Vec<(String, f64)>,
-    children: Vec<QueryTrace>,
+    age: SpanTimer,
 }
 
 /// What a federated scan knows of each chunk: whom it was sent to, and
@@ -728,57 +717,31 @@ impl FederatedService {
     /// stitches into one span tree; the completed trace lands in
     /// [`FederatedService::recorder`].
     pub fn execute_request(&self, sql: &str, request: &Request) -> Result<FederatedResponse> {
-        let born = Stopwatch::start();
-        let trace = TraceId::mint();
-        self.obs.events.emit(names::TRACE_BEGIN, || {
-            vec![
-                ("trace", trace.into()),
-                ("parent", request.parent.map_or(JsonValue::Null, Into::into)),
-                ("group", "fed".into()),
-                ("detail", sql.into()),
-            ]
-        });
-        let mut tb = TraceBuild::default();
+        let mut trace = TracedQuery::begin(&self.obs, "fed", sql.to_string(), request.parent);
         let root = Request {
             cancel: request.cancel.clone(),
-            parent: Some(trace),
+            parent: Some(trace.id()),
         };
-        let out = self.route(sql, &root, &mut tb);
+        let out = self.route(sql, &root, &mut trace);
         let outcome = match &out {
             Ok(FederatedResponse::Complete(_)) => TraceOutcome::Ok,
             Ok(FederatedResponse::Partial(_)) => TraceOutcome::Partial,
             Err(e) if e.is_cancellation() => TraceOutcome::Cancelled,
             Err(_) => TraceOutcome::Error,
         };
-        let total_secs = born.elapsed_secs();
-        self.obs
-            .metrics
-            .record_latency(names::LAT_TOTAL, total_secs);
-        self.obs.events.emit(names::TRACE_END, || {
-            vec![
-                ("trace", trace.into()),
-                ("group", "fed".into()),
-                ("outcome", outcome.as_str().into()),
-                ("total_secs", total_secs.into()),
-            ]
-        });
-        self.recorder.record(QueryTrace {
-            trace,
-            parent: request.parent,
-            group: "fed".into(),
-            detail: sql.to_string(),
-            outcome,
-            total_secs,
-            phases: tb.phases,
-            children: tb.children,
-        });
+        trace.end(outcome, &self.recorder);
         out
     }
 
     /// Bind `sql` once and decide, from what it bound to, how it
     /// crosses the federation. Any shard engine can bind: they share one
     /// deployment, and views are broadcast to every catalog.
-    fn route(&self, sql: &str, root: &Request, tb: &mut TraceBuild) -> Result<FederatedResponse> {
+    fn route(
+        &self,
+        sql: &str,
+        root: &Request,
+        trace: &mut TracedQuery,
+    ) -> Result<FederatedResponse> {
         let cancel = &root.cancel;
         cancel.check()?;
         let prepared = self.shards[0].engine().prepare(sql)?;
@@ -792,7 +755,7 @@ impl FederatedService {
                 for svc in &self.shards {
                     let ticket = svc.submit_prepared(prepared.clone(), self.hop(root))?;
                     let outcome = ticket.wait_cancellable(cancel);
-                    tb.children.extend(ticket.trace());
+                    trace.adopt(ticket.trace());
                     outcome?;
                 }
                 Ok(FederatedResponse::Complete(QueryResult::empty()))
@@ -802,13 +765,13 @@ impl FederatedService {
                     source: Source::Scan { table, range },
                     ..
                 },
-            ) => self.scan_federated(prepared.predicted_secs, select, *table, range, root, tb),
+            ) => self.scan_federated(prepared.predicted_secs, select, *table, range, root, trace),
             // Joins and view reads are not chunk-decomposable at this
             // layer (the join QES already distributes its own work);
             // route the whole statement to one healthy replica with
             // retry/failover.
             _ => self
-                .route_whole(&prepared, root, tb)
+                .route_whole(&prepared, root, trace)
                 .map(FederatedResponse::Complete),
         }
     }
@@ -821,7 +784,7 @@ impl FederatedService {
         &self,
         prepared: &Prepared,
         root: &Request,
-        tb: &mut TraceBuild,
+        trace: &mut TracedQuery,
     ) -> Result<QueryResult> {
         let cancel = &root.cancel;
         let cap = self.cfg.recovery.max_attempts as usize;
@@ -860,7 +823,7 @@ impl FederatedService {
                 .submit_prepared(prepared.clone(), self.hop(root))
                 .and_then(|t| {
                     let outcome = t.wait_cancellable(cancel);
-                    tb.children.extend(t.trace());
+                    trace.adopt(t.trace());
                     outcome
                 });
             match outcome {
@@ -893,7 +856,7 @@ impl FederatedService {
         table: TableId,
         range: &Option<BoundingBox>,
         root: &Request,
-        tb: &mut TraceBuild,
+        trace: &mut TracedQuery,
     ) -> Result<FederatedResponse> {
         let cancel = &root.cancel;
         let md = self.deployment.metadata();
@@ -1001,10 +964,7 @@ impl FederatedService {
                 };
                 // The flight's age at hedge time is the latency the hedge
                 // mechanism is absorbing.
-                let overhead = f.age.elapsed_secs();
-                self.obs.metrics.record_latency(names::LAT_HEDGE, overhead);
-                tb.phases
-                    .push((names::lat_phase(names::LAT_HEDGE).into(), overhead));
+                trace.phase(names::LAT_HEDGE, Some(&f.age));
                 for (shard, group) in groups {
                     gathered.sent(shard, &group);
                     let job = sub_query(&group);
@@ -1025,7 +985,7 @@ impl FederatedService {
                 let flight = flights.flying.remove(i);
                 // The resolver published the sub-query's trace before its
                 // result became observable, so this is always present.
-                tb.children.extend(flight.ticket.trace());
+                trace.adopt(flight.ticket.trace());
                 // A response that fails re-verification is a failed shard.
                 let outcome =
                     outcome.and_then(|result| self.absorb(&flight, result, &mut gathered));
@@ -1075,7 +1035,7 @@ impl FederatedService {
         // federated scan is byte-identical to the oracle. Each winning
         // run moves once: into the one result vector, or into its chunk's
         // partition of the re-aggregation.
-        let merge_sw = Stopwatch::start();
+        let merge = SpanTimer::start();
         let columns = &query.columns;
         let has_agg = query
             .select
@@ -1096,12 +1056,7 @@ impl FederatedService {
             rows: rowset.rows,
             ..QueryResult::empty()
         };
-        let merge_secs = merge_sw.elapsed_secs();
-        self.obs
-            .metrics
-            .record_latency(names::LAT_MERGE, merge_secs);
-        tb.phases
-            .push((names::lat_phase(names::LAT_MERGE).into(), merge_secs));
+        trace.phase(names::LAT_MERGE, Some(&merge));
         if missing.is_empty() {
             Ok(FederatedResponse::Complete(result))
         } else {
@@ -1142,7 +1097,7 @@ impl FederatedService {
             hedge_timer: self.cfg.hedge_after.map(DeadlineBudget::root),
             hedged: false,
             is_hedge,
-            age: Stopwatch::start(),
+            age: SpanTimer::start(),
         });
         Ok(())
     }

@@ -40,7 +40,7 @@
 use crate::engine::{Prepared, QueryEngine, QueryResult, Request};
 use crate::overload::{BrownoutController, BrownoutTransition, CostClass, OverloadConfig};
 use orv_cluster::{CancelToken, DeadlineBudget, SLEEP_SLICE};
-use orv_obs::{names, FlightRecorder, JsonValue, QueryTrace, Stopwatch, TraceId, TraceOutcome};
+use orv_obs::{names, FlightRecorder, QueryTrace, SpanTimer, TraceId, TraceOutcome, TracedQuery};
 use orv_types::{Error, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -191,20 +191,6 @@ impl Landing {
     }
 }
 
-/// Per-query trace state carried from submit to resolve.
-struct TraceCtx {
-    id: TraceId,
-    parent: Option<TraceId>,
-    detail: String,
-    /// Started at submit entry; its elapsed time at resolve is the
-    /// query's end-to-end latency.
-    born: Stopwatch,
-    /// Re-armed when the job is queued; measures queue wait at claim.
-    queued: Stopwatch,
-    /// Time spent inside admission control (submit → queued).
-    admission_secs: f64,
-}
-
 struct Job {
     /// What to run — or why the statement did not bind: such a query is
     /// still admitted and resolves through its ticket like any other
@@ -212,7 +198,9 @@ struct Job {
     work: Result<Prepared>,
     cancel: CancelToken,
     slot: Arc<Slot>,
-    trace: TraceCtx,
+    trace: TracedQuery,
+    /// Started as the job was queued; closed at claim as `queue_wait`.
+    queued: SpanTimer,
 }
 
 /// The two-class admission queue: predicted-cheap queries wait in the
@@ -280,20 +268,14 @@ impl Inner {
     /// is counted exactly once — and the count lands *before* the waiter
     /// can observe the result, keeping `admitted == completed + cancelled`
     /// exact at the moment any ticket resolves.
-    fn resolve(
-        &self,
-        slot: &Slot,
-        ctx: &TraceCtx,
-        phases: Vec<(String, f64)>,
-        result: Result<QueryResult>,
-    ) {
+    fn resolve(&self, slot: &Slot, trace: TracedQuery, result: Result<QueryResult>) {
         let is_cancel = result.as_ref().err().is_some_and(Error::is_cancellation);
         let outcome = match &result {
             Ok(_) => TraceOutcome::Ok,
             Err(_) if is_cancel => TraceOutcome::Cancelled,
             Err(_) => TraceOutcome::Error,
         };
-        self.resolve_as(slot, ctx, phases, result, outcome);
+        self.resolve_as(slot, trace, result, outcome);
     }
 
     /// [`Inner::resolve`] with the outcome chosen by the caller — the
@@ -303,8 +285,7 @@ impl Inner {
     fn resolve_as(
         &self,
         slot: &Slot,
-        ctx: &TraceCtx,
-        phases: Vec<(String, f64)>,
+        trace: TracedQuery,
         result: Result<QueryResult>,
         outcome: TraceOutcome,
     ) {
@@ -317,7 +298,7 @@ impl Inner {
             TraceOutcome::Cancelled => self.count(&self.cancelled, names::SERVICE_CANCELLED),
             _ => self.count(&self.completed, names::SERVICE_COMPLETED),
         }
-        *relock(slot.trace.lock()) = Some(self.finish_trace(ctx, outcome, phases));
+        *relock(slot.trace.lock()) = Some(trace.end(outcome, &self.recorder));
         *cell = Some(result);
         slot.done.notify_all();
         if let Some(landing) = &slot.landing {
@@ -344,56 +325,22 @@ impl Inner {
         });
     }
 
-    /// Seal one query's trace: record its end-to-end latency (root
-    /// queries only — sub-queries are part of their parent's total), emit
-    /// `trace_end`, and offer the trace to the flight recorder.
-    fn finish_trace(
-        &self,
-        ctx: &TraceCtx,
-        outcome: TraceOutcome,
-        mut phases: Vec<(String, f64)>,
-    ) -> QueryTrace {
-        let total_secs = ctx.born.elapsed_secs();
-        phases.insert(
-            0,
-            (
-                names::lat_phase(names::LAT_ADMISSION).into(),
-                ctx.admission_secs,
-            ),
-        );
-        // Rejected queries never ran; their ~zero "latency" would only
-        // dilute the end-to-end distribution.
-        if ctx.parent.is_none() && outcome != TraceOutcome::Rejected {
-            self.engine
-                .obs()
-                .metrics
-                .record_latency(names::LAT_TOTAL, total_secs);
-        }
-        let trace = QueryTrace {
-            trace: ctx.id,
-            parent: ctx.parent,
-            group: self.group.clone(),
-            detail: ctx.detail.clone(),
-            outcome,
-            total_secs,
-            phases,
-            children: Vec::new(),
-        };
-        self.engine.obs().events.emit(names::TRACE_END, || {
-            vec![
-                ("trace", ctx.id.into()),
-                ("group", self.group.as_str().into()),
-                ("outcome", outcome.as_str().into()),
-                ("total_secs", total_secs.into()),
-            ]
-        });
-        self.recorder.record(trace.clone());
-        trace
+    /// Begin a query's trace in this service's group.
+    fn begin(&self, detail: String, parent: Option<TraceId>) -> TracedQuery {
+        TracedQuery::begin(self.engine.obs(), &self.group, detail, parent)
+    }
+
+    /// Resolve a job cancelled while still queued: the only phase that
+    /// happened is the queue wait — no exec row is minted.
+    fn cancel_queued(&self, mut job: Job) {
+        job.trace.phase(names::LAT_QUEUE_WAIT, Some(&job.queued));
+        let outcome = TraceOutcome::Cancelled;
+        self.resolve_as(&job.slot, job.trace, Err(Error::Cancelled), outcome);
     }
 
     fn worker_loop(&self) {
         loop {
-            let job = {
+            let mut job = {
                 let mut queue = relock(self.queue.lock());
                 loop {
                     if let Some(job) = queue.pop() {
@@ -405,9 +352,7 @@ impl Inner {
                     queue = relock(self.work.wait(queue));
                 }
             };
-            let metrics = &self.engine.obs().metrics;
-            let queue_wait = job.trace.queued.elapsed_secs();
-            metrics.record_latency(names::LAT_QUEUE_WAIT, queue_wait);
+            let queue_wait = job.trace.phase(names::LAT_QUEUE_WAIT, Some(&job.queued));
             // The same measurements that feed lat/queue_wait_secs drive
             // the brownout controller's latency alarm.
             self.controller.note_queue_wait(queue_wait);
@@ -417,18 +362,18 @@ impl Inner {
             // records only the queue wait: no exec phase ever happened.
             if let Err(e) = job.cancel.check() {
                 let outcome = if matches!(e, Error::DeadlineExceeded) {
+                    let metrics = &self.engine.obs().metrics;
                     metrics.counter(names::OVERLOAD_SHED_EXPIRED).add(1);
                     TraceOutcome::Shed
                 } else {
                     TraceOutcome::Cancelled
                 };
-                let phases = vec![(names::lat_phase(names::LAT_QUEUE_WAIT).into(), queue_wait)];
-                self.resolve_as(&job.slot, &job.trace, phases, Err(e), outcome);
+                self.resolve_as(&job.slot, job.trace, Err(e), outcome);
                 continue;
             }
             // The shard checkpoint gates every job this engine serves:
             // an injected shard death/slowdown hits here.
-            let exec = Stopwatch::start();
+            let exec = SpanTimer::start();
             let result = self
                 .engine
                 .shard_checkpoint(&job.cancel)
@@ -436,17 +381,12 @@ impl Inner {
                 .and_then(|prepared| {
                     let request = Request {
                         cancel: job.cancel.clone(),
-                        parent: Some(job.trace.id),
+                        parent: Some(job.trace.id()),
                     };
                     self.engine.run(&prepared, &request)
                 });
-            let exec_secs = exec.elapsed_secs();
-            metrics.record_latency(names::LAT_EXEC, exec_secs);
-            let phases = vec![
-                (names::lat_phase(names::LAT_QUEUE_WAIT).into(), queue_wait),
-                (names::lat_phase(names::LAT_EXEC).into(), exec_secs),
-            ];
-            self.resolve(&job.slot, &job.trace, phases, result);
+            job.trace.phase(names::LAT_EXEC, Some(&exec));
+            self.resolve(&job.slot, job.trace, result);
         }
     }
 }
@@ -498,17 +438,7 @@ impl QueryTicket {
             queue.remove_slot(&self.slot)
         };
         if let Some(job) = removed {
-            // Cancelled while queued: the only phase that happened is
-            // the queue wait — no exec row is minted.
-            let queue_wait = job.trace.queued.elapsed_secs();
-            let phases = vec![(names::lat_phase(names::LAT_QUEUE_WAIT).into(), queue_wait)];
-            self.inner.resolve_as(
-                &self.slot,
-                &job.trace,
-                phases,
-                Err(Error::Cancelled),
-                TraceOutcome::Cancelled,
-            );
+            self.inner.cancel_queued(job);
         }
     }
 
@@ -650,10 +580,10 @@ impl QueryService {
             Some(d) => CancelToken::with_deadline(d),
             None => CancelToken::new(),
         };
-        // Binding is part of admission: the clock starts before it.
-        let born = Stopwatch::start();
+        // Binding is part of admission: the query begins before it.
+        let trace = self.inner.begin(sql.to_string(), None);
         let work = self.inner.engine.prepare(sql);
-        self.enqueue(born, sql.to_string(), work, cancel.into(), None)
+        self.enqueue(trace, work, cancel, None)
     }
 
     /// Submit a bound statement under a caller-owned [`Request`]: its
@@ -664,8 +594,8 @@ impl QueryService {
     /// cancellation whatever the `Prepared` holds — the federation
     /// router's chunk scans take the same path, with a landing signal.
     pub fn submit_prepared(&self, prepared: Prepared, request: Request) -> Result<QueryTicket> {
-        let born = Stopwatch::start();
-        self.enqueue(born, prepared.detail.clone(), Ok(prepared), request, None)
+        let trace = self.inner.begin(prepared.detail.clone(), request.parent);
+        self.enqueue(trace, Ok(prepared), request.cancel, None)
     }
 
     /// [`QueryService::submit_prepared`], pulsing `landing` once the
@@ -677,36 +607,19 @@ impl QueryService {
         request: Request,
         landing: &Landing,
     ) -> Result<QueryTicket> {
-        let born = Stopwatch::start();
-        let detail = prepared.detail.clone();
-        self.enqueue(born, detail, Ok(prepared), request, Some(landing.clone()))
+        let trace = self.inner.begin(prepared.detail.clone(), request.parent);
+        self.enqueue(trace, Ok(prepared), request.cancel, Some(landing.clone()))
     }
 
     fn enqueue(
         &self,
-        born: Stopwatch,
-        detail: String,
+        mut trace: TracedQuery,
         work: Result<Prepared>,
-        request: Request,
+        cancel: CancelToken,
         landing: Option<Landing>,
     ) -> Result<QueryTicket> {
         let inner = &self.inner;
-        let Request { cancel, parent } = request;
-        let id = TraceId::mint();
-        inner.engine.obs().events.emit(names::TRACE_BEGIN, || {
-            vec![
-                ("trace", id.into()),
-                (
-                    "parent",
-                    match parent {
-                        Some(p) => p.into(),
-                        None => JsonValue::Null,
-                    },
-                ),
-                ("group", inner.group.as_str().into()),
-                ("detail", detail.as_str().into()),
-            ]
-        });
+        let id = trace.id();
         inner.count(&inner.submitted, names::SERVICE_SUBMITTED);
         // Classify by the §5 cost bound into the statement; one that did
         // not bind predicts zero and fails fast at a worker.
@@ -722,6 +635,8 @@ impl QueryService {
             let (_, transition) = inner.controller.observe(depth);
             let full = depth >= inner.cfg.queue_cap;
             let shed_by_policy = !full && !inner.controller.allows(class, depth);
+            // Admission ends with its decision, whichever way it went.
+            trace.phase(names::LAT_ADMISSION, None);
             if full || shed_by_policy {
                 drop(queue);
                 if let Some(t) = transition {
@@ -736,45 +651,19 @@ impl QueryService {
                         .counter(names::OVERLOAD_SHED_EXPENSIVE)
                         .add(1);
                 }
-                let admission_secs = born.elapsed_secs();
-                inner
-                    .engine
-                    .obs()
-                    .metrics
-                    .record_latency(names::LAT_ADMISSION, admission_secs);
-                let ctx = TraceCtx {
-                    id,
-                    parent,
-                    detail,
-                    born,
-                    queued: born,
-                    admission_secs,
-                };
-                inner.finish_trace(&ctx, TraceOutcome::Rejected, Vec::new());
+                trace.end(TraceOutcome::Rejected, &inner.recorder);
                 return Err(Error::Overloaded {
                     queued: depth,
                     cap: inner.cfg.queue_cap,
                     retry_after_ms: inner.controller.retry_after_ms(),
                 });
             }
-            let admission_secs = born.elapsed_secs();
-            inner
-                .engine
-                .obs()
-                .metrics
-                .record_latency(names::LAT_ADMISSION, admission_secs);
             let job = Job {
                 work,
                 cancel: cancel.clone(),
                 slot: Arc::clone(&slot),
-                trace: TraceCtx {
-                    id,
-                    parent,
-                    detail,
-                    born,
-                    queued: Stopwatch::start(),
-                    admission_secs,
-                },
+                trace,
+                queued: SpanTimer::start(),
             };
             match class {
                 CostClass::Cheap => {
@@ -820,15 +709,7 @@ impl Drop for QueryService {
         };
         for job in drained {
             job.cancel.cancel();
-            let queue_wait = job.trace.queued.elapsed_secs();
-            let phases = vec![(names::lat_phase(names::LAT_QUEUE_WAIT).into(), queue_wait)];
-            self.inner.resolve_as(
-                &job.slot,
-                &job.trace,
-                phases,
-                Err(Error::Cancelled),
-                TraceOutcome::Cancelled,
-            );
+            self.inner.cancel_queued(job);
         }
         self.inner.work.notify_all();
         for handle in self.workers.drain(..) {
@@ -869,6 +750,34 @@ mod tests {
         let c = svc.counters();
         assert_eq!((c.submitted, c.admitted, c.completed), (1, 1, 1));
         assert!(c.admission_balances() && c.completion_balances());
+    }
+
+    /// Each ticket's `exec` row and its `lat/exec_secs` sample are one
+    /// measurement: over many tickets the rows sum and count to the
+    /// histogram's sum and count.
+    #[test]
+    fn exec_rows_are_the_exec_samples() {
+        let svc = QueryService::new(engine(), ServiceConfig::default()).unwrap();
+        let rows: Vec<f64> = (0..16)
+            .map(|i| {
+                let sql = ["SELECT COUNT(*) FROM t1", "SELECT * FROM t2"][i % 2];
+                let ticket = svc.submit(sql).unwrap();
+                ticket.wait_cancellable(&CancelToken::none()).unwrap();
+                let trace = ticket.trace().unwrap();
+                let exec = trace.phases.iter().filter(|r| r.leaf() == "exec");
+                exec.map(|r| r.dur_secs).collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>()
+            .concat();
+        let snap = svc.engine().obs().metrics.snapshot();
+        let hist = &snap.histograms[names::LAT_EXEC];
+        assert_eq!(rows.len() as u64, hist.count);
+        let sum: f64 = rows.iter().sum();
+        assert!(
+            (sum - hist.sum).abs() <= 1e-12 * sum.max(1.0),
+            "{sum} vs {}",
+            hist.sum
+        );
     }
 
     #[test]
@@ -996,7 +905,7 @@ mod tests {
         ));
         let trace = ticket.trace().expect("resolved ticket has a trace");
         assert_eq!(trace.outcome, TraceOutcome::Shed);
-        let phase_names: Vec<&str> = trace.phases.iter().map(|(n, _)| n.as_str()).collect();
+        let phase_names: Vec<&str> = trace.phases.iter().map(|r| r.leaf()).collect();
         assert_eq!(
             phase_names,
             vec!["admission", "queue_wait"],
@@ -1028,7 +937,7 @@ mod tests {
             .trace()
             .expect("queue-side cancel resolves the trace");
         assert_eq!(trace.outcome, TraceOutcome::Cancelled);
-        let phase_names: Vec<&str> = trace.phases.iter().map(|(n, _)| n.as_str()).collect();
+        let phase_names: Vec<&str> = trace.phases.iter().map(|r| r.leaf()).collect();
         assert_eq!(phase_names, vec!["admission", "queue_wait"]);
         let c = svc.counters();
         assert_eq!((c.cancelled, c.shed), (1, 0));
@@ -1206,7 +1115,7 @@ mod tests {
         assert_eq!(landing.count(), seen + 2);
         // With nothing to land, the wait ends at its bound, or at once
         // under a cancelled token.
-        let clock = Stopwatch::start();
+        let clock = SpanTimer::start();
         landing.wait_past(seen + 2, Duration::from_millis(5), &forever);
         let cancelled = CancelToken::new();
         cancelled.cancel();

@@ -515,7 +515,7 @@ proptest! {
             let trace = t.trace().expect("resolved trace");
             prop_assert_eq!(trace.outcome, TraceOutcome::Shed);
             let phases: Vec<&str> =
-                trace.phases.iter().map(|(p, _)| p.as_str()).collect();
+                trace.phases.iter().map(|r| r.leaf()).collect();
             prop_assert!(
                 !phases.contains(&"exec"),
                 "a shed query must never execute: {phases:?}"

@@ -62,9 +62,9 @@ fn service_query_carries_trace_end_to_end() {
 
     // Phase attribution: the serving path decomposes into admission →
     // queue-wait → exec, and the parts cannot exceed the whole.
-    let phases: Vec<&str> = trace.phases.iter().map(|(p, _)| p.as_str()).collect();
+    let phases: Vec<&str> = trace.phases.iter().map(|r| r.leaf()).collect();
     assert_eq!(phases, ["admission", "queue_wait", "exec"]);
-    assert!(trace.phases.iter().all(|&(_, s)| s >= 0.0));
+    assert!(trace.phases.iter().all(|r| r.dur_secs >= 0.0));
     assert!(
         trace.phase_total_secs() <= trace.total_secs + 1e-6,
         "phases {:?} must sum to at most total {}",
@@ -152,7 +152,7 @@ fn federated_query_stitches_into_one_span_tree() {
     assert_eq!(root.group, "fed");
     assert_eq!(root.detail, sql);
     assert_eq!(root.outcome, TraceOutcome::Ok);
-    assert!(root.phases.iter().any(|(p, _)| p == "merge"));
+    assert!(root.phases.iter().any(|r| r.leaf() == "merge"));
     assert!(
         root.phase_total_secs() <= root.total_secs + 1e-6,
         "{:?} vs {}",
@@ -177,7 +177,7 @@ fn federated_query_stitches_into_one_span_tree() {
         assert_ne!(child.group, "fed", "children are shard groups");
         assert_eq!(child.parent, Some(root.trace));
         assert_eq!(child.outcome, TraceOutcome::Ok);
-        assert!(child.phases.iter().any(|(p, _)| p == "exec"));
+        assert!(child.phases.iter().any(|r| r.leaf() == "exec"));
         assert!(child.phase_total_secs() <= child.total_secs + 1e-6);
     }
     assert_eq!(root.tree_size(), 1 + root.children.len());
@@ -256,7 +256,10 @@ fn recorder_ranks_the_seeded_slow_query_first() {
         slowest[0].total_secs
     );
     assert!(
-        slowest[0].phases.iter().any(|(p, _)| p == "hedge_overhead"),
+        slowest[0]
+            .phases
+            .iter()
+            .any(|r| r.leaf() == "hedge_overhead"),
         "{:?}",
         slowest[0].phases
     );
