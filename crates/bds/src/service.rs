@@ -117,10 +117,12 @@ impl BdsService {
                 meta.node, self.node
             )));
         }
+        // Every fetch of a sub-table in one execution comes from one
+        // thread, so its fault draws are a pure function of the seed.
+        let stream = ((id.table.0 as u64) << 32) | id.chunk.0 as u64;
         let bytes = {
             let _read = self.spans.span_with(|| names::span_bds_read(self.node.0));
-            self.faults
-                .before_chunk_read(self.node.0 as u64, &self.cancel)?;
+            self.faults.before_chunk_read(stream, &self.cancel)?;
             let mut bytes = self.store.lock().read(&meta.location)?;
             self.bytes_read.add(bytes.len() as u64);
             self.chunk_reads
@@ -132,8 +134,7 @@ impl BdsService {
             if let Some(expected) = meta.checksum {
                 if self.faults.armed(Fault::ChunkCorrupt) {
                     let mut copy = bytes.to_vec();
-                    self.faults
-                        .corrupt_chunk_page(self.node.0 as u64, &mut copy);
+                    self.faults.corrupt_chunk_page(stream, &mut copy);
                     bytes = copy.into();
                 }
                 if let Err(e) = checksum::verify(expected, &bytes, format_args!("chunk {id}")) {
@@ -379,6 +380,47 @@ mod tests {
         let st = rd.fetch(id, None, &mut stats);
         assert_eq!(st.unwrap().num_rows(), 8);
         assert_eq!(stats.read_retries, 2);
+    }
+
+    #[test]
+    fn a_chunks_faults_do_not_depend_on_what_its_node_read_before() {
+        use orv_cluster::FaultPlan;
+        use orv_obs::EventLog;
+        let (d, h) = deployed();
+        // Chunks 0 and 2 both live on node 0 (block-cyclic).
+        let [a, b] = [0u32, 2].map(|c| SubTableId::new(h.table.0, c));
+        let node = |id| d.metadata().chunk_meta(id).unwrap().node;
+        assert_eq!(node(a), node(b));
+        for seed in 1..=16 {
+            // Per chunk, in reading order: the kinds injected into its
+            // fetch, its retries, and whether it was read.
+            let run = |order: [SubTableId; 2]| {
+                let plan = FaultPlan {
+                    seed,
+                    max_faults: 1_000,
+                    ..FaultPlan::none()
+                }
+                .with(Fault::ReadError, 0.5, 1_000);
+                let events = EventLog::enabled();
+                let injector = FaultInjector::new(plan, events.clone());
+                let rd = reader(&d, injector, Spans::disabled(), CancelToken::none());
+                let injected = || events.events_of_kind(names::FAULT_INJECTED);
+                order.map(|id| {
+                    let before = injected().len();
+                    let mut stats = RunStats::default();
+                    let read = rd.fetch(id, None, &mut stats).is_ok();
+                    let kinds: Vec<String> = injected()[before..]
+                        .iter()
+                        .map(|e| e.fields["kind"].as_str().unwrap().to_string())
+                        .collect();
+                    (kinds, stats.read_retries, read)
+                })
+            };
+            let [a_first, b_second] = run([a, b]);
+            let [b_first, a_second] = run([b, a]);
+            assert_eq!(a_first, a_second, "seed {seed}: chunk 0");
+            assert_eq!(b_first, b_second, "seed {seed}: chunk 2");
+        }
     }
 
     #[test]

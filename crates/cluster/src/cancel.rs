@@ -80,13 +80,6 @@ impl CancelToken {
         }
     }
 
-    /// Whether [`CancelToken::cancel`] has been called (deadline aside).
-    pub fn is_cancelled(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.cancelled.load(Ordering::Acquire))
-    }
-
     /// The instant after which [`check`](Self::check) fails, if any.
     pub fn deadline(&self) -> Option<Instant> {
         self.inner.as_ref().and_then(|i| i.deadline)
@@ -203,7 +196,6 @@ mod tests {
     fn none_token_never_fires() {
         let t = CancelToken::none();
         t.cancel();
-        assert!(!t.is_cancelled());
         assert!(t.check().is_ok());
         assert!(t.deadline().is_none());
         t.sleep(Duration::from_millis(1)).unwrap();
@@ -215,7 +207,6 @@ mod tests {
         let c = t.clone();
         assert!(t.check().is_ok());
         c.cancel();
-        assert!(t.is_cancelled());
         assert!(matches!(t.check(), Err(Error::Cancelled)));
     }
 

@@ -17,14 +17,18 @@
 //! draws, in order, and what an injection does there.
 //!
 //! Determinism model: every `(site, stream)` pair keeps its own draw
-//! counter, where the *stream* identifies the calling actor (the storage
-//! node reading a chunk, the GH sender, the compute node appending to
-//! scratch); draw `n` of stream `w` at site `s` is
+//! counter; draw `n` of stream `w` at site `s` is
 //! `splitmix64(seed ⊕ salt(s) ⊕ mix(w) ⊕ mix(n))` compared against the
-//! site's probability. Keying the streams by caller — rather than one
-//! global per-site counter — makes the draw sequence each actor sees a
-//! pure function of the seed, independent of how the OS scheduler
-//! interleaves threads, so chaos logs replay stably under CPU stress.
+//! site's probability. A stream names work that one thread at a time
+//! does within an execution: a chunk read draws on its sub-table's
+//! stream (a scan has one reader per node, GH one storage worker per
+//! node, and IJ's schedule keeps each component whole on one compute
+//! node), a frame on its sending storage node's, a scratch write or
+//! read-back on its compute node's queue. So the draws each stream sees
+//! are a pure function of the seed, whatever the thread interleaving.
+//! What interleaving still decides is which fired draw claims the last
+//! unit of a per-kind cap or of the global budget: where a cap binds,
+//! the event log can differ from run to run.
 //! A retry of the same operation still gets a *fresh* draw — injected
 //! faults are transient by construction. Two budgets bound the chaos: a
 //! per-kind cap ([`FaultPlan::num`]) and a global [`FaultPlan::max_faults`]
@@ -51,7 +55,6 @@ use orv_types::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::{Index, IndexMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -172,6 +175,9 @@ const SITE_SCRATCH: u64 = 0x53_43_52_54; // "SCRT"
 const SITE_CHUNK_CORRUPT: u64 = 0x43_43_4F_52; // "CCOR"
 const SITE_FRAME_CORRUPT: u64 = 0x46_43_4F_52; // "FCOR"
 const SITE_SCRATCH_CORRUPT: u64 = 0x53_43_4F_52; // "SCOR"
+/// Ledger keys of the checkpoints' operation counts.
+const SITE_WORKER: u64 = 0x57_4F_52_4B; // "WORK"
+const SITE_SHARD: u64 = 0x53_48_52_44; // "SHRD"
 
 /// One row per [`Fault`], in declaration order.
 #[rustfmt::skip]
@@ -317,18 +323,23 @@ impl FaultPlan {
 
     /// [`FaultPlan::from_seed`] plus silent corruption on every checksummed
     /// boundary (chunk pages, interconnect frames, scratch reads) — the
-    /// corruption-heavy plan the chaos CI matrix runs. Pair it with a
-    /// [`RecoveryPolicy`] whose `max_attempts` exceeds the sum of the
-    /// per-kind caps that can hit one operation (errors + corruptions),
-    /// e.g. 8, so recovery provably outlasts the budgets.
+    /// corruption-heavy plan the chaos CI matrix runs. The seed's worker
+    /// crash gets a twin on the other worker of two, so a two-node IJ
+    /// loses both workers and fails over to GH, whose frames and scratch
+    /// the plan corrupts too. `max_faults` is the sum of every cap, so
+    /// the global budget never binds. Pair it with a [`RecoveryPolicy`]
+    /// whose `max_attempts` exceeds the sum of the per-kind caps that can
+    /// hit one operation (errors + corruptions), e.g. 8, so recovery
+    /// provably outlasts the budgets.
     pub fn corrupting(seed: u64) -> Self {
-        FaultPlan {
-            max_faults: 13,
-            ..Self::from_seed(seed)
-        }
-        .with(Fault::ChunkCorrupt, 0.25, 2)
-        .with(Fault::FrameCorrupt, 0.20, 2)
-        .with(Fault::ScratchCorrupt, 0.20, 2)
+        let mut plan = Self::from_seed(seed);
+        let mut twin = plan.worker_panics[0].clone();
+        twin.worker = 1 - twin.worker;
+        plan.worker_panics.push(twin);
+        plan.max_faults = 14;
+        plan.with(Fault::ChunkCorrupt, 0.25, 2)
+            .with(Fault::FrameCorrupt, 0.20, 2)
+            .with(Fault::ScratchCorrupt, 0.20, 2)
     }
 
     /// The seeded overload plan the chaos matrix runs: a 2× client flood
@@ -527,23 +538,63 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Realizes a [`FaultPlan`] with deterministic draws, per-kind caps and a
 /// global budget. One injector is shared (via `Arc`) by every thread of
 /// one execution; create a fresh injector per execution so budgets reset.
+/// Every count lives in one `Ledger` behind one lock; a site the plan
+/// never arms returns before taking it.
 pub struct FaultInjector {
     plan: FaultPlan,
-    /// Draw counters keyed by `(counter key, stream)`; see
-    /// [`FaultInjector::inject`] for what the lock covers.
-    draws: Mutex<HashMap<(u64, u64), u64>>,
-    budget: AtomicU64,
-    /// Remaining cap per kind (delay kinds never take from theirs).
-    left: PerFault<AtomicU64>,
-    panic_fired: Vec<AtomicBool>,
-    worker_ops: Mutex<HashMap<usize, u64>>,
-    shard_dead: Vec<AtomicBool>,
-    /// Storm delays already applied, one slot per
-    /// [`ShardSlowStormSpec`]; saturates at the spec's `storm_len`.
-    shard_storm_fired: Vec<AtomicU64>,
-    shard_subqueries: Mutex<HashMap<usize, u64>>,
-    stats: Mutex<FaultStats>,
+    ledger: Mutex<Ledger>,
     events: EventLog,
+}
+
+/// Everything an injector counts. Nothing sleeps while it is locked: a
+/// caller sleeps out an injected delay after the lock is released.
+#[derive(Default)]
+struct Ledger {
+    /// Draws of the drawn kinds and operations of the checkpoints, keyed
+    /// by `(site, stream)`: a [`Row::counter`] and the caller's stream, or
+    /// a checkpoint and its worker or shard.
+    counts: HashMap<(u64, u64), u64>,
+    /// Units left of the global budget.
+    budget: u64,
+    /// Units left of each kind's cap (delay kinds never take from theirs).
+    left: PerFault<u64>,
+    /// Times each spec has fired, keyed by its event kind and its index in
+    /// the plan's list of that kind.
+    fired: HashMap<(&'static str, usize), u64>,
+    stats: FaultStats,
+}
+
+impl Ledger {
+    /// Count one at `(site, stream)`; returns the count before it.
+    fn next(&mut self, site: u64, stream: u64) -> u64 {
+        let n = self.counts.entry((site, stream)).or_insert(0);
+        *n += 1;
+        *n - 1
+    }
+
+    /// Take one unit of `kind`'s cap and of the global budget; both must
+    /// have a unit left.
+    fn take(&mut self, kind: Fault) -> bool {
+        let ok = self.budget > 0 && self.left[kind] > 0;
+        if ok {
+            self.budget -= 1;
+            self.left[kind] -= 1;
+        }
+        ok
+    }
+
+    /// Fire spec `i` of `kind`'s list once more, if it has fired fewer
+    /// than `times` times and, when `budgeted`, the global budget has a
+    /// unit left. A refusal is final: the budget only shrinks.
+    fn fire(&mut self, kind: &'static str, i: usize, times: u64, budgeted: bool) -> bool {
+        let fired = self.fired.get(&(kind, i)).copied().unwrap_or(0);
+        if fired >= times || (budgeted && self.budget == 0) {
+            return false;
+        }
+        self.budget -= budgeted as u64;
+        self.fired.insert((kind, i), fired + 1);
+        true
+    }
 }
 
 impl std::fmt::Debug for FaultInjector {
@@ -561,15 +612,11 @@ impl FaultInjector {
     pub fn new(plan: FaultPlan, events: EventLog) -> Arc<Self> {
         events.emit(names::FAULT_PLAN, || vec![("plan", plan.to_json_value())]);
         Arc::new(FaultInjector {
-            budget: AtomicU64::new(plan.max_faults),
-            left: PerFault(Fault::all().map(|k| AtomicU64::new(plan.num[k]))),
-            panic_fired: slots(&plan.worker_panics),
-            draws: Mutex::new(HashMap::new()),
-            worker_ops: Mutex::new(HashMap::new()),
-            shard_dead: slots(&plan.shard_deaths),
-            shard_storm_fired: slots(&plan.shard_slow_storms),
-            shard_subqueries: Mutex::new(HashMap::new()),
-            stats: Mutex::new(FaultStats::default()),
+            ledger: Mutex::new(Ledger {
+                budget: plan.max_faults,
+                left: plan.num,
+                ..Ledger::default()
+            }),
             events,
             plan,
         })
@@ -580,14 +627,9 @@ impl FaultInjector {
         FaultInjector::new(FaultPlan::none(), EventLog::disabled())
     }
 
-    /// The plan this injector realizes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Faults injected so far.
     pub fn stats(&self) -> FaultStats {
-        *self.stats.lock()
+        self.ledger.lock().stats
     }
 
     /// The event log injected faults are recorded into. Runtimes emit
@@ -604,21 +646,6 @@ impl FaultInjector {
         self.plan.prob[kind] > 0.0
     }
 
-    /// Take one unit from a per-kind cap and the global budget; both must
-    /// be available for a fault to fire.
-    fn take(&self, kind_left: &AtomicU64) -> bool {
-        if !take_one(kind_left) {
-            return false;
-        }
-        if take_one(&self.budget) {
-            true
-        } else {
-            // Give the per-kind unit back: the global budget is dry.
-            kind_left.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
-
     /// The one injection path of every [`Fault`] kind: draw `kinds` on
     /// `stream` in order, stopping at the first one injected. Draw `n` of a
     /// stream fires iff `splitmix64(seed ⊕ salt·φ ⊕ stream·ψ ⊕ n·χ) < prob`,
@@ -627,7 +654,7 @@ impl FaultInjector {
     /// global budget both have a unit left; it is then counted and logged.
     /// A corruption also flips one byte of `payload` (never drawn for an
     /// empty one) at an offset and nonzero mask from the draw hash, and
-    /// returns them beside the kind. The lock is held from draw to log so
+    /// returns them beside the kind. The ledger is held from draw to log so
     /// each stream's events land in draw order, and across all of `kinds`
     /// so one operation's draws are consecutive; a caller sleeps out an
     /// injected delay after it is released.
@@ -640,15 +667,13 @@ impl FaultInjector {
         if !kinds.iter().any(|&k| self.armed(k)) {
             return None;
         }
-        let mut draws = self.draws.lock();
+        let mut ledger = self.ledger.lock();
         kinds.iter().find_map(|&kind| {
             let (row, prob) = (kind.row(), self.plan.prob[kind]);
             if prob <= 0.0 || (kind.is_corruption() && payload.is_empty()) {
                 return None;
             }
-            let counter = draws.entry((row.counter, stream)).or_insert(0);
-            let draw = *counter;
-            *counter += 1;
+            let draw = ledger.next(row.counter, stream);
             let h = splitmix64(
                 self.plan.seed
                     ^ row.salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -656,8 +681,7 @@ impl FaultInjector {
                     ^ draw.wrapping_mul(0xD6E8_FEB8_6659_FD93),
             );
             // 53 uniform mantissa bits → [0, 1).
-            if (h >> 11) as f64 / (1u64 << 53) as f64 >= prob
-                || (row.capped && !self.take(&self.left[kind]))
+            if (h >> 11) as f64 / (1u64 << 53) as f64 >= prob || (row.capped && !ledger.take(kind))
             {
                 return None;
             }
@@ -673,7 +697,7 @@ impl FaultInjector {
                 payload[offset] ^= mask;
                 (offset, mask)
             });
-            self.stats.lock().injected[kind] += 1;
+            ledger.stats.injected[kind] += 1;
             self.events.emit(names::FAULT_INJECTED, || {
                 let mut fields = vec![
                     ("kind", row.kind.into()),
@@ -690,11 +714,11 @@ impl FaultInjector {
         })
     }
 
-    /// Call at the top of every chunk read, passing the reading node's
-    /// index as the draw stream. Sleeps for an injected slow read
-    /// (cancellably — a cancelled query must not pay the injected
-    /// latency); returns a typed transient error for an injected read
-    /// fault. The delay is drawn first, the error second, off one counter.
+    /// Call at the top of every chunk read, passing the sub-table's draw
+    /// stream. Sleeps for an injected slow read (cancellably — a
+    /// cancelled query must not pay the injected latency); returns a
+    /// typed transient error for an injected read fault. The delay is
+    /// drawn first, the error second, off one counter.
     pub fn before_chunk_read(&self, stream: u64, cancel: &CancelToken) -> Result<()> {
         if self.inject(&[Fault::ReadDelay], stream, &mut []).is_some() {
             cancel.sleep(Duration::from_millis(self.plan.num[Fault::ReadDelay]))?;
@@ -730,7 +754,8 @@ impl FaultInjector {
     }
 
     /// Maybe flip one byte of a chunk page *after* its checksum was
-    /// computed at generation time (`stream` = the serving storage node).
+    /// computed at generation time (`stream` = the sub-table's, as for
+    /// [`FaultInjector::before_chunk_read`]).
     /// Call only on pages that carry a checksum — an unverifiable flip
     /// would silently corrupt results. Returns the flip `(offset, mask)`.
     pub fn corrupt_chunk_page(&self, stream: u64, bytes: &mut [u8]) -> Option<(usize, u8)> {
@@ -786,20 +811,20 @@ impl FaultInjector {
         if self.plan.worker_panics.is_empty() {
             return;
         }
-        let ops = next_op(&self.worker_ops, worker);
-        for (i, spec) in self.plan.worker_panics.iter().enumerate() {
-            if spec.worker == worker
+        let mut ledger = self.ledger.lock();
+        let ops = ledger.next(SITE_WORKER, worker as u64);
+        let mut specs = self.plan.worker_panics.iter().enumerate();
+        if !specs.any(|(i, spec)| {
+            spec.worker == worker
                 && ops >= spec.after_ops
-                && !self.panic_fired[i].swap(true, Ordering::Relaxed)
-            {
-                if !take_one(&self.budget) {
-                    return;
-                }
-                self.stats.lock().worker_panics += 1;
-                self.emit_spec_fault("worker_panic", "worker_checkpoint", ("worker", worker), ops);
-                panic!("{INJECTED_PANIC_MARKER}: worker {worker} after {ops} ops");
-            }
+                && ledger.fire("worker_panic", i, 1, true)
+        }) {
+            return;
         }
+        ledger.stats.worker_panics += 1;
+        self.emit_spec_fault("worker_panic", "worker_checkpoint", ("worker", worker), ops);
+        drop(ledger);
+        panic!("{INJECTED_PANIC_MARKER}: worker {worker} after {ops} ops");
     }
 
     /// Federation shard checkpoint: call once per sub-query the shard is
@@ -812,77 +837,61 @@ impl FaultInjector {
     ///   permanent, so the router must fail over to replicas.
     ///
     /// The first death takes one unit of the global budget; staying dead
-    /// afterwards is free (one fault, many observations).
+    /// afterwards is free (one fault, many observations). A death the
+    /// budget refuses never fires: the budget only shrinks.
     pub fn shard_checkpoint(&self, shard: usize, cancel: &CancelToken) -> Result<()> {
         if self.plan.shard_deaths.is_empty() && self.plan.shard_slow_storms.is_empty() {
             return Ok(());
         }
-        // A dead shard stays dead: fail fast without advancing counters.
-        for (i, spec) in self.plan.shard_deaths.iter().enumerate() {
-            if spec.shard == shard && self.shard_dead[i].load(Ordering::Acquire) {
-                return Err(Error::Cluster(format!("injected: shard {shard} is down")));
+        let down = || Err(Error::Cluster(format!("injected: shard {shard} is down")));
+        let mut deaths = self.plan.shard_deaths.iter().enumerate();
+        let (delay_ms, dies) = {
+            let mut ledger = self.ledger.lock();
+            // A dead shard stays dead: fail fast without advancing counters.
+            let dead = |(i, spec): (usize, &ShardDeathSpec)| {
+                spec.shard == shard && ledger.fired.contains_key(&("shard_death", i))
+            };
+            if deaths.clone().any(dead) {
+                return down();
             }
-        }
-        let ops = next_op(&self.shard_subqueries, shard);
-        // Storms slow a *window* of consecutive sub-queries; each delay
-        // claims one slot of the spec's storm_len, so the storm ends
-        // deterministically after exactly that many slowed sub-queries.
-        for (i, spec) in self.plan.shard_slow_storms.iter().enumerate() {
-            if spec.shard == shard
-                && ops >= spec.after_subqueries
-                && self.shard_storm_fired[i]
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                        (n < spec.storm_len).then_some(n + 1)
-                    })
-                    .is_ok()
-            {
-                self.stats.lock().shard_slow_storm_delays += 1;
-                self.emit_spec_fault(
-                    "shard_slow_storm",
-                    "shard_checkpoint",
-                    ("shard", shard),
-                    ops,
-                );
-                cancel.sleep(Duration::from_millis(spec.delay_ms))?;
-            }
-        }
-        for (i, spec) in self.plan.shard_deaths.iter().enumerate() {
-            if spec.shard == shard
-                && ops >= spec.after_subqueries
-                && !self.shard_dead[i].swap(true, Ordering::AcqRel)
-            {
-                if !take_one(&self.budget) {
-                    // Budget dry: the death never fires. Clear the flag so
-                    // the fast path above keeps answering Ok.
-                    self.shard_dead[i].store(false, Ordering::Release);
-                    return Ok(());
+            let ops = ledger.next(SITE_SHARD, shard as u64);
+            // Storms slow a *window* of consecutive sub-queries: each
+            // delay is one firing of the spec, up to its storm_len.
+            let mut delay_ms = None;
+            for (i, spec) in self.plan.shard_slow_storms.iter().enumerate() {
+                if spec.shard == shard
+                    && ops >= spec.after_subqueries
+                    && ledger.fire("shard_slow_storm", i, spec.storm_len, false)
+                {
+                    ledger.stats.shard_slow_storm_delays += 1;
+                    self.emit_spec_fault(
+                        "shard_slow_storm",
+                        "shard_checkpoint",
+                        ("shard", shard),
+                        ops,
+                    );
+                    delay_ms = Some(delay_ms.unwrap_or(0) + spec.delay_ms);
                 }
-                self.stats.lock().shard_deaths += 1;
-                self.emit_spec_fault("shard_death", "shard_checkpoint", ("shard", shard), ops);
-                return Err(Error::Cluster(format!("injected: shard {shard} is down")));
             }
+            let dies = deaths.any(|(i, spec)| {
+                spec.shard == shard
+                    && ops >= spec.after_subqueries
+                    && ledger.fire("shard_death", i, 1, true)
+            });
+            if dies {
+                ledger.stats.shard_deaths += 1;
+                self.emit_spec_fault("shard_death", "shard_checkpoint", ("shard", shard), ops);
+            }
+            (delay_ms, dies)
+        };
+        if let Some(ms) = delay_ms {
+            cancel.sleep(Duration::from_millis(ms))?;
+        }
+        if dies {
+            return down();
         }
         Ok(())
     }
-}
-
-/// Count one operation of `actor`; returns how many it had done before.
-fn next_op(ops: &Mutex<HashMap<usize, u64>>, actor: usize) -> u64 {
-    let mut ops = ops.lock();
-    let n = ops.entry(actor).or_insert(0);
-    *n += 1;
-    *n - 1
-}
-
-/// One fresh flag or counter per spec.
-fn slots<T, S: Default>(specs: &[T]) -> Vec<S> {
-    specs.iter().map(|_| S::default()).collect()
-}
-
-/// Decrement `n` if positive; false when exhausted.
-fn take_one(n: &AtomicU64) -> bool {
-    n.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
-        .is_ok()
 }
 
 /// Bounded-retry policy the join runtimes wrap around every fetch, send
@@ -1305,7 +1314,7 @@ mod tests {
         }
         // Permanence is one fault, not many: exactly one budget unit.
         assert_eq!(inj.stats().shard_deaths, 1);
-        assert_eq!(inj.budget.load(Ordering::Relaxed), 4);
+        assert_eq!(inj.ledger.lock().budget, 4);
     }
 
     #[test]
@@ -1324,6 +1333,37 @@ mod tests {
         for _ in 0..4 {
             assert!(inj.shard_checkpoint(0, &c).is_ok());
         }
+        assert_eq!(inj.stats().shard_deaths, 0);
+    }
+
+    #[test]
+    fn a_death_the_budget_refuses_never_answers_down() {
+        // The refusal and the "is down" check read one ledger under one
+        // lock, so no concurrent call can see a death the budget refused.
+        let plan = FaultPlan {
+            seed: 11,
+            shard_deaths: vec![ShardDeathSpec {
+                shard: 0,
+                after_subqueries: 0,
+            }],
+            max_faults: 0,
+            ..FaultPlan::none()
+        };
+        let inj = injector(plan);
+        let errors: usize = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let c = CancelToken::none();
+                        (0..200_000)
+                            .filter(|_| inj.shard_checkpoint(0, &c).is_err())
+                            .count()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(errors, 0);
         assert_eq!(inj.stats().shard_deaths, 0);
     }
 

@@ -55,16 +55,6 @@ impl Resource {
         self.avail
     }
 
-    /// Configured rate (units/second).
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Earliest time a new request could begin service.
-    pub fn avail(&self) -> f64 {
-        self.avail
-    }
-
     /// Total busy time accumulated.
     pub fn busy_time(&self) -> f64 {
         self.busy
@@ -73,27 +63,6 @@ impl Resource {
     /// Total units served.
     pub fn served(&self) -> f64 {
         self.served
-    }
-
-    /// Utilization over a makespan.
-    pub fn utilization(&self, makespan: f64) -> f64 {
-        if makespan <= 0.0 {
-            0.0
-        } else {
-            self.busy / makespan
-        }
-    }
-
-    /// Per-request overhead in seconds.
-    pub fn overhead(&self) -> f64 {
-        self.overhead
-    }
-
-    /// Reset bookkeeping (rate kept).
-    pub fn reset(&mut self) {
-        self.avail = 0.0;
-        self.busy = 0.0;
-        self.served = 0.0;
     }
 }
 
@@ -122,18 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_reset() {
-        let mut r = Resource::new(4.0);
-        r.request(0.0, 8.0); // 2s busy
-        assert_eq!(r.utilization(4.0), 0.5);
-        assert_eq!(r.utilization(0.0), 0.0);
-        r.reset();
-        assert_eq!(r.busy_time(), 0.0);
-        assert_eq!(r.avail(), 0.0);
-        assert_eq!(r.rate(), 4.0);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
         let _ = Resource::new(0.0);
@@ -144,7 +101,6 @@ mod tests {
         let mut r = Resource::with_overhead(100.0, 0.5);
         assert_eq!(r.request(0.0, 100.0), 1.5);
         assert_eq!(r.request(0.0, 0.0), 2.0); // overhead even for zero bytes
-        assert_eq!(r.overhead(), 0.5);
         assert_eq!(r.busy_time(), 2.0);
     }
 
@@ -163,6 +119,6 @@ mod tests {
         }
         // 5000 units at rate 100 → 50 seconds.
         assert!((t - 50.0).abs() < 1e-9);
-        assert!((r.utilization(t) - 1.0).abs() < 1e-9);
+        assert!((r.busy_time() - t).abs() < 1e-9, "busy the whole time");
     }
 }

@@ -72,16 +72,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Cache hit rate in `[0, 1]` (0 if no fetches).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Publish every field into `metrics` as `{prefix}/{field}`. Counter
     /// fields add (publishing per-node stats repeatedly merges them the
     /// same way [`RunStats::merge`] does); wall time goes to a
@@ -172,11 +162,10 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.wall_secs, 2.0);
         assert_eq!(a.hash_builds, 15);
-        assert_eq!(a.cache_hit_rate(), 0.5);
+        assert_eq!((a.cache_hits, a.cache_misses), (4, 4));
         assert_eq!(a.read_retries, 2);
         assert_eq!(a.worker_panics, 1);
         assert_eq!(a.pairs_reassigned, 4);
-        assert_eq!(RunStats::default().cache_hit_rate(), 0.0);
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl SimCluster {
         self.cpus[ci].request(t, ops)
     }
 
-    /// Total busy time of the storage disks (diagnostics).
-    pub fn storage_disk_busy(&self) -> f64 {
-        self.storage_disks.iter().map(Resource::busy_time).sum()
-    }
-
     /// Total bytes moved over compute NICs (diagnostics).
     pub fn bytes_received(&self) -> f64 {
         self.compute_nics.iter().map(Resource::served).sum()

@@ -123,21 +123,6 @@ impl ClusterSpec {
         self.cpu_ops_per_sec / self.cpu_work_factor
     }
 
-    /// The cost models' aggregate transfer bandwidth
-    /// `min(Net_bw(n_s, n_j), readIO_bw · n_s)`.
-    ///
-    /// `Net_bw(n_s, n_j)` for a switched network is limited by whichever
-    /// side has fewer NICs, and by the fabric if capped.
-    pub fn aggregate_transfer_bw(&self) -> f64 {
-        let net = self.aggregate_net_bw();
-        let disks = if self.shared_fs {
-            self.disk_read_bw
-        } else {
-            self.disk_read_bw * self.n_storage as f64
-        };
-        net.min(disks)
-    }
-
     /// `Net_bw(n_s, n_j)`: aggregate network bandwidth between the storage
     /// and compute sides.
     pub fn aggregate_net_bw(&self) -> f64 {
@@ -185,13 +170,9 @@ mod tests {
         let mut s = ClusterSpec::paper_testbed(5, 3);
         // Network limited by the 3 compute NICs: 3 * 11.9 MB/s < 5 disks.
         assert_eq!(s.aggregate_net_bw(), 3.0 * 11.9e6);
-        assert_eq!(
-            s.aggregate_transfer_bw(),
-            (3.0 * 11.9e6f64).min(5.0 * 25.0e6)
-        );
         // Fabric cap dominates when small.
         s.fabric_bw = Some(10.0e6);
-        assert_eq!(s.aggregate_transfer_bw(), 10.0e6);
+        assert_eq!(s.aggregate_net_bw(), 10.0e6);
     }
 
     #[test]
@@ -199,7 +180,6 @@ mod tests {
         let s = ClusterSpec::paper_testbed_nfs(8);
         // One NIC and one disk on the storage side.
         assert_eq!(s.aggregate_net_bw(), 11.9e6);
-        assert_eq!(s.aggregate_transfer_bw(), 11.9e6f64.min(25.0e6));
     }
 
     #[test]

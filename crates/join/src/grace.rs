@@ -1218,7 +1218,10 @@ mod tests {
         // and count per attempt are part of the replay contract: one
         // `send_verdict` then `corrupt_frame` per bucket up to the first
         // hit; one `before_scratch_write`; one `corrupt_scratch_read`. No
-        // cap binds, so the multiset is a pure function of the seed.
+        // cap binds, so the multiset is a pure function of the seed. The
+        // `chunk_read` / `chunk_page` rows and `read_retries` were captured
+        // again when chunk reads moved from the storage node's draw stream
+        // to the sub-table's (`table << 32 | chunk`).
         let (d, t1, t2) = deploy([8, 8, 2], [4, 4, 2], [2, 8, 2], 2);
         let events = EventLog::enabled();
         let plan = FaultPlan {
@@ -1268,10 +1271,10 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let want: Vec<_> = [
-            draws("chunk_corrupt", "chunk_page", 1, &[3]),
+            draws("chunk_corrupt", "chunk_page", 3, &[0]),
             draws("frame_corrupt", "frame", 0, &[39]),
             draws("frame_corrupt", "frame", 1, &[12, 38]),
-            draws("read_error", "chunk_read", 0, &[0, 3]),
+            draws("read_error", "chunk_read", 0, &[0]),
             draws("scratch_corrupt", "scratch_read", 0, &[13]),
             draws("scratch_corrupt", "scratch_read", 1, &[3, 5, 6, 9, 16, 19]),
             draws(
@@ -1295,7 +1298,7 @@ mod tests {
         .concat();
         assert_eq!(got, want);
         // …and the retry accounting the parent reported for this seed.
-        assert_eq!(out.stats.read_retries, 3);
+        assert_eq!(out.stats.read_retries, 2);
         assert_eq!(out.stats.send_retries, 8);
         assert_eq!(out.stats.scratch_retries, 34);
         assert_eq!(out.stats.corruptions_detected, 11);

@@ -6,7 +6,8 @@
 //! 1. the query's rows match a no-fault oracle run,
 //! 2. every injected corruption was *detected* by a checksum (and under
 //!    `--heavy`, each of the three boundaries — chunk pages, frames,
-//!    scratch reads — was hit at least once), and
+//!    scratch reads — was hit at least once, after the plan's two worker
+//!    crashes failed the query over from IJ to GH), and
 //! 3. the whole run is written out as a replayable JSON-lines event log.
 //!
 //! ```text
@@ -15,7 +16,9 @@
 //!
 //! The event log lands in `chaos_events_<seed>.jsonl` whether the run
 //! passes or fails, so CI can upload it as an artifact for post-mortems.
-//! Any violated invariant exits nonzero.
+//! Any violated invariant exits nonzero. Every fault is drawn on a stream
+//! one thread owns (see `orv_cluster::fault`), so a seed prints the same
+//! lines on every run, however busy the machine is.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::{silence_injected_panics, Fault, FaultInjector, FaultPlan};
@@ -128,6 +131,10 @@ fn main() {
         .collect();
     if heavy && !silent.is_empty() {
         failures.push(format!("corruption-heavy plan never fired {silent:?}"));
+    }
+    // The plan crashes both IJ workers, so GH must have run after IJ.
+    if heavy && failovers.is_empty() {
+        failures.push("corruption-heavy plan never failed over from IJ".into());
     }
 
     if failures.is_empty() {

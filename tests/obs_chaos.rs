@@ -97,9 +97,11 @@ fn assert_log_replays(events: &EventLog, plan: &FaultPlan, stats: orv::cluster::
     );
 
     // Draw indices are strictly increasing per (site, stream) — the
-    // replay order. Streams are independent actors (storage node,
-    // sender, compute node), so ordering across streams is a scheduler
-    // artifact and deliberately unconstrained.
+    // replay order. A stream is work one thread does (a chunk read's
+    // sub-table, a frame's sending storage node, a scratch access's
+    // compute node), so ordering across streams is a scheduler artifact
+    // and deliberately unconstrained; so is which stream's draw claims
+    // the last unit of a cap.
     let mut by_group: std::collections::BTreeMap<(String, u64), Vec<u64>> =
         std::collections::BTreeMap::new();
     for e in &faults {
