@@ -1,11 +1,14 @@
 //! Cooperative cancellation with an optional deadline.
 //!
-//! A [`CancelToken`] is threaded from `QueryEngine::execute` down through
-//! BDS reads, both join runtimes and recovery backoff waits. Cancellation is *cooperative*: nothing is killed, every loop and
-//! every sleep checks the token, so a cancelled or over-deadline query
-//! unwinds promptly (bounded by one [`SLEEP_SLICE`]) through the normal
-//! error path — scratch RAII guards drop, worker threads are joined, and
-//! the caller sees a typed [`Error::Cancelled`] / [`Error::DeadlineExceeded`].
+//! A [`CancelToken`] is threaded from `QueryEngine::run` down through
+//! BDS reads, both join runtimes and recovery backoff waits, and a
+//! federated query hands each shard hop a [`CancelToken::child`] of its
+//! own. It is the one place a query's deadline lives. Cancellation is
+//! *cooperative*: nothing is killed, every loop and every sleep checks
+//! the token, so a cancelled or over-deadline query unwinds promptly
+//! (bounded by one [`SLEEP_SLICE`]) through the normal error path —
+//! scratch RAII guards drop, worker threads are joined, and the caller
+//! sees a typed [`Error::Cancelled`] / [`Error::DeadlineExceeded`].
 
 #![allow(
     clippy::disallowed_methods,
@@ -26,14 +29,26 @@ pub const SLEEP_SLICE: Duration = Duration::from_millis(250);
 struct Inner {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
+    /// The token this one was minted from by [`CancelToken::child`]:
+    /// cancelling it fires this one too.
+    parent: Option<Arc<Inner>>,
+}
+
+impl Inner {
+    fn cancelled(&self) -> bool {
+        self.cancelled.load(Ordering::Acquire)
+            || self.parent.as_ref().is_some_and(|p| p.cancelled())
+    }
 }
 
 /// A cancellation flag plus optional deadline, shared by every worker of
-/// one query.
+/// one query — the one place a query's time limit lives.
 ///
 /// The default token ([`CancelToken::none`]) can never fire and costs one
 /// branch per check, so fault-free paths stay hot. Clones share state:
-/// cancelling any clone cancels them all.
+/// cancelling any clone cancels them all. A [`child`](Self::child) is
+/// minted per fan-out hop: it fires whenever its parent does, and its
+/// deadline sits a margin before the parent's.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     inner: Option<Arc<Inner>>,
@@ -47,33 +62,39 @@ impl CancelToken {
 
     /// A cancellable token with no deadline.
     pub fn new() -> Self {
-        CancelToken {
-            inner: Some(Arc::new(Inner {
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-            })),
-        }
+        Self::minted(None, None)
     }
 
     /// A cancellable token that also fires once `timeout` has elapsed.
     pub fn with_deadline(timeout: Duration) -> Self {
-        Self::with_deadline_at(Instant::now() + timeout)
+        Self::minted(Some(Instant::now() + timeout), None)
     }
 
-    /// A cancellable token that fires at an absolute instant — the hook
-    /// [`DeadlineBudget`] uses to mint hop tokens that all point at the
-    /// *same* root deadline instead of restarting the countdown per hop.
-    pub fn with_deadline_at(until: Instant) -> Self {
+    fn minted(deadline: Option<Instant>, parent: Option<Arc<Inner>>) -> Self {
         CancelToken {
             inner: Some(Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
-                deadline: Some(until),
+                deadline,
+                parent,
             })),
         }
     }
 
-    /// Cancel the query; every clone observes it at its next check.
-    /// Cancelling a [`CancelToken::none`] token is a no-op.
+    /// The token for one fan-out hop: it fires whenever this one does,
+    /// and its deadline is this one's moved `margin` earlier (none if this
+    /// one has none), so the parent keeps time to collect, merge and
+    /// degrade after the child gives up. Deadlines only shrink down a
+    /// chain; an oversized margin gives an already-expired child.
+    /// Cancelling the child leaves its parent alone.
+    pub fn child(&self, margin: Duration) -> Self {
+        let deadline = self
+            .deadline()
+            .map(|d| d.checked_sub(margin).unwrap_or_else(Instant::now));
+        Self::minted(deadline, self.inner.clone())
+    }
+
+    /// Cancel the query; every clone and every child observes it at its
+    /// next check. Cancelling a [`CancelToken::none`] token is a no-op.
     pub fn cancel(&self) {
         if let Some(inner) = &self.inner {
             inner.cancelled.store(true, Ordering::Release);
@@ -85,17 +106,27 @@ impl CancelToken {
         self.inner.as_ref().and_then(|i| i.deadline)
     }
 
+    /// Time left before the deadline: `None` without one, zero once it
+    /// has passed — never negative. What a bounded wait waits at most.
+    pub fn remaining(&self) -> Option<Duration> {
+        self.deadline()
+            .map(|d| d.saturating_duration_since(Instant::now()))
+    }
+
     /// Fail fast if the query was cancelled or ran past its deadline.
     ///
     /// This is the single cancellation propagation point: sprinkle it at
-    /// the top of every per-chunk / per-batch / per-bucket loop body.
+    /// the top of every per-chunk / per-batch / per-bucket loop body. It
+    /// takes no lock; a child pays one more atomic load per generation.
     pub fn check(&self) -> Result<()> {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
-        if inner.cancelled.load(Ordering::Acquire) {
+        if inner.cancelled() {
             return Err(Error::Cancelled);
         }
+        // A child's deadline is never later than its parent's, so its
+        // own is the one to test.
         if inner.deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(Error::DeadlineExceeded);
         }
@@ -115,76 +146,11 @@ impl CancelToken {
                 return Ok(());
             }
             let mut slice = (until - now).min(SLEEP_SLICE);
-            if let Some(deadline) = self.deadline() {
-                slice = slice.min(deadline.saturating_duration_since(now));
+            if let Some(left) = self.remaining() {
+                slice = slice.min(left);
             }
             std::thread::sleep(slice.max(Duration::from_millis(1)));
         }
-    }
-}
-
-/// A monotone-shrinking deadline budget, threaded submit → queue →
-/// engine → every federated sub-query.
-///
-/// The root deadline is fixed once at submit; each fan-out hop derives a
-/// *smaller* budget by subtracting a hop margin ([`shrink`]), leaving the
-/// parent time to collect, merge and degrade after the child gives up.
-/// Budgets only ever shrink — [`shrink`] can never move the deadline
-/// later, and [`remaining`] saturates at zero — so a chain of hops is
-/// monotone non-increasing and never negative no matter how margins are
-/// chosen. A root budget also bounds a caller's wait (a ticket's
-/// `wait_timeout`, the router's hedge timer). Lives here because this
-/// module is the runtime's one sanctioned wall-clock site (lint rule L006).
-///
-/// [`shrink`]: DeadlineBudget::shrink
-/// [`remaining`]: DeadlineBudget::remaining
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineBudget {
-    until: Instant,
-}
-
-impl DeadlineBudget {
-    /// A root budget of `total` starting now.
-    pub fn root(total: Duration) -> Self {
-        DeadlineBudget {
-            until: Instant::now() + total,
-        }
-    }
-
-    /// The budget a deadline-bearing token implies, if it has one.
-    pub fn from_token(token: &CancelToken) -> Option<Self> {
-        token.deadline().map(|until| DeadlineBudget { until })
-    }
-
-    /// Derive the child budget for one fan-out hop: the deadline moves
-    /// *earlier* by `hop_margin` (saturating — it never moves later, and
-    /// an oversized margin simply yields an already-expired budget).
-    pub fn shrink(&self, hop_margin: Duration) -> Self {
-        DeadlineBudget {
-            until: self.until.checked_sub(hop_margin).unwrap_or(self.until),
-        }
-    }
-
-    /// The absolute instant this budget expires. Exposed so budget
-    /// chains can be compared without racing the clock.
-    pub fn hard_deadline(&self) -> Instant {
-        self.until
-    }
-
-    /// Time left before expiry (zero once expired — never negative).
-    pub fn remaining(&self) -> Duration {
-        self.until.saturating_duration_since(Instant::now())
-    }
-
-    /// Whether the budget has fully expired.
-    pub fn expired(&self) -> bool {
-        self.remaining().is_zero()
-    }
-
-    /// Mint a cancellable token that fires at this budget's deadline —
-    /// the token handed to the next hop.
-    pub fn token(&self) -> CancelToken {
-        CancelToken::with_deadline_at(self.until)
     }
 }
 
@@ -250,50 +216,81 @@ mod tests {
 
     #[test]
     fn deadline_budget_counts_down_and_expires() {
-        let b = DeadlineBudget::root(Duration::from_millis(40));
-        assert!(!b.expired());
-        assert!(b.remaining() <= Duration::from_millis(40));
+        let t = CancelToken::with_deadline(Duration::from_millis(40));
+        let left = t.remaining().unwrap();
+        assert!(!left.is_zero() && left <= Duration::from_millis(40));
         std::thread::sleep(Duration::from_millis(50));
-        assert!(b.expired());
-        assert_eq!(b.remaining(), Duration::ZERO);
+        assert_eq!(t.remaining(), Some(Duration::ZERO));
+        assert!(matches!(t.check(), Err(Error::DeadlineExceeded)));
+        assert_eq!(CancelToken::new().remaining(), None);
+        assert_eq!(CancelToken::none().remaining(), None);
     }
 
     #[test]
     fn deadline_budget_shrinks_monotonically() {
-        let root = DeadlineBudget::root(Duration::from_secs(10));
-        let hop1 = root.shrink(Duration::from_millis(250));
-        let hop2 = hop1.shrink(Duration::from_millis(250));
-        assert!(hop1.hard_deadline() < root.hard_deadline());
-        assert!(hop2.hard_deadline() < hop1.hard_deadline());
+        let root = CancelToken::with_deadline(Duration::from_secs(10));
+        let hop1 = root.child(Duration::from_millis(250));
+        let hop2 = hop1.child(Duration::from_millis(250));
+        assert!(hop1.deadline() < root.deadline());
+        assert!(hop2.deadline() < hop1.deadline());
         assert!(hop2.remaining() <= hop1.remaining());
-        assert!(!root.expired());
+        assert!(root.check().is_ok() && hop2.check().is_ok());
         // A zero margin is a fixed point, never a later deadline.
-        assert_eq!(
-            hop2.shrink(Duration::ZERO).hard_deadline(),
-            hop2.hard_deadline()
-        );
+        assert_eq!(hop2.child(Duration::ZERO).deadline(), hop2.deadline());
     }
 
     #[test]
     fn deadline_budget_saturates_instead_of_going_negative() {
-        let root = DeadlineBudget::root(Duration::from_millis(5));
-        let spent = root.shrink(Duration::from_secs(3600));
-        assert!(spent.expired());
-        assert_eq!(spent.remaining(), Duration::ZERO);
-        // Expired budgets mint tokens that fail check() immediately.
-        assert!(matches!(
-            spent.token().check(),
-            Err(Error::DeadlineExceeded)
-        ));
+        let root = CancelToken::with_deadline(Duration::from_millis(5));
+        for margin in [Duration::from_secs(3600), Duration::MAX] {
+            let spent = root.child(margin);
+            assert_eq!(spent.remaining(), Some(Duration::ZERO));
+            // An oversized margin mints an already-expired child.
+            assert!(matches!(spent.check(), Err(Error::DeadlineExceeded)));
+        }
+        assert!(root.check().is_ok());
     }
 
     #[test]
-    fn deadline_budget_round_trips_through_tokens() {
-        let root = DeadlineBudget::root(Duration::from_secs(5));
-        let token = root.token();
-        let back = DeadlineBudget::from_token(&token).unwrap();
-        assert_eq!(back.hard_deadline(), root.hard_deadline());
-        assert!(DeadlineBudget::from_token(&CancelToken::new()).is_none());
-        assert!(DeadlineBudget::from_token(&CancelToken::none()).is_none());
+    fn child_of_a_deadline_free_parent_has_no_deadline() {
+        for parent in [CancelToken::new(), CancelToken::none()] {
+            let child = parent.child(Duration::from_secs(1));
+            assert_eq!(child.deadline(), None);
+            assert_eq!(child.remaining(), None);
+            assert!(child.check().is_ok());
+        }
+        // A child of an inert parent is still cancellable itself.
+        let child = CancelToken::none().child(Duration::ZERO);
+        child.cancel();
+        assert!(matches!(child.check(), Err(Error::Cancelled)));
+    }
+
+    #[test]
+    fn a_cancelled_parent_fires_every_descendant() {
+        let root = CancelToken::new();
+        let child = root.child(Duration::ZERO);
+        let grandchild = child.child(Duration::ZERO);
+        let sibling = root.child(Duration::ZERO);
+        root.cancel();
+        for t in [&root, &child, &grandchild, &sibling] {
+            assert!(matches!(t.check(), Err(Error::Cancelled)));
+        }
+        // A deadline-bearing child reports the cancel, not the deadline.
+        let root = CancelToken::with_deadline(Duration::from_secs(60));
+        let child = root.child(Duration::from_secs(120));
+        root.cancel();
+        assert!(matches!(child.check(), Err(Error::Cancelled)));
+    }
+
+    #[test]
+    fn cancelling_a_child_leaves_its_parent_alone() {
+        let root = CancelToken::new();
+        let child = root.child(Duration::ZERO);
+        let grandchild = child.child(Duration::ZERO);
+        let sibling = root.child(Duration::ZERO);
+        child.cancel();
+        assert!(matches!(grandchild.check(), Err(Error::Cancelled)));
+        assert!(root.check().is_ok());
+        assert!(sibling.check().is_ok());
     }
 }

@@ -38,8 +38,8 @@
 //! threaten correctness, only pacing.
 //!
 //! [`RecoveryPolicy`] is the other half: bounded retries with exponential
-//! backoff and a per-operation deadline, used by the join runtimes around
-//! every fetch, send, and scratch write.
+//! backoff under the query's [`CancelToken`], used by the join runtimes
+//! around every fetch, send, and scratch write.
 //!
 //! Silent corruption is injected the same way but detected differently:
 //! the corruption kinds ([`Fault::ChunkCorrupt`], [`Fault::FrameCorrupt`],
@@ -50,7 +50,7 @@
 //! results, which is exactly what the chaos suite asserts cannot happen.
 
 use crate::cancel::CancelToken;
-use orv_obs::{names, obj, EventLog, JsonValue, SpanTimer};
+use orv_obs::{names, obj, EventLog, JsonValue};
 use orv_types::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -896,22 +896,19 @@ impl FaultInjector {
 
 /// Bounded-retry policy the join runtimes wrap around every fetch, send
 /// and scratch access: up to `max_attempts` tries with exponential backoff
-/// (capped at 250 ms per sleep) under an overall per-operation deadline.
+/// (capped at 250 ms per sleep), for as long as the query's token lets it.
 ///
 /// [`RecoveryPolicy::run_cancellable`] is the one retry loop of the join
 /// runtimes: a caller hands it the fallible attempt as a closure and gets
 /// the outcome plus the retry count back. Nothing outside this module
-/// tests attempt exhaustion or the deadline, and nothing in `orv-join`
-/// sleeps a backoff itself (`orv-lint` L007 keeps it so).
+/// tests attempt exhaustion, and nothing in `orv-join` sleeps a backoff
+/// itself (`orv-lint` L007 keeps it so).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecoveryPolicy {
     /// Total attempts per operation (1 = no retry).
     pub max_attempts: u32,
     /// First backoff sleep, milliseconds; doubles per retry.
     pub base_backoff_ms: u64,
-    /// Per-operation deadline, milliseconds; exceeding it fails the
-    /// operation with `Error::Cluster` even if attempts remain.
-    pub op_deadline_ms: u64,
 }
 
 impl Default for RecoveryPolicy {
@@ -919,7 +916,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_attempts: 4,
             base_backoff_ms: 2,
-            op_deadline_ms: 5_000,
         }
     }
 }
@@ -931,12 +927,6 @@ impl RecoveryPolicy {
         Duration::from_millis(ms.min(250))
     }
 
-    /// Whether the per-operation deadline has passed for an operation
-    /// started at `start`.
-    fn deadline_exceeded(&self, start: &SpanTimer) -> bool {
-        start.elapsed_secs() * 1e3 >= self.op_deadline_ms as f64
-    }
-
     /// True once `retries` has used up the attempt budget (attempt count
     /// is `retries + 1`; a policy always grants at least one attempt).
     fn attempts_exhausted(&self, retries: u64) -> bool {
@@ -945,20 +935,18 @@ impl RecoveryPolicy {
 
     /// Run `op` under this policy, observing a [`CancelToken`]. Returns
     /// the final result plus the number of retries performed (0 when the
-    /// first attempt succeeds). Cancellation is checked before every
-    /// attempt, backoff sleeps wake within one slice of a cancel, and a
-    /// cancellation error from `op` itself is returned immediately —
-    /// retrying cannot un-cancel a query. Once the attempts are used up
-    /// `op`'s last error is returned unchanged; past the deadline it is
-    /// wrapped in an `Error::Cluster` naming the deadline.
+    /// first attempt succeeds). The loop ends at the attempt cap — with
+    /// `op`'s last error, unchanged — or when the token fires: it is
+    /// checked before every attempt, backoff sleeps wake within one slice
+    /// of a cancel and stop at the token's deadline, and a cancellation
+    /// error from `op` itself is returned immediately — retrying cannot
+    /// un-cancel a query. The policy keeps no clock of its own: a time
+    /// limit is the token's.
     pub fn run_cancellable<T>(
         &self,
         cancel: &CancelToken,
         mut op: impl FnMut() -> Result<T>,
     ) -> (Result<T>, u64) {
-        // Deadline accounting uses real elapsed time; the backoff draws
-        // stay seed-deterministic.
-        let start = SpanTimer::start();
         let mut retries: u64 = 0;
         loop {
             if let Err(c) = cancel.check() {
@@ -967,18 +955,8 @@ impl RecoveryPolicy {
             match op() {
                 Ok(v) => return (Ok(v), retries),
                 Err(e) if e.is_cancellation() => return (Err(e), retries),
-                Err(e) => {
-                    if self.attempts_exhausted(retries) {
-                        return (Err(e), retries);
-                    }
-                    if self.deadline_exceeded(&start) {
-                        let err = Error::Cluster(format!(
-                            "operation exceeded {} ms deadline after {} attempts: {e}",
-                            self.op_deadline_ms,
-                            retries + 1
-                        ));
-                        return (Err(err), retries);
-                    }
+                Err(e) if self.attempts_exhausted(retries) => return (Err(e), retries),
+                Err(_) => {
                     if let Err(c) = cancel.sleep(self.backoff(retries as u32)) {
                         return (Err(c), retries);
                     }
@@ -1459,7 +1437,6 @@ mod tests {
         let policy = RecoveryPolicy {
             max_attempts: 5,
             base_backoff_ms: 1,
-            op_deadline_ms: 5_000,
         };
         let mut failures_left = 3;
         let (out, retries) = policy.run_cancellable(&CancelToken::none(), || {
@@ -1479,7 +1456,6 @@ mod tests {
         let policy = RecoveryPolicy {
             max_attempts: 3,
             base_backoff_ms: 1,
-            op_deadline_ms: 5_000,
         };
         let mut calls = 0;
         let (out, retries) = policy.run_cancellable(&CancelToken::none(), || -> Result<()> {
@@ -1491,20 +1467,27 @@ mod tests {
         assert_eq!(retries, 2);
     }
 
+    /// A retry loop ends at its attempt cap or when the query's token
+    /// fires; past the token's deadline it stops with `DeadlineExceeded`.
     #[test]
     fn recovery_respects_deadline() {
         let policy = RecoveryPolicy {
             max_attempts: 1_000,
             base_backoff_ms: 5,
-            op_deadline_ms: 20,
         };
+        assert!(!policy.attempts_exhausted(0));
+        assert!(policy.attempts_exhausted(999));
+        let token = CancelToken::with_deadline(Duration::from_millis(40));
         let start = Instant::now();
-        let (out, _) = policy.run_cancellable(&CancelToken::none(), || -> Result<()> {
+        let mut calls = 0;
+        let (out, _) = policy.run_cancellable(&token, || -> Result<()> {
+            calls += 1;
             Err(Error::Cluster("slow".into()))
         });
-        let msg = out.unwrap_err().to_string();
-        assert!(msg.contains("deadline"), "{msg}");
+        assert!(matches!(out, Err(Error::DeadlineExceeded)), "{out:?}");
+        assert!(start.elapsed() >= Duration::from_millis(40));
         assert!(start.elapsed() < Duration::from_secs(2));
+        assert!(calls > 1 && calls < 1_000, "{calls} attempts");
     }
 
     #[test]
@@ -1723,7 +1706,6 @@ mod tests {
         let policy = RecoveryPolicy {
             max_attempts: 1_000,
             base_backoff_ms: 60_000,
-            op_deadline_ms: 600_000,
         };
         let cancel = CancelToken::new();
         cancel.cancel();
@@ -1741,7 +1723,6 @@ mod tests {
         let policy = RecoveryPolicy {
             max_attempts: 10,
             base_backoff_ms: 1,
-            op_deadline_ms: 5_000,
         };
         let mut calls = 0;
         let (out, _) = policy.run_cancellable(&CancelToken::none(), || -> Result<()> {
@@ -1752,16 +1733,16 @@ mod tests {
         assert_eq!(calls, 1, "cancellation must short-circuit retries");
     }
 
+    /// The deadline a retry loop obeys is the token's: it holds before the
+    /// deadline and fires after it, while the attempt cap is the policy's.
     #[test]
     fn deadline_helper_matches_policy() {
-        let p = RecoveryPolicy {
-            op_deadline_ms: 10,
-            ..RecoveryPolicy::default()
-        };
-        let start = SpanTimer::start();
-        assert!(!p.deadline_exceeded(&start));
+        let p = RecoveryPolicy::default();
+        let token = CancelToken::with_deadline(Duration::from_millis(10));
+        assert!(token.check().is_ok());
         std::thread::sleep(Duration::from_millis(15));
-        assert!(p.deadline_exceeded(&start));
+        assert!(matches!(token.check(), Err(Error::DeadlineExceeded)));
+        assert_eq!(token.remaining(), Some(Duration::ZERO));
         assert!(!p.attempts_exhausted(0));
         assert!(p.attempts_exhausted(3));
     }
@@ -1771,7 +1752,6 @@ mod tests {
         let p = RecoveryPolicy {
             max_attempts: 10,
             base_backoff_ms: 2,
-            op_deadline_ms: 1_000,
         };
         assert_eq!(p.backoff(0), Duration::from_millis(2));
         assert_eq!(p.backoff(1), Duration::from_millis(4));

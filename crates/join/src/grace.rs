@@ -91,7 +91,7 @@ pub struct GraceHashConfig {
     pub range: Option<BoundingBox>,
     /// Optional fault injector exercising the execution (tests/chaos).
     pub faults: Option<Arc<FaultInjector>>,
-    /// Retry/backoff/deadline policy for reads, sends and scratch writes.
+    /// Retry/backoff policy for reads, sends and scratch writes.
     pub recovery: RecoveryPolicy,
     /// Cooperative cancellation: every worker loop and every recovery
     /// sleep observes this token, so a cancel (or deadline) unwinds the
@@ -1174,7 +1174,6 @@ mod tests {
             recovery: RecoveryPolicy {
                 max_attempts: 2,
                 base_backoff_ms: 0,
-                ..RecoveryPolicy::default()
             },
             ..Default::default()
         };
@@ -1244,7 +1243,6 @@ mod tests {
             recovery: RecoveryPolicy {
                 max_attempts: 8,
                 base_backoff_ms: 0,
-                op_deadline_ms: 60_000,
             },
             ..Default::default()
         };

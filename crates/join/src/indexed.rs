@@ -19,7 +19,7 @@
 //!
 //! Every sub-table fetch goes through the execution's
 //! [`SubTableReader`], which reads under the configured [`RecoveryPolicy`]
-//! (bounded retries, exponential backoff, per-operation deadline), so
+//! (bounded retries, exponential backoff under the query's token), so
 //! transient storage faults are retried rather than fatal. Each round's
 //! workers run on `orv_cluster::workers::run_workers`, which contains a
 //! panic as a typed `WorkerEnd::Panicked` and joins every handle: a
@@ -70,7 +70,7 @@ pub struct IndexedJoinConfig {
     pub range: Option<BoundingBox>,
     /// Optional fault injector exercising the execution (tests/chaos).
     pub faults: Option<Arc<FaultInjector>>,
-    /// Retry/backoff/deadline policy for storage fetches.
+    /// Retry/backoff policy for storage fetches.
     pub recovery: RecoveryPolicy,
     /// Cooperative cancellation: checked before every pair and observed by
     /// fetch retries/backoff, so a cancel (or deadline) unwinds the join

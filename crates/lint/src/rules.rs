@@ -209,7 +209,7 @@ fn l005_obs_names_from_registry(f: &FnSummary, out: &mut Vec<Diagnostic>) {
 }
 
 /// L007 — retry loops in runtime paths must be governed by
-/// `RecoveryPolicy` (attempt cap + deadline + backoff) or the
+/// `RecoveryPolicy` (attempt cap + cancellable backoff) or the
 /// federation's `Governor` (success-funded token draws).
 ///
 /// An ad-hoc `loop { attempt += 1 }` has no attempt cap a chaos test can

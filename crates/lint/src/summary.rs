@@ -177,19 +177,19 @@ const HAZARDS: &[(&str, &str)] = &[
     ("read_exact", "file I/O"),
 ];
 
-/// Identifiers that show cancellation/deadline/shutdown is observed.
-/// `sleep` is both: the only sanctioned `.sleep` is `CancelToken::sleep`
+/// Identifiers that show cancellation/deadline/shutdown is observed —
+/// each a method some workspace type has: `CancelToken`'s `check`,
+/// `sleep` and `remaining`, the ticket's `wait_cancellable`, the retry
+/// policy's `run_cancellable`, and `shutdown`. `sleep` is both a marker
+/// and a blocking site: the only sanctioned `.sleep` is `CancelToken::sleep`
 /// (clippy.toml bans `thread::sleep`), which returns `Err(Cancelled)`
 /// between 250 ms slices.
 const CANCEL_MARKERS: &[&str] = &[
     "check",
-    "is_cancelled",
     "sleep",
     "wait_cancellable",
     "run_cancellable",
-    "expired",
     "remaining",
-    "hard_deadline",
     "shutdown",
 ];
 

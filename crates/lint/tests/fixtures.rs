@@ -504,6 +504,19 @@ fn f(m: &Mutex<bool>, c: &Condvar) {
 ";
     let diags = lint_set(&[(QUERY_PATH, unkillable)]);
     assert!(diags.iter().any(|d| d.rule == "L009"), "{diags:?}");
+    // A poll by a name no workspace method has is no cancellation point.
+    let unknown_poll = "\
+trait Flag { fn is_cancelled(&self) -> bool; }
+fn f(m: &Mutex<bool>, c: &Condvar, flag: &dyn Flag) {
+    let mut g = m.lock();
+    loop {
+        if flag.is_cancelled() { return; }
+        g = c.wait(g);
+    }
+}
+";
+    let diags = lint_set(&[(QUERY_PATH, unknown_poll)]);
+    assert!(diags.iter().any(|d| d.rule == "L009"), "{diags:?}");
     // Polling the token in the loop makes it killable.
     let polite = "\
 fn f(m: &Mutex<bool>, c: &Condvar, cancel: &CancelToken) -> Result<()> {
@@ -519,13 +532,14 @@ fn f(m: &Mutex<bool>, c: &Condvar, cancel: &CancelToken) -> Result<()> {
         lint_set(&[(QUERY_PATH, polite)]).is_empty(),
         "cancel-polling loop must be clean"
     );
-    // A deadline-budget bound counts as a cancellation point too.
+    // A wait bounded by the token's remaining time counts as a
+    // cancellation point too.
     let budgeted = "\
-fn f(m: &Mutex<bool>, c: &Condvar, budget: &DeadlineBudget) {
+fn f(m: &Mutex<bool>, c: &Condvar, deadline: &CancelToken) {
     let mut g = m.lock();
     loop {
-        if budget.expired() { return; }
-        let (h, _) = c.wait_timeout(g, budget.remaining());
+        let Some(left) = deadline.remaining().filter(|l| !l.is_zero()) else { return };
+        let (h, _) = c.wait_timeout(g, left);
         g = h;
     }
 }

@@ -30,7 +30,6 @@ use orv_types::{BoundingBox, ChunkId, Error, Record, Result, SubTableId, TableId
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Canonical lowercase name of a QES algorithm, as used by
 /// [`orv_obs::required_phases`] and the `qes_choice` event stream.
@@ -256,9 +255,6 @@ pub struct QueryEngine {
     /// Optional fault injector handed down to every join execution
     /// (chaos tests drive the whole engine through one plan).
     faults: Option<Arc<FaultInjector>>,
-    /// Per-query wall-clock budget; [`QueryEngine::execute`] derives a
-    /// deadline-bearing [`CancelToken`] from it for each statement.
-    query_deadline: Option<Duration>,
     /// Identity of this engine inside a federation (None = standalone).
     /// Drives shard-scoped fault checkpoints and `fed{N}/*` spans.
     shard: Option<usize>,
@@ -284,7 +280,6 @@ impl QueryEngine {
             cache_capacity,
             obs: Obs::disabled(),
             faults: None,
-            query_deadline: None,
             shard: None,
             placement: None,
         }
@@ -303,14 +298,6 @@ impl QueryEngine {
     /// The engine's observability handle.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Use a specific cluster description for planning.
-    pub fn with_cluster(mut self, spec: ClusterSpec) -> Self {
-        self.n_compute = spec.n_compute;
-        self.cache = Arc::new(CacheService::new(self.n_compute, self.cache_capacity));
-        self.planner = Planner::new(spec);
-        self
     }
 
     /// Resize the Caching Service: bytes per compute node; an entry
@@ -345,14 +332,6 @@ impl QueryEngine {
     /// re-execution.
     pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Give every statement a wall-clock budget. [`QueryEngine::execute`]
-    /// derives a fresh deadline-bearing [`CancelToken`] per statement; a
-    /// query that runs past it returns [`Error::DeadlineExceeded`].
-    pub fn with_query_deadline(mut self, deadline: Duration) -> Self {
-        self.query_deadline = Some(deadline);
         self
     }
 
@@ -466,14 +445,10 @@ impl QueryEngine {
     }
 
     /// Parse and execute one statement: [`QueryEngine::prepare`], then
-    /// [`QueryEngine::run`]. When a query deadline is set, a fresh
-    /// deadline-bearing token covers this statement.
+    /// [`QueryEngine::run`] under no deadline. A caller that wants one
+    /// passes its token in the [`Request`] it hands `run`.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        let cancel = match self.query_deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::none(),
-        };
-        self.run(&self.prepare(sql)?, &cancel.into())
+        self.run(&self.prepare(sql)?, &Request::default())
     }
 
     /// Parse `sql` and bind it against the current catalog snapshot and
@@ -877,6 +852,17 @@ mod tests {
     use orv_bds::{generate_dataset, DatasetSpec};
     use orv_obs::EventLog;
     use orv_types::Value;
+    use std::time::Duration;
+
+    impl QueryEngine {
+        /// Use a specific cluster description for planning.
+        fn with_cluster(mut self, spec: ClusterSpec) -> Self {
+            self.n_compute = spec.n_compute;
+            self.cache = Arc::new(CacheService::new(self.n_compute, self.cache_capacity));
+            self.planner = Planner::new(spec);
+            self
+        }
+    }
 
     fn engine() -> QueryEngine {
         let d = Deployment::in_memory(2);
@@ -1580,14 +1566,15 @@ mod tests {
 
     #[test]
     fn expired_query_deadline_returns_deadline_exceeded() {
-        let e = engine().with_query_deadline(Duration::ZERO);
-        let err = e
-            .execute("SELECT * FROM t1 JOIN t2 ON (x, y, z)")
-            .unwrap_err();
+        let e = engine();
+        let run = |sql: &str, deadline: Duration| {
+            let token = CancelToken::with_deadline(deadline);
+            e.run(&e.prepare(sql).unwrap(), &token.into())
+        };
+        let err = run("SELECT * FROM t1 JOIN t2 ON (x, y, z)", Duration::ZERO).unwrap_err();
         assert!(matches!(err, Error::DeadlineExceeded), "{err}");
         // A generous deadline leaves execution untouched.
-        let e = engine().with_query_deadline(Duration::from_secs(300));
-        let r = e.execute("SELECT COUNT(*) FROM t1").unwrap();
+        let r = run("SELECT COUNT(*) FROM t1", Duration::from_secs(300)).unwrap();
         assert_eq!(r.rows.len(), 1);
     }
 }

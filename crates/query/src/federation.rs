@@ -34,11 +34,11 @@
 //!   reported in a typed [`PartialResult`] carrying the exact missing
 //!   chunk set and a completeness fraction; `strict` mode turns the same
 //!   situation into [`Error::Unavailable`].
-//! - **Deadline-budget propagation**: when the root query carries a
-//!   deadline, every sub-query's token derives from the *same* absolute
-//!   deadline minus one `HOP_MARGIN` ([`DeadlineBudget::shrink`]) — the
-//!   budget only ever shrinks across hops, leaving the router time to
-//!   collect, merge and degrade after a child gives up.
+//! - **Deadline and cancel propagation**: every sub-query runs under a
+//!   [`CancelToken::child`] of the root's token, so cancelling the root
+//!   reaches every hop, and a root deadline reaches each hop one
+//!   `HOP_MARGIN` earlier — it only ever shrinks across hops, leaving the
+//!   router time to collect, merge and degrade after a child gives up.
 //! - **Retry budgets**: every failover, hedge and overload re-issue
 //!   draws a token from the failed/slow shard's bucket (integer
 //!   milli-tokens, refilled only by successful completions), and only
@@ -71,7 +71,7 @@ use crate::exec::{merge_aggregate, order_and_limit, project, rows_checksum, seal
 use crate::overload::BrownoutState;
 use crate::service::{Landing, QueryService, QueryTicket, ServiceConfig};
 use orv_bds::Deployment;
-use orv_cluster::{CancelToken, DeadlineBudget, FaultInjector, RecoveryPolicy};
+use orv_cluster::{CancelToken, FaultInjector, RecoveryPolicy};
 use orv_metadata::Placement;
 use orv_obs::{names, FlightRecorder, MetricsRegistry, Obs, SpanTimer, TraceOutcome, TracedQuery};
 use orv_types::{BoundingBox, ChunkId, Error, Record, Result, SubTableId, TableId};
@@ -82,9 +82,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// The longest the router sleeps between two sweeps of its flights while
-/// none lands, so hedge timers are checked at least this often. Purely a
-/// caller-side wait quantum (like [`QueryTicket::wait_timeout`]); it
-/// never steers execution.
+/// none lands, so flight ages are checked against `hedge_after` at least
+/// this often. Purely a caller-side wait quantum (like
+/// [`QueryTicket::wait_timeout`]); it never steers execution.
 const POLL_SLICE: Duration = Duration::from_millis(2);
 
 fn relock<T>(r: std::result::Result<T, PoisonError<T>>) -> T {
@@ -125,9 +125,9 @@ pub struct FederationConfig {
 /// PLACEMENT_SEED)` is the assignment every federation uses.
 pub const PLACEMENT_SEED: u64 = 0x0bad_5eed_f00d_cafe;
 
-/// Deadline slack subtracted per fan-out hop: a sub-query's budget is the
-/// root budget shrunk by this, so the router always has a margin to
-/// collect/merge/degrade after the child's deadline.
+/// Deadline slack subtracted per fan-out hop: a sub-query's deadline is
+/// the root's moved this much earlier, so the router always has a margin
+/// to collect/merge/degrade after the child's deadline.
 const HOP_MARGIN: Duration = Duration::from_millis(25);
 
 /// Milli-tokens (1/1000ths of a retry) each successful sub-query earns
@@ -437,14 +437,13 @@ struct Flight {
     shard: usize,
     chunks: Vec<ChunkId>,
     ticket: QueryTicket,
-    /// Wall-clock hedge trigger, armed when hedging is configured.
-    hedge_timer: Option<DeadlineBudget>,
     /// This flight already spawned its hedge (never hedge twice).
     hedged: bool,
     /// This flight *is* a hedge re-issue.
     is_hedge: bool,
-    /// Time since dispatch; when a hedge is issued, its elapsed value is
-    /// the latency the hedge mechanism absorbed (`lat/hedge_overhead_secs`).
+    /// Time since dispatch: past `hedge_after` the flight is hedged, and
+    /// its elapsed value then is the latency the hedge mechanism absorbed
+    /// (`lat/hedge_overhead_secs`).
     age: SpanTimer,
 }
 
@@ -636,11 +635,6 @@ impl FederatedService {
         &self.recorder
     }
 
-    /// The chunk-to-shard assignment function.
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
     /// Number of shard services.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -677,17 +671,11 @@ impl FederatedService {
     }
 
     /// The request a sub-query hop runs under: the root's trace as
-    /// parent, and the root budget shrunk by one [`HOP_MARGIN`] when the
-    /// root carries a deadline (a plain cancellable token otherwise).
-    /// Budgets are monotone non-increasing across hops by construction
-    /// ([`DeadlineBudget::shrink`]).
+    /// parent, and a child of the root's token — cancelled with the root,
+    /// and due one [`HOP_MARGIN`] before it when the root has a deadline.
     fn hop(&self, root: &Request) -> Request {
-        let cancel = match DeadlineBudget::from_token(&root.cancel) {
-            Some(budget) => budget.shrink(HOP_MARGIN).token(),
-            None => CancelToken::new(),
-        };
         Request {
-            cancel,
+            cancel: root.cancel.child(HOP_MARGIN),
             parent: root.parent,
         }
     }
@@ -699,13 +687,9 @@ impl FederatedService {
         cancel.sleep(Duration::from_millis(hint_ms).min(orv_cluster::SLEEP_SLICE))
     }
 
-    /// Execute one statement, stamping the configured default deadline.
+    /// Execute one statement under a fresh token with no deadline.
     pub fn execute(&self, sql: &str) -> Result<FederatedResponse> {
-        let cancel = match self.cfg.service.default_deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::new(),
-        };
-        self.execute_request(sql, &cancel.into())
+        self.execute_request(sql, &CancelToken::new().into())
     }
 
     /// [`FederatedService::execute`] under a caller-owned [`Request`]:
@@ -876,6 +860,7 @@ impl FederatedService {
         };
 
         let cap = self.cfg.recovery.max_attempts as usize;
+        let hedge_after = self.cfg.hedge_after.map(|h| h.as_secs_f64());
         let mut gathered = Gathered::default();
         for &chunk in &chunks {
             let owners = self.placement.owners(SubTableId { table, chunk });
@@ -928,8 +913,8 @@ impl FederatedService {
             }
 
             // Sweep the outstanding flights without blocking, absorbing
-            // whichever landed and noting which went quiet past their
-            // hedge timer with chunks still unfilled. The landing count is
+            // whichever landed and noting which went quiet past
+            // `hedge_after` with chunks still unfilled. The landing count is
             // read first: a flight that lands after its ticket was looked
             // at has moved it, and the wait below returns at once.
             let seen = flights.landing.count();
@@ -938,7 +923,7 @@ impl FederatedService {
             for (i, f) in flights.flying.iter().enumerate() {
                 if let Some(result) = f.ticket.wait_timeout(Duration::ZERO) {
                     resolved.push((i, result));
-                } else if !f.hedged && f.hedge_timer.as_ref().is_some_and(DeadlineBudget::expired) {
+                } else if !f.hedged && hedge_after.is_some_and(|h| f.age.elapsed_secs() >= h) {
                     let unfilled = f.chunks.iter().filter(|c| !gathered.has(c));
                     quiet.push((i, unfilled.copied().collect()));
                 }
@@ -1070,8 +1055,8 @@ impl FederatedService {
     }
 
     /// Submit `job`, the chunk-scan [`Prepared`] over `chunks`, to one
-    /// shard, carrying the root query's trace ID and one hop's slice of
-    /// the root's deadline budget; the shard pulses the flights' landing
+    /// shard, carrying the root query's trace ID and a child of its token
+    /// ([`FederatedService::hop`]); the shard pulses the flights' landing
     /// signal once the answer is published.
     fn dispatch(
         &self,
@@ -1094,7 +1079,6 @@ impl FederatedService {
             shard,
             chunks,
             ticket,
-            hedge_timer: self.cfg.hedge_after.map(DeadlineBudget::root),
             hedged: false,
             is_hedge,
             age: SpanTimer::start(),
@@ -2037,17 +2021,82 @@ mod tests {
         let root = CancelToken::with_deadline(Duration::from_secs(10));
         let hop1 = fed.hop(&root.clone().into()).cancel;
         let hop2 = fed.hop(&hop1.clone().into()).cancel;
-        let d0 = DeadlineBudget::from_token(&root).unwrap().hard_deadline();
-        let d1 = DeadlineBudget::from_token(&hop1).unwrap().hard_deadline();
-        let d2 = DeadlineBudget::from_token(&hop2).unwrap().hard_deadline();
+        let [d0, d1, d2] = [&root, &hop1, &hop2].map(|t| t.deadline().unwrap());
         assert!(d1 < d0, "one hop must subtract the hop margin");
         assert!(d2 < d1, "budgets shrink monotonically across hops");
         assert_eq!(d0 - d1, HOP_MARGIN);
-        // A root without a deadline fans out plain cancellable tokens —
-        // no budget is invented where none was requested.
-        let free = fed.hop(&Request::default()).cancel;
-        assert!(DeadlineBudget::from_token(&free).is_none());
+        // A root without a deadline fans out tokens without one — no
+        // budget is invented where none was requested — that still fire
+        // with the root.
+        let free_root = CancelToken::new();
+        let free = fed.hop(&free_root.clone().into()).cancel;
+        assert!(free.deadline().is_none());
         assert!(free.check().is_ok());
+        free_root.cancel();
+        assert!(matches!(free.check(), Err(Error::Cancelled)));
+        assert!(hop2.check().is_ok());
+        root.cancel();
+        assert!(matches!(hop2.check(), Err(Error::Cancelled)));
+    }
+
+    /// Cancelling a federated query's root reaches the shard that admitted
+    /// its sub-query: the shard resolves it as cancelled instead of
+    /// sleeping out its storm and running it to completion. Covers a
+    /// whole-statement route (a join) and a `CREATE VIEW` broadcast.
+    #[test]
+    fn cancelling_the_root_cancels_every_admitted_sub_query() {
+        for sql in [
+            "SELECT * FROM t1 JOIN t2 ON (x, y, z)",
+            "CREATE VIEW v_cancel AS SELECT * FROM t1 JOIN t2 ON (x, y, z)",
+        ] {
+            let plan = FaultPlan {
+                shard_slow_storms: (0..3)
+                    .map(|shard| ShardSlowStormSpec {
+                        shard,
+                        after_subqueries: 0,
+                        delay_ms: 1_000,
+                        storm_len: 1,
+                    })
+                    .collect(),
+                ..FaultPlan::none()
+            };
+            let faults = FaultInjector::new(plan, EventLog::disabled());
+            let fed = FederatedService::with_instruments(
+                deployment(),
+                FederationConfig::default(),
+                Obs::disabled(),
+                Some(faults),
+            )
+            .unwrap();
+            let counters = || (0..fed.num_shards()).map(|i| fed.shard(i).counters());
+            let root = CancelToken::new();
+            let got = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    // Cancel once a shard has admitted the sub-query.
+                    while counters().all(|c| c.admitted == 0) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                    root.cancel();
+                });
+                fed.execute_request(sql, &root.clone().into())
+            });
+            assert!(matches!(got, Err(Error::Cancelled)), "{sql}: {got:?}");
+            // The dropped ticket still resolves on its shard, as cancelled.
+            let watchdog = SpanTimer::start();
+            while !counters().all(|c| c.completion_balances()) {
+                assert!(
+                    watchdog.elapsed_secs() < 30.0,
+                    "{sql}: a sub-query never resolved"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let (admitted, completed, cancelled) = counters().fold((0, 0, 0), |(a, d, c), s| {
+                (a + s.admitted, d + s.completed, c + s.cancelled)
+            });
+            assert_eq!(admitted, 1, "{sql}");
+            assert_eq!((completed, cancelled), (0, 1), "{sql}");
+        }
     }
 
     #[test]

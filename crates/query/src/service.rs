@@ -19,7 +19,8 @@
 //!   a **fast lane** past the FIFO, and under pressure the
 //!   [`BrownoutController`] sheds predicted-expensive work first;
 //! - **per-query cancellation + deadline** — every admitted query gets a
-//!   [`CancelToken`] (deadline-bearing when `default_deadline` is set).
+//!   [`CancelToken`]: a fresh one from [`QueryService::submit`], or the
+//!   caller's, deadline and all, from [`QueryService::submit_prepared`].
 //!   Cancelling a *queued* query removes it from the queue and resolves
 //!   its ticket with [`Error::Cancelled`] immediately; cancelling a
 //!   *running* query unwinds it within one sleep slice. A query whose
@@ -39,7 +40,7 @@
 
 use crate::engine::{Prepared, QueryEngine, QueryResult, Request};
 use crate::overload::{BrownoutController, BrownoutTransition, CostClass, OverloadConfig};
-use orv_cluster::{CancelToken, DeadlineBudget, SLEEP_SLICE};
+use orv_cluster::{CancelToken, SLEEP_SLICE};
 use orv_obs::{names, FlightRecorder, QueryTrace, SpanTimer, TraceId, TraceOutcome, TracedQuery};
 use orv_types::{Error, Result};
 use std::collections::VecDeque;
@@ -65,9 +66,6 @@ pub struct ServiceConfig {
     /// Maximum queries waiting in the queue; past it, submissions are
     /// rejected with [`Error::Overloaded`].
     pub queue_cap: usize,
-    /// Wall-clock budget stamped on every query submitted without a
-    /// caller-owned token.
-    pub default_deadline: Option<Duration>,
     /// Cost classification thresholds and the brownout state machine.
     pub overload: OverloadConfig,
 }
@@ -77,7 +75,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 2,
             queue_cap: 64,
-            default_deadline: None,
             overload: OverloadConfig::default(),
         }
     }
@@ -174,19 +171,16 @@ impl Landing {
         self.0 .1.notify_all();
     }
 
-    /// Block until the count moves past `seen`, `timeout` passes or
-    /// `cancel` fires, whichever is first. Only the caller's wait is
-    /// bounded by the wall clock; no query's execution depends on it.
-    pub(crate) fn wait_past(&self, seen: u64, timeout: Duration, cancel: &CancelToken) {
-        let budget = DeadlineBudget::root(timeout);
+    /// One bounded wait for the count to move past `seen`: it returns
+    /// once a result lands, `slice` passes or `cancel`'s deadline does,
+    /// whichever is first — at once if `cancel` has fired. The caller's
+    /// loop repeats it; no query's execution depends on it.
+    pub(crate) fn wait_past(&self, seen: u64, slice: Duration, cancel: &CancelToken) {
         let (count, landed) = &*self.0;
-        let mut count = relock(count.lock());
-        while *count == seen && cancel.check().is_ok() {
-            let left = budget.remaining();
-            if left.is_zero() {
-                return;
-            }
-            count = relock(landed.wait_timeout(count, left)).0;
+        let count = relock(count.lock());
+        if *count == seen && cancel.check().is_ok() {
+            let slice = cancel.remaining().map_or(slice, |left| left.min(slice));
+            drop(relock(landed.wait_timeout(count, slice)));
         }
     }
 }
@@ -455,36 +449,39 @@ impl QueryTicket {
     }
 
     /// Block up to `timeout`; `None` if the query is still in flight
-    /// (the ticket remains usable). The wall-clock bound (via
-    /// [`DeadlineBudget`]) only caps how long the *caller* blocks; it never
-    /// steers query execution, so seeded replays are unaffected.
+    /// (the ticket remains usable). A zero timeout only looks. The bound
+    /// only caps how long the *caller* blocks; it never steers query
+    /// execution, so seeded replays are unaffected.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<QueryResult>> {
-        let budget = DeadlineBudget::root(timeout);
+        if timeout.is_zero() {
+            return relock(self.slot.result.lock()).take();
+        }
+        self.wait_until(&CancelToken::with_deadline(timeout)).ok()
+    }
+
+    /// Block until the query resolves *or* `cancel` fires — at its
+    /// deadline, or within one [`SLEEP_SLICE`] of a cancel. This is the
+    /// one canonical `submit → wait slice → cancel-check` client loop;
+    /// every caller that used to open-code it (stress harnesses, the
+    /// federation router) goes through here.
+    pub fn wait_cancellable(&self, cancel: &CancelToken) -> Result<QueryResult> {
+        self.wait_until(cancel)?
+    }
+
+    /// The query's result once it lands, or `until`'s error once that
+    /// token fires; each wait is bounded by the token's
+    /// [`remaining`](CancelToken::remaining) time and one slice.
+    fn wait_until(&self, until: &CancelToken) -> Result<Result<QueryResult>> {
         let mut cell = relock(self.slot.result.lock());
         loop {
             if let Some(result) = cell.take() {
-                return Some(result);
+                return Ok(result);
             }
-            let left = budget.remaining();
-            if left.is_zero() {
-                return None;
-            }
-            let (guard, _) = relock(self.slot.done.wait_timeout(cell, left));
-            cell = guard;
-        }
-    }
-
-    /// Block until the query resolves *or* `cancel` fires, polling in
-    /// [`SLEEP_SLICE`] slices. This is the one canonical
-    /// `submit → wait slice → cancel-check` client loop; every caller
-    /// that used to open-code it (stress harnesses, the federation
-    /// router) goes through here.
-    pub fn wait_cancellable(&self, cancel: &CancelToken) -> Result<QueryResult> {
-        loop {
-            cancel.check()?;
-            if let Some(result) = self.wait_timeout(SLEEP_SLICE) {
-                return result;
-            }
+            until.check()?;
+            let slice = until
+                .remaining()
+                .map_or(SLEEP_SLICE, |left| left.min(SLEEP_SLICE));
+            cell = relock(self.slot.done.wait_timeout(cell, slice)).0;
         }
     }
 }
@@ -572,14 +569,11 @@ impl QueryService {
         &self.inner.controller
     }
 
-    /// Bind and submit one statement, stamping the configured default
+    /// Bind and submit one statement under a fresh token with no
     /// deadline. A statement that does not parse or bind is still
     /// admitted; its ticket resolves with the typed error.
     pub fn submit(&self, sql: &str) -> Result<QueryTicket> {
-        let cancel = match self.inner.cfg.default_deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::new(),
-        };
+        let cancel = CancelToken::new();
         // Binding is part of admission: the query begins before it.
         let trace = self.inner.begin(sql.to_string(), None);
         let work = self.inner.engine.prepare(sql);
@@ -788,7 +782,6 @@ mod tests {
             ServiceConfig {
                 workers: 0,
                 queue_cap: 2,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )
@@ -832,7 +825,6 @@ mod tests {
             ServiceConfig {
                 workers: 0,
                 queue_cap: 1,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )
@@ -856,7 +848,6 @@ mod tests {
             ServiceConfig {
                 workers: 1,
                 queue_cap: 0,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )
@@ -865,19 +856,25 @@ mod tests {
         assert!(matches!(err, Error::Config(_)), "{err}");
     }
 
+    /// A query submitted under an already-expired token.
+    fn submit_expired(svc: &QueryService) -> QueryTicket {
+        let prepared = svc.engine().prepare("SELECT * FROM t1").unwrap();
+        let deadline = CancelToken::with_deadline(Duration::ZERO);
+        svc.submit_prepared(prepared, deadline.into()).unwrap()
+    }
+
     #[test]
-    fn expired_default_deadline_resolves_as_deadline_exceeded() {
+    fn expired_deadline_token_resolves_as_deadline_exceeded() {
         let svc = QueryService::new(
             engine(),
             ServiceConfig {
                 workers: 1,
                 queue_cap: 4,
-                default_deadline: Some(Duration::ZERO),
                 ..ServiceConfig::default()
             },
         )
         .unwrap();
-        let err = svc.execute("SELECT * FROM t1").unwrap_err();
+        let err = submit_expired(&svc).wait().unwrap_err();
         assert!(matches!(err, Error::DeadlineExceeded), "{err}");
         // The budget expired while queued, so the query is *shed* — it
         // never touched the engine — rather than counted cancelled.
@@ -893,12 +890,11 @@ mod tests {
             ServiceConfig {
                 workers: 1,
                 queue_cap: 4,
-                default_deadline: Some(Duration::ZERO),
                 ..ServiceConfig::default()
             },
         )
         .unwrap();
-        let ticket = svc.submit("SELECT * FROM t1").unwrap();
+        let ticket = submit_expired(&svc);
         assert!(matches!(
             ticket.wait_timeout(Duration::from_secs(30)),
             Some(Err(_))
@@ -926,7 +922,6 @@ mod tests {
             ServiceConfig {
                 workers: 0,
                 queue_cap: 4,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )
@@ -952,7 +947,6 @@ mod tests {
             ServiceConfig {
                 workers: 0,
                 queue_cap: 8,
-                default_deadline: None,
                 overload: OverloadConfig {
                     // Zero threshold: every positive predicted cost
                     // classifies expensive.
@@ -1004,7 +998,6 @@ mod tests {
             ServiceConfig {
                 workers: 0,
                 queue_cap: 8,
-                default_deadline: None,
                 overload: OverloadConfig {
                     // Zero threshold: the scan's positive predicted
                     // cost classifies expensive.
@@ -1024,7 +1017,6 @@ mod tests {
             ServiceConfig {
                 workers: 0,
                 queue_cap: 8,
-                default_deadline: None,
                 overload: OverloadConfig {
                     fast_lane_max_secs: 1e9,
                     ..OverloadConfig::default()
@@ -1048,7 +1040,6 @@ mod tests {
             ServiceConfig {
                 workers: 0,
                 queue_cap: 4,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )
@@ -1067,7 +1058,6 @@ mod tests {
             ServiceConfig {
                 workers: 1,
                 queue_cap: 4,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )
@@ -1104,7 +1094,11 @@ mod tests {
         let ran = svc
             .submit_signalled(prepared(), Request::default(), &landing)
             .unwrap();
-        landing.wait_past(seen, Duration::from_secs(60), &forever);
+        // One bounded wait; like the router, repeat it until the count
+        // moves.
+        while landing.count() == seen {
+            landing.wait_past(seen, Duration::from_secs(60), &forever);
+        }
         assert_eq!(landing.count(), seen + 1);
         assert!(ran.wait_timeout(Duration::ZERO).unwrap().is_ok());
         // Cancelling a queued query publishes too.

@@ -121,7 +121,6 @@ fn eight_clients_match_the_sequential_oracle() {
             ServiceConfig {
                 workers: 4,
                 queue_cap: 64,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )
@@ -181,7 +180,6 @@ fn barrier_stepped_admission_rejects_past_the_cap() {
             ServiceConfig {
                 workers: 0, // admission only: nothing ever drains the queue
                 queue_cap: CAP,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )
@@ -278,7 +276,6 @@ fn queued_and_midflight_cancellation_resolve_quickly() {
             ServiceConfig {
                 workers: 1,
                 queue_cap: 8,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )
@@ -407,7 +404,6 @@ fn cache_thrash_interleaving_stays_correct() {
             ServiceConfig {
                 workers: CLIENTS,
                 queue_cap: 32,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )
@@ -465,7 +461,6 @@ fn drop_with_queued_work_cancels_cleanly() {
         ServiceConfig {
             workers: 0,
             queue_cap: 4,
-            default_deadline: None,
             ..ServiceConfig::default()
         },
     )
@@ -572,7 +567,6 @@ fn cancel_during_catalog_publish_resolves_quickly() {
             ServiceConfig {
                 workers: 1,
                 queue_cap: 8,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )

@@ -392,7 +392,6 @@ fn seeded_plans_are_reproducible() {
             recovery: RecoveryPolicy {
                 max_attempts: 9,
                 base_backoff_ms: 1,
-                op_deadline_ms: 10_000,
             },
             ..Default::default()
         };
@@ -442,7 +441,6 @@ proptest! {
         let recovery = RecoveryPolicy {
             max_attempts: 2 * cap as u32 + 2,
             base_backoff_ms: 1,
-            op_deadline_ms: 10_000,
         };
         let (d, t1, t2) = two_tables();
         let oracle =
@@ -714,7 +712,6 @@ fn cancel_stops_a_scan_inside_its_retry_backoff() {
     let recovery = RecoveryPolicy {
         max_attempts: 1_000,
         base_backoff_ms: 250,
-        op_deadline_ms: 600_000,
     };
     let cancel = CancelToken::new();
     let d = scan_deployment();
@@ -837,7 +834,6 @@ fn parallel_scans_draw_the_serial_scans_faults() {
     let recovery = RecoveryPolicy {
         max_attempts: 40,
         base_backoff_ms: 0,
-        op_deadline_ms: 600_000,
     };
     let mut draws = 0;
     for seed in chaos_seeds() {
@@ -946,7 +942,6 @@ fn cancel_stops_a_parallel_scan() {
     let recovery = RecoveryPolicy {
         max_attempts: 1_000,
         base_backoff_ms: 250,
-        op_deadline_ms: 600_000,
     };
     let cancel = CancelToken::new();
     let d = parallel_scan_deployment();

@@ -24,7 +24,7 @@
 //! the brownout controller never oscillates within one cooldown window.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
-use orv::cluster::{CancelToken, DeadlineBudget, FaultInjector, FaultPlan};
+use orv::cluster::{CancelToken, FaultInjector, FaultPlan};
 use orv::obs::{names, Obs, TraceOutcome};
 use orv::query::{
     BrownoutController, FederatedService, FederationConfig, OverloadConfig, QueryEngine,
@@ -181,7 +181,6 @@ fn load_storm_round(seed: u64) {
                 service: ServiceConfig {
                     workers: 1,
                     queue_cap: 4,
-                    default_deadline: None,
                     ..ServiceConfig::default()
                 },
                 hedge_after: Some(Duration::from_millis(25)),
@@ -337,7 +336,6 @@ fn scripted_transition_log(seed: u64) -> (String, u64) {
         ServiceConfig {
             workers: 0,
             queue_cap: 8,
-            default_deadline: None,
             overload: OverloadConfig {
                 // Tight hysteresis so a short script crosses every state.
                 brownout_enter: 0.25,
@@ -408,7 +406,6 @@ fn route_whole_backs_off_on_overload_without_tripping_the_breaker() {
             service: ServiceConfig {
                 workers: 0,
                 queue_cap: 1,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
             ..FederationConfig::default()
@@ -460,25 +457,33 @@ fn route_whole_backs_off_on_overload_without_tripping_the_breaker() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Deadline budgets are monotone non-increasing across hops and
-    /// never negative, whatever the margins.
+    /// Deadline budgets are monotone non-increasing down a chain of
+    /// child tokens and never negative, whatever the margins; cancelling
+    /// the root fires every link.
     #[test]
     fn deadline_budgets_shrink_monotonically(
         total_ms in 1u64..10_000,
         margins in proptest::collection::vec(0u64..5_000, 1..8),
     ) {
-        let root = DeadlineBudget::root(Duration::from_millis(total_ms));
-        let mut prev = root;
+        let root = CancelToken::with_deadline(Duration::from_millis(total_ms));
+        let mut chain = vec![root.clone()];
         for m in margins {
-            let next = prev.shrink(Duration::from_millis(m));
+            let prev = chain.last().expect("the chain starts at the root");
+            let next = prev.child(Duration::from_millis(m));
             prop_assert!(
-                next.hard_deadline() <= prev.hard_deadline(),
+                next.deadline() <= prev.deadline(),
                 "a hop may never extend the deadline"
             );
             // `remaining` saturates at zero — a Duration cannot go
-            // negative, and an oversized margin must not panic.
-            prop_assert!(next.remaining() <= prev.remaining());
-            prev = next;
+            // negative, and an oversized margin must not panic. The
+            // parent is read first: the clock only moves on.
+            let before = prev.remaining();
+            prop_assert!(next.remaining() <= before);
+            chain.push(next);
+        }
+        root.cancel();
+        for link in &chain {
+            prop_assert!(matches!(link.check(), Err(Error::Cancelled)));
         }
     }
 
@@ -495,7 +500,6 @@ proptest! {
             ServiceConfig {
                 workers,
                 queue_cap: 8,
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )

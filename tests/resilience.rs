@@ -162,13 +162,14 @@ fn cancelled_mid_join_unwinds_fast_without_leaking_scratch() {
 /// explicit verdict wins).
 #[test]
 fn expired_deadline_is_typed_and_cancel_takes_precedence() {
-    let e = engine().with_query_deadline(Duration::ZERO);
-    let err = e.execute(JOIN_SQL).unwrap_err();
+    let e = engine();
+    let token = CancelToken::with_deadline(Duration::ZERO);
+    let err = e
+        .run(&e.prepare(JOIN_SQL).unwrap(), &token.clone().into())
+        .unwrap_err();
     assert!(matches!(err, Error::DeadlineExceeded), "{err}");
 
-    let token = CancelToken::with_deadline(Duration::ZERO);
     token.cancel();
-    let e = engine();
     let err = e
         .run(&e.prepare(JOIN_SQL).unwrap(), &token.into())
         .unwrap_err();
@@ -183,7 +184,6 @@ fn recovery_backoff_observes_cancel_within_one_slice() {
     let policy = RecoveryPolicy {
         max_attempts: 10,
         base_backoff_ms: 60_000,
-        op_deadline_ms: 600_000,
     };
     let cancel = CancelToken::new();
     let canceller = cancel.clone();

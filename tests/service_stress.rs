@@ -118,7 +118,6 @@ fn stress_round(seed: u64, clients: usize, rounds: usize) {
                 // of the mix being stressed.
                 workers: (clients / 2).max(1),
                 queue_cap: clients.max(2),
-                default_deadline: None,
                 ..ServiceConfig::default()
             },
         )

@@ -115,7 +115,6 @@ fn rejected_submissions_land_in_the_anomaly_ring() {
         ServiceConfig {
             workers: 0,
             queue_cap: 1,
-            default_deadline: None,
             ..ServiceConfig::default()
         },
     )
