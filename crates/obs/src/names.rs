@@ -169,8 +169,6 @@ pub const PHASE_SEND: &str = "send";
 pub const PHASE_EXTRACT: &str = "extract";
 /// Phase: aggregate CPU time (build + probe) in the GH cost model.
 pub const PHASE_CPU: &str = "cpu";
-/// Phase: one shard serving a federated sub-query.
-pub const PHASE_SUBQUERY: &str = "subquery";
 
 /// `bds{node}/read` — BDS chunk read on a storage node.
 pub fn span_bds_read(node: u32) -> String {
@@ -203,11 +201,6 @@ pub fn span_tagged(tag: &str, phase: &str) -> String {
     format!("{tag}/{phase}")
 }
 
-/// `fed{shard}/{phase}` — a federation shard-side phase.
-pub fn span_fed_shard(shard: usize, phase: &str) -> String {
-    format!("fed{shard}/{phase}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +215,6 @@ mod tests {
             span_tagged(&gh_consumer_tag(4), PHASE_SCRATCH_READ),
             "c4/scratch_read"
         );
-        assert_eq!(span_fed_shard(1, PHASE_SUBQUERY), "fed1/subquery");
     }
 
     #[test]

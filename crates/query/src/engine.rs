@@ -24,9 +24,8 @@ use orv_join::{
     grace_hash_join, indexed_join_cached, CacheService, CacheStats, GraceHashConfig,
     IndexedJoinConfig, JoinAlgorithm, JoinOutput,
 };
-use orv_metadata::Placement;
 use orv_obs::{names, JsonValue, Obs, SpanTimer, TraceId};
-use orv_types::{BoundingBox, ChunkId, Error, Record, Result, SubTableId, TableId};
+use orv_types::{BoundingBox, ChunkId, Error, Record, Result, TableId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -118,8 +117,8 @@ const MAX_VIEW_DEPTH: usize = 8;
 /// One statement, parsed, resolved and costed once by
 /// [`QueryEngine::prepare`] — the only thing [`QueryEngine::run`]
 /// executes, the service queues and the federation router ships. Tables
-/// are held by id and view definitions are embedded, so it runs on any
-/// shard engine of a federation (they share one [`Deployment`]).
+/// are held by id and view definitions are embedded, so it means the same
+/// whichever shard of a federation queues it.
 #[derive(Clone, Debug)]
 pub struct Prepared {
     /// What traces print for this job.
@@ -253,14 +252,9 @@ pub struct QueryEngine {
     cache_capacity: u64,
     obs: Obs,
     /// Optional fault injector handed down to every join execution
-    /// (chaos tests drive the whole engine through one plan).
-    faults: Option<Arc<FaultInjector>>,
-    /// Identity of this engine inside a federation (None = standalone).
-    /// Drives shard-scoped fault checkpoints and `fed{N}/*` spans.
-    shard: Option<usize>,
-    /// Replicated chunk placement, when federated: a chunk scan refuses
-    /// chunks this shard does not own.
-    placement: Option<Placement>,
+    /// (chaos tests drive the whole engine through one plan); a
+    /// federation's shard services take their checkpoints from it.
+    pub(crate) faults: Option<Arc<FaultInjector>>,
 }
 
 impl QueryEngine {
@@ -280,8 +274,6 @@ impl QueryEngine {
             cache_capacity,
             obs: Obs::disabled(),
             faults: None,
-            shard: None,
-            placement: None,
         }
     }
 
@@ -319,12 +311,6 @@ impl QueryEngine {
         Arc::clone(&self.cache)
     }
 
-    /// Override the planner (e.g. calibrated γ values).
-    pub fn with_planner(mut self, planner: Planner) -> Self {
-        self.planner = planner;
-        self
-    }
-
     /// Attach a fault injector: every read this engine does — a base-table
     /// scan's as much as a join's — and every join send and scratch access
     /// draws faults (and corruptions) from the one shared plan, so budget
@@ -339,37 +325,6 @@ impl QueryEngine {
     pub fn force_algorithm(mut self, algorithm: Option<JoinAlgorithm>) -> Self {
         self.force = algorithm;
         self
-    }
-
-    /// Mark this engine as shard `shard` of a federation: fault plans
-    /// with shard kinds target it by this index, and its federated spans
-    /// are grouped under `fed{shard}/…`.
-    pub fn with_shard(mut self, shard: usize) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// This engine's shard identity inside a federation, if any.
-    pub fn shard_index(&self) -> Option<usize> {
-        self.shard
-    }
-
-    /// Attach the federation's chunk placement so scan sub-queries can
-    /// validate that every requested chunk is actually owned here.
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = Some(placement);
-        self
-    }
-
-    /// Shard-scoped fault checkpoint: a federated worker calls this
-    /// before each job, so an injected shard death (or slowdown) lands at
-    /// a deterministic point in the sub-query stream. Standalone engines
-    /// (no shard identity, or no injector) pass trivially.
-    pub fn shard_checkpoint(&self, cancel: &CancelToken) -> Result<()> {
-        match (self.shard, &self.faults) {
-            (Some(shard), Some(faults)) => faults.shard_checkpoint(shard, cancel),
-            _ => Ok(()),
-        }
     }
 
     /// The read path of one base-table scan: this engine's fault injector
@@ -392,6 +347,8 @@ impl QueryEngine {
     /// [`scan_chunks`], the one a base-table `SELECT` runs, writing the
     /// seal from each chunk's batch as it goes ([`scan_sealed`]); a
     /// sub-scan of fewer than 2¹⁶ rows stays on the shard worker's thread.
+    /// Whether the shard owns `chunks` is its service's check, made before
+    /// the job reaches the engine.
     fn chunk_scan(
         &self,
         table: TableId,
@@ -399,21 +356,6 @@ impl QueryEngine {
         chunks: &[ChunkId],
         cancel: &CancelToken,
     ) -> Result<QueryResult> {
-        let _span = self.shard.map(|s| {
-            self.obs
-                .spans
-                .span(&names::span_fed_shard(s, names::PHASE_SUBQUERY))
-        });
-        if let (Some(shard), Some(placement)) = (self.shard, &self.placement) {
-            for &chunk in chunks {
-                if !placement.owns(shard, SubTableId { table, chunk }) {
-                    return Err(Error::Plan(format!(
-                        "shard {shard} does not own chunk {} of table {} (misrouted sub-query)",
-                        chunk.0, table.0
-                    )));
-                }
-            }
-        }
         let ((schema, rows, runs), seal) =
             scan_sealed(&self.reader(cancel)?, table, chunks, range)?;
         Ok(QueryResult {
@@ -747,14 +689,7 @@ impl QueryEngine {
             // alternate QES. Cancellation is the user's verdict and planner
             // errors would recur, so neither triggers failover; a forced
             // algorithm pins the choice for benchmarking.
-            Err(e)
-                if self.force.is_none()
-                    && !e.is_cancellation()
-                    && matches!(
-                        e,
-                        Error::Cluster(_) | Error::Integrity(_) | Error::Io(_) | Error::Format(_)
-                    ) =>
-            {
+            Err(e) if self.force.is_none() && is_runtime_fault(&e) => {
                 let fallback = match algorithm {
                     JoinAlgorithm::IndexedJoin => JoinAlgorithm::GraceHash,
                     JoinAlgorithm::GraceHash => JoinAlgorithm::IndexedJoin,
@@ -830,6 +765,18 @@ impl QueryEngine {
     }
 }
 
+/// Whether `e` is a runtime fault — a lost node, exhausted retries, a
+/// corrupted or unreadable store — rather than something the statement
+/// itself got wrong. Such a fault may not recur elsewhere: the engine
+/// re-runs a join on the other QES for it, and the federation router
+/// re-issues a whole statement to another shard.
+pub(crate) fn is_runtime_fault(e: &Error) -> bool {
+    matches!(
+        e,
+        Error::Cluster(_) | Error::Integrity(_) | Error::Io(_) | Error::Format(_)
+    )
+}
+
 /// The column names `bound` outputs — what [`project`] / [`aggregate`]
 /// will name them — so predicates on a derived view bind to its output.
 fn output_columns(bound: &BoundSelect) -> Vec<String> {
@@ -851,7 +798,7 @@ mod tests {
     use super::*;
     use orv_bds::{generate_dataset, DatasetSpec};
     use orv_obs::EventLog;
-    use orv_types::Value;
+    use orv_types::{SubTableId, Value};
     use std::time::Duration;
 
     impl QueryEngine {
@@ -1415,42 +1362,6 @@ mod tests {
         let prepared = e.prepare("SELECT * FROM t1 JOIN t2 ON (x, y, z)").unwrap();
         let err = e.run(&prepared, &cancel.into()).unwrap_err();
         assert!(matches!(err, Error::Cancelled), "{err}");
-    }
-
-    #[test]
-    fn misrouted_chunk_scan_is_refused() {
-        let placement = Placement::new(3, 1, 7).unwrap();
-        let e = engine().with_shard(0).with_placement(placement);
-        let table = e.deployment().metadata().table_id("t1").unwrap();
-        let chunks = e.deployment().metadata().all_chunks(table).unwrap();
-        let (own, foreign): (Vec<ChunkId>, Vec<ChunkId>) = chunks
-            .iter()
-            .partition(|&&chunk| placement.owns(0, SubTableId { table, chunk }));
-        assert!(!own.is_empty() && !foreign.is_empty(), "seed splits t1");
-        let sealed = e
-            .run(
-                &Prepared::chunk_scan(table, None, own.clone(), 0.0),
-                &Request::default(),
-            )
-            .unwrap();
-        let runs = sealed.chunk_runs.unwrap();
-        assert_eq!(runs.len(), own.len());
-        let rows_crc = crate::exec::rows_checksum(&sealed.rows);
-        assert_eq!(
-            sealed.checksum,
-            Some(crate::exec::seal_runs(rows_crc, &runs))
-        );
-        // One chunk this shard does not own poisons the whole sub-query.
-        let mut mixed = own;
-        mixed.push(foreign[0]);
-        let err = e
-            .run(
-                &Prepared::chunk_scan(table, None, mixed, 0.0),
-                &Request::default(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, Error::Plan(_)), "{err}");
-        assert!(err.to_string().contains("misrouted sub-query"), "{err}");
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! lives on `R >= 2` distinct shards, assigned by rendezvous hashing —
 //! [`orv_metadata::Placement`]), and a [`FederatedService`] router binds
 //! each statement once ([`QueryEngine::prepare`]) and routes on what it
-//! bound to. A `CREATE VIEW` is broadcast; a join or view read is shipped
-//! whole — the same [`Prepared`], cloned — to one healthy shard; a
+//! bound to. Every shard serves the same engine — one catalog, one
+//! Caching Service — so a shard is a serving queue with an index. A
+//! `CREATE VIEW`, a join or a view read is shipped whole — the same
+//! [`Prepared`], cloned — to one healthy shard; a
 //! base-table scan consults the MetaData Service's R-tree for the chunks
 //! its range touches, fans chunk-scan `Prepared`s out to owning shards,
 //! and merges the partial results (re-aggregation for
@@ -19,8 +21,10 @@
 //! Robustness machinery, all deterministic under seeded fault plans:
 //!
 //! - **Failover**: a failed sub-query re-routes its unfilled chunks to a
-//!   replica that has not been tried yet, bounded per chunk by
-//!   [`RecoveryPolicy::max_attempts`].
+//!   replica that has not been tried yet, bounded per chunk by the
+//!   default [`RecoveryPolicy::max_attempts`]. A whole statement fails
+//!   over only on a shard fault; an error of the statement itself would
+//!   recur on every shard, so it is returned as it is.
 //! - **Hedged requests**: when a sub-query stays unanswered past
 //!   `hedge_after`, the router re-issues its chunks to another replica and
 //!   takes the first checksum-verified answer, cancelling the loser.
@@ -66,7 +70,9 @@
 //! [`Accumulator::merge`](crate::agg::Accumulator::merge)).
 
 use crate::ast::SelectItem;
-use crate::engine::{BoundSelect, Plan, Prepared, QueryEngine, QueryResult, Request, Source};
+use crate::engine::{
+    is_runtime_fault, BoundSelect, Plan, Prepared, QueryEngine, QueryResult, Request, Source,
+};
 use crate::exec::{merge_aggregate, order_and_limit, project, rows_checksum, seal_runs, RowSet};
 use crate::overload::BrownoutState;
 use crate::service::{Landing, QueryService, QueryTicket, ServiceConfig};
@@ -94,7 +100,7 @@ fn relock<T>(r: std::result::Result<T, PoisonError<T>>) -> T {
 /// Sizing and robustness knobs for a [`FederatedService`].
 #[derive(Clone, Debug)]
 pub struct FederationConfig {
-    /// Number of shard engines.
+    /// Number of shard services.
     pub shards: usize,
     /// Replicas per chunk (`1 <= replication <= shards`).
     pub replication: usize,
@@ -103,9 +109,6 @@ pub struct FederationConfig {
     /// Re-issue a sub-query to another replica once it has been in flight
     /// this long. `None` disables hedging.
     pub hedge_after: Option<Duration>,
-    /// Attempt cap (per chunk, and per whole-query route) plus backoff
-    /// shape for the whole-query retry path.
-    pub recovery: RecoveryPolicy,
     /// Consecutive sub-query failures that open a shard's breaker.
     pub trip_after: u32,
     /// Logical ticks (dispatched flights) an open breaker stays open
@@ -134,6 +137,12 @@ const HOP_MARGIN: Duration = Duration::from_millis(25);
 /// back into its shard's retry bucket.
 const RETRY_EARN_MILLI: u64 = 100;
 
+/// The attempt cap per chunk of a federated scan: the default
+/// [`RecoveryPolicy`]'s, as for a whole-statement route.
+fn attempt_cap() -> usize {
+    RecoveryPolicy::default().max_attempts as usize
+}
+
 impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
@@ -141,7 +150,6 @@ impl Default for FederationConfig {
             replication: 2,
             service: ServiceConfig::default(),
             hedge_after: None,
-            recovery: RecoveryPolicy::default(),
             trip_after: 3,
             cooldown_ticks: 8,
             strict: false,
@@ -555,16 +563,16 @@ impl Drop for Flights {
 
 /// The federation router: N shard [`QueryService`]s behind one query API.
 ///
-/// All shards are clones of one [`Deployment`] (shared storage, shared
-/// MetaData Service); what is sharded is *serving ownership* — which
-/// front-end answers for which chunks — exactly the layer a fault plan's
-/// shard-death/shard-slow specs target.
+/// All shards serve one [`QueryEngine`] over one [`Deployment`] (shared
+/// storage, MetaData Service, view catalog and Caching Service), which
+/// the router also binds on; what is sharded is *serving ownership* —
+/// which queue answers for which chunks — exactly the layer a fault
+/// plan's shard-death/shard-slow specs target.
 pub struct FederatedService {
     shards: Vec<QueryService>,
     placement: Placement,
     cfg: FederationConfig,
-    deployment: Deployment,
-    obs: Obs,
+    engine: Arc<QueryEngine>,
     /// Every shard's breaker and retry bucket: where each route and each
     /// re-issue is decided.
     governor: Governor,
@@ -588,10 +596,11 @@ impl FederatedService {
         Self::with_instruments(deployment, cfg, Obs::disabled(), None)
     }
 
-    /// Build the federation, wiring every shard engine to `obs` (spans,
-    /// `fed/*` counters) and, when given, to one shared fault injector —
-    /// the single seeded plan drives deaths and slowdowns across all
-    /// shards, and its global budget caps them collectively.
+    /// Build the federation: one engine over `deployment`, wired to `obs`
+    /// (spans, `fed/*` counters) and, when given, to one fault injector,
+    /// behind `cfg.shards` shard services. The single seeded plan drives
+    /// deaths and slowdowns across all shards, and its global budget
+    /// caps them collectively.
     pub fn with_instruments(
         deployment: Deployment,
         cfg: FederationConfig,
@@ -604,25 +613,23 @@ impl FederatedService {
             ));
         }
         let placement = Placement::new(cfg.shards, cfg.replication, PLACEMENT_SEED)?;
+        let governor = Governor::new(&cfg, RETRY_EARN_MILLI, obs.metrics.clone());
+        let mut engine = QueryEngine::new(deployment).with_obs(obs);
+        if let Some(f) = faults {
+            engine = engine.with_faults(f);
+        }
+        let engine = Arc::new(engine);
         let shards = (0..cfg.shards)
             .map(|i| {
-                let mut engine = QueryEngine::new(deployment.clone())
-                    .with_obs(obs.clone())
-                    .with_shard(i)
-                    .with_placement(placement);
-                if let Some(f) = &faults {
-                    engine = engine.with_faults(Arc::clone(f));
-                }
-                QueryService::new(engine, cfg.service.clone())
+                let shard = Some((i, placement));
+                QueryService::serve(Arc::clone(&engine), shard, cfg.service.clone())
             })
             .collect::<Result<Vec<_>>>()?;
-        let governor = Governor::new(&cfg, RETRY_EARN_MILLI, obs.metrics.clone());
         Ok(FederatedService {
             shards,
             placement,
             cfg,
-            deployment,
-            obs,
+            engine,
             governor,
             recorder: FlightRecorder::new(8, 64),
         })
@@ -640,18 +647,18 @@ impl FederatedService {
         self.shards.len()
     }
 
-    /// One shard's front-end (counters, engine, catalog inspection).
+    /// One shard's front-end (counters, brownout state, the shared engine).
     pub fn shard(&self, i: usize) -> &QueryService {
         &self.shards[i]
     }
 
     /// The observability handle all shards share.
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        self.engine.obs()
     }
 
     fn bump(&self, name: &str, n: u64) {
-        self.obs.metrics.counter(name).add(n);
+        self.obs().metrics.counter(name).add(n);
     }
 
     /// One shard's retry grants (chaos tests hold them to
@@ -701,7 +708,7 @@ impl FederatedService {
     /// stitches into one span tree; the completed trace lands in
     /// [`FederatedService::recorder`].
     pub fn execute_request(&self, sql: &str, request: &Request) -> Result<FederatedResponse> {
-        let mut trace = TracedQuery::begin(&self.obs, "fed", sql.to_string(), request.parent);
+        let mut trace = TracedQuery::begin(self.obs(), "fed", sql.to_string(), request.parent);
         let root = Request {
             cancel: request.cancel.clone(),
             parent: Some(trace.id()),
@@ -717,43 +724,27 @@ impl FederatedService {
         out
     }
 
-    /// Bind `sql` once and decide, from what it bound to, how it
-    /// crosses the federation. Any shard engine can bind: they share one
-    /// deployment, and views are broadcast to every catalog.
+    /// Bind `sql` once, on the engine every shard serves, and decide,
+    /// from what it bound to, how it crosses the federation.
     fn route(
         &self,
         sql: &str,
         root: &Request,
         trace: &mut TracedQuery,
     ) -> Result<FederatedResponse> {
-        let cancel = &root.cancel;
-        cancel.check()?;
-        let prepared = self.shards[0].engine().prepare(sql)?;
+        root.cancel.check()?;
+        let prepared = self.engine.prepare(sql)?;
         match &prepared.plan {
-            Plan::CreateView(_) => {
-                // Views live in each shard engine's catalog; broadcast so
-                // any replica can serve view queries. A mid-broadcast
-                // failure leaves earlier shards registered — re-issuing
-                // the CREATE VIEW converges (duplicates error per shard,
-                // which we surface as-is).
-                for svc in &self.shards {
-                    let ticket = svc.submit_prepared(prepared.clone(), self.hop(root))?;
-                    let outcome = ticket.wait_cancellable(cancel);
-                    trace.adopt(ticket.trace());
-                    outcome?;
-                }
-                Ok(FederatedResponse::Complete(QueryResult::empty()))
-            }
             Plan::Select(
                 select @ BoundSelect {
                     source: Source::Scan { table, range },
                     ..
                 },
             ) => self.scan_federated(prepared.predicted_secs, select, *table, range, root, trace),
-            // Joins and view reads are not chunk-decomposable at this
-            // layer (the join QES already distributes its own work);
-            // route the whole statement to one healthy replica with
-            // retry/failover.
+            // View DDL, joins and view reads are not chunk-decomposable
+            // at this layer (the join QES already distributes its own
+            // work); route the whole statement to one healthy shard with
+            // retry/failover. A view registers once, in the one catalog.
             _ => self
                 .route_whole(&prepared, root, trace)
                 .map(FederatedResponse::Complete),
@@ -762,8 +753,14 @@ impl FederatedService {
 
     /// Whole-statement routing with shard failover: the governor routes
     /// each attempt to a shard not yet failed, breaker-preferred, up to
-    /// `max_attempts`; every attempt after the first is a re-issue it
-    /// pays for, once it has a target.
+    /// the attempt cap; every attempt after the first is a re-issue it
+    /// pays for, once it has a target. Only a shard fault is re-issued: a
+    /// runtime fault, a hop's cancellation while the root is live, or
+    /// overload. Any other error is the root's cancellation or the
+    /// statement's own — every shard runs the same engine, so it would
+    /// recur — and is returned as it is. The shard that gave a
+    /// statement's error answered, so the governor counts it healthy: no
+    /// `fed/shard_errors`, no breaker failure.
     fn route_whole(
         &self,
         prepared: &Prepared,
@@ -771,14 +768,15 @@ impl FederatedService {
         trace: &mut TracedQuery,
     ) -> Result<QueryResult> {
         let cancel = &root.cancel;
-        let cap = self.cfg.recovery.max_attempts as usize;
+        let recovery = RecoveryPolicy::default();
+        let cap = recovery.max_attempts as usize;
         let mut attempts = Attempts {
             owners: (0..self.shards.len()).collect(),
             tried: Vec::new(),
         };
         let mut last_err = Error::Cluster("federation has no shards".into());
         let mut failed: Option<usize> = None;
-        for attempt in 0..self.cfg.recovery.max_attempts {
+        for attempt in 0..recovery.max_attempts {
             let route = || {
                 self.governor
                     .route([((), &attempts)], cap)
@@ -799,7 +797,7 @@ impl FederatedService {
                 (Some(_), Some(hint)) => self.overload_backoff(cancel, hint)?,
                 (Some(_), None) => {
                     self.bump(names::FED_FAILOVERS, 1);
-                    cancel.sleep(self.cfg.recovery.backoff(attempt - 1))?;
+                    cancel.sleep(recovery.backoff(attempt - 1))?;
                 }
             }
             self.bump(names::FED_SUBQUERIES, 1);
@@ -810,23 +808,30 @@ impl FederatedService {
                     trace.adopt(t.trace());
                     outcome
                 });
-            match outcome {
+            let e = match outcome {
                 Ok(result) => {
                     self.governor.landed(shard, true);
                     return Ok(result);
                 }
-                Err(e) if e.is_cancellation() && cancel.check().is_err() => return Err(e),
-                Err(e) => {
-                    // Overload is not a fault: no breaker trip, and the
-                    // shard stays eligible once its queue drains.
-                    if e.retry_after_ms().is_none() {
-                        attempts.tried.push(shard);
-                        self.governor.landed(shard, false);
-                    }
-                    last_err = e;
-                    failed = Some(shard);
+                Err(e) => e,
+            };
+            let overloaded = e.retry_after_ms().is_some();
+            let hop_gave_up = e.is_cancellation() && cancel.check().is_ok();
+            if !(overloaded || hop_gave_up || is_runtime_fault(&e)) {
+                if !e.is_cancellation() {
+                    // The shard answered; the error is the statement's.
+                    self.governor.landed(shard, true);
                 }
+                return Err(e);
             }
+            // Overload is not a fault: no breaker trip, and the shard
+            // stays eligible once its queue drains.
+            if !overloaded {
+                attempts.tried.push(shard);
+                self.governor.landed(shard, false);
+            }
+            last_err = e;
+            failed = Some(shard);
         }
         Err(last_err)
     }
@@ -843,7 +848,7 @@ impl FederatedService {
         trace: &mut TracedQuery,
     ) -> Result<FederatedResponse> {
         let cancel = &root.cancel;
-        let md = self.deployment.metadata();
+        let md = self.engine.deployment().metadata();
         // Same R-tree consultation (and chunk order) as a single engine's
         // scan, so a complete merge is byte-identical to the oracle.
         let all = md.all_chunks(table)?;
@@ -859,7 +864,7 @@ impl FederatedService {
             Prepared::chunk_scan(table, range.clone(), chunks.to_vec(), table_secs * share)
         };
 
-        let cap = self.cfg.recovery.max_attempts as usize;
+        let cap = attempt_cap();
         let hedge_after = self.cfg.hedge_after.map(|h| h.as_secs_f64());
         let mut gathered = Gathered::default();
         for &chunk in &chunks {
@@ -1126,8 +1131,7 @@ impl FederatedService {
         unassigned: &mut Vec<ChunkId>,
         missing: &mut Vec<ChunkId>,
     ) -> bool {
-        let cap = self.cfg.recovery.max_attempts as usize;
-        let target = || gathered.reroutable(&chunks, cap).then_some(());
+        let target = || gathered.reroutable(&chunks, attempt_cap()).then_some(());
         let paid = self
             .governor
             .reissue(shard, false, self.brownout_state(), target)
@@ -1232,7 +1236,7 @@ mod tests {
             let snap = obs.metrics.snapshot();
             snap.counters.get(name).copied().unwrap_or(0)
         };
-        let md = fed.deployment.metadata();
+        let md = fed.engine.deployment().metadata();
         let table = md.table_id("t1").unwrap();
         let chunks: Vec<ChunkId> = md
             .all_chunks(table)
@@ -1327,32 +1331,135 @@ mod tests {
 
     #[test]
     fn views_broadcast_and_serve_from_any_shard() {
-        let fed = FederatedService::new(deployment(), FederationConfig::default()).unwrap();
-        fed.execute("CREATE VIEW v1 AS SELECT * FROM t1 JOIN t2 ON (x, y, z)")
-            .unwrap();
+        let fed = FederatedService::with_instruments(
+            deployment(),
+            Default::default(),
+            Obs::enabled(),
+            None,
+        )
+        .unwrap();
+        let view = "CREATE VIEW v1 AS SELECT * FROM t1 JOIN t2 ON (x, y, z)";
+        fed.execute(view).unwrap();
         for i in 0..fed.num_shards() {
             let catalog = fed.shard(i).engine().catalog();
             assert!(catalog.get("v1").is_some(), "shard {i}");
         }
+        // One statement, one job: the view registered once, on one shard.
+        let traces = fed.recorder().slowest();
+        let root = traces.iter().find(|t| t.detail == view).unwrap();
+        assert_eq!(root.children.len(), 1);
+        assert_eq!(fed.engine.catalog_version(), 1);
         let got = fed.execute("SELECT COUNT(*) FROM v1").unwrap();
         let single = QueryEngine::new(deployment());
-        single
-            .execute("CREATE VIEW v1 AS SELECT * FROM t1 JOIN t2 ON (x, y, z)")
-            .unwrap();
+        single.execute(view).unwrap();
         let want = single.execute("SELECT COUNT(*) FROM v1").unwrap();
         assert_eq!(got.into_result().rows, want.rows);
     }
 
+    /// A federation over `deployment()` whose fault plan kills `shard`
+    /// once it has served `after` jobs, counting into the returned obs.
+    fn with_dead_shard(shard: usize, after: u64) -> (FederatedService, Obs) {
+        let obs = Obs::enabled();
+        let plan = FaultPlan {
+            shard_deaths: vec![ShardDeathSpec {
+                shard,
+                after_subqueries: after,
+            }],
+            max_faults: 8,
+            ..FaultPlan::none()
+        };
+        let faults = FaultInjector::new(plan, obs.events.clone());
+        let cfg = FederationConfig::default();
+        let fed = FederatedService::with_instruments(deployment(), cfg, obs.clone(), Some(faults))
+            .unwrap();
+        (fed, obs)
+    }
+
+    fn counter(obs: &Obs, name: &str) -> u64 {
+        let snap = obs.metrics.snapshot();
+        snap.counters.get(name).copied().unwrap_or(0)
+    }
+
+    #[test]
+    fn every_shard_serves_one_engine() {
+        let fed = FederatedService::new(deployment(), FederationConfig::default()).unwrap();
+        for i in 0..fed.num_shards() {
+            assert!(std::ptr::eq(fed.shard(0).engine(), fed.shard(i).engine()));
+        }
+        assert!(std::ptr::eq(fed.shard(0).engine(), &*fed.engine));
+    }
+
+    #[test]
+    fn create_view_fails_over_past_a_dead_first_shard() {
+        // Shard 0 is first in line for a whole statement, and dead.
+        let (fed, obs) = with_dead_shard(0, 0);
+        let view = "CREATE VIEW v1 AS SELECT x, y, wp FROM t1 JOIN t2 ON (x, y, z)";
+        fed.execute(view).unwrap();
+        assert!(counter(&obs, names::FED_FAILOVERS) >= 1);
+        let read = "SELECT x, COUNT(*), MAX(wp) FROM v1 GROUP BY x";
+        let got = fed.execute(read).unwrap();
+        assert!(got.is_complete());
+        let single = QueryEngine::new(deployment());
+        single.execute(view).unwrap();
+        assert_eq!(got.result().rows, single.execute(read).unwrap().rows);
+    }
+
+    #[test]
+    fn create_view_is_all_or_nothing_and_a_taken_name_is_not_a_shard_fault() {
+        let (fed, obs) = with_dead_shard(1, 0);
+        let view = "CREATE VIEW v1 AS SELECT * FROM t1 JOIN t2 ON (x, y, z)";
+        fed.execute(view).unwrap();
+        let faults = || {
+            [
+                names::FED_FAILOVERS,
+                names::FED_SHARD_ERRORS,
+                names::FED_TRIPS,
+            ]
+            .map(|name| counter(&obs, name))
+        };
+        let before = faults();
+        // Every shard serves the one catalog, so every shard would refuse
+        // the name: the error comes back as it is, from one shard.
+        let err = fed.execute(view).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        assert!(err.to_string().contains("already exists"), "{err}");
+        assert_eq!(faults(), before, "[failovers, shard errors, trips]");
+        assert_eq!(fed.engine.catalog_version(), 1);
+    }
+
+    #[test]
+    fn a_failed_over_join_finds_the_cache_warm() {
+        // Shard 0 serves the first two joins, then dies; the third fails
+        // over to a shard that serves the same Caching Service.
+        let (fed, obs) = with_dead_shard(0, 2);
+        let join = "SELECT * FROM t1 JOIN t2 ON (x, y, z)";
+        let want = oracle(join).rows;
+        for _ in 0..2 {
+            assert_eq!(fed.execute(join).unwrap().into_result().rows, want);
+        }
+        assert_eq!(counter(&obs, names::FED_FAILOVERS), 0);
+        assert!(fed.shard(0).engine().cache_stats().misses > 0, "ran cold");
+        let engine = fed.shard(1).engine();
+        let (reads, misses) = (
+            engine.deployment().chunk_reads(),
+            engine.cache_stats().misses,
+        );
+        assert_eq!(fed.execute(join).unwrap().into_result().rows, want);
+        assert_eq!(counter(&obs, names::FED_FAILOVERS), 1);
+        assert_eq!(engine.cache_stats().misses, misses, "cache misses");
+        assert_eq!(engine.deployment().chunk_reads(), reads, "chunk reads");
+    }
+
     #[test]
     fn view_read_bound_once_is_served_with_shard_zero_dead() {
-        // The router binds on shard 0's *engine* — a function call on the
+        // The router binds on the shared engine — a function call on the
         // caller's thread — and ships the `Prepared`; shard 0's *service*
         // being dead only costs a failover.
         let obs = Obs::enabled();
         let plan = FaultPlan {
             shard_deaths: vec![ShardDeathSpec {
                 shard: 0,
-                // The CREATE VIEW broadcast is shard 0's first job.
+                // The CREATE VIEW is shard 0's first job.
                 after_subqueries: 1,
             }],
             max_faults: 8,
@@ -1392,9 +1499,9 @@ mod tests {
                 .unwrap_or_else(|| panic!("no root trace for {sql}"))
         };
         assert!(root(view).children.iter().all(|c| c.detail == view));
-        assert_eq!(root(view).children.len(), fed.num_shards());
+        assert_eq!(root(view).children.len(), 1);
         assert!(root(read).children.iter().all(|c| c.detail == read));
-        let table = fed.deployment.metadata().table_id("t1").unwrap();
+        let table = fed.engine.deployment().metadata().table_id("t1").unwrap();
         let scans = &root("SELECT * FROM t1 WHERE x IN [0, 3]").children;
         assert!(!scans.is_empty());
         for child in scans {
@@ -1622,7 +1729,7 @@ mod tests {
         let FederatedResponse::Partial(partial) = got else {
             panic!("every chunk was turned away, yet the answer is complete");
         };
-        let md = fed.deployment.metadata();
+        let md = fed.engine.deployment().metadata();
         let table = md.table_id("t1").unwrap();
         assert_eq!(partial.missing_chunks, md.all_chunks(table).unwrap());
         assert!(partial.result.rows.is_empty());
@@ -1976,7 +2083,7 @@ mod tests {
             .collect();
         let got = fed.execute("SELECT * FROM t1").unwrap();
         assert!(!got.is_complete());
-        let md = fed.deployment.metadata();
+        let md = fed.engine.deployment().metadata();
         let table = md.table_id("t1").unwrap();
         let mut primaries: Vec<usize> = md
             .all_chunks(table)
@@ -2041,8 +2148,8 @@ mod tests {
 
     /// Cancelling a federated query's root reaches the shard that admitted
     /// its sub-query: the shard resolves it as cancelled instead of
-    /// sleeping out its storm and running it to completion. Covers a
-    /// whole-statement route (a join) and a `CREATE VIEW` broadcast.
+    /// sleeping out its storm and running it to completion. Covers both
+    /// kinds of whole-statement route: a join and a `CREATE VIEW`.
     #[test]
     fn cancelling_the_root_cancels_every_admitted_sub_query() {
         for sql in [

@@ -1,8 +1,9 @@
 //! The Query Processing Service's front door: concurrent query serving.
 //!
 //! The paper's QPS mediates queries from *many* clients over shared
-//! BDS/DDS sub-tables; [`QueryService`] is that layer. It wraps one
-//! [`QueryEngine`] (whose entry points all take `&self`). A statement is
+//! BDS/DDS sub-tables; [`QueryService`] is that layer. It serves one
+//! [`QueryEngine`] (whose entry points all take `&self`); a federation's
+//! shard services all serve the same one. A statement is
 //! bound once at submit ([`QueryEngine::prepare`]); what waits in the
 //! queue is the [`Prepared`], and a worker hands it to
 //! [`QueryEngine::run`]. Around that, the service adds:
@@ -38,11 +39,12 @@
 //! admitted  == completed + cancelled + shed (once all tickets resolve)
 //! ```
 
-use crate::engine::{Prepared, QueryEngine, QueryResult, Request};
+use crate::engine::{Plan, Prepared, QueryEngine, QueryResult, Request};
 use crate::overload::{BrownoutController, BrownoutTransition, CostClass, OverloadConfig};
 use orv_cluster::{CancelToken, SLEEP_SLICE};
+use orv_metadata::Placement;
 use orv_obs::{names, FlightRecorder, QueryTrace, SpanTimer, TraceId, TraceOutcome, TracedQuery};
-use orv_types::{Error, Result};
+use orv_types::{Error, Result, SubTableId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 // The parking_lot shim has no Condvar; the queue and tickets block on
@@ -231,7 +233,10 @@ impl Queues {
 }
 
 struct Inner {
-    engine: QueryEngine,
+    engine: Arc<QueryEngine>,
+    /// Which federation shard this service is, and the placement that
+    /// says what it owns; `None` standalone.
+    shard: Option<(usize, Placement)>,
     cfg: ServiceConfig,
     queue: Mutex<Queues>,
     work: Condvar,
@@ -244,7 +249,7 @@ struct Inner {
     shed: AtomicU64,
     controller: BrownoutController,
     /// Span-group label of this service's traces: `service` standalone,
-    /// `fed{N}` when the engine is federation shard N.
+    /// `fed{N}` when it is federation shard N.
     group: String,
     recorder: FlightRecorder,
 }
@@ -332,6 +337,35 @@ impl Inner {
         self.resolve_as(&job.slot, job.trace, Err(Error::Cancelled), outcome);
     }
 
+    /// A shard's gate before a job reaches the engine; a standalone
+    /// service passes the job through. The injector's shard checkpoint
+    /// comes first, so an injected shard death or slowdown lands at a
+    /// fixed point in the shard's job stream. Then a chunk scan naming a
+    /// chunk this shard does not own is refused: the one sub-query fails,
+    /// and the router re-routes its chunks.
+    fn claim(&self, work: Result<Prepared>, cancel: &CancelToken) -> Result<Prepared> {
+        let Some((shard, placement)) = &self.shard else {
+            return work;
+        };
+        if let Some(faults) = &self.engine.faults {
+            faults.shard_checkpoint(*shard, cancel)?;
+        }
+        let prepared = work?;
+        if let Plan::ChunkScan { table, chunks, .. } = &prepared.plan {
+            let table = *table;
+            let foreign = chunks
+                .iter()
+                .find(|&&chunk| !placement.owns(*shard, SubTableId { table, chunk }));
+            if let Some(chunk) = foreign {
+                return Err(Error::Plan(format!(
+                    "shard {shard} does not own chunk {} of table {} (misrouted sub-query)",
+                    chunk.0, table.0
+                )));
+            }
+        }
+        Ok(prepared)
+    }
+
     fn worker_loop(&self) {
         loop {
             let mut job = {
@@ -365,20 +399,14 @@ impl Inner {
                 self.resolve_as(&job.slot, job.trace, Err(e), outcome);
                 continue;
             }
-            // The shard checkpoint gates every job this engine serves:
-            // an injected shard death/slowdown hits here.
             let exec = SpanTimer::start();
-            let result = self
-                .engine
-                .shard_checkpoint(&job.cancel)
-                .and(job.work)
-                .and_then(|prepared| {
-                    let request = Request {
-                        cancel: job.cancel.clone(),
-                        parent: Some(job.trace.id()),
-                    };
-                    self.engine.run(&prepared, &request)
-                });
+            let result = self.claim(job.work, &job.cancel).and_then(|prepared| {
+                let request = Request {
+                    cancel: job.cancel.clone(),
+                    parent: Some(job.trace.id()),
+                };
+                self.engine.run(&prepared, &request)
+            });
             job.trace.phase(names::LAT_EXEC, Some(&exec));
             self.resolve(&job.slot, job.trace, result);
         }
@@ -404,12 +432,6 @@ impl std::fmt::Debug for QueryTicket {
 }
 
 impl QueryTicket {
-    /// This query's cancel token (shareable; cancelling it cancels the
-    /// query).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// The propagated trace ID this query carries.
     pub fn trace_id(&self) -> TraceId {
         self.trace_id
@@ -504,20 +526,32 @@ pub struct QueryService {
 impl QueryService {
     /// Spawn the worker pool over `engine`.
     pub fn new(engine: QueryEngine, cfg: ServiceConfig) -> Result<Self> {
+        Self::serve(Arc::new(engine), None, cfg)
+    }
+
+    /// Spawn the worker pool over a shared `engine` — as federation
+    /// shard `(index, placement)` when given: the engine every shard
+    /// serves, and the chunks the placement gives this one.
+    pub(crate) fn serve(
+        engine: Arc<QueryEngine>,
+        shard: Option<(usize, Placement)>,
+        cfg: ServiceConfig,
+    ) -> Result<Self> {
         if cfg.queue_cap == 0 {
             return Err(Error::Config(
                 "query service needs queue_cap >= 1 (everything would be rejected)".into(),
             ));
         }
         cfg.overload.validate().map_err(Error::Config)?;
-        let group = match engine.shard_index() {
-            Some(s) => format!("fed{s}"),
+        let group = match shard {
+            Some((s, _)) => format!("fed{s}"),
             None => "service".to_string(),
         };
         engine.obs().metrics.gauge(names::OVERLOAD_STATE).set(0);
         let inner = Arc::new(Inner {
             controller: BrownoutController::new(cfg.overload.clone(), cfg.queue_cap),
             engine,
+            shard,
             cfg: cfg.clone(),
             queue: Mutex::new(Queues::default()),
             work: Condvar::new(),
@@ -540,7 +574,8 @@ impl QueryService {
         Ok(QueryService { inner, workers })
     }
 
-    /// The wrapped engine (catalog inspection, cache stats, obs handle).
+    /// The served engine (catalog inspection, cache stats, obs handle);
+    /// one engine behind every shard of a federation.
     pub fn engine(&self) -> &QueryEngine {
         &self.inner.engine
     }
@@ -717,6 +752,7 @@ mod tests {
     use super::*;
     use crate::overload::BrownoutState;
     use orv_bds::{generate_dataset, DatasetSpec, Deployment};
+    use orv_types::ChunkId;
 
     fn engine() -> QueryEngine {
         let d = Deployment::in_memory(1);
@@ -744,6 +780,39 @@ mod tests {
         let c = svc.counters();
         assert_eq!((c.submitted, c.admitted, c.completed), (1, 1, 1));
         assert!(c.admission_balances() && c.completion_balances());
+    }
+
+    #[test]
+    fn misrouted_chunk_scan_is_refused() {
+        let placement = Placement::new(3, 1, 7).unwrap();
+        let engine = Arc::new(engine());
+        let shard = Some((0, placement));
+        let svc =
+            QueryService::serve(Arc::clone(&engine), shard, ServiceConfig::default()).unwrap();
+        let table = engine.deployment().metadata().table_id("t1").unwrap();
+        let chunks = engine.deployment().metadata().all_chunks(table).unwrap();
+        let (own, foreign): (Vec<ChunkId>, Vec<ChunkId>) = chunks
+            .iter()
+            .partition(|&&chunk| placement.owns(0, SubTableId { table, chunk }));
+        assert!(!own.is_empty() && !foreign.is_empty(), "seed splits t1");
+        let scan = |chunks: Vec<ChunkId>| {
+            let job = Prepared::chunk_scan(table, None, chunks, 0.0);
+            svc.submit_prepared(job, Request::default()).unwrap().wait()
+        };
+        let sealed = scan(own.clone()).unwrap();
+        let runs = sealed.chunk_runs.unwrap();
+        assert_eq!(runs.len(), own.len());
+        let rows_crc = crate::exec::rows_checksum(&sealed.rows);
+        assert_eq!(
+            sealed.checksum,
+            Some(crate::exec::seal_runs(rows_crc, &runs))
+        );
+        // One chunk this shard does not own poisons the whole sub-query.
+        let mut mixed = own;
+        mixed.push(foreign[0]);
+        let err = scan(mixed).unwrap_err();
+        assert!(matches!(err, Error::Plan(_)), "{err}");
+        assert!(err.to_string().contains("misrouted sub-query"), "{err}");
     }
 
     /// Each ticket's `exec` row and its `lat/exec_secs` sample are one

@@ -1,6 +1,8 @@
 //! Federated serving demo: a seeded fault plan kills one shard of a
 //! three-shard federation mid-run, and replicated placement + failover
-//! keep every answer byte-identical to a single-engine oracle.
+//! keep every answer byte-identical to a single-engine oracle. A view
+//! is created first, through whichever shard is healthy, and each round
+//! reads it back.
 //!
 //! ```text
 //! cargo run --release --example federation -- <seed> [--strict]
@@ -22,10 +24,13 @@ use orv::cluster::{silence_injected_panics, FaultInjector, FaultPlan, ShardDeath
 use orv::obs::{names, Obs};
 use orv::query::{FederatedService, FederationConfig, QueryEngine};
 
-const QUERIES: [&str; 3] = [
+const VIEW: &str = "CREATE VIEW fv AS SELECT x, z, p FROM ft";
+
+const QUERIES: [&str; 4] = [
     "SELECT * FROM ft WHERE x IN [0, 5]",
     "SELECT COUNT(*) FROM ft",
     "SELECT z, COUNT(*), MIN(p), MAX(p) FROM ft GROUP BY z",
+    "SELECT z, COUNT(*) FROM fv GROUP BY z",
 ];
 
 fn deployment() -> Deployment {
@@ -90,11 +95,21 @@ fn main() {
         FederatedService::with_instruments(deployment(), cfg, obs.clone(), Some(injector.clone()))
             .expect("federation construction is fault-free");
     let oracle_engine = QueryEngine::new(deployment());
+    oracle_engine
+        .execute(VIEW)
+        .expect("oracle run is fault-free");
+
+    // The view is one whole statement: it registers once, in the one
+    // catalog every shard serves, whichever shard takes it.
+    let mut failures = Vec::new();
+    match fed.execute(VIEW) {
+        Ok(_) => println!("  ok  {VIEW}"),
+        Err(e) => failures.push(format!("`{VIEW}` failed: {e}")),
+    }
 
     // Several rounds, so the seeded death (after `seed % 4` sub-queries
     // on its shard) always lands *mid-sequence*: some answers come off
     // the healthy path, the rest exercise failover.
-    let mut failures = Vec::new();
     for round in 0..3 {
         for sql in QUERIES {
             let want = oracle_engine
@@ -156,7 +171,7 @@ fn main() {
 
     // Every executed query must leave a trace in the recorder — slow or
     // anomalous, nothing disappears.
-    let executed = 3 * QUERIES.len() as u64;
+    let executed = 1 + 3 * QUERIES.len() as u64;
     if fed.recorder().recorded() != executed {
         failures.push(format!(
             "flight recorder saw {} of {executed} queries",

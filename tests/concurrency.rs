@@ -469,18 +469,11 @@ fn drop_with_queued_work_cancels_cleanly() {
     let tickets: Vec<_> = (0..4)
         .map(|_| svc.submit("SELECT * FROM v1").expect("submit"))
         .collect();
-    let counters_handle = {
-        // Counters survive on the tickets' shared inner past the drop.
-        let t = &tickets[0];
-        t.cancel_token() // keep a token alive; exercises the accessor
-    };
     drop(svc);
     for t in tickets {
         let err = t.wait().expect_err("drained ticket must be cancelled");
         assert!(matches!(err, Error::Cancelled), "got {err}");
     }
-    // The kept token reports cancelled state once the queue drained it.
-    assert!(counters_handle.check().is_err());
 }
 
 /// Catalog snapshot consistency under concurrent publishes: a reader
