@@ -8,23 +8,30 @@
 //! [`orv_metadata::Placement`]), and a [`FederatedService`] router binds
 //! each statement once ([`QueryEngine::prepare`]) and routes on what it
 //! bound to. Every shard serves the same engine — one catalog, one
-//! Caching Service — so a shard is a serving queue with an index. A
-//! `CREATE VIEW`, a join or a view read is shipped whole — the same
-//! [`Prepared`], cloned — to one healthy shard; a
-//! base-table scan consults the MetaData Service's R-tree for the chunks
-//! its range touches, fans chunk-scan `Prepared`s out to owning shards,
-//! and merges the partial results (re-aggregation for
-//! COUNT/SUM/AVG/MIN/MAX, in-order concatenation with dedup-by-chunk for
-//! scans). Shards never see SQL text: they queue and run what the router
-//! bound ([`QueryService::submit_prepared`]).
+//! Caching Service — so a shard is a serving queue with an index.
+//!
+//! Every statement crosses the federation through one flight loop, as
+//! *pieces*, each with the shards that own it. A base-table scan
+//! consults the MetaData Service's R-tree for the chunks its range
+//! touches: each chunk is a piece its replicas own, flown to its owners
+//! in chunk-scan `Prepared`s, and the partial results are merged
+//! (re-aggregation for COUNT/SUM/AVG/MIN/MAX, in-order concatenation
+//! with dedup-by-chunk for scans). A `CREATE VIEW`, a join or a view
+//! read is one piece every shard owns, shipped whole — the same
+//! [`Prepared`], cloned — and never hedged. Shards never see SQL text:
+//! they queue and run what the router bound.
 //!
 //! Robustness machinery, all deterministic under seeded fault plans:
 //!
-//! - **Failover**: a failed sub-query re-routes its unfilled chunks to a
-//!   replica that has not been tried yet, bounded per chunk by the
-//!   default [`RecoveryPolicy::max_attempts`]. A whole statement fails
-//!   over only on a shard fault; an error of the statement itself would
-//!   recur on every shard, so it is returned as it is.
+//! - **Failover in passes**: a pass dispatches, then waits until each of
+//!   its flights has landed or lost to a hedge; only then are its
+//!   failures re-routed, in dispatch order, each unfilled piece to an
+//!   owner not tried yet, bounded per piece by the default
+//!   [`RecoveryPolicy::max_attempts`]. A shard fault is re-issued — a
+//!   runtime fault, a sub-response that fails re-verification, a hop
+//!   cancelled while the root is live; an error of the statement itself
+//!   would recur on every shard, so it is returned as it is. There is no
+//!   sleep before a failover.
 //! - **Hedged requests**: when a sub-query stays unanswered past
 //!   `hedge_after`, the router re-issues its chunks to another replica and
 //!   takes the first checksum-verified answer, cancelling the loser.
@@ -34,10 +41,11 @@
 //!   replays see the same trips); one half-open probe then closes or
 //!   re-opens it. An open breaker demotes a shard in replica preference —
 //!   it never makes data unreachable while an untried replica remains.
-//! - **Graceful degradation**: chunks whose every replica failed are
-//!   reported in a typed [`PartialResult`] carrying the exact missing
-//!   chunk set and a completeness fraction; `strict` mode turns the same
-//!   situation into [`Error::Unavailable`].
+//! - **Graceful degradation**: chunks no replica answered are reported in
+//!   a typed [`PartialResult`] carrying the exact missing chunk set and a
+//!   completeness fraction; `strict` mode turns the same situation into
+//!   [`Error::Unavailable`], whose detail names apart the chunks that
+//!   failed on every owner tried and those refused a re-issue.
 //! - **Deadline and cancel propagation**: every sub-query runs under a
 //!   [`CancelToken::child`] of the root's token, so cancelling the root
 //!   reaches every hop, and a root deadline reaches each hop one
@@ -49,7 +57,8 @@
 //!   once the re-issue has a target. A dry bucket degrades to the partial
 //!   path instead of amplifying the overload that caused the failure.
 //! - **Overload backoff**: a shard rejecting with [`Error::Overloaded`]
-//!   is *not* a fault — no breaker trip; the router backs off honoring
+//!   is *not* a fault — no breaker trip — but it is an attempt on that
+//!   shard, re-routed with its pass's failures; the router backs off honoring
 //!   the rejection's `retry_after_ms` hint (bounded) before the re-issue
 //!   it is about to make, and never for one it will not.
 //! - **Brownout awareness**: hedging is disabled while any shard's
@@ -61,8 +70,8 @@
 //! three things — `route` (an untried owner under the attempt cap,
 //! breaker-preferred), `reissue` (the brownout policy, then a target,
 //! then one token) and `landed` (close or trip the breaker, earn
-//! tokens) — from the whole-statement route, the dispatch pass, the
-//! hedge pass and failover alike.
+//! tokens) — from the flight loop's dispatch, hedge and failover steps
+//! alike, for chunks and whole statements.
 //!
 //! Merging is exact for scans and COUNT/MIN/MAX; SUM/AVG re-aggregation
 //! is deterministic for a fixed partitioning but may differ from the
@@ -81,8 +90,7 @@ use orv_cluster::{CancelToken, FaultInjector, RecoveryPolicy};
 use orv_metadata::Placement;
 use orv_obs::{names, FlightRecorder, MetricsRegistry, Obs, SpanTimer, TraceOutcome, TracedQuery};
 use orv_types::{BoundingBox, ChunkId, Error, Record, Result, SubTableId, TableId};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -106,8 +114,9 @@ pub struct FederationConfig {
     pub replication: usize,
     /// Admission/pool sizing applied to every shard's [`QueryService`].
     pub service: ServiceConfig,
-    /// Re-issue a sub-query to another replica once it has been in flight
-    /// this long. `None` disables hedging.
+    /// Re-issue a scan's sub-query to another replica once it has been
+    /// in flight this long (a whole statement is never hedged). `None`
+    /// disables hedging.
     pub hedge_after: Option<Duration>,
     /// Consecutive sub-query failures that open a shard's breaker.
     pub trip_after: u32,
@@ -137,8 +146,8 @@ const HOP_MARGIN: Duration = Duration::from_millis(25);
 /// back into its shard's retry bucket.
 const RETRY_EARN_MILLI: u64 = 100;
 
-/// The attempt cap per chunk of a federated scan: the default
-/// [`RecoveryPolicy`]'s, as for a whole-statement route.
+/// The attempt cap per piece of work, a chunk or a whole statement: the
+/// default [`RecoveryPolicy`]'s.
 fn attempt_cap() -> usize {
     RecoveryPolicy::default().max_attempts as usize
 }
@@ -240,7 +249,6 @@ struct Ledger {
 
 /// Who may serve one piece of work — a chunk's owners, or every shard for
 /// a whole statement — and whom the router has sent it to already.
-#[derive(Default)]
 struct Attempts {
     owners: Vec<usize>,
     tried: Vec<usize>,
@@ -440,10 +448,14 @@ impl RetryGrants {
     }
 }
 
-/// One in-flight sub-query: a chunk group dispatched to one shard.
+/// One in-flight sub-query: some pieces of a statement, dispatched to one
+/// shard.
 struct Flight {
     shard: usize,
-    chunks: Vec<ChunkId>,
+    /// The pieces it carries, ascending.
+    pieces: Vec<usize>,
+    /// Its place in dispatch order, the order a pass's failures re-route in.
+    seq: usize,
     ticket: QueryTicket,
     /// This flight already spawned its hedge (never hedge twice).
     hedged: bool,
@@ -455,83 +467,103 @@ struct Flight {
     age: SpanTimer,
 }
 
-/// What a federated scan knows of each chunk: whom it was sent to, and
-/// the sub-responses absorbed so far, each kept whole as it landed, with
-/// which of them filled the chunk. The first verified response to carry
-/// a chunk wins it (dedup for hedged duplicates).
-#[derive(Default)]
-struct Gathered {
-    /// chunk → its owners and the shards it went to, set when the scan starts.
-    attempts: HashMap<ChunkId, Attempts>,
-    responses: Vec<Vec<Record>>,
-    /// chunk → (index into `responses`, the chunk's rows there).
-    filled: HashMap<ChunkId, (usize, Range<usize>)>,
+/// A dispatch that admission turned away, or a flight that failed on a
+/// shard fault: held back until every flight of its pass has landed.
+struct Failed {
+    seq: usize,
+    shard: usize,
+    pieces: Vec<usize>,
+    error: Error,
 }
 
-impl Gathered {
-    fn has(&self, chunk: &ChunkId) -> bool {
-        self.filled.contains_key(chunk)
-    }
+/// The pieces of a statement no answer filled, by why, and the last
+/// shard fault — what a caller that kept nothing returns.
+#[derive(Default)]
+struct Unanswered {
+    /// Pieces whose every owner under the attempt cap was tried.
+    lost: Vec<usize>,
+    /// Pieces with an owner left whose re-issue was refused, by the
+    /// failed shard's retry budget or by `Shed`.
+    refused: Vec<usize>,
+    fault: Option<Error>,
+}
 
-    /// Record that `chunks` went to `shard`.
-    fn sent(&mut self, shard: usize, chunks: &[ChunkId]) {
-        for chunk in chunks {
-            self.attempts.entry(*chunk).or_default().tried.push(shard);
+/// What a federated scan keeps of its sub-responses: each verified one
+/// whole, as it landed, and for each chunk which of them filled it. The
+/// first verified response to carry a chunk wins it (dedup for hedged
+/// duplicates).
+struct Gathered<'a> {
+    /// The scan's chunks, ascending: piece `i` is `chunks[i]`.
+    chunks: &'a [ChunkId],
+    responses: Vec<Vec<Record>>,
+    /// piece → (index into `responses`, the chunk's rows there).
+    filled: Vec<Option<(usize, Range<usize>)>>,
+}
+
+impl<'a> Gathered<'a> {
+    fn new(chunks: &'a [ChunkId]) -> Self {
+        Gathered {
+            chunks,
+            responses: Vec::new(),
+            filled: vec![None; chunks.len()],
         }
-    }
-
-    /// Whether any of `chunks` has an owner left under `cap` — the target
-    /// a re-issue into the next dispatch pass must have before it pays.
-    /// The breaker only demotes, so it does not enter. A chunk without a
-    /// record has tried nobody, and placement gives every chunk an owner.
-    fn reroutable(&self, chunks: &[ChunkId], cap: usize) -> bool {
-        chunks.iter().any(|c| {
-            self.attempts
-                .get(c)
-                .is_none_or(|a| a.untried(cap).next().is_some())
-        })
     }
 
     /// Rows over every filled chunk.
     fn rows(&self) -> usize {
-        self.filled.values().map(|(_, run)| run.len()).sum()
+        self.filled.iter().flatten().map(|(_, run)| run.len()).sum()
     }
 
-    /// Keep `rows`, cut into `runs`, and fill every chunk they carry that
-    /// no earlier response filled; `true` if any was.
-    fn keep(&mut self, rows: Vec<Record>, runs: &[(ChunkId, usize)]) -> bool {
+    /// Verify `flight`'s answer and keep it whole, the moment it lands,
+    /// filling every chunk it carries that no earlier response filled.
+    /// It is discarded wholesale with a typed `Error::Integrity` — a
+    /// shard fault, so its chunks re-route — unless its runs name
+    /// exactly the flight's chunks, ascending, with lengths that sum to
+    /// its rows, and its seal matches: the shard wrote it from its
+    /// batches, and the router recomputes it from the rows it received
+    /// ([`rows_checksum`]) and the runs ([`seal_runs`]).
+    fn keep(&mut self, flight: &Flight, result: QueryResult) -> Result<()> {
+        let runs = result.chunk_runs.unwrap_or_default();
+        let asked = flight.pieces.iter().map(|&p| self.chunks[p]);
+        let covers = runs.iter().map(|r| r.0).eq(asked)
+            && runs.iter().map(|r| r.1).sum::<usize>() == result.rows.len();
+        if !covers {
+            return Err(Error::Integrity(format!(
+                "sub-response from shard {} does not cut its rows into one run per chunk asked for",
+                flight.shard
+            )));
+        }
+        if result.checksum != Some(seal_runs(rows_checksum(&result.rows), &runs)) {
+            return Err(Error::Integrity(format!(
+                "sub-response from shard {} does not match its seal",
+                flight.shard
+            )));
+        }
         let (k, mut at, mut won) = (self.responses.len(), 0, false);
-        for &(chunk, len) in runs {
-            if let Entry::Vacant(e) = self.filled.entry(chunk) {
-                e.insert((k, at..at + len));
+        for (&p, &(_, len)) in flight.pieces.iter().zip(&runs) {
+            if self.filled[p].is_none() {
+                self.filled[p] = Some((k, at..at + len));
                 won = true;
             }
             at += len;
         }
         if won {
-            self.responses.push(rows);
+            self.responses.push(result.rows);
         }
-        won
+        Ok(())
     }
 
-    /// Hand `each` the rows of every filled chunk, in `chunks` order,
-    /// moved out of the response that won it. `chunks` ascends, as every
-    /// response's runs do, so each response is read front to back once.
-    fn drain_runs(
-        self,
-        chunks: &[ChunkId],
-        mut each: impl FnMut(std::iter::Take<&mut std::vec::IntoIter<Record>>),
-    ) {
+    /// Hand `each` the rows of every filled chunk, in chunk order, moved
+    /// out of the response that won it. Every response's runs ascend as
+    /// the chunks do, so each response is read front to back once.
+    fn drain_runs(self, mut each: impl FnMut(std::iter::Take<&mut std::vec::IntoIter<Record>>)) {
         let mut cursors: Vec<_> = self
             .responses
             .into_iter()
             .map(|rows| (0, rows.into_iter()))
             .collect();
-        for chunk in chunks {
-            let Some((k, run)) = self.filled.get(chunk) else {
-                continue;
-            };
-            let (at, rows) = &mut cursors[*k];
+        for (k, run) in self.filled.into_iter().flatten() {
+            let (at, rows) = &mut cursors[k];
             // Rows in between belong to chunks another response won.
             if run.start > *at {
                 rows.nth(run.start - *at - 1);
@@ -542,15 +574,39 @@ impl Gathered {
     }
 }
 
-/// One federated query's flights, and the landing signal every one of
-/// them pulses when its answer is published. Also a drop guard: whatever
-/// is still flying when the router unwinds (parent cancellation,
-/// strict-mode error, normal return with losers pending) gets cancelled
-/// so no shard worker burns time on an abandoned query.
-#[derive(Default)]
+/// One federated statement's flights, and what the router knows of its
+/// pieces: who owns each and whom it went to, and which an answer has
+/// filled. Every flight pulses `landing` when its answer is published.
+/// Also a drop guard: whatever is still flying when the router unwinds
+/// (parent cancellation, strict-mode error, normal return with losers
+/// pending) gets cancelled so no shard worker burns time on an abandoned
+/// query.
 struct Flights {
+    attempts: Vec<Attempts>,
+    filled: Vec<bool>,
     flying: Vec<Flight>,
+    /// Dispatches so far: the next one's `seq`.
+    dispatched: usize,
     landing: Landing,
+}
+
+impl Flights {
+    /// Piece `i` owned by `owners[i]`, tried nowhere and unfilled.
+    fn new(owners: Vec<Vec<usize>>) -> Self {
+        Flights {
+            filled: vec![false; owners.len()],
+            attempts: owners
+                .into_iter()
+                .map(|owners| Attempts {
+                    owners,
+                    tried: Vec::new(),
+                })
+                .collect(),
+            flying: Vec::new(),
+            dispatched: 0,
+            landing: Landing::default(),
+        }
+    }
 }
 
 impl Drop for Flights {
@@ -687,13 +743,6 @@ impl FederatedService {
         }
     }
 
-    /// Bounded overload backoff honoring a rejection's `retry_after_ms`
-    /// hint (capped at one [`orv_cluster::SLEEP_SLICE`]).
-    fn overload_backoff(&self, cancel: &CancelToken, hint_ms: u64) -> Result<()> {
-        self.bump(names::OVERLOAD_BACKOFFS, 1);
-        cancel.sleep(Duration::from_millis(hint_ms).min(orv_cluster::SLEEP_SLICE))
-    }
-
     /// Execute one statement under a fresh token with no deadline.
     pub fn execute(&self, sql: &str) -> Result<FederatedResponse> {
         self.execute_request(sql, &CancelToken::new().into())
@@ -724,8 +773,8 @@ impl FederatedService {
         out
     }
 
-    /// Bind `sql` once, on the engine every shard serves, and decide,
-    /// from what it bound to, how it crosses the federation.
+    /// Bind `sql` once, on the engine every shard serves, and fly it:
+    /// a base-table scan as chunk groups, anything else whole.
     fn route(
         &self,
         sql: &str,
@@ -734,106 +783,203 @@ impl FederatedService {
     ) -> Result<FederatedResponse> {
         root.cancel.check()?;
         let prepared = self.engine.prepare(sql)?;
-        match &prepared.plan {
-            Plan::Select(
-                select @ BoundSelect {
-                    source: Source::Scan { table, range },
-                    ..
-                },
-            ) => self.scan_federated(prepared.predicted_secs, select, *table, range, root, trace),
+        let Plan::Select(
+            select @ BoundSelect {
+                source: Source::Scan { table, range },
+                ..
+            },
+        ) = &prepared.plan
+        else {
             // View DDL, joins and view reads are not chunk-decomposable
             // at this layer (the join QES already distributes its own
-            // work); route the whole statement to one healthy shard with
-            // retry/failover. A view registers once, in the one catalog.
-            _ => self
-                .route_whole(&prepared, root, trace)
-                .map(FederatedResponse::Complete),
-        }
+            // work): the statement is one piece every shard owns. It is
+            // never hedged — a `CREATE VIEW` run twice is not a `CREATE
+            // VIEW` run once — and a view registers once, in the one
+            // catalog.
+            let mut answer = None;
+            let every_shard = vec![(0..self.shards.len()).collect()];
+            let job = |_: &[usize]| prepared.clone();
+            let keep = |_: &Flight, result| {
+                answer.get_or_insert(result);
+                Ok(())
+            };
+            let unanswered = self.fly(every_shard, None, root, trace, job, keep)?;
+            let no_shards = || Error::Cluster("federation has no shards".into());
+            return answer
+                .map(FederatedResponse::Complete)
+                .ok_or_else(|| unanswered.fault.unwrap_or_else(no_shards));
+        };
+        self.scan_federated(prepared.predicted_secs, select, *table, range, root, trace)
     }
 
-    /// Whole-statement routing with shard failover: the governor routes
-    /// each attempt to a shard not yet failed, breaker-preferred, up to
-    /// the attempt cap; every attempt after the first is a re-issue it
-    /// pays for, once it has a target. Only a shard fault is re-issued: a
-    /// runtime fault, a hop's cancellation while the root is live, or
-    /// overload. Any other error is the root's cancellation or the
-    /// statement's own — every shard runs the same engine, so it would
-    /// recur — and is returned as it is. The shard that gave a
-    /// statement's error answered, so the governor counts it healthy: no
-    /// `fed/shard_errors`, no breaker failure.
-    fn route_whole(
+    /// The one flight loop. Piece `i` of a statement goes to one of
+    /// `owners[i]`, the pieces sent to one shard as the one [`Prepared`]
+    /// `job` makes of them; every answer that lands goes to `keep`,
+    /// which checks it and keeps it, or fails it as a shard fault.
+    ///
+    /// It runs in passes. A pass dispatches every unassigned piece to an
+    /// untried owner, grouped by shard, then sweeps its flights: a landed
+    /// answer is kept at once, a flight quiet past `hedge_after` is
+    /// hedged, and a flight whose every piece another answer filled is
+    /// cancelled as a loser. A shard fault — a runtime fault, an answer
+    /// `keep` rejects, a hop that gave up while the root is live — and a
+    /// dispatch admission turned away are held back until every flight
+    /// of the pass has landed or been cancelled, then re-routed in
+    /// dispatch order ([`FederatedService::fail_over`]). So which pieces
+    /// a failover sends, which tokens it draws and which pieces end up
+    /// unanswered follow the seed, not which flight landed first. Any
+    /// other error is the statement's own — every shard serves the same
+    /// engine, so it would recur — and is returned as it is.
+    fn fly(
         &self,
-        prepared: &Prepared,
+        owners: Vec<Vec<usize>>,
+        hedge_after: Option<Duration>,
         root: &Request,
         trace: &mut TracedQuery,
-    ) -> Result<QueryResult> {
+        job: impl Fn(&[usize]) -> Prepared,
+        mut keep: impl FnMut(&Flight, QueryResult) -> Result<()>,
+    ) -> Result<Unanswered> {
         let cancel = &root.cancel;
-        let recovery = RecoveryPolicy::default();
-        let cap = recovery.max_attempts as usize;
-        let mut attempts = Attempts {
-            owners: (0..self.shards.len()).collect(),
-            tried: Vec::new(),
-        };
-        let mut last_err = Error::Cluster("federation has no shards".into());
-        let mut failed: Option<usize> = None;
-        for attempt in 0..recovery.max_attempts {
-            let route = || {
-                self.governor
-                    .route([((), &attempts)], cap)
-                    .0
-                    .into_keys()
-                    .next()
-            };
-            let pick = match failed {
-                None => route(),
-                Some(prev) => self
-                    .governor
-                    .reissue(prev, false, self.brownout_state(), route),
-            };
-            let Some(shard) = pick else { break };
-            // Sleep only for a re-issue about to be made.
-            match (failed, last_err.retry_after_ms()) {
-                (None, _) => {}
-                (Some(_), Some(hint)) => self.overload_backoff(cancel, hint)?,
-                (Some(_), None) => {
-                    self.bump(names::FED_FAILOVERS, 1);
-                    cancel.sleep(recovery.backoff(attempt - 1))?;
+        let cap = attempt_cap();
+        let hedge_after = hedge_after.map(|h| h.as_secs_f64());
+        let mut flights = Flights::new(owners);
+        let mut unassigned: Vec<usize> = (0..flights.filled.len()).collect();
+        let mut failed: Vec<Failed> = Vec::new();
+        let mut unanswered = Unanswered::default();
+
+        loop {
+            cancel.check()?;
+
+            // The pass has landed: re-route what failed in it, then
+            // dispatch the next (the first: every piece to its preferred
+            // owner). Pieces with no untried owner left are lost.
+            if flights.flying.is_empty() {
+                failed.sort_by_key(|f| f.seq);
+                for f in failed.drain(..) {
+                    self.fail_over(f, &flights, &mut unassigned, &mut unanswered, cancel)?;
+                }
+                if unassigned.is_empty() {
+                    return Ok(unanswered);
+                }
+                unassigned.sort_unstable();
+                let work = unassigned.drain(..).map(|p| (p, &flights.attempts[p]));
+                let (groups, lost) = self.governor.route(work, cap);
+                unanswered.lost.extend(lost);
+                for (shard, group) in groups {
+                    let job = job(&group);
+                    match self.dispatch(&mut flights, shard, group, job, false, root) {
+                        Ok(()) => {}
+                        Err(f) if f.error.retry_after_ms().is_some() => failed.push(f),
+                        Err(f) => return Err(f.error),
+                    }
+                }
+                continue;
+            }
+
+            // Sweep the flights without blocking, taking whichever landed
+            // and noting which went quiet past `hedge_after` with pieces
+            // still unfilled. The landing count is read first: a flight
+            // that lands after its ticket was looked at has moved it, and
+            // the wait below returns at once.
+            let seen = flights.landing.count();
+            let mut resolved: Vec<(usize, Result<QueryResult>)> = Vec::new();
+            let mut quiet: Vec<(usize, Vec<usize>)> = Vec::new();
+            for (i, f) in flights.flying.iter().enumerate() {
+                if let Some(result) = f.ticket.wait_timeout(Duration::ZERO) {
+                    resolved.push((i, result));
+                } else if !f.hedged && hedge_after.is_some_and(|h| f.age.elapsed_secs() >= h) {
+                    let unfilled = f.pieces.iter().filter(|&&p| !flights.filled[p]);
+                    quiet.push((i, unfilled.copied().collect()));
                 }
             }
-            self.bump(names::FED_SUBQUERIES, 1);
-            let outcome = self.shards[shard]
-                .submit_prepared(prepared.clone(), self.hop(root))
-                .and_then(|t| {
-                    let outcome = t.wait_cancellable(cancel);
-                    trace.adopt(t.trace());
-                    outcome
-                });
-            let e = match outcome {
-                Ok(result) => {
-                    self.governor.landed(shard, true);
-                    return Ok(result);
+
+            // Hedge the quiet flights: their unfilled pieces to an untried
+            // owner. A hedge target counts as an attempt, so the per-piece
+            // cap covers hedges and failovers alike, and the slow shard's
+            // bucket pays only for a hedge that has a target. A hedge the
+            // brownout policy lets through to routing is spent, paid or
+            // not; one it holds (the federation has left `Normal`) stays
+            // unlatched, so hedging resumes once shards recover.
+            let state = self.brownout_state();
+            for (i, unfilled) in quiet.into_iter().filter(|(_, u)| !u.is_empty()) {
+                let f = &mut flights.flying[i];
+                let route = || {
+                    f.hedged = true;
+                    let work = unfilled.iter().map(|&p| (p, &flights.attempts[p]));
+                    Some(self.governor.route(work, cap).0).filter(|g| !g.is_empty())
+                };
+                let Some(groups) = self.governor.reissue(f.shard, true, state, route) else {
+                    continue;
+                };
+                // The flight's age at hedge time is the latency the hedge
+                // mechanism is absorbing.
+                trace.phase(names::LAT_HEDGE, Some(&f.age));
+                for (shard, group) in groups {
+                    let job = job(&group);
+                    match self.dispatch(&mut flights, shard, group, job, true, root) {
+                        Ok(()) => self.bump(names::FED_HEDGES, 1),
+                        // A hedge refused by admission control is simply
+                        // dropped — the original flight still covers the
+                        // pieces, so nothing is lost but the speculation.
+                        Err(f) if f.error.retry_after_ms().is_some() => {}
+                        Err(f) => return Err(f.error),
+                    }
                 }
-                Err(e) => e,
-            };
-            let overloaded = e.retry_after_ms().is_some();
-            let hop_gave_up = e.is_cancellation() && cancel.check().is_ok();
-            if !(overloaded || hop_gave_up || is_runtime_fault(&e)) {
-                if !e.is_cancellation() {
+            }
+
+            // Take the landed flights (descending index so removals are
+            // safe).
+            let landed = !resolved.is_empty();
+            for (i, outcome) in resolved.into_iter().rev() {
+                let flight = flights.flying.remove(i);
+                // The resolver published the sub-query's trace before its
+                // result became observable, so this is always present.
+                trace.adopt(flight.ticket.trace());
+                match outcome.and_then(|result| keep(&flight, result)) {
+                    Ok(()) => {
+                        self.governor.landed(flight.shard, true);
+                        let won = flight.pieces.iter().any(|&p| !flights.filled[p]);
+                        for &p in &flight.pieces {
+                            flights.filled[p] = true;
+                        }
+                        if won && flight.is_hedge {
+                            self.bump(names::FED_HEDGE_WINS, 1);
+                        }
+                    }
+                    Err(e) if e.is_cancellation() && cancel.check().is_err() => return Err(e),
+                    Err(error) if is_runtime_fault(&error) || error.is_cancellation() => {
+                        failed.push(Failed {
+                            seq: flight.seq,
+                            shard: flight.shard,
+                            pieces: flight.pieces,
+                            error,
+                        });
+                    }
                     // The shard answered; the error is the statement's.
-                    self.governor.landed(shard, true);
+                    Err(e) => {
+                        self.governor.landed(flight.shard, true);
+                        return Err(e);
+                    }
                 }
-                return Err(e);
             }
-            // Overload is not a fault: no breaker trip, and the shard
-            // stays eligible once its queue drains.
-            if !overloaded {
-                attempts.tried.push(shard);
-                self.governor.landed(shard, false);
+
+            // Cancel losers: a flight whose every piece someone else
+            // already filled has nothing left to contribute.
+            let filled = &flights.filled;
+            flights.flying.retain(|f| {
+                let obsolete = f.pieces.iter().all(|&p| filled[p]);
+                if obsolete {
+                    f.ticket.cancel();
+                }
+                !obsolete
+            });
+
+            // Nothing landed: sleep until a flight does, at most one
+            // `POLL_SLICE`, then sweep again.
+            if !landed {
+                flights.landing.wait_past(seen, POLL_SLICE, cancel);
             }
-            last_err = e;
-            failed = Some(shard);
         }
-        Err(last_err)
     }
 
     /// The chunk fan-out path for base-table SELECTs: `query` reads
@@ -847,7 +993,6 @@ impl FederatedService {
         root: &Request,
         trace: &mut TracedQuery,
     ) -> Result<FederatedResponse> {
-        let cancel = &root.cancel;
         let md = self.engine.deployment().metadata();
         // Same R-tree consultation (and chunk order) as a single engine's
         // scan, so a complete merge is byte-identical to the oracle.
@@ -859,162 +1004,36 @@ impl FederatedService {
         };
         // One sub-query: these chunks, costed as their share of the
         // whole-table scan the statement was bound to.
-        let sub_query = |chunks: &[ChunkId]| {
-            let share = chunks.len() as f64 / table_chunks.max(1) as f64;
-            Prepared::chunk_scan(table, range.clone(), chunks.to_vec(), table_secs * share)
+        let job = |pieces: &[usize]| {
+            let share = pieces.len() as f64 / table_chunks.max(1) as f64;
+            let group = pieces.iter().map(|&p| chunks[p]).collect();
+            Prepared::chunk_scan(table, range.clone(), group, table_secs * share)
         };
+        let owners = chunks
+            .iter()
+            .map(|&chunk| self.placement.owners(SubTableId { table, chunk }))
+            .collect();
+        let mut gathered = Gathered::new(&chunks);
+        let keep = |flight: &Flight, result| gathered.keep(flight, result);
+        let unanswered = self.fly(owners, self.cfg.hedge_after, root, trace, job, keep)?;
 
-        let cap = attempt_cap();
-        let hedge_after = self.cfg.hedge_after.map(|h| h.as_secs_f64());
-        let mut gathered = Gathered::default();
-        for &chunk in &chunks {
-            let owners = self.placement.owners(SubTableId { table, chunk });
-            gathered.attempts.insert(
-                chunk,
-                Attempts {
-                    owners,
-                    tried: Vec::new(),
-                },
-            );
-        }
-        let mut unassigned: Vec<ChunkId> = chunks.clone();
-        let mut missing: Vec<ChunkId> = Vec::new();
-        let mut flights = Flights::default();
-
-        loop {
-            cancel.check()?;
-
-            // Dispatch every unassigned chunk (first pass: primaries;
-            // later passes: failover targets). Chunks with no untried
-            // replica left under the attempt cap become missing.
-            if !unassigned.is_empty() {
-                let work = unassigned.drain(..).map(|c| (c, &gathered.attempts[&c]));
-                let (groups, lost) = self.governor.route(work, cap);
-                missing.extend(lost);
-                for (shard, group) in groups {
-                    gathered.sent(shard, &group);
-                    let job = sub_query(&group);
-                    match self.dispatch(&mut flights, shard, group.clone(), job, false, root) {
-                        Ok(()) => {}
-                        // The shard's admission control rejected the
-                        // sub-query. Not a fault: back off on the hint
-                        // before the next pass re-routes the chunks, if
-                        // they go back at all.
-                        Err(e) if e.retry_after_ms().is_some() => {
-                            if self.requeue(shard, group, &gathered, &mut unassigned, &mut missing)
-                            {
-                                self.overload_backoff(cancel, e.retry_after_ms().unwrap_or(0))?;
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-
-            // Chunks an overloaded shard turned away wait in `unassigned`
-            // for the next pass, even with nothing in flight.
-            if flights.flying.is_empty() && unassigned.is_empty() {
-                break;
-            }
-
-            // Sweep the outstanding flights without blocking, absorbing
-            // whichever landed and noting which went quiet past
-            // `hedge_after` with chunks still unfilled. The landing count is
-            // read first: a flight that lands after its ticket was looked
-            // at has moved it, and the wait below returns at once.
-            let seen = flights.landing.count();
-            let mut resolved: Vec<(usize, Result<QueryResult>)> = Vec::new();
-            let mut quiet: Vec<(usize, Vec<ChunkId>)> = Vec::new();
-            for (i, f) in flights.flying.iter().enumerate() {
-                if let Some(result) = f.ticket.wait_timeout(Duration::ZERO) {
-                    resolved.push((i, result));
-                } else if !f.hedged && hedge_after.is_some_and(|h| f.age.elapsed_secs() >= h) {
-                    let unfilled = f.chunks.iter().filter(|c| !gathered.has(c));
-                    quiet.push((i, unfilled.copied().collect()));
-                }
-            }
-
-            // Hedge the quiet flights: their unfilled chunks to an untried
-            // owner. A hedge target counts as an attempt, so the per-chunk
-            // cap covers hedges and failovers alike, and the slow shard's
-            // bucket pays only for a hedge that has a target. A hedge the
-            // brownout policy lets through to routing is spent, paid or
-            // not; one it holds (the federation has left `Normal`) stays
-            // unlatched, so hedging resumes once shards recover.
-            let state = self.brownout_state();
-            for (i, unfilled) in quiet.into_iter().filter(|(_, u)| !u.is_empty()) {
-                let f = &mut flights.flying[i];
-                let route = || {
-                    f.hedged = true;
-                    let work = unfilled.iter().map(|&c| (c, &gathered.attempts[&c]));
-                    Some(self.governor.route(work, cap).0).filter(|g| !g.is_empty())
-                };
-                let Some(groups) = self.governor.reissue(f.shard, true, state, route) else {
-                    continue;
-                };
-                // The flight's age at hedge time is the latency the hedge
-                // mechanism is absorbing.
-                trace.phase(names::LAT_HEDGE, Some(&f.age));
-                for (shard, group) in groups {
-                    gathered.sent(shard, &group);
-                    let job = sub_query(&group);
-                    match self.dispatch(&mut flights, shard, group, job, true, root) {
-                        Ok(()) => self.bump(names::FED_HEDGES, 1),
-                        // A hedge refused by admission control is simply
-                        // dropped — the original flight still covers the
-                        // chunks, so nothing is lost but the speculation.
-                        Err(e) if e.retry_after_ms().is_some() => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-
-            // Handle resolutions (descending index so removals are safe).
-            let landed = !resolved.is_empty();
-            for (i, outcome) in resolved.into_iter().rev() {
-                let flight = flights.flying.remove(i);
-                // The resolver published the sub-query's trace before its
-                // result became observable, so this is always present.
-                trace.adopt(flight.ticket.trace());
-                // A response that fails re-verification is a failed shard.
-                let outcome =
-                    outcome.and_then(|result| self.absorb(&flight, result, &mut gathered));
-                match outcome {
-                    Ok(()) => {}
-                    Err(e) if e.is_cancellation() && cancel.check().is_err() => return Err(e),
-                    Err(_) => self.fail_over(&flight, &gathered, &mut unassigned, &mut missing),
-                }
-            }
-
-            // Cancel losers: a flight whose every chunk someone else
-            // already filled has nothing left to contribute.
-            flights.flying.retain(|f| {
-                let obsolete = f.chunks.iter().all(|c| gathered.has(c));
-                if obsolete {
-                    f.ticket.cancel();
-                }
-                !obsolete
-            });
-
-            // Nothing landed: sleep until a flight does, at most one
-            // `POLL_SLICE`, then sweep again.
-            if !landed && unassigned.is_empty() {
-                flights.landing.wait_past(seen, POLL_SLICE, cancel);
-            }
-        }
-
+        let (lost, refused) = (&unanswered.lost, &unanswered.refused);
+        let mut missing: Vec<ChunkId> = lost.iter().chain(refused).map(|&p| chunks[p]).collect();
         missing.sort();
-        missing.dedup();
         if !missing.is_empty() {
             self.bump(names::FED_PARTIAL, 1);
             self.bump(names::FED_MISSING_CHUNKS, missing.len() as u64);
             if self.cfg.strict {
+                let ids =
+                    |pieces: &[usize]| pieces.iter().map(|&p| chunks[p].0).collect::<Vec<_>>();
                 return Err(Error::Unavailable {
                     missing_chunks: missing.len(),
                     detail: format!(
-                        "table `{}` chunks {:?} lost all replicas",
+                        "table `{}`: chunks {:?} failed on every owner tried, chunks {:?} were \
+                         refused a re-issue by the retry budget or shedding",
                         md.table_name(table)?,
-                        missing.iter().map(|c| c.0).collect::<Vec<_>>()
+                        ids(lost),
+                        ids(refused)
                     ),
                 });
             }
@@ -1033,11 +1052,11 @@ impl FederatedService {
             .any(|i| matches!(i, SelectItem::Aggregate(..)));
         let rowset: RowSet = if has_agg || !query.group_by.is_empty() {
             let mut parts: Vec<Vec<Record>> = Vec::new();
-            gathered.drain_runs(&chunks, |run| parts.push(run.collect()));
+            gathered.drain_runs(|run| parts.push(run.collect()));
             merge_aggregate(columns, parts, &query.select, &query.group_by)?
         } else {
             let mut rows = Vec::with_capacity(gathered.rows());
-            gathered.drain_runs(&chunks, |run| rows.extend(run));
+            gathered.drain_runs(|run| rows.extend(run));
             project(columns, rows, &query.select)?
         };
         let rowset = order_and_limit(rowset, &query.order_by, query.limit)?;
@@ -1059,118 +1078,97 @@ impl FederatedService {
         }
     }
 
-    /// Submit `job`, the chunk-scan [`Prepared`] over `chunks`, to one
-    /// shard, carrying the root query's trace ID and a child of its token
-    /// ([`FederatedService::hop`]); the shard pulses the flights' landing
-    /// signal once the answer is published.
+    /// Submit `job`, `pieces` of a statement, to one shard, carrying the
+    /// root query's trace ID and a child of its token
+    /// ([`FederatedService::hop`]). Each piece has now been tried on the
+    /// shard, even if its admission control turns the job away. The shard
+    /// pulses the flights' landing signal once the answer is published.
     fn dispatch(
         &self,
         flights: &mut Flights,
         shard: usize,
-        mut chunks: Vec<ChunkId>,
+        pieces: Vec<usize>,
         job: Prepared,
         is_hedge: bool,
         root: &Request,
-    ) -> Result<()> {
+    ) -> std::result::Result<(), Failed> {
         self.bump(names::FED_SUBQUERIES, 1);
-        let landing = &flights.landing;
-        let ticket = self.shards[shard].submit_signalled(job, self.hop(root), landing)?;
-        // As the shard's scan reads them, so in the order of its runs: a
-        // chunk two failed flights both returned to the pool is asked
-        // for once.
-        chunks.sort_unstable();
-        chunks.dedup();
-        flights.flying.push(Flight {
-            shard,
-            chunks,
-            ticket,
-            hedged: false,
-            is_hedge,
-            age: SpanTimer::start(),
-        });
-        Ok(())
+        let seq = flights.dispatched;
+        flights.dispatched += 1;
+        for &p in &pieces {
+            flights.attempts[p].tried.push(shard);
+        }
+        match self.shards[shard].submit_signalled(job, self.hop(root), &flights.landing) {
+            Ok(ticket) => {
+                flights.flying.push(Flight {
+                    shard,
+                    pieces,
+                    seq,
+                    ticket,
+                    hedged: false,
+                    is_hedge,
+                    age: SpanTimer::start(),
+                });
+                Ok(())
+            }
+            Err(error) => Err(Failed {
+                seq,
+                shard,
+                pieces,
+                error,
+            }),
+        }
     }
 
-    /// A flight failed (its shard errored, or its response failed
-    /// re-verification): tell the governor, then [`requeue`] the chunks
-    /// nobody else filled and no earlier failure already returned.
-    ///
-    /// [`requeue`]: FederatedService::requeue
+    /// Re-route one failure of a pass that has landed. A failed flight is
+    /// a breaker failure on its shard; a dispatch turned away by
+    /// admission is not. Its pieces that nobody filled and no earlier
+    /// failure of the pass settled go back to `unassigned`, for the next
+    /// pass to route to an owner not yet tried, if one of them has such
+    /// an owner left, the federation is not shedding and the shard's
+    /// bucket pays; the router then backs off on an overload hint, or
+    /// counts a failover. Pieces with no owner left are lost, and the
+    /// rest, when the re-issue is refused, are refused: the caller gets
+    /// an exact account instead of amplified load.
     fn fail_over(
         &self,
-        flight: &Flight,
-        gathered: &Gathered,
-        unassigned: &mut Vec<ChunkId>,
-        missing: &mut Vec<ChunkId>,
-    ) {
-        self.governor.landed(flight.shard, false);
-        let unfilled: Vec<ChunkId> = flight
-            .chunks
+        failed: Failed,
+        flights: &Flights,
+        unassigned: &mut Vec<usize>,
+        unanswered: &mut Unanswered,
+        cancel: &CancelToken,
+    ) -> Result<()> {
+        let hint = failed.error.retry_after_ms();
+        if hint.is_none() {
+            self.governor.landed(failed.shard, false);
+        }
+        let cap = attempt_cap();
+        // What an earlier failure of the pass sent back or gave up on is
+        // settled, as is what another flight filled.
+        let settled = [&*unassigned, &unanswered.lost, &unanswered.refused];
+        let (open, spent): (Vec<usize>, Vec<usize>) = failed
+            .pieces
             .iter()
-            .filter(|c| !gathered.has(c) && !unassigned.contains(c))
             .copied()
-            .collect();
-        if !unfilled.is_empty()
-            && self.requeue(flight.shard, unfilled, gathered, unassigned, missing)
-        {
+            .filter(|p| !flights.filled[*p] && !settled.iter().any(|s| s.contains(p)))
+            .partition(|&p| flights.attempts[p].untried(cap).next().is_some());
+        unanswered.fault = Some(failed.error);
+        unanswered.lost.extend(spent);
+        let target = || (!open.is_empty()).then_some(());
+        let state = self.brownout_state();
+        let Some(()) = self.governor.reissue(failed.shard, false, state, target) else {
+            unanswered.refused.extend(open);
+            return Ok(());
+        };
+        unassigned.extend(open);
+        let Some(hint_ms) = hint else {
             self.bump(names::FED_FAILOVERS, 1);
-        }
-    }
-
-    /// Send `chunks`, which `shard` did not serve, back to `unassigned` —
-    /// the next dispatch pass re-routes them to a replica not yet tried —
-    /// if one of them has such a replica left, the federation is not
-    /// shedding, and `shard`'s bucket pays. Otherwise degrade: they go
-    /// `missing`, and the caller gets an exact PartialResult instead of
-    /// amplified load. `true` when they went back.
-    fn requeue(
-        &self,
-        shard: usize,
-        chunks: Vec<ChunkId>,
-        gathered: &Gathered,
-        unassigned: &mut Vec<ChunkId>,
-        missing: &mut Vec<ChunkId>,
-    ) -> bool {
-        let target = || gathered.reroutable(&chunks, attempt_cap()).then_some(());
-        let paid = self
-            .governor
-            .reissue(shard, false, self.brownout_state(), target)
-            .is_some();
-        if paid { unassigned } else { missing }.extend(chunks);
-        paid
-    }
-
-    /// Verify one successful sub-response and keep it whole in
-    /// `gathered`, the moment it lands. First responder wins per chunk
-    /// (dedup for hedged duplicates). The response is discarded wholesale
-    /// with a typed `Error::Integrity`, which the caller handles as a
-    /// failed shard — its chunks stay unfilled and re-route — unless its
-    /// runs name exactly the flight's chunks, ascending, with lengths
-    /// that sum to its rows, and its seal matches: the shard wrote it
-    /// from its batches, and the router recomputes it from the rows it
-    /// received ([`rows_checksum`]) and the runs ([`seal_runs`]).
-    fn absorb(&self, flight: &Flight, result: QueryResult, gathered: &mut Gathered) -> Result<()> {
-        let runs = result.chunk_runs.unwrap_or_default();
-        let covers = runs.iter().map(|r| r.0).eq(flight.chunks.iter().copied())
-            && runs.iter().map(|r| r.1).sum::<usize>() == result.rows.len();
-        if !covers {
-            return Err(Error::Integrity(format!(
-                "sub-response from shard {} does not cut its rows into one run per chunk asked for",
-                flight.shard
-            )));
-        }
-        if result.checksum != Some(seal_runs(rows_checksum(&result.rows), &runs)) {
-            return Err(Error::Integrity(format!(
-                "sub-response from shard {} does not match its seal",
-                flight.shard
-            )));
-        }
-        self.governor.landed(flight.shard, true);
-        let won = gathered.keep(result.rows, &runs);
-        if won && flight.is_hedge {
-            self.bump(names::FED_HEDGE_WINS, 1);
-        }
-        Ok(())
+            return Ok(());
+        };
+        // A bounded backoff on the rejection's hint, capped at one
+        // `SLEEP_SLICE`.
+        self.bump(names::OVERLOAD_BACKOFFS, 1);
+        cancel.sleep(Duration::from_millis(hint_ms).min(orv_cluster::SLEEP_SLICE))
     }
 }
 
@@ -1248,13 +1246,18 @@ mod tests {
             !chunks.is_empty(),
             "placement seed must give shard 0 chunks"
         );
+        // Piece `i` is `chunks[i]`, owned as placement says.
+        let pieces: Vec<usize> = (0..chunks.len()).collect();
+        let owners: Vec<Vec<usize>> = chunks
+            .iter()
+            .map(|&chunk| fed.placement.owners(SubTableId { table, chunk }))
+            .collect();
         // A real shard-sealed sub-response, as the router receives it.
-        let sealed = || {
-            let mut flights = Flights::default();
+        let sealed = |flights: &mut Flights| {
             let job = Prepared::chunk_scan(table, None, chunks.clone(), 0.0);
             let root = Request::default();
-            fed.dispatch(&mut flights, 0, chunks.clone(), job, false, &root)
-                .unwrap();
+            let sent = fed.dispatch(flights, 0, pieces.clone(), job, false, &root);
+            assert!(sent.is_ok());
             let flight = flights.flying.pop().unwrap();
             let result = flight
                 .ticket
@@ -1298,34 +1301,49 @@ mod tests {
             }),
         ];
         for (what, alter) in alterations {
-            let (flight, mut result) = sealed();
+            let mut flights = Flights::new(owners.clone());
+            let (flight, mut result) = sealed(&mut flights);
             alter(&mut result);
             let (errors, failovers) = (
                 counter(names::FED_SHARD_ERRORS),
                 counter(names::FED_FAILOVERS),
             );
-            let mut gathered = Gathered::default();
-            let (mut unassigned, mut missing) = (Vec::new(), Vec::new());
-            // The two steps the routing loop takes on a resolved flight.
-            let err = fed.absorb(&flight, result, &mut gathered).unwrap_err();
-            fed.fail_over(&flight, &gathered, &mut unassigned, &mut missing);
-            assert!(matches!(err, Error::Integrity(_)), "{what}: {err}");
-            assert!(gathered.filled.is_empty(), "{what}: merged");
+            let mut gathered = Gathered::new(&chunks);
+            let (mut unassigned, mut unanswered) = (Vec::new(), Unanswered::default());
+            // The two steps the flight loop takes on a landed flight: keep
+            // it, and re-route it as a shard fault once its pass landed.
+            let error = gathered.keep(&flight, result).unwrap_err();
+            assert!(matches!(error, Error::Integrity(_)), "{what}: {error}");
+            let failed = Failed {
+                seq: flight.seq,
+                shard: flight.shard,
+                pieces: flight.pieces.clone(),
+                error,
+            };
+            let none = CancelToken::none();
+            fed.fail_over(failed, &flights, &mut unassigned, &mut unanswered, &none)
+                .unwrap();
+            assert!(
+                gathered.filled.iter().all(Option::is_none),
+                "{what}: merged"
+            );
             assert_eq!(counter(names::FED_SHARD_ERRORS), errors + 1, "{what}");
             assert_eq!(counter(names::FED_FAILOVERS), failovers + 1, "{what}");
-            assert_eq!(unassigned, chunks, "{what}: every chunk re-routes");
-            assert!(missing.is_empty(), "{what}");
+            assert_eq!(unassigned, pieces, "{what}: every chunk re-routes");
+            assert!(unanswered.lost.is_empty(), "{what}");
+            assert!(unanswered.refused.is_empty(), "{what}");
         }
         // The same response untouched is merged, chunk by chunk.
-        let (flight, result) = sealed();
+        let mut flights = Flights::new(owners);
+        let (flight, result) = sealed(&mut flights);
         let (want, errors) = (result.rows.clone(), counter(names::FED_SHARD_ERRORS));
-        let mut gathered = Gathered::default();
-        fed.absorb(&flight, result, &mut gathered).unwrap();
-        assert_eq!(gathered.filled.len(), chunks.len());
+        let mut gathered = Gathered::new(&chunks);
+        gathered.keep(&flight, result).unwrap();
+        assert!(gathered.filled.iter().all(Option::is_some));
         assert_eq!(gathered.rows(), want.len());
         assert_eq!(counter(names::FED_SHARD_ERRORS), errors);
         let mut merged = Vec::new();
-        gathered.drain_runs(&chunks, |run| merged.extend(run));
+        gathered.drain_runs(|run| merged.extend(run));
         assert_eq!(merged, want);
     }
 
@@ -1733,6 +1751,105 @@ mod tests {
         let table = md.table_id("t1").unwrap();
         assert_eq!(partial.missing_chunks, md.all_chunks(table).unwrap());
         assert!(partial.result.rows.is_empty());
+    }
+
+    #[test]
+    fn an_overloaded_shard_is_an_attempt_for_a_whole_statement_too() {
+        // Shard 0's one worker sleeps out a storm and its one-slot queue
+        // is full; shards 1 and 2 are idle. A join is one piece every
+        // shard owns: turned away by shard 0, it lands on shard 1.
+        let obs = Obs::enabled();
+        let plan = FaultPlan {
+            shard_slow_storms: vec![ShardSlowStormSpec {
+                shard: 0,
+                after_subqueries: 0,
+                delay_ms: 30_000,
+                storm_len: 1,
+            }],
+            ..FaultPlan::none()
+        };
+        let faults = FaultInjector::new(plan, obs.events.clone());
+        let mut cfg = FederationConfig::default();
+        cfg.service.workers = 1;
+        cfg.service.queue_cap = 1;
+        let fed = FederatedService::with_instruments(
+            deployment(),
+            cfg,
+            obs.clone(),
+            Some(faults.clone()),
+        )
+        .unwrap();
+        let stalled = fed.shard(0).submit("SELECT COUNT(*) FROM t1").unwrap();
+        let watchdog = SpanTimer::start();
+        while faults.stats().shard_slow_storm_delays == 0 {
+            assert!(watchdog.elapsed_secs() < 30.0, "shard 0 never claimed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queued = fed.shard(0).submit("SELECT COUNT(*) FROM t1").unwrap();
+        let join = "SELECT * FROM t1 JOIN t2 ON (x, y, z)";
+        let got = fed.execute(join).unwrap();
+        assert_eq!(got.into_result().rows, oracle(join).rows);
+        let admitted = |s: usize| fed.shard(s).counters().admitted;
+        assert_eq!(fed.shard(0).counters().rejected, 1);
+        assert_eq!([admitted(0), admitted(1), admitted(2)], [2, 1, 0]);
+        assert_eq!(counter(&obs, names::FED_SUBQUERIES), 2);
+        assert_eq!(counter(&obs, names::FED_SHARD_ERRORS), 0);
+        for ticket in [stalled, queued] {
+            ticket.cancel();
+        }
+    }
+
+    #[test]
+    fn a_reissue_the_budget_refused_is_not_called_lost() {
+        // Shard 0 is dead and every bucket dry: each of its chunks has a
+        // live replica, but no re-issue is paid for.
+        let cfg = FederationConfig {
+            strict: true,
+            retry_budget: 0,
+            ..FederationConfig::default()
+        };
+        let plan = FaultPlan {
+            shard_deaths: vec![ShardDeathSpec {
+                shard: 0,
+                after_subqueries: 0,
+            }],
+            max_faults: 8,
+            ..FaultPlan::none()
+        };
+        let faults = FaultInjector::new(plan, EventLog::disabled());
+        let fed =
+            FederatedService::with_instruments(deployment(), cfg, Obs::disabled(), Some(faults))
+                .unwrap();
+        let md = fed.engine.deployment().metadata();
+        let table = md.table_id("t1").unwrap();
+        let refused: Vec<u32> = md
+            .all_chunks(table)
+            .unwrap()
+            .into_iter()
+            .filter(|&chunk| fed.placement.primary(SubTableId { table, chunk }) == 0)
+            .map(|c| c.0)
+            .collect();
+        assert!(
+            !refused.is_empty(),
+            "placement seed must give shard 0 chunks"
+        );
+        let err = fed.execute("SELECT * FROM t1").unwrap_err();
+        let Error::Unavailable {
+            missing_chunks,
+            detail,
+        } = err
+        else {
+            panic!("expected Unavailable, got {err}");
+        };
+        assert_eq!(missing_chunks, refused.len());
+        assert_eq!(
+            detail,
+            format!(
+                "table `t1`: chunks [] failed on every owner tried, chunks {refused:?} were \
+                 refused a re-issue by the retry budget or shedding"
+            )
+        );
+        assert!(!detail.contains("lost"), "{detail}");
     }
 
     /// A governor over `shards` shards with a bucket of `budget` tokens

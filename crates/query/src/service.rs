@@ -485,7 +485,7 @@ impl QueryTicket {
     /// deadline, or within one [`SLEEP_SLICE`] of a cancel. This is the
     /// one canonical `submit → wait slice → cancel-check` client loop;
     /// every caller that used to open-code it (stress harnesses, the
-    /// federation router) goes through here.
+    /// benchmark's cost ladder) goes through here.
     pub fn wait_cancellable(&self, cancel: &CancelToken) -> Result<QueryResult> {
         self.wait_until(cancel)?
     }

@@ -11,6 +11,9 @@
 //!    in strict mode.
 //! 3. A stalled shard is beaten by a hedged re-issue to a replica, again
 //!    byte-identically.
+//! 4. Which sub-queries a failover sends, which tokens it draws and which
+//!    chunks end up missing are a function of the seed: ten fresh
+//!    federations under the `federation 42 --strict` plan agree exactly.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::{FaultInjector, FaultPlan, ShardDeathSpec, ShardSlowStormSpec};
@@ -268,4 +271,68 @@ fn breaker_trips_once_failures_accumulate_and_counters_stay_consistent() {
     );
     assert!(counter(names::FED_SHARD_ERRORS) >= counter(names::FED_TRIPS) * 2);
     assert_eq!(counter(names::FED_PARTIAL), 0);
+}
+
+/// One `examples/federation 42 --strict` run on a fresh federation: each
+/// statement's outcome (the `Unavailable` detail names the missing
+/// chunks), then every `fed/*` counter and each shard's retry grants.
+fn strict_seed_42_run() -> Vec<String> {
+    const VIEW: &str = "CREATE VIEW fv AS SELECT x, z, p FROM ft";
+    const QUERIES: [&str; 4] = [
+        "SELECT * FROM ft WHERE x IN [0, 5]",
+        COUNT,
+        "SELECT z, COUNT(*), MIN(p), MAX(p) FROM ft GROUP BY z",
+        "SELECT z, COUNT(*) FROM fv GROUP BY z",
+    ];
+    let obs = Obs::enabled();
+    let plan = FaultPlan {
+        seed: 42,
+        shard_deaths: vec![
+            ShardDeathSpec {
+                shard: 0,
+                after_subqueries: 2,
+            },
+            ShardDeathSpec {
+                shard: 1,
+                after_subqueries: 0,
+            },
+        ],
+        max_faults: 8,
+        ..FaultPlan::none()
+    };
+    let cfg = FederationConfig {
+        strict: true,
+        ..FederationConfig::default()
+    };
+    let injector = FaultInjector::new(plan, obs.events.clone());
+    let fed =
+        FederatedService::with_instruments(deployment(), cfg, obs.clone(), Some(injector)).unwrap();
+    let statements = std::iter::once(VIEW).chain((0..3).flat_map(|_| QUERIES));
+    let mut seen: Vec<String> = statements
+        .map(|sql| match fed.execute(sql) {
+            Ok(FederatedResponse::Complete(r)) => format!("{sql}: {} rows", r.rows.len()),
+            Ok(FederatedResponse::Partial(p)) => format!("{sql}: missing {:?}", p.missing_chunks),
+            Err(e) => format!("{sql}: {e}"),
+        })
+        .collect();
+    let snap = obs.metrics.snapshot();
+    let fed_counters = snap.counters.iter().filter(|(k, _)| k.starts_with("fed/"));
+    seen.extend(fed_counters.map(|(k, v)| format!("{k}={v}")));
+    seen.extend((0..fed.num_shards()).map(|s| {
+        let granted = fed.retry_budget(s).granted();
+        format!("shard {s} granted {granted}")
+    }));
+    seen
+}
+
+#[test]
+fn seeded_failover_is_a_function_of_the_seed() {
+    let first = strict_seed_42_run();
+    assert!(
+        first.iter().any(|line| line.contains("chunks missing")),
+        "the plan must degrade some query: {first:#?}"
+    );
+    for run in 1..10 {
+        assert_eq!(strict_seed_42_run(), first, "run {run}");
+    }
 }

@@ -394,11 +394,12 @@ fn brownout_transition_log_replays_identically_from_seed() {
     assert_ne!(log_a, log_c, "distinct scripts should leave distinct logs");
 }
 
-/// An overloaded shard is not a fault: the router backs off honoring the
-/// rejection hint, never trips the breaker, and ultimately surfaces the
-/// typed `Overloaded` error once attempts run out.
+/// An overloaded shard is not a fault, but it is an attempt: a whole
+/// statement goes to each shard once, the router backs off honoring the
+/// rejection hint, never trips the breaker, and surfaces the typed
+/// `Overloaded` error once every shard has turned it away.
 #[test]
-fn route_whole_backs_off_on_overload_without_tripping_the_breaker() {
+fn a_whole_statement_tries_each_overloaded_shard_once_without_tripping_the_breaker() {
     let obs = Obs::enabled();
     let fed = FederatedService::with_instruments(
         deployment(),
@@ -448,6 +449,9 @@ fn route_whole_backs_off_on_overload_without_tripping_the_breaker() {
         "overload must not count as a shard fault: {:?}",
         snap.counters
     );
+    for s in 0..fed.num_shards() {
+        assert_eq!(fed.shard(s).counters().rejected, 1, "shard {s}");
+    }
     for t in held {
         t.cancel();
         t.wait_timeout(WATCHDOG).expect("drain").ok();
