@@ -18,7 +18,7 @@
 
 use crate::deployment::Deployment;
 use orv_chunk::format::ChunkStore;
-use orv_chunk::{ExtractorRegistry, SubTable};
+use orv_chunk::{ChunkMeta, ExtractorRegistry, SubTable};
 use orv_cluster::{
     checksum, ByteCounter, CancelToken, Fault, FaultInjector, RecoveryPolicy, RunStats,
 };
@@ -109,8 +109,14 @@ impl BdsService {
     /// Produce the sub-table for chunk `id`, which must be local to this
     /// node.
     pub fn subtable(&self, id: SubTableId) -> Result<SubTable> {
-        self.cancel.check()?;
         let meta = self.metadata.chunk_meta(id)?;
+        self.subtable_with(id, &meta)
+    }
+
+    /// [`BdsService::subtable`] of chunk `id`, whose catalog entry the
+    /// caller has already read as `meta`.
+    fn subtable_with(&self, id: SubTableId, meta: &ChunkMeta) -> Result<SubTable> {
+        self.cancel.check()?;
         if meta.node != self.node {
             return Err(Error::Cluster(format!(
                 "chunk {id} lives on node {} but was requested from BDS instance on node {}",
@@ -221,7 +227,7 @@ impl SubTableReader {
             ))
         })?;
         let (st, retries) = self.recovery.run_cancellable(&self.cancel, || {
-            let st = svc.subtable(id)?;
+            let st = svc.subtable_with(id, &meta)?;
             match range {
                 Some(rg) => st.filter_range(rg),
                 None => Ok(st),

@@ -925,7 +925,7 @@ fn write_bits(col: &ColumnData, rows: Range<usize>, image: &mut [u8], at: usize,
         values: &[T],
         image: &mut [u8],
         (at, width): (usize, usize),
-        to: fn(T) -> [u8; N],
+        to: impl Fn(T) -> [u8; N],
     ) {
         for (row, &v) in image.chunks_exact_mut(width).zip(values) {
             row[at..at + N].copy_from_slice(&to(v));

@@ -45,7 +45,12 @@
 //!   a typed [`PartialResult`] carrying the exact missing chunk set and a
 //!   completeness fraction; `strict` mode turns the same situation into
 //!   [`Error::Unavailable`], whose detail names apart the chunks that
-//!   failed on every owner tried and those refused a re-issue.
+//!   failed on every owner tried and those refused a re-issue. A whole
+//!   statement has no part to return: one no shard answered is an
+//!   [`Error::Unavailable`] in either mode, naming the shards tried,
+//!   whether a re-issue was refused, and the last fault — unless the
+//!   last shard's admission control turned it away, when it is that
+//!   [`Error::Overloaded`], hint and all.
 //! - **Deadline and cancel propagation**: every sub-query runs under a
 //!   [`CancelToken::child`] of the root's token, so cancelling the root
 //!   reaches every hop, and a root deadline reaches each hop one
@@ -476,8 +481,9 @@ struct Failed {
     error: Error,
 }
 
-/// The pieces of a statement no answer filled, by why, and the last
-/// shard fault — what a caller that kept nothing returns.
+/// The pieces of a statement no answer filled, by why, the last shard
+/// fault, and the shards each piece was sent to — what a caller that
+/// kept nothing returns.
 #[derive(Default)]
 struct Unanswered {
     /// Pieces whose every owner under the attempt cap was tried.
@@ -486,6 +492,34 @@ struct Unanswered {
     /// failed shard's retry budget or by `Shed`.
     refused: Vec<usize>,
     fault: Option<Error>,
+    /// Per piece, its owners and the shards it was tried on; empty when
+    /// every piece was answered.
+    attempts: Vec<Attempts>,
+}
+
+impl Unanswered {
+    /// What a whole statement — one piece every shard owns — that no
+    /// shard answered fails with: the last shard's [`Error::Overloaded`]
+    /// if admission control turned it away there (its hint says when to
+    /// retry), else [`Error::Unavailable`], naming the shards tried,
+    /// whether a re-issue was refused, and the last fault.
+    fn statement_error(self) -> Error {
+        let fault = match self.fault {
+            Some(e @ Error::Overloaded { .. }) => return e,
+            Some(e) => e.to_string(),
+            None => "none".to_string(),
+        };
+        let tried = self.attempts.first().map_or(&[][..], |a| &a.tried[..]);
+        let refused = if self.refused.is_empty() {
+            ""
+        } else {
+            ", then the retry budget or shedding refused a re-issue"
+        };
+        Error::Unavailable {
+            missing_chunks: 0,
+            detail: format!("statement failed on shards {tried:?}{refused}; last fault: {fault}"),
+        }
+    }
 }
 
 /// What a federated scan keeps of its sub-responses: each verified one
@@ -804,10 +838,10 @@ impl FederatedService {
                 Ok(())
             };
             let unanswered = self.fly(every_shard, None, root, trace, job, keep)?;
-            let no_shards = || Error::Cluster("federation has no shards".into());
-            return answer
-                .map(FederatedResponse::Complete)
-                .ok_or_else(|| unanswered.fault.unwrap_or_else(no_shards));
+            return match answer {
+                Some(result) => Ok(FederatedResponse::Complete(result)),
+                None => Err(unanswered.statement_error()),
+            };
         };
         self.scan_federated(prepared.predicted_secs, select, *table, range, root, trace)
     }
@@ -859,6 +893,9 @@ impl FederatedService {
                     self.fail_over(f, &flights, &mut unassigned, &mut unanswered, cancel)?;
                 }
                 if unassigned.is_empty() {
+                    if !(unanswered.lost.is_empty() && unanswered.refused.is_empty()) {
+                        unanswered.attempts = std::mem::take(&mut flights.attempts);
+                    }
                     return Ok(unanswered);
                 }
                 unassigned.sort_unstable();
@@ -1024,8 +1061,11 @@ impl FederatedService {
             self.bump(names::FED_PARTIAL, 1);
             self.bump(names::FED_MISSING_CHUNKS, missing.len() as u64);
             if self.cfg.strict {
-                let ids =
-                    |pieces: &[usize]| pieces.iter().map(|&p| chunks[p].0).collect::<Vec<_>>();
+                let ids = |pieces: &[usize]| {
+                    let mut ids: Vec<u32> = pieces.iter().map(|&p| chunks[p].0).collect();
+                    ids.sort_unstable();
+                    ids
+                };
                 return Err(Error::Unavailable {
                     missing_chunks: missing.len(),
                     detail: format!(
@@ -1800,6 +1840,37 @@ mod tests {
     }
 
     #[test]
+    fn dropping_a_service_cancels_the_job_it_runs() {
+        // Shard 0's one worker sleeps out a long storm; dropping the
+        // federation drops its shard services, which must cancel the
+        // running job rather than wait the storm out.
+        let obs = Obs::enabled();
+        let plan = FaultPlan {
+            shard_slow_storms: vec![ShardSlowStormSpec {
+                shard: 0,
+                after_subqueries: 0,
+                delay_ms: 600_000,
+                storm_len: 1,
+            }],
+            ..FaultPlan::none()
+        };
+        let faults = FaultInjector::new(plan, obs.events.clone());
+        let mut cfg = FederationConfig::default();
+        cfg.service.workers = 1;
+        let fed = FederatedService::with_instruments(deployment(), cfg, obs, Some(faults.clone()))
+            .unwrap();
+        let stalled = fed.shard(0).submit("SELECT COUNT(*) FROM t1").unwrap();
+        let watchdog = SpanTimer::start();
+        while faults.stats().shard_slow_storm_delays == 0 {
+            assert!(watchdog.elapsed_secs() < 30.0, "shard 0 never claimed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(fed);
+        let got = stalled.wait();
+        assert!(matches!(got, Err(Error::Cancelled)), "{got:?}");
+    }
+
+    #[test]
     fn a_reissue_the_budget_refused_is_not_called_lost() {
         // Shard 0 is dead and every bucket dry: each of its chunks has a
         // live replica, but no re-issue is paid for.
@@ -1850,6 +1921,63 @@ mod tests {
             )
         );
         assert!(!detail.contains("lost"), "{detail}");
+    }
+
+    #[test]
+    fn a_whole_statement_no_shard_answered_is_unavailable() {
+        // Every shard is dead. With tokens to pay for failovers the join
+        // is lost on every shard tried; with a dry bucket its one re-issue
+        // is refused. Either way, and in either mode, the router answers
+        // with a typed Unavailable naming what it tried, not the last
+        // shard's raw fault.
+        let dead = (0..3).map(|shard| ShardDeathSpec {
+            shard,
+            after_subqueries: 0,
+        });
+        let plan = FaultPlan {
+            shard_deaths: dead.collect(),
+            max_faults: 8,
+            ..FaultPlan::none()
+        };
+        for (retry_budget, strict, want) in [
+            (
+                10,
+                false,
+                "statement failed on shards [0, 1, 2]; last fault: cluster error: injected: \
+                 shard 2 is down",
+            ),
+            (
+                0,
+                true,
+                "statement failed on shards [0], then the retry budget or shedding refused a \
+                 re-issue; last fault: cluster error: injected: shard 0 is down",
+            ),
+        ] {
+            let cfg = FederationConfig {
+                strict,
+                retry_budget,
+                ..FederationConfig::default()
+            };
+            let faults = FaultInjector::new(plan.clone(), EventLog::disabled());
+            let fed = FederatedService::with_instruments(
+                deployment(),
+                cfg,
+                Obs::disabled(),
+                Some(faults),
+            )
+            .unwrap();
+            let err = fed
+                .execute("SELECT * FROM t1 JOIN t2 ON (x, y, z)")
+                .unwrap_err();
+            let Error::Unavailable {
+                missing_chunks,
+                detail,
+            } = err
+            else {
+                panic!("expected Unavailable, got {err}");
+            };
+            assert_eq!((missing_chunks, detail.as_str()), (0, want));
+        }
     }
 
     /// A governor over `shards` shards with a bucket of `budget` tokens

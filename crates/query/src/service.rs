@@ -200,11 +200,14 @@ struct Job {
 }
 
 /// The two-class admission queue: predicted-cheap queries wait in the
-/// fast lane, which workers always drain first.
+/// fast lane, which workers always drain first. Beside it, under the
+/// same lock, the token of the job each worker runs, so a dropped
+/// service cancels running jobs as well as queued ones.
 #[derive(Default)]
 struct Queues {
     fast: VecDeque<Job>,
     normal: VecDeque<Job>,
+    running: Vec<Option<CancelToken>>,
 }
 
 impl Queues {
@@ -366,12 +369,15 @@ impl Inner {
         Ok(prepared)
     }
 
-    fn worker_loop(&self) {
+    /// Worker `me`'s loop: claim a job, run it, resolve it.
+    fn worker_loop(&self, me: usize) {
         loop {
             let mut job = {
                 let mut queue = relock(self.queue.lock());
+                queue.running[me] = None;
                 loop {
                     if let Some(job) = queue.pop() {
+                        queue.running[me] = Some(job.cancel.clone());
                         break job;
                     }
                     if self.shutdown.load(Ordering::Acquire) {
@@ -553,7 +559,10 @@ impl QueryService {
             engine,
             shard,
             cfg: cfg.clone(),
-            queue: Mutex::new(Queues::default()),
+            queue: Mutex::new(Queues {
+                running: vec![None; cfg.workers],
+                ..Queues::default()
+            }),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
@@ -566,9 +575,9 @@ impl QueryService {
             recorder: FlightRecorder::new(RECORDER_KEEP_SLOWEST, RECORDER_ANOMALY_CAP),
         });
         let workers = (0..cfg.workers)
-            .map(|_| {
+            .map(|me| {
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || inner.worker_loop())
+                std::thread::spawn(move || inner.worker_loop(me))
             })
             .collect();
         Ok(QueryService { inner, workers })
@@ -731,11 +740,17 @@ impl Drop for QueryService {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         // Drain: anything still queued resolves as cancelled so no
-        // ticket-holder blocks forever on a dead service.
-        let drained: Vec<Job> = {
+        // ticket-holder blocks forever on a dead service, and anything
+        // running is cancelled, so the join below waits one sleep slice,
+        // not the rest of a job.
+        let (drained, running): (Vec<Job>, Vec<CancelToken>) = {
             let mut queue = relock(self.inner.queue.lock());
-            queue.drain_all()
+            let running = queue.running.iter().flatten().cloned().collect();
+            (queue.drain_all(), running)
         };
+        for token in running {
+            token.cancel();
+        }
         for job in drained {
             job.cancel.cancel();
             self.inner.cancel_queued(job);

@@ -182,7 +182,7 @@ impl ColumnData {
             block: &mut [Value],
             arity: usize,
             field: usize,
-            to: fn(T) -> Value,
+            to: impl Fn(T) -> Value,
         ) {
             for (row, &x) in block.chunks_exact_mut(arity).zip(v) {
                 row[field] = to(x);
@@ -241,7 +241,7 @@ impl ColumnData {
             rows: &[u32],
             out: &mut [u8],
             (first, step): (usize, usize),
-            to: fn(T) -> [u8; N],
+            to: impl Fn(T) -> [u8; N],
         ) {
             for (rec, &r) in out.chunks_exact_mut(step).zip(rows) {
                 rec[first..first + N].copy_from_slice(&to(v[r as usize]));
@@ -274,7 +274,7 @@ impl ColumnData {
         fn read<T, const N: usize>(
             bytes: &[u8],
             (first, step, nrows): (usize, usize, usize),
-            from: fn([u8; N]) -> T,
+            from: impl Fn([u8; N]) -> T,
         ) -> Result<Vec<T>> {
             let malformed = || {
                 Error::Format(format!(
@@ -294,11 +294,18 @@ impl ColumnData {
                 .and_then(|last| last.checked_add(first)?.checked_add(N))
                 .ok_or_else(malformed)?;
             let span = bytes.get(first..end).ok_or_else(malformed)?;
+            // `nrows - 1` whole records, then the last one's value: every
+            // record holds its `N` bytes (`step >= N`), so the fill below
+            // cannot fail, and its length is known up front.
+            let (records, last) = span.split_at(span.len() - N);
+            let value = |rec: &[u8]| {
+                let mut raw = [0; N];
+                raw.copy_from_slice(&rec[..N]);
+                from(raw)
+            };
             let mut out = Vec::with_capacity(nrows);
-            for rec in span.chunks(step) {
-                let value = rec.get(..N).and_then(|s| s.try_into().ok());
-                out.push(from(value.ok_or_else(malformed)?));
-            }
+            out.extend(records.chunks_exact(step).map(value));
+            out.push(value(last));
             Ok(out)
         }
         let at = (first, step, nrows);
@@ -846,5 +853,157 @@ mod tests {
         assert!(b.append_rows_to(0..1, &mut Vec::new()).is_err());
         assert_eq!(b.gather(&[]).num_rows(), 0);
         assert_eq!(b.dtypes(), vec![DataType::I64, DataType::F64]);
+    }
+
+    /// The decoder against a per-value reference that reads each value's
+    /// bytes on its own: the same `Ok`/`Err`, and bit for bit the same
+    /// values (NaN payloads and `-0.0` included), for every type and
+    /// byte order, `step >= width`, and spans that end exactly at the end
+    /// of the bytes or one byte past it. `PROPTEST_CASES` sets the case
+    /// count (CI runs 4 096).
+    mod decode_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn cases() -> u32 {
+            std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|n| n.parse().ok())
+                .unwrap_or(256)
+        }
+
+        /// Little-endian bit patterns worth a special case: signed zeros,
+        /// NaNs with payloads (quiet and signalling, both signs),
+        /// infinities and the integer extremes.
+        const SPECIAL: [u64; 12] = [
+            0,
+            0x8000_0000_0000_0000,
+            0x7FF8_0000_0000_0001,
+            0xFFF0_0000_0000_0002,
+            0x7FF0_0000_0000_0000,
+            0x7FFF_FFFF_FFFF_FFFF,
+            0x8000_0000,
+            0x7FC0_0001,
+            0xFF80_0002,
+            0x7F80_0000,
+            0x7FFF_FFFF,
+            u64::MAX,
+        ];
+
+        /// `len` bytes from `seed`; one in four of the values at `at`
+        /// that fit is a special pattern in `little` or big-endian order.
+        fn bytes(
+            len: usize,
+            width: usize,
+            (first, step, nrows): (usize, usize, usize),
+            little: bool,
+            seed: u64,
+        ) -> Vec<u8> {
+            let mut x = seed | 1;
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut out: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            for r in 0..nrows {
+                let at = first + r * step;
+                let pick = next();
+                if let (true, Some(value)) = (pick.is_multiple_of(4), out.get_mut(at..at + width)) {
+                    let special = SPECIAL[(pick >> 2) as usize % SPECIAL.len()].to_le_bytes();
+                    value.copy_from_slice(&special[..width]);
+                    if !little {
+                        value.reverse();
+                    }
+                }
+            }
+            out
+        }
+
+        /// Each value's bits, zero-extended to 64.
+        fn bits(col: &ColumnData) -> Vec<u64> {
+            match col {
+                ColumnData::I32(v) => v.iter().map(|&x| u64::from(x as u32)).collect(),
+                ColumnData::I64(v) => v.iter().map(|&x| x as u64).collect(),
+                ColumnData::F32(v) => v.iter().map(|&x| u64::from(x.to_bits())).collect(),
+                ColumnData::F64(v) => v.iter().map(|&x| x.to_bits()).collect(),
+            }
+        }
+
+        /// Value `r` is the `width` bytes at `first + r * step`, or the
+        /// read fails.
+        fn reference(
+            width: usize,
+            bytes: &[u8],
+            (first, step, nrows): (usize, usize, usize),
+            little: bool,
+        ) -> Option<Vec<u64>> {
+            (0..nrows)
+                .map(|r| {
+                    let at = r.checked_mul(step)?.checked_add(first)?;
+                    let mut raw = bytes.get(at..at.checked_add(width)?)?.to_vec();
+                    if !little {
+                        raw.reverse();
+                    }
+                    raw.resize(8, 0);
+                    Some(u64::from_le_bytes(raw.try_into().ok()?))
+                })
+                .collect()
+        }
+
+        fn any_type() -> impl Strategy<Value = DataType> {
+            proptest::sample::select(vec![
+                DataType::I32,
+                DataType::I64,
+                DataType::F32,
+                DataType::F64,
+            ])
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+            /// `shape` 0: the last value ends at the last byte; 1: one
+            /// byte past it; 2: anywhere up to a record beyond.
+            #[test]
+            fn decode_strided_equals_per_value_reads(
+                ty in any_type(),
+                little in any::<bool>(),
+                pad in 0usize..25,
+                first in 0usize..40,
+                nrows in prop_oneof![
+                    proptest::sample::select(vec![0usize, 1, 2]),
+                    0usize..300,
+                ],
+                shape in 0u8..3,
+                slack in 0usize..48,
+                seed in any::<u64>(),
+            ) {
+                let width = ty.width();
+                let step = width + pad;
+                let end = match nrows {
+                    0 => first,
+                    n => first + (n - 1) * step + width,
+                };
+                let len = match shape {
+                    0 => end,
+                    1 => end.saturating_sub(1),
+                    _ => (end + slack).saturating_sub(24),
+                };
+                let at = (first, step, nrows);
+                let bytes = bytes(len, width, at, little, seed);
+                let got = ColumnData::decode_strided(ty, &bytes, first, step, nrows, little);
+                let want = reference(width, &bytes, at, little);
+                match (&got, &want) {
+                    (Ok(col), Some(want)) => {
+                        prop_assert_eq!(col.dtype(), ty);
+                        prop_assert_eq!(&bits(col), want);
+                    }
+                    (Err(Error::Format(_)), None) => {}
+                    _ => prop_assert!(false, "decoder {:?}, reference {:?}", got.map(|c| bits(&c)), want),
+                }
+            }
+        }
     }
 }

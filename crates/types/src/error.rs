@@ -45,11 +45,15 @@ pub enum Error {
         /// Suggested minimum client backoff before retrying, in ms.
         retry_after_ms: u64,
     },
-    /// A federated query could not reach every chunk it needed: all
-    /// replicas of at least one shard were down and strict mode was on.
-    /// Carries the number of missing chunks for log-based diagnosis.
+    /// A federated query could not reach what it needed: in strict mode,
+    /// a scan's chunks no replica answered; in either mode, a whole
+    /// statement (a join, a view read, view DDL) no shard answered, unless
+    /// the last shard tried was overloaded ([`Error::Overloaded`]).
+    /// Carries the number of missing chunks (0 for a whole statement)
+    /// for log-based diagnosis.
     Unavailable {
-        /// Chunks whose every replica was unreachable.
+        /// Chunks whose every replica was unreachable or refused a
+        /// re-issue; 0 for a whole statement.
         missing_chunks: usize,
         /// Human-readable description of what was unreachable.
         detail: String,

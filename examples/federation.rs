@@ -23,6 +23,7 @@ use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::{silence_injected_panics, FaultInjector, FaultPlan, ShardDeathSpec};
 use orv::obs::{names, Obs};
 use orv::query::{FederatedService, FederationConfig, QueryEngine};
+use orv::types::Error;
 
 const VIEW: &str = "CREATE VIEW fv AS SELECT x, z, p FROM ft";
 
@@ -132,7 +133,9 @@ fn main() {
                         resp.result().rows.len()
                     ));
                 }
-                Err(e) if strict => {
+                // Strict mode degrades typed, and only typed: any other
+                // error is a failure in either mode.
+                Err(e @ Error::Unavailable { .. }) if strict => {
                     println!("  strict degradation (expected): {e}");
                 }
                 Err(e) => failures.push(format!(
