@@ -160,7 +160,7 @@ mod tests {
         d.store(NodeId(0))
             .unwrap()
             .lock()
-            .append("t.dat", b"abc")
+            .append("t.dat", b"abc".to_vec().into())
             .unwrap();
         assert!(root.join("node0").join("t.dat").exists());
         std::fs::remove_dir_all(&root).unwrap();

@@ -408,7 +408,7 @@ impl ChunkWriter<'_> {
         // Sealed before the bytes can be damaged: every read verifies
         // against this, so a flipped bit anywhere downstream is caught.
         let checksum = Some(orv_cluster::crc32c(&bytes));
-        let location = store.lock().append(&self.file, &bytes)?;
+        let location = store.lock().append(&self.file, bytes.into())?;
 
         // Bounding box: exact coordinate bounds from the region; scalar
         // bounds from the generated data.

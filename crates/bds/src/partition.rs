@@ -122,11 +122,6 @@ impl GridPartition {
         Region { lo, hi }
     }
 
-    /// The chunk containing grid point `p`.
-    pub fn chunk_of_point(&self, p: [u64; 3]) -> u64 {
-        self.chunk_index([0, 1, 2].map(|d| p[d] / self.part[d]))
-    }
-
     /// Block-cyclic placement: chunk `idx` lives on storage node
     /// `idx mod n_storage`.
     pub fn node_of_chunk(&self, idx: u64, n_storage: usize) -> NodeId {
@@ -170,15 +165,15 @@ mod tests {
             count += p.chunk_region(idx).num_points();
         }
         assert_eq!(count, p.total_points());
-        // Every point maps back to the chunk whose region contains it.
+        // Every point lies in exactly one chunk's region.
         for x in 0..6 {
             for y in 0..4 {
                 for z in 0..2 {
-                    let idx = p.chunk_of_point([x, y, z]);
-                    let r = p.chunk_region(idx);
-                    assert!(r.lo[0] <= x && x < r.hi[0]);
-                    assert!(r.lo[1] <= y && y < r.hi[1]);
-                    assert!(r.lo[2] <= z && z < r.hi[2]);
+                    let holders = (0..p.num_chunks()).filter(|&idx| {
+                        let r = p.chunk_region(idx);
+                        (0..3).all(|d| r.lo[d] <= [x, y, z][d] && [x, y, z][d] < r.hi[d])
+                    });
+                    assert_eq!(holders.count(), 1, "point {x},{y},{z}");
                 }
             }
         }

@@ -29,7 +29,9 @@ pub struct ChunkLocation {
 /// Where chunk bytes live on one storage node.
 pub trait ChunkStore: Send + Sync {
     /// Append a chunk to the named data file, returning its location.
-    fn append(&mut self, file: &str, data: &[u8]) -> Result<ChunkLocation>;
+    /// The store takes the chunk's buffer: a memory store keeps it as it
+    /// is, so appending copies nothing.
+    fn append(&mut self, file: &str, data: Bytes) -> Result<ChunkLocation>;
 
     /// Read a chunk's bytes.
     fn read(&self, loc: &ChunkLocation) -> Result<Bytes>;
@@ -61,14 +63,15 @@ fn mem_file_len(chunks: &[(u64, Bytes)]) -> u64 {
 }
 
 impl ChunkStore for MemChunkStore {
-    fn append(&mut self, file: &str, data: &[u8]) -> Result<ChunkLocation> {
+    fn append(&mut self, file: &str, data: Bytes) -> Result<ChunkLocation> {
         let chunks = self.files.entry(file.to_string()).or_default();
         let offset = mem_file_len(chunks);
-        chunks.push((offset, Bytes::copy_from_slice(data)));
+        let len = data.len() as u64;
+        chunks.push((offset, data));
         Ok(ChunkLocation {
             file: file.to_string(),
             offset,
-            len: data.len() as u64,
+            len,
         })
     }
 
@@ -192,7 +195,7 @@ fn open_data_file(path: &Path, append: bool) -> std::io::Result<fs::File> {
 }
 
 impl ChunkStore for FileChunkStore {
-    fn append(&mut self, file: &str, data: &[u8]) -> Result<ChunkLocation> {
+    fn append(&mut self, file: &str, data: Bytes) -> Result<ChunkLocation> {
         let path = self.path_of(file)?;
         let files = self.files.get_mut().unwrap_or_else(PoisonError::into_inner);
         let handle = match files.get(file) {
@@ -209,7 +212,7 @@ impl ChunkStore for FileChunkStore {
         };
         let mut handle = &*handle;
         let offset = handle.seek(SeekFrom::End(0))?;
-        handle.write_all(data)?;
+        handle.write_all(&data)?;
         self.written += data.len() as u64;
         Ok(ChunkLocation {
             file: file.to_string(),
@@ -240,9 +243,15 @@ mod tests {
     use super::*;
 
     fn exercise(store: &mut dyn ChunkStore) {
-        let a = store.append("t1.dat", b"hello").unwrap();
-        let b = store.append("t1.dat", b"world!").unwrap();
-        let c = store.append("t2.dat", b"xyz").unwrap();
+        let a = store
+            .append("t1.dat", Bytes::copy_from_slice(b"hello"))
+            .unwrap();
+        let b = store
+            .append("t1.dat", Bytes::copy_from_slice(b"world!"))
+            .unwrap();
+        let c = store
+            .append("t2.dat", Bytes::copy_from_slice(b"xyz"))
+            .unwrap();
         assert_eq!(a.offset, 0);
         assert_eq!(b.offset, 5);
         assert_eq!(store.read(&a).unwrap().as_ref(), b"hello");
@@ -273,10 +282,18 @@ mod tests {
     #[test]
     fn mem_store_reads_share_the_appended_chunk() {
         let mut s = MemChunkStore::new();
-        s.append("t1.dat", b"hello").unwrap();
-        let b = s.append("t1.dat", b"world!").unwrap();
+        s.append("t1.dat", Bytes::copy_from_slice(b"hello"))
+            .unwrap();
+        let b = s
+            .append("t1.dat", Bytes::copy_from_slice(b"world!"))
+            .unwrap();
         let (one, two) = (s.read(&b).unwrap(), s.read(&b).unwrap());
         assert_eq!(one.as_ptr(), two.as_ptr(), "a read is not a copy");
+        // Appending keeps the writer's buffer: no copy on the way in.
+        let chunk = b"xyz".to_vec();
+        let at = chunk.as_ptr();
+        let c = s.append("t2.dat", chunk.into()).unwrap();
+        assert_eq!(s.read(&c).unwrap().as_ptr(), at, "an append is not a copy");
         // Inside the file but not one appended chunk: a part of one, a
         // span across two, a chunk's bytes at a shifted offset.
         for (offset, len) in [(5, 3), (6, 5), (3, 5), (0, 11), (4, 6)] {
@@ -315,18 +332,26 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("orv-chunkstore-late-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut writer = FileChunkStore::open(&dir).unwrap();
-        let early = writer.append("t1.dat", b"hello").unwrap();
+        let early = writer
+            .append("t1.dat", Bytes::copy_from_slice(b"hello"))
+            .unwrap();
         let reader = FileChunkStore::open(&dir).unwrap();
         assert_eq!(reader.read(&early).unwrap().as_ref(), b"hello");
         // A file the reader opened read-only grew, and a file it has
         // never seen appeared.
-        let grown = writer.append("t1.dat", b"world!").unwrap();
-        let fresh = writer.append("t2.dat", b"xyz").unwrap();
+        let grown = writer
+            .append("t1.dat", Bytes::copy_from_slice(b"world!"))
+            .unwrap();
+        let fresh = writer
+            .append("t2.dat", Bytes::copy_from_slice(b"xyz"))
+            .unwrap();
         assert_eq!(reader.read(&grown).unwrap().as_ref(), b"world!");
         assert_eq!(reader.read(&fresh).unwrap().as_ref(), b"xyz");
         // The reader appends through a write handle of its own.
         let mut reader = reader;
-        let late = reader.append("t1.dat", b"!").unwrap();
+        let late = reader
+            .append("t1.dat", Bytes::copy_from_slice(b"!"))
+            .unwrap();
         assert_eq!(late.offset, 11);
         assert_eq!(writer.read(&late).unwrap().as_ref(), b"!");
         let past = ChunkLocation {
@@ -348,8 +373,8 @@ mod tests {
     fn file_store_rejects_path_escape() {
         let dir = std::env::temp_dir().join(format!("orv-chunkstore-esc-{}", std::process::id()));
         let mut s = FileChunkStore::open(&dir).unwrap();
-        assert!(s.append("../evil", b"x").is_err());
-        assert!(s.append("a/b", b"x").is_err());
+        assert!(s.append("../evil", Bytes::copy_from_slice(b"x")).is_err());
+        assert!(s.append("a/b", Bytes::copy_from_slice(b"x")).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 }

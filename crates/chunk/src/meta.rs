@@ -43,11 +43,6 @@ impl ChunkMeta {
         }
     }
 
-    /// True if the chunk stores the named attribute.
-    pub fn has_attribute(&self, name: &str) -> bool {
-        self.attributes.iter().any(|a| a == name)
-    }
-
     /// Chunk size in bytes (from its location record).
     pub fn size_bytes(&self) -> u64 {
         self.location.len
@@ -84,8 +79,6 @@ mod tests {
     fn identity_and_attributes() {
         let m = meta();
         assert_eq!(m.subtable_id(), orv_types::SubTableId::new(1u32, 3u32));
-        assert!(m.has_attribute("oilp"));
-        assert!(!m.has_attribute("wp"));
         assert_eq!(m.size_bytes(), 1024);
     }
 }

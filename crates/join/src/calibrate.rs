@@ -38,13 +38,6 @@ pub struct Calibration {
     pub ops: u64,
 }
 
-impl Calibration {
-    /// Convert to operation counts `γ` for a CPU of rate `f` ops/s.
-    pub fn gammas(&self, f: f64) -> (f64, f64) {
-        (self.alpha_build * f, self.alpha_lookup * f)
-    }
-}
-
 /// Time the join kernel and the bucket codec for at least `n` operations
 /// each, over a sub-table of distinct `(x, y)` keys (the join-key shape
 /// of the paper's queries) and one `f32` scalar. The sub-table has up to
@@ -145,9 +138,6 @@ mod tests {
             decode_bw: 1.0e9,
             ops: 1,
         };
-        let (g1, g2) = c.gammas(1.0e9);
-        assert!((g1 - 100.0).abs() < 1e-9);
-        assert!((g2 - 50.0).abs() < 1e-9);
         let s = host_system_params(&c, 2, 4);
         assert_eq!((s.n_s, s.n_j, s.alpha_build), (2.0, 4.0, 1e-7));
         assert_eq!((s.read_io_bw, s.write_io_bw), (c.decode_bw, c.encode_bw));

@@ -17,9 +17,7 @@
 //! shard count)` only, so every router, test and oracle computes the
 //! identical map with no coordination state to corrupt.
 
-use crate::MetadataService;
 use orv_types::{Error, Result, SubTableId};
-use std::collections::BTreeMap;
 
 /// splitmix64 finalizer: the workspace-standard cheap stateless PRNG.
 fn splitmix64(mut x: u64) -> u64 {
@@ -101,54 +99,6 @@ impl Placement {
     }
 }
 
-/// A materialized placement: every shard's chunk set over one catalog.
-///
-/// This is the routing table the federation README/DESIGN talk about —
-/// derived entirely from [`Placement::owners`], so it can be rebuilt from
-/// the catalog at any time and never disagrees with per-chunk routing.
-#[derive(Debug, Clone, Default)]
-pub struct PlacementMap {
-    by_shard: Vec<Vec<SubTableId>>,
-}
-
-impl PlacementMap {
-    /// Materialize `placement` over every chunk of every table in the
-    /// catalog behind `md`.
-    pub fn build(placement: &Placement, md: &MetadataService) -> Result<Self> {
-        let mut by_shard = vec![Vec::new(); placement.shards()];
-        // BTreeMap iteration keeps shard chunk lists in (table, chunk)
-        // order, so the map is reproducible byte-for-byte.
-        let mut all = BTreeMap::new();
-        for name in md.table_names() {
-            let table = md.table_id(&name)?;
-            for chunk in md.all_chunks(table)? {
-                all.insert(SubTableId { table, chunk }, ());
-            }
-        }
-        for (&id, ()) in &all {
-            for shard in placement.owners(id) {
-                by_shard[shard].push(id);
-            }
-        }
-        Ok(PlacementMap { by_shard })
-    }
-
-    /// The chunks shard `s` holds, in `(table, chunk)` order.
-    pub fn shard_chunks(&self, s: usize) -> &[SubTableId] {
-        &self.by_shard[s]
-    }
-
-    /// Number of shards in the map.
-    pub fn shards(&self) -> usize {
-        self.by_shard.len()
-    }
-
-    /// Total chunk *copies* across all shards (`chunks × replication`).
-    pub fn total_copies(&self) -> usize {
-        self.by_shard.iter().map(Vec::len).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,50 +153,6 @@ mod tests {
         // 512 copies over 4 shards: every shard should get a real share.
         for (s, &l) in load.iter().enumerate() {
             assert!(l > 64, "shard {s} underloaded: {l}/512 copies");
-        }
-    }
-
-    #[test]
-    fn map_materializes_owners_consistently() {
-        use orv_chunk::{ChunkLocation, ChunkMeta};
-        use orv_types::{BoundingBox, ChunkId, Interval, NodeId, Schema};
-        use std::sync::Arc;
-
-        let md = MetadataService::new();
-        let schema = Arc::new(Schema::grid(&["x"], &["p"]).unwrap());
-        let t = md.register_table("t1", schema).unwrap();
-        for c in 0..12u32 {
-            md.register_chunk(ChunkMeta {
-                table: t,
-                chunk: ChunkId(c),
-                node: NodeId(0),
-                location: ChunkLocation {
-                    file: "t1.dat".into(),
-                    offset: (c * 64) as u64,
-                    len: 64,
-                },
-                attributes: vec!["x".into(), "p".into()],
-                extractors: vec!["e".into()],
-                bbox: BoundingBox::from_dims([("x", Interval::new(c as f64, c as f64 + 1.0))]),
-                num_records: 8,
-                checksum: None,
-            })
-            .unwrap();
-        }
-        let p = Placement::new(3, 2, 5).unwrap();
-        let map = PlacementMap::build(&p, &md).unwrap();
-        assert_eq!(map.shards(), 3);
-        assert_eq!(map.total_copies(), 24);
-        for s in 0..3 {
-            for &id in map.shard_chunks(s) {
-                assert!(
-                    p.owns(s, id),
-                    "map lists {id} on shard {s} but owners disagree"
-                );
-            }
-            let mut sorted = map.shard_chunks(s).to_vec();
-            sorted.sort();
-            assert_eq!(sorted, map.shard_chunks(s), "shard {s} list unsorted");
         }
     }
 }

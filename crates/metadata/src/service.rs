@@ -9,7 +9,7 @@
 
 use crate::catalog::Catalog;
 use orv_chunk::ChunkMeta;
-use orv_types::{BoundingBox, ChunkId, Error, Result, Schema, SubTableId, TableId};
+use orv_types::{BoundingBox, ChunkId, Result, Schema, SubTableId, TableId};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -226,31 +226,6 @@ impl MetadataService {
         c("join_index_hits", &self.counters.join_index_hits);
         c("join_index_misses", &self.counters.join_index_misses);
     }
-
-    /// Materialize a replicated shard placement over every chunk in the
-    /// catalog: the federation router's routing table.
-    pub fn build_placement(
-        &self,
-        shards: usize,
-        replication: usize,
-        seed: u64,
-    ) -> Result<(crate::Placement, crate::PlacementMap)> {
-        let placement = crate::Placement::new(shards, replication, seed)?;
-        let map = crate::PlacementMap::build(&placement, self)?;
-        Ok((placement, map))
-    }
-
-    /// Fetch a join index or fail with a descriptive error.
-    pub fn require_join_index(
-        &self,
-        left: TableId,
-        right: TableId,
-        attrs: &[&str],
-    ) -> Result<Arc<Vec<(SubTableId, SubTableId)>>> {
-        self.get_join_index(left, right, attrs).ok_or_else(|| {
-            Error::not_found(format!("join index for {left} ⋈ {right} on {attrs:?}"))
-        })
-    }
 }
 
 fn join_index_key(left: TableId, right: TableId, attrs: &[&str]) -> String {
@@ -318,7 +293,6 @@ mod tests {
     fn join_index_store() {
         let (svc, t) = service_with_table();
         assert!(svc.get_join_index(t, t, &["x"]).is_none());
-        assert!(svc.require_join_index(t, t, &["x"]).is_err());
         let pairs = vec![(SubTableId::new(0u32, 0u32), SubTableId::new(1u32, 0u32))];
         svc.put_join_index(t, t, &["x"], pairs.clone());
         assert_eq!(*svc.get_join_index(t, t, &["x"]).unwrap(), pairs);

@@ -9,7 +9,6 @@ use crate::json::JsonValue;
 use orv_types::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One logged event.
@@ -47,25 +46,19 @@ impl Event {
     }
 }
 
-struct EventInner {
-    seq: AtomicU64,
-    events: Mutex<Vec<Event>>,
-}
-
 /// A shared event sink; clone it into every service that should log.
+/// An event's `seq` is its index in the log, assigned under the log's
+/// lock, so the log holds events in `seq` order with no gaps.
 #[derive(Clone, Default)]
 pub struct EventLog {
-    inner: Option<Arc<EventInner>>,
+    inner: Option<Arc<Mutex<Vec<Event>>>>,
 }
 
 impl EventLog {
     /// An enabled log.
     pub fn enabled() -> Self {
         EventLog {
-            inner: Some(Arc::new(EventInner {
-                seq: AtomicU64::new(0),
-                events: Mutex::new(Vec::new()),
-            })),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -82,25 +75,24 @@ impl EventLog {
     /// Emit an event; the payload closure only runs when enabled.
     pub fn emit(&self, kind: &str, fields: impl FnOnce() -> Vec<(&'static str, JsonValue)>) {
         let Some(inner) = &self.inner else { return };
-        let event = Event {
-            seq: inner.seq.fetch_add(1, Ordering::Relaxed),
+        let mut event = Event {
+            seq: 0,
             kind: kind.to_string(),
             fields: fields()
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
         };
-        inner.events.lock().push(event);
+        let mut events = inner.lock();
+        event.seq = events.len() as u64;
+        events.push(event);
     }
 
     /// All events so far, in emission order.
     pub fn events(&self) -> Vec<Event> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let mut out = inner.events.lock().clone();
-        out.sort_by_key(|e| e.seq);
-        out
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |inner| inner.lock().clone())
     }
 
     /// Events of one kind, in emission order.
@@ -133,7 +125,7 @@ impl std::fmt::Debug for EventLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
             None => f.write_str("EventLog(disabled)"),
-            Some(i) => write!(f, "EventLog({} events)", i.events.lock().len()),
+            Some(i) => write!(f, "EventLog({} events)", i.lock().len()),
         }
     }
 }
@@ -172,5 +164,31 @@ mod tests {
         log.emit("a", Vec::new);
         assert_eq!(log.events_of_kind("a").len(), 2);
         assert_eq!(log.events_of_kind("c").len(), 0);
+    }
+
+    #[test]
+    fn concurrent_emitters_leave_seqs_in_order_with_no_gaps() {
+        let log = EventLog::enabled();
+        let (threads, per_thread) = (4usize, 2_000usize);
+        std::thread::scope(|scope| {
+            let emitters: Vec<_> = (0..threads)
+                .map(|t| {
+                    let log = log.clone();
+                    scope.spawn(move || {
+                        for i in 0..per_thread {
+                            log.emit("e", || vec![("t", t.into()), ("i", i.into())]);
+                        }
+                    })
+                })
+                .collect();
+            // Every snapshot taken mid-emission is a prefix: seqs
+            // 0..len in order.
+            while !emitters.iter().all(|e| e.is_finished()) {
+                let seqs: Vec<u64> = log.events().iter().map(|e| e.seq).collect();
+                assert!(seqs.iter().copied().eq(0..seqs.len() as u64));
+            }
+        });
+        let seqs: Vec<u64> = log.events().iter().map(|e| e.seq).collect();
+        assert!(seqs.into_iter().eq(0..(threads * per_thread) as u64));
     }
 }

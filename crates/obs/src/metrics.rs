@@ -220,11 +220,6 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    /// 95th-percentile estimate.
-    pub fn p95(&self) -> Option<f64> {
-        self.quantile(0.95)
-    }
-
     /// 99th-percentile estimate.
     pub fn p99(&self) -> Option<f64> {
         self.quantile(0.99)

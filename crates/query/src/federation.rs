@@ -762,7 +762,7 @@ impl FederatedService {
     pub fn brownout_state(&self) -> BrownoutState {
         self.shards
             .iter()
-            .map(|s| s.brownout().state())
+            .map(QueryService::brownout_state)
             .max()
             .unwrap_or(BrownoutState::Normal)
     }
@@ -2520,11 +2520,7 @@ mod tests {
         let queue_cap = cfg.service.queue_cap;
         let fed = FederatedService::with_instruments(deployment(), cfg, obs.clone(), Some(faults))
             .unwrap();
-        let ctl = fed.shard(0).brownout();
-        ctl.observe(queue_cap);
-        while ctl.state() != BrownoutState::Shed {
-            ctl.observe(queue_cap);
-        }
+        while fed.shard(0).observe_brownout(queue_cap) != BrownoutState::Shed {}
         assert_eq!(fed.brownout_state(), BrownoutState::Shed);
 
         let got = fed.execute("SELECT * FROM t1").unwrap();

@@ -51,9 +51,7 @@ pub use engine::{algorithm_slug, Catalog, Prepared, QueryEngine, QueryResult, Re
 pub use federation::{
     FederatedResponse, FederatedService, FederationConfig, PartialResult, RetryGrants,
 };
-pub use overload::{
-    BrownoutController, BrownoutState, BrownoutTransition, CostClass, OverloadConfig,
-};
+pub use overload::{BrownoutLog, BrownoutState, BrownoutTransition, CostClass, OverloadConfig};
 pub use parser::parse_statement;
 pub use plan::{PlanExplain, Planner};
 pub use service::{QueryService, QueryTicket, ServiceConfig, ServiceCounters};

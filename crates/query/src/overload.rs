@@ -1,5 +1,5 @@
-//! Overload control: cost classes and the deterministic brownout
-//! controller.
+//! Overload control: cost classes and the deterministic brownout state
+//! machine.
 //!
 //! Under 2× load a blind FIFO cap fails two ways at once: cheap
 //! interactive queries starve behind expensive scans that were doomed to
@@ -10,12 +10,15 @@
 //! * **Cost classes** — the §5 cost models predict per-query work
 //!   *before* execution; admission classifies each query [`Cheap`] or
 //!   [`Expensive`] against a threshold and sheds expensive work first.
-//! * **[`BrownoutController`]** — a hysteresis state machine
+//! * **The brownout state machine** — a hysteresis machine
 //!   `Normal → Brownout → Shed` driven by queue depth and the queue-wait
 //!   latency signal behind the `lat/queue_wait_secs` histogram. It runs
 //!   on a **logical tick clock** (one tick per admission observation, no
 //!   ambient time — lint rule L006), so a seeded chaos run produces the
-//!   identical transition log every time.
+//!   identical transition log every time. It is plain state with no lock
+//!   of its own: each [`QueryService`] keeps one in its admission ledger
+//!   and mutates it under that ledger's lock; callers read it through
+//!   [`QueryService::brownout_state`] and [`QueryService::brownout_log`].
 //!
 //! Degradation is ordered and reversible: entering `Brownout` disables
 //! hedging and sheds expensive work; `Shed` additionally refuses cheap
@@ -24,13 +27,15 @@
 //! state permits the federation router is the router's governor's to
 //! say: it reads the worst state of any shard before every re-issue. No
 //! two transitions can occur within one cooldown window, so the
-//! controller cannot oscillate on a noisy depth signal.
+//! machine cannot oscillate on a noisy depth signal.
 //!
+//! [`QueryService`]: crate::service::QueryService
+//! [`QueryService::brownout_state`]: crate::service::QueryService::brownout_state
+//! [`QueryService::brownout_log`]: crate::service::QueryService::brownout_log
 //! [`Cheap`]: CostClass::Cheap
 //! [`Expensive`]: CostClass::Expensive
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
 
 /// The admission class the predicted §5 cost maps a query into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,14 +87,6 @@ impl BrownoutState {
             BrownoutState::Shed => 2,
         }
     }
-
-    fn from_severity(v: u64) -> Self {
-        match v {
-            0 => BrownoutState::Normal,
-            1 => BrownoutState::Brownout,
-            _ => BrownoutState::Shed,
-        }
-    }
 }
 
 /// Thresholds and hysteresis for overload control. All depth thresholds
@@ -103,7 +100,7 @@ pub struct OverloadConfig {
     pub brownout_enter: f64,
     /// Queue-depth fraction at which `Brownout` escalates to `Shed`.
     pub shed_enter: f64,
-    /// Queue-depth fraction at or under which the controller steps one
+    /// Queue-depth fraction at or under which the machine steps one
     /// state back toward `Normal`.
     pub recover: f64,
     /// Minimum logical ticks between any two transitions — the
@@ -192,78 +189,90 @@ impl BrownoutTransition {
     }
 }
 
-struct ControllerState {
-    /// Tick of the last transition; `None` until the first one.
-    last_transition: Option<u64>,
-    log: Vec<BrownoutTransition>,
+/// The most edges a service's brownout log keeps: the most recent ones.
+/// Older edges are counted in [`BrownoutLog::dropped`]; the tick keeps
+/// counting.
+const BROWNOUT_LOG_CAP: usize = 1024;
+
+/// A service's brownout history, as one snapshot.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct BrownoutLog {
+    /// Logical ticks elapsed (admission observations so far).
+    pub tick: u64,
+    /// The most recent edges, oldest first — at most 1 024.
+    pub transitions: Vec<BrownoutTransition>,
+    /// Edges older than `transitions` that the log no longer holds.
+    pub dropped: u64,
+}
+
+impl BrownoutLog {
+    /// One line per kept edge — what the acceptance test asserts
+    /// replays identically from the seed.
+    pub fn render(&self) -> String {
+        let lines: Vec<String> = self.transitions.iter().map(|t| t.render()).collect();
+        lines.join("\n")
+    }
 }
 
 /// The deterministic hysteresis state machine gating admission and
-/// hedging. One per [`QueryService`](crate::service::QueryService).
+/// hedging: plain state, mutated only under its service's ledger lock.
 ///
 /// The clock is logical: [`observe`](Self::observe) advances one tick
 /// per admission decision. Determinism contract: given the same
-/// sequence of `(depth, alarm)` observations, the controller produces
-/// the identical transition log — there is no wall-clock or RNG input.
-pub struct BrownoutController {
+/// sequence of `(depth, alarm)` observations, the machine produces the
+/// identical transition log — there is no wall-clock or RNG input.
+pub(crate) struct Brownout {
     cfg: OverloadConfig,
     queue_cap: usize,
-    /// Current severity (0/1/2); read lock-free on hot paths.
-    severity: AtomicU64,
+    state: BrownoutState,
     /// Logical clock: observations so far.
-    tick: AtomicU64,
+    tick: u64,
     /// Latched queue-wait alarm, consumed by the next observation.
-    wait_alarm: AtomicBool,
-    state: Mutex<ControllerState>,
+    wait_alarm: bool,
+    /// The most recent edges; its last is the last transition (the
+    /// cooldown counts from it).
+    log: VecDeque<BrownoutTransition>,
+    dropped: u64,
 }
 
-impl BrownoutController {
-    /// Controller for a queue of `queue_cap` slots.
-    pub fn new(cfg: OverloadConfig, queue_cap: usize) -> Self {
-        BrownoutController {
+impl Brownout {
+    /// The machine for a queue of `queue_cap` slots, in `Normal`.
+    pub(crate) fn new(cfg: OverloadConfig, queue_cap: usize) -> Self {
+        Brownout {
             cfg,
             queue_cap,
-            severity: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-            wait_alarm: AtomicBool::new(false),
-            state: Mutex::new(ControllerState {
-                last_transition: None,
-                log: Vec::new(),
-            }),
+            state: BrownoutState::Normal,
+            tick: 0,
+            wait_alarm: false,
+            log: VecDeque::new(),
+            dropped: 0,
         }
     }
 
-    /// Current state (lock-free).
-    pub fn state(&self) -> BrownoutState {
-        BrownoutState::from_severity(self.severity.load(Ordering::Acquire))
-    }
-
-    /// Logical ticks elapsed (observations so far).
-    pub fn tick(&self) -> u64 {
-        self.tick.load(Ordering::Acquire)
+    pub(crate) fn state(&self) -> BrownoutState {
+        self.state
     }
 
     /// Feed one queue-wait measurement (seconds) — the same values the
     /// `lat/queue_wait_secs` histogram records. At or above the alarm
     /// threshold it arms a one-shot escalation signal for the next tick.
-    pub fn note_queue_wait(&self, secs: f64) {
+    pub(crate) fn note_queue_wait(&mut self, secs: f64) {
         if secs >= QUEUE_WAIT_ALARM_SECS {
-            self.wait_alarm.store(true, Ordering::Release);
+            self.wait_alarm = true;
         }
     }
 
     /// Advance one logical tick with the current queue depth; returns
-    /// the (possibly new) state and the transition if one fired.
+    /// the transition if one fired.
     ///
     /// Transitions move one severity step at a time and never fire
     /// within `cooldown_ticks` of the previous one.
-    pub fn observe(&self, depth: usize) -> (BrownoutState, Option<BrownoutTransition>) {
-        let tick = self.tick.fetch_add(1, Ordering::AcqRel) + 1;
-        let mut st = self.state.lock();
-        let cur = self.state();
+    pub(crate) fn observe(&mut self, depth: usize) -> Option<BrownoutTransition> {
+        self.tick += 1;
+        let cur = self.state;
         let cap = self.queue_cap as f64;
         let d = depth as f64;
-        let alarm = self.wait_alarm.swap(false, Ordering::AcqRel);
+        let alarm = std::mem::take(&mut self.wait_alarm);
         let next = match cur {
             BrownoutState::Normal if d >= self.cfg.brownout_enter * cap || alarm => {
                 BrownoutState::Brownout
@@ -275,76 +284,58 @@ impl BrownoutController {
             BrownoutState::Shed if d <= self.cfg.recover * cap && !alarm => BrownoutState::Brownout,
             _ => cur,
         };
-        if next == cur {
-            return (cur, None);
+        let cooled = self
+            .log
+            .back()
+            .is_none_or(|last| self.tick - last.tick >= self.cfg.cooldown_ticks);
+        if next == cur || !cooled {
+            return None;
         }
-        let cooled = st
-            .last_transition
-            .is_none_or(|last| tick.saturating_sub(last) >= self.cfg.cooldown_ticks);
-        if !cooled {
-            return (cur, None);
-        }
-        self.severity.store(next.severity(), Ordering::Release);
-        st.last_transition = Some(tick);
+        self.state = next;
         let transition = BrownoutTransition {
-            tick,
+            tick: self.tick,
             from: cur,
             to: next,
             depth,
         };
-        st.log.push(transition);
-        (next, Some(transition))
+        if self.log.len() == BROWNOUT_LOG_CAP {
+            self.log.pop_front();
+            self.dropped += 1;
+        }
+        self.log.push_back(transition);
+        Some(transition)
     }
 
     /// Whether admission should accept a query of `class` at `depth`,
     /// severity aside from the hard queue cap (checked separately).
-    pub fn allows(&self, class: CostClass, depth: usize) -> bool {
+    pub(crate) fn allows(&self, class: CostClass, depth: usize) -> bool {
         let cap = self.queue_cap as f64;
-        match (self.state(), class) {
+        match (self.state, class) {
             (BrownoutState::Normal, _) => true,
             (BrownoutState::Brownout, CostClass::Cheap) => true,
             (BrownoutState::Brownout, CostClass::Expensive) => false,
             // Survival mode: cheap work still lands while the queue has
             // drained below the brownout line; expensive never does.
-            (BrownoutState::Shed, CostClass::Cheap) => d_lt(depth, self.cfg.brownout_enter * cap),
+            (BrownoutState::Shed, CostClass::Cheap) => {
+                (depth as f64) < self.cfg.brownout_enter * cap
+            }
             (BrownoutState::Shed, CostClass::Expensive) => false,
         }
     }
 
     /// The `retry_after` hint for a rejection at the current severity:
     /// the base hint doubled per severity level.
-    pub fn retry_after_ms(&self) -> u64 {
-        RETRY_AFTER_MS << self.state().severity().min(8)
+    pub(crate) fn retry_after_ms(&self) -> u64 {
+        RETRY_AFTER_MS << self.state.severity().min(8)
     }
 
-    /// The transition log so far (replay-comparable).
-    pub fn transitions(&self) -> Vec<BrownoutTransition> {
-        self.state.lock().log.clone()
-    }
-
-    /// The transition log as one line per edge — what the acceptance
-    /// test asserts replays identically from the seed.
-    pub fn transition_log(&self) -> String {
-        self.state
-            .lock()
-            .log
-            .iter()
-            .map(BrownoutTransition::render)
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-}
-
-fn d_lt(depth: usize, bound: f64) -> bool {
-    (depth as f64) < bound
-}
-
-impl std::fmt::Debug for BrownoutController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BrownoutController")
-            .field("state", &self.state())
-            .field("tick", &self.tick())
-            .finish()
+    /// The tick, the kept edges and the dropped count, as one snapshot.
+    pub(crate) fn log(&self) -> BrownoutLog {
+        BrownoutLog {
+            tick: self.tick,
+            transitions: self.log.iter().copied().collect(),
+            dropped: self.dropped,
+        }
     }
 }
 
@@ -391,22 +382,21 @@ mod tests {
 
     #[test]
     fn escalates_one_step_at_a_time_in_order() {
-        let ctl = BrownoutController::new(cfg(), 8);
+        let mut ctl = Brownout::new(cfg(), 8);
         assert_eq!(ctl.state(), BrownoutState::Normal);
         // Depth 8/8 exceeds both thresholds, but the first edge still
         // only reaches Brownout.
-        let (s, t) = ctl.observe(8);
-        assert_eq!(s, BrownoutState::Brownout);
+        let t = ctl.observe(8);
+        assert_eq!(ctl.state(), BrownoutState::Brownout);
         assert_eq!(t.unwrap().from, BrownoutState::Normal);
         // Cooldown: no second edge until cooldown_ticks have elapsed
         // since the first (ticks 2-4 are blocked; tick 5 may fire).
         for _ in 0..3 {
-            let (s, t) = ctl.observe(8);
-            assert_eq!(s, BrownoutState::Brownout);
-            assert!(t.is_none());
+            assert!(ctl.observe(8).is_none());
+            assert_eq!(ctl.state(), BrownoutState::Brownout);
         }
-        let (s, _) = ctl.observe(8);
-        assert_eq!(s, BrownoutState::Shed);
+        ctl.observe(8);
+        assert_eq!(ctl.state(), BrownoutState::Shed);
     }
 
     #[test]
@@ -415,7 +405,7 @@ mod tests {
         // both thresholds every tick, consecutive transitions are always
         // >= cooldown_ticks apart.
         let cool = 5u64;
-        let ctl = BrownoutController::new(
+        let mut ctl = Brownout::new(
             OverloadConfig {
                 cooldown_ticks: cool,
                 ..OverloadConfig::default()
@@ -430,7 +420,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ctl.observe((x >> 60) as usize + ((x >> 32) as usize % 17));
         }
-        let log = ctl.transitions();
+        let log = ctl.log().transitions;
         assert!(!log.is_empty(), "adversarial input must transition");
         for w in log.windows(2) {
             assert!(
@@ -450,7 +440,7 @@ mod tests {
 
     #[test]
     fn recovery_steps_down_in_order() {
-        let ctl = BrownoutController::new(cfg(), 8);
+        let mut ctl = Brownout::new(cfg(), 8);
         ctl.observe(8);
         for _ in 0..4 {
             ctl.observe(8);
@@ -469,7 +459,7 @@ mod tests {
             ctl.observe(0);
         }
         assert_eq!(ctl.state(), BrownoutState::Normal);
-        let log = ctl.transitions();
+        let log = ctl.log().transitions;
         let edges: Vec<_> = log.iter().map(|t| (t.from, t.to)).collect();
         assert_eq!(
             edges,
@@ -480,7 +470,7 @@ mod tests {
                 (BrownoutState::Brownout, BrownoutState::Normal),
             ]
         );
-        assert!(ctl.transition_log().contains("->shed@"));
+        assert!(ctl.log().render().contains("->shed@"));
     }
 
     #[test]
@@ -489,18 +479,18 @@ mod tests {
             .map(|i: usize| (i.wrapping_mul(37) % 11) + if i.is_multiple_of(3) { 6 } else { 0 })
             .collect();
         let run = |seq: &[usize]| {
-            let ctl = BrownoutController::new(cfg(), 8);
+            let mut ctl = Brownout::new(cfg(), 8);
             for &d in seq {
                 ctl.observe(d);
             }
-            ctl.transition_log()
+            ctl.log()
         };
         assert_eq!(run(&depths), run(&depths));
     }
 
     #[test]
     fn shedding_policy_rejects_expensive_first() {
-        let ctl = BrownoutController::new(cfg(), 8);
+        let mut ctl = Brownout::new(cfg(), 8);
         assert!(ctl.allows(CostClass::Expensive, 7));
         ctl.observe(8); // → Brownout
         assert!(!ctl.allows(CostClass::Expensive, 7));
@@ -522,19 +512,54 @@ mod tests {
 
     #[test]
     fn queue_wait_alarm_escalates_without_depth() {
-        let ctl = BrownoutController::new(cfg(), 8);
+        let mut ctl = Brownout::new(cfg(), 8);
         ctl.note_queue_wait(0.5); // below alarm: no-op
-        let (s, _) = ctl.observe(0);
-        assert_eq!(s, BrownoutState::Normal);
+        ctl.observe(0);
+        assert_eq!(ctl.state(), BrownoutState::Normal);
         ctl.note_queue_wait(2.0); // armed
-        let (s, t) = ctl.observe(0);
-        assert_eq!(s, BrownoutState::Brownout);
+        let t = ctl.observe(0);
+        assert_eq!(ctl.state(), BrownoutState::Brownout);
         assert_eq!(t.unwrap().depth, 0);
         // The alarm is one-shot: with no new arm and an empty queue the
-        // controller recovers after cooldown.
+        // machine recovers after cooldown.
         for _ in 0..4 {
             ctl.observe(0);
         }
         assert_eq!(ctl.state(), BrownoutState::Normal);
+    }
+
+    #[test]
+    fn the_log_keeps_the_most_recent_edges_and_counts_the_rest() {
+        // Cooldown 1 and a depth flapping between full and empty: every
+        // tick is an edge.
+        let mut ctl = Brownout::new(
+            OverloadConfig {
+                cooldown_ticks: 1,
+                ..OverloadConfig::default()
+            },
+            8,
+        );
+        let extra = 37;
+        let mut last = None;
+        let mut edges = 0u64;
+        while edges < (BROWNOUT_LOG_CAP + extra) as u64 {
+            let depth = if ctl.state() == BrownoutState::Normal {
+                8
+            } else {
+                0
+            };
+            if let Some(t) = ctl.observe(depth) {
+                edges += 1;
+                last = Some(t);
+            }
+        }
+        let log = ctl.log();
+        assert_eq!(log.transitions.len(), BROWNOUT_LOG_CAP);
+        assert_eq!(log.dropped, extra as u64);
+        assert_eq!(log.transitions.last().copied(), last);
+        assert_eq!(log.tick, last.unwrap().tick, "the tick keeps counting");
+        // The kept edges are the newest, oldest first.
+        assert!(log.transitions.windows(2).all(|w| w[0].tick < w[1].tick));
+        assert_eq!(log.transitions[0].tick, extra as u64 + 1);
     }
 }

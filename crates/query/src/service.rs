@@ -18,7 +18,7 @@
 //!   classified by the §5 cost already on its `Prepared`
 //!   ([`Prepared::predicted_secs`]): predicted-cheap queries take
 //!   a **fast lane** past the FIFO, and under pressure the
-//!   [`BrownoutController`] sheds predicted-expensive work first;
+//!   [brownout machine](crate::overload) sheds predicted-expensive work;
 //! - **per-query cancellation + deadline** — every admitted query gets a
 //!   [`CancelToken`]: a fresh one from [`QueryService::submit`], or the
 //!   caller's, deadline and all, from [`QueryService::submit_prepared`].
@@ -29,8 +29,10 @@
 //!   touching the engine: its trace records only `queue_wait` and the
 //!   outcome [`TraceOutcome::Shed`].
 //!
-//! Every admission decision and completion is counted, both in cheap
-//! atomics ([`QueryService::counters`]) and in the engine's metrics
+//! The service's admission state is one ledger behind one lock; a
+//! ticket's slot is one lock of its own; the one lock order is slot →
+//! ledger. Every admission decision and completion is counted, both in
+//! the ledger ([`QueryService::counters`]) and in the engine's metrics
 //! registry under the [`orv_obs::names`] `service/*` and `overload/*`
 //! names. The balance invariants the concurrency harness asserts:
 //!
@@ -40,14 +42,15 @@
 //! ```
 
 use crate::engine::{Plan, Prepared, QueryEngine, QueryResult, Request};
-use crate::overload::{BrownoutController, BrownoutTransition, CostClass, OverloadConfig};
+use crate::overload::{
+    Brownout, BrownoutLog, BrownoutState, BrownoutTransition, CostClass, OverloadConfig,
+};
 use orv_cluster::{CancelToken, SLEEP_SLICE};
 use orv_metadata::Placement;
 use orv_obs::{names, FlightRecorder, QueryTrace, SpanTimer, TraceId, TraceOutcome, TracedQuery};
 use orv_types::{Error, Result, SubTableId};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-// The parking_lot shim has no Condvar; the queue and tickets block on
+// The parking_lot shim has no Condvar; the ledger and tickets block on
 // std primitives directly.
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
@@ -104,7 +107,8 @@ pub struct ServiceCounters {
 }
 
 impl ServiceCounters {
-    /// `submitted == admitted + rejected` — true at every instant.
+    /// `submitted == admitted + rejected` — true of every snapshot: a
+    /// submission and its outcome are counted in one critical section.
     pub fn admission_balances(&self) -> bool {
         self.submitted == self.admitted + self.rejected
     }
@@ -125,28 +129,31 @@ const RECORDER_ANOMALY_CAP: usize = 64;
 /// One queued query's rendezvous cell: the worker (or the queue-side
 /// cancel path) publishes exactly one result; the ticket waits on it.
 struct Slot {
-    result: Mutex<Option<Result<QueryResult>>>,
-    /// Set (under the `result` lock) when the slot is resolved; stays
-    /// set after a waiter takes the result, so a late second resolver
-    /// can never re-complete an already-consumed slot.
-    resolved: AtomicBool,
+    cell: Mutex<Cell>,
     done: Condvar,
+    /// Pulsed by the winning resolver once the result is published,
+    /// still under the cell's lock: a result a waiter can take has been
+    /// counted.
+    landing: Option<Landing>,
+}
+
+#[derive(Default)]
+struct Cell {
+    result: Option<Result<QueryResult>>,
+    /// Set when the slot is resolved; stays set after a waiter takes the
+    /// result, so a late second resolver can never re-complete an
+    /// already-consumed slot.
+    resolved: bool,
     /// The completed [`QueryTrace`], written by the winning resolver —
     /// the federation router collects these to stitch its span tree.
-    trace: Mutex<Option<QueryTrace>>,
-    /// Pulsed by the winning resolver once the result is published,
-    /// still under the `result` lock: a result a waiter can take has
-    /// been counted.
-    landing: Option<Landing>,
+    trace: Option<QueryTrace>,
 }
 
 impl Slot {
     fn new(landing: Option<Landing>) -> Arc<Self> {
         Arc::new(Slot {
-            result: Mutex::new(None),
-            resolved: AtomicBool::new(false),
+            cell: Mutex::default(),
             done: Condvar::new(),
-            trace: Mutex::new(None),
             landing,
         })
     }
@@ -199,18 +206,22 @@ struct Job {
     queued: SpanTimer,
 }
 
-/// The two-class admission queue: predicted-cheap queries wait in the
-/// fast lane, which workers always drain first. Beside it, under the
-/// same lock, the token of the job each worker runs, so a dropped
-/// service cancels running jobs as well as queued ones.
-#[derive(Default)]
-struct Queues {
+/// The service's admission state, behind the one lock that submission,
+/// a worker's claim, a ticket's cancel and the service's drop take; no
+/// slot is locked while it is held. The two-class queue (predicted-cheap
+/// queries wait in the fast lane, which workers drain first), the token
+/// of the job each worker runs (so a dropped service cancels running
+/// jobs too), the shutdown flag, the counters and the brownout machine.
+struct Ledger {
     fast: VecDeque<Job>,
     normal: VecDeque<Job>,
     running: Vec<Option<CancelToken>>,
+    shutdown: bool,
+    counters: ServiceCounters,
+    brownout: Brownout,
 }
 
-impl Queues {
+impl Ledger {
     fn len(&self) -> usize {
         self.fast.len() + self.normal.len()
     }
@@ -229,10 +240,6 @@ impl Queues {
             .position(|j| Arc::ptr_eq(&j.slot, slot))?;
         self.normal.remove(i)
     }
-
-    fn drain_all(&mut self) -> Vec<Job> {
-        self.fast.drain(..).chain(self.normal.drain(..)).collect()
-    }
 }
 
 struct Inner {
@@ -241,16 +248,8 @@ struct Inner {
     /// says what it owns; `None` standalone.
     shard: Option<(usize, Placement)>,
     cfg: ServiceConfig,
-    queue: Mutex<Queues>,
+    ledger: Mutex<Ledger>,
     work: Condvar,
-    shutdown: AtomicBool,
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    cancelled: AtomicU64,
-    shed: AtomicU64,
-    controller: BrownoutController,
     /// Span-group label of this service's traces: `service` standalone,
     /// `fed{N}` when it is federation shard N.
     group: String,
@@ -258,8 +257,11 @@ struct Inner {
 }
 
 impl Inner {
-    fn count(&self, which: &AtomicU64, name: &str) {
-        which.fetch_add(1, Ordering::Relaxed);
+    fn ledger(&self) -> std::sync::MutexGuard<'_, Ledger> {
+        relock(self.ledger.lock())
+    }
+
+    fn bump(&self, name: &str) {
         self.engine.obs().metrics.counter(name).add(1);
     }
 
@@ -291,17 +293,23 @@ impl Inner {
         result: Result<QueryResult>,
         outcome: TraceOutcome,
     ) {
-        let mut cell = relock(slot.result.lock());
-        if slot.resolved.swap(true, Ordering::AcqRel) {
+        let mut cell = relock(slot.cell.lock());
+        if std::mem::replace(&mut cell.resolved, true) {
             return;
         }
-        match outcome {
-            TraceOutcome::Shed => self.count(&self.shed, names::SERVICE_SHED),
-            TraceOutcome::Cancelled => self.count(&self.cancelled, names::SERVICE_CANCELLED),
-            _ => self.count(&self.completed, names::SERVICE_COMPLETED),
-        }
-        *relock(slot.trace.lock()) = Some(trace.end(outcome, &self.recorder));
-        *cell = Some(result);
+        // Slot → ledger: the one lock order.
+        let mut ledger = self.ledger();
+        let c = &mut ledger.counters;
+        let (count, name) = match outcome {
+            TraceOutcome::Shed => (&mut c.shed, names::SERVICE_SHED),
+            TraceOutcome::Cancelled => (&mut c.cancelled, names::SERVICE_CANCELLED),
+            _ => (&mut c.completed, names::SERVICE_COMPLETED),
+        };
+        *count += 1;
+        drop(ledger);
+        self.bump(name);
+        cell.trace = Some(trace.end(outcome, &self.recorder));
+        cell.result = Some(result);
         slot.done.notify_all();
         if let Some(landing) = &slot.landing {
             landing.pulse();
@@ -373,31 +381,30 @@ impl Inner {
     fn worker_loop(&self, me: usize) {
         loop {
             let mut job = {
-                let mut queue = relock(self.queue.lock());
-                queue.running[me] = None;
+                let mut ledger = self.ledger();
+                ledger.running[me] = None;
                 loop {
-                    if let Some(job) = queue.pop() {
-                        queue.running[me] = Some(job.cancel.clone());
+                    if let Some(job) = ledger.pop() {
+                        ledger.running[me] = Some(job.cancel.clone());
                         break job;
                     }
-                    if self.shutdown.load(Ordering::Acquire) {
+                    if ledger.shutdown {
                         return;
                     }
-                    queue = relock(self.work.wait(queue));
+                    ledger = relock(self.work.wait(ledger));
                 }
             };
             let queue_wait = job.trace.phase(names::LAT_QUEUE_WAIT, Some(&job.queued));
             // The same measurements that feed lat/queue_wait_secs drive
-            // the brownout controller's latency alarm.
-            self.controller.note_queue_wait(queue_wait);
+            // the brownout machine's latency alarm.
+            self.ledger().brownout.note_queue_wait(queue_wait);
             // A queued query may already be past its deadline budget (or
             // explicitly cancelled) by the time a worker reaches it —
             // shed it here, before it touches the engine. Its trace
             // records only the queue wait: no exec phase ever happened.
             if let Err(e) = job.cancel.check() {
                 let outcome = if matches!(e, Error::DeadlineExceeded) {
-                    let metrics = &self.engine.obs().metrics;
-                    metrics.counter(names::OVERLOAD_SHED_EXPIRED).add(1);
+                    self.bump(names::OVERLOAD_SHED_EXPIRED);
                     TraceOutcome::Shed
                 } else {
                     TraceOutcome::Cancelled
@@ -429,7 +436,7 @@ pub struct QueryTicket {
 
 impl std::fmt::Debug for QueryTicket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let resolved = relock(self.slot.result.lock()).is_some();
+        let resolved = relock(self.slot.cell.lock()).result.is_some();
         f.debug_struct("QueryTicket")
             .field("trace", &self.trace_id)
             .field("resolved", &resolved)
@@ -446,7 +453,7 @@ impl QueryTicket {
     /// The completed trace, once the query resolved (phase attribution,
     /// outcome, latency). `None` while still in flight.
     pub fn trace(&self) -> Option<QueryTrace> {
-        relock(self.slot.trace.lock()).clone()
+        relock(self.slot.cell.lock()).trace.clone()
     }
 
     /// Cancel the query. If it is still queued it resolves with
@@ -455,25 +462,16 @@ impl QueryTicket {
     pub fn cancel(&self) {
         self.cancel.cancel();
         // Pull the job out of the queue if a worker hasn't claimed it.
-        let removed = {
-            let mut queue = relock(self.inner.queue.lock());
-            queue.remove_slot(&self.slot)
-        };
+        let removed = self.inner.ledger().remove_slot(&self.slot);
         if let Some(job) = removed {
             self.inner.cancel_queued(job);
         }
     }
 
-    /// Block until the query resolves.
+    /// Block until the query resolves: the bounded wait loop under a
+    /// token that never fires.
     pub fn wait(self) -> Result<QueryResult> {
-        let mut cell = relock(self.slot.result.lock());
-        // orv-lint: allow(L009) -- every submitted slot is resolved exactly once: a worker resolves it (success, error, shed, or cancel), `cancel()` resolves still-queued slots inline, and service Drop drains the queue resolving leftovers as Cancelled — so this condvar wait always terminates; callers wanting a bound use `wait_timeout`
-        loop {
-            if let Some(result) = cell.take() {
-                return result;
-            }
-            cell = relock(self.slot.done.wait(cell));
-        }
+        self.wait_cancellable(&CancelToken::none())
     }
 
     /// Block up to `timeout`; `None` if the query is still in flight
@@ -482,7 +480,7 @@ impl QueryTicket {
     /// execution, so seeded replays are unaffected.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<QueryResult>> {
         if timeout.is_zero() {
-            return relock(self.slot.result.lock()).take();
+            return relock(self.slot.cell.lock()).result.take();
         }
         self.wait_until(&CancelToken::with_deadline(timeout)).ok()
     }
@@ -500,9 +498,9 @@ impl QueryTicket {
     /// token fires; each wait is bounded by the token's
     /// [`remaining`](CancelToken::remaining) time and one slice.
     fn wait_until(&self, until: &CancelToken) -> Result<Result<QueryResult>> {
-        let mut cell = relock(self.slot.result.lock());
+        let mut cell = relock(self.slot.cell.lock());
         loop {
-            if let Some(result) = cell.take() {
+            if let Some(result) = cell.result.take() {
                 return Ok(result);
             }
             until.check()?;
@@ -554,27 +552,24 @@ impl QueryService {
             None => "service".to_string(),
         };
         engine.obs().metrics.gauge(names::OVERLOAD_STATE).set(0);
+        let ledger = Ledger {
+            fast: VecDeque::new(),
+            normal: VecDeque::new(),
+            running: vec![None; cfg.workers],
+            shutdown: false,
+            counters: ServiceCounters::default(),
+            brownout: Brownout::new(cfg.overload.clone(), cfg.queue_cap),
+        };
         let inner = Arc::new(Inner {
-            controller: BrownoutController::new(cfg.overload.clone(), cfg.queue_cap),
             engine,
             shard,
-            cfg: cfg.clone(),
-            queue: Mutex::new(Queues {
-                running: vec![None; cfg.workers],
-                ..Queues::default()
-            }),
+            cfg,
+            ledger: Mutex::new(ledger),
             work: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            submitted: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
             group,
             recorder: FlightRecorder::new(RECORDER_KEEP_SLOWEST, RECORDER_ANOMALY_CAP),
         });
-        let workers = (0..cfg.workers)
+        let workers = (0..inner.cfg.workers)
             .map(|me| {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || inner.worker_loop(me))
@@ -595,22 +590,21 @@ impl QueryService {
         &self.inner.recorder
     }
 
-    /// Admission/completion counter snapshot.
+    /// Admission/completion counter snapshot: one locked copy.
     pub fn counters(&self) -> ServiceCounters {
-        ServiceCounters {
-            submitted: self.inner.submitted.load(Ordering::Relaxed),
-            admitted: self.inner.admitted.load(Ordering::Relaxed),
-            rejected: self.inner.rejected.load(Ordering::Relaxed),
-            completed: self.inner.completed.load(Ordering::Relaxed),
-            cancelled: self.inner.cancelled.load(Ordering::Relaxed),
-            shed: self.inner.shed.load(Ordering::Relaxed),
-        }
+        self.inner.ledger().counters
     }
 
-    /// This service's brownout controller: state, transition log, and
-    /// the hedging gate the federation router consults.
-    pub fn brownout(&self) -> &BrownoutController {
-        &self.inner.controller
+    /// This service's brownout state — what the federation router's
+    /// governor reads before any re-issue.
+    pub fn brownout_state(&self) -> BrownoutState {
+        self.inner.ledger().brownout.state()
+    }
+
+    /// This service's brownout history: the logical tick, the most
+    /// recent transitions and how many older ones were dropped.
+    pub fn brownout_log(&self) -> BrownoutLog {
+        self.inner.ledger().brownout.log()
     }
 
     /// Bind and submit one statement under a fresh token with no
@@ -658,42 +652,42 @@ impl QueryService {
     ) -> Result<QueryTicket> {
         let inner = &self.inner;
         let id = trace.id();
-        inner.count(&inner.submitted, names::SERVICE_SUBMITTED);
+        inner.bump(names::SERVICE_SUBMITTED);
         // Classify by the §5 cost bound into the statement; one that did
         // not bind predicts zero and fails fast at a worker.
         let predicted_secs = work.as_ref().map_or(0.0, Prepared::predicted_secs);
         let class = inner.cfg.overload.classify(predicted_secs);
         let slot = Slot::new(landing);
         let transition = {
-            let mut queue = relock(inner.queue.lock());
-            let depth = queue.len();
-            // One logical tick per admission decision: the controller
-            // observes depth under the queue lock, so a seeded replay
-            // of the same submission sequence sees the same ticks.
-            let (_, transition) = inner.controller.observe(depth);
+            let mut ledger = inner.ledger();
+            // The submission and its outcome are counted in this one
+            // critical section, so every snapshot balances.
+            ledger.counters.submitted += 1;
+            let depth = ledger.len();
+            // One logical tick per admission decision, under the ledger
+            // lock, so a seeded replay of the same submission sequence
+            // sees the same ticks.
+            let transition = ledger.brownout.observe(depth);
             let full = depth >= inner.cfg.queue_cap;
-            let shed_by_policy = !full && !inner.controller.allows(class, depth);
+            let shed_by_policy = !full && !ledger.brownout.allows(class, depth);
             // Admission ends with its decision, whichever way it went.
             trace.phase(names::LAT_ADMISSION, None);
             if full || shed_by_policy {
-                drop(queue);
+                ledger.counters.rejected += 1;
+                let retry_after_ms = ledger.brownout.retry_after_ms();
+                drop(ledger);
                 if let Some(t) = transition {
                     inner.note_transition(t);
                 }
-                inner.count(&inner.rejected, names::SERVICE_REJECTED);
+                inner.bump(names::SERVICE_REJECTED);
                 if shed_by_policy && class == CostClass::Expensive {
-                    inner
-                        .engine
-                        .obs()
-                        .metrics
-                        .counter(names::OVERLOAD_SHED_EXPENSIVE)
-                        .add(1);
+                    inner.bump(names::OVERLOAD_SHED_EXPENSIVE);
                 }
                 trace.end(TraceOutcome::Rejected, &inner.recorder);
                 return Err(Error::Overloaded {
                     queued: depth,
                     cap: inner.cfg.queue_cap,
-                    retry_after_ms: inner.controller.retry_after_ms(),
+                    retry_after_ms,
                 });
             }
             let job = Job {
@@ -705,22 +699,18 @@ impl QueryService {
             };
             match class {
                 CostClass::Cheap => {
-                    inner
-                        .engine
-                        .obs()
-                        .metrics
-                        .counter(names::OVERLOAD_FAST_LANE)
-                        .add(1);
-                    queue.fast.push_back(job);
+                    inner.bump(names::OVERLOAD_FAST_LANE);
+                    ledger.fast.push_back(job);
                 }
-                CostClass::Expensive => queue.normal.push_back(job),
+                CostClass::Expensive => ledger.normal.push_back(job),
             }
+            ledger.counters.admitted += 1;
             transition
         };
         if let Some(t) = transition {
             inner.note_transition(t);
         }
-        inner.count(&inner.admitted, names::SERVICE_ADMITTED);
+        inner.bump(names::SERVICE_ADMITTED);
         inner.work.notify_one();
         Ok(QueryTicket {
             slot,
@@ -738,15 +728,17 @@ impl QueryService {
 
 impl Drop for QueryService {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        // Drain: anything still queued resolves as cancelled so no
-        // ticket-holder blocks forever on a dead service, and anything
-        // running is cancelled, so the join below waits one sleep slice,
-        // not the rest of a job.
+        // Shut down and drain: anything still queued resolves as
+        // cancelled so no ticket-holder blocks forever on a dead service,
+        // and anything running is cancelled, so the join below waits one
+        // sleep slice, not the rest of a job.
         let (drained, running): (Vec<Job>, Vec<CancelToken>) = {
-            let mut queue = relock(self.inner.queue.lock());
-            let running = queue.running.iter().flatten().cloned().collect();
-            (queue.drain_all(), running)
+            let mut guard = self.inner.ledger();
+            let ledger = &mut *guard;
+            ledger.shutdown = true;
+            let running = ledger.running.iter().flatten().cloned().collect();
+            let queued = ledger.fast.drain(..).chain(ledger.normal.drain(..));
+            (queued.collect(), running)
         };
         for token in running {
             token.cancel();
@@ -765,9 +757,19 @@ impl Drop for QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overload::BrownoutState;
     use orv_bds::{generate_dataset, DatasetSpec, Deployment};
     use orv_types::ChunkId;
+    use proptest::prelude::*;
+
+    impl QueryService {
+        /// One brownout observation at `depth`, as an admission makes
+        /// it, without queueing anything; returns the state after it.
+        pub(crate) fn observe_brownout(&self, depth: usize) -> BrownoutState {
+            let mut ledger = self.inner.ledger();
+            ledger.brownout.observe(depth);
+            ledger.brownout.state()
+        }
+    }
 
     fn engine() -> QueryEngine {
         let d = Deployment::in_memory(1);
@@ -1062,7 +1064,7 @@ mod tests {
             admitted.len() >= 2,
             "work below the brownout threshold still lands"
         );
-        assert_ne!(svc.brownout().state(), BrownoutState::Normal);
+        assert_ne!(svc.brownout_state(), BrownoutState::Normal);
         let snap = svc.engine().obs().metrics.snapshot();
         assert!(snap.counters.get(names::OVERLOAD_SHED_EXPENSIVE).copied() >= Some(1));
         let c = svc.counters();
@@ -1202,5 +1204,88 @@ mod tests {
         // A plain submission carries no landing.
         svc.execute("SELECT COUNT(*) FROM t1").unwrap();
         assert_eq!(landing.count(), seen + 2);
+    }
+
+    /// Two clients flood a small queue while a third thread snapshots
+    /// the counters: a submission and its outcome are counted together,
+    /// so no snapshot is ever unbalanced.
+    #[test]
+    fn every_counter_snapshot_balances_admission() {
+        let svc = QueryService::new(
+            engine(),
+            ServiceConfig {
+                workers: 1,
+                queue_cap: 2,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let per_client = 2_000;
+        let (snapshots, unbalanced) = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        for _ in 0..per_client {
+                            if let Ok(ticket) = svc.submit("SELECT COUNT(*) FROM t1") {
+                                ticket.cancel();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // This thread is the third: it snapshots until both clients
+            // are done.
+            let (mut seen, mut bad) = (0u64, Vec::new());
+            while !clients.iter().all(|c| c.is_finished()) {
+                let c = svc.counters();
+                seen += 1;
+                if !c.admission_balances() {
+                    bad.push(c);
+                }
+            }
+            (seen, bad)
+        });
+        assert!(snapshots > 0);
+        assert!(unbalanced.is_empty(), "{unbalanced:?}");
+        let c = svc.counters();
+        assert_eq!(c.submitted, 2 * per_client);
+        assert!(c.admission_balances(), "{c:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever depth sequence arrives, the brownout machine moves
+        /// at most one severity step per transition and never
+        /// transitions twice within one cooldown window.
+        #[test]
+        fn brownout_hysteresis_never_oscillates_within_cooldown(
+            depths in proptest::collection::vec(0usize..64, 1..200),
+            cooldown in 1u64..32,
+        ) {
+            let cfg = OverloadConfig {
+                cooldown_ticks: cooldown,
+                ..OverloadConfig::default()
+            };
+            let mut ctl = Brownout::new(cfg, 32);
+            for d in depths {
+                ctl.observe(d);
+            }
+            let ts = ctl.log().transitions;
+            for w in ts.windows(2) {
+                prop_assert!(
+                    w[1].tick - w[0].tick >= cooldown,
+                    "transitions {} and {} violate the {}-tick cooldown",
+                    w[0].render(),
+                    w[1].render(),
+                    cooldown
+                );
+            }
+            for t in &ts {
+                let from = t.from.severity() as i64;
+                let to = t.to.severity() as i64;
+                prop_assert_eq!((from - to).abs(), 1, "single-step transitions only");
+            }
+        }
     }
 }

@@ -136,11 +136,6 @@ impl BoundingBox {
         self.dims.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Number of explicitly bounded attributes.
-    pub fn num_bounded(&self) -> usize {
-        self.dims.len()
-    }
-
     /// True if any explicit interval is empty.
     pub fn is_empty(&self) -> bool {
         self.dims.values().any(|iv| iv.is_empty())
@@ -193,24 +188,6 @@ impl BoundingBox {
             dims.insert(k.clone(), merged);
         }
         BoundingBox { dims }
-    }
-
-    /// True if every explicit bound of `self` contains the corresponding
-    /// value; `point` maps attribute name → value.
-    pub fn contains_point(&self, point: &BTreeMap<String, f64>) -> bool {
-        self.dims.iter().all(|(k, iv)| match point.get(k) {
-            Some(v) => iv.contains(*v),
-            None => true,
-        })
-    }
-
-    /// True if `other` lies entirely within `self` on `self`'s bounded
-    /// attributes.
-    pub fn contains_box(&self, other: &BoundingBox) -> bool {
-        self.dims.iter().all(|(k, iv)| {
-            let o = other.get(k);
-            !o.is_empty() && iv.lo <= o.lo && o.hi <= iv.hi
-        })
     }
 }
 
@@ -295,7 +272,6 @@ mod tests {
         assert_eq!(u.get("x"), Interval::new(0.0, 6.0));
         // wp bounded only in a → unbounded in the union (upper bound).
         assert_eq!(u.get("wp"), Interval::unbounded());
-        assert_eq!(u.num_bounded(), 1);
     }
 
     #[test]
@@ -305,22 +281,6 @@ mod tests {
         let i = a.intersect(&q);
         assert_eq!(i.get("x"), Interval::new(4.0, 10.0));
         assert_eq!(i.get("y"), Interval::new(0.0, 5.0));
-    }
-
-    #[test]
-    fn contains_point_and_box() {
-        let a = bb(&[("x", 0.0, 10.0), ("y", 0.0, 5.0)]);
-        let mut p = BTreeMap::new();
-        p.insert("x".to_string(), 3.0);
-        p.insert("y".to_string(), 5.0);
-        assert!(a.contains_point(&p));
-        p.insert("y".to_string(), 5.1);
-        assert!(!a.contains_point(&p));
-        assert!(a.contains_box(&bb(&[("x", 1.0, 2.0), ("y", 0.0, 1.0)])));
-        assert!(!a.contains_box(&bb(&[("x", 1.0, 11.0)])));
-        // `other` unbounded on y is NOT contained by a's y-bound.
-        assert!(a.contains_box(&bb(&[("x", 1.0, 2.0), ("y", 1.0, 2.0)])));
-        assert!(!a.contains_box(&bb(&[("x", 1.0, 2.0)])));
     }
 
     #[test]

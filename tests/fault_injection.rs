@@ -81,7 +81,7 @@ fn chunk_with_missing_extractor_errors_cleanly() {
         .store(NodeId(0))
         .unwrap()
         .lock()
-        .append("t.dat", &[0u8; 64])
+        .append("t.dat", vec![0u8; 64].into())
         .unwrap();
     d.metadata()
         .register_chunk(ChunkMeta {
@@ -109,7 +109,7 @@ fn corrupt_chunk_bytes_fail_extraction() {
         .store(NodeId(0))
         .unwrap()
         .lock()
-        .append("t.dat", &[0xAB; 37])
+        .append("t.dat", vec![0xAB; 37].into())
         .unwrap();
     d.metadata()
         .register_chunk(ChunkMeta {
@@ -148,7 +148,7 @@ fn corrupt_chunk_poisons_joins_with_error_not_panic() {
         .store(NodeId(0))
         .unwrap()
         .lock()
-        .append("t2.dat", &[0xCD; 33])
+        .append("t2.dat", vec![0xCD; 33].into())
         .unwrap();
     d.metadata()
         .register_chunk(ChunkMeta {

@@ -18,17 +18,18 @@
 //!
 //! A second, fully deterministic test (no worker threads) replays the
 //! same scripted submission sequence twice and requires byte-identical
-//! brownout transition logs. Property tests pin the three structural
-//! invariants: deadline budgets shrink monotonically and never go
-//! negative, a queue-expired query is never admitted to a worker, and
-//! the brownout controller never oscillates within one cooldown window.
+//! brownout transition logs, pinned to the ones this script has always
+//! produced. Property tests pin two structural invariants: deadline
+//! budgets shrink monotonically and never go negative, and a
+//! queue-expired query is never admitted to a worker. (That the brownout
+//! machine never oscillates within one cooldown window is a property
+//! test beside the machine, in the service's unit tests.)
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::{CancelToken, FaultInjector, FaultPlan};
 use orv::obs::{names, Obs, TraceOutcome};
 use orv::query::{
-    BrownoutController, FederatedService, FederationConfig, OverloadConfig, QueryEngine,
-    QueryService, ServiceConfig,
+    FederatedService, FederationConfig, OverloadConfig, QueryEngine, QueryService, ServiceConfig,
 };
 use orv::types::Error;
 use proptest::prelude::*;
@@ -329,7 +330,7 @@ fn seeded_load_storm_degrades_cleanly() {
 /// Deterministic brownout replay: one scripted submission sequence
 /// against a workerless service (so queue depth is a pure function of
 /// the script), run twice from the same seed — the rendered transition
-/// logs must be byte-identical.
+/// logs must be byte-identical. Returns the rendered log and the tick.
 fn scripted_transition_log(seed: u64) -> (String, u64) {
     let svc = QueryService::new(
         QueryEngine::new(deployment()),
@@ -369,10 +370,10 @@ fn scripted_transition_log(seed: u64) -> (String, u64) {
             }
         }
     }
-    let log = svc.brownout().transition_log();
-    let ticks = svc.brownout().tick();
+    let log = svc.brownout_log();
+    assert_eq!(log.dropped, 0, "a 64-step script stays under the log cap");
     drop(held);
-    (log, ticks)
+    (log.render(), log.tick)
 }
 
 #[test]
@@ -388,10 +389,18 @@ fn brownout_transition_log_replays_identically_from_seed() {
         !log_a.is_empty(),
         "the script must actually drive transitions"
     );
-    // A different seed drives a different script; the controller is a
+    // A different seed drives a different script; the machine is a
     // function of its observations, so the log (almost surely) differs.
-    let (log_c, _) = scripted_transition_log(0x0bad_cafe);
+    let (log_c, ticks_c) = scripted_transition_log(0x0bad_cafe);
     assert_ne!(log_a, log_c, "distinct scripts should leave distinct logs");
+    // Both logs are pinned: the state machine and the admission path
+    // around it must keep producing exactly these edges.
+    let pinned_a = "7:normal->brownout@2\n13:brownout->shed@6\n26:shed->brownout@1\n\
+                    28:brownout->normal@1\n30:normal->brownout@3\n35:brownout->shed@6";
+    let pinned_c = "8:normal->brownout@2\n10:brownout->normal@1\n12:normal->brownout@3\n\
+                    20:brownout->shed@6\n25:shed->brownout@1\n31:brownout->shed@6";
+    assert_eq!((log_a.as_str(), ticks_a), (pinned_a, 44));
+    assert_eq!((log_c.as_str(), ticks_c), (pinned_c, 36));
 }
 
 /// An overloaded shard is not a fault, but it is an attempt: a whole
@@ -533,38 +542,5 @@ proptest! {
         prop_assert_eq!(c.shed, n as u64);
         prop_assert_eq!(c.completed, 0);
         prop_assert!(c.completion_balances(), "{:?}", c);
-    }
-
-    /// Whatever depth sequence arrives, the brownout controller moves at
-    /// most one severity step per transition and never transitions twice
-    /// within one cooldown window.
-    #[test]
-    fn brownout_hysteresis_never_oscillates_within_cooldown(
-        depths in proptest::collection::vec(0usize..64, 1..200),
-        cooldown in 1u64..32,
-    ) {
-        let cfg = OverloadConfig {
-            cooldown_ticks: cooldown,
-            ..OverloadConfig::default()
-        };
-        let ctl = BrownoutController::new(cfg, 32);
-        for d in depths {
-            ctl.observe(d);
-        }
-        let ts = ctl.transitions();
-        for w in ts.windows(2) {
-            prop_assert!(
-                w[1].tick - w[0].tick >= cooldown,
-                "transitions {} and {} violate the {}-tick cooldown",
-                w[0].render(),
-                w[1].render(),
-                cooldown
-            );
-        }
-        for t in &ts {
-            let from = t.from.severity() as i64;
-            let to = t.to.severity() as i64;
-            prop_assert_eq!((from - to).abs(), 1, "single-step transitions only");
-        }
     }
 }
