@@ -40,12 +40,13 @@
 //! ~12 000 minor faults a query, and `join_gh` (512²) from 30–34 to ~22
 //! ms in this edge and ~8 600 to ~90 faults, on a 2-core box.
 //!
-//! Either way each row is a view of a shared block of at most
-//! `orv_types::record::BLOCK_ROWS` rows, so the edge allocates per block,
-//! not per row; [`batches_to_rows`] builds a run of batches as it stands
-//! on the calling thread. Results under `SERIAL_BELOW_ROWS` rows stay on
-//! the calling thread — a federation sub-scan, a window query or a unit
-//! test starts no thread.
+//! Either way each row is a view of a shared block of 16 KiB of values
+//! (256 rows of a 4-column scan, 204 of a 5-column join), so the edge
+//! allocates per block, not per row, takes each block from the
+//! allocator's bins and fills it in the L1 cache; [`batches_to_rows`]
+//! builds a run of batches as it stands on the calling thread. Results
+//! under `SERIAL_BELOW_ROWS` rows stay on the calling thread — a
+//! federation sub-scan, a window query or a unit test starts no thread.
 
 use crate::agg::Accumulator;
 use crate::ast::{AggFunc, RangePred, SelectItem};

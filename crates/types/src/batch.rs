@@ -10,8 +10,8 @@
 //! module owns the only range-filter kernel, projection, row
 //! materialiser and `from_records` for table data. Rows are materialized
 //! into [`Record`]s only where a result leaves the engine — views of
-//! shared row-major blocks, one allocation per block of at most
-//! [`BLOCK_ROWS`] rows ([`ColumnBatch::append_rows_to`], or
+//! shared row-major blocks, one allocation per block of 16 KiB of values
+//! ([`ColumnBatch::append_rows_to`], or
 //! [`ColumnBatch::append_stretches_to`] across batches) — and the
 //! conversion is bit-exact in both directions (every supported type is
 //! fixed-width; float bit patterns, including NaNs and `-0.0`, survive
@@ -20,7 +20,7 @@
 
 use crate::bbox::Interval;
 use crate::error::{Error, Result};
-use crate::record::{Record, BLOCK_ROWS};
+use crate::record::{block_rows, Record};
 use crate::value::{DataType, Value};
 use std::ops::Range;
 use std::sync::Arc;
@@ -396,7 +396,7 @@ impl ColumnBatch {
     }
 
     /// Append one row.
-    pub fn push_record(&mut self, r: &Record) -> Result<()> {
+    fn push_record(&mut self, r: &Record) -> Result<()> {
         if r.arity() != self.columns.len() {
             return Err(Error::Schema(format!(
                 "record of arity {} pushed into batch of {} columns",
@@ -466,8 +466,9 @@ impl ColumnBatch {
     }
 
     /// Append the rows in `rows` to `out` as [`Record`]s: views of shared
-    /// row-major blocks of at most [`BLOCK_ROWS`] rows, each filled by one
-    /// typed loop per column — one allocation per block, none per row.
+    /// row-major blocks of as many rows as fit in 16 KiB of values (at
+    /// least one), each filled by one typed loop per column — one
+    /// allocation per block, none per row.
     pub fn append_rows_to(&self, rows: Range<usize>, out: &mut Vec<Record>) -> Result<()> {
         Self::append_stretches_to(std::slice::from_ref(self), &[(0, rows)], out)
     }
@@ -505,8 +506,9 @@ impl ColumnBatch {
             .iter()
             .map(|(b, rows)| (&batches[*b], rows.clone()));
         let mut current = pending.next();
+        let per_block = block_rows(arity);
         while left > 0 {
-            let len = left.min(BLOCK_ROWS);
+            let len = left.min(per_block);
             let mut block: Arc<[Value]> = std::iter::repeat_n(Value::I32(0), len * arity).collect();
             // The block is ours alone until its first view is handed out,
             // so this writes it in place.
@@ -579,7 +581,7 @@ impl ColumnBatch {
     }
 
     /// Row indices passing `predicate(row)`, as a gather list.
-    pub fn mask_to_keep(&self, mut predicate: impl FnMut(usize) -> bool) -> Vec<u32> {
+    fn mask_to_keep(&self, mut predicate: impl FnMut(usize) -> bool) -> Vec<u32> {
         (0..self.num_rows() as u32)
             .filter(|&r| predicate(r as usize))
             .collect()
@@ -643,9 +645,10 @@ mod tests {
     }
 
     /// Stretches of two batches, out of order, crossing block boundaries
-    /// and each other, build what the rows one at a time do, in
-    /// `BLOCK_ROWS`-row blocks; a stretch outside its batch, of a missing
-    /// batch or of another width is refused.
+    /// and each other, build what the rows one at a time do, in blocks of
+    /// `block_rows` rows that run on across the seams between stretches;
+    /// a stretch outside its batch, of a missing batch or of another width
+    /// is refused.
     #[test]
     fn stretches_build_their_rows_in_order_across_batches() {
         let batch = |n: i32, scale: f64| {
@@ -676,7 +679,18 @@ mod tests {
             .windows(2)
             .filter(|w| w[0].values().as_ptr_range().end != w[1].values().as_ptr())
             .count();
-        assert_eq!(starts + 1, 8000usize.div_ceil(BLOCK_ROWS));
+        assert_eq!(starts + 1, 8000usize.div_ceil(block_rows(2)));
+        // No seam between stretches falls on a block edge: the rows on
+        // either side of each share a block.
+        for seam in [2000, 6500, 7500] {
+            assert_ne!(seam % block_rows(2), 0);
+            let (before, after) = (rows[seam - 1].values(), rows[seam].values());
+            assert_eq!(
+                before.as_ptr_range().end,
+                after.as_ptr(),
+                "seam at row {seam}"
+            );
+        }
         let narrow = batches[0].project(&[0]).unwrap();
         for (bad, at) in [
             (&batches[..], (1, 2999..3001)),

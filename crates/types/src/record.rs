@@ -9,22 +9,32 @@
 //! operators after that edge and the federation merge pass around.
 //!
 //! The row edge ([`ColumnBatch::append_records_to`]) fills one block per
-//! run of at most [`BLOCK_ROWS`] rows and hands out views of it, so a
-//! result costs one allocation per block, not one per row. A block is
+//! run of rows and hands out views of it, so a result costs one
+//! allocation per block, not one per row. A block holds as many rows as
+//! fit in 16 KiB of values, and at least one: 1 024 rows of one column,
+//! 256 of 4, 204 of 5, one row of more than 1 024 columns. A block that
+//! size comes from the allocator's bins rather than the top of a heap the
+//! kernel must zero-fill again, and is filled in the L1 cache. A block is
 //! never written after it is filled: cloning a row is a reference-count
 //! bump, and a row kept past a `LIMIT` or a filter keeps its one block
 //! alive. [`Record::new`] is a block of one row.
 //!
 //! [`ColumnBatch::append_records_to`]: crate::ColumnBatch::append_records_to
+//! [`Schema`]: crate::Schema
 
-use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// The most rows the row edge puts in one shared block.
-pub const BLOCK_ROWS: usize = 4096;
+/// The bytes of values the row edge puts in one shared block.
+const BLOCK_BYTES: usize = 16 << 10;
+
+/// The rows of `arity` values each in one block of the row edge: as many
+/// as [`BLOCK_BYTES`] holds, and at least one.
+pub(crate) fn block_rows(arity: usize) -> usize {
+    (BLOCK_BYTES / (std::mem::size_of::<Value>() * arity.max(1))).max(1)
+}
 
 /// One row of a virtual table. Equality and hashing are the values'.
 #[derive(Clone)]
@@ -37,7 +47,7 @@ pub struct Record {
 
 impl Record {
     /// Build from values. The caller is responsible for positional agreement
-    /// with the intended schema; use [`Record::conforms_to`] to verify.
+    /// with the intended schema.
     pub fn new(values: Vec<Value>) -> Self {
         Self::one(values.into())
     }
@@ -81,16 +91,6 @@ impl Record {
         self.arity as usize
     }
 
-    /// True if arity and every field's type match `schema`.
-    pub fn conforms_to(&self, schema: &Schema) -> bool {
-        self.arity() == schema.arity()
-            && self
-                .values()
-                .iter()
-                .zip(schema.attrs())
-                .all(|(v, a)| v.data_type() == a.dtype)
-    }
-
     /// The values at `key_indices`, used as a join/group key.
     pub fn key(&self, key_indices: &[usize]) -> Vec<Value> {
         let values = self.values();
@@ -99,7 +99,7 @@ impl Record {
 
     /// Concatenate fields of `self` with the fields of `other` whose indices
     /// are *not* listed in `skip_right` — the row-level counterpart of
-    /// [`Schema::join`].
+    /// [`Schema::join`](crate::Schema::join).
     pub fn join(&self, other: &Record, skip_right: &[usize]) -> Record {
         let mut out = Vec::with_capacity(self.arity() + other.arity() - skip_right.len());
         out.extend_from_slice(self.values());
@@ -178,23 +178,11 @@ impl From<Vec<Value>> for Record {
 mod tests {
     use super::*;
     use crate::batch::{ColumnBatch, ColumnData};
-    use crate::schema::Schema;
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
 
     fn rec(vals: &[i32]) -> Record {
         Record::new(vals.iter().map(|&v| Value::I32(v)).collect())
-    }
-
-    #[test]
-    fn conformance_checks_types_and_arity() {
-        let s = Schema::grid(&["x", "y"], &["wp"]).unwrap();
-        let good = Record::new(vec![Value::I32(1), Value::I32(2), Value::F32(0.5)]);
-        let wrong_ty = Record::new(vec![Value::I32(1), Value::F32(2.0), Value::F32(0.5)]);
-        let wrong_arity = rec(&[1, 2]);
-        assert!(good.conforms_to(&s));
-        assert!(!wrong_ty.conforms_to(&s));
-        assert!(!wrong_arity.conforms_to(&s));
     }
 
     #[test]
@@ -295,10 +283,20 @@ mod tests {
         send_sync::<Record>();
     }
 
+    /// The blocks `rows` view, a block counted once per run of
+    /// consecutive rows in it.
+    fn blocks(rows: &[Record]) -> usize {
+        let mut starts: Vec<*const Value> = rows.iter().map(|r| r.block.as_ptr()).collect();
+        starts.dedup();
+        starts.len()
+    }
+
     #[test]
     fn a_batch_shares_three_blocks_and_a_row_outlives_it() {
         assert!(std::mem::size_of::<Record>() <= 24);
-        let n = 10_000;
+        let per_block = block_rows(2);
+        assert_eq!(per_block * 2 * std::mem::size_of::<Value>(), BLOCK_BYTES);
+        let n = (2 * per_block + 300) as i32;
         let batch = ColumnBatch::from_columns(vec![
             ColumnData::I32((0..n).collect()),
             ColumnData::F64((0..n).map(|i| -f64::from(i)).collect()),
@@ -306,15 +304,10 @@ mod tests {
         .unwrap();
         let rows = batch.to_records().unwrap();
         assert_eq!(rows.len(), n as usize);
-        let blocks = |rows: &[Record]| {
-            let mut starts: Vec<*const Value> = rows.iter().map(|r| r.block.as_ptr()).collect();
-            starts.dedup();
-            starts.len()
-        };
-        // 4 096 + 4 096 + 1 808 rows.
+        // 512 + 512 + 300 rows.
         assert_eq!(blocks(&rows), 3);
-        assert_eq!(blocks(&rows[..BLOCK_ROWS]), 1);
-        assert_eq!(blocks(&rows[BLOCK_ROWS - 1..BLOCK_ROWS + 1]), 2);
+        assert_eq!(blocks(&rows[..per_block]), 1);
+        assert_eq!(blocks(&rows[per_block - 1..per_block + 1]), 2);
         // A clone shares the block; it is never copied.
         let copy = rows[1].clone();
         assert_eq!(copy.block.as_ptr(), rows[1].block.as_ptr());
@@ -326,6 +319,89 @@ mod tests {
         );
         // What survives holds its one block, and only that.
         assert_eq!(Arc::strong_count(&last.block), 1);
-        assert_eq!(last.block.len(), (n as usize - 2 * BLOCK_ROWS) * 2);
+        assert_eq!(last.block.len(), (n as usize - 2 * per_block) * 2);
+    }
+
+    /// A block holds as many rows as fit in 16 KiB of values, and at
+    /// least one, however wide the row; no arity divides by zero.
+    #[test]
+    fn a_block_holds_16_kib_of_values_and_at_least_one_row() {
+        for (arity, per_block) in [
+            (0, 1024),
+            (1, 1024),
+            (4, 256),
+            (5, 204),
+            (1024, 1),
+            (1500, 1),
+        ] {
+            assert_eq!(block_rows(arity), per_block, "{arity} columns");
+        }
+        for (arity, n, sizes) in [
+            (1, 3000, &[1024, 1024, 952][..]),
+            (5, 500, &[204, 204, 92][..]),
+            (1500, 3, &[1, 1, 1][..]),
+        ] {
+            // Row `r` holds `r` in every column.
+            let batch = ColumnBatch::from_columns(vec![ColumnData::I32((0..n).collect()); arity]);
+            let rows = batch.unwrap().to_records().unwrap();
+            assert_eq!(rows.len(), n as usize);
+            assert_eq!(blocks(&rows), sizes.len(), "{arity} columns");
+            let mut at = 0;
+            for &size in sizes {
+                assert_eq!(rows[at].block.len(), size * arity, "{arity} columns");
+                assert_eq!(blocks(&rows[at..at + size]), 1);
+                at += size;
+            }
+            for (r, row) in rows.iter().enumerate() {
+                assert_eq!(row.values(), &vec![Value::I32(r as i32); arity][..]);
+            }
+        }
+        assert!(ColumnBatch::from_columns(Vec::new())
+            .unwrap()
+            .to_records()
+            .unwrap()
+            .is_empty());
+    }
+
+    /// The ten highest of 100 000 rows, one per block, pin ten blocks of
+    /// at most 16 KiB, not ten of the rows' whole result.
+    #[test]
+    fn a_top_ten_of_100_000_rows_keeps_at_most_ten_small_blocks() {
+        let n = 100_000;
+        // The key is highest on rows 9 999, 19 999, …, 99 999, each in a
+        // block of its own.
+        let batch = ColumnBatch::from_columns(vec![
+            ColumnData::I32(
+                (0..n)
+                    .map(|r| if r % 10_000 == 9_999 { n + r } else { r })
+                    .collect(),
+            ),
+            ColumnData::F64((0..n).map(f64::from).collect()),
+            ColumnData::F32(vec![0.5; n as usize]),
+            ColumnData::I64((0..n).map(i64::from).collect()),
+        ])
+        .unwrap();
+        let mut rows = batch.to_records().unwrap();
+        drop(batch);
+        rows.sort_by_key(|r| std::cmp::Reverse(r.get(0)));
+        rows.truncate(10);
+        rows.shrink_to_fit();
+        let keys: Vec<i64> = rows.iter().map(|r| r.get(3).as_i64().unwrap()).collect();
+        assert_eq!(
+            keys,
+            (0..10)
+                .rev()
+                .map(|k| k * 10_000 + 9_999)
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(blocks(&rows), 10);
+        for row in &rows {
+            assert_eq!(
+                Arc::strong_count(&row.block),
+                1,
+                "only the kept row holds its block"
+            );
+            assert!(std::mem::size_of_val(&*row.block) <= BLOCK_BYTES);
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Guard against a full scan or a join that makes the kernel zero-fill
-//! its memory again on every query. It builds three of `orvbench`'s
+//! its memory again on every query, or holds more memory at its peak
+//! than it needs. It builds three of `orvbench`'s
 //! shapes, each behind a `QueryService` with two workers on two storage
 //! nodes:
 //! - `scan` (`scan_full`): a 1 024 × 1 024 grid in 64 × 64 chunks,
@@ -20,17 +21,23 @@
 //!
 //! Each shape runs in a process of its own, because how often the kernel
 //! faults depends on what the allocator already holds. Exits 1 above
-//! 1 024 minor faults per scan query, 8 000 per IJ join query or 1 024
-//! per GH join query, or if a query returns the wrong number of rows.
-//! A warm IJ join took 17 444 while one worker of the row edge allocated
-//! its whole result, and 9 000–14 600 while each cached hash table held
-//! a copy of its build rows' keys: the allocator then handed row blocks
-//! back to the kernel between queries. With tables of row numbers only
-//! it takes ~3 500–5 600. A GH join took 19 811–19 952 while it copied
-//! every frame into its bucket, and ~8 600 while the row edge sorted its
-//! one interleaved group whole, on all workers; cut into cache-sized
-//! parts, it takes ~50–120. On a target other than Linux there is no
-//! `/proc/self/stat`: it prints a note and exits 0.
+//! 1 024 minor faults per scan query, 2 000 per IJ join query or 1 024
+//! per GH join query; above a peak resident set of 140 MiB for the scan,
+//! 240 MiB for the IJ join or 64 MiB for the GH join; or if a query
+//! returns the wrong number of rows.
+//! A warm IJ join took 17 444 faults while one worker of the row edge
+//! allocated its whole result, and 9 000–14 600 while each cached hash
+//! table held a copy of its build rows' keys: the allocator then handed
+//! row blocks back to the kernel between queries. With tables of row
+//! numbers only it took ~3 500–5 600 and a VmHWM of ~265 MiB while the
+//! row edge filled blocks of 4 096 rows (320 KiB), carved from the top
+//! of an allocator heap; with blocks of 16 KiB, which the allocator
+//! serves from its bins, it takes ~300–500 and ~216 MiB. A GH join
+//! took 19 811–19 952 while it copied every frame into its bucket, and
+//! ~8 600 while the row edge sorted its one interleaved group whole, on
+//! all workers; cut into cache-sized parts, it takes ~50–120. On a
+//! target other than Linux there is no `/proc/self/stat`: it prints a
+//! note and exits 0.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::join::JoinAlgorithm;
@@ -55,6 +62,8 @@ struct Guard {
     max_faults_per_query: u64,
     /// What a count above the limit means.
     verdict: &'static str,
+    /// The most resident memory the process may have held, in MiB.
+    max_peak_rss_mb: f64,
 }
 
 const GUARDS: [Guard; 3] = [
@@ -68,6 +77,7 @@ const GUARDS: [Guard; 3] = [
         sql: "SELECT * FROM t1",
         max_faults_per_query: 1024,
         verdict: "the kernel is zero-filling the scan's memory on every query",
+        max_peak_rss_mb: 140.0,
     },
     Guard {
         name: "join",
@@ -77,8 +87,9 @@ const GUARDS: [Guard; 3] = [
         tables: &[("t1", "oilp", 1), ("t2", "wp", 2)],
         setup: Some("CREATE VIEW v1 AS SELECT * FROM t1 JOIN t2 ON (x, y, z)"),
         sql: "SELECT * FROM v1",
-        max_faults_per_query: 8_000,
-        verdict: "the warm join faults as often as when its hash tables copied their keys",
+        max_faults_per_query: 2_000,
+        verdict: "the warm join faults as often as when its row blocks came from the top of a heap",
+        max_peak_rss_mb: 240.0,
     },
     Guard {
         name: "gh",
@@ -91,6 +102,7 @@ const GUARDS: [Guard; 3] = [
         max_faults_per_query: 1024,
         verdict: "Grace Hash's row edge is zero-filling memory on every query again, \
                   as when it sorted the join's one interleaved group whole",
+        max_peak_rss_mb: 64.0,
     },
 ];
 
@@ -165,12 +177,11 @@ fn measure(guard: &Guard) -> bool {
         client.join().expect("the client thread")
     });
     let per_query = faults as f64 / QUERIES as f64;
+    let peak = peak_rss_mb();
     println!(
         "scan_faults: {} {per_query:.1} minor faults/query over {QUERIES} queries \
-         (limit {}), VmHWM {:.1} MiB",
-        guard.name,
-        guard.max_faults_per_query,
-        peak_rss_mb()
+         (limit {}), VmHWM {peak:.1} MiB (limit {})",
+        guard.name, guard.max_faults_per_query, guard.max_peak_rss_mb
     );
     if wrong > 0 {
         eprintln!(
@@ -180,11 +191,19 @@ fn measure(guard: &Guard) -> bool {
         );
         return false;
     }
+    let mut ok = true;
     if faults > guard.max_faults_per_query * QUERIES {
         eprintln!("scan_faults: {}", guard.verdict);
-        return false;
+        ok = false;
     }
-    true
+    if peak > guard.max_peak_rss_mb {
+        eprintln!(
+            "scan_faults: {} held {peak:.1} MiB at its peak, above its {} MiB",
+            guard.name, guard.max_peak_rss_mb
+        );
+        ok = false;
+    }
+    ok
 }
 
 fn main() {
