@@ -330,9 +330,7 @@ pub fn generate_dataset(spec: &DatasetSpec, deployment: &Deployment) -> Result<D
         .into_iter()
         .map(|(_, meta)| meta)
         .collect::<Result<Vec<_>>>()?;
-    for meta in metas {
-        deployment.metadata().register_chunk(meta)?;
-    }
+    deployment.metadata().register_chunks(table, metas)?;
 
     Ok(DatasetHandle {
         table,
@@ -665,7 +663,12 @@ mod tests {
                 for spec in &specs {
                     generate_dataset(spec, &d).unwrap();
                 }
-                d.metadata().snapshot().unwrap().to_json_value()
+                let path = std::env::temp_dir()
+                    .join(format!("orv-gen-catalog-{}.json", std::process::id()));
+                d.metadata().save_json(&path).unwrap();
+                let bytes = std::fs::read(&path).unwrap();
+                std::fs::remove_file(&path).unwrap();
+                bytes
             };
             assert_eq!(catalog(), catalog(), "{:?}", specs[0].order);
         }

@@ -17,7 +17,8 @@ pub struct TableEntry {
     /// Chunk metadata, indexed by chunk id.
     chunks: Vec<ChunkMeta>,
     /// R-tree over chunk bounding boxes, on the table's coordinate
-    /// attributes (in schema order).
+    /// attributes (in schema order); packed again whenever chunks are
+    /// registered.
     index: RTree<ChunkId>,
     /// Names of the indexed coordinate attributes.
     coord_names: Vec<String>,
@@ -36,7 +37,7 @@ impl TableEntry {
             name,
             schema,
             chunks: Vec::new(),
-            index: RTree::new(dim),
+            index: RTree::build(dim, Vec::new()),
             coord_names,
         }
     }
@@ -106,24 +107,36 @@ impl Catalog {
         Ok(id)
     }
 
-    /// Register a chunk under its table. Chunk ids must arrive in order
-    /// (0, 1, 2, ...) — the generator produces them that way.
-    pub fn register_chunk(&mut self, meta: ChunkMeta) -> Result<()> {
+    /// Register `metas` under `table` and pack the table's R-tree once.
+    /// Every meta must name `table`, and chunk ids must continue the
+    /// table's in order (0, 1, 2, ...) — the generator produces them that
+    /// way. On error nothing is registered.
+    pub fn register_chunks(&mut self, table: TableId, metas: Vec<ChunkMeta>) -> Result<()> {
         let entry = self
             .tables
-            .get_mut(meta.table.index())
-            .ok_or_else(|| Error::not_found(format!("table {}", meta.table)))?;
-        if meta.chunk.index() != entry.chunks.len() {
-            return Err(Error::Config(format!(
-                "chunk {} of table {} registered out of order (expected c{})",
-                meta.chunk,
-                meta.table,
-                entry.chunks.len()
-            )));
+            .get_mut(table.index())
+            .ok_or_else(|| Error::not_found(format!("table {table}")))?;
+        for (expected, meta) in (entry.chunks.len()..).zip(&metas) {
+            if meta.table != table {
+                return Err(Error::Config(format!(
+                    "chunk {} claims table {} but is registered under {table}",
+                    meta.chunk, meta.table
+                )));
+            }
+            if meta.chunk.index() != expected {
+                return Err(Error::Config(format!(
+                    "chunk {} of table {table} registered out of order (expected c{expected})",
+                    meta.chunk
+                )));
+            }
         }
-        let rect = entry.rect_of(&meta.bbox);
-        entry.index.insert(rect, meta.chunk);
-        entry.chunks.push(meta);
+        entry.chunks.extend(metas);
+        let rects = entry
+            .chunks
+            .iter()
+            .map(|m| (entry.rect_of(&m.bbox), m.chunk))
+            .collect();
+        entry.index = RTree::build(entry.index.dim(), rects);
         Ok(())
     }
 
@@ -190,14 +203,14 @@ mod tests {
         let mut cat = Catalog::new();
         let t = cat.register_table("T1", schema()).unwrap();
         // 4×4 grid of 10-unit chunks.
-        let mut id = 0;
+        let mut metas = Vec::new();
         for gx in 0..4 {
             for gy in 0..4 {
-                cat.register_chunk(chunk_meta(t, id, gx as f64 * 10.0, gy as f64 * 10.0, 9.0))
-                    .unwrap();
-                id += 1;
+                let id = metas.len() as u32;
+                metas.push(chunk_meta(t, id, gx as f64 * 10.0, gy as f64 * 10.0, 9.0));
             }
         }
+        cat.register_chunks(t, metas).unwrap();
         let entry = cat.table_by_name("T1").unwrap();
         assert_eq!(entry.chunks().len(), 16);
         assert_eq!(entry.total_records(), 256);
@@ -219,8 +232,9 @@ mod tests {
         m0.bbox.set("wp", Interval::new(0.0, 0.4));
         let mut m1 = chunk_meta(t, 1, 10.0, 0.0, 9.0);
         m1.bbox.set("wp", Interval::new(0.5, 0.9));
-        cat.register_chunk(m0).unwrap();
-        cat.register_chunk(m1).unwrap();
+        cat.register_chunks(t, vec![m0]).unwrap();
+        // A second call appends and re-packs.
+        cat.register_chunks(t, vec![m1]).unwrap();
         let entry = cat.table(t).unwrap();
         // wp constraint alone (coordinates unbounded): only chunk 1 matches.
         let q = BoundingBox::from_dims([("wp", Interval::new(0.45, 1.0))]);
@@ -233,9 +247,27 @@ mod tests {
         let t = cat.register_table("T1", schema()).unwrap();
         assert!(cat.register_table("T1", schema()).is_err());
         let m = chunk_meta(t, 5, 0.0, 0.0, 1.0);
-        assert!(cat.register_chunk(m).is_err());
+        assert!(matches!(
+            cat.register_chunks(t, vec![m]),
+            Err(Error::Config(_))
+        ));
         let m = chunk_meta(TableId(9), 0, 0.0, 0.0, 1.0);
-        assert!(cat.register_chunk(m).is_err());
+        assert!(matches!(
+            cat.register_chunks(TableId(9), vec![m.clone()]),
+            Err(Error::NotFound(_))
+        ));
+        // A meta naming another table than the one it is registered under.
+        assert!(matches!(
+            cat.register_chunks(t, vec![m]),
+            Err(Error::Config(_))
+        ));
+        // A bad meta anywhere in the batch registers none of it.
+        let batch = vec![
+            chunk_meta(t, 0, 0.0, 0.0, 1.0),
+            chunk_meta(t, 2, 0.0, 0.0, 1.0),
+        ];
+        assert!(cat.register_chunks(t, batch).is_err());
+        assert!(cat.table(t).unwrap().chunks().is_empty());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Stores information about chunks (location, size, attributes, extractors,
 //! bounding boxes), answers range queries over chunk bounding boxes using an
-//! [R-tree](rtree::RTree) (Guttman '84 — the paper's reference \[6\]), and
-//! holds persistent artifacts other services produce, such as precomputed
-//! page-level join indices.
+//! [R-tree](rtree::RTree) (Guttman '84 — the paper's reference \[6\]),
+//! packed once per table by Sort-Tile-Recursive, and holds persistent
+//! artifacts other services produce, such as precomputed page-level join
+//! indices.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -18,7 +19,6 @@ pub mod rtree;
 pub mod service;
 
 pub use catalog::{Catalog, TableEntry};
-pub use persist::CatalogSnapshot;
 pub use placement::Placement;
 pub use rtree::{RTree, Rect};
 pub use service::MetadataService;

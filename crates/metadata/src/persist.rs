@@ -2,63 +2,158 @@
 //!
 //! "The MetaData Service stores information about chunks and may also be
 //! used by other services to store persistent information." This module
-//! snapshots a [`MetadataService`] — tables, chunk metadata and the
-//! precomputed page-level join indices — to a JSON file and restores it,
-//! rebuilding the R-trees on load. A restored deployment can answer
-//! queries without re-scanning any data file.
+//! writes a [`MetadataService`] — tables, chunk metadata, the precomputed
+//! page-level join indices and the layout sources — to a JSON file and
+//! restores it, packing each table's R-tree once on load. A restored
+//! deployment can answer queries without re-scanning any data file.
 //!
 //! The catalog is the one artifact whose loss strands every dataset on
 //! disk, so writes are crash-safe and reads are verified:
 //!
-//! * **Atomic replace** — the snapshot is written to a temp file in the
+//! * **Atomic replace** — the catalog is written to a temp file in the
 //!   same directory, fsynced, then renamed over the target. A crash
 //!   mid-save leaves the previous catalog intact, never a half-written
-//!   one.
+//!   one. The temp name carries the process id and a per-process save
+//!   count, so concurrent saves of one path never share a temp file.
 //! * **Checksummed** — the file opens with a `ORVCAT1 <crc32c>` header
 //!   over the JSON payload; [`MetadataService::load_json`] verifies it
 //!   and reports damage as a typed [`Error::Integrity`] instead of a
 //!   confusing parse error (or worse, a silently plausible catalog).
 //!
-//! The JSON itself is written and parsed with the workspace's own
-//! dependency-free [`JsonValue`], same as the observability exports.
+//! The payload is streamed straight from the catalog into one string,
+//! with the number and string rules of the workspace's dependency-free
+//! [`JsonValue`] ([`write_number`], [`write_string`]) and its keys in
+//! sorted order, so it is byte for byte what printing the equivalent
+//! [`JsonValue`] tree gives. It is read back with [`JsonValue::parse`].
 
 use crate::service::MetadataService;
 use orv_chunk::{ChunkLocation, ChunkMeta};
 use orv_cluster::checksum;
-use orv_obs::{obj, JsonValue};
+use orv_obs::{write_number, write_string, JsonValue};
 use orv_types::{
     AttrRole, Attribute, BoundingBox, ChunkId, DataType, Error, Interval, NodeId, Result, Schema,
     SubTableId, TableId,
 };
+use std::fmt;
 use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// On-disk snapshot of the whole service.
-pub struct CatalogSnapshot {
-    /// Snapshot format version.
-    pub version: u32,
-    tables: Vec<TableSnapshot>,
-    join_indices: Vec<(String, Vec<(SubTableId, SubTableId)>)>,
-    /// Layout sources: `(extractor name, DSL source, coordinate attrs)`.
-    layouts: Vec<(String, String, Vec<String>)>,
-}
-
-struct TableSnapshot {
-    name: String,
-    schema: Schema,
-    chunks: Vec<ChunkMeta>,
-}
-
-/// Current snapshot format version.
+/// Current catalog format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Header magic of the catalog file; the hex CRC32C of the payload
 /// follows on the same line.
 pub const CATALOG_MAGIC: &str = "ORVCAT1";
 
-fn arr(items: impl IntoIterator<Item = JsonValue>) -> JsonValue {
-    JsonValue::Array(items.into_iter().collect())
+/// Saves started by this process; numbers each save's temp file.
+static SAVES: AtomicU64 = AtomicU64::new(0);
+
+/// Write `[item, item, ...]`, each item by `each`.
+fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T) -> fmt::Result,
+) -> fmt::Result {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item)?;
+    }
+    out.push(']');
+    Ok(())
+}
+
+fn write_strings(out: &mut String, items: &[String]) -> fmt::Result {
+    write_array(out, items, |out, s| write_string(out, s))
+}
+
+/// Bounds can be infinite; JSON numbers cannot, so non-finite bounds are
+/// spelled as the strings `"inf"`, `"-inf"` and `"nan"`.
+fn write_bound(out: &mut String, x: f64) -> fmt::Result {
+    if x.is_finite() {
+        write_number(out, x)
+    } else {
+        out.push_str(if x.is_nan() {
+            "\"nan\""
+        } else if x > 0.0 {
+            "\"inf\""
+        } else {
+            "\"-inf\""
+        });
+        Ok(())
+    }
+}
+
+fn write_subtable(out: &mut String, id: SubTableId) -> fmt::Result {
+    out.push_str("{\"chunk\":");
+    write_number(out, id.chunk.0.into())?;
+    out.push_str(",\"table\":");
+    write_number(out, id.table.0.into())?;
+    out.push('}');
+    Ok(())
+}
+
+fn write_chunk(out: &mut String, c: &ChunkMeta) -> fmt::Result {
+    out.push_str("{\"attributes\":");
+    write_strings(out, &c.attributes)?;
+    out.push_str(",\"bbox\":{");
+    for (i, (name, iv)) in c.bbox.bounded_attrs().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_string(out, name)?;
+        out.push_str(":[");
+        write_bound(out, iv.lo)?;
+        out.push(',');
+        write_bound(out, iv.hi)?;
+        out.push(']');
+    }
+    out.push_str("},\"checksum\":");
+    match c.checksum {
+        Some(crc) => write_number(out, crc.into())?,
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"chunk\":");
+    write_number(out, c.chunk.0.into())?;
+    out.push_str(",\"extractors\":");
+    write_strings(out, &c.extractors)?;
+    out.push_str(",\"file\":");
+    write_string(out, &c.location.file)?;
+    out.push_str(",\"len\":");
+    write_number(out, c.location.len as f64)?;
+    out.push_str(",\"node\":");
+    write_number(out, c.node.0.into())?;
+    out.push_str(",\"num_records\":");
+    write_number(out, c.num_records as f64)?;
+    out.push_str(",\"offset\":");
+    write_number(out, c.location.offset as f64)?;
+    out.push_str(",\"table\":");
+    write_number(out, c.table.0.into())?;
+    out.push('}');
+    Ok(())
+}
+
+fn write_schema(out: &mut String, schema: &Schema) -> fmt::Result {
+    write_array(out, schema.attrs(), |out, a| {
+        out.push_str("{\"dtype\":");
+        write_string(out, a.dtype.name())?;
+        out.push_str(",\"name\":");
+        write_string(out, &a.name)?;
+        out.push_str(",\"role\":");
+        write_string(
+            out,
+            match a.role {
+                AttrRole::Coordinate => "coordinate",
+                AttrRole::Scalar => "scalar",
+            },
+        )?;
+        out.push('}');
+        Ok(())
+    })
 }
 
 fn req_array<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue]> {
@@ -78,18 +173,11 @@ fn req_strings(v: &JsonValue, key: &str) -> Result<Vec<String>> {
         .collect()
 }
 
-/// Bounds can be infinite; `JsonValue` writes non-finite numbers as
-/// `null`, so spell them out instead.
-fn bound_to_json(x: f64) -> JsonValue {
-    if x.is_finite() {
-        x.into()
-    } else if x.is_nan() {
-        "nan".into()
-    } else if x > 0.0 {
-        "inf".into()
-    } else {
-        "-inf".into()
-    }
+/// A `u32` field (an id or a CRC). A larger value is a format error, not
+/// a silent wrap onto another id.
+fn req_u32(v: &JsonValue, key: &str) -> Result<u32> {
+    u32::try_from(v.req_u64(key)?)
+        .map_err(|_| Error::Format(format!("catalog field `{key}` exceeds u32")))
 }
 
 fn bound_from_json(v: &JsonValue) -> Result<f64> {
@@ -103,22 +191,6 @@ fn bound_from_json(v: &JsonValue) -> Result<f64> {
         },
         other => Err(Error::Format(format!("bad interval bound `{other}`"))),
     }
-}
-
-fn schema_to_json(schema: &Schema) -> JsonValue {
-    arr(schema.attrs().iter().map(|a| {
-        obj([
-            ("name", a.name.as_str().into()),
-            ("dtype", a.dtype.name().into()),
-            (
-                "role",
-                match a.role {
-                    AttrRole::Coordinate => "coordinate".into(),
-                    AttrRole::Scalar => "scalar".into(),
-                },
-            ),
-        ])
-    }))
 }
 
 fn schema_from_json(v: &JsonValue) -> Result<Schema> {
@@ -145,19 +217,6 @@ fn schema_from_json(v: &JsonValue) -> Result<Schema> {
     Schema::new(attrs)
 }
 
-fn bbox_to_json(bbox: &BoundingBox) -> JsonValue {
-    JsonValue::Object(
-        bbox.bounded_attrs()
-            .map(|(name, iv)| {
-                (
-                    name.to_string(),
-                    arr([bound_to_json(iv.lo), bound_to_json(iv.hi)]),
-                )
-            })
-            .collect(),
-    )
-}
-
 fn bbox_from_json(v: &JsonValue) -> Result<BoundingBox> {
     let dims = v
         .as_object()
@@ -176,36 +235,11 @@ fn bbox_from_json(v: &JsonValue) -> Result<BoundingBox> {
     Ok(bbox)
 }
 
-fn chunk_to_json(c: &ChunkMeta) -> JsonValue {
-    obj([
-        ("table", c.table.0.into()),
-        ("chunk", c.chunk.0.into()),
-        ("node", c.node.0.into()),
-        ("file", c.location.file.as_str().into()),
-        ("offset", c.location.offset.into()),
-        ("len", c.location.len.into()),
-        (
-            "attributes",
-            arr(c.attributes.iter().map(|s| s.as_str().into())),
-        ),
-        (
-            "extractors",
-            arr(c.extractors.iter().map(|s| s.as_str().into())),
-        ),
-        ("bbox", bbox_to_json(&c.bbox)),
-        ("num_records", c.num_records.into()),
-        (
-            "checksum",
-            c.checksum.map(JsonValue::from).unwrap_or(JsonValue::Null),
-        ),
-    ])
-}
-
 fn chunk_from_json(v: &JsonValue) -> Result<ChunkMeta> {
     Ok(ChunkMeta {
-        table: TableId(v.req_u64("table")? as u32),
-        chunk: ChunkId(v.req_u64("chunk")? as u32),
-        node: NodeId(v.req_u64("node")? as u32),
+        table: TableId(req_u32(v, "table")?),
+        chunk: ChunkId(req_u32(v, "chunk")?),
+        node: NodeId(req_u32(v, "node")?),
         location: ChunkLocation {
             file: v.req_str("file")?.to_string(),
             offset: v.req_u64("offset")?,
@@ -220,155 +254,100 @@ fn chunk_from_json(v: &JsonValue) -> Result<ChunkMeta> {
             other => Some(
                 other
                     .as_u64()
-                    .ok_or_else(|| Error::Format("catalog chunk checksum is not a u32".into()))?
-                    as u32,
+                    .and_then(|crc| u32::try_from(crc).ok())
+                    .ok_or_else(|| Error::Format("catalog chunk checksum is not a u32".into()))?,
             ),
         },
     })
 }
 
-fn subtable_to_json(id: SubTableId) -> JsonValue {
-    obj([("table", id.table.0.into()), ("chunk", id.chunk.0.into())])
-}
-
 fn subtable_from_json(v: &JsonValue) -> Result<SubTableId> {
-    Ok(SubTableId::new(
-        v.req_u64("table")? as u32,
-        v.req_u64("chunk")? as u32,
-    ))
-}
-
-impl CatalogSnapshot {
-    /// Serialize as a JSON value (the payload of the catalog file).
-    pub fn to_json_value(&self) -> JsonValue {
-        obj([
-            ("version", self.version.into()),
-            (
-                "tables",
-                arr(self.tables.iter().map(|t| {
-                    obj([
-                        ("name", t.name.as_str().into()),
-                        ("schema", schema_to_json(&t.schema)),
-                        ("chunks", arr(t.chunks.iter().map(chunk_to_json))),
-                    ])
-                })),
-            ),
-            (
-                "join_indices",
-                arr(self.join_indices.iter().map(|(key, pairs)| {
-                    obj([
-                        ("key", key.as_str().into()),
-                        (
-                            "pairs",
-                            arr(pairs
-                                .iter()
-                                .map(|(a, b)| arr([subtable_to_json(*a), subtable_to_json(*b)]))),
-                        ),
-                    ])
-                })),
-            ),
-            (
-                "layouts",
-                arr(self.layouts.iter().map(|(name, source, coords)| {
-                    obj([
-                        ("name", name.as_str().into()),
-                        ("source", source.as_str().into()),
-                        ("coords", arr(coords.iter().map(|c| c.as_str().into()))),
-                    ])
-                })),
-            ),
-        ])
-    }
-
-    /// Reconstruct a snapshot from [`CatalogSnapshot::to_json_value`]
-    /// output.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self> {
-        let tables = req_array(v, "tables")?
-            .iter()
-            .map(|t| {
-                Ok(TableSnapshot {
-                    name: t.req_str("name")?.to_string(),
-                    schema: schema_from_json(t.req("schema")?)?,
-                    chunks: req_array(t, "chunks")?
-                        .iter()
-                        .map(chunk_from_json)
-                        .collect::<Result<_>>()?,
-                })
-            })
-            .collect::<Result<_>>()?;
-        let join_indices = req_array(v, "join_indices")?
-            .iter()
-            .map(|e| {
-                let pairs = req_array(e, "pairs")?
-                    .iter()
-                    .map(|p| {
-                        let pair = p
-                            .as_array()
-                            .filter(|a| a.len() == 2)
-                            .ok_or_else(|| Error::Format("join-index pair malformed".into()))?;
-                        Ok((subtable_from_json(&pair[0])?, subtable_from_json(&pair[1])?))
-                    })
-                    .collect::<Result<_>>()?;
-                Ok((e.req_str("key")?.to_string(), pairs))
-            })
-            .collect::<Result<_>>()?;
-        let layouts = req_array(v, "layouts")?
-            .iter()
-            .map(|l| {
-                Ok((
-                    l.req_str("name")?.to_string(),
-                    l.req_str("source")?.to_string(),
-                    req_strings(l, "coords")?,
-                ))
-            })
-            .collect::<Result<_>>()?;
-        Ok(CatalogSnapshot {
-            version: v.req_u64("version")? as u32,
-            tables,
-            join_indices,
-            layouts,
-        })
-    }
+    Ok(SubTableId::new(req_u32(v, "table")?, req_u32(v, "chunk")?))
 }
 
 impl MetadataService {
-    /// Capture a snapshot of tables, chunks and join indices.
-    pub fn snapshot(&self) -> Result<CatalogSnapshot> {
-        let mut tables = Vec::new();
-        for name in self.table_names() {
-            let id = self.table_id(&name)?;
-            let schema = (*self.schema(id)?).clone();
-            let chunks = self.with_chunks(id, |cs| cs.to_vec())?;
-            tables.push(TableSnapshot {
-                name,
-                schema,
-                chunks,
-            });
-        }
-        Ok(CatalogSnapshot {
-            version: SNAPSHOT_VERSION,
-            tables,
-            join_indices: self.export_join_indices(),
-            layouts: self.layouts(),
-        })
+    /// Append the JSON payload — keys sorted, as [`JsonValue`] prints an
+    /// object — to `out`, holding the read locks while it is formatted.
+    fn write_payload(&self, out: &mut String) -> fmt::Result {
+        let catalog = self.catalog.read();
+        let join_indices = self.join_indices.read();
+        let layouts = self.layouts.read();
+        // Enough for the common case, so `out` is allocated once: a chunk
+        // of the generator's tables prints in about 280 bytes.
+        let chunks: usize = catalog.tables().map(|t| t.chunks().len()).sum();
+        let pairs: usize = join_indices.values().map(|p| p.len()).sum();
+        let sources: usize = layouts.values().map(|(s, _)| s.len()).sum();
+        out.reserve(1024 + 384 * chunks + 64 * pairs + 2 * sources);
+
+        out.push_str("{\"join_indices\":");
+        write_array(out, join_indices.iter(), |out, (key, pairs)| {
+            out.push_str("{\"key\":");
+            write_string(out, key)?;
+            out.push_str(",\"pairs\":");
+            write_array(out, pairs.iter(), |out, (a, b)| {
+                out.push('[');
+                write_subtable(out, *a)?;
+                out.push(',');
+                write_subtable(out, *b)?;
+                out.push(']');
+                Ok(())
+            })?;
+            out.push('}');
+            Ok(())
+        })?;
+        out.push_str(",\"layouts\":");
+        write_array(out, layouts.iter(), |out, (name, (source, coords))| {
+            out.push_str("{\"coords\":");
+            write_strings(out, coords)?;
+            out.push_str(",\"name\":");
+            write_string(out, name)?;
+            out.push_str(",\"source\":");
+            write_string(out, source)?;
+            out.push('}');
+            Ok(())
+        })?;
+        out.push_str(",\"tables\":");
+        write_array(out, catalog.tables(), |out, table| {
+            out.push_str("{\"chunks\":");
+            write_array(out, table.chunks(), write_chunk)?;
+            out.push_str(",\"name\":");
+            write_string(out, &table.name)?;
+            out.push_str(",\"schema\":");
+            write_schema(out, &table.schema)?;
+            out.push('}');
+            Ok(())
+        })?;
+        out.push_str(",\"version\":");
+        write_number(out, SNAPSHOT_VERSION.into())?;
+        out.push('}');
+        Ok(())
     }
 
-    /// Write a checksummed JSON snapshot to `path`, atomically.
+    /// Write a checksummed JSON catalog to `path`, atomically.
     ///
     /// The bytes land in a temp file beside `path` (same filesystem, so
     /// the final `rename` is atomic) and are fsynced before the rename: a
     /// crash at any point leaves either the old catalog or the new one,
     /// never a torn file.
     pub fn save_json(&self, path: impl AsRef<Path>) -> Result<()> {
-        let snapshot = self.snapshot()?;
-        let payload = snapshot.to_json_value().to_string();
-        let text = format!(
-            "{CATALOG_MAGIC} {:08x}\n{payload}\n",
-            checksum::crc32c(payload.as_bytes())
-        );
+        // The header's eight hex digits of CRC are patched in once the
+        // payload is known.
+        let mut text = format!("{CATALOG_MAGIC} 00000000\n");
+        let crc_at = CATALOG_MAGIC.len() + 1;
+        let start = text.len();
+        self.write_payload(&mut text)
+            .map_err(|_| Error::Format("cannot format the catalog".into()))?;
+        let crc = checksum::crc32c(&text.as_bytes()[start..]);
+        text.replace_range(crc_at..crc_at + 8, &format!("{crc:08x}"));
+        text.push('\n');
+
         let path = path.as_ref();
         let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
+        tmp.push(format!(
+            ".tmp.{}.{}",
+            std::process::id(),
+            SAVES.fetch_add(1, Ordering::Relaxed)
+        ));
         let tmp = std::path::PathBuf::from(tmp);
         let write = (|| -> Result<()> {
             #[allow(
@@ -387,42 +366,14 @@ impl MetadataService {
         write
     }
 
-    /// Restore a service from a snapshot (R-trees rebuilt on the fly).
-    ///
-    /// Table ids are reassigned in snapshot order, which preserves the
-    /// original ids since registration order is id order.
-    pub fn from_snapshot(snapshot: CatalogSnapshot) -> Result<Self> {
-        if snapshot.version != SNAPSHOT_VERSION {
-            return Err(Error::Format(format!(
-                "unsupported catalog snapshot version {} (expected {SNAPSHOT_VERSION})",
-                snapshot.version
-            )));
-        }
-        let svc = MetadataService::new();
-        for table in snapshot.tables {
-            let id = svc.register_table(table.name, Arc::new(table.schema))?;
-            for chunk in table.chunks {
-                if chunk.table != id {
-                    return Err(Error::Format(format!(
-                        "snapshot chunk {} claims table {} but was stored under {id}",
-                        chunk.chunk, chunk.table
-                    )));
-                }
-                svc.register_chunk(chunk)?;
-            }
-        }
-        svc.import_join_indices(snapshot.join_indices);
-        for (name, source, coords) in snapshot.layouts {
-            svc.register_layout(name, source, coords);
-        }
-        Ok(svc)
-    }
-
-    /// Read a snapshot from `path`, verifying its checksum first.
+    /// Read a catalog from `path`, verifying its checksum first.
     ///
     /// A bad or missing header is [`Error::Format`]; a payload whose
     /// CRC32C disagrees with the header — truncation, a flipped bit — is
     /// a typed [`Error::Integrity`] before any parsing is attempted.
+    /// Table ids are assigned in file order, which preserves the saved
+    /// ids since registration order is id order; each table's R-tree is
+    /// packed once, from all of its chunks.
     pub fn load_json(path: impl AsRef<Path>) -> Result<Self> {
         let text = std::fs::read_to_string(path)?;
         let (header, payload) = text
@@ -442,7 +393,52 @@ impl MetadataService {
         checksum::verify(expected, payload.as_bytes(), "catalog snapshot")?;
         let v = JsonValue::parse(payload)
             .map_err(|e| Error::Format(format!("cannot parse catalog snapshot: {e}")))?;
-        Self::from_snapshot(CatalogSnapshot::from_json_value(&v)?)
+
+        let version = v.req_u64("version")?;
+        if version != u64::from(SNAPSHOT_VERSION) {
+            return Err(Error::Format(format!(
+                "unsupported catalog snapshot version {version} (expected {SNAPSHOT_VERSION})"
+            )));
+        }
+        let svc = MetadataService::new();
+        for t in req_array(&v, "tables")? {
+            let schema = schema_from_json(t.req("schema")?)?;
+            let id = svc.register_table(t.req_str("name")?, Arc::new(schema))?;
+            let chunks = req_array(t, "chunks")?
+                .iter()
+                .map(chunk_from_json)
+                .collect::<Result<Vec<_>>>()?;
+            if let Some(c) = chunks.iter().find(|c| c.table != id) {
+                return Err(Error::Format(format!(
+                    "catalog chunk {} claims table {} but was stored under {id}",
+                    c.chunk, c.table
+                )));
+            }
+            svc.register_chunks(id, chunks)?;
+        }
+        for e in req_array(&v, "join_indices")? {
+            let pairs = req_array(e, "pairs")?
+                .iter()
+                .map(|p| {
+                    let pair = p
+                        .as_array()
+                        .filter(|a| a.len() == 2)
+                        .ok_or_else(|| Error::Format("join-index pair malformed".into()))?;
+                    Ok((subtable_from_json(&pair[0])?, subtable_from_json(&pair[1])?))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            svc.join_indices
+                .write()
+                .insert(e.req_str("key")?.to_string(), Arc::new(pairs));
+        }
+        for l in req_array(&v, "layouts")? {
+            svc.register_layout(
+                l.req_str("name")?,
+                l.req_str("source")?.to_string(),
+                req_strings(l, "coords")?,
+            );
+        }
+        Ok(svc)
     }
 }
 
@@ -457,12 +453,38 @@ mod tests {
         }
     }
 
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("orv-cat-{tag}-{}.json", std::process::id()))
+    }
+
+    /// Write `payload` under a header whose CRC matches it.
+    fn write_sealed(path: &Path, payload: &str) {
+        let text = format!(
+            "{CATALOG_MAGIC} {:08x}\n{payload}\n",
+            orv_cluster::crc32c(payload.as_bytes())
+        );
+        std::fs::write(path, text).unwrap();
+    }
+
+    /// The bytes `svc` saves.
+    fn saved(svc: &MetadataService, tag: &str) -> String {
+        let path = temp_path(tag);
+        svc.save_json(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        text
+    }
+
+    fn payload_of(text: &str) -> &str {
+        text.split_once('\n').unwrap().1.trim_end()
+    }
+
     fn populated() -> MetadataService {
         let svc = MetadataService::new();
         let schema = Arc::new(Schema::grid(&["x", "y"], &["wp"]).unwrap());
         let t = svc.register_table("T1", schema).unwrap();
-        for i in 0..6u32 {
-            svc.register_chunk(ChunkMeta {
+        let metas = (0..6u32)
+            .map(|i| ChunkMeta {
                 table: t,
                 chunk: ChunkId(i),
                 node: NodeId(i % 2),
@@ -482,8 +504,8 @@ mod tests {
                 // survive the round-trip.
                 checksum: (i == 0).then_some(0xDEAD_BEEF),
             })
-            .unwrap();
-        }
+            .collect();
+        svc.register_chunks(t, metas).unwrap();
         svc.put_join_index(
             t,
             t,
@@ -493,10 +515,70 @@ mod tests {
         svc
     }
 
-    #[test]
-    fn snapshot_roundtrip_preserves_everything() {
+    /// [`populated`] plus what the byte-level tests need: bounds that are
+    /// infinite, NaN, unbounded, subnormal or at least 10^15, offsets past
+    /// 2^53, names and a layout source that need escapes or are not
+    /// ASCII, a second join index, and a table with no chunks.
+    fn rich() -> MetadataService {
         let svc = populated();
-        let restored = MetadataService::from_snapshot(svc.snapshot().unwrap()).unwrap();
+        let schema = Arc::new(Schema::grid(&["x", "y", "z"], &["wp"]).unwrap());
+        let t = svc.register_table("odd \"bounds\" ✓", schema).unwrap();
+        let bounds = [
+            ("x", Interval::new(f64::NEG_INFINITY, 3.5)),
+            ("y", Interval::new(f64::NAN, f64::INFINITY)),
+            ("z", Interval::unbounded()),
+            ("wp", Interval::new(-0.25, 1e20)),
+            ("x", Interval::new(5e-324, 2.0)),
+        ];
+        let metas = (0..3u32)
+            .map(|i| ChunkMeta {
+                table: t,
+                chunk: ChunkId(i),
+                node: NodeId(2),
+                location: ChunkLocation {
+                    file: "odd\\t2.dat".into(),
+                    offset: (1 << 60) + u64::from(i),
+                    len: 7,
+                },
+                attributes: vec!["x".into(), "y".into(), "z".into(), "wp".into()],
+                extractors: vec!["odd_layout".into()],
+                bbox: BoundingBox::from_dims(bounds[i as usize..i as usize + 3].iter().copied()),
+                num_records: 0,
+                checksum: Some(u32::MAX - i),
+            })
+            .collect();
+        svc.register_chunks(t, metas).unwrap();
+        svc.register_table("empty", Arc::new(Schema::grid(&["x"], &[]).unwrap()))
+            .unwrap();
+        svc.register_layout(
+            "odd_layout",
+            "DATASET \"odd\" {\n\tDATA { x y z wp }\u{1}\r\n} // é 日本 🦀".into(),
+            vec!["x".into(), "y".into(), "z".into()],
+        );
+        svc.put_join_index(
+            t,
+            TableId(0),
+            &["x"],
+            vec![
+                (SubTableId::new(1u32, 2u32), SubTableId::new(0u32, 5u32)),
+                (SubTableId::new(1u32, 0u32), SubTableId::new(0u32, 0u32)),
+            ],
+        );
+        svc
+    }
+
+    /// [`rich`] as the writer that built a `JsonValue` tree and printed it
+    /// saved it.
+    const TREE_PRINTED_CATALOG: &str = r#"ORVCAT1 cfeae2ab
+{"join_indices":[{"key":"T0⋈T0:x,y","pairs":[[{"chunk":0,"table":0},{"chunk":1,"table":0}]]},{"key":"T1⋈T0:x","pairs":[[{"chunk":2,"table":1},{"chunk":5,"table":0}],[{"chunk":0,"table":1},{"chunk":0,"table":0}]]}],"layouts":[{"coords":["x","y","z"],"name":"odd_layout","source":"DATASET \"odd\" {\n\tDATA { x y z wp }\u0001\r\n} // é 日本 🦀"}],"tables":[{"chunks":[{"attributes":["x","y","wp"],"bbox":{"x":[0,3],"y":[0,7]},"checksum":3735928559,"chunk":0,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":0,"num_records":32,"offset":0,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[4,7],"y":[0,7]},"checksum":null,"chunk":1,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":1,"num_records":32,"offset":256,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[8,11],"y":[0,7]},"checksum":null,"chunk":2,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":0,"num_records":32,"offset":512,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[12,15],"y":[0,7]},"checksum":null,"chunk":3,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":1,"num_records":32,"offset":768,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[16,19],"y":[0,7]},"checksum":null,"chunk":4,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":0,"num_records":32,"offset":1024,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[20,23],"y":[0,7]},"checksum":null,"chunk":5,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":1,"num_records":32,"offset":1280,"table":0}],"name":"T1","schema":[{"dtype":"i32","name":"x","role":"coordinate"},{"dtype":"i32","name":"y","role":"coordinate"},{"dtype":"f32","name":"wp","role":"scalar"}]},{"chunks":[{"attributes":["x","y","z","wp"],"bbox":{"x":["-inf",3.5],"y":["nan","inf"],"z":["-inf","inf"]},"checksum":4294967295,"chunk":0,"extractors":["odd_layout"],"file":"odd\\t2.dat","len":7,"node":2,"num_records":0,"offset":1152921504606847000,"table":1},{"attributes":["x","y","z","wp"],"bbox":{"wp":[-0.25,100000000000000000000],"y":["nan","inf"],"z":["-inf","inf"]},"checksum":4294967294,"chunk":1,"extractors":["odd_layout"],"file":"odd\\t2.dat","len":7,"node":2,"num_records":0,"offset":1152921504606847000,"table":1},{"attributes":["x","y","z","wp"],"bbox":{"wp":[-0.25,100000000000000000000],"x":[0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,2],"z":["-inf","inf"]},"checksum":4294967293,"chunk":2,"extractors":["odd_layout"],"file":"odd\\t2.dat","len":7,"node":2,"num_records":0,"offset":1152921504606847000,"table":1}],"name":"odd \"bounds\" ✓","schema":[{"dtype":"i32","name":"x","role":"coordinate"},{"dtype":"i32","name":"y","role":"coordinate"},{"dtype":"i32","name":"z","role":"coordinate"},{"dtype":"f32","name":"wp","role":"scalar"}]},{"chunks":[],"name":"empty","schema":[{"dtype":"i32","name":"x","role":"coordinate"}]}],"version":1}
+"#;
+
+    #[test]
+    fn save_load_round_trip_preserves_everything() {
+        let path = temp_path("roundtrip");
+        populated().save_json(&path).unwrap();
+        let restored = MetadataService::load_json(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
         let t = restored.table_id("T1").unwrap();
         assert_eq!(t, TableId(0));
         assert_eq!(restored.total_records(t).unwrap(), 192);
@@ -517,26 +599,52 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_value_round_trips() {
-        let snap = populated().snapshot().unwrap();
-        let v = snap.to_json_value();
-        let back =
-            CatalogSnapshot::from_json_value(&JsonValue::parse(&v.to_string()).unwrap()).unwrap();
-        assert_eq!(back.to_json_value(), v);
+    fn saved_payload_is_its_parsed_tree_printed() {
+        let text = saved(&rich(), "tree");
+        let payload = payload_of(&text);
+        assert_eq!(JsonValue::parse(payload).unwrap().to_string(), payload);
+        // And what loads saves again to the same bytes.
+        let path = temp_path("tree-again");
+        std::fs::write(&path, &text).unwrap();
+        let again = saved(&MetadataService::load_json(&path).unwrap(), "tree-resaved");
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(again, text);
+    }
+
+    #[test]
+    fn tree_printed_catalog_loads_and_resaves_byte_for_byte() {
+        assert_eq!(saved(&rich(), "pinned"), TREE_PRINTED_CATALOG);
+        let path = temp_path("pinned-load");
+        std::fs::write(&path, TREE_PRINTED_CATALOG).unwrap();
+        let loaded = MetadataService::load_json(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(saved(&loaded, "pinned-resaved"), TREE_PRINTED_CATALOG);
+        assert_eq!(loaded.num_tables(), 3);
+        let empty = loaded.table_id("empty").unwrap();
+        assert_eq!(loaded.all_chunks(empty).unwrap(), vec![]);
+        let odd = loaded.table_id("odd \"bounds\" ✓").unwrap();
+        let meta = loaded.chunk_meta(SubTableId::new(odd, 1u32)).unwrap();
+        assert!(meta.bbox.get("y").lo.is_nan());
+        assert_eq!(meta.bbox.get("wp"), Interval::new(-0.25, 1e20));
+        assert_eq!(meta.checksum, Some(u32::MAX - 1));
+        let layouts = loaded.layouts();
+        assert!(
+            layouts[0].1.ends_with("\u{1}\r\n} // é 日本 🦀"),
+            "{layouts:?}"
+        );
     }
 
     #[test]
     fn unbounded_interval_survives_round_trip() {
-        assert_eq!(
-            bound_from_json(&bound_to_json(f64::INFINITY)).unwrap(),
-            f64::INFINITY
-        );
-        assert_eq!(
-            bound_from_json(&bound_to_json(f64::NEG_INFINITY)).unwrap(),
-            f64::NEG_INFINITY
-        );
-        assert_eq!(bound_from_json(&bound_to_json(2.5)).unwrap(), 2.5);
-        assert!(bound_from_json(&bound_to_json(f64::NAN)).unwrap().is_nan());
+        let round_trip = |x: f64| {
+            let mut out = String::new();
+            write_bound(&mut out, x).unwrap();
+            bound_from_json(&JsonValue::parse(&out).unwrap()).unwrap()
+        };
+        assert_eq!(round_trip(f64::INFINITY), f64::INFINITY);
+        assert_eq!(round_trip(f64::NEG_INFINITY), f64::NEG_INFINITY);
+        assert_eq!(round_trip(2.5), 2.5);
+        assert!(round_trip(f64::NAN).is_nan());
         assert!(bound_from_json(&JsonValue::Bool(true)).is_err());
     }
 
@@ -569,6 +677,28 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_saves_of_one_path_all_succeed() {
+        let dir = std::env::temp_dir().join(format!("orv-cat-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("catalog.json");
+        let svc = populated();
+        let failed = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..200).filter(|_| svc.save_json(&path).is_err()).count()))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .sum::<usize>()
+        });
+        assert_eq!(failed, 0, "of 800 saves");
+        assert_eq!(MetadataService::load_json(&path).unwrap().num_tables(), 1);
+        let names: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(names.len(), 1, "temp files left behind");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn truncated_catalog_is_rejected_with_integrity_error() {
         let path = std::env::temp_dir().join(format!("orv-cat-trunc-{}.json", std::process::id()));
         populated().save_json(&path).unwrap();
@@ -594,16 +724,69 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// `populated()`'s payload with the first `from` replaced by `to`,
+    /// sealed with a matching CRC: the loader's own checks must refuse it.
+    fn edited_load_err(tag: &str, from: &str, to: &str) -> Error {
+        let text = saved(&populated(), tag);
+        let payload = payload_of(&text);
+        assert!(payload.contains(from), "{from}");
+        let path = temp_path(tag);
+        write_sealed(&path, &payload.replacen(from, to, 1));
+        let err = load_err(&path);
+        std::fs::remove_file(&path).unwrap();
+        err
+    }
+
     #[test]
     fn version_mismatch_rejected() {
-        let svc = populated();
-        let mut snap = svc.snapshot().unwrap();
-        snap.version = 99;
-        let err = match MetadataService::from_snapshot(snap) {
-            Err(e) => e,
-            Ok(_) => panic!("version mismatch must fail"),
-        };
-        assert!(err.to_string().contains("version"), "{err}");
+        // 2^32 + 1 would read as version 1 if it were cut to a u32.
+        for version in ["99", "4294967297"] {
+            let err = edited_load_err(
+                "version",
+                "\"version\":1}",
+                &format!("\"version\":{version}}}"),
+            );
+            assert!(matches!(err, Error::Format(_)), "{err}");
+            assert!(err.to_string().contains("version"), "{err}");
+        }
+    }
+
+    #[test]
+    fn chunk_claiming_another_table_is_rejected() {
+        let err = edited_load_err(
+            "claims",
+            "\"offset\":0,\"table\":0}",
+            "\"offset\":0,\"table\":1}",
+        );
+        assert!(matches!(err, Error::Format(_)), "{err}");
+        assert!(err.to_string().contains("claims table"), "{err}");
+    }
+
+    #[test]
+    fn ids_and_checksums_past_u32_are_rejected() {
+        // Each would load as another, valid value if cut to a u32:
+        // 2^32 + 1 as 1, 2^32 as 0.
+        for (from, to) in [
+            ("\"node\":1,", "\"node\":4294967297,"),
+            ("null,\"chunk\":1,", "null,\"chunk\":4294967297,"),
+            (
+                "\"offset\":0,\"table\":0}",
+                "\"offset\":0,\"table\":4294967296}",
+            ),
+            ("\"checksum\":3735928559,", "\"checksum\":4294967296,"),
+            // Join-index pair members.
+            (
+                "{\"chunk\":1,\"table\":0}]",
+                "{\"chunk\":4294967297,\"table\":0}]",
+            ),
+            (
+                "{\"chunk\":0,\"table\":0},",
+                "{\"chunk\":0,\"table\":4294967296},",
+            ),
+        ] {
+            let err = edited_load_err("u32", from, to);
+            assert!(matches!(err, Error::Format(_)), "{to}: {err}");
+        }
     }
 
     #[test]
@@ -615,12 +798,7 @@ mod tests {
         assert!(matches!(err, Error::Format(_)), "no header: {err}");
         // A well-formed header whose payload is not JSON fails at parse,
         // not at checksum.
-        let bad = "not json at all";
-        let text = format!(
-            "{CATALOG_MAGIC} {:08x}\n{bad}\n",
-            orv_cluster::crc32c(bad.as_bytes())
-        );
-        std::fs::write(&path, text).unwrap();
+        write_sealed(&path, "not json at all");
         let err = load_err(&path);
         assert!(matches!(err, Error::Format(_)), "{err}");
         std::fs::remove_file(&path).unwrap();

@@ -1,21 +1,27 @@
-//! A from-scratch R-tree (Guttman 1984) over n-dimensional rectangles.
+//! A from-scratch R-tree over n-dimensional rectangles, packed in one pass
+//! by Sort-Tile-Recursive (Leutenegger, Lopez & Edgington, ICDE 1997).
 //!
 //! The MetaData service indexes chunk bounding boxes with this structure so
 //! "the range part of the query \[can\] retrieve ids of all matching
 //! sub-tables ... efficiently using index structures such as R-Trees".
 //!
 //! Implementation notes:
-//! * fixed dimensionality per tree, checked on insert;
-//! * quadratic split (Guttman's medium-cost heuristic);
-//! * `M = 8` maximum entries per node, `m = 3` minimum on split;
+//! * fixed dimensionality per tree, checked on build;
+//! * STR packing: the entries are sorted by rectangle centre on the first
+//!   dimension, cut into slabs, each slab sorted and cut on the next
+//!   dimension, and so on; the result is cut into nodes of `M = 8`
+//!   entries, and every upper level is packed the same way from the
+//!   bounding rectangles below it;
+//! * every node but the last of each level is full, so the height is
+//!   ⌈log₈ n⌉ (1 for at most 8 entries);
+//! * built once, never updated: a table's tree is rebuilt when its chunks
+//!   change, which happens when a dataset is generated or loaded;
 //! * closed rectangles; overlap shares at least a face point.
 
 use orv_types::Interval;
 
-/// Maximum entries per node before a split.
+/// Entries per node.
 const MAX_ENTRIES: usize = 8;
-/// Minimum entries in each half of a split.
-const MIN_ENTRIES: usize = 3;
 
 /// An axis-aligned rectangle in `dim` dimensions.
 #[derive(Clone, PartialEq, Debug)]
@@ -61,24 +67,6 @@ impl Rect {
             .all(|((alo, ahi), (blo, bhi))| alo <= bhi && blo <= ahi)
     }
 
-    /// True if `self` fully contains `other`.
-    pub fn contains(&self, other: &Rect) -> bool {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .zip(other.lo.iter().zip(&other.hi))
-            .all(|((alo, ahi), (blo, bhi))| alo <= blo && bhi <= ahi)
-    }
-
-    /// Hyper-volume (degenerate boxes have volume 0).
-    pub fn volume(&self) -> f64 {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(l, h)| (h - l).max(0.0))
-            .product()
-    }
-
     /// Smallest rectangle covering both.
     pub fn union(&self, other: &Rect) -> Rect {
         Rect {
@@ -96,19 +84,11 @@ impl Rect {
                 .collect(),
         }
     }
-
-    /// Volume increase needed to also cover `other`.
-    fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).volume() - self.volume()
-    }
 }
-
-/// Replacement halves returned by a node split.
-type SplitHalves<T> = Option<(Rect, Box<Node<T>>, Rect, Box<Node<T>>)>;
 
 enum Node<T> {
     Leaf(Vec<(Rect, T)>),
-    Inner(Vec<(Rect, Box<Node<T>>)>),
+    Inner(Vec<(Rect, Node<T>)>),
 }
 
 /// An R-tree mapping rectangles to payloads `T`.
@@ -119,13 +99,25 @@ pub struct RTree<T> {
 }
 
 impl<T: Clone> RTree<T> {
-    /// An empty tree over `dim`-dimensional rectangles.
-    pub fn new(dim: usize) -> Self {
-        RTree {
-            dim,
-            root: Node::Leaf(Vec::new()),
-            len: 0,
+    /// Pack `entries` into a tree over `dim`-dimensional rectangles.
+    /// Panics if a rectangle's dimension differs from `dim`.
+    pub fn build(dim: usize, entries: Vec<(Rect, T)>) -> Self {
+        for (rect, _) in &entries {
+            assert_eq!(rect.dim(), dim, "rect dimension mismatch");
         }
+        let len = entries.len();
+        let mut level: Vec<(Rect, Node<T>)> = pack(entries, dim)
+            .into_iter()
+            .map(|group| (bounds(&group), Node::Leaf(group)))
+            .collect();
+        while level.len() > 1 {
+            level = pack(level, dim)
+                .into_iter()
+                .map(|group| (bounds(&group), Node::Inner(group)))
+                .collect();
+        }
+        let root = level.pop().map_or(Node::Leaf(Vec::new()), |(_, node)| node);
+        RTree { dim, root, len }
     }
 
     /// Number of stored entries.
@@ -141,19 +133,6 @@ impl<T: Clone> RTree<T> {
     /// Dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Insert `rect → value`. Panics if the dimension differs from the
-    /// tree's.
-    pub fn insert(&mut self, rect: Rect, value: T) {
-        assert_eq!(rect.dim(), self.dim, "rect dimension mismatch");
-        self.len += 1;
-        if let Some((r1, n1, r2, n2)) = insert_rec(&mut self.root, rect, value) {
-            // Root split: grow the tree by one level.
-            let old = std::mem::replace(&mut self.root, Node::Inner(Vec::new()));
-            drop(old); // the split halves fully replace the old root
-            self.root = Node::Inner(vec![(r1, n1), (r2, n2)]);
-        }
     }
 
     /// All values whose rectangles overlap `query`.
@@ -214,113 +193,61 @@ fn search<T: Clone>(node: &Node<T>, query: &Rect, out: &mut Vec<T>) {
     }
 }
 
-/// Insert into `node`; on overflow, split and return the two replacement
-/// halves `(rect1, node1, rect2, node2)`.
-fn insert_rec<T>(node: &mut Node<T>, rect: Rect, value: T) -> SplitHalves<T> {
-    match node {
-        Node::Leaf(entries) => {
-            entries.push((rect, value));
-            if entries.len() > MAX_ENTRIES {
-                let (g1, g2) = quadratic_split(std::mem::take(entries));
-                let r1 = group_rect(&g1);
-                let r2 = group_rect(&g2);
-                Some((r1, Box::new(Node::Leaf(g1)), r2, Box::new(Node::Leaf(g2))))
-            } else {
-                None
-            }
+/// Cut one level's entries into nodes of [`MAX_ENTRIES`], tiled by STR.
+fn pack<E>(mut entries: Vec<(Rect, E)>, dim: usize) -> Vec<Vec<(Rect, E)>> {
+    tile(&mut entries, 0, dim);
+    let mut nodes = Vec::with_capacity(entries.len().div_ceil(MAX_ENTRIES));
+    let mut rest = entries.into_iter();
+    loop {
+        let node: Vec<_> = rest.by_ref().take(MAX_ENTRIES).collect();
+        if node.is_empty() {
+            return nodes;
         }
-        Node::Inner(entries) => {
-            // ChooseLeaf: minimal enlargement, ties by smaller volume.
-            #[allow(
-                clippy::expect_used,
-                reason = "inner nodes hold >= 1 entry by construction: splits emit two children, merges collapse empty inners"
-            )]
-            let best = (0..entries.len())
-                .min_by(|&a, &b| {
-                    let ea = entries[a].0.enlargement(&rect);
-                    let eb = entries[b].0.enlargement(&rect);
-                    ea.total_cmp(&eb)
-                        .then_with(|| entries[a].0.volume().total_cmp(&entries[b].0.volume()))
-                })
-                .expect("inner node has children");
-            entries[best].0 = entries[best].0.union(&rect);
-            if let Some((r1, n1, r2, n2)) = insert_rec(&mut entries[best].1, rect, value) {
-                entries[best] = (r1, n1);
-                entries.push((r2, n2));
-                if entries.len() > MAX_ENTRIES {
-                    let (g1, g2) = quadratic_split(std::mem::take(entries));
-                    let r1 = group_rect_nodes(&g1);
-                    let r2 = group_rect_nodes(&g2);
-                    return Some((r1, Box::new(Node::Inner(g1)), r2, Box::new(Node::Inner(g2))));
-                }
-            }
-            None
-        }
+        nodes.push(node);
     }
 }
 
-fn group_rect<T>(es: &[(Rect, T)]) -> Rect {
-    es.iter()
-        .skip(1)
-        .fold(es[0].0.clone(), |acc, (r, _)| acc.union(r))
-}
-
-fn group_rect_nodes<T>(es: &[(Rect, Box<Node<T>>)]) -> Rect {
-    es.iter()
-        .skip(1)
-        .fold(es[0].0.clone(), |acc, (r, _)| acc.union(r))
-}
-
-/// Guttman's quadratic split over any entry type carrying a Rect first.
-type Groups<E> = (Vec<(Rect, E)>, Vec<(Rect, E)>);
-
-fn quadratic_split<E>(mut entries: Vec<(Rect, E)>) -> Groups<E> {
-    // PickSeeds: the pair wasting the most volume if grouped.
-    let (mut s1, mut s2, mut worst) = (0, 1, f64::NEG_INFINITY);
-    for i in 0..entries.len() {
-        for j in i + 1..entries.len() {
-            let waste = entries[i].0.union(&entries[j].0).volume()
-                - entries[i].0.volume()
-                - entries[j].0.volume();
-            if waste > worst {
-                worst = waste;
-                s1 = i;
-                s2 = j;
-            }
-        }
+/// Order `entries` so that consecutive runs of [`MAX_ENTRIES`] are STR's
+/// nodes: sort on the centre in `axis`, cut into ⌈P^(1/k)⌉ slabs (P nodes,
+/// k dimensions left) of whole nodes, and tile each slab on the next axis.
+/// Only the last slab can hold a partial node, so the level has ⌈n/M⌉
+/// nodes.
+fn tile<E>(entries: &mut [(Rect, E)], axis: usize, dim: usize) {
+    if axis == dim || entries.len() <= MAX_ENTRIES {
+        return;
     }
-    // Remove higher index first to keep the lower valid.
-    let e2 = entries.swap_remove(s2.max(s1));
-    let e1 = entries.swap_remove(s2.min(s1));
-    let mut r1 = e1.0.clone();
-    let mut r2 = e2.0.clone();
-    let mut g1 = vec![e1];
-    let mut g2 = vec![e2];
-
-    while let Some(entry) = entries.pop() {
-        let remaining = entries.len() + 1;
-        // Honor the minimum fill requirement.
-        if g1.len() + remaining <= MIN_ENTRIES {
-            r1 = r1.union(&entry.0);
-            g1.push(entry);
-            continue;
-        }
-        if g2.len() + remaining <= MIN_ENTRIES {
-            r2 = r2.union(&entry.0);
-            g2.push(entry);
-            continue;
-        }
-        let d1 = r1.enlargement(&entry.0);
-        let d2 = r2.enlargement(&entry.0);
-        if d1 < d2 || (d1 == d2 && g1.len() <= g2.len()) {
-            r1 = r1.union(&entry.0);
-            g1.push(entry);
+    // `lo + hi` orders like the centre, without the halving. A NaN sum
+    // takes the sign and payload of whichever operand the compiled code
+    // reads first, so it is made one NaN, which `total_cmp` sorts last.
+    let centre = |r: &Rect| {
+        let c = r.lo[axis] + r.hi[axis];
+        if c.is_nan() {
+            f64::NAN
         } else {
-            r2 = r2.union(&entry.0);
-            g2.push(entry);
+            c
         }
+    };
+    entries.sort_by(|a, b| centre(&a.0).total_cmp(&centre(&b.0)));
+    if axis + 1 == dim {
+        return;
     }
-    (g1, g2)
+    let nodes = entries.len().div_ceil(MAX_ENTRIES);
+    let left = (dim - axis) as u32;
+    let mut slabs = 1usize;
+    while slabs.saturating_pow(left) < nodes {
+        slabs += 1;
+    }
+    let per_slab = nodes.div_ceil(slabs) * MAX_ENTRIES;
+    for slab in entries.chunks_mut(per_slab) {
+        tile(slab, axis + 1, dim);
+    }
+}
+
+/// The bounding rectangle of a node's (non-empty) entries.
+fn bounds<E>(entries: &[(Rect, E)]) -> Rect {
+    entries[1..]
+        .iter()
+        .fold(entries[0].0.clone(), |acc, (r, _)| acc.union(r))
 }
 
 #[cfg(test)]
@@ -336,19 +263,36 @@ mod tests {
         let a = Rect::new(vec![0.0, 0.0], vec![2.0, 2.0]);
         let b = Rect::new(vec![1.0, 1.0], vec![3.0, 4.0]);
         assert!(a.overlaps(&b));
-        assert!(!a.contains(&b));
         assert_eq!(a.union(&b), Rect::new(vec![0.0, 0.0], vec![3.0, 4.0]));
-        assert_eq!(a.volume(), 4.0);
-        assert_eq!(Rect::point(vec![1.0]).volume(), 0.0);
+        assert!(Rect::point(vec![1.0]).overlaps(&Rect::new(vec![0.0], vec![1.0])));
         // Touching rects overlap (closed).
         let c = Rect::new(vec![2.0, 0.0], vec![3.0, 1.0]);
         assert!(a.overlaps(&c));
     }
 
+    /// Ids of `rects` overlapping `query`, by scanning them all.
+    fn brute_force(rects: &[Rect], query: &Rect) -> Vec<usize> {
+        (0..rects.len())
+            .filter(|&i| rects[i].overlaps(query))
+            .collect()
+    }
+
+    fn build(rects: &[Rect]) -> RTree<usize> {
+        let dim = rects.first().map_or(2, Rect::dim);
+        RTree::build(dim, rects.iter().cloned().zip(0..).collect())
+    }
+
+    fn sorted_query(tree: &RTree<usize>, query: &Rect) -> Vec<usize> {
+        let mut hits = tree.query(query);
+        hits.sort_unstable();
+        hits
+    }
+
     #[test]
     fn empty_tree_queries_empty() {
-        let t: RTree<u32> = RTree::new(2);
+        let t: RTree<u32> = RTree::build(2, Vec::new());
         assert!(t.is_empty());
+        assert_eq!(t.height(), 1);
         assert!(t
             .query(&Rect::new(vec![0.0, 0.0], vec![9.0, 9.0]))
             .is_empty());
@@ -356,14 +300,16 @@ mod tests {
 
     #[test]
     fn grid_insert_and_query() {
-        let mut t = RTree::new(2);
+        let mut entries = Vec::new();
         for x in 0..10 {
             for y in 0..10 {
-                t.insert(cell(x as f64 * 2.0, y as f64 * 2.0), (x, y));
+                entries.push((cell(x as f64 * 2.0, y as f64 * 2.0), (x, y)));
             }
         }
+        let t = RTree::build(2, entries);
         assert_eq!(t.len(), 100);
-        assert!(t.height() > 1, "tree must have split");
+        // 100 entries: 13 leaves, 2 inner nodes, one root.
+        assert_eq!(t.height(), 3);
         // Query covering exactly cells (0..=1, 0..=1) origins 0,2.
         let q = Rect::new(vec![0.0, 0.0], vec![3.0, 3.0]);
         let mut hits = t.query(&q);
@@ -376,10 +322,10 @@ mod tests {
 
     #[test]
     fn for_each_visits_everything() {
-        let mut t = RTree::new(1);
-        for i in 0..50 {
-            t.insert(Rect::new(vec![i as f64], vec![i as f64 + 0.5]), i);
-        }
+        let entries = (0..50)
+            .map(|i| (Rect::new(vec![i as f64], vec![i as f64 + 0.5]), i))
+            .collect();
+        let t = RTree::build(1, entries);
         let mut seen = Vec::new();
         t.for_each(|_, &v| seen.push(v));
         seen.sort();
@@ -388,18 +334,82 @@ mod tests {
 
     #[test]
     fn duplicate_rects_all_returned() {
-        let mut t = RTree::new(2);
-        for i in 0..20 {
-            t.insert(cell(0.0, 0.0), i);
-        }
+        let t = RTree::build(2, (0..20).map(|i| (cell(0.0, 0.0), i)).collect());
         let hits = t.query(&cell(0.5, 0.5));
         assert_eq!(hits.len(), 20);
     }
 
     #[test]
+    fn node_boundary_sizes_match_brute_force() {
+        // One leaf, one full leaf, two leaves, one full inner level, and
+        // one entry past it — in one, two and three dimensions.
+        for (n, height) in [(0, 1), (1, 1), (8, 1), (9, 2), (64, 2), (65, 3)] {
+            for dim in 1..=3 {
+                let rects: Vec<Rect> = (0..n)
+                    .map(|i| {
+                        let lo: Vec<f64> = (0..dim).map(|k| ((i * (k + 3)) % 11) as f64).collect();
+                        let hi = lo.iter().map(|v| v + 1.5).collect();
+                        Rect::new(lo, hi)
+                    })
+                    .collect();
+                let t = RTree::build(dim, rects.iter().cloned().zip(0..).collect());
+                assert_eq!((t.len(), t.height()), (n, height), "n={n} dim={dim}");
+                for c in 0..12 {
+                    let q = Rect::new(vec![c as f64; dim], vec![c as f64 + 0.5; dim]);
+                    assert_eq!(
+                        sorted_query(&t, &q),
+                        brute_force(&rects, &q),
+                        "n={n} dim={dim}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_duplicate_boxes_match_brute_force() {
+        for n in [1, 8, 9, 64, 65, 300] {
+            let rects = vec![cell(3.0, 4.0); n];
+            let t = build(&rects);
+            for q in [cell(3.5, 4.5), cell(4.0, 5.0), cell(9.0, 9.0)] {
+                assert_eq!(sorted_query(&t, &q), brute_force(&rects, &q), "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_bounds_build_and_finite_queries_match() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let odd = [
+            Rect::new(vec![-inf, 0.0], vec![inf, 1.0]),
+            Rect::new(vec![nan, 2.0], vec![5.0, 3.0]),
+            Rect::new(vec![nan, nan], vec![nan, nan]),
+            Rect::new(vec![1.0, -inf], vec![2.0, -inf]),
+            Rect::new(vec![-inf, -inf], vec![inf, inf]),
+            Rect::new(vec![4.0, 4.0], vec![nan, 6.0]),
+        ];
+        let rects: Vec<Rect> = (0..70)
+            .map(|i| match i % 3 {
+                0 => odd[(i / 3) % odd.len()].clone(),
+                _ => cell((i % 9) as f64, (i / 9) as f64),
+            })
+            .collect();
+        let t = build(&rects);
+        assert_eq!(t.len(), 70);
+        for x in -1..10 {
+            for y in -1..10 {
+                let q = Rect::new(
+                    vec![x as f64, y as f64],
+                    vec![x as f64 + 0.5, y as f64 + 2.0],
+                );
+                assert_eq!(sorted_query(&t, &q), brute_force(&rects, &q), "({x}, {y})");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn dimension_mismatch_panics() {
-        let mut t: RTree<u8> = RTree::new(2);
-        t.insert(Rect::point(vec![0.0]), 0);
+        let _: RTree<u8> = RTree::build(2, vec![(Rect::point(vec![0.0]), 0)]);
     }
 }

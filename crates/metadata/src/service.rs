@@ -35,16 +35,16 @@ struct MdCounters {
 /// Thread-safe MetaData service.
 #[derive(Default)]
 pub struct MetadataService {
-    catalog: RwLock<Catalog>,
+    pub(crate) catalog: RwLock<Catalog>,
     /// Precomputed page-level join indices, keyed by
     /// `(left table, right table, join attrs)`. Ordered maps here and in
     /// `layouts`, so a saved catalog lists both in key order and its bytes
     /// do not depend on a per-process hash seed.
-    join_indices: RwLock<BTreeMap<String, JoinIndex>>,
+    pub(crate) join_indices: RwLock<BTreeMap<String, JoinIndex>>,
     /// Layout-description sources keyed by extractor name, with their
     /// coordinate attribute names — enough to regenerate every extractor
     /// when a persisted deployment is reopened.
-    layouts: RwLock<BTreeMap<String, (String, Vec<String>)>>,
+    pub(crate) layouts: RwLock<BTreeMap<String, (String, Vec<String>)>>,
     counters: MdCounters,
 }
 
@@ -59,9 +59,10 @@ impl MetadataService {
         self.catalog.write().register_table(name, schema)
     }
 
-    /// Register a chunk.
-    pub fn register_chunk(&self, meta: ChunkMeta) -> Result<()> {
-        self.catalog.write().register_chunk(meta)
+    /// Register a table's chunks and pack its R-tree once (see
+    /// [`Catalog::register_chunks`]).
+    pub fn register_chunks(&self, table: TableId, metas: Vec<ChunkMeta>) -> Result<()> {
+        self.catalog.write().register_chunks(table, metas)
     }
 
     /// Table id by name.
@@ -137,26 +138,6 @@ impl MetadataService {
             .tables()
             .map(|t| t.name.clone())
             .collect()
-    }
-
-    /// Export all stored join indices (for persistence).
-    pub(crate) fn export_join_indices(&self) -> Vec<(String, Vec<(SubTableId, SubTableId)>)> {
-        self.join_indices
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.as_ref().clone()))
-            .collect()
-    }
-
-    /// Import previously exported join indices (for persistence).
-    pub(crate) fn import_join_indices(
-        &self,
-        indices: Vec<(String, Vec<(SubTableId, SubTableId)>)>,
-    ) {
-        let mut map = self.join_indices.write();
-        for (k, v) in indices {
-            map.insert(k, Arc::new(v));
-        }
     }
 
     /// Store the DSL source of a layout (and its coordinate attribute
@@ -242,8 +223,8 @@ mod tests {
         let svc = Arc::new(MetadataService::new());
         let schema = Arc::new(Schema::grid(&["x"], &["p"]).unwrap());
         let t = svc.register_table("T1", schema).unwrap();
-        for i in 0..4u32 {
-            svc.register_chunk(ChunkMeta {
+        let metas = (0..4u32)
+            .map(|i| ChunkMeta {
                 table: t,
                 chunk: ChunkId(i),
                 node: NodeId(i % 2),
@@ -261,8 +242,8 @@ mod tests {
                 num_records: 8,
                 checksum: None,
             })
-            .unwrap();
-        }
+            .collect();
+        svc.register_chunks(t, metas).unwrap();
         (svc, t)
     }
 

@@ -178,17 +178,8 @@ impl fmt::Display for JsonValue {
         match self {
             JsonValue::Null => f.write_str("null"),
             JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::Number(n) => {
-                if !n.is_finite() {
-                    f.write_str("null")
-                } else if n.fract() == 0.0 && n.abs() < 1e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    // Rust's shortest round-trip float formatting.
-                    write!(f, "{n}")
-                }
-            }
-            JsonValue::String(s) => write_escaped(f, s),
+            JsonValue::Number(n) => write_number(f, *n),
+            JsonValue::String(s) => write_string(f, s),
             JsonValue::Array(a) => {
                 f.write_str("[")?;
                 for (i, v) in a.iter().enumerate() {
@@ -205,7 +196,7 @@ impl fmt::Display for JsonValue {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_string(f, k)?;
                     f.write_str(":")?;
                     write!(f, "{v}")?;
                 }
@@ -215,20 +206,47 @@ impl fmt::Display for JsonValue {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
-        }
+/// Write `n` as [`JsonValue`] prints a number: non-finite as `null`,
+/// integral values below 10^15 without a fraction, anything else in
+/// Rust's shortest round-trip form. Writers that stream JSON without
+/// building a [`JsonValue`] call this, so their bytes match.
+pub fn write_number(out: &mut impl fmt::Write, n: f64) -> fmt::Result {
+    if !n.is_finite() {
+        out.write_str("null")
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
     }
-    f.write_str("\"")
+}
+
+/// Write `s` quoted and escaped as [`JsonValue`] prints a string: `"`,
+/// `\\`, `\n`, `\r` and `\t` by their short escapes, other control
+/// characters as `\u00XX`, everything else verbatim.
+pub fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_str("\"")?;
+    // Every escaped character is ASCII, so each cut lands on a char
+    // boundary and the runs between escapes are copied whole.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        match short {
+            Some(esc) => out.write_str(esc)?,
+            None => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_str("\"")
 }
 
 /// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
@@ -547,6 +565,40 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn string_writer_matches_a_per_char_escaper() {
+        // The escaper `Display` used before runs were copied whole.
+        fn per_char(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let every_ascii: String = (0u8..0x80).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            every_ascii.as_str(),
+            "é\u{1}日\"本\\🦀\u{7f}\u{1f}",
+            "\n\n",
+        ] {
+            let mut out = String::new();
+            write_string(&mut out, s).unwrap();
+            assert_eq!(out, per_char(s), "{s:?}");
+            assert_eq!(JsonValue::String(s.into()).to_string(), out);
         }
     }
 

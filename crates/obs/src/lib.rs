@@ -38,7 +38,7 @@ mod trace {
 }
 
 pub use event::{Event, EventLog};
-pub use json::{obj, JsonValue};
+pub use json::{obj, write_number, write_string, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use report::{required_phases, ObsReport, PhaseRow, RunReport, GH_PHASES, IJ_PHASES};
 pub use span::{

@@ -52,21 +52,24 @@ fn chunk_with_bogus_location_errors_cleanly() {
     let (d, t) = demo_deployment();
     // Register an extra chunk whose location overruns the data file.
     d.metadata()
-        .register_chunk(ChunkMeta {
-            table: t,
-            chunk: ChunkId(4),
-            node: NodeId(0),
-            location: ChunkLocation {
-                file: "t.dat".into(),
-                offset: 1 << 20,
-                len: 4096,
-            },
-            attributes: vec!["x".into()],
-            extractors: vec!["t_layout".into()],
-            bbox: BoundingBox::unbounded(),
-            num_records: 0,
-            checksum: None,
-        })
+        .register_chunks(
+            t,
+            vec![ChunkMeta {
+                table: t,
+                chunk: ChunkId(4),
+                node: NodeId(0),
+                location: ChunkLocation {
+                    file: "t.dat".into(),
+                    offset: 1 << 20,
+                    len: 4096,
+                },
+                attributes: vec!["x".into()],
+                extractors: vec!["t_layout".into()],
+                bbox: BoundingBox::unbounded(),
+                num_records: 0,
+                checksum: None,
+            }],
+        )
         .unwrap();
     let svc = &BdsService::for_all_nodes(&d).unwrap()[0];
     let err = svc.subtable(SubTableId::new(t.0, 4u32)).unwrap_err();
@@ -84,17 +87,20 @@ fn chunk_with_missing_extractor_errors_cleanly() {
         .append("t.dat", vec![0u8; 64].into())
         .unwrap();
     d.metadata()
-        .register_chunk(ChunkMeta {
-            table: t,
-            chunk: ChunkId(4),
-            node: NodeId(0),
-            location: loc,
-            attributes: vec!["x".into()],
-            extractors: vec!["proprietary_v9".into()],
-            bbox: BoundingBox::unbounded(),
-            num_records: 4,
-            checksum: None,
-        })
+        .register_chunks(
+            t,
+            vec![ChunkMeta {
+                table: t,
+                chunk: ChunkId(4),
+                node: NodeId(0),
+                location: loc,
+                attributes: vec!["x".into()],
+                extractors: vec!["proprietary_v9".into()],
+                bbox: BoundingBox::unbounded(),
+                num_records: 4,
+                checksum: None,
+            }],
+        )
         .unwrap();
     let svc = &BdsService::for_all_nodes(&d).unwrap()[0];
     let err = svc.subtable(SubTableId::new(t.0, 4u32)).unwrap_err();
@@ -112,17 +118,20 @@ fn corrupt_chunk_bytes_fail_extraction() {
         .append("t.dat", vec![0xAB; 37].into())
         .unwrap();
     d.metadata()
-        .register_chunk(ChunkMeta {
-            table: t,
-            chunk: ChunkId(4),
-            node: NodeId(0),
-            location: loc,
-            attributes: vec!["x".into()],
-            extractors: vec!["t_layout".into()],
-            bbox: BoundingBox::unbounded(),
-            num_records: 2,
-            checksum: None,
-        })
+        .register_chunks(
+            t,
+            vec![ChunkMeta {
+                table: t,
+                chunk: ChunkId(4),
+                node: NodeId(0),
+                location: loc,
+                attributes: vec!["x".into()],
+                extractors: vec!["t_layout".into()],
+                bbox: BoundingBox::unbounded(),
+                num_records: 2,
+                checksum: None,
+            }],
+        )
         .unwrap();
     let svc = &BdsService::for_all_nodes(&d).unwrap()[0];
     let err = svc.subtable(SubTableId::new(t.0, 4u32)).unwrap_err();
@@ -151,17 +160,20 @@ fn corrupt_chunk_poisons_joins_with_error_not_panic() {
         .append("t2.dat", vec![0xCD; 33].into())
         .unwrap();
     d.metadata()
-        .register_chunk(ChunkMeta {
-            table: h2.table,
-            chunk: ChunkId(4),
-            node: NodeId(0),
-            location: loc,
-            attributes: vec!["x".into(), "y".into(), "z".into(), "q".into()],
-            extractors: vec!["t2_layout".into()],
-            bbox: BoundingBox::from_dims([("x", Interval::new(0.0, 7.0))]),
-            num_records: 2,
-            checksum: None,
-        })
+        .register_chunks(
+            h2.table,
+            vec![ChunkMeta {
+                table: h2.table,
+                chunk: ChunkId(4),
+                node: NodeId(0),
+                location: loc,
+                attributes: vec!["x".into(), "y".into(), "z".into(), "q".into()],
+                extractors: vec!["t2_layout".into()],
+                bbox: BoundingBox::from_dims([("x", Interval::new(0.0, 7.0))]),
+                num_records: 2,
+                checksum: None,
+            }],
+        )
         .unwrap();
     let attrs = ["x", "y", "z"];
     assert!(indexed_join(&d, t, h2.table, &attrs, &IndexedJoinConfig::default()).is_err());

@@ -207,8 +207,17 @@ proptest! {
     }
 }
 
+/// Cases for the catalog loader: `PROPTEST_CASES` if set (CI runs 4 096),
+/// else 256.
+fn catalog_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(256)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(catalog_cases()))]
 
     /// The payload is mutated and the header's CRC recomputed over it, so
     /// the checksum passes and the loader's own validation — JSON shape,
