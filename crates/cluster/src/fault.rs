@@ -94,8 +94,8 @@ pub struct ShardDeathSpec {
 /// (bench or chaos test) reads these specs off the armed plan and drives
 /// `clients × queries_per_client` extra submissions once `after_queries`
 /// baseline queries have been issued. Living inside [`FaultPlan`] means
-/// the storm is serialized, logged and replayed with the same machinery
-/// as every other fault kind.
+/// the storm is logged with the plan and derived from its seed, like
+/// every other fault kind.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClientFloodSpec {
     /// Baseline queries issued before the flood starts.
@@ -256,8 +256,9 @@ impl<T: std::fmt::Debug> std::fmt::Debug for PerFault<T> {
 }
 
 /// A complete, seed-reproducible description of the faults one execution
-/// experiences. Serializable (see [`FaultPlan::to_json_value`]) so a
-/// failing plan can be attached to a bug report and replayed.
+/// experiences. The `fault_plan` event records it (see
+/// [`FaultPlan::to_json_value`]) for people and outside tools reading a
+/// run's log; the run itself replays from its seed.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the deterministic draw stream.
@@ -408,57 +409,6 @@ impl FaultPlan {
         });
         JsonValue::Object(m)
     }
-
-    /// Reconstruct a plan from [`FaultPlan::to_json_value`] output. Keys
-    /// absent from logs written before their kind existed read as zero or
-    /// empty; a key that is present must hold the right type. A storm
-    /// without `storm_len` is a one-shot slowdown: `shard_slows` entries,
-    /// logged before they became storms, parse as storms of length one.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self> {
-        let storm = |s: &JsonValue| {
-            Ok(ShardSlowStormSpec {
-                shard: s.req_u64("shard")? as usize,
-                after_subqueries: s.req_u64("after_subqueries")?,
-                delay_ms: s.req_u64("delay_ms")?,
-                storm_len: s
-                    .get("storm_len")
-                    .map_or(Ok(1), |_| s.req_u64("storm_len"))?,
-            })
-        };
-        let mut plan = FaultPlan {
-            seed: v.req_u64("seed")?,
-            worker_panics: specs(v, "worker_panics", |w| {
-                Ok(WorkerPanicSpec {
-                    worker: w.req_u64("worker")? as usize,
-                    after_ops: w.req_u64("after_ops")?,
-                })
-            })?,
-            shard_deaths: specs(v, "shard_deaths", |s| {
-                Ok(ShardDeathSpec {
-                    shard: s.req_u64("shard")? as usize,
-                    after_subqueries: s.req_u64("after_subqueries")?,
-                })
-            })?,
-            client_floods: specs(v, "client_floods", |c| {
-                Ok(ClientFloodSpec {
-                    after_queries: c.req_u64("after_queries")?,
-                    clients: c.req_u64("clients")?,
-                    queries_per_client: c.req_u64("queries_per_client")?,
-                })
-            })?,
-            shard_slow_storms: specs(v, "shard_slow_storms", storm)?,
-            max_faults: v.req_u64("max_faults")?,
-            ..FaultPlan::none()
-        };
-        plan.shard_slow_storms
-            .extend(specs(v, "shard_slows", storm)?);
-        for k in Fault::all() {
-            let (p, n) = (k.row().prob_key, k.row().num_key);
-            plan.prob[k] = v.get(p).map_or(Ok(0.0), |_| v.req_f64(p))?;
-            plan.num[k] = v.get(n).map_or(Ok(0), |_| v.req_u64(n))?;
-        }
-        Ok(plan)
-    }
 }
 
 /// Insert `specs` under `key` as an array, each entry built by `to_json`.
@@ -467,20 +417,6 @@ fn put_list<T>(m: &mut Map, key: &str, specs: &[T], to_json: impl Fn(&T) -> Json
         key.into(),
         JsonValue::Array(specs.iter().map(to_json).collect()),
     );
-}
-
-/// The spec list under `key` (empty when absent), each entry parsed by
-/// `parse`.
-fn specs<T>(v: &JsonValue, key: &str, parse: impl Fn(&JsonValue) -> Result<T>) -> Result<Vec<T>> {
-    let Some(entries) = v.get(key) else {
-        return Ok(Vec::new());
-    };
-    entries
-        .as_array()
-        .ok_or_else(|| Error::Config(format!("`{key}` is not an array")))?
-        .iter()
-        .map(parse)
-        .collect()
 }
 
 /// What the injector decides about one interconnect send.
@@ -608,7 +544,8 @@ impl std::fmt::Debug for FaultInjector {
 impl FaultInjector {
     /// Injector for `plan` logging every injected fault into `events`
     /// (pass [`EventLog::disabled`] for none). Emits a `fault_plan` event
-    /// up front so the run is replayable from the log alone.
+    /// up front, so the log records the plan beside every fault it fires;
+    /// the run replays from the plan's seed.
     pub fn new(plan: FaultPlan, events: EventLog) -> Arc<Self> {
         events.emit(names::FAULT_PLAN, || vec![("plan", plan.to_json_value())]);
         Arc::new(FaultInjector {
@@ -1018,21 +955,19 @@ mod tests {
     /// cap/budget rule or the corruption offset hash moves this list.
     #[test]
     fn golden_draw_stream_is_pinned() {
-        let plan = FaultPlan::from_json_value(
-            &JsonValue::parse(
-                r#"{"seed": 2024, "worker_panics": [], "max_faults": 10,
-                    "read_error_prob": 0.3, "max_read_errors": 3,
-                    "read_delay_prob": 0.2, "read_delay_ms": 0,
-                    "send_drop_prob": 0.3, "max_send_drops": 3,
-                    "send_delay_prob": 0.25, "send_delay_ms": 1,
-                    "scratch_error_prob": 0.3, "max_scratch_errors": 2,
-                    "chunk_corrupt_prob": 0.3, "max_chunk_corruptions": 2,
-                    "frame_corrupt_prob": 0.3, "max_frame_corruptions": 1,
-                    "scratch_corrupt_prob": 0.3, "max_scratch_corruptions": 2}"#,
-            )
-            .unwrap(),
-        )
-        .unwrap();
+        let plan = FaultPlan {
+            seed: 2024,
+            max_faults: 10,
+            ..FaultPlan::none()
+        }
+        .with(Fault::ReadError, 0.3, 3)
+        .with(Fault::ReadDelay, 0.2, 0)
+        .with(Fault::SendDrop, 0.3, 3)
+        .with(Fault::SendDelay, 0.25, 1)
+        .with(Fault::ScratchError, 0.3, 2)
+        .with(Fault::ChunkCorrupt, 0.3, 2)
+        .with(Fault::FrameCorrupt, 0.3, 1)
+        .with(Fault::ScratchCorrupt, 0.3, 2);
         let events = EventLog::enabled();
         let inj = golden_injector(plan, events.clone());
         let none = CancelToken::none();
@@ -1420,16 +1355,29 @@ mod tests {
         // Same seed, same storm; different seed, different draw stream.
         assert_eq!(FaultPlan::load_storm(42, 8, 4), plan);
         assert_ne!(FaultPlan::load_storm(43, 8, 4), plan);
-        // Round-trips through the fault_plan event payload.
-        let back = FaultPlan::from_json_value(&plan.to_json_value()).unwrap();
-        assert_eq!(back, plan);
-        // Plans logged before the overload kinds still parse as empty.
-        let mut v = plan.to_json_value();
-        if let JsonValue::Object(map) = &mut v {
-            map.retain(|k, _| k.as_str() != "client_floods" && k.as_str() != "shard_slow_storms");
-        }
-        let back = FaultPlan::from_json_value(&v).unwrap();
-        assert!(back.client_floods.is_empty() && back.shard_slow_storms.is_empty());
+        // The fault_plan event payload carries the flood and the storm.
+        let v = JsonValue::parse(&plan.to_json_value().to_string()).unwrap();
+        let only = |key: &str| match v.req(key).unwrap().as_array().unwrap() {
+            [entry] => entry.clone(),
+            other => panic!("`{key}` holds {} entries", other.len()),
+        };
+        let (flood, storm) = (&plan.client_floods[0], &plan.shard_slow_storms[0]);
+        let f = only("client_floods");
+        assert_eq!(f.req_u64("after_queries").unwrap(), flood.after_queries);
+        assert_eq!(f.req_u64("clients").unwrap(), flood.clients);
+        assert_eq!(
+            f.req_u64("queries_per_client").unwrap(),
+            flood.queries_per_client
+        );
+        let s = only("shard_slow_storms");
+        assert_eq!(s.req_u64("shard").unwrap(), storm.shard as u64);
+        assert_eq!(
+            s.req_u64("after_subqueries").unwrap(),
+            storm.after_subqueries
+        );
+        assert_eq!(s.req_u64("delay_ms").unwrap(), storm.delay_ms);
+        assert_eq!(s.req_u64("storm_len").unwrap(), storm.storm_len);
+        assert_eq!(v.req_u64("seed").unwrap(), 42);
     }
 
     #[test]
@@ -1501,54 +1449,63 @@ mod tests {
         );
     }
 
+    /// Every field away from its default — all eight kinds, every spec
+    /// list non-empty — and the `fault_plan` payload pinned key by key,
+    /// so a field the writer drops or misfiles fails here.
     #[test]
     fn fault_plan_json_round_trips() {
-        for seed in [0, 11, 99] {
-            let p = FaultPlan::from_seed(seed);
-            let back = FaultPlan::from_json_value(&p.to_json_value()).unwrap();
-            assert_eq!(back, p);
-        }
-        assert_eq!(
-            FaultPlan::from_json_value(&FaultPlan::none().to_json_value()).unwrap(),
-            FaultPlan::none()
-        );
-        // Shard kinds survive the trip, and logs from before they existed
-        // (no `shard_deaths`/`shard_slow_storms` keys) still parse as empty.
-        let p = FaultPlan {
+        let mut plan = FaultPlan {
+            seed: 77,
+            max_faults: 36,
+            worker_panics: vec![WorkerPanicSpec {
+                worker: 1,
+                after_ops: 9,
+            }],
             shard_deaths: vec![ShardDeathSpec {
-                shard: 1,
-                after_subqueries: 3,
+                shard: 2,
+                after_subqueries: 10,
+            }],
+            client_floods: vec![ClientFloodSpec {
+                after_queries: 11,
+                clients: 12,
+                queries_per_client: 13,
             }],
             shard_slow_storms: vec![ShardSlowStormSpec {
-                shard: 0,
-                after_subqueries: 1,
-                delay_ms: 40,
-                storm_len: 1,
+                shard: 3,
+                after_subqueries: 14,
+                delay_ms: 15,
+                storm_len: 16,
             }],
-            ..FaultPlan::from_seed(5)
+            ..FaultPlan::none()
         };
-        assert_eq!(FaultPlan::from_json_value(&p.to_json_value()).unwrap(), p);
-        let mut old = FaultPlan::from_seed(5).to_json_value();
-        if let JsonValue::Object(map) = &mut old {
-            map.retain(|k, _| k.as_str() != "shard_deaths" && k.as_str() != "shard_slow_storms");
+        let probs = [0.11, 0.12, 0.13, 0.14, 0.15, 0.16, 0.17, 0.18];
+        for (num, (kind, prob)) in (1..).zip(Fault::all().into_iter().zip(probs)) {
+            plan = plan.with(kind, prob, num);
         }
-        let back = FaultPlan::from_json_value(&old).unwrap();
-        assert!(back.shard_deaths.is_empty() && back.shard_slow_storms.is_empty());
-        // A log with the one-shot `shard_slows` list parses it as storms of
-        // length one: the same sleep at the same sub-query.
-        let mut old = p.to_json_value();
-        if let JsonValue::Object(map) = &mut old {
-            map.remove("shard_slow_storms");
-            map.insert(
-                "shard_slows".into(),
-                JsonValue::Array(vec![obj([
-                    ("shard", 0u64.into()),
-                    ("after_subqueries", 1u64.into()),
-                    ("delay_ms", 40u64.into()),
-                ])]),
-            );
-        }
-        assert_eq!(FaultPlan::from_json_value(&old).unwrap(), p);
+        let want = concat!(
+            r#"{"chunk_corrupt_prob":0.16,"client_floods":[{"after_queries":11,"clients":12,"#,
+            r#""queries_per_client":13}],"frame_corrupt_prob":0.17,"max_chunk_corruptions":6,"#,
+            r#""max_faults":36,"max_frame_corruptions":7,"max_read_errors":1,"#,
+            r#""max_scratch_corruptions":8,"max_scratch_errors":5,"max_send_drops":3,"#,
+            r#""read_delay_ms":2,"read_delay_prob":0.12,"read_error_prob":0.11,"#,
+            r#""scratch_corrupt_prob":0.18,"scratch_error_prob":0.15,"seed":77,"#,
+            r#""send_delay_ms":4,"send_delay_prob":0.14,"send_drop_prob":0.13,"#,
+            r#""shard_deaths":[{"after_subqueries":10,"shard":2}],"#,
+            r#""shard_slow_storms":[{"after_subqueries":14,"delay_ms":15,"shard":3,"storm_len":16}],"#,
+            r#""worker_panics":[{"after_ops":9,"worker":1}]}"#
+        );
+        assert_eq!(plan.to_json_value().to_string(), want);
+        assert_eq!(JsonValue::parse(want).unwrap(), plan.to_json_value());
+        // The empty plan writes every key too, at zero or empty.
+        let none = FaultPlan::none().to_json_value();
+        assert_eq!(none.as_object().unwrap().len(), 22);
+        assert_eq!(none.req_f64("read_error_prob").unwrap(), 0.0);
+        assert!(none
+            .req("shard_slow_storms")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -1572,8 +1529,7 @@ mod tests {
         // The plan event pins the run.
         let plan_events = events.events_of_kind(names::FAULT_PLAN);
         assert_eq!(plan_events.len(), 1);
-        let logged = FaultPlan::from_json_value(&plan_events[0].fields["plan"]).unwrap();
-        assert_eq!(logged, plan);
+        assert_eq!(plan_events[0].fields["plan"], plan.to_json_value());
         // One event per injected fault, every event tagged with its draw
         // stream, draw indices strictly increasing per (site, stream).
         let faults = events.events_of_kind(names::FAULT_INJECTED);
@@ -1674,31 +1630,20 @@ mod tests {
     }
 
     #[test]
-    fn corrupting_plan_round_trips_and_old_logs_still_parse() {
+    fn corrupting_plan_arms_every_checksummed_boundary() {
         let p = FaultPlan::corrupting(33);
-        assert!(
-            p.prob[Fault::ChunkCorrupt] > 0.0 && p.max_faults > FaultPlan::from_seed(33).max_faults
-        );
-        let back = FaultPlan::from_json_value(&p.to_json_value()).unwrap();
-        assert_eq!(back, p);
-
-        // A plan serialized before the corruption kinds existed parses
-        // with all corruption knobs at zero.
-        let mut old = FaultPlan::from_seed(4).to_json_value();
-        if let JsonValue::Object(m) = &mut old {
-            for k in [
-                "chunk_corrupt_prob",
-                "max_chunk_corruptions",
-                "frame_corrupt_prob",
-                "max_frame_corruptions",
-                "scratch_corrupt_prob",
-                "max_scratch_corruptions",
-            ] {
-                m.remove(k);
-            }
+        let base = FaultPlan::from_seed(33);
+        assert!(p.max_faults > base.max_faults);
+        for kind in Fault::all() {
+            assert_eq!(
+                p.prob[kind] > 0.0,
+                kind.is_corruption() || base.prob[kind] > 0.0
+            );
         }
-        let parsed = FaultPlan::from_json_value(&old).unwrap();
-        assert_eq!(parsed, FaultPlan::from_seed(4));
+        // Both workers of two crash, so a two-node IJ fails over to GH.
+        let workers: Vec<usize> = p.worker_panics.iter().map(|w| w.worker).collect();
+        assert_eq!(workers.len(), 2);
+        assert_ne!(workers[0], workers[1]);
     }
 
     #[test]

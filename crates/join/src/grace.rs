@@ -601,7 +601,7 @@ mod tests {
     use orv_cluster::{Fault, FaultPlan};
     use orv_obs::EventLog;
     use orv_obs::Spans;
-    use orv_types::{Attribute, ColumnData, DataType, Interval};
+    use orv_types::{Attribute, ColumnData, DataType, Interval, Value};
     use proptest::prelude::*;
 
     fn deploy(
@@ -1458,7 +1458,14 @@ mod tests {
         // The wire format is each `Value`'s little-endian bytes, in order.
         let mut by_value = Vec::new();
         for rec in st.records().unwrap() {
-            rec.values().iter().for_each(|v| v.encode_le(&mut by_value));
+            for v in rec.values() {
+                match *v {
+                    Value::I32(x) => by_value.extend_from_slice(&x.to_le_bytes()),
+                    Value::I64(x) => by_value.extend_from_slice(&x.to_le_bytes()),
+                    Value::F32(x) => by_value.extend_from_slice(&x.to_le_bytes()),
+                    Value::F64(x) => by_value.extend_from_slice(&x.to_le_bytes()),
+                }
+            }
         }
         assert_eq!(bytes, by_value);
         assert_eq!(&decode_columns(schema, &bytes).unwrap(), st.batch());

@@ -25,11 +25,17 @@
 //! [`JsonValue`] ([`write_number`], [`write_string`]) and its keys in
 //! sorted order, so it is byte for byte what printing the equivalent
 //! [`JsonValue`] tree gives. It is read back with [`JsonValue::parse`].
+//!
+//! A JSON number is an `f64`, exact for integers up to
+//! [`MAX_SAFE_INTEGER`] (2^53 − 1). A chunk's `offset`, `len` or
+//! `num_records` above it would save as a neighbouring value, so
+//! [`MetadataService::save_json`] refuses it before writing anything, and
+//! the loader refuses any integer field past it.
 
 use crate::service::MetadataService;
 use orv_chunk::{ChunkLocation, ChunkMeta};
 use orv_cluster::checksum;
-use orv_obs::{write_number, write_string, JsonValue};
+use orv_obs::{write_number, write_string, JsonValue, MAX_SAFE_INTEGER};
 use orv_types::{
     AttrRole, Attribute, BoundingBox, ChunkId, DataType, Error, Interval, NodeId, Result, Schema,
     SubTableId, TableId,
@@ -173,10 +179,20 @@ fn req_strings(v: &JsonValue, key: &str) -> Result<Vec<String>> {
         .collect()
 }
 
+/// A `u64` field. A value JSON cannot carry exactly (see
+/// [`JsonValue::as_u64`]) is a format error, not a rounded neighbour.
+fn req_u64(v: &JsonValue, key: &str) -> Result<u64> {
+    v.req(key)?.as_u64().ok_or_else(|| {
+        Error::Format(format!(
+            "catalog field `{key}` is not an integer in 0..=2^53 - 1"
+        ))
+    })
+}
+
 /// A `u32` field (an id or a CRC). A larger value is a format error, not
 /// a silent wrap onto another id.
 fn req_u32(v: &JsonValue, key: &str) -> Result<u32> {
-    u32::try_from(v.req_u64(key)?)
+    u32::try_from(req_u64(v, key)?)
         .map_err(|_| Error::Format(format!("catalog field `{key}` exceeds u32")))
 }
 
@@ -242,13 +258,13 @@ fn chunk_from_json(v: &JsonValue) -> Result<ChunkMeta> {
         node: NodeId(req_u32(v, "node")?),
         location: ChunkLocation {
             file: v.req_str("file")?.to_string(),
-            offset: v.req_u64("offset")?,
-            len: v.req_u64("len")?,
+            offset: req_u64(v, "offset")?,
+            len: req_u64(v, "len")?,
         },
         attributes: req_strings(v, "attributes")?,
         extractors: req_strings(v, "extractors")?,
         bbox: bbox_from_json(v.req("bbox")?)?,
-        num_records: v.req_u64("num_records")?,
+        num_records: req_u64(v, "num_records")?,
         checksum: match v.req("checksum")? {
             JsonValue::Null => None,
             other => Some(
@@ -268,10 +284,26 @@ fn subtable_from_json(v: &JsonValue) -> Result<SubTableId> {
 impl MetadataService {
     /// Append the JSON payload — keys sorted, as [`JsonValue`] prints an
     /// object — to `out`, holding the read locks while it is formatted.
-    fn write_payload(&self, out: &mut String) -> fmt::Result {
+    /// A chunk number JSON cannot carry exactly is an [`Error::Format`]
+    /// naming the field, before anything is appended.
+    fn write_payload(&self, out: &mut String) -> Result<()> {
         let catalog = self.catalog.read();
         let join_indices = self.join_indices.read();
         let layouts = self.layouts.read();
+        for c in catalog.tables().flat_map(|t| t.chunks()) {
+            let fields = [
+                ("offset", c.location.offset),
+                ("len", c.location.len),
+                ("num_records", c.num_records),
+            ];
+            if let Some((field, n)) = fields.into_iter().find(|&(_, n)| n > MAX_SAFE_INTEGER) {
+                return Err(Error::Format(format!(
+                    "chunk {} of table {}: `{field}` {n} is above 2^53 - 1, \
+                     which a catalog number cannot carry exactly",
+                    c.chunk, c.table
+                )));
+            }
+        }
         // Enough for the common case, so `out` is allocated once: a chunk
         // of the generator's tables prints in about 280 bytes.
         let chunks: usize = catalog.tables().map(|t| t.chunks().len()).sum();
@@ -279,48 +311,51 @@ impl MetadataService {
         let sources: usize = layouts.values().map(|(s, _)| s.len()).sum();
         out.reserve(1024 + 384 * chunks + 64 * pairs + 2 * sources);
 
-        out.push_str("{\"join_indices\":");
-        write_array(out, join_indices.iter(), |out, (key, pairs)| {
-            out.push_str("{\"key\":");
-            write_string(out, key)?;
-            out.push_str(",\"pairs\":");
-            write_array(out, pairs.iter(), |out, (a, b)| {
-                out.push('[');
-                write_subtable(out, *a)?;
-                out.push(',');
-                write_subtable(out, *b)?;
-                out.push(']');
+        let print = |out: &mut String| -> fmt::Result {
+            out.push_str("{\"join_indices\":");
+            write_array(out, join_indices.iter(), |out, (key, pairs)| {
+                out.push_str("{\"key\":");
+                write_string(out, key)?;
+                out.push_str(",\"pairs\":");
+                write_array(out, pairs.iter(), |out, (a, b)| {
+                    out.push('[');
+                    write_subtable(out, *a)?;
+                    out.push(',');
+                    write_subtable(out, *b)?;
+                    out.push(']');
+                    Ok(())
+                })?;
+                out.push('}');
                 Ok(())
             })?;
+            out.push_str(",\"layouts\":");
+            write_array(out, layouts.iter(), |out, (name, (source, coords))| {
+                out.push_str("{\"coords\":");
+                write_strings(out, coords)?;
+                out.push_str(",\"name\":");
+                write_string(out, name)?;
+                out.push_str(",\"source\":");
+                write_string(out, source)?;
+                out.push('}');
+                Ok(())
+            })?;
+            out.push_str(",\"tables\":");
+            write_array(out, catalog.tables(), |out, table| {
+                out.push_str("{\"chunks\":");
+                write_array(out, table.chunks(), write_chunk)?;
+                out.push_str(",\"name\":");
+                write_string(out, &table.name)?;
+                out.push_str(",\"schema\":");
+                write_schema(out, &table.schema)?;
+                out.push('}');
+                Ok(())
+            })?;
+            out.push_str(",\"version\":");
+            write_number(out, SNAPSHOT_VERSION.into())?;
             out.push('}');
             Ok(())
-        })?;
-        out.push_str(",\"layouts\":");
-        write_array(out, layouts.iter(), |out, (name, (source, coords))| {
-            out.push_str("{\"coords\":");
-            write_strings(out, coords)?;
-            out.push_str(",\"name\":");
-            write_string(out, name)?;
-            out.push_str(",\"source\":");
-            write_string(out, source)?;
-            out.push('}');
-            Ok(())
-        })?;
-        out.push_str(",\"tables\":");
-        write_array(out, catalog.tables(), |out, table| {
-            out.push_str("{\"chunks\":");
-            write_array(out, table.chunks(), write_chunk)?;
-            out.push_str(",\"name\":");
-            write_string(out, &table.name)?;
-            out.push_str(",\"schema\":");
-            write_schema(out, &table.schema)?;
-            out.push('}');
-            Ok(())
-        })?;
-        out.push_str(",\"version\":");
-        write_number(out, SNAPSHOT_VERSION.into())?;
-        out.push('}');
-        Ok(())
+        };
+        print(out).map_err(|_| Error::Format("cannot format the catalog".into()))
     }
 
     /// Write a checksummed JSON catalog to `path`, atomically.
@@ -335,8 +370,7 @@ impl MetadataService {
         let mut text = format!("{CATALOG_MAGIC} 00000000\n");
         let crc_at = CATALOG_MAGIC.len() + 1;
         let start = text.len();
-        self.write_payload(&mut text)
-            .map_err(|_| Error::Format("cannot format the catalog".into()))?;
+        self.write_payload(&mut text)?;
         let crc = checksum::crc32c(&text.as_bytes()[start..]);
         text.replace_range(crc_at..crc_at + 8, &format!("{crc:08x}"));
         text.push('\n');
@@ -516,8 +550,9 @@ mod tests {
     }
 
     /// [`populated`] plus what the byte-level tests need: bounds that are
-    /// infinite, NaN, unbounded, subnormal or at least 10^15, offsets past
-    /// 2^53, names and a layout source that need escapes or are not
+    /// infinite, NaN, unbounded, subnormal or at least 10^15, the three
+    /// largest offsets JSON carries exactly (2^53 − 3, 2^53 − 2 and
+    /// 2^53 − 1), names and a layout source that need escapes or are not
     /// ASCII, a second join index, and a table with no chunks.
     fn rich() -> MetadataService {
         let svc = populated();
@@ -537,7 +572,7 @@ mod tests {
                 node: NodeId(2),
                 location: ChunkLocation {
                     file: "odd\\t2.dat".into(),
-                    offset: (1 << 60) + u64::from(i),
+                    offset: MAX_SAFE_INTEGER - 2 + u64::from(i),
                     len: 7,
                 },
                 attributes: vec!["x".into(), "y".into(), "z".into(), "wp".into()],
@@ -569,7 +604,15 @@ mod tests {
 
     /// [`rich`] as the writer that built a `JsonValue` tree and printed it
     /// saved it.
-    const TREE_PRINTED_CATALOG: &str = r#"ORVCAT1 cfeae2ab
+    const TREE_PRINTED_CATALOG: &str = r#"ORVCAT1 3a04a7e6
+{"join_indices":[{"key":"T0⋈T0:x,y","pairs":[[{"chunk":0,"table":0},{"chunk":1,"table":0}]]},{"key":"T1⋈T0:x","pairs":[[{"chunk":2,"table":1},{"chunk":5,"table":0}],[{"chunk":0,"table":1},{"chunk":0,"table":0}]]}],"layouts":[{"coords":["x","y","z"],"name":"odd_layout","source":"DATASET \"odd\" {\n\tDATA { x y z wp }\u0001\r\n} // é 日本 🦀"}],"tables":[{"chunks":[{"attributes":["x","y","wp"],"bbox":{"x":[0,3],"y":[0,7]},"checksum":3735928559,"chunk":0,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":0,"num_records":32,"offset":0,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[4,7],"y":[0,7]},"checksum":null,"chunk":1,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":1,"num_records":32,"offset":256,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[8,11],"y":[0,7]},"checksum":null,"chunk":2,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":0,"num_records":32,"offset":512,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[12,15],"y":[0,7]},"checksum":null,"chunk":3,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":1,"num_records":32,"offset":768,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[16,19],"y":[0,7]},"checksum":null,"chunk":4,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":0,"num_records":32,"offset":1024,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[20,23],"y":[0,7]},"checksum":null,"chunk":5,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":1,"num_records":32,"offset":1280,"table":0}],"name":"T1","schema":[{"dtype":"i32","name":"x","role":"coordinate"},{"dtype":"i32","name":"y","role":"coordinate"},{"dtype":"f32","name":"wp","role":"scalar"}]},{"chunks":[{"attributes":["x","y","z","wp"],"bbox":{"x":["-inf",3.5],"y":["nan","inf"],"z":["-inf","inf"]},"checksum":4294967295,"chunk":0,"extractors":["odd_layout"],"file":"odd\\t2.dat","len":7,"node":2,"num_records":0,"offset":9007199254740989,"table":1},{"attributes":["x","y","z","wp"],"bbox":{"wp":[-0.25,100000000000000000000],"y":["nan","inf"],"z":["-inf","inf"]},"checksum":4294967294,"chunk":1,"extractors":["odd_layout"],"file":"odd\\t2.dat","len":7,"node":2,"num_records":0,"offset":9007199254740990,"table":1},{"attributes":["x","y","z","wp"],"bbox":{"wp":[-0.25,100000000000000000000],"x":[0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,2],"z":["-inf","inf"]},"checksum":4294967293,"chunk":2,"extractors":["odd_layout"],"file":"odd\\t2.dat","len":7,"node":2,"num_records":0,"offset":9007199254740991,"table":1}],"name":"odd \"bounds\" ✓","schema":[{"dtype":"i32","name":"x","role":"coordinate"},{"dtype":"i32","name":"y","role":"coordinate"},{"dtype":"i32","name":"z","role":"coordinate"},{"dtype":"f32","name":"wp","role":"scalar"}]},{"chunks":[],"name":"empty","schema":[{"dtype":"i32","name":"x","role":"coordinate"}]}],"version":1}
+"#;
+
+    /// [`TREE_PRINTED_CATALOG`] with offsets 2^60, 2^60 + 1 and
+    /// 2^60 + 2 in place of its three largest, each printed as the one
+    /// `f64` all three round to, `1152921504606847000`, under a matching
+    /// CRC.
+    const ROUNDED_OFFSETS_CATALOG: &str = r#"ORVCAT1 cfeae2ab
 {"join_indices":[{"key":"T0⋈T0:x,y","pairs":[[{"chunk":0,"table":0},{"chunk":1,"table":0}]]},{"key":"T1⋈T0:x","pairs":[[{"chunk":2,"table":1},{"chunk":5,"table":0}],[{"chunk":0,"table":1},{"chunk":0,"table":0}]]}],"layouts":[{"coords":["x","y","z"],"name":"odd_layout","source":"DATASET \"odd\" {\n\tDATA { x y z wp }\u0001\r\n} // é 日本 🦀"}],"tables":[{"chunks":[{"attributes":["x","y","wp"],"bbox":{"x":[0,3],"y":[0,7]},"checksum":3735928559,"chunk":0,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":0,"num_records":32,"offset":0,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[4,7],"y":[0,7]},"checksum":null,"chunk":1,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":1,"num_records":32,"offset":256,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[8,11],"y":[0,7]},"checksum":null,"chunk":2,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":0,"num_records":32,"offset":512,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[12,15],"y":[0,7]},"checksum":null,"chunk":3,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":1,"num_records":32,"offset":768,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[16,19],"y":[0,7]},"checksum":null,"chunk":4,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":0,"num_records":32,"offset":1024,"table":0},{"attributes":["x","y","wp"],"bbox":{"x":[20,23],"y":[0,7]},"checksum":null,"chunk":5,"extractors":["t1_layout"],"file":"t1.dat","len":256,"node":1,"num_records":32,"offset":1280,"table":0}],"name":"T1","schema":[{"dtype":"i32","name":"x","role":"coordinate"},{"dtype":"i32","name":"y","role":"coordinate"},{"dtype":"f32","name":"wp","role":"scalar"}]},{"chunks":[{"attributes":["x","y","z","wp"],"bbox":{"x":["-inf",3.5],"y":["nan","inf"],"z":["-inf","inf"]},"checksum":4294967295,"chunk":0,"extractors":["odd_layout"],"file":"odd\\t2.dat","len":7,"node":2,"num_records":0,"offset":1152921504606847000,"table":1},{"attributes":["x","y","z","wp"],"bbox":{"wp":[-0.25,100000000000000000000],"y":["nan","inf"],"z":["-inf","inf"]},"checksum":4294967294,"chunk":1,"extractors":["odd_layout"],"file":"odd\\t2.dat","len":7,"node":2,"num_records":0,"offset":1152921504606847000,"table":1},{"attributes":["x","y","z","wp"],"bbox":{"wp":[-0.25,100000000000000000000],"x":[0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,2],"z":["-inf","inf"]},"checksum":4294967293,"chunk":2,"extractors":["odd_layout"],"file":"odd\\t2.dat","len":7,"node":2,"num_records":0,"offset":1152921504606847000,"table":1}],"name":"odd \"bounds\" ✓","schema":[{"dtype":"i32","name":"x","role":"coordinate"},{"dtype":"i32","name":"y","role":"coordinate"},{"dtype":"i32","name":"z","role":"coordinate"},{"dtype":"f32","name":"wp","role":"scalar"}]},{"chunks":[],"name":"empty","schema":[{"dtype":"i32","name":"x","role":"coordinate"}]}],"version":1}
 "#;
 
@@ -632,6 +675,49 @@ mod tests {
             layouts[0].1.ends_with("\u{1}\r\n} // é 日本 🦀"),
             "{layouts:?}"
         );
+    }
+
+    /// A chunk number JSON cannot carry exactly fails the save, names its
+    /// field, and leaves the catalog on disk as it was.
+    #[test]
+    fn save_refuses_numbers_past_2_53_and_keeps_the_old_file() {
+        let dir = std::env::temp_dir().join(format!("orv-cat-2p53-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("catalog.json");
+        populated().save_json(&path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        for field in ["offset", "len", "num_records"] {
+            let svc = populated();
+            let schema = Arc::new(Schema::grid(&["x"], &[]).unwrap());
+            let t = svc.register_table("big", schema).unwrap();
+            let mut meta = svc.chunk_meta(SubTableId::new(0u32, 0u32)).unwrap();
+            meta.table = t;
+            match field {
+                "offset" => meta.location.offset = 1 << 53,
+                "len" => meta.location.len = 1 << 53,
+                _ => meta.num_records = u64::MAX,
+            }
+            svc.register_chunks(t, vec![meta]).unwrap();
+            let err = svc.save_json(&path).unwrap_err();
+            assert!(matches!(err, Error::Format(_)), "{field}: {err}");
+            assert!(err.to_string().contains(&format!("`{field}`")), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), before, "{field}");
+        }
+        let names: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(names.len(), 1, "temp files left behind");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A catalog whose offsets were rounded on the way out does not load
+    /// as three chunks at one offset.
+    #[test]
+    fn rounded_offsets_are_refused_on_load() {
+        let path = temp_path("rounded");
+        std::fs::write(&path, ROUNDED_OFFSETS_CATALOG).unwrap();
+        let err = load_err(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(err, Error::Format(_)), "{err}");
+        assert!(err.to_string().contains("`offset`"), "{err}");
     }
 
     #[test]

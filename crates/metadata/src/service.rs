@@ -131,15 +131,6 @@ impl MetadataService {
         self.catalog.read().num_tables()
     }
 
-    /// Names of all registered tables, in id order.
-    pub fn table_names(&self) -> Vec<String> {
-        self.catalog
-            .read()
-            .tables()
-            .map(|t| t.name.clone())
-            .collect()
-    }
-
     /// Store the DSL source of a layout (and its coordinate attribute
     /// names) so extractors can be regenerated after a restart.
     pub fn register_layout(&self, name: impl Into<String>, source: String, coords: Vec<String>) {

@@ -1,12 +1,15 @@
 //! Property test: random catalogs save, load and save again to the same
-//! bytes, and the loaded R-trees answer ranges as a scan of the chunk
-//! boxes does. The catalogs hold 0–3 tables of 0–300 chunks, bounds that
-//! are infinite, NaN or subnormal, strings that need escapes and 0–2 join
-//! indices. `PROPTEST_CASES` sets the case count (CI runs 4 096).
+//! bytes, every chunk loads with the offset, length and record count it
+//! was saved with, and the loaded R-trees answer ranges as a scan of the
+//! chunk boxes does. The catalogs hold 0–3 tables of 0–300 chunks, bounds
+//! that are infinite, NaN or subnormal, strings that need escapes, 0–2
+//! join indices, and chunk numbers anywhere in the range JSON carries
+//! exactly (up to 2^53 − 1, which the save refuses to pass).
+//! `PROPTEST_CASES` sets the case count (CI runs 4 096).
 
 use orv_chunk::{ChunkLocation, ChunkMeta};
 use orv_metadata::MetadataService;
-use orv_obs::JsonValue;
+use orv_obs::{JsonValue, MAX_SAFE_INTEGER};
 use orv_types::{BoundingBox, ChunkId, Interval, NodeId, Schema, SubTableId, TableId};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -74,11 +77,16 @@ fn bbox(bounds: &[f64], mask: u8, attrs: &[&str]) -> BoundingBox {
 /// checksum, bounds, mask)`.
 type ChunkDraw = (u32, String, (u64, u64, u64), Option<u32>, Vec<f64>, u8);
 
+/// A chunk number a catalog carries exactly, its top value included.
+fn exact() -> impl Strategy<Value = u64> {
+    prop_oneof![0..=MAX_SAFE_INTEGER, Just(MAX_SAFE_INTEGER)]
+}
+
 fn chunk() -> impl Strategy<Value = ChunkDraw> {
     (
         any::<u32>(),
         text(),
-        (any::<u64>(), any::<u64>(), any::<u64>()),
+        (exact(), exact(), exact()),
         prop_oneof![Just(None), any::<u32>().prop_map(Some)],
         proptest::collection::vec(bound(), 10..11),
         any::<u8>(),
@@ -225,6 +233,15 @@ proptest! {
 
         let loaded = load(&first);
         prop_assert_eq!(save(&loaded), first);
+        for (t, (_, _, _, chunks)) in tables.iter().enumerate() {
+            for (c, (_, _, (offset, len, records), _, _, _)) in chunks.iter().enumerate() {
+                let meta = loaded.chunk_meta(SubTableId::new(t as u32, c as u32)).unwrap();
+                prop_assert_eq!(
+                    (meta.location.offset, meta.location.len, meta.num_records),
+                    (*offset, *len, *records)
+                );
+            }
+        }
 
         for (id, attrs, boxes) in &drawn {
             for (bounds, mask) in &queries {

@@ -1,12 +1,13 @@
-//! Structured event log: what *happened*, as replayable JSON lines.
+//! Structured event log: what *happened*, as JSON lines.
 //!
 //! Events carry a kind, a global sequence number and arbitrary key/value
-//! fields. The fault injector uses them to make chaos runs replayable from
-//! logs alone (kind, site and draw index of every injected fault); the
-//! query engine logs its QES choice with the model evidence.
+//! fields. The fault injector logs its plan and every fault it fires
+//! (kind, site and draw index) for people and outside tools; a run
+//! replays from its seed. The query engine logs its QES choice with the
+//! model evidence. The log is write-only: nothing in the program parses
+//! it back.
 
 use crate::json::JsonValue;
-use orv_types::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -30,19 +31,6 @@ impl Event {
             ("kind", self.kind.as_str().into()),
             ("fields", JsonValue::Object(self.fields.clone())),
         ])
-    }
-
-    /// Parse back from [`Event::to_json_value`] output.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self> {
-        Ok(Event {
-            seq: v.req_u64("seq")?,
-            kind: v.req_str("kind")?.to_string(),
-            fields: v
-                .req("fields")?
-                .as_object()
-                .ok_or_else(|| Error::Config("`fields` is not an object".into()))?
-                .clone(),
-        })
     }
 }
 
@@ -111,14 +99,6 @@ impl EventLog {
             .collect::<Vec<_>>()
             .join("\n")
     }
-
-    /// Parse events back from [`EventLog::to_json_lines`] output.
-    pub fn from_json_lines(text: &str) -> Result<Vec<Event>> {
-        text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|l| Event::from_json_value(&JsonValue::parse(l)?))
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for EventLog {
@@ -149,11 +129,23 @@ mod tests {
         });
         log.emit("qes_choice", || vec![("algorithm", "indexed_join".into())]);
         let text = log.to_json_lines();
-        let parsed = EventLog::from_json_lines(&text).unwrap();
-        assert_eq!(parsed, log.events());
-        assert_eq!(parsed[0].seq, 0);
-        assert_eq!(parsed[1].kind, "qes_choice");
-        assert!(EventLog::from_json_lines("{not json").is_err());
+        let lines: Vec<JsonValue> = text.lines().map(|l| JsonValue::parse(l).unwrap()).collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0].req_u64("seq").unwrap(), 0);
+        assert_eq!(lines[0].req_str("kind").unwrap(), "fault_injected");
+        let fields = lines[0].req("fields").unwrap();
+        assert_eq!(fields.req_str("kind").unwrap(), "read");
+        assert_eq!(fields.req_u64("draw").unwrap(), 3);
+        assert_eq!(lines[1].req_u64("seq").unwrap(), 1);
+        assert_eq!(lines[1].req_str("kind").unwrap(), "qes_choice");
+        assert_eq!(
+            lines[1]
+                .req("fields")
+                .unwrap()
+                .req_str("algorithm")
+                .unwrap(),
+            "indexed_join"
+        );
     }
 
     #[test]

@@ -2,14 +2,19 @@
 //!
 //! The observability layer promises a structured JSON export format while
 //! staying dependency-free, so it carries its own ~200-line JSON
-//! implementation instead of pulling in `serde_json`. Numbers are `f64`
-//! (exact for integers below 2^53 — far beyond any counter this repo
-//! produces); non-finite numbers serialize as `null`, which `validate`
-//! rejects upstream anyway.
+//! implementation instead of pulling in `serde_json`. Numbers are `f64`,
+//! exact for integers up to [`MAX_SAFE_INTEGER`]; [`JsonValue::as_u64`]
+//! refuses anything larger rather than hand back a rounded value.
+//! Non-finite numbers serialize as `null`, which `validate` rejects
+//! upstream anyway.
 
 use orv_types::{Error, Result};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The largest integer a JSON number carries exactly: 2^53 − 1. Above
+/// it, neighbouring integers share one `f64`.
+pub const MAX_SAFE_INTEGER: u64 = (1 << 53) - 1;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -55,10 +60,13 @@ impl JsonValue {
         }
     }
 
-    /// The value as `u64`, if it is a non-negative integral number.
+    /// The value as `u64`, if it is an integral number in
+    /// `0..=MAX_SAFE_INTEGER` — the integers it stands for exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            JsonValue::Number(n)
+                if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_SAFE_INTEGER as f64 =>
+            {
                 Some(*n as u64)
             }
             _ => None,
@@ -503,6 +511,14 @@ mod tests {
         assert!(v.req_str("n").is_err());
         assert_eq!(JsonValue::Number(1.5).as_u64(), None);
         assert_eq!(JsonValue::Number(-1.0).as_u64(), None);
+        // Integers stop being exact above 2^53 − 1, and so does `as_u64`.
+        let max = MAX_SAFE_INTEGER as f64;
+        assert_eq!(JsonValue::Number(max).as_u64(), Some(MAX_SAFE_INTEGER));
+        for big in [max + 1.0, 2f64.powi(60), 2f64.powi(64), f64::MAX] {
+            assert_eq!(JsonValue::Number(big).as_u64(), None, "{big}");
+        }
+        let past = JsonValue::parse("{\"n\":9007199254740993}").unwrap();
+        assert!(past.req_u64("n").is_err());
     }
 
     #[test]

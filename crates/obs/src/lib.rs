@@ -9,7 +9,11 @@
 //!   [`SpanRecord`]s whose `/`-separated paths (`n0/transfer`,
 //!   `c2/scratch_read`, …) aggregate into per-phase critical-path times;
 //! * [`EventLog`] — a structured JSON-lines event stream (QES choices,
-//!   injected faults) that makes runs replayable from logs alone.
+//!   a chaos run's plan and every fault it fires) for people and outside
+//!   tools; a run replays from its seed.
+//!
+//! Every JSON form here is write-only: the one JSON the program reads
+//! back is the metadata catalog, through [`JsonValue::parse`].
 //!
 //! The same span model traces served queries: a [`TracedQuery`] times
 //! each serving phase once, and that one measurement is the `lat/*`
@@ -38,7 +42,7 @@ mod trace {
 }
 
 pub use event::{Event, EventLog};
-pub use json::{obj, write_number, write_string, JsonValue};
+pub use json::{obj, write_number, write_string, JsonValue, MAX_SAFE_INTEGER};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use report::{required_phases, ObsReport, PhaseRow, RunReport, GH_PHASES, IJ_PHASES};
 pub use span::{

@@ -220,11 +220,6 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
-    }
-
     /// Mean of the recorded samples (exact — from the tracked sum).
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
@@ -243,26 +238,6 @@ impl HistogramSnapshot {
             ("count", self.count.into()),
             ("sum", self.sum.into()),
         ])
-    }
-
-    fn from_json_value(v: &JsonValue) -> Result<Self> {
-        let nums = |key: &str| -> Result<Vec<f64>> {
-            v.req(key)?
-                .as_array()
-                .ok_or_else(|| Error::Config(format!("`{key}` is not an array")))?
-                .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .ok_or_else(|| Error::Config(format!("`{key}` holds a non-number")))
-                })
-                .collect()
-        };
-        Ok(HistogramSnapshot {
-            bounds: nums("bounds")?,
-            buckets: nums("buckets")?.into_iter().map(|b| b as u64).collect(),
-            count: v.req_u64("count")?,
-            sum: v.req_f64("sum")?,
-        })
     }
 }
 
@@ -343,34 +318,6 @@ impl MetricsSnapshot {
                 ),
             ),
         ])
-    }
-
-    /// Parse back from [`MetricsSnapshot::to_json_value`] output.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self> {
-        let u64_map = |key: &str| -> Result<BTreeMap<String, u64>> {
-            v.req(key)?
-                .as_object()
-                .ok_or_else(|| Error::Config(format!("`{key}` is not an object")))?
-                .iter()
-                .map(|(k, x)| {
-                    x.as_u64()
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| Error::Config(format!("`{key}.{k}` is not a u64")))
-                })
-                .collect()
-        };
-        let histograms = v
-            .req("histograms")?
-            .as_object()
-            .ok_or_else(|| Error::Config("`histograms` is not an object".into()))?
-            .iter()
-            .map(|(k, h)| HistogramSnapshot::from_json_value(h).map(|h| (k.clone(), h)))
-            .collect::<Result<_>>()?;
-        Ok(MetricsSnapshot {
-            counters: u64_map("counters")?,
-            gauges: u64_map("gauges")?,
-            histograms,
-        })
     }
 }
 
@@ -586,7 +533,7 @@ mod tests {
         let s = snap(&[1.0, 2.0], &[0, 0, 0]);
         assert_eq!(s.quantile(0.5), None);
         assert_eq!(s.p50(), None);
-        assert_eq!(s.p99(), None);
+        assert_eq!(s.quantile(0.99), None);
         assert_eq!(s.mean(), None);
     }
 
@@ -614,7 +561,7 @@ mod tests {
     #[test]
     fn quantile_overflow_bucket_clamps_to_last_bound() {
         let s = snap(&[1.0, 2.0], &[1, 0, 9]);
-        assert!((s.p99().unwrap() - 2.0).abs() < 1e-12);
+        assert!((s.quantile(0.99).unwrap() - 2.0).abs() < 1e-12);
         assert!((s.quantile(1.0).unwrap() - 2.0).abs() < 1e-12);
         // All samples above every bound: every quantile clamps.
         let s = snap(&[1.0], &[0, 5]);

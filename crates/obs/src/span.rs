@@ -30,7 +30,6 @@
 
 use crate::json::{obj, JsonValue};
 use crate::{names, Obs};
-use orv_types::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,16 +105,6 @@ impl SpanRecord {
             ("start_secs", self.start_secs.into()),
             ("dur_secs", self.dur_secs.into()),
         ])
-    }
-
-    /// Parse back from [`SpanRecord::to_json_value`] output.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self> {
-        Ok(SpanRecord {
-            seq: v.req_u64("seq")?,
-            path: v.req_str("path")?.to_string(),
-            start_secs: v.req_f64("start_secs")?,
-            dur_secs: v.req_f64("dur_secs")?,
-        })
     }
 }
 
@@ -289,11 +278,6 @@ impl TraceId {
         TraceId(NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Rebuild from a raw value (e.g. parsed back out of an event log).
-    pub fn from_raw(raw: u64) -> Self {
-        TraceId(raw)
-    }
-
     /// The raw numeric value, as it appears in event payloads.
     pub fn raw(self) -> u64 {
         self.0
@@ -340,19 +324,6 @@ impl TraceOutcome {
             TraceOutcome::Cancelled => "cancelled",
             TraceOutcome::Rejected => "rejected",
             TraceOutcome::Shed => "shed",
-        }
-    }
-
-    /// Parse the string form back.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "ok" => Ok(TraceOutcome::Ok),
-            "partial" => Ok(TraceOutcome::Partial),
-            "error" => Ok(TraceOutcome::Error),
-            "cancelled" => Ok(TraceOutcome::Cancelled),
-            "rejected" => Ok(TraceOutcome::Rejected),
-            "shed" => Ok(TraceOutcome::Shed),
-            other => Err(Error::Config(format!("unknown trace outcome `{other}`"))),
         }
     }
 
@@ -424,36 +395,6 @@ impl QueryTrace {
             ("phases", JsonValue::Array(phases.collect())),
             ("children", JsonValue::Array(children.collect())),
         ])
-    }
-
-    /// Parse back from [`QueryTrace::to_json_value`] output.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self> {
-        fn each<T>(v: &JsonValue, key: &str, f: fn(&JsonValue) -> Result<T>) -> Result<Vec<T>> {
-            v.req(key)?
-                .as_array()
-                .ok_or_else(|| Error::Config(format!("`{key}` is not an array")))?
-                .iter()
-                .map(f)
-                .collect()
-        }
-        let parent = match v.req("parent")? {
-            JsonValue::Null => None,
-            p => {
-                Some(TraceId::from_raw(p.as_u64().ok_or_else(|| {
-                    Error::Config("`parent` is not a u64".into())
-                })?))
-            }
-        };
-        Ok(QueryTrace {
-            trace: TraceId::from_raw(v.req_u64("trace")?),
-            parent,
-            group: v.req_str("group")?.to_string(),
-            detail: v.req_str("detail")?.to_string(),
-            outcome: TraceOutcome::parse(v.req_str("outcome")?)?,
-            total_secs: v.req_f64("total_secs")?,
-            phases: each(v, "phases", SpanRecord::from_json_value)?,
-            children: each(v, "children", QueryTrace::from_json_value)?,
-        })
     }
 
     /// Render the span tree as an indented text block (for README dumps
@@ -656,14 +597,6 @@ impl FlightRecorder {
             .map(|t| t.to_json_value().to_string())
             .collect::<Vec<_>>()
             .join("\n")
-    }
-
-    /// Parse traces back from [`FlightRecorder::to_json_lines`] output.
-    pub fn from_json_lines(text: &str) -> Result<Vec<QueryTrace>> {
-        text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|l| QueryTrace::from_json_value(&JsonValue::parse(l)?))
-            .collect()
     }
 }
 

@@ -1,7 +1,8 @@
 //! Integration coverage for the metrics layer: bucket boundaries,
-//! concurrency, span ordering and JSON round-trips.
+//! concurrency, span ordering and the JSON each one writes, read with
+//! [`JsonValue::parse`].
 
-use orv_obs::{EventLog, JsonValue, MetricsRegistry, MetricsSnapshot, Obs, SpanRecord, Spans};
+use orv_obs::{JsonValue, MetricsRegistry, Obs, Spans};
 
 #[test]
 fn histogram_bucketing_boundaries() {
@@ -71,10 +72,14 @@ fn span_nesting_and_ordering() {
     // The child's interval lies inside its parent's.
     assert!(recs[0].dur_secs >= recs[1].dur_secs);
     assert!(recs[0].start_secs <= recs[1].start_secs);
-    // JSON round-trip of span records.
+    // Each record's JSON carries its four fields.
     for r in &recs {
-        let back = SpanRecord::from_json_value(&r.to_json_value()).unwrap();
-        assert_eq!(&back, r);
+        let v = JsonValue::parse(&r.to_json_value().to_string()).unwrap();
+        assert_eq!(v.req_u64("seq").unwrap(), r.seq);
+        assert_eq!(v.req_str("path").unwrap(), r.path);
+        assert_eq!(v.req_f64("start_secs").unwrap(), r.start_secs);
+        assert_eq!(v.req_f64("dur_secs").unwrap(), r.dur_secs);
+        assert_eq!(v.as_object().unwrap().len(), 4);
     }
 }
 
@@ -86,10 +91,28 @@ fn metrics_snapshot_json_round_trip() {
     r.histogram("probe_us", &[10.0, 100.0])
         .unwrap()
         .record(42.5);
-    let snap = r.snapshot();
-    let text = snap.to_json_value().to_string();
-    let back = MetricsSnapshot::from_json_value(&JsonValue::parse(&text).unwrap()).unwrap();
-    assert_eq!(back, snap);
+    let text = r.snapshot().to_json_value().to_string();
+    let v = JsonValue::parse(&text).unwrap();
+    assert_eq!(
+        v.req("counters")
+            .unwrap()
+            .req_u64("bytes_transferred")
+            .unwrap(),
+        4096
+    );
+    assert_eq!(v.req("gauges").unwrap().req_u64("workers").unwrap(), 3);
+    let h = v.req("histograms").unwrap().req("probe_us").unwrap();
+    let nums = |key: &str| -> Vec<f64> {
+        let a = h.req(key).unwrap().as_array().unwrap();
+        a.iter().map(|x| x.as_f64().unwrap()).collect()
+    };
+    assert_eq!(nums("bounds"), [10.0, 100.0]);
+    assert_eq!(nums("buckets"), [0.0, 1.0, 0.0]);
+    assert_eq!(h.req_u64("count").unwrap(), 1);
+    assert_eq!(h.req_f64("sum").unwrap(), 42.5);
+    // Nothing is written beyond the three maps and four histogram keys.
+    assert_eq!(v.as_object().unwrap().len(), 3);
+    assert_eq!(h.as_object().unwrap().len(), 4);
 }
 
 #[test]
@@ -103,7 +126,12 @@ fn event_log_json_round_trip_through_obs() {
         ]
     });
     let text = obs.events.to_json_lines();
-    let parsed = EventLog::from_json_lines(&text).unwrap();
-    assert_eq!(parsed, obs.events.events());
-    assert_eq!(parsed[0].fields["draw"].as_u64(), Some(7));
+    let v = JsonValue::parse(&text).unwrap();
+    assert_eq!(v, obs.events.events()[0].to_json_value());
+    assert_eq!(v.req_u64("seq").unwrap(), 0);
+    assert_eq!(v.req_str("kind").unwrap(), "fault_injected");
+    let fields = v.req("fields").unwrap();
+    assert_eq!(fields.req_str("kind").unwrap(), "read");
+    assert_eq!(fields.req_str("site").unwrap(), "chunk_read");
+    assert_eq!(fields.req_u64("draw").unwrap(), 7);
 }

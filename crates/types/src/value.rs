@@ -146,32 +146,6 @@ impl Value {
             }
         }
     }
-
-    /// Encode into little-endian bytes at the type's fixed width.
-    pub fn encode_le(self, out: &mut Vec<u8>) {
-        match self {
-            Value::I32(v) => out.extend_from_slice(&v.to_le_bytes()),
-            Value::I64(v) => out.extend_from_slice(&v.to_le_bytes()),
-            Value::F32(v) => out.extend_from_slice(&v.to_le_bytes()),
-            Value::F64(v) => out.extend_from_slice(&v.to_le_bytes()),
-        }
-    }
-
-    /// Decode a value of type `ty` from little-endian bytes.
-    ///
-    /// Returns `None` if `bytes` is shorter than the type's width.
-    pub fn decode_le(ty: DataType, bytes: &[u8]) -> Option<Self> {
-        let w = ty.width();
-        if bytes.len() < w {
-            return None;
-        }
-        Some(match ty {
-            DataType::I32 => Value::I32(i32::from_le_bytes(bytes[..4].try_into().ok()?)),
-            DataType::I64 => Value::I64(i64::from_le_bytes(bytes[..8].try_into().ok()?)),
-            DataType::F32 => Value::F32(f32::from_le_bytes(bytes[..4].try_into().ok()?)),
-            DataType::F64 => Value::F64(f64::from_le_bytes(bytes[..8].try_into().ok()?)),
-        })
-    }
 }
 
 #[inline]
@@ -298,28 +272,6 @@ mod tests {
             assert_eq!(DataType::parse(ty.name()), Some(ty));
         }
         assert_eq!(DataType::parse("u8"), None);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let vals = [
-            Value::I32(-5),
-            Value::I64(1 << 40),
-            Value::F32(3.25),
-            Value::F64(-0.125),
-        ];
-        for v in vals {
-            let mut buf = Vec::new();
-            v.encode_le(&mut buf);
-            assert_eq!(buf.len(), v.data_type().width());
-            let back = Value::decode_le(v.data_type(), &buf).unwrap();
-            assert_eq!(v, back);
-        }
-    }
-
-    #[test]
-    fn decode_short_buffer_is_none() {
-        assert!(Value::decode_le(DataType::I64, &[0u8; 7]).is_none());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property tests: `Value`'s total order obeys the `Ord` laws (with NaNs
-//! and mixed types), `Hash` agrees with `Eq`, and the wire encoding is the
-//! identity.
+//! and mixed types), and `Hash` agrees with `Eq`.
 
 use orv_types::{DataType, Value};
 use proptest::prelude::*;
@@ -55,15 +54,6 @@ proptest! {
         if a == b {
             prop_assert_eq!(hash_of(&a), hash_of(&b));
         }
-    }
-
-    #[test]
-    fn encode_decode_identity(v in value_strategy()) {
-        let mut buf = Vec::new();
-        v.encode_le(&mut buf);
-        let back = Value::decode_le(v.data_type(), &buf).unwrap();
-        prop_assert_eq!(back, v);
-        prop_assert_eq!(buf.len(), v.data_type().width());
     }
 
     #[test]

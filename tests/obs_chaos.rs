@@ -1,14 +1,14 @@
-//! Chaos runs are replayable from the event log alone: the injector
-//! emits a `fault_plan` event carrying the full seeded plan plus one
-//! `fault_injected` event per fired fault (kind, site, draw index), and
-//! those must agree with the injector's own statistics and survive a
-//! round-trip through the JSON-lines export.
+//! A chaos run's event log records what happened: the injector emits a
+//! `fault_plan` event carrying the full seeded plan plus one
+//! `fault_injected` event per fired fault (kind, site, draw index). The
+//! exported JSON lines, read back with `JsonValue::parse`, must carry
+//! the exact plan and agree with the injector's own statistics.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
 use orv::cluster::{Fault, FaultInjector, FaultPlan};
 use orv::join::reference::{nested_loop_join, sort_records};
 use orv::join::{grace_hash_join, indexed_join, GraceHashConfig, IndexedJoinConfig};
-use orv::obs::{EventLog, Obs};
+use orv::obs::{EventLog, JsonValue, Obs};
 use orv::types::TableId;
 
 fn two_tables() -> (Deployment, TableId, TableId) {
@@ -50,26 +50,45 @@ fn chaos_plan() -> FaultPlan {
     .with(Fault::ScratchCorrupt, 0.4, 2)
 }
 
-/// Re-parse the log and check it pins the run: the plan round-trips, and
-/// the injected-fault events agree with the injector's statistics.
+/// Parse the exported log and check it pins the run: the plan is logged
+/// exactly, and the injected-fault events agree with the injector's
+/// statistics.
 fn assert_log_replays(events: &EventLog, plan: &FaultPlan, stats: orv::cluster::fault::FaultStats) {
-    // Everything below reads the *parsed* log, not the live one — a chaos
-    // run must be reconstructible from its exported lines alone.
-    let parsed = EventLog::from_json_lines(&events.to_json_lines()).unwrap();
-
-    let plans: Vec<_> = parsed.iter().filter(|e| e.kind == "fault_plan").collect();
-    assert_eq!(plans.len(), 1, "exactly one plan event per injector");
-    let logged = FaultPlan::from_json_value(&plans[0].fields["plan"]).unwrap();
-    assert_eq!(&logged, plan, "the event stream must pin the exact plan");
-
-    let faults: Vec<_> = parsed
-        .iter()
-        .filter(|e| e.kind == "fault_injected")
+    // Everything below reads the *exported* lines, not the live log — what
+    // an outside tool sees is what must pin the run.
+    let lines: Vec<JsonValue> = events
+        .to_json_lines()
+        .lines()
+        .map(|l| JsonValue::parse(l).unwrap())
         .collect();
+    for (i, line) in lines.iter().enumerate() {
+        assert_eq!(
+            line.req_u64("seq").unwrap(),
+            i as u64,
+            "seq is the line index"
+        );
+    }
+    let of_kind = |kind: &str| -> Vec<&JsonValue> {
+        lines
+            .iter()
+            .filter(|l| l.req_str("kind").unwrap() == kind)
+            .map(|l| l.req("fields").unwrap())
+            .collect()
+    };
+
+    let plans = of_kind("fault_plan");
+    assert_eq!(plans.len(), 1, "exactly one plan event per injector");
+    assert_eq!(
+        plans[0].req("plan").unwrap(),
+        &plan.to_json_value(),
+        "the event stream must pin the exact plan"
+    );
+
+    let faults = of_kind("fault_injected");
     let by_kind = |k: &str| {
         faults
             .iter()
-            .filter(|e| e.fields["kind"].as_str() == Some(k))
+            .filter(|e| e.req_str("kind").unwrap() == k)
             .count() as u64
     };
     assert_eq!(by_kind("read_error"), stats[Fault::ReadError]);
@@ -86,10 +105,7 @@ fn assert_log_replays(events: &EventLog, plan: &FaultPlan, stats: orv::cluster::
 
     // Silent corruption is only tolerable because it is *never* silent:
     // every injected flip must surface as a `corruption_detected` event.
-    let detected = parsed
-        .iter()
-        .filter(|e| e.kind == "corruption_detected")
-        .count() as u64;
+    let detected = of_kind("corruption_detected").len() as u64;
     assert_eq!(
         detected,
         stats.corruptions(),
@@ -105,9 +121,9 @@ fn assert_log_replays(events: &EventLog, plan: &FaultPlan, stats: orv::cluster::
     let mut by_group: std::collections::BTreeMap<(String, u64), Vec<u64>> =
         std::collections::BTreeMap::new();
     for e in &faults {
-        let site = e.fields["site"].as_str().unwrap().to_string();
-        let stream = e.fields["stream"].as_u64().unwrap();
-        let draw = e.fields["draw"].as_u64().unwrap();
+        let site = e.req_str("site").unwrap().to_string();
+        let stream = e.req_u64("stream").unwrap();
+        let draw = e.req_u64("draw").unwrap();
         by_group.entry((site, stream)).or_default().push(draw);
     }
     for ((site, stream), draws) in by_group {

@@ -1,8 +1,8 @@
 //! The predicted-vs-measured report: both QES implementations run under
-//! full observability, every required phase is present, the export is
-//! well-formed JSON, and it round-trips losslessly.
+//! full observability, every required phase is present, and the export
+//! is well-formed JSON carrying every run, phase and metric.
 
-use orv::obs::{required_phases, ObsReport};
+use orv::obs::{required_phases, JsonValue};
 use orv::obs_report::{standard_report, ReportConfig};
 
 fn small_config() -> ReportConfig {
@@ -65,11 +65,31 @@ fn standard_report_covers_both_algorithms_with_all_phases() {
 #[test]
 fn report_json_round_trips_and_is_well_formed() {
     let report = standard_report(&small_config()).unwrap();
-    let json = report.to_json();
-    let back = ObsReport::from_json(&json).unwrap();
-    assert_eq!(back, report);
-    // A truncated export must be rejected, not half-parsed.
-    assert!(ObsReport::from_json(&json[..json.len() - 5]).is_err());
+    let v = JsonValue::parse(&report.to_json()).unwrap();
+    let runs = v.req("runs").unwrap().as_array().unwrap();
+    assert_eq!(runs.len(), report.runs.len());
+    for (json, run) in runs.iter().zip(&report.runs) {
+        assert_eq!(json, &run.to_json_value());
+        assert_eq!(json.req_str("algorithm").unwrap(), run.algorithm);
+        let phases = json.req("phases").unwrap().as_array().unwrap();
+        for (p, row) in phases.iter().zip(&run.phases) {
+            assert_eq!(p.req_str("phase").unwrap(), row.phase);
+            assert_eq!(p.req_f64("predicted_secs").unwrap(), row.predicted_secs);
+            assert_eq!(p.req_f64("measured_secs").unwrap(), row.measured_secs);
+        }
+        assert_eq!(phases.len(), run.phases.len());
+        assert_eq!(
+            json.req_f64("measured_wall_secs").unwrap(),
+            run.measured_wall_secs
+        );
+    }
+    assert_eq!(v.req("metrics").unwrap(), &report.metrics.to_json_value());
+    let counters = v.req("metrics").unwrap().req("counters").unwrap();
+    assert_eq!(
+        counters.req_u64("ij/result_tuples").unwrap(),
+        report.metrics.counters["ij/result_tuples"]
+    );
+    assert_eq!(v.req("notes").unwrap().as_object().unwrap(), &report.notes);
 }
 
 #[test]

@@ -4,23 +4,19 @@
 //!
 //! The chunk, layout and bucket *decoders* have their own totality tests
 //! (`crates/layout/tests/prop_roundtrip.rs`, `grace::tests::decode_props`);
-//! these cover the five text front-ends: the SQL parser, the layout
+//! these cover the four text front-ends: the SQL parser, the layout
 //! description parser (through `compile` to `row_count`/`decode`), the
-//! JSON parser, the `ORVCAT1` catalog loader, and the `fault_plan` loader
-//! (a chaos run's plan is read back from its CI artefact). Mutations are the ones
+//! JSON parser and the `ORVCAT1` catalog loader. Mutations are the ones
 //! hostile or damaged input is made of: deletions, truncation, spliced
 //! grammar keywords, integers that overflow every width, NUL and
 //! multi-byte characters.
 
 use orv::bds::{generate_dataset, DatasetSpec, Deployment};
-use orv::cluster::{
-    crc32c, ClientFloodSpec, Fault, FaultPlan, ShardDeathSpec, ShardSlowStormSpec, WorkerPanicSpec,
-};
+use orv::cluster::crc32c;
 use orv::layout::{parse_layout, CompiledLayout};
 use orv::metadata::MetadataService;
 use orv::obs::JsonValue;
 use orv::query::parse_statement;
-use orv::types::Error;
 use proptest::prelude::*;
 
 /// Tokens no grammar here is safe from by construction.
@@ -241,115 +237,6 @@ proptest! {
                 !matches!(e, orv::types::Error::Integrity(_)),
                 "the recomputed checksum must pass, so the loader is exercised: {e}"
             );
-        }
-    }
-}
-
-/// Any plan JSON can carry exactly: probabilities are any `f64` but NaN
-/// (which equals nothing, itself included), integers stay below 2^53.
-/// Each spec list draws up to two entries from one tuple shape and uses as
-/// many of its fields as the spec has.
-fn fault_plans() -> impl Strategy<Value = FaultPlan> {
-    let n = || 0u64..(1 << 53);
-    let specs = || proptest::collection::vec((n(), n(), n(), n()), 0..3);
-    let kinds = proptest::collection::vec((any::<f64>(), n()), 8..9);
-    ((n(), n()), kinds, specs(), specs(), specs(), specs()).prop_map(
-        |((seed, max_faults), kinds, panics, deaths, floods, storms)| {
-            let plan = FaultPlan {
-                seed,
-                max_faults,
-                worker_panics: panics
-                    .iter()
-                    .map(|&(a, b, ..)| WorkerPanicSpec {
-                        worker: a as usize,
-                        after_ops: b,
-                    })
-                    .collect(),
-                shard_deaths: deaths
-                    .iter()
-                    .map(|&(a, b, ..)| ShardDeathSpec {
-                        shard: a as usize,
-                        after_subqueries: b,
-                    })
-                    .collect(),
-                client_floods: floods
-                    .iter()
-                    .map(|&(a, b, c, _)| ClientFloodSpec {
-                        after_queries: a,
-                        clients: b,
-                        queries_per_client: c,
-                    })
-                    .collect(),
-                shard_slow_storms: storms
-                    .iter()
-                    .map(|&(a, b, c, d)| ShardSlowStormSpec {
-                        shard: a as usize,
-                        after_subqueries: b,
-                        delay_ms: c,
-                        storm_len: d,
-                    })
-                    .collect(),
-                ..FaultPlan::none()
-            };
-            let kinds = Fault::all().into_iter().zip(kinds);
-            kinds.fold(plan, |plan, (kind, (p, n))| {
-                plan.with(kind, if p.is_nan() { 0.5 } else { p }, n)
-            })
-        },
-    )
-}
-
-/// `fault_plan` payloads to mutate: every kind armed with every spec list,
-/// and a log from before one-shot slow shards became storms.
-fn fault_plan_payloads() -> Vec<String> {
-    let full = FaultPlan {
-        shard_deaths: vec![ShardDeathSpec {
-            shard: 1,
-            after_subqueries: 3,
-        }],
-        client_floods: vec![ClientFloodSpec {
-            after_queries: 2,
-            clients: 4,
-            queries_per_client: 5,
-        }],
-        shard_slow_storms: vec![ShardSlowStormSpec {
-            shard: 0,
-            after_subqueries: 1,
-            delay_ms: 40,
-            storm_len: 6,
-        }],
-        ..FaultPlan::corrupting(27)
-    };
-    let legacy = FaultPlan::from_seed(3).to_json_value().to_string().replace(
-        r#""shard_slow_storms":[]"#,
-        r#""shard_slows":[{"after_subqueries":1,"delay_ms":40,"shard":2}]"#,
-    );
-    vec![full.to_json_value().to_string(), legacy]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn fault_plans_round_trip_through_json(plan in fault_plans()) {
-        prop_assert_eq!(FaultPlan::from_json_value(&plan.to_json_value()).unwrap(), plan);
-    }
-
-    /// What loads is a plan that saves and reloads as itself; what does
-    /// not is a typed configuration error, never a panic.
-    #[test]
-    fn fault_plan_loader_is_total(seed in 0usize..2, edits in edits()) {
-        static PAYLOADS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
-        let payload = &PAYLOADS.get_or_init(fault_plan_payloads)[seed];
-        let text = mutate(payload, JSON_KEYWORDS, &edits);
-        if let Ok(v) = JsonValue::parse(&text) {
-            match FaultPlan::from_json_value(&v) {
-                Ok(plan) => prop_assert_eq!(
-                    FaultPlan::from_json_value(&plan.to_json_value()).unwrap(),
-                    plan
-                ),
-                Err(e) => prop_assert!(matches!(e, Error::Config(_)), "{e}"),
-            }
         }
     }
 }
